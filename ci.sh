@@ -76,6 +76,20 @@ echo "ci: hot-path parity smoke OK"
 cargo run --release --offline -q -p colr-bench --bin throughput -- --quick
 echo "ci: hot-path throughput gate OK"
 
+# Benchmark runner gate: the ruler's own tests (its --quick smoke and the
+# BENCHMARK.json catalogue check), then a quick live_local run that must pass
+# its per-answer audit (exit 0) and pay at most one probe wave per query —
+# select -> collect -> complete sends a request's probes out together.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+waves=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --quick --workload live_local --trace 0 --seconds 2 |
+    awk '$1 == "info" && $2 == "waves_per_query" { print $3 }')
+awk -v w="$waves" 'BEGIN { exit !(w != "" && w + 0 <= 1.0) }' || {
+    echo "ci: live_local pays ${waves:-?} probe waves per query (want <= 1)" >&2
+    exit 1
+}
+echo "ci: benchmark runner gate OK (waves_per_query=$waves)"
+
 # Docs gate: rustdoc must build warning-free for every first-party crate
 # (vendored stand-in crates are exempt, hence the explicit -p list).
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -q \

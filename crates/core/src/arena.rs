@@ -44,10 +44,9 @@ use rand::Rng;
 
 use crate::alias::AliasTable;
 use crate::avail::LiveAvailability;
-use crate::lookup::{GroupResult, Query, QueryOutput, WriteBack};
-use crate::probe::ProbeService;
+use crate::lookup::{GroupResult, ProbePlan, Query, QueryOutput};
 use crate::reading::{Reading, SensorId};
-use crate::sampling::TermTarget;
+use crate::sampling::{TermTarget, MIN_AVAILABILITY, TARGET_EPS};
 use crate::scratch::QueryScratch;
 use crate::stats::QueryStats;
 use crate::time::Timestamp;
@@ -396,30 +395,20 @@ impl SamplingArena {
     }
 }
 
-/// Minimum availability used when scaling targets (mirrors `sampling.rs`).
-const MIN_AVAILABILITY: f64 = 0.05;
-/// Targets below this are treated as zero (mirrors `sampling.rs`).
-const TARGET_EPS: f64 = 1e-9;
-
 impl ColrTree {
     /// Algorithm 1 over the flattened arena. Draw-for-draw identical to
     /// [`ColrTree::exec_colr`] (see the module docs for why), but traversal
     /// state is arena indices, MBR tests run against the SoA coordinate
     /// slices, and fully contained rectangular nodes take their split
     /// denominator straight from the prebuilt alias table.
-    pub(crate) fn exec_colr_arena<P, R>(
+    pub(crate) fn exec_colr_arena<R: Rng + ?Sized>(
         &self,
         query: &Query,
-        probe: &P,
         now: Timestamp,
         rng: &mut R,
-        wb: &mut WriteBack,
+        plan: &mut ProbePlan,
         scratch: &mut QueryScratch,
-    ) -> QueryOutput
-    where
-        P: ProbeService + ?Sized,
-        R: Rng + ?Sized,
-    {
+    ) -> QueryOutput {
         let arena = self
             .sampling_arena()
             .expect("arena layout dispatched without a built arena");
@@ -465,13 +454,12 @@ impl ColrTree {
                     r_eff,
                     scaled,
                     query,
-                    probe,
                     now,
                     rng,
                     &mut stats,
                     &mut groups,
                     &mut readings,
-                    wb,
+                    plan,
                     scratch,
                 );
                 let want = if scaled && self.config.enable_oversampling {
@@ -586,7 +574,8 @@ impl ColrTree {
 
             let mut fulfilled = 0.0;
             let mut assigned = 0.0;
-            scratch.leaf_readings.clear();
+            let leaf_start = readings.len();
+            let leaf_ids = plan.ids.len();
             let mut leaf_target = 0.0;
 
             for i in 0..scratch.kid_sensors.len() {
@@ -601,12 +590,11 @@ impl ColrTree {
                     share,
                     scaled,
                     query,
-                    probe,
                     now,
                     rng,
                     &mut stats,
-                    &mut scratch.leaf_readings,
-                    wb,
+                    &mut readings,
+                    plan,
                 );
             }
             for i in 0..scratch.kid_nodes.len() {
@@ -638,16 +626,14 @@ impl ColrTree {
                 }
             }
 
-            if !scratch.leaf_readings.is_empty() || leaf_target > TARGET_EPS {
-                let mut group = Self::group_over_readings(
+            if leaf_target > TARGET_EPS {
+                plan.fix(groups.len(), leaf_start..readings.len(), leaf_ids);
+                groups.push(Self::group_over_readings(
                     arena.orig(idx),
                     arena.bbox(idx),
-                    &scratch.leaf_readings,
+                    &readings[leaf_start..],
                     leaf_target,
-                );
-                group.results = scratch.leaf_readings.len() as u64;
-                groups.push(group);
-                readings.append(&mut scratch.leaf_readings);
+                ));
             }
 
             let lag = r_eff - fulfilled - assigned;

@@ -85,6 +85,7 @@ impl FlatCache {
 
         let outcomes = probe.probe_batch(&to_probe, now);
         stats.sensors_probed += to_probe.len() as u64;
+        stats.probe_waves = self.cost.primary_waves(stats.sensors_probed);
         for outcome in outcomes {
             match outcome {
                 Some(r) => {

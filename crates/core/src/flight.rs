@@ -38,8 +38,8 @@ pub struct LevelStage {
     pub slots_combined: u64,
 }
 
-/// One probe dispatch (a `probe_sensors` call): the wave group it issued and
-/// how much of the deadline budget it consumed.
+/// A query's probe dispatch (its single collect step): the waves it issued
+/// and how much of the deadline budget it consumed.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct WaveStage {
     /// Sensors probed in this dispatch (including failures).
@@ -95,7 +95,8 @@ pub struct FlightRecord {
     pub plan_deadline_ms: u64,
     /// Per-level traversal stages, indexed by `min(level, FLIGHT_LEVELS-1)`.
     pub levels: [LevelStage; FLIGHT_LEVELS],
-    /// Probe dispatches, in issue order.
+    /// Probe dispatches — one per probing query per index (a routed query
+    /// records one per shard).
     pub waves: Vec<WaveStage>,
     /// Retry rounds from the resilient probe layer, in issue order.
     pub retry_rounds: Vec<RetryRound>,

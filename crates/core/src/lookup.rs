@@ -17,6 +17,14 @@
 //! * [`Mode::Colr`] additionally samples (Algorithm 1) so only a target
 //!   number of sensors is ever contacted.
 //!
+//! Every mode runs as **select → collect → complete**: the walk answers what
+//! the caches can and only *chooses* the sensors to probe (`ProbePlan`);
+//! when it ends, the whole request goes to the backend as one wave
+//! (`Wave`) and the outcomes are folded back into their groups and
+//! written to the caches in one batch (`ColrTree::complete`). No traversal
+//! decision reads a probe outcome, so a query costs one round trip (per
+//! `probe_parallelism` probes) however many terminals it reaches.
+//!
 //! Execution takes `&self`: cache reads go through the tree's striped locks
 //! and write-backs through the maintenance path, so any number of queries can
 //! run against one shared tree concurrently. [`ColrTree::execute_frozen`]
@@ -24,12 +32,15 @@
 //! every query in a batch see the same cache snapshot (see
 //! `colr-engine`'s `execute_many`).
 
+use std::ops::Range;
+
 use colr_geo::{Rect, Region};
 use rand::Rng;
 
 use crate::agg::{AggKind, Histogram, PartialAgg};
 use crate::probe::ProbeService;
 use crate::reading::{Reading, SensorId};
+use crate::scratch::QueryScratch;
 use crate::stats::QueryStats;
 use crate::time::{TimeDelta, Timestamp};
 use crate::tree::{Children, ColrTree, NodeId};
@@ -57,8 +68,8 @@ pub struct Query {
     /// sub-aggregates each slot maintains.
     pub kind_filter: Option<u16>,
     /// Simulated-time budget a fault-tolerant probe layer may spend on
-    /// retry backoff for this query. Shared across all of the query's
-    /// probe batches; plain probe services ignore it.
+    /// retry backoff for this query's one probe wave; plain probe services
+    /// ignore it.
     pub probe_deadline: TimeDelta,
 }
 
@@ -208,14 +219,224 @@ impl WriteBack {
     ) {
         match self {
             WriteBack::Immediate => {
-                // One batched application per probe group: each touched node
-                // cache updates atomically, so concurrent readers never see a
+                // One batched application per query: each touched node cache
+                // updates atomically, so concurrent readers never see a
                 // half-written aggregate (the tracer span is recorded there).
                 let inserted = tree.apply_readings(readings, now) as u64;
                 stats.cache_inserts += inserted;
                 crate::flight::with(|f| f.write_back(inserted));
             }
             WriteBack::Buffered(buf) => buf.extend_from_slice(readings),
+        }
+    }
+}
+
+/// The probe selections a walk defers to the query's single collect step
+/// (select → collect → complete). The walk makes every sampling decision and
+/// RNG draw but contacts no sensor: chosen ids are appended here, each group
+/// awaiting outcomes leaves a [`ProbeFix`], and once the walk ends one
+/// [`Wave`] goes out over `ids` and [`ColrTree::complete`] folds the
+/// outcomes back.
+#[derive(Default)]
+pub(crate) struct ProbePlan {
+    /// Selected sensors in selection order — the query's one wave.
+    pub(crate) ids: Vec<SensorId>,
+    /// Per id: the index in the walk's cached-only `readings` its outcome
+    /// is spliced in at.
+    at: Vec<usize>,
+    /// Groups awaiting outcomes, in group order.
+    pub(crate) fixes: Vec<ProbeFix>,
+}
+
+/// One group's claim on a slice of the wave.
+pub(crate) struct ProbeFix {
+    /// Index into the walk's `groups`.
+    group: usize,
+    /// The group's span in the walk's cached-only `readings`.
+    span: Range<usize>,
+    /// The group's ids in [`ProbePlan::ids`].
+    ids: Range<usize>,
+}
+
+impl ProbePlan {
+    /// Empties the plan for a new query. The pool keeps room for an
+    /// ordinary request, not for a fleet-wide cache fill.
+    pub(crate) fn clear(&mut self) {
+        const POOLED: usize = 1024;
+        self.ids.clear();
+        self.ids.shrink_to(POOLED);
+        self.at.clear();
+        self.at.shrink_to(POOLED);
+        self.fixes.clear();
+        self.fixes.shrink_to(POOLED);
+    }
+
+    /// Adds `id` to the wave; its reading, if the probe succeeds, lands at
+    /// `readings[at]` (indices as of the walk, before any splice).
+    pub(crate) fn push(&mut self, id: SensorId, at: usize) {
+        self.ids.push(id);
+        self.at.push(at);
+    }
+
+    /// Adds `ids` to the wave on behalf of `group`, whose cached readings
+    /// occupy `readings[span]`; their readings follow the cached ones.
+    pub(crate) fn defer(&mut self, group: usize, span: Range<usize>, ids: &[SensorId]) {
+        let ids_from = self.ids.len();
+        for &id in ids {
+            self.push(id, span.end);
+        }
+        self.fix(group, span, ids_from);
+    }
+
+    /// Ties every id selected since `ids_from` to `group`, whose cached
+    /// readings occupy `readings[span]`. No-op when nothing was selected.
+    pub(crate) fn fix(&mut self, group: usize, span: Range<usize>, ids_from: usize) {
+        if ids_from < self.ids.len() {
+            self.fixes.push(ProbeFix {
+                group,
+                span,
+                ids: ids_from..self.ids.len(),
+            });
+        }
+    }
+}
+
+/// The collect step — the one place a query contacts the probe backend, and
+/// the one definition of a wave. Yields one outcome per id in selection
+/// order, issuing one `probe_batch_report` per `probe_parallelism` chunk
+/// (sharing the query's retry budget) as the complete step draws them, so a
+/// viewport-sized request never holds more than a wave of outcomes;
+/// [`Wave::charge`] then books the whole dispatch.
+pub(crate) struct Wave<'a, P: ?Sized> {
+    cost: &'a crate::stats::CostModel,
+    probe: &'a P,
+    now: Timestamp,
+    pending: std::slice::Chunks<'a, SensorId>,
+    arrived: std::vec::IntoIter<Option<Reading>>,
+    stage: crate::flight::WaveStage,
+}
+
+impl<'a, P: ProbeService + ?Sized> Wave<'a, P> {
+    pub(crate) fn new(
+        cost: &'a crate::stats::CostModel,
+        probe: &'a P,
+        ids: &'a [SensorId],
+        query: &Query,
+        now: Timestamp,
+    ) -> Self {
+        Wave {
+            cost,
+            probe,
+            now,
+            pending: ids.chunks(cost.probe_parallelism.max(1) as usize),
+            arrived: Vec::new().into_iter(),
+            stage: crate::flight::WaveStage {
+                probes: ids.len() as u64,
+                budget_before_ms: query.probe_deadline.millis(),
+                ..Default::default()
+            },
+        }
+    }
+
+    /// Charges the finished dispatch to `stats`, the probe telemetry, the
+    /// flight record (one [`crate::flight::WaveStage`] per query) and the
+    /// tracer. A query that selected nothing is charged nothing.
+    pub(crate) fn charge(self, stats: &mut QueryStats) {
+        debug_assert!(self.pending.len() == 0 && self.arrived.len() == 0);
+        let mut w = self.stage;
+        if w.probes == 0 {
+            return;
+        }
+        let cost = self.cost;
+        w.dur_us = ((w.waves as f64 * cost.probe_rtt_ms
+            + (w.probes + w.retries) as f64 * cost.probe_overhead_ms
+            + w.backoff_ms as f64)
+            * 1_000.0) as u64;
+        stats.sensors_probed += w.probes;
+        stats.probe_waves += w.waves;
+        stats.probes_failed += w.failed;
+        stats.probes_retried += w.retries;
+        stats.retry_waves += w.retry_waves;
+        stats.retry_backoff_ms += w.backoff_ms;
+        stats.breaker_skipped += w.breaker_skipped;
+        stats.deadline_clipped += w.deadline_clipped;
+        let telem = crate::telem::query();
+        telem.probes_issued.add(w.probes);
+        telem.probes_failed.add(w.failed);
+        telem.probe_batch_size.observe(w.probes);
+        telem.probe_wave_us.observe(w.dur_us);
+        crate::flight::with(|f| f.wave(w));
+        colr_telemetry::tracer().record_now(
+            colr_telemetry::SpanKind::ProbeWave,
+            w.dur_us,
+            w.probes,
+        );
+    }
+}
+
+impl<P: ProbeService + ?Sized> Iterator for Wave<'_, P> {
+    type Item = Option<Reading>;
+
+    fn next(&mut self) -> Option<Option<Reading>> {
+        if self.arrived.len() == 0 {
+            let chunk = self.pending.next()?;
+            let w = &mut self.stage;
+            // Fault-aware services may retry within what is left of the budget.
+            let budget = w.budget_before_ms.saturating_sub(w.backoff_ms);
+            let report = self.probe.probe_batch_report(chunk, self.now, budget);
+            debug_assert_eq!(report.outcomes.len(), chunk.len());
+            w.waves += 1 + report.retry_waves;
+            w.failed += report.outcomes.iter().filter(|o| o.is_none()).count() as u64;
+            w.retries += report.retries_issued;
+            w.retry_waves += report.retry_waves;
+            w.backoff_ms += report.backoff_wait_ms;
+            w.breaker_skipped += report.breaker_skipped;
+            w.deadline_clipped += report.deadline_clipped;
+            self.arrived = report.outcomes.into_iter();
+        }
+        self.arrived.next()
+    }
+}
+
+/// Stamps the modelled latency on a completed answer and reports the query
+/// to the global telemetry and the tracer.
+pub(crate) fn finish(cost: &crate::stats::CostModel, mode: Mode, out: &mut QueryOutput) {
+    let stats = &out.stats;
+    debug_assert_eq!(
+        stats.probe_waves,
+        cost.primary_waves(stats.sensors_probed) + stats.retry_waves,
+        "a query's probes go out as one collect step"
+    );
+    out.latency_ms = cost.latency_ms(stats);
+    let telem = crate::telem::query();
+    telem.count_query(mode);
+    telem.latency_us.observe((out.latency_ms * 1_000.0) as u64);
+    let tr = colr_telemetry::tracer();
+    if tr.enabled() {
+        // Span durations are fed by the deterministic cost model, so the
+        // recorded lifecycle is reproducible run to run.
+        let at = tr.now_us();
+        tr.record(
+            colr_telemetry::SpanKind::Traverse,
+            at,
+            (stats.nodes_traversed as f64 * cost.node_visit_ms * 1_000.0) as u64,
+            stats.nodes_traversed,
+        );
+        if stats.cache_nodes_used > 0 {
+            tr.record(
+                colr_telemetry::SpanKind::CacheHit,
+                at,
+                0,
+                stats.cache_nodes_used,
+            );
+        }
+        if stats.slots_combined > 0 {
+            tr.record(
+                colr_telemetry::SpanKind::SlotCombine,
+                at,
+                (stats.slots_combined as f64 * cost.slot_combine_ms * 1_000.0) as u64,
+                stats.slots_combined,
+            );
         }
     }
 }
@@ -287,54 +508,109 @@ impl ColrTree {
         P: ProbeService + ?Sized,
         R: Rng + ?Sized,
     {
-        let mut out = match mode {
-            Mode::RTree => self.exec_rtree(query, probe, now, wb),
-            Mode::HierCache => self.exec_hier(query, probe, now, wb),
-            Mode::Colr => crate::scratch::with_scratch(|scratch| {
+        crate::scratch::with_scratch(|scratch| {
+            let mut plan = std::mem::take(&mut scratch.plan);
+            plan.clear();
+            let mut out = self.select(query, mode, now, rng, &mut plan, scratch);
+            let cost = &self.config().cost;
+            let mut wave = Wave::new(cost, probe, &plan.ids, query, now);
+            let fixes = 0..plan.fixes.len();
+            self.complete(&mut out, &plan, fixes, &mut wave, mode, now, wb);
+            wave.charge(&mut out.stats);
+            scratch.plan = plan;
+            finish(cost, mode, &mut out);
+            out
+        })
+    }
+
+    /// The select step: walks the index in `mode`, answering what the caches
+    /// can and appending every sensor the walk chooses to probe to `plan`
+    /// instead of contacting it. Consumes exactly the RNG draws the answer
+    /// needs; the returned output holds cached readings only until
+    /// [`ColrTree::complete`] folds the wave's outcomes in.
+    pub(crate) fn select<R: Rng + ?Sized>(
+        &self,
+        query: &Query,
+        mode: Mode,
+        now: Timestamp,
+        rng: &mut R,
+        plan: &mut ProbePlan,
+        scratch: &mut QueryScratch,
+    ) -> QueryOutput {
+        match mode {
+            Mode::RTree => self.exec_rtree(query, plan),
+            Mode::HierCache => self.exec_hier(query, now, plan),
+            Mode::Colr => {
                 if self.config().layout == crate::tree::HotPathLayout::Arena
                     && self.sampling_arena().is_some()
                 {
-                    self.exec_colr_arena(query, probe, now, rng, wb, scratch)
+                    self.exec_colr_arena(query, now, rng, plan, scratch)
                 } else {
-                    self.exec_colr(query, probe, now, rng, wb, scratch)
+                    self.exec_colr(query, now, rng, plan, scratch)
                 }
-            }),
-        };
-        out.latency_ms = self.config().cost.latency_ms(&out.stats);
-        let telem = crate::telem::query();
-        telem.count_query(mode);
-        telem.latency_us.observe((out.latency_ms * 1_000.0) as u64);
-        let tr = colr_telemetry::tracer();
-        if tr.enabled() {
-            // Span durations are fed by the deterministic cost model, so the
-            // recorded lifecycle is reproducible run to run.
-            let cost = &self.config().cost;
-            let at = tr.now_us();
-            let stats = &out.stats;
-            tr.record(
-                colr_telemetry::SpanKind::Traverse,
-                at,
-                (stats.nodes_traversed as f64 * cost.node_visit_ms * 1_000.0) as u64,
-                stats.nodes_traversed,
-            );
-            if stats.cache_nodes_used > 0 {
-                tr.record(
-                    colr_telemetry::SpanKind::CacheHit,
-                    at,
-                    0,
-                    stats.cache_nodes_used,
-                );
-            }
-            if stats.slots_combined > 0 {
-                tr.record(
-                    colr_telemetry::SpanKind::SlotCombine,
-                    at,
-                    (stats.slots_combined as f64 * cost.slot_combine_ms * 1_000.0) as u64,
-                    stats.slots_combined,
-                );
             }
         }
-        out
+    }
+
+    /// The complete step: draws one outcome per id of `plan.fixes[fixes]`
+    /// from `outcomes`, splices each into the group and `readings` position
+    /// a probe issued on the spot would have put it, and writes the
+    /// successes back through `wb` a wave at a time — one batch for any
+    /// request that fits a wave, a bounded maintenance batch for a
+    /// viewport-sized one.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn complete(
+        &self,
+        out: &mut QueryOutput,
+        plan: &ProbePlan,
+        fixes: Range<usize>,
+        outcomes: &mut impl Iterator<Item = Option<Reading>>,
+        mode: Mode,
+        now: Timestamp,
+        wb: &mut WriteBack,
+    ) {
+        let fixes = &plan.fixes[fixes];
+        let (Some(first), Some(last)) = (fixes.first(), fixes.last()) else {
+            return;
+        };
+        let selected = last.ids.end - first.ids.start;
+        let wave = self.config().cost.probe_parallelism.max(1) as usize;
+        let mut got: Vec<Reading> = Vec::with_capacity(wave.min(selected));
+        let old = std::mem::take(&mut out.readings);
+        let mut readings = Vec::with_capacity(old.len() + selected);
+        let mut copied = 0;
+        for fix in fixes {
+            readings.extend_from_slice(&old[copied..fix.span.start]);
+            copied = fix.span.start;
+            let group_start = readings.len();
+            for i in fix.ids.clone() {
+                readings.extend_from_slice(&old[copied..plan.at[i]]);
+                copied = plan.at[i];
+                let outcome = outcomes.next().expect("one outcome per selected id");
+                readings.extend(outcome);
+                // No cache in R-Tree mode: its results are never written back.
+                if mode != Mode::RTree {
+                    got.extend(outcome);
+                    if got.len() == wave {
+                        wb.record(self, &got, now, &mut out.stats);
+                        got.clear();
+                    }
+                }
+            }
+            readings.extend_from_slice(&old[copied..fix.span.end]);
+            copied = fix.span.end;
+            let group = &mut out.groups[fix.group];
+            group.agg = PartialAgg::empty();
+            for r in &readings[group_start..] {
+                group.agg.insert(r.value);
+            }
+            group.results = (readings.len() - group_start) as u64;
+        }
+        readings.extend_from_slice(&old[copied..]);
+        out.readings = readings;
+        if !got.is_empty() {
+            wb.record(self, &got, now, &mut out.stats);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -457,123 +733,14 @@ impl ColrTree {
         out
     }
 
-    /// Probes `ids`, returning the successful readings; updates `stats`.
-    /// When `cache_results` is set the readings are routed through `wb`
-    /// (applied immediately or buffered for a deferred apply).
-    ///
-    /// Fault-aware probe services (see [`crate::resilient`]) may retry
-    /// failures within the query's remaining deadline budget; their retry
-    /// waves and backoff waits are charged to the probe-wave latency model
-    /// alongside the primary wave.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn probe_sensors<P: ProbeService + ?Sized>(
-        &self,
-        ids: &[SensorId],
-        probe: &P,
-        query: &Query,
-        now: Timestamp,
-        stats: &mut QueryStats,
-        cache_results: bool,
-        wb: &mut WriteBack,
-    ) -> Vec<Reading> {
-        if ids.is_empty() {
-            return Vec::new();
-        }
-        // The deadline budget is per *query*: backoff already spent by
-        // earlier batches of this query shrinks what later ones may use.
-        let budget = query
-            .probe_deadline
-            .millis()
-            .saturating_sub(stats.retry_backoff_ms);
-        let report = probe.probe_batch_report(ids, now, budget);
-        debug_assert_eq!(report.outcomes.len(), ids.len());
-        stats.sensors_probed += ids.len() as u64;
-        stats.probes_retried += report.retries_issued;
-        stats.retry_waves += report.retry_waves;
-        stats.retry_backoff_ms += report.backoff_wait_ms;
-        stats.breaker_skipped += report.breaker_skipped;
-        stats.deadline_clipped += report.deadline_clipped;
-        let mut readings = Vec::with_capacity(ids.len());
-        let mut failed = 0u64;
-        for outcome in report.outcomes {
-            match outcome {
-                Some(r) => readings.push(r),
-                None => failed += 1,
-            }
-        }
-        stats.probes_failed += failed;
-        let telem = crate::telem::query();
-        telem.probes_issued.add(ids.len() as u64);
-        telem.probes_failed.add(failed);
-        telem.probe_batch_size.observe(ids.len() as u64);
-        let cost = &self.config().cost;
-        let waves = if cost.probe_parallelism == 0 {
-            ids.len() as u64
-        } else {
-            (ids.len() as u64).div_ceil(cost.probe_parallelism)
-        };
-        stats.probe_waves += waves + report.retry_waves;
-        let wave_us = (((waves + report.retry_waves) as f64 * cost.probe_rtt_ms
-            + (ids.len() as u64 + report.retries_issued) as f64 * cost.probe_overhead_ms
-            + report.backoff_wait_ms as f64)
-            * 1_000.0) as u64;
-        telem.probe_wave_us.observe(wave_us);
-        crate::flight::with(|f| {
-            f.wave(crate::flight::WaveStage {
-                probes: ids.len() as u64,
-                waves: waves + report.retry_waves,
-                failed,
-                retries: report.retries_issued,
-                retry_waves: report.retry_waves,
-                backoff_ms: report.backoff_wait_ms,
-                breaker_skipped: report.breaker_skipped,
-                deadline_clipped: report.deadline_clipped,
-                budget_before_ms: budget,
-                dur_us: wave_us,
-            });
-        });
-        colr_telemetry::tracer().record_now(
-            colr_telemetry::SpanKind::ProbeWave,
-            wave_us,
-            ids.len() as u64,
-        );
-        if cache_results {
-            wb.record(self, &readings, now, stats);
-        }
-        readings
-    }
-
-    fn group_over(node: NodeId, bbox: Rect, readings: &[Reading], target: f64) -> GroupResult {
-        let mut agg = PartialAgg::empty();
-        for r in readings {
-            agg.insert(r.value);
-        }
-        GroupResult {
-            node,
-            bbox,
-            agg,
-            from_cache: false,
-            target,
-            results: readings.len() as u64,
-            hist: None,
-        }
-    }
-
     // ------------------------------------------------------------------
     // Mode::RTree — collection-agnostic baseline
     // ------------------------------------------------------------------
 
-    fn exec_rtree<P: ProbeService + ?Sized>(
-        &self,
-        query: &Query,
-        probe: &P,
-        now: Timestamp,
-        wb: &mut WriteBack,
-    ) -> QueryOutput {
+    fn exec_rtree(&self, query: &Query, plan: &mut ProbePlan) -> QueryOutput {
         let terminal_level = query.terminal_level.min(self.leaf_level());
         let mut stats = QueryStats::default();
         let mut groups = Vec::new();
-        let mut readings = Vec::new();
         let mut stack = vec![self.root()];
         while let Some(id) = stack.pop() {
             stats.nodes_traversed += 1;
@@ -586,18 +753,23 @@ impl ColrTree {
                 || (node.level >= terminal_level && query.region.contains_rect(&node.bbox));
             if terminal {
                 let bbox = node.bbox;
-                // No cache in this mode: every sensor in the region is probed.
+                // No cache in this mode: every sensor in the region is
+                // probed, so the walk itself materialises no reading.
                 let sensors = self.collect_region_sensors(id, query, &mut stats);
-                let got = self.probe_sensors(&sensors, probe, query, now, &mut stats, false, wb);
-                groups.push(Self::group_over(id, bbox, &got, sensors.len() as f64));
-                readings.extend(got);
+                plan.defer(groups.len(), 0..0, &sensors);
+                groups.push(Self::group_over_readings(
+                    id,
+                    bbox,
+                    &[],
+                    sensors.len() as f64,
+                ));
             } else if let Children::Internal(children) = &self.node(id).children {
                 stack.extend(children.iter().copied());
             }
         }
         QueryOutput {
             groups,
-            readings,
+            readings: Vec::new(),
             stats,
             latency_ms: 0.0,
         }
@@ -607,13 +779,7 @@ impl ColrTree {
     // Mode::HierCache — slot caches + standard range lookup
     // ------------------------------------------------------------------
 
-    fn exec_hier<P: ProbeService + ?Sized>(
-        &self,
-        query: &Query,
-        probe: &P,
-        now: Timestamp,
-        wb: &mut WriteBack,
-    ) -> QueryOutput {
+    fn exec_hier(&self, query: &Query, now: Timestamp, plan: &mut ProbePlan) -> QueryOutput {
         let terminal_level = query.terminal_level.min(self.leaf_level());
         let mut stats = QueryStats::default();
         let mut groups = Vec::new();
@@ -670,12 +836,10 @@ impl ColrTree {
                     crate::flight::with(|f| f.cache_hit(node.level, 0));
                 }
                 let target = (cached.len() + candidates.len()) as f64;
-                let probed =
-                    self.probe_sensors(&candidates, probe, query, now, &mut stats, true, wb);
-                let mut all = cached;
-                all.extend(probed);
-                groups.push(Self::group_over(id, bbox, &all, target));
-                readings.extend(all);
+                let start = readings.len();
+                readings.extend_from_slice(&cached);
+                plan.defer(groups.len(), start..readings.len(), &candidates);
+                groups.push(Self::group_over_readings(id, bbox, &cached, target));
             } else if let Children::Internal(children) = &self.node(id).children {
                 stack.extend(children.iter().copied());
             }

@@ -6,10 +6,10 @@
 //! every immutable level renumbers its population to local ids `0..n` and
 //! keeps the sorted `global` map alongside. Everything that crosses the
 //! level boundary — probes going out, readings coming back — is translated
-//! by [`LevelProbe`], so the portal's probe service only ever sees global
-//! ids and a level tree only ever sees its own local ids. A level whose map
-//! is the identity and which carries no tombstones is a *passthrough*: the
-//! wrapper forwards untouched, which is what makes a single-level LSM replay
+//! by the layered executor's collect step, so the portal's probe service
+//! only ever sees global ids and a level tree only ever sees its own local
+//! ids. A level whose map is the identity and which carries no tombstones is
+//! a *passthrough*: a single-level LSM forwards to it untouched and replays
 //! the monolithic tree bit-identically.
 
 use std::collections::{HashMap, HashSet};
@@ -18,7 +18,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use parking_lot::RwLock;
 
 use crate::lookup::Query;
-use crate::probe::{ProbeReport, ProbeService};
 use crate::reading::{Reading, SensorId, SensorMeta};
 use crate::time::Timestamp;
 use crate::tree::{CachedEntry, ColrConfig, ColrTree};
@@ -195,80 +194,6 @@ impl LsmLevel {
                 e
             })
             .collect()
-    }
-}
-
-/// The id-translation probe boundary of one level: local ids out to global,
-/// global readings back to local, tombstoned sensors masked to `None`
-/// without touching the wire. Forwards the fault-aware
-/// [`ProbeService::probe_batch_report`] (retry budget included), so a
-/// resilient prober keeps its retry/breaker semantics through the wrapper.
-pub(crate) struct LevelProbe<'a, P: ?Sized> {
-    pub(crate) inner: &'a P,
-    pub(crate) level: &'a LsmLevel,
-}
-
-impl<P: ProbeService + ?Sized> LevelProbe<'_, P> {
-    /// Splits `ids` into the forwarded global list and the positions each
-    /// forwarded outcome scatters back to (tombstoned ids keep `None`).
-    fn translate(&self, ids: &[SensorId]) -> (Vec<SensorId>, Vec<usize>) {
-        let mut fwd = Vec::with_capacity(ids.len());
-        let mut pos = Vec::with_capacity(ids.len());
-        for (i, &id) in ids.iter().enumerate() {
-            if !self.level.is_tombstoned(id) {
-                fwd.push(self.level.global_id(id));
-                pos.push(i);
-            }
-        }
-        (fwd, pos)
-    }
-
-    fn scatter(
-        &self,
-        ids: &[SensorId],
-        pos: Vec<usize>,
-        results: Vec<Option<Reading>>,
-    ) -> Vec<Option<Reading>> {
-        let mut out = vec![None; ids.len()];
-        for (slot, r) in pos.into_iter().zip(results) {
-            out[slot] = r.map(|mut reading| {
-                reading.sensor = ids[slot];
-                reading
-            });
-        }
-        out
-    }
-}
-
-impl<P: ProbeService + ?Sized> ProbeService for LevelProbe<'_, P> {
-    fn probe_batch(&self, ids: &[SensorId], now: Timestamp) -> Vec<Option<Reading>> {
-        if self.level.passthrough() {
-            return self.inner.probe_batch(ids, now);
-        }
-        let (fwd, pos) = self.translate(ids);
-        if fwd.is_empty() {
-            return vec![None; ids.len()];
-        }
-        let results = self.inner.probe_batch(&fwd, now);
-        self.scatter(ids, pos, results)
-    }
-
-    fn probe_batch_report(
-        &self,
-        ids: &[SensorId],
-        now: Timestamp,
-        retry_budget_ms: u64,
-    ) -> ProbeReport {
-        if self.level.passthrough() {
-            return self.inner.probe_batch_report(ids, now, retry_budget_ms);
-        }
-        let (fwd, pos) = self.translate(ids);
-        if fwd.is_empty() {
-            return ProbeReport::plain(vec![None; ids.len()]);
-        }
-        let mut report = self.inner.probe_batch_report(&fwd, now, retry_budget_ms);
-        report.outcomes = self.scatter(ids, pos, report.outcomes);
-        report
     }
 }
 

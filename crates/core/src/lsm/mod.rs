@@ -39,22 +39,16 @@ use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use level::LevelProbe;
 pub use level::{L0Level, LsmLevel};
 
 use crate::agg::PartialAgg;
-use crate::lookup::{GroupResult, Mode, Query, QueryOutput};
+use crate::lookup::{finish, GroupResult, Mode, Query, QueryOutput, Wave, WriteBack};
 use crate::probe::ProbeService;
 use crate::reading::{Reading, SensorId, SensorMeta};
-use crate::sampling::stochastic_round;
+use crate::sampling::{stochastic_round, MIN_AVAILABILITY};
 use crate::stats::QueryStats;
 use crate::time::Timestamp;
 use crate::tree::{CachedEntry, ColrConfig, NodeId};
-
-/// Minimum availability used when compensating the L0 sample for expected
-/// probe failures — same clamp as Algorithm 1's oversampling step (the
-/// constant is private to the sampling module, duplicated here).
-const MIN_AVAILABILITY: f64 = 0.05;
 
 /// Sentinel `GroupResult::node` for groups produced by the flat L0 level,
 /// which has no tree node to point at.
@@ -151,6 +145,10 @@ impl LsmState {
 pub struct LsmSnapshot {
     state: Arc<LsmState>,
     l0: Vec<(SensorMeta, Option<CachedEntry>)>,
+    /// `state.degenerate()` as of the freeze — a merge published mid-batch
+    /// drains the old cut's L0 in place, which must not flip the batch's
+    /// remaining queries onto the passthrough path.
+    degenerate: bool,
 }
 
 /// The incremental index: an `Arc`-swapped level stack (`LsmState`) plus the global
@@ -402,7 +400,12 @@ impl LsmTree {
     pub fn freeze(&self) -> LsmSnapshot {
         let state = self.state.read().clone();
         let l0 = state.l0.snapshot();
-        LsmSnapshot { state, l0 }
+        let degenerate = state.degenerate();
+        LsmSnapshot {
+            state,
+            l0,
+            degenerate,
+        }
     }
 
     /// [`LsmTree::execute`] against a frozen snapshot: no component advances
@@ -421,7 +424,7 @@ impl LsmTree {
         P: ProbeService + ?Sized,
         R: Rng + ?Sized,
     {
-        if snap.state.degenerate() {
+        if snap.degenerate {
             return snap.state.levels[0]
                 .tree()
                 .execute_frozen(query, mode, probe, now, rng);
@@ -544,216 +547,129 @@ impl LsmTree {
         // One draw of the caller's RNG seeds every component's independent
         // stream, so results do not depend on component execution order.
         let base = rng.next_u64();
-        let mut groups = Vec::new();
-        let mut readings = Vec::new();
-        let mut stats = QueryStats::default();
-        for (i, level) in state.levels.iter().enumerate() {
-            if level.is_empty() || shares[i] == Some(0) {
-                continue;
-            }
-            let sub = match shares[i] {
-                Some(share) => query.clone().with_sample_size(share as f64),
-                None => query.clone(),
-            };
-            let mut comp_rng = StdRng::seed_from_u64(mix(base, i as u64 + 1));
-            let lp = LevelProbe {
-                inner: probe,
-                level: level.as_ref(),
-            };
-            let mut out = if frozen {
-                let (out, def) = level
-                    .tree()
-                    .execute_frozen(&sub, mode, &lp, now, &mut comp_rng);
-                deferred.extend(def.into_iter().map(|mut r| {
-                    r.sensor = level.global_id(r.sensor);
-                    r
-                }));
-                out
-            } else {
-                level.tree().execute(&sub, mode, &lp, now, &mut comp_rng)
-            };
-            for r in &mut out.readings {
-                r.sensor = level.global_id(r.sensor);
-            }
-            groups.append(&mut out.groups);
-            readings.append(&mut out.readings);
-            stats.merge(&out.stats);
-        }
-        let l0_component = state.levels.len();
-        if shares[l0_component] != Some(0) {
-            let mut comp_rng = StdRng::seed_from_u64(mix(base, l0_component as u64 + 1));
-            if let Some((group, mut got)) = self.exec_l0(
-                &l0_cands,
-                l0_live,
-                query,
-                mode,
-                probe,
-                now,
-                &mut comp_rng,
-                shares[l0_component],
-                deferred,
-                &mut stats,
-            ) {
-                groups.push(group);
-                readings.append(&mut got);
-            }
-        }
-        let latency_ms = self.config.cost.latency_ms(&stats);
-        QueryOutput {
-            groups,
-            readings,
-            stats,
-            latency_ms,
-        }
-    }
-
-    /// Executes the L0 component: a flat scan with Algorithm 1's
-    /// availability-compensated sampling when a share is assigned, cache-first
-    /// collection otherwise. Returns `None` when L0 contributes no group.
-    #[allow(clippy::too_many_arguments)]
-    fn exec_l0<P, R>(
-        &self,
-        cands: &[(SensorMeta, Option<CachedEntry>)],
-        l0_live: Option<&L0Level>,
-        query: &Query,
-        mode: Mode,
-        probe: &P,
-        now: Timestamp,
-        rng: &mut R,
-        share: Option<usize>,
-        deferred: &mut Vec<Reading>,
-        stats: &mut QueryStats,
-    ) -> Option<(GroupResult, Vec<Reading>)>
-    where
-        P: ProbeService + ?Sized,
-        R: Rng + ?Sized,
-    {
-        if cands.is_empty() {
-            return None;
-        }
-        let n = cands.len();
-        stats.entries_scanned += n as u64;
-        // Selection: apportioned share with availability oversampling
-        // (Algorithm 1 applied to a flat level), or everything.
-        let mut order: Vec<usize> = (0..n).collect();
-        let (selected, target) = match share {
-            Some(r) => {
-                let target = r.min(n);
-                let avail_mean = cands.iter().map(|(m, _)| m.availability).sum::<f64>() / n as f64;
-                let attempt =
-                    stochastic_round(target as f64 / avail_mean.max(MIN_AVAILABILITY), rng).min(n);
-                for i in 0..attempt {
-                    let j = rng.random_range(i..n);
-                    order.swap(i, j);
-                }
-                (&order[..attempt], target as f64)
-            }
-            None => (&order[..n], n as f64),
-        };
-        if selected.is_empty() {
-            return None;
-        }
-        let mut readings = Vec::with_capacity(selected.len());
-        let mut bbox: Option<colr_geo::Rect> = None;
-        let mut to_probe = Vec::new();
-        let mut cached_used = 0u64;
-        for &i in selected {
-            let (meta, entry) = &cands[i];
-            match bbox.as_mut() {
-                Some(b) => b.expand_to_point(&meta.location),
-                None => bbox = Some(colr_geo::Rect::new(meta.location, meta.location)),
-            }
-            let fresh = match (mode, entry) {
-                (Mode::RTree, _) => None,
-                (_, Some(e)) if e.reading.is_fresh(now, query.staleness) => Some(e.reading),
-                _ => None,
-            };
-            match fresh {
-                Some(r) => {
-                    cached_used += 1;
-                    readings.push(r);
-                }
-                None => to_probe.push(meta.id),
-            }
-        }
-        stats.readings_from_cache += cached_used;
-        let probed = self.probe_global(&to_probe, probe, query, now, stats);
-        if mode != Mode::RTree {
-            match l0_live {
-                Some(l0) => {
-                    let mut inserted = 0;
-                    for r in &probed {
-                        inserted += l0.insert_reading(*r, now);
-                    }
-                    stats.cache_inserts += inserted as u64;
-                }
-                None => deferred.extend_from_slice(&probed),
-            }
-        }
-        readings.extend(probed);
-        let mut agg = PartialAgg::empty();
-        for r in &readings {
-            agg.insert(r.value);
-        }
-        let group = GroupResult {
-            node: L0_GROUP_NODE,
-            bbox: bbox.expect("selected is non-empty"),
-            agg,
-            from_cache: to_probe.is_empty() && cached_used > 0,
-            target,
-            results: readings.len() as u64,
-            hist: None,
-        };
-        Some((group, readings))
-    }
-
-    /// Probes global ids with the same accounting as the tree executors'
-    /// probe path: one fault-aware batch within the query's remaining
-    /// deadline budget, stats charged per the shared cost model.
-    fn probe_global<P: ProbeService + ?Sized>(
-        &self,
-        ids: &[SensorId],
-        probe: &P,
-        query: &Query,
-        now: Timestamp,
-        stats: &mut QueryStats,
-    ) -> Vec<Reading> {
-        if ids.is_empty() {
-            return Vec::new();
-        }
-        let budget = query
-            .probe_deadline
-            .millis()
-            .saturating_sub(stats.retry_backoff_ms);
-        let report = probe.probe_batch_report(ids, now, budget);
-        debug_assert_eq!(report.outcomes.len(), ids.len());
-        stats.sensors_probed += ids.len() as u64;
-        stats.probes_retried += report.retries_issued;
-        stats.retry_waves += report.retry_waves;
-        stats.retry_backoff_ms += report.backoff_wait_ms;
-        stats.breaker_skipped += report.breaker_skipped;
-        stats.deadline_clipped += report.deadline_clipped;
-        let mut readings = Vec::with_capacity(ids.len());
-        let mut failed = 0u64;
-        for outcome in report.outcomes {
-            match outcome {
-                Some(r) => readings.push(r),
-                None => failed += 1,
-            }
-        }
-        stats.probes_failed += failed;
-        let telem = crate::telem::query();
-        telem.probes_issued.add(ids.len() as u64);
-        telem.probes_failed.add(failed);
-        telem.probe_batch_size.observe(ids.len() as u64);
         let cost = &self.config.cost;
-        let waves = if cost.probe_parallelism == 0 {
-            ids.len() as u64
-        } else {
-            (ids.len() as u64).div_ceil(cost.probe_parallelism)
-        };
-        stats.probe_waves += waves + report.retry_waves;
-        readings
+        let l0_component = state.levels.len();
+        crate::scratch::with_scratch(|scratch| {
+            let mut plan = std::mem::take(&mut scratch.plan);
+            plan.clear();
+
+            // --- Select: every component walks; no sensor is contacted ------
+            let mut parts = Vec::new();
+            for (i, level) in state.levels.iter().enumerate() {
+                if level.is_empty() || shares[i] == Some(0) {
+                    continue;
+                }
+                let sub = match shares[i] {
+                    Some(share) => query.clone().with_sample_size(share as f64),
+                    None => query.clone(),
+                };
+                let mut comp_rng = StdRng::seed_from_u64(mix(base, i as u64 + 1));
+                let (fixes_from, ids_from) = (plan.fixes.len(), plan.ids.len());
+                let out = level
+                    .tree()
+                    .select(&sub, mode, now, &mut comp_rng, &mut plan, scratch);
+                let (fixes, ids) = (fixes_from..plan.fixes.len(), ids_from..plan.ids.len());
+                parts.push((level.as_ref(), out, fixes, ids));
+            }
+            let mut stats = QueryStats::default();
+            let l0_part = if shares[l0_component] == Some(0) {
+                None
+            } else {
+                let mut comp_rng = StdRng::seed_from_u64(mix(base, l0_component as u64 + 1));
+                let share = shares[l0_component];
+                select_l0(
+                    &l0_cands,
+                    query,
+                    mode,
+                    now,
+                    &mut comp_rng,
+                    share,
+                    &mut stats,
+                )
+            };
+
+            // --- Collect: one wave over every component's selections, in
+            // component order. Local ids go out as global ids; tombstoned
+            // sensors never reach the wire and read as unavailable.
+            // Liveness is read once: a retire racing the query must not
+            // shift outcomes between sensors.
+            let mut wire = Vec::with_capacity(plan.ids.len());
+            let mut live = Vec::with_capacity(plan.ids.len());
+            for (level, _, _, ids) in &parts {
+                for &s in &plan.ids[ids.clone()] {
+                    let alive = !level.is_tombstoned(s);
+                    live.push(alive);
+                    if alive {
+                        wire.push(level.global_id(s));
+                    }
+                }
+            }
+            if let Some(part) = &l0_part {
+                wire.extend_from_slice(&part.to_probe);
+            }
+            let mut wave = Wave::new(cost, probe, &wire, query, now);
+
+            // --- Complete: each component folds in its slice of the wave ----
+            let mut groups = Vec::new();
+            let mut readings = Vec::new();
+            for (level, mut out, fixes, ids) in parts {
+                let mut wb = if frozen {
+                    WriteBack::Buffered(Vec::new())
+                } else {
+                    WriteBack::Immediate
+                };
+                let selected = plan.ids[ids.clone()].iter().zip(&live[ids]);
+                let mut outcomes = selected.map(|(&sensor, &live)| {
+                    let arrived = if live { wave.next().flatten() } else { None };
+                    arrived.map(|r| Reading { sensor, ..r })
+                });
+                level
+                    .tree()
+                    .complete(&mut out, &plan, fixes, &mut outcomes, mode, now, &mut wb);
+                if let WriteBack::Buffered(buf) = wb {
+                    deferred.extend(buf.into_iter().map(|r| Reading {
+                        sensor: level.global_id(r.sensor),
+                        ..r
+                    }));
+                }
+                for r in &mut out.readings {
+                    r.sensor = level.global_id(r.sensor);
+                }
+                groups.append(&mut out.groups);
+                readings.append(&mut out.readings);
+                stats.merge(&out.stats);
+            }
+            if let Some(mut part) = l0_part {
+                let probed: Vec<Reading> = wave.by_ref().flatten().collect();
+                match l0_live {
+                    _ if mode == Mode::RTree => {}
+                    Some(l0) => {
+                        let inserted: usize =
+                            probed.iter().map(|&r| l0.insert_reading(r, now)).sum();
+                        stats.cache_inserts += inserted as u64;
+                        crate::flight::with(|f| f.write_back(inserted as u64));
+                    }
+                    None => deferred.extend_from_slice(&probed),
+                }
+                for r in &probed {
+                    part.group.agg.insert(r.value);
+                }
+                part.readings.extend(probed);
+                part.group.results = part.readings.len() as u64;
+                groups.push(part.group);
+                readings.append(&mut part.readings);
+            }
+            wave.charge(&mut stats);
+            scratch.plan = plan;
+            let mut out = QueryOutput {
+                groups,
+                readings,
+                stats,
+                latency_ms: 0.0,
+            };
+            finish(cost, mode, &mut out);
+            out
+        })
     }
 
     // ------------------------------------------------------------------
@@ -908,6 +824,87 @@ impl LsmTree {
         t.live_sensors.set(s.live_sensors as i64);
         t.tombstones.set(s.tombstones as i64);
     }
+}
+
+/// What the flat L0 component selected: its group and cached readings so
+/// far, and the sensors it adds to the query's wave.
+struct L0Part {
+    group: GroupResult,
+    readings: Vec<Reading>,
+    to_probe: Vec<SensorId>,
+}
+
+/// Selects from the L0 component: a flat scan with Algorithm 1's
+/// availability-compensated sampling when a share is assigned, cache-first
+/// collection otherwise. Returns `None` when L0 contributes no group.
+fn select_l0<R: Rng + ?Sized>(
+    cands: &[(SensorMeta, Option<CachedEntry>)],
+    query: &Query,
+    mode: Mode,
+    now: Timestamp,
+    rng: &mut R,
+    share: Option<usize>,
+    stats: &mut QueryStats,
+) -> Option<L0Part> {
+    if cands.is_empty() {
+        return None;
+    }
+    let n = cands.len();
+    stats.entries_scanned += n as u64;
+    // Selection: apportioned share with availability oversampling
+    // (Algorithm 1 applied to a flat level), or everything.
+    let mut order: Vec<usize> = (0..n).collect();
+    let (selected, target) = match share {
+        Some(r) => {
+            let target = r.min(n);
+            let avail_mean = cands.iter().map(|(m, _)| m.availability).sum::<f64>() / n as f64;
+            let attempt =
+                stochastic_round(target as f64 / avail_mean.max(MIN_AVAILABILITY), rng).min(n);
+            for i in 0..attempt {
+                let j = rng.random_range(i..n);
+                order.swap(i, j);
+            }
+            (&order[..attempt], target as f64)
+        }
+        None => (&order[..n], n as f64),
+    };
+    if selected.is_empty() {
+        return None;
+    }
+    let mut readings = Vec::with_capacity(selected.len());
+    let mut bbox: Option<colr_geo::Rect> = None;
+    let mut to_probe = Vec::new();
+    let mut agg = PartialAgg::empty();
+    for &i in selected {
+        let (meta, entry) = &cands[i];
+        match bbox.as_mut() {
+            Some(b) => b.expand_to_point(&meta.location),
+            None => bbox = Some(colr_geo::Rect::new(meta.location, meta.location)),
+        }
+        match entry {
+            Some(e) if mode != Mode::RTree && e.reading.is_fresh(now, query.staleness) => {
+                agg.insert(e.reading.value);
+                readings.push(e.reading);
+            }
+            _ => to_probe.push(meta.id),
+        }
+    }
+    stats.readings_from_cache += readings.len() as u64;
+    crate::flight::with(|f| f.cached_readings(readings.len() as u64));
+    let group = GroupResult {
+        node: L0_GROUP_NODE,
+        bbox: bbox.expect("selected is non-empty"),
+        agg,
+        from_cache: to_probe.is_empty(),
+        target,
+        results: readings.len() as u64,
+        hist: None,
+    };
+    Some(L0Part {
+        group,
+        readings,
+        to_probe,
+    })
 }
 
 /// Largest-remainder apportionment of `r` across `targets` by weight —

@@ -31,8 +31,7 @@ use std::collections::BinaryHeap;
 
 use rand::Rng;
 
-use crate::lookup::{GroupResult, Query, QueryOutput, WriteBack};
-use crate::probe::ProbeService;
+use crate::lookup::{GroupResult, ProbePlan, Query, QueryOutput};
 use crate::reading::{Reading, SensorId};
 use crate::scratch::QueryScratch;
 use crate::stats::QueryStats;
@@ -41,9 +40,9 @@ use crate::tree::{Children, ColrTree, NodeId};
 
 /// Minimum availability used when scaling targets, to bound oversampling of
 /// nearly dead subtrees.
-const MIN_AVAILABILITY: f64 = 0.05;
+pub(crate) const MIN_AVAILABILITY: f64 = 0.05;
 /// Targets below this are treated as zero.
-const TARGET_EPS: f64 = 1e-9;
+pub(crate) const TARGET_EPS: f64 = 1e-9;
 
 struct PqEntry {
     /// Priority in *base* units (effective target = base × queue scale).
@@ -173,19 +172,14 @@ pub(crate) enum TermTarget<'a> {
 impl ColrTree {
     /// Full COLR-Tree execution: Algorithm 1's layered sampling over the
     /// slot-cache tree (pointer layout).
-    pub(crate) fn exec_colr<P, R>(
+    pub(crate) fn exec_colr<R: Rng + ?Sized>(
         &self,
         query: &Query,
-        probe: &P,
         now: Timestamp,
         rng: &mut R,
-        wb: &mut WriteBack,
+        plan: &mut ProbePlan,
         scratch: &mut QueryScratch,
-    ) -> QueryOutput
-    where
-        P: ProbeService + ?Sized,
-        R: Rng + ?Sized,
-    {
+    ) -> QueryOutput {
         let terminal_level = query.terminal_level.min(self.leaf_level());
         let mut stats = QueryStats::default();
         let mut groups: Vec<GroupResult> = Vec::new();
@@ -215,13 +209,12 @@ impl ColrTree {
                     r_eff,
                     scaled,
                     query,
-                    probe,
                     now,
                     rng,
                     &mut stats,
                     &mut groups,
                     &mut readings,
-                    wb,
+                    plan,
                     scratch,
                 );
                 let want = if scaled && self.config.enable_oversampling {
@@ -270,8 +263,9 @@ impl ColrTree {
 
             let mut fulfilled = 0.0;
             let mut assigned = 0.0;
-            // Readings gathered from per-sensor terminals under this leaf.
-            scratch.leaf_readings.clear();
+            // Per-sensor terminals under this leaf form one group.
+            let leaf_start = readings.len();
+            let leaf_ids = plan.ids.len();
             let mut leaf_target = 0.0;
 
             for i in 0..scratch.kid_sensors.len() {
@@ -286,12 +280,11 @@ impl ColrTree {
                     share,
                     scaled,
                     query,
-                    probe,
                     now,
                     rng,
                     &mut stats,
-                    &mut scratch.leaf_readings,
-                    wb,
+                    &mut readings,
+                    plan,
                 );
             }
             for i in 0..scratch.kid_nodes.len() {
@@ -324,13 +317,15 @@ impl ColrTree {
                 }
             }
 
-            if !scratch.leaf_readings.is_empty() || leaf_target > TARGET_EPS {
+            if leaf_target > TARGET_EPS {
+                plan.fix(groups.len(), leaf_start..readings.len(), leaf_ids);
                 let bbox = self.node(id).bbox;
-                let mut group =
-                    Self::group_over_readings(id, bbox, &scratch.leaf_readings, leaf_target);
-                group.results = scratch.leaf_readings.len() as u64;
-                groups.push(group);
-                readings.append(&mut scratch.leaf_readings);
+                groups.push(Self::group_over_readings(
+                    id,
+                    bbox,
+                    &readings[leaf_start..],
+                    leaf_target,
+                ));
             }
 
             let lag = r_eff - fulfilled - assigned;
@@ -378,25 +373,20 @@ impl ColrTree {
     /// draw and every f64 operation below is layout-independent, which is
     /// what makes the two sample streams bit-identical.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn serve_terminal<P, R>(
+    pub(crate) fn serve_terminal<R: Rng + ?Sized>(
         &self,
         target: TermTarget<'_>,
         r_eff: f64,
         scaled: bool,
         query: &Query,
-        probe: &P,
         now: Timestamp,
         rng: &mut R,
         stats: &mut QueryStats,
         groups: &mut Vec<GroupResult>,
         readings: &mut Vec<Reading>,
-        wb: &mut WriteBack,
+        plan: &mut ProbePlan,
         scratch: &mut QueryScratch,
-    ) -> f64
-    where
-        P: ProbeService + ?Sized,
-        R: Rng + ?Sized,
-    {
+    ) -> f64 {
         let (id, bbox, weight) = match &target {
             TermTarget::Ptr(id) => {
                 let node = self.node(*id);
@@ -515,25 +505,22 @@ impl ColrTree {
             let j = rng.random_range(i..scratch.candidates.len());
             scratch.candidates.swap(i, j);
         }
-        let probed =
-            self.probe_sensors(&scratch.candidates[..k], probe, query, now, stats, true, wb);
-
+        // The chosen sensors join the query's wave; their readings follow
+        // the cached ones in this group once the wave returns.
         let cached_count = scratch.cached.len();
-        let mut agg = crate::agg::PartialAgg::empty();
-        for r in scratch.cached.iter().chain(probed.iter()) {
-            agg.insert(r.value);
-        }
-        groups.push(GroupResult {
-            node: id,
-            bbox,
-            agg,
-            from_cache: false,
-            target: want,
-            results: (cached_count + probed.len()) as u64,
-            hist: None,
-        });
+        let start = readings.len();
         readings.append(&mut scratch.cached);
-        readings.extend(probed);
+        plan.defer(
+            groups.len(),
+            start..readings.len(),
+            &scratch.candidates[..k],
+        );
+        groups.push(Self::group_over_readings(
+            id,
+            bbox,
+            &readings[start..],
+            want,
+        ));
         // Expected successes from the attempt, independent of rounding and
         // per-probe luck (oversampling already compensates failures).
         let credit = cached_count as f64 + attempted * avail;
@@ -543,23 +530,18 @@ impl ColrTree {
     /// Serves a single-sensor terminal (a sensor child of a partially
     /// overlapped leaf). Returns the credit against the raw target.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn serve_sensor<P, R>(
+    pub(crate) fn serve_sensor<R: Rng + ?Sized>(
         &self,
         s: SensorId,
         share: f64,
         scaled: bool,
         query: &Query,
-        probe: &P,
         now: Timestamp,
         rng: &mut R,
         stats: &mut QueryStats,
-        out: &mut Vec<Reading>,
-        wb: &mut WriteBack,
-    ) -> f64
-    where
-        P: ProbeService + ?Sized,
-        R: Rng + ?Sized,
-    {
+        readings: &mut Vec<Reading>,
+        plan: &mut ProbePlan,
+    ) -> f64 {
         let avail = if self.config.enable_oversampling {
             self.sensor_avail(s).max(MIN_AVAILABILITY)
         } else {
@@ -578,7 +560,7 @@ impl ColrTree {
         if let Some(r) = fresh {
             stats.readings_from_cache += 1;
             crate::flight::with(|f| f.cached_readings(1));
-            out.push(r);
+            readings.push(r);
             return want;
         }
 
@@ -586,10 +568,7 @@ impl ColrTree {
         if !rng.random_bool(p) {
             return want; // not selected; expectation already accounted
         }
-        let got = self.probe_sensors(&[s], probe, query, now, stats, true, wb);
-        if let Some(r) = got.first() {
-            out.push(*r);
-        }
+        plan.push(s, readings.len());
         // Full credit either way: the selection was made with the
         // availability-compensated probability, so expected successes match
         // the share; per-probe failures are absorbed by oversampling rather
@@ -617,7 +596,7 @@ pub(crate) fn stochastic_round<R: Rng + ?Sized>(x: f64, rng: &mut R) -> usize {
 mod tests {
     use super::*;
     use crate::lookup::Mode;
-    use crate::probe::AlwaysAvailable;
+    use crate::probe::{AlwaysAvailable, ProbeService};
     use crate::reading::SensorMeta;
     use crate::time::TimeDelta;
     use crate::tree::ColrConfig;

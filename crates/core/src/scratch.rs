@@ -2,7 +2,7 @@
 //!
 //! Algorithm 1 used to allocate half a dozen `Vec`s per query (the pending
 //! priority queue, per-node child split buffers, candidate sets, cached
-//! readings, leaf reading groups). On the warm path — where a query is
+//! readings, probe selections). On the warm path — where a query is
 //! answered entirely from slot caches — those allocations dominated the
 //! per-query cost. [`QueryScratch`] owns all of them; a thread-local
 //! instance is leased to each query via [`with_scratch`] and returned with
@@ -15,6 +15,7 @@
 
 use std::cell::Cell;
 
+use crate::lookup::ProbePlan;
 use crate::reading::{Reading, SensorId};
 use crate::sampling::ScaledPq;
 
@@ -33,8 +34,8 @@ pub(crate) struct QueryScratch {
     pub(crate) cached: Vec<Reading>,
     /// Probe candidates found by a terminal scan.
     pub(crate) candidates: Vec<SensorId>,
-    /// Readings gathered from per-sensor terminals under one leaf.
-    pub(crate) leaf_readings: Vec<Reading>,
+    /// Probe selections awaiting the query's single collect step.
+    pub(crate) plan: ProbePlan,
     /// DFS stack for subtree scans (node ids / arena indices).
     pub(crate) stack: Vec<u32>,
     /// Per-child overlap classification of the SoA rectangle tests

@@ -81,7 +81,7 @@ impl QueryStats {
 /// Deterministic latency model for one query.
 ///
 /// `latency = nodes·node_visit + slots·slot_combine + entries·entry_scan
-///           + ceil(probes / parallelism)·probe_rtt + probes·probe_overhead`
+///           + probe_waves·probe_rtt + probes·probe_overhead`
 ///
 /// Probes within a query are issued in parallel waves of `probe_parallelism`
 /// (SENSORMAP probes sensors concurrently, Section V); each wave costs one
@@ -116,22 +116,24 @@ impl Default for CostModel {
 }
 
 impl CostModel {
+    /// Primary waves `probes` concurrent probes go out in (a parallelism of
+    /// zero means strictly serial probing).
+    pub fn primary_waves(&self, probes: u64) -> u64 {
+        probes.div_ceil(self.probe_parallelism.max(1))
+    }
+
     /// Simulated end-to-end processing latency for `stats`, in milliseconds.
+    /// Reads the waves the executor counted (`probe_waves`: primary plus
+    /// retry waves, one RTT each) rather than re-deriving them.
     pub fn latency_ms(&self, stats: &QueryStats) -> f64 {
-        let waves = if self.probe_parallelism == 0 {
-            stats.sensors_probed
-        } else {
-            stats.sensors_probed.div_ceil(self.probe_parallelism)
-        };
         stats.nodes_traversed as f64 * self.node_visit_ms
             + stats.slots_combined as f64 * self.slot_combine_ms
             + stats.entries_scanned as f64 * self.entry_scan_ms
-            + waves as f64 * self.probe_rtt_ms
+            + stats.probe_waves as f64 * self.probe_rtt_ms
             + stats.sensors_probed as f64 * self.probe_overhead_ms
-            // Fault-tolerance surcharge: each retry wave is one more RTT,
-            // each re-issued probe pays marshalling overhead again, and
-            // backoff waits elapse on the simulated clock verbatim.
-            + stats.retry_waves as f64 * self.probe_rtt_ms
+            // Fault-tolerance surcharge: each re-issued probe pays
+            // marshalling overhead again, and backoff waits elapse on the
+            // simulated clock verbatim.
             + stats.probes_retried as f64 * self.probe_overhead_ms
             + stats.retry_backoff_ms as f64
     }
@@ -190,6 +192,7 @@ mod tests {
         };
         let s = QueryStats {
             sensors_probed: 4,
+            probe_waves: 3,
             probes_retried: 3,
             retry_waves: 2,
             retry_backoff_ms: 150,
@@ -218,6 +221,7 @@ mod tests {
         };
         let mk = |p: u64| QueryStats {
             sensors_probed: p,
+            probe_waves: m.primary_waves(p),
             ..Default::default()
         };
         assert_eq!(m.latency_ms(&mk(1)), 10.0);
@@ -233,6 +237,7 @@ mod tests {
         let m = CostModel::default();
         let probe_one = QueryStats {
             sensors_probed: 1,
+            probe_waves: 1,
             ..Default::default()
         };
         let visit_hundred = QueryStats {
@@ -254,6 +259,7 @@ mod tests {
         };
         let s = QueryStats {
             sensors_probed: 3,
+            probe_waves: m.primary_waves(3),
             ..Default::default()
         };
         assert_eq!(m.latency_ms(&s), 15.0);

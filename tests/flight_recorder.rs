@@ -91,6 +91,18 @@ fn stage_totals_match_query_stats_across_layouts_and_modes() {
                     rec.levels.iter().map(|l| l.nodes).sum::<u64>() > 0,
                     "{layout:?}/{mode:?}: no traversal recorded"
                 );
+                // Select → collect → complete: a query's probes are one
+                // dispatch, so the record holds one wave stage or none.
+                assert_eq!(
+                    rec.waves.len(),
+                    usize::from(out.stats.sensors_probed > 0),
+                    "{layout:?}/{mode:?} round {round}: one WaveStage per probing query"
+                );
+                assert_eq!(
+                    out.stats.probe_waves,
+                    out.stats.sensors_probed.div_ceil(128) + out.stats.retry_waves,
+                    "{layout:?}/{mode:?} round {round}: waves counted vs modelled"
+                );
                 if round == 2 && out.stats.probes_retried > 0 {
                     assert!(
                         !rec.retry_rounds.is_empty(),

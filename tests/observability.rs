@@ -114,6 +114,14 @@ fn tracer_records_the_query_lifecycle() {
     assert!(count(SpanKind::Batch) >= 1, "batch spans");
     // Global sequence order survives the per-thread rings.
     assert!(events.windows(2).all(|w| w[0].seq < w[1].seq));
+    // A query's probes go out together: the cold query's whole 64-sensor
+    // viewport is one span, not one per leaf.
+    assert!(
+        events
+            .iter()
+            .any(|e| e.kind == SpanKind::ProbeWave && e.detail == 64),
+        "the cold viewport was not collected as one wave"
+    );
     // Probe-wave durations are fed by the cost model, so they are exact: a
     // wave of n <= 128 probes costs 25ms RTT + n * 0.05ms overhead.
     for e in events.iter().filter(|e| e.kind == SpanKind::ProbeWave) {
