@@ -8,7 +8,7 @@ cd "$(dirname "$0")"
 cargo fmt --check
 cargo build --release --offline
 cargo test -q --offline --workspace
-cargo clippy --all-targets --offline -- -D warnings
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 # Observability smoke: the example must emit the promised metric families.
 smoke=$(cargo run --release --offline -q --example colr-stats)
@@ -89,6 +89,13 @@ awk -v w="$waves" 'BEGIN { exit !(w != "" && w + 0 <= 1.0) }' || {
     exit 1
 }
 echo "ci: benchmark runner gate OK (waves_per_query=$waves)"
+# The two zero-probe workloads: the runner's own audit fails a warm request
+# that probes, so exit 0 is the gate.
+for workload in warm_pan routed_wide; do
+    cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+        --quick --workload "$workload" --trace 0 --seconds 2 >/dev/null
+    echo "ci: benchmark $workload smoke OK"
+done
 
 # Docs gate: rustdoc must build warning-free for every first-party crate
 # (vendored stand-in crates are exempt, hence the explicit -p list).

@@ -579,7 +579,9 @@ fn run_quick() {
                 svc.query(&select_queries[n % select_queries.len()])
                     .expect("timed service query");
                 n += 1;
-                if n % 64 == 0 && process_cpu_seconds().expect("process CPU clock") - t0 >= slice {
+                if n.is_multiple_of(64)
+                    && process_cpu_seconds().expect("process CPU clock") - t0 >= slice
+                {
                     break;
                 }
             }

@@ -70,6 +70,8 @@ pub struct SamplingArena {
     level: Vec<u16>,
     /// `Node::weight` as `f64` (bitwise what the pointer path computes).
     weight: Vec<f64>,
+    /// `Node::avail_mean`, the frozen `a_i` of the subtree.
+    avail_mean: Vec<f64>,
     /// Arena index → pointer-tree node id.
     orig: Vec<NodeId>,
     child_start: Vec<u32>,
@@ -84,6 +86,8 @@ pub struct SamplingArena {
     sensor_x: Vec<f64>,
     sensor_y: Vec<f64>,
     sensor_kind: Vec<u16>,
+    /// `SensorMeta::availability`, the frozen `a_i` of the sensor.
+    sensor_avail: Vec<f64>,
     /// `NodeId.0` → arena index.
     arena_of: Vec<u32>,
 }
@@ -124,6 +128,7 @@ impl SamplingArena {
             rect: Vec::with_capacity(n),
             level: Vec::with_capacity(n),
             weight: Vec::with_capacity(n),
+            avail_mean: Vec::with_capacity(n),
             orig: Vec::with_capacity(n),
             child_start,
             child_len,
@@ -134,6 +139,7 @@ impl SamplingArena {
             sensor_x: Vec::new(),
             sensor_y: Vec::new(),
             sensor_kind: Vec::new(),
+            sensor_avail: Vec::new(),
             arena_of: vec![u32::MAX; n],
         };
         let mut wbuf: Vec<f64> = Vec::new();
@@ -146,6 +152,7 @@ impl SamplingArena {
             a.rect.push(node.bbox);
             a.level.push(node.level);
             a.weight.push(node.weight as f64);
+            a.avail_mean.push(node.avail_mean);
             a.orig.push(id);
             a.arena_of[id.0 as usize] = idx as u32;
             wbuf.clear();
@@ -164,6 +171,7 @@ impl SamplingArena {
                         a.sensor_x.push(meta.location.x);
                         a.sensor_y.push(meta.location.y);
                         a.sensor_kind.push(meta.kind);
+                        a.sensor_avail.push(meta.availability);
                     }
                     wbuf.extend(std::iter::repeat_n(1.0, sensors.len()));
                 }
@@ -199,6 +207,12 @@ impl SamplingArena {
     #[inline]
     pub fn weight(&self, idx: usize) -> f64 {
         self.weight[idx]
+    }
+
+    /// The node's frozen mean availability (`Node::avail_mean`).
+    #[inline]
+    pub fn avail_mean(&self, idx: usize) -> f64 {
+        self.avail_mean[idx]
     }
 
     /// The pointer-tree id this arena node mirrors.
@@ -253,6 +267,12 @@ impl SamplingArena {
     #[inline]
     pub fn sensor_kind(&self, j: usize) -> u16 {
         self.sensor_kind[j]
+    }
+
+    /// Frozen availability (`SensorMeta::availability`) at flat slot `j`.
+    #[inline]
+    pub fn sensor_avail(&self, j: usize) -> f64 {
+        self.sensor_avail[j]
     }
 
     /// Sensor location at flat slot `j`.
@@ -400,10 +420,13 @@ impl ColrTree {
     /// [`ColrTree::exec_colr`] (see the module docs for why), but traversal
     /// state is arena indices, MBR tests run against the SoA coordinate
     /// slices, and fully contained rectangular nodes take their split
-    /// denominator straight from the prebuilt alias table.
+    /// denominator straight from the prebuilt alias table. With `live` unset
+    /// every `a_i` is read from the arena's frozen mirror, so the walk
+    /// touches neither the availability lock nor the pointer tree for it.
     pub(crate) fn exec_colr_arena<R: Rng + ?Sized>(
         &self,
         query: &Query,
+        live: Option<&LiveAvailability>,
         now: Timestamp,
         rng: &mut R,
         plan: &mut ProbePlan,
@@ -417,6 +440,18 @@ impl ColrTree {
             _ => None,
         };
         let terminal_level = query.terminal_level.min(self.leaf_level());
+        let oversampling = self.config.enable_oversampling;
+        let node_avail = |idx: usize| {
+            match live {
+                Some(live) => live.node(arena.orig(idx)),
+                None => arena.avail_mean(idx),
+            }
+            .max(MIN_AVAILABILITY)
+        };
+        let sensor_avail = |j: usize| match live {
+            Some(live) => live.sensor(arena.sensor(j)),
+            None => arena.sensor_avail(j),
+        };
         let mut stats = QueryStats::default();
         let mut groups: Vec<GroupResult> = Vec::new();
         let mut readings: Vec<Reading> = Vec::new();
@@ -445,6 +480,7 @@ impl ColrTree {
 
             // --- Terminal: probe/serve this subtree -----------------------
             if contained && arena.level(idx) >= terminal_level {
+                let avail = if oversampling { node_avail(idx) } else { 1.0 };
                 let fulfilled = self.serve_terminal(
                     TermTarget::Arena {
                         arena,
@@ -453,6 +489,7 @@ impl ColrTree {
                     },
                     r_eff,
                     scaled,
+                    avail,
                     query,
                     now,
                     rng,
@@ -462,11 +499,7 @@ impl ColrTree {
                     plan,
                     scratch,
                 );
-                let want = if scaled && self.config.enable_oversampling {
-                    r_eff * self.node_avail(arena.orig(idx)).max(MIN_AVAILABILITY)
-                } else {
-                    r_eff
-                };
+                let want = if scaled { r_eff * avail } else { r_eff };
                 if fulfilled + TARGET_EPS < want {
                     pq.redistribute(want - fulfilled);
                 }
@@ -477,6 +510,7 @@ impl ColrTree {
             scratch.kid_nodes.clear();
             scratch.kid_ow.clear();
             scratch.kid_sensors.clear();
+            scratch.kid_avail.clear();
             let mut denom = 0.0f64;
             let clen = arena.child_len(idx);
             if clen > 0 {
@@ -551,6 +585,7 @@ impl ColrTree {
                                 query.kind_filter.is_none_or(|k| arena.sensor_kind(j) == k);
                             if kind_ok && arena.sensor_in_rect(j, q) {
                                 scratch.kid_sensors.push(arena.sensor(j));
+                                scratch.kid_avail.push(sensor_avail(j));
                                 denom += 1.0;
                             }
                         }
@@ -560,6 +595,7 @@ impl ColrTree {
                             let s = arena.sensor(j);
                             if query.matches_sensor(self.sensor(s)) {
                                 scratch.kid_sensors.push(s);
+                                scratch.kid_avail.push(sensor_avail(j));
                                 denom += 1.0;
                             }
                         }
@@ -572,31 +608,21 @@ impl ColrTree {
                 continue;
             }
 
-            let mut fulfilled = 0.0;
             let mut assigned = 0.0;
-            let leaf_start = readings.len();
-            let leaf_ids = plan.ids.len();
-            let mut leaf_target = 0.0;
-
-            for i in 0..scratch.kid_sensors.len() {
-                let s = scratch.kid_sensors[i];
-                let share = r_eff * 1.0 / denom;
-                if share <= TARGET_EPS {
-                    continue;
-                }
-                leaf_target += share;
-                fulfilled += self.serve_sensor(
-                    s,
-                    share,
-                    scaled,
-                    query,
-                    now,
-                    rng,
-                    &mut stats,
-                    &mut readings,
-                    plan,
-                );
-            }
+            let fulfilled = self.serve_leaf_sensors(
+                arena.orig(idx),
+                arena.bbox(idx),
+                r_eff * 1.0 / denom,
+                scaled,
+                query,
+                now,
+                rng,
+                &mut stats,
+                &mut groups,
+                &mut readings,
+                plan,
+                scratch,
+            );
             for i in 0..scratch.kid_nodes.len() {
                 let c = scratch.kid_nodes[i] as usize;
                 let ow = scratch.kid_ow[i];
@@ -614,26 +640,13 @@ impl ColrTree {
                 } else {
                     let mut push_target = share;
                     let mut child_scaled = scaled;
-                    if !scaled
-                        && arena.level(c) == query.oversample_level
-                        && self.config.enable_oversampling
-                    {
-                        push_target /= self.node_avail(arena.orig(c)).max(MIN_AVAILABILITY);
+                    if !scaled && arena.level(c) == query.oversample_level && oversampling {
+                        push_target /= node_avail(c);
                         child_scaled = true;
                     }
                     pq.push(c as u32, push_target, child_scaled);
                     assigned += share;
                 }
-            }
-
-            if leaf_target > TARGET_EPS {
-                plan.fix(groups.len(), leaf_start..readings.len(), leaf_ids);
-                groups.push(Self::group_over_readings(
-                    arena.orig(idx),
-                    arena.bbox(idx),
-                    &readings[leaf_start..],
-                    leaf_target,
-                ));
             }
 
             let lag = r_eff - fulfilled - assigned;
@@ -765,6 +778,7 @@ mod tests {
             assert_eq!(arena.arena_index(id), idx);
             assert_eq!(arena.level(idx), node.level);
             assert_eq!(arena.weight(idx).to_bits(), (node.weight as f64).to_bits());
+            assert_eq!(arena.avail_mean(idx).to_bits(), node.avail_mean.to_bits());
             let bb = arena.bbox(idx);
             assert_eq!(bb.min.x.to_bits(), node.bbox.min.x.to_bits());
             assert_eq!(bb.max.y.to_bits(), node.bbox.max.y.to_bits());
@@ -797,6 +811,7 @@ mod tests {
                         let meta = tree.sensor(s);
                         assert_eq!(arena.sensor_loc(slot), meta.location);
                         assert_eq!(arena.sensor_kind(slot), meta.kind);
+                        assert_eq!(arena.sensor_avail(slot), meta.availability);
                     }
                 }
             }

@@ -541,12 +541,15 @@ impl ColrTree {
             Mode::RTree => self.exec_rtree(query, plan),
             Mode::HierCache => self.exec_hier(query, now, plan),
             Mode::Colr => {
+                // The one availability-lock read of the query: the walk
+                // takes every `a_i` from this source.
+                let live = self.live_availability();
                 if self.config().layout == crate::tree::HotPathLayout::Arena
                     && self.sampling_arena().is_some()
                 {
-                    self.exec_colr_arena(query, now, rng, plan, scratch)
+                    self.exec_colr_arena(query, live.as_deref(), now, rng, plan, scratch)
                 } else {
-                    self.exec_colr(query, now, rng, plan, scratch)
+                    self.exec_colr(query, live.as_deref(), now, rng, plan, scratch)
                 }
             }
         }

@@ -31,8 +31,9 @@ use std::collections::BinaryHeap;
 
 use rand::Rng;
 
+use crate::avail::LiveAvailability;
 use crate::lookup::{GroupResult, ProbePlan, Query, QueryOutput};
-use crate::reading::{Reading, SensorId};
+use crate::reading::Reading;
 use crate::scratch::QueryScratch;
 use crate::stats::QueryStats;
 use crate::time::Timestamp;
@@ -171,16 +172,27 @@ pub(crate) enum TermTarget<'a> {
 
 impl ColrTree {
     /// Full COLR-Tree execution: Algorithm 1's layered sampling over the
-    /// slot-cache tree (pointer layout).
+    /// slot-cache tree (pointer layout). Every `a_i` comes from `live`, the
+    /// availability source `select` resolved once for the whole query, or
+    /// from the frozen build-time means when it is `None`.
     pub(crate) fn exec_colr<R: Rng + ?Sized>(
         &self,
         query: &Query,
+        live: Option<&LiveAvailability>,
         now: Timestamp,
         rng: &mut R,
         plan: &mut ProbePlan,
         scratch: &mut QueryScratch,
     ) -> QueryOutput {
         let terminal_level = query.terminal_level.min(self.leaf_level());
+        let oversampling = self.config.enable_oversampling;
+        let node_avail = |id: NodeId| {
+            match live {
+                Some(live) => live.node(id),
+                None => self.node(id).avail_mean,
+            }
+            .max(MIN_AVAILABILITY)
+        };
         let mut stats = QueryStats::default();
         let mut groups: Vec<GroupResult> = Vec::new();
         let mut readings: Vec<Reading> = Vec::new();
@@ -204,10 +216,12 @@ impl ColrTree {
 
             // --- Terminal: probe/serve this subtree -----------------------
             if contained && node.level >= terminal_level {
+                let avail = if oversampling { node_avail(id) } else { 1.0 };
                 let fulfilled = self.serve_terminal(
                     TermTarget::Ptr(id),
                     r_eff,
                     scaled,
+                    avail,
                     query,
                     now,
                     rng,
@@ -217,11 +231,7 @@ impl ColrTree {
                     plan,
                     scratch,
                 );
-                let want = if scaled && self.config.enable_oversampling {
-                    r_eff * self.node_avail(id).max(MIN_AVAILABILITY)
-                } else {
-                    r_eff
-                };
+                let want = if scaled { r_eff * avail } else { r_eff };
                 if fulfilled + TARGET_EPS < want {
                     pq.redistribute(want - fulfilled);
                 }
@@ -232,6 +242,7 @@ impl ColrTree {
             scratch.kid_nodes.clear();
             scratch.kid_ow.clear();
             scratch.kid_sensors.clear();
+            scratch.kid_avail.clear();
             let mut denom = 0.0f64;
             match &node.children {
                 Children::Internal(children) => {
@@ -248,8 +259,13 @@ impl ColrTree {
                 }
                 Children::Leaf(sensors) => {
                     for &s in sensors {
-                        if query.matches_sensor(self.sensor(s)) {
+                        let meta = self.sensor(s);
+                        if query.matches_sensor(meta) {
                             scratch.kid_sensors.push(s);
+                            scratch.kid_avail.push(match live {
+                                Some(live) => live.sensor(s),
+                                None => meta.availability,
+                            });
                             denom += 1.0;
                         }
                     }
@@ -261,32 +277,21 @@ impl ColrTree {
                 continue;
             }
 
-            let mut fulfilled = 0.0;
             let mut assigned = 0.0;
-            // Per-sensor terminals under this leaf form one group.
-            let leaf_start = readings.len();
-            let leaf_ids = plan.ids.len();
-            let mut leaf_target = 0.0;
-
-            for i in 0..scratch.kid_sensors.len() {
-                let s = scratch.kid_sensors[i];
-                let share = r_eff * 1.0 / denom;
-                if share <= TARGET_EPS {
-                    continue;
-                }
-                leaf_target += share;
-                fulfilled += self.serve_sensor(
-                    s,
-                    share,
-                    scaled,
-                    query,
-                    now,
-                    rng,
-                    &mut stats,
-                    &mut readings,
-                    plan,
-                );
-            }
+            let fulfilled = self.serve_leaf_sensors(
+                id,
+                node.bbox,
+                r_eff * 1.0 / denom,
+                scaled,
+                query,
+                now,
+                rng,
+                &mut stats,
+                &mut groups,
+                &mut readings,
+                plan,
+                scratch,
+            );
             for i in 0..scratch.kid_nodes.len() {
                 let c = NodeId(scratch.kid_nodes[i]);
                 let ow = scratch.kid_ow[i];
@@ -305,27 +310,13 @@ impl ColrTree {
                 } else {
                     let mut push_target = share;
                     let mut child_scaled = scaled;
-                    if !scaled
-                        && child.level == query.oversample_level
-                        && self.config.enable_oversampling
-                    {
-                        push_target /= self.node_avail(c).max(MIN_AVAILABILITY);
+                    if !scaled && child.level == query.oversample_level && oversampling {
+                        push_target /= node_avail(c);
                         child_scaled = true;
                     }
                     pq.push(c.0, push_target, child_scaled);
                     assigned += share;
                 }
-            }
-
-            if leaf_target > TARGET_EPS {
-                plan.fix(groups.len(), leaf_start..readings.len(), leaf_ids);
-                let bbox = self.node(id).bbox;
-                groups.push(Self::group_over_readings(
-                    id,
-                    bbox,
-                    &readings[leaf_start..],
-                    leaf_target,
-                ));
             }
 
             let lag = r_eff - fulfilled - assigned;
@@ -366,7 +357,8 @@ impl ColrTree {
     }
 
     /// Serves one terminal subtree: cached aggregate shortcut → raw cache →
-    /// sampled probes. Returns the number of successful readings credited
+    /// sampled probes. `avail` is the subtree's clamped `a_i` (1.0 with
+    /// oversampling off). Returns the number of successful readings credited
     /// against the (raw, pre-oversampling) target.
     ///
     /// Shared by the pointer and arena layouts via [`TermTarget`]; every RNG
@@ -378,6 +370,7 @@ impl ColrTree {
         target: TermTarget<'_>,
         r_eff: f64,
         scaled: bool,
+        avail: f64,
         query: &Query,
         now: Timestamp,
         rng: &mut R,
@@ -402,11 +395,6 @@ impl ColrTree {
                 };
                 (id, arena.bbox(*idx), weight)
             }
-        };
-        let avail = if self.config.enable_oversampling {
-            self.node_avail(id).max(MIN_AVAILABILITY)
-        } else {
-            1.0
         };
         // The desired number of *successful* readings from this subtree.
         let want = if scaled { r_eff * avail } else { r_eff }.min(weight.max(1.0));
@@ -527,53 +515,85 @@ impl ColrTree {
         credit.min(want)
     }
 
-    /// Serves a single-sensor terminal (a sensor child of a partially
-    /// overlapped leaf). Returns the credit against the raw target.
+    /// Serves the sensor children of a partially covered `leaf` — the
+    /// matching sensors the partition step left in `scratch.kid_sensors`,
+    /// their `a_i` in `scratch.kid_avail` — as one group of per-sensor
+    /// terminals, each with target `share`. The leaf's raw cache is triaged
+    /// for all of them under one stripe hold, so the group sees a write-back
+    /// batch to the leaf entirely or not at all; the per-sensor selection
+    /// draws then run on the results. Returns the credit against the raw
+    /// target.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn serve_sensor<R: Rng + ?Sized>(
+    pub(crate) fn serve_leaf_sensors<R: Rng + ?Sized>(
         &self,
-        s: SensorId,
+        leaf: NodeId,
+        bbox: colr_geo::Rect,
         share: f64,
         scaled: bool,
         query: &Query,
         now: Timestamp,
         rng: &mut R,
         stats: &mut QueryStats,
+        groups: &mut Vec<GroupResult>,
         readings: &mut Vec<Reading>,
         plan: &mut ProbePlan,
+        scratch: &mut QueryScratch,
     ) -> f64 {
-        let avail = if self.config.enable_oversampling {
-            self.sensor_avail(s).max(MIN_AVAILABILITY)
-        } else {
-            1.0
-        };
-        let want = if scaled { share * avail } else { share }.min(1.0);
-
-        // A cached fresh reading satisfies the sensor without a probe and is
-        // always included (Algorithm 1 line 15: `sample ∪ d ∪ c_i`).
-        let leaf = self.home_leaf(s);
-        let fresh = self.with_cache(leaf, |nc| {
-            nc.entry(s)
-                .filter(|e| e.reading.is_fresh(now, query.staleness))
-                .map(|e| e.reading)
+        if scratch.kid_sensors.is_empty() || share <= TARGET_EPS {
+            return 0.0;
+        }
+        scratch.kid_fresh.clear();
+        self.with_cache(leaf, |nc| {
+            scratch
+                .kid_fresh
+                .extend(scratch.kid_sensors.iter().map(|&s| {
+                    nc.entry(s)
+                        .filter(|e| e.reading.is_fresh(now, query.staleness))
+                        .map(|e| e.reading)
+                }));
         });
-        if let Some(r) = fresh {
-            stats.readings_from_cache += 1;
-            crate::flight::with(|f| f.cached_readings(1));
-            readings.push(r);
-            return want;
+        let start = readings.len();
+        let ids_from = plan.ids.len();
+        let oversampling = self.config.enable_oversampling;
+        let mut fulfilled = 0.0;
+        let mut target = 0.0;
+        for (i, &s) in scratch.kid_sensors.iter().enumerate() {
+            let avail = if oversampling {
+                scratch.kid_avail[i].max(MIN_AVAILABILITY)
+            } else {
+                1.0
+            };
+            let want = if scaled { share * avail } else { share }.min(1.0);
+            target += share;
+            // Full credit whatever happens below: a cached fresh reading
+            // satisfies the sensor without a probe and is always included
+            // (Algorithm 1 line 15: `sample ∪ d ∪ c_i`); otherwise the
+            // selection is made with the availability-compensated
+            // probability, so expected successes match the share and
+            // per-probe failures are absorbed by oversampling rather than
+            // redistributed (which would bias the sample upward).
+            fulfilled += want;
+            match scratch.kid_fresh[i] {
+                Some(r) => readings.push(r),
+                None => {
+                    let p = if scaled { share } else { want / avail }.clamp(0.0, 1.0);
+                    if rng.random_bool(p) {
+                        plan.push(s, readings.len());
+                    }
+                }
+            }
         }
-
-        let p = if scaled { share } else { want / avail }.clamp(0.0, 1.0);
-        if !rng.random_bool(p) {
-            return want; // not selected; expectation already accounted
-        }
-        plan.push(s, readings.len());
-        // Full credit either way: the selection was made with the
-        // availability-compensated probability, so expected successes match
-        // the share; per-probe failures are absorbed by oversampling rather
-        // than redistributed (which would bias the sample upward).
-        want
+        let cached = (readings.len() - start) as u64;
+        stats.readings_from_cache += cached;
+        crate::flight::with(|f| f.cached_readings(cached));
+        plan.fix(groups.len(), start..readings.len(), ids_from);
+        groups.push(Self::group_over_readings(
+            leaf,
+            bbox,
+            &readings[start..],
+            target,
+        ));
+        fulfilled
     }
 }
 
@@ -597,7 +617,7 @@ mod tests {
     use super::*;
     use crate::lookup::Mode;
     use crate::probe::{AlwaysAvailable, ProbeService};
-    use crate::reading::SensorMeta;
+    use crate::reading::{SensorId, SensorMeta};
     use crate::time::TimeDelta;
     use crate::tree::ColrConfig;
     use colr_geo::{Point, Rect};

@@ -30,6 +30,10 @@ pub(crate) struct QueryScratch {
     pub(crate) kid_ow: Vec<f64>,
     /// Per-node child split: sensor children of a partially overlapped leaf.
     pub(crate) kid_sensors: Vec<SensorId>,
+    /// Availability `a_i` of each of `kid_sensors`, as resolved for the query.
+    pub(crate) kid_avail: Vec<f64>,
+    /// Leaf-cache triage of `kid_sensors`: the fresh cached reading, if any.
+    pub(crate) kid_fresh: Vec<Option<Reading>>,
     /// Fresh cached readings found by a terminal scan.
     pub(crate) cached: Vec<Reading>,
     /// Probe candidates found by a terminal scan.

@@ -27,8 +27,9 @@
 //! queries can read (and write back to) disjoint parts of the tree without
 //! contending on a single lock. Cross-node bookkeeping (the window base, the
 //! eviction order, the cached-reading count) sits behind one maintenance
-//! mutex that serialises mutators; readers never take it, so a query that is
-//! purely cache-served touches only the stripes it reads.
+//! mutex that serialises mutators; a query takes it only to roll the window
+//! or to wait out a write-back in flight (see [`ColrTree::advance`]), so one
+//! that is purely cache-served touches only the stripes it reads.
 //!
 //! Lock ordering is `maint → (one stripe at a time)`: mutators hold the
 //! maintenance lock across a whole logical operation and acquire stripe locks
@@ -40,6 +41,7 @@
 //! triggers; per-node state is always internally consistent.
 
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use colr_geo::{Point, Rect, Region};
@@ -291,6 +293,12 @@ pub struct ColrTree {
     pub(crate) stripes: Vec<RwLock<Vec<NodeCache>>>,
     /// Serialises mutators and holds the cross-node accounting.
     pub(crate) maint: Mutex<Maintenance>,
+    /// Window bases below this need no maintenance: `cache_base + 1`,
+    /// stored (`Release`) under `maint` once a roll has reached every node
+    /// and loaded (`Acquire`) by [`ColrTree::advance`] before it touches
+    /// `maint`; 0 while a write-back is in flight, so a query starting then
+    /// still waits it out.
+    pub(crate) settled_below: AtomicU64,
     /// Optional live availability estimates (fault-tolerance layer).
     /// When set, Algorithm 1 consults these instead of the frozen
     /// build-time `avail_mean` / `SensorMeta::availability`.
@@ -303,6 +311,7 @@ pub struct ColrTree {
 
 impl Clone for ColrTree {
     fn clone(&self) -> Self {
+        let maint = self.maint.lock().clone();
         ColrTree {
             config: self.config.clone(),
             slot_config: self.slot_config,
@@ -317,7 +326,8 @@ impl Clone for ColrTree {
                 .iter()
                 .map(|s| RwLock::new(s.read().clone()))
                 .collect(),
-            maint: Mutex::new(self.maint.lock().clone()),
+            settled_below: AtomicU64::new(maint.cache_base + 1),
+            maint: Mutex::new(maint),
             // Estimates describe the same physical sensors, so clones share
             // the map (and keep learning from each other's probes).
             live_avail: RwLock::new(self.live_avail.read().clone()),
@@ -353,6 +363,7 @@ impl ColrTree {
             sensor_leaf,
             stripes: stripes.into_iter().map(RwLock::new).collect(),
             maint: Mutex::new(Maintenance::default()),
+            settled_below: AtomicU64::new(0),
             live_avail: RwLock::new(None),
             arena: None,
         }
@@ -543,10 +554,17 @@ impl ColrTree {
 
     /// Slides the slot window forward to cover `now`, expiring whole slots at
     /// every node and expunging the raw readings they covered (Section VI-B's
-    /// roll trigger). Idempotent; called by every public operation.
+    /// roll trigger). Idempotent; called by every public operation. Returns
+    /// without touching `maint` when the window already covers `now` and no
+    /// write-back is in flight.
     pub fn advance(&self, now: Timestamp) {
+        if self.slot_config.base_at(now) < self.settled_below.load(Ordering::Acquire) {
+            return;
+        }
         let mut maint = self.maint.lock();
         self.advance_locked(&mut maint, now);
+        self.settled_below
+            .store(maint.cache_base + 1, Ordering::Release);
     }
 
     fn advance_locked(&self, maint: &mut Maintenance, now: Timestamp) {
@@ -621,6 +639,11 @@ impl ColrTree {
         entries: &[CachedEntry],
         now: Timestamp,
     ) -> usize {
+        // A request wider than a wave writes back a wave at a time, and
+        // between two of them a node can pass the coverage gate half-filled.
+        // A query that starts while one is being applied must therefore wait
+        // at `advance` as it always has: close the fast path for the hold.
+        self.settled_below.store(0, Ordering::Release);
         let mut inserted = 0;
         let mut run: Vec<CachedEntry> = Vec::with_capacity(entries.len());
         let mut seen: BTreeSet<SensorId> = BTreeSet::new();
@@ -634,6 +657,8 @@ impl ColrTree {
             run.push(*e);
         }
         inserted += self.apply_run_locked(maint, &run, now);
+        self.settled_below
+            .store(maint.cache_base + 1, Ordering::Release);
         inserted
     }
 

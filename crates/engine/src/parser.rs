@@ -41,71 +41,66 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-#[derive(Debug, Clone, PartialEq)]
-enum Token {
-    Ident(String),
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Token<'a> {
+    Ident(&'a str),
     Number(f64),
     Symbol(char),
 }
 
-fn tokenize(input: &str) -> Result<Vec<Token>, ParseError> {
+/// Splits `input` into tokens that borrow from it.
+fn tokenize(input: &str) -> Result<Vec<Token<'_>>, ParseError> {
+    // Length of the longest prefix of `s` made of bytes satisfying `keep`
+    // (ASCII classes only, so the cut is always a char boundary).
+    fn run(s: &str, keep: impl Fn(u8) -> bool) -> usize {
+        s.bytes().position(|b| !keep(b)).unwrap_or(s.len())
+    }
     let mut tokens = Vec::new();
-    let mut chars = input.char_indices().peekable();
-    while let Some(&(i, c)) = chars.peek() {
-        if c.is_whitespace() {
-            chars.next();
+    let mut rest = input;
+    while let Some(c) = rest.chars().next() {
+        let len = if c.is_whitespace() {
+            c.len_utf8()
         } else if c.is_ascii_alphabetic() || c == '_' {
-            let mut ident = String::new();
-            while let Some(&(_, c)) = chars.peek() {
-                if c.is_ascii_alphanumeric() || c == '_' {
-                    ident.push(c);
-                    chars.next();
-                } else {
-                    break;
-                }
-            }
-            tokens.push(Token::Ident(ident));
+            let len = run(rest, |b| b.is_ascii_alphanumeric() || b == b'_');
+            tokens.push(Token::Ident(&rest[..len]));
+            len
         } else if c.is_ascii_digit()
             || (c == '-'
-                && matches!(chars.clone().nth(1), Some((_, d)) if d.is_ascii_digit() || d == '.'))
+                && matches!(rest.as_bytes().get(1), Some(d) if d.is_ascii_digit() || *d == b'.'))
         {
-            let mut num = String::new();
-            if c == '-' {
-                num.push(c);
-                chars.next();
-            }
-            while let Some(&(_, c)) = chars.peek() {
-                if c.is_ascii_digit() || c == '.' || c == 'e' || c == 'E' {
-                    num.push(c);
-                    chars.next();
-                } else {
-                    break;
-                }
-            }
+            let sign = usize::from(c == '-');
+            let len = sign
+                + run(&rest[sign..], |b| {
+                    b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E')
+                });
+            let num = &rest[..len];
             let v = num.parse::<f64>().map_err(|_| ParseError {
                 message: format!("bad number `{num}`"),
                 at: tokens.len(),
             })?;
             tokens.push(Token::Number(v));
+            len
         } else if "(),.*-+=".contains(c) {
             tokens.push(Token::Symbol(c));
-            chars.next();
+            1
         } else {
+            let at_byte = input.len() - rest.len();
             return Err(ParseError {
-                message: format!("unexpected character `{c}` at byte {i}"),
+                message: format!("unexpected character `{c}` at byte {at_byte}"),
                 at: tokens.len(),
             });
-        }
+        };
+        rest = &rest[len..];
     }
     Ok(tokens)
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
 }
 
-impl Parser {
+impl<'a> Parser<'a> {
     fn err<T>(&self, message: impl Into<String>) -> Result<T, ParseError> {
         Err(ParseError {
             message: message.into(),
@@ -113,12 +108,12 @@ impl Parser {
         })
     }
 
-    fn peek(&self) -> Option<&Token> {
+    fn peek(&self) -> Option<&Token<'a>> {
         self.tokens.get(self.pos)
     }
 
-    fn next(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).cloned();
+    fn next(&mut self) -> Option<Token<'a>> {
+        let t = self.tokens.get(self.pos).copied();
         if t.is_some() {
             self.pos += 1;
         }
@@ -164,7 +159,7 @@ impl Parser {
         }
     }
 
-    fn ident(&mut self) -> Result<String, ParseError> {
+    fn ident(&mut self) -> Result<&'a str, ParseError> {
         match self.next() {
             Some(Token::Ident(s)) => Ok(s),
             other => self.err(format!("expected identifier, found {other:?}")),
@@ -205,7 +200,7 @@ impl Parser {
     }
 
     /// Parses `[qualifier '.'] name` and returns the field name.
-    fn qualified_any(&mut self) -> Result<String, ParseError> {
+    fn qualified_any(&mut self) -> Result<&'a str, ParseError> {
         let first = self.ident()?;
         if self.try_symbol('.') {
             self.ident()

@@ -14,10 +14,14 @@
 //!     type-filtered queries must take the scalar route and still match
 //!     draw for draw — verified by comparing outputs *and* proving both
 //!     RNGs arrive at the same stream position afterwards.
+//! (c) The same holds on the live-availability branch: with a live map
+//!     enabled on both trees and fed identical probe failures, every `a_i`
+//!     the walk reads differs from the frozen means the arena mirrors, and
+//!     the streams still match across seeds, shapes and thread counts.
 
 use colr_repro::colr::probe::AlwaysAvailable;
 use colr_repro::colr::{
-    ColrConfig, ColrTree, HotPathLayout, Mode, Query, SensorMeta, TimeDelta, Timestamp,
+    ColrConfig, ColrTree, HotPathLayout, Mode, Query, SensorId, SensorMeta, TimeDelta, Timestamp,
 };
 use colr_repro::engine::{parse, Portal, PortalConfig, SelectQuery};
 use colr_repro::geo::{Circle, Point, Polygon, Rect, Region};
@@ -247,5 +251,112 @@ fn morton_built_tree_answers_through_both_layouts_identically() {
             format!("{:?}", (&b.readings, &b.groups, &b.stats)),
             "morton query {i} diverged"
         );
+    }
+}
+
+/// Switches `tree` to live availability and feeds it a fixed pattern of
+/// probe outcomes, so its estimates differ from the frozen build-time means
+/// at every sensor and every node.
+fn degrade(tree: &ColrTree) {
+    let live = tree.enable_live_availability(0.2);
+    for i in 0..SIDE * SIDE {
+        for round in 0..3 {
+            live.record(SensorId(i as u32), (i + round) % 4 != 0);
+        }
+    }
+    for id in tree.node_ids() {
+        assert_ne!(
+            tree.node_avail(id),
+            tree.node(id).avail_mean,
+            "{id:?}: live estimate still equals the frozen mean"
+        );
+    }
+}
+
+#[test]
+fn live_availability_stream_is_bit_identical_across_seeds_shapes_and_threads() {
+    // Seeds × thread counts: the batch matrix of (a), on degraded trees.
+    for seed in [3u64, 17, 91] {
+        let batch = viewport_batch(seed.wrapping_mul(1_000_003));
+        let mut reference = portal(HotPathLayout::Pointer, seed);
+        degrade(reference.tree());
+        let cold_ref = reference.execute_many(&batch, 1);
+        let warm_ref = reference.execute_many(&batch, 1);
+        let mut frozen = portal(HotPathLayout::Pointer, seed);
+        assert_ne!(
+            frozen.execute_many(&batch, 1).stats.sensors_probed,
+            cold_ref.stats.sensors_probed,
+            "seed {seed}: live estimates never changed a target — branch not exercised"
+        );
+        for threads in [1usize, 2, 8] {
+            let mut arena = portal(HotPathLayout::Arena, seed);
+            degrade(arena.tree());
+            let cold = arena.execute_many(&batch, threads);
+            let warm = arena.execute_many(&batch, threads);
+            assert_batches_equal(
+                &format!("live seed {seed} threads {threads} cold"),
+                &cold_ref,
+                &cold,
+            );
+            assert_batches_equal(
+                &format!("live seed {seed} threads {threads} warm"),
+                &warm_ref,
+                &warm,
+            );
+        }
+    }
+
+    // Shapes: partial rectangles (per-sensor leaf terminals), the scalar
+    // polygon/circle route and a kind filter, cold then warm then expired.
+    let config = |layout| ColrConfig {
+        layout,
+        ..Default::default()
+    };
+    let ptr = ColrTree::build(fleet(), config(HotPathLayout::Pointer), 5);
+    let arena = ColrTree::build(fleet(), config(HotPathLayout::Arena), 5);
+    degrade(&ptr);
+    degrade(&arena);
+    let probe = AlwaysAvailable {
+        expiry_ms: EXPIRY_MS,
+    };
+    let staleness = TimeDelta::from_mins(5);
+    let queries = [
+        Query::range(Rect::from_coords(2.2, 3.3, 17.7, 12.1), staleness).with_sample_size(30.0),
+        Query::range(
+            Region::Polygon(Polygon::new(vec![
+                Point::new(-0.5, -0.5),
+                Point::new(28.0, 4.0),
+                Point::new(6.0, 27.0),
+            ])),
+            staleness,
+        )
+        .with_sample_size(30.0),
+        Query::range(
+            Region::Circle(Circle::new(Point::new(15.5, 15.5), 9.0)),
+            staleness,
+        )
+        .with_sample_size(30.0),
+        Query::range(Rect::from_coords(1.5, 1.5, 22.5, 22.5), staleness)
+            .with_sample_size(25.0)
+            .with_kind_filter(1),
+    ];
+    let mut rng_a = StdRng::seed_from_u64(4242);
+    let mut rng_b = StdRng::seed_from_u64(4242);
+    for (qi, query) in queries.iter().enumerate() {
+        for round in 0..3u64 {
+            let now = Timestamp(1_000 + (round / 2) * 600_000);
+            let a = ptr.execute(query, Mode::Colr, &probe, now, &mut rng_a);
+            let b = arena.execute(query, Mode::Colr, &probe, now, &mut rng_b);
+            assert_eq!(
+                format!("{:?}", (&a.readings, &a.groups, &a.stats)),
+                format!("{:?}", (&b.readings, &b.groups, &b.stats)),
+                "live query {qi} round {round} diverged"
+            );
+            assert_eq!(
+                rng_a.random::<u64>(),
+                rng_b.random::<u64>(),
+                "live query {qi} round {round}: RNG streams desynchronised"
+            );
+        }
     }
 }
