@@ -7,7 +7,7 @@
 //! ```
 
 use colr_bench::mean;
-use colr_engine::{Portal, PortalConfig};
+use colr_engine::{PortalConfig, PortalService, QueryRequest};
 use colr_sensors::{RandomWalkField, SimNetwork};
 use colr_tree::{Mode, Timestamp};
 use colr_workload::{QueryWorkloadConfig, ScenarioConfig};
@@ -53,7 +53,7 @@ fn main() {
 
     let field = RandomWalkField::new(sc.sensors.len(), 0.0, 60.0, 2.0, 9);
     let network = SimNetwork::new(sc.sensors.clone(), field, 5);
-    let mut portal = Portal::new(
+    let portal = PortalService::new(
         sc.sensors.clone(),
         network,
         PortalConfig {
@@ -79,7 +79,8 @@ fn main() {
             spec.rect.max.y,
             spec.staleness.millis() / 1_000,
         );
-        let res = portal.query_sql(&sql).expect("dialect query");
+        let req = QueryRequest::from_sql(&sql).expect("dialect query");
+        let res = portal.execute(&req).expect("portal answers").result;
         latencies.push(res.latency_ms);
         probes.push(res.stats.sensors_probed as f64);
         cache_hits += res.stats.cache_nodes_used + res.stats.readings_from_cache;
@@ -112,7 +113,7 @@ fn main() {
     );
     println!(
         "cached readings at end: {}",
-        portal.tree().cached_readings()
+        portal.snapshot().tree().cached_readings()
     );
     let span = portal.now().millis() as f64 / 60_000.0;
     println!("simulated span: {span:.1} minutes");

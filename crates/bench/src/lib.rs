@@ -8,7 +8,7 @@
 //! This library holds the shared setup: scenario construction, trace
 //! replay, and per-query measurement records.
 
-pub mod hotpath;
+#![forbid(unsafe_code)]
 
 use colr_geo::Region;
 use colr_tree::{

@@ -47,6 +47,8 @@
 //! let _count = out.aggregate(AggKind::Count);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod agg;
 pub mod alias;
 pub mod arena;

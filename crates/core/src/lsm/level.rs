@@ -335,23 +335,22 @@ impl L0Level {
         self.inner.read().tombstoned.iter().copied().collect()
     }
 
-    /// Removes every sensor in `merged` (they now live in a built level) and
-    /// every tombstoned sensor, returning what stays parked — the suffix
-    /// registered while the merge was building. Called by the merge while it
-    /// holds the publication write lock, so no registration can race the
-    /// partition.
-    pub(crate) fn drain_merged(
-        &self,
-        merged: &HashSet<u32>,
-    ) -> (Vec<SensorMeta>, Vec<CachedEntry>) {
-        let mut inner = self.inner.write();
+    /// What stays parked once the sensors in `merged` live in a built level:
+    /// every other live sensor — the suffix registered while the merge was
+    /// building — with its cached reading. Called by the merge while it holds
+    /// the publication write lock, so no registration can race the
+    /// partition. This L0 itself is left as it was: a query that took the
+    /// outgoing cut just before publication still finds the merged sensors
+    /// here, beside the levels that do not hold them yet.
+    pub(crate) fn unmerged(&self, merged: &HashSet<u32>) -> (Vec<SensorMeta>, Vec<CachedEntry>) {
+        let inner = self.inner.read();
         let mut rest = Vec::new();
         let mut rest_entries = Vec::new();
-        for m in std::mem::take(&mut inner.sensors) {
+        for m in &inner.sensors {
             if merged.contains(&m.id.0) || inner.tombstoned.contains(&m.id.0) {
                 continue;
             }
-            rest.push(m);
+            rest.push(*m);
             if let Some(e) = inner.entries.get(&m.id.0) {
                 rest_entries.push(*e);
             }

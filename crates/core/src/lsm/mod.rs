@@ -1,9 +1,9 @@
 //! LSM-style incremental COLR-Tree index: continuous sensor churn without
 //! stop-the-world rebuilds.
 //!
-//! The monolithic portal parks freshly registered sensors until a full bulk
-//! rebuild republishes the tree, and has no retire path at all. This module
-//! replaces that with a log-structured collection of levels:
+//! A bulk-built COLR-Tree can only take new sensors by being rebuilt, and
+//! cannot drop one at all. This module wraps it in a log-structured
+//! collection of levels:
 //!
 //! * **L0** — a small mutable top level ([`L0Level`]). `register` is one
 //!   vector push; the sensor is visible to the very next query.
@@ -14,9 +14,8 @@
 //! * **Merges** — [`LsmTree::merge`] drains L0 plus a trailing run of small
 //!   (or heavily tombstoned) levels into one freshly bulk-built level,
 //!   carrying still-fresh cached readings across through
-//!   [`crate::tree::ColrTree::restore_entries`], exactly like the monolithic
-//!   reindex carry-over. Queries never block: merges build off to the side
-//!   and publish by swapping one `Arc`.
+//!   [`crate::tree::ColrTree::restore_entries`]. Queries never block:
+//!   merges build off to the side and publish by swapping one `Arc`.
 //!
 //! Algorithm 1's sampling becomes *layered*: a query's sample target `R`
 //! splits across components (levels + L0) in proportion to each component's
@@ -145,9 +144,9 @@ impl LsmState {
 pub struct LsmSnapshot {
     state: Arc<LsmState>,
     l0: Vec<(SensorMeta, Option<CachedEntry>)>,
-    /// `state.degenerate()` as of the freeze — a merge published mid-batch
-    /// drains the old cut's L0 in place, which must not flip the batch's
-    /// remaining queries onto the passthrough path.
+    /// `state.degenerate()` as of the freeze — a sensor registered mid-batch
+    /// lands in this cut's live L0, which must not flip the batch's
+    /// remaining queries off the passthrough path.
     degenerate: bool,
 }
 
@@ -750,16 +749,18 @@ impl LsmTree {
             carry.extend(level.cached_entries_global());
         }
         carry.extend(batch.iter().filter_map(|(_, e)| *e));
-        let local_entries: Vec<CachedEntry> = carry
-            .into_iter()
-            .filter_map(|mut e| {
-                new_level.local_of(e.reading.sensor).map(|local| {
-                    e.reading.sensor = local;
-                    e
-                })
+        let to_local = |mut e: CachedEntry| {
+            new_level.local_of(e.reading.sensor).map(|local| {
+                e.reading.sensor = local;
+                e
             })
+        };
+        let local_entries: Vec<CachedEntry> = carry.into_iter().filter_map(to_local).collect();
+        let mut carried = new_level.tree().restore_entries(&local_entries, now);
+        let at_cut: HashMap<u32, CachedEntry> = batch
+            .iter()
+            .filter_map(|(m, e)| e.map(|e| (m.id.0, e)))
             .collect();
-        let carried = new_level.tree().restore_entries(&local_entries, now);
 
         // Publish: swap the state under the write lock, re-route the
         // directory, and re-apply any retire that raced the build.
@@ -771,8 +772,19 @@ impl LsmTree {
                     new_level.tombstone(local);
                 }
             }
+            // Queries kept probing the batch's sensors while the level was
+            // building: a reading L0 cached since the batch cut is carried
+            // too, so the swap does not lose it.
+            let since_cut: Vec<CachedEntry> = state
+                .l0
+                .snapshot()
+                .into_iter()
+                .filter(|(m, e)| batch_ids.contains(&m.id.0) && at_cut.get(&m.id.0) != e.as_ref())
+                .filter_map(|(_, e)| e.and_then(to_local))
+                .collect();
+            carried += new_level.tree().restore_entries(&since_cut, now);
             dropped.extend(state.l0.tombstoned_ids());
-            let (rest, rest_entries) = state.l0.drain_merged(&batch_ids);
+            let (rest, rest_entries) = state.l0.unmerged(&batch_ids);
             let new_l0 = Arc::new(L0Level::with_contents(rest, rest_entries));
             let mut levels: Vec<Arc<LsmLevel>> = state.levels[..absorb_from].to_vec();
             levels.push(new_level.clone());

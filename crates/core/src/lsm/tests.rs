@@ -395,6 +395,35 @@ fn wants_merge_tracks_l0_capacity() {
 }
 
 #[test]
+fn a_cut_taken_before_a_merge_still_holds_the_merged_sensors() {
+    // A query clones the published cut and scans its L0 a moment later; a
+    // merge may publish in between. The outgoing cut must stay whole — its
+    // levels do not hold the merged sensor, so its L0 still has to.
+    let lsm = LsmTree::new(
+        grid_sensors(64, 8),
+        ColrConfig::default(),
+        LsmConfig::default(),
+        1,
+    );
+    lsm.register(SensorMeta::new(
+        500,
+        Point::new(100.0, 100.0),
+        TimeDelta::from_millis(EXPIRY_MS),
+        1.0,
+    ));
+    let q = Query::range(
+        Rect::from_coords(99.0, 99.0, 101.0, 101.0),
+        TimeDelta::from_millis(EXPIRY_MS),
+    );
+    let before = lsm.state.read().clone();
+    assert_eq!(lsm.merge(Timestamp(1_000)).merged_sensors, 1);
+    assert_eq!(before.l0.candidates(&q).len(), 1, "outgoing cut lost it");
+    let after = lsm.state.read().clone();
+    assert!(after.l0.is_empty(), "the published cut parks nothing");
+    assert_eq!(after.levels.len(), before.levels.len() + 1);
+}
+
+#[test]
 fn empty_merge_is_a_no_op() {
     let lsm = LsmTree::new(
         grid_sensors(16, 4),

@@ -1,8 +1,8 @@
 //! The unified portal error type.
 //!
-//! Every front-door entry point ([`crate::PortalService::query_sql`],
-//! [`crate::Portal::query_sql`], the batch variants) returns
-//! `Result<_, PortalError>`: one enum covering the three ways a portal can
+//! Every front-door entry point ([`crate::QueryRequest::from_sql`], `execute`
+//! on [`crate::PortalService`] and [`crate::ShardedPortal`], the batch
+//! variants) returns `Result<_, PortalError>`: one enum covering the three ways a portal can
 //! decline to answer — the SQL didn't parse, the admission controller shed
 //! the query under load, or the service has been closed for shutdown.
 //! `From<ParseError>` keeps pre-existing `?`-style call sites mechanical.

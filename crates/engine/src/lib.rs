@@ -11,21 +11,23 @@
 //! * [`planner`] — maps the `CLUSTER` distance to a terminal level `T`
 //!   (the zoom-level → threshold-level translation of Section III-C) and
 //!   assembles the physical [`colr_tree::Query`];
-//! * [`portal`] — the single-owner [`Portal`] facade: register sensors,
-//!   accept SQL or programmatic queries, collect live data through a probe
-//!   service, and return per-group results ready to overlay on a map;
-//! * [`service`] — the shared [`PortalService`] front door: cloneable
-//!   `&self` handles over epoch-published index generations, with online
-//!   reindexing (cache carry-over included) and admission control;
-//! * [`request`] — the unified request surface: every entry point lowers
-//!   onto `execute(&`[`QueryRequest`]`)`, which answers with a
-//!   [`QueryResponse`];
+//! * [`portal`] — the configuration going in ([`PortalConfig`]) and the
+//!   result shapes coming out: per-group [`PortalResult`]s ready to overlay
+//!   on a map, with their [`DegradationReport`];
+//! * [`service`] — the [`PortalService`] front door: cloneable `&self`
+//!   handles over an LSM index published in epochs, with online
+//!   registration, merges that carry the caches over, and admission control;
+//! * [`request`] — the one request surface: both front doors answer
+//!   `execute(&`[`QueryRequest`]`)` with a [`QueryResponse`], and
+//!   [`QueryRequest::from_sql`] is the one lowering from SQL text;
 //! * [`router`] — the spatially sharded [`ShardedPortal`]: a deterministic
 //!   scatter-gather router over per-shard [`PortalService`]s, splitting the
 //!   sample target `R` across overlapping shards exactly as Algorithm 1
 //!   splits it across children;
 //! * [`error`] — the unified [`PortalError`] every front-door entry point
 //!   returns.
+
+#![forbid(unsafe_code)]
 
 pub mod ast;
 pub mod error;
@@ -35,17 +37,15 @@ pub mod portal;
 pub mod request;
 pub mod router;
 pub mod service;
-pub mod shared;
 
 pub use ast::{AggSpec, SelectQuery, SpatialPredicate};
 pub use error::PortalError;
 pub use parser::{parse, parse_statement, ParseError, Statement};
 pub use planner::Planner;
 pub use portal::{
-    BatchResult, DegradationReport, GroupView, IndexStrategy, Portal, PortalConfig,
-    PortalConfigBuilder, PortalConfigError, PortalResult,
+    BatchResult, DegradationReport, GroupView, IndexStrategy, PortalConfig, PortalConfigBuilder,
+    PortalConfigError, PortalResult,
 };
 pub use request::{ExplainLevel, QueryRequest, QueryRequestBuilder, QueryResponse, ShardOutcome};
 pub use router::{ShardInfo, ShardedPortal};
 pub use service::{AdmissionConfig, Generation, PortalService, Reindexer};
-pub use shared::SharedPortal;

@@ -1,47 +1,29 @@
-//! The portal facade — the programmatic equivalent of SENSORMAP's front
-//! door, in its single-owner form.
-//!
-//! A [`Portal`] is a thin `&mut self` wrapper over a shared
-//! [`crate::PortalService`]: it keeps the original one-owner API (clients
-//! submit dialect SQL via [`Portal::query_sql`] or parsed queries and
-//! receive per-group results ready to overlay on a map) while the service
-//! underneath owns the index generations, the shared clock and the probe
-//! service. Call [`Portal::service`] to hand out concurrent `&self` handles
-//! to the same back end, or [`Portal::into_service`] to graduate entirely.
-//!
-//! The wrapper differs from a raw service handle in two deliberate ways:
-//! it keeps one sequential RNG across queries (reproducible single-client
-//! traces), and it bypasses admission control (a single owner cannot
-//! overload itself).
-
-use std::sync::Arc;
+//! The portal's configuration and result shapes: [`PortalConfig`] (and its
+//! validating builder) going in; [`PortalResult`], [`GroupView`],
+//! [`BatchResult`] and the [`DegradationReport`] shortfall accounting coming
+//! out. The front doors that consume and produce them are
+//! [`crate::PortalService`] and [`crate::ShardedPortal`].
 
 use colr_geo::Rect;
-use colr_tree::{
-    ClockHandle, ColrConfig, ColrTree, Histogram, LiveAvailability, Mode, ProbeService, QueryStats,
-    ResilientProber, SensorMeta, TimeDelta, Timestamp,
-};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use colr_tree::{ColrConfig, Histogram, LsmConfig, Mode, QueryStats, TimeDelta};
 
-use crate::ast::SelectQuery;
-use crate::error::PortalError;
-use crate::planner::Planner;
-use crate::service::{AdmissionConfig, Generation, PortalService};
+use crate::service::AdmissionConfig;
 
-/// How the service maintains its index as sensors come and go.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+/// How the service maintains its index as sensors come and go. One
+/// strategy exists; the enum remains the carrier of its shape parameters.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum IndexStrategy {
-    /// One bulk-built COLR-Tree per generation. Registrations park in a
-    /// pending queue until the next full rebuild ([`PortalService::reindex`])
-    /// folds them in; retirements mask the sensor until then.
-    #[default]
-    Monolithic,
     /// Incremental LSM index ([`colr_tree::LsmTree`]): registrations land in
     /// a mutable L0 and are queryable immediately, retirements tombstone in
     /// O(1), and background merges compact L0 into geometrically larger
     /// immutable COLR-Tree levels off the hot path.
-    Lsm(colr_tree::LsmConfig),
+    Lsm(LsmConfig),
+}
+
+impl Default for IndexStrategy {
+    fn default() -> Self {
+        IndexStrategy::Lsm(LsmConfig::default())
+    }
 }
 
 /// Portal construction parameters.
@@ -60,17 +42,15 @@ pub struct PortalConfig {
     pub max_sensors_per_query: Option<usize>,
     /// RNG seed.
     pub seed: u64,
-    /// Admission-controller tuning for [`crate::PortalService`] front doors
-    /// (ignored by the single-owner [`Portal`] wrapper, which cannot
-    /// overload itself).
+    /// Admission-controller tuning, applied per [`crate::PortalService`]
+    /// (so per shard under a [`crate::ShardedPortal`]).
     pub admission: AdmissionConfig,
     /// Record one per-query flight record every this many interactive
     /// queries (0 = never). `EXPLAIN ANALYZE` always records, regardless of
     /// this gate. Recording never perturbs answers: it consumes no RNG and
     /// changes no float computation.
     pub flight_record_every: u64,
-    /// Index maintenance strategy (monolithic rebuilds by default; see
-    /// [`IndexStrategy::Lsm`] for churn-heavy deployments).
+    /// Index shape parameters (L0 capacity, level growth ratio).
     pub index: IndexStrategy,
 }
 
@@ -84,7 +64,7 @@ impl Default for PortalConfig {
             seed: 42,
             admission: AdmissionConfig::default(),
             flight_record_every: 0,
-            index: IndexStrategy::Monolithic,
+            index: IndexStrategy::default(),
         }
     }
 }
@@ -242,7 +222,7 @@ pub struct GroupView {
     pub from_cache: bool,
 }
 
-/// Aggregated outcome of a [`Portal::execute_many`] batch.
+/// Aggregated outcome of a [`crate::PortalService::execute_many`] batch.
 #[derive(Debug, Clone)]
 pub struct BatchResult {
     /// One result per submitted query, in submission order.
@@ -286,11 +266,6 @@ pub struct DegradationReport {
     pub deadline_clipped: u64,
     /// Retry probes issued while collecting this answer.
     pub probes_retried: u64,
-    /// Registered sensors inside the queried region that are parked in the
-    /// pending queue and not yet indexed — a blind spot no amount of probing
-    /// can cover until the next reindex. Always 0 under
-    /// [`IndexStrategy::Lsm`], where registrations index immediately.
-    pub pending_unindexed: u64,
     /// Minimum per-constituent fulfillment tracked across
     /// [`DegradationReport::merge`] calls; `None` on a leaf report (a single
     /// query's own accounting, where the worst constituent is the report
@@ -326,7 +301,6 @@ impl DegradationReport {
             && self.breaker_skipped == 0
             && self.deadline_clipped == 0
             && self.probes_retried == 0
-            && self.pending_unindexed == 0
             && self.worst.is_none()
     }
 
@@ -360,7 +334,6 @@ impl DegradationReport {
         self.breaker_skipped += other.breaker_skipped;
         self.deadline_clipped += other.deadline_clipped;
         self.probes_retried += other.probes_retried;
-        self.pending_unindexed += other.pending_unindexed;
     }
 
     /// Folds another report into this one (summing every axis), for
@@ -393,560 +366,9 @@ pub struct PortalResult {
     pub degradation: DegradationReport,
 }
 
-/// The portal: SensorMap's query front end over a COLR-Tree back end,
-/// single-owner edition. See the module docs for how it relates to
-/// [`PortalService`].
-pub struct Portal<P> {
-    service: PortalService<P>,
-    /// Cached snapshot of the published generation, refreshed by every
-    /// `&mut self` entry point so `tree()`/`planner()` can hand out plain
-    /// references.
-    current: Arc<Generation>,
-    /// The wrapper's own sequential RNG: single-client query traces stay
-    /// reproducible run-to-run, independent of the service's per-ordinal
-    /// derivation.
-    rng: StdRng,
-}
-
-impl<P: ProbeService> Portal<P> {
-    /// Builds a portal over `sensors`, probing live data through `probe`.
-    pub fn new(sensors: Vec<SensorMeta>, probe: P, config: PortalConfig) -> Portal<P> {
-        let seed = config.seed;
-        let service = PortalService::new(sensors, probe, config);
-        let current = service.snapshot();
-        Portal {
-            service,
-            current,
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-
-    /// The shared service under this portal: clone it to run concurrent
-    /// `&self` queries against the same index, clock and probe service.
-    pub fn service(&self) -> &PortalService<P> {
-        &self.service
-    }
-
-    /// Consumes the wrapper, leaving only the shared service.
-    pub fn into_service(self) -> PortalService<P> {
-        self.service
-    }
-
-    /// Re-reads the published generation (a service handle may have
-    /// reindexed since the last `&mut self` call).
-    fn refresh(&mut self) {
-        self.current = self.service.snapshot();
-    }
-
-    /// Registers a new publisher (Section III-A). The sensor becomes
-    /// queryable after the next [`Portal::rebuild_index`] — COLR-Tree is
-    /// bulk-built, so the portal batches registrations and reconstructs
-    /// periodically, exactly as the paper prescribes for location changes.
-    ///
-    /// The caller supplies location, expiry and availability; the portal
-    /// assigns the next dense id and returns it.
-    pub fn register_sensor(
-        &mut self,
-        location: colr_geo::Point,
-        expiry: TimeDelta,
-        availability: f64,
-        kind: u16,
-    ) -> colr_tree::SensorId {
-        self.service
-            .register_sensor(location, expiry, availability, kind)
-    }
-
-    /// Number of registrations awaiting the next reconstruction.
-    pub fn pending_registrations(&self) -> usize {
-        self.service.pending_registrations()
-    }
-
-    /// Reconstructs the index over the current sensor population plus all
-    /// pending registrations (the paper's periodic rebuild). Cached data is
-    /// discarded — the rebuild is a batch, offline operation in SensorMap.
-    /// (The *online* path, [`crate::PortalService::reindex`], carries
-    /// caches over instead.) Returns the new population size.
-    pub fn rebuild_index(&mut self) -> usize {
-        let n = self.service.reindex_discarding();
-        self.refresh();
-        n
-    }
-
-    /// The shared simulation clock (advance it to model passing time).
-    pub fn clock(&self) -> &ClockHandle {
-        self.service.clock()
-    }
-
-    /// The simulation clock.
-    #[deprecated(
-        since = "0.5.0",
-        note = "the clock is shared and advances through `&self` now; use `clock()`"
-    )]
-    pub fn clock_mut(&mut self) -> &ClockHandle {
-        self.service.clock()
-    }
-
-    /// Current simulated instant.
-    pub fn now(&self) -> Timestamp {
-        self.service.now()
-    }
-
-    /// The underlying index (read-only; the generation snapshot taken at
-    /// the last `&mut self` call).
-    pub fn tree(&self) -> &ColrTree {
-        self.current.tree()
-    }
-
-    /// The planner (read-only).
-    pub fn planner(&self) -> &Planner {
-        self.current.planner()
-    }
-
-    /// The probe service (e.g. to inspect simulated probe counters).
-    pub fn probe(&self) -> &P {
-        self.service.probe()
-    }
-
-    /// Parses and executes a dialect SQL query.
-    pub fn query_sql(&mut self, sql: &str) -> Result<PortalResult, PortalError> {
-        let parsed = self.service.parse_traced(sql)?;
-        Ok(self.query(&parsed))
-    }
-
-    /// Parses a dialect query and describes its physical plan without
-    /// executing it (the portal's `EXPLAIN`).
-    pub fn explain_sql(&self, sql: &str) -> Result<String, PortalError> {
-        self.service.explain_sql(sql)
-    }
-
-    /// The portal's `EXPLAIN ANALYZE`: executes the query under an always-on
-    /// flight recorder and returns the plan description plus the captured
-    /// stage tree, with stage totals parity-checked against the query's
-    /// `QueryStats`. See [`crate::PortalService::explain_analyze_sql`].
-    pub fn explain_analyze_sql(&self, sql: &str) -> Result<String, PortalError> {
-        self.service.explain_analyze_sql(sql)
-    }
-
-    /// Attaches an SLO watchdog fed by every subsequent interactive query.
-    /// See [`crate::PortalService::attach_watchdog`].
-    pub fn attach_watchdog(&self, watchdog: std::sync::Arc<colr_telemetry::SloWatchdog>) {
-        self.service.attach_watchdog(watchdog)
-    }
-
-    /// Executes a parsed query. Bypasses admission control (a single owner
-    /// is its own admission controller) and draws from the portal's
-    /// sequential RNG.
-    pub fn query(&mut self, q: &SelectQuery) -> PortalResult {
-        self.refresh();
-        let gen = self.current.clone();
-        self.service
-            .run_with_rng(&gen, q, &mut self.rng, TimeDelta::ZERO)
-    }
-
-    /// Executes a batch of parsed queries, fanning them out over `threads`
-    /// worker threads against one shared tree.
-    ///
-    /// Every query in the batch runs against the cache snapshot taken at
-    /// batch start ([`ColrTree::execute_frozen`]), with its own RNG seeded
-    /// from `(portal seed, query index)`; the probe write-backs are applied
-    /// afterwards in query-index order. Results are therefore independent of
-    /// the thread count and of scheduling, provided the probe service is
-    /// order-insensitive. `threads == 0` uses the machine's available
-    /// parallelism.
-    pub fn execute_many(&mut self, queries: &[SelectQuery], threads: usize) -> BatchResult
-    where
-        P: Sync,
-    {
-        self.refresh();
-        let gen = self.current.clone();
-        self.service.execute_many_with(&gen, queries, threads)
-    }
-
-    /// Parses and executes a batch of dialect SQL queries via
-    /// [`Portal::execute_many`]. Fails fast on the first parse error.
-    pub fn query_many_sql(
-        &mut self,
-        sqls: &[&str],
-        threads: usize,
-    ) -> Result<BatchResult, PortalError>
-    where
-        P: Sync,
-    {
-        let parsed: Vec<SelectQuery> = sqls
-            .iter()
-            .map(|s| self.service.parse_traced(s))
-            .collect::<Result<_, _>>()?;
-        Ok(self.execute_many(&parsed, threads))
-    }
-}
-
-impl<Q: ProbeService> Portal<ResilientProber<Q>> {
-    /// Closes the availability feedback loop for a resilient portal: builds
-    /// a [`LiveAvailability`] map over the current index, installs it on the
-    /// tree (so Algorithm 1's oversampling reads live means) and on the
-    /// prober (so every probe outcome — including breaker skips — trains
-    /// the estimates). Returns the shared map for inspection.
-    ///
-    /// [`Portal::rebuild_index`] discards the tree's map (the node topology
-    /// changed); call this again after a rebuild to re-enable feedback.
-    pub fn enable_resilience_feedback(&mut self, alpha: f64) -> Arc<LiveAvailability> {
-        self.refresh();
-        self.service.enable_resilience_feedback(alpha)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use colr_geo::Point;
-    use colr_tree::probe::AlwaysAvailable;
-
-    const EXPIRY_MS: u64 = 300_000;
-
-    fn portal(mode: Mode) -> Portal<AlwaysAvailable> {
-        let sensors: Vec<SensorMeta> = (0..256)
-            .map(|i| {
-                SensorMeta::new(
-                    i as u32,
-                    Point::new((i % 16) as f64, (i / 16) as f64),
-                    TimeDelta::from_millis(EXPIRY_MS),
-                    1.0,
-                )
-            })
-            .collect();
-        Portal::new(
-            sensors,
-            AlwaysAvailable {
-                expiry_ms: EXPIRY_MS,
-            },
-            PortalConfig {
-                mode,
-                ..Default::default()
-            },
-        )
-    }
-
-    #[test]
-    fn end_to_end_sql_count() {
-        let mut p = portal(Mode::HierCache);
-        p.clock().advance(TimeDelta::from_secs(1));
-        let res = p
-            .query_sql(
-                "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5, -0.5, 7.5, 7.5)",
-            )
-            .expect("query runs");
-        assert_eq!(res.value, Some(64.0));
-        assert!(res.latency_ms > 0.0);
-        assert!(!res.groups.is_empty());
-    }
-
-    #[test]
-    fn sql_samplesize_limits_probes() {
-        let mut p = portal(Mode::Colr);
-        p.clock().advance(TimeDelta::from_secs(1));
-        let res = p
-            .query_sql(
-                "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,15.5,15.5) \
-                 SAMPLESIZE 20",
-            )
-            .expect("query runs");
-        assert!(
-            res.stats.sensors_probed < 64,
-            "probed {} of 256 for SAMPLESIZE 20",
-            res.stats.sensors_probed
-        );
-    }
-
-    #[test]
-    fn polygon_query_via_sql() {
-        let mut p = portal(Mode::RTree);
-        p.clock().advance(TimeDelta::from_secs(1));
-        let res = p
-            .query_sql(
-                "SELECT count(*) FROM sensor WHERE location WITHIN \
-                 POLYGON((-0.5 -0.5, 15.7 -0.5, -0.5 15.7))",
-            )
-            .expect("query runs");
-        // Sensors with x + y <= 15 (below the hypotenuse x+y≈15.2): 136.
-        assert_eq!(res.value, Some(136.0));
-    }
-
-    #[test]
-    fn avg_histogram_present_with_raw_readings() {
-        let mut p = portal(Mode::HierCache);
-        p.clock().advance(TimeDelta::from_secs(1));
-        let res = p
-            .query_sql(
-                "SELECT avg(value) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,3.5,3.5)",
-            )
-            .expect("query runs");
-        assert!(res.value.is_some());
-        let h = res.histogram.expect("histogram from raw readings");
-        assert_eq!(h.total(), 16);
-    }
-
-    #[test]
-    fn warm_cache_reduces_latency() {
-        let mut p = portal(Mode::HierCache);
-        p.clock().advance(TimeDelta::from_secs(1));
-        let sql = "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,7.5,7.5) \
-             AND time BETWEEN now()-5 AND now() mins";
-        let cold = p.query_sql(sql).unwrap();
-        p.clock().advance(TimeDelta::from_secs(1));
-        let warm = p.query_sql(sql).unwrap();
-        assert!(warm.latency_ms < cold.latency_ms);
-        assert!(warm.stats.sensors_probed < cold.stats.sensors_probed);
-    }
-
-    #[test]
-    fn deprecated_clock_mut_still_advances() {
-        let mut p = portal(Mode::HierCache);
-        #[allow(deprecated)]
-        p.clock_mut().advance(TimeDelta::from_secs(2));
-        assert_eq!(p.now(), Timestamp(2_000));
-    }
-
-    #[test]
-    fn portal_cap_applies_without_samplesize() {
-        let sensors: Vec<SensorMeta> = (0..256)
-            .map(|i| {
-                SensorMeta::new(
-                    i as u32,
-                    Point::new((i % 16) as f64, (i / 16) as f64),
-                    TimeDelta::from_millis(EXPIRY_MS),
-                    1.0,
-                )
-            })
-            .collect();
-        let mut p = Portal::new(
-            sensors,
-            AlwaysAvailable {
-                expiry_ms: EXPIRY_MS,
-            },
-            PortalConfig {
-                mode: Mode::Colr,
-                max_sensors_per_query: Some(10),
-                ..Default::default()
-            },
-        );
-        p.clock().advance(TimeDelta::from_secs(1));
-        let res = p
-            .query_sql(
-                "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,15.5,15.5)",
-            )
-            .unwrap();
-        assert!(
-            res.stats.sensors_probed <= 30,
-            "portal cap ignored: probed {}",
-            res.stats.sensors_probed
-        );
-    }
-
-    #[test]
-    fn distribution_served_from_slot_histograms() {
-        use colr_tree::agg::HistogramSpec;
-        let sensors: Vec<SensorMeta> = (0..256)
-            .map(|i| {
-                SensorMeta::new(
-                    i as u32,
-                    Point::new((i % 16) as f64, (i / 16) as f64),
-                    TimeDelta::from_millis(EXPIRY_MS),
-                    1.0,
-                )
-            })
-            .collect();
-        let mut config = PortalConfig {
-            mode: Mode::HierCache,
-            ..Default::default()
-        };
-        config.tree.slot_histograms = Some(HistogramSpec {
-            lo: 0.0,
-            hi: 256.0,
-            buckets: 8,
-        });
-        let mut p = Portal::new(
-            sensors,
-            AlwaysAvailable {
-                expiry_ms: EXPIRY_MS,
-            },
-            config,
-        );
-        p.clock().advance(TimeDelta::from_secs(1));
-        let sql = "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,15.5,15.5)";
-        let cold = p.query_sql(sql).unwrap();
-        assert_eq!(cold.histogram.as_ref().unwrap().total(), 256);
-        // Warm query: answered from aggregates, yet the distribution is
-        // still complete — out of the slot histograms, not raw readings.
-        p.clock().advance(TimeDelta::from_secs(1));
-        let warm = p.query_sql(sql).unwrap();
-        assert!(warm.stats.sensors_probed == 0);
-        let h = warm.histogram.as_ref().expect("cached distribution");
-        assert_eq!(h.total(), 256);
-        // AlwaysAvailable values = ids 0..256 → 32 per bucket of width 32.
-        assert!(h.counts().iter().all(|&c| c == 32), "{:?}", h.counts());
-    }
-
-    #[test]
-    fn registration_and_rebuild_extend_the_population() {
-        let mut p = portal(Mode::RTree);
-        p.clock().advance(TimeDelta::from_secs(1));
-        let before = p
-            .query_sql("SELECT count(*) FROM sensor WHERE location WITHIN RECT(100,100,110,110)")
-            .unwrap();
-        assert_eq!(before.value, Some(0.0));
-        // Three new restaurants open in an empty area.
-        for i in 0..3 {
-            let id = p.register_sensor(
-                Point::new(105.0 + i as f64, 105.0),
-                TimeDelta::from_mins(5),
-                1.0,
-                0,
-            );
-            assert_eq!(id.index(), 256 + i);
-        }
-        assert_eq!(p.pending_registrations(), 3);
-        // Invisible until the rebuild...
-        let mid = p
-            .query_sql("SELECT count(*) FROM sensor WHERE location WITHIN RECT(100,100,110,110)")
-            .unwrap();
-        assert_eq!(mid.value, Some(0.0));
-        // ...and queryable afterwards.
-        assert_eq!(p.rebuild_index(), 259);
-        assert_eq!(p.pending_registrations(), 0);
-        let after = p
-            .query_sql("SELECT count(*) FROM sensor WHERE location WITHIN RECT(100,100,110,110)")
-            .unwrap();
-        assert_eq!(after.value, Some(3.0));
-        // The old population still answers.
-        let old = p
-            .query_sql(
-                "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,15.5,15.5)",
-            )
-            .unwrap();
-        assert_eq!(old.value, Some(256.0));
-    }
-
-    #[test]
-    fn rebuild_discards_cached_data() {
-        let mut p = portal(Mode::HierCache);
-        p.clock().advance(TimeDelta::from_secs(1));
-        let sql = "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,7.5,7.5)";
-        p.query_sql(sql).unwrap();
-        assert!(p.tree().cached_readings() > 0);
-        p.rebuild_index();
-        assert_eq!(p.tree().cached_readings(), 0);
-        // Queries work against the fresh index.
-        let res = p.query_sql(sql).unwrap();
-        assert_eq!(res.value, Some(64.0));
-    }
-
-    #[test]
-    fn explain_sql_describes_without_executing() {
-        let p = portal(Mode::Colr);
-        let text = p
-            .explain_sql(
-                "SELECT count(*) FROM sensor WHERE location WITHIN RECT(0,0,8,8)                  CLUSTER 4 SAMPLESIZE 25",
-            )
-            .unwrap();
-        assert!(text.contains("R=25"), "{text}");
-        assert!(text.contains("CLUSTER 4"), "{text}");
-        // No probes happened.
-        assert_eq!(p.probe().expiry_ms, EXPIRY_MS); // probe untouched, state readable
-    }
-
-    #[test]
-    fn parse_errors_bubble_up_as_portal_errors() {
-        let mut p = portal(Mode::Colr);
-        let err = p.query_sql("SELECT nonsense").unwrap_err();
-        assert!(matches!(err, PortalError::Parse(_)));
-    }
-
-    #[test]
-    fn execute_many_is_thread_count_invariant() {
-        let sqls: Vec<String> = (0..12)
-            .map(|i| {
-                let x0 = (i % 4) as f64 * 4.0 - 0.5;
-                format!(
-                    "SELECT count(*) FROM sensor WHERE location WITHIN \
-                     RECT({x0}, -0.5, {}, 15.5) SAMPLESIZE 20",
-                    x0 + 4.0
-                )
-            })
-            .collect();
-        let sql_refs: Vec<&str> = sqls.iter().map(String::as_str).collect();
-        let mut batches = Vec::new();
-        for threads in [1usize, 4] {
-            let mut p = portal(Mode::Colr);
-            p.clock().advance(TimeDelta::from_secs(1));
-            batches.push(p.query_many_sql(&sql_refs, threads).expect("batch runs"));
-        }
-        let (seq, par) = (&batches[0], &batches[1]);
-        assert_eq!(seq.results.len(), par.results.len());
-        assert_eq!(seq.readings_applied, par.readings_applied);
-        for (a, b) in seq.results.iter().zip(&par.results) {
-            assert_eq!(a.value, b.value);
-            assert_eq!(a.groups.len(), b.groups.len());
-            for (ga, gb) in a.groups.iter().zip(&b.groups) {
-                assert_eq!(ga.count, gb.count);
-                assert_eq!(ga.value, gb.value);
-            }
-        }
-        assert_eq!(format!("{:?}", seq.stats), format!("{:?}", par.stats));
-        assert_eq!(seq.degradation, par.degradation);
-    }
-
-    #[test]
-    fn execute_many_applies_writebacks_after_batch() {
-        let mut p = portal(Mode::HierCache);
-        p.clock().advance(TimeDelta::from_secs(1));
-        let sql = "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,7.5,7.5)";
-        let batch = p.query_many_sql(&[sql], 2).unwrap();
-        // Frozen execution probed the region, then wrote the readings back.
-        assert_eq!(batch.stats.sensors_probed, 64);
-        assert_eq!(batch.readings_applied, 64);
-        assert_eq!(p.tree().cached_readings(), 64);
-        // A follow-up interactive query is served warm.
-        p.clock().advance(TimeDelta::from_secs(1));
-        let warm = p.query_sql(sql).unwrap();
-        assert_eq!(warm.stats.sensors_probed, 0);
-    }
-
-    #[test]
-    fn batch_queries_share_one_snapshot() {
-        // Two identical queries in one batch both see the cold cache: the
-        // batch is a snapshot, so the second query must NOT be served from
-        // the first one's write-backs (unlike sequential interactive mode).
-        let mut p = portal(Mode::HierCache);
-        p.clock().advance(TimeDelta::from_secs(1));
-        let sql = "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,7.5,7.5)";
-        let batch = p.query_many_sql(&[sql, sql], 2).unwrap();
-        assert_eq!(batch.stats.sensors_probed, 128, "both queries probed cold");
-        // Duplicate write-backs collapse: the second apply replaces the first.
-        assert_eq!(p.tree().cached_readings(), 64);
-    }
-
-    #[test]
-    fn batch_degradation_merges_and_reports_worst() {
-        let mut p = portal(Mode::Colr);
-        p.clock().advance(TimeDelta::from_secs(1));
-        let sqls = [
-            "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,15.5,15.5) \
-             SAMPLESIZE 20",
-            "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,7.5,7.5) \
-             SAMPLESIZE 10",
-        ];
-        let batch = p.query_many_sql(&sqls, 2).unwrap();
-        assert_eq!(batch.degradation.requested, 30.0);
-        let summed: u64 = batch.results.iter().map(|r| r.degradation.sampled).sum();
-        assert_eq!(batch.degradation.sampled, summed);
-        let worst = batch.worst_fulfillment();
-        assert!(batch
-            .results
-            .iter()
-            .all(|r| r.degradation.fulfillment() >= worst));
-        // Fully-available fleet: nobody under-delivers.
-        assert!(worst >= 1.0, "worst fulfillment {worst}");
-    }
 
     #[test]
     fn degradation_merge_is_order_independent() {
@@ -956,7 +378,6 @@ mod tests {
             breaker_skipped: sampled / 2,
             deadline_clipped: 1,
             probes_retried: 3,
-            pending_unindexed: 0,
             worst: None,
         };
         // Distinct fulfillments, including one overshoot and one zero.
@@ -1006,7 +427,6 @@ mod tests {
             breaker_skipped: 0,
             deadline_clipped: 0,
             probes_retried: 2,
-            pending_unindexed: 0,
             worst: None,
         };
         let mut acc = DegradationReport::default();
@@ -1020,34 +440,6 @@ mod tests {
         let before = acc;
         acc.merge(&DegradationReport::default());
         assert_eq!(acc, before);
-    }
-
-    #[test]
-    fn cluster_controls_group_granularity() {
-        let mut p = portal(Mode::RTree);
-        p.clock().advance(TimeDelta::from_secs(1));
-        let fine = p
-            .query_sql(
-                "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,15.5,15.5) \
-                 CLUSTER 1",
-            )
-            .unwrap();
-        let mut p2 = portal(Mode::RTree);
-        p2.clock().advance(TimeDelta::from_secs(1));
-        let coarse = p2
-            .query_sql(
-                "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,15.5,15.5) \
-                 CLUSTER 1000",
-            )
-            .unwrap();
-        assert!(
-            fine.groups.len() >= coarse.groups.len(),
-            "fine {} < coarse {}",
-            fine.groups.len(),
-            coarse.groups.len()
-        );
-        // Same total either way.
-        assert_eq!(fine.value, coarse.value);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Every way of asking the portal something — interactive SQL, programmatic
 //! queries, `EXPLAIN`, `EXPLAIN ANALYZE`, and the sharded router's
-//! scatter-gather — lowers onto one entry point:
+//! scatter-gather — is one entry point:
 //! `execute(&QueryRequest) -> Result<QueryResponse, PortalError>`, offered
 //! identically by [`crate::PortalService`] and [`crate::ShardedPortal`].
 //! A [`QueryRequest`] bundles the logical query (region, filters, sample
@@ -10,9 +10,7 @@
 //! override, explain level); a [`QueryResponse`] carries the samples, the
 //! merged [`DegradationReport`](crate::DegradationReport), the optional
 //! plan/flight texts, and — through a router — the per-shard outcomes.
-//!
-//! The legacy methods (`query_sql`, `query`, `explain_analyze_sql`, …)
-//! remain as thin wrappers that build a request and delegate.
+//! [`QueryRequest::from_sql`] is the one lowering from SQL text.
 
 use colr_tree::{Mode, TimeDelta};
 
@@ -20,6 +18,7 @@ use crate::ast::{AggSpec, SelectQuery, SpatialPredicate};
 use crate::error::PortalError;
 use crate::parser::{parse_statement, Statement};
 use crate::portal::PortalResult;
+use crate::service::portal_telem;
 
 /// How much explanation a request wants alongside (or instead of) results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -67,8 +66,11 @@ impl QueryRequest {
     /// Parses a dialect SQL string into a request. `EXPLAIN <select>` maps
     /// to [`ExplainLevel::Plan`], `EXPLAIN ANALYZE <select>` to
     /// [`ExplainLevel::Analyze`], a bare `SELECT` to [`ExplainLevel::None`].
+    /// A statement that fails to parse counts into
+    /// `colr_portal_parse_errors_total`.
     pub fn from_sql(sql: &str) -> Result<QueryRequest, PortalError> {
-        let (select, explain) = match parse_statement(sql)? {
+        let statement = parse_statement(sql).inspect_err(|_| portal_telem().parse_errors.inc())?;
+        let (select, explain) = match statement {
             Statement::Select(q) => (q, ExplainLevel::None),
             Statement::Explain {
                 query,
@@ -117,9 +119,9 @@ impl QueryRequest {
         self
     }
 
-    /// Records the originating SQL string's length, so a flight record
-    /// produced by [`ExplainLevel::Analyze`] reports the same `parse` stage
-    /// it would have under `explain_analyze_sql`.
+    /// Records the originating SQL string's length ([`QueryRequest::from_sql`]
+    /// does): a non-zero length makes `execute` emit the `parse` span and a
+    /// flight record under [`ExplainLevel::Analyze`] report the `parse` stage.
     pub fn with_sql_len(mut self, sql_len: u64) -> Self {
         self.sql_len = sql_len;
         self
@@ -128,6 +130,11 @@ impl QueryRequest {
     /// The logical query.
     pub fn select(&self) -> &SelectQuery {
         &self.select
+    }
+
+    /// Unwraps the logical query, dropping the envelope.
+    pub(crate) fn into_select(self) -> SelectQuery {
+        self.select
     }
 
     /// The probe-deadline override, if any.

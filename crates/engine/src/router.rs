@@ -22,10 +22,11 @@
 //! query**; only when every overlapping shard declines does the router
 //! return [`PortalError::ShardUnavailable`].
 //!
-//! Registration is router-level: a new sensor is parked with the shard whose
-//! centroid is nearest *at reindex time*, so sensors registered near a shard
-//! boundary migrate to the right shard at the next generation swap
-//! (rebalance-on-reindex, counted by `colr_router_rebalanced_total`).
+//! Registration is router-level: a new sensor goes straight into the L0 of
+//! the shard whose centroid is nearest and is handed back as a ticket; if
+//! the centroids have drifted by the time that shard next merges, the sensor
+//! migrates to its new nearest shard first (rebalance-on-merge, counted by
+//! `colr_router_rebalanced_total`).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -40,9 +41,9 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::ast::SelectQuery;
 use crate::error::PortalError;
-use crate::portal::{BatchResult, DegradationReport, IndexStrategy, PortalConfig, PortalResult};
+use crate::portal::{BatchResult, DegradationReport, PortalConfig, PortalResult};
 use crate::request::{ExplainLevel, QueryRequest, QueryResponse, ShardOutcome};
-use crate::service::{derive_seed, PortalService, Reindexer};
+use crate::service::{derive_seed, trace_parse, PortalService, Reindexer};
 
 // ---------------------------------------------------------------------------
 // Telemetry
@@ -56,8 +57,8 @@ struct RouterTelem {
     fanout: colr_telemetry::Histogram,
     /// Per-shard failures absorbed into a degraded merge.
     shard_errors: Counter,
-    /// Pending sensors that landed on a different shard than the one
-    /// guessed at registration time.
+    /// L0 sensors migrated to another shard because the centroids drifted
+    /// after they registered.
     rebalanced: Counter,
     /// Per-shard reindexes pumped through the router.
     reindexes: Counter,
@@ -96,25 +97,9 @@ pub struct ShardInfo {
     pub sensors: usize,
 }
 
-/// A sensor registered with the router, parked until the rebalancer assigns
-/// it to a shard at that shard's next reindex.
-struct PendingSensor {
-    location: Point,
-    expiry: TimeDelta,
-    availability: f64,
-    kind: u16,
-    /// Nearest shard at registration time; if the centroids have drifted by
-    /// the time the sensor is placed, it migrates (and is counted).
-    guessed: usize,
-    /// The router-level registration ticket tracking this sensor.
-    ticket: usize,
-}
-
 /// Where a router-level registration ticket currently lives.
 #[derive(Debug, Clone, Copy)]
 enum RouterPlacement {
-    /// Parked with the router, awaiting placement at a reindex.
-    Pending,
     /// Registered with shard `shard` under the per-shard id `id`.
     Placed { shard: usize, id: SensorId },
     /// Retired through [`ShardedPortal::retire_sensor`].
@@ -124,9 +109,8 @@ enum RouterPlacement {
 struct RouterCore<P> {
     shards: Vec<PortalService<P>>,
     map: RwLock<Vec<ShardInfo>>,
-    pending: Mutex<Vec<PendingSensor>>,
     /// Ticket → current placement. Tickets are append-only; retirement
-    /// marks in place. Lock order: `placements` before `pending`.
+    /// marks in place.
     placements: Mutex<Vec<RouterPlacement>>,
     clock: ClockHandle,
     ordinal: AtomicU64,
@@ -135,7 +119,6 @@ struct RouterCore<P> {
     seed: u64,
     mode: Mode,
     max_sensors_per_query: Option<usize>,
-    index: IndexStrategy,
 }
 
 /// A cloneable, thread-safe scatter-gather router over spatial shards. See
@@ -206,7 +189,6 @@ impl<P: ProbeService> ShardedPortal<P> {
             core: Arc::new(RouterCore {
                 shards,
                 map: RwLock::new(map),
-                pending: Mutex::new(Vec::new()),
                 placements: Mutex::new(Vec::new()),
                 clock,
                 ordinal: AtomicU64::new(0),
@@ -214,7 +196,6 @@ impl<P: ProbeService> ShardedPortal<P> {
                 seed: config.seed,
                 mode: config.mode,
                 max_sensors_per_query: config.max_sensors_per_query,
-                index: config.index,
             }),
         }
     }
@@ -247,15 +228,8 @@ impl<P: ProbeService> ShardedPortal<P> {
         self.core.map.read().clone()
     }
 
-    /// Sensors registered with the router but not yet placed into a shard
-    /// (always 0 under [`IndexStrategy::Lsm`], where registrations go
-    /// straight into a shard's L0).
-    pub fn pending_registrations(&self) -> usize {
-        self.core.pending.lock().len()
-    }
-
     /// The first shard whose L0 has reached its occupancy bound and wants a
-    /// merge (`None` for monolithic routers and when every L0 is bounded).
+    /// merge (`None` when every L0 is within bounds).
     pub fn shard_wanting_merge(&self) -> Option<usize> {
         self.core
             .shards
@@ -263,20 +237,16 @@ impl<P: ProbeService> ShardedPortal<P> {
             .position(|shard| shard.wants_reindex(usize::MAX))
     }
 
-    // -- registration & rebalance-on-reindex -------------------------------
+    // -- registration & rebalance-on-merge ---------------------------------
 
     /// Registers a new publisher with the *router*. Returns the router-level
     /// registration ticket (per-shard [`colr_tree::SensorId`]s are assigned
     /// at placement and are not comparable across shards; retire through
     /// [`ShardedPortal::retire_sensor`] with the ticket).
     ///
-    /// Under [`IndexStrategy::Monolithic`] the sensor is parked until a
-    /// reindex of the shard whose centroid is then nearest — so a
-    /// registration near a shard boundary migrates with centroid drift
-    /// instead of being pinned to a stale guess. Under
-    /// [`IndexStrategy::Lsm`] it registers O(1) into the nearest shard's L0
-    /// and is queryable immediately; if the centroids drift, the next merge
-    /// of that shard migrates it (rebalance-on-merge).
+    /// The sensor registers O(1) into the nearest shard's L0 and is
+    /// queryable immediately; if the centroids drift, the next merge of that
+    /// shard migrates it (rebalance-on-merge).
     pub fn register_sensor(
         &self,
         location: Point,
@@ -285,35 +255,20 @@ impl<P: ProbeService> ShardedPortal<P> {
         kind: u16,
     ) -> usize {
         let core = &*self.core;
-        let guessed = self.nearest_shard(location);
-        let ticket = if matches!(core.index, IndexStrategy::Lsm(_)) {
-            let id = core.shards[guessed].register_sensor(location, expiry, availability, kind);
+        let shard = self.nearest_shard(location);
+        let id = core.shards[shard].register_sensor(location, expiry, availability, kind);
+        let ticket = {
             let mut placements = core.placements.lock();
-            let ticket = placements.len();
-            placements.push(RouterPlacement::Placed { shard: guessed, id });
-            ticket
-        } else {
-            let mut placements = core.placements.lock();
-            let ticket = placements.len();
-            placements.push(RouterPlacement::Pending);
-            core.pending.lock().push(PendingSensor {
-                location,
-                expiry,
-                availability,
-                kind,
-                guessed,
-                ticket,
-            });
-            ticket
+            placements.push(RouterPlacement::Placed { shard, id });
+            placements.len() - 1
         };
         router_telem().registrations.inc();
         ticket
     }
 
-    /// Retires the publisher behind a registration ticket. Returns `true`
-    /// when the ticket was live: a still-parked sensor is simply unparked, a
-    /// placed one is retired on its shard ([`PortalService::retire_sensor`]
-    /// — an O(1) tombstone under [`IndexStrategy::Lsm`]).
+    /// Retires the publisher behind a registration ticket on its shard
+    /// ([`PortalService::retire_sensor`], an O(1) tombstone). Returns `true`
+    /// when the ticket was live.
     pub fn retire_sensor(&self, ticket: usize) -> bool {
         let core = &*self.core;
         let mut placements = core.placements.lock();
@@ -322,14 +277,6 @@ impl<P: ProbeService> ShardedPortal<P> {
         };
         match placement {
             RouterPlacement::Retired => false,
-            RouterPlacement::Pending => {
-                placements[ticket] = RouterPlacement::Retired;
-                let mut pending = core.pending.lock();
-                if let Some(pos) = pending.iter().position(|e| e.ticket == ticket) {
-                    pending.remove(pos);
-                }
-                true
-            }
             RouterPlacement::Placed { shard, id } => {
                 placements[ticket] = RouterPlacement::Retired;
                 drop(placements);
@@ -359,49 +306,15 @@ impl<P: ProbeService> ShardedPortal<P> {
     /// Reindexes shard `s` and refreshes its shard map entry from the new
     /// generation. Returns the shard's new population size.
     ///
-    /// Under [`IndexStrategy::Monolithic`] this drains every parked sensor
-    /// whose nearest centroid is *currently* `s` into that shard (counting
-    /// migrations away from the registration-time guess) and pumps the
-    /// shard's online rebuild. Under [`IndexStrategy::Lsm`] nothing is
-    /// parked; instead, L0 sensors whose nearest centroid has drifted to
-    /// another shard are migrated *before* the merge compacts L0
-    /// (rebalance-on-merge), then the shard's merge is pumped.
+    /// L0 sensors whose nearest centroid has drifted to another shard are
+    /// migrated *before* the merge compacts L0 (rebalance-on-merge), then the
+    /// shard's merge is pumped.
     pub fn reindex_shard(&self, s: usize) -> usize {
         let core = &*self.core;
-        let t = router_telem();
-        if matches!(core.index, IndexStrategy::Lsm(_)) {
-            self.rebalance_l0(s);
-        } else {
-            let mine: Vec<PendingSensor> = {
-                let mut pending = core.pending.lock();
-                let mut kept = Vec::with_capacity(pending.len());
-                let mut mine = Vec::new();
-                for entry in pending.drain(..) {
-                    if self.nearest_shard(entry.location) == s {
-                        mine.push(entry);
-                    } else {
-                        kept.push(entry);
-                    }
-                }
-                *pending = kept;
-                mine
-            };
-            for entry in mine {
-                if entry.guessed != s {
-                    t.rebalanced.inc();
-                }
-                let id = core.shards[s].register_sensor(
-                    entry.location,
-                    entry.expiry,
-                    entry.availability,
-                    entry.kind,
-                );
-                core.placements.lock()[entry.ticket] = RouterPlacement::Placed { shard: s, id };
-            }
-        }
+        self.rebalance_l0(s);
         let n = core.shards[s].reindex();
         core.map.write()[s] = shard_info(s, &core.shards[s]);
-        t.reindexes.inc();
+        router_telem().reindexes.inc();
         n
     }
 
@@ -412,10 +325,7 @@ impl<P: ProbeService> ShardedPortal<P> {
     fn rebalance_l0(&self, s: usize) {
         let core = &*self.core;
         let t = router_telem();
-        let Some(lsm) = core.shards[s].lsm() else {
-            return;
-        };
-        for meta in lsm.l0_sensor_metas() {
+        for meta in core.shards[s].snapshot().lsm().l0_sensor_metas() {
             let dest = self.nearest_shard(meta.location);
             if dest == s {
                 continue;
@@ -463,18 +373,16 @@ impl<P: ProbeService> ShardedPortal<P> {
 
     // -- queries -----------------------------------------------------------
 
-    /// Parses and executes a dialect SQL query through the router.
-    pub fn query_sql(&self, sql: &str) -> Result<PortalResult, PortalError> {
-        Ok(self.execute(&QueryRequest::from_sql(sql)?)?.result)
-    }
-
     /// Routes one [`QueryRequest`]: splits `R` across the shards the
     /// viewport overlaps in proportion to `w_i × Overlap`, executes each
     /// slice with a seed derived from `(router seed, ordinal, shard)`, and
     /// merges the answers. Fails only when *every* overlapping shard
     /// declines; partial failures degrade the merged fulfillment instead.
+    /// A request lowered from SQL text gets its one `parse` span here, however
+    /// many shards it fans out to.
     pub fn execute(&self, req: &QueryRequest) -> Result<QueryResponse, PortalError> {
         let core = &*self.core;
+        trace_parse(&core.clock, req.sql_len());
         let t = router_telem();
         t.queries.inc();
         let targets = self.overlap_targets(req.select());
@@ -622,19 +530,13 @@ impl<P: ProbeService> ShardedPortal<P> {
         let region = select.within.region();
         let mut targets = Vec::new();
         for (s, shard) in self.core.shards.iter().enumerate() {
-            let gen = shard.snapshot();
-            let ow = match gen.lsm() {
-                // The layered analogue — every level's weighted overlap plus
-                // the L0 candidates — so freshly registered (and not yet
-                // merged) sensors pull routed sample share immediately.
-                Some(lsm) => lsm.overlap_weight(&region, select.sensor_type),
-                None => {
-                    let tree = gen.tree();
-                    let root = tree.node(tree.root());
-                    let w = root.query_weight(select.sensor_type) as f64;
-                    w * region.overlap_fraction(&root.bbox)
-                }
-            };
+            // Every level's weighted overlap plus the L0 candidates, so
+            // freshly registered (and not yet merged) sensors pull routed
+            // sample share immediately.
+            let ow = shard
+                .snapshot()
+                .lsm()
+                .overlap_weight(&region, select.sensor_type);
             if ow > 0.0 {
                 targets.push((s, ow));
             }
@@ -648,9 +550,7 @@ impl<P: ProbeService> ShardedPortal<P> {
         let core = &*self.core;
         if targets.len() <= 1 {
             let s = targets.first().map_or(0, |&(s, _)| s);
-            let mut resp = core.shards[s]
-                .execute(req)
-                .expect("Plan requests cannot fail");
+            let mut resp = core.shards[s].plan_response(req);
             resp.shards = vec![ShardOutcome {
                 shard: s,
                 requested: 0.0,
@@ -661,9 +561,7 @@ impl<P: ProbeService> ShardedPortal<P> {
         let mut text = String::new();
         let mut outcomes = Vec::with_capacity(targets.len());
         for &(s, _) in targets {
-            let resp = core.shards[s]
-                .execute(req)
-                .expect("Plan requests cannot fail");
+            let resp = core.shards[s].plan_response(req);
             if !text.is_empty() {
                 text.push('\n');
             }
@@ -781,23 +679,17 @@ impl<P> ShardedPortal<P>
 where
     P: ProbeService + Send + Sync + 'static,
 {
-    /// Spawns a background thread that pumps shard reindexes, checking every
-    /// `poll` — the sharded analogue of [`PortalService::spawn_reindexer`],
-    /// rebalance included. It fires the round-robin
-    /// [`ShardedPortal::reindex`] whenever at least `min_pending` router
-    /// registrations are parked (monolithic), and pumps any shard whose L0
-    /// has reached its occupancy bound directly (LSM).
-    pub fn spawn_reindexer(&self, min_pending: usize, poll: std::time::Duration) -> Reindexer {
+    /// Spawns a background thread that pumps any shard whose L0 has reached
+    /// its occupancy bound, checking every `poll` — the sharded analogue of
+    /// [`PortalService::spawn_reindexer`], rebalance included.
+    pub fn spawn_reindexer(&self, poll: std::time::Duration) -> Reindexer {
         let router = self.clone();
         let stop = Arc::new(AtomicBool::new(false));
         let flag = stop.clone();
         let handle = std::thread::spawn(move || {
             let mut pumped = 0u64;
             while !flag.load(Ordering::Acquire) {
-                if router.pending_registrations() >= min_pending.max(1) {
-                    router.reindex();
-                    pumped += 1;
-                } else if let Some(s) = router.shard_wanting_merge() {
+                if let Some(s) = router.shard_wanting_merge() {
                     router.reindex_shard(s);
                     pumped += 1;
                 } else {
@@ -824,46 +716,38 @@ fn shard_seed(base: u64, s: usize) -> u64 {
     }
 }
 
-/// Reads one shard map entry off the shard's current generation. Under
-/// [`IndexStrategy::Lsm`] the live population spans every level plus L0, so
-/// the extent, centroid and count come from the live metas rather than one
-/// tree root.
+/// Reads one shard map entry off the shard's current generation. The live
+/// population spans every level plus L0, so the extent, centroid and count
+/// come from the live metas rather than one tree root; a fully retired shard
+/// keeps its primary level's.
 fn shard_info<P: ProbeService>(index: usize, shard: &PortalService<P>) -> ShardInfo {
     let gen = shard.snapshot();
-    if let Some(lsm) = gen.lsm() {
-        let metas = lsm.live_sensor_metas();
-        if let Some((first, rest)) = metas.split_first() {
-            let mut bbox = Rect::new(first.location, first.location);
-            let mut cx = first.location.x;
-            let mut cy = first.location.y;
-            for m in rest {
-                bbox.expand_to_point(&m.location);
-                cx += m.location.x;
-                cy += m.location.y;
-            }
-            let n = metas.len() as f64;
-            return ShardInfo {
-                index,
-                bbox,
-                centroid: Point::new(cx / n, cy / n),
-                sensors: metas.len(),
-            };
-        }
+    let mut metas = gen.lsm().live_sensor_metas();
+    if metas.is_empty() {
+        metas = gen.tree().sensors().to_vec();
     }
-    let tree = gen.tree();
-    let sensors = tree.sensors();
-    let mut cx = 0.0;
-    let mut cy = 0.0;
-    for m in sensors {
+    let Some((first, rest)) = metas.split_first() else {
+        return ShardInfo {
+            index,
+            bbox: gen.tree().node(gen.tree().root()).bbox,
+            centroid: Point::new(0.0, 0.0),
+            sensors: 0,
+        };
+    };
+    let mut bbox = Rect::new(first.location, first.location);
+    let mut cx = first.location.x;
+    let mut cy = first.location.y;
+    for m in rest {
+        bbox.expand_to_point(&m.location);
         cx += m.location.x;
         cy += m.location.y;
     }
-    let n = sensors.len().max(1) as f64;
+    let n = metas.len() as f64;
     ShardInfo {
         index,
-        bbox: tree.node(tree.root()).bbox,
+        bbox,
         centroid: Point::new(cx / n, cy / n),
-        sensors: sensors.len(),
+        sensors: metas.len(),
     }
 }
 

@@ -1,26 +1,25 @@
 //! The portal *service*: SensorMap's shared front door.
 //!
-//! Where [`crate::Portal`] is a single-owner facade (`&mut self` per query),
-//! a [`PortalService`] is a cheaply cloneable, `Send + Sync` handle that any
+//! A [`PortalService`] is a cheaply cloneable, `Send + Sync` handle that any
 //! number of client threads drive concurrently through `&self` methods. It
 //! is built from three pieces:
 //!
-//! * **Epoch-published index generations.** The tree + planner pair lives in
-//!   an immutable [`Generation`] behind an `Arc` swapped under a
+//! * **Epoch-published index generations.** The index + planner pair lives
+//!   in an immutable [`Generation`] behind an `Arc` swapped under a
 //!   `parking_lot::RwLock`. A query clones the `Arc` (one brief read lock)
-//!   and runs entirely against that snapshot; a reindex builds the next
-//!   generation *off the hot path* and swaps the pointer. Readers never
-//!   block on an index build: in-flight queries finish on the generation
-//!   they started with, new arrivals land on the new one — zero reader
-//!   downtime, and no torn mixes of two generations within one answer.
+//!   and runs entirely against that snapshot; a reindex merges *off the hot
+//!   path* and swaps the pointer. Readers never block on a level build:
+//!   in-flight queries finish on the generation they started with, new
+//!   arrivals land on the new one.
 //! * **Online registration + the reindexer.** [`PortalService::register_sensor`]
-//!   pushes onto a lock-free Treiber stack; [`PortalService::reindex`]
-//!   (explicitly pumped, or driven by a background [`Reindexer`] thread)
-//!   drains it, bulk-builds the grown population, *carries over* every
-//!   still-fresh raw cached reading — slot caches are globally aligned by
-//!   absolute expiry slot, so carried readings expire at exactly the
-//!   boundary they would have without the swap — and publishes the new
-//!   generation.
+//!   is one push into the LSM index's mutable L0, visible to the very next
+//!   query; [`PortalService::reindex`] (explicitly pumped, or driven by a
+//!   background [`Reindexer`] thread) merges L0 and the trailing small levels
+//!   into one freshly bulk-built level, *carrying over* every still-fresh raw
+//!   cached reading — slot caches are globally aligned by absolute expiry
+//!   slot, so carried readings expire at exactly the boundary they would have
+//!   without the merge — and publishes the generation re-anchored on the new
+//!   primary level.
 //! * **Admission control.** A bounded in-flight counter models the portal's
 //!   request queue: up to [`AdmissionConfig::max_in_flight`] queries execute
 //!   at once, the next [`AdmissionConfig::queue_capacity`] are admitted with
@@ -35,17 +34,15 @@
 //! execution has always used — so, for a given generation, the answer to
 //! ordinal `i` does not depend on which thread ran it.
 
-use std::collections::HashSet;
 use std::fmt::Write as _;
-use std::ptr;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use colr_telemetry::{global, tracer, Counter, Gauge, SloWatchdog, SpanKind};
 use colr_tree::{
-    flight, AggKind, ClockHandle, ColrConfig, ColrTree, Histogram, LiveAvailability, LsmLevel,
-    LsmStats, LsmTree, Mode, ProbeReport, ProbeService, Query, QueryOutput, QueryStats, Reading,
-    ResilientProber, SensorId, SensorMeta, TimeDelta, Timestamp,
+    flight, AggKind, ClockHandle, ColrTree, Histogram, LiveAvailability, LsmLevel, LsmStats,
+    LsmTree, Mode, ProbeService, Query, QueryOutput, QueryStats, Reading, ResilientProber,
+    SensorId, SensorMeta, TimeDelta, Timestamp,
 };
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
@@ -53,7 +50,6 @@ use rand::SeedableRng;
 
 use crate::ast::SelectQuery;
 use crate::error::PortalError;
-use crate::parser::{parse, parse_statement, ParseError, Statement};
 use crate::planner::Planner;
 use crate::portal::{
     BatchResult, DegradationReport, GroupView, IndexStrategy, PortalConfig, PortalResult,
@@ -64,8 +60,7 @@ use crate::request::{ExplainLevel, QueryRequest, QueryResponse};
 // Telemetry
 // ---------------------------------------------------------------------------
 
-/// Cached handles for the portal-level counters (`colr_portal_*`), shared by
-/// the service and the single-owner wrapper.
+/// Cached handles for the portal-level counters (`colr_portal_*`).
 pub(crate) struct PortalTelem {
     /// Queries answered (interactive and batched).
     pub(crate) queries: Counter,
@@ -174,128 +169,46 @@ impl Drop for InFlightGuard<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// Lock-free registration queue
-// ---------------------------------------------------------------------------
-
-struct RegNode {
-    meta: SensorMeta,
-    next: *mut RegNode,
-}
-
-/// A Treiber stack of pending registrations: multi-producer lock-free
-/// `push`, whole-list `drain` (used only by the reindexer, which swaps the
-/// head and owns everything it detached). No ABA hazard arises because nodes
-/// are never re-linked — a drained node is consumed and freed.
-struct RegistrationQueue {
-    head: AtomicPtr<RegNode>,
-    len: AtomicUsize,
-}
-
-// SAFETY: the raw pointers are only ever (a) published via the atomic head
-// and (b) exclusively owned after a `swap` detaches the whole list.
-unsafe impl Send for RegistrationQueue {}
-unsafe impl Sync for RegistrationQueue {}
-
-impl RegistrationQueue {
-    fn new() -> Self {
-        RegistrationQueue {
-            head: AtomicPtr::new(ptr::null_mut()),
-            len: AtomicUsize::new(0),
-        }
-    }
-
-    fn push(&self, meta: SensorMeta) {
-        let node = Box::into_raw(Box::new(RegNode {
-            meta,
-            next: ptr::null_mut(),
-        }));
-        let mut head = self.head.load(Ordering::Relaxed);
-        loop {
-            // SAFETY: `node` is unpublished until the CAS below succeeds.
-            unsafe { (*node).next = head };
-            match self
-                .head
-                .compare_exchange_weak(head, node, Ordering::Release, Ordering::Relaxed)
-            {
-                Ok(_) => break,
-                Err(h) => head = h,
-            }
-        }
-        self.len.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn len(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
-    }
-
-    /// Detaches and returns the whole list in push order.
-    fn drain(&self) -> Vec<SensorMeta> {
-        let mut cur = self.head.swap(ptr::null_mut(), Ordering::Acquire);
-        let mut out = Vec::new();
-        while !cur.is_null() {
-            // SAFETY: the swap above made this thread the sole owner of the
-            // detached list; each node is consumed exactly once.
-            let node = unsafe { Box::from_raw(cur) };
-            cur = node.next;
-            out.push(node.meta);
-        }
-        self.len.fetch_sub(out.len(), Ordering::Relaxed);
-        out.reverse();
-        out
-    }
-}
-
-impl Drop for RegistrationQueue {
-    fn drop(&mut self) {
-        let _ = self.drain();
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Generations
 // ---------------------------------------------------------------------------
 
-/// One published index generation: an immutable-by-convention index (its
-/// caches stay live — the tree is internally synchronised) plus the planner
-/// derived from its topology, tagged with a monotone ordinal.
-///
-/// Under [`IndexStrategy::Monolithic`] the generation owns its tree; under
-/// [`IndexStrategy::Lsm`] it pins the shared [`LsmTree`] plus the primary
-/// level current at publication, so [`Generation::tree`] stays a stable
-/// reference for planners and inspectors while churn proceeds underneath.
+/// One published index generation: the shared [`LsmTree`] (its caches stay
+/// live — every level is internally synchronised) pinned together with the
+/// primary level current at publication and the planner derived from that
+/// level's topology, tagged with a monotone ordinal. [`Generation::tree`]
+/// therefore stays a stable reference for planners and inspectors while
+/// churn proceeds underneath.
 pub struct Generation {
-    index: GenIndex,
+    lsm: Arc<LsmTree>,
+    /// The planning anchor: the level with the most live sensors at the
+    /// instant this generation was published.
+    primary: Arc<LsmLevel>,
     planner: Planner,
     ordinal: u64,
 }
 
-enum GenIndex {
-    Mono(Box<ColrTree>),
-    Lsm {
-        lsm: Arc<LsmTree>,
-        /// The planning anchor: the level with the most live sensors at the
-        /// instant this generation was published.
-        primary: Arc<LsmLevel>,
-    },
-}
-
 impl Generation {
-    /// The generation's index: the monolithic tree, or — under
-    /// [`IndexStrategy::Lsm`] — the primary level's tree (the planning and
-    /// inspection anchor; queries still fan out across every level).
-    pub fn tree(&self) -> &ColrTree {
-        match &self.index {
-            GenIndex::Mono(tree) => tree,
-            GenIndex::Lsm { primary, .. } => primary.tree(),
+    /// Pins `lsm`'s current primary level and derives the planner from it.
+    fn publish(lsm: &Arc<LsmTree>, default_staleness: TimeDelta, ordinal: u64) -> Generation {
+        let primary = lsm.primary_level();
+        let planner = Planner::new(primary.tree(), default_staleness);
+        Generation {
+            lsm: lsm.clone(),
+            primary,
+            planner,
+            ordinal,
         }
     }
 
-    /// The LSM backing this generation, when one is configured.
-    pub fn lsm(&self) -> Option<&Arc<LsmTree>> {
-        match &self.index {
-            GenIndex::Mono(_) => None,
-            GenIndex::Lsm { lsm, .. } => Some(lsm),
-        }
+    /// The primary level's tree: the planning and inspection anchor
+    /// (queries still fan out across every level).
+    pub fn tree(&self) -> &ColrTree {
+        self.primary.tree()
+    }
+
+    /// The LSM index backing this generation.
+    pub fn lsm(&self) -> &Arc<LsmTree> {
+        &self.lsm
     }
 
     /// The generation's planner.
@@ -313,78 +226,15 @@ impl Generation {
 // The service
 // ---------------------------------------------------------------------------
 
-/// The monolithic retire mask: probes to retired sensors are answered with
-/// `None` without contacting the service, exactly like a dead publisher, so
-/// Algorithm 1's availability compensation redistributes their share while
-/// the sensors wait (the bulk-built tree's dense-id invariant forbids
-/// removing them) for the next rebuild. Retired sensors are skipped before
-/// the inner probe call — they consume no probe budget and no accounting.
-struct MaskedProbe<'a, P: ?Sized> {
-    inner: &'a P,
-    retired: &'a HashSet<u32>,
-}
-
-impl<P: ProbeService + ?Sized> ProbeService for MaskedProbe<'_, P> {
-    fn probe_batch(&self, ids: &[SensorId], now: Timestamp) -> Vec<Option<Reading>> {
-        self.probe_batch_report(ids, now, u64::MAX).outcomes
-    }
-
-    fn probe_batch_report(
-        &self,
-        ids: &[SensorId],
-        now: Timestamp,
-        retry_budget_ms: u64,
-    ) -> ProbeReport {
-        let mut forward = Vec::with_capacity(ids.len());
-        let mut slots = Vec::with_capacity(ids.len());
-        for (i, &id) in ids.iter().enumerate() {
-            if !self.retired.contains(&id.0) {
-                forward.push(id);
-                slots.push(i);
-            }
-        }
-        if forward.is_empty() {
-            return ProbeReport::plain(vec![None; ids.len()]);
-        }
-        let inner = self
-            .inner
-            .probe_batch_report(&forward, now, retry_budget_ms);
-        let mut outcomes = vec![None; ids.len()];
-        for (slot, outcome) in slots.into_iter().zip(inner.outcomes) {
-            outcomes[slot] = outcome;
-        }
-        ProbeReport {
-            outcomes,
-            retries_issued: inner.retries_issued,
-            retry_waves: inner.retry_waves,
-            backoff_wait_ms: inner.backoff_wait_ms,
-            breaker_skipped: inner.breaker_skipped,
-            deadline_clipped: inner.deadline_clipped,
-        }
-    }
-}
-
 struct ServiceCore<P> {
     probe: P,
     clock: ClockHandle,
     current: RwLock<Arc<Generation>>,
-    pending: RegistrationQueue,
-    /// The incremental index, when [`IndexStrategy::Lsm`] is configured.
-    /// Long-lived and shared across generations: a reindex publishes a new
-    /// `Generation` pinning a fresh primary level, never a new `LsmTree`.
-    lsm: Option<Arc<LsmTree>>,
-    /// Readable mirror of the pending queue (monolithic strategy only): the
-    /// degradation report counts parked-but-unindexed sensors inside a
-    /// queried viewport from it. The Treiber stack itself only supports
-    /// destructive drains.
-    parked: RwLock<Vec<SensorMeta>>,
-    /// Monolithic retire mask: retired sensor ids stay in the bulk-built
-    /// tree (dense ids forbid removal) but are masked out of probing and
-    /// purged from the caches. LSM retires tombstone instead.
-    retired: RwLock<HashSet<u32>>,
-    /// Lock-free fast-path gate for `retired` (almost always false).
-    any_retired: AtomicBool,
-    /// Next dense sensor id to hand out (population + queued registrations).
+    /// The incremental index. Long-lived and shared across generations: a
+    /// reindex publishes a new `Generation` pinning a fresh primary level,
+    /// never a new `LsmTree`.
+    lsm: Arc<LsmTree>,
+    /// Next dense sensor id to hand out.
     next_sensor_id: AtomicU32,
     /// Global query ordinal: seeds the per-query RNG.
     ordinal: AtomicU64,
@@ -392,10 +242,9 @@ struct ServiceCore<P> {
     generation_counter: AtomicU64,
     in_flight: AtomicUsize,
     closed: AtomicBool,
-    /// Serialises reindex builds (concurrent pumps coalesce, they don't
-    /// race to publish).
+    /// Serialises reindexes (concurrent pumps coalesce, they don't race to
+    /// publish).
     reindex_lock: Mutex<()>,
-    tree_config: ColrConfig,
     default_staleness: TimeDelta,
     mode: Mode,
     max_sensors_per_query: Option<usize>,
@@ -442,60 +291,22 @@ impl<P: ProbeService> PortalService<P> {
         clock: ClockHandle,
     ) -> PortalService<P> {
         let population = sensors.len() as u32;
-        let (generation, lsm) = match config.index {
-            IndexStrategy::Monolithic => {
-                let tree = ColrTree::build(sensors, config.tree.clone(), config.seed);
-                let planner = Planner::new(&tree, config.default_staleness);
-                (
-                    Generation {
-                        index: GenIndex::Mono(Box::new(tree)),
-                        planner,
-                        ordinal: 0,
-                    },
-                    None,
-                )
-            }
-            IndexStrategy::Lsm(lsm_cfg) => {
-                let lsm = Arc::new(LsmTree::new(
-                    sensors,
-                    config.tree.clone(),
-                    lsm_cfg,
-                    config.seed,
-                ));
-                let primary = lsm.primary_level();
-                let planner = Planner::new(primary.tree(), config.default_staleness);
-                (
-                    Generation {
-                        index: GenIndex::Lsm {
-                            lsm: lsm.clone(),
-                            primary,
-                        },
-                        planner,
-                        ordinal: 0,
-                    },
-                    Some(lsm),
-                )
-            }
-        };
-        let generation = Arc::new(generation);
+        let IndexStrategy::Lsm(lsm_cfg) = config.index;
+        let lsm = Arc::new(LsmTree::new(sensors, config.tree, lsm_cfg, config.seed));
+        let generation = Arc::new(Generation::publish(&lsm, config.default_staleness, 0));
         service_telem().generation.set(0);
         PortalService {
             core: Arc::new(ServiceCore {
                 probe,
                 clock,
                 current: RwLock::new(generation),
-                pending: RegistrationQueue::new(),
                 lsm,
-                parked: RwLock::new(Vec::new()),
-                retired: RwLock::new(HashSet::new()),
-                any_retired: AtomicBool::new(false),
                 next_sensor_id: AtomicU32::new(population),
                 ordinal: AtomicU64::new(0),
                 generation_counter: AtomicU64::new(0),
                 in_flight: AtomicUsize::new(0),
                 closed: AtomicBool::new(false),
                 reindex_lock: Mutex::new(()),
-                tree_config: config.tree,
                 default_staleness: config.default_staleness,
                 mode: config.mode,
                 max_sensors_per_query: config.max_sensors_per_query,
@@ -570,15 +381,10 @@ impl<P: ProbeService> PortalService<P> {
 
     // -- registration & reindexing ----------------------------------------
 
-    /// Registers a new publisher (Section III-A), lock-free.
-    ///
-    /// Under [`IndexStrategy::Monolithic`] the sensor becomes queryable
-    /// after the next [`PortalService::reindex`] — COLR-Tree is bulk-built,
-    /// so registrations accumulate and the reindexer folds them in, exactly
-    /// as the paper prescribes for location changes. Under
-    /// [`IndexStrategy::Lsm`] the sensor lands in the mutable L0 level and
-    /// is visible to the very next query; merges compact it downward later,
-    /// off the hot path.
+    /// Registers a new publisher (Section III-A): one push into the index's
+    /// mutable L0 level, visible to the very next query. Merges compact it
+    /// downward later, off the hot path — the paper's "batch registrations,
+    /// reconstruct periodically" lifecycle.
     pub fn register_sensor(
         &self,
         location: colr_geo::Point,
@@ -588,183 +394,62 @@ impl<P: ProbeService> PortalService<P> {
     ) -> SensorId {
         let id = self.core.next_sensor_id.fetch_add(1, Ordering::Relaxed);
         let meta = SensorMeta::new(id, location, expiry, availability).with_kind(kind);
-        if let Some(lsm) = &self.core.lsm {
-            lsm.register(meta);
-        } else {
-            self.core.pending.push(meta);
-            self.core.parked.write().push(meta);
-        }
+        self.core.lsm.register(meta);
         service_telem().registrations.inc();
         meta.id
     }
 
-    /// Retires a publisher. Returns `true` when the sensor was known and not
-    /// already retired.
-    ///
-    /// Under [`IndexStrategy::Lsm`] this is an O(1) tombstone: the sensor is
-    /// masked out of sampling, weights and cached aggregates immediately and
-    /// physically dropped when a merge next rewrites its level. Under
-    /// [`IndexStrategy::Monolithic`] the sensor stays in the bulk-built tree
-    /// (its dense-id invariant forbids removal) but its cached readings are
-    /// purged and every future probe of it is masked to `None`, so it can
-    /// never again contribute a reading.
+    /// Retires a publisher: an O(1) tombstone. The sensor is masked out of
+    /// sampling, weights and cached aggregates immediately and physically
+    /// dropped when a merge next rewrites its level. Returns `true` when the
+    /// sensor was known and not already retired.
     pub fn retire_sensor(&self, id: SensorId) -> bool {
-        let core = &*self.core;
-        if let Some(lsm) = &core.lsm {
-            return lsm.retire(id);
-        }
-        if id.0 >= core.next_sensor_id.load(Ordering::Acquire) {
-            return false;
-        }
-        let fresh = core.retired.write().insert(id.0);
-        if fresh {
-            core.any_retired.store(true, Ordering::Release);
-            // Purge cached readings so cache-first passes cannot serve the
-            // retired sensor from a slot aggregate. A parked sensor was
-            // never indexed, so there is nothing to purge yet.
-            let gen = self.snapshot();
-            if id.index() < gen.tree().sensors().len() {
-                gen.tree().remove_cached(id);
-            }
-            core.parked.write().retain(|m| m.id != id);
-        }
-        fresh
+        self.core.lsm.retire(id)
     }
 
-    /// Number of registrations awaiting the next reindex (always 0 under
-    /// [`IndexStrategy::Lsm`], where registrations index immediately).
-    pub fn pending_registrations(&self) -> usize {
-        self.core.pending.len()
+    /// `true` when L0 has reached its occupancy bound and a merge is due.
+    /// The argument is ignored (a signature `benchmark/` freezes).
+    pub fn wants_reindex(&self, _min_pending: usize) -> bool {
+        self.core.lsm.wants_merge()
     }
 
-    /// `true` when the index wants a maintenance pass: enough parked
-    /// registrations (monolithic), or an L0 at its occupancy bound (LSM).
-    pub fn wants_reindex(&self, min_pending: usize) -> bool {
-        match &self.core.lsm {
-            Some(lsm) => lsm.wants_merge(),
-            None => self.pending_registrations() >= min_pending.max(1),
-        }
-    }
-
-    /// The incremental index behind this service, when
-    /// [`IndexStrategy::Lsm`] is configured.
+    /// The incremental index behind this service. Always `Some` (a signature
+    /// `benchmark/` freezes).
     pub fn lsm(&self) -> Option<&Arc<LsmTree>> {
-        self.core.lsm.as_ref()
+        Some(&self.core.lsm)
     }
 
-    /// LSM shape statistics (`None` under [`IndexStrategy::Monolithic`]).
+    /// LSM shape statistics. Always `Some` (a signature `benchmark/`
+    /// freezes).
     pub fn index_stats(&self) -> Option<LsmStats> {
-        self.core.lsm.as_ref().map(|lsm| lsm.stats())
+        Some(self.core.lsm.stats())
     }
 
-    /// Builds and publishes the next index generation *online*: drains the
-    /// pending registrations, bulk-builds the grown population off the hot
-    /// path, carries still-fresh cached readings across (globally aligned
-    /// slotting means they expire at the same instants they would have
-    /// without the swap), and atomically swaps the published generation.
+    /// Folds the registered sensors into the index *online*: compacts L0
+    /// (and the trailing small-level run) into a fresh bulk-built level via
+    /// [`LsmTree::merge`] off the hot path — still-fresh cached readings are
+    /// carried across, and globally aligned slotting means they expire at
+    /// the same instants they would have without the merge — and republishes
+    /// the generation so planners re-anchor on the new primary level.
     /// Queries running against the old generation finish undisturbed.
-    /// Returns the new population size.
+    /// Returns the live population.
     pub fn reindex(&self) -> usize {
-        self.reindex_inner(true)
-    }
-
-    /// [`PortalService::reindex`] without the cache carry-over — every cache
-    /// in the new generation starts cold (the paper's offline batch
-    /// reconstruction, kept for [`crate::Portal::rebuild_index`]).
-    pub fn reindex_discarding(&self) -> usize {
-        self.reindex_inner(false)
-    }
-
-    fn reindex_inner(&self, carry_over: bool) -> usize {
         let core = &*self.core;
         let _build = core.reindex_lock.lock();
-        if let Some(lsm) = &core.lsm {
-            return self.merge_lsm(lsm);
-        }
-        let old = self.snapshot();
-        let mut sensors = old.tree().sensors().to_vec();
-        // Ids are allocated by fetch_add *before* the queue push, so a
-        // concurrent registration can be mid-publication. Fold in the
-        // contiguous id prefix; anything after a gap waits for the next
-        // reindex.
-        let mut pending = core.pending.drain();
-        pending.sort_by_key(|m| m.id.index());
-        let mut leftovers = Vec::new();
-        for meta in pending {
-            if leftovers.is_empty() && meta.id.index() == sensors.len() {
-                sensors.push(meta);
-            } else {
-                leftovers.push(meta);
-            }
-        }
-        for meta in leftovers {
-            core.pending.push(meta);
-        }
-        let n = sensors.len();
-        let tree = ColrTree::build(sensors, core.tree_config.clone(), core.seed ^ n as u64);
-        let now = core.clock.now();
-        tree.advance(now);
-        if carry_over {
-            let carried = tree.restore_entries(&old.tree().cached_entries(), now);
-            service_telem().carryover.add(carried as u64);
-        }
-        if core.any_retired.load(Ordering::Acquire) {
-            // Retired sensors were rebuilt into the tree (dense ids) and
-            // may have ridden along in the carry-over; re-purge them.
-            for &id in core.retired.read().iter() {
-                if (id as usize) < n {
-                    tree.remove_cached(SensorId(id));
-                }
-            }
-        }
-        // Everything below the new population is indexed now; the mirror
-        // keeps only genuinely parked leftovers (including sensors that
-        // registered concurrently with this rebuild).
-        core.parked.write().retain(|m| m.id.index() >= n);
-        let planner = Planner::new(&tree, core.default_staleness);
-        let next_ordinal = old.ordinal + 1;
-        let next = Arc::new(Generation {
-            index: GenIndex::Mono(Box::new(tree)),
-            planner,
-            ordinal: next_ordinal,
-        });
-        *core.current.write() = next;
-        core.generation_counter
-            .store(next_ordinal, Ordering::Release);
-        let t = service_telem();
-        t.reindexes.inc();
-        t.generation.set(next_ordinal as i64);
-        n
-    }
-
-    /// The LSM analogue of a reindex, behind the same `reindex_lock`:
-    /// compacts L0 (and the trailing small-level run) into a fresh level via
-    /// [`LsmTree::merge`] — carry-over of still-fresh cached readings is
-    /// intrinsic to the merge — and republishes the generation so planners
-    /// re-anchor on the new primary level. Returns the live population.
-    fn merge_lsm(&self, lsm: &Arc<LsmTree>) -> usize {
-        let core = &*self.core;
-        let now = core.clock.now();
-        let report = lsm.merge(now);
+        let report = core.lsm.merge(core.clock.now());
         service_telem().carryover.add(report.carried_entries as u64);
-        let old = self.snapshot();
-        let primary = lsm.primary_level();
-        let planner = Planner::new(primary.tree(), core.default_staleness);
-        let next_ordinal = old.ordinal + 1;
-        *core.current.write() = Arc::new(Generation {
-            index: GenIndex::Lsm {
-                lsm: lsm.clone(),
-                primary,
-            },
-            planner,
-            ordinal: next_ordinal,
-        });
+        let next_ordinal = self.snapshot().ordinal + 1;
+        *core.current.write() = Arc::new(Generation::publish(
+            &core.lsm,
+            core.default_staleness,
+            next_ordinal,
+        ));
         core.generation_counter
             .store(next_ordinal, Ordering::Release);
         let t = service_telem();
         t.reindexes.inc();
         t.generation.set(next_ordinal as i64);
-        lsm.stats().live_sensors
+        core.lsm.stats().live_sensors
     }
 
     // -- admission ---------------------------------------------------------
@@ -805,11 +490,14 @@ impl<P: ProbeService> PortalService<P> {
 
     // -- queries -----------------------------------------------------------
 
-    /// Executes one [`QueryRequest`] — the portal's single entry point.
-    /// Every other query method (`query_sql`, `query`, `explain_sql`,
-    /// `explain_analyze_sql`) is a thin wrapper that builds a request and
-    /// delegates here, as does the sharded router.
+    /// Executes one [`QueryRequest`] — the service's single interactive
+    /// entry point, under admission control, with an RNG derived from
+    /// `(seed, ordinal)`. Concurrent-safe: any number of handles may call
+    /// this at once. A request lowered from SQL text
+    /// ([`QueryRequest::from_sql`]) gets its `parse` span here, where it
+    /// first meets the simulation clock.
     pub fn execute(&self, req: &QueryRequest) -> Result<QueryResponse, PortalError> {
+        trace_parse(&self.core.clock, req.sql_len());
         if req.explain() == ExplainLevel::Plan {
             // Planning only: no admission slot, no ordinal, no RNG.
             return Ok(self.plan_response(req));
@@ -828,9 +516,7 @@ impl<P: ProbeService> PortalService<P> {
         seed: u64,
         ordinal: u64,
     ) -> Result<QueryResponse, PortalError> {
-        if req.explain() == ExplainLevel::Plan {
-            return Ok(self.plan_response(req));
-        }
+        debug_assert!(req.explain() != ExplainLevel::Plan, "plans never execute");
         let analyze = req.explain() == ExplainLevel::Analyze;
         if analyze {
             // Arm the always-on recorder; every error path below must disarm
@@ -871,15 +557,13 @@ impl<P: ProbeService> PortalService<P> {
             let _ = writeln!(
                 out,
                 "degradation: requested={} sampled={} fulfillment={:.3} \
-                 breaker_skipped={} deadline_clipped={} probes_retried={} \
-                 pending_unindexed={}",
+                 breaker_skipped={} deadline_clipped={} probes_retried={}",
                 d.requested,
                 d.sampled,
                 d.fulfillment(),
                 d.breaker_skipped,
                 d.deadline_clipped,
-                d.probes_retried,
-                d.pending_unindexed
+                d.probes_retried
             );
             match rec.parity() {
                 Ok(()) => out.push_str("parity: stage totals == QueryStats (bit-exact)"),
@@ -903,7 +587,7 @@ impl<P: ProbeService> PortalService<P> {
 
     /// The [`ExplainLevel::Plan`] response: the plan text and an empty
     /// result, without executing anything.
-    fn plan_response(&self, req: &QueryRequest) -> QueryResponse {
+    pub(crate) fn plan_response(&self, req: &QueryRequest) -> QueryResponse {
         QueryResponse {
             result: PortalResult {
                 groups: Vec::new(),
@@ -919,60 +603,14 @@ impl<P: ProbeService> PortalService<P> {
         }
     }
 
-    /// Parses and executes a dialect SQL query. Concurrent-safe: any number
-    /// of handles may call this at once.
-    pub fn query_sql(&self, sql: &str) -> Result<PortalResult, PortalError> {
-        let parsed = self.parse_traced(sql)?;
-        Ok(self.execute(&QueryRequest::new(parsed))?.result)
-    }
-
-    /// Executes a parsed query against the current generation snapshot,
-    /// under admission control, with an RNG derived from `(seed, ordinal)`.
-    pub fn query(&self, q: &SelectQuery) -> Result<PortalResult, PortalError> {
-        Ok(self.execute(&QueryRequest::new(q.clone()))?.result)
-    }
-
-    /// Parses a dialect query and describes its physical plan without
-    /// executing it (the portal's `EXPLAIN`).
-    pub fn explain_sql(&self, sql: &str) -> Result<String, PortalError> {
-        let parsed = parse(sql)?;
-        let resp = self.execute(&QueryRequest::new(parsed).with_explain(ExplainLevel::Plan))?;
-        Ok(resp.explain.expect("Plan responses carry explain text"))
-    }
-
-    /// The portal's `EXPLAIN ANALYZE`: executes the query under an always-on
-    /// flight recorder and returns the plan description, the captured stage
-    /// tree (per-level cache hits/misses, probe-wave deadline-budget
-    /// consumption, write-back), the degradation report, and a parity line
-    /// asserting the stage totals are bit-identical to the query's
-    /// [`QueryStats`].
-    ///
-    /// Accepts either a bare `SELECT ...` or the full
-    /// `EXPLAIN [ANALYZE] SELECT ...` statement form.
-    pub fn explain_analyze_sql(&self, sql: &str) -> Result<String, PortalError> {
-        let at_us = self.core.clock.now().0 * 1_000;
-        let parsed = match parse_statement(sql) {
-            Ok(Statement::Select(q)) | Ok(Statement::Explain { query: q, .. }) => {
-                tracer().record(SpanKind::Parse, at_us, 0, sql.len() as u64);
-                q
-            }
-            Err(e) => {
-                portal_telem().parse_errors.inc();
-                return Err(e.into());
-            }
-        };
-        let req = QueryRequest::new(parsed)
-            .with_explain(ExplainLevel::Analyze)
-            .with_sql_len(sql.len() as u64);
-        let resp = self.execute(&req)?;
-        Ok(resp.explain.expect("Analyze responses carry explain text"))
-    }
-
     /// Executes a batch of parsed queries against one generation snapshot,
     /// fanning out over `threads` workers, under admission control (the
-    /// batch occupies one admission slot; its queries run frozen against the
-    /// snapshot with per-index derived seeds, exactly as
-    /// [`crate::Portal::execute_many`] always has).
+    /// batch occupies one admission slot). Every query runs frozen against
+    /// the cache snapshot taken at batch start, with its own RNG seeded from
+    /// `(seed, query index)`; probe write-backs are applied afterwards in
+    /// query-index order, so results are independent of the thread count and
+    /// of scheduling. `threads == 0` uses the machine's available
+    /// parallelism.
     pub fn execute_many(
         &self,
         queries: &[SelectQuery],
@@ -984,58 +622,119 @@ impl<P: ProbeService> PortalService<P> {
         let (_slot, _queue_wait) = self.admit()?;
         let gen = self.snapshot();
         service_telem().served.inc();
-        Ok(self.execute_many_with(&gen, queries, threads))
+        let core = &*self.core;
+        let now = core.clock.now();
+        // Freeze the index for the whole batch: the LSM snapshot pins every
+        // level plus the L0 population at batch start, so a merge published
+        // mid-batch changes no in-flight answer.
+        let lsm = &gen.lsm;
+        lsm.advance(now);
+        let snap = lsm.freeze();
+        let plans: Vec<(Query, AggKind)> = queries
+            .iter()
+            .map(|q| (self.plan_capped(&gen, q), q.agg.kind()))
+            .collect();
+        let telem = portal_telem();
+        telem.batches.inc();
+        telem.batch_size.observe(plans.len() as u64);
+        telem.queries.add(plans.len() as u64);
+        tracer().record(SpanKind::Plan, now.0 * 1_000, 0, plans.len() as u64);
+
+        let threads = if threads == 0 {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        } else {
+            threads
+        }
+        .min(plans.len().max(1));
+        let probe = &core.probe;
+        let mode = core.mode;
+        let seed = core.seed;
+        let run_query = |i: usize| {
+            let mut rng = StdRng::seed_from_u64(derive_seed(seed, i as u64));
+            lsm.execute_frozen(&snap, &plans[i].0, mode, probe, now, &mut rng)
+        };
+
+        let outcomes: Vec<Option<FrozenOutcome>> = if threads <= 1 {
+            (0..plans.len()).map(|i| Some(run_query(i))).collect()
+        } else {
+            // Work-stealing by shared index: each worker claims the next
+            // unprocessed query until the batch is drained.
+            let next = AtomicUsize::new(0);
+            let slots: Vec<Mutex<Option<FrozenOutcome>>> =
+                plans.iter().map(|_| Mutex::new(None)).collect();
+            std::thread::scope(|scope| {
+                for _ in 0..threads {
+                    scope.spawn(|| loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= plans.len() {
+                            break;
+                        }
+                        let out = run_query(i);
+                        *slots[i].lock() = Some(out);
+                    });
+                }
+            });
+            slots.into_iter().map(|s| s.into_inner()).collect()
+        };
+
+        // Deferred write-backs land in query-index order, so the post-batch
+        // cache state matches a sequential run of the same batch.
+        let mut stats = QueryStats::default();
+        let mut readings_applied = 0;
+        let mut results = Vec::with_capacity(plans.len());
+        let mut degradation = DegradationReport::default();
+        for ((plan, kind), outcome) in plans.iter().zip(outcomes) {
+            let (out, deferred) = outcome.expect("worker completed");
+            readings_applied += lsm.apply_deferred(&deferred, now);
+            stats.merge(&out.stats);
+            let requested = requested_target(plan, core.mode);
+            let result = Self::finish(&gen, *kind, requested, out);
+            degradation.merge(&result.degradation);
+            results.push(result);
+        }
+        // Batch span: duration is the modelled critical path — the slowest
+        // single query, since the batch fans out across workers.
+        let dur_ms = results.iter().map(|r| r.latency_ms).fold(0.0f64, f64::max);
+        tracer().record(
+            SpanKind::Batch,
+            now.0 * 1_000,
+            (dur_ms * 1_000.0) as u64,
+            results.len() as u64,
+        );
+        Ok(BatchResult {
+            results,
+            stats,
+            readings_applied,
+            degradation,
+        })
     }
 
     /// Parses and executes a batch of dialect SQL queries via
-    /// [`PortalService::execute_many`]. Fails fast on the first parse error.
+    /// [`PortalService::execute_many`]. Fails fast on the first parse error;
+    /// a batch returns results only, so an `EXPLAIN` prefix changes nothing.
     pub fn query_many_sql(&self, sqls: &[&str], threads: usize) -> Result<BatchResult, PortalError>
     where
         P: Sync,
     {
         let parsed: Vec<SelectQuery> = sqls
             .iter()
-            .map(|s| self.parse_traced(s))
-            .collect::<Result<_, _>>()?;
+            .map(|sql| {
+                let req = QueryRequest::from_sql(sql)?;
+                trace_parse(&self.core.clock, req.sql_len());
+                Ok(req.into_select())
+            })
+            .collect::<Result<_, PortalError>>()?;
         self.execute_many(&parsed, threads)
     }
 
-    // -- shared execution internals (also used by the Portal wrapper) ------
-
-    /// Parses one SQL string, recording a `parse` span (timestamped on the
-    /// simulation clock so traces are reproducible) and counting failures.
-    pub(crate) fn parse_traced(&self, sql: &str) -> Result<SelectQuery, ParseError> {
-        let at_us = self.core.clock.now().0 * 1_000;
-        match parse(sql) {
-            Ok(q) => {
-                tracer().record(SpanKind::Parse, at_us, 0, sql.len() as u64);
-                // Only an already-armed recorder (EXPLAIN ANALYZE) sees the
-                // parse stage; the sampling gate arms later, at execution.
-                flight::with(|f| f.parse_sql_len = sql.len() as u64);
-                Ok(q)
-            }
-            Err(e) => {
-                portal_telem().parse_errors.inc();
-                Err(e)
-            }
-        }
-    }
+    // -- execution internals ----------------------------------------------
 
     /// Interactive execution against `gen` with a caller-supplied RNG;
-    /// `queue_wait` is deducted from the probe deadline budget.
-    pub(crate) fn run_with_rng(
-        &self,
-        gen: &Generation,
-        q: &SelectQuery,
-        rng: &mut StdRng,
-        queue_wait: TimeDelta,
-    ) -> PortalResult {
-        self.run_inner(gen, q, rng, queue_wait, None, None)
-    }
-
-    /// [`PortalService::run_with_rng`] with the per-request envelope: an
-    /// optional probe-deadline override and an optional mode override (both
-    /// from [`QueryRequest`]; `None` falls back to the service config).
+    /// `queue_wait` is deducted from the probe deadline budget. `deadline`
+    /// and `mode_override` are the per-request envelope (both from
+    /// [`QueryRequest`]; `None` falls back to the service config).
     fn run_inner(
         &self,
         gen: &Generation,
@@ -1077,19 +776,8 @@ impl<P: ProbeService> PortalService<P> {
         });
         portal_telem().queries.inc();
         let requested = requested_target(&plan, mode);
-        let out = if let Some(lsm) = gen.lsm() {
-            lsm.execute(&plan, mode, &core.probe, now, rng)
-        } else if core.any_retired.load(Ordering::Acquire) {
-            let retired = core.retired.read();
-            let masked = MaskedProbe {
-                inner: &core.probe,
-                retired: &retired,
-            };
-            gen.tree().execute(&plan, mode, &masked, now, rng)
-        } else {
-            gen.tree().execute(&plan, mode, &core.probe, now, rng)
-        };
-        let result = self.finish(gen, q.agg.kind(), requested, &plan, out);
+        let out = gen.lsm.execute(&plan, mode, &core.probe, now, rng);
+        let result = Self::finish(gen, q.agg.kind(), requested, out);
         let watchdog = core.watchdog.read().clone();
         let mut flight_json = None;
         if flight::is_active() {
@@ -1118,161 +806,6 @@ impl<P: ProbeService> PortalService<P> {
         result
     }
 
-    /// The batch executor behind both [`PortalService::execute_many`] and
-    /// [`crate::Portal::execute_many`]: every query runs frozen against the
-    /// cache snapshot taken at batch start, with its own RNG seeded from
-    /// `(seed, query index)`; probe write-backs are applied afterwards in
-    /// query-index order, so results are independent of the thread count and
-    /// of scheduling.
-    pub(crate) fn execute_many_with(
-        &self,
-        gen: &Generation,
-        queries: &[SelectQuery],
-        threads: usize,
-    ) -> BatchResult
-    where
-        P: Sync,
-    {
-        let core = &*self.core;
-        let now = core.clock.now();
-        // Freeze the index for the whole batch: the LSM snapshot pins every
-        // level plus the L0 population at batch start, so a merge published
-        // mid-batch changes no in-flight answer.
-        let lsm_batch = gen.lsm().map(|lsm| {
-            lsm.advance(now);
-            (lsm, lsm.freeze())
-        });
-        if lsm_batch.is_none() {
-            gen.tree().advance(now);
-        }
-        let plans: Vec<(Query, AggKind)> = queries
-            .iter()
-            .map(|q| (self.plan_capped(gen, q), q.agg.kind()))
-            .collect();
-        let telem = portal_telem();
-        telem.batches.inc();
-        telem.batch_size.observe(plans.len() as u64);
-        telem.queries.add(plans.len() as u64);
-        tracer().record(SpanKind::Plan, now.0 * 1_000, 0, plans.len() as u64);
-
-        let threads = if threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            threads
-        }
-        .min(plans.len().max(1));
-        let tree = gen.tree();
-        let probe = &core.probe;
-        let mode = core.mode;
-        let seed = core.seed;
-        let masked: Option<HashSet<u32>> = (lsm_batch.is_none()
-            && core.any_retired.load(Ordering::Acquire))
-        .then(|| core.retired.read().clone());
-        let run_query = |i: usize| {
-            let mut rng = StdRng::seed_from_u64(derive_seed(seed, i as u64));
-            match (&lsm_batch, &masked) {
-                (Some((lsm, snap)), _) => {
-                    lsm.execute_frozen(snap, &plans[i].0, mode, probe, now, &mut rng)
-                }
-                (None, Some(retired)) => {
-                    let masked = MaskedProbe {
-                        inner: probe,
-                        retired,
-                    };
-                    tree.execute_frozen(&plans[i].0, mode, &masked, now, &mut rng)
-                }
-                (None, None) => tree.execute_frozen(&plans[i].0, mode, probe, now, &mut rng),
-            }
-        };
-
-        let outcomes: Vec<Option<FrozenOutcome>> = if threads <= 1 {
-            (0..plans.len()).map(|i| Some(run_query(i))).collect()
-        } else {
-            // Work-stealing by shared index: each worker claims the next
-            // unprocessed query until the batch is drained.
-            let next = AtomicUsize::new(0);
-            let slots: Vec<Mutex<Option<FrozenOutcome>>> =
-                plans.iter().map(|_| Mutex::new(None)).collect();
-            std::thread::scope(|scope| {
-                for _ in 0..threads {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= plans.len() {
-                            break;
-                        }
-                        let out = run_query(i);
-                        *slots[i].lock() = Some(out);
-                    });
-                }
-            });
-            slots.into_iter().map(|s| s.into_inner()).collect()
-        };
-
-        // Deferred write-backs land in query-index order, so the post-batch
-        // cache state matches a sequential run of the same batch.
-        let mut stats = QueryStats::default();
-        let mut readings_applied = 0;
-        let mut results = Vec::with_capacity(plans.len());
-        let mut degradation = DegradationReport::default();
-        for ((plan, kind), outcome) in plans.iter().zip(outcomes) {
-            let (out, deferred) = outcome.expect("worker completed");
-            readings_applied += match gen.lsm() {
-                Some(lsm) => lsm.apply_deferred(&deferred, now),
-                None => gen.tree().apply_readings(&deferred, now),
-            };
-            stats.merge(&out.stats);
-            let requested = requested_target(plan, core.mode);
-            let result = self.finish(gen, *kind, requested, plan, out);
-            degradation.merge(&result.degradation);
-            results.push(result);
-        }
-        // Batch span: duration is the modelled critical path — the slowest
-        // single query, since the batch fans out across workers.
-        let dur_ms = results.iter().map(|r| r.latency_ms).fold(0.0f64, f64::max);
-        tracer().record(
-            SpanKind::Batch,
-            now.0 * 1_000,
-            (dur_ms * 1_000.0) as u64,
-            results.len() as u64,
-        );
-        BatchResult {
-            results,
-            stats,
-            readings_applied,
-            degradation,
-        }
-    }
-
-    /// How many registered-but-unindexed sensors fall inside the plan's
-    /// viewport — the query's structural blind spot until the next reindex.
-    /// Always 0 under [`IndexStrategy::Lsm`] (L0 indexes immediately) and on
-    /// the hot path when nothing is parked.
-    fn pending_unindexed_in(&self, gen: &Generation, plan: &Query) -> u64 {
-        if gen.lsm().is_some() {
-            return 0;
-        }
-        let core = &*self.core;
-        let parked = core.parked.read();
-        if parked.is_empty() {
-            return 0;
-        }
-        // A retired-while-parked sensor is no blind spot: it will never
-        // answer. Indexed sensors are pruned from the mirror at reindex, but
-        // a parked entry can already be folded into the tree by a rebuild
-        // racing this query's snapshot — count against the snapshot's
-        // population so such sensors are not double-reported.
-        let indexed = gen.tree().sensors().len();
-        let retired = core.retired.read();
-        parked
-            .iter()
-            .filter(|m| {
-                m.id.index() >= indexed && !retired.contains(&m.id.0) && plan.matches_sensor(m)
-            })
-            .count() as u64
-    }
-
     /// Plans a query, applying the portal-wide collection cap when the query
     /// didn't choose a sample size.
     fn plan_capped(&self, gen: &Generation, q: &SelectQuery) -> Query {
@@ -1286,14 +819,7 @@ impl<P: ProbeService> PortalService<P> {
     }
 
     /// Converts a raw engine output into the portal's result shape.
-    fn finish(
-        &self,
-        gen: &Generation,
-        kind: AggKind,
-        requested: f64,
-        plan: &Query,
-        out: QueryOutput,
-    ) -> PortalResult {
+    fn finish(gen: &Generation, kind: AggKind, requested: f64, out: QueryOutput) -> PortalResult {
         let groups: Vec<GroupView> = out
             .groups
             .iter()
@@ -1344,7 +870,6 @@ impl<P: ProbeService> PortalService<P> {
             breaker_skipped: out.stats.breaker_skipped,
             deadline_clipped: out.stats.deadline_clipped,
             probes_retried: out.stats.probes_retried,
-            pending_unindexed: self.pending_unindexed_in(gen, plan),
             worst: None,
         };
         PortalResult {
@@ -1365,9 +890,9 @@ impl<Q: ProbeService> PortalService<ResilientProber<Q>> {
     /// means) and on the prober (so every probe outcome trains the
     /// estimates). Returns the shared map for inspection.
     ///
-    /// A reindex publishes a fresh tree without a live map (its node
-    /// topology changed); call this again after reindexing to re-enable
-    /// feedback, as with the old rebuild path.
+    /// The map is installed on the primary level's tree only; when a merge
+    /// re-anchors the generation on a different primary level, call this
+    /// again to re-enable feedback there.
     pub fn enable_resilience_feedback(&self, alpha: f64) -> Arc<LiveAvailability> {
         let gen = self.snapshot();
         let live = gen.tree().enable_live_availability(alpha);
@@ -1381,9 +906,9 @@ impl<Q: ProbeService> PortalService<ResilientProber<Q>> {
 // ---------------------------------------------------------------------------
 
 /// A detached background reindexer thread: pumps
-/// [`PortalService::reindex`] whenever at least `min_pending` registrations
-/// have accumulated, polling on a (wall-clock) interval. The alternative to
-/// calling `reindex` explicitly; stop (or drop) it to join the thread.
+/// [`PortalService::reindex`] whenever L0 reaches its occupancy bound,
+/// polling on a (wall-clock) interval. The alternative to calling `reindex`
+/// explicitly; stop (or drop) it to join the thread.
 pub struct Reindexer {
     pub(crate) stop: Arc<AtomicBool>,
     pub(crate) handle: Option<std::thread::JoinHandle<u64>>,
@@ -1393,17 +918,16 @@ impl<P> PortalService<P>
 where
     P: ProbeService + Send + Sync + 'static,
 {
-    /// Spawns a background thread that reindexes whenever `min_pending`
-    /// registrations are waiting — or, under [`IndexStrategy::Lsm`], merges
-    /// whenever L0 reaches its occupancy bound — checking every `poll`.
-    pub fn spawn_reindexer(&self, min_pending: usize, poll: std::time::Duration) -> Reindexer {
+    /// Spawns a background thread that merges whenever L0 reaches its
+    /// occupancy bound, checking every `poll`.
+    pub fn spawn_reindexer(&self, poll: std::time::Duration) -> Reindexer {
         let service = self.clone();
         let stop = Arc::new(AtomicBool::new(false));
         let flag = stop.clone();
         let handle = std::thread::spawn(move || {
             let mut pumped = 0u64;
             while !flag.load(Ordering::Acquire) {
-                if service.wants_reindex(min_pending) {
+                if service.core.lsm.wants_merge() {
                     service.reindex();
                     pumped += 1;
                 } else {
@@ -1445,6 +969,15 @@ impl Drop for Reindexer {
 /// write-backs deferred until the batch completes.
 type FrozenOutcome = (QueryOutput, Vec<Reading>);
 
+/// Records the `parse` span of a request lowered from `sql_len` bytes of SQL
+/// text (none for programmatic requests), timestamped on the simulation
+/// clock so traces are reproducible.
+pub(crate) fn trace_parse(clock: &ClockHandle, sql_len: u64) {
+    if sql_len > 0 {
+        tracer().record(SpanKind::Parse, clock.now().0 * 1_000, 0, sql_len);
+    }
+}
+
 /// The sample-size target a plan will aim for, for degradation accounting:
 /// only the COLR mode samples, the baselines collect everything in range.
 fn requested_target(plan: &Query, mode: Mode) -> f64 {
@@ -1457,8 +990,7 @@ fn requested_target(plan: &Query, mode: Mode) -> f64 {
 
 /// Derives the per-query RNG seed for ordinal `i` (splitmix64-style mix of
 /// the service seed and the ordinal, so neighbouring ordinals get
-/// decorrelated streams). Identical to the batch derivation `execute_many`
-/// has always used.
+/// decorrelated streams): interactive ordinals and batch indices share it.
 pub(crate) fn derive_seed(seed: u64, i: u64) -> u64 {
     let mut z = seed ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -1471,6 +1003,7 @@ mod tests {
     use super::*;
     use colr_geo::Point;
     use colr_tree::probe::AlwaysAvailable;
+    use colr_tree::LsmConfig;
 
     const EXPIRY_MS: u64 = 300_000;
 
@@ -1497,11 +1030,20 @@ mod tests {
         )
     }
 
-    fn hier_service() -> PortalService<AlwaysAvailable> {
+    fn service_in(mode: Mode) -> PortalService<AlwaysAvailable> {
         service(PortalConfig {
-            mode: Mode::HierCache,
+            mode,
             ..Default::default()
         })
+    }
+
+    fn hier_service() -> PortalService<AlwaysAvailable> {
+        service_in(Mode::HierCache)
+    }
+
+    /// Lowers `sql` through the one SQL path and executes it.
+    fn run(svc: &PortalService<AlwaysAvailable>, sql: &str) -> Result<PortalResult, PortalError> {
+        Ok(svc.execute(&QueryRequest::from_sql(sql)?)?.result)
     }
 
     #[test]
@@ -1512,9 +1054,11 @@ mod tests {
         let other = svc.clone();
         svc.clock().advance(TimeDelta::from_secs(5));
         assert_eq!(other.now(), Timestamp(5_000));
-        let res = other
-            .query_sql("SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,7.5,7.5)")
-            .expect("query through a clone");
+        let res = run(
+            &other,
+            "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,7.5,7.5)",
+        )
+        .expect("query through a clone");
         assert_eq!(res.value, Some(64.0));
         // The clone's query warmed the caches the original sees.
         assert!(svc.snapshot().tree().cached_readings() > 0);
@@ -1535,7 +1079,7 @@ mod tests {
                         x0 + 4.0
                     );
                     for _ in 0..5 {
-                        handle.query_sql(&sql).expect("concurrent query");
+                        run(&handle, &sql).expect("concurrent query");
                     }
                 });
             }
@@ -1548,7 +1092,7 @@ mod tests {
         let svc = hier_service();
         svc.clock().advance(TimeDelta::from_secs(1));
         let warm_sql = "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,7.5,7.5)";
-        svc.query_sql(warm_sql).unwrap();
+        run(&svc, warm_sql).unwrap();
         let cached_before = svc.snapshot().tree().cached_readings();
         assert!(cached_before > 0);
 
@@ -1561,32 +1105,24 @@ mod tests {
             );
             assert_eq!(id.index(), 256 + i);
         }
-        assert_eq!(svc.pending_registrations(), 3);
+        let unmerged = || svc.index_stats().expect("always Some").l0_occupancy;
+        assert_eq!(unmerged(), 3);
         assert_eq!(svc.generation(), 0);
         assert_eq!(svc.reindex(), 259);
         assert_eq!(svc.generation(), 1);
-        assert_eq!(svc.pending_registrations(), 0);
+        assert_eq!(unmerged(), 0);
 
         // Carry-over: the warmed readings survived the swap...
         assert_eq!(svc.snapshot().tree().cached_readings(), cached_before);
-        let warm = svc.query_sql(warm_sql).unwrap();
+        let warm = run(&svc, warm_sql).unwrap();
         assert_eq!(warm.stats.sensors_probed, 0, "carried cache should serve");
         // ...and the new population answers.
-        let new_region = svc
-            .query_sql("SELECT count(*) FROM sensor WHERE location WITHIN RECT(100,100,110,110)")
-            .unwrap();
+        let new_region = run(
+            &svc,
+            "SELECT count(*) FROM sensor WHERE location WITHIN RECT(100,100,110,110)",
+        )
+        .unwrap();
         assert_eq!(new_region.value, Some(3.0));
-    }
-
-    #[test]
-    fn reindex_discarding_cold_starts_caches() {
-        let svc = hier_service();
-        svc.clock().advance(TimeDelta::from_secs(1));
-        svc.query_sql("SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,7.5,7.5)")
-            .unwrap();
-        assert!(svc.snapshot().tree().cached_readings() > 0);
-        svc.reindex_discarding();
-        assert_eq!(svc.snapshot().tree().cached_readings(), 0);
     }
 
     #[test]
@@ -1594,11 +1130,20 @@ mod tests {
         let svc = hier_service();
         svc.clock().advance(TimeDelta::from_secs(1));
         let old = svc.snapshot();
-        svc.register_sensor(Point::new(100.0, 100.0), TimeDelta::from_mins(5), 1.0, 0);
+        // Enough arrivals that the merge absorbs (and so replaces) the level
+        // the old generation pins: 256 < level_ratio 4 × 65.
+        for i in 0..65 {
+            svc.register_sensor(
+                Point::new(100.0 + i as f64, 100.0),
+                TimeDelta::from_mins(5),
+                1.0,
+                0,
+            );
+        }
         svc.reindex();
         assert_eq!(old.ordinal(), 0);
         assert_eq!(old.tree().sensors().len(), 256);
-        assert_eq!(svc.snapshot().tree().sensors().len(), 257);
+        assert_eq!(svc.snapshot().tree().sensors().len(), 321);
         assert_eq!(svc.snapshot().ordinal(), 1);
     }
 
@@ -1617,15 +1162,19 @@ mod tests {
         // Saturate the execution slot + queue from this thread by holding
         // fake in-flight slots, then observe the shed.
         svc.core.in_flight.store(2, Ordering::Release);
-        let err = svc
-            .query_sql("SELECT count(*) FROM sensor WHERE location WITHIN RECT(0,0,1,1)")
-            .unwrap_err();
+        let err = run(
+            &svc,
+            "SELECT count(*) FROM sensor WHERE location WITHIN RECT(0,0,1,1)",
+        )
+        .unwrap_err();
         assert_eq!(err, PortalError::Overloaded { in_flight: 2 });
         svc.core.in_flight.store(0, Ordering::Release);
         // With the pressure gone the same query is served.
-        assert!(svc
-            .query_sql("SELECT count(*) FROM sensor WHERE location WITHIN RECT(0,0,1,1)")
-            .is_ok());
+        assert!(run(
+            &svc,
+            "SELECT count(*) FROM sensor WHERE location WITHIN RECT(0,0,1,1)"
+        )
+        .is_ok());
     }
 
     #[test]
@@ -1658,11 +1207,128 @@ mod tests {
         svc.clock().advance(TimeDelta::from_secs(1));
         svc.close();
         assert!(svc.is_closed());
-        let err = svc
-            .query_sql("SELECT count(*) FROM sensor WHERE location WITHIN RECT(0,0,1,1)")
-            .unwrap_err();
+        let err = run(
+            &svc,
+            "SELECT count(*) FROM sensor WHERE location WITHIN RECT(0,0,1,1)",
+        )
+        .unwrap_err();
         assert_eq!(err, PortalError::Closed);
         assert_eq!(svc.in_flight(), 0);
+    }
+
+    /// One sampling query per region shape.
+    const SHAPES: [&str; 3] = [
+        "SELECT avg(value) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,10.5,12.5) \
+         SAMPLESIZE 24",
+        "SELECT count(*) FROM sensor WHERE location WITHIN POLYGON((0 0, 15 0, 8 14)) \
+         SAMPLESIZE 31",
+        "SELECT sum(value) FROM sensor WHERE location WITHIN CIRCLE(8, 8, 6.5) SAMPLESIZE 17",
+    ];
+
+    /// The bare-tree side of the parity tests below: the same population,
+    /// tree config and seed the service was built from, planned by a planner
+    /// over that tree, with no service, LSM or admission layer in between.
+    fn bare_tree(config: &PortalConfig) -> (ColrTree, Planner) {
+        let tree = ColrTree::build(grid_sensors(256, 16), config.tree.clone(), config.seed);
+        let planner = Planner::new(&tree, config.default_staleness);
+        (tree, planner)
+    }
+
+    // With the parity suites on either side this closes the reference chain:
+    // router ≡ service (tests/sharded_router.rs), service ≡ bare tree (here),
+    // bare tree ≡ single-level LSM (colr-tree's lsm tests).
+    #[test]
+    fn default_service_replays_the_bare_tree_on_interactive_queries() {
+        let probe = AlwaysAvailable {
+            expiry_ms: EXPIRY_MS,
+        };
+        for seed in [3_u64, 41, 2026] {
+            let config = PortalConfig {
+                seed,
+                ..Default::default()
+            };
+            let (tree, planner) = bare_tree(&config);
+            let svc = service(config);
+            svc.clock().advance(TimeDelta::from_secs(1));
+            let mut ordinal = 0;
+            // Two passes: the second replays against caches warmed by the
+            // first, so the cache-first branch of Algorithm 1 is covered too.
+            for pass in 0..2 {
+                for sql in SHAPES {
+                    let req = QueryRequest::from_sql(sql).unwrap();
+                    let got = svc.execute(&req).unwrap().result;
+                    let plan = planner.plan(req.select());
+                    let mut rng = StdRng::seed_from_u64(derive_seed(seed, ordinal));
+                    let out = tree.execute(&plan, Mode::Colr, &probe, svc.now(), &mut rng);
+                    let want = PortalService::<AlwaysAvailable>::finish(
+                        &svc.snapshot(),
+                        req.select().agg.kind(),
+                        requested_target(&plan, Mode::Colr),
+                        out,
+                    );
+                    assert_eq!(
+                        format!("{got:?}"),
+                        format!("{want:?}"),
+                        "seed {seed} pass {pass} diverged on {sql}"
+                    );
+                    ordinal += 1;
+                }
+                svc.clock().advance(TimeDelta::from_secs(2));
+            }
+        }
+    }
+
+    #[test]
+    fn default_service_replays_the_bare_tree_on_batches_at_any_thread_count() {
+        let probe = AlwaysAvailable {
+            expiry_ms: EXPIRY_MS,
+        };
+        for seed in [3_u64, 41, 2026] {
+            for threads in [1_usize, 8] {
+                let config = PortalConfig {
+                    seed,
+                    ..Default::default()
+                };
+                let (tree, planner) = bare_tree(&config);
+                let svc = service(config);
+                svc.clock().advance(TimeDelta::from_secs(1));
+                let now = svc.now();
+                // Cold, then warm: deferred write-backs must have cached the
+                // same readings on both sides.
+                for pass in 0..2 {
+                    let got = svc.query_many_sql(&SHAPES, threads).unwrap();
+                    tree.advance(now);
+                    let frozen: Vec<_> = SHAPES
+                        .iter()
+                        .enumerate()
+                        .map(|(i, sql)| {
+                            let req = QueryRequest::from_sql(sql).unwrap();
+                            let plan = planner.plan(req.select());
+                            let mut rng = StdRng::seed_from_u64(derive_seed(seed, i as u64));
+                            let (out, deferred) =
+                                tree.execute_frozen(&plan, Mode::Colr, &probe, now, &mut rng);
+                            (req, plan, out, deferred)
+                        })
+                        .collect();
+                    let mut applied = 0;
+                    for (i, (req, plan, out, deferred)) in frozen.into_iter().enumerate() {
+                        applied += tree.apply_readings(&deferred, now);
+                        let want = PortalService::<AlwaysAvailable>::finish(
+                            &svc.snapshot(),
+                            req.select().agg.kind(),
+                            requested_target(&plan, Mode::Colr),
+                            out,
+                        );
+                        assert_eq!(
+                            format!("{:?}", got.results[i]),
+                            format!("{want:?}"),
+                            "seed {seed}, {threads} thread(s), pass {pass}: query {i} diverged"
+                        );
+                    }
+                    assert_eq!(got.readings_applied, applied);
+                }
+            }
+        }
     }
 
     #[test]
@@ -1676,11 +1342,14 @@ mod tests {
             (0..6)
                 .map(|i| {
                     let x0 = (i % 3) as f64 * 4.0 - 0.5;
-                    svc.query_sql(&format!(
-                        "SELECT count(*) FROM sensor WHERE location WITHIN \
+                    run(
+                        &svc,
+                        &format!(
+                            "SELECT count(*) FROM sensor WHERE location WITHIN \
                          RECT({x0}, -0.5, {}, 15.5) SAMPLESIZE 20",
-                        x0 + 4.0
-                    ))
+                            x0 + 4.0
+                        ),
+                    )
                     .unwrap()
                     .value
                 })
@@ -1691,9 +1360,17 @@ mod tests {
 
     #[test]
     fn background_reindexer_folds_in_registrations() {
-        let svc = hier_service();
+        // An L0 bound of one sensor: every registration makes a merge due.
+        let svc = service(PortalConfig {
+            mode: Mode::HierCache,
+            index: IndexStrategy::Lsm(LsmConfig {
+                l0_capacity: 1,
+                ..Default::default()
+            }),
+            ..Default::default()
+        });
         svc.clock().advance(TimeDelta::from_secs(1));
-        let reindexer = svc.spawn_reindexer(1, std::time::Duration::from_millis(1));
+        let reindexer = svc.spawn_reindexer(std::time::Duration::from_millis(1));
         for i in 0..5 {
             svc.register_sensor(
                 Point::new(50.0 + i as f64, 50.0),
@@ -1710,38 +1387,305 @@ mod tests {
         let pumped = reindexer.stop();
         assert!(pumped >= 1, "reindexer never pumped");
         assert!(svc.generation() >= 1);
-        assert_eq!(
-            svc.snapshot().tree().sensors().len() + svc.pending_registrations(),
-            261
-        );
+        assert_eq!(svc.index_stats().expect("always Some").live_sensors, 261);
     }
 
     #[test]
     fn registration_queue_is_safe_under_contention() {
-        let q = RegistrationQueue::new();
-        let next = AtomicU32::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..8 {
-                scope.spawn(|| {
-                    for _ in 0..100 {
-                        let id = next.fetch_add(1, Ordering::Relaxed);
-                        q.push(SensorMeta::new(
-                            id,
-                            Point::new(0.0, 0.0),
-                            TimeDelta::from_mins(5),
-                            1.0,
-                        ));
-                    }
-                });
-            }
+        let svc = hier_service();
+        svc.clock().advance(TimeDelta::from_secs(1));
+        let mut ids: Vec<usize> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..8)
+                .map(|t| {
+                    let handle = svc.clone();
+                    scope.spawn(move || {
+                        (0..100)
+                            .map(|i| {
+                                handle
+                                    .register_sensor(
+                                        Point::new(100.0 + t as f64, 100.0 + i as f64),
+                                        TimeDelta::from_mins(5),
+                                        1.0,
+                                        0,
+                                    )
+                                    .index()
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().expect("registrar panicked"))
+                .collect()
         });
-        assert_eq!(q.len(), 800);
-        let mut drained = q.drain();
-        assert_eq!(drained.len(), 800);
-        assert_eq!(q.len(), 0);
-        drained.sort_by_key(|m| m.id.index());
-        for (i, m) in drained.iter().enumerate() {
-            assert_eq!(m.id.index(), i);
+        assert_eq!(ids.len(), 800);
+        ids.sort_unstable();
+        for (i, id) in ids.iter().enumerate() {
+            assert_eq!(*id, 256 + i);
         }
+        let all = run(
+            &svc,
+            "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-1,-1,300,300)",
+        )
+        .unwrap();
+        assert_eq!(all.value, Some(1056.0));
+    }
+
+    #[test]
+    fn end_to_end_sql_count() {
+        let svc = service_in(Mode::HierCache);
+        svc.clock().advance(TimeDelta::from_secs(1));
+        let res = run(
+            &svc,
+            "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5, -0.5, 7.5, 7.5)",
+        )
+        .expect("query runs");
+        assert_eq!(res.value, Some(64.0));
+        assert!(res.latency_ms > 0.0);
+        assert!(!res.groups.is_empty());
+    }
+
+    #[test]
+    fn sql_samplesize_limits_probes() {
+        let svc = service_in(Mode::Colr);
+        svc.clock().advance(TimeDelta::from_secs(1));
+        let res = run(
+            &svc,
+            "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,15.5,15.5) \
+                 SAMPLESIZE 20",
+        )
+        .expect("query runs");
+        assert!(
+            res.stats.sensors_probed < 64,
+            "probed {} of 256 for SAMPLESIZE 20",
+            res.stats.sensors_probed
+        );
+    }
+
+    #[test]
+    fn polygon_query_via_sql() {
+        let svc = service_in(Mode::RTree);
+        svc.clock().advance(TimeDelta::from_secs(1));
+        let res = run(
+            &svc,
+            "SELECT count(*) FROM sensor WHERE location WITHIN \
+                 POLYGON((-0.5 -0.5, 15.7 -0.5, -0.5 15.7))",
+        )
+        .expect("query runs");
+        // Sensors with x + y <= 15 (below the hypotenuse x+y≈15.2): 136.
+        assert_eq!(res.value, Some(136.0));
+    }
+
+    #[test]
+    fn avg_histogram_present_with_raw_readings() {
+        let svc = service_in(Mode::HierCache);
+        svc.clock().advance(TimeDelta::from_secs(1));
+        let res = run(
+            &svc,
+            "SELECT avg(value) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,3.5,3.5)",
+        )
+        .expect("query runs");
+        assert!(res.value.is_some());
+        let h = res.histogram.expect("histogram from raw readings");
+        assert_eq!(h.total(), 16);
+    }
+
+    #[test]
+    fn warm_cache_reduces_latency() {
+        let svc = service_in(Mode::HierCache);
+        svc.clock().advance(TimeDelta::from_secs(1));
+        let sql = "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,7.5,7.5) \
+             AND time BETWEEN now()-5 AND now() mins";
+        let cold = run(&svc, sql).unwrap();
+        svc.clock().advance(TimeDelta::from_secs(1));
+        let warm = run(&svc, sql).unwrap();
+        assert!(warm.latency_ms < cold.latency_ms);
+        assert!(warm.stats.sensors_probed < cold.stats.sensors_probed);
+    }
+
+    #[test]
+    fn portal_cap_applies_without_samplesize() {
+        let svc = service(PortalConfig {
+            mode: Mode::Colr,
+            max_sensors_per_query: Some(10),
+            ..Default::default()
+        });
+        svc.clock().advance(TimeDelta::from_secs(1));
+        let res = run(
+            &svc,
+            "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,15.5,15.5)",
+        )
+        .unwrap();
+        assert!(
+            res.stats.sensors_probed <= 30,
+            "portal cap ignored: probed {}",
+            res.stats.sensors_probed
+        );
+    }
+
+    #[test]
+    fn distribution_served_from_slot_histograms() {
+        use colr_tree::agg::HistogramSpec;
+        let mut config = PortalConfig {
+            mode: Mode::HierCache,
+            ..Default::default()
+        };
+        config.tree.slot_histograms = Some(HistogramSpec {
+            lo: 0.0,
+            hi: 256.0,
+            buckets: 8,
+        });
+        let svc = service(config);
+        svc.clock().advance(TimeDelta::from_secs(1));
+        let sql = "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,15.5,15.5)";
+        let cold = run(&svc, sql).unwrap();
+        assert_eq!(cold.histogram.as_ref().unwrap().total(), 256);
+        // Warm query: answered from aggregates, yet the distribution is
+        // still complete — out of the slot histograms, not raw readings.
+        svc.clock().advance(TimeDelta::from_secs(1));
+        let warm = run(&svc, sql).unwrap();
+        assert!(warm.stats.sensors_probed == 0);
+        let h = warm.histogram.as_ref().expect("cached distribution");
+        assert_eq!(h.total(), 256);
+        // AlwaysAvailable values = ids 0..256 → 32 per bucket of width 32.
+        assert!(h.counts().iter().all(|&c| c == 32), "{:?}", h.counts());
+    }
+
+    #[test]
+    fn explain_sql_describes_without_executing() {
+        let svc = service_in(Mode::Colr);
+        let req = QueryRequest::from_sql(
+            "EXPLAIN SELECT count(*) FROM sensor WHERE location WITHIN RECT(0,0,8,8) \
+             CLUSTER 4 SAMPLESIZE 25",
+        )
+        .unwrap();
+        let text = svc.execute(&req).unwrap().explain.expect("plan text");
+        assert!(text.contains("R=25"), "{text}");
+        assert!(text.contains("CLUSTER 4"), "{text}");
+        // No probes happened.
+        assert_eq!(svc.probe().expiry_ms, EXPIRY_MS); // probe untouched, state readable
+    }
+
+    #[test]
+    fn parse_errors_bubble_up_as_portal_errors() {
+        let svc = service_in(Mode::Colr);
+        let err = run(&svc, "SELECT nonsense").unwrap_err();
+        assert!(matches!(err, PortalError::Parse(_)));
+    }
+
+    #[test]
+    fn execute_many_is_thread_count_invariant() {
+        let sqls: Vec<String> = (0..12)
+            .map(|i| {
+                let x0 = (i % 4) as f64 * 4.0 - 0.5;
+                format!(
+                    "SELECT count(*) FROM sensor WHERE location WITHIN \
+                     RECT({x0}, -0.5, {}, 15.5) SAMPLESIZE 20",
+                    x0 + 4.0
+                )
+            })
+            .collect();
+        let sql_refs: Vec<&str> = sqls.iter().map(String::as_str).collect();
+        let mut batches = Vec::new();
+        for threads in [1usize, 4] {
+            let svc = service_in(Mode::Colr);
+            svc.clock().advance(TimeDelta::from_secs(1));
+            batches.push(svc.query_many_sql(&sql_refs, threads).expect("batch runs"));
+        }
+        let (seq, par) = (&batches[0], &batches[1]);
+        assert_eq!(seq.results.len(), par.results.len());
+        assert_eq!(seq.readings_applied, par.readings_applied);
+        for (a, b) in seq.results.iter().zip(&par.results) {
+            assert_eq!(a.value, b.value);
+            assert_eq!(a.groups.len(), b.groups.len());
+            for (ga, gb) in a.groups.iter().zip(&b.groups) {
+                assert_eq!(ga.count, gb.count);
+                assert_eq!(ga.value, gb.value);
+            }
+        }
+        assert_eq!(format!("{:?}", seq.stats), format!("{:?}", par.stats));
+        assert_eq!(seq.degradation, par.degradation);
+    }
+
+    #[test]
+    fn execute_many_applies_writebacks_after_batch() {
+        let svc = service_in(Mode::HierCache);
+        svc.clock().advance(TimeDelta::from_secs(1));
+        let sql = "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,7.5,7.5)";
+        let batch = svc.query_many_sql(&[sql], 2).unwrap();
+        // Frozen execution probed the region, then wrote the readings back.
+        assert_eq!(batch.stats.sensors_probed, 64);
+        assert_eq!(batch.readings_applied, 64);
+        assert_eq!(svc.snapshot().tree().cached_readings(), 64);
+        // A follow-up interactive query is served warm.
+        svc.clock().advance(TimeDelta::from_secs(1));
+        let warm = run(&svc, sql).unwrap();
+        assert_eq!(warm.stats.sensors_probed, 0);
+    }
+
+    #[test]
+    fn batch_queries_share_one_snapshot() {
+        // Two identical queries in one batch both see the cold cache: the
+        // batch is a snapshot, so the second query must NOT be served from
+        // the first one's write-backs (unlike sequential interactive mode).
+        let svc = service_in(Mode::HierCache);
+        svc.clock().advance(TimeDelta::from_secs(1));
+        let sql = "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,7.5,7.5)";
+        let batch = svc.query_many_sql(&[sql, sql], 2).unwrap();
+        assert_eq!(batch.stats.sensors_probed, 128, "both queries probed cold");
+        // Duplicate write-backs collapse: the second apply replaces the first.
+        assert_eq!(svc.snapshot().tree().cached_readings(), 64);
+    }
+
+    #[test]
+    fn batch_degradation_merges_and_reports_worst() {
+        let svc = service_in(Mode::Colr);
+        svc.clock().advance(TimeDelta::from_secs(1));
+        let sqls = [
+            "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,15.5,15.5) \
+             SAMPLESIZE 20",
+            "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,7.5,7.5) \
+             SAMPLESIZE 10",
+        ];
+        let batch = svc.query_many_sql(&sqls, 2).unwrap();
+        assert_eq!(batch.degradation.requested, 30.0);
+        let summed: u64 = batch.results.iter().map(|r| r.degradation.sampled).sum();
+        assert_eq!(batch.degradation.sampled, summed);
+        let worst = batch.worst_fulfillment();
+        assert!(batch
+            .results
+            .iter()
+            .all(|r| r.degradation.fulfillment() >= worst));
+        // Fully-available fleet: nobody under-delivers.
+        assert!(worst >= 1.0, "worst fulfillment {worst}");
+    }
+
+    #[test]
+    fn cluster_controls_group_granularity() {
+        let svc = service_in(Mode::RTree);
+        svc.clock().advance(TimeDelta::from_secs(1));
+        let fine = run(
+            &svc,
+            "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,15.5,15.5) \
+                 CLUSTER 1",
+        )
+        .unwrap();
+        let svc2 = service_in(Mode::RTree);
+        svc2.clock().advance(TimeDelta::from_secs(1));
+        let coarse = run(
+            &svc2,
+            "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,15.5,15.5) \
+                 CLUSTER 1000",
+        )
+        .unwrap();
+        assert!(
+            fine.groups.len() >= coarse.groups.len(),
+            "fine {} < coarse {}",
+            fine.groups.len(),
+            coarse.groups.len()
+        );
+        // Same total either way.
+        assert_eq!(fine.value, coarse.value);
     }
 }

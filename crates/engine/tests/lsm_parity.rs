@@ -1,21 +1,22 @@
 //! End-to-end guarantees of the incremental LSM index at the portal layer.
 //!
-//! * **Bit parity.** A single-level LSM (no churn since construction) must
-//!   replay the bare monolithic [`PortalService`] draw-for-draw: same RNG
-//!   stream, same probes, same stats, same latency model — across seeds,
-//!   region shapes, and batch thread counts.
 //! * **Frozen batches.** A merge published mid-batch changes no answer the
 //!   batch produces: every query runs against the snapshot taken at batch
 //!   start.
 //! * **Retirement.** A retired sensor stops contributing immediately and is
 //!   physically dropped by the next merge that rewrites its level.
-//! * **Blind-spot accounting.** Monolithic parked-but-unindexed sensors
-//!   inside a queried viewport surface as `pending_unindexed`; under LSM
-//!   the count is structurally zero because L0 indexes immediately.
+//! * **No blind spot.** A registration answers the very next query: L0
+//!   indexes immediately, on a bare service and through the router.
+//!
+//! Bit parity of the churn-free service with the bare tree is an inline test
+//! of the `service` module, where the seed derivation is visible.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use colr_engine::{IndexStrategy, PortalConfig, PortalService, ShardedPortal};
+use colr_engine::{
+    IndexStrategy, PortalConfig, PortalError, PortalResult, PortalService, QueryRequest,
+    ShardedPortal,
+};
 use colr_geo::Point;
 use colr_tree::probe::AlwaysAvailable;
 use colr_tree::{LsmConfig, ProbeService, Reading, SensorId, SensorMeta, TimeDelta, Timestamp};
@@ -42,12 +43,17 @@ fn probe() -> AlwaysAvailable {
     }
 }
 
-fn config(seed: u64, index: IndexStrategy) -> PortalConfig {
+fn config(seed: u64, lsm: LsmConfig) -> PortalConfig {
     PortalConfig {
         seed,
-        index,
+        index: IndexStrategy::Lsm(lsm),
         ..Default::default()
     }
+}
+
+/// Lowers `sql` through the one SQL path and executes it on a bare service.
+fn run<P: ProbeService>(svc: &PortalService<P>, sql: &str) -> Result<PortalResult, PortalError> {
+    Ok(svc.execute(&QueryRequest::from_sql(sql)?)?.result)
 }
 
 /// One query per region shape, all sampling (Mode::Colr is the default).
@@ -62,77 +68,6 @@ fn shape_queries() -> Vec<String> {
         "SELECT sum(value) FROM sensor WHERE location WITHIN CIRCLE(8, 8, 6.5) SAMPLESIZE 17"
             .into(),
     ]
-}
-
-#[test]
-fn single_level_lsm_replays_monolithic_interactive_queries() {
-    for seed in [3_u64, 41, 2026] {
-        let mono = PortalService::new(
-            grid_sensors(256, 16),
-            probe(),
-            config(seed, IndexStrategy::Monolithic),
-        );
-        let lsm = PortalService::new(
-            grid_sensors(256, 16),
-            probe(),
-            config(seed, IndexStrategy::Lsm(LsmConfig::default())),
-        );
-        mono.clock().advance(TimeDelta::from_secs(1));
-        lsm.clock().advance(TimeDelta::from_secs(1));
-        // Two passes: the second replays against caches warmed by the first,
-        // so the cache-first branch of Algorithm 1 is covered too.
-        for pass in 0..2 {
-            for sql in shape_queries() {
-                let a = mono.query_sql(&sql).expect("monolithic query");
-                let b = lsm.query_sql(&sql).expect("lsm query");
-                assert_eq!(
-                    format!("{a:?}"),
-                    format!("{b:?}"),
-                    "seed {seed} pass {pass} diverged on {sql}"
-                );
-            }
-            mono.clock().advance(TimeDelta::from_secs(2));
-            lsm.clock().advance(TimeDelta::from_secs(2));
-        }
-    }
-}
-
-#[test]
-fn single_level_lsm_replays_monolithic_batches_at_any_thread_count() {
-    let sqls = shape_queries();
-    for seed in [3_u64, 41, 2026] {
-        for threads in [1_usize, 8] {
-            let mono = PortalService::new(
-                grid_sensors(256, 16),
-                probe(),
-                config(seed, IndexStrategy::Monolithic),
-            );
-            let lsm = PortalService::new(
-                grid_sensors(256, 16),
-                probe(),
-                config(seed, IndexStrategy::Lsm(LsmConfig::default())),
-            );
-            mono.clock().advance(TimeDelta::from_secs(1));
-            lsm.clock().advance(TimeDelta::from_secs(1));
-            let batch: Vec<&str> = sqls.iter().map(String::as_str).collect();
-            let a = mono
-                .query_many_sql(&batch, threads)
-                .expect("monolithic batch");
-            let b = lsm.query_many_sql(&batch, threads).expect("lsm batch");
-            assert_eq!(
-                format!("{a:?}"),
-                format!("{b:?}"),
-                "seed {seed}, {threads} thread(s): batch diverged"
-            );
-            // Deferred write-back parity: both indexes cached the same
-            // readings, so a warm replay stays identical too.
-            let a2 = mono
-                .query_many_sql(&batch, threads)
-                .expect("warm monolithic");
-            let b2 = lsm.query_many_sql(&batch, threads).expect("warm lsm");
-            assert_eq!(format!("{a2:?}"), format!("{b2:?}"));
-        }
-    }
 }
 
 /// A probe that, on its first post-arm call, pumps the service's reindex
@@ -177,7 +112,7 @@ fn merge_published_mid_batch_changes_no_issued_answer() {
         let svc = PortalService::new(
             grid_sensors(256, 16),
             probe,
-            config(7, IndexStrategy::Lsm(LsmConfig::default())),
+            config(7, LsmConfig::default()),
         );
         *svc.probe().svc.lock() = Some(svc.clone());
         // Churn: park fresh sensors in L0 so the merge has real work.
@@ -220,11 +155,7 @@ fn retired_sensor_never_resurfaces() {
         l0_capacity: 8,
         level_ratio: 2,
     };
-    let svc = PortalService::new(
-        grid_sensors(64, 8),
-        probe(),
-        config(11, IndexStrategy::Lsm(lsm_cfg)),
-    );
+    let svc = PortalService::new(grid_sensors(64, 8), probe(), config(11, lsm_cfg));
     svc.clock().advance(TimeDelta::from_secs(1));
     // Warm the cell around sensor 9 at (1, 1) so its reading sits in a slot
     // aggregate, then the whole viewport.
@@ -232,8 +163,8 @@ fn retired_sensor_never_resurfaces() {
                 SAMPLESIZE 500";
     let all = "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,7.5,7.5) \
                SAMPLESIZE 500";
-    assert_eq!(svc.query_sql(cell).unwrap().value, Some(1.0));
-    assert_eq!(svc.query_sql(all).unwrap().value, Some(64.0));
+    assert_eq!(run(&svc, cell).unwrap().value, Some(1.0));
+    assert_eq!(run(&svc, all).unwrap().value, Some(64.0));
 
     // Retire an indexed sensor and a freshly registered L0 sensor.
     assert!(svc.retire_sensor(SensorId(9)));
@@ -249,8 +180,8 @@ fn retired_sensor_never_resurfaces() {
 
     // Masked immediately: neither the fresh samples nor the warmed slot
     // aggregates serve the retired pair.
-    assert_eq!(svc.query_sql(cell).unwrap().value, Some(0.0));
-    assert_eq!(svc.query_sql(all).unwrap().value, Some(63.0));
+    assert_eq!(run(&svc, cell).unwrap().value, Some(0.0));
+    assert_eq!(run(&svc, all).unwrap().value, Some(63.0));
 
     // An empty-L0 merge is allowed to leave a large level untouched — the
     // tombstone is masked either way. Give the merge real L0 work (out of
@@ -268,66 +199,18 @@ fn retired_sensor_never_resurfaces() {
     let stats = svc.index_stats().expect("lsm stats");
     assert_eq!(stats.live_sensors, 63 + 40);
     assert_eq!(stats.tombstones, 0, "the merge dropped the tombstones");
-    assert_eq!(svc.query_sql(cell).unwrap().value, Some(0.0));
-    assert_eq!(svc.query_sql(all).unwrap().value, Some(63.0));
+    assert_eq!(run(&svc, cell).unwrap().value, Some(0.0));
+    assert_eq!(run(&svc, all).unwrap().value, Some(63.0));
 }
 
 #[test]
-fn monolithic_retire_masks_until_the_next_rebuild() {
-    let svc = PortalService::new(
-        grid_sensors(64, 8),
-        probe(),
-        config(13, IndexStrategy::Monolithic),
-    );
-    svc.clock().advance(TimeDelta::from_secs(1));
-    let all = "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,7.5,7.5) \
-               SAMPLESIZE 500";
-    assert_eq!(svc.query_sql(all).unwrap().value, Some(64.0));
-    assert!(svc.retire_sensor(SensorId(9)));
-    assert_eq!(svc.query_sql(all).unwrap().value, Some(63.0));
-    // Still masked across a rebuild (the dense-id tree keeps the ghost).
-    svc.reindex();
-    assert_eq!(svc.query_sql(all).unwrap().value, Some(63.0));
-}
-
-#[test]
-fn pending_registrations_surface_as_a_degradation_blind_spot() {
+fn a_registration_answers_the_very_next_query() {
     let viewport = "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,7.5,7.5) \
                     SAMPLESIZE 500";
-    let mono = PortalService::new(
-        grid_sensors(64, 8),
-        probe(),
-        config(5, IndexStrategy::Monolithic),
-    );
-    mono.clock().advance(TimeDelta::from_secs(1));
-    for i in 0..3 {
-        mono.register_sensor(
-            Point::new(2.0 + i as f64, 3.0),
-            TimeDelta::from_millis(EXPIRY_MS),
-            1.0,
-            0,
-        );
-    }
-    // One parked sensor outside the viewport: not this query's blind spot.
-    mono.register_sensor(
-        Point::new(40.0, 40.0),
-        TimeDelta::from_millis(EXPIRY_MS),
-        1.0,
-        0,
-    );
-    let res = mono.query_sql(viewport).unwrap();
-    assert_eq!(res.degradation.pending_unindexed, 3);
-    assert_eq!(res.value, Some(64.0), "parked sensors cannot answer yet");
-    mono.reindex();
-    let res = mono.query_sql(viewport).unwrap();
-    assert_eq!(res.degradation.pending_unindexed, 0);
-    assert_eq!(res.value, Some(67.0));
-
-    // LSM: no parking, no blind spot — the registration answers immediately.
     let lsm = PortalService::new(
         grid_sensors(64, 8),
         probe(),
-        config(5, IndexStrategy::Lsm(LsmConfig::default())),
+        config(5, LsmConfig::default()),
     );
     lsm.clock().advance(TimeDelta::from_secs(1));
     for i in 0..3 {
@@ -338,8 +221,7 @@ fn pending_registrations_surface_as_a_degradation_blind_spot() {
             0,
         );
     }
-    let res = lsm.query_sql(viewport).unwrap();
-    assert_eq!(res.degradation.pending_unindexed, 0);
+    let res = run(&lsm, viewport).unwrap();
     assert_eq!(res.value, Some(67.0), "L0 answers the very next query");
 }
 
@@ -361,12 +243,7 @@ fn sharded_lsm_registers_immediately_retires_and_rebalances_on_merge() {
             1.0,
         ),
     ];
-    let router = ShardedPortal::new(
-        sensors,
-        |_, _| probe(),
-        2,
-        config(17, IndexStrategy::Lsm(LsmConfig::default())),
-    );
+    let router = ShardedPortal::new(sensors, |_, _| probe(), 2, config(17, LsmConfig::default()));
     router.clock().advance(TimeDelta::from_secs(1));
     assert_eq!(router.shard_count(), 2);
     let map = router.shard_map();
@@ -380,17 +257,19 @@ fn sharded_lsm_registers_immediately_retires_and_rebalances_on_merge() {
 
     // A registration is queryable through the router immediately — no
     // reindex between register and query.
-    let lone = "SELECT count(*) FROM sensor WHERE location WITHIN RECT(4.5,4.5,5.4,5.4) \
-                SAMPLESIZE 500";
-    assert_eq!(router.query_sql(lone).unwrap().value, Some(0.0));
+    let lone = QueryRequest::from_sql(
+        "SELECT count(*) FROM sensor WHERE location WITHIN RECT(4.5,4.5,5.4,5.4) SAMPLESIZE 500",
+    )
+    .unwrap();
+    let lone = || router.execute(&lone).unwrap().result.value;
+    assert_eq!(lone(), Some(0.0));
     let ticket = router.register_sensor(
         Point::new(4.9, 5.0),
         TimeDelta::from_millis(EXPIRY_MS),
         1.0,
         0,
     );
-    assert_eq!(router.pending_registrations(), 0, "LSM never parks");
-    assert_eq!(router.query_sql(lone).unwrap().value, Some(1.0));
+    assert_eq!(lone(), Some(1.0));
     assert_eq!(router.shard(owner).index_stats().unwrap().live_sensors, 2);
 
     // Drag `other`'s centroid toward the lone sensor: ten registrations at
@@ -420,11 +299,11 @@ fn sharded_lsm_registers_immediately_retires_and_rebalances_on_merge() {
         12,
         "…and landed on the shard whose centroid drifted toward it"
     );
-    assert_eq!(router.query_sql(lone).unwrap().value, Some(1.0));
+    assert_eq!(lone(), Some(1.0));
 
     // The ticket follows the migration: retiring it removes the sensor from
     // its new home.
     assert!(router.retire_sensor(ticket));
     assert!(!router.retire_sensor(ticket), "double retire refused");
-    assert_eq!(router.query_sql(lone).unwrap().value, Some(0.0));
+    assert_eq!(lone(), Some(0.0));
 }

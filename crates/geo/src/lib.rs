@@ -16,6 +16,8 @@
 //! Everything is `f64`-based and allocation-light; the index stores only
 //! [`Rect`]s and [`Point`]s per node.
 
+#![forbid(unsafe_code)]
+
 mod circle;
 mod point;
 mod polygon;

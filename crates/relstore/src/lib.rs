@@ -21,6 +21,8 @@
 //! * [`access`] — the *sensor selection* and *cache read* access methods as
 //!   per-layer joins, plus a query entry point combining them.
 
+#![forbid(unsafe_code)]
+
 pub mod access;
 pub mod schema;
 pub mod store;

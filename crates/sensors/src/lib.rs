@@ -21,6 +21,8 @@
 //!   flapping, availability drift, latency spikes) on top of the base
 //!   Bernoulli model, for fault-tolerance experiments.
 
+#![forbid(unsafe_code)]
+
 pub mod faults;
 pub mod field;
 pub mod network;

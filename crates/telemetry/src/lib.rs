@@ -42,6 +42,8 @@
 //! (`registry.counter("...")`) takes a read lock and must stay out of hot
 //! loops — sites cache handles in `OnceLock` statics.
 
+#![forbid(unsafe_code)]
+
 pub mod expose;
 pub mod registry;
 pub mod trace;

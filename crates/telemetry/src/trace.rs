@@ -42,7 +42,7 @@ pub enum SpanKind {
     ProbeWave,
     /// Probe results written back into the caches (detail = readings).
     WriteBack,
-    /// A `Portal::execute_many` batch (detail = batch size).
+    /// A `PortalService::execute_many` batch (detail = batch size).
     Batch,
 }
 

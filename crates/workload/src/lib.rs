@@ -18,6 +18,8 @@
 //! * [`scenario`] — bundles the above into ready-to-run experiment
 //!   scenarios.
 
+#![forbid(unsafe_code)]
+
 pub mod expiry;
 pub mod placement;
 pub mod queries;

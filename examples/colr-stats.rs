@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use colr_repro::colr::{inspect, Mode, SensorMeta, TimeDelta};
-use colr_repro::engine::{Portal, PortalConfig};
+use colr_repro::engine::{PortalConfig, PortalService, QueryRequest};
 use colr_repro::geo::Point;
 use colr_repro::sensors::{RandomWalkField, SimNetwork};
 use colr_repro::telemetry::{global, tracer, SloConfig, SloWatchdog};
@@ -38,7 +38,7 @@ fn main() {
     );
     // Hierarchical-cache mode exercises the per-level aggregate hit/miss
     // counters on the warm pass; the probe-side metrics fire on the cold one.
-    let mut portal = Portal::new(
+    let portal = PortalService::new(
         sensors,
         net,
         PortalConfig {
@@ -73,12 +73,16 @@ fn main() {
             )
         })
         .collect();
-    for sql in &sqls {
-        portal.query_sql(sql).expect("cold query");
+    let requests: Vec<QueryRequest> = sqls
+        .iter()
+        .map(|sql| QueryRequest::from_sql(sql).expect("valid dialect query"))
+        .collect();
+    for req in &requests {
+        portal.execute(req).expect("cold query");
     }
     portal.clock().advance(TimeDelta::from_secs(5));
-    for sql in &sqls {
-        portal.query_sql(sql).expect("warm query");
+    for req in &requests {
+        portal.execute(req).expect("warm query");
     }
     portal.clock().advance(TimeDelta::from_secs(5));
     let refs: Vec<&str> = sqls.iter().map(String::as_str).collect();
@@ -116,10 +120,10 @@ fn main() {
     // 3. One query under `EXPLAIN ANALYZE`: the per-query flight recorder's
     //    stage tree, with the parity assertion against `QueryStats`.
     println!("\n== EXPLAIN ANALYZE ==");
-    let report = portal
-        .explain_analyze_sql(&format!("EXPLAIN ANALYZE {}", sqls[0]))
-        .expect("explain analyze");
-    println!("{report}");
+    let analyze = QueryRequest::from_sql(&format!("EXPLAIN ANALYZE {}", sqls[0]))
+        .expect("valid dialect statement");
+    let report = portal.execute(&analyze).expect("explain analyze");
+    println!("{}", report.explain.expect("Analyze responses carry text"));
 
     // 4. The watchdog's view of the whole run.
     println!("\n== SLO watchdog ==");
@@ -131,7 +135,7 @@ fn main() {
         "{:>5} {:>6} {:>10} {:>10} {:>11} {:>9} {:>10}",
         "level", "nodes", "min_wt", "max_wt", "mean_wt", "wt_cv", "diameter"
     );
-    for s in inspect::level_stats(portal.tree()) {
+    for s in inspect::level_stats(portal.snapshot().tree()) {
         println!(
             "{:>5} {:>6} {:>10} {:>10} {:>11.1} {:>9.3} {:>10.2}",
             s.level,

@@ -12,7 +12,7 @@
 //! ```
 
 use colr_repro::colr::{Mode, ResilientConfig, ResilientProber, TimeDelta, Timestamp};
-use colr_repro::engine::{Portal, PortalConfig};
+use colr_repro::engine::{PortalConfig, PortalService, QueryRequest};
 use colr_repro::sensors::{ConstantField, SimNetwork};
 use colr_repro::workload::ScenarioConfig;
 
@@ -46,7 +46,7 @@ fn main() {
             ..Default::default()
         },
     );
-    let mut portal = Portal::new(
+    let portal = PortalService::new(
         scenario.sensors.clone(),
         prober,
         PortalConfig {
@@ -63,12 +63,14 @@ fn main() {
         extent.min.x, extent.min.y, extent.max.x, extent.max.y
     );
 
+    let request = QueryRequest::from_sql(&sql).expect("smoke query parses");
+
     let mut total_retries = 0u64;
     let mut total_skipped = 0u64;
     let mut last_fulfillment = 0.0;
     for i in 0..30 {
         portal.clock().advance(TimeDelta::from_mins(3));
-        let res = portal.query_sql(&sql).expect("smoke query runs");
+        let res = portal.execute(&request).expect("smoke query runs").result;
         total_retries += res.degradation.probes_retried;
         total_skipped += res.degradation.breaker_skipped;
         last_fulfillment = res.degradation.fulfillment();

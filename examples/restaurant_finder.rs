@@ -7,7 +7,7 @@
 //! ```
 
 use colr_repro::colr::TimeDelta;
-use colr_repro::engine::{Portal, PortalConfig};
+use colr_repro::engine::{PortalConfig, PortalService, QueryRequest};
 use colr_repro::sensors::{RandomWalkField, SimNetwork};
 use colr_repro::workload::{PlacementModel, QueryWorkloadConfig, ScenarioConfig};
 
@@ -32,7 +32,7 @@ fn main() {
     let field = RandomWalkField::new(scenario.sensors.len(), 0.0, 90.0, 4.0, 11);
     let network = SimNetwork::new(scenario.sensors.clone(), field, 99);
 
-    let mut portal = Portal::new(scenario.sensors.clone(), network, PortalConfig::default());
+    let portal = PortalService::new(scenario.sensors.clone(), network, PortalConfig::default());
 
     // A user pans to downtown (around the busiest neighbourhood) and asks
     // for restaurants with wait times, clustered at ~60 map units, sampling
@@ -53,7 +53,8 @@ fn main() {
     );
     println!("portal query:\n  {sql}\n");
 
-    let result = portal.query_sql(&sql).expect("valid dialect query");
+    let request = QueryRequest::from_sql(&sql).expect("valid dialect query");
+    let result = portal.execute(&request).expect("portal answers").result;
     println!(
         "average wait in view: {:.1} min (from {} sampled restaurants, {} probes, {:.1} ms)",
         result.value.unwrap_or(f64::NAN),
@@ -91,7 +92,8 @@ fn main() {
         centre.x + 60.0,
         centre.y + 60.0,
     );
-    let result2 = portal.query_sql(&zoomed).expect("valid dialect query");
+    let request = QueryRequest::from_sql(&zoomed).expect("valid dialect query");
+    let result2 = portal.execute(&request).expect("portal answers").result;
     println!(
         "\nafter zoom-in: {} finer groups, {} probes ({} readings straight from cache)",
         result2.groups.len(),

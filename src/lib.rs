@@ -3,6 +3,8 @@
 //! Re-exports the member crates so integration tests and examples can use a
 //! single dependency root. See `README.md` for the tour.
 
+#![forbid(unsafe_code)]
+
 pub use colr_engine as engine;
 pub use colr_geo as geo;
 pub use colr_relstore as relstore;

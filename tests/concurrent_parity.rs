@@ -1,6 +1,6 @@
 //! Concurrency correctness of the shared-state COLR-Tree.
 //!
-//! (a) `Portal::execute_many` over a shuffled batch must yield, per query,
+//! (a) `PortalService::execute_many` over a shuffled batch must yield, per query,
 //!     the same `GroupView`s at any worker-thread count — the per-query RNG
 //!     seeds are derived from (portal seed, submission index), and the batch
 //!     runs frozen against one snapshot, so scheduling cannot leak into
@@ -11,7 +11,7 @@
 
 use colr_repro::colr::probe::AlwaysAvailable;
 use colr_repro::colr::{ColrConfig, ColrTree, Mode, Query, SensorMeta, TimeDelta, Timestamp};
-use colr_repro::engine::{parse, Portal, PortalConfig, SelectQuery};
+use colr_repro::engine::{parse, PortalConfig, PortalService, SelectQuery};
 use colr_repro::geo::Rect;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -33,8 +33,8 @@ fn grid_sensors(n: usize) -> (Vec<SensorMeta>, usize) {
     (sensors, side)
 }
 
-fn portal(sensors: Vec<SensorMeta>, seed: u64) -> Portal<AlwaysAvailable> {
-    Portal::new(
+fn portal(sensors: Vec<SensorMeta>, seed: u64) -> PortalService<AlwaysAvailable> {
+    PortalService::new(
         sensors,
         AlwaysAvailable {
             expiry_ms: EXPIRY_MS,
@@ -79,10 +79,10 @@ fn parallel_execute_many_matches_sequential() {
     let (sensors, side) = grid_sensors(900);
     let batch = shuffled_batch(side, 24, 99);
 
-    let mut seq = portal(sensors.clone(), 7);
-    let mut par = portal(sensors, 7);
-    let a = seq.execute_many(&batch, 1);
-    let b = par.execute_many(&batch, 8);
+    let seq = portal(sensors.clone(), 7);
+    let par = portal(sensors, 7);
+    let a = seq.execute_many(&batch, 1).expect("batch");
+    let b = par.execute_many(&batch, 8).expect("batch");
 
     assert_eq!(a.results.len(), b.results.len());
     for (i, (ra, rb)) in a.results.iter().zip(&b.results).enumerate() {
@@ -137,7 +137,7 @@ fn deterministic_probe_failures_are_thread_count_invariant() {
         .collect();
 
     let make_portal = |seed| {
-        Portal::new(
+        PortalService::new(
             sensors.clone(),
             FailEveryKth::new(EXPIRY_MS, 3),
             PortalConfig {
@@ -147,15 +147,15 @@ fn deterministic_probe_failures_are_thread_count_invariant() {
             },
         )
     };
-    let mut seq = make_portal(7);
-    let mut par = make_portal(7);
+    let seq = make_portal(7);
+    let par = make_portal(7);
     for round in 0..3 {
         // Step past the default staleness so every round re-probes and the
         // per-sensor failure ordinals advance.
         seq.clock().advance(TimeDelta::from_mins(6));
         par.clock().advance(TimeDelta::from_mins(6));
-        let a = seq.execute_many(&batch, 1);
-        let b = par.execute_many(&batch, 8);
+        let a = seq.execute_many(&batch, 1).expect("batch");
+        let b = par.execute_many(&batch, 8).expect("batch");
         assert!(a.stats.probes_failed > 0, "round {round}: no failures");
         assert_eq!(
             format!("{:?}", a.stats),

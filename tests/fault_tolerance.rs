@@ -21,7 +21,7 @@ use colr_repro::colr::{
     BreakerState, ColrConfig, ColrTree, LiveAvailability, Mode, Query, ResilientConfig,
     ResilientProber, SensorId, SensorMeta, TimeDelta, Timestamp,
 };
-use colr_repro::engine::{Portal, PortalConfig};
+use colr_repro::engine::{PortalConfig, PortalService, QueryRequest};
 use colr_repro::geo::{Point, Rect};
 use colr_repro::sensors::{ConstantField, FaultEvent, FaultPlan, SimNetwork};
 use proptest::prelude::*;
@@ -227,7 +227,7 @@ fn portal_reports_degradation_under_outage() {
             ..Default::default()
         },
     );
-    let mut portal = Portal::new(
+    let portal = PortalService::new(
         sensors,
         prober,
         PortalConfig {
@@ -238,10 +238,11 @@ fn portal_reports_degradation_under_outage() {
     let live: Arc<LiveAvailability> = portal.enable_resilience_feedback(0.3);
     let sql = "SELECT count(*) FROM sensor WHERE location WITHIN \
                RECT(-0.5, -0.5, 15.5, 15.5) SAMPLESIZE 120";
+    let req = QueryRequest::from_sql(sql).expect("parses");
     let mut last = None;
     for _ in 0..12 {
         portal.clock().advance(TimeDelta::from_mins(6));
-        last = Some(portal.query_sql(sql).expect("query runs"));
+        last = Some(portal.execute(&req).expect("query runs").result);
     }
     let res = last.unwrap();
     assert_eq!(res.degradation.requested, 120.0);

@@ -21,7 +21,7 @@ use colr_repro::colr::{
     flight, ColrConfig, ColrTree, HotPathLayout, Mode, ProbeService, Query, Reading,
     ResilientConfig, ResilientProber, SensorId, SensorMeta, TimeDelta, Timestamp,
 };
-use colr_repro::engine::{Portal, PortalConfig, PortalService};
+use colr_repro::engine::{ExplainLevel, PortalConfig, PortalService, QueryRequest};
 use colr_repro::geo::{Point, Rect};
 use colr_repro::telemetry::{SloConfig, SloWatchdog};
 use rand::rngs::StdRng;
@@ -120,7 +120,7 @@ fn recording_never_changes_answers() {
     // Two identical portals, same seed, same queries; one records every
     // query, the other never does. Answers must match byte for byte.
     let build = |every: u64| {
-        Portal::new(
+        PortalService::new(
             fleet(),
             AlwaysAvailable {
                 expiry_ms: EXPIRY_MS,
@@ -131,13 +131,14 @@ fn recording_never_changes_answers() {
             },
         )
     };
-    let mut plain = build(0);
-    let mut recorded = build(1);
+    let plain = build(0);
+    let recorded = build(1);
     let sql = "SELECT avg(value) FROM sensor WHERE location WITHIN \
                RECT(-0.5,-0.5,11.5,11.5) SAMPLESIZE 40";
+    let req = QueryRequest::from_sql(sql).expect("parses");
     for round in 0..4 {
-        let a = plain.query_sql(sql).expect("plain query");
-        let b = recorded.query_sql(sql).expect("recorded query");
+        let a = plain.execute(&req).expect("plain query").result;
+        let b = recorded.execute(&req).expect("recorded query").result;
         assert_eq!(
             format!("{:?}", (a.value, &a.groups, &a.stats, a.latency_ms)),
             format!("{:?}", (b.value, &b.groups, &b.stats, b.latency_ms)),
@@ -167,12 +168,13 @@ fn explain_analyze_executes_and_asserts_parity_on_both_layouts() {
                    WITHIN RECT(-0.5,-0.5,11.5,11.5) SAMPLESIZE 50";
         // Cold, then warm: the second run must show cache activity in the
         // stage tree and still hold parity.
-        let cold = portal
-            .explain_analyze_sql(sql)
-            .expect("cold explain analyze");
-        let warm = portal
-            .explain_analyze_sql(sql)
-            .expect("warm explain analyze");
+        let analyze = |req: &QueryRequest| {
+            let resp = portal.execute(req).expect("explain analyze");
+            resp.explain.expect("Analyze responses carry explain text")
+        };
+        let req = QueryRequest::from_sql(sql).expect("parses");
+        let cold = analyze(&req);
+        let warm = analyze(&req);
         for (tag, report) in [("cold", &cold), ("warm", &warm)] {
             for needle in [
                 "flight record",
@@ -197,13 +199,15 @@ fn explain_analyze_executes_and_asserts_parity_on_both_layouts() {
             cold.contains("wave"),
             "{layout:?}: cold run issued no probe wave:\n{cold}"
         );
-        // The bare-SELECT form is accepted too.
-        let bare = portal
-            .explain_analyze_sql(
+        // A bare SELECT raised to the Analyze level is the same request.
+        let bare = analyze(
+            &QueryRequest::from_sql(
                 "SELECT count(*) FROM sensor WHERE location WITHIN \
                  RECT(-0.5,-0.5,5.5,5.5) SAMPLESIZE 10",
             )
-            .expect("bare select analyzes");
+            .expect("parses")
+            .with_explain(ExplainLevel::Analyze),
+        );
         assert!(bare.contains("parity: stage totals == QueryStats (bit-exact)"));
         // EXPLAIN ANALYZE must not leak an armed recorder onto the thread.
         assert!(
@@ -273,8 +277,9 @@ fn regional_outage_breaches_the_fulfillment_objective_with_flight_records() {
         SIDE as f64 - 0.5,
         SIDE as f64 - 0.5
     );
+    let req = QueryRequest::from_sql(&sql).expect("parses");
     for _ in 0..16 {
-        let r = svc.query_sql(&sql).expect("query under outage");
+        let r = svc.execute(&req).expect("query under outage").result;
         assert!(r.degradation.requested > 0.0);
     }
     let breaches = watchdog.breaches();

@@ -23,7 +23,7 @@ use colr_repro::colr::probe::AlwaysAvailable;
 use colr_repro::colr::{
     ColrConfig, ColrTree, HotPathLayout, Mode, Query, SensorId, SensorMeta, TimeDelta, Timestamp,
 };
-use colr_repro::engine::{parse, Portal, PortalConfig, SelectQuery};
+use colr_repro::engine::{parse, PortalConfig, PortalService, SelectQuery};
 use colr_repro::geo::{Circle, Point, Polygon, Rect, Region};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -46,8 +46,8 @@ fn fleet() -> Vec<SensorMeta> {
         .collect()
 }
 
-fn portal(layout: HotPathLayout, seed: u64) -> Portal<AlwaysAvailable> {
-    Portal::new(
+fn portal(layout: HotPathLayout, seed: u64) -> PortalService<AlwaysAvailable> {
+    PortalService::new(
         fleet(),
         AlwaysAvailable {
             expiry_ms: EXPIRY_MS,
@@ -121,17 +121,17 @@ fn arena_stream_is_bit_identical_across_seeds_and_threads() {
         // The pointer portal at one thread is the reference stream; the
         // arena portal must reproduce it at every thread count (parity AND
         // thread-count invariance in one matrix).
-        let mut reference = portal(HotPathLayout::Pointer, seed);
-        let cold_ref = reference.execute_many(&batch, 1);
-        let warm_ref = reference.execute_many(&batch, 1);
+        let reference = portal(HotPathLayout::Pointer, seed);
+        let cold_ref = reference.execute_many(&batch, 1).expect("batch");
+        let warm_ref = reference.execute_many(&batch, 1).expect("batch");
         assert!(
             warm_ref.stats.readings_from_cache > 0 || warm_ref.stats.cache_nodes_used > 0,
             "seed {seed}: warm pass never touched a cache — parity not exercised"
         );
         for threads in [1usize, 2, 8] {
-            let mut arena = portal(HotPathLayout::Arena, seed);
-            let cold = arena.execute_many(&batch, threads);
-            let warm = arena.execute_many(&batch, threads);
+            let arena = portal(HotPathLayout::Arena, seed);
+            let cold = arena.execute_many(&batch, threads).expect("batch");
+            let warm = arena.execute_many(&batch, threads).expect("batch");
             assert_batches_equal(
                 &format!("seed {seed} threads {threads} cold"),
                 &cold_ref,
@@ -278,21 +278,25 @@ fn live_availability_stream_is_bit_identical_across_seeds_shapes_and_threads() {
     // Seeds × thread counts: the batch matrix of (a), on degraded trees.
     for seed in [3u64, 17, 91] {
         let batch = viewport_batch(seed.wrapping_mul(1_000_003));
-        let mut reference = portal(HotPathLayout::Pointer, seed);
-        degrade(reference.tree());
-        let cold_ref = reference.execute_many(&batch, 1);
-        let warm_ref = reference.execute_many(&batch, 1);
-        let mut frozen = portal(HotPathLayout::Pointer, seed);
+        let reference = portal(HotPathLayout::Pointer, seed);
+        degrade(reference.snapshot().tree());
+        let cold_ref = reference.execute_many(&batch, 1).expect("batch");
+        let warm_ref = reference.execute_many(&batch, 1).expect("batch");
+        let frozen = portal(HotPathLayout::Pointer, seed);
         assert_ne!(
-            frozen.execute_many(&batch, 1).stats.sensors_probed,
+            frozen
+                .execute_many(&batch, 1)
+                .expect("batch")
+                .stats
+                .sensors_probed,
             cold_ref.stats.sensors_probed,
             "seed {seed}: live estimates never changed a target — branch not exercised"
         );
         for threads in [1usize, 2, 8] {
-            let mut arena = portal(HotPathLayout::Arena, seed);
-            degrade(arena.tree());
-            let cold = arena.execute_many(&batch, threads);
-            let warm = arena.execute_many(&batch, threads);
+            let arena = portal(HotPathLayout::Arena, seed);
+            degrade(arena.snapshot().tree());
+            let cold = arena.execute_many(&batch, threads).expect("batch");
+            let warm = arena.execute_many(&batch, threads).expect("batch");
             assert_batches_equal(
                 &format!("live seed {seed} threads {threads} cold"),
                 &cold_ref,

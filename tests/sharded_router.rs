@@ -101,8 +101,9 @@ fn single_shard_router_is_bit_identical_to_bare_service() {
         // compared too, not just probe-path sampling.
         for round in 0..2 {
             for sql in shape_sqls() {
-                let a = bare.query_sql(sql).expect("bare query");
-                let b = routed.query_sql(sql).expect("routed query");
+                let req = QueryRequest::from_sql(sql).expect("shape SQL parses");
+                let a = bare.execute(&req).expect("bare query").result;
+                let b = routed.execute(&req).expect("routed query").result;
                 assert_results_identical(&a, &b, &format!("seed {seed} round {round} `{sql}`"));
             }
         }
@@ -202,7 +203,10 @@ fn dead_shard_degrades_the_answer_instead_of_failing_it() {
     // A viewport entirely inside the live shard is untouched by the outage.
     let west_only =
         "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-5, -5, 30, 25) SAMPLESIZE 16";
-    let healthy = router.query_sql(west_only).expect("west-only query");
+    let healthy = router
+        .execute(&QueryRequest::from_sql(west_only).expect("west-only SQL"))
+        .expect("west-only query")
+        .result;
     assert!(
         healthy.degradation.worst_fulfillment() >= 1.0,
         "live-shard viewport must stay fully fulfilled, got {:?}",
