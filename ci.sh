@@ -8,11 +8,12 @@ cd "$(dirname "$0")"
 cargo fmt --check
 
 # One-path gate: one index (the LSM), two front doors (PortalService,
-# ShardedPortal), one request API. The names of what was deleted to get
-# there must not come back; `#![forbid(unsafe_code)]` in every first-party
-# crate root holds the rest of the line.
-if grep -rnE '\bPortal(::new|<)|\bMonolithic\b|SharedPortal|reindex_discarding|pending_unindexed' \
-    crates src tests examples; then
+# ShardedPortal), one request API, one bench harness (benchmark/), each
+# child weight stored once. The names of what was deleted to get there must
+# not come back; `#![forbid(unsafe_code)]` in every first-party crate root
+# holds the rest of the line.
+if grep -rnE '\bPortal(::new|<)|\bMonolithic\b|SharedPortal|reindex_discarding|pending_unindexed|AliasTable|Morton|morton_pack|\bcriterion\b' \
+    crates src tests examples Cargo.toml; then
     echo "ci: a deleted path is back (matches above)" >&2
     exit 1
 fi
@@ -85,6 +86,8 @@ echo "ci: hot-path parity smoke OK"
 # its per-answer audit (exit 0) and pay at most one probe wave per query —
 # select -> collect -> complete sends a request's probes out together.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
+# No dependency edge of a crate the runner links may change under it.
+git diff --exit-code benchmark/Cargo.lock
 waves=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
     --quick --workload live_local --trace 0 --seconds 2 |
     awk '$1 == "info" && $2 == "waves_per_query" { print $3 }')

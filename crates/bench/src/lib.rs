@@ -1,9 +1,8 @@
 //! # colr-bench
 //!
 //! The benchmark harness reproducing the paper's evaluation (Section VII).
-//! The `experiments` binary regenerates every table and figure; the Criterion
-//! benches under `benches/` measure the micro-operations (slot-cache ops,
-//! lookup modes, sampling, bulk build, relational backend).
+//! The `experiments` binary regenerates every table and figure; timing the
+//! serving stack is `benchmark/`'s job (its per-layer rows).
 //!
 //! This library holds the shared setup: scenario construction, trace
 //! replay, and per-query measurement records.
@@ -11,9 +10,7 @@
 #![forbid(unsafe_code)]
 
 use colr_geo::Region;
-use colr_tree::{
-    ColrConfig, ColrTree, FlatCache, Mode, ProbeService, Query, QueryStats, Timestamp,
-};
+use colr_tree::{ColrConfig, ColrTree, FlatCache, Mode, ProbeService, Query, QueryStats};
 use colr_workload::{Scenario, ScenarioConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -155,12 +152,6 @@ pub fn mean(values: impl Iterator<Item = f64>) -> f64 {
     } else {
         sum / n as f64
     }
-}
-
-/// Advances the probe timestamp base: simple helper for one-off probes in
-/// benches.
-pub fn t(ms: u64) -> Timestamp {
-    Timestamp(ms)
 }
 
 #[cfg(test)]

@@ -15,12 +15,9 @@
 //!   viewport is a branch-free pass over four contiguous slices, processed
 //!   four lanes at a time so LLVM lowers it to SIMD compares
 //!   ([`SamplingArena::classify_children`]).
-//! * **Per-node alias tables** — a Walker/Vose [`AliasTable`] over the child
-//!   weights `w_i`, built once per generation. Its in-order `total()` doubles
-//!   as the precomputed denominator of Algorithm 1's proportional split for
-//!   fully contained nodes, and its O(1) draws power the standalone weighted
-//!   samplers [`SamplingArena::draw_sensor`] / [`SamplingArena::sample_region`]
-//!   (optionally perturbed by live availability means).
+//! * **One weight per node** — `weight[i]` is `w_i`; a node's child weights
+//!   are the slice `weight[child_start .. child_start + child_len]`, which is
+//!   all Algorithm 1's proportional split of a fully contained node reads.
 //! * **Flattened sensors** — leaf sensor ids, locations, and kinds in three
 //!   parallel arrays, so terminal scans touch no `SensorMeta`.
 //!
@@ -29,8 +26,8 @@
 //! `exec_colr_arena` is gated on producing **bit-identical** sample streams
 //! to `exec_colr`: every RNG draw must happen at the same point with the same
 //! arguments. The arena therefore keeps Algorithm 1's deterministic
-//! proportional split (alias draws are *not* used on this path) and restricts
-//! its geometric fast paths to `Region::Rect`, where `<=`/`>=` comparisons
+//! proportional split and restricts its geometric fast paths to
+//! `Region::Rect`, where `<=`/`>=` comparisons
 //! are exact and transitive: a viewport containing a node's MBR contains
 //! every descendant MBR and sensor, so skipped per-child overlap tests and
 //! per-sensor point tests are provably no-ops. Polygon and circle regions use
@@ -42,7 +39,6 @@
 use colr_geo::{Point, Rect, Region};
 use rand::Rng;
 
-use crate::alias::AliasTable;
 use crate::avail::LiveAvailability;
 use crate::lookup::{GroupResult, ProbePlan, Query, QueryOutput};
 use crate::reading::{Reading, SensorId};
@@ -78,9 +74,6 @@ pub struct SamplingArena {
     child_len: Vec<u32>,
     sensor_start: Vec<u32>,
     sensor_len: Vec<u32>,
-    /// Internal nodes: alias table over child weights (in child order).
-    /// Leaves: uniform table over the leaf's sensors.
-    alias: Vec<AliasTable>,
     // --- flattened leaf sensors (leaf order) ---------------------------
     sensors: Vec<SensorId>,
     sensor_x: Vec<f64>,
@@ -88,8 +81,6 @@ pub struct SamplingArena {
     sensor_kind: Vec<u16>,
     /// `SensorMeta::availability`, the frozen `a_i` of the sensor.
     sensor_avail: Vec<f64>,
-    /// `NodeId.0` → arena index.
-    arena_of: Vec<u32>,
 }
 
 impl SamplingArena {
@@ -134,16 +125,13 @@ impl SamplingArena {
             child_len,
             sensor_start: Vec::with_capacity(n),
             sensor_len: Vec::with_capacity(n),
-            alias: Vec::with_capacity(n),
             sensors: Vec::new(),
             sensor_x: Vec::new(),
             sensor_y: Vec::new(),
             sensor_kind: Vec::new(),
             sensor_avail: Vec::new(),
-            arena_of: vec![u32::MAX; n],
         };
-        let mut wbuf: Vec<f64> = Vec::new();
-        for (idx, &id) in order.iter().enumerate() {
+        for &id in &order {
             let node = tree.node(id);
             a.min_x.push(node.bbox.min.x);
             a.min_y.push(node.bbox.min.y);
@@ -154,13 +142,10 @@ impl SamplingArena {
             a.weight.push(node.weight as f64);
             a.avail_mean.push(node.avail_mean);
             a.orig.push(id);
-            a.arena_of[id.0 as usize] = idx as u32;
-            wbuf.clear();
             match &node.children {
-                Children::Internal(ch) => {
+                Children::Internal(_) => {
                     a.sensor_start.push(0);
                     a.sensor_len.push(0);
-                    wbuf.extend(ch.iter().map(|&c| tree.node(c).weight as f64));
                 }
                 Children::Leaf(sensors) => {
                     a.sensor_start.push(a.sensors.len() as u32);
@@ -173,10 +158,8 @@ impl SamplingArena {
                         a.sensor_kind.push(meta.kind);
                         a.sensor_avail.push(meta.availability);
                     }
-                    wbuf.extend(std::iter::repeat_n(1.0, sensors.len()));
                 }
             }
-            a.alias.push(AliasTable::new(&wbuf));
         }
         a
     }
@@ -221,12 +204,6 @@ impl SamplingArena {
         self.orig[idx]
     }
 
-    /// The arena index of a pointer-tree node.
-    #[inline]
-    pub fn arena_index(&self, id: NodeId) -> usize {
-        self.arena_of[id.0 as usize] as usize
-    }
-
     /// First arena index of the node's children.
     #[inline]
     pub fn child_start(&self, idx: usize) -> usize {
@@ -249,12 +226,6 @@ impl SamplingArena {
     #[inline]
     pub fn sensor_len(&self, idx: usize) -> usize {
         self.sensor_len[idx] as usize
-    }
-
-    /// The node's alias table (child weights, or uniform sensor weights).
-    #[inline]
-    pub fn alias(&self, idx: usize) -> &AliasTable {
-        &self.alias[idx]
     }
 
     /// Sensor id at flat slot `j`.
@@ -338,89 +309,14 @@ impl SamplingArena {
             j += 1;
         }
     }
-
-    /// Draws the flat sensor slot of one weighted root-to-leaf descent.
-    fn draw_flat<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        live: Option<&LiveAvailability>,
-    ) -> Option<usize> {
-        if self.len == 0 {
-            return None;
-        }
-        let mut idx = 0usize;
-        loop {
-            let al = &self.alias[idx];
-            if self.child_len[idx] == 0 {
-                let start = self.sensor_start[idx] as usize;
-                let j = match live {
-                    None => al.draw(rng)?,
-                    Some(live) => al
-                        .perturbed(|j| live.sensor(self.sensors[start + j]))
-                        .draw(rng)?,
-                };
-                return Some(start + j);
-            }
-            let start = self.child_start[idx] as usize;
-            let j = match live {
-                None => al.draw(rng)?,
-                Some(live) => al
-                    .perturbed(|j| live.node(self.orig[start + j]))
-                    .draw(rng)?,
-            };
-            idx = start + j;
-        }
-    }
-
-    /// Draws one sensor with probability proportional to its weight along a
-    /// root-to-leaf alias descent (O(height) with O(1) work per level).
-    ///
-    /// When `live` is provided, each level's child weights are perturbed by
-    /// the live availability means before drawing, biasing the draw toward
-    /// subtrees that are actually answering — the weighted analogue of
-    /// Algorithm 1's oversampling. This is the *standalone* sampler; the
-    /// query path keeps the deterministic proportional split for parity.
-    pub fn draw_sensor<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        live: Option<&LiveAvailability>,
-    ) -> Option<SensorId> {
-        self.draw_flat(rng, live).map(|j| self.sensors[j])
-    }
-
-    /// Draws up to `k` *distinct* sensors inside `region` by rejection
-    /// sampling over [`Self::draw_sensor`], giving up after `max_attempts`
-    /// draws. Useful for seeding map overlays without a full query.
-    pub fn sample_region<R: Rng + ?Sized>(
-        &self,
-        region: &Region,
-        k: usize,
-        max_attempts: usize,
-        rng: &mut R,
-    ) -> Vec<SensorId> {
-        let mut out: Vec<SensorId> = Vec::with_capacity(k.min(16));
-        let mut seen = std::collections::HashSet::new();
-        for _ in 0..max_attempts {
-            if out.len() >= k {
-                break;
-            }
-            let Some(j) = self.draw_flat(rng, None) else {
-                break;
-            };
-            if region.contains_point(&self.sensor_loc(j)) && seen.insert(self.sensors[j]) {
-                out.push(self.sensors[j]);
-            }
-        }
-        out
-    }
 }
 
 impl ColrTree {
     /// Algorithm 1 over the flattened arena. Draw-for-draw identical to
     /// [`ColrTree::exec_colr`] (see the module docs for why), but traversal
     /// state is arena indices, MBR tests run against the SoA coordinate
-    /// slices, and fully contained rectangular nodes take their split
-    /// denominator straight from the prebuilt alias table. With `live` unset
+    /// slices, and fully contained rectangular nodes split over their child
+    /// weight slice with no overlap tests. With `live` unset
     /// every `a_i` is read from the arena's frozen mirror, so the walk
     /// touches neither the availability lock nor the pointer tree for it.
     pub(crate) fn exec_colr_arena<R: Rng + ?Sized>(
@@ -520,16 +416,15 @@ impl ColrTree {
                         // Every child of a contained node is contained
                         // (rect comparisons are transitive), so each overlap
                         // fraction is exactly 1.0 and the split denominator
-                        // is the alias table's in-order weight sum.
-                        let al = arena.alias(idx);
-                        let ws = al.weights();
-                        for (j, &ow) in ws.iter().enumerate().take(clen) {
+                        // is the in-order sum of the child weights.
+                        let ws = &arena.weight[cstart..cstart + clen];
+                        for (j, &ow) in ws.iter().enumerate() {
                             if ow > TARGET_EPS {
                                 scratch.kid_nodes.push((cstart + j) as u32);
                                 scratch.kid_ow.push(ow);
                             }
+                            denom += ow;
                         }
-                        denom = al.total();
                     }
                     (Some(q), None) => {
                         // Partial viewport overlap: classify the child run
@@ -749,8 +644,6 @@ mod tests {
     use crate::reading::SensorMeta;
     use crate::time::TimeDelta;
     use crate::tree::ColrConfig;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn grid_tree(side: usize) -> ColrTree {
         let sensors: Vec<SensorMeta> = (0..side * side)
@@ -775,7 +668,6 @@ mod tests {
         for idx in 0..arena.node_count() {
             let id = arena.orig(idx);
             let node = tree.node(id);
-            assert_eq!(arena.arena_index(id), idx);
             assert_eq!(arena.level(idx), node.level);
             assert_eq!(arena.weight(idx).to_bits(), (node.weight as f64).to_bits());
             assert_eq!(arena.avail_mean(idx).to_bits(), node.avail_mean.to_bits());
@@ -789,17 +681,13 @@ mod tests {
                         // Children are contiguous and in pointer order.
                         assert_eq!(arena.orig(arena.child_start(idx) + j), c);
                     }
-                    // Alias weights are the child weights, and the alias
-                    // total is bitwise the in-order f64 sum the pointer
-                    // path computes as its split denominator.
-                    let al = arena.alias(idx);
-                    let mut sum = 0.0f64;
+                    // The child weight slice is bitwise the weights the
+                    // pointer path sums into its split denominator.
                     for (j, &c) in ch.iter().enumerate() {
                         let w = tree.node(c).weight as f64;
-                        assert_eq!(al.weights()[j].to_bits(), w.to_bits());
-                        sum += w;
+                        let got = arena.weight(arena.child_start(idx) + j);
+                        assert_eq!(got.to_bits(), w.to_bits());
                     }
-                    assert_eq!(al.total().to_bits(), sum.to_bits());
                 }
                 Children::Leaf(sensors) => {
                     assert_eq!(arena.child_len(idx), 0);
@@ -850,44 +738,6 @@ mod tests {
                     assert_eq!(got, expect, "node {idx} child {j} vs {q:?}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn draw_sensor_covers_all_sensors_uniformly() {
-        let tree = grid_tree(4); // 16 sensors, uniform weight 1 each
-        let arena = tree.sampling_arena().unwrap();
-        let mut rng = StdRng::seed_from_u64(99);
-        let mut counts = [0u32; 16];
-        let draws = 32_000;
-        for _ in 0..draws {
-            let s = arena.draw_sensor(&mut rng, None).expect("non-empty arena");
-            counts[s.0 as usize] += 1;
-        }
-        let expect = draws as f64 / 16.0;
-        for (i, &c) in counts.iter().enumerate() {
-            let dev = (c as f64 - expect).abs() / expect;
-            assert!(
-                dev < 0.15,
-                "sensor {i} drawn {c} times (expected ~{expect})"
-            );
-        }
-    }
-
-    #[test]
-    fn sample_region_returns_distinct_matching_sensors() {
-        let tree = grid_tree(8);
-        let arena = tree.sampling_arena().unwrap();
-        let mut rng = StdRng::seed_from_u64(5);
-        let region = Region::Rect(Rect::from_coords(-0.5, -0.5, 3.5, 7.5));
-        let got = arena.sample_region(&region, 10, 10_000, &mut rng);
-        assert!(got.len() == 10, "wanted 10 distinct, got {}", got.len());
-        let mut ids: Vec<u32> = got.iter().map(|s| s.0).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(ids.len(), got.len(), "duplicates returned");
-        for s in &got {
-            assert!(region.contains_point(&tree.sensor(*s).location));
         }
     }
 }

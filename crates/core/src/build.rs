@@ -103,8 +103,7 @@ impl ColrTree {
         );
         tree.assign_levels();
         // Flatten the finished generation into the query-time arena: BFS
-        // numbering (children contiguous), SoA bounding boxes, per-node
-        // alias tables over child weights.
+        // numbering (children contiguous), SoA bounding boxes.
         tree.arena = Some(std::sync::Arc::new(crate::arena::SamplingArena::from_tree(
             &tree,
         )));
@@ -296,9 +295,6 @@ impl Builder {
                 }
             }
             BuildStrategy::Str => str_pack(points, items, k),
-            BuildStrategy::Morton => {
-                crate::morton::morton_pack(points, items, points.len().div_ceil(k).max(1))
-            }
         }
     }
 
@@ -530,31 +526,6 @@ mod tests {
         let tree = ColrTree::build(grid_sensors(20), config, 42);
         tree.validate().expect("valid tree");
         assert_eq!(tree.node(tree.root()).weight, 400);
-    }
-
-    #[test]
-    fn builds_valid_tree_morton() {
-        let config = ColrConfig {
-            build: BuildStrategy::Morton,
-            ..Default::default()
-        };
-        let tree = ColrTree::build(grid_sensors(20), config, 42);
-        tree.validate().expect("valid tree");
-        assert_eq!(tree.node(tree.root()).weight, 400);
-        assert!(tree.leaf_level() >= 1);
-        // Morton construction is RNG-free, hence trivially deterministic.
-        let again = ColrTree::build(
-            grid_sensors(20),
-            ColrConfig {
-                build: BuildStrategy::Morton,
-                ..Default::default()
-            },
-            7,
-        );
-        assert_eq!(tree.node_count(), again.node_count());
-        for id in tree.node_ids() {
-            assert_eq!(tree.node(id).bbox, again.node(id).bbox);
-        }
     }
 
     #[test]

@@ -50,7 +50,6 @@
 #![forbid(unsafe_code)]
 
 pub mod agg;
-pub mod alias;
 pub mod arena;
 pub mod avail;
 pub mod build;
@@ -61,7 +60,6 @@ pub mod lookup;
 pub mod lsm;
 pub mod metrics;
 pub mod model;
-pub mod morton;
 pub mod probe;
 pub mod reading;
 pub mod resilient;
@@ -75,14 +73,16 @@ pub mod time;
 pub mod tree;
 
 pub use agg::{AggKind, Histogram, PartialAgg};
-pub use alias::AliasTable;
 pub use arena::SamplingArena;
 pub use avail::LiveAvailability;
 pub use build::kmeans_partition;
 pub use flat_cache::{FlatCache, FlatOutput};
 pub use flight::{FlightRecord, LevelStage, RetryRound, WaveStage};
 pub use lookup::{GroupResult, Mode, Query, QueryOutput};
-pub use lsm::{L0Level, LsmConfig, LsmLevel, LsmSnapshot, LsmStats, LsmTree, MergeReport};
+pub use lsm::{
+    apportion, derive_seed, L0Level, LsmConfig, LsmLevel, LsmSnapshot, LsmStats, LsmTree,
+    MergeReport,
+};
 pub use model::IdwModel;
 pub use probe::{ProbeReport, ProbeService};
 pub use reading::{Reading, SensorId, SensorMeta};

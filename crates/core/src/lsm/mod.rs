@@ -562,7 +562,7 @@ impl LsmTree {
                     Some(share) => query.clone().with_sample_size(share as f64),
                     None => query.clone(),
                 };
-                let mut comp_rng = StdRng::seed_from_u64(mix(base, i as u64 + 1));
+                let mut comp_rng = StdRng::seed_from_u64(derive_seed(base, i as u64 + 1));
                 let (fixes_from, ids_from) = (plan.fixes.len(), plan.ids.len());
                 let out = level
                     .tree()
@@ -574,7 +574,8 @@ impl LsmTree {
             let l0_part = if shares[l0_component] == Some(0) {
                 None
             } else {
-                let mut comp_rng = StdRng::seed_from_u64(mix(base, l0_component as u64 + 1));
+                let mut comp_rng =
+                    StdRng::seed_from_u64(derive_seed(base, l0_component as u64 + 1));
                 let share = shares[l0_component];
                 select_l0(
                     &l0_cands,
@@ -737,7 +738,7 @@ impl LsmTree {
             key,
             &metas,
             self.config.clone(),
-            mix(self.seed, merge_ordinal),
+            derive_seed(self.seed, merge_ordinal),
         ));
         new_level.tree().advance(now);
 
@@ -919,11 +920,19 @@ fn select_l0<R: Rng + ?Sized>(
     })
 }
 
-/// Largest-remainder apportionment of `r` across `targets` by weight —
-/// the same scheme the shard router uses across shards, applied here across
-/// levels: floors first, then one leftover unit per highest fractional part
-/// (ties to the lower component index). Deterministic and sums to `r`.
-fn apportion(r: usize, targets: &[(usize, f64)]) -> Vec<usize> {
+/// Largest-remainder apportionment of `r` across `targets` in proportion to
+/// their weights — Algorithm 1's proportional split lifted to whole units,
+/// across LSM components here and across shards in the engine's router:
+/// floors first, then one leftover unit per highest fractional part (ties to
+/// the lower target index). Deterministic and sums to `r`, without the
+/// rounding drift of independent `round()`s.
+///
+/// The ideals are `f64`, exact only up to 2^53, and no population is that
+/// large: `r` is capped there, so an absurd target (`SAMPLESIZE 1e30`
+/// saturates to `usize::MAX`) can neither overflow the floor sum nor spin
+/// the leftover loop.
+pub fn apportion(r: usize, targets: &[(usize, f64)]) -> Vec<usize> {
+    let r = r.min(1 << 53);
     let total: f64 = targets.iter().map(|&(_, w)| w).sum();
     if total <= 0.0 {
         let mut shares = vec![0; targets.len()];
@@ -949,9 +958,11 @@ fn apportion(r: usize, targets: &[(usize, f64)]) -> Vec<usize> {
     shares
 }
 
-/// splitmix64 finaliser: derives an independent component seed from one base
-/// draw, matching the engine's per-query seed derivation discipline.
-fn mix(seed: u64, i: u64) -> u64 {
+/// splitmix64 finaliser: derives the seed of stream `i` under `seed`, so
+/// neighbouring indices get decorrelated streams. The engine's per-query
+/// seeds (interactive ordinals, batch indices, shards) and the LSM's
+/// per-component and per-merge seeds all come from here.
+pub fn derive_seed(seed: u64, i: u64) -> u64 {
     let mut z = seed ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

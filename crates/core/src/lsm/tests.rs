@@ -444,9 +444,17 @@ fn apportionment_is_exact_and_deterministic() {
     let shares = apportion(10, &targets);
     assert_eq!(shares.iter().sum::<usize>(), 10);
     assert_eq!(shares, vec![6, 2, 2]);
+    // Remainders break ties toward the lower target index.
     let tied = apportion(4, &[(0usize, 1.0), (1, 1.0), (2, 1.0)]);
     assert_eq!(tied, vec![2, 1, 1]);
+    // Degenerate weights: everything lands on the first target.
     assert_eq!(apportion(5, &[(0usize, 0.0), (1, 0.0)]), vec![5, 0]);
+    // A starving split leaves zero shares (the router skips them).
+    assert_eq!(apportion(1, &[(0usize, 1.0), (1, 100.0)]), vec![0, 1]);
+    // An absurd target is capped where the f64 ideals stop being exact: it
+    // returns at once and the floor sum cannot overflow.
+    let huge = apportion(usize::MAX, &[(0usize, 1.0), (1, 1.0)]);
+    assert_eq!(huge, vec![1 << 52, 1 << 52]);
 }
 
 #[test]

@@ -179,9 +179,6 @@ pub enum BuildStrategy {
     },
     /// Sort-Tile-Recursive packing.
     Str,
-    /// Morton (Z-order) curve packing: sort by interleaved-bit key, chunk
-    /// consecutive runs. The cheap flat baseline of the bench matrix.
-    Morton,
 }
 
 impl Default for BuildStrategy {

@@ -69,10 +69,17 @@ fn tokenize(input: &str) -> Result<Vec<Token<'_>>, ParseError> {
                 && matches!(rest.as_bytes().get(1), Some(d) if d.is_ascii_digit() || *d == b'.'))
         {
             let sign = usize::from(c == '-');
+            // Digits, `.`, `e`/`E`, and one sign directly after the exponent
+            // marker (`1e-3`).
+            let body = &rest.as_bytes()[sign..];
             let len = sign
-                + run(&rest[sign..], |b| {
-                    b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E')
-                });
+                + (0..body.len())
+                    .position(|i| match body[i] {
+                        b'0'..=b'9' | b'.' | b'e' | b'E' => false,
+                        b'+' | b'-' => i == 0 || !matches!(body[i - 1], b'e' | b'E'),
+                        _ => true,
+                    })
+                    .unwrap_or(body.len());
             let num = &rest[..len];
             let v = num.parse::<f64>().map_err(|_| ParseError {
                 message: format!("bad number `{num}`"),
@@ -610,6 +617,26 @@ mod tests {
                 assert_eq!(c.radius, 2.5);
             }
             other => panic!("expected circle, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn exponent_sign_belongs_to_the_number() {
+        let q = parse(
+            "SELECT count(*) FROM sensor WHERE location WITHIN RECT(1e-3, -2E+1, 1e3, 5) \
+             CLUSTER 1e-3",
+        )
+        .expect("parses");
+        assert_eq!(
+            q.within,
+            SpatialPredicate::Rect(Rect::from_coords(0.001, -20.0, 1000.0, 5.0))
+        );
+        assert_eq!(q.cluster, Some(0.001));
+        // One sign, directly after the marker; a bare exponent is no number.
+        for bad in ["1e", "1e-", "1e--3"] {
+            let sql =
+                format!("SELECT count(*) FROM sensor WHERE location WITHIN RECT({bad},0,1,1)");
+            assert!(parse(&sql).is_err(), "{bad} parsed");
         }
     }
 

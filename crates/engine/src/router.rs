@@ -34,8 +34,8 @@ use std::sync::{Arc, OnceLock};
 use colr_geo::{Point, Rect};
 use colr_telemetry::{global, Counter};
 use colr_tree::{
-    kmeans_partition, AggKind, BuildStrategy, ClockHandle, Histogram, Mode, ProbeService,
-    QueryStats, SensorId, SensorMeta, TimeDelta, Timestamp,
+    apportion, derive_seed, kmeans_partition, AggKind, BuildStrategy, ClockHandle, Histogram, Mode,
+    ProbeService, QueryStats, SensorId, SensorMeta, TimeDelta, Timestamp,
 };
 use parking_lot::{Mutex, RwLock};
 
@@ -43,7 +43,7 @@ use crate::ast::SelectQuery;
 use crate::error::PortalError;
 use crate::portal::{BatchResult, DegradationReport, PortalConfig, PortalResult};
 use crate::request::{ExplainLevel, QueryRequest, QueryResponse, ShardOutcome};
-use crate::service::{derive_seed, trace_parse, PortalService, Reindexer};
+use crate::service::{trace_parse, PortalService, Reindexer};
 
 // ---------------------------------------------------------------------------
 // Telemetry
@@ -435,9 +435,11 @@ impl<P: ProbeService> ShardedPortal<P> {
         let mut first_failure: Option<(usize, PortalError)> = None;
         for (i, &(s, _)) in targets.iter().enumerate() {
             let share = shares[i];
-            if share == Some(0) {
+            if share == Some(0) && target_r != Some(0) {
                 // Apportionment starved this shard: skip it without paying
                 // its admission slot; its zero slice is already accounted.
+                // `SAMPLESIZE 0` starves nobody: every shard answers its
+                // empty slice, so the gather below has answers to merge.
                 continue;
             }
             let sub = match share {
@@ -751,57 +753,9 @@ fn shard_info<P: ProbeService>(index: usize, shard: &PortalService<P>) -> ShardI
     }
 }
 
-/// Largest-remainder apportionment of `r` across `targets` in proportion to
-/// their overlap weights: floors first, then one leftover unit per highest
-/// fractional part (ties to the lower shard index). Deterministic, sums to
-/// exactly `r`, and matches Algorithm 1's proportional intent without the
-/// rounding drift of independent `round()`s.
-fn apportion(r: usize, targets: &[(usize, f64)]) -> Vec<usize> {
-    let total: f64 = targets.iter().map(|&(_, w)| w).sum();
-    if total <= 0.0 {
-        let mut shares = vec![0; targets.len()];
-        if let Some(first) = shares.first_mut() {
-            *first = r;
-        }
-        return shares;
-    }
-    let ideals: Vec<f64> = targets.iter().map(|&(_, w)| r as f64 * w / total).collect();
-    let mut shares: Vec<usize> = ideals.iter().map(|&x| x.floor() as usize).collect();
-    let assigned: usize = shares.iter().sum();
-    let mut order: Vec<usize> = (0..targets.len()).collect();
-    order.sort_by(|&a, &b| {
-        let fa = ideals[a] - ideals[a].floor();
-        let fb = ideals[b] - ideals[b].floor();
-        fb.partial_cmp(&fa)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(targets[a].0.cmp(&targets[b].0))
-    });
-    for i in 0..r.saturating_sub(assigned) {
-        shares[order[i % order.len()]] += 1;
-    }
-    shares
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn apportionment_is_exact_and_deterministic() {
-        let targets = [(0usize, 3.0), (1, 1.0), (2, 1.0)];
-        let shares = apportion(10, &targets);
-        assert_eq!(shares.iter().sum::<usize>(), 10);
-        assert_eq!(shares, vec![6, 2, 2]);
-        // Remainders break ties toward the lower shard index.
-        let tied = apportion(4, &[(0usize, 1.0), (1, 1.0), (2, 1.0)]);
-        assert_eq!(tied, vec![2, 1, 1]);
-        // Degenerate weights: everything lands on the first target.
-        assert_eq!(apportion(5, &[(0usize, 0.0), (1, 0.0)]), vec![5, 0]);
-        // A starving split leaves zero shares (the router skips them).
-        let starved = apportion(1, &[(0usize, 1.0), (1, 100.0)]);
-        assert_eq!(starved.iter().sum::<usize>(), 1);
-        assert_eq!(starved, vec![0, 1]);
-    }
 
     #[test]
     fn shard_zero_replays_the_base_stream() {

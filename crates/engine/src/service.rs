@@ -40,9 +40,9 @@ use std::sync::{Arc, OnceLock};
 
 use colr_telemetry::{global, tracer, Counter, Gauge, SloWatchdog, SpanKind};
 use colr_tree::{
-    flight, AggKind, ClockHandle, ColrTree, Histogram, LiveAvailability, LsmLevel, LsmStats,
-    LsmTree, Mode, ProbeService, Query, QueryOutput, QueryStats, Reading, ResilientProber,
-    SensorId, SensorMeta, TimeDelta, Timestamp,
+    derive_seed, flight, AggKind, ClockHandle, ColrTree, Histogram, LiveAvailability, LsmLevel,
+    LsmStats, LsmTree, Mode, ProbeService, Query, QueryOutput, QueryStats, Reading,
+    ResilientProber, SensorId, SensorMeta, TimeDelta, Timestamp,
 };
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
@@ -986,16 +986,6 @@ fn requested_target(plan: &Query, mode: Mode) -> f64 {
     } else {
         0.0
     }
-}
-
-/// Derives the per-query RNG seed for ordinal `i` (splitmix64-style mix of
-/// the service seed and the ordinal, so neighbouring ordinals get
-/// decorrelated streams): interactive ordinals and batch indices share it.
-pub(crate) fn derive_seed(seed: u64, i: u64) -> u64 {
-    let mut z = seed ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

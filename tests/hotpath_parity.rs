@@ -217,43 +217,6 @@ fn scalar_route_matches_for_polygon_circle_and_kind_filters() {
     }
 }
 
-#[test]
-fn morton_built_tree_answers_through_both_layouts_identically() {
-    // The Morton baseline is a build strategy, not a separate query path —
-    // its trees must satisfy the same layout-parity gate.
-    use colr_repro::colr::BuildStrategy;
-    let config = |layout| ColrConfig {
-        layout,
-        build: BuildStrategy::Morton,
-        ..Default::default()
-    };
-    let ptr = ColrTree::build(fleet(), config(HotPathLayout::Pointer), 9);
-    let arena = ColrTree::build(fleet(), config(HotPathLayout::Arena), 9);
-    ptr.validate().expect("morton pointer tree valid");
-    arena.validate().expect("morton arena tree valid");
-    let probe = AlwaysAvailable {
-        expiry_ms: EXPIRY_MS,
-    };
-    let mut rng_a = StdRng::seed_from_u64(7);
-    let mut rng_b = StdRng::seed_from_u64(7);
-    for i in 0..8 {
-        let x0 = (i % 4) as f64 * 6.0 - 0.5;
-        let y0 = (i / 4) as f64 * 10.0 - 0.5;
-        let query = Query::range(
-            Rect::from_coords(x0, y0, x0 + 9.0, y0 + 12.0),
-            TimeDelta::from_mins(5),
-        )
-        .with_sample_size(20.0);
-        let a = ptr.execute(&query, Mode::Colr, &probe, Timestamp(2_000), &mut rng_a);
-        let b = arena.execute(&query, Mode::Colr, &probe, Timestamp(2_000), &mut rng_b);
-        assert_eq!(
-            format!("{:?}", (&a.readings, &a.groups, &a.stats)),
-            format!("{:?}", (&b.readings, &b.groups, &b.stats)),
-            "morton query {i} diverged"
-        );
-    }
-}
-
 /// Switches `tree` to live availability and feeds it a fixed pattern of
 /// probe outcomes, so its estimates differ from the frozen build-time means
 /// at every sensor and every node.
