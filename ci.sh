@@ -9,10 +9,11 @@ cargo fmt --check
 
 # One-path gate: one index (the LSM), two front doors (PortalService,
 # ShardedPortal), one request API, one bench harness (benchmark/), each
-# child weight stored once. The names of what was deleted to get there must
-# not come back; `#![forbid(unsafe_code)]` in every first-party crate root
-# holds the rest of the line.
-if grep -rnE '\bPortal(::new|<)|\bMonolithic\b|SharedPortal|reindex_discarding|pending_unindexed|AliasTable|Morton|morton_pack|\bcriterion\b' \
+# child weight stored once, one query walk (over the arena). The names of
+# what was deleted to get there must not come back;
+# `#![forbid(unsafe_code)]` in every first-party crate root holds the rest
+# of the line.
+if grep -rnE '\bPortal(::new|<)|\bMonolithic\b|SharedPortal|reindex_discarding|pending_unindexed|AliasTable|Morton|morton_pack|\bcriterion\b|HotPathLayout|TermTarget|\bexec_colr\b|portal_sim' \
     crates src tests examples Cargo.toml; then
     echo "ci: a deleted path is back (matches above)" >&2
     exit 1
@@ -76,9 +77,12 @@ cargo run --release --offline -q --example service_storm -- --churn \
 }
 echo "ci: churn soak OK"
 
-# Hot-path parity smoke: the arena fast path must produce bit-identical
-# sample streams to the pointer traversal, across seeds and thread counts.
-cargo test -q --release --offline -p colr-repro --test hotpath_parity
+# Hot-path parity smoke, in release (the build that serves): the one query
+# walk must reproduce the digests recorded from the deleted pointer walk —
+# no answer, statistic or RNG position moved, at 1/2/8 threads — and the
+# flat-scan oracle must find Theorems 1 and 2 holding through
+# ShardedPortal::execute across LSM levels, tombstones, shards and retries.
+cargo test -q --release --offline -p colr-repro --test hotpath_parity --test sampling_properties
 echo "ci: hot-path parity smoke OK"
 
 # Benchmark runner gate: the ruler's own tests (its --quick smoke and the

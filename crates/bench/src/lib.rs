@@ -79,8 +79,8 @@ pub fn replay<P: ProbeService>(
         if let Some(r) = params.sample_size {
             query = query.with_sample_size(r);
         }
-        let region = Region::Rect(spec.rect);
-        let ideal = tree.sensors_in_region(tree.root(), &region).len() as u64;
+        let in_range = |m: &&colr_tree::SensorMeta| spec.rect.contains_point(&m.location);
+        let ideal = tree.sensors().iter().filter(in_range).count() as u64;
         let res = tree.execute(&query, params.mode, probe, spec.at, &mut rng);
         out.push(Measurement {
             stats: res.stats,

@@ -1,11 +1,12 @@
-//! Cache-conscious arena layout for the sampling hot path.
+//! The query-time layout: Algorithm 1 walks this arena and nothing else.
 //!
 //! The pointer tree ([`crate::tree::ColrTree`]) stores each node as a
 //! heap-allocated struct whose children live wherever the builder happened to
-//! push them, so Algorithm 1's traversal chases pointers across the heap and
-//! every MBR test loads a whole `Node` (including the cold `kind_weights`
-//! vector) to read four doubles. [`SamplingArena`] is a read-only mirror of
-//! the same tree flattened for traversal speed:
+//! push them; it is the build, maintenance and baseline-mode structure.
+//! Walking it for Algorithm 1 would chase pointers across the heap and load a
+//! whole `Node` (including the cold `kind_weights` vector) to read four
+//! doubles, so the bulk loader also flattens every generation into a
+//! [`SamplingArena`], a read-only mirror laid out for the walk:
 //!
 //! * **BFS order, children contiguous** — a node's children occupy the index
 //!   range `child_start .. child_start + child_len`, so the partition loop is
@@ -21,32 +22,30 @@
 //! * **Flattened sensors** — leaf sensor ids, locations, and kinds in three
 //!   parallel arrays, so terminal scans touch no `SensorMeta`.
 //!
-//! # Parity with the pointer path
+//! # What the fast paths may assume
 //!
-//! `exec_colr_arena` is gated on producing **bit-identical** sample streams
-//! to `exec_colr`: every RNG draw must happen at the same point with the same
-//! arguments. The arena therefore keeps Algorithm 1's deterministic
-//! proportional split and restricts its geometric fast paths to
-//! `Region::Rect`, where `<=`/`>=` comparisons
-//! are exact and transitive: a viewport containing a node's MBR contains
-//! every descendant MBR and sensor, so skipped per-child overlap tests and
-//! per-sensor point tests are provably no-ops. Polygon and circle regions use
-//! EPSILON-based predicates without that guarantee, so the arena path makes
-//! exactly the same scalar calls the pointer path makes. The
-//! `hotpath_parity` integration test enforces the gate across seeds and
-//! thread counts.
+//! The walk keeps Algorithm 1's deterministic proportional split and
+//! restricts its geometric shortcuts to `Region::Rect`, where `<=`/`>=`
+//! comparisons are exact and transitive: a viewport containing a node's MBR
+//! contains every descendant MBR and sensor, so skipped per-child overlap
+//! tests and per-sensor point tests are provably no-ops. Polygon and circle
+//! regions use EPSILON-based predicates without that guarantee and take the
+//! scalar route: every overlap and point test is made. Either way the sample
+//! stream is the one the deleted pointer walk produced — the
+//! `hotpath_parity` integration test pins digests recorded from it, and
+//! `sampling_properties` checks the theorems against a flat scan.
 
 use colr_geo::{Point, Rect, Region};
 use rand::Rng;
 
 use crate::avail::LiveAvailability;
 use crate::lookup::{GroupResult, ProbePlan, Query, QueryOutput};
-use crate::reading::{Reading, SensorId};
-use crate::sampling::{TermTarget, MIN_AVAILABILITY, TARGET_EPS};
+use crate::reading::{Reading, SensorId, SensorMeta};
+use crate::sampling::{MIN_AVAILABILITY, TARGET_EPS};
 use crate::scratch::QueryScratch;
 use crate::stats::QueryStats;
 use crate::time::Timestamp;
-use crate::tree::{Children, ColrTree, NodeId};
+use crate::tree::{Children, ColrTree, Node, NodeId};
 
 /// Read-only flattened mirror of a [`ColrTree`], rebuilt with the tree once
 /// per generation (see [`ColrTree::sampling_arena`]).
@@ -64,7 +63,7 @@ pub struct SamplingArena {
     /// four-lane `classify_children` sweep.
     rect: Vec<Rect>,
     level: Vec<u16>,
-    /// `Node::weight` as `f64` (bitwise what the pointer path computes).
+    /// `Node::weight` as `f64`.
     weight: Vec<f64>,
     /// `Node::avail_mean`, the frozen `a_i` of the subtree.
     avail_mean: Vec<f64>,
@@ -84,19 +83,18 @@ pub struct SamplingArena {
 }
 
 impl SamplingArena {
-    /// Flattens `tree` into arena form. Children of each node are laid out
-    /// contiguously in BFS order; the root is arena index 0.
-    pub fn from_tree(tree: &ColrTree) -> SamplingArena {
-        let n = tree.node_count();
+    /// Flattens a finished node structure (levels assigned) into arena form.
+    /// Children of each node are laid out contiguously in BFS order; the root
+    /// is arena index 0.
+    pub(crate) fn flatten(nodes: &[Node], root: NodeId, sensors: &[SensorMeta]) -> SamplingArena {
+        let n = nodes.len();
         let mut order: Vec<NodeId> = Vec::with_capacity(n);
         let mut child_start = Vec::with_capacity(n);
         let mut child_len = Vec::with_capacity(n);
-        if n > 0 {
-            order.push(tree.root());
-        }
+        order.push(root);
         let mut i = 0;
         while i < order.len() {
-            match &tree.node(order[i]).children {
+            match &nodes[order[i].index()].children {
                 Children::Internal(ch) => {
                     child_start.push(order.len() as u32);
                     child_len.push(ch.len() as u32);
@@ -132,7 +130,7 @@ impl SamplingArena {
             sensor_avail: Vec::new(),
         };
         for &id in &order {
-            let node = tree.node(id);
+            let node = &nodes[id.index()];
             a.min_x.push(node.bbox.min.x);
             a.min_y.push(node.bbox.min.y);
             a.max_x.push(node.bbox.max.x);
@@ -147,11 +145,11 @@ impl SamplingArena {
                     a.sensor_start.push(0);
                     a.sensor_len.push(0);
                 }
-                Children::Leaf(sensors) => {
+                Children::Leaf(leaf) => {
                     a.sensor_start.push(a.sensors.len() as u32);
-                    a.sensor_len.push(sensors.len() as u32);
-                    for &s in sensors {
-                        let meta = tree.sensor(s);
+                    a.sensor_len.push(leaf.len() as u32);
+                    for &s in leaf {
+                        let meta = &sensors[s.index()];
                         a.sensors.push(s);
                         a.sensor_x.push(meta.location.x);
                         a.sensor_y.push(meta.location.y);
@@ -167,11 +165,6 @@ impl SamplingArena {
     /// Number of nodes in the arena.
     pub fn node_count(&self) -> usize {
         self.len
-    }
-
-    /// `true` when the arena mirrors an empty tree.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// The node's MBR, bitwise identical to the pointer node's `bbox`.
@@ -312,13 +305,14 @@ impl SamplingArena {
 }
 
 impl ColrTree {
-    /// Algorithm 1 over the flattened arena. Draw-for-draw identical to
-    /// [`ColrTree::exec_colr`] (see the module docs for why), but traversal
-    /// state is arena indices, MBR tests run against the SoA coordinate
-    /// slices, and fully contained rectangular nodes split over their child
-    /// weight slice with no overlap tests. With `live` unset
-    /// every `a_i` is read from the arena's frozen mirror, so the walk
-    /// touches neither the availability lock nor the pointer tree for it.
+    /// Algorithm 1's layered sampling over the slot-cache tree — the one
+    /// query walk. Traversal state is arena indices, MBR tests run against
+    /// the SoA coordinate slices, and fully contained rectangular nodes split
+    /// over their child weight slice with no overlap tests. Every `a_i`
+    /// comes from `live`, the availability source `select` resolved once for
+    /// the whole query; with `live` unset it is read from the arena's frozen
+    /// mirror, so the walk touches neither the availability lock nor the
+    /// pointer tree for it.
     pub(crate) fn exec_colr_arena<R: Rng + ?Sized>(
         &self,
         query: &Query,
@@ -328,9 +322,7 @@ impl ColrTree {
         plan: &mut ProbePlan,
         scratch: &mut QueryScratch,
     ) -> QueryOutput {
-        let arena = self
-            .sampling_arena()
-            .expect("arena layout dispatched without a built arena");
+        let arena = self.sampling_arena();
         let qr: Option<Rect> = match &query.region {
             Region::Rect(r) => Some(*r),
             _ => None,
@@ -378,11 +370,9 @@ impl ColrTree {
             if contained && arena.level(idx) >= terminal_level {
                 let avail = if oversampling { node_avail(idx) } else { 1.0 };
                 let fulfilled = self.serve_terminal(
-                    TermTarget::Arena {
-                        arena,
-                        idx,
-                        rect_contained: qr.is_some(),
-                    },
+                    arena,
+                    idx,
+                    qr.is_some(),
                     r_eff,
                     scaled,
                     avail,
@@ -449,9 +439,9 @@ impl ColrTree {
                     }
                     _ => {
                         // Polygon/circle regions or kind-filtered queries:
-                        // make exactly the scalar calls the pointer path
-                        // makes (their EPSILON-based predicates are not
-                        // transitive, so no geometric shortcuts here).
+                        // every overlap is computed (their EPSILON-based
+                        // predicates are not transitive, so no geometric
+                        // shortcuts here).
                         for j in 0..clen {
                             let c = cstart + j;
                             let w = match query.kind_filter {
@@ -525,23 +515,25 @@ impl ColrTree {
                 if share <= TARGET_EPS {
                     continue;
                 }
-                let child_contained = match &qr {
+                let terminal = match &qr {
                     Some(q) => arena.contained_in(c, q),
                     None => query.region.contains_rect(&arena.bbox(c)),
                 } && arena.level(c) >= terminal_level;
-                if child_contained {
-                    pq.push(c as u32, share, scaled);
-                    assigned += share;
+                // A terminal child is served (and scaled) when popped, which
+                // keeps the traversal order and redistribution simple; any
+                // other is scaled up here if it sits at level O and no
+                // ancestor has done it.
+                let scale_up = !terminal
+                    && !scaled
+                    && arena.level(c) == query.oversample_level
+                    && oversampling;
+                let push_target = if scale_up {
+                    share / node_avail(c)
                 } else {
-                    let mut push_target = share;
-                    let mut child_scaled = scaled;
-                    if !scaled && arena.level(c) == query.oversample_level && oversampling {
-                        push_target /= node_avail(c);
-                        child_scaled = true;
-                    }
-                    pq.push(c as u32, push_target, child_scaled);
-                    assigned += share;
-                }
+                    share
+                };
+                pq.push(c as u32, push_target, scaled || scale_up);
+                assigned += share;
             }
 
             let lag = r_eff - fulfilled - assigned;
@@ -560,13 +552,16 @@ impl ColrTree {
         }
     }
 
-    /// Arena twin of [`ColrTree::terminal_scan_into`]: classifies each sensor
-    /// under arena node `idx` as cached-fresh or probe candidate, visiting
-    /// nodes in the same (reverse-DFS) order so the candidate list — and the
-    /// Fisher–Yates draws over it — match the pointer path exactly. When
-    /// `rect_contained` the per-node intersect tests and per-sensor point
-    /// tests are skipped outright: a rectangle containing the terminal's MBR
-    /// contains every descendant MBR and sensor location.
+    /// Classifies each sensor under arena node `idx` matching the query
+    /// (region and type filter) as *cached fresh* (appending its reading to
+    /// `cached`) or *uncached* (a probe candidate), visiting nodes in
+    /// reverse-DFS order with `stack` as storage and taking each leaf's cache
+    /// lock once; visited nodes below `idx` are counted into `stats`. The
+    /// candidate order fixes the Fisher–Yates draws over it, so it is part of
+    /// the sample stream. When `rect_contained` the per-node intersect tests
+    /// and per-sensor point tests are skipped outright: a rectangle
+    /// containing the terminal's MBR contains every descendant MBR and sensor
+    /// location.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn terminal_scan_arena(
         &self,
@@ -662,7 +657,7 @@ mod tests {
     #[test]
     fn arena_mirrors_tree_structure() {
         let tree = grid_tree(12);
-        let arena = tree.sampling_arena().expect("build installs an arena");
+        let arena = tree.sampling_arena();
         assert_eq!(arena.node_count(), tree.node_count());
         let mut seen_sensors = 0usize;
         for idx in 0..arena.node_count() {
@@ -681,8 +676,8 @@ mod tests {
                         // Children are contiguous and in pointer order.
                         assert_eq!(arena.orig(arena.child_start(idx) + j), c);
                     }
-                    // The child weight slice is bitwise the weights the
-                    // pointer path sums into its split denominator.
+                    // The child weight slice is bitwise the children's
+                    // weights: the split denominator of a contained node.
                     for (j, &c) in ch.iter().enumerate() {
                         let w = tree.node(c).weight as f64;
                         let got = arena.weight(arena.child_start(idx) + j);
@@ -710,7 +705,7 @@ mod tests {
     #[test]
     fn classify_matches_scalar_predicates() {
         let tree = grid_tree(10);
-        let arena = tree.sampling_arena().unwrap();
+        let arena = tree.sampling_arena();
         let viewports = [
             Rect::from_coords(-1.0, -1.0, 20.0, 20.0),
             Rect::from_coords(2.0, 2.0, 5.5, 7.5),

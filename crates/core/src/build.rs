@@ -92,7 +92,7 @@ impl ColrTree {
 
         let telem = crate::telem::build();
         let assemble_start = std::time::Instant::now();
-        let mut tree = ColrTree::assemble(
+        let tree = ColrTree::assemble(
             config,
             slot_config,
             t_max,
@@ -101,12 +101,6 @@ impl ColrTree {
             root,
             builder.sensor_leaf,
         );
-        tree.assign_levels();
-        // Flatten the finished generation into the query-time arena: BFS
-        // numbering (children contiguous), SoA bounding boxes.
-        tree.arena = Some(std::sync::Arc::new(crate::arena::SamplingArena::from_tree(
-            &tree,
-        )));
         telem
             .assemble_phase_us
             .observe(assemble_start.elapsed().as_micros() as u64);
@@ -119,23 +113,6 @@ impl ColrTree {
     /// sensor relocation.
     pub fn rebuild(&mut self, sensors: Vec<SensorMeta>, seed: u64) {
         *self = ColrTree::build(sensors, self.config.clone(), seed);
-    }
-
-    fn assign_levels(&mut self) {
-        // BFS from the root; also records the leaf level (uniform by
-        // construction).
-        let mut max_level = 0;
-        let mut queue = std::collections::VecDeque::from([(self.root, 0u16)]);
-        while let Some((id, level)) = queue.pop_front() {
-            self.nodes[id.index()].level = level;
-            max_level = max_level.max(level);
-            if let Children::Internal(children) = &self.nodes[id.index()].children {
-                for &c in children {
-                    queue.push_back((c, level + 1));
-                }
-            }
-        }
-        self.leaf_level = max_level;
     }
 }
 

@@ -80,8 +80,8 @@ pub use flat_cache::{FlatCache, FlatOutput};
 pub use flight::{FlightRecord, LevelStage, RetryRound, WaveStage};
 pub use lookup::{GroupResult, Mode, Query, QueryOutput};
 pub use lsm::{
-    apportion, derive_seed, L0Level, LsmConfig, LsmLevel, LsmSnapshot, LsmStats, LsmTree,
-    MergeReport,
+    apportion, derive_seed, unit_draw, L0Level, LsmConfig, LsmLevel, LsmSnapshot, LsmStats,
+    LsmTree, MergeReport,
 };
 pub use model::IdwModel;
 pub use probe::{ProbeReport, ProbeService};
@@ -92,6 +92,6 @@ pub use slot_size::SlotSizeWorkload;
 pub use stats::{CostModel, QueryStats};
 pub use time::{ClockHandle, SimClock, TimeDelta, Timestamp};
 pub use tree::{
-    BuildStrategy, CachedEntry, Children, ColrConfig, ColrTree, HotPathLayout, Node, NodeCache,
-    NodeId, CACHE_STRIPES,
+    BuildStrategy, CachedEntry, Children, ColrConfig, ColrTree, Node, NodeCache, NodeId,
+    CACHE_STRIPES,
 };

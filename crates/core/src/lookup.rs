@@ -196,41 +196,6 @@ impl QueryOutput {
     }
 }
 
-/// What happens to probe results that the executed mode wants cached.
-///
-/// `Immediate` applies them to the tree as they arrive (the interactive
-/// single-query path). `Buffered` collects them for a later, ordered
-/// [`ColrTree::apply_readings`] — used by batch executors so every query of a
-/// batch runs against one frozen cache snapshot, making results independent
-/// of scheduling. In buffered mode `cache_inserts` stays 0 (nothing is
-/// inserted during the query).
-pub(crate) enum WriteBack {
-    Immediate,
-    Buffered(Vec<Reading>),
-}
-
-impl WriteBack {
-    fn record(
-        &mut self,
-        tree: &ColrTree,
-        readings: &[Reading],
-        now: Timestamp,
-        stats: &mut QueryStats,
-    ) {
-        match self {
-            WriteBack::Immediate => {
-                // One batched application per query: each touched node cache
-                // updates atomically, so concurrent readers never see a
-                // half-written aggregate (the tracer span is recorded there).
-                let inserted = tree.apply_readings(readings, now) as u64;
-                stats.cache_inserts += inserted;
-                crate::flight::with(|f| f.write_back(inserted));
-            }
-            WriteBack::Buffered(buf) => buf.extend_from_slice(readings),
-        }
-    }
-}
-
 /// The probe selections a walk defers to the query's single collect step
 /// (select → collect → complete). The walk makes every sampling decision and
 /// RNG draw but contacts no sensor: chosen ids are appended here, each group
@@ -461,8 +426,7 @@ impl ColrTree {
         R: Rng + ?Sized,
     {
         self.advance(now);
-        let mut wb = WriteBack::Immediate;
-        self.dispatch(query, mode, probe, now, rng, &mut wb)
+        self.dispatch(query, mode, probe, now, rng, None)
     }
 
     /// [`ColrTree::execute`] against a *frozen* cache: the window is not
@@ -486,12 +450,8 @@ impl ColrTree {
         P: ProbeService + ?Sized,
         R: Rng + ?Sized,
     {
-        let mut wb = WriteBack::Buffered(Vec::new());
-        let out = self.dispatch(query, mode, probe, now, rng, &mut wb);
-        let deferred = match wb {
-            WriteBack::Buffered(buf) => buf,
-            WriteBack::Immediate => unreachable!(),
-        };
+        let mut deferred = Vec::new();
+        let out = self.dispatch(query, mode, probe, now, rng, Some(&mut deferred));
         (out, deferred)
     }
 
@@ -502,7 +462,7 @@ impl ColrTree {
         probe: &P,
         now: Timestamp,
         rng: &mut R,
-        wb: &mut WriteBack,
+        deferred: Option<&mut Vec<Reading>>,
     ) -> QueryOutput
     where
         P: ProbeService + ?Sized,
@@ -515,7 +475,7 @@ impl ColrTree {
             let cost = &self.config().cost;
             let mut wave = Wave::new(cost, probe, &plan.ids, query, now);
             let fixes = 0..plan.fixes.len();
-            self.complete(&mut out, &plan, fixes, &mut wave, mode, now, wb);
+            self.complete(&mut out, &plan, fixes, &mut wave, mode, now, deferred);
             wave.charge(&mut out.stats);
             scratch.plan = plan;
             finish(cost, mode, &mut out);
@@ -544,13 +504,7 @@ impl ColrTree {
                 // The one availability-lock read of the query: the walk
                 // takes every `a_i` from this source.
                 let live = self.live_availability();
-                if self.config().layout == crate::tree::HotPathLayout::Arena
-                    && self.sampling_arena().is_some()
-                {
-                    self.exec_colr_arena(query, live.as_deref(), now, rng, plan, scratch)
-                } else {
-                    self.exec_colr(query, live.as_deref(), now, rng, plan, scratch)
-                }
+                self.exec_colr_arena(query, live.as_deref(), now, rng, plan, scratch)
             }
         }
     }
@@ -558,9 +512,15 @@ impl ColrTree {
     /// The complete step: draws one outcome per id of `plan.fixes[fixes]`
     /// from `outcomes`, splices each into the group and `readings` position
     /// a probe issued on the spot would have put it, and writes the
-    /// successes back through `wb` a wave at a time — one batch for any
-    /// request that fits a wave, a bounded maintenance batch for a
-    /// viewport-sized one.
+    /// successes back a wave at a time — one batch for any request that fits
+    /// a wave, a bounded maintenance batch for a viewport-sized one.
+    ///
+    /// With `deferred` unset each batch is applied to the tree as it fills
+    /// (the interactive path). With it set the successes are appended there
+    /// instead, for a later ordered [`ColrTree::apply_readings`] — batch
+    /// executors use this so every query of a batch runs against one frozen
+    /// cache snapshot, independent of scheduling — and `cache_inserts` stays
+    /// 0 (nothing is inserted during the query).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn complete(
         &self,
@@ -570,8 +530,19 @@ impl ColrTree {
         outcomes: &mut impl Iterator<Item = Option<Reading>>,
         mode: Mode,
         now: Timestamp,
-        wb: &mut WriteBack,
+        mut deferred: Option<&mut Vec<Reading>>,
     ) {
+        let mut write_back = |got: &[Reading], stats: &mut QueryStats| match &mut deferred {
+            Some(buf) => buf.extend_from_slice(got),
+            None => {
+                // One batched application: each touched node cache updates
+                // atomically, so concurrent readers never see a half-written
+                // aggregate (the tracer span is recorded there).
+                let inserted = self.apply_readings(got, now) as u64;
+                stats.cache_inserts += inserted;
+                crate::flight::with(|f| f.write_back(inserted));
+            }
+        };
         let fixes = &plan.fixes[fixes];
         let (Some(first), Some(last)) = (fixes.first(), fixes.last()) else {
             return;
@@ -595,7 +566,7 @@ impl ColrTree {
                 if mode != Mode::RTree {
                     got.extend(outcome);
                     if got.len() == wave {
-                        wb.record(self, &got, now, &mut out.stats);
+                        write_back(&got, &mut out.stats);
                         got.clear();
                     }
                 }
@@ -612,7 +583,7 @@ impl ColrTree {
         readings.extend_from_slice(&old[copied..]);
         out.readings = readings;
         if !got.is_empty() {
-            wb.record(self, &got, now, &mut out.stats);
+            write_back(&got, &mut out.stats);
         }
     }
 
@@ -620,83 +591,30 @@ impl ColrTree {
     // Shared helpers
     // ------------------------------------------------------------------
 
-    /// Walks the subtree of `id`, classifying each sensor matching the query
-    /// (region and type filter) as *cached fresh* (returning its reading) or
-    /// *uncached* (a probe candidate). Counts visited nodes into `stats`.
-    /// Takes each leaf's cache lock once.
-    pub(crate) fn terminal_scan(
+    /// Classifies each sensor of `leaf` matching the query (region and type
+    /// filter) as *cached fresh* (returning its reading) or *uncached* (a
+    /// probe candidate), under one hold of the leaf's cache lock.
+    fn leaf_triage(
         &self,
-        id: NodeId,
+        leaf: NodeId,
+        sensors: &[SensorId],
         query: &Query,
         now: Timestamp,
-        stats: &mut QueryStats,
     ) -> (Vec<Reading>, Vec<SensorId>) {
         let mut cached = Vec::new();
         let mut candidates = Vec::new();
-        let mut stack = Vec::new();
-        self.terminal_scan_into(
-            id,
-            query,
-            now,
-            stats,
-            &mut cached,
-            &mut candidates,
-            &mut stack,
-        );
-        (cached, candidates)
-    }
-
-    /// Buffer-reusing core of [`Self::terminal_scan`]: appends into
-    /// caller-owned `cached`/`candidates`, using `stack` (of `NodeId.0`
-    /// values) as DFS storage. The hot path passes pooled scratch buffers so
-    /// warm queries allocate nothing here.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn terminal_scan_into(
-        &self,
-        id: NodeId,
-        query: &Query,
-        now: Timestamp,
-        stats: &mut QueryStats,
-        cached: &mut Vec<Reading>,
-        candidates: &mut Vec<SensorId>,
-        stack: &mut Vec<u32>,
-    ) {
-        let region = &query.region;
-        let staleness = query.staleness;
-        stack.clear();
-        stack.push(id.0);
-        let mut first = true;
-        while let Some(cur) = stack.pop() {
-            let cur = NodeId(cur);
-            // The terminal itself was already counted by the caller.
-            if !first {
-                stats.nodes_traversed += 1;
-                crate::flight::with(|f| f.node(self.node(cur).level));
-            }
-            first = false;
-            let node = self.node(cur);
-            if !region.intersects_rect(&node.bbox) {
-                continue;
-            }
-            match &node.children {
-                Children::Leaf(sensors) => {
-                    self.with_cache(cur, |nc| {
-                        for &s in sensors {
-                            if !query.matches_sensor(self.sensor(s)) {
-                                continue;
-                            }
-                            match nc.entry(s) {
-                                Some(e) if e.reading.is_fresh(now, staleness) => {
-                                    cached.push(e.reading);
-                                }
-                                _ => candidates.push(s),
-                            }
-                        }
-                    });
+        self.with_cache(leaf, |nc| {
+            for &s in sensors {
+                if !query.matches_sensor(self.sensor(s)) {
+                    continue;
                 }
-                Children::Internal(children) => stack.extend(children.iter().map(|c| c.0)),
+                match nc.entry(s) {
+                    Some(e) if e.reading.is_fresh(now, query.staleness) => cached.push(e.reading),
+                    _ => candidates.push(s),
+                }
             }
-        }
+        });
+        (cached, candidates)
     }
 
     /// Collects every sensor under `id` matching the query, counting the
@@ -829,9 +747,9 @@ impl ColrTree {
                 crate::telem::tree().cache_miss(node.level);
                 crate::flight::with(|f| f.cache_miss(node.level));
             }
-            if node.is_leaf() {
+            if let Children::Leaf(sensors) = &node.children {
                 let bbox = node.bbox;
-                let (cached, candidates) = self.terminal_scan(id, query, now, &mut stats);
+                let (cached, candidates) = self.leaf_triage(id, sensors, query, now);
                 stats.readings_from_cache += cached.len() as u64;
                 crate::flight::with(|f| f.cached_readings(cached.len() as u64));
                 if !cached.is_empty() {
@@ -843,7 +761,7 @@ impl ColrTree {
                 readings.extend_from_slice(&cached);
                 plan.defer(groups.len(), start..readings.len(), &candidates);
                 groups.push(Self::group_over_readings(id, bbox, &cached, target));
-            } else if let Children::Internal(children) = &self.node(id).children {
+            } else if let Children::Internal(children) = &node.children {
                 stack.extend(children.iter().copied());
             }
         }

@@ -155,8 +155,9 @@ impl LsmLevel {
     /// The level's Algorithm 1 split weight for a query: the root's
     /// (kind-filtered) sensor weight, discounted by the live fraction (node
     /// weights inside the tree still count tombstoned sensors until the next
-    /// merge — a bounded, documented approximation) and scaled by the
-    /// viewport overlap, exactly as the shard router weighs its shards.
+    /// merge, so the layered executor scales the level's sub-target back up
+    /// by the same fraction) and scaled by the viewport overlap, exactly as
+    /// the shard router weighs its shards.
     pub fn query_weight(&self, region: &colr_geo::Region, kind_filter: Option<u16>) -> f64 {
         if self.global.is_empty() {
             return 0.0;

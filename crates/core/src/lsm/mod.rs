@@ -19,11 +19,12 @@
 //!
 //! Algorithm 1's sampling becomes *layered*: a query's sample target `R`
 //! splits across components (levels + L0) in proportion to each component's
-//! live weight, using the same largest-remainder apportionment the shard
-//! router uses across shards. Expectation is preserved end-to-end
-//! (Theorems 1/2: floors plus fractional remainders sum to exactly the
-//! stochastically rounded `R`, and each component applies Algorithm 1's
-//! availability oversampling internally), and the degenerate configuration —
+//! live weight, using the same unbiased apportionment the shard router uses
+//! across shards. Expectation is preserved end-to-end (Theorems 1/2: floors
+//! plus systematically sampled remainders sum to exactly the stochastically
+//! rounded `R` with every component's expected share its ideal one, and each
+//! component applies Algorithm 1's availability oversampling internally),
+//! and the degenerate configuration —
 //! a single untombstoned identity level with an empty L0 — bypasses the
 //! layering entirely and replays the monolithic tree **bit-identically**,
 //! RNG draw for RNG draw.
@@ -41,7 +42,7 @@ use rand::{Rng, SeedableRng};
 pub use level::{L0Level, LsmLevel};
 
 use crate::agg::PartialAgg;
-use crate::lookup::{finish, GroupResult, Mode, Query, QueryOutput, Wave, WriteBack};
+use crate::lookup::{finish, GroupResult, Mode, Query, QueryOutput, Wave};
 use crate::probe::ProbeService;
 use crate::reading::{Reading, SensorId, SensorMeta};
 use crate::sampling::{stochastic_round, MIN_AVAILABILITY};
@@ -359,9 +360,9 @@ impl LsmTree {
     /// The degenerate configuration (single passthrough level, empty L0)
     /// forwards to the monolithic executor with the caller's RNG untouched,
     /// replaying it bit-identically. Otherwise the sample target splits
-    /// across components by live weight (largest-remainder apportionment)
-    /// and each component runs under an independent RNG stream derived from
-    /// one draw of the caller's RNG.
+    /// across components by live weight ([`apportion`]) and each component
+    /// runs under an independent RNG stream derived from one draw of the
+    /// caller's RNG.
     pub fn execute<P, R>(
         &self,
         query: &Query,
@@ -518,34 +519,35 @@ impl LsmTree {
         R: Rng + ?Sized,
     {
         let frozen = l0_live.is_none();
-        // Component shares. Levels keep their state order; L0 is the last
-        // component. Only Mode::Colr with an explicit target is layered —
-        // other modes visit every component with the query unchanged.
-        let shares: Vec<Option<usize>> = match (mode, query.sample_size) {
-            (Mode::Colr, Some(r)) => {
-                let mut targets: Vec<(usize, f64)> = Vec::new();
-                for (i, level) in state.levels.iter().enumerate() {
-                    let w = level.query_weight(&query.region, query.kind_filter);
-                    if w > 0.0 {
-                        targets.push((i, w));
-                    }
-                }
-                if !l0_cands.is_empty() {
-                    targets.push((state.levels.len(), l0_cands.len() as f64));
-                }
-                let r_int = stochastic_round(r, rng);
-                let split = apportion(r_int, &targets);
-                let mut shares = vec![Some(0); state.levels.len() + 1];
-                for (&(component, _), share) in targets.iter().zip(split) {
-                    shares[component] = Some(share);
-                }
-                shares
-            }
-            _ => vec![None; state.levels.len() + 1],
+        // Only Mode::Colr with an explicit target is layered — other modes
+        // visit every component with the query unchanged.
+        let r_int = match (mode, query.sample_size) {
+            (Mode::Colr, Some(r)) => Some(stochastic_round(r, rng)),
+            _ => None,
         };
         // One draw of the caller's RNG seeds every component's independent
-        // stream, so results do not depend on component execution order.
+        // stream (`i + 1`), so results do not depend on component execution
+        // order, and the apportionment's `u` (stream 0).
         let base = rng.next_u64();
+        // Component shares. Levels keep their state order; L0 is the last
+        // component.
+        let mut shares = vec![r_int.map(|_| 0); state.levels.len() + 1];
+        if let Some(r_int) = r_int {
+            let mut targets: Vec<(usize, f64)> = Vec::new();
+            for (i, level) in state.levels.iter().enumerate() {
+                let w = level.query_weight(&query.region, query.kind_filter);
+                if w > 0.0 {
+                    targets.push((i, w));
+                }
+            }
+            if !l0_cands.is_empty() {
+                targets.push((state.levels.len(), l0_cands.len() as f64));
+            }
+            let split = apportion(r_int, &targets, unit_draw(derive_seed(base, 0)));
+            for (&(component, _), share) in targets.iter().zip(split) {
+                shares[component] = Some(share);
+            }
+        }
         let cost = &self.config.cost;
         let l0_component = state.levels.len();
         crate::scratch::with_scratch(|scratch| {
@@ -559,7 +561,15 @@ impl LsmTree {
                     continue;
                 }
                 let sub = match shares[i] {
-                    Some(share) => query.clone().with_sample_size(share as f64),
+                    // The level's weight counted live sensors only, but its
+                    // walk spreads a target over the tombstoned ones too and
+                    // the collect step drops those picks: ask for enough that
+                    // the live ones keep the whole share.
+                    Some(share) => {
+                        let live = level.live_fraction();
+                        let ask = if live > 0.0 { share as f64 / live } else { 0.0 };
+                        query.clone().with_sample_size(ask)
+                    }
                     None => query.clone(),
                 };
                 let mut comp_rng = StdRng::seed_from_u64(derive_seed(base, i as u64 + 1));
@@ -613,25 +623,25 @@ impl LsmTree {
             let mut groups = Vec::new();
             let mut readings = Vec::new();
             for (level, mut out, fixes, ids) in parts {
-                let mut wb = if frozen {
-                    WriteBack::Buffered(Vec::new())
-                } else {
-                    WriteBack::Immediate
-                };
+                let mut buffered = Vec::new();
                 let selected = plan.ids[ids.clone()].iter().zip(&live[ids]);
                 let mut outcomes = selected.map(|(&sensor, &live)| {
                     let arrived = if live { wave.next().flatten() } else { None };
                     arrived.map(|r| Reading { sensor, ..r })
                 });
-                level
-                    .tree()
-                    .complete(&mut out, &plan, fixes, &mut outcomes, mode, now, &mut wb);
-                if let WriteBack::Buffered(buf) = wb {
-                    deferred.extend(buf.into_iter().map(|r| Reading {
-                        sensor: level.global_id(r.sensor),
-                        ..r
-                    }));
-                }
+                level.tree().complete(
+                    &mut out,
+                    &plan,
+                    fixes,
+                    &mut outcomes,
+                    mode,
+                    now,
+                    frozen.then_some(&mut buffered),
+                );
+                deferred.extend(buffered.into_iter().map(|r| Reading {
+                    sensor: level.global_id(r.sensor),
+                    ..r
+                }));
                 for r in &mut out.readings {
                     r.sensor = level.global_id(r.sensor);
                 }
@@ -920,18 +930,24 @@ fn select_l0<R: Rng + ?Sized>(
     })
 }
 
-/// Largest-remainder apportionment of `r` across `targets` in proportion to
-/// their weights — Algorithm 1's proportional split lifted to whole units,
-/// across LSM components here and across shards in the engine's router:
-/// floors first, then one leftover unit per highest fractional part (ties to
-/// the lower target index). Deterministic and sums to `r`, without the
-/// rounding drift of independent `round()`s.
+/// Apportions `r` whole units across `targets` in proportion to their
+/// weights — Algorithm 1's proportional split lifted to whole units, across
+/// LSM components here and across shards in the engine's router. Each target
+/// gets the floor of its ideal share; the leftover units are handed out by
+/// systematic sampling over the fractional parts from the one uniform
+/// `u ∈ [0, 1)`: laid end to end the fractions span `[0, leftover)`, and the
+/// target whose stretch holds `u + k` takes unit `k`. So a target's expected
+/// share is exactly its ideal (Theorem 2 survives the split at any `r`, where
+/// a largest-remainder rule hands the same targets the leftover every time),
+/// shares sum to `r`, and the result is a function of `(r, targets, u)` —
+/// callers take `u` from [`unit_draw`] of a seed derived per query, so a
+/// query still replays.
 ///
 /// The ideals are `f64`, exact only up to 2^53, and no population is that
 /// large: `r` is capped there, so an absurd target (`SAMPLESIZE 1e30`
 /// saturates to `usize::MAX`) can neither overflow the floor sum nor spin
 /// the leftover loop.
-pub fn apportion(r: usize, targets: &[(usize, f64)]) -> Vec<usize> {
+pub fn apportion(r: usize, targets: &[(usize, f64)], u: f64) -> Vec<usize> {
     let r = r.min(1 << 53);
     let total: f64 = targets.iter().map(|&(_, w)| w).sum();
     if total <= 0.0 {
@@ -943,19 +959,26 @@ pub fn apportion(r: usize, targets: &[(usize, f64)]) -> Vec<usize> {
     }
     let ideals: Vec<f64> = targets.iter().map(|&(_, w)| r as f64 * w / total).collect();
     let mut shares: Vec<usize> = ideals.iter().map(|&x| x.floor() as usize).collect();
-    let assigned: usize = shares.iter().sum();
-    let mut order: Vec<usize> = (0..targets.len()).collect();
-    order.sort_by(|&a, &b| {
-        let fa = ideals[a] - ideals[a].floor();
-        let fb = ideals[b] - ideals[b].floor();
-        fb.partial_cmp(&fa)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(targets[a].0.cmp(&targets[b].0))
-    });
-    for i in 0..r.saturating_sub(assigned) {
-        shares[order[i % order.len()]] += 1;
+    let mut leftover = r.saturating_sub(shares.iter().sum());
+    let last = targets.len() - 1;
+    let (mut reach, mut next) = (0.0, u);
+    for (i, ideal) in ideals.iter().enumerate() {
+        reach += ideal - ideal.floor();
+        // The last target takes whatever rounding error left unplaced.
+        while leftover > 0 && (next < reach || i == last) {
+            shares[i] += 1;
+            leftover -= 1;
+            next += 1.0;
+        }
     }
     shares
+}
+
+/// The uniform `[0, 1)` value of a 64-bit seed's top 53 bits — how
+/// [`apportion`]'s callers turn `derive_seed(base, 0)` into its `u` without
+/// consuming a draw of any RNG stream.
+pub fn unit_draw(seed: u64) -> f64 {
+    (seed >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// splitmix64 finaliser: derives the seed of stream `i` under `seed`, so

@@ -440,21 +440,51 @@ fn empty_merge_is_a_no_op() {
 
 #[test]
 fn apportionment_is_exact_and_deterministic() {
+    // Exact: whole ideals need no `u`, and every split sums to `r`.
     let targets = [(0usize, 3.0), (1, 1.0), (2, 1.0)];
-    let shares = apportion(10, &targets);
-    assert_eq!(shares.iter().sum::<usize>(), 10);
-    assert_eq!(shares, vec![6, 2, 2]);
-    // Remainders break ties toward the lower target index.
-    let tied = apportion(4, &[(0usize, 1.0), (1, 1.0), (2, 1.0)]);
-    assert_eq!(tied, vec![2, 1, 1]);
+    for u in [0.0, 0.37, 0.999] {
+        assert_eq!(apportion(10, &targets, u), vec![6, 2, 2]);
+    }
+    // Deterministic in `u`: the fractions 1/3 each lie end to end over
+    // [0, 1), and the one leftover unit goes to whichever stretch holds `u`.
+    let thirds = [(0usize, 1.0), (1, 1.0), (2, 1.0)];
+    assert_eq!(apportion(4, &thirds, 0.0), vec![2, 1, 1]);
+    assert_eq!(apportion(4, &thirds, 0.5), vec![1, 2, 1]);
+    assert_eq!(apportion(4, &thirds, 0.9), vec![1, 1, 2]);
+    // Unbiased: over a grid of `u` every target's mean share is its ideal,
+    // down to one unit over four equal shards and a 1-in-101 long shot.
+    let grid = 10_000;
+    for (r, targets) in [
+        (1, vec![(0usize, 1.0), (1, 1.0), (2, 1.0), (3, 1.0)]),
+        (3, vec![(0, 1.0), (1, 1.0), (2, 1.0), (3, 1.0)]),
+        (1, vec![(0, 1.0), (1, 100.0)]),
+        (7, vec![(0, 300.0), (1, 60.0), (2, 12.0), (3, 20.0)]),
+    ] {
+        let total: f64 = targets.iter().map(|&(_, w)| w).sum();
+        let mut sums = vec![0usize; targets.len()];
+        for k in 0..grid {
+            let shares = apportion(r, &targets, (k as f64 + 0.5) / grid as f64);
+            assert_eq!(shares.iter().sum::<usize>(), r);
+            for (sum, share) in sums.iter_mut().zip(shares) {
+                *sum += share;
+            }
+        }
+        for (&(_, w), sum) in targets.iter().zip(sums) {
+            let (mean, ideal) = (sum as f64 / grid as f64, r as f64 * w / total);
+            assert!(
+                (mean - ideal).abs() <= 2.0 / grid as f64,
+                "r={r}: mean share {mean} of weight {w}, ideal {ideal}"
+            );
+        }
+    }
     // Degenerate weights: everything lands on the first target.
-    assert_eq!(apportion(5, &[(0usize, 0.0), (1, 0.0)]), vec![5, 0]);
-    // A starving split leaves zero shares (the router skips them).
-    assert_eq!(apportion(1, &[(0usize, 1.0), (1, 100.0)]), vec![0, 1]);
+    assert_eq!(apportion(5, &[(0usize, 0.0), (1, 0.0)], 0.5), vec![5, 0]);
     // An absurd target is capped where the f64 ideals stop being exact: it
     // returns at once and the floor sum cannot overflow.
-    let huge = apportion(usize::MAX, &[(0usize, 1.0), (1, 1.0)]);
+    let huge = apportion(usize::MAX, &[(0usize, 1.0), (1, 1.0)], 0.5);
     assert_eq!(huge, vec![1 << 52, 1 << 52]);
+    assert_eq!(unit_draw(0), 0.0);
+    assert!(unit_draw(u64::MAX) < 1.0);
 }
 
 #[test]

@@ -178,8 +178,6 @@ impl<P> ResilientProber<P> {
         if ids.is_empty() {
             return report;
         }
-        let live = self.avail.read().clone();
-
         // Breaker admission: indexes into `ids` that reach the wire.
         let mut pending: Vec<usize> = Vec::with_capacity(ids.len());
         {
@@ -204,11 +202,6 @@ impl<P> ResilientProber<P> {
                     pending.push(i);
                 } else {
                     report.breaker_skipped += 1;
-                    // A skip is a known failure: keep teaching the
-                    // estimator that the sensor is down.
-                    if let Some(live) = &live {
-                        live.record(id, false);
-                    }
                 }
             }
         }
@@ -227,9 +220,6 @@ impl<P> ResilientProber<P> {
                 for (&i, outcome) in pending.iter().zip(outcomes) {
                     let id = ids[i];
                     let ok = outcome.is_some();
-                    if let Some(live) = &live {
-                        live.record(id, ok);
-                    }
                     let threshold = self.config.breaker_threshold;
                     let mut tripped = false;
                     let b = table.slot(id);
@@ -290,6 +280,17 @@ impl<P> ResilientProber<P> {
             });
             wave += 1;
             pending = retryable;
+        }
+        // Feedback is per selection, not per attempt: what Algorithm 1
+        // divides a target by is the chance that a *chosen* sensor ends up
+        // answering, retries included — fed the per-attempt rate it would
+        // oversample for failures the retries have already recovered. A
+        // breaker skip is a known failure: it keeps teaching the estimator
+        // that the sensor is down.
+        if let Some(live) = self.avail.read().as_ref() {
+            for (&id, outcome) in ids.iter().zip(&report.outcomes) {
+                live.record(id, outcome.is_some());
+            }
         }
         report
     }

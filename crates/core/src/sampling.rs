@@ -25,19 +25,23 @@
 //! multiplies every pending target by the same factor, which preserves the
 //! ordering — so it is implemented as a single global scale factor instead
 //! of a heap rebuild.
+//!
+//! The walk itself is `ColrTree::exec_colr_arena` in [`crate::arena`], over
+//! the flattened query-time layout; this module holds what it calls at a
+//! terminal and at a partially covered leaf, the queue, and the rounding.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use rand::Rng;
 
-use crate::avail::LiveAvailability;
-use crate::lookup::{GroupResult, ProbePlan, Query, QueryOutput};
+use crate::arena::SamplingArena;
+use crate::lookup::{GroupResult, ProbePlan, Query};
 use crate::reading::Reading;
 use crate::scratch::QueryScratch;
 use crate::stats::QueryStats;
 use crate::time::Timestamp;
-use crate::tree::{Children, ColrTree, NodeId};
+use crate::tree::{ColrTree, NodeId};
 
 /// Minimum availability used when scaling targets, to bound oversampling of
 /// nearly dead subtrees.
@@ -50,9 +54,7 @@ struct PqEntry {
     base: f64,
     /// Tie-breaker for deterministic ordering.
     seq: u64,
-    /// Node identifier — a `NodeId.0` on the pointer path, an arena index on
-    /// the arena path. The queue is payload-agnostic so one pooled heap
-    /// serves both layouts.
+    /// Arena index of the pending node.
     node: u32,
     /// Whether an ancestor already applied the availability scale-up.
     scaled: bool,
@@ -151,190 +153,7 @@ impl ScaledPq {
     }
 }
 
-/// The terminal subtree [`ColrTree::serve_terminal`] is asked to serve —
-/// either a pointer-tree node or an arena index. One shared implementation
-/// keeps the two layouts behaviourally identical by construction.
-pub(crate) enum TermTarget<'a> {
-    /// A pointer-tree node.
-    Ptr(NodeId),
-    /// An arena node, with a precomputed "rectangular query fully contains
-    /// this subtree" fact that licenses the exact geometric fast paths.
-    Arena {
-        /// The arena the traversal runs against.
-        arena: &'a crate::arena::SamplingArena,
-        /// Arena index of the terminal.
-        idx: usize,
-        /// `true` iff the query region is a `Rect` (the terminal itself is
-        /// always contained when this is called).
-        rect_contained: bool,
-    },
-}
-
 impl ColrTree {
-    /// Full COLR-Tree execution: Algorithm 1's layered sampling over the
-    /// slot-cache tree (pointer layout). Every `a_i` comes from `live`, the
-    /// availability source `select` resolved once for the whole query, or
-    /// from the frozen build-time means when it is `None`.
-    pub(crate) fn exec_colr<R: Rng + ?Sized>(
-        &self,
-        query: &Query,
-        live: Option<&LiveAvailability>,
-        now: Timestamp,
-        rng: &mut R,
-        plan: &mut ProbePlan,
-        scratch: &mut QueryScratch,
-    ) -> QueryOutput {
-        let terminal_level = query.terminal_level.min(self.leaf_level());
-        let oversampling = self.config.enable_oversampling;
-        let node_avail = |id: NodeId| {
-            match live {
-                Some(live) => live.node(id),
-                None => self.node(id).avail_mean,
-            }
-            .max(MIN_AVAILABILITY)
-        };
-        let mut stats = QueryStats::default();
-        let mut groups: Vec<GroupResult> = Vec::new();
-        let mut readings: Vec<Reading> = Vec::new();
-
-        let root = self.root();
-        let target = query.sample_size.unwrap_or(self.node(root).weight as f64);
-        let mut pq = std::mem::take(&mut scratch.pq);
-        pq.reset(self.config.enable_redistribution);
-        pq.push(root.0, target, false);
-
-        while let Some((id, r_eff, scaled)) = pq.pop() {
-            let id = NodeId(id);
-            stats.nodes_traversed += 1;
-            let node = self.node(id);
-            crate::flight::with(|f| f.node(node.level));
-            if !query.region.intersects_rect(&node.bbox) {
-                pq.redistribute(r_eff);
-                continue;
-            }
-            let contained = query.region.contains_rect(&node.bbox);
-
-            // --- Terminal: probe/serve this subtree -----------------------
-            if contained && node.level >= terminal_level {
-                let avail = if oversampling { node_avail(id) } else { 1.0 };
-                let fulfilled = self.serve_terminal(
-                    TermTarget::Ptr(id),
-                    r_eff,
-                    scaled,
-                    avail,
-                    query,
-                    now,
-                    rng,
-                    &mut stats,
-                    &mut groups,
-                    &mut readings,
-                    plan,
-                    scratch,
-                );
-                let want = if scaled { r_eff * avail } else { r_eff };
-                if fulfilled + TARGET_EPS < want {
-                    pq.redistribute(want - fulfilled);
-                }
-                continue;
-            }
-
-            // --- Partition the target among children ----------------------
-            scratch.kid_nodes.clear();
-            scratch.kid_ow.clear();
-            scratch.kid_sensors.clear();
-            scratch.kid_avail.clear();
-            let mut denom = 0.0f64;
-            match &node.children {
-                Children::Internal(children) => {
-                    for &c in children {
-                        let child = self.node(c);
-                        let ow = child.query_weight(query.kind_filter) as f64
-                            * query.region.overlap_fraction(&child.bbox);
-                        if ow > TARGET_EPS {
-                            scratch.kid_nodes.push(c.0);
-                            scratch.kid_ow.push(ow);
-                            denom += ow;
-                        }
-                    }
-                }
-                Children::Leaf(sensors) => {
-                    for &s in sensors {
-                        let meta = self.sensor(s);
-                        if query.matches_sensor(meta) {
-                            scratch.kid_sensors.push(s);
-                            scratch.kid_avail.push(match live {
-                                Some(live) => live.sensor(s),
-                                None => meta.availability,
-                            });
-                            denom += 1.0;
-                        }
-                    }
-                }
-            }
-            if denom <= TARGET_EPS {
-                // Dead end: give the whole target back to pending nodes.
-                pq.redistribute(r_eff);
-                continue;
-            }
-
-            let mut assigned = 0.0;
-            let fulfilled = self.serve_leaf_sensors(
-                id,
-                node.bbox,
-                r_eff * 1.0 / denom,
-                scaled,
-                query,
-                now,
-                rng,
-                &mut stats,
-                &mut groups,
-                &mut readings,
-                plan,
-                scratch,
-            );
-            for i in 0..scratch.kid_nodes.len() {
-                let c = NodeId(scratch.kid_nodes[i]);
-                let ow = scratch.kid_ow[i];
-                let share = r_eff * ow / denom;
-                if share <= TARGET_EPS {
-                    continue;
-                }
-                let child = self.node(c);
-                let child_contained =
-                    query.region.contains_rect(&child.bbox) && child.level >= terminal_level;
-                if child_contained {
-                    // Terminal child: handled when popped; push keeps
-                    // the traversal order and redistribution simple.
-                    pq.push(c.0, share, scaled);
-                    assigned += share;
-                } else {
-                    let mut push_target = share;
-                    let mut child_scaled = scaled;
-                    if !scaled && child.level == query.oversample_level && oversampling {
-                        push_target /= node_avail(c);
-                        child_scaled = true;
-                    }
-                    pq.push(c.0, push_target, child_scaled);
-                    assigned += share;
-                }
-            }
-
-            let lag = r_eff - fulfilled - assigned;
-            if lag > TARGET_EPS {
-                pq.redistribute(lag);
-            }
-        }
-        debug_assert!(pq.is_empty());
-        scratch.pq = pq;
-
-        QueryOutput {
-            groups,
-            readings,
-            stats,
-            latency_ms: 0.0,
-        }
-    }
-
     pub(crate) fn group_over_readings(
         node: NodeId,
         bbox: colr_geo::Rect,
@@ -356,18 +175,19 @@ impl ColrTree {
         }
     }
 
-    /// Serves one terminal subtree: cached aggregate shortcut → raw cache →
-    /// sampled probes. `avail` is the subtree's clamped `a_i` (1.0 with
-    /// oversampling off). Returns the number of successful readings credited
-    /// against the (raw, pre-oversampling) target.
-    ///
-    /// Shared by the pointer and arena layouts via [`TermTarget`]; every RNG
-    /// draw and every f64 operation below is layout-independent, which is
-    /// what makes the two sample streams bit-identical.
+    /// Serves the terminal subtree at arena node `idx`: cached aggregate
+    /// shortcut → raw cache → sampled probes. `rect_contained` says the query
+    /// region is a `Rect` (the terminal itself is always contained when this
+    /// is called), which licenses the scan's exact geometric fast paths.
+    /// `avail` is the subtree's clamped `a_i` (1.0 with oversampling off).
+    /// Returns the number of successful readings credited against the (raw,
+    /// pre-oversampling) target.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn serve_terminal<R: Rng + ?Sized>(
         &self,
-        target: TermTarget<'_>,
+        arena: &SamplingArena,
+        idx: usize,
+        rect_contained: bool,
         r_eff: f64,
         scaled: bool,
         avail: f64,
@@ -380,21 +200,13 @@ impl ColrTree {
         plan: &mut ProbePlan,
         scratch: &mut QueryScratch,
     ) -> f64 {
-        let (id, bbox, weight) = match &target {
-            TermTarget::Ptr(id) => {
-                let node = self.node(*id);
-                (*id, node.bbox, node.query_weight(query.kind_filter) as f64)
-            }
-            TermTarget::Arena { arena, idx, .. } => {
-                let id = arena.orig(*idx);
-                // The arena mirrors the unfiltered weight as f64; filtered
-                // weights stay on the pointer node's sorted kind table.
-                let weight = match query.kind_filter {
-                    None => arena.weight(*idx),
-                    Some(k) => self.node(id).query_weight(Some(k)) as f64,
-                };
-                (id, arena.bbox(*idx), weight)
-            }
+        let id = arena.orig(idx);
+        let bbox = arena.bbox(idx);
+        // The arena mirrors the unfiltered weight as f64; filtered weights
+        // stay on the pointer node's sorted kind table.
+        let weight = match query.kind_filter {
+            None => arena.weight(idx),
+            Some(k) => self.node(id).query_weight(Some(k)) as f64,
         };
         // The desired number of *successful* readings from this subtree.
         let want = if scaled { r_eff * avail } else { r_eff }.min(weight.max(1.0));
@@ -437,32 +249,17 @@ impl ColrTree {
         // 2. Raw cached readings count against the target (line 9 / 15).
         scratch.cached.clear();
         scratch.candidates.clear();
-        match &target {
-            TermTarget::Ptr(id) => self.terminal_scan_into(
-                *id,
-                query,
-                now,
-                stats,
-                &mut scratch.cached,
-                &mut scratch.candidates,
-                &mut scratch.stack,
-            ),
-            TermTarget::Arena {
-                arena,
-                idx,
-                rect_contained,
-            } => self.terminal_scan_arena(
-                arena,
-                *idx,
-                *rect_contained,
-                query,
-                now,
-                stats,
-                &mut scratch.cached,
-                &mut scratch.candidates,
-                &mut scratch.stack,
-            ),
-        }
+        self.terminal_scan_arena(
+            arena,
+            idx,
+            rect_contained,
+            query,
+            now,
+            stats,
+            &mut scratch.cached,
+            &mut scratch.candidates,
+            &mut scratch.stack,
+        );
         stats.readings_from_cache += scratch.cached.len() as u64;
         crate::flight::with(|f| f.cached_readings(scratch.cached.len() as u64));
         if !scratch.cached.is_empty() {

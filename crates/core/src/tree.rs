@@ -18,6 +18,16 @@
 //!   (Section IV-A's replacement policy), maintained here as a global
 //!   `(slot, fetched_at, sensor)` ordering.
 //!
+//! ## What walks this structure
+//!
+//! The pointer tree here (`Vec<Node>`, children wherever the builder pushed
+//! them) is what gets *built* and *maintained*: cache write-back climbs its
+//! parent links, the two baseline modes ([`crate::lookup::Mode::RTree`],
+//! [`crate::lookup::Mode::HierCache`]) and the relational backend descend
+//! it. Algorithm 1 does not: the bulk loader flattens every finished
+//! tree into a [`crate::arena::SamplingArena`], and the one sampling walk
+//! runs over that (see [`crate::arena`]).
+//!
 //! ## Concurrency
 //!
 //! The static index (nodes, bounding boxes, sensor registry) is immutable
@@ -187,20 +197,6 @@ impl Default for BuildStrategy {
     }
 }
 
-/// Which in-memory representation Algorithm 1 traverses at query time.
-///
-/// Both layouts produce **bit-identical sample streams** for the same
-/// `(tree, query, rng)` — enforced by the hot-path parity test — so the
-/// choice is purely a performance knob.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HotPathLayout {
-    /// Traverse the pointer tree of [`Node`] structs (the reference path).
-    Pointer,
-    /// Traverse the flattened structure-of-arrays [`crate::arena::SamplingArena`]
-    /// (cache-conscious; the default).
-    Arena,
-}
-
 /// Configuration of a COLR-Tree.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColrConfig {
@@ -232,8 +228,6 @@ pub struct ColrConfig {
     pub cache_coverage_threshold: f64,
     /// Latency model used to convert query stats into processing latency.
     pub cost: CostModel,
-    /// Query-time representation Algorithm 1 runs against.
-    pub layout: HotPathLayout,
 }
 
 impl Default for ColrConfig {
@@ -248,7 +242,6 @@ impl Default for ColrConfig {
             enable_redistribution: true,
             cache_coverage_threshold: 0.5,
             cost: CostModel::default(),
-            layout: HotPathLayout::Arena,
         }
     }
 }
@@ -300,10 +293,10 @@ pub struct ColrTree {
     /// When set, Algorithm 1 consults these instead of the frozen
     /// build-time `avail_mean` / `SensorMeta::availability`.
     pub(crate) live_avail: RwLock<Option<Arc<crate::avail::LiveAvailability>>>,
-    /// Flattened structure-of-arrays mirror of `nodes`, rebuilt once per
-    /// generation by the bulk loader. Immutable after construction; shared
-    /// by clones (it mirrors the same immutable node structure).
-    pub(crate) arena: Option<Arc<crate::arena::SamplingArena>>,
+    /// Flattened structure-of-arrays mirror of `nodes` — what Algorithm 1
+    /// walks. Built with the tree, immutable after; shared by clones (it
+    /// mirrors the same immutable node structure).
+    pub(crate) arena: Arc<crate::arena::SamplingArena>,
 }
 
 impl Clone for ColrTree {
@@ -334,17 +327,30 @@ impl Clone for ColrTree {
 }
 
 impl ColrTree {
-    /// Assembles a tree from bulk-built parts, creating empty caches for
-    /// every node. Levels are assigned by the caller.
+    /// Assembles a tree from bulk-built parts: assigns levels, flattens the
+    /// finished structure into the query-time arena (BFS numbering, children
+    /// contiguous, SoA bounding boxes) and creates empty caches for every
+    /// node.
     pub(crate) fn assemble(
         config: ColrConfig,
         slot_config: SlotConfig,
         t_max: TimeDelta,
         sensors: Vec<SensorMeta>,
-        nodes: Vec<Node>,
+        mut nodes: Vec<Node>,
         root: NodeId,
         sensor_leaf: Vec<NodeId>,
     ) -> ColrTree {
+        // BFS from the root; the leaf level is uniform by construction.
+        let mut leaf_level = 0;
+        let mut queue = std::collections::VecDeque::from([(root, 0u16)]);
+        while let Some((id, level)) = queue.pop_front() {
+            nodes[id.index()].level = level;
+            leaf_level = leaf_level.max(level);
+            if let Children::Internal(children) = &nodes[id.index()].children {
+                queue.extend(children.iter().map(|&c| (c, level + 1)));
+            }
+        }
+        let arena = Arc::new(crate::arena::SamplingArena::flatten(&nodes, root, &sensors));
         let mut stripes: Vec<Vec<NodeCache>> = (0..CACHE_STRIPES).map(|_| Vec::new()).collect();
         for i in 0..nodes.len() {
             stripes[i & (CACHE_STRIPES - 1)].push(NodeCache::new(slot_config));
@@ -356,13 +362,13 @@ impl ColrTree {
             sensors,
             nodes,
             root,
-            leaf_level: 0,
+            leaf_level,
             sensor_leaf,
             stripes: stripes.into_iter().map(RwLock::new).collect(),
             maint: Mutex::new(Maintenance::default()),
             settled_below: AtomicU64::new(0),
             live_avail: RwLock::new(None),
-            arena: None,
+            arena,
         }
     }
 
@@ -472,11 +478,10 @@ impl ColrTree {
         self.maint.lock().total_cached
     }
 
-    /// The flattened structure-of-arrays mirror of the node structure, built
-    /// once per generation by the bulk loader (`None` only for hand-assembled
-    /// trees that never went through `build`).
-    pub fn sampling_arena(&self) -> Option<&crate::arena::SamplingArena> {
-        self.arena.as_deref()
+    /// The flattened structure-of-arrays mirror of the node structure that
+    /// Algorithm 1 walks, built once per generation by the bulk loader.
+    pub fn sampling_arena(&self) -> &crate::arena::SamplingArena {
+        &self.arena
     }
 
     // ------------------------------------------------------------------
@@ -507,37 +512,6 @@ impl ColrTree {
     /// Reverts Algorithm 1 to the frozen build-time availability means.
     pub fn disable_live_availability(&self) {
         *self.live_avail.write() = None;
-    }
-
-    /// Mean availability of the subtree under `id`: live estimate when
-    /// enabled, frozen `avail_mean` otherwise.
-    pub fn node_avail(&self, id: NodeId) -> f64 {
-        match &*self.live_avail.read() {
-            Some(live) => live.node(id),
-            None => self.node(id).avail_mean,
-        }
-    }
-
-    /// Availability of one sensor: live estimate when enabled, static
-    /// registration metadata otherwise.
-    pub fn sensor_avail(&self, id: SensorId) -> f64 {
-        match &*self.live_avail.read() {
-            Some(live) => live.sensor(id),
-            None => self.sensor(id).availability,
-        }
-    }
-
-    /// The ancestor of `id` at `level` (or `id` itself when already at or
-    /// above that level).
-    pub fn ancestor_at_level(&self, id: NodeId, level: u16) -> NodeId {
-        let mut cur = id;
-        while self.node(cur).level > level {
-            match self.node(cur).parent {
-                Some(p) => cur = p,
-                None => break,
-            }
-        }
-        cur
     }
 
     /// Iterates over node ids in arena order.
@@ -1001,31 +975,8 @@ impl ColrTree {
     }
 
     // ------------------------------------------------------------------
-    // Subtree walks used by lookup & sampling
+    // Subtree walks
     // ------------------------------------------------------------------
-
-    /// Collects every sensor under `id` whose location lies within `region`.
-    pub fn sensors_in_region(&self, id: NodeId, region: &Region) -> Vec<SensorId> {
-        let mut out = Vec::new();
-        let mut stack = vec![id];
-        while let Some(cur) = stack.pop() {
-            let node = self.node(cur);
-            if !region.intersects_rect(&node.bbox) {
-                continue;
-            }
-            match &node.children {
-                Children::Leaf(sensors) => {
-                    for &s in sensors {
-                        if region.contains_point(&self.sensors[s.index()].location) {
-                            out.push(s);
-                        }
-                    }
-                }
-                Children::Internal(children) => stack.extend(children.iter().copied()),
-            }
-        }
-        out
-    }
 
     /// Collects the fresh cached readings under `id` within `region` at
     /// `now` with freshness bound `staleness`.

@@ -34,8 +34,8 @@ use std::sync::{Arc, OnceLock};
 use colr_geo::{Point, Rect};
 use colr_telemetry::{global, Counter};
 use colr_tree::{
-    apportion, derive_seed, kmeans_partition, AggKind, BuildStrategy, ClockHandle, Histogram, Mode,
-    ProbeService, QueryStats, SensorId, SensorMeta, TimeDelta, Timestamp,
+    apportion, derive_seed, kmeans_partition, unit_draw, AggKind, BuildStrategy, ClockHandle,
+    Histogram, Mode, ProbeService, QueryStats, SensorId, SensorMeta, TimeDelta, Timestamp,
 };
 use parking_lot::{Mutex, RwLock};
 
@@ -425,8 +425,14 @@ impl<P: ProbeService> ShardedPortal<P> {
         } else {
             None
         });
+        // The leftover units fall by `derive_seed(base, 0)`, which seeds no
+        // shard (shard 0 runs under `base` itself), so the split replays per
+        // `(seed, ordinal)` like the slices it hands out.
         let shares: Vec<Option<usize>> = match target_r {
-            Some(r) if mode == Mode::Colr => apportion(r, &targets).into_iter().map(Some).collect(),
+            Some(r) if mode == Mode::Colr => {
+                let u = unit_draw(derive_seed(base, 0));
+                apportion(r, &targets, u).into_iter().map(Some).collect()
+            }
             _ => vec![None; targets.len()],
         };
         let mut outcomes = Vec::with_capacity(targets.len());

@@ -4,9 +4,8 @@
 //!
 //! (a) **Parity by construction** — the stage tree accumulates at exactly
 //!     the sites that mutate `QueryStats`, so its totals are bit-identical
-//!     to the stats, on the pointer *and* the arena hot-path layouts, in
-//!     every execution mode, cold and warm, with retries and failures in
-//!     play.
+//!     to the stats in every execution mode, cold and warm, with retries
+//!     and failures in play.
 //! (b) **Zero observable effect** — arming the recorder consumes no RNG and
 //!     changes no float op; a recorded run answers byte-for-byte like an
 //!     unrecorded one.
@@ -18,8 +17,8 @@ use std::sync::Arc;
 
 use colr_repro::colr::probe::{AlwaysAvailable, FailEveryKth};
 use colr_repro::colr::{
-    flight, ColrConfig, ColrTree, HotPathLayout, Mode, ProbeService, Query, Reading,
-    ResilientConfig, ResilientProber, SensorId, SensorMeta, TimeDelta, Timestamp,
+    flight, ColrConfig, ColrTree, Mode, ProbeService, Query, Reading, ResilientConfig,
+    ResilientProber, SensorId, SensorMeta, TimeDelta, Timestamp,
 };
 use colr_repro::engine::{ExplainLevel, PortalConfig, PortalService, QueryRequest};
 use colr_repro::geo::{Point, Rect};
@@ -55,62 +54,53 @@ fn viewport(sample: Option<f64>) -> Query {
 }
 
 #[test]
-fn stage_totals_match_query_stats_across_layouts_and_modes() {
+fn stage_totals_match_query_stats_across_modes() {
     // Retrying prober over a deterministic failure pattern: waves, retries,
     // backoff and failures all flow through the record.
-    for layout in [HotPathLayout::Pointer, HotPathLayout::Arena] {
-        for (mode, sample) in [
-            (Mode::RTree, None),
-            (Mode::HierCache, None),
-            (Mode::Colr, Some(60.0)),
-        ] {
-            let tree = ColrTree::build(
-                fleet(),
-                ColrConfig {
-                    layout,
-                    ..Default::default()
-                },
-                11,
+    for (mode, sample) in [
+        (Mode::RTree, None),
+        (Mode::HierCache, None),
+        (Mode::Colr, Some(60.0)),
+    ] {
+        let tree = ColrTree::build(fleet(), ColrConfig::default(), 11);
+        let probe =
+            ResilientProber::new(FailEveryKth::new(EXPIRY_MS, 3), ResilientConfig::default());
+        let mut rng = StdRng::seed_from_u64(99);
+        let q = viewport(sample);
+        for round in 0..3u64 {
+            // Rounds 0/1 share an instant (1 is warm); round 2 expires
+            // the caches so probing resumes.
+            let now = Timestamp(1_000 + (round / 2) * EXPIRY_MS);
+            flight::begin(round);
+            let out = tree.execute(&q, mode, &probe, now, &mut rng);
+            let mut rec = flight::take().expect("recorder was armed");
+            rec.finalize(&out.stats, 0.0);
+            rec.parity().unwrap_or_else(|e| {
+                panic!("{mode:?} round {round}: {e}");
+            });
+            assert!(
+                rec.levels.iter().map(|l| l.nodes).sum::<u64>() > 0,
+                "{mode:?}: no traversal recorded"
             );
-            let probe =
-                ResilientProber::new(FailEveryKth::new(EXPIRY_MS, 3), ResilientConfig::default());
-            let mut rng = StdRng::seed_from_u64(99);
-            let q = viewport(sample);
-            for round in 0..3u64 {
-                // Rounds 0/1 share an instant (1 is warm); round 2 expires
-                // the caches so probing resumes.
-                let now = Timestamp(1_000 + (round / 2) * EXPIRY_MS);
-                flight::begin(round);
-                let out = tree.execute(&q, mode, &probe, now, &mut rng);
-                let mut rec = flight::take().expect("recorder was armed");
-                rec.finalize(&out.stats, 0.0);
-                rec.parity().unwrap_or_else(|e| {
-                    panic!("{layout:?}/{mode:?} round {round}: {e}");
-                });
+            // Select → collect → complete: a query's probes are one
+            // dispatch, so the record holds one wave stage or none.
+            assert_eq!(
+                rec.waves.len(),
+                usize::from(out.stats.sensors_probed > 0),
+                "{mode:?} round {round}: one WaveStage per probing query"
+            );
+            assert_eq!(
+                out.stats.probe_waves,
+                out.stats.sensors_probed.div_ceil(128) + out.stats.retry_waves,
+                "{mode:?} round {round}: waves counted vs modelled"
+            );
+            if round == 2 && out.stats.probes_retried > 0 {
                 assert!(
-                    rec.levels.iter().map(|l| l.nodes).sum::<u64>() > 0,
-                    "{layout:?}/{mode:?}: no traversal recorded"
+                    !rec.retry_rounds.is_empty(),
+                    "{mode:?}: retries happened but no retry rounds recorded"
                 );
-                // Select → collect → complete: a query's probes are one
-                // dispatch, so the record holds one wave stage or none.
-                assert_eq!(
-                    rec.waves.len(),
-                    usize::from(out.stats.sensors_probed > 0),
-                    "{layout:?}/{mode:?} round {round}: one WaveStage per probing query"
-                );
-                assert_eq!(
-                    out.stats.probe_waves,
-                    out.stats.sensors_probed.div_ceil(128) + out.stats.retry_waves,
-                    "{layout:?}/{mode:?} round {round}: waves counted vs modelled"
-                );
-                if round == 2 && out.stats.probes_retried > 0 {
-                    assert!(
-                        !rec.retry_rounds.is_empty(),
-                        "{layout:?}/{mode:?}: retries happened but no retry rounds recorded"
-                    );
-                }
-                flight::recycle(rec);
             }
+            flight::recycle(rec);
         }
     }
 }
@@ -148,73 +138,65 @@ fn recording_never_changes_answers() {
 }
 
 #[test]
-fn explain_analyze_executes_and_asserts_parity_on_both_layouts() {
-    for layout in [HotPathLayout::Pointer, HotPathLayout::Arena] {
-        let portal = PortalService::new(
-            fleet(),
-            AlwaysAvailable {
-                expiry_ms: EXPIRY_MS,
-            },
-            PortalConfig {
-                tree: ColrConfig {
-                    layout,
-                    ..Default::default()
-                },
-                ..Default::default()
-            },
-        );
-        portal.clock().advance(TimeDelta::from_secs(1));
-        let sql = "EXPLAIN ANALYZE SELECT count(*) FROM sensor WHERE location \
-                   WITHIN RECT(-0.5,-0.5,11.5,11.5) SAMPLESIZE 50";
-        // Cold, then warm: the second run must show cache activity in the
-        // stage tree and still hold parity.
-        let analyze = |req: &QueryRequest| {
-            let resp = portal.execute(req).expect("explain analyze");
-            resp.explain.expect("Analyze responses carry explain text")
-        };
-        let req = QueryRequest::from_sql(sql).expect("parses");
-        let cold = analyze(&req);
-        let warm = analyze(&req);
-        for (tag, report) in [("cold", &cold), ("warm", &warm)] {
-            for needle in [
-                "flight record",
-                "├─ plan",
-                "├─ traverse",
-                "├─ probe",
-                "├─ write-back",
-                "degradation:",
-                "parity: stage totals == QueryStats (bit-exact)",
-            ] {
-                assert!(
-                    report.contains(needle),
-                    "{layout:?} {tag}: missing `{needle}` in:\n{report}"
-                );
-            }
+fn explain_analyze_executes_and_asserts_parity() {
+    let portal = PortalService::new(
+        fleet(),
+        AlwaysAvailable {
+            expiry_ms: EXPIRY_MS,
+        },
+        PortalConfig::default(),
+    );
+    portal.clock().advance(TimeDelta::from_secs(1));
+    let sql = "EXPLAIN ANALYZE SELECT count(*) FROM sensor WHERE location \
+               WITHIN RECT(-0.5,-0.5,11.5,11.5) SAMPLESIZE 50";
+    // Cold, then warm: the second run must show cache activity in the
+    // stage tree and still hold parity.
+    let analyze = |req: &QueryRequest| {
+        let resp = portal.execute(req).expect("explain analyze");
+        resp.explain.expect("Analyze responses carry explain text")
+    };
+    let req = QueryRequest::from_sql(sql).expect("parses");
+    let cold = analyze(&req);
+    let warm = analyze(&req);
+    for (tag, report) in [("cold", &cold), ("warm", &warm)] {
+        for needle in [
+            "flight record",
+            "├─ plan",
+            "├─ traverse",
+            "├─ probe",
+            "├─ write-back",
+            "degradation:",
+            "parity: stage totals == QueryStats (bit-exact)",
+        ] {
             assert!(
-                !report.contains("parity: FAILED"),
-                "{layout:?} {tag}: parity failure:\n{report}"
+                report.contains(needle),
+                "{tag}: missing `{needle}` in:\n{report}"
             );
         }
         assert!(
-            cold.contains("wave"),
-            "{layout:?}: cold run issued no probe wave:\n{cold}"
-        );
-        // A bare SELECT raised to the Analyze level is the same request.
-        let bare = analyze(
-            &QueryRequest::from_sql(
-                "SELECT count(*) FROM sensor WHERE location WITHIN \
-                 RECT(-0.5,-0.5,5.5,5.5) SAMPLESIZE 10",
-            )
-            .expect("parses")
-            .with_explain(ExplainLevel::Analyze),
-        );
-        assert!(bare.contains("parity: stage totals == QueryStats (bit-exact)"));
-        // EXPLAIN ANALYZE must not leak an armed recorder onto the thread.
-        assert!(
-            !flight::is_active(),
-            "recorder leaked after EXPLAIN ANALYZE"
+            !report.contains("parity: FAILED"),
+            "{tag}: parity failure:\n{report}"
         );
     }
+    assert!(
+        cold.contains("wave"),
+        "cold run issued no probe wave:\n{cold}"
+    );
+    // A bare SELECT raised to the Analyze level is the same request.
+    let bare = analyze(
+        &QueryRequest::from_sql(
+            "SELECT count(*) FROM sensor WHERE location WITHIN \
+             RECT(-0.5,-0.5,5.5,5.5) SAMPLESIZE 10",
+        )
+        .expect("parses")
+        .with_explain(ExplainLevel::Analyze),
+    );
+    assert!(bare.contains("parity: stage totals == QueryStats (bit-exact)"));
+    // EXPLAIN ANALYZE must not leak an armed recorder onto the thread.
+    assert!(
+        !flight::is_active(),
+        "recorder leaked after EXPLAIN ANALYZE"
+    );
 }
 
 /// Sensors east of `cutoff_x` are dark; everyone else answers like

@@ -1,35 +1,64 @@
-//! Bit-identical parity between the pointer-tree and arena sampling paths.
+//! The arena walk answers exactly as the deleted pointer walk did.
 //!
-//! The arena layout (`HotPathLayout::Arena`) is a pure performance
-//! optimisation: Algorithm 1 must consume the *same RNG draws with the same
-//! arguments in the same order* as the pointer path, so that switching
-//! layouts never changes a sample, a group, or a statistic. These tests
-//! enforce the gate the optimisation shipped under:
+//! Algorithm 1 used to exist twice — over the pointer tree and over the
+//! arena — and this file compared the two draw for draw. The pointer walk is
+//! gone; what it proved is kept as data. At parent commit `18a1f92` (the last
+//! one with a layout switch) the pointer side of each comparison below was run
+//! and an FNV-1a-64 digest taken of every `Debug` string the comparison read,
+//! plus the RNG's next raw draw after each bare-tree query. The one walk that
+//! remains must reproduce those constants:
 //!
-//! (a) Across multiple build seeds and worker-thread counts, a frozen batch
-//!     over a 1k-sensor fleet answers identically (values, groups, stats —
-//!     compared via exhaustive `Debug` strings) on both layouts, cold *and*
-//!     warm (the second pass runs against caches the first pass filled).
-//! (b) The geometric fast paths are rectangle-only; polygon, circle, and
-//!     type-filtered queries must take the scalar route and still match
-//!     draw for draw — verified by comparing outputs *and* proving both
-//!     RNGs arrive at the same stream position afterwards.
-//! (c) The same holds on the live-availability branch: with a live map
-//!     enabled on both trees and fed identical probe failures, every `a_i`
-//!     the walk reads differs from the frozen means the arena mirrors, and
-//!     the streams still match across seeds, shapes and thread counts.
+//! (a) frozen batches over a 1k-sensor fleet, three build seeds, cold and
+//!     warm, at 1, 2 and 8 worker threads;
+//! (b) polygon, circle and kind-filtered queries on the bare tree (the scalar
+//!     route: no rectangle fast path applies), cold / warm / expired;
+//! (c) both again with live availability on and fed a fixed failure pattern,
+//!     so every `a_i` the walk reads differs from the frozen means the arena
+//!     mirrors.
+//!
+//! A digest mismatch means an answer, a statistic or an RNG position moved.
+//! If that is an intended algorithm change (ROADMAP 2d), re-record: every
+//! assertion prints the digest it computed.
 
 use colr_repro::colr::probe::AlwaysAvailable;
 use colr_repro::colr::{
-    ColrConfig, ColrTree, HotPathLayout, Mode, Query, SensorId, SensorMeta, TimeDelta, Timestamp,
+    ColrConfig, ColrTree, Mode, Query, SensorId, SensorMeta, TimeDelta, Timestamp,
 };
-use colr_repro::engine::{parse, PortalConfig, PortalService, SelectQuery};
+use colr_repro::engine::{parse, BatchResult, PortalConfig, PortalService, SelectQuery};
 use colr_repro::geo::{Circle, Point, Polygon, Rect, Region};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const EXPIRY_MS: u64 = 600_000;
 const SIDE: usize = 32; // 1_024 sensors
+const SEEDS: [u64; 3] = [3, 17, 91];
+
+/// `(cold, warm)` batch digests per build seed, frozen availability.
+const FROZEN_BATCHES: [(u64, u64); 3] = [
+    (0xccd6_78d3_6264_666f, 0x5e8c_4a72_2bb2_1bec),
+    (0xb13c_9725_9058_50e8, 0x9f0d_4d7b_1e9e_a598),
+    (0x994e_87b8_8725_42ce, 0x45a5_80c5_b3fa_4b33),
+];
+/// `(cold, warm)` batch digests per build seed, live availability.
+const LIVE_BATCHES: [(u64, u64); 3] = [
+    (0xb26b_8f7b_8822_0b2f, 0x1a70_736d_6b2f_3b60),
+    (0xa9b9_016b_83f3_7002, 0x8e61_1ae4_4f23_4248),
+    (0x1553_afb3_7ba3_7c58, 0xf9b5_60e6_2a7c_6ad8),
+];
+/// One digest per query of [`scalar_queries`] (three rounds each).
+const FROZEN_SHAPES: [u64; 4] = [
+    0x0e99_4471_843f_8996,
+    0x3fab_a864_0f5d_8ab6,
+    0x48c9_ef12_4ec4_5648,
+    0x7863_d7e4_86f3_4016,
+];
+/// One digest per query of [`live_queries`] (three rounds each).
+const LIVE_SHAPES: [u64; 4] = [
+    0x1915_c237_438f_dd73,
+    0x9b40_8abd_7d8d_4284,
+    0x3666_4f75_8aaa_5b7f,
+    0x4dd4_2566_057e_8056,
+];
 
 fn fleet() -> Vec<SensorMeta> {
     (0..SIDE * SIDE)
@@ -46,7 +75,7 @@ fn fleet() -> Vec<SensorMeta> {
         .collect()
 }
 
-fn portal(layout: HotPathLayout, seed: u64) -> PortalService<AlwaysAvailable> {
+fn portal(seed: u64) -> PortalService<AlwaysAvailable> {
     PortalService::new(
         fleet(),
         AlwaysAvailable {
@@ -54,10 +83,6 @@ fn portal(layout: HotPathLayout, seed: u64) -> PortalService<AlwaysAvailable> {
         },
         PortalConfig {
             seed,
-            tree: ColrConfig {
-                layout,
-                ..Default::default()
-            },
             ..Default::default()
         },
     )
@@ -83,98 +108,112 @@ fn viewport_batch(seed: u64) -> Vec<SelectQuery> {
         .collect()
 }
 
-/// Asserts two batch results are indistinguishable, down to Debug strings.
-fn assert_batches_equal(
-    tag: &str,
-    a: &colr_repro::engine::BatchResult,
-    b: &colr_repro::engine::BatchResult,
-) {
-    assert_eq!(a.results.len(), b.results.len(), "{tag}: result count");
-    for (i, (ra, rb)) in a.results.iter().zip(&b.results).enumerate() {
-        assert_eq!(ra.value, rb.value, "{tag}: value diverged at query {i}");
-        assert_eq!(
-            format!("{:?}", ra.groups),
-            format!("{:?}", rb.groups),
-            "{tag}: groups diverged at query {i}"
-        );
-        assert_eq!(
-            format!("{:?}", ra.stats),
-            format!("{:?}", rb.stats),
-            "{tag}: stats diverged at query {i}"
-        );
+/// FNV-1a-64 over the bytes of everything fed to it.
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Digest {
+        Digest(0xcbf2_9ce4_8422_2325)
     }
+
+    fn eat(&mut self, s: &str) {
+        for b in s.bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// Everything the pointer-vs-arena batch comparison read: per query the
+/// value, groups and stats, then the write-back count and the batch stats.
+fn batch_digest(b: &BatchResult) -> u64 {
+    let mut d = Digest::new();
+    for r in &b.results {
+        d.eat(&format!("{:?}", r.value));
+        d.eat(&format!("{:?}", r.groups));
+        d.eat(&format!("{:?}", r.stats));
+    }
+    d.eat(&format!("{:?}", b.readings_applied));
+    d.eat(&format!("{:?}", b.stats));
+    d.0
+}
+
+/// Runs `queries` on `tree`, three rounds each (rounds 0 and 1 share an
+/// instant, so round 1 is warm; round 2 moves past staleness so caches expire
+/// and probing resumes), and digests per query every reading, group and
+/// statistic plus the RNG's next raw draw after each execution.
+fn shape_digests(tree: &ColrTree, queries: &[Query]) -> Vec<u64> {
+    let probe = AlwaysAvailable {
+        expiry_ms: EXPIRY_MS,
+    };
+    let mut rng = StdRng::seed_from_u64(4242);
+    queries
+        .iter()
+        .map(|query| {
+            let mut d = Digest::new();
+            for round in 0..3u64 {
+                let now = Timestamp(1_000 + (round / 2) * 600_000);
+                let out = tree.execute(query, Mode::Colr, &probe, now, &mut rng);
+                d.eat(&format!("{:?}", (&out.readings, &out.groups, &out.stats)));
+                d.eat(&format!("{:?}", rng.random::<u64>()));
+            }
+            d.0
+        })
+        .collect()
+}
+
+#[track_caller]
+fn assert_digest(what: &str, got: u64, recorded: u64) {
     assert_eq!(
-        a.readings_applied, b.readings_applied,
-        "{tag}: writeback count"
-    );
-    assert_eq!(
-        format!("{:?}", a.stats),
-        format!("{:?}", b.stats),
-        "{tag}: batch stats"
+        got, recorded,
+        "{what}: digest {got:#018x}, the pointer walk recorded {recorded:#018x}"
     );
 }
 
-#[test]
-fn arena_stream_is_bit_identical_across_seeds_and_threads() {
-    for seed in [3u64, 17, 91] {
+/// The batch matrix: per seed the cold and warm pass must reproduce the
+/// recorded digests at every thread count (parity AND thread-count invariance
+/// in one matrix).
+fn assert_batch_matrix(tag: &str, recorded: &[(u64, u64); 3], prepare: impl Fn(&ColrTree)) {
+    for (&seed, &(cold_ref, warm_ref)) in SEEDS.iter().zip(recorded) {
         let batch = viewport_batch(seed.wrapping_mul(1_000_003));
-        // The pointer portal at one thread is the reference stream; the
-        // arena portal must reproduce it at every thread count (parity AND
-        // thread-count invariance in one matrix).
-        let reference = portal(HotPathLayout::Pointer, seed);
-        let cold_ref = reference.execute_many(&batch, 1).expect("batch");
-        let warm_ref = reference.execute_many(&batch, 1).expect("batch");
-        assert!(
-            warm_ref.stats.readings_from_cache > 0 || warm_ref.stats.cache_nodes_used > 0,
-            "seed {seed}: warm pass never touched a cache — parity not exercised"
-        );
         for threads in [1usize, 2, 8] {
-            let arena = portal(HotPathLayout::Arena, seed);
-            let cold = arena.execute_many(&batch, threads).expect("batch");
-            let warm = arena.execute_many(&batch, threads).expect("batch");
-            assert_batches_equal(
-                &format!("seed {seed} threads {threads} cold"),
-                &cold_ref,
-                &cold,
+            let svc = portal(seed);
+            prepare(svc.snapshot().tree());
+            let cold = svc.execute_many(&batch, threads).expect("batch");
+            let warm = svc.execute_many(&batch, threads).expect("batch");
+            assert!(
+                warm.stats.readings_from_cache > 0 || warm.stats.cache_nodes_used > 0,
+                "{tag} seed {seed}: warm pass never touched a cache — parity not exercised"
             );
-            assert_batches_equal(
-                &format!("seed {seed} threads {threads} warm"),
-                &warm_ref,
-                &warm,
-            );
+            let what = format!("{tag} seed {seed} threads {threads}");
+            assert_digest(&format!("{what} cold"), batch_digest(&cold), cold_ref);
+            assert_digest(&format!("{what} warm"), batch_digest(&warm), warm_ref);
         }
     }
 }
 
 #[test]
-fn scalar_route_matches_for_polygon_circle_and_kind_filters() {
-    let config = |layout| ColrConfig {
-        layout,
-        ..Default::default()
-    };
-    let ptr = ColrTree::build(fleet(), config(HotPathLayout::Pointer), 5);
-    let arena = ColrTree::build(fleet(), config(HotPathLayout::Arena), 5);
-    let probe = AlwaysAvailable {
-        expiry_ms: EXPIRY_MS,
-    };
+fn arena_stream_is_bit_identical_across_seeds_and_threads() {
+    assert_batch_matrix("frozen", &FROZEN_BATCHES, |_| {});
+}
+
+fn triangle() -> Region {
+    // Cuts across many leaf MBRs.
+    Region::Polygon(Polygon::new(vec![
+        Point::new(-0.5, -0.5),
+        Point::new(28.0, 4.0),
+        Point::new(6.0, 27.0),
+    ]))
+}
+
+fn centre_circle() -> Region {
+    Region::Circle(Circle::new(Point::new(15.5, 15.5), 9.0))
+}
+
+fn scalar_queries() -> Vec<Query> {
     let staleness = TimeDelta::from_mins(5);
-    let queries: Vec<Query> = vec![
-        // Triangle cutting across many leaf MBRs.
-        Query::range(
-            Region::Polygon(Polygon::new(vec![
-                Point::new(-0.5, -0.5),
-                Point::new(28.0, 4.0),
-                Point::new(6.0, 27.0),
-            ])),
-            staleness,
-        )
-        .with_sample_size(30.0),
-        // Circle over the fleet centre.
-        Query::range(
-            Region::Circle(Circle::new(Point::new(15.5, 15.5), 9.0)),
-            staleness,
-        )
-        .with_sample_size(30.0),
+    vec![
+        Query::range(triangle(), staleness).with_sample_size(30.0),
+        Query::range(centre_circle(), staleness).with_sample_size(30.0),
         // Rect + kind filter: weights must come from the kind tables.
         Query::range(Rect::from_coords(1.5, 1.5, 22.5, 22.5), staleness)
             .with_sample_size(25.0)
@@ -191,29 +230,15 @@ fn scalar_route_matches_for_polygon_circle_and_kind_filters() {
         )
         .with_sample_size(20.0)
         .with_kind_filter(2),
-    ];
-    let mut rng_a = StdRng::seed_from_u64(4242);
-    let mut rng_b = StdRng::seed_from_u64(4242);
-    for (qi, query) in queries.iter().enumerate() {
-        for round in 0..3u64 {
-            // Rounds 0 and 1 share an instant (round 1 is warm); round 2
-            // moves past staleness so caches expire and probing resumes.
-            let now = Timestamp(1_000 + (round / 2) * 600_000);
-            let a = ptr.execute(query, Mode::Colr, &probe, now, &mut rng_a);
-            let b = arena.execute(query, Mode::Colr, &probe, now, &mut rng_b);
-            assert_eq!(
-                format!("{:?}", (&a.readings, &a.groups, &a.stats)),
-                format!("{:?}", (&b.readings, &b.groups, &b.stats)),
-                "query {qi} round {round} diverged"
-            );
-            // Both paths must have consumed the exact same number of RNG
-            // draws: the next raw draw from each stream agrees.
-            assert_eq!(
-                rng_a.random::<u64>(),
-                rng_b.random::<u64>(),
-                "query {qi} round {round}: RNG streams desynchronised"
-            );
-        }
+    ]
+}
+
+#[test]
+fn scalar_route_matches_for_polygon_circle_and_kind_filters() {
+    let tree = ColrTree::build(fleet(), ColrConfig::default(), 5);
+    let got = shape_digests(&tree, &scalar_queries());
+    for (qi, (&got, &recorded)) in got.iter().zip(&FROZEN_SHAPES).enumerate() {
+        assert_digest(&format!("query {qi}"), got, recorded);
     }
 }
 
@@ -229,101 +254,43 @@ fn degrade(tree: &ColrTree) {
     }
     for id in tree.node_ids() {
         assert_ne!(
-            tree.node_avail(id),
+            live.node(id),
             tree.node(id).avail_mean,
             "{id:?}: live estimate still equals the frozen mean"
         );
     }
 }
 
-#[test]
-fn live_availability_stream_is_bit_identical_across_seeds_shapes_and_threads() {
-    // Seeds × thread counts: the batch matrix of (a), on degraded trees.
-    for seed in [3u64, 17, 91] {
-        let batch = viewport_batch(seed.wrapping_mul(1_000_003));
-        let reference = portal(HotPathLayout::Pointer, seed);
-        degrade(reference.snapshot().tree());
-        let cold_ref = reference.execute_many(&batch, 1).expect("batch");
-        let warm_ref = reference.execute_many(&batch, 1).expect("batch");
-        let frozen = portal(HotPathLayout::Pointer, seed);
-        assert_ne!(
-            frozen
-                .execute_many(&batch, 1)
-                .expect("batch")
-                .stats
-                .sensors_probed,
-            cold_ref.stats.sensors_probed,
-            "seed {seed}: live estimates never changed a target — branch not exercised"
-        );
-        for threads in [1usize, 2, 8] {
-            let arena = portal(HotPathLayout::Arena, seed);
-            degrade(arena.snapshot().tree());
-            let cold = arena.execute_many(&batch, threads).expect("batch");
-            let warm = arena.execute_many(&batch, threads).expect("batch");
-            assert_batches_equal(
-                &format!("live seed {seed} threads {threads} cold"),
-                &cold_ref,
-                &cold,
-            );
-            assert_batches_equal(
-                &format!("live seed {seed} threads {threads} warm"),
-                &warm_ref,
-                &warm,
-            );
-        }
-    }
-
-    // Shapes: partial rectangles (per-sensor leaf terminals), the scalar
-    // polygon/circle route and a kind filter, cold then warm then expired.
-    let config = |layout| ColrConfig {
-        layout,
-        ..Default::default()
-    };
-    let ptr = ColrTree::build(fleet(), config(HotPathLayout::Pointer), 5);
-    let arena = ColrTree::build(fleet(), config(HotPathLayout::Arena), 5);
-    degrade(&ptr);
-    degrade(&arena);
-    let probe = AlwaysAvailable {
-        expiry_ms: EXPIRY_MS,
-    };
+/// Partial rectangles (per-sensor leaf terminals), the scalar polygon/circle
+/// route and a kind filter.
+fn live_queries() -> Vec<Query> {
     let staleness = TimeDelta::from_mins(5);
-    let queries = [
+    vec![
         Query::range(Rect::from_coords(2.2, 3.3, 17.7, 12.1), staleness).with_sample_size(30.0),
-        Query::range(
-            Region::Polygon(Polygon::new(vec![
-                Point::new(-0.5, -0.5),
-                Point::new(28.0, 4.0),
-                Point::new(6.0, 27.0),
-            ])),
-            staleness,
-        )
-        .with_sample_size(30.0),
-        Query::range(
-            Region::Circle(Circle::new(Point::new(15.5, 15.5), 9.0)),
-            staleness,
-        )
-        .with_sample_size(30.0),
+        Query::range(triangle(), staleness).with_sample_size(30.0),
+        Query::range(centre_circle(), staleness).with_sample_size(30.0),
         Query::range(Rect::from_coords(1.5, 1.5, 22.5, 22.5), staleness)
             .with_sample_size(25.0)
             .with_kind_filter(1),
-    ];
-    let mut rng_a = StdRng::seed_from_u64(4242);
-    let mut rng_b = StdRng::seed_from_u64(4242);
-    for (qi, query) in queries.iter().enumerate() {
-        for round in 0..3u64 {
-            let now = Timestamp(1_000 + (round / 2) * 600_000);
-            let a = ptr.execute(query, Mode::Colr, &probe, now, &mut rng_a);
-            let b = arena.execute(query, Mode::Colr, &probe, now, &mut rng_b);
-            assert_eq!(
-                format!("{:?}", (&a.readings, &a.groups, &a.stats)),
-                format!("{:?}", (&b.readings, &b.groups, &b.stats)),
-                "live query {qi} round {round} diverged"
-            );
-            assert_eq!(
-                rng_a.random::<u64>(),
-                rng_b.random::<u64>(),
-                "live query {qi} round {round}: RNG streams desynchronised"
-            );
-        }
+    ]
+}
+
+#[test]
+fn live_availability_stream_is_bit_identical_across_seeds_shapes_and_threads() {
+    // Seeds × thread counts: the batch matrix of (a), on degraded trees.
+    assert_batch_matrix("live", &LIVE_BATCHES, degrade);
+    for (live, frozen) in LIVE_BATCHES.iter().zip(&FROZEN_BATCHES) {
+        assert_ne!(
+            live, frozen,
+            "live estimates never changed an answer — branch not exercised"
+        );
+    }
+
+    // Shapes, cold then warm then expired.
+    let tree = ColrTree::build(fleet(), ColrConfig::default(), 5);
+    degrade(&tree);
+    let got = shape_digests(&tree, &live_queries());
+    for (qi, (&got, &recorded)) in got.iter().zip(&LIVE_SHAPES).enumerate() {
+        assert_digest(&format!("live query {qi}"), got, recorded);
     }
 }

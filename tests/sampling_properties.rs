@@ -186,3 +186,394 @@ fn redistribution_compensates_forced_failures() {
         "mean sample {mean} collapsed under failures (target {r})"
     );
 }
+
+// ---------------------------------------------------------------------------
+// The oracle: Theorems 1 and 2 through the whole stack, checked against a
+// flat scan.
+//
+// SQL text goes in through `ShardedPortal::execute`; what comes out is read
+// from the probe backend's own log, never from the answer. The expectation
+// side uses only the sensor list and `colr_geo` point-in-region tests (N and
+// membership) — the theorems give the rest analytically: a sample of
+// expected size R in which every in-range sensor is included with
+// probability R/N, so any subset of N_c sensors draws R·N_c/N per query.
+//
+// Every trial advances the clock past every cached reading's expiry, so a
+// trial's sample is exactly what it probed, and runs under its own
+// `(seed, ordinal)` stream, so trials are independent and the whole file is
+// deterministic. Thresholds are nevertheless set as for a random run, at a
+// per-assertion false-positive rate <= 1e-6:
+//
+// * means (sample size, per-component share): a z-test on the T per-trial
+//   values with their own standard deviation, |mean - expected| <=
+//   MEAN_Z·s/√T. MEAN_Z = 5.5 is 3.8e-8 two-sided for a normal mean; the
+//   decade and a half of slack covers the skew of the rarest per-trial count
+//   tested (every component expects >= 100 hits over its T trials).
+// * uniformity: X² = Σ_i (c_i - Tp)² / (Tp(1-p)) over the N in-range
+//   sensors, p = R/N. Each c_i is Binomial(T, p) under Theorem 2 whatever
+//   the joint law, so E[X²] = N; the bound is the Wilson–Hilferty χ²_N
+//   quantile at CHI_Z = 5.2 (1e-7 one-sided for independent cells), the
+//   slack covering the within-leaf negative correlation of a stratified
+//   sample (Var[X²] up by about 1/leaf size) and the binomial's excess
+//   kurtosis at the smallest Tp used (10).
+// ---------------------------------------------------------------------------
+
+mod oracle {
+    use std::collections::HashMap;
+    use std::sync::{Arc, Mutex};
+
+    use colr_repro::colr::{
+        ProbeService, Reading, ResilientConfig, ResilientProber, SensorId, SensorMeta, TimeDelta,
+        Timestamp,
+    };
+    use colr_repro::engine::{PortalConfig, QueryRequest, ShardedPortal};
+    use colr_repro::geo::{Circle, Point, Polygon, Rect, Region};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    const MEAN_Z: f64 = 5.5;
+    const CHI_Z: f64 = 5.2;
+    const EXPIRY: TimeDelta = TimeDelta::from_secs(60);
+    const SIDE: usize = 20;
+
+    /// `base` sensors on the `SIDE`-wide integer grid, then `late` arrivals
+    /// on the half-integer lattice inside it. Fleet index = position here.
+    fn fleet(base: usize, late: usize, availability: impl Fn(usize) -> f64) -> Vec<SensorMeta> {
+        let grid = (0..base).map(|i| Point::new((i % SIDE) as f64, (i / SIDE) as f64));
+        let lattice = (0..late).map(|i| Point::new((i % 19) as f64 + 0.5, (i / 19) as f64 + 0.5));
+        grid.chain(lattice)
+            .enumerate()
+            .map(|(i, at)| SensorMeta::new(i as u32, at, EXPIRY, availability(i)))
+            .collect()
+    }
+
+    /// The fleet index of every sensor that answered, in answer order.
+    type Log = Arc<Mutex<Vec<u32>>>;
+
+    /// One shard's probe backend: answers with each sensor's registered
+    /// availability and logs who answered.
+    struct Backend {
+        /// Shard-local sensor id → fleet index.
+        fleet_index: Vec<u32>,
+        availability: Vec<f64>,
+        rng: Mutex<StdRng>,
+        log: Log,
+    }
+
+    impl ProbeService for Backend {
+        fn probe_batch(&self, ids: &[SensorId], now: Timestamp) -> Vec<Option<Reading>> {
+            let mut rng = self.rng.lock().unwrap();
+            let mut log = self.log.lock().unwrap();
+            ids.iter()
+                .map(|&id| {
+                    let a = self.availability[id.index()];
+                    (a >= 1.0 || rng.random_bool(a)).then(|| {
+                        log.push(self.fleet_index[id.index()]);
+                        Reading {
+                            sensor: id,
+                            value: 1.0,
+                            timestamp: now,
+                            expires_at: now + EXPIRY,
+                        }
+                    })
+                })
+                .collect()
+        }
+    }
+
+    /// A portal over `sensors[..base]` in `shards` shards, the rest left for
+    /// the caller to register (one shard only: registration ids then continue
+    /// the fleet numbering). Returns the shard each base sensor landed in.
+    fn portal<P: ProbeService>(
+        sensors: &[SensorMeta],
+        base: usize,
+        shards: usize,
+        log: &Log,
+        wrap: impl Fn(Backend) -> P,
+    ) -> (ShardedPortal<P>, Vec<usize>) {
+        assert!(base == sensors.len() || shards == 1);
+        let at: HashMap<(u64, u64), u32> = sensors
+            .iter()
+            .enumerate()
+            .map(|(i, m)| ((m.location.x.to_bits(), m.location.y.to_bits()), i as u32))
+            .collect();
+        let mut shard_of = vec![0; base];
+        let portal = ShardedPortal::new(
+            sensors[..base].to_vec(),
+            |s, metas| {
+                let mut fleet_index: Vec<u32> = metas
+                    .iter()
+                    .map(|m| at[&(m.location.x.to_bits(), m.location.y.to_bits())])
+                    .collect();
+                for &i in &fleet_index {
+                    shard_of[i as usize] = s;
+                }
+                fleet_index.extend(base as u32..sensors.len() as u32);
+                let availability = fleet_index
+                    .iter()
+                    .map(|&i| sensors[i as usize].availability)
+                    .collect();
+                wrap(Backend {
+                    fleet_index,
+                    availability,
+                    rng: Mutex::new(StdRng::seed_from_u64(1_000 + s as u64)),
+                    log: log.clone(),
+                })
+            },
+            shards,
+            PortalConfig {
+                seed: 20_080_407,
+                ..Default::default()
+            },
+        );
+        assert_eq!(portal.shard_count(), shards);
+        (portal, shard_of)
+    }
+
+    /// Runs `sql` `trials` times, each past the last one's expiry; returns
+    /// per trial the fleet indices that answered.
+    fn run<P: ProbeService>(
+        portal: &ShardedPortal<P>,
+        log: &Log,
+        sql: &str,
+        trials: usize,
+    ) -> Vec<Vec<u32>> {
+        let req = QueryRequest::from_sql(sql).expect("oracle SQL parses");
+        (0..trials)
+            .map(|_| {
+                portal.clock().advance(EXPIRY + EXPIRY);
+                let resp = portal.execute(&req).expect("oracle query runs");
+                let answered = std::mem::take(&mut *log.lock().unwrap());
+                assert_eq!(
+                    resp.result.degradation.sampled,
+                    answered.len() as u64,
+                    "{sql}: the answer's sample is not what the backend returned"
+                );
+                answered
+            })
+            .collect()
+    }
+
+    /// |mean(xs) - expected| <= MEAN_Z·s/√T (see the header for the rate).
+    #[track_caller]
+    fn assert_mean(what: &str, xs: &[f64], expected: f64) {
+        let t = xs.len() as f64;
+        let mean = xs.iter().sum::<f64>() / t;
+        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (t - 1.0);
+        let bound = MEAN_Z * (var / t).sqrt() + 1e-9;
+        assert!(
+            (mean - expected).abs() <= bound,
+            "{what}: mean {mean:.4} over {t} trials, expected {expected:.4} ± {bound:.4}"
+        );
+    }
+
+    /// Theorem 1 (mean sample = `r`), the per-component shares `r·N_c/N`,
+    /// and — when `uniform` — Theorem 2 by chi-square, for the sensors
+    /// `member` marks in range. Prints the row's report line and returns the
+    /// smallest inclusion ratio `c_i / (T·r/N)`.
+    #[track_caller]
+    fn check(
+        what: &str,
+        trials: &[Vec<u32>],
+        r: f64,
+        member: &[bool],
+        components: &[(&str, Vec<usize>)],
+        uniform: bool,
+    ) -> f64 {
+        let n = member.iter().filter(|&&m| m).count() as f64;
+        let t = trials.len() as f64;
+        let sizes: Vec<f64> = trials.iter().map(|s| s.len() as f64).collect();
+        assert_mean(&format!("{what}: Theorem 1"), &sizes, r);
+
+        let mut counts = vec![0u32; member.len()];
+        for &i in trials.iter().flatten() {
+            assert!(member[i as usize], "{what}: sensor {i} is out of range");
+            counts[i as usize] += 1;
+        }
+        for (name, sensors) in components {
+            let mut in_c = vec![false; member.len()];
+            for &i in sensors.iter().filter(|&&i| member[i]) {
+                in_c[i] = true;
+            }
+            let n_c = in_c.iter().filter(|&&m| m).count() as f64;
+            let expected = r * n_c / n;
+            assert!(expected * t >= 100.0, "{what}: too few trials for {name}");
+            let hits: Vec<f64> = trials
+                .iter()
+                .map(|s| s.iter().filter(|&&i| in_c[i as usize]).count() as f64)
+                .collect();
+            assert_mean(&format!("{what}: share of {name}"), &hits, expected);
+        }
+
+        let tp = t * r / n;
+        let in_range = || {
+            counts
+                .iter()
+                .zip(member)
+                .filter(|(_, &m)| m)
+                .map(|(&c, _)| c)
+        };
+        let x2: f64 = in_range()
+            .map(|c| (c as f64 - tp).powi(2) / (tp * (1.0 - r / n)))
+            .sum();
+        // Wilson–Hilferty upper quantile of χ²_N at CHI_Z.
+        let v = 2.0 / (9.0 * n);
+        let bound = n * (1.0 - v + CHI_Z * v.sqrt()).powi(3);
+        let lo = in_range().min().unwrap_or(0) as f64 / tp;
+        let hi = in_range().max().unwrap_or(0) as f64 / tp;
+        println!(
+            "oracle {what}: T={t} N={n} mean sample {:.3}, X² {x2:.0} (bound {bound:.0}), \
+             inclusion ratio {lo:.2}..{hi:.2}",
+            sizes.iter().sum::<f64>() / t
+        );
+        if uniform {
+            assert!(tp >= 10.0, "{what}: too few trials for a chi-square");
+            assert!(x2 <= bound, "{what}: Theorem 2: X² = {x2:.1} > {bound:.1}");
+        }
+        lo
+    }
+
+    const WHOLE: &str = "RECT(-1, -1, 20, 20)";
+
+    fn samplesize(viewport: &str, r: usize) -> String {
+        format!("SELECT count(*) FROM sensor WHERE location WITHIN {viewport} SAMPLESIZE {r}")
+    }
+
+    fn all(n: usize) -> Vec<bool> {
+        vec![true; n]
+    }
+
+    #[test]
+    fn one_degenerate_shard_is_uniform() {
+        let sensors = fleet(400, 0, |_| 1.0);
+        let log = Log::default();
+        let (portal, _) = portal(&sensors, 400, 1, &log, |b| b);
+        let trials = run(&portal, &log, &samplesize(WHOLE, 32), 600);
+        check("1 shard, R=32", &trials, 32.0, &all(400), &[], true);
+    }
+
+    /// One shard driven to three levels (300 / 60 / 12) plus 20 sensors in
+    /// L0; with `retire`, 30 of the base level's 300 are tombstoned.
+    fn lsm_rows(retire: bool) {
+        let sensors = fleet(300, 92, |_| 1.0);
+        let log = Log::default();
+        let (portal, _) = portal(&sensors, 300, 1, &log, |b| b);
+        let register = |range: std::ops::Range<usize>| {
+            for m in &sensors[range] {
+                portal.register_sensor(m.location, m.expiry, m.availability, m.kind);
+            }
+        };
+        register(300..360);
+        portal.reindex_shard(0);
+        register(360..372);
+        portal.reindex_shard(0);
+        register(372..392);
+        let mut member = all(392);
+        if retire {
+            for i in (0..300).step_by(10) {
+                assert!(portal.shard(0).retire_sensor(SensorId(i as u32)));
+                member[i] = false;
+            }
+        }
+        let shape = portal.shard(0).index_stats().expect("lsm index");
+        assert_eq!((shape.levels, shape.l0_occupancy), (3, 20));
+        assert_eq!(shape.tombstones, if retire { 30 } else { 0 });
+        let components = [
+            ("level 1", (0..300).collect()),
+            ("level 2", (300..360).collect()),
+            ("level 3", (360..372).collect()),
+            ("L0", (372..392).collect()),
+        ];
+        for (r, t) in [(1, 4_000), (8, 1_000)] {
+            let trials = run(&portal, &log, &samplesize(WHOLE, r), t);
+            let what = format!("3 levels + L0, retire={retire}, R={r}");
+            check(&what, &trials, r as f64, &member, &components, true);
+        }
+    }
+
+    #[test]
+    fn lsm_levels_and_l0_are_uniform() {
+        lsm_rows(false);
+    }
+
+    #[test]
+    fn lsm_with_tombstones_is_uniform_over_the_live_population() {
+        lsm_rows(true);
+    }
+
+    #[test]
+    fn four_shards_are_uniform_at_small_and_large_r() {
+        let sensors = fleet(400, 0, |_| 1.0);
+        let log = Log::default();
+        let (portal, shard_of) = portal(&sensors, 400, 4, &log, |b| b);
+        let names = ["shard 0", "shard 1", "shard 2", "shard 3"];
+        let components: Vec<(&str, Vec<usize>)> = (0..4)
+            .map(|s| (names[s], (0..400).filter(|&i| shard_of[i] == s).collect()))
+            .collect();
+        for (r, t) in [(1, 4_000), (3, 2_000), (64, 400)] {
+            let trials = run(&portal, &log, &samplesize(WHOLE, r), t);
+            let what = format!("4 shards, R={r}");
+            check(&what, &trials, r as f64, &all(400), &components, true);
+        }
+    }
+
+    #[test]
+    fn theorem1_holds_on_successes_behind_retries_and_live_feedback() {
+        // Availability 0.55–0.95 by column, three retries, EWMA feedback:
+        // what Algorithm 1 oversamples by is what the prober learns, so the
+        // *answered* sample is R whatever the retries recover.
+        let sensors = fleet(400, 0, |i| 0.55 + 0.02 * (i % SIDE) as f64);
+        let log = Log::default();
+        let (portal, _) = portal(&sensors, 400, 1, &log, |b| {
+            ResilientProber::new(b, ResilientConfig::default())
+        });
+        portal.shard(0).enable_resilience_feedback(0.1);
+        let sql = samplesize(WHOLE, 32);
+        // Warm-up: ~60 observations per sensor, six EWMA time constants.
+        run(&portal, &log, &sql, 600);
+        let trials = run(&portal, &log, &sql, 1_000);
+        check(
+            "retries + feedback, R=32",
+            &trials,
+            32.0,
+            &all(400),
+            &[],
+            false,
+        );
+    }
+
+    #[test]
+    fn approximate_overlap_keeps_theorem1_and_exact_membership() {
+        let sensors = fleet(400, 0, |_| 1.0);
+        let viewports: [(&str, Region); 3] = [
+            (
+                "RECT(2.2, 3.3, 17.7, 12.1)",
+                Rect::from_coords(2.2, 3.3, 17.7, 12.1).into(),
+            ),
+            (
+                "POLYGON((0 0, 19 2, 8 18))",
+                Polygon::new(vec![
+                    Point::new(0.0, 0.0),
+                    Point::new(19.0, 2.0),
+                    Point::new(8.0, 18.0),
+                ])
+                .into(),
+            ),
+            (
+                "CIRCLE(9.5, 9.5, 6.2)",
+                Circle::new(Point::new(9.5, 9.5), 6.2).into(),
+            ),
+        ];
+        for (viewport, region) in viewports {
+            let log = Log::default();
+            let (portal, _) = portal(&sensors, 400, 1, &log, |b| b);
+            let member: Vec<bool> = sensors
+                .iter()
+                .map(|m| region.contains_point(&m.location))
+                .collect();
+            let trials = run(&portal, &log, &samplesize(viewport, 24), 600);
+            let lo = check(viewport, &trials, 24.0, &member, &[], false);
+            assert!(lo > 0.0, "{viewport}: an in-range sensor was never sampled");
+        }
+    }
+}

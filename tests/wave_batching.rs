@@ -3,7 +3,7 @@
 //! The walk picks every sensor a query will probe before any of them is
 //! contacted, so the backend sees the whole request as one batch:
 //!
-//! (a) every query — any mode, layout, region shape, LSM shape, interactive
+//! (a) every query — any mode, region shape, LSM shape, interactive
 //!     or frozen — issues at most ⌈n / 128⌉ backend calls for its `n`
 //!     probes, never an empty one, and its `probe_waves` counter says so;
 //! (b) how the backend is *called* changes no answer: forwarding each id as
@@ -14,8 +14,8 @@
 use std::sync::Mutex;
 
 use colr_repro::colr::{
-    ColrConfig, ColrTree, HotPathLayout, LsmConfig, Mode, ProbeService, Query, QueryStats, Reading,
-    SensorId, SensorMeta, TimeDelta, Timestamp,
+    ColrConfig, ColrTree, LsmConfig, Mode, ProbeService, Query, QueryStats, Reading, SensorId,
+    SensorMeta, TimeDelta, Timestamp,
 };
 use colr_repro::engine::{IndexStrategy, PortalConfig, PortalService, QueryRequest};
 use colr_repro::geo::{Circle, Point, Polygon, Rect, Region};
@@ -150,42 +150,33 @@ fn regions() -> Vec<(&'static str, Region)> {
 }
 
 #[test]
-fn bare_tree_issues_one_wave_per_query_in_every_mode_and_layout() {
+fn bare_tree_issues_one_wave_per_query_in_every_mode() {
     let sensors = fleet(0);
-    for layout in [HotPathLayout::Pointer, HotPathLayout::Arena] {
-        for (mode, sample) in [
-            (Mode::RTree, None),
-            (Mode::HierCache, None),
-            (Mode::Colr, Some(90.0)),
-            (Mode::Colr, Some(400.0)),
-        ] {
-            let config = ColrConfig {
-                layout,
-                ..Default::default()
-            };
-            let tree = ColrTree::build(sensors.clone(), config, 5);
-            let probe = Recording::new(network(&sensors));
-            let mut rng = StdRng::seed_from_u64(17);
-            let mut probing_queries = 0;
-            for (shape, region) in regions() {
-                for kind in [None, Some(2)] {
-                    // Cold, warm at the same instant, then partly expired.
-                    for now in [1_000, 1_000, 1_000 + EXPIRY_MS / 2, 1_000 + EXPIRY_MS] {
-                        let mut q = Query::range(region.clone(), TimeDelta::from_mins(2));
-                        q.sample_size = sample;
-                        q.kind_filter = kind;
-                        let out = tree.execute(&q, mode, &probe, Timestamp(now), &mut rng);
-                        let what = format!("{layout:?}/{mode:?}/{shape}/{kind:?}@{now}");
-                        assert_one_wave(&probe.take(), &out.stats, 1, &what);
-                        probing_queries += u64::from(out.stats.sensors_probed > 0);
-                    }
+    for (mode, sample) in [
+        (Mode::RTree, None),
+        (Mode::HierCache, None),
+        (Mode::Colr, Some(90.0)),
+        (Mode::Colr, Some(400.0)),
+    ] {
+        let tree = ColrTree::build(sensors.clone(), ColrConfig::default(), 5);
+        let probe = Recording::new(network(&sensors));
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut probing_queries = 0;
+        for (shape, region) in regions() {
+            for kind in [None, Some(2)] {
+                // Cold, warm at the same instant, then partly expired.
+                for now in [1_000, 1_000, 1_000 + EXPIRY_MS / 2, 1_000 + EXPIRY_MS] {
+                    let mut q = Query::range(region.clone(), TimeDelta::from_mins(2));
+                    q.sample_size = sample;
+                    q.kind_filter = kind;
+                    let out = tree.execute(&q, mode, &probe, Timestamp(now), &mut rng);
+                    let what = format!("{mode:?}/{shape}/{kind:?}@{now}");
+                    assert_one_wave(&probe.take(), &out.stats, 1, &what);
+                    probing_queries += u64::from(out.stats.sensors_probed > 0);
                 }
             }
-            assert!(
-                probing_queries >= 6,
-                "{layout:?}/{mode:?}: scenario probed too little"
-            );
         }
+        assert!(probing_queries >= 6, "{mode:?}: scenario probed too little");
     }
 }
 
