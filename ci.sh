@@ -100,6 +100,21 @@ awk -v w="$waves" 'BEGIN { exit !(w != "" && w + 0 <= 1.0) }' || {
     exit 1
 }
 echo "ci: benchmark runner gate OK (waves_per_query=$waves)"
+# Covered subtrees stay on: a warm wide request without CLUSTER ends its walk
+# at contained nodes whose own slot caches cover them. At --quick (2,000
+# sensors over 8 shards, so a shard's tree is a root, ~3 internal nodes and
+# ~25 leaves) the parent of PR 17 prints tree.nodes_per_query = 50.00 and the
+# covered walk 31.34, exactly, every run; at full scale it is 820 -> 142.
+# Half the parent's value is not reachable on trees this shallow, so the gate
+# sits at three quarters of it.
+nodes=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --quick --workload routed_wide --trace 1 --seconds 2 |
+    awk '$1 == "tree.nodes_per_query" { print $2 }')
+awk -v n="$nodes" 'BEGIN { exit !(n != "" && n + 0 < 37.5) }' || {
+    echo "ci: routed_wide visits ${nodes:-?} nodes per query (want < 37.5; 50.00 before covered subtrees)" >&2
+    exit 1
+}
+echo "ci: covered-subtree gate OK (tree.nodes_per_query=$nodes)"
 # The two zero-probe workloads: the runner's own audit fails a warm request
 # that probes, so exit 0 is the gate.
 for workload in warm_pan routed_wide; do

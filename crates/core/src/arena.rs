@@ -328,6 +328,7 @@ impl ColrTree {
             _ => None,
         };
         let terminal_level = query.terminal_level.min(self.leaf_level());
+        let cover_level = query.cover_level.min(terminal_level);
         let oversampling = self.config.enable_oversampling;
         let node_avail = |idx: usize| {
             match live {
@@ -366,30 +367,48 @@ impl ColrTree {
                 None => query.region.contains_rect(&arena.bbox(idx)),
             };
 
-            // --- Terminal: probe/serve this subtree -----------------------
-            if contained && arena.level(idx) >= terminal_level {
+            // --- Terminal: probe/serve this subtree; above the terminal
+            // level, down to the cover level, a node whose own slot cache
+            // covers it answers the same way and the walk goes on otherwise.
+            if contained && arena.level(idx) >= cover_level {
                 let avail = if oversampling { node_avail(idx) } else { 1.0 };
-                let fulfilled = self.serve_terminal(
-                    arena,
-                    idx,
-                    qr.is_some(),
-                    r_eff,
-                    scaled,
-                    avail,
-                    query,
-                    now,
-                    rng,
-                    &mut stats,
-                    &mut groups,
-                    &mut readings,
-                    plan,
-                    scratch,
-                );
-                let want = if scaled { r_eff * avail } else { r_eff };
-                if fulfilled + TARGET_EPS < want {
-                    pq.redistribute(want - fulfilled);
+                let fulfilled = if arena.level(idx) >= terminal_level {
+                    Some(self.serve_terminal(
+                        arena,
+                        idx,
+                        qr.is_some(),
+                        r_eff,
+                        scaled,
+                        avail,
+                        query,
+                        now,
+                        rng,
+                        &mut stats,
+                        &mut groups,
+                        &mut readings,
+                        plan,
+                        scratch,
+                    ))
+                } else {
+                    self.serve_covered(
+                        arena,
+                        idx,
+                        r_eff,
+                        scaled,
+                        avail,
+                        query,
+                        now,
+                        &mut stats,
+                        &mut groups,
+                    )
+                };
+                if let Some(fulfilled) = fulfilled {
+                    let want = if scaled { r_eff * avail } else { r_eff };
+                    if fulfilled + TARGET_EPS < want {
+                        pq.redistribute(want - fulfilled);
+                    }
+                    continue;
                 }
-                continue;
             }
 
             // --- Partition the target among children ----------------------

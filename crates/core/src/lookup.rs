@@ -56,6 +56,14 @@ pub struct Query {
     /// Result threshold level `T`: one result group is produced per node at
     /// this level (derived from the `CLUSTER` clause / map zoom).
     pub terminal_level: u16,
+    /// Shallowest level at which a contained node's own cached aggregate may
+    /// end the sampling walk. A `CLUSTER` clause is a grouping floor — the
+    /// planner sets this to `T`, so one group per level-`T` node is what comes
+    /// back; a request without one reads only the combined answer, and the
+    /// planner sets 0: any contained node whose slot cache covers it answers
+    /// for its whole subtree. Clamped to `terminal_level`, which is also the
+    /// default, so a query built by hand keeps its groups.
+    pub cover_level: u16,
     /// Oversampling level `O` (Algorithm 1): the level at which target sizes
     /// are scaled up by inverse availability when no fully contained node
     /// above it has done so.
@@ -82,6 +90,7 @@ impl Query {
             region: region.into(),
             staleness,
             terminal_level: 2,
+            cover_level: u16::MAX,
             oversample_level: 1,
             sample_size: None,
             kind_filter: None,
@@ -92,6 +101,13 @@ impl Query {
     /// Sets the result threshold level `T`.
     pub fn with_terminal_level(mut self, t: u16) -> Query {
         self.terminal_level = t;
+        self
+    }
+
+    /// Sets the shallowest level at which a covering cached aggregate may end
+    /// the walk (see [`Query::cover_level`]).
+    pub fn with_cover_level(mut self, level: u16) -> Query {
+        self.cover_level = level;
         self
     }
 

@@ -293,6 +293,25 @@ impl L0Level {
             .collect()
     }
 
+    /// How many live sensors match the spatial + kind predicates — what the
+    /// shard router weighs L0 by, counted in place under the read lock.
+    pub(crate) fn count_matching(
+        &self,
+        region: &colr_geo::Region,
+        kind_filter: Option<u16>,
+    ) -> usize {
+        let inner = self.inner.read();
+        inner
+            .sensors
+            .iter()
+            .filter(|m| {
+                !inner.tombstoned.contains(&m.id.0)
+                    && kind_filter.is_none_or(|k| m.kind == k)
+                    && region.contains_point(&m.location)
+            })
+            .count()
+    }
+
     /// Every live sensor with its cached reading — the frozen-batch snapshot
     /// and the merge input.
     pub(crate) fn snapshot(&self) -> Vec<(SensorMeta, Option<CachedEntry>)> {

@@ -334,20 +334,12 @@ impl LsmTree {
     /// tree, used by the shard router to apportion across shards.
     pub fn overlap_weight(&self, region: &colr_geo::Region, kind_filter: Option<u16>) -> f64 {
         let state = self.state.read().clone();
-        let mut w: f64 = state
+        let levels: f64 = state
             .levels
             .iter()
             .map(|l| l.query_weight(region, kind_filter))
             .sum();
-        w += state
-            .l0
-            .snapshot()
-            .iter()
-            .filter(|(m, _)| {
-                kind_filter.is_none_or(|k| m.kind == k) && region.contains_point(&m.location)
-            })
-            .count() as f64;
-        w
+        levels + state.l0.count_matching(region, kind_filter) as f64
     }
 
     // ------------------------------------------------------------------

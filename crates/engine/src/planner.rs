@@ -53,7 +53,8 @@ impl Planner {
 
     /// The terminal level for a `CLUSTER d` clause: the deepest level whose
     /// mean node diameter is at least `d` (so each returned group spans
-    /// roughly the requested distance). No clause → leaf-level groups.
+    /// roughly the requested distance). No clause → the leaf level, which
+    /// is where the walk ends wherever no cached aggregate ends it sooner.
     pub fn terminal_level(&self, cluster: Option<f64>) -> u16 {
         match cluster {
             None => self.leaf_level,
@@ -73,11 +74,17 @@ impl Planner {
 
     /// Lowers a parsed query to a physical [`Query`].
     pub fn plan(&self, q: &SelectQuery) -> Query {
+        let terminal = self.terminal_level(q.cluster);
+        // `CLUSTER d` asks for one group per level-`T` node, so no cached
+        // aggregate above `T` may stand in for them; without it only the
+        // combined answer is read, and any covered node down from the root may.
+        let cover = if q.cluster.is_some() { terminal } else { 0 };
         let mut query = Query::range(
             q.within.region(),
             q.staleness.unwrap_or(self.default_staleness),
         )
-        .with_terminal_level(self.terminal_level(q.cluster))
+        .with_terminal_level(terminal)
+        .with_cover_level(cover)
         .with_oversample_level(self.oversample_level);
         if let Some(n) = q.sample_size {
             query = query.with_sample_size(n as f64);
@@ -106,7 +113,10 @@ impl Planner {
         ));
         match q.cluster {
             Some(d) => out.push_str(&format!(", CLUSTER {d})")),
-            None => out.push_str(", leaf-level groups)"),
+            None => out.push_str(
+                ", no CLUSTER: one group per shallowest contained node whose \
+                 cached aggregate covers it, leaf-level groups where caches are cold)",
+            ),
         }
         out.push_str(&format!(
             "
@@ -231,7 +241,14 @@ mod tests {
         };
         let text = p.explain(&q);
         assert!(text.contains("full range"), "{text}");
-        assert!(text.contains("leaf-level groups"), "{text}");
+        assert!(
+            text.contains("shallowest contained node whose cached aggregate covers it"),
+            "{text}"
+        );
+        assert!(
+            text.contains("leaf-level groups where caches are cold"),
+            "{text}"
+        );
     }
 
     #[test]
@@ -250,6 +267,12 @@ mod tests {
         assert_eq!(plan.staleness, TimeDelta::from_mins(7));
         assert_eq!(plan.sample_size, Some(12.0));
         assert_eq!(plan.terminal_level, t.leaf_level());
+        assert_eq!(plan.cover_level, 0, "no CLUSTER: no grouping floor");
         assert_eq!(plan.oversample_level, 1);
+        let grouped = p.plan(&SelectQuery {
+            cluster: Some(3.0),
+            ..q
+        });
+        assert_eq!(grouped.cover_level, grouped.terminal_level);
     }
 }

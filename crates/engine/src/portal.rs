@@ -335,16 +335,6 @@ impl DegradationReport {
         self.deadline_clipped += other.deadline_clipped;
         self.probes_retried += other.probes_retried;
     }
-
-    /// Folds another report into this one (summing every axis), for
-    /// batch-level accounting.
-    #[deprecated(
-        since = "0.9.0",
-        note = "use `merge`, which also tracks worst_fulfillment"
-    )]
-    pub fn absorb(&mut self, other: &DegradationReport) {
-        self.merge(other);
-    }
 }
 
 /// A complete portal answer.

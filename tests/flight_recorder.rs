@@ -20,7 +20,7 @@ use colr_repro::colr::{
     flight, ColrConfig, ColrTree, Mode, ProbeService, Query, Reading, ResilientConfig,
     ResilientProber, SensorId, SensorMeta, TimeDelta, Timestamp,
 };
-use colr_repro::engine::{ExplainLevel, PortalConfig, PortalService, QueryRequest};
+use colr_repro::engine::{ExplainLevel, PortalConfig, PortalService, QueryRequest, ShardedPortal};
 use colr_repro::geo::{Point, Rect};
 use colr_repro::telemetry::{SloConfig, SloWatchdog};
 use rand::rngs::StdRng;
@@ -197,6 +197,96 @@ fn explain_analyze_executes_and_asserts_parity() {
         !flight::is_active(),
         "recorder leaked after EXPLAIN ANALYZE"
     );
+}
+
+/// `(level, cache_hits)` of every traversed level in an `EXPLAIN ANALYZE`
+/// report, paired with the terminal level `T` of the plan it sits under (a
+/// routed report holds one plan + stage tree per shard).
+fn cache_hits_by_level(report: &str) -> Vec<(u16, u16, u64)> {
+    let mut terminal = None;
+    let mut rows = Vec::new();
+    for line in report.lines() {
+        if let Some(rest) = line.strip_prefix("terminal level T=") {
+            let t = rest.split(' ').next().expect("T value");
+            terminal = Some(t.parse::<u16>().expect("T is a level"));
+        }
+        if let Some(rest) = line.trim_start_matches('│').trim().strip_prefix("level ") {
+            let mut words = rest.split_whitespace();
+            let level = words.next().expect("level number").parse().expect("level");
+            let hits = words
+                .find_map(|w| w.strip_prefix("cache_hits="))
+                .expect("cache_hits column")
+                .parse()
+                .expect("hit count");
+            rows.push((terminal.expect("plan precedes its stage tree"), level, hits));
+        }
+    }
+    rows
+}
+
+#[test]
+fn warm_wide_unclustered_analyze_holds_parity_and_hits_above_the_leaf_level() {
+    const WIDE: usize = 32; // 1,024 sensors: internal nodes between root and leaves
+    let sensors: Vec<SensorMeta> = (0..WIDE * WIDE)
+        .map(|i| {
+            SensorMeta::new(
+                i as u32,
+                Point::new((i % WIDE) as f64, (i / WIDE) as f64),
+                TimeDelta::from_millis(EXPIRY_MS),
+                1.0,
+            )
+        })
+        .collect();
+    for shards in [1usize, 4] {
+        let portal = ShardedPortal::new(
+            sensors.clone(),
+            |_, _| AlwaysAvailable {
+                expiry_ms: EXPIRY_MS,
+            },
+            shards,
+            PortalConfig::default(),
+        );
+        portal.clock().advance(TimeDelta::from_secs(1));
+        // An over-asking count fills every cache, then stays exact warm.
+        let fill = QueryRequest::from_sql(
+            "SELECT count(*) FROM sensor WHERE location WITHIN \
+             RECT(-1,-1,32,32) SAMPLESIZE 100000",
+        )
+        .expect("parses");
+        for pass in ["cold", "warm"] {
+            let r = portal.execute(&fill).expect("fill").result;
+            assert_eq!(
+                r.value,
+                Some(1024.0),
+                "{shards} shard(s): {pass} fill count"
+            );
+        }
+        let req = QueryRequest::from_sql(
+            "EXPLAIN ANALYZE SELECT count(*) FROM sensor WHERE location WITHIN \
+             RECT(-0.5,-0.5,28.5,30.5) SAMPLESIZE 64",
+        )
+        .expect("parses");
+        let resp = portal.execute(&req).expect("explain analyze");
+        assert_eq!(resp.result.stats.sensors_probed, 0, "warm request probed");
+        let report = resp.explain.expect("Analyze responses carry explain text");
+        assert!(
+            !report.contains("parity: FAILED"),
+            "{shards} shard(s): parity failure:\n{report}"
+        );
+        assert!(
+            report.contains("parity: stage totals == QueryStats (bit-exact)"),
+            "{shards} shard(s): no parity line:\n{report}"
+        );
+        assert!(
+            report.contains("shallowest contained node whose cached aggregate covers it"),
+            "{shards} shard(s): the plan does not say where the walk may end:\n{report}"
+        );
+        let rows = cache_hits_by_level(&report);
+        assert!(
+            rows.iter().any(|&(t, level, hits)| level < t && hits > 0),
+            "{shards} shard(s): no cache hit above the leaf level in {rows:?}:\n{report}"
+        );
+    }
 }
 
 /// Sensors east of `cutoff_x` are dark; everyone else answers like

@@ -16,6 +16,11 @@
 //!     so every `a_i` the walk reads differs from the frozen means the arena
 //!     mirrors.
 //!
+//! (d) wide, over-asking batches of SQL without `CLUSTER`, recorded at parent
+//!     `4b276bc` (PR 17) before a covered internal node could end the walk:
+//!     the cold pass must not move — a failed coverage gate touches nothing —
+//!     and the warm pass, where the rule acts, is pinned as recorded with it.
+//!
 //! A digest mismatch means an answer, a statistic or an RNG position moved.
 //! If that is an intended algorithm change (ROADMAP 2d), re-record: every
 //! assertion prints the digest it computed.
@@ -58,6 +63,23 @@ const LIVE_SHAPES: [u64; 4] = [
     0x9b40_8abd_7d8d_4284,
     0x3666_4f75_8aaa_5b7f,
     0x4dd4_2566_057e_8056,
+];
+
+/// Cold-pass batch digests per build seed for [`wide_batch`] — SQL without a
+/// `CLUSTER` clause over viewports that contain whole internal nodes —
+/// recorded at parent `4b276bc`, before a covered internal node could end the
+/// walk: with cold caches that rule changes nothing, so these must not move.
+const WIDE_COLD: [u64; 3] = [
+    0xfdee_4d07_1009_0aac,
+    0x337a_11d4_20bf_adf8,
+    0x5f63_a48f_aba2_33a8,
+];
+/// Warm-pass digests of the same batches, recorded with the rule in place
+/// (contained internal nodes answer from their own slot caches).
+const WIDE_WARM: [u64; 3] = [
+    0x5368_8d46_2afe_5841,
+    0x58f0_f66b_f5b1_04ff,
+    0x66cc_a952_8440_67b5,
 ];
 
 fn fleet() -> Vec<SensorMeta> {
@@ -165,7 +187,7 @@ fn shape_digests(tree: &ColrTree, queries: &[Query]) -> Vec<u64> {
 fn assert_digest(what: &str, got: u64, recorded: u64) {
     assert_eq!(
         got, recorded,
-        "{what}: digest {got:#018x}, the pointer walk recorded {recorded:#018x}"
+        "{what}: digest {got:#018x}, recorded {recorded:#018x}"
     );
 }
 
@@ -187,6 +209,63 @@ fn assert_batch_matrix(tag: &str, recorded: &[(u64, u64); 3], prepare: impl Fn(&
             let what = format!("{tag} seed {seed} threads {threads}");
             assert_digest(&format!("{what} cold"), batch_digest(&cold), cold_ref);
             assert_digest(&format!("{what} warm"), batch_digest(&warm), warm_ref);
+        }
+    }
+}
+
+/// Wide viewports without `CLUSTER`, asking for enough that one cold pass
+/// leaves most of the fleet cached; every third request is kind-filtered.
+fn wide_batch(seed: u64) -> Vec<SelectQuery> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..24)
+        .map(|i| {
+            let w = rng.random_range(14..=30);
+            let x0 = rng.random_range(0..=SIDE - 1 - w);
+            let y0 = rng.random_range(0..=SIDE - 1 - w);
+            let kind = if i % 3 == 2 { " AND type = 1" } else { "" };
+            let sql = format!(
+                "SELECT avg(value) FROM sensor WHERE location WITHIN \
+                 RECT({}, {}, {}, {}){kind} SAMPLESIZE 400",
+                x0 as f64 - 0.5,
+                y0 as f64 - 0.5,
+                (x0 + w) as f64 + 0.5,
+                (y0 + w) as f64 + 0.5,
+            );
+            parse(&sql).expect("viewport SQL parses")
+        })
+        .collect()
+}
+
+#[test]
+fn wide_unclustered_batches_keep_cold_answers_and_pin_warm_ones() {
+    for (i, &seed) in SEEDS.iter().enumerate() {
+        let batch = wide_batch(seed.wrapping_mul(7_919));
+        for threads in [1usize, 4] {
+            let svc = portal(seed);
+            let generation = svc.snapshot();
+            let tree = generation.tree();
+            let widest_leaf = tree
+                .node_ids()
+                .map(|id| tree.node(id))
+                .filter(|n| n.is_leaf())
+                .map(|n| n.weight)
+                .max()
+                .expect("the tree has leaves");
+            let cold = svc.execute_many(&batch, threads).expect("batch");
+            let warm = svc.execute_many(&batch, threads).expect("batch");
+            let what = format!("wide seed {seed} threads {threads}");
+            assert_digest(&format!("{what} cold"), batch_digest(&cold), WIDE_COLD[i]);
+            assert_digest(&format!("{what} warm"), batch_digest(&warm), WIDE_WARM[i]);
+            let above_leaves = warm
+                .results
+                .iter()
+                .flat_map(|r| &r.groups)
+                .filter(|g| g.from_cache && g.count > widest_leaf)
+                .count();
+            assert!(
+                above_leaves > 0,
+                "{what}: no warm group holds more readings than a leaf has sensors"
+            );
         }
     }
 }
