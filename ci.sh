@@ -92,14 +92,25 @@ echo "ci: hot-path parity smoke OK"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 # No dependency edge of a crate the runner links may change under it.
 git diff --exit-code benchmark/Cargo.lock
-waves=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
-    --quick --workload live_local --trace 0 --seconds 2 |
-    awk '$1 == "info" && $2 == "waves_per_query" { print $3 }')
+live_local=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --quick --workload live_local --trace 0 --seconds 2)
+waves=$(awk '$1 == "info" && $2 == "waves_per_query" { print $3 }' <<<"$live_local")
 awk -v w="$waves" 'BEGIN { exit !(w != "" && w + 0 <= 1.0) }' || {
     echo "ci: live_local pays ${waves:-?} probe waves per query (want <= 1)" >&2
     exit 1
 }
 echo "ci: benchmark runner gate OK (waves_per_query=$waves)"
+# Write-back stays allocation-free per node: one flat run list from pooled
+# buffers, no eviction set. The runner's allocator counts, so the value
+# repeats exactly for a seed: at --quick the parent of PR 18 prints
+# allocs_per_query = 54.7750 and the flat write-back 29.1125 (142.67 -> 60.13
+# at full scale). The gate sits at three quarters of the parent's value.
+allocs=$(awk '$1 == "info" && $2 == "allocs_per_query" { print $3 }' <<<"$live_local")
+awk -v a="$allocs" 'BEGIN { exit !(a != "" && a + 0 <= 41.08) }' || {
+    echo "ci: live_local allocates ${allocs:-?} times per query (want <= 41.08; 54.78 before the flat write-back)" >&2
+    exit 1
+}
+echo "ci: write-back allocation gate OK (allocs_per_query=$allocs)"
 # Covered subtrees stay on: a warm wide request without CLUSTER ends its walk
 # at contained nodes whose own slot caches cover them. At --quick (2,000
 # sensors over 8 shards, so a shard's tree is a root, ~3 internal nodes and

@@ -211,41 +211,57 @@ pub struct L0Level {
     inner: RwLock<L0Inner>,
 }
 
-#[derive(Default)]
 struct L0Inner {
     /// Registration order; global ids. Append-only between merges.
     sensors: Vec<SensorMeta>,
+    /// The ids in `sensors`, for membership without a scan.
+    ids: HashSet<u32>,
     /// Global ids retired while still in L0.
     tombstoned: HashSet<u32>,
     /// Cached readings by global id (L0 is flat: no slot aggregates, just
     /// the raw-reading cache the merge carries into the built level).
     entries: HashMap<u32, CachedEntry>,
+    /// No cached reading expires before this instant (a lower bound: a
+    /// removal may leave it early), so until `now` reaches it
+    /// [`L0Level::advance`] has nothing to drop.
+    earliest_expiry: Timestamp,
+}
+
+/// The first instant at which one of `entries` stops being live.
+fn earliest_expiry<'a>(entries: impl Iterator<Item = &'a CachedEntry>) -> Timestamp {
+    entries
+        .map(|e| e.reading.expires_at)
+        .min()
+        .unwrap_or(Timestamp(u64::MAX))
 }
 
 impl L0Level {
     pub(crate) fn new() -> L0Level {
-        L0Level {
-            inner: RwLock::new(L0Inner::default()),
-        }
+        L0Level::with_contents(Vec::new(), Vec::new())
     }
 
     pub(crate) fn with_contents(sensors: Vec<SensorMeta>, entries: Vec<CachedEntry>) -> L0Level {
+        let earliest_expiry = earliest_expiry(entries.iter());
         let entries = entries
             .into_iter()
             .map(|e| (e.reading.sensor.0, e))
             .collect();
         L0Level {
             inner: RwLock::new(L0Inner {
+                ids: sensors.iter().map(|m| m.id.0).collect(),
                 sensors,
                 tombstoned: HashSet::new(),
                 entries,
+                earliest_expiry,
             }),
         }
     }
 
     /// Appends a freshly registered sensor — the O(1) ingestion path.
     pub(crate) fn push(&self, meta: SensorMeta) {
-        self.inner.write().sensors.push(meta);
+        let mut inner = self.inner.write();
+        inner.ids.insert(meta.id.0);
+        inner.sensors.push(meta);
     }
 
     /// Sensors currently parked in L0 (tombstoned included).
@@ -272,7 +288,7 @@ impl L0Level {
     /// when the sensor is not here or already retired.
     pub(crate) fn tombstone(&self, id: SensorId) -> bool {
         let mut inner = self.inner.write();
-        if !inner.sensors.iter().any(|m| m.id == id) || !inner.tombstoned.insert(id.0) {
+        if !inner.ids.contains(&id.0) || !inner.tombstoned.insert(id.0) {
             return false;
         }
         inner.entries.remove(&id.0);
@@ -329,9 +345,10 @@ impl L0Level {
     pub(crate) fn insert_reading(&self, reading: Reading, fetched_at: Timestamp) -> usize {
         let mut inner = self.inner.write();
         let id = reading.sensor.0;
-        if inner.tombstoned.contains(&id) || !inner.sensors.iter().any(|m| m.id.0 == id) {
+        if inner.tombstoned.contains(&id) || !inner.ids.contains(&id) {
             return 0;
         }
+        inner.earliest_expiry = inner.earliest_expiry.min(reading.expires_at);
         inner.entries.insert(
             id,
             CachedEntry {
@@ -343,10 +360,15 @@ impl L0Level {
     }
 
     /// Drops expired cached readings (the flat analogue of the tree's slot
-    /// roll at [`crate::tree::ColrTree::advance`]).
+    /// roll at [`crate::tree::ColrTree::advance`]). Every query calls this;
+    /// while nothing has expired it is one look under the read lock.
     pub(crate) fn advance(&self, now: Timestamp) {
+        if self.inner.read().earliest_expiry > now {
+            return;
+        }
         let mut inner = self.inner.write();
         inner.entries.retain(|_, e| e.reading.is_live(now));
+        inner.earliest_expiry = earliest_expiry(inner.entries.values());
     }
 
     /// Global ids retired while parked in L0 — physically dropped (not

@@ -230,6 +230,11 @@ impl SlotCache {
         self.ring.iter().flatten().count()
     }
 
+    /// Absolute indices of the slots currently held, in ring order.
+    pub(crate) fn held_slots(&self) -> impl Iterator<Item = u64> + '_ {
+        self.ring.iter().flatten().map(|(abs, _)| *abs)
+    }
+
     /// Returns the slot with absolute index `abs`, if present.
     pub fn slot(&self, abs: u64) -> Option<&Slot> {
         match &self.ring[self.bucket(abs)] {
@@ -260,10 +265,26 @@ impl SlotCache {
         kind: u16,
         base: u64,
     ) -> bool {
+        self.insert_opening(expires_at, ts, value, kind, base)
+            .is_some()
+    }
+
+    /// [`SlotCache::insert_kind`], telling the owner whether the reading
+    /// opened its slot (`Some(true)`) or joined one already held
+    /// (`Some(false)`); `None` when it was rejected. The tree records the
+    /// nodes that open a slot so that a roll visits only those.
+    pub(crate) fn insert_opening(
+        &mut self,
+        expires_at: Timestamp,
+        ts: Timestamp,
+        value: f64,
+        kind: u16,
+        base: u64,
+    ) -> Option<bool> {
         let abs = self.config.slot_of(expires_at);
         if abs < base || abs >= base + self.ring.len() as u64 {
             crate::flight::with(|f| f.wb_rejected += 1);
-            return false;
+            return None;
         }
         let bucket = self.bucket(abs);
         let opened;
@@ -286,7 +307,7 @@ impl SlotCache {
             }
         }
         crate::flight::with(|f| f.slot_write(opened));
-        true
+        Some(opened)
     }
 
     /// Attempts to decrement `value` (sensor type 0) from the slot covering
@@ -345,6 +366,18 @@ impl SlotCache {
             }
         }
         dropped
+    }
+
+    /// Drops the slot with absolute index `abs`, if held — the roll, aimed
+    /// at one slot of a node known to have opened it. Returns whether there
+    /// was one to drop.
+    pub(crate) fn drop_slot(&mut self, abs: u64) -> bool {
+        let bucket = self.bucket(abs);
+        let held = matches!(&self.ring[bucket], Some((a, _)) if *a == abs);
+        if held {
+            self.ring[bucket] = None;
+        }
+        held
     }
 
     /// Clears the cache entirely.

@@ -9,14 +9,32 @@
 //! * **insert/update** — a probed reading lands in its home leaf and its
 //!   value is added to the matching slot of every ancestor; replacing an
 //!   existing reading first decrements the old value (rebuilding any slot
-//!   whose aggregate cannot be decremented — the min/max case);
+//!   whose aggregate cannot be decremented — the min/max case). A write-back
+//!   is applied from one flat list of `(node, plan)` keys, a key per reading:
+//!   sorted, equal nodes are neighbours with their readings in arrival
+//!   order, so one walk of the list applies a level with one stripe hold per
+//!   touched node; the keys then move to the parents and the list is sorted
+//!   and walked again, leaves to root. Within a node the readings go in
+//!   arrival order, a reading's removal of what it replaced before its own
+//!   insertion — the order one-at-a-time insertion takes the floating-point
+//!   sums in, so every aggregate is bit-identical to it. No per-node list is
+//!   ever built; the buffers are pooled behind the maintenance mutex;
 //! * **roll** — when simulated time crosses a slot boundary the window
-//!   slides: the all-expired slots are dropped at every node at once, and the
-//!   raw readings they covered are expunged from the leaves;
+//!   slides. Every node that *opens* a slot is listed under that slot in a
+//!   ring of per-expiry-slot buckets (`num_slots + 1` of them, the window
+//!   mapped one to one), so the roll drains the expired buckets and visits
+//!   exactly the listed nodes: the slot is dropped there and, at a leaf, the
+//!   raw readings it covered are expunged in the same hold. A roll costs
+//!   what expired, not what exists;
 //! * **evict** — a tree-wide raw-cache capacity constraint is enforced by
 //!   evicting the *least recently fetched* readings from the *oldest* slot
-//!   (Section IV-A's replacement policy), maintained here as a global
-//!   `(slot, fetched_at, sensor)` ordering.
+//!   (Section IV-A's replacement policy). The same buckets hold a
+//!   `(fetched_at, sensor)` tuple per cached reading, appended on insert and
+//!   put in order only when eviction or [`ColrTree::cached_entries`] asks:
+//!   walked from the window base up they are the global
+//!   `(slot, fetched_at, sensor)` order. Deletion is lazy — a reading
+//!   replaced or removed leaves its tuple behind, and a reader of the
+//!   bucket checks each tuple against the leaf entry it names.
 //!
 //! ## What walks this structure
 //!
@@ -36,7 +54,7 @@
 //! [`CACHE_STRIPES`] reader–writer locks keyed by node id, so concurrent
 //! queries can read (and write back to) disjoint parts of the tree without
 //! contending on a single lock. Cross-node bookkeeping (the window base, the
-//! eviction order, the cached-reading count) sits behind one maintenance
+//! bucket ring, the cached-reading count) sits behind one maintenance
 //! mutex that serialises mutators; a query takes it only to roll the window
 //! or to wait out a write-back in flight (see [`ColrTree::advance`]), so one
 //! that is purely cache-served touches only the stripes it reads.
@@ -48,15 +66,22 @@
 //! deadlock impossible by construction. Concurrent readers may observe a
 //! bottom-up update mid-flight (a leaf updated, an ancestor not yet) — the
 //! same transient inconsistency the paper's portal tolerates between cache
-//! triggers; per-node state is always internally consistent.
+//! triggers; per-node state is always internally consistent. Three things a
+//! reader relies on, each restated where the code keeps it: `settled_below`
+//! is 0 for the whole `maint` hold of a write-back, so a query that starts
+//! meanwhile waits at `advance`; each node a duplicate-free run touches is
+//! written under one stripe hold (a slot that could not be decremented is
+//! recomputed inside that hold at a leaf, right after it at an internal
+//! node); and a roll publishes `cache_base + 1` only after every node that
+//! held an expired slot has been cleared.
 
-use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use colr_geo::{Point, Rect, Region};
 use parking_lot::{Mutex, RwLock};
 
+use crate::agg::PartialAgg;
 use crate::reading::{Reading, SensorId, SensorMeta};
 use crate::slot_cache::{RemoveOutcome, Slot, SlotCache, SlotConfig};
 use crate::stats::CostModel;
@@ -246,17 +271,152 @@ impl Default for ColrConfig {
     }
 }
 
+/// One expiry slot's share of the cross-node bookkeeping: which readings
+/// were cached with an expiry inside the slot, and which nodes' slot caches
+/// opened it. Both lists are append-only until the slot slides out of the
+/// window, when the roll drains them.
+#[derive(Debug, Clone, Default)]
+struct SlotBucket {
+    /// `(fetched_at, sensor)` of every reading cached into this slot. A
+    /// reading since replaced or removed leaves its tuple behind; whoever
+    /// reads the bucket skips it by checking the leaf entry
+    /// ([`ColrTree::bucket_entry`]).
+    readings: Vec<Fetched>,
+    /// `readings` is in `(fetched_at, sensor)` order with no tuple twice.
+    ordered: bool,
+    /// Every node whose slot cache opened this slot — a superset of the
+    /// nodes holding it now (a removal can empty a slot), and a node is
+    /// listed again if it re-opens one.
+    nodes: Vec<NodeId>,
+}
+
+/// A cached reading's place in its bucket's eviction order — `(fetched_at,
+/// sensor)`, which is how the derived ordering compares — in 12 bytes
+/// rather than a padded 16: the buckets hold one per reading cached.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Fetched([u32; 3]);
+
+impl Fetched {
+    fn new(at: Timestamp, sensor: SensorId) -> Fetched {
+        let ms = at.millis();
+        Fetched([(ms >> 32) as u32, ms as u32, sensor.0])
+    }
+
+    fn at(self) -> Timestamp {
+        Timestamp(u64::from(self.0[0]) << 32 | u64::from(self.0[1]))
+    }
+
+    fn sensor(self) -> SensorId {
+        SensorId(self.0[2])
+    }
+}
+
+impl SlotBucket {
+    /// Sorts `readings` into eviction order, least recently fetched first,
+    /// which only capacity eviction and `cached_entries` ask for.
+    fn put_in_order(&mut self) {
+        if !self.ordered {
+            self.readings.sort_unstable();
+            self.readings.dedup();
+            self.ordered = true;
+        }
+    }
+}
+
+/// One validated reading of a write-back run.
+#[derive(Debug, Clone, Copy)]
+struct Plan {
+    entry: CachedEntry,
+    /// The leaf entry `entry` replaced, known once the leaf has been written.
+    old: Option<CachedEntry>,
+    leaf: NodeId,
+    kind: u16,
+}
+
+/// A write-back's buffers, reused across calls (they sit behind the
+/// maintenance mutex like everything else here) and cut back to
+/// [`POOL_KEEP`] elements after an unusually large batch.
+#[derive(Debug, Clone, Default)]
+struct Pool {
+    /// `apply_readings`' batch as entries.
+    batch: Vec<CachedEntry>,
+    /// `(sensor, position in the batch)`, for finding repeated sensors.
+    by_sensor: Vec<(SensorId, u32)>,
+    plans: Vec<Plan>,
+    /// The flat run list, one [`run_key`] per plan.
+    keys: Vec<u64>,
+    /// The slots of the node in hand that a removal could not decrement.
+    rebuilds: Vec<u64>,
+}
+
+/// A write-back's sort key: the node a plan is about to touch in the high
+/// half, the plan's index (its arrival position in the run) in the low half,
+/// so that sorting groups a level's plans by node and leaves each node's in
+/// arrival order. The index fits: a run names no sensor twice, and sensor ids
+/// are `u32`.
+fn run_key(node: NodeId, plan: usize) -> u64 {
+    u64::from(node.0) << 32 | plan as u64
+}
+
+/// Merges `add` into the sub-aggregate of `kind` (`by_kind` is sorted).
+fn merge_kind(by_kind: &mut Vec<(u16, PartialAgg)>, kind: u16, add: &PartialAgg) {
+    match by_kind.binary_search_by_key(&kind, |(k, _)| *k) {
+        Ok(i) => by_kind[i].1.merge(add),
+        Err(i) => by_kind.insert(i, (kind, *add)),
+    }
+}
+
+/// Pooled buffers keep at most this many elements between write-backs: a
+/// probe wave's worth of keys, not a merge carry-over's.
+const POOL_KEEP: usize = 1024;
+
+/// Hands a used buffer back to its pool.
+fn recycle<T>(pooled: &mut Vec<T>, mut used: Vec<T>) {
+    used.clear();
+    used.shrink_to(POOL_KEEP);
+    *pooled = used;
+}
+
 /// Cross-node cache bookkeeping, guarded by one mutex so that logical
 /// mutations (insert + ancestor updates + eviction) are serialised while
 /// readers proceed through the stripes.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub(crate) struct Maintenance {
     /// Oldest slot that can still hold live readings.
     pub(crate) cache_base: u64,
     /// Total raw readings cached across all leaves.
     pub(crate) total_cached: usize,
-    /// Global eviction order: `(slot_of_expiry, fetched_at, sensor)`.
-    pub(crate) evict_index: BTreeSet<(u64, Timestamp, SensorId)>,
+    /// Ring of `num_slots + 1` per-expiry-slot buckets, slot `s` at
+    /// `s % len`: the window `[cache_base, cache_base + len)` maps onto it
+    /// one to one. Walked from `cache_base` up, each bucket in
+    /// `(fetched_at, sensor)` order, it is the global eviction order.
+    buckets: Vec<SlotBucket>,
+    pool: Pool,
+}
+
+impl Maintenance {
+    fn new(num_slots: usize) -> Maintenance {
+        Maintenance {
+            cache_base: 0,
+            total_cached: 0,
+            buckets: vec![SlotBucket::default(); num_slots + 1],
+            pool: Pool::default(),
+        }
+    }
+
+    fn bucket(&self, slot: u64) -> &SlotBucket {
+        &self.buckets[(slot % self.buckets.len() as u64) as usize]
+    }
+
+    fn bucket_mut(&mut self, slot: u64) -> &mut SlotBucket {
+        let len = self.buckets.len() as u64;
+        &mut self.buckets[(slot % len) as usize]
+    }
+
+    /// One past the youngest slot the window holds.
+    fn window_top(&self) -> u64 {
+        self.cache_base + self.buckets.len() as u64
+    }
 }
 
 /// The COLR-Tree: a bulk-built R-Tree whose every node carries a slot cache,
@@ -284,8 +444,8 @@ pub struct ColrTree {
     /// Serialises mutators and holds the cross-node accounting.
     pub(crate) maint: Mutex<Maintenance>,
     /// Window bases below this need no maintenance: `cache_base + 1`,
-    /// stored (`Release`) under `maint` once a roll has reached every node
-    /// and loaded (`Acquire`) by [`ColrTree::advance`] before it touches
+    /// stored (`Release`) under `maint` once a roll has cleared every node
+    /// that held an expired slot, and loaded (`Acquire`) by [`ColrTree::advance`] before it touches
     /// `maint`; 0 while a write-back is in flight, so a query starting then
     /// still waits it out.
     pub(crate) settled_below: AtomicU64,
@@ -365,7 +525,7 @@ impl ColrTree {
             leaf_level,
             sensor_leaf,
             stripes: stripes.into_iter().map(RwLock::new).collect(),
-            maint: Mutex::new(Maintenance::default()),
+            maint: Mutex::new(Maintenance::new(slot_config.num_slots)),
             settled_below: AtomicU64::new(0),
             live_avail: RwLock::new(None),
             arena,
@@ -524,10 +684,10 @@ impl ColrTree {
     // ------------------------------------------------------------------
 
     /// Slides the slot window forward to cover `now`, expiring whole slots at
-    /// every node and expunging the raw readings they covered (Section VI-B's
-    /// roll trigger). Idempotent; called by every public operation. Returns
-    /// without touching `maint` when the window already covers `now` and no
-    /// write-back is in flight.
+    /// every node that holds one and expunging the raw readings they covered
+    /// (Section VI-B's roll trigger). Idempotent; called by every public
+    /// operation. Returns without touching `maint` when the window already
+    /// covers `now` and no write-back is in flight.
     pub fn advance(&self, now: Timestamp) {
         if self.slot_config.base_at(now) < self.settled_below.load(Ordering::Acquire) {
             return;
@@ -538,41 +698,43 @@ impl ColrTree {
             .store(maint.cache_base + 1, Ordering::Release);
     }
 
-    fn advance_locked(&self, maint: &mut Maintenance, now: Timestamp) {
+    /// The roll proper. Drains the buckets of the slots that slid out and
+    /// visits only the nodes listed there — the ones whose slot caches opened
+    /// an expired slot — dropping the slot and, at a leaf, the raw readings
+    /// it covered under one stripe hold per node. `cache_base` moves (and
+    /// [`ColrTree::advance`] publishes `cache_base + 1`) only after the last
+    /// of them is clear. Returns how many node slots were dropped.
+    fn advance_locked(&self, maint: &mut Maintenance, now: Timestamp) -> usize {
         let new_base = self.slot_config.base_at(now);
         if new_base <= maint.cache_base {
-            return;
+            return 0;
         }
         let telem = crate::telem::tree();
-        telem.slots_rolled.add(new_base - maint.cache_base);
-        // Expunge raw readings living in slots that slid out.
-        while let Some(&key @ (slot, _, sensor)) = maint.evict_index.iter().next() {
-            if slot >= new_base {
-                break;
-            }
-            maint.evict_index.remove(&key);
-            let leaf = self.sensor_leaf[sensor.index()];
-            let removed = self.with_cache_mut(leaf, |c| match c.entry_pos(sensor) {
-                Ok(pos) => {
-                    c.entries.remove(pos);
-                    true
-                }
-                Err(_) => false,
-            });
-            if removed {
-                maint.total_cached -= 1;
-                telem.readings_expunged.inc();
-            }
-        }
-        // Drop the expired aggregate slots everywhere.
-        for stripe in &self.stripes {
-            let mut guard = stripe.write();
-            for cache in guard.iter_mut() {
-                cache.cache.roll_to(new_base);
+        // A window that idled for longer than it is wide still only had
+        // `num_slots + 1` slots to lose.
+        let expired = (new_base - maint.cache_base).min(maint.buckets.len() as u64);
+        telem.slots_rolled.add(expired);
+        let mut dropped = 0;
+        let mut expunged = 0;
+        for slot in maint.cache_base..maint.cache_base + expired {
+            let bucket = maint.bucket_mut(slot);
+            bucket.readings.clear();
+            for id in bucket.nodes.drain(..) {
+                let (slots, readings) = self.with_cache_mut(id, |c| {
+                    let held = c.entries.len();
+                    c.entries
+                        .retain(|e| self.slot_config.slot_of(e.reading.expires_at) >= new_base);
+                    (c.cache.drop_slot(slot), held - c.entries.len())
+                });
+                dropped += usize::from(slots);
+                expunged += readings;
             }
         }
+        maint.total_cached -= expunged;
         maint.cache_base = new_base;
+        telem.readings_expunged.add(expunged as u64);
         telem.cached_readings.set(maint.total_cached as i64);
+        dropped
     }
 
     // ------------------------------------------------------------------
@@ -613,188 +775,181 @@ impl ColrTree {
         // A request wider than a wave writes back a wave at a time, and
         // between two of them a node can pass the coverage gate half-filled.
         // A query that starts while one is being applied must therefore wait
-        // at `advance` as it always has: close the fast path for the hold.
+        // at `advance` as it always has: the fast path stays closed (0) for
+        // this whole hold of `maint`, rolls and evictions included.
         self.settled_below.store(0, Ordering::Release);
+        // Sorted by sensor, a repeat is two neighbours: `(position, position
+        // of the same sensor's previous entry)`, in batch order. A run ends
+        // where an entry's previous one falls inside it.
+        let mut by_sensor = std::mem::take(&mut maint.pool.by_sensor);
+        by_sensor.extend(
+            entries
+                .iter()
+                .enumerate()
+                .map(|(i, e)| (e.reading.sensor, i as u32)),
+        );
+        by_sensor.sort_unstable();
+        let mut repeats: Vec<(usize, usize)> = by_sensor
+            .windows(2)
+            .filter(|w| w[0].0 == w[1].0)
+            .map(|w| (w[1].1 as usize, w[0].1 as usize))
+            .collect();
+        repeats.sort_unstable();
+        recycle(&mut maint.pool.by_sensor, by_sensor);
         let mut inserted = 0;
-        let mut run: Vec<CachedEntry> = Vec::with_capacity(entries.len());
-        let mut seen: BTreeSet<SensorId> = BTreeSet::new();
-        for e in entries {
-            if !seen.insert(e.reading.sensor) {
-                inserted += self.apply_run_locked(maint, &run, now);
-                run.clear();
-                seen.clear();
-                seen.insert(e.reading.sensor);
+        let mut start = 0;
+        for (at, previous) in repeats {
+            if previous >= start {
+                inserted += self.apply_run_locked(maint, &entries[start..at], now);
+                start = at;
             }
-            run.push(*e);
         }
-        inserted += self.apply_run_locked(maint, &run, now);
+        inserted += self.apply_run_locked(maint, &entries[start..], now);
         self.settled_below
             .store(maint.cache_base + 1, Ordering::Release);
         inserted
     }
 
     /// Applies one duplicate-free run of entries (see
-    /// [`ColrTree::insert_entries_locked`]): validates, swaps raw leaf
-    /// entries grouped per leaf, then applies each node's slot-aggregate
-    /// deltas bottom-up — one critical section per touched node, removal of
-    /// a replaced reading and insertion of its successor inside the same
-    /// hold.
+    /// [`ColrTree::insert_entries_locked`]) from one flat list of
+    /// [`run_key`]s, a key per reading. Sorted, a node's plans are
+    /// neighbours in arrival order, so walking the list applies the level
+    /// with one stripe hold per touched node; inside a hold a plan's removal
+    /// of the reading it replaced comes before its own insertion, and plans
+    /// go in arrival order — the order the floating-point sums have always
+    /// been taken in. Then every key moves to its node's parent and the
+    /// list is sorted and walked again, leaves to root. The leaf's hold also
+    /// swaps the raw entry, which is where a plan learns what it replaced.
     fn apply_run_locked(
         &self,
         maint: &mut Maintenance,
         run: &[CachedEntry],
         now: Timestamp,
     ) -> usize {
-        struct Planned {
-            entry: CachedEntry,
-            old: Option<CachedEntry>,
-        }
-        enum AggOp {
-            Remove { expires_at: Timestamp, value: f64 },
-            Insert(Reading),
-        }
-        struct NodeOps {
-            id: NodeId,
-            level: u16,
-            ops: Vec<(AggOp, u16)>,
-        }
         if run.is_empty() {
             return 0;
         }
         self.advance_locked(maint, now);
-        let window_top = maint.cache_base + self.config.num_slots as u64 + 1;
-        let mut plans: Vec<Planned> = Vec::with_capacity(run.len());
+        let base = maint.cache_base;
+        let mut plans = std::mem::take(&mut maint.pool.plans);
         for &entry in run {
             let reading = entry.reading;
             if reading.sensor.index() >= self.sensors.len() {
                 continue; // unknown sensor (population changed under carry-over)
             }
             let slot = self.slot_config.slot_of(reading.expires_at);
-            if slot < maint.cache_base || slot >= window_top || !reading.is_live(now) {
+            if slot < base || slot >= maint.window_top() || !reading.is_live(now) {
                 continue;
             }
-            let leaf = self.sensor_leaf[reading.sensor.index()];
-            let old = self.with_cache(leaf, |c| c.entry(reading.sensor).copied());
-            plans.push(Planned { entry, old });
-        }
-        if plans.is_empty() {
-            return 0;
-        }
-
-        // Raw leaf entries: replace-and-insert per leaf in one hold.
-        let mut by_leaf: Vec<(NodeId, Vec<usize>)> = Vec::new();
-        for (i, p) in plans.iter().enumerate() {
-            let leaf = self.sensor_leaf[p.entry.reading.sensor.index()];
-            match by_leaf.iter_mut().find(|(id, _)| *id == leaf) {
-                Some((_, idxs)) => idxs.push(i),
-                None => by_leaf.push((leaf, vec![i])),
-            }
-        }
-        for (leaf, idxs) in &by_leaf {
-            self.with_cache_mut(*leaf, |c| {
-                for &i in idxs {
-                    let p = &plans[i];
-                    let sensor = p.entry.reading.sensor;
-                    if let Ok(pos) = c.entry_pos(sensor) {
-                        c.entries.remove(pos);
-                    }
-                    match c.entry_pos(sensor) {
-                        Ok(_) => unreachable!("entry was just removed"),
-                        Err(pos) => c.entries.insert(pos, p.entry),
-                    }
-                }
+            plans.push(Plan {
+                entry,
+                old: None,
+                leaf: self.sensor_leaf[reading.sensor.index()],
+                kind: self.sensors[reading.sensor.index()].kind,
             });
         }
+        let mut keys = std::mem::take(&mut maint.pool.keys);
+        keys.extend(plans.iter().enumerate().map(|(i, p)| run_key(p.leaf, i)));
         let telem = crate::telem::tree();
-        for p in &plans {
-            if let Some(old) = &p.old {
-                maint.total_cached -= 1;
-                let old_slot = self.slot_config.slot_of(old.reading.expires_at);
-                maint
-                    .evict_index
-                    .remove(&(old_slot, old.fetched_at, old.reading.sensor));
-            }
-            let slot = self.slot_config.slot_of(p.entry.reading.expires_at);
-            maint.total_cached += 1;
-            maint
-                .evict_index
-                .insert((slot, p.entry.fetched_at, p.entry.reading.sensor));
-            telem.cache_inserts.inc();
-        }
-        telem.cached_readings.set(maint.total_cached as i64);
-
-        // Slot aggregates: group each root-ward chain's deltas per node
-        // (arrival order within a node), then apply bottom-up.
-        let base = maint.cache_base;
-        let mut node_ops: Vec<NodeOps> = Vec::new();
-        for p in &plans {
-            let reading = p.entry.reading;
-            let kind = self.sensors[reading.sensor.index()].kind;
-            let mut cur = Some(self.sensor_leaf[reading.sensor.index()]);
-            while let Some(id) = cur {
-                let node = self.node(id);
-                let ops = match node_ops.iter_mut().find(|n| n.id == id) {
-                    Some(n) => &mut n.ops,
-                    None => {
-                        node_ops.push(NodeOps {
-                            id,
-                            level: node.level,
-                            ops: Vec::new(),
-                        });
-                        &mut node_ops.last_mut().expect("just pushed").ops
-                    }
-                };
-                if let Some(old) = &p.old {
-                    ops.push((
-                        AggOp::Remove {
-                            expires_at: old.reading.expires_at,
-                            value: old.reading.value,
-                        },
-                        kind,
-                    ));
-                }
-                ops.push((AggOp::Insert(reading), kind));
-                cur = node.parent;
-            }
-        }
-        node_ops.sort_by(|a, b| b.level.cmp(&a.level).then(a.id.cmp(&b.id)));
-        let mut rebuilds: Vec<(NodeId, u64)> = Vec::new();
-        for NodeOps { id, ops, .. } in &node_ops {
-            let mut needs: Vec<u64> = Vec::new();
-            self.with_cache_mut(*id, |c| {
-                for (op, kind) in ops {
-                    match op {
-                        AggOp::Remove { expires_at, value } => {
-                            match c.cache.try_remove_kind(*expires_at, *value, *kind) {
-                                RemoveOutcome::Removed | RemoveOutcome::Absent => {}
-                                RemoveOutcome::NeedsRebuild => {
-                                    needs.push(self.slot_config.slot_of(*expires_at));
+        let mut rebuilds = std::mem::take(&mut maint.pool.rebuilds);
+        // Bottom-up (the leaf level is uniform): apply the list at this
+        // level, then re-key every plan to its node's parent and go again.
+        for level in (0..=self.leaf_level).rev() {
+            let at_leaves = level == self.leaf_level;
+            keys.sort_unstable();
+            for node_run in keys.chunk_by(|a, b| a >> 32 == b >> 32) {
+                let id = NodeId((node_run[0] >> 32) as u32);
+                rebuilds.clear();
+                self.with_cache_mut(id, |c| {
+                    for &key in node_run {
+                        let plan = &mut plans[key as u32 as usize];
+                        let reading = plan.entry.reading;
+                        if at_leaves {
+                            plan.old = match c.entry_pos(reading.sensor) {
+                                Ok(pos) => Some(std::mem::replace(&mut c.entries[pos], plan.entry)),
+                                Err(pos) => {
+                                    c.entries.insert(pos, plan.entry);
+                                    None
+                                }
+                            };
+                        }
+                        if let Some(old) = plan.old.map(|e| e.reading) {
+                            if c.cache
+                                .try_remove_kind(old.expires_at, old.value, plan.kind)
+                                == RemoveOutcome::NeedsRebuild
+                            {
+                                telem.slot_rebuilds.inc();
+                                let slot = self.slot_config.slot_of(old.expires_at);
+                                if !rebuilds.contains(&slot) {
+                                    rebuilds.push(slot);
                                 }
                             }
                         }
-                        AggOp::Insert(r) => {
-                            c.cache
-                                .insert_kind(r.expires_at, r.timestamp, r.value, *kind, base);
+                        let opened = c.cache.insert_opening(
+                            reading.expires_at,
+                            reading.timestamp,
+                            reading.value,
+                            plan.kind,
+                            base,
+                        );
+                        if opened == Some(true) {
+                            // What lets the roll find this node again.
+                            maint
+                                .bucket_mut(self.slot_config.slot_of(reading.expires_at))
+                                .nodes
+                                .push(id);
                         }
                     }
+                    // A slot that could not be decremented over-counts the
+                    // reading it lost until it is recomputed from the level
+                    // below, which this run has already finished with. A
+                    // leaf's level below is its own raw entries: recomputed
+                    // before the hold ends, no reader sees the over-count.
+                    if at_leaves {
+                        for &slot in &rebuilds {
+                            let rebuilt = self.slot_of_entries(&c.entries, slot);
+                            c.cache.set_slot(slot, rebuilt);
+                        }
+                    }
+                });
+                // An internal node's is its children, each behind a stripe
+                // of its own, so its rebuild follows the hold at once rather
+                // than inside it (one stripe at a time): the over-count is
+                // visible for the length of one rebuild, not for the rest of
+                // the run.
+                if !at_leaves {
+                    for &slot in &rebuilds {
+                        self.rebuild_slot(id, slot);
+                    }
                 }
-            });
-            for slot in needs {
-                telem.slot_rebuilds.inc();
-                if !rebuilds.contains(&(*id, slot)) {
-                    rebuilds.push((*id, slot));
+            }
+            for key in &mut keys {
+                if let Some(parent) = self.node(NodeId((*key >> 32) as u32)).parent {
+                    *key = run_key(parent, *key as u32 as usize);
                 }
             }
         }
-        // Rebuilt slots are recomputed from the (already final) level below,
-        // outside the node's own critical section — the transient window is
-        // a slot that over-counts one replaced reading, never a torn fill.
-        for (id, slot) in rebuilds {
-            self.rebuild_slot(id, slot);
+        for plan in &plans {
+            // A replaced reading's tuple stays where it is, now stale.
+            if plan.old.is_none() {
+                maint.total_cached += 1;
+            }
+            let reading = plan.entry.reading;
+            let bucket = maint.bucket_mut(self.slot_config.slot_of(reading.expires_at));
+            bucket
+                .readings
+                .push(Fetched::new(plan.entry.fetched_at, reading.sensor));
+            bucket.ordered = false;
         }
+        let applied = plans.len();
+        telem.cache_inserts.add(applied as u64);
+        telem.cached_readings.set(maint.total_cached as i64);
+        recycle(&mut maint.pool.plans, plans);
+        recycle(&mut maint.pool.keys, keys);
+        recycle(&mut maint.pool.rebuilds, rebuilds);
 
         self.enforce_capacity_locked(maint);
-        plans.len()
+        applied
     }
 
     /// Applies a batch of probe results in order — the deferred write-back
@@ -806,14 +961,13 @@ impl ColrTree {
     /// readings were cached.
     pub fn apply_readings(&self, readings: &[Reading], now: Timestamp) -> usize {
         let mut maint = self.maint.lock();
-        let entries: Vec<CachedEntry> = readings
-            .iter()
-            .map(|&reading| CachedEntry {
-                reading,
-                fetched_at: now,
-            })
-            .collect();
-        let applied = self.insert_entries_locked(&mut maint, &entries, now);
+        let mut batch = std::mem::take(&mut maint.pool.batch);
+        batch.extend(readings.iter().map(|&reading| CachedEntry {
+            reading,
+            fetched_at: now,
+        }));
+        let applied = self.insert_entries_locked(&mut maint, &batch, now);
+        recycle(&mut maint.pool.batch, batch);
         if applied > 0 {
             colr_telemetry::tracer().record_now(
                 colr_telemetry::SpanKind::WriteBack,
@@ -831,15 +985,33 @@ impl ColrTree {
     /// so the entries land in the same absolute expiry slots on the other
     /// side.
     pub fn cached_entries(&self) -> Vec<CachedEntry> {
-        let maint = self.maint.lock();
-        maint
-            .evict_index
-            .iter()
-            .filter_map(|&(_, _, sensor)| {
-                let leaf = self.sensor_leaf[sensor.index()];
-                self.with_cache(leaf, |c| c.entry(sensor).copied())
-            })
-            .collect()
+        let mut maint = self.maint.lock();
+        let mut out = Vec::with_capacity(maint.total_cached);
+        for slot in maint.cache_base..maint.window_top() {
+            let bucket = maint.bucket_mut(slot);
+            bucket.put_in_order();
+            // Stale tuples met on the way are dropped for good.
+            bucket.readings.retain(|&fetched| {
+                let live = self.bucket_entry(slot, fetched);
+                out.extend(live);
+                live.is_some()
+            });
+        }
+        out
+    }
+
+    /// The cached reading a bucket tuple stands for, if it still does: the
+    /// sensor's leaf entry, provided it was fetched when the tuple says and
+    /// expires in `slot`. A reading replaced or removed since fails the
+    /// check, which is how the buckets delete lazily.
+    fn bucket_entry(&self, slot: u64, fetched: Fetched) -> Option<CachedEntry> {
+        let sensor = fetched.sensor();
+        self.with_cache(self.sensor_leaf[sensor.index()], |c| {
+            c.entry(sensor).copied()
+        })
+        .filter(|e| {
+            e.fetched_at == fetched.at() && self.slot_config.slot_of(e.reading.expires_at) == slot
+        })
     }
 
     /// Re-caches entries exported by [`ColrTree::cached_entries`] from
@@ -869,8 +1041,8 @@ impl ColrTree {
         crate::telem::tree()
             .cached_readings
             .set(maint.total_cached as i64);
+        // The reading's bucket tuple stays behind, stale from here on.
         let slot = self.slot_config.slot_of(entry.reading.expires_at);
-        maint.evict_index.remove(&(slot, entry.fetched_at, sensor));
 
         // Decrement bottom-up; rebuild any slot that cannot be decremented.
         let kind = self.sensors[sensor.index()].kind;
@@ -898,79 +1070,88 @@ impl ColrTree {
     /// before the node's own stripe is locked, so at most one stripe lock is
     /// ever held.
     fn rebuild_slot(&self, id: NodeId, slot: u64) {
-        fn merge_kind(
-            by_kind: &mut Vec<(u16, crate::agg::PartialAgg)>,
-            kind: u16,
-            add: &crate::agg::PartialAgg,
-        ) {
-            match by_kind.binary_search_by_key(&kind, |(k, _)| *k) {
-                Ok(i) => by_kind[i].1.merge(add),
-                Err(i) => by_kind.insert(i, (kind, *add)),
-            }
-        }
-        let hist_spec = self.slot_config.histogram;
-        let mut agg = crate::agg::PartialAgg::empty();
-        let mut min_ts = Timestamp(u64::MAX);
-        let mut by_kind: Vec<(u16, crate::agg::PartialAgg)> = Vec::new();
-        let mut hist = hist_spec.map(|spec| spec.empty());
-        match &self.nodes[id.index()].children {
-            Children::Leaf(_) => {
-                self.with_cache(id, |c| {
-                    for e in &c.entries {
-                        if self.slot_config.slot_of(e.reading.expires_at) == slot {
-                            agg.insert(e.reading.value);
-                            min_ts = min_ts.min(e.reading.timestamp);
-                            let kind = self.sensors[e.reading.sensor.index()].kind;
-                            merge_kind(
-                                &mut by_kind,
-                                kind,
-                                &crate::agg::PartialAgg::from_value(e.reading.value),
-                            );
-                            if let Some(h) = &mut hist {
-                                h.insert(e.reading.value);
-                            }
-                        }
-                    }
-                });
-            }
+        let rebuilt = match &self.nodes[id.index()].children {
+            Children::Leaf(_) => self.with_cache(id, |c| self.slot_of_entries(&c.entries, slot)),
             Children::Internal(children) => {
+                let mut rebuilt = self.empty_slot();
                 for &ch in children {
                     let child_slot = self.with_cache(ch, |c| c.cache.slot(slot).cloned());
                     if let Some(s) = child_slot {
-                        agg.merge(&s.agg);
-                        min_ts = min_ts.min(s.min_ts);
+                        rebuilt.agg.merge(&s.agg);
+                        rebuilt.min_ts = rebuilt.min_ts.min(s.min_ts);
                         for (k, a) in &s.by_kind {
-                            merge_kind(&mut by_kind, *k, a);
+                            merge_kind(&mut rebuilt.by_kind, *k, a);
                         }
-                        if let (Some(h), Some(sh)) = (&mut hist, &s.hist) {
+                        if let (Some(h), Some(sh)) = (&mut rebuilt.hist, &s.hist) {
                             h.merge(sh);
                         }
                     }
                 }
+                rebuilt
             }
-        }
-        let rebuilt = Slot {
-            agg,
-            min_ts,
-            by_kind,
-            hist,
         };
         self.with_cache_mut(id, |c| c.cache.set_slot(slot, rebuilt));
     }
 
+    /// A slot with nothing in it yet, for a rebuild to fill.
+    fn empty_slot(&self) -> Slot {
+        Slot {
+            agg: PartialAgg::empty(),
+            min_ts: Timestamp(u64::MAX),
+            by_kind: Vec::new(),
+            hist: self.slot_config.histogram.map(|spec| spec.empty()),
+        }
+    }
+
+    /// What a leaf's slot `slot` should hold, recomputed from its raw
+    /// `entries`.
+    fn slot_of_entries(&self, entries: &[CachedEntry], slot: u64) -> Slot {
+        let mut rebuilt = self.empty_slot();
+        for e in entries {
+            let value = e.reading.value;
+            if self.slot_config.slot_of(e.reading.expires_at) == slot {
+                rebuilt.agg.insert(value);
+                rebuilt.min_ts = rebuilt.min_ts.min(e.reading.timestamp);
+                let kind = self.sensors[e.reading.sensor.index()].kind;
+                merge_kind(&mut rebuilt.by_kind, kind, &PartialAgg::from_value(value));
+                if let Some(h) = &mut rebuilt.hist {
+                    h.insert(value);
+                }
+            }
+        }
+        rebuilt
+    }
+
     /// Enforces the tree-wide raw-cache capacity by evicting least recently
-    /// fetched readings from the oldest slot (Section IV-A's policy).
+    /// fetched readings from the oldest slot (Section IV-A's policy): the
+    /// bucket ring from `cache_base` up, each bucket put in
+    /// `(fetched_at, sensor)` order when it is its turn.
     fn enforce_capacity_locked(&self, maint: &mut Maintenance) {
         let Some(cap) = self.config.cache_capacity else {
             return;
         };
-        while maint.total_cached > cap {
-            let Some(&(_, _, sensor)) = maint.evict_index.iter().next() else {
-                break;
-            };
-            if self.remove_cached_locked(maint, sensor).is_some() {
-                crate::telem::tree().evictions.inc();
+        let mut slot = maint.cache_base;
+        while maint.total_cached > cap && slot < maint.window_top() {
+            let bucket = maint.bucket_mut(slot);
+            bucket.put_in_order();
+            // Lent out while the victims climb their ancestor chains, which
+            // touches no bucket.
+            let mut readings = std::mem::take(&mut bucket.readings);
+            let mut tried = 0;
+            for &fetched in &readings {
+                if maint.total_cached <= cap {
+                    break;
+                }
+                tried += 1;
+                if self.bucket_entry(slot, fetched).is_some()
+                    && self.remove_cached_locked(maint, fetched.sensor()).is_some()
+                {
+                    crate::telem::tree().evictions.inc();
+                }
             }
+            readings.drain(..tried);
+            maint.bucket_mut(slot).readings = readings;
+            slot += 1;
         }
     }
 
@@ -1029,7 +1210,10 @@ impl ColrTree {
                 cache.entries.clear();
             }
         }
-        maint.evict_index.clear();
+        for bucket in &mut maint.buckets {
+            bucket.readings.clear();
+            bucket.nodes.clear();
+        }
         maint.total_cached = 0;
         crate::telem::tree().cached_readings.set(0);
     }
@@ -1097,10 +1281,52 @@ impl ColrTree {
                 maint.total_cached, counted
             ));
         }
-        if maint.evict_index.len() != maint.total_cached {
+        // What the targeted roll relies on: nothing older than the window
+        // base is held anywhere, and every node holding a slot is listed in
+        // that slot's bucket.
+        let ring = maint.buckets.len() as u64;
+        let openers: Vec<Vec<NodeId>> = maint
+            .buckets
+            .iter()
+            .map(|b| {
+                let mut nodes = b.nodes.clone();
+                nodes.sort_unstable();
+                nodes
+            })
+            .collect();
+        for id in self.node_ids() {
+            let stray = self.with_cache(id, |c| {
+                let raw = c
+                    .entries
+                    .iter()
+                    .map(|e| self.slot_config.slot_of(e.reading.expires_at));
+                c.cache.held_slots().chain(raw).find(|&slot| {
+                    slot < maint.cache_base
+                        || slot >= maint.window_top()
+                        || openers[(slot % ring) as usize].binary_search(&id).is_err()
+                })
+            });
+            if let Some(slot) = stray {
+                return Err(format!(
+                    "{id:?} holds slot {slot}, outside the window at base {} or not in its bucket",
+                    maint.cache_base
+                ));
+            }
+        }
+        // The bucket ring stands for exactly the cached readings.
+        let mut live = 0;
+        for slot in maint.cache_base..maint.window_top() {
+            let mut readings = maint.bucket(slot).readings.clone();
+            readings.sort_unstable();
+            readings.dedup();
+            live += readings
+                .iter()
+                .filter(|&&fetched| self.bucket_entry(slot, fetched).is_some())
+                .count();
+        }
+        if live != maint.total_cached {
             return Err(format!(
-                "evict index size {} != cached {}",
-                maint.evict_index.len(),
+                "bucket ring holds {live} live readings != cached {}",
                 maint.total_cached
             ));
         }
@@ -1113,5 +1339,68 @@ impl ColrTree {
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn grid_tree(sensors: u32) -> ColrTree {
+        let metas = (0..sensors)
+            .map(|i| {
+                SensorMeta::new(
+                    i,
+                    Point::new((i % 64) as f64, (i / 64) as f64),
+                    TimeDelta::from_mins(5),
+                    0.9,
+                )
+            })
+            .collect();
+        ColrTree::build(metas, ColrConfig::default(), 42)
+    }
+
+    #[test]
+    fn a_roll_visits_the_nodes_that_held_the_expired_slot_and_no_others() {
+        let tree = grid_tree(4_000);
+        assert!(tree.node_count() > 400, "the tree is not trivially small");
+        let now = Timestamp(1_000);
+        let reading = Reading {
+            sensor: SensorId(1_234),
+            value: 7.0,
+            timestamp: now,
+            expires_at: now + TimeDelta::from_mins(5),
+        };
+        assert!(tree.insert_reading(reading, now));
+        assert_eq!(tree.validate(), Ok(()), "one cached reading");
+
+        let mut maint = tree.maint.lock();
+        // Still inside the reading's slot: nothing to drop anywhere.
+        assert_eq!(tree.advance_locked(&mut maint, reading.expires_at), 0);
+        assert_eq!(maint.total_cached, 1);
+        // Past it: the leaf and its ancestors, one slot each.
+        let after = reading.expires_at + tree.slot_config.slot_width;
+        let dropped = tree.advance_locked(&mut maint, after);
+        assert_eq!(dropped, tree.leaf_level as usize + 1);
+        assert_eq!(maint.total_cached, 0);
+        drop(maint);
+        assert_eq!(tree.validate(), Ok(()), "rolled tree");
+        assert!(tree
+            .node_ids()
+            .all(|id| tree.with_cache(id, |c| c.cache.occupied_slots() == 0)));
+    }
+
+    #[test]
+    fn slots_rolled_counts_the_ring_not_the_epoch() {
+        let tree = grid_tree(64);
+        let counter = &crate::telem::tree().slots_rolled;
+        let before = counter.get();
+        // A first advance to a far instant crosses ~13 million slot
+        // boundaries from base 0; the ring only ever had nine slots to lose.
+        tree.advance(Timestamp(1_000_000_000_000));
+        let rolled = counter.get() - before;
+        assert!(rolled > tree.slot_config.num_slots as u64);
+        // Other tests in this binary roll their own trees meanwhile.
+        assert!(rolled < 100_000, "rolled {rolled} slots");
     }
 }

@@ -21,13 +21,21 @@
 //!     the cold pass must not move — a failed coverage gate touches nothing —
 //!     and the warm pass, where the rule acts, is pinned as recorded with it.
 //!
+//! (e) the *state* the maintenance paths leave behind, recorded at parent
+//!     `2ed747d` (PR 18) before write-back, eviction index and roll were
+//!     rewritten: after a fixed seeded trace of batches (sensors repeated
+//!     inside a batch), replacements, removals, rolls — some longer than the
+//!     window — and capacity evictions, every node's slot ring, every leaf's
+//!     raw entries and the eviction order must be what the old code left,
+//!     to the bit, as must a fresh tree the entries are restored into.
+//!
 //! A digest mismatch means an answer, a statistic or an RNG position moved.
 //! If that is an intended algorithm change (ROADMAP 2d), re-record: every
 //! assertion prints the digest it computed.
 
 use colr_repro::colr::probe::AlwaysAvailable;
 use colr_repro::colr::{
-    ColrConfig, ColrTree, Mode, Query, SensorId, SensorMeta, TimeDelta, Timestamp,
+    ColrConfig, ColrTree, Mode, Query, Reading, SensorId, SensorMeta, TimeDelta, Timestamp,
 };
 use colr_repro::engine::{parse, BatchResult, PortalConfig, PortalService, SelectQuery};
 use colr_repro::geo::{Circle, Point, Polygon, Rect, Region};
@@ -371,5 +379,140 @@ fn live_availability_stream_is_bit_identical_across_seeds_shapes_and_threads() {
     let got = shape_digests(&tree, &live_queries());
     for (qi, (&got, &recorded)) in got.iter().zip(&LIVE_SHAPES).enumerate() {
         assert_digest(&format!("live query {qi}"), got, recorded);
+    }
+}
+
+/// `(traced tree, fresh tree its entries were restored into)` per capacity
+/// of [`maintenance_trace_digests`]: unconstrained, then 150 readings.
+const MAINTENANCE_STATE: [(u64, u64); 2] = [
+    (0xd61a_2593_09ee_e94e, 0xc6cf_1df4_62b6_aa94),
+    (0x0555_f1ab_6aae_2539, 0x7a2f_4262_d5da_bea0),
+];
+
+/// Everything cache maintenance owns: per node the slot ring (absolute
+/// index, aggregate bits, freshness watermark, per-kind sub-aggregates) over
+/// every slot a ring could hold around `now` — slots below the window base
+/// included, which must be absent — per leaf the raw entries, then the
+/// eviction order as `cached_entries` exports it.
+fn cache_state_digest(tree: &ColrTree, now: Timestamp) -> u64 {
+    let mut d = Digest::new();
+    let here = tree.slot_config().slot_of(now);
+    for id in tree.node_ids() {
+        let c = tree.cache_snapshot(id);
+        for abs in here.saturating_sub(12)..=here + 12 {
+            if let Some(s) = c.cache.slot(abs) {
+                let bits = |a: &colr_repro::colr::PartialAgg| {
+                    (a.count, a.sum.to_bits(), a.min.to_bits(), a.max.to_bits())
+                };
+                let kinds: Vec<_> = s.by_kind.iter().map(|(k, a)| (*k, bits(a))).collect();
+                d.eat(&format!(
+                    "{id:?} {abs} {:?} {:?} {kinds:?}",
+                    bits(&s.agg),
+                    s.min_ts
+                ));
+            }
+        }
+        for e in &c.entries {
+            let r = e.reading;
+            d.eat(&format!(
+                "{id:?} {:?} {:#x} {:?} {:?} {:?}",
+                r.sensor,
+                r.value.to_bits(),
+                r.timestamp,
+                r.expires_at,
+                e.fetched_at
+            ));
+        }
+    }
+    for e in tree.cached_entries() {
+        d.eat(&format!("{:?} {:?}", e.reading.sensor, e.fetched_at));
+    }
+    d.eat(&format!("{}", tree.cached_readings()));
+    d.0
+}
+
+/// Drives one tree through 600 seeded maintenance operations and digests its
+/// cache state every 40 of them, then restores its entries into a fresh tree
+/// over the same fleet and digests that.
+fn maintenance_trace_digests(cache_capacity: Option<usize>) -> (u64, u64) {
+    let config = ColrConfig {
+        cache_capacity,
+        ..Default::default()
+    };
+    let tree = ColrTree::build(fleet(), config.clone(), 5);
+    let mut rng = StdRng::seed_from_u64(0x18_2ed7);
+    let mut now = Timestamp(1_000);
+    let mut d = Digest::new();
+    let reading = |rng: &mut StdRng, now: Timestamp| {
+        // Three in four land in a hot block, so replacements are the rule.
+        let sensor = if rng.random_range(0..4) > 0 {
+            rng.random_range(300..420)
+        } else {
+            rng.random_range(0..SIDE * SIDE)
+        };
+        Reading {
+            sensor: SensorId(sensor as u32),
+            value: rng.random_range(-40.0..120.0),
+            timestamp: now.saturating_sub(TimeDelta::from_millis(rng.random_range(0..20_000))),
+            expires_at: now + TimeDelta::from_millis(rng.random_range(5_000..EXPIRY_MS)),
+        }
+    };
+    for step in 0..600 {
+        match rng.random_range(0..20) {
+            0..=10 => {
+                let n = rng.random_range(1..48);
+                let mut batch: Vec<Reading> = (0..n).map(|_| reading(&mut rng, now)).collect();
+                if n > 4 && rng.random_range(0..3) == 0 {
+                    // The same sensor twice in one batch: last write wins.
+                    let mut again = reading(&mut rng, now);
+                    again.sensor = batch[1].sensor;
+                    batch.push(again);
+                }
+                d.eat(&format!("{}", tree.apply_readings(&batch, now)));
+            }
+            11..=13 => d.eat(&format!(
+                "{}",
+                tree.insert_reading(reading(&mut rng, now), now)
+            )),
+            14 => {
+                let sensor = SensorId(rng.random_range(300..420));
+                d.eat(&format!("{:?}", tree.remove_cached(sensor)));
+            }
+            15..=18 => {
+                now += TimeDelta::from_millis(rng.random_range(1_000..90_000));
+                tree.advance(now);
+            }
+            _ => {
+                // Rarely, past the whole window in one step.
+                if rng.random_range(0..4) == 0 {
+                    now += TimeDelta::from_millis(EXPIRY_MS + 200_000);
+                }
+                // No explicit advance: the next write-back rolls.
+            }
+        }
+        if step % 40 == 39 {
+            tree.validate().expect("tree invariants hold mid-trace");
+            d.eat(&format!("{:#x}", cache_state_digest(&tree, now)));
+        }
+    }
+    assert!(
+        tree.cached_readings() > 100,
+        "the trace ends on a warm tree"
+    );
+    let fresh = ColrTree::build(fleet(), config, 5);
+    // Entries that expired since the source last rolled are dropped here.
+    let restored = fresh.restore_entries(&tree.cached_entries(), now);
+    assert_eq!(restored, fresh.cached_readings());
+    assert!(restored > 100, "the carry-over is not trivial");
+    fresh.validate().expect("restored tree invariants");
+    (d.0, cache_state_digest(&fresh, now))
+}
+
+#[test]
+fn maintenance_leaves_the_cache_state_the_old_paths_left() {
+    for (cap, &(traced, restored)) in [None, Some(150)].into_iter().zip(&MAINTENANCE_STATE) {
+        let got = maintenance_trace_digests(cap);
+        assert_digest(&format!("capacity {cap:?} traced"), got.0, traced);
+        assert_digest(&format!("capacity {cap:?} restored"), got.1, restored);
     }
 }
