@@ -83,6 +83,11 @@ echo "ci: churn soak OK"
 # flat-scan oracle must find Theorems 1 and 2 holding through
 # ShardedPortal::execute across LSM levels, tombstones, shards and retries.
 cargo test -q --release --offline -p colr-repro --test hotpath_parity --test sampling_properties
+# The bulk build, in release too: the trees and shard map recorded before the
+# assignment step became a grid search are case (f) of hotpath_parity above;
+# here the search against the all-centres scan it replaced, the build RNG's
+# recorded positions, and the <= 64 distances per point per iteration count.
+cargo test -q --release --offline -p colr-tree --lib build::
 echo "ci: hot-path parity smoke OK"
 
 # Benchmark runner gate: the ruler's own tests (its --quick smoke and the
@@ -133,6 +138,13 @@ for workload in warm_pan routed_wide; do
         --quick --workload "$workload" --trace 0 --seconds 2 >/dev/null
     echo "ci: benchmark $workload smoke OK"
 done
+
+# The write path: an unthrottled register/retire writer with inline merges
+# beside the paced reader. Exit 0 = the books balance after the drain (live
+# count and an over-asking full-extent count(*) exact, no request failed).
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --quick --workload churn_mix --trace 0 --seconds 2 >/dev/null
+echo "ci: benchmark churn_mix smoke OK"
 
 # Docs gate: rustdoc must build warning-free for every first-party crate
 # (vendored stand-in crates are exempt, hence the explicit -p list).

@@ -14,6 +14,32 @@
 //! near-linear while preserving the spatial-compactness property the paper
 //! relies on (near-uniform node weights per level, Section VII-B).
 //!
+//! ## The assignment step
+//!
+//! Lloyd's assignment step asks, for every point, which centre is nearest.
+//! Asking all `k` of them costs `n·k` distances an iteration — `k = ⌈n/B⌉`,
+//! so 13 M for the 4,096-sensor level an LSM merge rebuilds, which made the
+//! clustering 95 % of a merge. `CentreGrid` files the iteration's centres
+//! in a uniform grid (about two per cell, rebuilt per iteration into reused
+//! buffers) and searches `p`'s cell, then the columns and rows around it,
+//! until every side of the visited block is provably too far: `n·c`
+//! distances, `c` = cells visited × centres per cell ≈ 4 on uniform points
+//! and ≈ 14 on the clustered map (410 before; a unit test holds it ≤ 64).
+//!
+//! The search is *exact* — same assignment as the all-centres scan for every
+//! input, so the same centroid sums, re-seed draws, trees and shard maps, bit
+//! for bit. Two things make it so. A side is closed only when a lower bound
+//! on the **computed** `distance_sq` to any centre beyond it is *strictly*
+//! above the best found, and that bound is taken from the centres' own
+//! coordinates through operations that round monotonically, not from cell
+//! geometry (see `CentreGrid::nearest`), so rounding cannot hide a nearer
+//! centre and an unvisited one cannot even tie. Among visited centres a tie
+//! goes to the lowest index, which is what the scan's `d < best` did.
+//! Unchanged: cell sizes and the direct / grid threshold (`TARGET_CELL`,
+//! `DIRECT_KMEANS_MAX`), the iteration count, seeding, the thread fan-out.
+//! The all-centres scan survives as the `#[cfg(test)]` reference the search
+//! is compared against.
+//!
 //! ## Parallel construction
 //!
 //! Grid cells are independent, so each clustering level fans its cells out
@@ -184,10 +210,12 @@ impl Builder {
         };
         let mut kind_weights: Vec<(u16, u64)> = Vec::new();
         for &m in &members {
-            self.nodes[m.index()].parent = Some(id);
-            for (k, w) in self.nodes[m.index()].kind_weights.clone() {
+            for &(k, w) in &self.nodes[m.index()].kind_weights {
                 Self::merge_kind_weight(&mut kind_weights, k, w);
             }
+        }
+        for &m in &members {
+            self.nodes[m.index()].parent = Some(id);
         }
         self.nodes.push(Node {
             level: 0,
@@ -295,33 +323,54 @@ impl Builder {
         let g = ((n as f64 / TARGET_CELL as f64).sqrt().ceil() as usize).max(1);
         let w = bbox.width().max(f64::MIN_POSITIVE);
         let h = bbox.height().max(f64::MIN_POSITIVE);
-        let mut cells: Vec<Vec<usize>> = vec![Vec::new(); g * g]; // indices into points
-        for (i, p) in points.iter().enumerate() {
-            let cx = (((p.x - bbox.min.x) / w * g as f64) as usize).min(g - 1);
-            let cy = (((p.y - bbox.min.y) / h * g as f64) as usize).min(g - 1);
-            cells[cy * g + cx].push(i);
+        // Counting sort by cell: one gathered copy of `points` / `items` that
+        // every cell's job borrows its run of (input order within a cell).
+        let cell_of: Vec<usize> = points
+            .iter()
+            .map(|p| {
+                let cx = (((p.x - bbox.min.x) / w * g as f64) as usize).min(g - 1);
+                let cy = (((p.y - bbox.min.y) / h * g as f64) as usize).min(g - 1);
+                cy * g + cx
+            })
+            .collect();
+        let mut starts = vec![0usize; g * g + 1];
+        for &c in &cell_of {
+            starts[c] += 1;
         }
-        struct Job {
-            points: Vec<Point>,
-            items: Vec<usize>,
+        let mut end = 0;
+        for s in starts.iter_mut() {
+            end += *s;
+            *s = end;
+        }
+        let mut cell_points = vec![Point::new(0.0, 0.0); n];
+        let mut cell_items = vec![0usize; n];
+        for i in (0..n).rev() {
+            let at = &mut starts[cell_of[i]];
+            *at -= 1;
+            cell_points[*at] = points[i];
+            cell_items[*at] = items[i];
+        }
+        struct Job<'a> {
+            points: &'a [Point],
+            items: &'a [usize],
             share: usize,
             seed: u64,
         }
-        let jobs: Vec<Job> = cells
-            .into_iter()
-            .filter(|c| !c.is_empty())
+        let jobs: Vec<Job> = starts
+            .windows(2)
+            .filter(|cell| cell[1] > cell[0])
             .map(|cell| Job {
-                points: cell.iter().map(|&i| points[i]).collect(),
-                items: cell.iter().map(|&i| items[i]).collect(),
-                share: ((k as f64 * cell.len() as f64 / n as f64).round() as usize)
-                    .clamp(1, cell.len()),
+                points: &cell_points[cell[0]..cell[1]],
+                items: &cell_items[cell[0]..cell[1]],
+                share: ((k as f64 * (cell[1] - cell[0]) as f64 / n as f64).round() as usize)
+                    .clamp(1, cell[1] - cell[0]),
                 seed: self.rng.next_u64(),
             })
             .collect();
 
         let run = |job: &Job| {
             let mut rng = StdRng::seed_from_u64(job.seed);
-            lloyd(&job.points, &job.items, job.share, iterations, &mut rng)
+            lloyd(job.points, job.items, job.share, iterations, &mut rng)
         };
         let per_cell: Vec<Vec<Vec<usize>>> = if self.threads <= 1 || jobs.len() <= 1 {
             jobs.iter().map(run).collect()
@@ -386,30 +435,25 @@ fn lloyd(
     crate::telem::build()
         .kmeans_iterations
         .add(iterations.max(1) as u64);
-    // Seed with k distinct random points (partial Fisher–Yates).
-    let mut order: Vec<usize> = (0..n).collect();
+    // Seed with k distinct random points (partial Fisher–Yates). The
+    // permutation borrows `assign`, which the first assignment step
+    // overwrites whole.
+    let mut assign: Vec<usize> = (0..n).collect();
     for i in 0..k {
         let j = rng.random_range(i..n);
-        order.swap(i, j);
+        assign.swap(i, j);
     }
-    let mut centers: Vec<Point> = order[..k].iter().map(|&i| points[i]).collect();
-    let mut assign = vec![0usize; n];
+    let mut centers: Vec<Point> = assign[..k].iter().map(|&i| points[i]).collect();
+    let mut sums = vec![(0.0f64, 0.0f64, 0usize); k];
+    let mut grid = CentreGrid::default();
     for _ in 0..iterations.max(1) {
         // Assignment step.
-        for (i, p) in points.iter().enumerate() {
-            let mut best = 0;
-            let mut best_d = f64::INFINITY;
-            for (c, center) in centers.iter().enumerate() {
-                let d = p.distance_sq(center);
-                if d < best_d {
-                    best_d = d;
-                    best = c;
-                }
-            }
-            assign[i] = best;
+        grid.rebuild(&centers);
+        for (a, p) in assign.iter_mut().zip(points) {
+            *a = grid.nearest(p);
         }
-        // Update step.
-        let mut sums = vec![(0.0f64, 0.0f64, 0usize); k];
+        // Update step (sums in point order).
+        sums.fill((0.0, 0.0, 0));
         for (i, p) in points.iter().enumerate() {
             let s = &mut sums[assign[i]];
             s.0 += p.x;
@@ -432,6 +476,223 @@ fn lloyd(
     }
     groups.retain(|g| !g.is_empty());
     groups
+}
+
+/// The centres of one Lloyd iteration in a uniform grid, for the assignment
+/// step's nearest-centre search. [`CentreGrid::nearest`] returns what a scan
+/// of every centre in index order returns — the lowest-indexed centre among
+/// those at the minimum `distance_sq` — and a one-cell grid is that scan.
+///
+/// Buffers are reused across [`CentreGrid::rebuild`]s.
+#[derive(Default)]
+struct CentreGrid {
+    cols: usize,
+    rows: usize,
+    /// Minimum corner of the finite centres' bounding box.
+    origin: Point,
+    /// Columns (rows) per unit of x (y); 0 along an axis with no spread.
+    per_x: f64,
+    per_y: f64,
+    /// CSR cell lists: cell `c = row * cols + col` holds
+    /// `slots[starts[c]..starts[c + 1]]`, centre indices ascending.
+    starts: Vec<u32>,
+    /// A centre's location beside its index, so a cell scans contiguously.
+    slots: Vec<(Point, u32)>,
+    /// Scratch of `rebuild`: each centre's cell ([`NO_CELL`] if not finite).
+    cell_of: Vec<u32>,
+    /// `left[c]`: the largest x of any centre in a column before `c`;
+    /// `right[c]`: the smallest x of any centre in a column after `c`;
+    /// `below` / `above` likewise per row. ∓∞ where there is none.
+    left: Vec<f64>,
+    right: Vec<f64>,
+    below: Vec<f64>,
+    above: Vec<f64>,
+}
+
+/// [`CentreGrid::cell_of`] of a centre with a non-finite coordinate. Its
+/// distance to anything is ∞ or NaN, which never wins the scan's `d < best`.
+const NO_CELL: u32 = u32::MAX;
+
+#[cfg(test)]
+thread_local! {
+    /// Distances [`CentreGrid::nearest`] has evaluated on this thread.
+    static DISTANCES_EVALUATED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+impl CentreGrid {
+    /// Grid column of `x`. Non-decreasing in `x` over all finite `x` (each
+    /// step — subtract, scale by a non-negative, truncate, clamp — is), which
+    /// is the one property [`CentreGrid::nearest`]'s bounds rest on.
+    #[inline]
+    fn col(&self, x: f64) -> usize {
+        (((x - self.origin.x) * self.per_x) as usize).min(self.cols - 1)
+    }
+
+    #[inline]
+    fn row(&self, y: f64) -> usize {
+        (((y - self.origin.y) * self.per_y) as usize).min(self.rows - 1)
+    }
+
+    /// Re-files `centers`: about two per cell over their bounding box, one
+    /// column (row) along an axis they do not spread on.
+    fn rebuild(&mut self, centers: &[Point]) {
+        let finite = |c: &Point| c.x.is_finite() && c.y.is_finite();
+        let (mut lo, mut hi) = (
+            Point::new(f64::INFINITY, f64::INFINITY),
+            Point::new(f64::NEG_INFINITY, f64::NEG_INFINITY),
+        );
+        let mut filed = 0usize;
+        for c in centers.iter().filter(|c| finite(c)) {
+            lo = Point::new(lo.x.min(c.x), lo.y.min(c.y));
+            hi = Point::new(hi.x.max(c.x), hi.y.max(c.y));
+            filed += 1;
+        }
+        let g = ((filed as f64 / 2.0).sqrt().ceil() as usize).max(1);
+        let (w, h) = (hi.x - lo.x, hi.y - lo.y);
+        self.origin = lo;
+        (self.cols, self.per_x) = if w > 0.0 { (g, g as f64 / w) } else { (1, 0.0) };
+        (self.rows, self.per_y) = if h > 0.0 { (g, g as f64 / h) } else { (1, 0.0) };
+        let (cols, rows) = (self.cols, self.rows);
+
+        // Pass 1: each centre's cell, the cell counts, and per column (row)
+        // the extreme coordinates filed in it.
+        for (edge, len, fill) in [
+            (&mut self.left, cols, f64::NEG_INFINITY),
+            (&mut self.right, cols, f64::INFINITY),
+            (&mut self.below, rows, f64::NEG_INFINITY),
+            (&mut self.above, rows, f64::INFINITY),
+        ] {
+            edge.clear();
+            edge.resize(len, fill);
+        }
+        self.starts.clear();
+        self.starts.resize(cols * rows + 1, 0);
+        self.cell_of.clear();
+        for c in centers {
+            if !finite(c) {
+                self.cell_of.push(NO_CELL);
+                continue;
+            }
+            let (cx, cy) = (self.col(c.x), self.row(c.y));
+            self.left[cx] = self.left[cx].max(c.x);
+            self.right[cx] = self.right[cx].min(c.x);
+            self.below[cy] = self.below[cy].max(c.y);
+            self.above[cy] = self.above[cy].min(c.y);
+            let cell = cy * cols + cx;
+            self.starts[cell] += 1;
+            self.cell_of.push(cell as u32);
+        }
+        // A column's own extremes become those of the columns strictly
+        // before (after) it.
+        fn beyond<'a>(
+            own: impl Iterator<Item = &'a mut f64>,
+            none: f64,
+            pick: fn(f64, f64) -> f64,
+        ) {
+            let mut run = none;
+            for own in own {
+                run = pick(run, std::mem::replace(own, run));
+            }
+        }
+        beyond(self.left.iter_mut(), f64::NEG_INFINITY, f64::max);
+        beyond(self.right.iter_mut().rev(), f64::INFINITY, f64::min);
+        beyond(self.below.iter_mut(), f64::NEG_INFINITY, f64::max);
+        beyond(self.above.iter_mut().rev(), f64::INFINITY, f64::min);
+        // Pass 2: counts to cell ends, then file the centres last to first,
+        // which leaves `starts` at the cell starts and each cell ascending.
+        let mut end = 0u32;
+        for s in self.starts.iter_mut() {
+            end += *s;
+            *s = end;
+        }
+        self.slots.clear();
+        self.slots.resize(filed, (Point::new(0.0, 0.0), 0));
+        for (i, &cell) in self.cell_of.iter().enumerate().rev() {
+            if cell != NO_CELL {
+                let at = &mut self.starts[cell as usize];
+                *at -= 1;
+                self.slots[*at as usize] = (centers[i], i as u32);
+            }
+        }
+    }
+
+    /// Scans cells `from..=to` of one row (adjacent in `slots`), keeping the
+    /// lowest `(distance, index)` seen.
+    #[inline]
+    fn scan(&self, p: &Point, from: usize, to: usize, best: &mut (f64, usize)) {
+        let run = &self.slots[self.starts[from] as usize..self.starts[to + 1] as usize];
+        #[cfg(test)]
+        DISTANCES_EVALUATED.with(|n| n.set(n.get() + run.len() as u64));
+        for &(center, i) in run {
+            let d = p.distance_sq(&center);
+            if d < best.0 || (d == best.0 && (i as usize) < best.1) {
+                *best = (d, i as usize);
+            }
+        }
+    }
+
+    /// The index of the centre nearest `p`: exactly the result of
+    /// `for (c, center) in centers { if p.distance_sq(center) < best_d { .. } }`
+    /// from `(0, ∞)`.
+    ///
+    /// The search visits a block of cells, starting at `p`'s own and growing
+    /// one column or row at a time on every side that could still hold a
+    /// better centre. A side is closed when the *computed* distance to any
+    /// centre beyond it is provably above the best found. For the left side:
+    /// `L = left[x0]` is the largest x filed in a column before the block;
+    /// `col` is monotone and `p`'s column is in the block, so every centre
+    /// `c` out there has `c.x <= L < p.x`; floating-point subtraction,
+    /// multiplication and addition round monotonically, so
+    /// `fl(p.x - c.x) >= fl(p.x - L) >= 0`, its square is no smaller, and
+    /// adding a non-negative `dy²` keeps it so: `distance_sq(p, c) >=
+    /// (p.x - L)²` as computed. The comparison is strict, so a centre behind
+    /// a closed side cannot even tie; among the centres visited, ties go to
+    /// the lowest index. A centre or `p` with a non-finite coordinate only
+    /// yields distances of ∞ or NaN, which never replace the initial
+    /// `(0, ∞)` — and with `best_d = ∞` no side ever closes early, so the
+    /// whole grid is scanned.
+    fn nearest(&self, p: &Point) -> usize {
+        let cols = self.cols;
+        let (mut x0, mut y0) = (self.col(p.x), self.row(p.y));
+        let (mut x1, mut y1) = (x0, y0);
+        let mut best = (f64::INFINITY, 0usize);
+        self.scan(p, y0 * cols + x0, y0 * cols + x0, &mut best);
+        // A NaN gap compares false: the side stays open.
+        let closed = |edge: f64, at: f64, best_d: f64| {
+            let gap = at - edge;
+            gap * gap > best_d
+        };
+        loop {
+            let mut grown = false;
+            if x0 > 0 && !closed(self.left[x0], p.x, best.0) {
+                x0 -= 1;
+                for y in y0..=y1 {
+                    self.scan(p, y * cols + x0, y * cols + x0, &mut best);
+                }
+                grown = true;
+            }
+            if x1 + 1 < cols && !closed(self.right[x1], p.x, best.0) {
+                x1 += 1;
+                for y in y0..=y1 {
+                    self.scan(p, y * cols + x1, y * cols + x1, &mut best);
+                }
+                grown = true;
+            }
+            if y0 > 0 && !closed(self.below[y0], p.y, best.0) {
+                y0 -= 1;
+                self.scan(p, y0 * cols + x0, y0 * cols + x1, &mut best);
+                grown = true;
+            }
+            if y1 + 1 < self.rows && !closed(self.above[y1], p.y, best.0) {
+                y1 += 1;
+                self.scan(p, y1 * cols + x0, y1 * cols + x1, &mut best);
+                grown = true;
+            }
+            if !grown {
+                return best.1;
+            }
+        }
+    }
 }
 
 /// Sort-tile-recursive packing into `k` groups.
@@ -602,6 +863,318 @@ mod tests {
                     seq.home_leaf(SensorId(s as u32)),
                     par.home_leaf(SensorId(s as u32)),
                     "sensor {s} homed differently at {threads} threads"
+                );
+            }
+        }
+    }
+
+    /// The benchmark map's shape without the workload crate (which depends
+    /// on this one): Gaussian cities of harmonic weights, strays clamped onto
+    /// the extent's edge so some coordinates coincide exactly.
+    fn city_points(n: usize, seed: u64) -> Vec<Point> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let cities: Vec<Point> = (0..200)
+            .map(|_| {
+                Point::new(
+                    rng.random_range(0.0..4_000.0),
+                    rng.random_range(0.0..2_500.0),
+                )
+            })
+            .collect();
+        let total: f64 = (1..=200).map(|r| 1.0 / r as f64).sum();
+        (0..n)
+            .map(|_| {
+                let mut u = rng.random::<f64>() * total;
+                let mut city = 0;
+                while city < 199 && u > 1.0 / (city + 1) as f64 {
+                    u -= 1.0 / (city + 1) as f64;
+                    city += 1;
+                }
+                // Box–Muller.
+                let r = (-2.0 * (1.0 - rng.random::<f64>()).ln()).sqrt() * 47.0;
+                let t = std::f64::consts::TAU * rng.random::<f64>();
+                Point::new(
+                    (cities[city].x + r * t.cos()).clamp(0.0, 4_000.0),
+                    (cities[city].y + r * t.sin()).clamp(0.0, 2_500.0),
+                )
+            })
+            .collect()
+    }
+
+    fn uniform_points(n: usize, seed: u64) -> Vec<Point> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| {
+                Point::new(
+                    rng.random_range(0.0..4_000.0),
+                    rng.random_range(0.0..2_500.0),
+                )
+            })
+            .collect()
+    }
+
+    /// The all-centres scan [`CentreGrid::nearest`] replaced, kept as the
+    /// reference the grid search is compared against.
+    fn nearest_of_all(centers: &[Point], p: &Point) -> usize {
+        let mut best = 0;
+        let mut best_d = f64::INFINITY;
+        for (c, center) in centers.iter().enumerate() {
+            let d = p.distance_sq(center);
+            if d < best_d {
+                best_d = d;
+                best = c;
+            }
+        }
+        best
+    }
+
+    /// [`lloyd`] as it was before the grid: the same seeding, update step and
+    /// re-seed draws around [`nearest_of_all`].
+    fn lloyd_of_all(
+        points: &[Point],
+        items: &[usize],
+        k: usize,
+        iterations: usize,
+        rng: &mut StdRng,
+    ) -> Vec<Vec<usize>> {
+        let n = points.len();
+        let k = k.min(n);
+        let mut order: Vec<usize> = (0..n).collect();
+        for i in 0..k {
+            let j = rng.random_range(i..n);
+            order.swap(i, j);
+        }
+        let mut centers: Vec<Point> = order[..k].iter().map(|&i| points[i]).collect();
+        let mut assign = vec![0usize; n];
+        for _ in 0..iterations.max(1) {
+            for (i, p) in points.iter().enumerate() {
+                assign[i] = nearest_of_all(&centers, p);
+            }
+            let mut sums = vec![(0.0f64, 0.0f64, 0usize); k];
+            for (i, p) in points.iter().enumerate() {
+                let s = &mut sums[assign[i]];
+                s.0 += p.x;
+                s.1 += p.y;
+                s.2 += 1;
+            }
+            for (c, center) in centers.iter_mut().enumerate() {
+                let (sx, sy, cnt) = sums[c];
+                if cnt > 0 {
+                    *center = Point::new(sx / cnt as f64, sy / cnt as f64);
+                } else {
+                    *center = points[rng.random_range(0..n)];
+                }
+            }
+        }
+        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); k];
+        for (i, &a) in assign.iter().enumerate() {
+            groups[a].push(items[i]);
+        }
+        groups.retain(|g| !g.is_empty());
+        groups
+    }
+
+    #[track_caller]
+    fn assert_nearest_matches(what: &str, centers: &[Point], points: &[Point]) {
+        let mut grid = CentreGrid::default();
+        grid.rebuild(centers);
+        for (i, p) in points.iter().enumerate() {
+            assert_eq!(
+                grid.nearest(p),
+                nearest_of_all(centers, p),
+                "{what}: point {i} {p:?} among {} centres",
+                centers.len()
+            );
+        }
+    }
+
+    #[track_caller]
+    fn assert_lloyd_matches(what: &str, points: &[Point], k: usize) {
+        let items: Vec<usize> = (0..points.len()).collect();
+        let (mut a, mut b) = (StdRng::seed_from_u64(19), StdRng::seed_from_u64(19));
+        assert_eq!(
+            lloyd(points, &items, k, 8, &mut a),
+            lloyd_of_all(points, &items, k, 8, &mut b),
+            "{what}: groups differ at k = {k}"
+        );
+        assert_eq!(a.next_u64(), b.next_u64(), "{what}: RNG position differs");
+    }
+
+    /// Every `step`-th point: a cheap stand-in for a set of centres.
+    fn every(points: &[Point], step: usize) -> Vec<Point> {
+        points.iter().step_by(step).copied().collect()
+    }
+
+    #[test]
+    fn grid_search_answers_as_the_all_centres_scan_on_fixed_rows() {
+        let uniform = uniform_points(1_500, 1);
+        let cities = city_points(1_500, 2);
+        assert_nearest_matches("uniform", &every(&uniform, 10), &uniform);
+        assert_nearest_matches("cities", &every(&cities, 10), &cities);
+        // A centre per point, one centre, two centres.
+        assert_nearest_matches("k = n", &cities, &cities);
+        assert_nearest_matches("k = 1", &cities[..1], &cities);
+        assert_nearest_matches("k = 2", &cities[..2], &cities);
+        // Every point and every centre twice: each minimum is a tie.
+        let twice: Vec<Point> = cities.iter().flat_map(|&p| [p, p]).collect();
+        assert_nearest_matches("duplicated", &every(&twice, 5), &twice);
+        assert_nearest_matches("all centres equal", &[cities[7]; 40], &cities);
+        // A zero-width and a zero-height grid, with points on and off the line.
+        let on_x: Vec<Point> = uniform.iter().map(|p| Point::new(p.x, 3.0)).collect();
+        let on_y: Vec<Point> = uniform.iter().map(|p| Point::new(-7.0, p.y)).collect();
+        for (what, line) in [("horizontal", &on_x), ("vertical", &on_y)] {
+            assert_nearest_matches(what, &every(line, 10), line);
+            assert_nearest_matches(what, &every(line, 10), &uniform);
+        }
+        // Points far outside the centres' box, up to where the distance
+        // overflows to ∞ and the scan's answer is centre 0.
+        let far: Vec<Point> = [1e4, 1e9, 1e154, 1e200, f64::MAX]
+            .into_iter()
+            .flat_map(|r| {
+                [
+                    Point::new(r, 1_000.0),
+                    Point::new(-r, 1_000.0),
+                    Point::new(2_000.0, r),
+                    Point::new(2_000.0, -r),
+                    Point::new(-r, r),
+                ]
+            })
+            .collect();
+        assert_nearest_matches("far points", &every(&cities, 10), &far);
+        assert_nearest_matches("far centres", &far, &cities);
+        assert_nearest_matches("far both", &far, &far);
+        // Non-finite coordinates, in the points and in the centres (first,
+        // last, all).
+        let odd = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        let wild: Vec<Point> = odd
+            .into_iter()
+            .flat_map(|v| [Point::new(v, 5.0), Point::new(5.0, v), Point::new(v, v)])
+            .collect();
+        assert_nearest_matches("wild points", &every(&cities, 10), &wild);
+        for at in [0, 75, 149] {
+            for &w in &wild {
+                let mut centers = every(&cities, 10);
+                centers[at] = w;
+                assert_nearest_matches("a wild centre", &centers, &cities[..200]);
+                assert_nearest_matches("a wild centre", &centers, &wild);
+            }
+        }
+        assert_nearest_matches("only wild centres", &wild, &cities[..200]);
+        assert_nearest_matches("no centres in the grid", &wild, &wild);
+    }
+
+    #[test]
+    fn lloyd_groups_and_draws_as_the_all_centres_loop() {
+        let cities = city_points(1_200, 3);
+        let uniform = uniform_points(1_200, 4);
+        // Duplicates leave clusters empty, so the re-seed draws are compared.
+        let twice: Vec<Point> = cities[..400].iter().flat_map(|&p| [p, p]).collect();
+        let on_x: Vec<Point> = uniform.iter().map(|p| Point::new(p.x, 3.0)).collect();
+        let on_y: Vec<Point> = uniform.iter().map(|p| Point::new(-7.0, p.y)).collect();
+        let mut wild = cities[..300].to_vec();
+        wild[5] = Point::new(f64::NAN, 1.0);
+        wild[50] = Point::new(f64::INFINITY, 1.0);
+        wild[150] = Point::new(2.0, f64::NEG_INFINITY);
+        for (what, points) in [
+            ("cities", &cities),
+            ("uniform", &uniform),
+            ("duplicated", &twice),
+            ("horizontal", &on_x),
+            ("vertical", &on_y),
+            ("non-finite", &wild),
+        ] {
+            for k in [1, 2, points.len().div_ceil(10), points.len()] {
+                assert_lloyd_matches(what, points, k);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(400))]
+
+        /// Coordinates off a coarse lattice (so exact ties between centres
+        /// are the rule), off the reals, and now and then huge or not finite.
+        #[test]
+        fn grid_search_answers_as_the_all_centres_scan(
+            centers in proptest::collection::vec(any_point(), 1..60),
+            points in proptest::collection::vec(any_point(), 1..40),
+        ) {
+            assert_nearest_matches("proptest", &centers, &points);
+        }
+    }
+
+    fn any_point() -> impl proptest::strategy::Strategy<Value = Point> {
+        use proptest::prelude::*;
+        let coord = || {
+            prop_oneof![
+                6 => (-4i32..5).prop_map(f64::from),
+                3 => -4.0..4.0f64,
+                1 => prop_oneof![
+                    Just(1e9), Just(-1e200), Just(f64::MAX),
+                    Just(f64::INFINITY), Just(f64::NEG_INFINITY), Just(f64::NAN),
+                ],
+            ]
+        };
+        (coord(), coord()).prop_map(|(x, y)| Point::new(x, y))
+    }
+
+    /// At a merge's size (`n` = 4,096, `k` = 410: 410 distances per point per
+    /// iteration for the all-centres scan) the grid search must stay a
+    /// search: a bound that never closes a side would still be exact.
+    #[test]
+    fn grid_search_evaluates_a_fraction_of_the_centres() {
+        for (what, points) in [
+            ("uniform", uniform_points(4_096, 5)),
+            ("cities", city_points(4_096, 6)),
+        ] {
+            let items: Vec<usize> = (0..points.len()).collect();
+            let before = DISTANCES_EVALUATED.with(|n| n.get());
+            lloyd(&points, &items, 410, 8, &mut StdRng::seed_from_u64(19));
+            let evaluated = DISTANCES_EVALUATED.with(|n| n.get()) - before;
+            let per_point = evaluated as f64 / (4_096.0 * 8.0);
+            assert!(
+                per_point <= 64.0,
+                "{what}: {per_point:.1} distances per point per iteration"
+            );
+            println!("{what}: {per_point:.1} distances per point per iteration");
+        }
+    }
+
+    /// The build RNG's next raw draw after the levels are clustered, recorded
+    /// at the parent of PR 19 (all-centres assignment) per fleet size of
+    /// [`BUILD_RNG_SIZES`]: the grid search must leave every seeding,
+    /// re-seeding and per-cell seed draw where it was. The trees themselves
+    /// are pinned in `tests/hotpath_parity.rs`.
+    const BUILD_RNG_SIZES: [usize; 6] = [1, 10, 11, 4_096, 4_097, 40_000];
+    const BUILD_RNG_NEXT: [u64; 6] = [
+        0xf23c_be59_ba2b_d02e,
+        0xf23c_be59_ba2b_d02e,
+        0xe33b_e856_a907_850c,
+        0x2f24_a276_c061_5a1f,
+        0x351d_6eb8_5623_3d22,
+        0xaff4_11f3_09df_de90,
+    ];
+
+    #[test]
+    fn build_leaves_the_rng_where_the_all_centres_loop_left_it() {
+        for (&n, &recorded) in BUILD_RNG_SIZES.iter().zip(&BUILD_RNG_NEXT) {
+            let sensors: Vec<SensorMeta> = city_points(n, 7)
+                .into_iter()
+                .enumerate()
+                .map(|(i, at)| SensorMeta::new(i as u32, at, TimeDelta::from_mins(5), 0.9))
+                .collect();
+            for threads in [1, 2, 8] {
+                let mut builder = Builder {
+                    nodes: Vec::new(),
+                    sensor_leaf: vec![NodeId(0); n],
+                    rng: StdRng::seed_from_u64(19),
+                    threads,
+                };
+                builder.build_levels(&sensors, &ColrConfig::default());
+                let next = builder.rng.next_u64();
+                assert_eq!(
+                    next, recorded,
+                    "n {n} threads {threads}: next draw {next:#018x}, recorded {recorded:#018x}"
                 );
             }
         }

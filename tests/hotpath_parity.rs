@@ -29,16 +29,25 @@
 //!     raw entries and the eviction order must be what the old code left,
 //!     to the bit, as must a fresh tree the entries are restored into.
 //!
+//! (f) the *trees* the bulk build produces and the shard map
+//!     `kmeans_partition` cuts, recorded at parent `f339d36` (PR 19) before
+//!     Lloyd's assignment step stopped asking every centre: every node of a
+//!     clustered fleet of 1 … 40,000 sensors (both sides of the direct / grid
+//!     threshold and of a one-leaf tree) at 1, 2 and 8 build threads, and
+//!     the eight groups the router would shard that fleet into.
+//!
 //! A digest mismatch means an answer, a statistic or an RNG position moved.
 //! If that is an intended algorithm change (ROADMAP 2d), re-record: every
 //! assertion prints the digest it computed.
 
 use colr_repro::colr::probe::AlwaysAvailable;
 use colr_repro::colr::{
-    ColrConfig, ColrTree, Mode, Query, Reading, SensorId, SensorMeta, TimeDelta, Timestamp,
+    kmeans_partition, Children, ColrConfig, ColrTree, Mode, Query, Reading, SensorId, SensorMeta,
+    TimeDelta, Timestamp,
 };
 use colr_repro::engine::{parse, BatchResult, PortalConfig, PortalService, SelectQuery};
 use colr_repro::geo::{Circle, Point, Polygon, Rect, Region};
+use colr_repro::workload::PlacementModel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -515,4 +524,96 @@ fn maintenance_leaves_the_cache_state_the_old_paths_left() {
         assert_digest(&format!("capacity {cap:?} traced"), got.0, traced);
         assert_digest(&format!("capacity {cap:?} restored"), got.1, restored);
     }
+}
+
+/// Fleet sizes of [`bulk_build_reproduces_the_trees_recorded_at_the_parent`]:
+/// a one-leaf tree, `B` and `B + 1` sensors, and both sides of the build's
+/// direct / grid-partitioned threshold, up to the benchmark's fleet.
+const BUILD_SIZES: [usize; 6] = [1, 10, 11, 4_096, 4_097, 40_000];
+/// One digest per size of [`BUILD_SIZES`] (the same at 1, 2 and 8 threads).
+const BUILT_TREES: [u64; 6] = [
+    0x605e_ce72_6919_ba38,
+    0x9f12_5f88_b7cd_8a1e,
+    0x717f_b621_b648_b60e,
+    0x8e86_71d9_7c19_d290,
+    0xdb6a_fd7d_df55_4037,
+    0x4d49_c9a0_53fa_7346,
+];
+/// The 8-shard `kmeans_partition` of the 40,000-sensor fleet.
+const SHARD_MAP: u64 = 0x345f_9c39_4934_638b;
+
+/// The benchmark map's shape: 200 Zipf-weighted Gaussian cities, strays
+/// clamped onto the extent's edges (so some coordinates coincide exactly).
+fn clustered_fleet(n: usize) -> Vec<SensorMeta> {
+    PlacementModel::live_local()
+        .place(Rect::from_coords(0.0, 0.0, 4_000.0, 2_500.0), n, 20_080_407)
+        .into_iter()
+        .enumerate()
+        .map(|(i, at)| {
+            SensorMeta::new(
+                i as u32,
+                at,
+                TimeDelta::from_millis(EXPIRY_MS),
+                0.5 + (i % 5) as f64 * 0.1,
+            )
+            .with_kind((i % 3) as u16)
+        })
+        .collect()
+}
+
+/// Everything the build decides: per node its level, box, weight, per-kind
+/// weights, availability mean and child or sensor list, in node-id order.
+fn tree_digest(tree: &ColrTree) -> u64 {
+    let mut d = Digest::new();
+    for id in tree.node_ids() {
+        let n = tree.node(id);
+        let b = n.bbox;
+        d.eat(&format!(
+            "{id:?} {} {:#x} {:#x} {:#x} {:#x} {} {:?} {:#x} {:?}",
+            n.level,
+            b.min.x.to_bits(),
+            b.min.y.to_bits(),
+            b.max.x.to_bits(),
+            b.max.y.to_bits(),
+            n.weight,
+            n.kind_weights,
+            n.avail_mean.to_bits(),
+            n.parent,
+        ));
+        match &n.children {
+            Children::Internal(c) => d.eat(&format!("I{c:?}")),
+            Children::Leaf(s) => d.eat(&format!("L{s:?}")),
+        }
+    }
+    d.eat(&format!("{:?} {}", tree.root(), tree.leaf_level()));
+    d.0
+}
+
+#[test]
+fn bulk_build_reproduces_the_trees_recorded_at_the_parent() {
+    let fleet = clustered_fleet(40_000);
+    for (&n, &recorded) in BUILD_SIZES.iter().zip(&BUILT_TREES) {
+        // `place` draws the cities, then the sensors in order: a shorter
+        // fleet is a prefix of a longer one.
+        for threads in [1usize, 2, 8] {
+            let tree = ColrTree::build_with_threads(
+                fleet[..n].to_vec(),
+                ColrConfig::default(),
+                19,
+                threads,
+            );
+            assert_digest(
+                &format!("build n {n} threads {threads}"),
+                tree_digest(&tree),
+                recorded,
+            );
+        }
+    }
+    let points: Vec<Point> = fleet.iter().map(|m| m.location).collect();
+    let mut d = Digest::new();
+    d.eat(&format!(
+        "{:?}",
+        kmeans_partition(&points, 8, 8, 20_080_407)
+    ));
+    assert_digest("shard map", d.0, SHARD_MAP);
 }
