@@ -1,16 +1,15 @@
-//! The query-time layout: Algorithm 1 walks this arena and nothing else.
+//! The tree's topology: one flat, read-only arena that every walk runs over.
 //!
-//! The pointer tree ([`crate::tree::ColrTree`]) stores each node as a
-//! heap-allocated struct whose children live wherever the builder happened to
-//! push them; it is the build, maintenance and baseline-mode structure.
-//! Walking it for Algorithm 1 would chase pointers across the heap and load a
-//! whole `Node` (including the cold `kind_weights` vector) to read four
-//! doubles, so the bulk loader also flattens every generation into a
-//! [`SamplingArena`], a read-only mirror laid out for the walk:
+//! The bulk loader builds a tree as a `Vec` of heap-allocated scaffolding
+//! nodes ([`crate::build`]), children wherever it happened to push them.
+//! `SamplingArena::flatten` lays that out once, for reading, and the
+//! scaffolding is dropped: queries, cache maintenance, the relational backend
+//! and [`ColrTree::node`] all read this arena and nothing else.
 //!
 //! * **BFS order, children contiguous** — a node's children occupy the index
 //!   range `child_start .. child_start + child_len`, so the partition loop is
-//!   a linear walk, not a pointer chase.
+//!   a linear walk, not a pointer chase, and a node's child ids are a slice of
+//!   `orig`.
 //! * **Structure-of-arrays MBRs** — `min_x/min_y/max_x/max_y` are separate
 //!   `f64` arrays. Classifying a run of children against a rectangular
 //!   viewport is a branch-free pass over four contiguous slices, processed
@@ -19,8 +18,14 @@
 //! * **One weight per node** — `weight[i]` is `w_i`; a node's child weights
 //!   are the slice `weight[child_start .. child_start + child_len]`, which is
 //!   all Algorithm 1's proportional split of a fully contained node reads.
+//!   Per-kind weights are one CSR table beside it.
 //! * **Flattened sensors** — leaf sensor ids, locations, and kinds in three
 //!   parallel arrays, so terminal scans touch no `SensorMeta`.
+//! * **Two numberings** — walks hold *arena indices* (BFS positions); node
+//!   caches, write-back keys and [`crate::lookup::GroupResult::node`] hold the
+//!   builder's [`NodeId`]s, which is also how the parent links are keyed, so a
+//!   write-back climbs them without translating. `orig` and `index_of` map
+//!   one to the other.
 //!
 //! # What the fast paths may assume
 //!
@@ -39,19 +44,19 @@ use colr_geo::{Point, Rect, Region};
 use rand::Rng;
 
 use crate::avail::LiveAvailability;
+use crate::build;
 use crate::lookup::{GroupResult, ProbePlan, Query, QueryOutput};
 use crate::reading::{Reading, SensorId, SensorMeta};
 use crate::sampling::{MIN_AVAILABILITY, TARGET_EPS};
 use crate::scratch::QueryScratch;
 use crate::stats::QueryStats;
 use crate::time::Timestamp;
-use crate::tree::{Children, ColrTree, Node, NodeId};
+use crate::tree::{Children, ColrTree, NodeId, NodeRef};
 
-/// Read-only flattened mirror of a [`ColrTree`], rebuilt with the tree once
-/// per generation (see [`ColrTree::sampling_arena`]).
+/// The immutable structure of a [`ColrTree`], flattened from the builder's
+/// nodes once per build and shared by the tree's clones.
 #[derive(Debug)]
 pub struct SamplingArena {
-    len: usize,
     // --- per-node SoA (arena BFS order, root at index 0) ---------------
     min_x: Vec<f64>,
     min_y: Vec<f64>,
@@ -63,16 +68,25 @@ pub struct SamplingArena {
     /// four-lane `classify_children` sweep.
     rect: Vec<Rect>,
     level: Vec<u16>,
-    /// `Node::weight` as `f64`.
+    /// The sampling weight `w_i` (descendant sensors) as `f64`.
     weight: Vec<f64>,
-    /// `Node::avail_mean`, the frozen `a_i` of the subtree.
+    /// The frozen `a_i` of the subtree: mean build-time availability.
     avail_mean: Vec<f64>,
-    /// Arena index → pointer-tree node id.
+    /// Arena index → node id.
     orig: Vec<NodeId>,
     child_start: Vec<u32>,
     child_len: Vec<u32>,
     sensor_start: Vec<u32>,
     sensor_len: Vec<u32>,
+    /// CSR over `kind_weights`: node `i`'s `(kind, descendant sensors of that
+    /// kind)` rows, sorted by kind, are `kind_start[i] .. kind_start[i + 1]`.
+    kind_start: Vec<u32>,
+    kind_weights: Vec<(u16, u64)>,
+    // --- per node id ----------------------------------------------------
+    /// Node id → arena index.
+    index_of: Vec<u32>,
+    /// Node id → parent's node id ([`NO_PARENT`] at the root).
+    parent: Vec<u32>,
     // --- flattened leaf sensors (leaf order) ---------------------------
     sensors: Vec<SensorId>,
     sensor_x: Vec<f64>,
@@ -82,34 +96,20 @@ pub struct SamplingArena {
     sensor_avail: Vec<f64>,
 }
 
-impl SamplingArena {
-    /// Flattens a finished node structure (levels assigned) into arena form.
-    /// Children of each node are laid out contiguously in BFS order; the root
-    /// is arena index 0.
-    pub(crate) fn flatten(nodes: &[Node], root: NodeId, sensors: &[SensorMeta]) -> SamplingArena {
-        let n = nodes.len();
-        let mut order: Vec<NodeId> = Vec::with_capacity(n);
-        let mut child_start = Vec::with_capacity(n);
-        let mut child_len = Vec::with_capacity(n);
-        order.push(root);
-        let mut i = 0;
-        while i < order.len() {
-            match &nodes[order[i].index()].children {
-                Children::Internal(ch) => {
-                    child_start.push(order.len() as u32);
-                    child_len.push(ch.len() as u32);
-                    order.extend(ch.iter().copied());
-                }
-                Children::Leaf(_) => {
-                    child_start.push(0);
-                    child_len.push(0);
-                }
-            }
-            i += 1;
-        }
+const NO_PARENT: u32 = u32::MAX;
 
+impl SamplingArena {
+    /// Flattens the builder's finished nodes into arena form. Children of
+    /// each node are laid out contiguously in BFS order, the root at arena
+    /// index 0; levels and parent links are what that pass finds (the leaf
+    /// level is uniform by construction, so the last node's is the tree's).
+    pub(crate) fn flatten(
+        nodes: &[build::Node],
+        root: NodeId,
+        sensors: &[SensorMeta],
+    ) -> SamplingArena {
+        let n = nodes.len();
         let mut a = SamplingArena {
-            len: order.len(),
             min_x: Vec::with_capacity(n),
             min_y: Vec::with_capacity(n),
             max_x: Vec::with_capacity(n),
@@ -119,55 +119,135 @@ impl SamplingArena {
             weight: Vec::with_capacity(n),
             avail_mean: Vec::with_capacity(n),
             orig: Vec::with_capacity(n),
-            child_start,
-            child_len,
+            child_start: Vec::with_capacity(n),
+            child_len: Vec::with_capacity(n),
             sensor_start: Vec::with_capacity(n),
             sensor_len: Vec::with_capacity(n),
-            sensors: Vec::new(),
-            sensor_x: Vec::new(),
-            sensor_y: Vec::new(),
-            sensor_kind: Vec::new(),
-            sensor_avail: Vec::new(),
+            kind_start: Vec::with_capacity(n + 1),
+            kind_weights: Vec::new(),
+            index_of: vec![0; n],
+            parent: vec![NO_PARENT; n],
+            sensors: Vec::with_capacity(sensors.len()),
+            sensor_x: Vec::with_capacity(sensors.len()),
+            sensor_y: Vec::with_capacity(sensors.len()),
+            sensor_kind: Vec::with_capacity(sensors.len()),
+            sensor_avail: Vec::with_capacity(sensors.len()),
         };
-        for &id in &order {
+        a.orig.push(root);
+        a.level.push(0);
+        let mut idx = 0;
+        while idx < a.orig.len() {
+            let id = a.orig[idx];
             let node = &nodes[id.index()];
+            a.index_of[id.index()] = idx as u32;
             a.min_x.push(node.bbox.min.x);
             a.min_y.push(node.bbox.min.y);
             a.max_x.push(node.bbox.max.x);
             a.max_y.push(node.bbox.max.y);
             a.rect.push(node.bbox);
-            a.level.push(node.level);
             a.weight.push(node.weight as f64);
             a.avail_mean.push(node.avail_mean);
-            a.orig.push(id);
-            match &node.children {
-                Children::Internal(_) => {
-                    a.sensor_start.push(0);
-                    a.sensor_len.push(0);
-                }
-                Children::Leaf(leaf) => {
-                    a.sensor_start.push(a.sensors.len() as u32);
-                    a.sensor_len.push(leaf.len() as u32);
-                    for &s in leaf {
-                        let meta = &sensors[s.index()];
-                        a.sensors.push(s);
-                        a.sensor_x.push(meta.location.x);
-                        a.sensor_y.push(meta.location.y);
-                        a.sensor_kind.push(meta.kind);
-                        a.sensor_avail.push(meta.availability);
-                    }
-                }
+            a.kind_start.push(a.kind_weights.len() as u32);
+            a.kind_weights.extend_from_slice(&node.kind_weights);
+            let (children, leaf): (&[NodeId], &[SensorId]) = match &node.children {
+                build::Children::Internal(children) => (children, &[]),
+                build::Children::Leaf(leaf) => (&[], leaf),
+            };
+            a.child_start.push(a.orig.len() as u32);
+            a.child_len.push(children.len() as u32);
+            for &child in children {
+                a.parent[child.index()] = id.0;
+                a.orig.push(child);
+                a.level.push(a.level[idx] + 1);
             }
+            a.sensor_start.push(a.sensors.len() as u32);
+            a.sensor_len.push(leaf.len() as u32);
+            for &s in leaf {
+                let meta = &sensors[s.index()];
+                a.sensors.push(s);
+                a.sensor_x.push(meta.location.x);
+                a.sensor_y.push(meta.location.y);
+                a.sensor_kind.push(meta.kind);
+                a.sensor_avail.push(meta.availability);
+            }
+            idx += 1;
         }
+        a.kind_start.push(a.kind_weights.len() as u32);
+        assert_eq!(a.orig.len(), n, "every built node hangs off the root");
         a
+    }
+
+    /// The node `id` as one borrowed view: what [`ColrTree::node`] returns.
+    pub(crate) fn node(&self, id: NodeId) -> NodeRef<'_> {
+        let idx = self.index_of(id);
+        NodeRef {
+            level: self.level[idx],
+            bbox: self.rect[idx],
+            parent: self.parent(id),
+            children: if self.child_len[idx] > 0 {
+                Children::Internal(self.child_ids(idx))
+            } else {
+                Children::Leaf(self.leaf_sensors(idx))
+            },
+            weight: self.weight[idx] as u64,
+            kind_weights: self.kind_weights(idx),
+            avail_mean: self.avail_mean[idx],
+        }
+    }
+
+    /// The arena index of node `id`.
+    #[inline]
+    pub fn index_of(&self, id: NodeId) -> usize {
+        self.index_of[id.index()] as usize
+    }
+
+    /// The parent of node `id` (`None` at the root). Keyed by node id, not
+    /// arena index: the climbers — cache write-back, live availability —
+    /// hold node ids.
+    #[inline]
+    pub fn parent(&self, id: NodeId) -> Option<NodeId> {
+        let parent = self.parent[id.index()];
+        (parent != NO_PARENT).then_some(NodeId(parent))
+    }
+
+    /// The arena indices of the node's children (empty at a leaf).
+    #[inline]
+    pub fn child_range(&self, idx: usize) -> std::ops::Range<usize> {
+        let start = self.child_start[idx] as usize;
+        start..start + self.child_len[idx] as usize
+    }
+
+    /// The node ids of the node's children, in child order (empty at a leaf).
+    #[inline]
+    pub fn child_ids(&self, idx: usize) -> &[NodeId] {
+        &self.orig[self.child_range(idx)]
+    }
+
+    /// The sensors homed at a leaf, in leaf order (empty at an internal node).
+    #[inline]
+    pub fn leaf_sensors(&self, idx: usize) -> &[SensorId] {
+        let start = self.sensor_start[idx] as usize;
+        &self.sensors[start..start + self.sensor_len[idx] as usize]
+    }
+
+    /// The node's `(kind, descendant sensors of that kind)` rows, by kind.
+    #[inline]
+    pub fn kind_weights(&self, idx: usize) -> &[(u16, u64)] {
+        &self.kind_weights[self.kind_start[idx] as usize..self.kind_start[idx + 1] as usize]
+    }
+
+    /// Number of descendant sensors of one kind.
+    #[inline]
+    pub fn kind_weight(&self, idx: usize, kind: u16) -> u64 {
+        crate::tree::weight_of_kind(self.kind_weights(idx), kind)
     }
 
     /// Number of nodes in the arena.
     pub fn node_count(&self) -> usize {
-        self.len
+        self.orig.len()
     }
 
-    /// The node's MBR, bitwise identical to the pointer node's `bbox`.
+    /// The node's MBR.
     #[inline]
     pub fn bbox(&self, idx: usize) -> Rect {
         self.rect[idx]
@@ -185,13 +265,13 @@ impl SamplingArena {
         self.weight[idx]
     }
 
-    /// The node's frozen mean availability (`Node::avail_mean`).
+    /// The node's frozen mean availability.
     #[inline]
     pub fn avail_mean(&self, idx: usize) -> f64 {
         self.avail_mean[idx]
     }
 
-    /// The pointer-tree id this arena node mirrors.
+    /// The node id of the node at arena index `idx`.
     #[inline]
     pub fn orig(&self, idx: usize) -> NodeId {
         self.orig[idx]
@@ -310,9 +390,8 @@ impl ColrTree {
     /// the SoA coordinate slices, and fully contained rectangular nodes split
     /// over their child weight slice with no overlap tests. Every `a_i`
     /// comes from `live`, the availability source `select` resolved once for
-    /// the whole query; with `live` unset it is read from the arena's frozen
-    /// mirror, so the walk touches neither the availability lock nor the
-    /// pointer tree for it.
+    /// the whole query; with `live` unset it is the arena's frozen build-time
+    /// mean, so the walk does not touch the availability lock for it.
     pub(crate) fn exec_colr_arena<R: Rng + ?Sized>(
         &self,
         query: &Query,
@@ -465,7 +544,7 @@ impl ColrTree {
                             let c = cstart + j;
                             let w = match query.kind_filter {
                                 None => arena.weight(c),
-                                Some(k) => self.node(arena.orig(c)).query_weight(Some(k)) as f64,
+                                Some(k) => arena.kind_weight(c, k) as f64,
                             };
                             let ow = w * query.region.overlap_fraction(&arena.bbox(c));
                             if ow > TARGET_EPS {
@@ -609,10 +688,8 @@ impl ColrTree {
             if !rect_contained && !query.region.intersects_rect(&arena.bbox(cur)) {
                 continue;
             }
-            let clen = arena.child_len(cur);
-            if clen > 0 {
-                let cstart = arena.child_start(cur);
-                stack.extend((cstart..cstart + clen).map(|c| c as u32));
+            if arena.child_len(cur) > 0 {
+                stack.extend(arena.child_range(cur).map(|c| c as u32));
             } else {
                 let sstart = arena.sensor_start(cur);
                 let slen = arena.sensor_len(cur);
@@ -620,7 +697,7 @@ impl ColrTree {
                     if rect_contained && query.kind_filter.is_none() {
                         // Contained, unfiltered viewport: every sensor of the
                         // leaf qualifies — the loop is just cache triage.
-                        for &s in &arena.sensors[sstart..sstart + slen] {
+                        for &s in arena.leaf_sensors(cur) {
                             match nc.entry(s) {
                                 Some(e) if e.reading.is_fresh(now, staleness) => {
                                     cached.push(e.reading);
@@ -671,54 +748,6 @@ mod tests {
             })
             .collect();
         ColrTree::build(sensors, ColrConfig::default(), 7)
-    }
-
-    #[test]
-    fn arena_mirrors_tree_structure() {
-        let tree = grid_tree(12);
-        let arena = tree.sampling_arena();
-        assert_eq!(arena.node_count(), tree.node_count());
-        let mut seen_sensors = 0usize;
-        for idx in 0..arena.node_count() {
-            let id = arena.orig(idx);
-            let node = tree.node(id);
-            assert_eq!(arena.level(idx), node.level);
-            assert_eq!(arena.weight(idx).to_bits(), (node.weight as f64).to_bits());
-            assert_eq!(arena.avail_mean(idx).to_bits(), node.avail_mean.to_bits());
-            let bb = arena.bbox(idx);
-            assert_eq!(bb.min.x.to_bits(), node.bbox.min.x.to_bits());
-            assert_eq!(bb.max.y.to_bits(), node.bbox.max.y.to_bits());
-            match &node.children {
-                Children::Internal(ch) => {
-                    assert_eq!(arena.child_len(idx), ch.len());
-                    for (j, &c) in ch.iter().enumerate() {
-                        // Children are contiguous and in pointer order.
-                        assert_eq!(arena.orig(arena.child_start(idx) + j), c);
-                    }
-                    // The child weight slice is bitwise the children's
-                    // weights: the split denominator of a contained node.
-                    for (j, &c) in ch.iter().enumerate() {
-                        let w = tree.node(c).weight as f64;
-                        let got = arena.weight(arena.child_start(idx) + j);
-                        assert_eq!(got.to_bits(), w.to_bits());
-                    }
-                }
-                Children::Leaf(sensors) => {
-                    assert_eq!(arena.child_len(idx), 0);
-                    assert_eq!(arena.sensor_len(idx), sensors.len());
-                    seen_sensors += sensors.len();
-                    for (j, &s) in sensors.iter().enumerate() {
-                        let slot = arena.sensor_start(idx) + j;
-                        assert_eq!(arena.sensor(slot), s);
-                        let meta = tree.sensor(s);
-                        assert_eq!(arena.sensor_loc(slot), meta.location);
-                        assert_eq!(arena.sensor_kind(slot), meta.kind);
-                        assert_eq!(arena.sensor_avail(slot), meta.availability);
-                    }
-                }
-            }
-        }
-        assert_eq!(seen_sensors, 144);
     }
 
     #[test]

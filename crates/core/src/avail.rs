@@ -2,7 +2,7 @@
 //!
 //! The paper's Algorithm 1 oversamples by the inverse of each subtree's
 //! historical availability `a_i`, but the build pipeline freezes `a_i`
-//! into `Node::avail_mean` at construction time — the index never learns
+//! into the arena's per-node `avail_mean` at construction time — the index never learns
 //! that a sensor died (or recovered) after the tree was built.
 //! `LiveAvailability` closes that loop: every probe outcome updates a
 //! per-sensor EWMA, and the update is rolled up along the sensor's leaf →
@@ -16,7 +16,9 @@
 //! node's live mean is always `sum / weight` regardless of interleaving.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
+use crate::arena::SamplingArena;
 use crate::reading::SensorId;
 use crate::tree::{ColrTree, NodeId};
 
@@ -29,7 +31,7 @@ pub const DEFAULT_EWMA_ALPHA: f64 = 0.2;
 /// Lock-free live availability estimates for one built tree.
 ///
 /// Created from (and structurally tied to) a specific `ColrTree`: the
-/// per-node roll-up uses that tree's parent chains and weights. A rebuilt
+/// per-node roll-up climbs that tree's arena and uses its weights. A rebuilt
 /// tree needs a fresh `LiveAvailability`.
 #[derive(Debug)]
 pub struct LiveAvailability {
@@ -40,7 +42,8 @@ pub struct LiveAvailability {
     /// bits; the live node mean is `sum / weight`.
     node_sum: Vec<AtomicU64>,
     node_weight: Vec<f64>,
-    parent: Vec<Option<NodeId>>,
+    /// The tree's structure, for the leaf → root parent links.
+    arena: Arc<SamplingArena>,
     sensor_leaf: Vec<NodeId>,
 }
 
@@ -75,21 +78,21 @@ impl LiveAvailability {
             .iter()
             .map(|m| AtomicU64::new(m.availability.to_bits()))
             .collect();
-        let mut node_sum = Vec::with_capacity(tree.nodes.len());
-        let mut node_weight = Vec::with_capacity(tree.nodes.len());
-        let mut parent = Vec::with_capacity(tree.nodes.len());
-        for node in &tree.nodes {
-            let w = node.weight as f64;
-            node_sum.push(AtomicU64::new((node.avail_mean * w).to_bits()));
+        let arena = &tree.arena;
+        let mut node_sum = Vec::with_capacity(arena.node_count());
+        let mut node_weight = Vec::with_capacity(arena.node_count());
+        for id in tree.node_ids() {
+            let idx = arena.index_of(id);
+            let w = arena.weight(idx);
+            node_sum.push(AtomicU64::new((arena.avail_mean(idx) * w).to_bits()));
             node_weight.push(w);
-            parent.push(node.parent);
         }
         LiveAvailability {
             alpha,
             sensor_est,
             node_sum,
             node_weight,
-            parent,
+            arena: arena.clone(),
             sensor_leaf: tree.sensor_leaf.clone(),
         }
     }
@@ -145,7 +148,7 @@ impl LiveAvailability {
         let mut cur = Some(self.sensor_leaf[i]);
         while let Some(node) = cur {
             atomic_f64_add(&self.node_sum[node.index()], delta);
-            cur = self.parent[node.index()];
+            cur = self.arena.parent(node);
         }
     }
 

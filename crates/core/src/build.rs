@@ -57,7 +57,7 @@ use rand::{Rng, RngCore, SeedableRng};
 use crate::reading::{SensorId, SensorMeta};
 use crate::slot_cache::SlotConfig;
 use crate::time::TimeDelta;
-use crate::tree::{BuildStrategy, Children, ColrConfig, ColrTree, Node, NodeId};
+use crate::tree::{BuildStrategy, ColrConfig, ColrTree, NodeId};
 
 /// Points above this count are clustered per grid cell.
 const DIRECT_KMEANS_MAX: usize = 4096;
@@ -142,6 +142,30 @@ impl ColrTree {
     }
 }
 
+/// One node as the builder pushes it: build-time scaffolding, heap lists and
+/// all. [`crate::arena::SamplingArena::flatten`] reads the finished `Vec` once
+/// — levels and parent links fall out of its breadth-first pass — and
+/// [`ColrTree::assemble`] drops it; nothing after the build sees a `Node`.
+#[derive(Debug)]
+pub(crate) struct Node {
+    /// Minimum bounding rectangle of the descendant sensors.
+    pub(crate) bbox: Rect,
+    pub(crate) children: Children,
+    /// Number of descendant sensors — the sampling weight `w_i`.
+    pub(crate) weight: u64,
+    /// Descendant sensor counts per sensor type, sorted by kind.
+    pub(crate) kind_weights: Vec<(u16, u64)>,
+    /// Mean historical availability of the descendant sensors.
+    pub(crate) avail_mean: f64,
+}
+
+/// A scaffolding node's children, owned.
+#[derive(Debug)]
+pub(crate) enum Children {
+    Internal(Vec<NodeId>),
+    Leaf(Vec<SensorId>),
+}
+
 struct Builder {
     nodes: Vec<Node>,
     sensor_leaf: Vec<NodeId>,
@@ -180,9 +204,7 @@ impl Builder {
             Self::merge_kind_weight(&mut kind_weights, sensors[s.index()].kind, 1);
         }
         self.nodes.push(Node {
-            level: 0,
             bbox,
-            parent: None,
             children: Children::Leaf(members),
             weight,
             kind_weights,
@@ -214,13 +236,8 @@ impl Builder {
                 Self::merge_kind_weight(&mut kind_weights, k, w);
             }
         }
-        for &m in &members {
-            self.nodes[m.index()].parent = Some(id);
-        }
         self.nodes.push(Node {
-            level: 0,
             bbox,
-            parent: None,
             children: Children::Internal(members),
             weight,
             kind_weights,
@@ -807,6 +824,83 @@ mod tests {
         sensors[4].expiry = TimeDelta::from_mins(42);
         let tree = ColrTree::build(sensors, ColrConfig::default(), 1);
         assert_eq!(tree.t_max(), TimeDelta::from_mins(42));
+    }
+
+    /// The arena against the scaffolding it was flattened from: every field
+    /// the builder decided, bit for bit, and what the flattening pass adds —
+    /// contiguous children in builder order, depths, parent links, the two
+    /// numberings inverse to each other.
+    #[test]
+    fn flatten_keeps_every_field_of_the_builders_nodes() {
+        let mut sensors = grid_sensors(12);
+        for (i, s) in sensors.iter_mut().enumerate() {
+            s.kind = (i % 3) as u16;
+        }
+        let mut builder = Builder {
+            nodes: Vec::new(),
+            sensor_leaf: vec![NodeId(0); sensors.len()],
+            rng: StdRng::seed_from_u64(7),
+            threads: 1,
+        };
+        let root = builder.build_levels(&sensors, &ColrConfig::default());
+        let nodes = builder.nodes;
+        let arena = crate::arena::SamplingArena::flatten(&nodes, root, &sensors);
+        assert_eq!(arena.node_count(), nodes.len());
+        assert_eq!(arena.orig(0), root);
+        assert_eq!((arena.level(0), arena.parent(root)), (0, None));
+        let mut seen_sensors = 0usize;
+        for idx in 0..arena.node_count() {
+            let id = arena.orig(idx);
+            assert_eq!(arena.index_of(id), idx);
+            let node = &nodes[id.index()];
+            assert_eq!(arena.weight(idx).to_bits(), (node.weight as f64).to_bits());
+            assert_eq!(arena.avail_mean(idx).to_bits(), node.avail_mean.to_bits());
+            assert_eq!(arena.kind_weights(idx), &node.kind_weights[..]);
+            for &(kind, weight) in &node.kind_weights {
+                assert_eq!(arena.kind_weight(idx, kind), weight);
+            }
+            assert_eq!(arena.kind_weight(idx, 7), 0, "no sensor of kind 7");
+            let bb = arena.bbox(idx);
+            assert_eq!(bb.min.x.to_bits(), node.bbox.min.x.to_bits());
+            assert_eq!(bb.min.y.to_bits(), node.bbox.min.y.to_bits());
+            assert_eq!(bb.max.x.to_bits(), node.bbox.max.x.to_bits());
+            assert_eq!(bb.max.y.to_bits(), node.bbox.max.y.to_bits());
+            match &node.children {
+                Children::Internal(ch) => {
+                    assert_eq!(arena.child_len(idx), ch.len());
+                    // Children are contiguous and in builder order.
+                    assert_eq!(arena.child_ids(idx), &ch[..]);
+                    assert!(arena.leaf_sensors(idx).is_empty());
+                    for (j, &c) in ch.iter().enumerate() {
+                        let at = arena.child_start(idx) + j;
+                        assert_eq!(arena.orig(at), c);
+                        assert_eq!(arena.parent(c), Some(id));
+                        assert_eq!(arena.level(at), arena.level(idx) + 1);
+                        // The child weight slice is bitwise the children's
+                        // weights: the split denominator of a contained node.
+                        let w = nodes[c.index()].weight as f64;
+                        assert_eq!(arena.weight(at).to_bits(), w.to_bits());
+                    }
+                }
+                Children::Leaf(members) => {
+                    assert_eq!(arena.child_len(idx), 0);
+                    assert!(arena.child_ids(idx).is_empty());
+                    assert_eq!(arena.sensor_len(idx), members.len());
+                    assert_eq!(arena.leaf_sensors(idx), &members[..]);
+                    assert_eq!(arena.level(idx), arena.level(arena.node_count() - 1));
+                    seen_sensors += members.len();
+                    for (j, &s) in members.iter().enumerate() {
+                        let slot = arena.sensor_start(idx) + j;
+                        assert_eq!(arena.sensor(slot), s);
+                        let meta = &sensors[s.index()];
+                        assert_eq!(arena.sensor_loc(slot), meta.location);
+                        assert_eq!(arena.sensor_kind(slot), meta.kind);
+                        assert_eq!(arena.sensor_avail(slot), meta.availability);
+                    }
+                }
+            }
+        }
+        assert_eq!(seen_sensors, 144);
     }
 
     #[test]

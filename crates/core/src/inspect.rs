@@ -7,7 +7,7 @@
 //! statistics so experiments (and users tuning build parameters) can check
 //! them.
 
-use crate::tree::{ColrTree, Node};
+use crate::tree::{Children, ColrTree, NodeRef};
 
 /// Summary statistics of node weights at one level.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -32,7 +32,7 @@ pub struct LevelStats {
 /// Per-level structural statistics of a tree, root first.
 pub fn level_stats(tree: &ColrTree) -> Vec<LevelStats> {
     let levels = tree.leaf_level() as usize + 1;
-    let mut buckets: Vec<Vec<&Node>> = vec![Vec::new(); levels];
+    let mut buckets: Vec<Vec<NodeRef>> = vec![Vec::new(); levels];
     for id in tree.node_ids() {
         let n = tree.node(id);
         buckets[n.level as usize].push(n);
@@ -82,9 +82,9 @@ pub fn fanouts(tree: &ColrTree) -> (Vec<usize>, Vec<usize>) {
     let mut internal = Vec::new();
     let mut leaf = Vec::new();
     for id in tree.node_ids() {
-        match &tree.node(id).children {
-            crate::tree::Children::Internal(c) => internal.push(c.len()),
-            crate::tree::Children::Leaf(s) => leaf.push(s.len()),
+        match tree.node(id).children {
+            Children::Internal(c) => internal.push(c.len()),
+            Children::Leaf(s) => leaf.push(s.len()),
         }
     }
     (internal, leaf)

@@ -92,6 +92,6 @@ pub use slot_size::SlotSizeWorkload;
 pub use stats::{CostModel, QueryStats};
 pub use time::{ClockHandle, SimClock, TimeDelta, Timestamp};
 pub use tree::{
-    BuildStrategy, CachedEntry, Children, ColrConfig, ColrTree, Node, NodeCache, NodeId,
+    BuildStrategy, CachedEntry, Children, ColrConfig, ColrTree, NodeCache, NodeId, NodeRef,
     CACHE_STRIPES,
 };

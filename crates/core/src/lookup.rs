@@ -43,7 +43,7 @@ use crate::reading::{Reading, SensorId};
 use crate::scratch::QueryScratch;
 use crate::stats::QueryStats;
 use crate::time::{TimeDelta, Timestamp};
-use crate::tree::{Children, ColrTree, NodeId};
+use crate::tree::{ColrTree, NodeId};
 
 /// A spatio-temporal query against the index.
 #[derive(Debug, Clone)]
@@ -127,12 +127,6 @@ impl Query {
     /// Restricts the query to one sensor type.
     pub fn with_kind_filter(mut self, kind: u16) -> Query {
         self.kind_filter = Some(kind);
-        self
-    }
-
-    /// Sets the per-query retry deadline budget.
-    pub fn with_probe_deadline(mut self, deadline: TimeDelta) -> Query {
-        self.probe_deadline = deadline;
         self
     }
 
@@ -515,7 +509,7 @@ impl ColrTree {
     ) -> QueryOutput {
         match mode {
             Mode::RTree => self.exec_rtree(query, plan),
-            Mode::HierCache => self.exec_hier(query, now, plan),
+            Mode::HierCache => self.exec_hier(query, now, plan, scratch),
             Mode::Colr => {
                 // The one availability-lock read of the query: the walk
                 // takes every `a_i` from this source.
@@ -604,104 +598,71 @@ impl ColrTree {
     }
 
     // ------------------------------------------------------------------
-    // Shared helpers
+    // Mode::RTree — collection-agnostic baseline
     // ------------------------------------------------------------------
 
-    /// Classifies each sensor of `leaf` matching the query (region and type
-    /// filter) as *cached fresh* (returning its reading) or *uncached* (a
-    /// probe candidate), under one hold of the leaf's cache lock.
-    fn leaf_triage(
+    /// Collects every sensor under arena node `idx` matching the query,
+    /// counting the subtree nodes visited (excluding `idx` itself, which the
+    /// caller already counted).
+    fn collect_region_sensors(
         &self,
-        leaf: NodeId,
-        sensors: &[SensorId],
-        query: &Query,
-        now: Timestamp,
-    ) -> (Vec<Reading>, Vec<SensorId>) {
-        let mut cached = Vec::new();
-        let mut candidates = Vec::new();
-        self.with_cache(leaf, |nc| {
-            for &s in sensors {
-                if !query.matches_sensor(self.sensor(s)) {
-                    continue;
-                }
-                match nc.entry(s) {
-                    Some(e) if e.reading.is_fresh(now, query.staleness) => cached.push(e.reading),
-                    _ => candidates.push(s),
-                }
-            }
-        });
-        (cached, candidates)
-    }
-
-    /// Collects every sensor under `id` matching the query, counting the
-    /// subtree nodes visited (excluding `id` itself, which the caller already
-    /// counted).
-    pub(crate) fn collect_region_sensors(
-        &self,
-        id: NodeId,
+        idx: usize,
         query: &Query,
         stats: &mut QueryStats,
     ) -> Vec<SensorId> {
-        let region = &query.region;
+        let arena = self.sampling_arena();
         let mut out = Vec::new();
-        let mut stack = vec![id];
+        let mut stack = vec![idx];
         let mut first = true;
         while let Some(cur) = stack.pop() {
             if !first {
                 stats.nodes_traversed += 1;
-                crate::flight::with(|f| f.node(self.node(cur).level));
+                crate::flight::with(|f| f.node(arena.level(cur)));
             }
             first = false;
-            let node = self.node(cur);
-            if !region.intersects_rect(&node.bbox) {
+            if !query.region.intersects_rect(&arena.bbox(cur)) {
                 continue;
             }
-            match &node.children {
-                Children::Leaf(sensors) => {
-                    for &s in sensors {
-                        if query.matches_sensor(self.sensor(s)) {
-                            out.push(s);
-                        }
-                    }
-                }
-                Children::Internal(children) => stack.extend(children.iter().copied()),
-            }
+            stack.extend(arena.child_range(cur));
+            out.extend(
+                arena
+                    .leaf_sensors(cur)
+                    .iter()
+                    .filter(|&&s| query.matches_sensor(self.sensor(s))),
+            );
         }
         out
     }
 
-    // ------------------------------------------------------------------
-    // Mode::RTree — collection-agnostic baseline
-    // ------------------------------------------------------------------
-
     fn exec_rtree(&self, query: &Query, plan: &mut ProbePlan) -> QueryOutput {
+        let arena = self.sampling_arena();
         let terminal_level = query.terminal_level.min(self.leaf_level());
         let mut stats = QueryStats::default();
         let mut groups = Vec::new();
-        let mut stack = vec![self.root()];
-        while let Some(id) = stack.pop() {
+        let mut stack = vec![0usize];
+        while let Some(idx) = stack.pop() {
             stats.nodes_traversed += 1;
-            let node = self.node(id);
-            crate::flight::with(|f| f.node(node.level));
-            if !query.region.intersects_rect(&node.bbox) {
+            let level = arena.level(idx);
+            crate::flight::with(|f| f.node(level));
+            let bbox = arena.bbox(idx);
+            if !query.region.intersects_rect(&bbox) {
                 continue;
             }
-            let terminal = node.is_leaf()
-                || (node.level >= terminal_level && query.region.contains_rect(&node.bbox));
+            let terminal = arena.child_len(idx) == 0
+                || (level >= terminal_level && query.region.contains_rect(&bbox));
             if terminal {
-                let bbox = node.bbox;
                 // No cache in this mode: every sensor in the region is
                 // probed, so the walk itself materialises no reading.
-                let sensors = self.collect_region_sensors(id, query, &mut stats);
+                let sensors = self.collect_region_sensors(idx, query, &mut stats);
                 plan.defer(groups.len(), 0..0, &sensors);
                 groups.push(Self::group_over_readings(
-                    id,
+                    arena.orig(idx),
                     bbox,
                     &[],
                     sensors.len() as f64,
                 ));
-            } else if let Children::Internal(children) = &self.node(id).children {
-                stack.extend(children.iter().copied());
+            } else {
+                stack.extend(arena.child_range(idx));
             }
         }
         QueryOutput {
@@ -716,70 +677,87 @@ impl ColrTree {
     // Mode::HierCache — slot caches + standard range lookup
     // ------------------------------------------------------------------
 
-    fn exec_hier(&self, query: &Query, now: Timestamp, plan: &mut ProbePlan) -> QueryOutput {
+    fn exec_hier(
+        &self,
+        query: &Query,
+        now: Timestamp,
+        plan: &mut ProbePlan,
+        scratch: &mut QueryScratch,
+    ) -> QueryOutput {
+        let arena = self.sampling_arena();
         let terminal_level = query.terminal_level.min(self.leaf_level());
         let mut stats = QueryStats::default();
         let mut groups = Vec::new();
         let mut readings = Vec::new();
-        let mut stack = vec![self.root()];
-        while let Some(id) = stack.pop() {
+        let mut stack = vec![0usize];
+        while let Some(idx) = stack.pop() {
             stats.nodes_traversed += 1;
-            let node = self.node(id);
-            crate::flight::with(|f| f.node(node.level));
-            if !query.region.intersects_rect(&node.bbox) {
+            let level = arena.level(idx);
+            crate::flight::with(|f| f.node(level));
+            let bbox = arena.bbox(idx);
+            if !query.region.intersects_rect(&bbox) {
                 continue;
             }
-            let contained = query.region.contains_rect(&node.bbox);
             // Early termination on a sufficiently covering cached aggregate
             // (Section IV-B lookup). Type-filtered queries use the per-type
             // sub-aggregates against the per-type population.
-            let population = node.query_weight(query.kind_filter);
-            if contained && node.level >= terminal_level && population > 0 {
-                let (agg, slots, hist) = self.with_cache(id, |nc| {
-                    let (agg, slots) = match query.kind_filter {
-                        None => nc.cache.usable(now, query.staleness),
-                        Some(k) => nc.cache.usable_kind(now, query.staleness, k),
-                    };
-                    let hist = nc.cache.usable_histogram(now, query.staleness);
-                    (agg, slots, hist)
-                });
-                let needed = (population as f64 * self.config.cache_coverage_threshold).ceil();
-                if agg.count as f64 >= needed.max(1.0) {
-                    crate::telem::tree().cache_hit(node.level);
-                    stats.cache_nodes_used += 1;
-                    stats.slots_combined += slots;
-                    crate::flight::with(|f| f.cache_hit(node.level, slots));
-                    groups.push(GroupResult {
-                        node: id,
-                        bbox: node.bbox,
-                        agg,
-                        from_cache: true,
-                        target: population as f64,
-                        results: agg.count,
-                        hist,
-                    });
+            let population = match query.kind_filter {
+                None => arena.weight(idx),
+                Some(k) => arena.kind_weight(idx, k) as f64,
+            };
+            if level >= terminal_level && population > 0.0 && query.region.contains_rect(&bbox) {
+                let needed = (population * self.config.cache_coverage_threshold).ceil();
+                if self.serve_cached_aggregate(
+                    arena,
+                    idx,
+                    population,
+                    needed.max(1.0),
+                    query,
+                    now,
+                    &mut stats,
+                    &mut groups,
+                ) {
+                    crate::telem::tree().cache_hit(level);
                     continue;
                 }
-                crate::telem::tree().cache_miss(node.level);
-                crate::flight::with(|f| f.cache_miss(node.level));
+                crate::telem::tree().cache_miss(level);
+                crate::flight::with(|f| f.cache_miss(level));
             }
-            if let Children::Leaf(sensors) = &node.children {
-                let bbox = node.bbox;
-                let (cached, candidates) = self.leaf_triage(id, sensors, query, now);
-                stats.readings_from_cache += cached.len() as u64;
-                crate::flight::with(|f| f.cached_readings(cached.len() as u64));
-                if !cached.is_empty() {
-                    stats.cache_nodes_used += 1;
-                    crate::flight::with(|f| f.cache_hit(node.level, 0));
-                }
-                let target = (cached.len() + candidates.len()) as f64;
-                let start = readings.len();
-                readings.extend_from_slice(&cached);
-                plan.defer(groups.len(), start..readings.len(), &candidates);
-                groups.push(Self::group_over_readings(id, bbox, &cached, target));
-            } else if let Children::Internal(children) = &node.children {
-                stack.extend(children.iter().copied());
+            if arena.child_len(idx) > 0 {
+                stack.extend(arena.child_range(idx));
+                continue;
             }
+            // A leaf: fresh cached readings are used, the rest is probed.
+            scratch.cached.clear();
+            scratch.candidates.clear();
+            self.terminal_scan_arena(
+                arena,
+                idx,
+                false,
+                query,
+                now,
+                &mut stats,
+                &mut scratch.cached,
+                &mut scratch.candidates,
+                &mut scratch.stack,
+            );
+            let cached = &scratch.cached;
+            stats.readings_from_cache += cached.len() as u64;
+            crate::flight::with(|f| f.cached_readings(cached.len() as u64));
+            if !cached.is_empty() {
+                stats.cache_nodes_used += 1;
+                crate::flight::with(|f| f.cache_hit(level, 0));
+            }
+            let target = (cached.len() + scratch.candidates.len()) as f64;
+            let start = readings.len();
+            readings.extend_from_slice(cached);
+            plan.defer(groups.len(), start..readings.len(), &scratch.candidates);
+            groups.push(Self::group_over_readings(
+                arena.orig(idx),
+                bbox,
+                cached,
+                target,
+            ));
         }
         QueryOutput {
             groups,

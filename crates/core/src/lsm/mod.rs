@@ -214,11 +214,6 @@ impl LsmTree {
         &self.config
     }
 
-    /// The LSM shape parameters.
-    pub fn lsm_config(&self) -> LsmConfig {
-        self.lsm
-    }
-
     /// The level whose tree anchors planning (most live sensors; ties to the
     /// oldest). For a fresh single-level LSM this is the monolithic tree.
     pub fn primary_level(&self) -> Arc<LsmLevel> {
@@ -303,11 +298,7 @@ impl LsmTree {
 
     /// Rolls every component's cache window forward to `now`.
     pub fn advance(&self, now: Timestamp) {
-        let state = self.state.read().clone();
-        for level in &state.levels {
-            level.tree().advance(now);
-        }
-        state.l0.advance(now);
+        self.advance_state(&self.state.read().clone(), now);
     }
 
     /// Live sensors (global metas) across all components — levels in order,

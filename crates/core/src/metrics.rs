@@ -24,11 +24,6 @@ pub fn target_accuracy(target: f64, contributed: u64, unsampled_result_size: u64
     (target.min(contributed as f64) / denom).min(1.0)
 }
 
-/// Target accuracy computed from a query output.
-pub fn target_accuracy_of(out: &QueryOutput, target: f64, unsampled_result_size: u64) -> f64 {
-    target_accuracy(target, out.result_size(), unsampled_result_size)
-}
-
 /// Probe discretisation error (Fig 6, right):
 /// `Σ_i (target(i) − #results(i)) / target(i)` over terminals with a
 /// positive target, normalised by the number of such terminals so queries of

@@ -18,7 +18,8 @@
 
 use colr_geo::{Point, Rect, Region};
 
-use crate::reading::Reading;
+use crate::lookup::Query;
+use crate::stats::QueryStats;
 use crate::time::{TimeDelta, Timestamp};
 use crate::tree::ColrTree;
 
@@ -140,15 +141,26 @@ impl IdwModel {
         now: Timestamp,
         staleness: TimeDelta,
     ) -> Vec<(f64, f64)> {
-        // Gather fresh cached readings near p: restrict the walk to the
+        // Gather fresh cached readings near p: restrict the scan to the
         // search disc when finite, else the whole tree.
-        let search: Region = if self.search_radius.is_finite() {
-            Region::Rect(Rect::centered(p, self.search_radius))
+        let arena = tree.sampling_arena();
+        let search = if self.search_radius.is_finite() {
+            Rect::centered(p, self.search_radius)
         } else {
-            Region::Rect(tree.node(tree.root()).bbox)
+            arena.bbox(0)
         };
-        let readings: Vec<Reading> =
-            tree.fresh_cached_readings(tree.root(), &search, now, staleness);
+        let (mut readings, mut uncached, mut stack) = (Vec::new(), Vec::new(), Vec::new());
+        tree.terminal_scan_arena(
+            arena,
+            0,
+            false,
+            &Query::range(search, staleness),
+            now,
+            &mut QueryStats::default(),
+            &mut readings,
+            &mut uncached,
+            &mut stack,
+        );
         let mut with_dist: Vec<(f64, f64)> = readings
             .into_iter()
             .filter_map(|r| {
@@ -165,7 +177,7 @@ impl IdwModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reading::{SensorId, SensorMeta};
+    use crate::reading::{Reading, SensorId, SensorMeta};
     use crate::tree::ColrConfig;
 
     const EXPIRY_MS: u64 = 300_000;

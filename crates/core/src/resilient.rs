@@ -118,10 +118,6 @@ impl<P> ResilientProber<P> {
         }
     }
 
-    pub fn with_defaults(inner: P) -> Self {
-        Self::new(inner, ResilientConfig::default())
-    }
-
     /// The wrapped probe service (e.g. to drive a `SimNetwork` fault plan).
     pub fn inner(&self) -> &P {
         &self.inner
@@ -156,14 +152,6 @@ impl<P> ResilientProber<P> {
     /// Number of breakers currently open.
     pub fn open_breakers(&self) -> usize {
         self.breakers.lock().open
-    }
-
-    /// Resets every breaker to closed (e.g. between experiment phases).
-    pub fn reset_breakers(&self) {
-        let mut table = self.breakers.lock();
-        table.slots.clear();
-        table.open = 0;
-        telem::resilient().open_breakers.set(0);
     }
 
     fn run_batch(&self, ids: &[SensorId], now: Timestamp, retry_budget_ms: u64) -> ProbeReport

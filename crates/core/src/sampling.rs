@@ -191,24 +191,23 @@ impl ColrTree {
         avail: f64,
         query: &Query,
     ) -> (f64, f64) {
-        // The arena mirrors the unfiltered weight as f64; filtered weights
-        // stay on the pointer node's sorted kind table.
         let weight = match query.kind_filter {
             None => arena.weight(idx),
-            Some(k) => self.node(arena.orig(idx)).query_weight(Some(k)) as f64,
+            Some(k) => arena.kind_weight(idx, k) as f64,
         };
         let want = if scaled { r_eff * avail } else { r_eff }.min(weight.max(1.0));
         (want, weight)
     }
 
-    /// The aggregate-cache shortcut: when the node's own slot cache holds a
-    /// fresh aggregate over at least `needed` readings, that aggregate answers
-    /// for the whole subtree as one group with target `want`, and no
-    /// descendant is visited. Type-filtered queries consult the per-type
-    /// sub-aggregates. One stripe hold serves the check and the histogram.
+    /// The aggregate-cache shortcut, and the one coverage gate (Section IV-B):
+    /// when the node's own slot cache holds a fresh aggregate over at least
+    /// `needed` readings, that aggregate answers for the whole subtree as one
+    /// group with target `want`, and no descendant is visited. Type-filtered
+    /// queries consult the per-type sub-aggregates. One stripe hold serves
+    /// the check and the histogram.
     #[inline]
     #[allow(clippy::too_many_arguments)]
-    fn serve_cached_aggregate(
+    pub(crate) fn serve_cached_aggregate(
         &self,
         arena: &SamplingArena,
         idx: usize,
@@ -313,7 +312,7 @@ impl ColrTree {
         }
 
         // The aggregate shortcut fell short of coverage for this terminal.
-        crate::flight::with(|f| f.cache_miss(self.node(id).level));
+        crate::flight::with(|f| f.cache_miss(arena.level(idx)));
 
         // 2. Raw cached readings count against the target (line 9 / 15).
         scratch.cached.clear();
@@ -333,7 +332,7 @@ impl ColrTree {
         crate::flight::with(|f| f.cached_readings(scratch.cached.len() as u64));
         if !scratch.cached.is_empty() {
             stats.cache_nodes_used += 1;
-            crate::flight::with(|f| f.cache_hit(self.node(id).level, 0));
+            crate::flight::with(|f| f.cache_hit(arena.level(idx), 0));
         }
         let need = want - scratch.cached.len() as f64;
 

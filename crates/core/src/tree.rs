@@ -36,21 +36,20 @@
 //!   replaced or removed leaves its tuple behind, and a reader of the
 //!   bucket checks each tuple against the leaf entry it names.
 //!
-//! ## What walks this structure
+//! ## Where the structure lives
 //!
-//! The pointer tree here (`Vec<Node>`, children wherever the builder pushed
-//! them) is what gets *built* and *maintained*: cache write-back climbs its
-//! parent links, the two baseline modes ([`crate::lookup::Mode::RTree`],
-//! [`crate::lookup::Mode::HierCache`]) and the relational backend descend
-//! it. Algorithm 1 does not: the bulk loader flattens every finished
-//! tree into a [`crate::arena::SamplingArena`], and the one sampling walk
-//! runs over that (see [`crate::arena`]).
+//! The topology is one flat, read-only [`crate::arena::SamplingArena`]: the
+//! bulk loader's nodes are flattened into it when the build ends and dropped
+//! (`ColrTree::assemble`). Every walk — Algorithm 1, the two baseline
+//! modes, a write-back climbing parent links — reads it, and
+//! [`ColrTree::node`] hands out a borrowed [`NodeRef`] view of it for
+//! everything that wants a node's fields by name.
 //!
 //! ## Concurrency
 //!
-//! The static index (nodes, bounding boxes, sensor registry) is immutable
+//! The static index (the arena, the sensor registry) is immutable
 //! after construction and read without synchronisation. The *mutable* state —
-//! every node's [`NodeCache`] — lives outside the node arena, sharded over
+//! every node's [`NodeCache`] — lives outside it, sharded over
 //! [`CACHE_STRIPES`] reader–writer locks keyed by node id, so concurrent
 //! queries can read (and write back to) disjoint parts of the tree without
 //! contending on a single lock. Cross-node bookkeeping (the window base, the
@@ -78,7 +77,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use colr_geo::{Point, Rect, Region};
+use colr_geo::{Point, Rect};
 use parking_lot::{Mutex, RwLock};
 
 use crate::agg::PartialAgg;
@@ -92,7 +91,8 @@ use crate::time::{TimeDelta, Timestamp};
 pub const CACHE_STRIPES: usize = 64;
 const STRIPE_SHIFT: u32 = CACHE_STRIPES.trailing_zeros();
 
-/// Index of a node in the tree arena.
+/// A node's id: its position in the builder's push order (leaves first, the
+/// root last), which keys the node caches and names a node in every result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
@@ -105,12 +105,13 @@ impl NodeId {
 }
 
 /// A node's children: internal nodes point at other nodes, leaves at sensors.
-#[derive(Debug, Clone)]
-pub enum Children {
+/// Both lists are slices of the arena.
+#[derive(Debug, Clone, Copy)]
+pub enum Children<'a> {
     /// Child nodes of an internal node.
-    Internal(Vec<NodeId>),
+    Internal(&'a [NodeId]),
     /// Sensors homed at a leaf.
-    Leaf(Vec<SensorId>),
+    Leaf(&'a [SensorId]),
 }
 
 /// A raw reading cached at a leaf, with the instant it was fetched (for the
@@ -124,9 +125,9 @@ pub struct CachedEntry {
 }
 
 /// The mutable cache state of one node: its slot cache of partial aggregates
-/// and (at leaves) the raw cached readings. Split out of [`Node`] so queries
-/// can share the immutable tree structure while cache access goes through
-/// the striped locks.
+/// and (at leaves) the raw cached readings. Kept apart from the structure so
+/// queries can share the immutable arena while cache access goes through the
+/// striped locks.
 #[derive(Debug, Clone)]
 pub struct NodeCache {
     /// The node's slot cache (leaf caches mirror their raw entries so parent
@@ -156,10 +157,11 @@ impl NodeCache {
     }
 }
 
-/// One tree node — the immutable structural part; the node's cache lives in
-/// the tree's lock-striped cache table (see [`ColrTree::with_cache`]).
-#[derive(Debug, Clone)]
-pub struct Node {
+/// One tree node — the immutable structural part, as a borrowed view of the
+/// arena ([`ColrTree::node`]); the node's cache lives in the tree's
+/// lock-striped cache table (see [`ColrTree::with_cache`]).
+#[derive(Debug, Clone, Copy)]
+pub struct NodeRef<'a> {
     /// Depth from the root (root is level 0, as in the paper).
     pub level: u16,
     /// Minimum bounding rectangle of the descendant sensors.
@@ -167,19 +169,25 @@ pub struct Node {
     /// Parent node (`None` for the root).
     pub parent: Option<NodeId>,
     /// Children.
-    pub children: Children,
+    pub children: Children<'a>,
     /// Number of descendant sensors — the sampling weight `w_i`.
     pub weight: u64,
     /// Descendant sensor counts per sensor type (sorted by kind). Lets
     /// type-filtered queries partition targets and check aggregate coverage
     /// against the right population.
-    pub kind_weights: Vec<(u16, u64)>,
+    pub kind_weights: &'a [(u16, u64)],
     /// Mean historical availability of descendant sensors — the `a_i` used
     /// by oversampling.
     pub avail_mean: f64,
 }
 
-impl Node {
+/// The weight of `kind` in a node's `(kind, weight)` rows, sorted by kind.
+pub(crate) fn weight_of_kind(rows: &[(u16, u64)], kind: u16) -> u64 {
+    rows.binary_search_by_key(&kind, |(k, _)| *k)
+        .map_or(0, |i| rows[i].1)
+}
+
+impl NodeRef<'_> {
     /// `true` when the node is a leaf.
     pub fn is_leaf(&self) -> bool {
         matches!(self.children, Children::Leaf(_))
@@ -187,10 +195,7 @@ impl Node {
 
     /// Number of descendant sensors of one type.
     pub fn weight_of_kind(&self, kind: u16) -> u64 {
-        self.kind_weights
-            .binary_search_by_key(&kind, |(k, _)| *k)
-            .map(|i| self.kind_weights[i].1)
-            .unwrap_or(0)
+        weight_of_kind(self.kind_weights, kind)
     }
 
     /// The sampling weight for an optionally type-filtered query.
@@ -432,8 +437,6 @@ pub struct ColrTree {
     pub(crate) slot_config: SlotConfig,
     pub(crate) t_max: TimeDelta,
     pub(crate) sensors: Vec<SensorMeta>,
-    pub(crate) nodes: Vec<Node>,
-    pub(crate) root: NodeId,
     /// Level of the leaves (`= height`; root is level 0).
     pub(crate) leaf_level: u16,
     /// Home leaf of each sensor.
@@ -453,9 +456,8 @@ pub struct ColrTree {
     /// When set, Algorithm 1 consults these instead of the frozen
     /// build-time `avail_mean` / `SensorMeta::availability`.
     pub(crate) live_avail: RwLock<Option<Arc<crate::avail::LiveAvailability>>>,
-    /// Flattened structure-of-arrays mirror of `nodes` — what Algorithm 1
-    /// walks. Built with the tree, immutable after; shared by clones (it
-    /// mirrors the same immutable node structure).
+    /// The node structure, flattened from the builder's nodes: what every
+    /// walk reads. Immutable, so clones share it.
     pub(crate) arena: Arc<crate::arena::SamplingArena>,
 }
 
@@ -467,8 +469,6 @@ impl Clone for ColrTree {
             slot_config: self.slot_config,
             t_max: self.t_max,
             sensors: self.sensors.clone(),
-            nodes: self.nodes.clone(),
-            root: self.root,
             leaf_level: self.leaf_level,
             sensor_leaf: self.sensor_leaf.clone(),
             stripes: self
@@ -487,30 +487,20 @@ impl Clone for ColrTree {
 }
 
 impl ColrTree {
-    /// Assembles a tree from bulk-built parts: assigns levels, flattens the
-    /// finished structure into the query-time arena (BFS numbering, children
-    /// contiguous, SoA bounding boxes) and creates empty caches for every
-    /// node.
+    /// Assembles a tree from bulk-built parts: flattens the builder's nodes
+    /// into the arena (BFS numbering, children contiguous, SoA bounding boxes,
+    /// levels and parent links), drops them, and creates an empty cache for
+    /// every node.
     pub(crate) fn assemble(
         config: ColrConfig,
         slot_config: SlotConfig,
         t_max: TimeDelta,
         sensors: Vec<SensorMeta>,
-        mut nodes: Vec<Node>,
+        nodes: Vec<crate::build::Node>,
         root: NodeId,
         sensor_leaf: Vec<NodeId>,
     ) -> ColrTree {
-        // BFS from the root; the leaf level is uniform by construction.
-        let mut leaf_level = 0;
-        let mut queue = std::collections::VecDeque::from([(root, 0u16)]);
-        while let Some((id, level)) = queue.pop_front() {
-            nodes[id.index()].level = level;
-            leaf_level = leaf_level.max(level);
-            if let Children::Internal(children) = &nodes[id.index()].children {
-                queue.extend(children.iter().map(|&c| (c, level + 1)));
-            }
-        }
-        let arena = Arc::new(crate::arena::SamplingArena::flatten(&nodes, root, &sensors));
+        let arena = crate::arena::SamplingArena::flatten(&nodes, root, &sensors);
         let mut stripes: Vec<Vec<NodeCache>> = (0..CACHE_STRIPES).map(|_| Vec::new()).collect();
         for i in 0..nodes.len() {
             stripes[i & (CACHE_STRIPES - 1)].push(NodeCache::new(slot_config));
@@ -520,15 +510,14 @@ impl ColrTree {
             slot_config,
             t_max,
             sensors,
-            nodes,
-            root,
-            leaf_level,
+            // BFS order ends on the deepest level.
+            leaf_level: arena.level(nodes.len() - 1),
             sensor_leaf,
             stripes: stripes.into_iter().map(RwLock::new).collect(),
             maint: Mutex::new(Maintenance::new(slot_config.num_slots)),
             settled_below: AtomicU64::new(0),
             live_avail: RwLock::new(None),
-            arena,
+            arena: Arc::new(arena),
         }
     }
 
@@ -600,17 +589,17 @@ impl ColrTree {
 
     /// The root node id.
     pub fn root(&self) -> NodeId {
-        self.root
+        self.arena.orig(0)
     }
 
-    /// Borrow a node.
-    pub fn node(&self, id: NodeId) -> &Node {
-        &self.nodes[id.index()]
+    /// A node's structural fields, as a view of the arena.
+    pub fn node(&self, id: NodeId) -> NodeRef<'_> {
+        self.arena.node(id)
     }
 
     /// Number of nodes in the tree.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.arena.node_count()
     }
 
     /// Level of the leaves (tree height; root is level 0).
@@ -638,8 +627,8 @@ impl ColrTree {
         self.maint.lock().total_cached
     }
 
-    /// The flattened structure-of-arrays mirror of the node structure that
-    /// Algorithm 1 walks, built once per generation by the bulk loader.
+    /// The flattened node structure every walk runs over, built once per
+    /// generation by the bulk loader.
     pub fn sampling_arena(&self) -> &crate::arena::SamplingArena {
         &self.arena
     }
@@ -652,7 +641,7 @@ impl ColrTree {
     /// to a live EWMA map seeded from them, and returns the map so a probe
     /// layer (e.g. `ResilientProber::attach_availability`) can feed it.
     /// Idempotent: a second call returns the existing map. `rebuild`
-    /// discards the map (the node arena it indexes is gone) — re-enable
+    /// discards the map (the arena it indexes is gone) — re-enable
     /// and re-attach after rebuilding.
     pub fn enable_live_availability(&self, alpha: f64) -> Arc<crate::avail::LiveAvailability> {
         let mut slot = self.live_avail.write();
@@ -674,9 +663,9 @@ impl ColrTree {
         *self.live_avail.write() = None;
     }
 
-    /// Iterates over node ids in arena order.
+    /// Iterates over node ids in ascending order.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.nodes.len() as u32).map(NodeId)
+        (0..self.node_count() as u32).map(NodeId)
     }
 
     // ------------------------------------------------------------------
@@ -924,7 +913,7 @@ impl ColrTree {
                 }
             }
             for key in &mut keys {
-                if let Some(parent) = self.node(NodeId((*key >> 32) as u32)).parent {
+                if let Some(parent) = self.arena.parent(NodeId((*key >> 32) as u32)) {
                     *key = run_key(parent, *key as u32 as usize);
                 }
             }
@@ -1059,7 +1048,7 @@ impl ColrTree {
                     self.rebuild_slot(id, slot);
                 }
             }
-            cur = self.node(id).parent;
+            cur = self.arena.parent(id);
         }
         Some(entry.reading)
     }
@@ -1070,25 +1059,25 @@ impl ColrTree {
     /// before the node's own stripe is locked, so at most one stripe lock is
     /// ever held.
     fn rebuild_slot(&self, id: NodeId, slot: u64) {
-        let rebuilt = match &self.nodes[id.index()].children {
-            Children::Leaf(_) => self.with_cache(id, |c| self.slot_of_entries(&c.entries, slot)),
-            Children::Internal(children) => {
-                let mut rebuilt = self.empty_slot();
-                for &ch in children {
-                    let child_slot = self.with_cache(ch, |c| c.cache.slot(slot).cloned());
-                    if let Some(s) = child_slot {
-                        rebuilt.agg.merge(&s.agg);
-                        rebuilt.min_ts = rebuilt.min_ts.min(s.min_ts);
-                        for (k, a) in &s.by_kind {
-                            merge_kind(&mut rebuilt.by_kind, *k, a);
-                        }
-                        if let (Some(h), Some(sh)) = (&mut rebuilt.hist, &s.hist) {
-                            h.merge(sh);
-                        }
+        let children = self.arena.child_ids(self.arena.index_of(id));
+        let rebuilt = if children.is_empty() {
+            self.with_cache(id, |c| self.slot_of_entries(&c.entries, slot))
+        } else {
+            let mut rebuilt = self.empty_slot();
+            for &ch in children {
+                let child_slot = self.with_cache(ch, |c| c.cache.slot(slot).cloned());
+                if let Some(s) = child_slot {
+                    rebuilt.agg.merge(&s.agg);
+                    rebuilt.min_ts = rebuilt.min_ts.min(s.min_ts);
+                    for (k, a) in &s.by_kind {
+                        merge_kind(&mut rebuilt.by_kind, *k, a);
+                    }
+                    if let (Some(h), Some(sh)) = (&mut rebuilt.hist, &s.hist) {
+                        h.merge(sh);
                     }
                 }
-                rebuilt
             }
+            rebuilt
         };
         self.with_cache_mut(id, |c| c.cache.set_slot(slot, rebuilt));
     }
@@ -1155,67 +1144,9 @@ impl ColrTree {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Subtree walks
-    // ------------------------------------------------------------------
-
-    /// Collects the fresh cached readings under `id` within `region` at
-    /// `now` with freshness bound `staleness`.
-    pub fn fresh_cached_readings(
-        &self,
-        id: NodeId,
-        region: &Region,
-        now: Timestamp,
-        staleness: TimeDelta,
-    ) -> Vec<Reading> {
-        let mut out = Vec::new();
-        let mut stack = vec![id];
-        while let Some(cur) = stack.pop() {
-            let node = self.node(cur);
-            if !region.intersects_rect(&node.bbox) {
-                continue;
-            }
-            match &node.children {
-                Children::Leaf(_) => {
-                    self.with_cache(cur, |c| {
-                        for e in &c.entries {
-                            if e.reading.is_fresh(now, staleness)
-                                && region.contains_point(
-                                    &self.sensors[e.reading.sensor.index()].location,
-                                )
-                            {
-                                out.push(e.reading);
-                            }
-                        }
-                    });
-                }
-                Children::Internal(children) => stack.extend(children.iter().copied()),
-            }
-        }
-        out
-    }
-
     /// Location of a sensor.
     pub fn sensor_location(&self, id: SensorId) -> Point {
         self.sensors[id.index()].location
-    }
-
-    /// Clears every cache in the tree (used between experiment phases).
-    pub fn clear_caches(&self) {
-        let mut maint = self.maint.lock();
-        for stripe in &self.stripes {
-            let mut guard = stripe.write();
-            for cache in guard.iter_mut() {
-                cache.cache.clear();
-                cache.entries.clear();
-            }
-        }
-        for bucket in &mut maint.buckets {
-            bucket.readings.clear();
-            bucket.nodes.clear();
-        }
-        maint.total_cached = 0;
-        crate::telem::tree().cached_readings.set(0);
     }
 
     /// Debug validation: checks the structural invariants of the tree and
@@ -1225,11 +1156,8 @@ impl ColrTree {
         // Parent bbox contains child bboxes; weights add up.
         for id in self.node_ids() {
             let node = self.node(id);
-            match &node.children {
+            match node.children {
                 Children::Internal(children) => {
-                    if children.is_empty() {
-                        return Err(format!("internal node {id:?} has no children"));
-                    }
                     let mut w = 0;
                     for &c in children {
                         let child = self.node(c);

@@ -46,6 +46,6 @@ pub use portal::{
     BatchResult, DegradationReport, GroupView, IndexStrategy, PortalConfig, PortalConfigBuilder,
     PortalConfigError, PortalResult,
 };
-pub use request::{ExplainLevel, QueryRequest, QueryRequestBuilder, QueryResponse, ShardOutcome};
+pub use request::{ExplainLevel, QueryRequest, QueryResponse, ShardOutcome};
 pub use router::{ShardInfo, ShardedPortal};
 pub use service::{AdmissionConfig, Generation, PortalService, Reindexer};

@@ -236,6 +236,9 @@ impl<'a> Parser<'a> {
                 if points.len() < 3 {
                     return self.err("polygon needs at least 3 vertices");
                 }
+                if ring_crosses_itself(&points) {
+                    return self.err("polygon ring crosses itself");
+                }
                 Ok(SpatialPredicate::Polygon(points))
             }
             "rect" => {
@@ -383,6 +386,26 @@ impl<'a> Parser<'a> {
             sensor_type,
         })
     }
+}
+
+/// `true` when two edges of the closed ring `ring` cross at a point interior
+/// to both. Such a ring has lobes of opposite winding, and everything that
+/// weighs a polygon by the area of its clipped ring (overlap fractions, so the
+/// router's and the LSM's target splits) would see them cancel. All pairs of
+/// edges: a ring is a handful of vertices.
+fn ring_crosses_itself(ring: &[Point]) -> bool {
+    // Twice the signed area of the triangle `a b c`: its sign is the side of
+    // `a → b` that `c` lies on.
+    let side = |a: Point, b: Point, c: Point| (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x);
+    let n = ring.len();
+    let edge = |i: usize| (ring[i], ring[(i + 1) % n]);
+    (0..n).any(|i| {
+        let (a, b) = edge(i);
+        (i + 1..n).any(|j| {
+            let (c, d) = edge(j);
+            side(a, b, c) * side(a, b, d) < 0.0 && side(c, d, a) * side(c, d, b) < 0.0
+        })
+    })
 }
 
 /// Parses one portal query.
@@ -540,6 +563,40 @@ mod tests {
         let err = parse("SELECT count(*) FROM sensor WHERE location WITHIN POLYGON((0 0, 1 1))")
             .unwrap_err();
         assert!(err.message.contains("3 vertices"));
+    }
+
+    #[test]
+    fn rejects_a_ring_that_crosses_itself() {
+        let within = |ring: &str| {
+            parse(&format!(
+                "SELECT count(*) FROM sensor WHERE location WITHIN POLYGON(({ring}))"
+            ))
+        };
+        // A bow-tie, from either end, and a pentagram.
+        for ring in [
+            "0 0, 10 10, 0 10, 10 0",
+            "10 0, 0 0, 10 10, 0 10",
+            "0 3, 6 3, 1 0, 3 5, 5 0",
+        ] {
+            let err = within(ring).unwrap_err();
+            assert!(err.message.contains("crosses itself"), "{ring}: {err}");
+        }
+        // Simple rings parse as before: convex, concave, clockwise, with a
+        // repeated vertex, with collinear and zero-length edges, touching
+        // itself at a vertex without crossing, closed WKT-style, and with
+        // infinite corners.
+        for ring in [
+            "0 0, 10 0, 10 10, 0 10",
+            "0 10, 10 10, 10 0, 0 0",
+            "0 0, 10 0, 10 10, 5 2, 0 10",
+            "0 0, 5 0, 10 0, 10 10, 10 10, 0 10",
+            "0 0, 4 0, 2 2, 4 4, 0 4, 2 2",
+            "0 0, 1 1, 2 2",
+            "0 0, 10 0, 10 10, 0 10, 0 0",
+            "-1e999 -1e999, 1e999 -1e999, 0 1e999",
+        ] {
+            assert!(within(ring).is_ok(), "{ring}");
+        }
     }
 
     #[test]

@@ -6,15 +6,12 @@
 //! `execute(&QueryRequest) -> Result<QueryResponse, PortalError>`, offered
 //! identically by [`crate::PortalService`] and [`crate::ShardedPortal`].
 //! A [`QueryRequest`] bundles the logical query (region, filters, sample
-//! target) with the execution envelope (probe-deadline override, mode
-//! override, explain level); a [`QueryResponse`] carries the samples, the
+//! target) with the explain level; a [`QueryResponse`] carries the samples, the
 //! merged [`DegradationReport`](crate::DegradationReport), the optional
 //! plan/flight texts, and — through a router — the per-shard outcomes.
 //! [`QueryRequest::from_sql`] is the one lowering from SQL text.
 
-use colr_tree::{Mode, TimeDelta};
-
-use crate::ast::{AggSpec, SelectQuery, SpatialPredicate};
+use crate::ast::SelectQuery;
 use crate::error::PortalError;
 use crate::parser::{parse_statement, Statement};
 use crate::portal::PortalResult;
@@ -35,29 +32,23 @@ pub enum ExplainLevel {
     Analyze,
 }
 
-/// One portal request: the logical query plus its execution envelope.
+/// One portal request: the logical query plus its explain level.
 ///
-/// Build one from a parsed [`SelectQuery`] ([`QueryRequest::new`]), from a
+/// Build one from a parsed [`SelectQuery`] ([`QueryRequest::new`]) or from a
 /// dialect SQL string ([`QueryRequest::from_sql`] — which also understands
-/// the `EXPLAIN [ANALYZE]` statement forms), or field-by-field through
-/// [`QueryRequest::builder`].
+/// the `EXPLAIN [ANALYZE]` statement forms).
 #[derive(Debug, Clone)]
 pub struct QueryRequest {
     select: SelectQuery,
-    deadline: Option<TimeDelta>,
-    mode: Option<Mode>,
     explain: ExplainLevel,
     sql_len: u64,
 }
 
 impl QueryRequest {
-    /// Wraps a parsed query with default envelope (no overrides, no
-    /// explain).
+    /// Wraps a parsed query, no explain.
     pub fn new(select: SelectQuery) -> QueryRequest {
         QueryRequest {
             select,
-            deadline: None,
-            mode: None,
             explain: ExplainLevel::None,
             sql_len: 0,
         }
@@ -86,33 +77,6 @@ impl QueryRequest {
             .with_sql_len(sql.len() as u64))
     }
 
-    /// Starts a builder for a request over `within`.
-    pub fn builder(within: SpatialPredicate) -> QueryRequestBuilder {
-        QueryRequestBuilder {
-            req: QueryRequest::new(SelectQuery {
-                agg: AggSpec::Count,
-                within,
-                staleness: None,
-                cluster: None,
-                sample_size: None,
-                sensor_type: None,
-            }),
-        }
-    }
-
-    /// Overrides the per-probe-wave deadline budget for this request.
-    pub fn with_deadline(mut self, deadline: TimeDelta) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Overrides the execution mode for this request (e.g. run one query
-    /// against a baseline without reconfiguring the service).
-    pub fn with_mode(mut self, mode: Mode) -> Self {
-        self.mode = Some(mode);
-        self
-    }
-
     /// Sets the explain level.
     pub fn with_explain(mut self, explain: ExplainLevel) -> Self {
         self.explain = explain;
@@ -137,16 +101,6 @@ impl QueryRequest {
         self.select
     }
 
-    /// The probe-deadline override, if any.
-    pub fn deadline(&self) -> Option<TimeDelta> {
-        self.deadline
-    }
-
-    /// The mode override, if any.
-    pub fn mode(&self) -> Option<Mode> {
-        self.mode
-    }
-
     /// The requested explain level.
     pub fn explain(&self) -> ExplainLevel {
         self.explain
@@ -163,70 +117,6 @@ impl QueryRequest {
         let mut req = self.clone();
         req.select.sample_size = Some(share);
         req
-    }
-}
-
-/// Builder over every [`QueryRequest`] field. Infallible: the underlying
-/// fields are all valid by construction (validation of *service* configs
-/// lives in [`crate::PortalConfigBuilder`]).
-#[derive(Debug, Clone)]
-pub struct QueryRequestBuilder {
-    req: QueryRequest,
-}
-
-impl QueryRequestBuilder {
-    /// Sets the aggregate (default `count(*)`).
-    pub fn agg(mut self, agg: AggSpec) -> Self {
-        self.req.select.agg = agg;
-        self
-    }
-
-    /// Sets the freshness bound (default: the service's configured
-    /// staleness).
-    pub fn staleness(mut self, staleness: TimeDelta) -> Self {
-        self.req.select.staleness = Some(staleness);
-        self
-    }
-
-    /// Sets the `CLUSTER d` grouping distance.
-    pub fn cluster(mut self, d: f64) -> Self {
-        self.req.select.cluster = Some(d);
-        self
-    }
-
-    /// Sets the `SAMPLESIZE` target `R`.
-    pub fn sample_size(mut self, r: usize) -> Self {
-        self.req.select.sample_size = Some(r);
-        self
-    }
-
-    /// Restricts to one sensor type.
-    pub fn sensor_type(mut self, kind: u16) -> Self {
-        self.req.select.sensor_type = Some(kind);
-        self
-    }
-
-    /// Overrides the probe-deadline budget.
-    pub fn deadline(mut self, deadline: TimeDelta) -> Self {
-        self.req.deadline = Some(deadline);
-        self
-    }
-
-    /// Overrides the execution mode.
-    pub fn mode(mut self, mode: Mode) -> Self {
-        self.req.mode = Some(mode);
-        self
-    }
-
-    /// Sets the explain level.
-    pub fn explain(mut self, explain: ExplainLevel) -> Self {
-        self.req.explain = explain;
-        self
-    }
-
-    /// Produces the request.
-    pub fn build(self) -> QueryRequest {
-        self.req
     }
 }
 
@@ -265,31 +155,6 @@ pub struct QueryResponse {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use colr_geo::Rect;
-
-    #[test]
-    fn builder_wires_every_field() {
-        let req = QueryRequest::builder(SpatialPredicate::Rect(Rect::from_coords(
-            0.0, 0.0, 8.0, 8.0,
-        )))
-        .agg(AggSpec::Avg)
-        .staleness(TimeDelta::from_mins(2))
-        .cluster(4.0)
-        .sample_size(30)
-        .sensor_type(2)
-        .deadline(TimeDelta::from_secs(1))
-        .mode(Mode::HierCache)
-        .explain(ExplainLevel::Plan)
-        .build();
-        assert_eq!(req.select().agg, AggSpec::Avg);
-        assert_eq!(req.select().staleness, Some(TimeDelta::from_mins(2)));
-        assert_eq!(req.select().cluster, Some(4.0));
-        assert_eq!(req.select().sample_size, Some(30));
-        assert_eq!(req.select().sensor_type, Some(2));
-        assert_eq!(req.deadline(), Some(TimeDelta::from_secs(1)));
-        assert_eq!(req.mode(), Some(Mode::HierCache));
-        assert_eq!(req.explain(), ExplainLevel::Plan);
-    }
 
     #[test]
     fn from_sql_maps_statement_forms_to_levels() {
@@ -306,11 +171,10 @@ mod tests {
 
     #[test]
     fn sample_share_overrides_only_the_target() {
-        let req = QueryRequest::builder(SpatialPredicate::Rect(Rect::from_coords(
-            0.0, 0.0, 4.0, 4.0,
-        )))
-        .sample_size(60)
-        .build();
+        let req = QueryRequest::from_sql(
+            "SELECT count(*) FROM sensor WHERE location WITHIN RECT(0,0,4,4) SAMPLESIZE 60",
+        )
+        .unwrap();
         let share = req.with_sample_share(14);
         assert_eq!(share.select().sample_size, Some(14));
         assert_eq!(share.select().within, req.select().within);

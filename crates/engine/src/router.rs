@@ -482,11 +482,10 @@ impl<P: ProbeService> ShardedPortal<P> {
                 }
             };
         }
-        // Fan-out. Split R only when the effective mode actually samples;
+        // Fan-out. Split R only when the configured mode actually samples;
         // the baselines collect everything in range, so each shard just
         // answers the full request over its own population.
-        let mode = req.mode().unwrap_or(core.mode);
-        let target_r = req.select().sample_size.or(if mode == Mode::Colr {
+        let target_r = req.select().sample_size.or(if core.mode == Mode::Colr {
             core.max_sensors_per_query
         } else {
             None
@@ -495,7 +494,7 @@ impl<P: ProbeService> ShardedPortal<P> {
         // shard (shard 0 runs under `base` itself), so the split replays per
         // `(seed, ordinal)` like the slices it hands out.
         let shares: Vec<Option<usize>> = match target_r {
-            Some(r) if mode == Mode::Colr => {
+            Some(r) if core.mode == Mode::Colr => {
                 let u = unit_draw(derive_seed(base, 0));
                 apportion(r, &targets, u).into_iter().map(Some).collect()
             }

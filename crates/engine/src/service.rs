@@ -540,14 +540,7 @@ impl<P: ProbeService> PortalService<P> {
         let gen = self.snapshot();
         let mut rng = StdRng::seed_from_u64(seed);
         service_telem().served.inc();
-        let result = self.run_inner(
-            &gen,
-            req.select(),
-            &mut rng,
-            queue_wait,
-            req.deadline(),
-            req.mode(),
-        );
+        let result = self.run_inner(&gen, req.select(), &mut rng, queue_wait);
         let (explain, flight_json) = if analyze {
             let rec = flight::take().expect("recorder stays armed through EXPLAIN ANALYZE");
             let mut out = gen.planner.explain(req.select());
@@ -732,20 +725,16 @@ impl<P: ProbeService> PortalService<P> {
     // -- execution internals ----------------------------------------------
 
     /// Interactive execution against `gen` with a caller-supplied RNG;
-    /// `queue_wait` is deducted from the probe deadline budget. `deadline`
-    /// and `mode_override` are the per-request envelope (both from
-    /// [`QueryRequest`]; `None` falls back to the service config).
+    /// `queue_wait` is deducted from the probe deadline budget.
     fn run_inner(
         &self,
         gen: &Generation,
         q: &SelectQuery,
         rng: &mut StdRng,
         queue_wait: TimeDelta,
-        deadline: Option<TimeDelta>,
-        mode_override: Option<Mode>,
     ) -> PortalResult {
         let core = &*self.core;
-        let mode = mode_override.unwrap_or(core.mode);
+        let mode = core.mode;
         // Flight gate: an externally-armed recorder (EXPLAIN ANALYZE) stays
         // under its caller's control; otherwise the 1-in-N sampler may arm
         // one for this query. Recording never touches the RNG or any float
@@ -763,9 +752,6 @@ impl<P: ProbeService> PortalService<P> {
         };
         let now = core.clock.now();
         let mut plan = self.plan_capped(gen, q);
-        if let Some(d) = deadline {
-            plan.probe_deadline = d;
-        }
         plan.probe_deadline = plan.probe_deadline - queue_wait;
         tracer().record(SpanKind::Plan, now.0 * 1_000, 0, 1);
         flight::with(|f| {

@@ -127,7 +127,7 @@ impl RelationalColrTree {
                     n.avail_mean.into(),
                 ],
             );
-            match &n.children {
+            match n.children {
                 colr_tree::Children::Internal(children) => {
                     for &c in children {
                         let ch = tree.node(c);

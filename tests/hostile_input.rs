@@ -2,19 +2,22 @@
 //!
 //! Every row is SQL the parser accepts (or rejects with a typed error) whose
 //! numbers sit at an edge — a zero or absurd sample target, a zero-area or
-//! inverted rectangle, infinite corners, radius or staleness. Each runs
-//! through a 1-shard and a 4-shard [`ShardedPortal`] on a helper thread under
-//! `catch_unwind` with a deadline, and must come back in time, without a
-//! panic, with group counts that add up to what the degradation report says
-//! was sampled, and with both routers agreeing on whether anything was found.
+//! inverted rectangle, infinite corners, radius or staleness, a ring that
+//! crosses itself. Each runs through a 1-shard and a 4-shard
+//! [`ShardedPortal`], fresh (one passthrough LSM level per shard) and churned
+//! (L0 sensors, a second level, tombstones: the layered path), on a helper
+//! thread under `catch_unwind` with a deadline, and must come back in time,
+//! without a panic, with group counts that add up to what the degradation
+//! report says was sampled, and with all four routers agreeing on whether
+//! anything was found.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::time::Duration;
 
 use colr_repro::colr::probe::AlwaysAvailable;
-use colr_repro::colr::{Mode, SensorMeta, TimeDelta, Timestamp};
-use colr_repro::engine::{PortalConfig, QueryRequest, ShardedPortal};
+use colr_repro::colr::{LsmConfig, Mode, SensorMeta, TimeDelta, Timestamp};
+use colr_repro::engine::{IndexStrategy, PortalConfig, PortalError, QueryRequest, ShardedPortal};
 use colr_repro::geo::Point;
 
 const EXPIRY_MS: u64 = 600_000;
@@ -23,8 +26,16 @@ const DEADLINE: Duration = Duration::from_secs(10);
 
 const FULL: &str = "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-1, -1, 32, 32)";
 
+fn within(shape: &str) -> String {
+    format!("SELECT count(*) FROM sensor WHERE location WITHIN {shape}")
+}
+
+/// A bow-tie: its two lobes wind opposite ways, so the signed area of the
+/// ring clipped to a box cancels and a level weighted by it was skipped
+/// (15 sensors through one passthrough level, 0 through a layered one).
+const BOW_TIE: &str = "POLYGON((0 0, 10 10, 0 10, 10 0))";
+
 fn statements() -> Vec<String> {
-    let within = |shape: &str| format!("SELECT count(*) FROM sensor WHERE location WITHIN {shape}");
     vec![
         format!("{FULL} SAMPLESIZE 0"),
         format!("{FULL} SAMPLESIZE 1e30"),
@@ -35,10 +46,15 @@ fn statements() -> Vec<String> {
         within("CIRCLE(16, 16, 1e999)"),
         within("CIRCLE(16, 16, 0)"),
         format!("{FULL} AND time BETWEEN now() - 1e999 AND now() mins"),
+        within(BOW_TIE),
     ]
 }
 
-fn router(shards: usize) -> ShardedPortal<AlwaysAvailable> {
+/// A router over the 32×32 grid; `churned` adds 40 registrations with a merge
+/// after the 32nd and retires every third of them, so each shard answers
+/// through L0, a second level and tombstone masks rather than one
+/// passthrough level.
+fn router(shards: usize, churned: bool) -> ShardedPortal<AlwaysAvailable> {
     let sensors: Vec<SensorMeta> = (0..SIDE * SIDE)
         .map(|i| {
             SensorMeta::new(
@@ -52,6 +68,10 @@ fn router(shards: usize) -> ShardedPortal<AlwaysAvailable> {
     let config = PortalConfig {
         seed: 20_080_407,
         mode: Mode::Colr,
+        index: IndexStrategy::Lsm(LsmConfig {
+            l0_capacity: 8,
+            ..Default::default()
+        }),
         ..Default::default()
     };
     let probe = |_: usize, _: &[SensorMeta]| AlwaysAvailable {
@@ -59,6 +79,20 @@ fn router(shards: usize) -> ShardedPortal<AlwaysAvailable> {
     };
     let router = ShardedPortal::new(sensors, probe, shards, config);
     router.clock().advance_to(Timestamp(5_000));
+    if churned {
+        let tickets: Vec<usize> = (0..40)
+            .map(|i| {
+                if i == 32 {
+                    router.reindex_all();
+                }
+                let at = Point::new((i * 7 % 32) as f64 + 0.5, (i * 11 % 32) as f64 + 0.5);
+                router.register_sensor(at, TimeDelta::from_millis(EXPIRY_MS), 1.0, 0)
+            })
+            .collect();
+        for &ticket in tickets.iter().step_by(3) {
+            assert!(router.retire_sensor(ticket));
+        }
+    }
     router
 }
 
@@ -89,14 +123,30 @@ fn run(portal: &ShardedPortal<AlwaysAvailable>, sql: &str) -> Option<u64> {
 
 #[test]
 fn edge_valued_statements_neither_panic_nor_wedge() {
-    let (one, four) = (router(1), router(4));
+    let routers = [
+        ("1 shard", router(1, false)),
+        ("4 shards", router(4, false)),
+        ("1 shard churned", router(1, true)),
+        ("4 shards churned", router(4, true)),
+    ];
+    assert!(
+        matches!(
+            QueryRequest::from_sql(&within(BOW_TIE)),
+            Err(PortalError::Parse(_))
+        ),
+        "a ring that crosses itself is a parse error"
+    );
     for sql in statements() {
-        let a = run(&one, &sql);
-        let b = run(&four, &sql);
-        assert_eq!(
-            a.map(|n| n == 0),
-            b.map(|n| n == 0),
-            "`{sql}`: 1 shard answered {a:?}, 4 shards {b:?}"
-        );
+        let answers: Vec<Option<u64>> = routers.iter().map(|(_, r)| run(r, &sql)).collect();
+        for (i, (name, _)) in routers.iter().enumerate().skip(1) {
+            assert_eq!(
+                answers[0].map(|n| n == 0),
+                answers[i].map(|n| n == 0),
+                "`{sql}`: {} answered {:?}, {name} {:?}",
+                routers[0].0,
+                answers[0],
+                answers[i]
+            );
+        }
     }
 }

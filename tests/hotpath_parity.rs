@@ -36,6 +36,11 @@
 //!     threshold and of a one-leaf tree) at 1, 2 and 8 build threads, and
 //!     the eight groups the router would shard that fleet into.
 //!
+//! (g) the two baseline modes, `Mode::HierCache` and `Mode::RTree`, on the bare
+//!     tree, recorded at parent `f608995` (PR 20) while both still descended
+//!     the builder's pointer nodes: a rectangle cutting leaves, a polygon, a
+//!     circle and a kind filter, cold / warm / expired.
+//!
 //! A digest mismatch means an answer, a statistic or an RNG position moved.
 //! If that is an intended algorithm change (ROADMAP 2d), re-record: every
 //! assertion prints the digest it computed.
@@ -180,7 +185,7 @@ fn batch_digest(b: &BatchResult) -> u64 {
 /// instant, so round 1 is warm; round 2 moves past staleness so caches expire
 /// and probing resumes), and digests per query every reading, group and
 /// statistic plus the RNG's next raw draw after each execution.
-fn shape_digests(tree: &ColrTree, queries: &[Query]) -> Vec<u64> {
+fn shape_digests(tree: &ColrTree, mode: Mode, queries: &[Query]) -> Vec<u64> {
     let probe = AlwaysAvailable {
         expiry_ms: EXPIRY_MS,
     };
@@ -191,7 +196,7 @@ fn shape_digests(tree: &ColrTree, queries: &[Query]) -> Vec<u64> {
             let mut d = Digest::new();
             for round in 0..3u64 {
                 let now = Timestamp(1_000 + (round / 2) * 600_000);
-                let out = tree.execute(query, Mode::Colr, &probe, now, &mut rng);
+                let out = tree.execute(query, mode, &probe, now, &mut rng);
                 d.eat(&format!("{:?}", (&out.readings, &out.groups, &out.stats)));
                 d.eat(&format!("{:?}", rng.random::<u64>()));
             }
@@ -332,7 +337,7 @@ fn scalar_queries() -> Vec<Query> {
 #[test]
 fn scalar_route_matches_for_polygon_circle_and_kind_filters() {
     let tree = ColrTree::build(fleet(), ColrConfig::default(), 5);
-    let got = shape_digests(&tree, &scalar_queries());
+    let got = shape_digests(&tree, Mode::Colr, &scalar_queries());
     for (qi, (&got, &recorded)) in got.iter().zip(&FROZEN_SHAPES).enumerate() {
         assert_digest(&format!("query {qi}"), got, recorded);
     }
@@ -385,9 +390,70 @@ fn live_availability_stream_is_bit_identical_across_seeds_shapes_and_threads() {
     // Shapes, cold then warm then expired.
     let tree = ColrTree::build(fleet(), ColrConfig::default(), 5);
     degrade(&tree);
-    let got = shape_digests(&tree, &live_queries());
+    let got = shape_digests(&tree, Mode::Colr, &live_queries());
     for (qi, (&got, &recorded)) in got.iter().zip(&LIVE_SHAPES).enumerate() {
         assert_digest(&format!("live query {qi}"), got, recorded);
+    }
+}
+
+/// One digest per query of [`baseline_queries`] (three rounds each), per
+/// baseline mode.
+const BASELINE_SHAPES: [(Mode, [u64; 4]); 2] = [
+    (
+        Mode::HierCache,
+        [
+            0xcbd0_b708_7cd6_15c4,
+            0xfd15_f6fb_832b_0b3a,
+            0x4e51_f7d4_3cc1_1547,
+            0xead1_f91f_3bd4_c6bf,
+        ],
+    ),
+    (
+        Mode::RTree,
+        [
+            0xe341_4e6b_6605_714c,
+            0x9f8c_42d4_89b8_8577,
+            0x017e_cae9_4b6b_e685,
+            0x4f9b_eae2_31f7_69bb,
+        ],
+    ),
+];
+
+/// What the baseline modes answer in full: no sample size, groups at the
+/// default terminal level.
+fn baseline_queries() -> Vec<Query> {
+    let staleness = TimeDelta::from_mins(5);
+    vec![
+        Query::range(Rect::from_coords(2.2, 3.3, 17.7, 12.1), staleness),
+        Query::range(triangle(), staleness),
+        Query::range(centre_circle(), staleness),
+        Query::range(Rect::from_coords(1.5, 1.5, 22.5, 22.5), staleness).with_kind_filter(1),
+    ]
+}
+
+#[test]
+fn baseline_modes_answer_as_the_pointer_descent_did() {
+    for (mode, recorded) in &BASELINE_SHAPES {
+        let tree = ColrTree::build(fleet(), ColrConfig::default(), 5);
+        let got = shape_digests(&tree, *mode, &baseline_queries());
+        for (qi, (&got, &recorded)) in got.iter().zip(recorded).enumerate() {
+            assert_digest(&format!("{mode:?} query {qi}"), got, recorded);
+        }
+        // The tree is warm again at the last round's instant: the coverage
+        // gate must have been among what the digests saw.
+        let probe = AlwaysAvailable {
+            expiry_ms: EXPIRY_MS,
+        };
+        let mut rng = StdRng::seed_from_u64(1);
+        for query in baseline_queries() {
+            let out = tree.execute(&query, *mode, &probe, Timestamp(601_000), &mut rng);
+            assert_eq!(
+                out.groups.iter().any(|g| g.from_cache),
+                *mode == Mode::HierCache,
+                "{mode:?}: {:?}",
+                out.stats
+            );
+        }
     }
 }
 

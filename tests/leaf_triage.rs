@@ -87,7 +87,7 @@ fn partially_covered_leaf(tree: &ColrTree) -> (NodeId, Vec<SensorId>, Rect) {
                 cut,
                 node.bbox.max.y + 0.25,
             );
-            return (id, sensors.clone(), rect);
+            return (id, sensors.to_vec(), rect);
         }
     }
     panic!("no leaf spans two sensor columns");

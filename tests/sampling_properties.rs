@@ -523,6 +523,34 @@ mod oracle {
         }
     }
 
+    /// A type filter: Algorithm 1 splits by each node's per-kind weight and
+    /// the terminals scan for the kind, so the sample is `R` of the sensors
+    /// of that kind, each with probability `R/N_kind` — the same two
+    /// theorems over a population a flat scan of the sensor list finds.
+    #[test]
+    fn a_type_filter_is_uniform_over_the_sensors_of_that_type() {
+        let mut sensors = fleet(400, 0, |_| 1.0);
+        for (i, m) in sensors.iter_mut().enumerate() {
+            m.kind = (i % 3) as u16;
+        }
+        let member: Vec<bool> = sensors.iter().map(|m| m.kind == 1).collect();
+        let sql = format!(
+            "SELECT count(*) FROM sensor WHERE location WITHIN {WHOLE} AND type = 1 SAMPLESIZE 16"
+        );
+        for shards in [1usize, 4] {
+            let log = Log::default();
+            let (portal, shard_of) = portal(&sensors, 400, shards, &log, |b| b);
+            let names = ["shard 0", "shard 1", "shard 2", "shard 3"];
+            let components: Vec<(&str, Vec<usize>)> = (0..shards)
+                .filter(|_| shards > 1)
+                .map(|s| (names[s], (0..400).filter(|&i| shard_of[i] == s).collect()))
+                .collect();
+            let trials = run(&portal, &log, &sql, 600);
+            let what = format!("type = 1, {shards} shard(s), R=16");
+            check(&what, &trials, 16.0, &member, &components, true);
+        }
+    }
+
     #[test]
     fn theorem1_holds_on_successes_behind_retries_and_live_feedback() {
         // Availability 0.55–0.95 by column, three retries, EWMA feedback:
