@@ -13,7 +13,7 @@ cargo fmt --check
 # builder's pointer nodes do not outlive the build). The names of what was
 # deleted to get there must not come back; `#![forbid(unsafe_code)]` in every
 # first-party crate root holds the rest of the line.
-if grep -rnE '\bPortal(::new|<)|\bMonolithic\b|SharedPortal|reindex_discarding|pending_unindexed|AliasTable|Morton|morton_pack|\bcriterion\b|HotPathLayout|TermTarget|\bexec_colr\b|portal_sim|fresh_cached_readings|leaf_triage|arena_mirrors_tree_structure|QueryRequestBuilder|with_mode\b|with_deadline\b' \
+if grep -rnE '\bPortal(::new|<)|\bMonolithic\b|SharedPortal|reindex_discarding|pending_unindexed|AliasTable|Morton|morton_pack|\bcriterion\b|HotPathLayout|TermTarget|\bexec_colr\b|portal_sim|fresh_cached_readings|leaf_triage|arena_mirrors_tree_structure|QueryRequestBuilder|with_mode\b|with_deadline\b|live_sensor_metas\b' \
     crates src tests examples Cargo.toml; then
     echo "ci: a deleted path is back (matches above)" >&2
     exit 1
@@ -25,12 +25,43 @@ if grep -rnE 'pub(\([a-z]+\))? struct Node\b|nodes: Vec<Node>' crates/core/src |
     exit 1
 fi
 echo "ci: one-path gate OK"
-# The trend the north star asks for, in every log (32,780 at the parent of PR 20).
+# The trend the north star asks for, in every log (32,780 at the parent of PR 20,
+# 32,847 at the parent of PR 21).
 echo "ci: $(find crates src tests examples -name '*.rs' | xargs cat | wc -l) lines of Rust under crates src tests examples"
 
 cargo build --release --offline
 cargo test -q --offline --workspace
 cargo clippy --workspace --all-targets --offline -- -D warnings
+
+# Torn-count gate (ROADMAP 1(i)): the straddle test storms one service with
+# eight clients across three merges, and a count that names no population
+# that existed ("torn answer") is a multi-wave fill seen half-written. One
+# run cannot tell: before the gate's fill mark it failed about one run in
+# two, so the binary is built once and run 50 times (~20 s). Only "torn
+# answer" fails the gate; "answer regressed" (ROADMAP 1(ii), step B's) is
+# counted and printed.
+straddle=$(cargo test --offline --test service_reindex --no-run --message-format=json 2>/dev/null |
+    sed -n 's/.*"executable":"\([^"]*service_reindex-[^"]*\)".*/\1/p' | tail -n 1)
+[ -x "$straddle" ] || {
+    echo "ci: could not find the service_reindex test binary" >&2
+    exit 1
+}
+regressed=0
+for run in $(seq 1 50); do
+    out=$("$straddle" 2>&1) && continue
+    if grep -q "torn answer" <<<"$out"; then
+        echo "$out" >&2
+        echo "ci: torn answer on straddle run $run of 50" >&2
+        exit 1
+    fi
+    grep -q "answer regressed" <<<"$out" || {
+        echo "$out" >&2
+        echo "ci: service_reindex failed on run $run of 50" >&2
+        exit 1
+    }
+    regressed=$((regressed + 1))
+done
+echo "ci: torn-count gate OK (50 runs, 0 torn answers, $regressed answer-regressed)"
 
 # Observability smoke: the example must emit the promised metric families.
 smoke=$(cargo run --release --offline -q --example colr-stats)

@@ -542,6 +542,18 @@ impl ColrTree {
         now: Timestamp,
         mut deferred: Option<&mut Vec<Reading>>,
     ) {
+        let fixes = &plan.fixes[fixes];
+        let (Some(first), Some(last)) = (fixes.first(), fixes.last()) else {
+            return;
+        };
+        let selected = last.ids.end - first.ids.start;
+        let wave = self.config().cost.probe_parallelism.max(1) as usize;
+        // Only a request wider than a wave is written back in more than one
+        // batch, with probe calls — no lock held — in between. The gate
+        // refuses the nodes it is filling until the last batch is in, so to
+        // a concurrent reader the batches land together.
+        let _filling = (deferred.is_none() && mode != Mode::RTree && selected > wave)
+            .then(|| self.mark_filling(&plan.ids[first.ids.start..last.ids.end]));
         let mut write_back = |got: &[Reading], stats: &mut QueryStats| match &mut deferred {
             Some(buf) => buf.extend_from_slice(got),
             None => {
@@ -553,12 +565,6 @@ impl ColrTree {
                 crate::flight::with(|f| f.write_back(inserted));
             }
         };
-        let fixes = &plan.fixes[fixes];
-        let (Some(first), Some(last)) = (fixes.first(), fixes.last()) else {
-            return;
-        };
-        let selected = last.ids.end - first.ids.start;
-        let wave = self.config().cost.probe_parallelism.max(1) as usize;
         let mut got: Vec<Reading> = Vec::with_capacity(wave.min(selected));
         let old = std::mem::take(&mut out.readings);
         let mut readings = Vec::with_capacity(old.len() + selected);
@@ -908,6 +914,83 @@ mod tests {
             &mut rng,
         );
         assert_eq!(warm.stats.sensors_probed, 0);
+    }
+
+    /// [`AlwaysAvailable`] that notes, at every batch it is asked for, how
+    /// many nodes of `tree` are marked as being filled — and panics instead of
+    /// answering batch `panic_at`.
+    struct MarkSpy<'a> {
+        tree: &'a ColrTree,
+        marked_at_batch: parking_lot::Mutex<Vec<usize>>,
+        panic_at: Option<usize>,
+    }
+
+    fn marked(tree: &ColrTree) -> usize {
+        tree.node_ids()
+            .filter(|&id| tree.with_cache(id, |c| c.filling != 0))
+            .count()
+    }
+
+    impl ProbeService for MarkSpy<'_> {
+        fn probe_batch(&self, ids: &[SensorId], now: Timestamp) -> Vec<Option<Reading>> {
+            // Reads every stripe: the query holds none of them here.
+            let mut seen = self.marked_at_batch.lock();
+            seen.push(marked(self.tree));
+            assert_ne!(Some(seen.len() - 1), self.panic_at, "backend down");
+            AlwaysAvailable {
+                expiry_ms: EXPIRY_MS,
+            }
+            .probe_batch(ids, now)
+        }
+    }
+
+    #[test]
+    fn only_a_multi_wave_fill_marks_its_nodes_and_no_mark_outlives_it() {
+        let tree = grid_tree(16, None);
+        let spy = |panic_at| MarkSpy {
+            tree: &tree,
+            marked_at_batch: Default::default(),
+            panic_at,
+        };
+        let mut rng = StdRng::seed_from_u64(1);
+        let all = q(Rect::from_coords(-0.5, -0.5, 15.5, 15.5)).with_terminal_level(u16::MAX);
+        let quarter = q(Rect::from_coords(-0.5, -0.5, 7.5, 7.5));
+
+        // 256 sensors take two waves: every node above one of them — here,
+        // every node — is marked from before the first batch until the last
+        // is written, so the leaf the wave boundary cuts cannot pass for a
+        // covered one in between.
+        let probe = spy(None);
+        let out = tree.execute(&all, Mode::HierCache, &probe, Timestamp(1_000), &mut rng);
+        assert_eq!(out.stats.sensors_probed, 256);
+        assert_eq!(*probe.marked_at_batch.lock(), [tree.node_count(); 2]);
+        assert_eq!(marked(&tree), 0);
+        assert_eq!(tree.cached_readings(), 256);
+
+        // 64 sensors fit one wave: one write-back, nothing to mark.
+        let expired = TimeDelta::from_millis(EXPIRY_MS + 60_000);
+        let later = Timestamp(1_000) + expired;
+        let probe = spy(None);
+        let out = tree.execute(&quarter, Mode::HierCache, &probe, later, &mut rng);
+        assert_eq!(out.stats.sensors_probed, 64);
+        assert_eq!(*probe.marked_at_batch.lock(), [0]);
+
+        // A backend that dies between the waves unwinds through the guard:
+        // the first wave stays cached, no mark stays set, the tree serves.
+        let later = later + expired;
+        let probe = spy(Some(1));
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut rng = StdRng::seed_from_u64(2);
+            tree.execute(&all, Mode::HierCache, &probe, later, &mut rng)
+        }));
+        assert!(died.is_err());
+        assert_eq!(*probe.marked_at_batch.lock(), [tree.node_count(); 2]);
+        assert_eq!(marked(&tree), 0);
+        assert_eq!(tree.cached_readings(), 128);
+        let probe = spy(None);
+        let out = tree.execute(&all, Mode::HierCache, &probe, later, &mut rng);
+        assert!(out.stats.cache_nodes_used > 0, "the gate serves again");
+        assert_eq!(tree.validate(), Ok(()));
     }
 
     #[test]

@@ -144,6 +144,28 @@ impl LsmLevel {
         true
     }
 
+    /// Purges whichever of `written` — readings (local ids) a query just
+    /// wrote back, or read from the raw cache — belong to a sensor tombstoned
+    /// by now. A retire purges once, when it sets the mark; a query that
+    /// selected the sensor while it was live can cache its reading after that
+    /// purge, and the sensor would be counted until the level is next
+    /// merged. So the write-back looks again after it has written: the retire
+    /// marks and then purges under the tree's maintenance lock, the query
+    /// inserts under that lock and then reads the mark, and whichever comes
+    /// second sees the other.
+    pub(crate) fn purge_retired(&self, written: &[Reading]) {
+        // A retire counts itself before it purges, so none counted is none
+        // to look for: one load on an index nobody retires from.
+        if self.tombstone_count() == 0 {
+            return;
+        }
+        for r in written {
+            if self.is_tombstoned(r.sensor) {
+                self.tree.remove_cached(r.sensor);
+            }
+        }
+    }
+
     /// Fraction of the built population still live (1.0 for a fresh level).
     pub fn live_fraction(&self) -> f64 {
         if self.global.is_empty() {
@@ -173,6 +195,16 @@ impl LsmLevel {
         let m = self.tree.sensors()[local];
         SensorMeta::new(self.global[local].0, m.location, m.expiry, m.availability)
             .with_kind(m.kind)
+    }
+
+    /// Visits the location of every live (non-tombstoned) sensor, by
+    /// ascending local index.
+    pub(crate) fn for_each_live_location(&self, visit: &mut impl FnMut(colr_geo::Point)) {
+        for (meta, dead) in self.tree.sensors().iter().zip(self.tombstoned.iter()) {
+            if !dead.load(Ordering::Acquire) {
+                visit(meta.location);
+            }
+        }
     }
 
     /// Every live (non-tombstoned) sensor with its global id, ascending.
@@ -326,6 +358,17 @@ impl L0Level {
                     && region.contains_point(&m.location)
             })
             .count()
+    }
+
+    /// Visits the location of every live sensor in registration order, under
+    /// the read lock.
+    pub(crate) fn for_each_live_location(&self, visit: &mut impl FnMut(colr_geo::Point)) {
+        let inner = self.inner.read();
+        for meta in &inner.sensors {
+            if !inner.tombstoned.contains(&meta.id.0) {
+                visit(meta.location);
+            }
+        }
     }
 
     /// Every live sensor with its cached reading — the frozen-batch snapshot

@@ -301,16 +301,17 @@ impl LsmTree {
         self.advance_state(&self.state.read().clone(), now);
     }
 
-    /// Live sensors (global metas) across all components — levels in order,
-    /// then L0 in registration order.
-    pub fn live_sensor_metas(&self) -> Vec<SensorMeta> {
+    /// Calls `visit` with the location of every live sensor of one published
+    /// cut, copying nothing: levels in state order, each by ascending local
+    /// index with tombstoned sensors skipped, then L0 in registration order.
+    /// L0's read lock is held while its sensors are visited, so `visit` must
+    /// not come back into this index.
+    pub fn for_each_live_location(&self, mut visit: impl FnMut(colr_geo::Point)) {
         let state = self.state.read().clone();
-        let mut out = Vec::new();
         for level in &state.levels {
-            out.extend(level.live_global_metas());
+            level.for_each_live_location(&mut visit);
         }
-        out.extend(state.l0.snapshot().into_iter().map(|(m, _)| m));
-        out
+        state.l0.for_each_live_location(&mut visit);
     }
 
     /// Live sensors currently parked in L0 (the shard router's
@@ -360,7 +361,10 @@ impl LsmTree {
     {
         let state = self.state.read().clone();
         if state.degenerate() {
-            return state.levels[0].tree().execute(query, mode, probe, now, rng);
+            let level = &state.levels[0];
+            let out = level.tree().execute(query, mode, probe, now, rng);
+            level.purge_retired(&out.readings);
+            return out;
         }
         self.advance_state(&state, now);
         let l0_cands = state.l0.candidates(query);
@@ -466,6 +470,7 @@ impl LsmTree {
         for level in &state.levels {
             if let Some(batch) = per_level.remove(&level.key()) {
                 inserted += level.tree().apply_readings(&batch, now);
+                level.purge_retired(&batch);
             }
         }
         for r in l0_readings {
@@ -625,6 +630,9 @@ impl LsmTree {
                     sensor: level.global_id(r.sensor),
                     ..r
                 }));
+                if !frozen {
+                    level.purge_retired(&out.readings);
+                }
                 for r in &mut out.readings {
                     r.sensor = level.global_id(r.sensor);
                 }

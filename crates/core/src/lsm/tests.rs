@@ -518,3 +518,165 @@ fn geometric_absorption_bounds_level_count() {
     }
     assert_eq!(lsm.stats().live_sensors, 256 + 96);
 }
+
+/// The copy the router's map refresh used to ask the index for (the method
+/// this helper is named after, deleted in PR 21): each level's live metas
+/// collected, then L0's snapshot — the reference order for
+/// [`LsmTree::for_each_live_location`].
+fn live_sensor_metas_by_copy(lsm: &LsmTree) -> Vec<SensorMeta> {
+    let state = lsm.state.read().clone();
+    let mut out = Vec::new();
+    for level in &state.levels {
+        out.extend(level.live_global_metas());
+    }
+    out.extend(state.l0.snapshot().into_iter().map(|(m, _)| m));
+    out
+}
+
+fn visited(lsm: &LsmTree) -> Vec<Point> {
+    let mut seen = Vec::new();
+    lsm.for_each_live_location(|p| seen.push(p));
+    seen
+}
+
+#[test]
+fn the_visitor_yields_the_live_locations_in_levels_then_l0_order() {
+    let lsm = LsmTree::new(
+        grid_sensors(64, 8),
+        ColrConfig::default(),
+        LsmConfig {
+            l0_capacity: 4,
+            level_ratio: 2,
+        },
+        9,
+    );
+    let by_copy = |lsm: &LsmTree| -> Vec<Point> {
+        live_sensor_metas_by_copy(lsm)
+            .iter()
+            .map(|m| m.location)
+            .collect()
+    };
+    assert_eq!(visited(&lsm), by_copy(&lsm), "one identity level");
+    assert_eq!(visited(&lsm).len(), 64);
+
+    // Two merged levels beside the base, a retire in each kind of component,
+    // and an L0 with a live and a retired sensor.
+    let register = |id: u32| {
+        lsm.register(SensorMeta::new(
+            id,
+            Point::new(id as f64 + 0.25, -(id as f64)),
+            TimeDelta::from_millis(EXPIRY_MS),
+            1.0,
+        ));
+    };
+    (100..104).for_each(register);
+    lsm.merge(Timestamp(1_000));
+    (104..106).for_each(register);
+    lsm.merge(Timestamp(2_000));
+    (106..109).for_each(register);
+    assert!(lsm.stats().levels >= 2 && lsm.stats().l0_occupancy == 3);
+    for id in [3, 101, 107] {
+        assert!(lsm.retire(SensorId(id)));
+    }
+    let seen = visited(&lsm);
+    assert_eq!(seen, by_copy(&lsm), "levels, then L0, tombstones skipped");
+    assert_eq!(seen.len(), 64 + 9 - 3);
+    assert_eq!(seen[0], Point::new(0.0, 0.0), "the base level comes first");
+    assert_eq!(
+        seen[seen.len() - 2..],
+        [Point::new(106.25, -106.0), Point::new(108.25, -108.0)],
+        "L0 last, in registration order, 107 retired"
+    );
+    assert!(!seen.contains(&Point::new(3.0, 0.0)));
+
+    // A tombstone set after the level was built is skipped by the next pass.
+    assert!(lsm.retire(SensorId(10)));
+    let after = visited(&lsm);
+    assert_eq!(after.len(), seen.len() - 1);
+    assert!(!after.contains(&Point::new(2.0, 1.0)));
+    assert_eq!(after, by_copy(&lsm));
+
+    // Every sensor retired: nothing is visited.
+    for m in live_sensor_metas_by_copy(&lsm) {
+        assert!(lsm.retire(m.id));
+    }
+    assert!(visited(&lsm).is_empty());
+}
+
+/// [`AlwaysAvailable`], but the first wave that asks for `victim` retires it
+/// before answering: the retire lands after the query found the sensor live
+/// and before its reading is written back.
+struct RetiresMidWave<'a> {
+    lsm: &'a LsmTree,
+    victim: SensorId,
+}
+
+impl ProbeService for RetiresMidWave<'_> {
+    fn probe_batch(&self, ids: &[SensorId], now: Timestamp) -> Vec<Option<Reading>> {
+        if ids.contains(&self.victim) {
+            self.lsm.retire(self.victim);
+        }
+        AlwaysAvailable {
+            expiry_ms: EXPIRY_MS,
+        }
+        .probe_batch(ids, now)
+    }
+}
+
+#[test]
+fn a_write_back_that_lost_the_race_to_a_retire_caches_nothing_of_the_retired_sensor() {
+    let everything = Query::range(
+        Rect::from_coords(-1.0, -1.0, 200.0, 200.0),
+        TimeDelta::from_millis(EXPIRY_MS),
+    );
+    // The single passthrough level, then the layered path over two levels
+    // with the victim in the merged one.
+    for layered in [false, true] {
+        let lsm = LsmTree::new(
+            grid_sensors(64, 8),
+            ColrConfig::default(),
+            LsmConfig::default(),
+            5,
+        );
+        let mut population = 64;
+        let mut victim = SensorId(10);
+        if layered {
+            for id in 500..508 {
+                lsm.register(SensorMeta::new(
+                    id,
+                    Point::new(100.0 + id as f64 - 500.0, 100.0),
+                    TimeDelta::from_millis(EXPIRY_MS),
+                    1.0,
+                ));
+            }
+            lsm.merge(Timestamp(500));
+            assert_eq!(lsm.stats().levels, 2);
+            population += 8;
+            victim = SensorId(503);
+        }
+        let mut rng = StdRng::seed_from_u64(1);
+        let probe = RetiresMidWave { lsm: &lsm, victim };
+        let cold = lsm.execute(
+            &everything,
+            Mode::HierCache,
+            &probe,
+            Timestamp(1_000),
+            &mut rng,
+        );
+        // The sensor was live when the query chose it, so this answer has it.
+        assert_eq!(cold.result_size(), population);
+        assert_eq!(lsm.stats().tombstones, 1);
+        // Nothing of it stayed behind: the caches alone answer for everyone
+        // else and for no one else.
+        let warm = lsm.execute(
+            &everything,
+            Mode::HierCache,
+            &Dead,
+            Timestamp(2_000),
+            &mut rng,
+        );
+        assert_eq!(warm.stats.sensors_probed, 0, "layered: {layered}");
+        assert_eq!(warm.result_size(), population - 1, "layered: {layered}");
+        assert!(warm.readings.iter().all(|r| r.sensor != victim));
+    }
+}

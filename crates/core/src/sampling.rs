@@ -220,6 +220,12 @@ impl ColrTree {
     ) -> bool {
         let id = arena.orig(idx);
         let hit = self.with_cache(id, |nc| {
+            // Part of a multi-wave fill is not an aggregate over anything:
+            // between two of its write-backs the count here can pass the
+            // coverage threshold with readings still owed (ROADMAP 1(i)).
+            if nc.filling != 0 {
+                return None;
+            }
             let (agg, slots) = match query.kind_filter {
                 None => nc.cache.usable(now, query.staleness),
                 Some(k) => nc.cache.usable_kind(now, query.staleness, k),

@@ -380,11 +380,6 @@ impl SlotCache {
         held
     }
 
-    /// Clears the cache entirely.
-    pub fn clear(&mut self) {
-        self.ring.iter_mut().for_each(|e| *e = None);
-    }
-
     /// Combines every slot usable for a query at `now` with freshness bound
     /// `staleness` (Section IV-A "Lookup"):
     ///
@@ -778,14 +773,5 @@ mod tests {
         let slot = sc.slot(1).unwrap();
         assert_eq!(slot.hist.as_ref().unwrap().total(), 2);
         assert_eq!(slot.agg.count, 2);
-    }
-
-    #[test]
-    fn clear_empties_cache() {
-        let mut sc = SlotCache::new(cfg(100, 4));
-        sc.insert(Timestamp(150), Timestamp(0), 1.0, 0);
-        sc.clear();
-        assert_eq!(sc.occupied_slots(), 0);
-        assert_eq!(sc.total_weight(), 0);
     }
 }

@@ -65,14 +65,17 @@
 //! deadlock impossible by construction. Concurrent readers may observe a
 //! bottom-up update mid-flight (a leaf updated, an ancestor not yet) — the
 //! same transient inconsistency the paper's portal tolerates between cache
-//! triggers; per-node state is always internally consistent. Three things a
+//! triggers; per-node state is always internally consistent. Four things a
 //! reader relies on, each restated where the code keeps it: `settled_below`
 //! is 0 for the whole `maint` hold of a write-back, so a query that starts
 //! meanwhile waits at `advance`; each node a duplicate-free run touches is
 //! written under one stripe hold (a slot that could not be decremented is
 //! recomputed inside that hold at a leaf, right after it at an internal
-//! node); and a roll publishes `cache_base + 1` only after every node that
-//! held an expired slot has been cleared.
+//! node); a request written back in more than one batch marks the nodes it
+//! is filling first (`ColrTree::mark_filling`), and the coverage gate
+//! serves none of them until the last batch is in; and a roll publishes
+//! `cache_base + 1` only after every node that held an expired slot has been
+//! cleared.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -136,6 +139,11 @@ pub struct NodeCache {
     /// Raw cached readings; non-empty only at leaves. Kept sorted by sensor
     /// id for O(log) lookup (leaf fanout is small).
     pub entries: Vec<CachedEntry>,
+    /// Requests that are writing readings back below this node a wave at a
+    /// time and have not written the last (`ColrTree::mark_filling`).
+    /// While it is non-zero the node's count is part of a fill, not a
+    /// population, and the coverage gate does not serve it.
+    pub(crate) filling: u32,
 }
 
 impl NodeCache {
@@ -143,6 +151,7 @@ impl NodeCache {
         NodeCache {
             cache: SlotCache::new(slot_config),
             entries: Vec::new(),
+            filling: 0,
         }
     }
 
@@ -424,6 +433,23 @@ impl Maintenance {
     }
 }
 
+/// The marks of one multi-wave fill ([`ColrTree::mark_filling`]), cleared
+/// when it drops — the request returned, or a probe backend panicked and the
+/// request is unwinding; either way no mark outlives its request.
+pub(crate) struct Filling<'a> {
+    tree: &'a ColrTree,
+    nodes: Vec<NodeId>,
+}
+
+impl Drop for Filling<'_> {
+    fn drop(&mut self) {
+        for &id in &self.nodes {
+            self.tree
+                .with_cache_mut(id, |c| c.filling = c.filling.saturating_sub(1));
+        }
+    }
+}
+
 /// The COLR-Tree: a bulk-built R-Tree whose every node carries a slot cache,
 /// plus the tree-wide raw-cache accounting.
 ///
@@ -474,7 +500,12 @@ impl Clone for ColrTree {
             stripes: self
                 .stripes
                 .iter()
-                .map(|s| RwLock::new(s.read().clone()))
+                .map(|s| {
+                    let mut caches = s.read().clone();
+                    // A fill in flight clears its marks on `self` only.
+                    caches.iter_mut().for_each(|c| c.filling = 0);
+                    RwLock::new(caches)
+                })
                 .collect(),
             settled_below: AtomicU64::new(maint.cache_base + 1),
             maint: Mutex::new(maint),
@@ -939,6 +970,41 @@ impl ColrTree {
 
         self.enforce_capacity_locked(maint);
         applied
+    }
+
+    /// Marks the home leaf of every sensor in `sensors`, and each ancestor up
+    /// to the root, as being filled: a request about to write those sensors'
+    /// readings back in more than one [`ColrTree::apply_readings`] calls this
+    /// before the first, and until the returned guard drops the coverage gate
+    /// (`serve_cached_aggregate`) serves none of the marked nodes — to the
+    /// gate the request's write-backs happen at once. A mark is a count, so
+    /// overlapping fills nest, and it is set and read under the node's stripe
+    /// lock like the rest of its cache.
+    pub(crate) fn mark_filling(&self, sensors: &[SensorId]) -> Filling<'_> {
+        // Selections arrive leaf by leaf, so most repeats are neighbours.
+        let mut level: Vec<NodeId> = Vec::new();
+        for &s in sensors {
+            let leaf = self.sensor_leaf[s.index()];
+            if level.last() != Some(&leaf) {
+                level.push(leaf);
+            }
+        }
+        // Leaves to root; a level's nodes share a depth, so sorting one
+        // level at a time finds every repeat.
+        let mut nodes = Vec::new();
+        while !level.is_empty() {
+            level.sort_unstable();
+            level.dedup();
+            nodes.extend_from_slice(&level);
+            level = level
+                .iter()
+                .filter_map(|&id| self.arena.parent(id))
+                .collect();
+        }
+        for &id in &nodes {
+            self.with_cache_mut(id, |c| c.filling += 1);
+        }
+        Filling { tree: self, nodes }
     }
 
     /// Applies a batch of probe results in order — the deferred write-back

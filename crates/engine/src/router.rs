@@ -791,42 +791,223 @@ fn shard_seed(base: u64, s: usize) -> u64 {
 
 /// Reads one shard map entry off the shard's current generation. The live
 /// population spans every level plus L0, so the extent, centroid and count
-/// come from the live metas rather than one tree root; a fully retired shard
-/// keeps its primary level's.
+/// are folded from one pass over the live locations rather than read off one
+/// tree root — a pass, not a copy: this runs after every merge, and must cost
+/// what a merge does, not what the shard holds. A fully retired shard keeps
+/// its primary level's.
 fn shard_info<P: ProbeService>(index: usize, shard: &PortalService<P>) -> ShardInfo {
     let gen = shard.snapshot();
-    let mut metas = gen.lsm().live_sensor_metas();
-    if metas.is_empty() {
-        metas = gen.tree().sensors().to_vec();
+    let mut acc = None;
+    gen.lsm()
+        .for_each_live_location(|p| fold_location(&mut acc, p));
+    if acc.is_none() {
+        for m in gen.tree().sensors() {
+            fold_location(&mut acc, m.location);
+        }
     }
-    let Some((first, rest)) = metas.split_first() else {
-        return ShardInfo {
+    match acc {
+        Some((bbox, cx, cy, sensors)) => ShardInfo {
+            index,
+            bbox,
+            centroid: Point::new(cx / sensors as f64, cy / sensors as f64),
+            sensors,
+        },
+        None => ShardInfo {
             index,
             bbox: gen.tree().node(gen.tree().root()).bbox,
             centroid: Point::new(0.0, 0.0),
             sensors: 0,
-        };
-    };
-    let mut bbox = Rect::new(first.location, first.location);
-    let mut cx = first.location.x;
-    let mut cy = first.location.y;
-    for m in rest {
-        bbox.expand_to_point(&m.location);
-        cx += m.location.x;
-        cy += m.location.y;
+        },
     }
-    let n = metas.len() as f64;
-    ShardInfo {
-        index,
-        bbox,
-        centroid: Point::new(cx / n, cy / n),
-        sensors: metas.len(),
+}
+
+/// One step of [`shard_info`]'s pass: the bounding box, coordinate sums and
+/// count so far. The sums start from the first location and add the rest in
+/// visiting order.
+fn fold_location(acc: &mut Option<(Rect, f64, f64, usize)>, p: Point) {
+    match acc {
+        None => *acc = Some((Rect::new(p, p), p.x, p.y, 1)),
+        Some((bbox, cx, cy, n)) => {
+            bbox.expand_to_point(&p);
+            *cx += p.x;
+            *cy += p.y;
+            *n += 1;
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::portal::IndexStrategy;
+    use colr_tree::probe::AlwaysAvailable;
+    use colr_tree::LsmConfig;
+
+    /// [`shard_info`] as it was computed while it copied the shard: every
+    /// live location into a `Vec` (the fully retired shard's from its primary
+    /// level), then the extent and the sums over the copy.
+    fn shard_info_by_copy<P: ProbeService>(index: usize, shard: &PortalService<P>) -> ShardInfo {
+        let gen = shard.snapshot();
+        let mut locations = Vec::new();
+        gen.lsm().for_each_live_location(|p| locations.push(p));
+        if locations.is_empty() {
+            locations = gen.tree().sensors().iter().map(|m| m.location).collect();
+        }
+        let Some((first, rest)) = locations.split_first() else {
+            return ShardInfo {
+                index,
+                bbox: gen.tree().node(gen.tree().root()).bbox,
+                centroid: Point::new(0.0, 0.0),
+                sensors: 0,
+            };
+        };
+        let mut bbox = Rect::new(*first, *first);
+        let mut cx = first.x;
+        let mut cy = first.y;
+        for p in rest {
+            bbox.expand_to_point(p);
+            cx += p.x;
+            cy += p.y;
+        }
+        let n = locations.len() as f64;
+        ShardInfo {
+            index,
+            bbox,
+            centroid: Point::new(cx / n, cy / n),
+            sensors: locations.len(),
+        }
+    }
+
+    const EXPIRY_MS: u64 = 300_000;
+    const SIDE: usize = 32;
+
+    /// The router of `tests/hostile_input.rs`: a 32 × 32 grid, `l0_capacity`
+    /// 8, nothing registered yet.
+    fn router(shards: usize) -> ShardedPortal<AlwaysAvailable> {
+        let sensors: Vec<SensorMeta> = (0..SIDE * SIDE)
+            .map(|i| {
+                SensorMeta::new(
+                    i as u32,
+                    Point::new((i % SIDE) as f64, (i / SIDE) as f64),
+                    TimeDelta::from_millis(EXPIRY_MS),
+                    1.0,
+                )
+            })
+            .collect();
+        let config = PortalConfig {
+            seed: 20_080_407,
+            index: IndexStrategy::Lsm(LsmConfig {
+                l0_capacity: 8,
+                ..Default::default()
+            }),
+            ..Default::default()
+        };
+        let probe = |_: usize, _: &[SensorMeta]| AlwaysAvailable {
+            expiry_ms: EXPIRY_MS,
+        };
+        ShardedPortal::new(sensors, probe, shards, config)
+    }
+
+    /// Registers arrivals `which` of the churned router's lattice.
+    fn register(
+        router: &ShardedPortal<AlwaysAvailable>,
+        which: std::ops::Range<usize>,
+    ) -> Vec<usize> {
+        which
+            .map(|i| {
+                let at = Point::new((i * 7 % 32) as f64 + 0.5, (i * 11 % 32) as f64 + 0.5);
+                router.register_sensor(at, TimeDelta::from_millis(EXPIRY_MS), 1.0, 0)
+            })
+            .collect()
+    }
+
+    /// Every shard's entry as the pass computes it now equals the copy-based
+    /// reference to the bit — as does the map itself after a `reindex_all`.
+    /// Returns the live total.
+    fn assert_matches_the_copy(router: &ShardedPortal<AlwaysAvailable>, row: &str) -> usize {
+        let bits = |i: &ShardInfo| {
+            let corners = [i.bbox.min, i.bbox.max, i.centroid];
+            (
+                i.index,
+                corners.map(|p| (p.x.to_bits(), p.y.to_bits())),
+                i.sensors,
+            )
+        };
+        let check = |row: &str| -> Vec<ShardInfo> {
+            (0..router.shard_count())
+                .map(|s| {
+                    let got = shard_info(s, router.shard(s));
+                    let want = shard_info_by_copy(s, router.shard(s));
+                    assert_eq!(bits(&got), bits(&want), "{row}, shard {s}");
+                    got
+                })
+                .collect()
+        };
+        check(row);
+        router.reindex_all();
+        let after = check(&format!("{row}, reindexed"));
+        let map = router.shard_map();
+        assert_eq!(
+            map.iter().map(bits).collect::<Vec<_>>(),
+            after.iter().map(bits).collect::<Vec<_>>(),
+            "{row}: the map holds what the pass computed"
+        );
+        map.iter().map(|i| i.sensors).sum()
+    }
+
+    #[test]
+    fn shard_info_by_one_pass_equals_the_copy_to_the_bit() {
+        for shards in [1, 4] {
+            // A fresh shard: one identity level.
+            assert_eq!(
+                assert_matches_the_copy(&router(shards), "fresh"),
+                SIDE * SIDE
+            );
+
+            // Churned as in `tests/hostile_input.rs`: 40 registrations, a
+            // merge after the 32nd, every third retired — a tombstoned level
+            // sensor and a part-retired L0 before the reindex, levels after.
+            let churned = router(shards);
+            let mut tickets = register(&churned, 0..32);
+            churned.reindex_all();
+            tickets.extend(register(&churned, 32..40));
+            for &ticket in tickets.iter().step_by(3) {
+                assert!(churned.retire_sensor(ticket));
+            }
+            assert_eq!(
+                assert_matches_the_copy(&churned, "churned"),
+                SIDE * SIDE + 40 - 14
+            );
+
+            // Two levels and an empty L0.
+            let two = router(shards);
+            register(&two, 0..24);
+            two.reindex_all();
+            let stats: Vec<_> = (0..two.shard_count())
+                .map(|s| two.shard(s).index_stats().expect("always Some"))
+                .collect();
+            assert!(stats.iter().all(|s| s.l0_occupancy == 0));
+            assert!(stats.iter().any(|s| s.levels == 2));
+            assert_eq!(
+                assert_matches_the_copy(&two, "two levels"),
+                SIDE * SIDE + 24
+            );
+
+            // Every sensor retired: the live pass is empty and the entry
+            // falls back to the primary level's sensors; once merged away the
+            // population is empty, a level over no sensors.
+            let retired = router(shards);
+            for s in 0..retired.shard_count() {
+                let n = retired.shard(s).snapshot().tree().sensors().len();
+                for j in 0..n {
+                    assert!(retired.shard(s).retire_sensor(SensorId(j as u32)));
+                }
+                let info = shard_info(s, retired.shard(s));
+                assert_eq!(info.sensors, n, "the fallback counts the primary level");
+            }
+            assert_eq!(assert_matches_the_copy(&retired, "retired"), 0);
+        }
+    }
 
     #[test]
     fn ticket_table_is_in_proportion_to_the_live_cohort() {

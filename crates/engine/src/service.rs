@@ -183,20 +183,33 @@ pub struct Generation {
     /// The planning anchor: the level with the most live sensors at the
     /// instant this generation was published.
     primary: Arc<LsmLevel>,
-    planner: Planner,
+    /// Shared with the generations before and after that pin the same
+    /// primary level.
+    planner: Arc<Planner>,
     ordinal: u64,
 }
 
 impl Generation {
-    /// Pins `lsm`'s current primary level and derives the planner from it.
-    fn publish(lsm: &Arc<LsmTree>, default_staleness: TimeDelta, ordinal: u64) -> Generation {
+    /// Pins `lsm`'s current primary level as the generation after `previous`
+    /// (the initial one when `None`). The planner is a function of that
+    /// level's topology alone, so it is derived only when the level changed:
+    /// a merge that leaves the primary level in place — every merge of a
+    /// small batch beside a large base level — keeps `previous`'s.
+    fn publish(
+        lsm: &Arc<LsmTree>,
+        default_staleness: TimeDelta,
+        previous: Option<&Generation>,
+    ) -> Generation {
         let primary = lsm.primary_level();
-        let planner = Planner::new(primary.tree(), default_staleness);
+        let planner = match previous {
+            Some(prev) if Arc::ptr_eq(&prev.primary, &primary) => prev.planner.clone(),
+            _ => Arc::new(Planner::new(primary.tree(), default_staleness)),
+        };
         Generation {
             lsm: lsm.clone(),
             primary,
             planner,
-            ordinal,
+            ordinal: previous.map_or(0, |prev| prev.ordinal + 1),
         }
     }
 
@@ -293,7 +306,7 @@ impl<P: ProbeService> PortalService<P> {
         let population = sensors.len() as u32;
         let IndexStrategy::Lsm(lsm_cfg) = config.index;
         let lsm = Arc::new(LsmTree::new(sensors, config.tree, lsm_cfg, config.seed));
-        let generation = Arc::new(Generation::publish(&lsm, config.default_staleness, 0));
+        let generation = Arc::new(Generation::publish(&lsm, config.default_staleness, None));
         service_telem().generation.set(0);
         PortalService {
             core: Arc::new(ServiceCore {
@@ -438,12 +451,9 @@ impl<P: ProbeService> PortalService<P> {
         let _build = core.reindex_lock.lock();
         let report = core.lsm.merge(core.clock.now());
         service_telem().carryover.add(report.carried_entries as u64);
-        let next_ordinal = self.snapshot().ordinal + 1;
-        *core.current.write() = Arc::new(Generation::publish(
-            &core.lsm,
-            core.default_staleness,
-            next_ordinal,
-        ));
+        let next = Generation::publish(&core.lsm, core.default_staleness, Some(&self.snapshot()));
+        let next_ordinal = next.ordinal;
+        *core.current.write() = Arc::new(next);
         core.generation_counter
             .store(next_ordinal, Ordering::Release);
         let t = service_telem();
@@ -1121,6 +1131,69 @@ mod tests {
         assert_eq!(old.tree().sensors().len(), 256);
         assert_eq!(svc.snapshot().tree().sensors().len(), 321);
         assert_eq!(svc.snapshot().ordinal(), 1);
+    }
+
+    #[test]
+    fn a_generation_derives_a_planner_only_when_its_primary_level_changed() {
+        let svc = hier_service();
+        let staleness = PortalConfig::default().default_staleness;
+        // The kept or derived planner plans as one built from the pinned tree.
+        let agrees_with_a_fresh_planner = |gen: &Generation| {
+            let fresh = Planner::new(gen.tree(), staleness);
+            assert_eq!(format!("{:?}", gen.planner()), format!("{fresh:?}"));
+            for d in [1.0, 10.0, 50.0, 500.0, 5000.0] {
+                let cluster = Some(d);
+                assert_eq!(
+                    gen.planner().terminal_level(cluster),
+                    fresh.terminal_level(cluster)
+                );
+                let q = SelectQuery {
+                    cluster,
+                    ..crate::parse(
+                        "SELECT count(*) FROM sensor WHERE location WITHIN RECT(0,0,9,9) SAMPLESIZE 20",
+                    )
+                    .unwrap()
+                };
+                assert_eq!(
+                    format!("{:?}", gen.planner().plan(&q)),
+                    format!("{:?}", fresh.plan(&q))
+                );
+            }
+        };
+        let register = |n: usize| {
+            for i in 0..n {
+                svc.register_sensor(
+                    Point::new(100.0 + i as f64, 100.0),
+                    TimeDelta::from_mins(5),
+                    1.0,
+                    0,
+                );
+            }
+        };
+        let initial = svc.snapshot();
+        agrees_with_a_fresh_planner(&initial);
+
+        // A small batch merges into a level of its own beside the base level:
+        // the primary stays, and so does the planner — the same one, not an
+        // equal one.
+        register(3);
+        svc.reindex();
+        let kept = svc.snapshot();
+        assert_eq!(kept.ordinal(), 1);
+        assert!(Arc::ptr_eq(&kept.primary, &initial.primary));
+        assert!(Arc::ptr_eq(&kept.planner, &initial.planner));
+        agrees_with_a_fresh_planner(&kept);
+
+        // Arrivals enough to absorb — and so rewrite — the base level (256 <
+        // level_ratio 4 × 68): a new primary, a new planner.
+        register(65);
+        svc.reindex();
+        let rewritten = svc.snapshot();
+        assert_eq!(rewritten.ordinal(), 2);
+        assert_eq!(rewritten.tree().sensors().len(), 256 + 68);
+        assert!(!Arc::ptr_eq(&rewritten.primary, &kept.primary));
+        assert!(!Arc::ptr_eq(&rewritten.planner, &kept.planner));
+        agrees_with_a_fresh_planner(&rewritten);
     }
 
     #[test]

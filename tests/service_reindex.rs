@@ -16,8 +16,15 @@
 //! (c) **Per-ordinal determinism.** Replaying the same query sequence on a
 //!     freshly built identical service reproduces the same answers,
 //!     because each query's RNG is derived from `(seed, ordinal)`.
+//! (d) **A multi-wave fill is never seen half-written.** The torn count the
+//!     storm of (a) used to meet by luck (ROADMAP 1(i)), reproduced on
+//!     purpose: a writer parked between the two write-backs of one cold
+//!     request, a reader released into exactly that gap.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::Mutex;
+use std::time::Duration;
 
 use colr_repro::colr::probe::AlwaysAvailable;
 use colr_repro::colr::{Mode, ProbeService, SensorMeta, TimeDelta};
@@ -49,11 +56,18 @@ fn grid_sensors() -> Vec<SensorMeta> {
 }
 
 fn service(mode: Mode) -> PortalService<AlwaysAvailable> {
-    PortalService::new(
-        grid_sensors(),
+    service_probing(
+        mode,
         AlwaysAvailable {
             expiry_ms: EXPIRY_MS,
         },
+    )
+}
+
+fn service_probing<P: ProbeService>(mode: Mode, probe: P) -> PortalService<P> {
+    PortalService::new(
+        grid_sensors(),
+        probe,
         PortalConfig {
             mode,
             // Generous slots so the storm tests exercise swapping, not
@@ -158,6 +172,92 @@ fn concurrent_queries_straddle_swaps_without_tearing() {
     svc.clock().advance(TimeDelta::from_millis(EXPIRY_MS));
     let final_count = run(&svc, FULL_GRID).unwrap().value.unwrap();
     assert_eq!(final_count, (BASE + SWAPS * NEW_PER_SWAP) as f64);
+}
+
+/// The name of the thread [`ParkingProbe`] parks.
+const WRITER: &str = "parked-writer";
+
+/// [`AlwaysAvailable`], except that the second batch the thread named
+/// [`WRITER`] asks for waits until the test lets it go. `ColrTree::complete`
+/// draws outcomes lazily, so a request's second `probe_batch` comes after
+/// its first wave's readings were written back and before any of its
+/// second's: the writer is parked between its two `apply_readings`, holding
+/// no lock.
+struct ParkingProbe {
+    inner: AlwaysAvailable,
+    writer_batches: AtomicUsize,
+    parked: Mutex<Sender<()>>,
+    release: Mutex<Receiver<()>>,
+}
+
+impl ProbeService for ParkingProbe {
+    fn probe_batch(
+        &self,
+        ids: &[colr_repro::colr::SensorId],
+        now: colr_repro::colr::Timestamp,
+    ) -> Vec<Option<colr_repro::colr::Reading>> {
+        if std::thread::current().name() == Some(WRITER)
+            && self.writer_batches.fetch_add(1, Ordering::SeqCst) == 1
+        {
+            // A send or receive that fails is the test thread gone (it
+            // panicked): carry on, so the scope joins and the panic shows.
+            let _ = self.parked.lock().unwrap().send(());
+            let _ = self.release.lock().unwrap().recv();
+        }
+        self.inner.probe_batch(ids, now)
+    }
+}
+
+#[test]
+fn a_reader_between_two_waves_of_one_fill_sees_the_whole_population() {
+    let (parked_tx, parked) = channel();
+    let (release, release_rx) = channel();
+    let svc = service_probing(
+        Mode::HierCache,
+        ParkingProbe {
+            inner: AlwaysAvailable {
+                expiry_ms: EXPIRY_MS,
+            },
+            writer_batches: AtomicUsize::new(0),
+            parked: Mutex::new(parked_tx),
+            release: Mutex::new(release_rx),
+        },
+    );
+    svc.clock().advance(TimeDelta::from_secs(1));
+    let wave = svc.snapshot().tree().config().cost.probe_parallelism as usize;
+    assert_eq!(BASE, 2 * wave, "the cold request is exactly two waves");
+
+    let (between, after) = std::thread::scope(|scope| {
+        let writer = std::thread::Builder::new()
+            .name(WRITER.into())
+            .spawn_scoped(scope, || run(&svc, FULL_GRID).unwrap())
+            .unwrap();
+        parked
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the writer asks for a second wave");
+        // Exactly between the writer's two write-backs, and no lock of the
+        // tree is held there: this takes the maintenance mutex, and the
+        // reader below writes back what it probes.
+        assert_eq!(svc.snapshot().tree().cached_readings(), wave);
+        let between = run(&svc, FULL_GRID).unwrap();
+        release.send(()).unwrap();
+        (between, writer.join().expect("writer thread panicked"))
+    });
+
+    // Not 255: the leaf the wave boundary cuts holds eight of its nine
+    // readings there, enough to pass the coverage gate as if it were whole.
+    assert_eq!(
+        between.value,
+        Some(BASE as f64),
+        "torn answer between waves"
+    );
+    assert_eq!(after.value, Some(BASE as f64));
+    assert_eq!(after.stats.sensors_probed, BASE as u64);
+    // Once the fill is through, the same nodes serve from cache again.
+    let warm = run(&svc, FULL_GRID).unwrap();
+    assert_eq!(warm.value, Some(BASE as f64));
+    assert_eq!(warm.stats.sensors_probed, 0);
+    assert_eq!(svc.in_flight(), 0);
 }
 
 #[test]
