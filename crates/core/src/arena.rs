@@ -94,9 +94,20 @@ pub struct SamplingArena {
     sensor_kind: Vec<u16>,
     /// `SensorMeta::availability`, the frozen `a_i` of the sensor.
     sensor_avail: Vec<f64>,
+    // --- per sensor id ---------------------------------------------------
+    /// Where each sensor is homed: the other direction of `sensors`.
+    home: Vec<Home>,
 }
 
 const NO_PARENT: u32 = u32::MAX;
+
+/// A sensor's home: its leaf and its place among that leaf's sensors (leaf
+/// order), which is also the place of its raw reading in the leaf's cache.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Home {
+    pub(crate) leaf: NodeId,
+    pub(crate) place: u32,
+}
 
 impl SamplingArena {
     /// Flattens the builder's finished nodes into arena form. Children of
@@ -132,6 +143,13 @@ impl SamplingArena {
             sensor_y: Vec::with_capacity(sensors.len()),
             sensor_kind: Vec::with_capacity(sensors.len()),
             sensor_avail: Vec::with_capacity(sensors.len()),
+            home: vec![
+                Home {
+                    leaf: root,
+                    place: 0
+                };
+                sensors.len()
+            ],
         };
         a.orig.push(root);
         a.level.push(0);
@@ -162,8 +180,10 @@ impl SamplingArena {
             }
             a.sensor_start.push(a.sensors.len() as u32);
             a.sensor_len.push(leaf.len() as u32);
-            for &s in leaf {
+            for (place, &s) in leaf.iter().enumerate() {
                 let meta = &sensors[s.index()];
+                let place = place as u32;
+                a.home[s.index()] = Home { leaf: id, place };
                 a.sensors.push(s);
                 a.sensor_x.push(meta.location.x);
                 a.sensor_y.push(meta.location.y);
@@ -208,6 +228,12 @@ impl SamplingArena {
     pub fn parent(&self, id: NodeId) -> Option<NodeId> {
         let parent = self.parent[id.index()];
         (parent != NO_PARENT).then_some(NodeId(parent))
+    }
+
+    /// The home of sensor `id`; `None` beyond the population.
+    #[inline]
+    pub(crate) fn home(&self, id: SensorId) -> Option<Home> {
+        self.home.get(id.index()).copied()
     }
 
     /// The arena indices of the node's children (empty at a leaf).
@@ -421,8 +447,10 @@ impl ColrTree {
             None => arena.sensor_avail(j),
         };
         let mut stats = QueryStats::default();
-        let mut groups: Vec<GroupResult> = Vec::new();
-        let mut readings: Vec<Reading> = Vec::new();
+        // Started at what this thread's recent answers held: grown from
+        // nothing, `groups` alone would be reallocated five times a request.
+        let mut groups: Vec<GroupResult> = scratch.groups_hint.vec();
+        let mut readings: Vec<Reading> = scratch.readings_hint.vec();
 
         let target = query.sample_size.unwrap_or(arena.weight(0));
         let mut pq = std::mem::take(&mut scratch.pq);
@@ -494,6 +522,7 @@ impl ColrTree {
             scratch.kid_nodes.clear();
             scratch.kid_ow.clear();
             scratch.kid_sensors.clear();
+            scratch.kid_places.clear();
             scratch.kid_avail.clear();
             let mut denom = 0.0f64;
             let clen = arena.child_len(idx);
@@ -568,6 +597,7 @@ impl ColrTree {
                                 query.kind_filter.is_none_or(|k| arena.sensor_kind(j) == k);
                             if kind_ok && arena.sensor_in_rect(j, q) {
                                 scratch.kid_sensors.push(arena.sensor(j));
+                                scratch.kid_places.push((j - sstart) as u32);
                                 scratch.kid_avail.push(sensor_avail(j));
                                 denom += 1.0;
                             }
@@ -578,6 +608,7 @@ impl ColrTree {
                             let s = arena.sensor(j);
                             if query.matches_sensor(self.sensor(s)) {
                                 scratch.kid_sensors.push(s);
+                                scratch.kid_places.push((j - sstart) as u32);
                                 scratch.kid_avail.push(sensor_avail(j));
                                 denom += 1.0;
                             }
@@ -641,6 +672,8 @@ impl ColrTree {
         }
         debug_assert!(pq.is_empty());
         scratch.pq = pq;
+        scratch.groups_hint.note(groups.len());
+        scratch.readings_hint.note(readings.len());
 
         QueryOutput {
             groups,
@@ -694,16 +727,19 @@ impl ColrTree {
                 let sstart = arena.sensor_start(cur);
                 let slen = arena.sensor_len(cur);
                 self.with_cache(arena.orig(cur), |nc| {
+                    // A sensor's raw reading sits at its place in the leaf.
+                    let mut triage = |place: usize, s: SensorId| match nc
+                        .entries
+                        .fresh_at(place, now, staleness)
+                    {
+                        Some(reading) => cached.push(reading),
+                        None => candidates.push(s),
+                    };
                     if rect_contained && query.kind_filter.is_none() {
                         // Contained, unfiltered viewport: every sensor of the
                         // leaf qualifies — the loop is just cache triage.
-                        for &s in arena.leaf_sensors(cur) {
-                            match nc.entry(s) {
-                                Some(e) if e.reading.is_fresh(now, staleness) => {
-                                    cached.push(e.reading);
-                                }
-                                _ => candidates.push(s),
-                            }
+                        for (place, &s) in arena.leaf_sensors(cur).iter().enumerate() {
+                            triage(place, s);
                         }
                         return;
                     }
@@ -715,13 +751,7 @@ impl ColrTree {
                         if !rect_contained && !query.region.contains_point(&arena.sensor_loc(j)) {
                             continue;
                         }
-                        let s = arena.sensor(j);
-                        match nc.entry(s) {
-                            Some(e) if e.reading.is_fresh(now, staleness) => {
-                                cached.push(e.reading);
-                            }
-                            _ => candidates.push(s),
-                        }
+                        triage(j - sstart, arena.sensor(j));
                     }
                 });
             }

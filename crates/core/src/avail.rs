@@ -41,10 +41,9 @@ pub struct LiveAvailability {
     /// Per-node sum of the sensor estimates below it, stored as `f64`
     /// bits; the live node mean is `sum / weight`.
     node_sum: Vec<AtomicU64>,
-    node_weight: Vec<f64>,
-    /// The tree's structure, for the leaf → root parent links.
+    /// The tree's structure: node weights, each sensor's home leaf, the leaf
+    /// → root parent links.
     arena: Arc<SamplingArena>,
-    sensor_leaf: Vec<NodeId>,
 }
 
 fn atomic_f64_add(cell: &AtomicU64, delta: f64) {
@@ -79,21 +78,18 @@ impl LiveAvailability {
             .map(|m| AtomicU64::new(m.availability.to_bits()))
             .collect();
         let arena = &tree.arena;
-        let mut node_sum = Vec::with_capacity(arena.node_count());
-        let mut node_weight = Vec::with_capacity(arena.node_count());
-        for id in tree.node_ids() {
-            let idx = arena.index_of(id);
-            let w = arena.weight(idx);
-            node_sum.push(AtomicU64::new((arena.avail_mean(idx) * w).to_bits()));
-            node_weight.push(w);
-        }
+        let node_sum = tree
+            .node_ids()
+            .map(|id| {
+                let idx = arena.index_of(id);
+                AtomicU64::new((arena.avail_mean(idx) * arena.weight(idx)).to_bits())
+            })
+            .collect();
         LiveAvailability {
             alpha,
             sensor_est,
             node_sum,
-            node_weight,
             arena: arena.clone(),
-            sensor_leaf: tree.sensor_leaf.clone(),
         }
     }
 
@@ -112,12 +108,11 @@ impl LiveAvailability {
 
     /// Current live mean availability of the subtree under `id`.
     pub fn node(&self, id: NodeId) -> f64 {
-        let i = id.index();
-        let w = self.node_weight[i];
+        let w = self.arena.weight(self.arena.index_of(id));
         if w <= 0.0 {
             return 1.0;
         }
-        (f64::from_bits(self.node_sum[i].load(Ordering::Relaxed)) / w).clamp(0.0, 1.0)
+        (f64::from_bits(self.node_sum[id.index()].load(Ordering::Relaxed)) / w).clamp(0.0, 1.0)
     }
 
     /// Folds one probe outcome into the sensor's EWMA and propagates the
@@ -145,7 +140,7 @@ impl LiveAvailability {
         if delta == 0.0 {
             return;
         }
-        let mut cur = Some(self.sensor_leaf[i]);
+        let mut cur = self.arena.home(id).map(|home| home.leaf);
         while let Some(node) = cur {
             atomic_f64_add(&self.node_sum[node.index()], delta);
             cur = self.arena.parent(node);

@@ -105,7 +105,6 @@ impl ColrTree {
         }
         let mut builder = Builder {
             nodes: Vec::new(),
-            sensor_leaf: vec![NodeId(0); sensors.len()],
             rng: StdRng::seed_from_u64(seed),
             threads: threads.max(1),
         };
@@ -118,15 +117,7 @@ impl ColrTree {
 
         let telem = crate::telem::build();
         let assemble_start = std::time::Instant::now();
-        let tree = ColrTree::assemble(
-            config,
-            slot_config,
-            t_max,
-            sensors,
-            builder.nodes,
-            root,
-            builder.sensor_leaf,
-        );
+        let tree = ColrTree::assemble(config, slot_config, t_max, sensors, builder.nodes, root);
         telem
             .assemble_phase_us
             .observe(assemble_start.elapsed().as_micros() as u64);
@@ -168,7 +159,6 @@ pub(crate) enum Children {
 
 struct Builder {
     nodes: Vec<Node>,
-    sensor_leaf: Vec<NodeId>,
     rng: StdRng,
     threads: usize,
 }
@@ -200,7 +190,6 @@ impl Builder {
         };
         let mut kind_weights: Vec<(u16, u64)> = Vec::new();
         for &s in &members {
-            self.sensor_leaf[s.index()] = id;
             Self::merge_kind_weight(&mut kind_weights, sensors[s.index()].kind, 1);
         }
         self.nodes.push(Node {
@@ -838,7 +827,6 @@ mod tests {
         }
         let mut builder = Builder {
             nodes: Vec::new(),
-            sensor_leaf: vec![NodeId(0); sensors.len()],
             rng: StdRng::seed_from_u64(7),
             threads: 1,
         };
@@ -1260,7 +1248,6 @@ mod tests {
             for threads in [1, 2, 8] {
                 let mut builder = Builder {
                     nodes: Vec::new(),
-                    sensor_leaf: vec![NodeId(0); n],
                     rng: StdRng::seed_from_u64(19),
                     threads,
                 };

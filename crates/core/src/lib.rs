@@ -87,11 +87,11 @@ pub use model::IdwModel;
 pub use probe::{ProbeReport, ProbeService};
 pub use reading::{Reading, SensorId, SensorMeta};
 pub use resilient::{BreakerState, ResilientConfig, ResilientProber};
-pub use slot_cache::{Slot, SlotCache, SlotConfig};
+pub use slot_cache::{Slot, SlotCache, SlotConfig, SlotRing};
 pub use slot_size::SlotSizeWorkload;
 pub use stats::{CostModel, QueryStats};
 pub use time::{ClockHandle, SimClock, TimeDelta, Timestamp};
 pub use tree::{
-    BuildStrategy, CachedEntry, Children, ColrConfig, ColrTree, NodeCache, NodeId, NodeRef,
-    CACHE_STRIPES,
+    BuildStrategy, CachedEntry, Children, ColrConfig, ColrTree, LeafEntries, NodeCache,
+    NodeCacheSnapshot, NodeId, NodeRef, CACHE_STRIPES,
 };

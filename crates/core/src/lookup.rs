@@ -936,6 +936,9 @@ mod tests {
             // Reads every stripe: the query holds none of them here.
             let mut seen = self.marked_at_batch.lock();
             seen.push(marked(self.tree));
+            // The fill clears its marks on this tree only: a copy taken
+            // mid-fill must not keep any.
+            assert_eq!(marked(&self.tree.clone()), 0);
             assert_ne!(Some(seen.len() - 1), self.panic_at, "backend down");
             AlwaysAvailable {
                 expiry_ms: EXPIRY_MS,

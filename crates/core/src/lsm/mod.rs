@@ -636,8 +636,15 @@ impl LsmTree {
                 for r in &mut out.readings {
                     r.sensor = level.global_id(r.sensor);
                 }
-                groups.append(&mut out.groups);
-                readings.append(&mut out.readings);
+                // The first component's vectors are taken whole: a one-level
+                // index copies nothing.
+                if groups.is_empty() && readings.is_empty() {
+                    groups = out.groups;
+                    readings = out.readings;
+                } else {
+                    groups.append(&mut out.groups);
+                    readings.append(&mut out.readings);
+                }
                 stats.merge(&out.stats);
             }
             if let Some(mut part) = l0_part {

@@ -415,13 +415,12 @@ impl ColrTree {
         }
         scratch.kid_fresh.clear();
         self.with_cache(leaf, |nc| {
-            scratch
-                .kid_fresh
-                .extend(scratch.kid_sensors.iter().map(|&s| {
-                    nc.entry(s)
-                        .filter(|e| e.reading.is_fresh(now, query.staleness))
-                        .map(|e| e.reading)
-                }));
+            scratch.kid_fresh.extend(
+                scratch
+                    .kid_places
+                    .iter()
+                    .map(|&place| nc.entries.fresh_at(place as usize, now, query.staleness)),
+            );
         });
         let start = readings.len();
         let ids_from = plan.ids.len();

@@ -30,6 +30,9 @@ pub(crate) struct QueryScratch {
     pub(crate) kid_ow: Vec<f64>,
     /// Per-node child split: sensor children of a partially overlapped leaf.
     pub(crate) kid_sensors: Vec<SensorId>,
+    /// Each of `kid_sensors`' place among its leaf's sensors, which is where
+    /// the leaf's cache keeps its raw reading.
+    pub(crate) kid_places: Vec<u32>,
     /// Availability `a_i` of each of `kid_sensors`, as resolved for the query.
     pub(crate) kid_avail: Vec<f64>,
     /// Leaf-cache triage of `kid_sensors`: the fresh cached reading, if any.
@@ -45,6 +48,34 @@ pub(crate) struct QueryScratch {
     /// Per-child overlap classification of the SoA rectangle tests
     /// (0 = disjoint, 1 = partial, 2 = contained).
     pub(crate) class: Vec<u8>,
+    /// How many groups and readings this thread's recent answers held: what
+    /// the next answer's vectors start at, so that a warm request does not
+    /// grow them element by element (see [`SizeHint`]).
+    pub(crate) groups_hint: SizeHint,
+    pub(crate) readings_hint: SizeHint,
+}
+
+/// A decaying high-water mark of a result vector's length. The answer owns
+/// its vectors (they leave with it), so what is pooled is only how long they
+/// tend to get: each answer raises the mark to its own length or lets it
+/// sink by an eighth, and the mark is capped so that one fleet-wide fill
+/// does not make every later answer reserve for another.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct SizeHint(usize);
+
+impl SizeHint {
+    /// The most elements a hint reserves for.
+    const CAP: usize = 4096;
+
+    /// An empty vector with room for what recent answers held.
+    pub(crate) fn vec<T>(self) -> Vec<T> {
+        Vec::with_capacity(self.0)
+    }
+
+    /// Folds in the length an answer's vector reached.
+    pub(crate) fn note(&mut self, len: usize) {
+        self.0 = len.max(self.0 - self.0 / 8).min(Self::CAP);
+    }
 }
 
 thread_local! {
@@ -79,6 +110,22 @@ mod tests {
             // correctness crutch hiding missing clears in the hot path).
             s.candidates.clear();
         });
+    }
+
+    #[test]
+    fn size_hint_follows_the_answers_and_forgets_an_outlier() {
+        let mut hint = SizeHint::default();
+        assert_eq!(hint.vec::<u8>().capacity(), 0);
+        hint.note(50);
+        assert_eq!(hint.vec::<u64>().capacity(), 50);
+        hint.note(40);
+        assert_eq!(hint.0, 44, "sinks by an eighth, not to the last length");
+        hint.note(1_000_000);
+        assert_eq!(hint.0, SizeHint::CAP);
+        for _ in 0..64 {
+            hint.note(50);
+        }
+        assert!((50..58).contains(&hint.0), "settled at {}", hint.0);
     }
 
     #[test]

@@ -78,7 +78,9 @@ impl SlotConfig {
 }
 
 /// One cached partial aggregate plus its freshness watermark and per-type
-/// sub-aggregates.
+/// sub-aggregates — the by-value form of a slot: what [`SlotRing::slot`]
+/// hands out and [`SlotCache::set_slot`] takes. A ring does not store one
+/// (a ring is 48-byte cells; see [`SlotRing`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Slot {
     /// Partial aggregate over the slot's constituent readings.
@@ -96,23 +98,13 @@ pub struct Slot {
 }
 
 impl Slot {
-    /// A slot holding exactly one reading.
-    pub fn singleton(
-        value: f64,
-        ts: Timestamp,
-        kind: u16,
-        hist_spec: Option<HistogramSpec>,
-    ) -> Slot {
-        let hist = hist_spec.map(|spec| {
-            let mut h = spec.empty();
-            h.insert(value);
-            h
-        });
+    /// A slot with nothing in it yet, for a rebuild to fill.
+    pub(crate) fn empty(hist_spec: Option<HistogramSpec>) -> Slot {
         Slot {
-            agg: PartialAgg::from_value(value),
-            min_ts: ts,
-            by_kind: vec![(kind, PartialAgg::from_value(value))],
-            hist,
+            agg: PartialAgg::empty(),
+            min_ts: Timestamp(u64::MAX),
+            by_kind: Vec::new(),
+            hist: hist_spec.map(|spec| spec.empty()),
         }
     }
 
@@ -126,40 +118,24 @@ impl Slot {
             .unwrap_or_else(PartialAgg::empty)
     }
 
-    fn kind_insert(&mut self, kind: u16, value: f64) {
-        match self.by_kind.binary_search_by_key(&kind, |(k, _)| *k) {
-            Ok(i) => self.by_kind[i].1.insert(value),
-            Err(i) => self
-                .by_kind
-                .insert(i, (kind, PartialAgg::from_value(value))),
+    /// Adds one reading of `kind` to a slot under rebuild.
+    pub(crate) fn add_reading(&mut self, value: f64, ts: Timestamp, kind: u16) {
+        self.agg.insert(value);
+        self.min_ts = self.min_ts.min(ts);
+        merge_kind(&mut self.by_kind, kind, &PartialAgg::from_value(value));
+        if let Some(h) = &mut self.hist {
+            h.insert(value);
         }
     }
+}
 
-    /// Attempts to decrement `value` from both the total and the per-kind
-    /// aggregate; leaves the slot unchanged and reports failure when either
-    /// side cannot be decremented.
-    fn kind_remove(&mut self, kind: u16, value: f64) -> bool {
-        let Ok(i) = self.by_kind.binary_search_by_key(&kind, |(k, _)| *k) else {
-            return false; // unknown kind: force a rebuild
-        };
-        // Trial-remove on copies so failure leaves no partial mutation.
-        let mut total = self.agg;
-        let mut per = self.by_kind[i].1;
-        if !total.try_remove(value) || !per.try_remove(value) {
-            return false;
-        }
-        if let Some(h) = &mut self.hist {
-            if !h.try_remove(value) {
-                return false;
-            }
-        }
-        self.agg = total;
-        if per.is_empty() {
-            self.by_kind.remove(i);
-        } else {
-            self.by_kind[i].1 = per;
-        }
-        true
+/// Merges `add` into the row of `kind` (`rows` is sorted by kind). Merging a
+/// singleton is adding its value: [`PartialAgg::merge`] and
+/// [`PartialAgg::insert`] do the same arithmetic in the same order.
+fn merge_kind(rows: &mut Vec<(u16, PartialAgg)>, kind: u16, add: &PartialAgg) {
+    match rows.binary_search_by_key(&kind, |(k, _)| *k) {
+        Ok(i) => rows[i].1.merge(add),
+        Err(i) => rows.insert(i, (kind, *add)),
     }
 }
 
@@ -175,9 +151,493 @@ pub enum RemoveOutcome {
     Absent,
 }
 
-/// The per-node slot cache. Stores up to `num_slots + 1` consecutive
-/// absolute slots in a ring (the `+1` covers the partially expired boundary
-/// slot while the window is mid-stride).
+/// One slot of one ring as it is stored: 48 bytes, `Copy`, no pointer in it.
+/// A ring is `num_slots + 1` of these side by side, slot `abs` at
+/// `abs % (num_slots + 1)`, and a cell whose count is 0 holds no slot.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Cell {
+    /// The absolute slot index held (meaningless while empty).
+    abs: u64,
+    min_ts: Timestamp,
+    agg: PartialAgg,
+}
+
+const _: () = assert!(std::mem::size_of::<Cell>() == 48);
+
+impl Cell {
+    pub(crate) const EMPTY: Cell = Cell {
+        abs: 0,
+        min_ts: Timestamp(0),
+        agg: PartialAgg::empty(),
+    };
+
+    #[inline]
+    fn holds(&self, abs: u64) -> bool {
+        self.agg.count != 0 && self.abs == abs
+    }
+}
+
+/// [`SlotRingMut::kinds`] of a ring no reading has reached yet.
+pub(crate) const NO_KIND: u32 = u32::MAX;
+/// [`SlotRingMut::kinds`] of a ring whose per-kind rows are written out in
+/// [`Side::rows`].
+const MANY_KINDS: u32 = u32::MAX - 1;
+
+/// What most rings never need, kept out of the cells: explicit per-kind rows
+/// and histograms, one place per cell of the owner, each table allocated the
+/// first time one of the owner's rings wants it.
+#[derive(Debug, Clone)]
+pub(crate) struct Side {
+    /// How many cells the owner has — the length of a table once it exists.
+    cells: usize,
+    /// `by_kind` of each cell whose ring has held more than one kind.
+    rows: Vec<Vec<(u16, PartialAgg)>>,
+    /// The histogram of each cell that has one.
+    hists: Vec<Option<Histogram>>,
+}
+
+impl Side {
+    pub(crate) fn new(cells: usize) -> Side {
+        Side {
+            cells,
+            rows: Vec::new(),
+            hists: Vec::new(),
+        }
+    }
+
+    fn rows_mut(&mut self, i: usize) -> &mut Vec<(u16, PartialAgg)> {
+        if self.rows.is_empty() {
+            self.rows.resize(self.cells, Vec::new());
+        }
+        &mut self.rows[i]
+    }
+
+    /// Sets the histogram of cell `i`; a `None` creates no table.
+    fn set_hist(&mut self, i: usize, hist: Option<Histogram>) {
+        if hist.is_some() && self.hists.is_empty() {
+            self.hists.resize(self.cells, None);
+        }
+        if let Some(h) = self.hists.get_mut(i) {
+            *h = hist;
+        }
+    }
+
+    /// Whether either table has been allocated (the structural flatness test).
+    #[cfg(test)]
+    pub(crate) fn is_allocated(&self) -> bool {
+        !self.rows.is_empty() || !self.hists.is_empty()
+    }
+}
+
+/// A borrowed slot cache: one ring of cells and what describes it, wherever
+/// it is stored — a node's run of its stripe's slab, or a [`SlotCache`]'s own
+/// ring. Every lookup is here, so both owners answer alike.
+///
+/// **Per-kind sub-aggregates.** While a ring has only ever held readings of
+/// one kind (`kinds` names it), each slot's row for that kind *is* the slot's
+/// total: both are built by the same `from_value` / `insert` / `try_remove`
+/// calls on the same values, so they agree bit for bit and the row is not
+/// stored. The first reading of a second kind — or a [`SlotCache::set_slot`]
+/// whose rows are anything else — writes every open slot's row out into
+/// a side table from its total, and from then on the rows are kept explicitly.
+#[derive(Debug, Clone, Copy)]
+pub struct SlotRing<'a> {
+    pub(crate) config: &'a SlotConfig,
+    pub(crate) cells: &'a [Cell],
+    /// Which sensor kinds the ring has held: [`NO_KIND`], the one kind, or
+    /// `MANY_KINDS`.
+    pub(crate) kinds: u32,
+    pub(crate) side: &'a Side,
+    /// Index of `cells[0]` in the owner's cells, and so in `side`'s tables.
+    pub(crate) at: usize,
+}
+
+impl<'a> SlotRing<'a> {
+    #[inline]
+    fn bucket(&self, abs: u64) -> usize {
+        (abs % self.cells.len() as u64) as usize
+    }
+
+    /// The slots held, as `(bucket, cell)` in ring order.
+    #[inline]
+    fn held(&self) -> impl Iterator<Item = (usize, &'a Cell)> {
+        let cells = self.cells;
+        cells.iter().enumerate().filter(|(_, c)| c.agg.count != 0)
+    }
+
+    /// The held slots a query at `now` with freshness bound `staleness` may
+    /// use (see [`SlotRing::usable`]), in ring order — the order every
+    /// `usable*` adds them in.
+    #[inline]
+    fn usable_cells(
+        &self,
+        now: Timestamp,
+        staleness: TimeDelta,
+    ) -> impl Iterator<Item = (usize, &'a Cell)> {
+        let bound = now.saturating_sub(staleness);
+        let width = self.config.slot_width.millis();
+        self.held()
+            .filter(move |(_, c)| c.abs * width >= now.millis() && c.min_ts >= bound)
+    }
+
+    /// Number of non-empty slots currently held.
+    pub fn occupied_slots(&self) -> usize {
+        self.held().count()
+    }
+
+    /// Absolute indices of the slots currently held, in ring order.
+    pub(crate) fn held_slots(&self) -> impl Iterator<Item = u64> + 'a {
+        self.held().map(|(_, c)| c.abs)
+    }
+
+    /// The explicit rows of the cell in bucket `i` (only with `MANY_KINDS`).
+    fn rows(&self, i: usize) -> &'a [(u16, PartialAgg)] {
+        &self.side.rows[self.at + i]
+    }
+
+    fn hist(&self, i: usize) -> Option<&'a Histogram> {
+        self.side.hists.get(self.at + i)?.as_ref()
+    }
+
+    /// Returns the slot with absolute index `abs`, if present.
+    pub fn slot(&self, abs: u64) -> Option<Slot> {
+        let i = self.bucket(abs);
+        let cell = self.cells[i];
+        cell.holds(abs).then(|| Slot {
+            agg: cell.agg,
+            min_ts: cell.min_ts,
+            by_kind: match self.kinds {
+                MANY_KINDS => self.rows(i).to_vec(),
+                sole => vec![(sole as u16, cell.agg)],
+            },
+            hist: self.hist(i).cloned(),
+        })
+    }
+
+    /// Merges the slot with absolute index `abs`, if present, into `into`:
+    /// one child's share of a parent slot under rebuild.
+    pub(crate) fn merge_slot_into(&self, abs: u64, into: &mut Slot) {
+        let i = self.bucket(abs);
+        let cell = &self.cells[i];
+        if !cell.holds(abs) {
+            return;
+        }
+        into.agg.merge(&cell.agg);
+        into.min_ts = into.min_ts.min(cell.min_ts);
+        match self.kinds {
+            MANY_KINDS => {
+                for (kind, agg) in self.rows(i) {
+                    merge_kind(&mut into.by_kind, *kind, agg);
+                }
+            }
+            sole => merge_kind(&mut into.by_kind, sole as u16, &cell.agg),
+        }
+        if let (Some(h), Some(mine)) = (&mut into.hist, self.hist(i)) {
+            h.merge(mine);
+        }
+    }
+
+    /// Combines every slot usable for a query at `now` with freshness bound
+    /// `staleness` (Section IV-A "Lookup"):
+    ///
+    /// * the slot must be **fully unexpired** (`abs·Δ >= now`) — the
+    ///   partially expired boundary slot is skipped at aggregate level, and
+    /// * every constituent must satisfy the freshness bound
+    ///   (`min_ts >= now - staleness`).
+    ///
+    /// Returns the combined aggregate and the number of slots merged.
+    #[inline]
+    pub fn usable(&self, now: Timestamp, staleness: TimeDelta) -> (PartialAgg, u64) {
+        let mut agg = PartialAgg::empty();
+        let mut used = 0;
+        for (_, cell) in self.usable_cells(now, staleness) {
+            agg.merge(&cell.agg);
+            used += 1;
+        }
+        (agg, used)
+    }
+
+    /// Like [`SlotRing::usable`], but combines only the per-type
+    /// sub-aggregates for `kind`. The freshness watermark is the slot-wide
+    /// one (conservative: a stale reading of another type can disqualify a
+    /// slot for this type).
+    pub fn usable_kind(
+        &self,
+        now: Timestamp,
+        staleness: TimeDelta,
+        kind: u16,
+    ) -> (PartialAgg, u64) {
+        if self.kinds == u32::from(kind) {
+            return self.usable(now, staleness);
+        }
+        let mut agg = PartialAgg::empty();
+        let mut used = 0;
+        if self.kinds == MANY_KINDS {
+            for (i, _) in self.usable_cells(now, staleness) {
+                if let Some((_, of_kind)) = self.rows(i).iter().find(|(k, _)| *k == kind) {
+                    agg.merge(of_kind);
+                    used += 1;
+                }
+            }
+        }
+        (agg, used)
+    }
+
+    /// Combines the histograms of every slot usable at `now` under the
+    /// freshness bound. `None` when histograms are not configured or no
+    /// usable slot holds one.
+    pub fn usable_histogram(&self, now: Timestamp, staleness: TimeDelta) -> Option<Histogram> {
+        let spec = self.config.histogram?;
+        let mut merged = spec.empty();
+        let mut any = false;
+        for (i, _) in self.usable_cells(now, staleness) {
+            if let Some(h) = self.hist(i) {
+                merged.merge(h);
+                any = true;
+            }
+        }
+        any.then_some(merged)
+    }
+
+    /// Total weight (reading count) across all currently held slots,
+    /// regardless of freshness — the cache table's aggregate `value weight`.
+    pub fn total_weight(&self) -> u64 {
+        self.held().map(|(_, c)| c.agg.count).sum()
+    }
+}
+
+/// [`SlotRing`] with the right to change it: every mutation of a slot cache,
+/// for both owners.
+#[derive(Debug)]
+pub(crate) struct SlotRingMut<'a> {
+    pub(crate) config: &'a SlotConfig,
+    pub(crate) cells: &'a mut [Cell],
+    pub(crate) kinds: &'a mut u32,
+    pub(crate) side: &'a mut Side,
+    pub(crate) at: usize,
+}
+
+impl SlotRingMut<'_> {
+    fn bucket(&self, abs: u64) -> usize {
+        (abs % self.cells.len() as u64) as usize
+    }
+
+    /// Writes the row every open slot has had implicitly — its total, under
+    /// the ring's one kind — into the side table, which holds them from now
+    /// on.
+    fn write_rows_out(&mut self) {
+        let sole = *self.kinds as u16;
+        for (i, cell) in self.cells.iter().enumerate() {
+            let rows = self.side.rows_mut(self.at + i);
+            rows.clear();
+            if cell.agg.count != 0 {
+                rows.push((sole, cell.agg));
+            }
+        }
+        *self.kinds = MANY_KINDS;
+    }
+
+    fn clear(&mut self, i: usize) {
+        self.cells[i] = Cell::EMPTY;
+        if let Some(rows) = self.side.rows.get_mut(self.at + i) {
+            rows.clear();
+        }
+        self.side.set_hist(self.at + i, None);
+    }
+
+    /// Inserts one reading's value into the slot covering `expires_at`,
+    /// tracking the sensor type's sub-aggregate, and tells the owner whether
+    /// the reading opened its slot (`Some(true)`) or joined one already held
+    /// (`Some(false)`); `None` when it was rejected. The tree records the
+    /// nodes that open a slot so that a roll visits only those.
+    ///
+    /// `base` is the tree-wide current base slot; readings that would land
+    /// below it are already expired and are ignored. Readings beyond the
+    /// window top are also ignored — the owner is expected to have rolled
+    /// the window first (the paper's "slide until the youngest slot covers
+    /// the reading").
+    pub(crate) fn insert_opening(
+        &mut self,
+        expires_at: Timestamp,
+        ts: Timestamp,
+        value: f64,
+        kind: u16,
+        base: u64,
+    ) -> Option<bool> {
+        let abs = self.config.slot_of(expires_at);
+        if abs < base || abs >= base + self.cells.len() as u64 {
+            crate::flight::with(|f| f.wb_rejected += 1);
+            return None;
+        }
+        if *self.kinds == NO_KIND {
+            *self.kinds = u32::from(kind);
+        } else if *self.kinds != u32::from(kind) && *self.kinds != MANY_KINDS {
+            self.write_rows_out();
+        }
+        let i = self.bucket(abs);
+        let cell = &mut self.cells[i];
+        // Either empty or holding a stale (pre-roll) slot: replaced.
+        let opened = !cell.holds(abs);
+        if opened {
+            *cell = Cell {
+                abs,
+                min_ts: ts,
+                agg: PartialAgg::from_value(value),
+            };
+        } else {
+            cell.agg.insert(value);
+            cell.min_ts = cell.min_ts.min(ts);
+        }
+        if *self.kinds == MANY_KINDS {
+            let rows = self.side.rows_mut(self.at + i);
+            if opened {
+                rows.clear();
+            }
+            merge_kind(rows, kind, &PartialAgg::from_value(value));
+        }
+        if opened {
+            let hist = self.config.histogram.map(|spec| {
+                let mut h = spec.empty();
+                h.insert(value);
+                h
+            });
+            self.side.set_hist(self.at + i, hist);
+        } else if let Some(Some(h)) = self.side.hists.get_mut(self.at + i) {
+            h.insert(value);
+        }
+        crate::flight::with(|f| f.slot_write(opened));
+        Some(opened)
+    }
+
+    /// Attempts to decrement `value` of sensor type `kind` from the slot
+    /// covering `expires_at`; the total, the per-type aggregate and the
+    /// histogram must all be decrementable or the slot is left, unchanged,
+    /// for a rebuild.
+    pub(crate) fn try_remove_kind(
+        &mut self,
+        expires_at: Timestamp,
+        value: f64,
+        kind: u16,
+    ) -> RemoveOutcome {
+        let abs = self.config.slot_of(expires_at);
+        let i = self.bucket(abs);
+        if !self.cells[i].holds(abs) {
+            return RemoveOutcome::Absent;
+        }
+        // Trial-remove on copies so failure leaves no partial mutation.
+        let mut total = self.cells[i].agg;
+        let row = if *self.kinds == MANY_KINDS {
+            let rows = &self.side.rows[self.at + i];
+            let Ok(r) = rows.binary_search_by_key(&kind, |(k, _)| *k) else {
+                return RemoveOutcome::NeedsRebuild; // unknown kind
+            };
+            let mut of_kind = rows[r].1;
+            if !of_kind.try_remove(value) {
+                return RemoveOutcome::NeedsRebuild;
+            }
+            Some((r, of_kind))
+        } else if *self.kinds == u32::from(kind) {
+            None // the row is the total
+        } else {
+            return RemoveOutcome::NeedsRebuild; // unknown kind
+        };
+        if !total.try_remove(value) {
+            return RemoveOutcome::NeedsRebuild;
+        }
+        if let Some(Some(h)) = self.side.hists.get_mut(self.at + i) {
+            if !h.try_remove(value) {
+                return RemoveOutcome::NeedsRebuild;
+            }
+        }
+        if total.is_empty() {
+            self.clear(i);
+            return RemoveOutcome::Removed;
+        }
+        self.cells[i].agg = total;
+        if let Some((r, of_kind)) = row {
+            let rows = &mut self.side.rows[self.at + i];
+            if of_kind.is_empty() {
+                rows.remove(r);
+            } else {
+                rows[r].1 = of_kind;
+            }
+        }
+        RemoveOutcome::Removed
+    }
+
+    /// Replaces the slot with absolute index `abs` outright (used by slot
+    /// rebuilds); an empty aggregate clears the slot. The rows stay implicit
+    /// only if they are what an implicit row would read as: one row, of the
+    /// ring's one kind, equal to the total bit for bit.
+    pub(crate) fn set_slot(&mut self, abs: u64, slot: Slot) {
+        let i = self.bucket(abs);
+        if slot.agg.is_empty() {
+            if self.cells[i].holds(abs) {
+                self.clear(i);
+            }
+            return;
+        }
+        if *self.kinds != MANY_KINDS {
+            match slot.by_kind[..] {
+                [(kind, row)]
+                    if same_bits(&row, &slot.agg)
+                        && (*self.kinds == NO_KIND || *self.kinds == u32::from(kind)) =>
+                {
+                    *self.kinds = u32::from(kind)
+                }
+                _ => self.write_rows_out(),
+            }
+        }
+        self.cells[i] = Cell {
+            abs,
+            min_ts: slot.min_ts,
+            agg: slot.agg,
+        };
+        if *self.kinds == MANY_KINDS {
+            *self.side.rows_mut(self.at + i) = slot.by_kind;
+        }
+        self.side.set_hist(self.at + i, slot.hist);
+    }
+
+    /// Drops every slot older than `new_base` (the window slide / roll
+    /// trigger). Returns the number of slots expunged.
+    pub(crate) fn roll_to(&mut self, new_base: u64) -> usize {
+        let mut dropped = 0;
+        for i in 0..self.cells.len() {
+            let cell = &self.cells[i];
+            if cell.agg.count != 0 && cell.abs < new_base {
+                self.clear(i);
+                dropped += 1;
+            }
+        }
+        dropped
+    }
+
+    /// Drops the slot with absolute index `abs`, if held — the roll, aimed
+    /// at one slot of a node known to have opened it. Returns whether there
+    /// was one to drop.
+    pub(crate) fn drop_slot(&mut self, abs: u64) -> bool {
+        let i = self.bucket(abs);
+        let held = self.cells[i].holds(abs);
+        if held {
+            self.clear(i);
+        }
+        held
+    }
+}
+
+fn same_bits(a: &PartialAgg, b: &PartialAgg) -> bool {
+    a.count == b.count
+        && a.sum.to_bits() == b.sum.to_bits()
+        && a.min.to_bits() == b.min.to_bits()
+        && a.max.to_bits() == b.max.to_bits()
+}
+
+/// A slot cache that owns its ring: one node's worth, for users outside the
+/// tree (whose nodes' rings sit in per-stripe slabs, see
+/// `ColrTree::with_cache`). Stores up to `num_slots + 1` consecutive
+/// absolute slots (the `+1` covers the partially expired boundary slot while
+/// the window is mid-stride).
 ///
 /// ```
 /// use colr_tree::{SlotCache, SlotConfig, TimeDelta, Timestamp};
@@ -202,8 +662,9 @@ pub enum RemoveOutcome {
 #[derive(Debug, Clone)]
 pub struct SlotCache {
     config: SlotConfig,
-    /// Ring of `(absolute_slot_index, slot)` keyed by `abs % ring_len`.
-    ring: Vec<Option<(u64, Slot)>>,
+    cells: Vec<Cell>,
+    kinds: u32,
+    side: Side,
 }
 
 impl SlotCache {
@@ -212,35 +673,38 @@ impl SlotCache {
         let ring_len = config.num_slots + 1;
         SlotCache {
             config,
-            ring: vec![None; ring_len],
+            cells: vec![Cell::EMPTY; ring_len],
+            kinds: NO_KIND,
+            side: Side::new(ring_len),
         }
     }
 
-    /// The cache configuration.
-    pub fn config(&self) -> &SlotConfig {
-        &self.config
+    /// The cache's ring, for reading: every lookup is a [`SlotRing`] method.
+    #[inline]
+    pub fn ring(&self) -> SlotRing<'_> {
+        SlotRing {
+            config: &self.config,
+            cells: &self.cells,
+            kinds: self.kinds,
+            side: &self.side,
+            at: 0,
+        }
     }
 
-    fn bucket(&self, abs: u64) -> usize {
-        (abs % self.ring.len() as u64) as usize
-    }
-
-    /// Number of non-empty slots currently held.
-    pub fn occupied_slots(&self) -> usize {
-        self.ring.iter().flatten().count()
-    }
-
-    /// Absolute indices of the slots currently held, in ring order.
-    pub(crate) fn held_slots(&self) -> impl Iterator<Item = u64> + '_ {
-        self.ring.iter().flatten().map(|(abs, _)| *abs)
+    #[inline]
+    pub(crate) fn ring_mut(&mut self) -> SlotRingMut<'_> {
+        SlotRingMut {
+            config: &self.config,
+            cells: &mut self.cells,
+            kinds: &mut self.kinds,
+            side: &mut self.side,
+            at: 0,
+        }
     }
 
     /// Returns the slot with absolute index `abs`, if present.
-    pub fn slot(&self, abs: u64) -> Option<&Slot> {
-        match &self.ring[self.bucket(abs)] {
-            Some((a, s)) if *a == abs => Some(s),
-            _ => None,
-        }
+    pub fn slot(&self, abs: u64) -> Option<Slot> {
+        self.ring().slot(abs)
     }
 
     /// Inserts one reading's value into the slot covering `expires_at`
@@ -265,49 +729,9 @@ impl SlotCache {
         kind: u16,
         base: u64,
     ) -> bool {
-        self.insert_opening(expires_at, ts, value, kind, base)
+        self.ring_mut()
+            .insert_opening(expires_at, ts, value, kind, base)
             .is_some()
-    }
-
-    /// [`SlotCache::insert_kind`], telling the owner whether the reading
-    /// opened its slot (`Some(true)`) or joined one already held
-    /// (`Some(false)`); `None` when it was rejected. The tree records the
-    /// nodes that open a slot so that a roll visits only those.
-    pub(crate) fn insert_opening(
-        &mut self,
-        expires_at: Timestamp,
-        ts: Timestamp,
-        value: f64,
-        kind: u16,
-        base: u64,
-    ) -> Option<bool> {
-        let abs = self.config.slot_of(expires_at);
-        if abs < base || abs >= base + self.ring.len() as u64 {
-            crate::flight::with(|f| f.wb_rejected += 1);
-            return None;
-        }
-        let bucket = self.bucket(abs);
-        let opened;
-        match &mut self.ring[bucket] {
-            Some((a, s)) if *a == abs => {
-                s.agg.insert(value);
-                s.kind_insert(kind, value);
-                if let Some(h) = &mut s.hist {
-                    h.insert(value);
-                }
-                if ts < s.min_ts {
-                    s.min_ts = ts;
-                }
-                opened = false;
-            }
-            entry => {
-                // Either empty or holds a stale (pre-roll) slot; replace.
-                *entry = Some((abs, Slot::singleton(value, ts, kind, self.config.histogram)));
-                opened = true;
-            }
-        }
-        crate::flight::with(|f| f.slot_write(opened));
-        Some(opened)
     }
 
     /// Attempts to decrement `value` (sensor type 0) from the slot covering
@@ -325,139 +749,29 @@ impl SlotCache {
         value: f64,
         kind: u16,
     ) -> RemoveOutcome {
-        let abs = self.config.slot_of(expires_at);
-        let bucket = self.bucket(abs);
-        match &mut self.ring[bucket] {
-            Some((a, s)) if *a == abs => {
-                if s.kind_remove(kind, value) {
-                    if s.agg.is_empty() {
-                        self.ring[bucket] = None;
-                    }
-                    RemoveOutcome::Removed
-                } else {
-                    RemoveOutcome::NeedsRebuild
-                }
-            }
-            _ => RemoveOutcome::Absent,
-        }
+        self.ring_mut().try_remove_kind(expires_at, value, kind)
     }
 
     /// Replaces the slot with absolute index `abs` outright (used by slot
     /// rebuilds); an empty aggregate clears the slot.
     pub fn set_slot(&mut self, abs: u64, slot: Slot) {
-        let bucket = self.bucket(abs);
-        if slot.agg.is_empty() {
-            if matches!(&self.ring[bucket], Some((a, _)) if *a == abs) {
-                self.ring[bucket] = None;
-            }
-        } else {
-            self.ring[bucket] = Some((abs, slot));
-        }
+        self.ring_mut().set_slot(abs, slot)
     }
 
     /// Drops every slot older than `new_base` (the window slide / roll
     /// trigger). Returns the number of slots expunged.
     pub fn roll_to(&mut self, new_base: u64) -> usize {
-        let mut dropped = 0;
-        for entry in &mut self.ring {
-            if matches!(entry, Some((a, _)) if *a < new_base) {
-                *entry = None;
-                dropped += 1;
-            }
-        }
-        dropped
+        self.ring_mut().roll_to(new_base)
     }
 
-    /// Drops the slot with absolute index `abs`, if held — the roll, aimed
-    /// at one slot of a node known to have opened it. Returns whether there
-    /// was one to drop.
-    pub(crate) fn drop_slot(&mut self, abs: u64) -> bool {
-        let bucket = self.bucket(abs);
-        let held = matches!(&self.ring[bucket], Some((a, _)) if *a == abs);
-        if held {
-            self.ring[bucket] = None;
-        }
-        held
-    }
-
-    /// Combines every slot usable for a query at `now` with freshness bound
-    /// `staleness` (Section IV-A "Lookup"):
-    ///
-    /// * the slot must be **fully unexpired** (`abs·Δ >= now`) — the
-    ///   partially expired boundary slot is skipped at aggregate level, and
-    /// * every constituent must satisfy the freshness bound
-    ///   (`min_ts >= now - staleness`).
-    ///
-    /// Returns the combined aggregate and the number of slots merged.
+    /// [`SlotRing::usable`] of the cache's ring.
     pub fn usable(&self, now: Timestamp, staleness: TimeDelta) -> (PartialAgg, u64) {
-        let bound = now.saturating_sub(staleness);
-        let width = self.config.slot_width.millis();
-        let mut agg = PartialAgg::empty();
-        let mut used = 0;
-        for entry in self.ring.iter().flatten() {
-            let (abs, slot) = entry;
-            if abs * width >= now.millis() && slot.min_ts >= bound {
-                agg.merge(&slot.agg);
-                used += 1;
-            }
-        }
-        (agg, used)
-    }
-
-    /// Like [`SlotCache::usable`], but combines only the per-type
-    /// sub-aggregates for `kind`. The freshness watermark is the slot-wide
-    /// one (conservative: a stale reading of another type can disqualify a
-    /// slot for this type).
-    pub fn usable_kind(
-        &self,
-        now: Timestamp,
-        staleness: TimeDelta,
-        kind: u16,
-    ) -> (PartialAgg, u64) {
-        let bound = now.saturating_sub(staleness);
-        let width = self.config.slot_width.millis();
-        let mut agg = PartialAgg::empty();
-        let mut used = 0;
-        for entry in self.ring.iter().flatten() {
-            let (abs, slot) = entry;
-            if abs * width >= now.millis() && slot.min_ts >= bound {
-                let k = slot.kind_agg(kind);
-                if !k.is_empty() {
-                    agg.merge(&k);
-                    used += 1;
-                }
-            }
-        }
-        (agg, used)
-    }
-
-    /// Combines the histograms of every slot usable at `now` under the
-    /// freshness bound. `None` when histograms are not configured or no
-    /// usable slot holds one.
-    pub fn usable_histogram(&self, now: Timestamp, staleness: TimeDelta) -> Option<Histogram> {
-        let spec = self.config.histogram?;
-        let bound = now.saturating_sub(staleness);
-        let width = self.config.slot_width.millis();
-        let mut merged = spec.empty();
-        let mut any = false;
-        for entry in self.ring.iter().flatten() {
-            let (abs, slot) = entry;
-            if abs * width >= now.millis() && slot.min_ts >= bound {
-                if let Some(h) = &slot.hist {
-                    merged.merge(h);
-                    any = true;
-                }
-            }
-        }
-        any.then_some(merged)
-    }
-
-    /// Total weight (reading count) across all currently held slots,
-    /// regardless of freshness — the cache table's aggregate `value weight`.
-    pub fn total_weight(&self) -> u64 {
-        self.ring.iter().flatten().map(|(_, s)| s.agg.count).sum()
+        self.ring().usable(now, staleness)
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -500,15 +814,15 @@ mod tests {
         assert_eq!(s1.agg.sum, 12.0);
         assert_eq!(s1.min_ts, Timestamp(10));
         assert_eq!(sc.slot(2).unwrap().agg.count, 1);
-        assert_eq!(sc.occupied_slots(), 2);
-        assert_eq!(sc.total_weight(), 3);
+        assert_eq!(sc.ring().occupied_slots(), 2);
+        assert_eq!(sc.ring().total_weight(), 3);
     }
 
     #[test]
     fn insert_below_base_is_rejected() {
         let mut sc = SlotCache::new(cfg(100, 4));
         assert!(!sc.insert(Timestamp(50), Timestamp(0), 1.0, 2));
-        assert_eq!(sc.occupied_slots(), 0);
+        assert_eq!(sc.ring().occupied_slots(), 0);
     }
 
     #[test]
@@ -565,7 +879,7 @@ mod tests {
         sc.insert(Timestamp(150), Timestamp(0), 1.0, 0);
         assert_eq!(sc.try_remove(Timestamp(150), 1.0), RemoveOutcome::Removed);
         assert!(sc.slot(1).is_none());
-        assert_eq!(sc.occupied_slots(), 0);
+        assert_eq!(sc.ring().occupied_slots(), 0);
     }
 
     #[test]
@@ -693,14 +1007,20 @@ mod tests {
         sc.insert_kind(Timestamp(150), Timestamp(0), 1.0, 1, 0);
         sc.insert_kind(Timestamp(250), Timestamp(0), 2.0, 2, 0);
         sc.insert_kind(Timestamp(250), Timestamp(0), 4.0, 1, 0);
-        let (agg, used) = sc.usable_kind(Timestamp(100), TimeDelta::from_millis(1_000), 1);
+        let (agg, used) = sc
+            .ring()
+            .usable_kind(Timestamp(100), TimeDelta::from_millis(1_000), 1);
         assert_eq!(agg.count, 2);
         assert_eq!(agg.sum, 5.0);
         assert_eq!(used, 2);
-        let (agg, used) = sc.usable_kind(Timestamp(100), TimeDelta::from_millis(1_000), 2);
+        let (agg, used) = sc
+            .ring()
+            .usable_kind(Timestamp(100), TimeDelta::from_millis(1_000), 2);
         assert_eq!(agg.count, 1);
         assert_eq!(used, 1);
-        let (agg, used) = sc.usable_kind(Timestamp(100), TimeDelta::from_millis(1_000), 7);
+        let (agg, used) = sc
+            .ring()
+            .usable_kind(Timestamp(100), TimeDelta::from_millis(1_000), 7);
         assert!(agg.is_empty());
         assert_eq!(used, 0);
     }
@@ -737,12 +1057,14 @@ mod tests {
         sc.insert(Timestamp(150), Timestamp(0), 3.0, 0);
         sc.insert(Timestamp(250), Timestamp(0), 9.0, 0);
         let h = sc
+            .ring()
             .usable_histogram(Timestamp(100), TimeDelta::from_millis(1_000))
             .unwrap();
         assert_eq!(h.total(), 3);
         assert_eq!(h.counts(), &[1, 1, 0, 0, 1]);
         // The partially expired boundary slot is excluded, like aggregates.
         let h = sc
+            .ring()
             .usable_histogram(Timestamp(150), TimeDelta::from_millis(1_000))
             .unwrap();
         assert_eq!(h.total(), 1);
@@ -753,6 +1075,7 @@ mod tests {
         let mut sc = SlotCache::new(cfg(100, 4));
         sc.insert(Timestamp(150), Timestamp(0), 1.0, 0);
         assert!(sc
+            .ring()
             .usable_histogram(Timestamp(100), TimeDelta::from_millis(1_000))
             .is_none());
         assert!(sc.slot(1).unwrap().hist.is_none());

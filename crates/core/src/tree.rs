@@ -49,14 +49,19 @@
 //!
 //! The static index (the arena, the sensor registry) is immutable
 //! after construction and read without synchronisation. The *mutable* state —
-//! every node's [`NodeCache`] — lives outside it, sharded over
-//! [`CACHE_STRIPES`] reader–writer locks keyed by node id, so concurrent
-//! queries can read (and write back to) disjoint parts of the tree without
-//! contending on a single lock. Cross-node bookkeeping (the window base, the
-//! bucket ring, the cached-reading count) sits behind one maintenance
-//! mutex that serialises mutators; a query takes it only to roll the window
-//! or to wait out a write-back in flight (see [`ColrTree::advance`]), so one
-//! that is purely cache-served touches only the stripes it reads.
+//! every node's cache — lives outside it, sharded over [`CACHE_STRIPES`]
+//! reader–writer locks keyed by node id, so concurrent queries can read (and
+//! write back to) disjoint parts of the tree without contending on a single
+//! lock. A stripe is three flat slabs (`Stripe`): a 16-byte head per node,
+//! the nodes' slot rings end to end as 48-byte cells, and one place per leaf
+//! sensor for its raw reading. A visit is lock → head → one contiguous run
+//! of cells, handed to the caller as a borrowed [`NodeCache`]; nothing in a
+//! node's cache is a heap allocation of its own. Cross-node bookkeeping (the
+//! window base, the bucket ring, the cached-reading count) sits behind one
+//! maintenance mutex that serialises mutators; a query takes it only to roll
+//! the window or to wait out a write-back in flight (see
+//! [`ColrTree::advance`]), so one that is purely cache-served touches only the
+//! stripes it reads.
 //!
 //! Lock ordering is `maint → (one stripe at a time)`: mutators hold the
 //! maintenance lock across a whole logical operation and acquire stripe locks
@@ -83,9 +88,11 @@ use std::sync::Arc;
 use colr_geo::{Point, Rect};
 use parking_lot::{Mutex, RwLock};
 
-use crate::agg::PartialAgg;
+use crate::arena::{Home, SamplingArena};
 use crate::reading::{Reading, SensorId, SensorMeta};
-use crate::slot_cache::{RemoveOutcome, Slot, SlotCache, SlotConfig};
+use crate::slot_cache::{
+    Cell, RemoveOutcome, Side, Slot, SlotCache, SlotConfig, SlotRing, SlotRingMut, NO_KIND,
+};
 use crate::stats::CostModel;
 use crate::time::{TimeDelta, Timestamp};
 
@@ -127,43 +134,142 @@ pub struct CachedEntry {
     pub fetched_at: Timestamp,
 }
 
-/// The mutable cache state of one node: its slot cache of partial aggregates
-/// and (at leaves) the raw cached readings. Kept apart from the structure so
-/// queries can share the immutable arena while cache access goes through the
-/// striped locks.
-#[derive(Debug, Clone)]
-pub struct NodeCache {
+impl CachedEntry {
+    /// What an empty place of a leaf's entries holds. No cached reading
+    /// expires at instant 0 (only a live one is ever cached), and the value
+    /// is fresh at no instant, so a scan that asks only for fresh readings
+    /// need not ask whether the place is taken.
+    const ABSENT: CachedEntry = CachedEntry {
+        reading: Reading {
+            sensor: SensorId(u32::MAX),
+            value: 0.0,
+            timestamp: Timestamp(0),
+            expires_at: Timestamp(0),
+        },
+        fetched_at: Timestamp(0),
+    };
+
+    #[inline]
+    fn is_absent(&self) -> bool {
+        self.reading.expires_at == Timestamp(0)
+    }
+}
+
+/// A leaf's raw cached readings: one place per sensor homed at the leaf, in
+/// leaf order ([`NodeRef::children`]), some of them empty. Empty at an
+/// internal node.
+#[derive(Debug, Clone, Copy)]
+pub struct LeafEntries<'a>(&'a [CachedEntry]);
+
+impl<'a> LeafEntries<'a> {
+    /// The cached entry of the leaf's `place`-th sensor, if it has one.
+    #[inline]
+    pub fn at(&self, place: usize) -> Option<&'a CachedEntry> {
+        self.0.get(place).filter(|e| !e.is_absent())
+    }
+
+    /// The cached reading of the leaf's `place`-th sensor if it is fresh at
+    /// `now` under `staleness` — one test, as an empty place is never fresh.
+    #[inline]
+    pub(crate) fn fresh_at(
+        &self,
+        place: usize,
+        now: Timestamp,
+        staleness: TimeDelta,
+    ) -> Option<Reading> {
+        let reading = self.0[place].reading;
+        reading.is_fresh(now, staleness).then_some(reading)
+    }
+
+    /// The entries held, in leaf order.
+    pub fn iter(&self) -> impl Iterator<Item = &'a CachedEntry> {
+        self.into_iter()
+    }
+}
+
+impl<'a> IntoIterator for &LeafEntries<'a> {
+    type Item = &'a CachedEntry;
+    type IntoIter = std::iter::Filter<std::slice::Iter<'a, CachedEntry>, fn(&&CachedEntry) -> bool>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        let held: fn(&&CachedEntry) -> bool = |e| !e.is_absent();
+        self.0.iter().filter(held)
+    }
+}
+
+/// The mutable cache state of one node, borrowed from its stripe for the
+/// length of a [`ColrTree::with_cache`] hold: its slot cache of partial
+/// aggregates and (at leaves) the raw cached readings. Kept apart from the
+/// structure so queries can share the immutable arena while cache access goes
+/// through the striped locks.
+#[derive(Debug, Clone, Copy)]
+pub struct NodeCache<'a> {
     /// The node's slot cache (leaf caches mirror their raw entries so parent
     /// updates are uniform).
-    pub cache: SlotCache,
-    /// Raw cached readings; non-empty only at leaves. Kept sorted by sensor
-    /// id for O(log) lookup (leaf fanout is small).
-    pub entries: Vec<CachedEntry>,
+    pub cache: SlotRing<'a>,
+    /// Raw cached readings; non-empty only at leaves.
+    pub entries: LeafEntries<'a>,
     /// Requests that are writing readings back below this node a wave at a
     /// time and have not written the last (`ColrTree::mark_filling`).
     /// While it is non-zero the node's count is part of a fill, not a
     /// population, and the coverage gate does not serve it.
     pub(crate) filling: u32,
+    id: NodeId,
+    arena: &'a SamplingArena,
 }
 
-impl NodeCache {
-    fn new(slot_config: SlotConfig) -> Self {
-        NodeCache {
-            cache: SlotCache::new(slot_config),
-            entries: Vec::new(),
-            filling: 0,
-        }
+impl<'a> NodeCache<'a> {
+    /// The cached entry for `sensor`, if any: its place is looked up, not
+    /// searched for.
+    pub fn entry(&self, sensor: SensorId) -> Option<&'a CachedEntry> {
+        let home = self.arena.home(sensor).filter(|h| h.leaf == self.id)?;
+        self.entries.at(home.place as usize)
     }
+}
 
-    fn entry_pos(&self, sensor: SensorId) -> Result<usize, usize> {
-        self.entries
-            .binary_search_by_key(&sensor, |e| e.reading.sensor)
-    }
+/// [`NodeCache`] with the right to change it ([`ColrTree::with_cache_mut`]).
+pub(crate) struct NodeCacheMut<'a> {
+    pub(crate) cache: SlotRingMut<'a>,
+    /// The leaf's places (see [`LeafEntries`]), [`CachedEntry::ABSENT`] where
+    /// empty.
+    entries: &'a mut [CachedEntry],
+    filling: &'a mut u32,
+}
 
-    /// The cached entry for `sensor`, if any.
-    pub fn entry(&self, sensor: SensorId) -> Option<&CachedEntry> {
-        self.entry_pos(sensor).ok().map(|i| &self.entries[i])
-    }
+/// A copy of one node's cache that owns itself ([`ColrTree::cache_snapshot`]).
+#[derive(Debug, Clone)]
+pub struct NodeCacheSnapshot {
+    /// The node's slot cache.
+    pub cache: SlotCache,
+    /// Raw cached readings, by sensor id; non-empty only at leaves.
+    pub entries: Vec<CachedEntry>,
+}
+
+/// What a stripe keeps per node beside its ring.
+#[derive(Debug, Clone, Copy)]
+struct Head {
+    /// See [`NodeCache::filling`].
+    filling: u32,
+    /// Which sensor kinds the node's ring has held (see [`SlotRing`]).
+    kinds: u32,
+    /// The leaf's places in the stripe's `entries` (an empty range at an
+    /// internal node).
+    entry_start: u32,
+    entry_len: u32,
+}
+
+/// The cache state of every node of one lock stripe, node `id` at position
+/// `id / CACHE_STRIPES`: three slabs and the side tables most nodes never
+/// need, so a visit reads its head and one contiguous run of cells.
+#[derive(Debug, Clone)]
+pub(crate) struct Stripe {
+    heads: Vec<Head>,
+    /// `ring` cells per node, node-major.
+    cells: Vec<Cell>,
+    /// One place per sensor of each leaf, leaf by leaf, each leaf's in leaf
+    /// order.
+    entries: Vec<CachedEntry>,
+    side: Side,
 }
 
 /// One tree node — the immutable structural part, as a borrowed view of the
@@ -344,6 +450,8 @@ struct Plan {
     /// The leaf entry `entry` replaced, known once the leaf has been written.
     old: Option<CachedEntry>,
     leaf: NodeId,
+    /// The sensor's place among its leaf's entries.
+    place: u32,
     kind: u16,
 }
 
@@ -370,14 +478,6 @@ struct Pool {
 /// are `u32`.
 fn run_key(node: NodeId, plan: usize) -> u64 {
     u64::from(node.0) << 32 | plan as u64
-}
-
-/// Merges `add` into the sub-aggregate of `kind` (`by_kind` is sorted).
-fn merge_kind(by_kind: &mut Vec<(u16, PartialAgg)>, kind: u16, add: &PartialAgg) {
-    match by_kind.binary_search_by_key(&kind, |(k, _)| *k) {
-        Ok(i) => by_kind[i].1.merge(add),
-        Err(i) => by_kind.insert(i, (kind, *add)),
-    }
 }
 
 /// Pooled buffers keep at most this many elements between write-backs: a
@@ -445,7 +545,7 @@ impl Drop for Filling<'_> {
     fn drop(&mut self) {
         for &id in &self.nodes {
             self.tree
-                .with_cache_mut(id, |c| c.filling = c.filling.saturating_sub(1));
+                .with_cache_mut(id, |c| *c.filling = c.filling.saturating_sub(1));
         }
     }
 }
@@ -465,11 +565,9 @@ pub struct ColrTree {
     pub(crate) sensors: Vec<SensorMeta>,
     /// Level of the leaves (`= height`; root is level 0).
     pub(crate) leaf_level: u16,
-    /// Home leaf of each sensor.
-    pub(crate) sensor_leaf: Vec<NodeId>,
     /// Per-node caches, sharded by `id % CACHE_STRIPES`; node `id` sits at
     /// position `id / CACHE_STRIPES` within its stripe.
-    pub(crate) stripes: Vec<RwLock<Vec<NodeCache>>>,
+    pub(crate) stripes: Vec<RwLock<Stripe>>,
     /// Serialises mutators and holds the cross-node accounting.
     pub(crate) maint: Mutex<Maintenance>,
     /// Window bases below this need no maintenance: `cache_base + 1`,
@@ -496,15 +594,14 @@ impl Clone for ColrTree {
             t_max: self.t_max,
             sensors: self.sensors.clone(),
             leaf_level: self.leaf_level,
-            sensor_leaf: self.sensor_leaf.clone(),
             stripes: self
                 .stripes
                 .iter()
                 .map(|s| {
-                    let mut caches = s.read().clone();
+                    let mut stripe = s.read().clone();
                     // A fill in flight clears its marks on `self` only.
-                    caches.iter_mut().for_each(|c| c.filling = 0);
-                    RwLock::new(caches)
+                    stripe.heads.iter_mut().for_each(|h| h.filling = 0);
+                    RwLock::new(stripe)
                 })
                 .collect(),
             settled_below: AtomicU64::new(maint.cache_base + 1),
@@ -520,8 +617,9 @@ impl Clone for ColrTree {
 impl ColrTree {
     /// Assembles a tree from bulk-built parts: flattens the builder's nodes
     /// into the arena (BFS numbering, children contiguous, SoA bounding boxes,
-    /// levels and parent links), drops them, and creates an empty cache for
-    /// every node.
+    /// levels and parent links), drops them, and lays out an empty cache for
+    /// every node: per stripe a head and a ring of cells per node and a place
+    /// per leaf sensor, each slab one allocation.
     pub(crate) fn assemble(
         config: ColrConfig,
         slot_config: SlotConfig,
@@ -529,13 +627,33 @@ impl ColrTree {
         sensors: Vec<SensorMeta>,
         nodes: Vec<crate::build::Node>,
         root: NodeId,
-        sensor_leaf: Vec<NodeId>,
     ) -> ColrTree {
-        let arena = crate::arena::SamplingArena::flatten(&nodes, root, &sensors);
-        let mut stripes: Vec<Vec<NodeCache>> = (0..CACHE_STRIPES).map(|_| Vec::new()).collect();
-        for i in 0..nodes.len() {
-            stripes[i & (CACHE_STRIPES - 1)].push(NodeCache::new(slot_config));
-        }
+        let arena = SamplingArena::flatten(&nodes, root, &sensors);
+        let ring = slot_config.num_slots + 1;
+        let stripes = (0..CACHE_STRIPES).map(|stripe| {
+            let mut places = 0;
+            let heads: Vec<Head> = (stripe..nodes.len())
+                .step_by(CACHE_STRIPES)
+                .map(|id| {
+                    let entry_len = arena.sensor_len(arena.index_of(NodeId(id as u32))) as u32;
+                    let entry_start = places;
+                    places += entry_len;
+                    Head {
+                        filling: 0,
+                        kinds: NO_KIND,
+                        entry_start,
+                        entry_len,
+                    }
+                })
+                .collect();
+            let cells = heads.len() * ring;
+            RwLock::new(Stripe {
+                heads,
+                cells: vec![Cell::EMPTY; cells],
+                entries: vec![CachedEntry::ABSENT; places as usize],
+                side: Side::new(cells),
+            })
+        });
         ColrTree {
             config,
             slot_config,
@@ -543,8 +661,7 @@ impl ColrTree {
             sensors,
             // BFS order ends on the deepest level.
             leaf_level: arena.level(nodes.len() - 1),
-            sensor_leaf,
-            stripes: stripes.into_iter().map(RwLock::new).collect(),
+            stripes: stripes.collect(),
             maint: Mutex::new(Maintenance::new(slot_config.num_slots)),
             settled_below: AtomicU64::new(0),
             live_avail: RwLock::new(None),
@@ -565,7 +682,7 @@ impl ColrTree {
     ///
     /// Holds the node's stripe read lock for the duration of `f`; do not
     /// call tree mutators (or `with_cache_mut`) from inside the closure.
-    pub fn with_cache<T>(&self, id: NodeId, f: impl FnOnce(&NodeCache) -> T) -> T {
+    pub fn with_cache<T>(&self, id: NodeId, f: impl FnOnce(NodeCache<'_>) -> T) -> T {
         let (stripe, pos) = Self::stripe_slot(id);
         let guard = match self.stripes[stripe].try_read() {
             Some(g) => g,
@@ -574,14 +691,31 @@ impl ColrTree {
                 self.stripes[stripe].read()
             }
         };
-        f(&guard[pos])
+        let head = guard.heads[pos];
+        let ring = self.slot_config.num_slots + 1;
+        let at = pos * ring;
+        f(NodeCache {
+            cache: SlotRing {
+                config: &self.slot_config,
+                cells: &guard.cells[at..at + ring],
+                kinds: head.kinds,
+                side: &guard.side,
+                at,
+            },
+            entries: LeafEntries(
+                &guard.entries[head.entry_start as usize..][..head.entry_len as usize],
+            ),
+            filling: head.filling,
+            id,
+            arena: &self.arena,
+        })
     }
 
     /// Runs `f` with exclusive access to the cache of node `id`.
     ///
     /// Holds the node's stripe write lock for the duration of `f`; same
     /// re-entrancy rule as [`ColrTree::with_cache`].
-    pub fn with_cache_mut<T>(&self, id: NodeId, f: impl FnOnce(&mut NodeCache) -> T) -> T {
+    pub(crate) fn with_cache_mut<T>(&self, id: NodeId, f: impl FnOnce(NodeCacheMut<'_>) -> T) -> T {
         let (stripe, pos) = Self::stripe_slot(id);
         let mut guard = match self.stripes[stripe].try_write() {
             Some(g) => g,
@@ -590,13 +724,40 @@ impl ColrTree {
                 self.stripes[stripe].write()
             }
         };
-        f(&mut guard[pos])
+        let Stripe {
+            heads,
+            cells,
+            entries,
+            side,
+        } = &mut *guard;
+        let head = &mut heads[pos];
+        let ring = self.slot_config.num_slots + 1;
+        let at = pos * ring;
+        f(NodeCacheMut {
+            cache: SlotRingMut {
+                config: &self.slot_config,
+                cells: &mut cells[at..at + ring],
+                kinds: &mut head.kinds,
+                side,
+                at,
+            },
+            entries: &mut entries[head.entry_start as usize..][..head.entry_len as usize],
+            filling: &mut head.filling,
+        })
     }
 
     /// A point-in-time copy of the cache of node `id` (for inspection and
     /// tests; queries use [`ColrTree::with_cache`] to avoid the copy).
-    pub fn cache_snapshot(&self, id: NodeId) -> NodeCache {
-        self.with_cache(id, |c| c.clone())
+    pub fn cache_snapshot(&self, id: NodeId) -> NodeCacheSnapshot {
+        self.with_cache(id, |c| {
+            let mut cache = SlotCache::new(self.slot_config);
+            for abs in c.cache.held_slots() {
+                cache.set_slot(abs, c.cache.slot(abs).expect("held"));
+            }
+            let mut entries: Vec<CachedEntry> = c.entries.iter().copied().collect();
+            entries.sort_unstable_by_key(|e| e.reading.sensor);
+            NodeCacheSnapshot { cache, entries }
+        })
     }
 
     // ------------------------------------------------------------------
@@ -650,7 +811,12 @@ impl ColrTree {
 
     /// The leaf a sensor is homed at.
     pub fn home_leaf(&self, id: SensorId) -> NodeId {
-        self.sensor_leaf[id.index()]
+        self.home(id).leaf
+    }
+
+    /// Where a registered sensor's raw reading is cached.
+    fn home(&self, id: SensorId) -> Home {
+        self.arena.home(id).expect("a registered sensor")
     }
 
     /// Number of raw readings currently cached tree-wide.
@@ -740,11 +906,15 @@ impl ColrTree {
             let bucket = maint.bucket_mut(slot);
             bucket.readings.clear();
             for id in bucket.nodes.drain(..) {
-                let (slots, readings) = self.with_cache_mut(id, |c| {
-                    let held = c.entries.len();
-                    c.entries
-                        .retain(|e| self.slot_config.slot_of(e.reading.expires_at) >= new_base);
-                    (c.cache.drop_slot(slot), held - c.entries.len())
+                let (slots, readings) = self.with_cache_mut(id, |mut c| {
+                    let mut expunged = 0;
+                    for e in c.entries.iter_mut().filter(|e| !e.is_absent()) {
+                        if self.slot_config.slot_of(e.reading.expires_at) < new_base {
+                            *e = CachedEntry::ABSENT;
+                            expunged += 1;
+                        }
+                    }
+                    (c.cache.drop_slot(slot), expunged)
                 });
                 dropped += usize::from(slots);
                 expunged += readings;
@@ -861,10 +1031,12 @@ impl ColrTree {
             if slot < base || slot >= maint.window_top() || !reading.is_live(now) {
                 continue;
             }
+            let Home { leaf, place } = self.home(reading.sensor);
             plans.push(Plan {
                 entry,
                 old: None,
-                leaf: self.sensor_leaf[reading.sensor.index()],
+                leaf,
+                place,
                 kind: self.sensors[reading.sensor.index()].kind,
             });
         }
@@ -880,18 +1052,14 @@ impl ColrTree {
             for node_run in keys.chunk_by(|a, b| a >> 32 == b >> 32) {
                 let id = NodeId((node_run[0] >> 32) as u32);
                 rebuilds.clear();
-                self.with_cache_mut(id, |c| {
+                self.with_cache_mut(id, |mut c| {
                     for &key in node_run {
                         let plan = &mut plans[key as u32 as usize];
                         let reading = plan.entry.reading;
                         if at_leaves {
-                            plan.old = match c.entry_pos(reading.sensor) {
-                                Ok(pos) => Some(std::mem::replace(&mut c.entries[pos], plan.entry)),
-                                Err(pos) => {
-                                    c.entries.insert(pos, plan.entry);
-                                    None
-                                }
-                            };
+                            let place = &mut c.entries[plan.place as usize];
+                            let old = std::mem::replace(place, plan.entry);
+                            plan.old = (!old.is_absent()).then_some(old);
                         }
                         if let Some(old) = plan.old.map(|e| e.reading) {
                             if c.cache
@@ -927,7 +1095,7 @@ impl ColrTree {
                     // before the hold ends, no reader sees the over-count.
                     if at_leaves {
                         for &slot in &rebuilds {
-                            let rebuilt = self.slot_of_entries(&c.entries, slot);
+                            let rebuilt = self.slot_of_entries(LeafEntries(&*c.entries), slot);
                             c.cache.set_slot(slot, rebuilt);
                         }
                     }
@@ -984,7 +1152,7 @@ impl ColrTree {
         // Selections arrive leaf by leaf, so most repeats are neighbours.
         let mut level: Vec<NodeId> = Vec::new();
         for &s in sensors {
-            let leaf = self.sensor_leaf[s.index()];
+            let leaf = self.home_leaf(s);
             if level.last() != Some(&leaf) {
                 level.push(leaf);
             }
@@ -1002,7 +1170,7 @@ impl ColrTree {
                 .collect();
         }
         for &id in &nodes {
-            self.with_cache_mut(id, |c| c.filling += 1);
+            self.with_cache_mut(id, |c| *c.filling += 1);
         }
         Filling { tree: self, nodes }
     }
@@ -1060,13 +1228,12 @@ impl ColrTree {
     /// expires in `slot`. A reading replaced or removed since fails the
     /// check, which is how the buckets delete lazily.
     fn bucket_entry(&self, slot: u64, fetched: Fetched) -> Option<CachedEntry> {
-        let sensor = fetched.sensor();
-        self.with_cache(self.sensor_leaf[sensor.index()], |c| {
-            c.entry(sensor).copied()
-        })
-        .filter(|e| {
-            e.fetched_at == fetched.at() && self.slot_config.slot_of(e.reading.expires_at) == slot
-        })
+        let home = self.home(fetched.sensor());
+        self.with_cache(home.leaf, |c| c.entries.at(home.place as usize).copied())
+            .filter(|e| {
+                e.fetched_at == fetched.at()
+                    && self.slot_config.slot_of(e.reading.expires_at) == slot
+            })
     }
 
     /// Re-caches entries exported by [`ColrTree::cached_entries`] from
@@ -1088,10 +1255,13 @@ impl ColrTree {
     }
 
     fn remove_cached_locked(&self, maint: &mut Maintenance, sensor: SensorId) -> Option<Reading> {
-        let leaf = self.sensor_leaf[sensor.index()];
+        let Home { leaf, place } = self.home(sensor);
         let entry = self.with_cache_mut(leaf, |c| {
-            c.entry_pos(sensor).ok().map(|pos| c.entries.remove(pos))
-        })?;
+            std::mem::replace(&mut c.entries[place as usize], CachedEntry::ABSENT)
+        });
+        if entry.is_absent() {
+            return None;
+        }
         maint.total_cached -= 1;
         crate::telem::tree()
             .cached_readings
@@ -1103,7 +1273,7 @@ impl ColrTree {
         let kind = self.sensors[sensor.index()].kind;
         let mut cur = Some(leaf);
         while let Some(id) = cur {
-            let outcome = self.with_cache_mut(id, |c| {
+            let outcome = self.with_cache_mut(id, |mut c| {
                 c.cache
                     .try_remove_kind(entry.reading.expires_at, entry.reading.value, kind)
             });
@@ -1127,52 +1297,34 @@ impl ColrTree {
     fn rebuild_slot(&self, id: NodeId, slot: u64) {
         let children = self.arena.child_ids(self.arena.index_of(id));
         let rebuilt = if children.is_empty() {
-            self.with_cache(id, |c| self.slot_of_entries(&c.entries, slot))
+            self.with_cache(id, |c| self.slot_of_entries(c.entries, slot))
         } else {
-            let mut rebuilt = self.empty_slot();
+            let mut rebuilt = Slot::empty(self.slot_config.histogram);
             for &ch in children {
-                let child_slot = self.with_cache(ch, |c| c.cache.slot(slot).cloned());
-                if let Some(s) = child_slot {
-                    rebuilt.agg.merge(&s.agg);
-                    rebuilt.min_ts = rebuilt.min_ts.min(s.min_ts);
-                    for (k, a) in &s.by_kind {
-                        merge_kind(&mut rebuilt.by_kind, *k, a);
-                    }
-                    if let (Some(h), Some(sh)) = (&mut rebuilt.hist, &s.hist) {
-                        h.merge(sh);
-                    }
-                }
+                self.with_cache(ch, |c| c.cache.merge_slot_into(slot, &mut rebuilt));
             }
             rebuilt
         };
-        self.with_cache_mut(id, |c| c.cache.set_slot(slot, rebuilt));
-    }
-
-    /// A slot with nothing in it yet, for a rebuild to fill.
-    fn empty_slot(&self) -> Slot {
-        Slot {
-            agg: PartialAgg::empty(),
-            min_ts: Timestamp(u64::MAX),
-            by_kind: Vec::new(),
-            hist: self.slot_config.histogram.map(|spec| spec.empty()),
-        }
+        self.with_cache_mut(id, |mut c| c.cache.set_slot(slot, rebuilt));
     }
 
     /// What a leaf's slot `slot` should hold, recomputed from its raw
-    /// `entries`.
-    fn slot_of_entries(&self, entries: &[CachedEntry], slot: u64) -> Slot {
-        let mut rebuilt = self.empty_slot();
-        for e in entries {
-            let value = e.reading.value;
-            if self.slot_config.slot_of(e.reading.expires_at) == slot {
-                rebuilt.agg.insert(value);
-                rebuilt.min_ts = rebuilt.min_ts.min(e.reading.timestamp);
-                let kind = self.sensors[e.reading.sensor.index()].kind;
-                merge_kind(&mut rebuilt.by_kind, kind, &PartialAgg::from_value(value));
-                if let Some(h) = &mut rebuilt.hist {
-                    h.insert(value);
-                }
-            }
+    /// `entries` in ascending sensor order — the order the sums have always
+    /// been taken in. A k-means leaf's places ascend already; an STR leaf's
+    /// are put in order first.
+    fn slot_of_entries(&self, entries: LeafEntries<'_>, slot: u64) -> Slot {
+        let of_slot = |e: &&CachedEntry| self.slot_config.slot_of(e.reading.expires_at) == slot;
+        let mut rebuilt = Slot::empty(self.slot_config.histogram);
+        let add = |e: &CachedEntry| {
+            let kind = self.sensors[e.reading.sensor.index()].kind;
+            rebuilt.add_reading(e.reading.value, e.reading.timestamp, kind);
+        };
+        if entries.iter().is_sorted_by_key(|e| e.reading.sensor) {
+            entries.iter().filter(of_slot).for_each(add);
+        } else {
+            let mut by_sensor: Vec<&CachedEntry> = entries.iter().filter(of_slot).collect();
+            by_sensor.sort_unstable_by_key(|e| e.reading.sensor);
+            by_sensor.into_iter().for_each(add);
         }
         rebuilt
     }
@@ -1252,8 +1404,12 @@ impl ColrTree {
                     if node.weight != sensors.len() as u64 {
                         return Err(format!("leaf {id:?} weight mismatch"));
                     }
-                    for &s in sensors {
-                        if self.sensor_leaf[s.index()] != id {
+                    for (place, &s) in sensors.iter().enumerate() {
+                        let home = Home {
+                            leaf: id,
+                            place: place as u32,
+                        };
+                        if self.arena.home(s) != Some(home) {
                             return Err(format!("sensor {s:?} home-leaf mismatch"));
                         }
                         if !node.bbox.contains_point(&self.sensors[s.index()].location) {
@@ -1267,7 +1423,7 @@ impl ColrTree {
         let counted: usize = self
             .stripes
             .iter()
-            .map(|s| s.read().iter().map(|c| c.entries.len()).sum::<usize>())
+            .map(|s| LeafEntries(&s.read().entries).iter().count())
             .sum();
         if counted != maint.total_cached {
             return Err(format!(
@@ -1382,6 +1538,50 @@ mod tests {
         assert!(tree
             .node_ids()
             .all(|id| tree.with_cache(id, |c| c.cache.occupied_slots() == 0)));
+    }
+
+    /// The cache state of a built tree is flat: per stripe three slabs whose
+    /// lengths the structure fixes, and two side tables that a one-kind fleet
+    /// without histograms never allocates — at most five allocations a
+    /// stripe, none per node, none per slot, before and after it fills.
+    #[test]
+    fn cache_state_is_at_most_five_allocations_a_stripe() {
+        let tree = grid_tree(40_000);
+        let ring = tree.slot_config.num_slots + 1;
+        let now = Timestamp(1_000);
+        let readings: Vec<Reading> = (0..40_000)
+            .step_by(3)
+            .map(|s| Reading {
+                sensor: SensorId(s),
+                value: f64::from(s % 17),
+                timestamp: now,
+                expires_at: now + TimeDelta::from_millis(1 + u64::from(s % 9) * 30_000),
+            })
+            .collect();
+        for filled in [false, true] {
+            if filled {
+                assert_eq!(tree.apply_readings(&readings, now), readings.len());
+                assert_eq!(tree.validate(), Ok(()));
+            }
+            let mut places = 0;
+            for (i, stripe) in tree.stripes.iter().enumerate() {
+                let stripe = stripe.read();
+                let ids = (i..tree.node_count()).step_by(CACHE_STRIPES);
+                assert_eq!(stripe.heads.len(), ids.clone().count());
+                assert_eq!(stripe.cells.len(), stripe.heads.len() * ring);
+                let homed: usize = ids
+                    .map(|id| match tree.node(NodeId(id as u32)).children {
+                        Children::Leaf(sensors) => sensors.len(),
+                        Children::Internal(_) => 0,
+                    })
+                    .sum();
+                assert_eq!(stripe.entries.len(), homed);
+                assert!(!stripe.side.is_allocated(), "stripe {i}, filled: {filled}");
+                places += homed;
+            }
+            assert_eq!(places, 40_000, "one place per sensor");
+        }
+        assert_eq!(tree.cached_readings(), readings.len());
     }
 
     #[test]

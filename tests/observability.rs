@@ -244,7 +244,11 @@ fn service_front_door_counters_cover_admission_and_reindex() {
         delta.counters["colr_service_carryover_readings_total"] >= 1,
         "warm readings must survive the swap"
     );
-    assert!(delta.gauges["colr_service_generation"] >= 1);
+    // The gauge is process-wide and *set*, not added to: a service built by a
+    // test running beside this one writes its own generation 0 over it. The
+    // number is read from the service; the gauge only has to exist.
+    assert!(svc.generation() >= 1);
+    assert!(delta.gauges.contains_key("colr_service_generation"));
 }
 
 #[test]

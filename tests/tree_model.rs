@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 
-use colr_repro::colr::tree::{CachedEntry, Children, ColrTree};
+use colr_repro::colr::tree::{BuildStrategy, CachedEntry, Children, ColrTree};
 use colr_repro::colr::{
     ColrConfig, PartialAgg, Reading, SensorId, SensorMeta, TimeDelta, Timestamp,
 };
@@ -61,9 +61,11 @@ fn sensors() -> Vec<SensorMeta> {
         .collect()
 }
 
-fn config(cache_capacity: Option<usize>) -> ColrConfig {
+fn config(cache_capacity: Option<usize>, build: BuildStrategy) -> ColrConfig {
     ColrConfig {
         cache_capacity,
+        // An STR leaf's sensors are not in id order, a k-means leaf's are.
+        build,
         // Exercise the per-slot histogram maintenance too.
         slot_histograms: Some(colr_repro::colr::agg::HistogramSpec {
             lo: -50.0,
@@ -151,8 +153,13 @@ impl FlatModel {
 }
 
 /// Recomputes the expected per-slot aggregate of `node` from the raw leaf
-/// entries in its subtree.
-fn brute_force_slot(tree: &ColrTree, node: colr_repro::colr::NodeId, slot: u64) -> PartialAgg {
+/// entries in its subtree — of one sensor kind when `kind` names one.
+fn brute_force_slot(
+    tree: &ColrTree,
+    node: colr_repro::colr::NodeId,
+    slot: u64,
+    kind: Option<u16>,
+) -> PartialAgg {
     let mut agg = PartialAgg::empty();
     let mut stack = vec![node];
     let width = tree.slot_config().slot_width.millis();
@@ -162,7 +169,8 @@ fn brute_force_slot(tree: &ColrTree, node: colr_repro::colr::NodeId, slot: u64) 
             Children::Leaf(_) => {
                 tree.with_cache(cur, |c| {
                     for e in &c.entries {
-                        if e.reading.expires_at.millis() / width == slot {
+                        let of_kind = kind.is_none_or(|k| tree.sensor(e.reading.sensor).kind == k);
+                        if of_kind && e.reading.expires_at.millis() / width == slot {
                             agg.insert(e.reading.value);
                         }
                     }
@@ -184,7 +192,7 @@ fn assert_matches_brute_force(tree: &ColrTree, now: Timestamp) {
     tree.validate().expect("structural invariants");
     for id in tree.node_ids() {
         for slot in slots_around(tree, now) {
-            let expected = brute_force_slot(tree, id, slot);
+            let expected = brute_force_slot(tree, id, slot, None);
             let actual = tree
                 .with_cache(id, |c| c.cache.slot(slot).map(|s| s.agg))
                 .unwrap_or_else(PartialAgg::empty);
@@ -219,11 +227,26 @@ fn assert_matches_brute_force(tree: &ColrTree, now: Timestamp) {
                     slot
                 );
             }
-            // Per-kind sub-aggregates must partition the total, and the
-            // slot histogram must hold exactly the slot's readings.
-            if let Some(s) = tree.with_cache(id, |c| c.cache.slot(slot).cloned()) {
+            // Per-kind sub-aggregates must partition the total — each the
+            // aggregate of its kind's readings, whether the node keeps its
+            // rows or has held one kind and keeps none — and the slot
+            // histogram must hold exactly the slot's readings.
+            if let Some(s) = tree.with_cache(id, |c| c.cache.slot(slot)) {
                 let kind_total: u64 = s.by_kind.iter().map(|(_, a)| a.count).sum();
                 prop_assert_eq!(kind_total, s.agg.count, "kind partition broken at {:?}", id);
+                for kind in 0..3 {
+                    let of_kind = brute_force_slot(tree, id, slot, Some(kind));
+                    let row = s.kind_agg(kind);
+                    prop_assert_eq!(
+                        (row.count, row.min, row.max),
+                        (of_kind.count, of_kind.min, of_kind.max),
+                        "kind {} row at {:?} slot {}",
+                        kind,
+                        id,
+                        slot
+                    );
+                    prop_assert!((row.sum - of_kind.sum).abs() < 1e-9);
+                }
                 let h = s.hist.as_ref().expect("histograms configured");
                 prop_assert_eq!(h.total(), s.agg.count, "histogram drift at {:?}", id);
             }
@@ -235,10 +258,10 @@ fn assert_matches_brute_force(tree: &ColrTree, now: Timestamp) {
 /// sensors: what arrives is the live part of the export in the same order,
 /// and every slot that is not the half-expired boundary one aggregates to
 /// what the source holds.
-fn assert_round_trips(tree: &ColrTree, capacity: Option<usize>, now: Timestamp) {
+fn assert_round_trips(tree: &ColrTree, now: Timestamp) {
     tree.advance(now);
     let exported = tree.cached_entries();
-    let fresh = ColrTree::build(sensors(), config(capacity), 7);
+    let fresh = ColrTree::build(sensors(), tree.config().clone(), 7);
     let restored = fresh.restore_entries(&exported, now);
     let live: Vec<CachedEntry> = exported
         .iter()
@@ -270,8 +293,10 @@ proptest! {
 
     #[test]
     fn every_node_slot_matches_brute_force(ops in proptest::collection::vec(op_strategy(), 1..60),
-                                           cap in prop_oneof![Just(None), Just(Some(CAPACITY))]) {
-        let tree = ColrTree::build(sensors(), config(cap), 7);
+                                           cap in prop_oneof![Just(None), Just(Some(CAPACITY))],
+                                           build in prop_oneof![Just(BuildStrategy::default()),
+                                                                Just(BuildStrategy::Str)]) {
+        let tree = ColrTree::build(sensors(), config(cap, build), 7);
         let mut model = FlatModel {
             cached: BTreeMap::new(),
             capacity: cap,
@@ -310,12 +335,130 @@ proptest! {
                     tree.advance(now);
                     model.roll(now);
                 }
-                Op::RoundTrip => assert_round_trips(&tree, cap, now),
+                Op::RoundTrip => assert_round_trips(&tree, now),
             }
             assert_matches_brute_force(&tree, now);
             // Same readings, and the same eviction order: oldest slot, then
             // least recently fetched, then sensor id.
             prop_assert_eq!(tree.cached_entries(), model.in_eviction_order());
         }
+    }
+}
+
+/// Everything a comparison reads of a tree's cache state: per node the slots
+/// around `now` and the raw entries in leaf order, then the eviction order.
+fn cache_state(tree: &ColrTree, now: Timestamp) -> Vec<String> {
+    let mut state = Vec::new();
+    for id in tree.node_ids() {
+        tree.with_cache(id, |c| {
+            for slot in slots_around(tree, now) {
+                state.extend(c.cache.slot(slot).map(|s| format!("{id:?} {slot} {s:?}")));
+            }
+            state.extend(c.entries.iter().map(|e| format!("{id:?} {e:?}")));
+        });
+    }
+    state.extend(tree.cached_entries().iter().map(|e| format!("{e:?}")));
+    state
+}
+
+/// What the flat slabs changed underneath the public surface, on both
+/// builds: a leaf's entries are places, some empty; a sensor's entry is
+/// looked up by its place; a clone and a rebuild see the whole state or none
+/// of it.
+#[test]
+fn places_lookups_clones_and_rebuilds() {
+    for build in [BuildStrategy::default(), BuildStrategy::Str] {
+        let mut tree = ColrTree::build(sensors(), config(None, build), 7);
+        let now = Timestamp(1_000);
+        let reading = |sensor: u32, value: f64, ttl: u64| Reading {
+            sensor: SensorId(sensor),
+            value,
+            timestamp: now,
+            expires_at: now + TimeDelta::from_millis(ttl),
+        };
+        // Two sensors of one leaf, in two different slots, and one of another.
+        let leaf = tree.home_leaf(SensorId(9));
+        let Children::Leaf(homed) = tree.node(leaf).children else {
+            panic!("a home leaf is a leaf");
+        };
+        assert!(homed.len() >= 3, "a leaf with places to leave empty");
+        let (first, second) = (homed[0], homed[homed.len() - 1]);
+        let elsewhere = tree
+            .sensors()
+            .iter()
+            .map(|m| m.id)
+            .find(|&s| tree.home_leaf(s) != leaf)
+            .expect("more than one leaf");
+        assert!(tree.insert_reading(reading(first.0, 4.0, EXPIRY_MS), now));
+        assert!(tree.insert_reading(reading(second.0, -2.0, 30_000), now));
+        assert!(tree.insert_reading(reading(elsewhere.0, 1.0, EXPIRY_MS), now));
+        assert_matches_brute_force(&tree, now);
+
+        tree.with_cache(leaf, |c| {
+            assert_eq!(c.entries.iter().count(), 2);
+            let held: Vec<SensorId> = c.entries.iter().map(|e| e.reading.sensor).collect();
+            assert_eq!(held, [first, second], "leaf order, empty places skipped");
+            for (place, &s) in homed.iter().enumerate() {
+                let at = c.entries.at(place).map(|e| e.reading.sensor);
+                assert_eq!(at, [first, second].contains(&s).then_some(s));
+                assert_eq!(c.entry(s).map(|e| e.reading.sensor), at);
+            }
+            // Cached, but not here; and no such sensor at all.
+            assert!(c.entry(elsewhere).is_none());
+            assert!(c.entry(SensorId(64)).is_none());
+            assert!(c.entry(SensorId(u32::MAX)).is_none());
+        });
+        tree.with_cache(tree.root(), |c| {
+            assert!(
+                c.entries.iter().next().is_none(),
+                "an internal node has no places"
+            );
+            assert!(c.entry(first).is_none());
+        });
+        // The snapshot owns a copy: the same slots, the entries by sensor id.
+        let snapshot = tree.cache_snapshot(leaf);
+        let mut by_id = [first, second];
+        by_id.sort_unstable();
+        let snapped: Vec<SensorId> = snapshot.entries.iter().map(|e| e.reading.sensor).collect();
+        assert_eq!(snapped, by_id);
+        for slot in slots_around(&tree, now) {
+            assert_eq!(
+                snapshot.cache.slot(slot),
+                tree.with_cache(leaf, |c| c.cache.slot(slot))
+            );
+        }
+
+        // A roll empties a place and leaves its neighbour.
+        let later = now + TimeDelta::from_millis(60_000);
+        tree.advance(later);
+        tree.with_cache(leaf, |c| {
+            let held: Vec<SensorId> = c.entries.iter().map(|e| e.reading.sensor).collect();
+            assert_eq!(held, [first]);
+        });
+        assert_eq!(tree.remove_cached(second), None, "already rolled out");
+        assert_matches_brute_force(&tree, later);
+        assert_round_trips(&tree, later);
+
+        // A clone carries the whole state and shares none of it.
+        let copy = tree.clone();
+        assert_eq!(cache_state(&copy, later), cache_state(&tree, later));
+        assert_eq!(copy.cached_readings(), 2);
+        assert_eq!(copy.remove_cached(first).map(|r| r.value), Some(4.0));
+        assert_matches_brute_force(&copy, later);
+        assert_eq!(tree.cached_readings(), 2);
+        assert_matches_brute_force(&tree, later);
+
+        // A rebuild keeps none of it, and caches again.
+        tree.rebuild(sensors(), 11);
+        assert_eq!(tree.cached_readings(), 0);
+        assert!(tree.cached_entries().is_empty());
+        assert!(cache_state(&tree, later).is_empty());
+        let r = Reading {
+            timestamp: later,
+            expires_at: later + TimeDelta::from_millis(EXPIRY_MS),
+            ..reading(first.0, 7.0, 0)
+        };
+        assert!(tree.insert_reading(r, later));
+        assert_matches_brute_force(&tree, later);
     }
 }
