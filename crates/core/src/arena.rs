@@ -418,9 +418,13 @@ impl ColrTree {
     /// comes from `live`, the availability source `select` resolved once for
     /// the whole query; with `live` unset it is the arena's frozen build-time
     /// mean, so the walk does not touch the availability lock for it.
+    /// `sample_size` is the target this tree is asked for (see
+    /// [`ColrTree::select`]).
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn exec_colr_arena<R: Rng + ?Sized>(
         &self,
         query: &Query,
+        sample_size: Option<f64>,
         live: Option<&LiveAvailability>,
         now: Timestamp,
         rng: &mut R,
@@ -452,7 +456,7 @@ impl ColrTree {
         let mut groups: Vec<GroupResult> = scratch.groups_hint.vec();
         let mut readings: Vec<Reading> = scratch.readings_hint.vec();
 
-        let target = query.sample_size.unwrap_or(arena.weight(0));
+        let target = sample_size.unwrap_or(arena.weight(0));
         let mut pq = std::mem::take(&mut scratch.pq);
         pq.reset(self.config.enable_redistribution);
         pq.push(0, target, false);

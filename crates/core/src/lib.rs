@@ -80,7 +80,7 @@ pub use flat_cache::{FlatCache, FlatOutput};
 pub use flight::{FlightRecord, LevelStage, RetryRound, WaveStage};
 pub use lookup::{GroupResult, Mode, Query, QueryOutput};
 pub use lsm::{
-    apportion, derive_seed, unit_draw, L0Level, LsmConfig, LsmLevel, LsmSnapshot, LsmStats,
+    apportion, derive_seed, unit_draw, Claim, L0Level, LsmConfig, LsmLevel, LsmSnapshot, LsmStats,
     LsmTree, MergeReport,
 };
 pub use model::IdwModel;

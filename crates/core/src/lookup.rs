@@ -234,16 +234,18 @@ pub(crate) struct ProbeFix {
 }
 
 impl ProbePlan {
-    /// Empties the plan for a new query. The pool keeps room for an
-    /// ordinary request, not for a fleet-wide cache fill.
+    /// The ids a pooled plan keeps room for: an ordinary request, not a
+    /// fleet-wide cache fill.
+    pub(crate) const POOLED: usize = 1024;
+
+    /// Empties the plan for a new query.
     pub(crate) fn clear(&mut self) {
-        const POOLED: usize = 1024;
         self.ids.clear();
-        self.ids.shrink_to(POOLED);
+        self.ids.shrink_to(Self::POOLED);
         self.at.clear();
-        self.at.shrink_to(POOLED);
+        self.at.shrink_to(Self::POOLED);
         self.fixes.clear();
-        self.fixes.shrink_to(POOLED);
+        self.fixes.shrink_to(Self::POOLED);
     }
 
     /// Adds `id` to the wave; its reading, if the probe succeeds, lands at
@@ -481,11 +483,13 @@ impl ColrTree {
         crate::scratch::with_scratch(|scratch| {
             let mut plan = std::mem::take(&mut scratch.plan);
             plan.clear();
-            let mut out = self.select(query, mode, now, rng, &mut plan, scratch);
+            let target = query.sample_size;
+            let mut out = self.select(query, target, mode, now, rng, &mut plan, scratch);
             let cost = &self.config().cost;
             let mut wave = Wave::new(cost, probe, &plan.ids, query, now);
             let fixes = 0..plan.fixes.len();
-            self.complete(&mut out, &plan, fixes, &mut wave, mode, now, deferred);
+            let got = &mut scratch.got;
+            self.complete(&mut out, &plan, fixes, &mut wave, got, mode, now, deferred);
             wave.charge(&mut out.stats);
             scratch.plan = plan;
             finish(cost, mode, &mut out);
@@ -497,10 +501,14 @@ impl ColrTree {
     /// can and appending every sensor the walk chooses to probe to `plan`
     /// instead of contacting it. Consumes exactly the RNG draws the answer
     /// needs; the returned output holds cached readings only until
-    /// [`ColrTree::complete`] folds the wave's outcomes in.
+    /// [`ColrTree::complete`] folds the wave's outcomes in. `target` is the
+    /// sample size asked of this tree, read in place of `query.sample_size`:
+    /// an LSM level is handed its share of a query, not a copy of it.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn select<R: Rng + ?Sized>(
         &self,
         query: &Query,
+        target: Option<f64>,
         mode: Mode,
         now: Timestamp,
         rng: &mut R,
@@ -514,7 +522,7 @@ impl ColrTree {
                 // The one availability-lock read of the query: the walk
                 // takes every `a_i` from this source.
                 let live = self.live_availability();
-                self.exec_colr_arena(query, live.as_deref(), now, rng, plan, scratch)
+                self.exec_colr_arena(query, target, live.as_deref(), now, rng, plan, scratch)
             }
         }
     }
@@ -530,7 +538,8 @@ impl ColrTree {
     /// instead, for a later ordered [`ColrTree::apply_readings`] — batch
     /// executors use this so every query of a batch runs against one frozen
     /// cache snapshot, independent of scheduling — and `cache_inserts` stays
-    /// 0 (nothing is inserted during the query).
+    /// 0 (nothing is inserted during the query). `got` is the pooled buffer
+    /// a batch of successes waits in; it never holds more than a wave.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn complete(
         &self,
@@ -538,6 +547,7 @@ impl ColrTree {
         plan: &ProbePlan,
         fixes: Range<usize>,
         outcomes: &mut impl Iterator<Item = Option<Reading>>,
+        got: &mut Vec<Reading>,
         mode: Mode,
         now: Timestamp,
         mut deferred: Option<&mut Vec<Reading>>,
@@ -565,7 +575,7 @@ impl ColrTree {
                 crate::flight::with(|f| f.write_back(inserted));
             }
         };
-        let mut got: Vec<Reading> = Vec::with_capacity(wave.min(selected));
+        got.clear();
         let old = std::mem::take(&mut out.readings);
         let mut readings = Vec::with_capacity(old.len() + selected);
         let mut copied = 0;
@@ -582,7 +592,7 @@ impl ColrTree {
                 if mode != Mode::RTree {
                     got.extend(outcome);
                     if got.len() == wave {
-                        write_back(&got, &mut out.stats);
+                        write_back(got, &mut out.stats);
                         got.clear();
                     }
                 }
@@ -599,7 +609,7 @@ impl ColrTree {
         readings.extend_from_slice(&old[copied..]);
         out.readings = readings;
         if !got.is_empty() {
-            write_back(&got, &mut out.stats);
+            write_back(got, &mut out.stats);
         }
     }
 

@@ -8,9 +8,7 @@
 //! level boundary — probes going out, readings coming back — is translated
 //! by the layered executor's collect step, so the portal's probe service
 //! only ever sees global ids and a level tree only ever sees its own local
-//! ids. A level whose map is the identity and which carries no tombstones is
-//! a *passthrough*: a single-level LSM forwards to it untouched and replays
-//! the monolithic tree bit-identically.
+//! ids.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -33,9 +31,6 @@ pub struct LsmLevel {
     /// Local index → global id, ascending (levels are built over populations
     /// sorted by global id).
     global: Vec<SensorId>,
-    /// `true` when `global[j] == j` for all `j` — the base level built
-    /// straight from the initial population.
-    identity: bool,
     /// Per-local-sensor tombstone mask. A tombstoned sensor is masked out of
     /// probes (it reads as permanently unavailable) and its cached readings
     /// are purged, so it can never appear in an answer; the merge that next
@@ -53,7 +48,6 @@ impl LsmLevel {
             "level populations must be sorted by global id"
         );
         let global: Vec<SensorId> = metas.iter().map(|m| m.id).collect();
-        let identity = global.iter().enumerate().all(|(j, id)| id.index() == j);
         let local: Vec<SensorMeta> = metas
             .iter()
             .enumerate()
@@ -70,7 +64,6 @@ impl LsmLevel {
             key,
             tree,
             global,
-            identity,
             tombstoned,
             tombstones: AtomicU64::new(0),
         }
@@ -122,13 +115,6 @@ impl LsmLevel {
     /// `true` when local sensor `local` has been tombstoned.
     pub fn is_tombstoned(&self, local: SensorId) -> bool {
         self.tombstoned[local.index()].load(Ordering::Acquire)
-    }
-
-    /// `true` when the probe wrapper can forward untouched: identity id map
-    /// and no tombstones. The degenerate single-level fast path requires
-    /// this, and it is what preserves bit parity with the monolithic tree.
-    pub fn passthrough(&self) -> bool {
-        self.identity && self.tombstones.load(Ordering::Acquire) == 0
     }
 
     /// Tombstones local sensor `local`: masks it from probes, purges its
@@ -301,7 +287,7 @@ impl L0Level {
         self.inner.read().sensors.len()
     }
 
-    /// `true` when L0 holds no sensors (the degenerate-parity precondition).
+    /// `true` when L0 holds no sensors.
     pub fn is_empty(&self) -> bool {
         self.inner.read().sensors.is_empty()
     }

@@ -23,15 +23,15 @@
 //! across shards. Expectation is preserved end-to-end (Theorems 1/2: floors
 //! plus systematically sampled remainders sum to exactly the stochastically
 //! rounded `R` with every component's expected share its ideal one, and each
-//! component applies Algorithm 1's availability oversampling internally),
-//! and the degenerate configuration —
-//! a single untombstoned identity level with an empty L0 — bypasses the
-//! layering entirely and replays the monolithic tree **bit-identically**,
-//! RNG draw for RNG draw.
+//! component applies Algorithm 1's availability oversampling internally).
+//! There is one way through: a fresh index — one level, nothing retired, an
+//! empty L0 — is the same loop run once, and answers exactly as its level's
+//! tree does when handed the rounded target and component 0's stream.
 
 mod level;
 
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -129,15 +129,6 @@ struct LsmState {
     l0: Arc<L0Level>,
 }
 
-impl LsmState {
-    /// `true` when the structure is exactly the monolithic tree: one
-    /// passthrough level, nothing in L0. Queries then bypass the layered
-    /// planner and replay the monolithic execution bit-identically.
-    fn degenerate(&self) -> bool {
-        self.levels.len() == 1 && self.levels[0].passthrough() && self.l0.is_empty()
-    }
-}
-
 /// A frozen cut for batch execution: queries of one batch all run against
 /// this snapshot (levels by `Arc`, L0 by value), with probe results deferred
 /// to an ordered [`LsmTree::apply_deferred`] — the LSM analogue of
@@ -145,10 +136,6 @@ impl LsmState {
 pub struct LsmSnapshot {
     state: Arc<LsmState>,
     l0: Vec<(SensorMeta, Option<CachedEntry>)>,
-    /// `state.degenerate()` as of the freeze — a sensor registered mid-batch
-    /// lands in this cut's live L0, which must not flip the batch's
-    /// remaining queries off the passthrough path.
-    degenerate: bool,
 }
 
 /// The incremental index: an `Arc`-swapped level stack (`LsmState`) plus the global
@@ -173,12 +160,10 @@ pub struct LsmTree {
 }
 
 impl LsmTree {
-    /// Builds the base level over `sensors` (the same dense in-order
-    /// population the monolithic [`crate::tree::ColrTree::build`] takes, so
-    /// the base level is an identity passthrough) with an empty L0.
-    ///
-    /// `seed` must match the seed the monolithic build would use for the
-    /// degenerate configuration to be bit-identical.
+    /// Builds the base level over `sensors` (ascending by id) with an empty
+    /// L0. `seed` is the base level's build seed: its tree is the one
+    /// [`crate::tree::ColrTree::build`] makes of the same population,
+    /// renumbered dense, under that seed.
     pub fn new(sensors: Vec<SensorMeta>, config: ColrConfig, lsm: LsmConfig, seed: u64) -> LsmTree {
         let base = Arc::new(LsmLevel::build(0, &sensors, config.clone(), seed));
         let mut directory = HashMap::with_capacity(sensors.len());
@@ -215,7 +200,7 @@ impl LsmTree {
     }
 
     /// The level whose tree anchors planning (most live sensors; ties to the
-    /// oldest). For a fresh single-level LSM this is the monolithic tree.
+    /// oldest). For a fresh index this is its one level.
     pub fn primary_level(&self) -> Arc<LsmLevel> {
         let state = self.state.read().clone();
         state
@@ -341,12 +326,9 @@ impl LsmTree {
     /// Processes `query` across the level structure — the LSM analogue of
     /// [`crate::tree::ColrTree::execute`].
     ///
-    /// The degenerate configuration (single passthrough level, empty L0)
-    /// forwards to the monolithic executor with the caller's RNG untouched,
-    /// replaying it bit-identically. Otherwise the sample target splits
-    /// across components by live weight ([`apportion`]) and each component
-    /// runs under an independent RNG stream derived from one draw of the
-    /// caller's RNG.
+    /// The sample target splits across components by live weight
+    /// ([`apportion`]) and each component runs under an independent RNG
+    /// stream derived from one draw of the caller's RNG.
     pub fn execute<P, R>(
         &self,
         query: &Query,
@@ -360,25 +342,8 @@ impl LsmTree {
         R: Rng + ?Sized,
     {
         let state = self.state.read().clone();
-        if state.degenerate() {
-            let level = &state.levels[0];
-            let out = level.tree().execute(query, mode, probe, now, rng);
-            level.purge_retired(&out.readings);
-            return out;
-        }
         self.advance_state(&state, now);
-        let l0_cands = state.l0.candidates(query);
-        self.exec_layered(
-            &state,
-            l0_cands,
-            Some(&state.l0),
-            query,
-            mode,
-            probe,
-            now,
-            rng,
-            &mut Vec::new(),
-        )
+        self.exec_layered(&state, None, query, mode, probe, now, rng, &mut Vec::new())
     }
 
     /// Captures a frozen cut for batch execution. The caller is expected to
@@ -387,12 +352,7 @@ impl LsmTree {
     pub fn freeze(&self) -> LsmSnapshot {
         let state = self.state.read().clone();
         let l0 = state.l0.snapshot();
-        let degenerate = state.degenerate();
-        LsmSnapshot {
-            state,
-            l0,
-            degenerate,
-        }
+        LsmSnapshot { state, l0 }
     }
 
     /// [`LsmTree::execute`] against a frozen snapshot: no component advances
@@ -411,29 +371,9 @@ impl LsmTree {
         P: ProbeService + ?Sized,
         R: Rng + ?Sized,
     {
-        if snap.degenerate {
-            return snap.state.levels[0]
-                .tree()
-                .execute_frozen(query, mode, probe, now, rng);
-        }
         let mut deferred = Vec::new();
-        let l0_cands: Vec<(SensorMeta, Option<CachedEntry>)> = snap
-            .l0
-            .iter()
-            .filter(|(m, _)| query.matches_sensor(m))
-            .cloned()
-            .collect();
-        let out = self.exec_layered(
-            &snap.state,
-            l0_cands,
-            None,
-            query,
-            mode,
-            probe,
-            now,
-            rng,
-            &mut deferred,
-        );
+        let l0 = Some(snap.l0.as_slice());
+        let out = self.exec_layered(&snap.state, l0, query, mode, probe, now, rng, &mut deferred);
         (out, deferred)
     }
 
@@ -486,15 +426,15 @@ impl LsmTree {
         state.l0.advance(now);
     }
 
-    /// Layered execution over one snapshot. `l0_live` is `Some` for the
-    /// interactive path (immediate write-back into L0); `None` freezes L0
-    /// and pushes probe results into `deferred` (as do the level trees).
+    /// Layered execution over one cut. With `frozen_l0` unset (the interactive
+    /// path) L0 is read live and every write-back is immediate; set, it is
+    /// the batch's copy of L0, and probe results are pushed into `deferred`
+    /// (global ids) instead of being cached.
     #[allow(clippy::too_many_arguments)]
     fn exec_layered<P, R>(
         &self,
         state: &LsmState,
-        l0_cands: Vec<(SensorMeta, Option<CachedEntry>)>,
-        l0_live: Option<&L0Level>,
+        frozen_l0: Option<&[(SensorMeta, Option<CachedEntry>)]>,
         query: &Query,
         mode: Mode,
         probe: &P,
@@ -506,7 +446,15 @@ impl LsmTree {
         P: ProbeService + ?Sized,
         R: Rng + ?Sized,
     {
-        let frozen = l0_live.is_none();
+        let l0_cands = match frozen_l0 {
+            Some(l0) => l0
+                .iter()
+                .filter(|(m, _)| query.matches_sensor(m))
+                .cloned()
+                .collect(),
+            None => state.l0.candidates(query),
+        };
+        let frozen = frozen_l0.is_some();
         // Only Mode::Colr with an explicit target is layered — other modes
         // visit every component with the query unchanged.
         let r_int = match (mode, query.sample_size) {
@@ -517,119 +465,127 @@ impl LsmTree {
         // stream (`i + 1`), so results do not depend on component execution
         // order, and the apportionment's `u` (stream 0).
         let base = rng.next_u64();
-        // Component shares. Levels keep their state order; L0 is the last
-        // component.
-        let mut shares = vec![r_int.map(|_| 0); state.levels.len() + 1];
-        if let Some(r_int) = r_int {
-            let mut targets: Vec<(usize, f64)> = Vec::new();
-            for (i, level) in state.levels.iter().enumerate() {
-                let w = level.query_weight(&query.region, query.kind_filter);
-                if w > 0.0 {
-                    targets.push((i, w));
-                }
-            }
-            if !l0_cands.is_empty() {
-                targets.push((state.levels.len(), l0_cands.len() as f64));
-            }
-            let split = apportion(r_int, &targets, unit_draw(derive_seed(base, 0)));
-            for (&(component, _), share) in targets.iter().zip(split) {
-                shares[component] = Some(share);
-            }
-        }
         let cost = &self.config.cost;
-        let l0_component = state.levels.len();
         crate::scratch::with_scratch(|scratch| {
             let mut plan = std::mem::take(&mut scratch.plan);
             plan.clear();
+            let mut layers = std::mem::take(&mut scratch.layers);
+            let LayerScratch { split, parts, wire } = &mut layers;
+            split.clear();
+            wire.clear();
+            wire.shrink_to(crate::lookup::ProbePlan::POOLED);
+
+            // --- Split: the components with something to answer, levels in
+            // state order and L0 last, each handed its share of the target.
+            for (i, level) in state.levels.iter().enumerate() {
+                let weight = match r_int {
+                    Some(_) => level.query_weight(&query.region, query.kind_filter),
+                    // Nothing to split: every level that holds a sensor
+                    // answers the query as asked.
+                    None => level.len() as f64,
+                };
+                if weight > 0.0 {
+                    split.push(Claim::new(i, weight));
+                }
+            }
+            if !l0_cands.is_empty() {
+                split.push(Claim::new(state.levels.len(), l0_cands.len() as f64));
+            }
+            if let Some(r_int) = r_int {
+                apportion(r_int, split, unit_draw(derive_seed(base, 0)));
+            }
 
             // --- Select: every component walks; no sensor is contacted ------
-            let mut parts = Vec::new();
-            for (i, level) in state.levels.iter().enumerate() {
-                if level.is_empty() || shares[i] == Some(0) {
+            let mut stats = QueryStats::default();
+            let mut l0_part = None;
+            for claim in split.iter() {
+                let share = r_int.map(|_| claim.share);
+                if share == Some(0) {
                     continue;
                 }
-                let sub = match shares[i] {
-                    // The level's weight counted live sensors only, but its
-                    // walk spreads a target over the tombstoned ones too and
-                    // the collect step drops those picks: ask for enough that
-                    // the live ones keep the whole share.
-                    Some(share) => {
-                        let live = level.live_fraction();
-                        let ask = if live > 0.0 { share as f64 / live } else { 0.0 };
-                        query.clone().with_sample_size(ask)
-                    }
-                    None => query.clone(),
+                let mut comp_rng = StdRng::seed_from_u64(derive_seed(base, claim.id as u64 + 1));
+                let Some(level) = state.levels.get(claim.id) else {
+                    l0_part = select_l0(
+                        &l0_cands,
+                        query,
+                        mode,
+                        now,
+                        &mut comp_rng,
+                        share,
+                        &mut stats,
+                    );
+                    continue;
                 };
-                let mut comp_rng = StdRng::seed_from_u64(derive_seed(base, i as u64 + 1));
+                // The level's weight counted live sensors only, but its walk
+                // spreads a target over the tombstoned ones too and the
+                // collect step drops those picks: ask for enough that the
+                // live ones keep the whole share.
+                let target = share.map(|share| {
+                    let live = level.live_fraction();
+                    if live > 0.0 {
+                        share as f64 / live
+                    } else {
+                        0.0
+                    }
+                });
                 let (fixes_from, ids_from) = (plan.fixes.len(), plan.ids.len());
-                let out = level
-                    .tree()
-                    .select(&sub, mode, now, &mut comp_rng, &mut plan, scratch);
-                let (fixes, ids) = (fixes_from..plan.fixes.len(), ids_from..plan.ids.len());
-                parts.push((level.as_ref(), out, fixes, ids));
-            }
-            let mut stats = QueryStats::default();
-            let l0_part = if shares[l0_component] == Some(0) {
-                None
-            } else {
-                let mut comp_rng =
-                    StdRng::seed_from_u64(derive_seed(base, l0_component as u64 + 1));
-                let share = shares[l0_component];
-                select_l0(
-                    &l0_cands,
+                let out = level.tree().select(
                     query,
+                    target,
                     mode,
                     now,
                     &mut comp_rng,
-                    share,
-                    &mut stats,
-                )
-            };
+                    &mut plan,
+                    scratch,
+                );
+                let (fixes, ids) = (fixes_from..plan.fixes.len(), ids_from..plan.ids.len());
+                parts.push((claim.id, out, fixes, ids));
+            }
 
             // --- Collect: one wave over every component's selections, in
             // component order. Local ids go out as global ids; tombstoned
             // sensors never reach the wire and read as unavailable.
-            // Liveness is read once: a retire racing the query must not
-            // shift outcomes between sensors.
-            let mut wire = Vec::with_capacity(plan.ids.len());
-            let mut live = Vec::with_capacity(plan.ids.len());
-            for (level, _, _, ids) in &parts {
-                for &s in &plan.ids[ids.clone()] {
-                    let alive = !level.is_tombstoned(s);
-                    live.push(alive);
-                    if alive {
-                        wire.push(level.global_id(s));
-                    }
-                }
+            // Liveness is read once, here: a retire racing the query must
+            // not shift outcomes between sensors.
+            wire.reserve(plan.ids.len());
+            for (level, _, _, ids) in parts.iter() {
+                let level = &state.levels[*level];
+                let picks = plan.ids[ids.clone()].iter();
+                let live = picks.filter(|&&s| !level.is_tombstoned(s));
+                wire.extend(live.map(|&s| level.global_id(s)));
             }
             if let Some(part) = &l0_part {
                 wire.extend_from_slice(&part.to_probe);
             }
-            let mut wave = Wave::new(cost, probe, &wire, query, now);
+            let mut wave = Wave::new(cost, probe, wire, query, now);
+            // A pick went out iff the next id of the wire not yet matched is
+            // its own: the wire is the record of who was asked.
+            let mut sent = wire.iter().peekable();
 
             // --- Complete: each component folds in its slice of the wave ----
             let mut groups = Vec::new();
             let mut readings = Vec::new();
-            for (level, mut out, fixes, ids) in parts {
-                let mut buffered = Vec::new();
-                let selected = plan.ids[ids.clone()].iter().zip(&live[ids]);
-                let mut outcomes = selected.map(|(&sensor, &live)| {
-                    let arrived = if live { wave.next().flatten() } else { None };
+            for (level, mut out, fixes, ids) in parts.drain(..) {
+                let level = &state.levels[level];
+                let mut outcomes = plan.ids[ids].iter().map(|&sensor| {
+                    let asked = sent.next_if_eq(&&level.global_id(sensor)).is_some();
+                    let arrived = if asked { wave.next().flatten() } else { None };
                     arrived.map(|r| Reading { sensor, ..r })
                 });
+                let deferred_from = deferred.len();
                 level.tree().complete(
                     &mut out,
                     &plan,
                     fixes,
                     &mut outcomes,
+                    &mut scratch.got,
                     mode,
                     now,
-                    frozen.then_some(&mut buffered),
+                    frozen.then_some(&mut *deferred),
                 );
-                deferred.extend(buffered.into_iter().map(|r| Reading {
-                    sensor: level.global_id(r.sensor),
-                    ..r
-                }));
+                for r in &mut deferred[deferred_from..] {
+                    r.sensor = level.global_id(r.sensor);
+                }
                 if !frozen {
                     level.purge_retired(&out.readings);
                 }
@@ -649,15 +605,15 @@ impl LsmTree {
             }
             if let Some(mut part) = l0_part {
                 let probed: Vec<Reading> = wave.by_ref().flatten().collect();
-                match l0_live {
-                    _ if mode == Mode::RTree => {}
-                    Some(l0) => {
-                        let inserted: usize =
-                            probed.iter().map(|&r| l0.insert_reading(r, now)).sum();
+                match (mode, frozen) {
+                    (Mode::RTree, _) => {}
+                    (_, false) => {
+                        let cached = probed.iter().map(|&r| state.l0.insert_reading(r, now));
+                        let inserted: usize = cached.sum();
                         stats.cache_inserts += inserted as u64;
                         crate::flight::with(|f| f.write_back(inserted as u64));
                     }
-                    None => deferred.extend_from_slice(&probed),
+                    (_, true) => deferred.extend_from_slice(&probed),
                 }
                 for r in &probed {
                     part.group.agg.insert(r.value);
@@ -669,6 +625,7 @@ impl LsmTree {
             }
             wave.charge(&mut stats);
             scratch.plan = plan;
+            scratch.layers = layers;
             let mut out = QueryOutput {
                 groups,
                 readings,
@@ -847,6 +804,20 @@ impl LsmTree {
     }
 }
 
+/// The layered executor's buffers, pooled in the thread's
+/// [`crate::scratch::QueryScratch`] beside the plan they index.
+#[derive(Default)]
+pub(crate) struct LayerScratch {
+    /// The components that answer, with their shares of the target.
+    split: Vec<Claim>,
+    /// Per level that selected, in `split` order: its index in the cut, its
+    /// walk's answer so far, and which fixes and ids of the plan are its own.
+    parts: Vec<(usize, QueryOutput, Range<usize>, Range<usize>)>,
+    /// The plan's ids as the wave sends them: global, tombstoned picks left
+    /// out, L0's selections last.
+    wire: Vec<SensorId>,
+}
+
 /// What the flat L0 component selected: its group and cached readings so
 /// far, and the sensors it adds to the query's wave.
 struct L0Part {
@@ -855,7 +826,8 @@ struct L0Part {
     to_probe: Vec<SensorId>,
 }
 
-/// Selects from the L0 component: a flat scan with Algorithm 1's
+/// Selects from the L0 component's candidates (there is at least one, or L0
+/// would not be a component): a flat scan with Algorithm 1's
 /// availability-compensated sampling when a share is assigned, cache-first
 /// collection otherwise. Returns `None` when L0 contributes no group.
 fn select_l0<R: Rng + ?Sized>(
@@ -867,9 +839,6 @@ fn select_l0<R: Rng + ?Sized>(
     share: Option<usize>,
     stats: &mut QueryStats,
 ) -> Option<L0Part> {
-    if cands.is_empty() {
-        return None;
-    }
     let n = cands.len();
     stats.entries_scanned += n as u64;
     // Selection: apportioned share with availability oversampling
@@ -928,48 +897,70 @@ fn select_l0<R: Rng + ?Sized>(
     })
 }
 
-/// Apportions `r` whole units across `targets` in proportion to their
-/// weights — Algorithm 1's proportional split lifted to whole units, across
-/// LSM components here and across shards in the engine's router. Each target
-/// gets the floor of its ideal share; the leftover units are handed out by
-/// systematic sampling over the fractional parts from the one uniform
-/// `u ∈ [0, 1)`: laid end to end the fractions span `[0, leftover)`, and the
-/// target whose stretch holds `u + k` takes unit `k`. So a target's expected
-/// share is exactly its ideal (Theorem 2 survives the split at any `r`, where
-/// a largest-remainder rule hands the same targets the leftover every time),
-/// shares sum to `r`, and the result is a function of `(r, targets, u)` —
-/// callers take `u` from [`unit_draw`] of a seed derived per query, so a
-/// query still replays.
+/// One claimant of a split by [`apportion`]: an LSM component here, a shard
+/// in the engine's router.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Claim {
+    /// The caller's index for the claimant.
+    pub id: usize,
+    /// What it claims by: its live weight in the viewport.
+    pub weight: f64,
+    /// The whole units [`apportion`] handed it.
+    pub share: usize,
+}
+
+impl Claim {
+    /// A claim of `weight` by claimant `id`, nothing handed out yet.
+    pub fn new(id: usize, weight: f64) -> Claim {
+        let share = 0;
+        Claim { id, weight, share }
+    }
+}
+
+/// Apportions `r` whole units across `claims` in proportion to their
+/// weights, writing each claimant's `share` in place — Algorithm 1's
+/// proportional split lifted to whole units, across LSM components here and
+/// across shards in the engine's router. Each claimant gets the floor of its
+/// ideal share; the leftover units are handed out by systematic sampling over
+/// the fractional parts from the one uniform `u ∈ [0, 1)`: laid end to end
+/// the fractions span `[0, leftover)`, and the claimant whose stretch holds
+/// `u + k` takes unit `k`. So a claimant's expected share is exactly its
+/// ideal (Theorem 2 survives the split at any `r`, where a largest-remainder
+/// rule hands the same claimants the leftover every time), shares sum to `r`,
+/// and the result is a function of `(r, claims, u)` — callers take `u` from
+/// [`unit_draw`] of a seed derived per query, so a query still replays.
 ///
 /// The ideals are `f64`, exact only up to 2^53, and no population is that
 /// large: `r` is capped there, so an absurd target (`SAMPLESIZE 1e30`
 /// saturates to `usize::MAX`) can neither overflow the floor sum nor spin
 /// the leftover loop.
-pub fn apportion(r: usize, targets: &[(usize, f64)], u: f64) -> Vec<usize> {
+pub fn apportion(r: usize, claims: &mut [Claim], u: f64) {
     let r = r.min(1 << 53);
-    let total: f64 = targets.iter().map(|&(_, w)| w).sum();
+    let total: f64 = claims.iter().map(|c| c.weight).sum();
     if total <= 0.0 {
-        let mut shares = vec![0; targets.len()];
-        if let Some(first) = shares.first_mut() {
-            *first = r;
+        for (i, c) in claims.iter_mut().enumerate() {
+            c.share = if i == 0 { r } else { 0 };
         }
-        return shares;
+        return;
     }
-    let ideals: Vec<f64> = targets.iter().map(|&(_, w)| r as f64 * w / total).collect();
-    let mut shares: Vec<usize> = ideals.iter().map(|&x| x.floor() as usize).collect();
-    let mut leftover = r.saturating_sub(shares.iter().sum());
-    let last = targets.len() - 1;
+    let ideal = |c: &Claim| r as f64 * c.weight / total;
+    let mut leftover = r;
+    for c in claims.iter_mut() {
+        c.share = ideal(c).floor() as usize;
+        leftover = leftover.saturating_sub(c.share);
+    }
+    let last = claims.len() - 1;
     let (mut reach, mut next) = (0.0, u);
-    for (i, ideal) in ideals.iter().enumerate() {
+    for (i, c) in claims.iter_mut().enumerate() {
+        let ideal = ideal(c);
         reach += ideal - ideal.floor();
-        // The last target takes whatever rounding error left unplaced.
+        // The last claimant takes whatever rounding error left unplaced.
         while leftover > 0 && (next < reach || i == last) {
-            shares[i] += 1;
+            c.share += 1;
             leftover -= 1;
             next += 1.0;
         }
     }
-    shares
 }
 
 /// The uniform `[0, 1)` value of a 64-bit seed's top 53 bits — how

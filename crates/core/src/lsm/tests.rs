@@ -6,7 +6,7 @@ use crate::time::TimeDelta;
 use crate::tree::{ColrConfig, ColrTree};
 use colr_geo::{Point, Rect};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 const EXPIRY_MS: u64 = 300_000;
 
@@ -55,31 +55,82 @@ fn outputs_equal(a: &QueryOutput, b: &QueryOutput) -> bool {
         })
 }
 
+/// Every node's slot ring and raw entries, and the eviction order.
+fn cache_state(tree: &ColrTree) -> String {
+    let nodes: Vec<_> = tree.node_ids().map(|id| tree.cache_snapshot(id)).collect();
+    format!("{nodes:?} {:?}", tree.cached_entries())
+}
+
+/// The one-level identity: a fresh index — one level, nothing retired, an
+/// empty L0 — is the executor's loop run once, so it answers exactly as its
+/// level's tree does when that tree is driven by hand with what the loop
+/// hands it: the target `stochastic_round(R, rng)` and the stream
+/// `derive_seed(rng.next_u64(), 1)`. Readings, groups, stats, latency, the
+/// caller's RNG position and the cache state left behind, in all three
+/// modes, cold / warm / expired, interactive and frozen. This is what ties
+/// the digests of `tests/hotpath_parity.rs` (a), (c), (d), taken through the
+/// service, to the bare-tree walk its cases (b), (e), (g) pin.
 #[test]
-fn degenerate_single_level_replays_monolithic_bit_identically() {
-    let sensors = grid_sensors(256, 16);
-    let mono = ColrTree::build(sensors.clone(), ColrConfig::default(), 42);
-    let lsm = LsmTree::new(sensors, ColrConfig::default(), LsmConfig::default(), 42);
+fn a_one_level_index_answers_exactly_as_its_tree_driven_by_hand() {
     let probe = AlwaysAvailable {
         expiry_ms: EXPIRY_MS,
     };
-    for (i, mode) in [Mode::Colr, Mode::HierCache, Mode::RTree]
-        .iter()
-        .enumerate()
-    {
-        // A warm/cold pair per mode: the second query must replay against
-        // the identically mutated cache.
-        for step in 0..2u64 {
-            let now = Timestamp(1_000 + step * 10_000);
-            let q = sample_query(24.0);
-            let mut r1 = StdRng::seed_from_u64(7 + i as u64);
-            let mut r2 = StdRng::seed_from_u64(7 + i as u64);
-            let a = mono.execute(&q, *mode, &probe, now, &mut r1);
-            let b = lsm.execute(&q, *mode, &probe, now, &mut r2);
-            assert!(
-                outputs_equal(&a, &b),
-                "mode {mode:?} step {step}: degenerate LSM diverged from monolithic"
-            );
+    // A fractional target, so the rounding draw is part of what is checked.
+    let q = sample_query(24.5);
+    for frozen in [false, true] {
+        for (i, mode) in [Mode::Colr, Mode::HierCache, Mode::RTree]
+            .into_iter()
+            .enumerate()
+        {
+            let sensors = grid_sensors(256, 16);
+            let tree = ColrTree::build(sensors.clone(), ColrConfig::default(), 42);
+            let lsm = LsmTree::new(sensors, ColrConfig::default(), LsmConfig::default(), 42);
+            let level = lsm.primary_level();
+            // Cold, warm against the identically mutated cache, then past
+            // every reading's expiry.
+            for (step, at) in [1_000, 11_000, 2_000 + EXPIRY_MS].into_iter().enumerate() {
+                let what = format!("{mode:?} step {step} frozen {frozen}");
+                let now = Timestamp(at);
+                let mut by_hand = StdRng::seed_from_u64(7 + i as u64);
+                let mut through = StdRng::seed_from_u64(7 + i as u64);
+                let target = match mode {
+                    Mode::Colr => stochastic_round(24.5, &mut by_hand) as f64,
+                    _ => 24.5,
+                };
+                let asked = q.clone().with_sample_size(target);
+                let mut stream = StdRng::seed_from_u64(derive_seed(by_hand.next_u64(), 1));
+                let (a, b) = if frozen {
+                    tree.advance(now);
+                    lsm.advance(now);
+                    let snap = lsm.freeze();
+                    let (a, a_deferred) =
+                        tree.execute_frozen(&asked, mode, &probe, now, &mut stream);
+                    let (b, b_deferred) =
+                        lsm.execute_frozen(&snap, &q, mode, &probe, now, &mut through);
+                    assert_eq!(a_deferred, b_deferred, "{what}");
+                    assert_eq!(
+                        tree.apply_readings(&a_deferred, now),
+                        lsm.apply_deferred(&b_deferred, now),
+                        "{what}"
+                    );
+                    (a, b)
+                } else {
+                    (
+                        tree.execute(&asked, mode, &probe, now, &mut stream),
+                        lsm.execute(&q, mode, &probe, now, &mut through),
+                    )
+                };
+                assert!(outputs_equal(&a, &b), "{what}: {a:?}\nvs {b:?}");
+                assert_eq!(by_hand.next_u64(), through.next_u64(), "{what}");
+                assert_eq!(cache_state(&tree), cache_state(level.tree()), "{what}");
+                match step {
+                    1 if mode != Mode::RTree => assert!(
+                        b.stats.readings_from_cache + b.stats.cache_nodes_used > 0,
+                        "{what}: the warm step never touched a cache"
+                    ),
+                    _ => assert!(b.stats.sensors_probed > 0, "{what}: nothing probed"),
+                }
+            }
         }
     }
 }
@@ -438,38 +489,52 @@ fn empty_merge_is_a_no_op() {
     assert_eq!(lsm.stats(), before);
 }
 
+/// [`apportion`]'s shares of `r` over claimants of these weights.
+fn split(r: usize, weights: &[f64], u: f64) -> Vec<usize> {
+    let mut claims: Vec<Claim> = weights
+        .iter()
+        .enumerate()
+        .map(|(id, &weight)| Claim {
+            id,
+            weight,
+            share: 0,
+        })
+        .collect();
+    apportion(r, &mut claims, u);
+    claims.iter().map(|c| c.share).collect()
+}
+
 #[test]
 fn apportionment_is_exact_and_deterministic() {
     // Exact: whole ideals need no `u`, and every split sums to `r`.
-    let targets = [(0usize, 3.0), (1, 1.0), (2, 1.0)];
     for u in [0.0, 0.37, 0.999] {
-        assert_eq!(apportion(10, &targets, u), vec![6, 2, 2]);
+        assert_eq!(split(10, &[3.0, 1.0, 1.0], u), vec![6, 2, 2]);
     }
     // Deterministic in `u`: the fractions 1/3 each lie end to end over
     // [0, 1), and the one leftover unit goes to whichever stretch holds `u`.
-    let thirds = [(0usize, 1.0), (1, 1.0), (2, 1.0)];
-    assert_eq!(apportion(4, &thirds, 0.0), vec![2, 1, 1]);
-    assert_eq!(apportion(4, &thirds, 0.5), vec![1, 2, 1]);
-    assert_eq!(apportion(4, &thirds, 0.9), vec![1, 1, 2]);
+    let thirds = [1.0, 1.0, 1.0];
+    assert_eq!(split(4, &thirds, 0.0), vec![2, 1, 1]);
+    assert_eq!(split(4, &thirds, 0.5), vec![1, 2, 1]);
+    assert_eq!(split(4, &thirds, 0.9), vec![1, 1, 2]);
     // Unbiased: over a grid of `u` every target's mean share is its ideal,
     // down to one unit over four equal shards and a 1-in-101 long shot.
     let grid = 10_000;
-    for (r, targets) in [
-        (1, vec![(0usize, 1.0), (1, 1.0), (2, 1.0), (3, 1.0)]),
-        (3, vec![(0, 1.0), (1, 1.0), (2, 1.0), (3, 1.0)]),
-        (1, vec![(0, 1.0), (1, 100.0)]),
-        (7, vec![(0, 300.0), (1, 60.0), (2, 12.0), (3, 20.0)]),
+    for (r, weights) in [
+        (1, vec![1.0, 1.0, 1.0, 1.0]),
+        (3, vec![1.0, 1.0, 1.0, 1.0]),
+        (1, vec![1.0, 100.0]),
+        (7, vec![300.0, 60.0, 12.0, 20.0]),
     ] {
-        let total: f64 = targets.iter().map(|&(_, w)| w).sum();
-        let mut sums = vec![0usize; targets.len()];
+        let total: f64 = weights.iter().sum();
+        let mut sums = vec![0usize; weights.len()];
         for k in 0..grid {
-            let shares = apportion(r, &targets, (k as f64 + 0.5) / grid as f64);
+            let shares = split(r, &weights, (k as f64 + 0.5) / grid as f64);
             assert_eq!(shares.iter().sum::<usize>(), r);
             for (sum, share) in sums.iter_mut().zip(shares) {
                 *sum += share;
             }
         }
-        for (&(_, w), sum) in targets.iter().zip(sums) {
+        for (&w, sum) in weights.iter().zip(sums) {
             let (mean, ideal) = (sum as f64 / grid as f64, r as f64 * w / total);
             assert!(
                 (mean - ideal).abs() <= 2.0 / grid as f64,
@@ -477,11 +542,13 @@ fn apportionment_is_exact_and_deterministic() {
             );
         }
     }
-    // Degenerate weights: everything lands on the first target.
-    assert_eq!(apportion(5, &[(0usize, 0.0), (1, 0.0)], 0.5), vec![5, 0]);
+    // No weight at all: everything lands on the first claimant, and no
+    // claimant is nothing to do.
+    assert_eq!(split(5, &[0.0, 0.0], 0.5), vec![5, 0]);
+    assert_eq!(split(5, &[], 0.5), Vec::<usize>::new());
     // An absurd target is capped where the f64 ideals stop being exact: it
     // returns at once and the floor sum cannot overflow.
-    let huge = apportion(usize::MAX, &[(0usize, 1.0), (1, 1.0)], 0.5);
+    let huge = split(usize::MAX, &[1.0, 1.0], 0.5);
     assert_eq!(huge, vec![1 << 52, 1 << 52]);
     assert_eq!(unit_draw(0), 0.0);
     assert!(unit_draw(u64::MAX) < 1.0);
@@ -556,7 +623,7 @@ fn the_visitor_yields_the_live_locations_in_levels_then_l0_order() {
             .map(|m| m.location)
             .collect()
     };
-    assert_eq!(visited(&lsm), by_copy(&lsm), "one identity level");
+    assert_eq!(visited(&lsm), by_copy(&lsm), "one level");
     assert_eq!(visited(&lsm).len(), 64);
 
     // Two merged levels beside the base, a retire in each kind of component,
@@ -629,8 +696,7 @@ fn a_write_back_that_lost_the_race_to_a_retire_caches_nothing_of_the_retired_sen
         Rect::from_coords(-1.0, -1.0, 200.0, 200.0),
         TimeDelta::from_millis(EXPIRY_MS),
     );
-    // The single passthrough level, then the layered path over two levels
-    // with the victim in the merged one.
+    // A fresh index, then two levels with the victim in the merged one.
     for layered in [false, true] {
         let lsm = LsmTree::new(
             grid_sensors(64, 8),

@@ -16,6 +16,7 @@
 use std::cell::Cell;
 
 use crate::lookup::ProbePlan;
+use crate::lsm::LayerScratch;
 use crate::reading::{Reading, SensorId};
 use crate::sampling::ScaledPq;
 
@@ -43,6 +44,10 @@ pub(crate) struct QueryScratch {
     pub(crate) candidates: Vec<SensorId>,
     /// Probe selections awaiting the query's single collect step.
     pub(crate) plan: ProbePlan,
+    /// Successes of the wave in flight, awaiting their batched write-back.
+    pub(crate) got: Vec<Reading>,
+    /// The LSM executor's per-component buffers, which index `plan`.
+    pub(crate) layers: LayerScratch,
     /// DFS stack for subtree scans (node ids / arena indices).
     pub(crate) stack: Vec<u32>,
     /// Per-child overlap classification of the SoA rectangle tests

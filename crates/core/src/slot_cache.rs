@@ -280,11 +280,6 @@ impl<'a> SlotRing<'a> {
             .filter(move |(_, c)| c.abs * width >= now.millis() && c.min_ts >= bound)
     }
 
-    /// Number of non-empty slots currently held.
-    pub fn occupied_slots(&self) -> usize {
-        self.held().count()
-    }
-
     /// Absolute indices of the slots currently held, in ring order.
     pub(crate) fn held_slots(&self) -> impl Iterator<Item = u64> + 'a {
         self.held().map(|(_, c)| c.abs)
@@ -397,12 +392,6 @@ impl<'a> SlotRing<'a> {
             }
         }
         any.then_some(merged)
-    }
-
-    /// Total weight (reading count) across all currently held slots,
-    /// regardless of freshness — the cache table's aggregate `value weight`.
-    pub fn total_weight(&self) -> u64 {
-        self.held().map(|(_, c)| c.agg.count).sum()
     }
 }
 
@@ -814,15 +803,14 @@ mod tests {
         assert_eq!(s1.agg.sum, 12.0);
         assert_eq!(s1.min_ts, Timestamp(10));
         assert_eq!(sc.slot(2).unwrap().agg.count, 1);
-        assert_eq!(sc.ring().occupied_slots(), 2);
-        assert_eq!(sc.ring().total_weight(), 3);
+        assert_eq!(sc.ring().held_slots().collect::<Vec<_>>(), [1, 2]);
     }
 
     #[test]
     fn insert_below_base_is_rejected() {
         let mut sc = SlotCache::new(cfg(100, 4));
         assert!(!sc.insert(Timestamp(50), Timestamp(0), 1.0, 2));
-        assert_eq!(sc.ring().occupied_slots(), 0);
+        assert_eq!(sc.ring().held_slots().count(), 0);
     }
 
     #[test]
@@ -879,7 +867,7 @@ mod tests {
         sc.insert(Timestamp(150), Timestamp(0), 1.0, 0);
         assert_eq!(sc.try_remove(Timestamp(150), 1.0), RemoveOutcome::Removed);
         assert!(sc.slot(1).is_none());
-        assert_eq!(sc.ring().occupied_slots(), 0);
+        assert_eq!(sc.ring().held_slots().count(), 0);
     }
 
     #[test]

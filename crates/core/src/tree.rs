@@ -1537,7 +1537,7 @@ mod tests {
         assert_eq!(tree.validate(), Ok(()), "rolled tree");
         assert!(tree
             .node_ids()
-            .all(|id| tree.with_cache(id, |c| c.cache.occupied_slots() == 0)));
+            .all(|id| tree.with_cache(id, |c| c.cache.held_slots().count() == 0)));
     }
 
     /// The cache state of a built tree is flat: per stripe three slabs whose

@@ -34,8 +34,9 @@ use std::sync::{Arc, OnceLock};
 use colr_geo::{Point, Rect};
 use colr_telemetry::{global, Counter};
 use colr_tree::{
-    apportion, derive_seed, kmeans_partition, unit_draw, AggKind, BuildStrategy, ClockHandle,
-    Histogram, Mode, ProbeService, QueryStats, SensorId, SensorMeta, TimeDelta, Timestamp,
+    apportion, derive_seed, kmeans_partition, unit_draw, AggKind, BuildStrategy, Claim,
+    ClockHandle, Histogram, Mode, ProbeService, QueryStats, SensorId, SensorMeta, TimeDelta,
+    Timestamp,
 };
 use parking_lot::{Mutex, RwLock};
 
@@ -451,7 +452,7 @@ impl<P: ProbeService> ShardedPortal<P> {
         trace_parse(&core.clock, req.sql_len());
         let t = router_telem();
         t.queries.inc();
-        let targets = self.overlap_targets(req.select());
+        let mut targets = self.overlap_targets(req.select());
         t.fanout.observe(targets.len() as u64);
         if req.explain() == ExplainLevel::Plan {
             return Ok(self.plan_across(req, &targets));
@@ -463,7 +464,7 @@ impl<P: ProbeService> ShardedPortal<P> {
             // shard's answer (samples, stats, degradation) passes through
             // verbatim — this is what makes a 1-shard router bit-identical
             // to the bare service.
-            let s = targets.first().map_or(0, |&(s, _)| s);
+            let s = targets.first().map_or(0, |t| t.id);
             return match core.shards[s].execute_seeded(req, shard_seed(base, s), ordinal) {
                 Ok(mut resp) => {
                     resp.shards = vec![ShardOutcome {
@@ -493,19 +494,17 @@ impl<P: ProbeService> ShardedPortal<P> {
         // The leftover units fall by `derive_seed(base, 0)`, which seeds no
         // shard (shard 0 runs under `base` itself), so the split replays per
         // `(seed, ordinal)` like the slices it hands out.
-        let shares: Vec<Option<usize>> = match target_r {
-            Some(r) if core.mode == Mode::Colr => {
-                let u = unit_draw(derive_seed(base, 0));
-                apportion(r, &targets, u).into_iter().map(Some).collect()
-            }
-            _ => vec![None; targets.len()],
-        };
+        let split = target_r.filter(|_| core.mode == Mode::Colr);
+        if let Some(r) = split {
+            apportion(r, &mut targets, unit_draw(derive_seed(base, 0)));
+        }
         let mut outcomes = Vec::with_capacity(targets.len());
         let mut answers: Vec<(usize, QueryResponse)> = Vec::with_capacity(targets.len());
         let mut merged_degradation = DegradationReport::default();
         let mut first_failure: Option<(usize, PortalError)> = None;
-        for (i, &(s, _)) in targets.iter().enumerate() {
-            let share = shares[i];
+        for target in &targets {
+            let s = target.id;
+            let share = split.map(|_| target.share);
             if share == Some(0) && target_r != Some(0) {
                 // Apportionment starved this shard: skip it without paying
                 // its admission slot; its zero slice is already accounted.
@@ -599,7 +598,7 @@ impl<P: ProbeService> ShardedPortal<P> {
     /// weights `w_i × Overlap(BB(i), A)` read from each shard's live root.
     /// Falls back to shard 0 (weightless) when nothing overlaps, so an
     /// empty-viewport query still yields one well-formed empty answer.
-    fn overlap_targets(&self, select: &SelectQuery) -> Vec<(usize, f64)> {
+    fn overlap_targets(&self, select: &SelectQuery) -> Vec<Claim> {
         let region = select.within.region();
         let mut targets = Vec::new();
         for (s, shard) in self.core.shards.iter().enumerate() {
@@ -611,7 +610,7 @@ impl<P: ProbeService> ShardedPortal<P> {
                 .lsm()
                 .overlap_weight(&region, select.sensor_type);
             if ow > 0.0 {
-                targets.push((s, ow));
+                targets.push(Claim::new(s, ow));
             }
         }
         targets
@@ -619,10 +618,10 @@ impl<P: ProbeService> ShardedPortal<P> {
 
     /// The [`ExplainLevel::Plan`] path: no execution, so gather each target
     /// shard's plan text (prefixed with its shard header when fanned out).
-    fn plan_across(&self, req: &QueryRequest, targets: &[(usize, f64)]) -> QueryResponse {
+    fn plan_across(&self, req: &QueryRequest, targets: &[Claim]) -> QueryResponse {
         let core = &*self.core;
         if targets.len() <= 1 {
-            let s = targets.first().map_or(0, |&(s, _)| s);
+            let s = targets.first().map_or(0, |t| t.id);
             let mut resp = core.shards[s].plan_response(req);
             resp.shards = vec![ShardOutcome {
                 shard: s,
@@ -633,7 +632,7 @@ impl<P: ProbeService> ShardedPortal<P> {
         }
         let mut text = String::new();
         let mut outcomes = Vec::with_capacity(targets.len());
-        for &(s, _) in targets {
+        for s in targets.iter().map(|t| t.id) {
             let resp = core.shards[s].plan_response(req);
             if !text.is_empty() {
                 text.push('\n');
@@ -958,7 +957,7 @@ mod tests {
     #[test]
     fn shard_info_by_one_pass_equals_the_copy_to_the_bit() {
         for shards in [1, 4] {
-            // A fresh shard: one identity level.
+            // A fresh shard: one level.
             assert_eq!(
                 assert_matches_the_copy(&router(shards), "fresh"),
                 SIDE * SIDE

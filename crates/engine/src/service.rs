@@ -990,6 +990,7 @@ mod tests {
     use colr_geo::Point;
     use colr_tree::probe::AlwaysAvailable;
     use colr_tree::LsmConfig;
+    use rand::RngCore;
 
     const EXPIRY_MS: u64 = 300_000;
 
@@ -1283,9 +1284,19 @@ mod tests {
         (tree, planner)
     }
 
+    /// The stream a fresh index hands its one level for a request seeded
+    /// `seed`: component 0's, under the request's first draw. [`SHAPES`] ask
+    /// for whole sample sizes, so rounding the target draws nothing before it
+    /// and the target handed down is the plan's own.
+    fn level_stream(seed: u64) -> StdRng {
+        let base = StdRng::seed_from_u64(seed).next_u64();
+        StdRng::seed_from_u64(derive_seed(base, 1))
+    }
+
     // With the parity suites on either side this closes the reference chain:
-    // router ≡ service (tests/sharded_router.rs), service ≡ bare tree (here),
-    // bare tree ≡ single-level LSM (colr-tree's lsm tests).
+    // router ≡ service (tests/sharded_router.rs), service ≡ bare tree driven
+    // by hand (here), a one-level index ≡ its tree driven by hand (colr-tree's
+    // lsm tests).
     #[test]
     fn default_service_replays_the_bare_tree_on_interactive_queries() {
         let probe = AlwaysAvailable {
@@ -1307,7 +1318,7 @@ mod tests {
                     let req = QueryRequest::from_sql(sql).unwrap();
                     let got = svc.execute(&req).unwrap().result;
                     let plan = planner.plan(req.select());
-                    let mut rng = StdRng::seed_from_u64(derive_seed(seed, ordinal));
+                    let mut rng = level_stream(derive_seed(seed, ordinal));
                     let out = tree.execute(&plan, Mode::Colr, &probe, svc.now(), &mut rng);
                     let want = PortalService::<AlwaysAvailable>::finish(
                         &svc.snapshot(),
@@ -1333,7 +1344,7 @@ mod tests {
             expiry_ms: EXPIRY_MS,
         };
         for seed in [3_u64, 41, 2026] {
-            for threads in [1_usize, 8] {
+            for threads in [1_usize, 2, 8] {
                 let config = PortalConfig {
                     seed,
                     ..Default::default()
@@ -1353,7 +1364,7 @@ mod tests {
                         .map(|(i, sql)| {
                             let req = QueryRequest::from_sql(sql).unwrap();
                             let plan = planner.plan(req.select());
-                            let mut rng = StdRng::seed_from_u64(derive_seed(seed, i as u64));
+                            let mut rng = level_stream(derive_seed(seed, i as u64));
                             let (out, deferred) =
                                 tree.execute_frozen(&plan, Mode::Colr, &probe, now, &mut rng);
                             (req, plan, out, deferred)
@@ -1706,8 +1717,13 @@ mod tests {
             .results
             .iter()
             .all(|r| r.degradation.fulfillment() >= worst));
-        // Fully-available fleet: nobody under-delivers.
-        assert!(worst >= 1.0, "worst fulfillment {worst}");
+        // A fully available fleet can still under-deliver: each terminal
+        // rounds its share on its own (ROADMAP 2b). What every stream gives
+        // is a sample, and no more of it than the viewport holds.
+        for (r, in_viewport) in batch.results.iter().zip([256, 64]) {
+            let sampled = r.degradation.sampled;
+            assert!((1..=in_viewport).contains(&sampled), "sampled {sampled}");
+        }
     }
 
     #[test]

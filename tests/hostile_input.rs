@@ -4,12 +4,12 @@
 //! numbers sit at an edge — a zero or absurd sample target, a zero-area or
 //! inverted rectangle, infinite corners, radius or staleness, a ring that
 //! crosses itself. Each runs through a 1-shard and a 4-shard
-//! [`ShardedPortal`], fresh (one passthrough LSM level per shard) and churned
-//! (L0 sensors, a second level, tombstones: the layered path), on a helper
-//! thread under `catch_unwind` with a deadline, and must come back in time,
-//! without a panic, with group counts that add up to what the degradation
-//! report says was sampled, and with all four routers agreeing on whether
-//! anything was found.
+//! [`ShardedPortal`], fresh (one LSM level per shard) and churned (L0
+//! sensors, a second level, tombstones: the same code over different data),
+//! on a helper thread under `catch_unwind` with a deadline, and must come
+//! back in time, without a panic, with group counts that add up to what the
+//! degradation report says was sampled, and with all four routers agreeing
+//! on whether anything was found.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
@@ -32,7 +32,7 @@ fn within(shape: &str) -> String {
 
 /// A bow-tie: its two lobes wind opposite ways, so the signed area of the
 /// ring clipped to a box cancels and a level weighted by it was skipped
-/// (15 sensors through one passthrough level, 0 through a layered one).
+/// (0 sensors found where 15 lie inside).
 const BOW_TIE: &str = "POLYGON((0 0, 10 10, 0 10, 10 0))";
 
 fn statements() -> Vec<String> {
@@ -52,8 +52,7 @@ fn statements() -> Vec<String> {
 
 /// A router over the 32×32 grid; `churned` adds 40 registrations with a merge
 /// after the 32nd and retires every third of them, so each shard answers
-/// through L0, a second level and tombstone masks rather than one
-/// passthrough level.
+/// from L0, a second level and tombstone masks as well as its base level.
 fn router(shards: usize, churned: bool) -> ShardedPortal<AlwaysAvailable> {
     let sensors: Vec<SensorMeta> = (0..SIDE * SIDE)
         .map(|i| {

@@ -44,6 +44,17 @@
 //! A digest mismatch means an answer, a statistic or an RNG position moved.
 //! If that is an intended algorithm change (ROADMAP 2d), re-record: every
 //! assertion prints the digest it computed.
+//!
+//! Re-recorded once, in PR 24: the batch digests of (a), (c) and (d) — the
+//! cases that go through `PortalService`. Until then a fresh service handed
+//! its one level the request's raw RNG; now it runs the executor a churned
+//! one runs, and the level walks under `derive_seed(rng.next_u64(), 1)`. The
+//! walk did not change — (b), (e), (f), (g) and the shape digests of (c) are
+//! on the bare tree and did not move — and what ties the new constants to it
+//! is an identity, checked bit for bit: a one-level index answers exactly as
+//! its tree driven by hand with that stream (`colr-tree`'s lsm tests; the
+//! two parity tests of `engine/src/service.rs` for the service over it, at
+//! 1 / 2 / 8 batch threads). CHANGES.md lists the 18 constants old → new.
 
 use colr_repro::colr::probe::AlwaysAvailable;
 use colr_repro::colr::{
@@ -62,15 +73,15 @@ const SEEDS: [u64; 3] = [3, 17, 91];
 
 /// `(cold, warm)` batch digests per build seed, frozen availability.
 const FROZEN_BATCHES: [(u64, u64); 3] = [
-    (0xccd6_78d3_6264_666f, 0x5e8c_4a72_2bb2_1bec),
-    (0xb13c_9725_9058_50e8, 0x9f0d_4d7b_1e9e_a598),
-    (0x994e_87b8_8725_42ce, 0x45a5_80c5_b3fa_4b33),
+    (0x98a3_90c3_e8a6_2972, 0xe992_9c1e_fb61_b21b),
+    (0x4d3a_8d31_cf66_547d, 0xb52f_00b0_5d61_bd1b),
+    (0x519f_81af_85fb_07d7, 0xb9ed_7b07_be08_db5a),
 ];
 /// `(cold, warm)` batch digests per build seed, live availability.
 const LIVE_BATCHES: [(u64, u64); 3] = [
-    (0xb26b_8f7b_8822_0b2f, 0x1a70_736d_6b2f_3b60),
-    (0xa9b9_016b_83f3_7002, 0x8e61_1ae4_4f23_4248),
-    (0x1553_afb3_7ba3_7c58, 0xf9b5_60e6_2a7c_6ad8),
+    (0x711d_bc87_bd98_6ae9, 0xd24b_6d39_8f2c_9871),
+    (0x6d98_41a9_534a_f8f0, 0xc66e_563a_c755_1bfc),
+    (0x4d4b_4829_f5bd_262b, 0x0f56_e202_c6f9_831d),
 ];
 /// One digest per query of [`scalar_queries`] (three rounds each).
 const FROZEN_SHAPES: [u64; 4] = [
@@ -88,20 +99,21 @@ const LIVE_SHAPES: [u64; 4] = [
 ];
 
 /// Cold-pass batch digests per build seed for [`wide_batch`] — SQL without a
-/// `CLUSTER` clause over viewports that contain whole internal nodes —
-/// recorded at parent `4b276bc`, before a covered internal node could end the
-/// walk: with cold caches that rule changes nothing, so these must not move.
+/// `CLUSTER` clause over viewports that contain whole internal nodes. With
+/// cold caches the covered-node rule changes nothing: until the stream moved
+/// (see the module doc) these were the constants recorded at parent
+/// `4b276bc`, before a covered internal node could end the walk.
 const WIDE_COLD: [u64; 3] = [
-    0xfdee_4d07_1009_0aac,
-    0x337a_11d4_20bf_adf8,
-    0x5f63_a48f_aba2_33a8,
+    0x3d31_af59_a37a_d7fc,
+    0x56d3_4e15_5583_73d4,
+    0xd007_1967_923a_bc36,
 ];
 /// Warm-pass digests of the same batches, recorded with the rule in place
 /// (contained internal nodes answer from their own slot caches).
 const WIDE_WARM: [u64; 3] = [
-    0x5368_8d46_2afe_5841,
-    0x58f0_f66b_f5b1_04ff,
-    0x66cc_a952_8440_67b5,
+    0x79f3_d338_5924_47db,
+    0x3060_58cf_137c_89c9,
+    0x0e62_bcdb_39e0_04fc,
 ];
 
 fn fleet() -> Vec<SensorMeta> {

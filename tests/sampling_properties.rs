@@ -444,7 +444,7 @@ mod oracle {
     }
 
     #[test]
-    fn one_degenerate_shard_is_uniform() {
+    fn one_fresh_shard_is_uniform() {
         let sensors = fleet(400, 0, |_| 1.0);
         let log = Log::default();
         let (portal, _) = portal(&sensors, 400, 1, &log, |b| b);

@@ -9,6 +9,10 @@
 //!     fulfillment drops below 1.0 and the dead shard's outcome carries the
 //!     error — instead of failing the query. Only when every overlapping
 //!     shard declines does the router return `ShardUnavailable`.
+//! (c) There is one way through the index, so a registration nobody asks
+//!     about changes no answer: a sensor parked in L0 far outside every
+//!     viewport is not a component of any request, and the split and every
+//!     component's stream are the ones the fresh index used.
 
 use colr_repro::colr::probe::AlwaysAvailable;
 use colr_repro::colr::{Mode, SensorMeta, TimeDelta, Timestamp};
@@ -228,4 +232,76 @@ fn all_shards_dead_is_shard_unavailable() {
         matches!(err, PortalError::ShardUnavailable { .. }),
         "expected ShardUnavailable, got {err:?}"
     );
+}
+
+/// Ten sampled statements over the four clusters of [`kinds_fleet`]: rects
+/// that cut and that contain clusters, polygons, circles, kind filters.
+const SAMPLED: [&str; 10] = [
+    "SELECT count(*) FROM sensor WHERE location WITHIN RECT(2, 2, 50, 50) SAMPLESIZE 24",
+    "SELECT avg(value) FROM sensor WHERE location WITHIN RECT(-10, -10, 80, 80) SAMPLESIZE 40",
+    "SELECT count(*) FROM sensor WHERE location WITHIN RECT(55, 5, 66, 70) SAMPLESIZE 9",
+    "SELECT avg(value) FROM sensor WHERE location WITHIN \
+     POLYGON((0 0, 70 0, 70 70, 0 70)) SAMPLESIZE 32",
+    "SELECT count(*) FROM sensor WHERE location WITHIN \
+     POLYGON((5 5, 66 10, 30 66)) SAMPLESIZE 21",
+    "SELECT sum(value) FROM sensor WHERE location WITHIN CIRCLE(60, 60, 15) SAMPLESIZE 16",
+    "SELECT count(*) FROM sensor WHERE location WITHIN CIRCLE(36, 36, 30) SAMPLESIZE 28",
+    "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-10, -10, 80, 80) \
+     AND type = 1 SAMPLESIZE 18",
+    "SELECT avg(value) FROM sensor WHERE location WITHIN CIRCLE(12, 60, 14) \
+     AND type = 2 SAMPLESIZE 7",
+    "SELECT count(*) FROM sensor WHERE location WITHIN RECT(4, 4, 20, 20) SAMPLESIZE 1",
+];
+
+/// Four clusters, three sensor kinds.
+fn kinds_fleet() -> Vec<SensorMeta> {
+    let centres = [(12.0, 12.0), (60.0, 12.0), (12.0, 60.0), (60.0, 60.0)];
+    clustered_sensors(&centres, 150, 3)
+        .into_iter()
+        .map(|m| m.with_kind((m.id.0 % 3) as u16))
+        .collect()
+}
+
+/// Every statement of [`SAMPLED`], cold then warm, field for field.
+fn sampled_answers(execute: impl Fn(&QueryRequest) -> PortalResult) -> Vec<String> {
+    let mut answers = Vec::new();
+    for _pass in ["cold", "warm"] {
+        for sql in SAMPLED {
+            let req = QueryRequest::from_sql(sql).expect("sampled SQL parses");
+            answers.push(format!("{:?}", execute(&req)));
+        }
+    }
+    answers
+}
+
+#[test]
+fn a_registration_outside_every_viewport_changes_no_answer() {
+    let nowhere = Point::new(1.0e6, 1.0e6);
+    let expiry = TimeDelta::from_millis(EXPIRY_MS);
+
+    let fresh = PortalService::new(kinds_fleet(), probe(), config(7));
+    let grown = PortalService::new(kinds_fleet(), probe(), config(7));
+    fresh.clock().advance_to(Timestamp(5_000));
+    grown.clock().advance_to(Timestamp(5_000));
+    grown.register_sensor(nowhere, expiry, 1.0, 0);
+    assert_eq!(grown.index_stats().map(|s| s.l0_occupancy), Some(1));
+    let want = sampled_answers(|req| fresh.execute(req).expect("fresh service").result);
+    let got = sampled_answers(|req| grown.execute(req).expect("grown service").result);
+    for (i, (want, got)) in want.iter().zip(&got).enumerate() {
+        assert_eq!(want, got, "service, execution {i}: `{}`", SAMPLED[i % 10]);
+    }
+    assert!(want[10..].iter().any(|a| a.contains("from_cache: true")));
+
+    // One row through the router: the sensor lands in the L0 of whichever
+    // shard is nearest, and that shard answers as its fresh twin does.
+    let fresh = ShardedPortal::new(kinds_fleet(), |_, _| probe(), 4, config(7));
+    let grown = ShardedPortal::new(kinds_fleet(), |_, _| probe(), 4, config(7));
+    fresh.clock().advance_to(Timestamp(5_000));
+    grown.clock().advance_to(Timestamp(5_000));
+    grown.register_sensor(nowhere, expiry, 1.0, 0);
+    let want = sampled_answers(|req| fresh.execute(req).expect("fresh router").result);
+    let got = sampled_answers(|req| grown.execute(req).expect("grown router").result);
+    for (i, (want, got)) in want.iter().zip(&got).enumerate() {
+        assert_eq!(want, got, "4 shards, execution {i}: `{}`", SAMPLED[i % 10]);
+    }
 }
