@@ -41,10 +41,18 @@ if grep -rnE '\bpassthrough\b|\bdegenerate\b' crates/core/src/lsm crates/engine/
     echo "ci: the LSM's second way in is back (matches above)" >&2
     exit 1
 fi
+# Churn without hashing: the LSM's directory (with its retired bit) and the
+# router's tickets are one chunked `IdTable` indexed by id, and L0 is arrays
+# by position, so a merge's batch is a prefix length, not an id set.
+if grep -rnE 'HashMap<u32, SensorLoc>|HashSet<u32>' crates/core/src/lsm ||
+    grep -rnE '\bbatch_ids\b|struct TicketTable\b' crates src tests examples; then
+    echo "ci: a hashed churn structure is back (matches above)" >&2
+    exit 1
+fi
 echo "ci: one-path gate OK"
 # The trend the north star asks for, in every log (32,780 at the parent of PR 20,
 # 32,847 at the parent of PR 21, 33,555 at the parent of PR 23, 34,831 at the
-# parent of PR 24).
+# parent of PR 24, 34,983 at the parent of PR 25).
 echo "ci: $(find crates src tests examples -name '*.rs' | xargs cat | wc -l) lines of Rust under crates src tests examples"
 
 cargo build --release --offline
@@ -142,8 +150,11 @@ echo "ci: churn soak OK"
 cargo test -q --release --offline -p colr-repro --test hotpath_parity --test sampling_properties
 # The bulk build, in release too: the trees and shard map recorded before the
 # assignment step became a grid search are case (f) of hotpath_parity above;
-# here the search against the all-centres scan it replaced, the build RNG's
-# recorded positions, and the <= 64 distances per point per iteration count.
+# here the all-centres reference checks both searches — the grid search per
+# point, and the per-cell candidate lists `lloyd` assigns with since PR 25
+# (groups and the RNG's next draw, lattice ties, duplicates, one-point cells,
+# non-finite coordinates) — beside the build RNG's recorded positions and
+# the <= 64 distances per point per iteration the candidate path evaluates.
 cargo test -q --release --offline -p colr-tree --lib build::
 echo "ci: hot-path parity smoke OK"
 

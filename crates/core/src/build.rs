@@ -21,24 +21,61 @@
 //! so 13 M for the 4,096-sensor level an LSM merge rebuilds, which made the
 //! clustering 95 % of a merge. `CentreGrid` files the iteration's centres
 //! in a uniform grid (about two per cell, rebuilt per iteration into reused
-//! buffers) and searches `p`'s cell, then the columns and rows around it,
-//! until every side of the visited block is provably too far: `n·c`
-//! distances, `c` = cells visited × centres per cell ≈ 4 on uniform points
-//! and ≈ 14 on the clustered map (410 before; a unit test holds it ≤ 64).
+//! buffers); `CentreGrid::nearest` searches `p`'s cell, then the columns and
+//! rows around it, until every side of the visited block is provably too
+//! far. That search, run per point, was the assignment step from PR 19 to
+//! PR 25 (≈ 14 distances a point on the clustered map, and the block
+//! growing around every point was most of a merge's time).
 //!
-//! The search is *exact* — same assignment as the all-centres scan for every
-//! input, so the same centroid sums, re-seed draws, trees and shard maps, bit
-//! for bit. Two things make it so. A side is closed only when a lower bound
-//! on the **computed** `distance_sq` to any centre beyond it is *strictly*
-//! above the best found, and that bound is taken from the centres' own
-//! coordinates through operations that round monotonically, not from cell
-//! geometry (see `CentreGrid::nearest`), so rounding cannot hide a nearer
-//! centre and an unvisited one cannot even tie. Among visited centres a tie
-//! goes to the lowest index, which is what the scan's `d < best` did.
-//! Unchanged: cell sizes and the direct / grid threshold (`TARGET_CELL`,
-//! `DIRECT_KMEANS_MAX`), the iteration count, seeding, the thread fan-out.
-//! The all-centres scan survives as the `#[cfg(test)]` reference the search
-//! is compared against.
+//! Since PR 25 the points of a `lloyd` call are filed once into cells of
+//! at most `POINTS_PER_CELL` (halved at the median of the longer side, so
+//! cells are small where points are dense), each with the exact bounding
+//! box `b` of its points. From the second iteration on, a cell is assigned
+//! as a whole: `reach` is the largest computed `distance_sq` from one of its
+//! points to the centre that point was assigned last iteration, the cell's
+//! *candidates* are the centres `CentreGrid::candidates` finds within
+//! `reach` of `b`, and each point scans that list under the scan's rule —
+//! lowest `(distance_sq, index)` from `(∞, 0)`. About 3.5 candidates a point
+//! on the clustered map, and the cell's block is grown once, not per point
+//! (8.5 distances and bounds a point per iteration all told, the first
+//! iteration's per-point searches included; a unit test holds it ≤ 64).
+//!
+//! Both searches are *exact* — the same assignment as the all-centres scan
+//! for every input, so the same centroid sums, re-seed draws, trees and
+//! shard maps, bit for bit. Everything rests on one fact: subtraction,
+//! multiplication and addition round monotonically, so a bound computed by
+//! the same operations as `distance_sq` from coordinates that are no nearer
+//! is no larger *as computed*. For the grid search: a side is closed only
+//! when such a bound on the distance to every centre beyond it (taken from
+//! the centres' own coordinates, `left` … `above`, not from cell geometry)
+//! is *strictly* above the best found, so an unvisited centre cannot even
+//! tie, and among visited centres a tie goes to the lowest index, which is
+//! what the scan's `d < best` did. For a cell, with `p` any of its points
+//! and `d*` the scan's answer distance for `p`:
+//!
+//! - `d* ≤ reach`: `d*` is the least computed distance and `reach` is one
+//!   of them (or more). `reach` must be finite — no previous assignment (the
+//!   first iteration), a centre or distance that is not finite, or one that
+//!   overflows, and the cell's points take `nearest` one by one instead.
+//! - Every centre at computed distance `≤ reach` from `p` is a candidate,
+//!   so every centre at `d*` is, and the list's scan returns the lowest
+//!   index among them — the all-centres answer. Such a centre is finite
+//!   (else its distance is ∞ or NaN), so it is filed in the grid. It lies
+//!   in the final block: beyond the left side every centre has
+//!   `c.x ≤ left[x0] < b.min.x ≤ p.x` (the block starts at `b.min.x`'s
+//!   column and `col` is monotone), so `fl(p.x − c.x) ≥ fl(b.min.x −
+//!   left[x0])`, and its computed distance is at least that squared, which
+//!   is `> reach` once the side is closed; likewise on the other three
+//!   sides with `b`'s own edges. And `closest_sq(b, c)` — per axis the gap
+//!   from `c` to `b`'s nearer edge (0 inside), squared and summed — is at
+//!   most its computed distance from `p`, so the filter `≤ reach` keeps it.
+//!
+//! Points with a non-finite coordinate are filed in no cell and take
+//! `nearest`; the update step runs in point order as before, and nothing
+//! here draws from the RNG. Unchanged: cell sizes and the direct / grid
+//! threshold of the partitioned build (`TARGET_CELL`, `DIRECT_KMEANS_MAX`),
+//! the iteration count, seeding, the thread fan-out. The all-centres loop
+//! survives as the `#[cfg(test)]` reference both are compared against.
 //!
 //! ## Parallel construction
 //!
@@ -49,6 +86,8 @@
 //! tree is bit-identical for a fixed `(sensors, config, seed)` regardless of
 //! the thread count. Levels themselves run sequentially (level `l` clusters
 //! the centroids produced by level `l+1`).
+
+use std::ops::Range;
 
 use colr_geo::{Point, Rect};
 use rand::rngs::StdRng;
@@ -436,6 +475,19 @@ fn lloyd(
     iterations: usize,
     rng: &mut StdRng,
 ) -> Vec<Vec<usize>> {
+    lloyd_in_cells(points, items, k, iterations, rng, POINTS_PER_CELL)
+}
+
+/// [`lloyd`] with the assignment step's cells holding at most `per_cell`
+/// points each — a parameter so the tests can take cells down to one point.
+fn lloyd_in_cells(
+    points: &[Point],
+    items: &[usize],
+    k: usize,
+    iterations: usize,
+    rng: &mut StdRng,
+    per_cell: usize,
+) -> Vec<Vec<usize>> {
     let n = points.len();
     let k = k.min(n);
     crate::telem::build()
@@ -452,11 +504,42 @@ fn lloyd(
     let mut centers: Vec<Point> = assign[..k].iter().map(|&i| points[i]).collect();
     let mut sums = vec![(0.0f64, 0.0f64, 0usize); k];
     let mut grid = CentreGrid::default();
-    for _ in 0..iterations.max(1) {
-        // Assignment step.
+    let cells = PointCells::file(points, per_cell);
+    let mut candidates = Vec::new();
+    for iteration in 0..iterations.max(1) {
+        // Assignment step, a cell at a time: no point of a cell is farther
+        // from its nearest centre than from the one it was assigned last
+        // iteration, so its points scan the centres within that `reach` of
+        // the cell's box. The first iteration has no assignment to go by.
         grid.rebuild(&centers);
-        for (a, p) in assign.iter_mut().zip(points) {
-            *a = grid.nearest(p);
+        for (bbox, run) in &cells.cells {
+            let run = &cells.order[run.clone()];
+            let mut reach = f64::INFINITY;
+            if iteration > 0 {
+                count_distances(run.len());
+                reach = 0.0;
+                for &i in run {
+                    let d = points[i as usize].distance_sq(&centers[assign[i as usize]]);
+                    reach = if d.is_nan() {
+                        f64::INFINITY
+                    } else {
+                        reach.max(d)
+                    };
+                }
+            }
+            if reach.is_finite() {
+                grid.candidates(bbox, reach, &mut candidates);
+                for &i in run {
+                    assign[i as usize] = nearest_in(&candidates, &points[i as usize]);
+                }
+            } else {
+                for &i in run {
+                    assign[i as usize] = grid.nearest(&points[i as usize]);
+                }
+            }
+        }
+        for &i in &cells.wild {
+            assign[i as usize] = grid.nearest(&points[i as usize]);
         }
         // Update step (sums in point order).
         sums.fill((0.0, 0.0, 0));
@@ -482,6 +565,125 @@ fn lloyd(
     }
     groups.retain(|g| !g.is_empty());
     groups
+}
+
+/// Points per cell of [`PointCells`] in the build (at most; at least half).
+const POINTS_PER_CELL: usize = 8;
+
+/// The points of one [`lloyd`] call, filed once into cells of at most a
+/// given number by halving at the median of the longer side (so a cell is
+/// small where the points are dense), each cell with the exact bounding box
+/// of its points: the box its candidate lists are found for.
+struct PointCells {
+    /// Per cell: its points' bounding box and the run of `order` listing
+    /// them.
+    cells: Vec<(Rect, Range<usize>)>,
+    /// Point indices, cell by cell.
+    order: Vec<u32>,
+    /// Points with a non-finite coordinate, in no cell: searched one by one.
+    wild: Vec<u32>,
+}
+
+impl PointCells {
+    fn file(points: &[Point], per_cell: usize) -> PointCells {
+        let mut filed: Vec<(Point, u32)> = Vec::with_capacity(points.len());
+        let mut wild = Vec::new();
+        for (i, p) in points.iter().enumerate() {
+            if p.x.is_finite() && p.y.is_finite() {
+                filed.push((*p, i as u32));
+            } else {
+                wild.push(i as u32);
+            }
+        }
+        let mut cells = Vec::new();
+        split(&mut filed, 0, per_cell.max(1), &mut cells);
+        let order = filed.iter().map(|&(_, i)| i).collect();
+        PointCells { cells, order, wild }
+    }
+}
+
+/// Files `run` — `order[from..]` to be — as one cell when it holds at most
+/// `per_cell` points, else halves it at the median of its box's longer side
+/// and files each half.
+fn split(
+    run: &mut [(Point, u32)],
+    from: usize,
+    per_cell: usize,
+    cells: &mut Vec<(Rect, Range<usize>)>,
+) {
+    let Some(bbox) = bounding(run.iter().map(|(p, _)| p)) else {
+        return;
+    };
+    if run.len() <= per_cell {
+        cells.push((bbox, from..from + run.len()));
+        return;
+    }
+    let mid = run.len() / 2;
+    if bbox.width() >= bbox.height() {
+        run.select_nth_unstable_by(mid, |a, b| a.0.x.total_cmp(&b.0.x));
+    } else {
+        run.select_nth_unstable_by(mid, |a, b| a.0.y.total_cmp(&b.0.y));
+    }
+    let (low, high) = run.split_at_mut(mid);
+    split(low, from, per_cell, cells);
+    split(high, from + mid, per_cell, cells);
+}
+
+/// The bounding box of `points`, `None` when there are none.
+fn bounding<'a>(mut points: impl Iterator<Item = &'a Point>) -> Option<Rect> {
+    let mut bbox = Rect::point(*points.next()?);
+    points.for_each(|p| bbox.expand_to_point(p));
+    Some(bbox)
+}
+
+/// The candidate scan: the lowest `(distance_sq, index)` of `p` over `run`
+/// from `(∞, 0)`, which is [`CentreGrid::nearest`]'s rule over a list.
+#[inline]
+fn nearest_in(run: &[(Point, u32)], p: &Point) -> usize {
+    let mut best = (f64::INFINITY, 0usize);
+    scan(run, p, &mut best);
+    best.1
+}
+
+/// Keeps the lowest `(distance_sq, index)` of `p` seen over `run`. A NaN
+/// distance compares false and never replaces anything.
+#[inline]
+fn scan(run: &[(Point, u32)], p: &Point, best: &mut (f64, usize)) {
+    count_distances(run.len());
+    for &(center, i) in run {
+        let d = p.distance_sq(&center);
+        if d < best.0 || (d == best.0 && (i as usize) < best.1) {
+            *best = (d, i as usize);
+        }
+    }
+}
+
+/// No computed `distance_sq` from a point of `b` to `c` is below this: per
+/// axis, the gap from `c` to `b`'s nearer side (0 inside), squared and
+/// summed as `distance_sq` does.
+#[inline]
+fn closest_sq(b: &Rect, c: &Point) -> f64 {
+    count_distances(1);
+    let gap = |below: f64, above: f64| {
+        let gap = if below > above { below } else { above };
+        if gap > 0.0 {
+            gap
+        } else {
+            0.0
+        }
+    };
+    let gx = gap(b.min.x - c.x, c.x - b.max.x);
+    let gy = gap(b.min.y - c.y, c.y - b.max.y);
+    gx * gx + gy * gy
+}
+
+/// Counts `n` distances (or bounds on one) evaluated on this thread, for the
+/// test that holds the assignment step to a fraction of the centres.
+#[inline]
+fn count_distances(n: usize) {
+    #[cfg(test)]
+    DISTANCES_EVALUATED.with(|d| d.set(d.get() + n as u64));
+    let _ = n;
 }
 
 /// The centres of one Lloyd iteration in a uniform grid, for the assignment
@@ -622,19 +824,18 @@ impl CentreGrid {
         }
     }
 
-    /// Scans cells `from..=to` of one row (adjacent in `slots`), keeping the
-    /// lowest `(distance, index)` seen.
+    /// The centres filed in cells `from..=to` of one row (adjacent in
+    /// `slots`).
+    #[inline]
+    fn run(&self, from: usize, to: usize) -> &[(Point, u32)] {
+        &self.slots[self.starts[from] as usize..self.starts[to + 1] as usize]
+    }
+
+    /// Scans cells `from..=to` of one row, keeping the lowest
+    /// `(distance, index)` seen.
     #[inline]
     fn scan(&self, p: &Point, from: usize, to: usize, best: &mut (f64, usize)) {
-        let run = &self.slots[self.starts[from] as usize..self.starts[to + 1] as usize];
-        #[cfg(test)]
-        DISTANCES_EVALUATED.with(|n| n.set(n.get() + run.len() as u64));
-        for &(center, i) in run {
-            let d = p.distance_sq(&center);
-            if d < best.0 || (d == best.0 && (i as usize) < best.1) {
-                *best = (d, i as usize);
-            }
-        }
+        scan(self.run(from, to), p, best);
     }
 
     /// The index of the centre nearest `p`: exactly the result of
@@ -696,6 +897,45 @@ impl CentreGrid {
             }
             if !grown {
                 return best.1;
+            }
+        }
+    }
+
+    /// Fills `out` with the centres that can be within `reach` of a point of
+    /// `b` by computed `distance_sq` — every one that is, and some that are
+    /// not. `reach` must be finite.
+    ///
+    /// The block of cells starts at those `b` spans and grows on each side
+    /// until the side is closed as in [`CentreGrid::nearest`], with `b`'s
+    /// edge in place of the point's coordinate and `reach` in place of the
+    /// best distance; a centre of the block is kept when its
+    /// [`closest_sq`] is at most `reach`.
+    fn candidates(&self, b: &Rect, reach: f64, out: &mut Vec<(Point, u32)>) {
+        let cols = self.cols;
+        let (mut x0, mut x1) = (self.col(b.min.x), self.col(b.max.x));
+        let (mut y0, mut y1) = (self.row(b.min.y), self.row(b.max.y));
+        let closed = |edge: f64, at: f64| {
+            let gap = at - edge;
+            gap * gap > reach
+        };
+        while x0 > 0 && !closed(self.left[x0], b.min.x) {
+            x0 -= 1;
+        }
+        while x1 + 1 < cols && !closed(self.right[x1], b.max.x) {
+            x1 += 1;
+        }
+        while y0 > 0 && !closed(self.below[y0], b.min.y) {
+            y0 -= 1;
+        }
+        while y1 + 1 < self.rows && !closed(self.above[y1], b.max.y) {
+            y1 += 1;
+        }
+        out.clear();
+        for y in y0..=y1 {
+            for &(c, i) in self.run(y * cols + x0, y * cols + x1) {
+                if closest_sq(b, &c) <= reach {
+                    out.push((c, i));
+                }
             }
         }
     }
@@ -1183,6 +1423,33 @@ mod tests {
         ) {
             assert_nearest_matches("proptest", &centers, &points);
         }
+
+        /// The cell assignment against the all-centres loop, groups and the
+        /// RNG's next draw: points off the same lattice (ties are the rule),
+        /// the same set twice (duplicates, empty clusters and their re-seed
+        /// draws), cells down to one point (zero-width boxes), and now and
+        /// then a huge or non-finite coordinate.
+        #[test]
+        fn cell_assignment_groups_and_draws_as_the_all_centres_loop(
+            base in proptest::collection::vec(any_point(), 1..48),
+            twice in 0usize..2,
+            k in 1usize..40,
+            iterations in 1usize..9,
+            per_cell in proptest::strategy::Strategy::prop_map(0usize..3, |i| [1, 2, POINTS_PER_CELL][i]),
+            seed in 0u64..1_000,
+        ) {
+            let mut points = base.clone();
+            if twice == 1 {
+                points.extend_from_slice(&base);
+            }
+            let items: Vec<usize> = (0..points.len()).collect();
+            let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            assert_eq!(
+                lloyd_in_cells(&points, &items, k, iterations, &mut a, per_cell),
+                lloyd_of_all(&points, &items, k, iterations, &mut b),
+            );
+            assert_eq!(a.next_u64(), b.next_u64(), "RNG position");
+        }
     }
 
     fn any_point() -> impl proptest::strategy::Strategy<Value = Point> {
@@ -1201,8 +1468,11 @@ mod tests {
     }
 
     /// At a merge's size (`n` = 4,096, `k` = 410: 410 distances per point per
-    /// iteration for the all-centres scan) the grid search must stay a
-    /// search: a bound that never closes a side would still be exact.
+    /// iteration for the all-centres scan) the assignment step must stay a
+    /// search: a bound that never closes a side, or a `reach` that keeps
+    /// every centre, would still be exact. Counted: every distance the cell
+    /// scans, the first iteration's grid searches and the reach computations
+    /// evaluate, and every `closest_sq` bound.
     #[test]
     fn grid_search_evaluates_a_fraction_of_the_centres() {
         for (what, points) in [

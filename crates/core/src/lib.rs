@@ -55,6 +55,7 @@ pub mod avail;
 pub mod build;
 pub mod flat_cache;
 pub mod flight;
+pub mod id_table;
 pub mod inspect;
 pub mod lookup;
 pub mod lsm;
@@ -78,6 +79,7 @@ pub use avail::LiveAvailability;
 pub use build::kmeans_partition;
 pub use flat_cache::{FlatCache, FlatOutput};
 pub use flight::{FlightRecord, LevelStage, RetryRound, WaveStage};
+pub use id_table::IdTable;
 pub use lookup::{GroupResult, Mode, Query, QueryOutput};
 pub use lsm::{
     apportion, derive_seed, unit_draw, Claim, L0Level, LsmConfig, LsmLevel, LsmSnapshot, LsmStats,

@@ -10,7 +10,6 @@
 //! only ever sees global ids and a level tree only ever sees its own local
 //! ids.
 
-use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use parking_lot::RwLock;
@@ -112,6 +111,16 @@ impl LsmLevel {
             .map(|j| SensorId(j as u32))
     }
 
+    /// `entries` (global ids) in this level's local ids, those of sensors it
+    /// does not hold left out — what a merge hands the level it built.
+    pub(crate) fn to_local(&self, entries: Vec<CachedEntry>) -> Vec<CachedEntry> {
+        let local = |mut e: CachedEntry| {
+            e.reading.sensor = self.local_of(e.reading.sensor)?;
+            Some(e)
+        };
+        entries.into_iter().filter_map(local).collect()
+    }
+
     /// `true` when local sensor `local` has been tombstoned.
     pub fn is_tombstoned(&self, local: SensorId) -> bool {
         self.tombstoned[local.index()].load(Ordering::Acquire)
@@ -194,6 +203,7 @@ impl LsmLevel {
     }
 
     /// Every live (non-tombstoned) sensor with its global id, ascending.
+    #[cfg(test)]
     pub(crate) fn live_global_metas(&self) -> Vec<SensorMeta> {
         (0..self.len())
             .filter(|&j| !self.tombstoned[j].load(Ordering::Acquire))
@@ -225,20 +235,49 @@ impl LsmLevel {
 /// push under a short write lock — O(1), immediately visible to queries —
 /// and the level stays small: every merge drains the prefix that existed
 /// when the merge began into a bulk-built immutable level.
+///
+/// A sensor is addressed by its *position*, the index its registration was
+/// pushed at: the LSM directory records it, retires and write-backs name it,
+/// and a merge's batch is the prefix of positions below the length it cut.
+/// Positions hold for the life of this `L0Level`; a merge publishes a new
+/// one holding the suffix it did not take.
 pub struct L0Level {
     inner: RwLock<L0Inner>,
+}
+
+/// One live L0 sensor as a query or a merge sees it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Parked {
+    /// Its position in the L0 it was read from.
+    pub(crate) pos: u32,
+    pub(crate) meta: SensorMeta,
+    /// Its cached reading when it was read.
+    pub(crate) entry: Option<CachedEntry>,
+}
+
+/// What a merge's publication needs from the L0 it cut: see
+/// [`L0Level::after_cut`].
+pub(crate) struct AfterCut {
+    /// Readings cached since the cut for sensors of the batch (global ids).
+    pub(crate) since_cut: Vec<CachedEntry>,
+    /// The live suffix registered while the merge was building, in
+    /// registration order, with its cached readings: the next L0.
+    pub(crate) rest: Vec<(SensorMeta, Option<CachedEntry>)>,
+    /// The suffix's retired sensors (global ids), dropped physically.
+    pub(crate) dropped: Vec<u32>,
 }
 
 struct L0Inner {
     /// Registration order; global ids. Append-only between merges.
     sensors: Vec<SensorMeta>,
-    /// The ids in `sensors`, for membership without a scan.
-    ids: HashSet<u32>,
-    /// Global ids retired while still in L0.
-    tombstoned: HashSet<u32>,
-    /// Cached readings by global id (L0 is flat: no slot aggregates, just
-    /// the raw-reading cache the merge carries into the built level).
-    entries: HashMap<u32, CachedEntry>,
+    /// Parallel to `sensors`: retired while parked here.
+    tombstoned: Vec<bool>,
+    /// How many of `tombstoned` are set.
+    tombstones: usize,
+    /// Parallel to `sensors`: the cached reading (L0 is flat: no slot
+    /// aggregates, just the raw-reading cache the merge carries into the
+    /// built level). A retired sensor's is cleared and stays clear.
+    entries: Vec<Option<CachedEntry>>,
     /// No cached reading expires before this instant (a lower bound: a
     /// removal may leave it early), so until `now` reaches it
     /// [`L0Level::advance`] has nothing to drop.
@@ -246,40 +285,54 @@ struct L0Inner {
 }
 
 /// The first instant at which one of `entries` stops being live.
-fn earliest_expiry<'a>(entries: impl Iterator<Item = &'a CachedEntry>) -> Timestamp {
+fn earliest_expiry<'a>(entries: impl Iterator<Item = &'a Option<CachedEntry>>) -> Timestamp {
     entries
+        .flatten()
         .map(|e| e.reading.expires_at)
         .min()
         .unwrap_or(Timestamp(u64::MAX))
 }
 
+impl L0Inner {
+    /// The live sensors at positions `range`, with their cached readings.
+    fn parked(&self, range: std::ops::Range<usize>) -> impl Iterator<Item = Parked> + '_ {
+        range
+            .filter(|&pos| !self.tombstoned[pos])
+            .map(|pos| Parked {
+                pos: pos as u32,
+                meta: self.sensors[pos],
+                entry: self.entries[pos],
+            })
+    }
+}
+
 impl L0Level {
     pub(crate) fn new() -> L0Level {
-        L0Level::with_contents(Vec::new(), Vec::new())
+        L0Level::with_contents(Vec::new())
     }
 
-    pub(crate) fn with_contents(sensors: Vec<SensorMeta>, entries: Vec<CachedEntry>) -> L0Level {
-        let earliest_expiry = earliest_expiry(entries.iter());
-        let entries = entries
-            .into_iter()
-            .map(|e| (e.reading.sensor.0, e))
-            .collect();
+    /// An L0 holding `parked`, live, in the order given.
+    pub(crate) fn with_contents(parked: Vec<(SensorMeta, Option<CachedEntry>)>) -> L0Level {
+        let (sensors, entries): (Vec<_>, Vec<_>) = parked.into_iter().unzip();
         L0Level {
             inner: RwLock::new(L0Inner {
-                ids: sensors.iter().map(|m| m.id.0).collect(),
+                tombstoned: vec![false; sensors.len()],
+                tombstones: 0,
+                earliest_expiry: earliest_expiry(entries.iter()),
                 sensors,
-                tombstoned: HashSet::new(),
                 entries,
-                earliest_expiry,
             }),
         }
     }
 
     /// Appends a freshly registered sensor — the O(1) ingestion path.
-    pub(crate) fn push(&self, meta: SensorMeta) {
+    /// Returns its position.
+    pub(crate) fn push(&self, meta: SensorMeta) -> u32 {
         let mut inner = self.inner.write();
-        inner.ids.insert(meta.id.0);
         inner.sensors.push(meta);
+        inner.tombstoned.push(false);
+        inner.entries.push(None);
+        (inner.sensors.len() - 1) as u32
     }
 
     /// Sensors currently parked in L0 (tombstoned included).
@@ -295,21 +348,24 @@ impl L0Level {
     /// Live (non-tombstoned) sensors in L0.
     pub fn live(&self) -> usize {
         let inner = self.inner.read();
-        inner.sensors.len() - inner.tombstoned.len()
+        inner.sensors.len() - inner.tombstones
     }
 
     pub(crate) fn tombstone_count(&self) -> usize {
-        self.inner.read().tombstoned.len()
+        self.inner.read().tombstones
     }
 
-    /// Retires global sensor `id` while it is still in L0. Returns `false`
-    /// when the sensor is not here or already retired.
-    pub(crate) fn tombstone(&self, id: SensorId) -> bool {
+    /// Retires the sensor at position `pos`. Returns `false` when there is
+    /// none or it is already retired.
+    pub(crate) fn tombstone(&self, pos: u32) -> bool {
         let mut inner = self.inner.write();
-        if !inner.ids.contains(&id.0) || !inner.tombstoned.insert(id.0) {
+        let pos = pos as usize;
+        if inner.tombstoned.get(pos) != Some(&false) {
             return false;
         }
-        inner.entries.remove(&id.0);
+        inner.tombstoned[pos] = true;
+        inner.tombstones += 1;
+        inner.entries[pos] = None;
         true
     }
 
@@ -317,14 +373,10 @@ impl L0Level {
     /// with its cached reading (if any) — the L0 candidate scan. Taken under
     /// one read lock so a query sees a consistent L0 cut; probing happens
     /// after the lock is released.
-    pub(crate) fn candidates(&self, query: &Query) -> Vec<(SensorMeta, Option<CachedEntry>)> {
+    pub(crate) fn candidates(&self, query: &Query) -> Vec<Parked> {
         let inner = self.inner.read();
-        inner
-            .sensors
-            .iter()
-            .filter(|m| !inner.tombstoned.contains(&m.id.0) && query.matches_sensor(m))
-            .map(|m| (*m, inner.entries.get(&m.id.0).copied()))
-            .collect()
+        let parked = inner.parked(0..inner.sensors.len());
+        parked.filter(|p| query.matches_sensor(&p.meta)).collect()
     }
 
     /// How many live sensors match the spatial + kind predicates — what the
@@ -335,57 +387,64 @@ impl L0Level {
         kind_filter: Option<u16>,
     ) -> usize {
         let inner = self.inner.read();
-        inner
-            .sensors
-            .iter()
-            .filter(|m| {
-                !inner.tombstoned.contains(&m.id.0)
-                    && kind_filter.is_none_or(|k| m.kind == k)
-                    && region.contains_point(&m.location)
-            })
-            .count()
+        let live = inner.sensors.iter().zip(&inner.tombstoned);
+        live.filter(|&(m, &dead)| {
+            !dead && kind_filter.is_none_or(|k| m.kind == k) && region.contains_point(&m.location)
+        })
+        .count()
     }
 
     /// Visits the location of every live sensor in registration order, under
     /// the read lock.
     pub(crate) fn for_each_live_location(&self, visit: &mut impl FnMut(colr_geo::Point)) {
         let inner = self.inner.read();
-        for meta in &inner.sensors {
-            if !inner.tombstoned.contains(&meta.id.0) {
+        for (meta, &dead) in inner.sensors.iter().zip(&inner.tombstoned) {
+            if !dead {
                 visit(meta.location);
             }
         }
     }
 
-    /// Every live sensor with its cached reading — the frozen-batch snapshot
-    /// and the merge input.
-    pub(crate) fn snapshot(&self) -> Vec<(SensorMeta, Option<CachedEntry>)> {
+    /// Every live sensor with its cached reading — the frozen-batch snapshot.
+    pub(crate) fn snapshot(&self) -> Vec<Parked> {
         let inner = self.inner.read();
-        inner
-            .sensors
-            .iter()
-            .filter(|m| !inner.tombstoned.contains(&m.id.0))
-            .map(|m| (*m, inner.entries.get(&m.id.0).copied()))
-            .collect()
+        inner.parked(0..inner.sensors.len()).collect()
     }
 
-    /// Caches a freshly probed reading (write-back) if the sensor is still
-    /// live in L0. Returns how many entries were inserted.
-    pub(crate) fn insert_reading(&self, reading: Reading, fetched_at: Timestamp) -> usize {
-        let mut inner = self.inner.write();
-        let id = reading.sensor.0;
-        if inner.tombstoned.contains(&id) || !inner.ids.contains(&id) {
+    /// A merge's cut: the length of L0 now, the live sensors below it with
+    /// their cached readings (the batch), and the retired ones (global ids,
+    /// dropped physically by the merge).
+    pub(crate) fn cut(&self) -> (usize, Vec<Parked>, Vec<u32>) {
+        let inner = self.inner.read();
+        let cut = inner.sensors.len();
+        let dead = (0..cut).filter(|&pos| inner.tombstoned[pos]);
+        let dropped = dead.map(|pos| inner.sensors[pos].id.0).collect();
+        (cut, inner.parked(0..cut).collect(), dropped)
+    }
+
+    /// Caches freshly probed readings (write-back), each at the position it
+    /// was asked from, where that position still holds the reading's sensor
+    /// live. Returns how many were cached.
+    pub(crate) fn insert_readings(&self, got: &[(u32, Reading)], fetched_at: Timestamp) -> usize {
+        if got.is_empty() {
             return 0;
         }
-        inner.earliest_expiry = inner.earliest_expiry.min(reading.expires_at);
-        inner.entries.insert(
-            id,
-            CachedEntry {
+        let mut inner = self.inner.write();
+        let mut inserted = 0;
+        for &(pos, reading) in got {
+            let pos = pos as usize;
+            let here = inner.sensors.get(pos).map(|m| m.id);
+            if here != Some(reading.sensor) || inner.tombstoned[pos] {
+                continue;
+            }
+            inner.earliest_expiry = inner.earliest_expiry.min(reading.expires_at);
+            inner.entries[pos] = Some(CachedEntry {
                 reading,
                 fetched_at,
-            },
-        );
-        1
+            });
+            inserted += 1;
+        }
+        inserted
     }
 
     /// Drops expired cached readings (the flat analogue of the tree's slot
@@ -396,36 +455,36 @@ impl L0Level {
             return;
         }
         let mut inner = self.inner.write();
-        inner.entries.retain(|_, e| e.reading.is_live(now));
-        inner.earliest_expiry = earliest_expiry(inner.entries.values());
-    }
-
-    /// Global ids retired while parked in L0 — physically dropped (not
-    /// carried anywhere) by the merge that drains them.
-    pub(crate) fn tombstoned_ids(&self) -> Vec<u32> {
-        self.inner.read().tombstoned.iter().copied().collect()
-    }
-
-    /// What stays parked once the sensors in `merged` live in a built level:
-    /// every other live sensor — the suffix registered while the merge was
-    /// building — with its cached reading. Called by the merge while it holds
-    /// the publication write lock, so no registration can race the
-    /// partition. This L0 itself is left as it was: a query that took the
-    /// outgoing cut just before publication still finds the merged sensors
-    /// here, beside the levels that do not hold them yet.
-    pub(crate) fn unmerged(&self, merged: &HashSet<u32>) -> (Vec<SensorMeta>, Vec<CachedEntry>) {
-        let inner = self.inner.read();
-        let mut rest = Vec::new();
-        let mut rest_entries = Vec::new();
-        for m in &inner.sensors {
-            if merged.contains(&m.id.0) || inner.tombstoned.contains(&m.id.0) {
-                continue;
-            }
-            rest.push(*m);
-            if let Some(e) = inner.entries.get(&m.id.0) {
-                rest_entries.push(*e);
+        for entry in inner.entries.iter_mut() {
+            if entry.is_some_and(|e| !e.reading.is_live(now)) {
+                *entry = None;
             }
         }
-        (rest, rest_entries)
+        inner.earliest_expiry = earliest_expiry(inner.entries.iter());
+    }
+
+    /// What a merge that cut this L0 at length `cut`, taking `batch`,
+    /// publishes beside its level: the readings cached since the cut for
+    /// sensors of the batch (queries kept probing them while the level was
+    /// building), and the suffix registered meanwhile — live sensors to park
+    /// in the next L0, retired ones to drop. Called by the merge while it
+    /// holds the publication write lock, so no registration or retire can
+    /// race it. This L0 itself is left as it was: a query that took the
+    /// outgoing cut just before publication still finds the merged sensors
+    /// here, beside the levels that do not hold them yet.
+    pub(crate) fn after_cut(&self, cut: usize, batch: &[Parked]) -> AfterCut {
+        let inner = self.inner.read();
+        let since_cut = batch
+            .iter()
+            .filter_map(|p| inner.entries[p.pos as usize].filter(|e| Some(*e) != p.entry))
+            .collect();
+        let suffix = cut..inner.sensors.len();
+        let rest = inner.parked(suffix.clone()).map(|p| (p.meta, p.entry));
+        let dead = suffix.filter(|&pos| inner.tombstoned[pos]);
+        AfterCut {
+            since_cut,
+            rest: rest.collect(),
+            dropped: dead.map(|pos| inner.sensors[pos].id.0).collect(),
+        }
     }
 }

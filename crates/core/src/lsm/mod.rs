@@ -30,7 +30,6 @@
 
 mod level;
 
-use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -39,9 +38,11 @@ use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use level::Parked;
 pub use level::{L0Level, LsmLevel};
 
 use crate::agg::PartialAgg;
+use crate::id_table::IdTable;
 use crate::lookup::{finish, GroupResult, Mode, Query, QueryOutput, Wave};
 use crate::probe::ProbeService;
 use crate::reading::{Reading, SensorId, SensorMeta};
@@ -114,10 +115,82 @@ pub struct LsmStats {
 /// Where a global sensor currently lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SensorLoc {
-    /// Parked in L0.
-    L0,
+    /// Parked in the published L0, at this position.
+    L0 { pos: u32 },
     /// In the immutable level with this key, at this local index.
     Level { key: u64, local: u32 },
+}
+
+/// One directory entry: a known sensor's location and whether it has been
+/// retired. A retired sensor keeps its entry until a merge drops it
+/// physically, so a merge racing the retire re-applies the tombstone to the
+/// level it built.
+#[derive(Debug, Clone, Copy)]
+struct Placed {
+    loc: SensorLoc,
+    retired: bool,
+}
+
+/// Global id → [`Placed`], in a chunked [`IdTable`], with the counts the
+/// `colr_lsm_*` gauges report, kept as the entries change.
+struct Directory {
+    table: IdTable<Placed>,
+    /// Entries not retired.
+    live: usize,
+    /// Entries retired, awaiting a merge that drops them.
+    tombstones: usize,
+    /// Entries not retired that are parked in L0.
+    l0_live: usize,
+}
+
+impl Directory {
+    /// Records a registration parked in L0 at `pos`.
+    fn park(&mut self, id: SensorId, pos: u32) {
+        let loc = SensorLoc::L0 { pos };
+        let retired = false;
+        self.table.insert(id.index(), Placed { loc, retired });
+        self.live += 1;
+        self.l0_live += 1;
+    }
+
+    /// Marks `id` retired and returns where it lives; `None` when it is
+    /// unknown or already retired.
+    fn retire(&mut self, id: SensorId) -> Option<SensorLoc> {
+        let placed = self.table.get_mut(id.index())?;
+        if std::mem::replace(&mut placed.retired, true) {
+            return None;
+        }
+        let loc = placed.loc;
+        self.live -= 1;
+        self.tombstones += 1;
+        if let SensorLoc::L0 { .. } = loc {
+            self.l0_live -= 1;
+        }
+        Some(loc)
+    }
+
+    /// Sets the gauges the directory counts. Called under its lock, so the
+    /// last setter wrote the latest counts.
+    fn publish_gauges(&self) {
+        let t = crate::telem::lsm();
+        t.l0_occupancy.set(self.l0_live as i64);
+        t.live_sensors.set(self.live as i64);
+        t.tombstones.set(self.tombstones as i64);
+    }
+
+    /// Forgets a sensor dropped physically by a merge.
+    fn drop_sensor(&mut self, id: u32) {
+        match self.table.remove(id as usize) {
+            Some(Placed { retired: true, .. }) => self.tombstones -= 1,
+            Some(Placed { loc, .. }) => {
+                self.live -= 1;
+                if let SensorLoc::L0 { .. } = loc {
+                    self.l0_live -= 1;
+                }
+            }
+            None => {}
+        }
+    }
 }
 
 /// One published cut of the level structure. Immutable once published;
@@ -135,25 +208,26 @@ struct LsmState {
 /// [`crate::tree::ColrTree::execute_frozen`].
 pub struct LsmSnapshot {
     state: Arc<LsmState>,
-    l0: Vec<(SensorMeta, Option<CachedEntry>)>,
+    l0: Vec<Parked>,
 }
 
-/// The incremental index: an `Arc`-swapped level stack (`LsmState`) plus the global
-/// directory and retire registry that route churn to the right component.
+/// The incremental index: an `Arc`-swapped level stack (`LsmState`) plus the
+/// global directory that routes churn to the right component.
 ///
-/// Lock order (deadlock freedom): `state` → `retired` → `directory`. The
-/// `merge_lock` serialises merges and is always taken first, before any of
-/// the three.
+/// Lock order (deadlock freedom): `state` → `directory` → a component's own
+/// locks (L0's, a level tree's). The `merge_lock` serialises merges and is
+/// always taken first, before any of them. Every directory change but a
+/// merge's is made under `state`'s read lock and a merge's publication under
+/// its write lock, so a location read under either names a component of the
+/// published cut: an L0 position is a position in the published L0.
 pub struct LsmTree {
     config: ColrConfig,
     lsm: LsmConfig,
     seed: u64,
     state: RwLock<Arc<LsmState>>,
-    /// Global id → current location. Updated at register/retire/merge.
-    directory: Mutex<HashMap<u32, SensorLoc>>,
-    /// Retire intents, kept until the sensor is physically dropped so a
-    /// merge racing a retire re-applies the tombstone to the new level.
-    retired: Mutex<HashSet<u32>>,
+    /// Global id → current location and retired bit. Updated at
+    /// register/retire/merge.
+    directory: Mutex<Directory>,
     merge_lock: Mutex<()>,
     next_level_key: AtomicU64,
     merges: AtomicU64,
@@ -166,17 +240,24 @@ impl LsmTree {
     /// renumbered dense, under that seed.
     pub fn new(sensors: Vec<SensorMeta>, config: ColrConfig, lsm: LsmConfig, seed: u64) -> LsmTree {
         let base = Arc::new(LsmLevel::build(0, &sensors, config.clone(), seed));
-        let mut directory = HashMap::with_capacity(sensors.len());
+        let mut table = IdTable::new();
         for (j, m) in sensors.iter().enumerate() {
-            directory.insert(
-                m.id.0,
-                SensorLoc::Level {
-                    key: 0,
-                    local: j as u32,
-                },
-            );
+            let loc = SensorLoc::Level {
+                key: 0,
+                local: j as u32,
+            };
+            let retired = false;
+            table.insert(m.id.index(), Placed { loc, retired });
         }
-        let tree = LsmTree {
+        let directory = Directory {
+            table,
+            live: sensors.len(),
+            tombstones: 0,
+            l0_live: 0,
+        };
+        crate::telem::lsm().levels.set(1);
+        directory.publish_gauges();
+        LsmTree {
             config,
             lsm,
             seed,
@@ -185,13 +266,10 @@ impl LsmTree {
                 l0: Arc::new(L0Level::new()),
             })),
             directory: Mutex::new(directory),
-            retired: Mutex::new(HashSet::new()),
             merge_lock: Mutex::new(()),
             next_level_key: AtomicU64::new(1),
             merges: AtomicU64::new(0),
-        };
-        tree.publish_gauges();
-        tree
+        }
     }
 
     /// The tree-shape configuration every level is built with.
@@ -238,14 +316,12 @@ impl LsmTree {
     /// The read guard is held across the push so a concurrent merge
     /// publication (which holds the write lock) can never miss it.
     pub fn register(&self, meta: SensorMeta) {
-        {
-            let state = self.state.read();
-            state.l0.push(meta);
-            self.directory.lock().insert(meta.id.0, SensorLoc::L0);
-        }
-        let t = crate::telem::lsm();
-        t.registrations.inc();
-        t.l0_occupancy.set(self.state.read().l0.live() as i64);
+        let state = self.state.read();
+        let pos = state.l0.push(meta);
+        let mut directory = self.directory.lock();
+        directory.park(meta.id, pos);
+        directory.publish_gauges();
+        crate::telem::lsm().registrations.inc();
     }
 
     /// Retires a sensor wherever it lives: tombstoned out of probes, sample
@@ -253,31 +329,27 @@ impl LsmTree {
     /// by the next merge touching its component. Returns `false` for
     /// unknown or already-retired sensors.
     pub fn retire(&self, id: SensorId) -> bool {
-        let hit = {
-            let state = self.state.read();
-            let mut retired = self.retired.lock();
-            let directory = self.directory.lock();
-            let Some(&loc) = directory.get(&id.0) else {
+        let state = self.state.read();
+        let loc = {
+            let mut directory = self.directory.lock();
+            let Some(loc) = directory.retire(id) else {
                 return false;
             };
-            if !retired.insert(id.0) {
-                return false;
-            }
-            match loc {
-                SensorLoc::L0 => state.l0.tombstone(id),
-                SensorLoc::Level { key, local } => state
-                    .levels
-                    .iter()
-                    .find(|l| l.key() == key)
-                    .map(|l| l.tombstone(SensorId(local)))
-                    .unwrap_or(false),
-            }
+            directory.publish_gauges();
+            loc
         };
-        if hit {
-            let t = crate::telem::lsm();
-            t.retires.inc();
-            self.publish_gauges();
-        }
+        // The bit is set, so no other retire reaches this sensor's
+        // component; the read guard keeps that component published.
+        let hit = match loc {
+            SensorLoc::L0 { pos } => state.l0.tombstone(pos),
+            SensorLoc::Level { key, local } => state
+                .levels
+                .iter()
+                .find(|l| l.key() == key)
+                .is_some_and(|l| l.tombstone(SensorId(local))),
+        };
+        debug_assert!(hit, "the directory names a live sensor of the cut");
+        crate::telem::lsm().retires.inc();
         hit
     }
 
@@ -303,7 +375,7 @@ impl LsmTree {
     /// rebalance-on-merge input: only unmerged sensors are cheap to move).
     pub fn l0_sensor_metas(&self) -> Vec<SensorMeta> {
         let state = self.state.read().clone();
-        state.l0.snapshot().into_iter().map(|(m, _)| m).collect()
+        state.l0.snapshot().into_iter().map(|p| p.meta).collect()
     }
 
     /// The structure's live sampling weight for a viewport — the layered
@@ -386,37 +458,40 @@ impl LsmTree {
             return 0;
         }
         let state = self.state.read();
-        let retired = self.retired.lock();
-        let directory = self.directory.lock();
-        let mut per_level: HashMap<u64, Vec<Reading>> = HashMap::new();
+        let mut per_level: Vec<(u64, Reading)> = Vec::new();
         let mut l0_readings = Vec::new();
-        for r in readings {
-            if retired.contains(&r.sensor.0) {
-                continue;
-            }
-            match directory.get(&r.sensor.0) {
-                Some(SensorLoc::L0) => l0_readings.push(*r),
-                Some(&SensorLoc::Level { key, local }) => {
-                    let mut local_r = *r;
-                    local_r.sensor = SensorId(local);
-                    per_level.entry(key).or_default().push(local_r);
+        {
+            let directory = self.directory.lock();
+            for r in readings {
+                let Some(&Placed {
+                    loc,
+                    retired: false,
+                }) = directory.table.get(r.sensor.index())
+                else {
+                    continue;
+                };
+                match loc {
+                    SensorLoc::L0 { pos } => l0_readings.push((pos, *r)),
+                    SensorLoc::Level { key, local } => {
+                        let sensor = SensorId(local);
+                        per_level.push((key, Reading { sensor, ..*r }));
+                    }
                 }
-                None => {}
             }
         }
-        drop(directory);
-        drop(retired);
         let mut inserted = 0;
         for level in &state.levels {
-            if let Some(batch) = per_level.remove(&level.key()) {
+            let batch: Vec<Reading> = per_level
+                .iter()
+                .filter(|(key, _)| *key == level.key())
+                .map(|&(_, r)| r)
+                .collect();
+            if !batch.is_empty() {
                 inserted += level.tree().apply_readings(&batch, now);
                 level.purge_retired(&batch);
             }
         }
-        for r in l0_readings {
-            inserted += state.l0.insert_reading(r, now);
-        }
-        inserted
+        inserted + state.l0.insert_readings(&l0_readings, now)
     }
 
     fn advance_state(&self, state: &LsmState, now: Timestamp) {
@@ -434,7 +509,7 @@ impl LsmTree {
     fn exec_layered<P, R>(
         &self,
         state: &LsmState,
-        frozen_l0: Option<&[(SensorMeta, Option<CachedEntry>)]>,
+        frozen_l0: Option<&[Parked]>,
         query: &Query,
         mode: Mode,
         probe: &P,
@@ -449,8 +524,8 @@ impl LsmTree {
         let l0_cands = match frozen_l0 {
             Some(l0) => l0
                 .iter()
-                .filter(|(m, _)| query.matches_sensor(m))
-                .cloned()
+                .filter(|p| query.matches_sensor(&p.meta))
+                .copied()
                 .collect(),
             None => state.l0.candidates(query),
         };
@@ -555,7 +630,7 @@ impl LsmTree {
                 wire.extend(live.map(|&s| level.global_id(s)));
             }
             if let Some(part) = &l0_part {
-                wire.extend_from_slice(&part.to_probe);
+                wire.extend(part.to_probe.iter().map(|&(_, id)| id));
             }
             let mut wave = Wave::new(cost, probe, wire, query, now);
             // A pick went out iff the next id of the wire not yet matched is
@@ -604,21 +679,24 @@ impl LsmTree {
                 stats.merge(&out.stats);
             }
             if let Some(mut part) = l0_part {
-                let probed: Vec<Reading> = wave.by_ref().flatten().collect();
+                // The rest of the wave is L0's, in `to_probe` order.
+                let asked = part.to_probe.iter().zip(wave.by_ref());
+                let probed: Vec<(u32, Reading)> = asked
+                    .filter_map(|(&(pos, _), got)| Some((pos, got?)))
+                    .collect();
                 match (mode, frozen) {
                     (Mode::RTree, _) => {}
                     (_, false) => {
-                        let cached = probed.iter().map(|&r| state.l0.insert_reading(r, now));
-                        let inserted: usize = cached.sum();
+                        let inserted = state.l0.insert_readings(&probed, now);
                         stats.cache_inserts += inserted as u64;
                         crate::flight::with(|f| f.write_back(inserted as u64));
                     }
-                    (_, true) => deferred.extend_from_slice(&probed),
+                    (_, true) => deferred.extend(probed.iter().map(|&(_, r)| r)),
                 }
-                for r in &probed {
+                for (_, r) in &probed {
                     part.group.agg.insert(r.value);
                 }
-                part.readings.extend(probed);
+                part.readings.extend(probed.iter().map(|&(_, r)| r));
                 part.group.results = part.readings.len() as u64;
                 groups.push(part.group);
                 readings.append(&mut part.readings);
@@ -652,11 +730,20 @@ impl LsmTree {
     pub fn merge(&self, now: Timestamp) -> MergeReport {
         let _serial = self.merge_lock.lock();
         let start = std::time::Instant::now();
+        match self.build_merge(now) {
+            Ok(built) => self.publish_merge(built, now, start),
+            Err(no_op) => no_op,
+        }
+    }
+
+    /// The first half of [`LsmTree::merge`]: cuts L0 and the trailing levels
+    /// and builds their replacement off to the side, or returns the no-op
+    /// report when there is nothing to compact.
+    fn build_merge(&self, now: Timestamp) -> Result<BuiltMerge, MergeReport> {
         let state = self.state.read().clone();
-        // The batch cut: live L0 sensors at merge start. Sensors registered
+        // The batch: L0's prefix as long as L0 is now. Sensors registered
         // after this point stay in L0 across the publication.
-        let batch = state.l0.snapshot();
-        let batch_ids: HashSet<u32> = batch.iter().map(|(m, _)| m.id.0).collect();
+        let (cut, batch, mut dropped) = state.l0.cut();
 
         // Absorb the trailing (newest, smallest) run of levels while each is
         // small relative to the pool being merged, or mostly tombstoned.
@@ -677,35 +764,37 @@ impl LsmTree {
         if batch.is_empty() && absorbed.iter().all(|l| l.tombstone_count() == 0) {
             // Nothing new and nothing to purge: leave the structure alone
             // rather than churn identical levels.
-            return MergeReport {
+            return Err(MergeReport {
                 levels_after: state.levels.len(),
                 l0_after: state.l0.live(),
                 ..MergeReport::default()
-            };
+            });
         }
 
-        // Build the merged level off to the side.
-        let mut dropped: Vec<u32> = Vec::new();
-        let mut metas: Vec<SensorMeta> = Vec::new();
+        // Build the merged level off to the side. Each absorbed sensor's
+        // tombstone mark is read once: built over, or dropped.
+        let mut metas: Vec<SensorMeta> = Vec::with_capacity(pool);
         for level in absorbed {
-            metas.extend(level.live_global_metas());
-            dropped.extend(
-                (0..level.len())
-                    .filter(|&j| level.is_tombstoned(SensorId(j as u32)))
-                    .map(|j| level.global_id(SensorId(j as u32)).0),
-            );
+            for j in 0..level.len() {
+                let local = SensorId(j as u32);
+                if level.is_tombstoned(local) {
+                    dropped.push(level.global_id(local).0);
+                } else {
+                    metas.push(level.global_meta(j));
+                }
+            }
         }
-        metas.extend(batch.iter().map(|(m, _)| *m));
+        metas.extend(batch.iter().map(|p| p.meta));
         metas.sort_by_key(|m| m.id.0);
         let key = self.next_level_key.fetch_add(1, Ordering::AcqRel);
         let merge_ordinal = self.merges.fetch_add(1, Ordering::AcqRel) + 1;
-        let new_level = Arc::new(LsmLevel::build(
+        let level = Arc::new(LsmLevel::build(
             key,
             &metas,
             self.config.clone(),
             derive_seed(self.seed, merge_ordinal),
         ));
-        new_level.tree().advance(now);
+        level.tree().advance(now);
 
         // Carry-over: absorbed levels' cached readings plus L0's, translated
         // to the new level's local ids; `restore_entries` drops anything
@@ -714,71 +803,86 @@ impl LsmTree {
         for level in absorbed {
             carry.extend(level.cached_entries_global());
         }
-        carry.extend(batch.iter().filter_map(|(_, e)| *e));
-        let to_local = |mut e: CachedEntry| {
-            new_level.local_of(e.reading.sensor).map(|local| {
-                e.reading.sensor = local;
-                e
-            })
-        };
-        let local_entries: Vec<CachedEntry> = carry.into_iter().filter_map(to_local).collect();
-        let mut carried = new_level.tree().restore_entries(&local_entries, now);
-        let at_cut: HashMap<u32, CachedEntry> = batch
-            .iter()
-            .filter_map(|(m, e)| e.map(|e| (m.id.0, e)))
-            .collect();
+        carry.extend(batch.iter().filter_map(|p| p.entry));
+        let carried = level.tree().restore_entries(&level.to_local(carry), now);
+        Ok(BuiltMerge {
+            state,
+            absorb_from,
+            cut,
+            batch,
+            dropped,
+            level,
+            carried,
+        })
+    }
 
-        // Publish: swap the state under the write lock, re-route the
-        // directory, and re-apply any retire that raced the build.
+    /// The second half of [`LsmTree::merge`]: under `state`'s write lock,
+    /// swaps the built level in for what it absorbed, re-routes the
+    /// directory, re-applies the retires that raced the build, carries what
+    /// L0 cached since the cut, parks the suffix in a new L0 and drops the
+    /// tombstones — array stores, one per sensor the merge moved or dropped.
+    fn publish_merge(
+        &self,
+        built: BuiltMerge,
+        now: Timestamp,
+        start: std::time::Instant,
+    ) -> MergeReport {
+        let BuiltMerge {
+            state,
+            absorb_from,
+            cut,
+            batch,
+            mut dropped,
+            level,
+            mut carried,
+        } = built;
+        let key = level.key();
         let (levels_after, l0_after) = {
             let mut published = self.state.write();
-            let mut retired = self.retired.lock();
-            for &id in retired.iter() {
-                if let Some(local) = new_level.local_of(SensorId(id)) {
-                    new_level.tombstone(local);
+            let mut directory = self.directory.lock();
+            for j in 0..level.len() {
+                let local = SensorId(j as u32);
+                let global = level.global_id(local);
+                if let Some(placed) = directory.table.get_mut(global.index()) {
+                    placed.loc = SensorLoc::Level {
+                        key,
+                        local: local.0,
+                    };
+                    if placed.retired {
+                        level.tombstone(local);
+                    }
                 }
             }
             // Queries kept probing the batch's sensors while the level was
-            // building: a reading L0 cached since the batch cut is carried
-            // too, so the swap does not lose it.
-            let since_cut: Vec<CachedEntry> = state
-                .l0
-                .snapshot()
-                .into_iter()
-                .filter(|(m, e)| batch_ids.contains(&m.id.0) && at_cut.get(&m.id.0) != e.as_ref())
-                .filter_map(|(_, e)| e.and_then(to_local))
-                .collect();
-            carried += new_level.tree().restore_entries(&since_cut, now);
-            dropped.extend(state.l0.tombstoned_ids());
-            let (rest, rest_entries) = state.l0.unmerged(&batch_ids);
-            let new_l0 = Arc::new(L0Level::with_contents(rest, rest_entries));
+            // building: a reading L0 cached since the cut is carried too, so
+            // the swap does not lose it.
+            let after = state.l0.after_cut(cut, &batch);
+            carried += level
+                .tree()
+                .restore_entries(&level.to_local(after.since_cut), now);
+            dropped.extend(after.dropped);
+            for &id in &dropped {
+                directory.drop_sensor(id);
+            }
+            for (pos, (meta, _)) in after.rest.iter().enumerate() {
+                if let Some(placed) = directory.table.get_mut(meta.id.index()) {
+                    placed.loc = SensorLoc::L0 { pos: pos as u32 };
+                }
+            }
+            directory.l0_live = after.rest.len();
+            let new_l0 = Arc::new(L0Level::with_contents(after.rest));
             let mut levels: Vec<Arc<LsmLevel>> = state.levels[..absorb_from].to_vec();
-            levels.push(new_level.clone());
-            let mut directory = self.directory.lock();
-            for (j, m) in new_level.tree().sensors().iter().enumerate() {
-                let global = new_level.global_id(m.id).0;
-                debug_assert_eq!(m.id.index(), j);
-                directory.insert(
-                    global,
-                    SensorLoc::Level {
-                        key,
-                        local: j as u32,
-                    },
-                );
-            }
-            for id in &dropped {
-                directory.remove(id);
-                retired.remove(id);
-            }
-            let l0_after = new_l0.live();
+            levels.push(level.clone());
             let levels_after = levels.len();
+            crate::telem::lsm().levels.set(levels_after as i64);
+            directory.publish_gauges();
             *published = Arc::new(LsmState { levels, l0: new_l0 });
-            (levels_after, l0_after)
+            (levels_after, directory.l0_live)
         };
 
         let report = MergeReport {
-            absorbed_levels: absorbed.len(),
-            merged_sensors: new_level.live(),
+            absorbed_levels: state.levels.len() - absorb_from,
+            merged_sensors: level.live(),
             carried_entries: carried,
             dropped_tombstones: dropped.len(),
             duration_us: start.elapsed().as_micros() as u64,
@@ -790,18 +894,26 @@ impl LsmTree {
         t.merge_duration_us.observe(report.duration_us);
         t.merge_carryover.add(report.carried_entries as u64);
         t.merge_dropped.add(report.dropped_tombstones as u64);
-        self.publish_gauges();
         report
     }
+}
 
-    fn publish_gauges(&self) {
-        let s = self.stats();
-        let t = crate::telem::lsm();
-        t.levels.set(s.levels as i64);
-        t.l0_occupancy.set(s.l0_occupancy as i64);
-        t.live_sensors.set(s.live_sensors as i64);
-        t.tombstones.set(s.tombstones as i64);
-    }
+/// A merge's level, built by [`LsmTree::build_merge`] from the cut it took
+/// and waiting for [`LsmTree::publish_merge`].
+struct BuiltMerge {
+    /// The cut the merge took.
+    state: Arc<LsmState>,
+    /// The cut's levels from this index on were absorbed.
+    absorb_from: usize,
+    /// L0's length at the cut: the batch is its prefix.
+    cut: usize,
+    /// The prefix's live sensors, with their cached readings at the cut.
+    batch: Vec<Parked>,
+    /// Global ids tombstoned at the cut in what the merge took: dropped.
+    dropped: Vec<u32>,
+    level: Arc<LsmLevel>,
+    /// Cached readings carried into `level` so far.
+    carried: usize,
 }
 
 /// The layered executor's buffers, pooled in the thread's
@@ -819,11 +931,12 @@ pub(crate) struct LayerScratch {
 }
 
 /// What the flat L0 component selected: its group and cached readings so
-/// far, and the sensors it adds to the query's wave.
+/// far, and the sensors it adds to the query's wave (with their positions,
+/// where the write-back caches what they answer).
 struct L0Part {
     group: GroupResult,
     readings: Vec<Reading>,
-    to_probe: Vec<SensorId>,
+    to_probe: Vec<(u32, SensorId)>,
 }
 
 /// Selects from the L0 component's candidates (there is at least one, or L0
@@ -831,7 +944,7 @@ struct L0Part {
 /// availability-compensated sampling when a share is assigned, cache-first
 /// collection otherwise. Returns `None` when L0 contributes no group.
 fn select_l0<R: Rng + ?Sized>(
-    cands: &[(SensorMeta, Option<CachedEntry>)],
+    cands: &[Parked],
     query: &Query,
     mode: Mode,
     now: Timestamp,
@@ -847,7 +960,7 @@ fn select_l0<R: Rng + ?Sized>(
     let (selected, target) = match share {
         Some(r) => {
             let target = r.min(n);
-            let avail_mean = cands.iter().map(|(m, _)| m.availability).sum::<f64>() / n as f64;
+            let avail_mean = cands.iter().map(|p| p.meta.availability).sum::<f64>() / n as f64;
             let attempt =
                 stochastic_round(target as f64 / avail_mean.max(MIN_AVAILABILITY), rng).min(n);
             for i in 0..attempt {
@@ -866,7 +979,7 @@ fn select_l0<R: Rng + ?Sized>(
     let mut to_probe = Vec::new();
     let mut agg = PartialAgg::empty();
     for &i in selected {
-        let (meta, entry) = &cands[i];
+        let Parked { pos, meta, entry } = &cands[i];
         match bbox.as_mut() {
             Some(b) => b.expand_to_point(&meta.location),
             None => bbox = Some(colr_geo::Rect::new(meta.location, meta.location)),
@@ -876,7 +989,7 @@ fn select_l0<R: Rng + ?Sized>(
                 agg.insert(e.reading.value);
                 readings.push(e.reading);
             }
-            _ => to_probe.push(meta.id),
+            _ => to_probe.push((*pos, meta.id)),
         }
     }
     stats.readings_from_cache += readings.len() as u64;

@@ -596,7 +596,7 @@ fn live_sensor_metas_by_copy(lsm: &LsmTree) -> Vec<SensorMeta> {
     for level in &state.levels {
         out.extend(level.live_global_metas());
     }
-    out.extend(state.l0.snapshot().into_iter().map(|(m, _)| m));
+    out.extend(state.l0.snapshot().into_iter().map(|p| p.meta));
     out
 }
 
@@ -745,4 +745,134 @@ fn a_write_back_that_lost_the_race_to_a_retire_caches_nothing_of_the_retired_sen
         assert_eq!(warm.result_size(), population - 1, "layered: {layered}");
         assert!(warm.readings.iter().all(|r| r.sensor != victim));
     }
+}
+
+/// A merge takes L0's prefix as long as L0 was when it cut. A sensor retired
+/// inside the cut before the merge began is dropped, not built over; one
+/// retired inside the cut while the level builds is tombstoned in it; one
+/// registered after the cut stays parked; and one registered after the cut
+/// and retired before publication is dropped with the outgoing L0 — none of
+/// them comes back, through a query, a deferred write-back, a retire or the
+/// next merge.
+#[test]
+fn a_merge_cut_drops_what_was_retired_in_it_and_parks_what_came_after() {
+    let lsm = LsmTree::new(
+        grid_sensors(64, 8),
+        ColrConfig::default(),
+        LsmConfig::default(),
+        4,
+    );
+    let register = |id: u32| {
+        lsm.register(SensorMeta::new(
+            id,
+            Point::new(id as f64 - 80.0, 20.0),
+            TimeDelta::from_millis(EXPIRY_MS),
+            1.0,
+        ));
+    };
+    (100..104).for_each(register);
+    assert!(lsm.retire(SensorId(101)), "retired inside the cut");
+    let built = lsm.build_merge(Timestamp(500)).expect("L0 has a batch");
+    assert_eq!(built.cut, 4);
+    // While the level builds.
+    assert!(
+        lsm.retire(SensorId(102)),
+        "inside the cut, racing the build"
+    );
+    (200..203).for_each(register);
+    assert!(
+        lsm.retire(SensorId(200)),
+        "after the cut, before publication"
+    );
+    let report = lsm.publish_merge(built, Timestamp(500), std::time::Instant::now());
+    assert_eq!(report.dropped_tombstones, 2, "101 and 200");
+    assert_eq!(report.merged_sensors, 2, "100 and 103; 102 tombstoned");
+    assert_eq!(report.l0_after, 2, "201 and 202 parked");
+    let stats = lsm.stats();
+    assert_eq!((stats.levels, stats.l0_occupancy), (2, 2));
+    assert_eq!((stats.live_sensors, stats.tombstones), (64 + 4, 1));
+    for gone in [101, 102, 200] {
+        assert!(!lsm.retire(SensorId(gone)), "{gone} retired twice");
+    }
+
+    // Queries: the live sensors and no other.
+    let everything = Query::range(
+        Rect::from_coords(-1.0, -1.0, 200.0, 200.0),
+        TimeDelta::from_millis(EXPIRY_MS),
+    );
+    let probe = AlwaysAvailable {
+        expiry_ms: EXPIRY_MS,
+    };
+    let mut rng = StdRng::seed_from_u64(2);
+    let now = Timestamp(1_000);
+    let out = lsm.execute(&everything, Mode::RTree, &probe, now, &mut rng);
+    let mut seen: Vec<u32> = out.readings.iter().map(|r| r.sensor.0).collect();
+    seen.sort_unstable();
+    let mut live: Vec<u32> = (0..64).chain([100, 103, 201, 202]).collect();
+    live.sort_unstable();
+    assert_eq!(seen, live);
+
+    // Deferred write-backs reach the parked and merged sensors by the
+    // directory, and nothing of the retired ones is cached.
+    let reading = |id: u32| Reading {
+        sensor: SensorId(id),
+        value: 1.0,
+        timestamp: now,
+        expires_at: Timestamp(now.0 + EXPIRY_MS),
+    };
+    let deferred: Vec<Reading> = [100, 101, 102, 200, 201].map(reading).to_vec();
+    assert_eq!(lsm.apply_deferred(&deferred, now), 2, "100 and 201");
+    let cached = lsm.execute(&everything, Mode::HierCache, &Dead, now, &mut rng);
+    let mut from_cache: Vec<u32> = cached.readings.iter().map(|r| r.sensor.0).collect();
+    from_cache.sort_unstable();
+    assert_eq!(from_cache, vec![100, 201]);
+
+    // The next merge drops 102 and builds over the parked pair.
+    let report = lsm.merge(Timestamp(2_000));
+    assert_eq!(report.dropped_tombstones, 1);
+    let stats = lsm.stats();
+    assert_eq!(
+        (stats.live_sensors, stats.tombstones, stats.l0_occupancy),
+        (68, 0, 0)
+    );
+    assert!(!lsm.retire(SensorId(200)));
+    assert!(lsm.retire(SensorId(202)), "a parked sensor merged later");
+}
+
+/// The directory holds chunks in proportion to the sensors it knows: a
+/// fleet registered and retired oldest-first through many merges frees the
+/// chunks its retired ids leave.
+#[test]
+fn the_directory_frees_the_chunks_of_dropped_sensors() {
+    let lsm = LsmTree::new(
+        grid_sensors(64, 8),
+        ColrConfig::default(),
+        LsmConfig {
+            l0_capacity: 256,
+            level_ratio: 4,
+        },
+        5,
+    );
+    let cohort = 1_000u32;
+    for id in 64..20_064u32 {
+        lsm.register(SensorMeta::new(
+            id,
+            Point::new((id % 97) as f64, (id % 89) as f64),
+            TimeDelta::from_millis(EXPIRY_MS),
+            1.0,
+        ));
+        if id >= 64 + cohort {
+            assert!(lsm.retire(SensorId(id - cohort)));
+        }
+        if lsm.wants_merge() {
+            lsm.merge(Timestamp(id as u64));
+        }
+    }
+    let stats = lsm.stats();
+    let known = stats.live_sensors + stats.tombstones;
+    let chunks = lsm.directory.lock().table.chunks();
+    assert!(
+        chunks <= known.div_ceil(crate::id_table::CHUNK) + 2,
+        "{chunks} chunks for {known} sensors known"
+    );
 }

@@ -35,8 +35,8 @@ use colr_geo::{Point, Rect};
 use colr_telemetry::{global, Counter};
 use colr_tree::{
     apportion, derive_seed, kmeans_partition, unit_draw, AggKind, BuildStrategy, Claim,
-    ClockHandle, Histogram, Mode, ProbeService, QueryStats, SensorId, SensorMeta, TimeDelta,
-    Timestamp,
+    ClockHandle, Histogram, IdTable, Mode, ProbeService, QueryStats, SensorId, SensorMeta,
+    TimeDelta, Timestamp,
 };
 use parking_lot::{Mutex, RwLock};
 
@@ -98,99 +98,24 @@ pub struct ShardInfo {
     pub sensors: usize,
 }
 
-/// Where a live registration ticket's sensor sits: 8 bytes a ticket.
+/// Where a live registration ticket's sensor sits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Placement {
-    /// Shard index, or [`RETIRED`].
+    /// Shard index.
     shard: u32,
     /// The per-shard id the sensor registered under.
     id: SensorId,
 }
 
-/// [`Placement::shard`] of a ticket retired through
-/// [`ShardedPortal::retire_sensor`].
-const RETIRED: u32 = u32::MAX;
-/// Tickets per [`TicketChunk`].
-const TICKET_CHUNK: usize = 1_024;
-
-/// [`TICKET_CHUNK`] consecutive tickets and how many of them are live.
-struct TicketChunk {
-    live: usize,
-    placements: Vec<Placement>,
-}
-
-/// Ticket → placement, in memory proportional to the *live* tickets: tickets
-/// are dense `usize`s in issue order, held in fixed-size chunks, and a chunk
-/// is freed once it is full and its last ticket has retired (a ticket in a
-/// freed chunk is a retired ticket).
-#[derive(Default)]
-struct TicketTable {
-    /// `chunks[c]` holds tickets `c * TICKET_CHUNK ..`; `None` once freed.
-    chunks: Vec<Option<TicketChunk>>,
-    issued: usize,
-}
-
-impl TicketTable {
-    /// Issues the next ticket for a sensor placed at `(shard, id)`.
-    fn issue(&mut self, shard: usize, id: SensorId) -> usize {
-        if self.issued.is_multiple_of(TICKET_CHUNK) {
-            self.chunks.push(Some(TicketChunk {
-                live: 0,
-                placements: Vec::with_capacity(TICKET_CHUNK),
-            }));
-        }
-        let chunk = self
-            .chunks
-            .last_mut()
-            .and_then(Option::as_mut)
-            .expect("the last chunk has room, so it has a live or unissued ticket");
-        chunk.live += 1;
-        chunk.placements.push(Placement {
-            shard: shard as u32,
-            id,
-        });
-        self.issued += 1;
-        self.issued - 1
-    }
-
-    /// Retires `ticket`, returning where its sensor sat; `None` for a ticket
-    /// already retired or never issued.
-    fn retire(&mut self, ticket: usize) -> Option<(usize, SensorId)> {
-        let slot = self.chunks.get_mut(ticket / TICKET_CHUNK)?;
-        let chunk = slot.as_mut()?;
-        let placement = chunk.placements.get_mut(ticket % TICKET_CHUNK)?;
-        if placement.shard == RETIRED {
-            return None;
-        }
-        let was = (placement.shard as usize, placement.id);
-        placement.shard = RETIRED;
-        chunk.live -= 1;
-        if chunk.live == 0 && chunk.placements.len() == TICKET_CHUNK {
-            *slot = None;
-        }
-        Some(was)
-    }
-
-    /// The live ticket's placement at `(shard, id)`, if any: a scan of the
-    /// chunks not yet freed.
-    fn find_mut(&mut self, shard: usize, id: SensorId) -> Option<&mut Placement> {
-        let at = Placement {
-            shard: shard as u32,
-            id,
-        };
-        self.chunks
-            .iter_mut()
-            .flatten()
-            .flat_map(|chunk| chunk.placements.iter_mut())
-            .find(|p| **p == at)
-    }
-}
-
 struct RouterCore<P> {
     shards: Vec<PortalService<P>>,
     map: RwLock<Vec<ShardInfo>>,
-    /// Ticket → current placement.
-    tickets: Mutex<TicketTable>,
+    /// Ticket → current placement. Tickets are dense `usize`s in issue
+    /// order, so the chunked table holds memory in proportion to the *live*
+    /// ones; a ticket with no placement is retired (or was never issued).
+    tickets: Mutex<IdTable<Placement>>,
+    /// The next ticket to issue.
+    next_ticket: AtomicUsize,
     clock: ClockHandle,
     ordinal: AtomicU64,
     /// Round-robin pointer for [`ShardedPortal::reindex`].
@@ -246,7 +171,7 @@ impl<P: ProbeService> ShardedPortal<P> {
         };
         let mut groups = kmeans_partition(&points, shard_count.max(1), iterations, config.seed);
         assert!(
-            groups.len() < RETIRED as usize,
+            u32::try_from(groups.len()).is_ok(),
             "shard indices fit a ticket"
         );
         let clock = ClockHandle::new();
@@ -272,7 +197,8 @@ impl<P: ProbeService> ShardedPortal<P> {
             core: Arc::new(RouterCore {
                 shards,
                 map: RwLock::new(map),
-                tickets: Mutex::new(TicketTable::default()),
+                tickets: Mutex::new(IdTable::new()),
+                next_ticket: AtomicUsize::new(0),
                 clock,
                 ordinal: AtomicU64::new(0),
                 next_reindex: AtomicUsize::new(0),
@@ -340,7 +266,14 @@ impl<P: ProbeService> ShardedPortal<P> {
         let core = &*self.core;
         let shard = self.nearest_shard(location);
         let id = core.shards[shard].register_sensor(location, expiry, availability, kind);
-        let ticket = core.tickets.lock().issue(shard, id);
+        // The counter publishes nothing: the placement goes in under the
+        // table's lock, before the ticket is handed out.
+        let ticket = core.next_ticket.fetch_add(1, Ordering::Relaxed);
+        let placement = Placement {
+            shard: shard as u32,
+            id,
+        };
+        core.tickets.lock().insert(ticket, placement);
         router_telem().registrations.inc();
         ticket
     }
@@ -351,8 +284,8 @@ impl<P: ProbeService> ShardedPortal<P> {
     pub fn retire_sensor(&self, ticket: usize) -> bool {
         let core = &*self.core;
         // The table's lock is released before the shard is asked.
-        let placement = core.tickets.lock().retire(ticket);
-        placement.is_some_and(|(shard, id)| core.shards[shard].retire_sensor(id))
+        let placement = core.tickets.lock().remove(ticket);
+        placement.is_some_and(|p| core.shards[p.shard as usize].retire_sensor(p.id))
     }
 
     /// The shard whose centroid is nearest to `location` (ties to the lower
@@ -403,8 +336,12 @@ impl<P: ProbeService> ShardedPortal<P> {
             // Only router-registered sensors live in L0, so each has a
             // ticket; resolve it to keep retire-by-ticket pointing at the
             // sensor's new home.
+            let at = Placement {
+                shard: s as u32,
+                id: meta.id,
+            };
             let mut tickets = core.tickets.lock();
-            let Some(placement) = tickets.find_mut(s, meta.id) else {
+            let Some(placement) = tickets.values_mut().find(|p| **p == at) else {
                 continue;
             };
             if !core.shards[s].retire_sensor(meta.id) {
@@ -1006,54 +943,6 @@ mod tests {
             }
             assert_eq!(assert_matches_the_copy(&retired, "retired"), 0);
         }
-    }
-
-    #[test]
-    fn ticket_table_is_in_proportion_to_the_live_cohort() {
-        assert_eq!(std::mem::size_of::<Placement>(), 8);
-        let entry_bytes = |t: &TicketTable| {
-            let entries: usize = t
-                .chunks
-                .iter()
-                .flatten()
-                .map(|c| c.placements.capacity())
-                .sum();
-            entries * std::mem::size_of::<Placement>()
-        };
-        let mut table = TicketTable::default();
-        let mut cohort = std::collections::VecDeque::new();
-        let mut peak = 0;
-        for i in 0..200_000usize {
-            assert_eq!(
-                table.issue(i % 8, SensorId(i as u32)),
-                i,
-                "dense, in issue order"
-            );
-            cohort.push_back(i);
-            if cohort.len() > 4_096 {
-                let old = cohort.pop_front().expect("non-empty");
-                assert_eq!(table.retire(old), Some((old % 8, SensorId(old as u32))));
-                assert_eq!(table.retire(old), None, "retired twice");
-            }
-            peak = peak.max(entry_bytes(&table));
-        }
-        assert!(peak <= 64 << 10, "{peak} bytes of entries for 4,096 live");
-        // In a freed chunk, past the end, far past the end.
-        for ticket in [0, 200_000, usize::MAX] {
-            assert_eq!(table.retire(ticket), None);
-        }
-        // A ticket the rebalancer re-placed retires from its new shard.
-        let moved = cohort[100];
-        let placement = table
-            .find_mut(moved % 8, SensorId(moved as u32))
-            .expect("a live ticket is found by its placement");
-        *placement = Placement {
-            shard: 3,
-            id: SensorId(7),
-        };
-        assert!(table.find_mut(moved % 8, SensorId(moved as u32)).is_none());
-        assert_eq!(table.retire(moved), Some((3, SensorId(7))));
-        assert!(table.find_mut(3, SensorId(7)).is_none(), "retired");
     }
 
     #[test]
