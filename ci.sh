@@ -49,7 +49,26 @@ if grep -rnE 'HashMap<u32, SensorLoc>|HashSet<u32>' crates/core/src/lsm ||
     echo "ci: a hashed churn structure is back (matches above)" >&2
     exit 1
 fi
+# One node numbering: a node's id is its breadth-first arena position, so no
+# table translates between the builder's push order and the arena.
+if grep -rnE 'fn index_of\b|fn orig\b|child_ids\(' crates/core/src; then
+    echo "ci: a node-id translation table is back (matches above)" >&2
+    exit 1
+fi
 echo "ci: one-path gate OK"
+# Non-test line ratchet: lines under crates/*/src up to each file's first
+# column-0 `#[cfg(test)]`, the test-only files slot_cache/reference.rs and
+# lsm/tests.rs excluded. The count may only fall; a change that raises it
+# records the new value here and says why in CHANGES.md.
+max_nontest=18416
+nontest=$(find crates/*/src -name '*.rs' ! -path '*/slot_cache/reference.rs' ! -path '*/lsm/tests.rs' -print0 |
+    xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile } { n++ } END { print n }' |
+    awk '{ s += $1 } END { print s }')
+if [ "$nontest" -gt "$max_nontest" ]; then
+    echo "ci: $nontest non-test lines under crates/*/src, above the recorded $max_nontest" >&2
+    exit 1
+fi
+echo "ci: non-test line ratchet OK ($nontest of $max_nontest)"
 # The trend the north star asks for, in every log (32,780 at the parent of PR 20,
 # 32,847 at the parent of PR 21, 33,555 at the parent of PR 23, 34,831 at the
 # parent of PR 24, 34,983 at the parent of PR 25).

@@ -8,8 +8,7 @@
 //!
 //! * **BFS order, children contiguous** — a node's children occupy the index
 //!   range `child_start .. child_start + child_len`, so the partition loop is
-//!   a linear walk, not a pointer chase, and a node's child ids are a slice of
-//!   `orig`.
+//!   a linear walk, not a pointer chase.
 //! * **Structure-of-arrays MBRs** — `min_x/min_y/max_x/max_y` are separate
 //!   `f64` arrays. Classifying a run of children against a rectangular
 //!   viewport is a branch-free pass over four contiguous slices, processed
@@ -21,11 +20,11 @@
 //!   Per-kind weights are one CSR table beside it.
 //! * **Flattened sensors** — leaf sensor ids, locations, and kinds in three
 //!   parallel arrays, so terminal scans touch no `SensorMeta`.
-//! * **Two numberings** — walks hold *arena indices* (BFS positions); node
-//!   caches, write-back keys and [`crate::lookup::GroupResult::node`] hold the
-//!   builder's [`NodeId`]s, which is also how the parent links are keyed, so a
-//!   write-back climbs them without translating. `orig` and `index_of` map
-//!   one to the other.
+//! * **One numbering** — a node's [`NodeId`] *is* its arena index: walks,
+//!   node caches, parent links, write-back keys and
+//!   [`crate::lookup::GroupResult::node`] all name a node by its BFS
+//!   position, so nothing translates between them. The builder's own
+//!   numbering of its scaffolding does not outlive `flatten`.
 //!
 //! # What the fast paths may assume
 //!
@@ -51,7 +50,7 @@ use crate::sampling::{MIN_AVAILABILITY, TARGET_EPS};
 use crate::scratch::QueryScratch;
 use crate::stats::QueryStats;
 use crate::time::Timestamp;
-use crate::tree::{Children, ColrTree, NodeId, NodeRef};
+use crate::tree::{Children, ColrTree, NodeId, NodeRange, NodeRef};
 
 /// The immutable structure of a [`ColrTree`], flattened from the builder's
 /// nodes once per build and shared by the tree's clones.
@@ -72,8 +71,6 @@ pub struct SamplingArena {
     weight: Vec<f64>,
     /// The frozen `a_i` of the subtree: mean build-time availability.
     avail_mean: Vec<f64>,
-    /// Arena index → node id.
-    orig: Vec<NodeId>,
     child_start: Vec<u32>,
     child_len: Vec<u32>,
     sensor_start: Vec<u32>,
@@ -82,10 +79,7 @@ pub struct SamplingArena {
     /// kind)` rows, sorted by kind, are `kind_start[i] .. kind_start[i + 1]`.
     kind_start: Vec<u32>,
     kind_weights: Vec<(u16, u64)>,
-    // --- per node id ----------------------------------------------------
-    /// Node id → arena index.
-    index_of: Vec<u32>,
-    /// Node id → parent's node id ([`NO_PARENT`] at the root).
+    /// The parent's index ([`NO_PARENT`] at the root).
     parent: Vec<u32>,
     // --- flattened leaf sensors (leaf order) ---------------------------
     sensors: Vec<SensorId>,
@@ -114,11 +108,10 @@ impl SamplingArena {
     /// each node are laid out contiguously in BFS order, the root at arena
     /// index 0; levels and parent links are what that pass finds (the leaf
     /// level is uniform by construction, so the last node's is the tree's).
-    pub(crate) fn flatten(
-        nodes: &[build::Node],
-        root: NodeId,
-        sensors: &[SensorMeta],
-    ) -> SamplingArena {
+    /// The builder pushes the root last, and its children lists are indices
+    /// into `nodes`; the queue of those in BFS order is the pass's only
+    /// record of that numbering, and it is dropped with the pass.
+    pub(crate) fn flatten(nodes: &[build::Node], sensors: &[SensorMeta]) -> SamplingArena {
         let n = nodes.len();
         let mut a = SamplingArena {
             min_x: Vec::with_capacity(n),
@@ -129,15 +122,13 @@ impl SamplingArena {
             level: Vec::with_capacity(n),
             weight: Vec::with_capacity(n),
             avail_mean: Vec::with_capacity(n),
-            orig: Vec::with_capacity(n),
             child_start: Vec::with_capacity(n),
             child_len: Vec::with_capacity(n),
             sensor_start: Vec::with_capacity(n),
             sensor_len: Vec::with_capacity(n),
             kind_start: Vec::with_capacity(n + 1),
             kind_weights: Vec::new(),
-            index_of: vec![0; n],
-            parent: vec![NO_PARENT; n],
+            parent: Vec::with_capacity(n),
             sensors: Vec::with_capacity(sensors.len()),
             sensor_x: Vec::with_capacity(sensors.len()),
             sensor_y: Vec::with_capacity(sensors.len()),
@@ -145,19 +136,20 @@ impl SamplingArena {
             sensor_avail: Vec::with_capacity(sensors.len()),
             home: vec![
                 Home {
-                    leaf: root,
+                    leaf: NodeId(0),
                     place: 0
                 };
                 sensors.len()
             ],
         };
-        a.orig.push(root);
+        // The builder's index of the node at each arena index.
+        let mut queue: Vec<usize> = Vec::with_capacity(n);
+        queue.push(n - 1);
         a.level.push(0);
+        a.parent.push(NO_PARENT);
         let mut idx = 0;
-        while idx < a.orig.len() {
-            let id = a.orig[idx];
-            let node = &nodes[id.index()];
-            a.index_of[id.index()] = idx as u32;
+        while idx < queue.len() {
+            let node = &nodes[queue[idx]];
             a.min_x.push(node.bbox.min.x);
             a.min_y.push(node.bbox.min.y);
             a.max_x.push(node.bbox.max.x);
@@ -167,23 +159,26 @@ impl SamplingArena {
             a.avail_mean.push(node.avail_mean);
             a.kind_start.push(a.kind_weights.len() as u32);
             a.kind_weights.extend_from_slice(&node.kind_weights);
-            let (children, leaf): (&[NodeId], &[SensorId]) = match &node.children {
+            let (children, leaf): (&[usize], &[SensorId]) = match &node.children {
                 build::Children::Internal(children) => (children, &[]),
                 build::Children::Leaf(leaf) => (&[], leaf),
             };
-            a.child_start.push(a.orig.len() as u32);
+            a.child_start.push(queue.len() as u32);
             a.child_len.push(children.len() as u32);
             for &child in children {
-                a.parent[child.index()] = id.0;
-                a.orig.push(child);
+                queue.push(child);
                 a.level.push(a.level[idx] + 1);
+                a.parent.push(idx as u32);
             }
             a.sensor_start.push(a.sensors.len() as u32);
             a.sensor_len.push(leaf.len() as u32);
             for (place, &s) in leaf.iter().enumerate() {
                 let meta = &sensors[s.index()];
                 let place = place as u32;
-                a.home[s.index()] = Home { leaf: id, place };
+                a.home[s.index()] = Home {
+                    leaf: NodeId(idx as u32),
+                    place,
+                };
                 a.sensors.push(s);
                 a.sensor_x.push(meta.location.x);
                 a.sensor_y.push(meta.location.y);
@@ -193,19 +188,20 @@ impl SamplingArena {
             idx += 1;
         }
         a.kind_start.push(a.kind_weights.len() as u32);
-        assert_eq!(a.orig.len(), n, "every built node hangs off the root");
+        assert_eq!(queue.len(), n, "every built node hangs off the root");
         a
     }
 
     /// The node `id` as one borrowed view: what [`ColrTree::node`] returns.
     pub(crate) fn node(&self, id: NodeId) -> NodeRef<'_> {
-        let idx = self.index_of(id);
+        let idx = id.index();
+        let kids = self.child_range(idx);
         NodeRef {
             level: self.level[idx],
             bbox: self.rect[idx],
             parent: self.parent(id),
-            children: if self.child_len[idx] > 0 {
-                Children::Internal(self.child_ids(idx))
+            children: if !kids.is_empty() {
+                Children::Internal(NodeRange(kids.start as u32, kids.end as u32))
             } else {
                 Children::Leaf(self.leaf_sensors(idx))
             },
@@ -215,15 +211,7 @@ impl SamplingArena {
         }
     }
 
-    /// The arena index of node `id`.
-    #[inline]
-    pub fn index_of(&self, id: NodeId) -> usize {
-        self.index_of[id.index()] as usize
-    }
-
-    /// The parent of node `id` (`None` at the root). Keyed by node id, not
-    /// arena index: the climbers — cache write-back, live availability —
-    /// hold node ids.
+    /// The parent of node `id` (`None` at the root).
     #[inline]
     pub fn parent(&self, id: NodeId) -> Option<NodeId> {
         let parent = self.parent[id.index()];
@@ -241,12 +229,6 @@ impl SamplingArena {
     pub fn child_range(&self, idx: usize) -> std::ops::Range<usize> {
         let start = self.child_start[idx] as usize;
         start..start + self.child_len[idx] as usize
-    }
-
-    /// The node ids of the node's children, in child order (empty at a leaf).
-    #[inline]
-    pub fn child_ids(&self, idx: usize) -> &[NodeId] {
-        &self.orig[self.child_range(idx)]
     }
 
     /// The sensors homed at a leaf, in leaf order (empty at an internal node).
@@ -270,7 +252,7 @@ impl SamplingArena {
 
     /// Number of nodes in the arena.
     pub fn node_count(&self) -> usize {
-        self.orig.len()
+        self.level.len()
     }
 
     /// The node's MBR.
@@ -295,18 +277,6 @@ impl SamplingArena {
     #[inline]
     pub fn avail_mean(&self, idx: usize) -> f64 {
         self.avail_mean[idx]
-    }
-
-    /// The node id of the node at arena index `idx`.
-    #[inline]
-    pub fn orig(&self, idx: usize) -> NodeId {
-        self.orig[idx]
-    }
-
-    /// First arena index of the node's children.
-    #[inline]
-    pub fn child_start(&self, idx: usize) -> usize {
-        self.child_start[idx] as usize
     }
 
     /// Number of children (0 for leaves).
@@ -441,7 +411,7 @@ impl ColrTree {
         let oversampling = self.config.enable_oversampling;
         let node_avail = |idx: usize| {
             match live {
-                Some(live) => live.node(arena.orig(idx)),
+                Some(live) => live.node(NodeId(idx as u32)),
                 None => arena.avail_mean(idx),
             }
             .max(MIN_AVAILABILITY)
@@ -531,7 +501,7 @@ impl ColrTree {
             let mut denom = 0.0f64;
             let clen = arena.child_len(idx);
             if clen > 0 {
-                let cstart = arena.child_start(idx);
+                let cstart = arena.child_range(idx).start;
                 match (&qr, query.kind_filter) {
                     (Some(_), None) if contained => {
                         // Every child of a contained node is contained
@@ -628,7 +598,7 @@ impl ColrTree {
 
             let mut assigned = 0.0;
             let fulfilled = self.serve_leaf_sensors(
-                arena.orig(idx),
+                NodeId(idx as u32),
                 arena.bbox(idx),
                 r_eff * 1.0 / denom,
                 scaled,
@@ -730,7 +700,7 @@ impl ColrTree {
             } else {
                 let sstart = arena.sensor_start(cur);
                 let slen = arena.sensor_len(cur);
-                self.with_cache(arena.orig(cur), |nc| {
+                self.with_cache(NodeId(cur as u32), |nc| {
                     // A sensor's raw reading sits at its place in the leaf.
                     let mut triage = |place: usize, s: SensorId| match nc
                         .entries
@@ -800,7 +770,7 @@ mod tests {
             if clen == 0 {
                 continue;
             }
-            let start = arena.child_start(idx);
+            let start = arena.child_range(idx).start;
             for q in &viewports {
                 arena.classify_children(start, clen, q, &mut class);
                 for (j, &got) in class.iter().enumerate().take(clen) {

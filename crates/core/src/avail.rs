@@ -78,12 +78,8 @@ impl LiveAvailability {
             .map(|m| AtomicU64::new(m.availability.to_bits()))
             .collect();
         let arena = &tree.arena;
-        let node_sum = tree
-            .node_ids()
-            .map(|id| {
-                let idx = arena.index_of(id);
-                AtomicU64::new((arena.avail_mean(idx) * arena.weight(idx)).to_bits())
-            })
+        let node_sum = (0..arena.node_count())
+            .map(|idx| AtomicU64::new((arena.avail_mean(idx) * arena.weight(idx)).to_bits()))
             .collect();
         LiveAvailability {
             alpha,
@@ -108,7 +104,7 @@ impl LiveAvailability {
 
     /// Current live mean availability of the subtree under `id`.
     pub fn node(&self, id: NodeId) -> f64 {
-        let w = self.arena.weight(self.arena.index_of(id));
+        let w = self.arena.weight(id.index());
         if w <= 0.0 {
             return 1.0;
         }

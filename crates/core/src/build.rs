@@ -96,7 +96,7 @@ use rand::{Rng, RngCore, SeedableRng};
 use crate::reading::{SensorId, SensorMeta};
 use crate::slot_cache::SlotConfig;
 use crate::time::TimeDelta;
-use crate::tree::{BuildStrategy, ColrConfig, ColrTree, NodeId};
+use crate::tree::{BuildStrategy, ColrConfig, ColrTree};
 
 /// Points above this count are clustered per grid cell.
 const DIRECT_KMEANS_MAX: usize = 4096;
@@ -148,15 +148,15 @@ impl ColrTree {
             threads: threads.max(1),
         };
 
-        let root = if sensors.is_empty() {
-            builder.push_leaf(&sensors, Vec::new())
+        if sensors.is_empty() {
+            builder.push_leaf(&sensors, Vec::new());
         } else {
-            builder.build_levels(&sensors, &config)
-        };
+            builder.build_levels(&sensors, &config);
+        }
 
         let telem = crate::telem::build();
         let assemble_start = std::time::Instant::now();
-        let tree = ColrTree::assemble(config, slot_config, t_max, sensors, builder.nodes, root);
+        let tree = ColrTree::assemble(config, slot_config, t_max, sensors, builder.nodes);
         telem
             .assemble_phase_us
             .observe(assemble_start.elapsed().as_micros() as u64);
@@ -173,9 +173,11 @@ impl ColrTree {
 }
 
 /// One node as the builder pushes it: build-time scaffolding, heap lists and
-/// all. [`crate::arena::SamplingArena::flatten`] reads the finished `Vec` once
-/// — levels and parent links fall out of its breadth-first pass — and
-/// [`ColrTree::assemble`] drops it; nothing after the build sees a `Node`.
+/// all, named by its index in the builder's `Vec` (push order: leaves first,
+/// the root last). [`crate::arena::SamplingArena::flatten`] reads the
+/// finished `Vec` once — the node ids, levels and parent links fall out of
+/// its breadth-first pass — and [`ColrTree::assemble`] drops it; nothing
+/// after the build sees a `Node` or its index.
 #[derive(Debug)]
 pub(crate) struct Node {
     /// Minimum bounding rectangle of the descendant sensors.
@@ -189,10 +191,10 @@ pub(crate) struct Node {
     pub(crate) avail_mean: f64,
 }
 
-/// A scaffolding node's children, owned.
+/// A scaffolding node's children, owned: builder indices or sensors.
 #[derive(Debug)]
 pub(crate) enum Children {
-    Internal(Vec<NodeId>),
+    Internal(Vec<usize>),
     Leaf(Vec<SensorId>),
 }
 
@@ -210,8 +212,8 @@ impl Builder {
         }
     }
 
-    fn push_leaf(&mut self, sensors: &[SensorMeta], members: Vec<SensorId>) -> NodeId {
-        let id = NodeId(self.nodes.len() as u32);
+    fn push_leaf(&mut self, sensors: &[SensorMeta], members: Vec<SensorId>) -> usize {
+        let id = self.nodes.len();
         let points: Vec<Point> = members
             .iter()
             .map(|s| sensors[s.index()].location)
@@ -241,18 +243,18 @@ impl Builder {
         id
     }
 
-    fn push_internal(&mut self, members: Vec<NodeId>) -> NodeId {
-        let id = NodeId(self.nodes.len() as u32);
-        let bbox = Rect::bounding_rects(members.iter().map(|&m| &self.nodes[m.index()].bbox))
+    fn push_internal(&mut self, members: Vec<usize>) -> usize {
+        let id = self.nodes.len();
+        let bbox = Rect::bounding_rects(members.iter().map(|&m| &self.nodes[m].bbox))
             .expect("internal node has children");
-        let weight: u64 = members.iter().map(|&m| self.nodes[m.index()].weight).sum();
+        let weight: u64 = members.iter().map(|&m| self.nodes[m].weight).sum();
         let avail_mean = if weight == 0 {
             1.0
         } else {
             members
                 .iter()
                 .map(|&m| {
-                    let n = &self.nodes[m.index()];
+                    let n = &self.nodes[m];
                     n.avail_mean * n.weight as f64
                 })
                 .sum::<f64>()
@@ -260,7 +262,7 @@ impl Builder {
         };
         let mut kind_weights: Vec<(u16, u64)> = Vec::new();
         for &m in &members {
-            for &(k, w) in &self.nodes[m.index()].kind_weights {
+            for &(k, w) in &self.nodes[m].kind_weights {
                 Self::merge_kind_weight(&mut kind_weights, k, w);
             }
         }
@@ -274,7 +276,8 @@ impl Builder {
         id
     }
 
-    fn build_levels(&mut self, sensors: &[SensorMeta], config: &ColrConfig) -> NodeId {
+    /// Pushes every level, leaves first, the root last.
+    fn build_levels(&mut self, sensors: &[SensorMeta], config: &ColrConfig) {
         let telem = crate::telem::build();
         let b = config.branching;
         // --- Leaf level ---
@@ -283,7 +286,7 @@ impl Builder {
         let ids: Vec<usize> = (0..sensors.len()).collect();
         let k = sensors.len().div_ceil(b).max(1);
         let groups = self.group(&points, &ids, k, config.build);
-        let mut current: Vec<NodeId> = groups
+        let mut current: Vec<usize> = groups
             .into_iter()
             .map(|members| {
                 let members = members.into_iter().map(|i| SensorId(i as u32)).collect();
@@ -299,7 +302,7 @@ impl Builder {
         while current.len() > b {
             let centroids: Vec<Point> = current
                 .iter()
-                .map(|&id| self.nodes[id.index()].bbox.center())
+                .map(|&id| self.nodes[id].bbox.center())
                 .collect();
             let idxs: Vec<usize> = (0..current.len()).collect();
             let k = current.len().div_ceil(b).max(1);
@@ -312,15 +315,12 @@ impl Builder {
                 })
                 .collect();
         }
-        let root = if current.len() == 1 {
-            current[0]
-        } else {
-            self.push_internal(current)
-        };
+        if current.len() > 1 {
+            self.push_internal(current);
+        }
         telem
             .internal_phase_us
             .observe(internal_start.elapsed().as_micros() as u64);
-        root
     }
 
     /// Clusters `items` (parallel to `points`) into at most `k` non-empty
@@ -975,7 +975,7 @@ fn str_pack(points: &[Point], items: &[usize], k: usize) -> Vec<Vec<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tree::BuildStrategy;
+    use crate::tree::{BuildStrategy, NodeId};
 
     fn grid_sensors(side: usize) -> Vec<SensorMeta> {
         let mut out = Vec::new();
@@ -1057,8 +1057,8 @@ mod tests {
 
     /// The arena against the scaffolding it was flattened from: every field
     /// the builder decided, bit for bit, and what the flattening pass adds —
-    /// contiguous children in builder order, depths, parent links, the two
-    /// numberings inverse to each other.
+    /// breadth-first ids (the root 0, each node's children the next run, in
+    /// builder order), depths, parent links.
     #[test]
     fn flatten_keeps_every_field_of_the_builders_nodes() {
         let mut sensors = grid_sensors(12);
@@ -1070,17 +1070,16 @@ mod tests {
             rng: StdRng::seed_from_u64(7),
             threads: 1,
         };
-        let root = builder.build_levels(&sensors, &ColrConfig::default());
+        builder.build_levels(&sensors, &ColrConfig::default());
         let nodes = builder.nodes;
-        let arena = crate::arena::SamplingArena::flatten(&nodes, root, &sensors);
+        let arena = crate::arena::SamplingArena::flatten(&nodes, &sensors);
         assert_eq!(arena.node_count(), nodes.len());
-        assert_eq!(arena.orig(0), root);
-        assert_eq!((arena.level(0), arena.parent(root)), (0, None));
+        assert_eq!((arena.level(0), arena.parent(NodeId(0))), (0, None));
+        // The builder's index of each arena node, by the queue it must be.
+        let mut order = vec![nodes.len() - 1];
         let mut seen_sensors = 0usize;
         for idx in 0..arena.node_count() {
-            let id = arena.orig(idx);
-            assert_eq!(arena.index_of(id), idx);
-            let node = &nodes[id.index()];
+            let node = &nodes[order[idx]];
             assert_eq!(arena.weight(idx).to_bits(), (node.weight as f64).to_bits());
             assert_eq!(arena.avail_mean(idx).to_bits(), node.avail_mean.to_bits());
             assert_eq!(arena.kind_weights(idx), &node.kind_weights[..]);
@@ -1095,24 +1094,21 @@ mod tests {
             assert_eq!(bb.max.y.to_bits(), node.bbox.max.y.to_bits());
             match &node.children {
                 Children::Internal(ch) => {
-                    assert_eq!(arena.child_len(idx), ch.len());
-                    // Children are contiguous and in builder order.
-                    assert_eq!(arena.child_ids(idx), &ch[..]);
+                    // Children are the next run of ids, in builder order.
+                    assert_eq!(arena.child_range(idx), order.len()..order.len() + ch.len());
+                    order.extend(ch);
                     assert!(arena.leaf_sensors(idx).is_empty());
-                    for (j, &c) in ch.iter().enumerate() {
-                        let at = arena.child_start(idx) + j;
-                        assert_eq!(arena.orig(at), c);
-                        assert_eq!(arena.parent(c), Some(id));
+                    for (at, &c) in arena.child_range(idx).zip(ch) {
+                        assert_eq!(arena.parent(NodeId(at as u32)), Some(NodeId(idx as u32)));
                         assert_eq!(arena.level(at), arena.level(idx) + 1);
                         // The child weight slice is bitwise the children's
                         // weights: the split denominator of a contained node.
-                        let w = nodes[c.index()].weight as f64;
+                        let w = nodes[c].weight as f64;
                         assert_eq!(arena.weight(at).to_bits(), w.to_bits());
                     }
                 }
                 Children::Leaf(members) => {
-                    assert_eq!(arena.child_len(idx), 0);
-                    assert!(arena.child_ids(idx).is_empty());
+                    assert!(arena.child_range(idx).is_empty());
                     assert_eq!(arena.sensor_len(idx), members.len());
                     assert_eq!(arena.leaf_sensors(idx), &members[..]);
                     assert_eq!(arena.level(idx), arena.level(arena.node_count() - 1));
@@ -1128,6 +1124,7 @@ mod tests {
                 }
             }
         }
+        assert_eq!(order.len(), nodes.len());
         assert_eq!(seen_sensors, 144);
     }
 

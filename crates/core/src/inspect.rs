@@ -83,7 +83,7 @@ pub fn fanouts(tree: &ColrTree) -> (Vec<usize>, Vec<usize>) {
     let mut leaf = Vec::new();
     for id in tree.node_ids() {
         match tree.node(id).children {
-            Children::Internal(c) => internal.push(c.len()),
+            Children::Internal(c) => internal.push(c.iter().len()),
             Children::Leaf(s) => leaf.push(s.len()),
         }
     }

@@ -95,5 +95,5 @@ pub use stats::{CostModel, QueryStats};
 pub use time::{ClockHandle, SimClock, TimeDelta, Timestamp};
 pub use tree::{
     BuildStrategy, CachedEntry, Children, ColrConfig, ColrTree, LeafEntries, NodeCache,
-    NodeCacheSnapshot, NodeId, NodeRef, CACHE_STRIPES,
+    NodeCacheSnapshot, NodeId, NodeRange, NodeRef, CACHE_STRIPES,
 };

@@ -672,7 +672,7 @@ impl ColrTree {
                 let sensors = self.collect_region_sensors(idx, query, &mut stats);
                 plan.defer(groups.len(), 0..0, &sensors);
                 groups.push(Self::group_over_readings(
-                    arena.orig(idx),
+                    NodeId(idx as u32),
                     bbox,
                     &[],
                     sensors.len() as f64,
@@ -769,7 +769,7 @@ impl ColrTree {
             readings.extend_from_slice(cached);
             plan.defer(groups.len(), start..readings.len(), &scratch.candidates);
             groups.push(Self::group_over_readings(
-                arena.orig(idx),
+                NodeId(idx as u32),
                 bbox,
                 cached,
                 target,

@@ -218,7 +218,7 @@ impl ColrTree {
         stats: &mut QueryStats,
         groups: &mut Vec<GroupResult>,
     ) -> bool {
-        let id = arena.orig(idx);
+        let id = NodeId(idx as u32);
         let hit = self.with_cache(id, |nc| {
             // Part of a multi-wave fill is not an aggregate over anything:
             // between two of its write-backs the count here can pass the
@@ -306,7 +306,7 @@ impl ColrTree {
         plan: &mut ProbePlan,
         scratch: &mut QueryScratch,
     ) -> f64 {
-        let id = arena.orig(idx);
+        let id = NodeId(idx as u32);
         let bbox = arena.bbox(idx);
         let (want, weight) = self.subtree_want(arena, idx, r_eff, scaled, avail, query);
 

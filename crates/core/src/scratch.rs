@@ -25,7 +25,7 @@ use crate::sampling::ScaledPq;
 pub(crate) struct QueryScratch {
     /// Pending-node priority queue (Algorithm 2's scaled heap).
     pub(crate) pq: ScaledPq,
-    /// Per-node child split: child identifiers (arena index or `NodeId.0`).
+    /// Per-node child split: the children's ids (`NodeId.0`).
     pub(crate) kid_nodes: Vec<u32>,
     /// Per-node child split: overlap weights, parallel to `kid_nodes`.
     pub(crate) kid_ow: Vec<f64>,

@@ -43,7 +43,9 @@
 //! (`ColrTree::assemble`). Every walk — Algorithm 1, the two baseline
 //! modes, a write-back climbing parent links — reads it, and
 //! [`ColrTree::node`] hands out a borrowed [`NodeRef`] view of it for
-//! everything that wants a node's fields by name.
+//! everything that wants a node's fields by name. A node has one name, its
+//! [`NodeId`], which is its breadth-first position in the arena: a walk, a
+//! node's stripe cache, a parent link and a write-back key all index by it.
 //!
 //! ## Concurrency
 //!
@@ -101,8 +103,10 @@ use crate::time::{TimeDelta, Timestamp};
 pub const CACHE_STRIPES: usize = 64;
 const STRIPE_SHIFT: u32 = CACHE_STRIPES.trailing_zeros();
 
-/// A node's id: its position in the builder's push order (leaves first, the
-/// root last), which keys the node caches and names a node in every result.
+/// A node's id: its breadth-first position in the arena — the root is 0 and
+/// each node's children are one contiguous run of ids, a level's nodes one
+/// run after the level above. The same number keys the node's cache, its
+/// parent link and every result that names it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
@@ -114,13 +118,23 @@ impl NodeId {
     }
 }
 
+/// The ids of an internal node's children: one contiguous run, `.0 .. .1`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NodeRange(pub(crate) u32, pub(crate) u32);
+
+impl NodeRange {
+    /// The children's ids, in child order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = NodeId> {
+        (self.0..self.1).map(NodeId)
+    }
+}
+
 /// A node's children: internal nodes point at other nodes, leaves at sensors.
-/// Both lists are slices of the arena.
 #[derive(Debug, Clone, Copy)]
 pub enum Children<'a> {
     /// Child nodes of an internal node.
-    Internal(&'a [NodeId]),
-    /// Sensors homed at a leaf.
+    Internal(NodeRange),
+    /// Sensors homed at a leaf, a slice of the arena.
     Leaf(&'a [SensorId]),
 }
 
@@ -563,8 +577,6 @@ pub struct ColrTree {
     pub(crate) slot_config: SlotConfig,
     pub(crate) t_max: TimeDelta,
     pub(crate) sensors: Vec<SensorMeta>,
-    /// Level of the leaves (`= height`; root is level 0).
-    pub(crate) leaf_level: u16,
     /// Per-node caches, sharded by `id % CACHE_STRIPES`; node `id` sits at
     /// position `id / CACHE_STRIPES` within its stripe.
     pub(crate) stripes: Vec<RwLock<Stripe>>,
@@ -593,7 +605,6 @@ impl Clone for ColrTree {
             slot_config: self.slot_config,
             t_max: self.t_max,
             sensors: self.sensors.clone(),
-            leaf_level: self.leaf_level,
             stripes: self
                 .stripes
                 .iter()
@@ -626,16 +637,15 @@ impl ColrTree {
         t_max: TimeDelta,
         sensors: Vec<SensorMeta>,
         nodes: Vec<crate::build::Node>,
-        root: NodeId,
     ) -> ColrTree {
-        let arena = SamplingArena::flatten(&nodes, root, &sensors);
+        let arena = SamplingArena::flatten(&nodes, &sensors);
         let ring = slot_config.num_slots + 1;
         let stripes = (0..CACHE_STRIPES).map(|stripe| {
             let mut places = 0;
             let heads: Vec<Head> = (stripe..nodes.len())
                 .step_by(CACHE_STRIPES)
                 .map(|id| {
-                    let entry_len = arena.sensor_len(arena.index_of(NodeId(id as u32))) as u32;
+                    let entry_len = arena.sensor_len(id) as u32;
                     let entry_start = places;
                     places += entry_len;
                     Head {
@@ -659,8 +669,6 @@ impl ColrTree {
             slot_config,
             t_max,
             sensors,
-            // BFS order ends on the deepest level.
-            leaf_level: arena.level(nodes.len() - 1),
             stripes: stripes.collect(),
             maint: Mutex::new(Maintenance::new(slot_config.num_slots)),
             settled_below: AtomicU64::new(0),
@@ -779,9 +787,9 @@ impl ColrTree {
         self.t_max
     }
 
-    /// The root node id.
+    /// The root node id: always `NodeId(0)`.
     pub fn root(&self) -> NodeId {
-        self.arena.orig(0)
+        NodeId(0)
     }
 
     /// A node's structural fields, as a view of the arena.
@@ -794,9 +802,10 @@ impl ColrTree {
         self.arena.node_count()
     }
 
-    /// Level of the leaves (tree height; root is level 0).
+    /// Level of the leaves (tree height; root is level 0): the last node's,
+    /// since breadth-first order ends on the deepest level.
     pub fn leaf_level(&self) -> u16 {
-        self.leaf_level
+        self.arena.level(self.node_count() - 1)
     }
 
     /// All registered sensors, indexed by [`SensorId`].
@@ -1046,8 +1055,9 @@ impl ColrTree {
         let mut rebuilds = std::mem::take(&mut maint.pool.rebuilds);
         // Bottom-up (the leaf level is uniform): apply the list at this
         // level, then re-key every plan to its node's parent and go again.
-        for level in (0..=self.leaf_level).rev() {
-            let at_leaves = level == self.leaf_level;
+        let leaf_level = self.leaf_level();
+        for level in (0..=leaf_level).rev() {
+            let at_leaves = level == leaf_level;
             keys.sort_unstable();
             for node_run in keys.chunk_by(|a, b| a >> 32 == b >> 32) {
                 let id = NodeId((node_run[0] >> 32) as u32);
@@ -1295,13 +1305,15 @@ impl ColrTree {
     /// before the node's own stripe is locked, so at most one stripe lock is
     /// ever held.
     fn rebuild_slot(&self, id: NodeId, slot: u64) {
-        let children = self.arena.child_ids(self.arena.index_of(id));
+        let children = self.arena.child_range(id.index());
         let rebuilt = if children.is_empty() {
             self.with_cache(id, |c| self.slot_of_entries(c.entries, slot))
         } else {
             let mut rebuilt = Slot::empty(self.slot_config.histogram);
-            for &ch in children {
-                self.with_cache(ch, |c| c.cache.merge_slot_into(slot, &mut rebuilt));
+            for ch in children {
+                self.with_cache(NodeId(ch as u32), |c| {
+                    c.cache.merge_slot_into(slot, &mut rebuilt)
+                });
             }
             rebuilt
         };
@@ -1371,13 +1383,26 @@ impl ColrTree {
     /// cache accounting. Used by tests; O(n).
     pub fn validate(&self) -> Result<(), String> {
         let maint = self.maint.lock();
+        // The numbering is breadth-first: the root is 0 and the only node
+        // without a parent, levels never decrease in id order, and each
+        // node's children are the next run of ids after the previous node's.
+        let mut next_child = 1;
+        let (mut level, mut held) = (0, 0);
         // Parent bbox contains child bboxes; weights add up.
         for id in self.node_ids() {
             let node = self.node(id);
+            if node.parent.is_none() != (id.0 == 0) || node.level < level {
+                return Err(format!("{id:?} breaks breadth-first order"));
+            }
+            level = node.level;
             match node.children {
                 Children::Internal(children) => {
+                    if children.iter().next() != Some(NodeId(next_child)) {
+                        return Err(format!("children of {id:?} do not follow on"));
+                    }
+                    next_child += children.iter().len() as u32;
                     let mut w = 0;
-                    for &c in children {
+                    for c in children.iter() {
                         let child = self.node(c);
                         if child.parent != Some(id) {
                             return Err(format!("child {c:?} has wrong parent"));
@@ -1398,12 +1423,13 @@ impl ColrTree {
                     }
                 }
                 Children::Leaf(sensors) => {
-                    if node.level != self.leaf_level {
+                    if node.level != self.leaf_level() {
                         return Err(format!("leaf {id:?} not at leaf level"));
                     }
                     if node.weight != sensors.len() as u64 {
                         return Err(format!("leaf {id:?} weight mismatch"));
                     }
+                    held += sensors.len();
                     for (place, &s) in sensors.iter().enumerate() {
                         let home = Home {
                             leaf: id,
@@ -1418,6 +1444,14 @@ impl ColrTree {
                     }
                 }
             }
+        }
+        if next_child as usize != self.node_count() {
+            return Err(format!("{} nodes, {next_child} reached", self.node_count()));
+        }
+        // Every held sensor's home is where it is held, so with all of them
+        // held, every sensor's home leaf holds it at its place.
+        if held != self.sensors.len() {
+            return Err(format!("{held} of {} sensors held", self.sensors.len()));
         }
         // Cache accounting.
         let counted: usize = self
@@ -1531,7 +1565,7 @@ mod tests {
         // Past it: the leaf and its ancestors, one slot each.
         let after = reading.expires_at + tree.slot_config.slot_width;
         let dropped = tree.advance_locked(&mut maint, after);
-        assert_eq!(dropped, tree.leaf_level as usize + 1);
+        assert_eq!(dropped, tree.leaf_level() as usize + 1);
         assert_eq!(maint.total_cached, 0);
         drop(maint);
         assert_eq!(tree.validate(), Ok(()), "rolled tree");

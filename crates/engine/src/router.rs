@@ -28,7 +28,7 @@
 //! migrates to its new nearest shard first (rebalance-on-merge, counted by
 //! `colr_router_rebalanced_total`).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use colr_geo::{Point, Rect};
@@ -684,33 +684,19 @@ impl<P: ProbeService> ShardedPortal<P> {
     }
 }
 
-impl<P> ShardedPortal<P>
-where
-    P: ProbeService + Send + Sync + 'static,
-{
+impl<P: ProbeService + Send + Sync + 'static> ShardedPortal<P> {
     /// Spawns a background thread that pumps any shard whose L0 has reached
     /// its occupancy bound, checking every `poll` — the sharded analogue of
     /// [`PortalService::spawn_reindexer`], rebalance included.
     pub fn spawn_reindexer(&self, poll: std::time::Duration) -> Reindexer {
         let router = self.clone();
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = stop.clone();
-        let handle = std::thread::spawn(move || {
-            let mut pumped = 0u64;
-            while !flag.load(Ordering::Acquire) {
-                if let Some(s) = router.shard_wanting_merge() {
-                    router.reindex_shard(s);
-                    pumped += 1;
-                } else {
-                    std::thread::park_timeout(poll);
-                }
+        Reindexer::spawn(poll, move || match router.shard_wanting_merge() {
+            Some(s) => {
+                router.reindex_shard(s);
+                true
             }
-            pumped
-        });
-        Reindexer {
-            stop,
-            handle: Some(handle),
-        }
+            None => false,
+        })
     }
 }
 

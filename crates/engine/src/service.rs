@@ -901,30 +901,42 @@ impl<Q: ProbeService> PortalService<ResilientProber<Q>> {
 // Background reindexer
 // ---------------------------------------------------------------------------
 
-/// A detached background reindexer thread: pumps
-/// [`PortalService::reindex`] whenever L0 reaches its occupancy bound,
-/// polling on a (wall-clock) interval. The alternative to calling `reindex`
-/// explicitly; stop (or drop) it to join the thread.
+/// A detached background reindexer thread: pumps a merge step whenever one
+/// is wanted, polling on a (wall-clock) interval. The alternative to calling
+/// `reindex` explicitly; stop (or drop) it to join the thread.
 pub struct Reindexer {
-    pub(crate) stop: Arc<AtomicBool>,
-    pub(crate) handle: Option<std::thread::JoinHandle<u64>>,
+    stop: Arc<AtomicBool>,
+    handle: Option<std::thread::JoinHandle<u64>>,
 }
 
-impl<P> PortalService<P>
-where
-    P: ProbeService + Send + Sync + 'static,
-{
+impl<P: ProbeService + Send + Sync + 'static> PortalService<P> {
     /// Spawns a background thread that merges whenever L0 reaches its
     /// occupancy bound, checking every `poll`.
     pub fn spawn_reindexer(&self, poll: std::time::Duration) -> Reindexer {
         let service = self.clone();
+        Reindexer::spawn(poll, move || {
+            let wanted = service.core.lsm.wants_merge();
+            if wanted {
+                service.reindex();
+            }
+            wanted
+        })
+    }
+}
+
+impl Reindexer {
+    /// Spawns the thread: it calls `pump` until stopped, parking for `poll`
+    /// after every call that found nothing to do (returned `false`).
+    pub(crate) fn spawn(
+        poll: std::time::Duration,
+        mut pump: impl FnMut() -> bool + Send + 'static,
+    ) -> Reindexer {
         let stop = Arc::new(AtomicBool::new(false));
         let flag = stop.clone();
         let handle = std::thread::spawn(move || {
             let mut pumped = 0u64;
             while !flag.load(Ordering::Acquire) {
-                if service.core.lsm.wants_merge() {
-                    service.reindex();
+                if pump() {
                     pumped += 1;
                 } else {
                     std::thread::park_timeout(poll);
@@ -937,9 +949,7 @@ where
             handle: Some(handle),
         }
     }
-}
 
-impl Reindexer {
     /// Stops the background thread and returns how many reindexes it pumped.
     pub fn stop(mut self) -> u64 {
         self.shutdown().unwrap_or(0)

@@ -58,7 +58,6 @@ pub struct RelationalColrTree {
     pub(crate) layer_t: Vec<TableId>,
     /// One cache table per level `0..=leaf_level`.
     pub(crate) cache_t: Vec<TableId>,
-    pub(crate) root: i64,
     pub(crate) leaf_level: u16,
     pub(crate) slot_width_ms: u64,
     pub(crate) num_slots: usize,
@@ -129,7 +128,7 @@ impl RelationalColrTree {
             );
             match n.children {
                 colr_tree::Children::Internal(children) => {
-                    for &c in children {
+                    for c in children.iter() {
                         let ch = tree.node(c);
                         store.insert(
                             layer_t[n.level as usize],
@@ -207,7 +206,6 @@ impl RelationalColrTree {
             reading_t,
             layer_t,
             cache_t,
-            root: tree.root().0 as i64,
             leaf_level,
             slot_width_ms: tree.slot_config().slot_width.millis(),
             num_slots: tree.slot_config().num_slots,
@@ -236,9 +234,9 @@ impl RelationalColrTree {
         self.store.table(self.reading_t).len()
     }
 
-    /// The root node id.
+    /// The root node id: 0, as in the tree, whose ids are breadth-first.
     pub fn root_id(&self) -> i64 {
-        self.root
+        0
     }
 
     /// Leaf level of the exported tree.

@@ -176,7 +176,7 @@ fn brute_force_slot(
                     }
                 });
             }
-            Children::Internal(children) => stack.extend(children.iter().copied()),
+            Children::Internal(children) => stack.extend(children.iter()),
         }
     }
     agg
