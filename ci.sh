@@ -7,13 +7,14 @@ cd "$(dirname "$0")"
 
 cargo fmt --check
 
-# One-path gate: one index (the LSM), two front doors (PortalService,
-# ShardedPortal), one request API, one bench harness (benchmark/), each
-# child weight stored once, one query walk over one tree (the arena: the
-# builder's pointer nodes do not outlive the build). The names of what was
-# deleted to get there must not come back; `#![forbid(unsafe_code)]` in every
-# first-party crate root holds the rest of the line.
-if grep -rnE '\bPortal(::new|<)|\bMonolithic\b|SharedPortal|reindex_discarding|pending_unindexed|AliasTable|Morton|morton_pack|\bcriterion\b|HotPathLayout|TermTarget|\bexec_colr\b|portal_sim|fresh_cached_readings|leaf_triage|arena_mirrors_tree_structure|QueryRequestBuilder|with_mode\b|with_deadline\b|live_sensor_metas\b|\bentry_pos\b' \
+# One-path gate: one index (the LSM), one front door (ShardedPortal; a
+# PortalService is only ever its shard), one request API, one bench harness
+# (benchmark/), each child weight stored once, one query walk over one tree
+# (the arena: the builder's pointer nodes do not outlive the build). The names
+# of what was deleted to get there must not come back;
+# `#![forbid(unsafe_code)]` in every first-party crate root holds the rest of
+# the line.
+if grep -rnE '\bPortal(::new|<)|\bMonolithic\b|SharedPortal|reindex_discarding|pending_unindexed|AliasTable|Morton|morton_pack|\bcriterion\b|HotPathLayout|TermTarget|\bexec_colr\b|portal_sim|fresh_cached_readings|leaf_triage|arena_mirrors_tree_structure|QueryRequestBuilder|with_mode\b|with_deadline\b|live_sensor_metas\b|\bentry_pos\b|PortalService::new|PortalConfigBuilder|PortalConfigError' \
     crates src tests examples Cargo.toml; then
     echo "ci: a deleted path is back (matches above)" >&2
     exit 1
@@ -60,7 +61,7 @@ echo "ci: one-path gate OK"
 # column-0 `#[cfg(test)]`, the test-only files slot_cache/reference.rs and
 # lsm/tests.rs excluded. The count may only fall; a change that raises it
 # records the new value here and says why in CHANGES.md.
-max_nontest=18416
+max_nontest=18246
 nontest=$(find crates/*/src -name '*.rs' ! -path '*/slot_cache/reference.rs' ! -path '*/lsm/tests.rs' -print0 |
     xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile } { n++ } END { print n }' |
     awk '{ s += $1 } END { print s }')
@@ -69,6 +70,19 @@ if [ "$nontest" -gt "$max_nontest" ]; then
     exit 1
 fi
 echo "ci: non-test line ratchet OK ($nontest of $max_nontest)"
+# Panic-site ratchet (ROADMAP 6(b)): `.unwrap()`, `.expect(`, `panic!(` and
+# `unreachable!(` on the non-test lines of the core and engine crates, cut as
+# above. The count may only fall; each site that goes becomes a typed
+# `PortalError`, a `debug_assert!` with its invariant written down, or nothing.
+max_panics=14
+panics=$(find crates/core/src crates/engine/src -name '*.rs' ! -path '*/slot_cache/reference.rs' ! -path '*/lsm/tests.rs' -print0 |
+    xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile } { n += gsub(/\.unwrap\(\)|\.expect\(|panic!\(|unreachable!\(/, "&") } END { print n + 0 }' |
+    awk '{ s += $1 } END { print s }')
+if [ "$panics" -gt "$max_panics" ]; then
+    echo "ci: $panics panic sites on non-test lines of crates/{core,engine}/src, above the recorded $max_panics" >&2
+    exit 1
+fi
+echo "ci: panic-site ratchet OK ($panics of $max_panics)"
 # The trend the north star asks for, in every log (32,780 at the parent of PR 20,
 # 32,847 at the parent of PR 21, 33,555 at the parent of PR 23, 34,831 at the
 # parent of PR 24, 34,983 at the parent of PR 25).
@@ -127,8 +141,8 @@ cargo run --release --offline -q --example fault_injection | grep -q "fault_smok
 }
 echo "ci: fault-injection smoke OK"
 
-# Service concurrency smoke: N client threads through one shared
-# PortalService handle during forced reindexes — no panics, no torn
+# Service concurrency smoke: N client threads through one shared one-shard
+# router handle during forced reindexes — no panics, no torn
 # answers, monotone generation counter (the example self-checks and
 # prints the marker only when every invariant holds).
 cargo run --release --offline -q --example service_storm | grep -q "service_storm OK" || {

@@ -137,7 +137,7 @@ impl ProbeService for AlwaysAvailable {
 /// The failure pattern depends only on how many times each individual
 /// sensor has been probed — not on batch composition, interleaving, or
 /// scheduling — so results are identical whether a workload runs on one
-/// thread or sixteen (`PortalService::execute_many` parity). The `s` offset
+/// thread or sixteen (`ShardedPortal::execute_many` parity). The `s` offset
 /// staggers the phase so a single wave over many sensors still sees ~1/k
 /// of them fail.
 #[derive(Debug)]

@@ -14,16 +14,17 @@
 //! * [`portal`] — the configuration going in ([`PortalConfig`]) and the
 //!   result shapes coming out: per-group [`PortalResult`]s ready to overlay
 //!   on a map, with their [`DegradationReport`];
-//! * [`service`] — the [`PortalService`] front door: cloneable `&self`
-//!   handles over an LSM index published in epochs, with online
-//!   registration, merges that carry the caches over, and admission control;
-//! * [`request`] — the one request surface: both front doors answer
+//! * [`router`] — the front door, the spatially sharded [`ShardedPortal`]:
+//!   the one constructor, batch entry point and reindexer, and a
+//!   deterministic scatter-gather router over per-shard [`PortalService`]s,
+//!   splitting the sample target `R` across overlapping shards exactly as
+//!   Algorithm 1 splits it across children;
+//! * [`service`] — one shard, a [`PortalService`]: cloneable `&self` handles
+//!   over an LSM index published in epochs, with online registration, merges
+//!   that carry the caches over, and admission control;
+//! * [`request`] — the one request surface: the front door answers
 //!   `execute(&`[`QueryRequest`]`)` with a [`QueryResponse`], and
 //!   [`QueryRequest::from_sql`] is the one lowering from SQL text;
-//! * [`router`] — the spatially sharded [`ShardedPortal`]: a deterministic
-//!   scatter-gather router over per-shard [`PortalService`]s, splitting the
-//!   sample target `R` across overlapping shards exactly as Algorithm 1
-//!   splits it across children;
 //! * [`error`] — the unified [`PortalError`] every front-door entry point
 //!   returns.
 
@@ -43,9 +44,8 @@ pub use error::PortalError;
 pub use parser::{parse, parse_statement, ParseError, Statement};
 pub use planner::Planner;
 pub use portal::{
-    BatchResult, DegradationReport, GroupView, IndexStrategy, PortalConfig, PortalConfigBuilder,
-    PortalConfigError, PortalResult,
+    BatchResult, DegradationReport, GroupView, IndexStrategy, PortalConfig, PortalResult,
 };
 pub use request::{ExplainLevel, QueryRequest, QueryResponse, ShardOutcome};
-pub use router::{ShardInfo, ShardedPortal};
-pub use service::{AdmissionConfig, Generation, PortalService, Reindexer};
+pub use router::{Reindexer, ShardInfo, ShardedPortal};
+pub use service::{AdmissionConfig, Generation, PortalService};

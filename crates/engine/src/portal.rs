@@ -1,8 +1,7 @@
-//! The portal's configuration and result shapes: [`PortalConfig`] (and its
-//! validating builder) going in; [`PortalResult`], [`GroupView`],
-//! [`BatchResult`] and the [`DegradationReport`] shortfall accounting coming
-//! out. The front doors that consume and produce them are
-//! [`crate::PortalService`] and [`crate::ShardedPortal`].
+//! The portal's configuration and result shapes: [`PortalConfig`] going in;
+//! [`PortalResult`], [`GroupView`], [`BatchResult`] and the
+//! [`DegradationReport`] shortfall accounting coming out. The front door
+//! that consumes and produces them is [`crate::ShardedPortal`].
 
 use colr_geo::Rect;
 use colr_tree::{ColrConfig, Histogram, LsmConfig, Mode, QueryStats, TimeDelta};
@@ -69,145 +68,6 @@ impl Default for PortalConfig {
     }
 }
 
-impl PortalConfig {
-    /// A validating builder over the same fields; prefer it when the values
-    /// come from user input or external configuration.
-    pub fn builder() -> PortalConfigBuilder {
-        PortalConfigBuilder {
-            cfg: PortalConfig::default(),
-            staleness_secs: None,
-        }
-    }
-}
-
-/// Why a [`PortalConfigBuilder`] refused to produce a config.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum PortalConfigError {
-    /// `max_sensors_per_query == Some(0)`: every query would be planned
-    /// with a zero sample target and answer nothing. Use `None` for
-    /// "uncapped" instead.
-    ZeroSensorCap,
-    /// The staleness bound in seconds was NaN or infinite.
-    NonFiniteStaleness(f64),
-    /// The staleness bound in seconds was negative.
-    NegativeStaleness(f64),
-    /// `admission.max_in_flight == 0`: no query could ever execute.
-    NoExecutionSlots,
-}
-
-impl std::fmt::Display for PortalConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PortalConfigError::ZeroSensorCap => {
-                write!(f, "max_sensors_per_query = Some(0); use None for uncapped")
-            }
-            PortalConfigError::NonFiniteStaleness(s) => {
-                write!(f, "default staleness must be finite, got {s}")
-            }
-            PortalConfigError::NegativeStaleness(s) => {
-                write!(f, "default staleness must be non-negative, got {s}")
-            }
-            PortalConfigError::NoExecutionSlots => {
-                write!(f, "admission.max_in_flight = 0; no query could execute")
-            }
-        }
-    }
-}
-
-impl std::error::Error for PortalConfigError {}
-
-/// Builder for [`PortalConfig`] that validates before producing a value,
-/// so impossible portals (zero sensor cap, NaN staleness, zero execution
-/// slots) are rejected at configuration time rather than surfacing as
-/// empty answers later.
-#[derive(Debug, Clone)]
-pub struct PortalConfigBuilder {
-    cfg: PortalConfig,
-    staleness_secs: Option<f64>,
-}
-
-impl PortalConfigBuilder {
-    /// Sets the index configuration.
-    pub fn tree(mut self, tree: ColrConfig) -> Self {
-        self.cfg.tree = tree;
-        self
-    }
-
-    /// Sets the execution mode.
-    pub fn mode(mut self, mode: Mode) -> Self {
-        self.cfg.mode = mode;
-        self
-    }
-
-    /// Sets the default staleness bound directly.
-    pub fn default_staleness(mut self, staleness: TimeDelta) -> Self {
-        self.cfg.default_staleness = staleness;
-        self.staleness_secs = None;
-        self
-    }
-
-    /// Sets the default staleness bound in (fractional) seconds — the form
-    /// external configuration usually arrives in. Validated at
-    /// [`PortalConfigBuilder::build`]: NaN, infinite and negative values
-    /// are rejected.
-    pub fn default_staleness_secs(mut self, secs: f64) -> Self {
-        self.staleness_secs = Some(secs);
-        self
-    }
-
-    /// Sets the portal-wide sensors-per-query cap (`None` = uncapped).
-    pub fn max_sensors_per_query(mut self, cap: Option<usize>) -> Self {
-        self.cfg.max_sensors_per_query = cap;
-        self
-    }
-
-    /// Sets the RNG seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
-        self
-    }
-
-    /// Sets the admission-controller tuning.
-    pub fn admission(mut self, admission: AdmissionConfig) -> Self {
-        self.cfg.admission = admission;
-        self
-    }
-
-    /// Sets the flight-recorder sampling gate (record 1-in-`every` queries;
-    /// 0 = never).
-    pub fn flight_record_every(mut self, every: u64) -> Self {
-        self.cfg.flight_record_every = every;
-        self
-    }
-
-    /// Sets the index maintenance strategy.
-    pub fn index(mut self, index: IndexStrategy) -> Self {
-        self.cfg.index = index;
-        self
-    }
-
-    /// Validates and produces the config.
-    pub fn build(self) -> Result<PortalConfig, PortalConfigError> {
-        let mut cfg = self.cfg;
-        if let Some(secs) = self.staleness_secs {
-            if !secs.is_finite() {
-                return Err(PortalConfigError::NonFiniteStaleness(secs));
-            }
-            if secs < 0.0 {
-                return Err(PortalConfigError::NegativeStaleness(secs));
-            }
-            cfg.default_staleness = TimeDelta::from_millis((secs * 1_000.0).round() as u64);
-        }
-        if cfg.max_sensors_per_query == Some(0) {
-            return Err(PortalConfigError::ZeroSensorCap);
-        }
-        if cfg.admission.max_in_flight == 0 {
-            return Err(PortalConfigError::NoExecutionSlots);
-        }
-        Ok(cfg)
-    }
-}
-
 /// One map-icon group in a portal result.
 #[derive(Debug, Clone)]
 pub struct GroupView {
@@ -222,7 +82,7 @@ pub struct GroupView {
     pub from_cache: bool,
 }
 
-/// Aggregated outcome of a [`crate::PortalService::execute_many`] batch.
+/// Aggregated outcome of a [`crate::ShardedPortal::execute_many`] batch.
 #[derive(Debug, Clone)]
 pub struct BatchResult {
     /// One result per submitted query, in submission order.
@@ -430,77 +290,5 @@ mod tests {
         let before = acc;
         acc.merge(&DegradationReport::default());
         assert_eq!(acc, before);
-    }
-
-    #[test]
-    fn builder_accepts_valid_configs() {
-        let cfg = PortalConfig::builder()
-            .mode(Mode::HierCache)
-            .default_staleness_secs(120.5)
-            .max_sensors_per_query(Some(100))
-            .seed(7)
-            .build()
-            .expect("valid config");
-        assert_eq!(cfg.default_staleness, TimeDelta::from_millis(120_500));
-        assert_eq!(cfg.max_sensors_per_query, Some(100));
-        assert_eq!(cfg.seed, 7);
-    }
-
-    #[test]
-    fn builder_rejects_zero_sensor_cap() {
-        let err = PortalConfig::builder()
-            .max_sensors_per_query(Some(0))
-            .build()
-            .unwrap_err();
-        assert_eq!(err, PortalConfigError::ZeroSensorCap);
-        // None means uncapped and is fine.
-        assert!(PortalConfig::builder()
-            .max_sensors_per_query(None)
-            .build()
-            .is_ok());
-    }
-
-    #[test]
-    fn builder_rejects_nan_staleness() {
-        let err = PortalConfig::builder()
-            .default_staleness_secs(f64::NAN)
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, PortalConfigError::NonFiniteStaleness(_)));
-    }
-
-    #[test]
-    fn builder_rejects_infinite_staleness() {
-        let err = PortalConfig::builder()
-            .default_staleness_secs(f64::INFINITY)
-            .build()
-            .unwrap_err();
-        assert_eq!(err, PortalConfigError::NonFiniteStaleness(f64::INFINITY));
-    }
-
-    #[test]
-    fn builder_rejects_negative_staleness() {
-        let err = PortalConfig::builder()
-            .default_staleness_secs(-1.0)
-            .build()
-            .unwrap_err();
-        assert_eq!(err, PortalConfigError::NegativeStaleness(-1.0));
-    }
-
-    #[test]
-    fn builder_rejects_zero_execution_slots() {
-        let err = PortalConfig::builder()
-            .admission(AdmissionConfig {
-                max_in_flight: 0,
-                ..Default::default()
-            })
-            .build()
-            .unwrap_err();
-        assert_eq!(err, PortalConfigError::NoExecutionSlots);
-        // An explicit TimeDelta staleness needs no seconds validation.
-        assert!(PortalConfig::builder()
-            .default_staleness(TimeDelta::from_mins(2))
-            .build()
-            .is_ok());
     }
 }

@@ -3,8 +3,8 @@
 //! Every way of asking the portal something — interactive SQL, programmatic
 //! queries, `EXPLAIN`, `EXPLAIN ANALYZE`, and the sharded router's
 //! scatter-gather — is one entry point:
-//! `execute(&QueryRequest) -> Result<QueryResponse, PortalError>`, offered
-//! identically by [`crate::PortalService`] and [`crate::ShardedPortal`].
+//! `execute(&QueryRequest) -> Result<QueryResponse, PortalError>` on
+//! [`crate::ShardedPortal`] (each of its shards answers the same call).
 //! A [`QueryRequest`] bundles the logical query (region, filters, sample
 //! target) with the explain level; a [`QueryResponse`] carries the samples, the
 //! merged [`DegradationReport`](crate::DegradationReport), the optional
@@ -148,7 +148,7 @@ pub struct QueryResponse {
     /// JSON array of per-shard records when routed).
     pub flight: Option<String>,
     /// Per-shard outcomes of a routed request, in shard order; empty from a
-    /// bare [`crate::PortalService`].
+    /// shard asked directly ([`crate::ShardedPortal::shard`]).
     pub shards: Vec<ShardOutcome>,
 }
 

@@ -1,5 +1,5 @@
 //! The spatially sharded portal: a deterministic scatter-gather router over
-//! per-shard [`PortalService`]s.
+//! per-shard [`PortalService`]s, and the one way to build a portal.
 //!
 //! A [`ShardedPortal`] partitions the sensor population spatially with the
 //! same k-means grid the bulk build uses ([`colr_tree::kmeans_partition`]),
@@ -11,7 +11,8 @@
 //! divides it across its children. Because the per-shard seeds derive from
 //! `(router seed, query ordinal, shard index)`, a routed query replays
 //! bit-identically regardless of shard completion order — and a router over
-//! a single shard answers bit-identically to the bare service it wraps.
+//! a single shard forwards each request to that shard unchanged, so it
+//! answers bit-identically to the shard alone (this module's tests).
 //!
 //! The gather side merges per-shard [`PortalResult`]s into one response:
 //! groups concatenate in shard order, [`QueryStats`] sum, latency is the
@@ -28,7 +29,7 @@
 //! migrates to its new nearest shard first (rebalance-on-merge, counted by
 //! `colr_router_rebalanced_total`).
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use colr_geo::{Point, Rect};
@@ -44,7 +45,7 @@ use crate::ast::SelectQuery;
 use crate::error::PortalError;
 use crate::portal::{BatchResult, DegradationReport, PortalConfig, PortalResult};
 use crate::request::{ExplainLevel, QueryRequest, QueryResponse, ShardOutcome};
-use crate::service::{trace_parse, PortalService, Reindexer};
+use crate::service::{trace_parse, PortalService};
 
 // ---------------------------------------------------------------------------
 // Telemetry
@@ -150,7 +151,8 @@ impl<P: ProbeService> ShardedPortal<P> {
     /// [`colr_tree::ColrTree::build`] requires; ordering within a shard
     /// preserves the original registration order. With `shard_count == 1`
     /// the single shard is the identity partition, and the router answers
-    /// bit-identically to a bare service built from the same config.
+    /// bit-identically to that shard alone. An empty fleet is one shard
+    /// over no sensors, whatever `shard_count` asks for.
     pub fn new<F>(
         sensors: Vec<SensorMeta>,
         mut probe_factory: F,
@@ -160,16 +162,15 @@ impl<P: ProbeService> ShardedPortal<P> {
     where
         F: FnMut(usize, &[SensorMeta]) -> P,
     {
-        assert!(
-            !sensors.is_empty(),
-            "ShardedPortal needs at least one sensor to place shards"
-        );
         let points: Vec<Point> = sensors.iter().map(|m| m.location).collect();
         let iterations = match config.tree.build {
             BuildStrategy::KMeans { iterations } => iterations,
             _ => 8,
         };
         let mut groups = kmeans_partition(&points, shard_count.max(1), iterations, config.seed);
+        if groups.is_empty() {
+            groups.push(Vec::new());
+        }
         assert!(
             u32::try_from(groups.len()).is_ok(),
             "shard indices fit a ticket"
@@ -494,11 +495,14 @@ impl<P: ProbeService> ShardedPortal<P> {
         Ok(self.merge(req, answers, merged_degradation, outcomes))
     }
 
-    /// Executes a batch through the router. A single-shard router delegates
-    /// to the shard's own [`PortalService::execute_many`] (thread-fan-out
-    /// included, bit-identical to the bare service); a multi-shard router
-    /// routes the queries one by one — already deterministic by
-    /// construction, so the thread hint is ignored.
+    /// Executes a batch through the router. A single-shard router runs it on
+    /// its shard as one frozen batch: every query against the index and
+    /// caches as they stood at batch start, over `threads` workers (0 = the
+    /// machine's parallelism), write-backs applied afterwards in submission
+    /// order, so the result does not depend on the thread count. A
+    /// multi-shard router routes the queries one by one, writing back inline
+    /// — already deterministic by construction, so the thread hint is
+    /// ignored.
     pub fn execute_many(
         &self,
         queries: &[SelectQuery],
@@ -527,6 +531,24 @@ impl<P: ProbeService> ShardedPortal<P> {
             readings_applied: 0,
             degradation,
         })
+    }
+
+    /// Parses and executes a batch of dialect SQL queries via
+    /// [`ShardedPortal::execute_many`]. Fails fast on the first parse error;
+    /// a batch returns results only, so an `EXPLAIN` prefix changes nothing.
+    pub fn query_many_sql(&self, sqls: &[&str], threads: usize) -> Result<BatchResult, PortalError>
+    where
+        P: Sync,
+    {
+        let parsed: Vec<SelectQuery> = sqls
+            .iter()
+            .map(|sql| {
+                let req = QueryRequest::from_sql(sql)?;
+                trace_parse(&self.core.clock, req.sql_len());
+                Ok(req.into_select())
+            })
+            .collect::<Result<_, PortalError>>()?;
+        self.execute_many(&parsed, threads)
     }
 
     // -- routing internals -------------------------------------------------
@@ -685,18 +707,59 @@ impl<P: ProbeService> ShardedPortal<P> {
 }
 
 impl<P: ProbeService + Send + Sync + 'static> ShardedPortal<P> {
-    /// Spawns a background thread that pumps any shard whose L0 has reached
-    /// its occupancy bound, checking every `poll` — the sharded analogue of
-    /// [`PortalService::spawn_reindexer`], rebalance included.
+    /// Spawns a background thread that pumps [`ShardedPortal::reindex_shard`]
+    /// (rebalance included) on any shard whose L0 has reached its occupancy
+    /// bound, parking for `poll` (wall clock) whenever none has. The
+    /// alternative to calling `reindex` explicitly.
     pub fn spawn_reindexer(&self, poll: std::time::Duration) -> Reindexer {
         let router = self.clone();
-        Reindexer::spawn(poll, move || match router.shard_wanting_merge() {
-            Some(s) => {
-                router.reindex_shard(s);
-                true
+        let stop = Arc::new(AtomicBool::new(false));
+        let flag = stop.clone();
+        let handle = std::thread::spawn(move || {
+            let mut pumped = 0u64;
+            while !flag.load(Ordering::Acquire) {
+                match router.shard_wanting_merge() {
+                    Some(s) => {
+                        router.reindex_shard(s);
+                        pumped += 1;
+                    }
+                    None => std::thread::park_timeout(poll),
+                }
             }
-            None => false,
-        })
+            pumped
+        });
+        Reindexer {
+            stop,
+            handle: Some(handle),
+        }
+    }
+}
+
+/// A detached background reindexer thread
+/// ([`ShardedPortal::spawn_reindexer`]); stop (or drop) it to join the
+/// thread.
+pub struct Reindexer {
+    stop: Arc<AtomicBool>,
+    handle: Option<std::thread::JoinHandle<u64>>,
+}
+
+impl Reindexer {
+    /// Stops the background thread and returns how many reindexes it pumped.
+    pub fn stop(mut self) -> u64 {
+        self.shutdown().unwrap_or(0)
+    }
+
+    fn shutdown(&mut self) -> Option<u64> {
+        let handle = self.handle.take()?;
+        self.stop.store(true, Ordering::Release);
+        handle.thread().unpark();
+        handle.join().ok()
+    }
+}
+
+impl Drop for Reindexer {
+    fn drop(&mut self) {
+        let _ = self.shutdown();
     }
 }
 
@@ -764,6 +827,8 @@ mod tests {
     use crate::portal::IndexStrategy;
     use colr_tree::probe::AlwaysAvailable;
     use colr_tree::LsmConfig;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// [`shard_info`] as it was computed while it copied the shard: every
     /// live location into a `Vec` (the fully retired shard's from its primary
@@ -928,6 +993,176 @@ mod tests {
                 assert_eq!(info.sensors, n, "the fallback counts the primary level");
             }
             assert_eq!(assert_matches_the_copy(&retired, "retired"), 0);
+        }
+    }
+
+    /// A clustered population: `per_cluster` sensors jittered around each
+    /// centre, ids dense in generation order.
+    fn clustered_sensors(centres: &[(f64, f64)], per_cluster: usize, seed: u64) -> Vec<SensorMeta> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut sensors = Vec::with_capacity(centres.len() * per_cluster);
+        for &(cx, cy) in centres {
+            for _ in 0..per_cluster {
+                let id = sensors.len() as u32;
+                let x = cx + rng.random_range(-8.0..8.0);
+                let y = cy + rng.random_range(-8.0..8.0);
+                sensors.push(SensorMeta::new(
+                    id,
+                    Point::new(x, y),
+                    TimeDelta::from_millis(PARITY_EXPIRY_MS),
+                    1.0,
+                ));
+            }
+        }
+        sensors
+    }
+
+    const PARITY_EXPIRY_MS: u64 = 600_000;
+
+    fn parity_config(seed: u64) -> PortalConfig {
+        PortalConfig {
+            seed,
+            mode: Mode::Colr,
+            ..Default::default()
+        }
+    }
+
+    fn parity_probe() -> AlwaysAvailable {
+        AlwaysAvailable {
+            expiry_ms: PARITY_EXPIRY_MS,
+        }
+    }
+
+    /// The shard a one-shard router over `sensors` runs, built on its own
+    /// clock with no router in front.
+    fn bare_shard(sensors: &[SensorMeta], seed: u64) -> PortalService<AlwaysAvailable> {
+        PortalService::with_clock(
+            sensors.to_vec(),
+            parity_probe(),
+            parity_config(seed),
+            ClockHandle::new(),
+        )
+    }
+
+    /// Everything except wall-clock latency must match exactly.
+    fn assert_results_identical(a: &PortalResult, b: &PortalResult, ctx: &str) {
+        assert_eq!(
+            format!("{:?}", a.groups),
+            format!("{:?}", b.groups),
+            "{ctx}: groups diverged"
+        );
+        assert_eq!(a.value, b.value, "{ctx}: aggregate value diverged");
+        assert_eq!(
+            format!("{:?}", a.histogram),
+            format!("{:?}", b.histogram),
+            "{ctx}: histogram diverged"
+        );
+        assert_eq!(
+            format!("{:?}", a.stats),
+            format!("{:?}", b.stats),
+            "{ctx}: collection stats diverged"
+        );
+        assert_eq!(a.degradation, b.degradation, "{ctx}: degradation diverged");
+    }
+
+    /// The three predicate shapes, each with an explicit sampling target so
+    /// the seeded sampler is actually exercised.
+    fn shape_sqls() -> [&'static str; 3] {
+        [
+            "SELECT count(*) FROM sensor WHERE location WITHIN RECT(2, 2, 50, 50) SAMPLESIZE 24",
+            "SELECT avg(value) FROM sensor WHERE location WITHIN \
+             POLYGON((0 0, 70 0, 70 70, 0 70)) SAMPLESIZE 32",
+            "SELECT sum(value) FROM sensor WHERE location WITHIN CIRCLE(60, 60, 15) SAMPLESIZE 16",
+        ]
+    }
+
+    // The forward proven against the shard it forwards to: a one-shard
+    // router derives its shard-0 seed as the identity, so the RNG stream —
+    // and therefore every sample, group, stat and degradation field —
+    // replays exactly, across seeds, predicate shapes and batch thread counts.
+    #[test]
+    fn single_shard_router_is_bit_identical_to_bare_service() {
+        let sensors = clustered_sensors(&[(12.0, 12.0), (60.0, 60.0)], 200, 1);
+        for seed in [7u64, 99, 20_080_407] {
+            let bare = bare_shard(&sensors, seed);
+            let routed = ShardedPortal::new(
+                sensors.clone(),
+                |_, _| parity_probe(),
+                1,
+                parity_config(seed),
+            );
+            bare.clock().advance_to(Timestamp(5_000));
+            routed.clock().advance_to(Timestamp(5_000));
+            // Interleave cold and warm passes: the second round replays each
+            // viewport against carried-over caches, so cache attribution is
+            // compared too, not just probe-path sampling.
+            for round in 0..2 {
+                for sql in shape_sqls() {
+                    let req = QueryRequest::from_sql(sql).expect("shape SQL parses");
+                    let a = bare.execute(&req).expect("bare query").result;
+                    let b = routed.execute(&req).expect("routed query").result;
+                    assert_results_identical(&a, &b, &format!("seed {seed} round {round} `{sql}`"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn single_shard_batches_match_at_any_thread_count() {
+        let sensors = clustered_sensors(&[(12.0, 12.0), (60.0, 60.0)], 200, 1);
+        let batch: Vec<_> = shape_sqls()
+            .iter()
+            .map(|sql| crate::parse(sql).expect("shape SQL parses"))
+            .collect();
+        let seed = 7;
+        let bare = bare_shard(&sensors, seed);
+        bare.clock().advance_to(Timestamp(5_000));
+        let reference = bare.execute_many(&batch, 1).expect("bare batch");
+        for threads in [1usize, 8] {
+            let routed = ShardedPortal::new(
+                sensors.clone(),
+                |_, _| parity_probe(),
+                1,
+                parity_config(seed),
+            );
+            routed.clock().advance_to(Timestamp(5_000));
+            let got = routed.execute_many(&batch, threads).expect("routed batch");
+            assert_eq!(reference.results.len(), got.results.len());
+            for (i, (a, b)) in reference.results.iter().zip(&got.results).enumerate() {
+                assert_results_identical(a, b, &format!("threads {threads} query {i}"));
+            }
+            assert_eq!(
+                format!("{:?}", reference.stats),
+                format!("{:?}", got.stats),
+                "threads {threads}: batch stats diverged"
+            );
+            assert_eq!(
+                reference.degradation, got.degradation,
+                "threads {threads}: batch degradation diverged"
+            );
+        }
+    }
+
+    #[test]
+    fn an_empty_fleet_is_one_shard_that_registers_reindexes_and_retires() {
+        let sql = "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-10,-10,10,10)";
+        let req = QueryRequest::from_sql(sql).expect("count SQL parses");
+        for shards in [1, 4] {
+            let probe = |_: usize, _: &[SensorMeta]| AlwaysAvailable {
+                expiry_ms: EXPIRY_MS,
+            };
+            let router = ShardedPortal::new(Vec::new(), probe, shards, PortalConfig::default());
+            assert_eq!(router.shard_count(), 1, "{shards} asked");
+            router.clock().advance(TimeDelta::from_secs(1));
+            let count = || router.execute(&req).expect("count").result.value;
+            assert_eq!(count(), Some(0.0), "{shards} asked: empty");
+            let expiry = TimeDelta::from_millis(EXPIRY_MS);
+            let ticket = router.register_sensor(Point::new(1.0, 2.0), expiry, 1.0, 0);
+            assert_eq!(count(), Some(1.0), "{shards} asked: registered");
+            assert_eq!(router.reindex(), 1);
+            assert_eq!(count(), Some(1.0), "{shards} asked: reindexed");
+            assert!(router.retire_sensor(ticket));
+            assert_eq!(count(), Some(0.0), "{shards} asked: retired");
         }
     }
 

@@ -1,8 +1,11 @@
-//! The portal *service*: SensorMap's shared front door.
+//! The portal *service*: one shard of a [`crate::ShardedPortal`].
 //!
 //! A [`PortalService`] is a cheaply cloneable, `Send + Sync` handle that any
-//! number of client threads drive concurrently through `&self` methods. It
-//! is built from three pieces:
+//! number of client threads drive concurrently through `&self` methods. The
+//! router builds one per shard (there is no other constructor) and hands it
+//! out through [`crate::ShardedPortal::shard`] for the per-shard controls:
+//! closing, a watchdog, resilience feedback, snapshots. It is built from three
+//! pieces:
 //!
 //! * **Epoch-published index generations.** The index + planner pair lives
 //!   in an immutable [`Generation`] behind an `Arc` swapped under a
@@ -13,8 +16,9 @@
 //!   arrivals land on the new one.
 //! * **Online registration + the reindexer.** [`PortalService::register_sensor`]
 //!   is one push into the LSM index's mutable L0, visible to the very next
-//!   query; [`PortalService::reindex`] (explicitly pumped, or driven by a
-//!   background [`Reindexer`] thread) merges L0 and the trailing small levels
+//!   query; [`PortalService::reindex`] (pumped by the router, explicitly or
+//!   from its background [`crate::Reindexer`] thread) merges L0 and the
+//!   trailing small levels
 //!   into one freshly bulk-built level, *carrying over* every still-fresh raw
 //!   cached reading — slot caches are globally aligned by absolute expiry
 //!   slot, so carried readings expire at exactly the boundary they would have
@@ -289,14 +293,8 @@ impl<P> Clone for PortalService<P> {
 
 impl<P: ProbeService> PortalService<P> {
     /// Builds the initial index generation over `sensors` and wraps it in a
-    /// service handle probing live data through `probe`.
-    pub fn new(sensors: Vec<SensorMeta>, probe: P, config: PortalConfig) -> PortalService<P> {
-        PortalService::with_clock(sensors, probe, config, ClockHandle::new())
-    }
-
-    /// [`PortalService::new`] with a caller-supplied clock, so several
-    /// services (the shards of a [`crate::ShardedPortal`]) can share one
-    /// simulated timeline.
+    /// service handle probing live data through `probe`, on `clock` — the
+    /// timeline every shard of a [`crate::ShardedPortal`] shares.
     pub(crate) fn with_clock(
         sensors: Vec<SensorMeta>,
         probe: P,
@@ -613,8 +611,8 @@ impl<P: ProbeService> PortalService<P> {
     /// `(seed, query index)`; probe write-backs are applied afterwards in
     /// query-index order, so results are independent of the thread count and
     /// of scheduling. `threads == 0` uses the machine's available
-    /// parallelism.
-    pub fn execute_many(
+    /// parallelism. Reached through [`crate::ShardedPortal::execute_many`].
+    pub(crate) fn execute_many(
         &self,
         queries: &[SelectQuery],
         threads: usize,
@@ -712,24 +710,6 @@ impl<P: ProbeService> PortalService<P> {
             readings_applied,
             degradation,
         })
-    }
-
-    /// Parses and executes a batch of dialect SQL queries via
-    /// [`PortalService::execute_many`]. Fails fast on the first parse error;
-    /// a batch returns results only, so an `EXPLAIN` prefix changes nothing.
-    pub fn query_many_sql(&self, sqls: &[&str], threads: usize) -> Result<BatchResult, PortalError>
-    where
-        P: Sync,
-    {
-        let parsed: Vec<SelectQuery> = sqls
-            .iter()
-            .map(|sql| {
-                let req = QueryRequest::from_sql(sql)?;
-                trace_parse(&self.core.clock, req.sql_len());
-                Ok(req.into_select())
-            })
-            .collect::<Result<_, PortalError>>()?;
-        self.execute_many(&parsed, threads)
     }
 
     // -- execution internals ----------------------------------------------
@@ -898,78 +878,6 @@ impl<Q: ProbeService> PortalService<ResilientProber<Q>> {
 }
 
 // ---------------------------------------------------------------------------
-// Background reindexer
-// ---------------------------------------------------------------------------
-
-/// A detached background reindexer thread: pumps a merge step whenever one
-/// is wanted, polling on a (wall-clock) interval. The alternative to calling
-/// `reindex` explicitly; stop (or drop) it to join the thread.
-pub struct Reindexer {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<u64>>,
-}
-
-impl<P: ProbeService + Send + Sync + 'static> PortalService<P> {
-    /// Spawns a background thread that merges whenever L0 reaches its
-    /// occupancy bound, checking every `poll`.
-    pub fn spawn_reindexer(&self, poll: std::time::Duration) -> Reindexer {
-        let service = self.clone();
-        Reindexer::spawn(poll, move || {
-            let wanted = service.core.lsm.wants_merge();
-            if wanted {
-                service.reindex();
-            }
-            wanted
-        })
-    }
-}
-
-impl Reindexer {
-    /// Spawns the thread: it calls `pump` until stopped, parking for `poll`
-    /// after every call that found nothing to do (returned `false`).
-    pub(crate) fn spawn(
-        poll: std::time::Duration,
-        mut pump: impl FnMut() -> bool + Send + 'static,
-    ) -> Reindexer {
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = stop.clone();
-        let handle = std::thread::spawn(move || {
-            let mut pumped = 0u64;
-            while !flag.load(Ordering::Acquire) {
-                if pump() {
-                    pumped += 1;
-                } else {
-                    std::thread::park_timeout(poll);
-                }
-            }
-            pumped
-        });
-        Reindexer {
-            stop,
-            handle: Some(handle),
-        }
-    }
-
-    /// Stops the background thread and returns how many reindexes it pumped.
-    pub fn stop(mut self) -> u64 {
-        self.shutdown().unwrap_or(0)
-    }
-
-    fn shutdown(&mut self) -> Option<u64> {
-        let handle = self.handle.take()?;
-        self.stop.store(true, Ordering::Release);
-        handle.thread().unpark();
-        handle.join().ok()
-    }
-}
-
-impl Drop for Reindexer {
-    fn drop(&mut self) {
-        let _ = self.shutdown();
-    }
-}
-
-// ---------------------------------------------------------------------------
 
 /// What one frozen query execution produces: its output plus the probe
 /// write-backs deferred until the batch completes.
@@ -997,6 +905,7 @@ fn requested_target(plan: &Query, mode: Mode) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ShardedPortal;
     use colr_geo::Point;
     use colr_tree::probe::AlwaysAvailable;
     use colr_tree::LsmConfig;
@@ -1017,21 +926,29 @@ mod tests {
             .collect()
     }
 
-    fn service(config: PortalConfig) -> PortalService<AlwaysAvailable> {
-        PortalService::new(
-            grid_sensors(256, 16),
-            AlwaysAvailable {
-                expiry_ms: EXPIRY_MS,
-            },
-            config,
-        )
+    /// A one-shard portal over the 16 × 16 grid: its batches are the
+    /// shard's frozen batches.
+    fn portal(config: PortalConfig) -> ShardedPortal<AlwaysAvailable> {
+        let probe = |_: usize, _: &[SensorMeta]| AlwaysAvailable {
+            expiry_ms: EXPIRY_MS,
+        };
+        ShardedPortal::new(grid_sensors(256, 16), probe, 1, config)
     }
 
-    fn service_in(mode: Mode) -> PortalService<AlwaysAvailable> {
-        service(PortalConfig {
+    /// The shard of [`portal`]: the grid in id order, as built.
+    fn service(config: PortalConfig) -> PortalService<AlwaysAvailable> {
+        portal(config).shard(0).clone()
+    }
+
+    fn portal_in(mode: Mode) -> ShardedPortal<AlwaysAvailable> {
+        portal(PortalConfig {
             mode,
             ..Default::default()
         })
+    }
+
+    fn service_in(mode: Mode) -> PortalService<AlwaysAvailable> {
+        portal_in(mode).shard(0).clone()
     }
 
     fn hier_service() -> PortalService<AlwaysAvailable> {
@@ -1304,9 +1221,9 @@ mod tests {
     }
 
     // With the parity suites on either side this closes the reference chain:
-    // router ≡ service (tests/sharded_router.rs), service ≡ bare tree driven
-    // by hand (here), a one-level index ≡ its tree driven by hand (colr-tree's
-    // lsm tests).
+    // router ≡ service (the `router` module's tests), service ≡ bare tree
+    // driven by hand (here), a one-level index ≡ its tree driven by hand
+    // (colr-tree's lsm tests).
     #[test]
     fn default_service_replays_the_bare_tree_on_interactive_queries() {
         let probe = AlwaysAvailable {
@@ -1360,13 +1277,14 @@ mod tests {
                     ..Default::default()
                 };
                 let (tree, planner) = bare_tree(&config);
-                let svc = service(config);
+                let portal = portal(config);
+                let svc = portal.shard(0);
                 svc.clock().advance(TimeDelta::from_secs(1));
                 let now = svc.now();
                 // Cold, then warm: deferred write-backs must have cached the
                 // same readings on both sides.
                 for pass in 0..2 {
-                    let got = svc.query_many_sql(&SHAPES, threads).unwrap();
+                    let got = portal.query_many_sql(&SHAPES, threads).unwrap();
                     tree.advance(now);
                     let frozen: Vec<_> = SHAPES
                         .iter()
@@ -1431,7 +1349,7 @@ mod tests {
     #[test]
     fn background_reindexer_folds_in_registrations() {
         // An L0 bound of one sensor: every registration makes a merge due.
-        let svc = service(PortalConfig {
+        let portal = portal(PortalConfig {
             mode: Mode::HierCache,
             index: IndexStrategy::Lsm(LsmConfig {
                 l0_capacity: 1,
@@ -1439,10 +1357,11 @@ mod tests {
             }),
             ..Default::default()
         });
+        let svc = portal.shard(0);
         svc.clock().advance(TimeDelta::from_secs(1));
-        let reindexer = svc.spawn_reindexer(std::time::Duration::from_millis(1));
+        let reindexer = portal.spawn_reindexer(std::time::Duration::from_millis(1));
         for i in 0..5 {
-            svc.register_sensor(
+            portal.register_sensor(
                 Point::new(50.0 + i as f64, 50.0),
                 TimeDelta::from_mins(5),
                 1.0,
@@ -1659,9 +1578,13 @@ mod tests {
         let sql_refs: Vec<&str> = sqls.iter().map(String::as_str).collect();
         let mut batches = Vec::new();
         for threads in [1usize, 4] {
-            let svc = service_in(Mode::Colr);
-            svc.clock().advance(TimeDelta::from_secs(1));
-            batches.push(svc.query_many_sql(&sql_refs, threads).expect("batch runs"));
+            let portal = portal_in(Mode::Colr);
+            portal.clock().advance(TimeDelta::from_secs(1));
+            batches.push(
+                portal
+                    .query_many_sql(&sql_refs, threads)
+                    .expect("batch runs"),
+            );
         }
         let (seq, par) = (&batches[0], &batches[1]);
         assert_eq!(seq.results.len(), par.results.len());
@@ -1680,17 +1603,18 @@ mod tests {
 
     #[test]
     fn execute_many_applies_writebacks_after_batch() {
-        let svc = service_in(Mode::HierCache);
+        let portal = portal_in(Mode::HierCache);
+        let svc = portal.shard(0);
         svc.clock().advance(TimeDelta::from_secs(1));
         let sql = "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,7.5,7.5)";
-        let batch = svc.query_many_sql(&[sql], 2).unwrap();
+        let batch = portal.query_many_sql(&[sql], 2).unwrap();
         // Frozen execution probed the region, then wrote the readings back.
         assert_eq!(batch.stats.sensors_probed, 64);
         assert_eq!(batch.readings_applied, 64);
         assert_eq!(svc.snapshot().tree().cached_readings(), 64);
         // A follow-up interactive query is served warm.
         svc.clock().advance(TimeDelta::from_secs(1));
-        let warm = run(&svc, sql).unwrap();
+        let warm = run(svc, sql).unwrap();
         assert_eq!(warm.stats.sensors_probed, 0);
     }
 
@@ -1699,10 +1623,11 @@ mod tests {
         // Two identical queries in one batch both see the cold cache: the
         // batch is a snapshot, so the second query must NOT be served from
         // the first one's write-backs (unlike sequential interactive mode).
-        let svc = service_in(Mode::HierCache);
+        let portal = portal_in(Mode::HierCache);
+        let svc = portal.shard(0);
         svc.clock().advance(TimeDelta::from_secs(1));
         let sql = "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,7.5,7.5)";
-        let batch = svc.query_many_sql(&[sql, sql], 2).unwrap();
+        let batch = portal.query_many_sql(&[sql, sql], 2).unwrap();
         assert_eq!(batch.stats.sensors_probed, 128, "both queries probed cold");
         // Duplicate write-backs collapse: the second apply replaces the first.
         assert_eq!(svc.snapshot().tree().cached_readings(), 64);
@@ -1710,15 +1635,15 @@ mod tests {
 
     #[test]
     fn batch_degradation_merges_and_reports_worst() {
-        let svc = service_in(Mode::Colr);
-        svc.clock().advance(TimeDelta::from_secs(1));
+        let portal = portal_in(Mode::Colr);
+        portal.clock().advance(TimeDelta::from_secs(1));
         let sqls = [
             "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,15.5,15.5) \
              SAMPLESIZE 20",
             "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,7.5,7.5) \
              SAMPLESIZE 10",
         ];
-        let batch = svc.query_many_sql(&sqls, 2).unwrap();
+        let batch = portal.query_many_sql(&sqls, 2).unwrap();
         assert_eq!(batch.degradation.requested, 30.0);
         let summed: u64 = batch.results.iter().map(|r| r.degradation.sampled).sum();
         assert_eq!(batch.degradation.sampled, summed);

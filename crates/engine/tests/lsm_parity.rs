@@ -6,7 +6,7 @@
 //! * **Retirement.** A retired sensor stops contributing immediately and is
 //!   physically dropped by the next merge that rewrites its level.
 //! * **No blind spot.** A registration answers the very next query: L0
-//!   indexes immediately, on a bare service and through the router.
+//!   indexes immediately, through one shard and through two.
 //!
 //! Bit parity of the churn-free service with the bare tree is an inline test
 //! of the `service` module, where the seed derivation is visible.
@@ -14,8 +14,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use colr_engine::{
-    IndexStrategy, PortalConfig, PortalError, PortalResult, PortalService, QueryRequest,
-    ShardedPortal,
+    IndexStrategy, PortalConfig, PortalError, PortalResult, QueryRequest, ShardedPortal,
 };
 use colr_geo::Point;
 use colr_tree::probe::AlwaysAvailable;
@@ -51,8 +50,8 @@ fn config(seed: u64, lsm: LsmConfig) -> PortalConfig {
     }
 }
 
-/// Lowers `sql` through the one SQL path and executes it on a bare service.
-fn run<P: ProbeService>(svc: &PortalService<P>, sql: &str) -> Result<PortalResult, PortalError> {
+/// Lowers `sql` through the one SQL path and executes it.
+fn run<P: ProbeService>(svc: &ShardedPortal<P>, sql: &str) -> Result<PortalResult, PortalError> {
     Ok(svc.execute(&QueryRequest::from_sql(sql)?)?.result)
 }
 
@@ -70,23 +69,26 @@ fn shape_queries() -> Vec<String> {
     ]
 }
 
-/// A probe that, on its first post-arm call, pumps the service's reindex
+/// A probe that, on its first post-arm call, pumps the portal's reindex
 /// (an LSM merge) inline — guaranteeing the merge lands strictly after the
 /// batch froze its snapshot and strictly before the batch finishes.
 struct MergeOnProbe {
     armed: AtomicBool,
     fired: AtomicBool,
-    svc: Mutex<Option<PortalService<MergeOnProbe>>>,
+    svc: Mutex<Option<ShardedPortal<MergeOnProbe>>>,
 }
 
 impl ProbeService for MergeOnProbe {
     fn probe_batch(&self, ids: &[SensorId], now: Timestamp) -> Vec<Option<Reading>> {
         if self.armed.load(Ordering::Acquire) && !self.fired.swap(true, Ordering::AcqRel) {
             let svc = self.svc.lock().clone();
-            let svc = svc.expect("service injected before arming");
-            let before = svc.generation();
+            let svc = svc.expect("portal injected before arming");
+            let before = svc.shard(0).generation();
             svc.reindex();
-            assert!(svc.generation() > before, "mid-batch merge published");
+            assert!(
+                svc.shard(0).generation() > before,
+                "mid-batch merge published"
+            );
         }
         ids.iter()
             .map(|&id| {
@@ -109,12 +111,14 @@ fn merge_published_mid_batch_changes_no_issued_answer() {
             fired: AtomicBool::new(false),
             svc: Mutex::new(None),
         };
-        let svc = PortalService::new(
+        let mut probe = Some(probe);
+        let svc = ShardedPortal::new(
             grid_sensors(256, 16),
-            probe,
+            |_, _| probe.take().expect("one shard, one backend"),
+            1,
             config(7, LsmConfig::default()),
         );
-        *svc.probe().svc.lock() = Some(svc.clone());
+        *svc.shard(0).probe().svc.lock() = Some(svc.clone());
         // Churn: park fresh sensors in L0 so the merge has real work.
         for i in 0..24 {
             svc.register_sensor(
@@ -126,7 +130,7 @@ fn merge_published_mid_batch_changes_no_issued_answer() {
         }
         svc.clock().advance(TimeDelta::from_secs(1));
         if merge_mid_batch {
-            svc.probe().armed.store(true, Ordering::Release);
+            svc.shard(0).probe().armed.store(true, Ordering::Release);
         }
         let sqls = shape_queries();
         let batch: Vec<&str> = sqls.iter().map(String::as_str).collect();
@@ -135,10 +139,13 @@ fn merge_published_mid_batch_changes_no_issued_answer() {
     };
     let (calm_svc, calm) = build(false);
     let (churned_svc, churned) = build(true);
-    assert_eq!(calm_svc.generation(), 0);
-    assert!(churned_svc.generation() >= 1, "the merge really ran");
+    assert_eq!(calm_svc.shard(0).generation(), 0);
     assert!(
-        churned_svc.probe().fired.load(Ordering::Acquire),
+        churned_svc.shard(0).generation() >= 1,
+        "the merge really ran"
+    );
+    assert!(
+        churned_svc.shard(0).probe().fired.load(Ordering::Acquire),
         "merge fired from inside the batch"
     );
     assert_eq!(
@@ -155,7 +162,7 @@ fn retired_sensor_never_resurfaces() {
         l0_capacity: 8,
         level_ratio: 2,
     };
-    let svc = PortalService::new(grid_sensors(64, 8), probe(), config(11, lsm_cfg));
+    let svc = ShardedPortal::new(grid_sensors(64, 8), |_, _| probe(), 1, config(11, lsm_cfg));
     svc.clock().advance(TimeDelta::from_secs(1));
     // Warm the cell around sensor 9 at (1, 1) so its reading sits in a slot
     // aggregate, then the whole viewport.
@@ -167,16 +174,22 @@ fn retired_sensor_never_resurfaces() {
     assert_eq!(run(&svc, all).unwrap().value, Some(64.0));
 
     // Retire an indexed sensor and a freshly registered L0 sensor.
-    assert!(svc.retire_sensor(SensorId(9)));
-    assert!(!svc.retire_sensor(SensorId(9)), "double retire is a no-op");
-    let l0_id = svc.register_sensor(
+    assert!(svc.shard(0).retire_sensor(SensorId(9)));
+    assert!(
+        !svc.shard(0).retire_sensor(SensorId(9)),
+        "double retire is a no-op"
+    );
+    let l0_ticket = svc.register_sensor(
         Point::new(1.0, 1.2),
         TimeDelta::from_millis(EXPIRY_MS),
         1.0,
         0,
     );
-    assert!(svc.retire_sensor(l0_id));
-    assert!(!svc.retire_sensor(SensorId(9_999)), "unknown id refused");
+    assert!(svc.retire_sensor(l0_ticket));
+    assert!(
+        !svc.shard(0).retire_sensor(SensorId(9_999)),
+        "unknown id refused"
+    );
 
     // Masked immediately: neither the fresh samples nor the warmed slot
     // aggregates serve the retired pair.
@@ -196,7 +209,7 @@ fn retired_sensor_never_resurfaces() {
         );
     }
     svc.reindex();
-    let stats = svc.index_stats().expect("lsm stats");
+    let stats = svc.shard(0).index_stats().expect("lsm stats");
     assert_eq!(stats.live_sensors, 63 + 40);
     assert_eq!(stats.tombstones, 0, "the merge dropped the tombstones");
     assert_eq!(run(&svc, cell).unwrap().value, Some(0.0));
@@ -207,9 +220,10 @@ fn retired_sensor_never_resurfaces() {
 fn a_registration_answers_the_very_next_query() {
     let viewport = "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,7.5,7.5) \
                     SAMPLESIZE 500";
-    let lsm = PortalService::new(
+    let lsm = ShardedPortal::new(
         grid_sensors(64, 8),
-        probe(),
+        |_, _| probe(),
+        1,
         config(5, LsmConfig::default()),
     );
     lsm.clock().advance(TimeDelta::from_secs(1));

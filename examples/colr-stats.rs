@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use colr_repro::colr::{inspect, Mode, SensorMeta, TimeDelta};
-use colr_repro::engine::{PortalConfig, PortalService, QueryRequest};
+use colr_repro::engine::{PortalConfig, QueryRequest, ShardedPortal};
 use colr_repro::geo::Point;
 use colr_repro::sensors::{RandomWalkField, SimNetwork};
 use colr_repro::telemetry::{global, tracer, SloConfig, SloWatchdog};
@@ -31,21 +31,17 @@ fn main() {
             )
         })
         .collect();
-    let net = SimNetwork::new(
-        sensors.clone(),
-        RandomWalkField::new(1024, 20.0, 60.0, 1.5, 9),
-        7,
-    );
+    let net = |_: usize, sensors: &[SensorMeta]| {
+        let field = RandomWalkField::new(sensors.len(), 20.0, 60.0, 1.5, 9);
+        SimNetwork::new(sensors.to_vec(), field, 7)
+    };
     // Hierarchical-cache mode exercises the per-level aggregate hit/miss
     // counters on the warm pass; the probe-side metrics fire on the cold one.
-    let portal = PortalService::new(
-        sensors,
-        net,
-        PortalConfig {
-            mode: Mode::HierCache,
-            ..Default::default()
-        },
-    );
+    let config = PortalConfig {
+        mode: Mode::HierCache,
+        ..Default::default()
+    };
+    let portal = ShardedPortal::new(sensors, net, 1, config);
 
     // An SLO watchdog rides along for the whole scenario; the objectives
     // are generous, so this run reports a clean status rather than breaches.
@@ -57,7 +53,7 @@ fn main() {
         keep_flight_records: 4,
         cooldown: 16,
     }));
-    portal.attach_watchdog(watchdog.clone());
+    portal.shard(0).attach_watchdog(watchdog.clone());
 
     // Cold viewport queries, then the same viewports warm, then a batch.
     portal.clock().advance(TimeDelta::from_secs(1));
@@ -135,7 +131,7 @@ fn main() {
         "{:>5} {:>6} {:>10} {:>10} {:>11} {:>9} {:>10}",
         "level", "nodes", "min_wt", "max_wt", "mean_wt", "wt_cv", "diameter"
     );
-    for s in inspect::level_stats(portal.snapshot().tree()) {
+    for s in inspect::level_stats(portal.shard(0).snapshot().tree()) {
         println!(
             "{:>5} {:>6} {:>10} {:>10} {:>11.1} {:>9.3} {:>10.2}",
             s.level,

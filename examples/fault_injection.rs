@@ -11,8 +11,8 @@
 //! cargo run --example fault_injection
 //! ```
 
-use colr_repro::colr::{Mode, ResilientConfig, ResilientProber, TimeDelta, Timestamp};
-use colr_repro::engine::{PortalConfig, PortalService, QueryRequest};
+use colr_repro::colr::{Mode, ResilientConfig, ResilientProber, SensorMeta, TimeDelta, Timestamp};
+use colr_repro::engine::{PortalConfig, QueryRequest, ShardedPortal};
 use colr_repro::sensors::{ConstantField, SimNetwork};
 use colr_repro::workload::ScenarioConfig;
 
@@ -27,34 +27,31 @@ fn main() {
     // Stress plan: ~25% of the fleet hard-down from t=60s, availability
     // drifting to 0.8, a mid-window latency spike, one flapping sensor.
     let plan = scenario.mixed_faults(0.25, 0.8, Timestamp(60_000), Timestamp(30 * 60 * 1_000));
-    let net = SimNetwork::new(
-        scenario.sensors.clone(),
-        ConstantField {
+    let prober = |_: usize, sensors: &[SensorMeta]| {
+        let field = ConstantField {
             base: 1.0,
             step: 0.0,
-        },
-        17,
-    );
-    net.set_fault_plan(plan);
-
-    let prober = ResilientProber::new(
-        net,
-        ResilientConfig {
-            max_retries: 1,
-            breaker_threshold: 3,
-            breaker_cooldown: TimeDelta::from_mins(20),
-            ..Default::default()
-        },
-    );
-    let portal = PortalService::new(
-        scenario.sensors.clone(),
-        prober,
-        PortalConfig {
-            mode: Mode::Colr,
-            ..Default::default()
-        },
-    );
-    let live = portal.enable_resilience_feedback(0.3);
+        };
+        let net = SimNetwork::new(sensors.to_vec(), field, 17);
+        net.set_fault_plan(plan.clone());
+        ResilientProber::new(
+            net,
+            ResilientConfig {
+                max_retries: 1,
+                breaker_threshold: 3,
+                breaker_cooldown: TimeDelta::from_mins(20),
+                ..Default::default()
+            },
+        )
+    };
+    let config = PortalConfig {
+        mode: Mode::Colr,
+        ..Default::default()
+    };
+    let portal = ShardedPortal::new(scenario.sensors.clone(), prober, 1, config);
+    // The per-shard controls: the prober's breakers and the feedback loop.
+    let shard = portal.shard(0);
+    let live = shard.enable_resilience_feedback(0.3);
 
     let extent = scenario.extent;
     let sql = format!(
@@ -84,7 +81,7 @@ fn main() {
                 res.degradation.fulfillment(),
                 res.degradation.probes_retried,
                 res.degradation.breaker_skipped,
-                portal.probe().open_breakers(),
+                shard.probe().open_breakers(),
             );
         }
     }
@@ -143,11 +140,11 @@ fn main() {
         "merged report lost a query's probes"
     );
 
-    let truth = portal.probe().inner().true_availabilities(portal.now());
+    let truth = shard.probe().inner().true_availabilities(portal.now());
     let gap = live.mean_abs_gap(&truth);
     println!(
         "fault_smoke final: open_breakers={} retries={} skipped={} ewma_gap={:.3}",
-        portal.probe().open_breakers(),
+        shard.probe().open_breakers(),
         total_retries,
         total_skipped,
         gap
@@ -161,7 +158,7 @@ fn main() {
         "breakers never skipped a dead sensor under a 25% outage"
     );
     assert!(
-        portal.probe().open_breakers() > 0,
+        shard.probe().open_breakers() > 0,
         "no breakers open despite a standing outage"
     );
     assert!(

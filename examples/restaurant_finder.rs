@@ -6,8 +6,8 @@
 //! cargo run --example restaurant_finder
 //! ```
 
-use colr_repro::colr::TimeDelta;
-use colr_repro::engine::{PortalConfig, PortalService, QueryRequest};
+use colr_repro::colr::{SensorMeta, TimeDelta};
+use colr_repro::engine::{PortalConfig, QueryRequest, ShardedPortal};
 use colr_repro::sensors::{RandomWalkField, SimNetwork};
 use colr_repro::workload::{PlacementModel, QueryWorkloadConfig, ScenarioConfig};
 
@@ -29,10 +29,17 @@ fn main() {
     let scenario = cfg.build();
 
     // Waiting times drift as a bounded random walk between 0 and 90 minutes.
-    let field = RandomWalkField::new(scenario.sensors.len(), 0.0, 90.0, 4.0, 11);
-    let network = SimNetwork::new(scenario.sensors.clone(), field, 99);
+    let network = |_: usize, sensors: &[SensorMeta]| {
+        let field = RandomWalkField::new(sensors.len(), 0.0, 90.0, 4.0, 11);
+        SimNetwork::new(sensors.to_vec(), field, 99)
+    };
 
-    let portal = PortalService::new(scenario.sensors.clone(), network, PortalConfig::default());
+    let portal = ShardedPortal::new(
+        scenario.sensors.clone(),
+        network,
+        1,
+        PortalConfig::default(),
+    );
 
     // A user pans to downtown (around the busiest neighbourhood) and asks
     // for restaurants with wait times, clustered at ~60 map units, sampling

@@ -1,6 +1,6 @@
 //! Service-layer concurrency smoke: many client threads drive one shared
-//! [`PortalService`] handle through `&self` while the main thread keeps
-//! republishing the index.
+//! one-shard [`ShardedPortal`] handle through `&self` while the main thread
+//! keeps republishing the index.
 //!
 //! Asserts the properties CI cares about end to end: no panics under
 //! contention, zero reader downtime (every query answered), no torn
@@ -10,8 +10,7 @@
 //! SLO watchdog and asserts the fulfillment breach report carries flight
 //! records. Prints `service_storm OK` on success (ci.sh greps for it).
 //!
-//! With `--shards N` the storm runs against a spatially sharded
-//! [`ShardedPortal`] instead: clients scatter-gather through the unified
+//! With `--shards N` the storm runs against N spatial shards instead: clients scatter-gather through the unified
 //! [`QueryRequest`] surface while the main thread registers publishers near
 //! a shard boundary and republishes every shard (rebalance-on-merge),
 //! then closes one shard and asserts the outage degrades the merged answer
@@ -38,7 +37,7 @@ use colr_repro::colr::probe::AlwaysAvailable;
 use colr_repro::colr::{
     LsmConfig, Mode, ProbeService, Reading, SensorId, SensorMeta, TimeDelta, Timestamp,
 };
-use colr_repro::engine::{IndexStrategy, PortalConfig, PortalService, QueryRequest, ShardedPortal};
+use colr_repro::engine::{IndexStrategy, PortalConfig, QueryRequest, ShardedPortal};
 use colr_repro::geo::Point;
 use colr_repro::telemetry::{SloConfig, SloWatchdog};
 
@@ -49,6 +48,12 @@ const CLIENTS: usize = 8;
 const QUERIES_PER_CLIENT: usize = 200;
 const SWAPS: usize = 4;
 const NEW_PER_SWAP: usize = 8;
+
+fn always() -> AlwaysAvailable {
+    AlwaysAvailable {
+        expiry_ms: EXPIRY_MS,
+    }
+}
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -85,16 +90,11 @@ fn main() {
             )
         })
         .collect();
-    let svc = PortalService::new(
-        sensors,
-        AlwaysAvailable {
-            expiry_ms: EXPIRY_MS,
-        },
-        PortalConfig {
-            mode: Mode::HierCache, // exact counts: any torn read is visible
-            ..Default::default()
-        },
-    );
+    let config = PortalConfig {
+        mode: Mode::HierCache, // exact counts: any torn read is visible
+        ..Default::default()
+    };
+    let svc = ShardedPortal::new(sensors, |_, _| always(), 1, config);
     svc.clock().advance(TimeDelta::from_secs(1));
     let req = QueryRequest::from_sql(&format!(
         "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,{},{})",
@@ -116,7 +116,7 @@ fn main() {
                 let mut last_answer = 0.0f64;
                 let mut last_gen = 0u64;
                 for _ in 0..QUERIES_PER_CLIENT {
-                    let g = handle.generation();
+                    let g = handle.shard(0).generation();
                     assert!(g >= last_gen, "generation regressed {last_gen} -> {g}");
                     last_gen = g;
                     let res = handle.execute(req).expect("zero reader downtime");
@@ -138,9 +138,9 @@ fn main() {
                     0,
                 );
             }
-            let before = svc.snapshot().tree().cached_readings();
+            let before = svc.shard(0).snapshot().tree().cached_readings();
             svc.reindex();
-            let after = svc.snapshot().tree().cached_readings();
+            let after = svc.shard(0).snapshot().tree().cached_readings();
             assert!(
                 after >= before,
                 "carry-over lost cached readings: {before} -> {after}"
@@ -158,8 +158,12 @@ fn main() {
         }
     });
 
-    assert_eq!(svc.generation(), SWAPS as u64, "one generation per swap");
-    assert_eq!(svc.in_flight(), 0, "admission slots all released");
+    assert_eq!(
+        svc.shard(0).generation(),
+        SWAPS as u64,
+        "one generation per swap"
+    );
+    assert_eq!(svc.shard(0).in_flight(), 0, "admission slots all released");
     // Asked cold: a warm count leaves out an arrival no query reached before
     // its merge put it beside cached neighbours (the coverage gate).
     svc.clock().advance(TimeDelta::from_millis(EXPIRY_MS));
@@ -194,17 +198,11 @@ fn sharded_phase(shards: usize) {
             )
         })
         .collect();
-    let router = ShardedPortal::new(
-        sensors,
-        |_, _| AlwaysAvailable {
-            expiry_ms: EXPIRY_MS,
-        },
-        shards,
-        PortalConfig {
-            mode: Mode::Colr,
-            ..Default::default()
-        },
-    );
+    let config = PortalConfig {
+        mode: Mode::Colr,
+        ..Default::default()
+    };
+    let router = ShardedPortal::new(sensors, |_, _| always(), shards, config);
     router.clock().advance(TimeDelta::from_secs(1));
     assert_eq!(router.shard_count(), shards);
 
@@ -344,23 +342,18 @@ fn churn_phase() {
             )
         })
         .collect();
-    let svc = PortalService::new(
-        sensors,
-        AlwaysAvailable {
-            expiry_ms: EXPIRY_MS,
-        },
-        PortalConfig {
-            mode: Mode::Colr,
-            // Uncapped: the count query contacts every viewport sensor, so
-            // the answer is exact and any torn read is visible.
-            max_sensors_per_query: None,
-            index: IndexStrategy::Lsm(LsmConfig {
-                l0_capacity: L0_CAP,
-                level_ratio: 4,
-            }),
-            ..Default::default()
-        },
-    );
+    let config = PortalConfig {
+        mode: Mode::Colr,
+        // Uncapped: the count query contacts every viewport sensor, so the
+        // answer is exact and any torn read is visible.
+        max_sensors_per_query: None,
+        index: IndexStrategy::Lsm(LsmConfig {
+            l0_capacity: L0_CAP,
+            level_ratio: 4,
+        }),
+        ..Default::default()
+    };
+    let svc = ShardedPortal::new(sensors, |_, _| always(), 1, config);
     svc.clock().advance(TimeDelta::from_secs(1));
     let req = QueryRequest::from_sql(&format!(
         "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,{},{})",
@@ -404,14 +397,14 @@ fn churn_phase() {
             let stop = &stop;
             let churn_ops = &churn_ops;
             scope.spawn(move || {
-                let mut cohort: VecDeque<SensorId> = VecDeque::with_capacity(COHORT + 1);
+                let mut cohort: VecDeque<usize> = VecDeque::with_capacity(COHORT + 1);
                 let mut k = 0u64;
                 while !stop.load(Ordering::Relaxed) {
                     // 64 ops per (coarse) sleep tick: ~5-10k ops/sec on a
                     // shared host — comfortably past the 2k floor while the
                     // merge pump still sets the pace.
                     for _ in 0..64 {
-                        let id = handle.register_sensor(
+                        let ticket = handle.register_sensor(
                             Point::new(
                                 -40.0 - (k % 64) as f64 * 0.2,
                                 -40.0 - ((k / 64) % 64) as f64 * 0.2,
@@ -421,7 +414,7 @@ fn churn_phase() {
                             0,
                         );
                         k += 1;
-                        cohort.push_back(id);
+                        cohort.push_back(ticket);
                         let mut ops = 1;
                         if cohort.len() > COHORT {
                             let old = cohort.pop_front().expect("cohort non-empty");
@@ -442,10 +435,11 @@ fn churn_phase() {
             let max_l0 = &max_l0;
             let merges = &merges;
             scope.spawn(move || {
+                let shard = handle.shard(0);
                 while !stop.load(Ordering::Relaxed) {
-                    let stats = handle.index_stats().expect("always Some");
+                    let stats = shard.index_stats().expect("always Some");
                     max_l0.fetch_max(stats.l0_occupancy, Ordering::Relaxed);
-                    if handle.wants_reindex(usize::MAX) {
+                    if shard.wants_reindex(usize::MAX) {
                         handle.reindex();
                         merges.fetch_add(1, Ordering::Relaxed);
                     } else {
@@ -487,13 +481,13 @@ fn churn_phase() {
 
     // Drain: merge until quiescent, then the answer must still be exact and
     // the retired cohort must be physically gone from the directory.
-    while svc.wants_reindex(usize::MAX) {
+    while svc.shard(0).wants_reindex(usize::MAX) {
         svc.reindex();
     }
     svc.reindex();
     let final_count = svc.execute(&req).unwrap().result.value.unwrap();
     assert_eq!(final_count, BASE as f64, "population drifted under churn");
-    let stats = svc.index_stats().expect("always Some");
+    let stats = svc.shard(0).index_stats().expect("always Some");
     assert!(
         stats.live_sensors <= BASE + COHORT + 1,
         "retired churn sensors still counted live: {}",
@@ -534,7 +528,7 @@ impl ProbeService for RegionalOutage {
     }
 }
 
-/// Phase two: a fresh service under a half-dark fleet, flight-recording
+/// Phase two: a fresh portal under a half-dark fleet, flight-recording
 /// every query, with a fulfillment watchdog attached. The breach report
 /// must arrive and must embed flight records for the offending queries.
 fn outage_phase() {
@@ -548,19 +542,16 @@ fn outage_phase() {
             )
         })
         .collect();
-    let locations: Vec<Point> = sensors.iter().map(|m| m.location).collect();
-    let svc = PortalService::new(
-        sensors,
-        RegionalOutage {
-            locations,
-            cutoff_x: SIDE as f64 / 2.0,
-        },
-        PortalConfig {
-            mode: Mode::Colr,
-            flight_record_every: 1,
-            ..Default::default()
-        },
-    );
+    let outage = |_: usize, sensors: &[SensorMeta]| RegionalOutage {
+        locations: sensors.iter().map(|m| m.location).collect(),
+        cutoff_x: SIDE as f64 / 2.0,
+    };
+    let config = PortalConfig {
+        mode: Mode::Colr,
+        flight_record_every: 1,
+        ..Default::default()
+    };
+    let svc = ShardedPortal::new(sensors, outage, 1, config);
     svc.clock().advance(TimeDelta::from_secs(1));
     let watchdog = Arc::new(SloWatchdog::new(SloConfig {
         window: 32,
@@ -570,7 +561,7 @@ fn outage_phase() {
         keep_flight_records: 4,
         cooldown: 16,
     }));
-    svc.attach_watchdog(watchdog.clone());
+    svc.shard(0).attach_watchdog(watchdog.clone());
     let sql = format!(
         "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,{},{}) SAMPLESIZE 200",
         SIDE as f64 - 0.5,

@@ -1,6 +1,6 @@
 //! Concurrency correctness of the shared-state COLR-Tree.
 //!
-//! (a) `PortalService::execute_many` over a shuffled batch must yield, per query,
+//! (a) `ShardedPortal::execute_many` over a shuffled batch must yield, per query,
 //!     the same `GroupView`s at any worker-thread count — the per-query RNG
 //!     seeds are derived from (portal seed, submission index), and the batch
 //!     runs frozen against one snapshot, so scheduling cannot leak into
@@ -11,7 +11,7 @@
 
 use colr_repro::colr::probe::AlwaysAvailable;
 use colr_repro::colr::{ColrConfig, ColrTree, Mode, Query, SensorMeta, TimeDelta, Timestamp};
-use colr_repro::engine::{parse, PortalConfig, PortalService, SelectQuery};
+use colr_repro::engine::{parse, PortalConfig, SelectQuery, ShardedPortal};
 use colr_repro::geo::Rect;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -33,17 +33,16 @@ fn grid_sensors(n: usize) -> (Vec<SensorMeta>, usize) {
     (sensors, side)
 }
 
-fn portal(sensors: Vec<SensorMeta>, seed: u64) -> PortalService<AlwaysAvailable> {
-    PortalService::new(
-        sensors,
-        AlwaysAvailable {
-            expiry_ms: EXPIRY_MS,
-        },
-        PortalConfig {
-            seed,
-            ..Default::default()
-        },
-    )
+/// A one-shard portal: its batches are its shard's frozen batches.
+fn portal(sensors: Vec<SensorMeta>, seed: u64) -> ShardedPortal<AlwaysAvailable> {
+    let probe = |_: usize, _: &[SensorMeta]| AlwaysAvailable {
+        expiry_ms: EXPIRY_MS,
+    };
+    let config = PortalConfig {
+        seed,
+        ..Default::default()
+    };
+    ShardedPortal::new(sensors, probe, 1, config)
 }
 
 /// Seeded viewport batch, Fisher–Yates shuffled so submission order differs
@@ -137,14 +136,16 @@ fn deterministic_probe_failures_are_thread_count_invariant() {
         .collect();
 
     let make_portal = |seed| {
-        PortalService::new(
+        let config = PortalConfig {
+            seed,
+            mode: Mode::RTree,
+            ..Default::default()
+        };
+        ShardedPortal::new(
             sensors.clone(),
-            FailEveryKth::new(EXPIRY_MS, 3),
-            PortalConfig {
-                seed,
-                mode: Mode::RTree,
-                ..Default::default()
-            },
+            |_, _| FailEveryKth::new(EXPIRY_MS, 3),
+            1,
+            config,
         )
     };
     let seq = make_portal(7);

@@ -3,19 +3,19 @@
 
 use colr_repro::colr::probe::AlwaysAvailable;
 use colr_repro::colr::{Mode, ProbeService, SensorMeta, TimeDelta};
-use colr_repro::engine::{PortalConfig, PortalError, PortalResult, PortalService, QueryRequest};
+use colr_repro::engine::{PortalConfig, PortalError, PortalResult, QueryRequest, ShardedPortal};
 use colr_repro::geo::Point;
 
 const EXPIRY_MS: u64 = 300_000;
 
 /// Lowers `sql` through the one SQL path and executes it.
-fn run<P: ProbeService>(svc: &PortalService<P>, sql: &str) -> Result<PortalResult, PortalError> {
+fn run<P: ProbeService>(svc: &ShardedPortal<P>, sql: &str) -> Result<PortalResult, PortalError> {
     Ok(svc.execute(&QueryRequest::from_sql(sql)?)?.result)
 }
 
 /// 16x16 grid: even-x columns are type 1 ("traffic"), odd-x are type 2
 /// ("weather").
-fn typed_portal(mode: Mode) -> PortalService<AlwaysAvailable> {
+fn typed_portal(mode: Mode) -> ShardedPortal<AlwaysAvailable> {
     let sensors: Vec<SensorMeta> = (0..256)
         .map(|i| {
             let x = i % 16;
@@ -28,17 +28,15 @@ fn typed_portal(mode: Mode) -> PortalService<AlwaysAvailable> {
             .with_kind(1 + (x % 2) as u16)
         })
         .collect();
-    PortalService::new(
-        sensors,
-        AlwaysAvailable {
-            expiry_ms: EXPIRY_MS,
-        },
-        PortalConfig {
-            mode,
-            max_sensors_per_query: None,
-            ..Default::default()
-        },
-    )
+    let probe = |_: usize, _: &[SensorMeta]| AlwaysAvailable {
+        expiry_ms: EXPIRY_MS,
+    };
+    let config = PortalConfig {
+        mode,
+        max_sensors_per_query: None,
+        ..Default::default()
+    };
+    ShardedPortal::new(sensors, probe, 1, config)
 }
 
 #[test]

@@ -21,7 +21,7 @@ use colr_repro::colr::{
     BreakerState, ColrConfig, ColrTree, LiveAvailability, Mode, Query, ResilientConfig,
     ResilientProber, SensorId, SensorMeta, TimeDelta, Timestamp,
 };
-use colr_repro::engine::{PortalConfig, PortalService, QueryRequest};
+use colr_repro::engine::{PortalConfig, QueryRequest, ShardedPortal};
 use colr_repro::geo::{Point, Rect};
 use colr_repro::sensors::{ConstantField, FaultEvent, FaultPlan, SimNetwork};
 use proptest::prelude::*;
@@ -211,31 +211,29 @@ fn live_availability_holds_sample_target_under_outage_and_drift() {
 #[test]
 fn portal_reports_degradation_under_outage() {
     let side = 16u32;
-    let sensors = grid_sensors(side, 1.0);
-    let net = network(&sensors, 13);
-    net.set_fault_plan(FaultPlan::new().with(FaultEvent::RegionalOutage {
-        region: Rect::from_coords(-1.0, -1.0, 3.5, side as f64),
-        from: Timestamp(0),
-        until: FOREVER,
-    }));
-    let prober = ResilientProber::new(
-        net,
-        ResilientConfig {
-            max_retries: 1,
-            breaker_threshold: 3,
-            breaker_cooldown: TimeDelta::from_mins(60),
-            ..Default::default()
-        },
-    );
-    let portal = PortalService::new(
-        sensors,
-        prober,
-        PortalConfig {
-            mode: Mode::Colr,
-            ..Default::default()
-        },
-    );
-    let live: Arc<LiveAvailability> = portal.enable_resilience_feedback(0.3);
+    let prober = |_: usize, sensors: &[SensorMeta]| {
+        let net = network(sensors, 13);
+        net.set_fault_plan(FaultPlan::new().with(FaultEvent::RegionalOutage {
+            region: Rect::from_coords(-1.0, -1.0, 3.5, side as f64),
+            from: Timestamp(0),
+            until: FOREVER,
+        }));
+        ResilientProber::new(
+            net,
+            ResilientConfig {
+                max_retries: 1,
+                breaker_threshold: 3,
+                breaker_cooldown: TimeDelta::from_mins(60),
+                ..Default::default()
+            },
+        )
+    };
+    let config = PortalConfig {
+        mode: Mode::Colr,
+        ..Default::default()
+    };
+    let portal = ShardedPortal::new(grid_sensors(side, 1.0), prober, 1, config);
+    let live: Arc<LiveAvailability> = portal.shard(0).enable_resilience_feedback(0.3);
     let sql = "SELECT count(*) FROM sensor WHERE location WITHIN \
                RECT(-0.5, -0.5, 15.5, 15.5) SAMPLESIZE 120";
     let req = QueryRequest::from_sql(sql).expect("parses");
@@ -254,7 +252,7 @@ fn portal_reports_degradation_under_outage() {
     );
     // The dead quarter's breakers opened during the earlier queries, so the
     // final answer accounts its skips...
-    assert!(portal.probe().open_breakers() > 0);
+    assert!(portal.shard(0).probe().open_breakers() > 0);
     assert!(res.degradation.breaker_skipped > 0, "skips surfaced");
     assert_eq!(res.degradation.breaker_skipped, res.stats.breaker_skipped);
     // ...and the estimator has learned the outage: the dead quarter's mean

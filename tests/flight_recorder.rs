@@ -20,7 +20,7 @@ use colr_repro::colr::{
     flight, ColrConfig, ColrTree, Mode, ProbeService, Query, Reading, ResilientConfig,
     ResilientProber, SensorId, SensorMeta, TimeDelta, Timestamp,
 };
-use colr_repro::engine::{ExplainLevel, PortalConfig, PortalService, QueryRequest, ShardedPortal};
+use colr_repro::engine::{ExplainLevel, PortalConfig, QueryRequest, ShardedPortal};
 use colr_repro::geo::{Point, Rect};
 use colr_repro::telemetry::{SloConfig, SloWatchdog};
 use rand::rngs::StdRng;
@@ -40,6 +40,12 @@ fn fleet() -> Vec<SensorMeta> {
             )
         })
         .collect()
+}
+
+fn always() -> AlwaysAvailable {
+    AlwaysAvailable {
+        expiry_ms: EXPIRY_MS,
+    }
 }
 
 fn viewport(sample: Option<f64>) -> Query {
@@ -110,16 +116,11 @@ fn recording_never_changes_answers() {
     // Two identical portals, same seed, same queries; one records every
     // query, the other never does. Answers must match byte for byte.
     let build = |every: u64| {
-        PortalService::new(
-            fleet(),
-            AlwaysAvailable {
-                expiry_ms: EXPIRY_MS,
-            },
-            PortalConfig {
-                flight_record_every: every,
-                ..Default::default()
-            },
-        )
+        let config = PortalConfig {
+            flight_record_every: every,
+            ..Default::default()
+        };
+        ShardedPortal::new(fleet(), |_, _| always(), 1, config)
     };
     let plain = build(0);
     let recorded = build(1);
@@ -139,13 +140,7 @@ fn recording_never_changes_answers() {
 
 #[test]
 fn explain_analyze_executes_and_asserts_parity() {
-    let portal = PortalService::new(
-        fleet(),
-        AlwaysAvailable {
-            expiry_ms: EXPIRY_MS,
-        },
-        PortalConfig::default(),
-    );
+    let portal = ShardedPortal::new(fleet(), |_, _| always(), 1, PortalConfig::default());
     portal.clock().advance(TimeDelta::from_secs(1));
     let sql = "EXPLAIN ANALYZE SELECT count(*) FROM sensor WHERE location \
                WITHIN RECT(-0.5,-0.5,11.5,11.5) SAMPLESIZE 50";
@@ -240,9 +235,7 @@ fn warm_wide_unclustered_analyze_holds_parity_and_hits_above_the_leaf_level() {
     for shards in [1usize, 4] {
         let portal = ShardedPortal::new(
             sensors.clone(),
-            |_, _| AlwaysAvailable {
-                expiry_ms: EXPIRY_MS,
-            },
+            |_, _| always(),
             shards,
             PortalConfig::default(),
         );
@@ -318,21 +311,17 @@ impl ProbeService for RegionalOutage {
 
 #[test]
 fn regional_outage_breaches_the_fulfillment_objective_with_flight_records() {
-    let sensors = fleet();
-    let locations: Vec<Point> = sensors.iter().map(|m| m.location).collect();
-    let svc = PortalService::new(
-        sensors,
-        RegionalOutage {
-            locations,
-            cutoff_x: SIDE as f64 / 2.0, // the east half is dark
-            expiry_ms: EXPIRY_MS,
-        },
-        PortalConfig {
-            mode: Mode::Colr,
-            flight_record_every: 1,
-            ..Default::default()
-        },
-    );
+    let outage = |_: usize, sensors: &[SensorMeta]| RegionalOutage {
+        locations: sensors.iter().map(|m| m.location).collect(),
+        cutoff_x: SIDE as f64 / 2.0, // the east half is dark
+        expiry_ms: EXPIRY_MS,
+    };
+    let config = PortalConfig {
+        mode: Mode::Colr,
+        flight_record_every: 1,
+        ..Default::default()
+    };
+    let svc = ShardedPortal::new(fleet(), outage, 1, config);
     svc.clock().advance(TimeDelta::from_secs(1));
     let watchdog = Arc::new(SloWatchdog::new(SloConfig {
         window: 32,
@@ -342,7 +331,7 @@ fn regional_outage_breaches_the_fulfillment_objective_with_flight_records() {
         keep_flight_records: 4,
         cooldown: 16,
     }));
-    svc.attach_watchdog(watchdog.clone());
+    svc.shard(0).attach_watchdog(watchdog.clone());
     let sql = format!(
         "SELECT count(*) FROM sensor WHERE location WITHIN \
          RECT(-0.5,-0.5,{},{}) SAMPLESIZE 120",

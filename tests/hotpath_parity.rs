@@ -49,7 +49,7 @@
 //! assertion prints the digest it computed.
 //!
 //! Re-recorded once, in PR 24: the batch digests of (a), (c) and (d) — the
-//! cases that go through `PortalService`. Until then a fresh service handed
+//! cases that go through the portal. Until then a fresh service handed
 //! its one level the request's raw RNG; now it runs the executor a churned
 //! one runs, and the level walks under `derive_seed(rng.next_u64(), 1)`. The
 //! walk did not change — (b), (e), (f), (g) and the shape digests of (c) are
@@ -67,13 +67,17 @@
 //! batch digests of (a), (c), (d) carry no node and did not move; nor did
 //! the trees of one node (sizes 1 and 10). `NodeId` then became that
 //! position, and every constant here passed the renumbering unchanged.
+//!
+//! The batch cases run a one-shard `ShardedPortal`, the only way to build a
+//! portal: the router hands a one-shard batch to its shard as it is, and
+//! every constant here passed that move unchanged.
 
 use colr_repro::colr::probe::AlwaysAvailable;
 use colr_repro::colr::{
     kmeans_partition, BuildStrategy, Children, ColrConfig, ColrTree, Mode, NodeId, Query, Reading,
     SensorId, SensorMeta, TimeDelta, Timestamp,
 };
-use colr_repro::engine::{parse, BatchResult, PortalConfig, PortalService, SelectQuery};
+use colr_repro::engine::{parse, BatchResult, PortalConfig, SelectQuery, ShardedPortal};
 use colr_repro::geo::{Circle, Point, Polygon, Rect, Region};
 use colr_repro::workload::PlacementModel;
 use rand::rngs::StdRng;
@@ -143,17 +147,16 @@ fn fleet() -> Vec<SensorMeta> {
         .collect()
 }
 
-fn portal(seed: u64) -> PortalService<AlwaysAvailable> {
-    PortalService::new(
-        fleet(),
-        AlwaysAvailable {
-            expiry_ms: EXPIRY_MS,
-        },
-        PortalConfig {
-            seed,
-            ..Default::default()
-        },
-    )
+/// A one-shard portal: its batches are its shard's frozen batches.
+fn portal(seed: u64) -> ShardedPortal<AlwaysAvailable> {
+    let probe = |_: usize, _: &[SensorMeta]| AlwaysAvailable {
+        expiry_ms: EXPIRY_MS,
+    };
+    let config = PortalConfig {
+        seed,
+        ..Default::default()
+    };
+    ShardedPortal::new(fleet(), probe, 1, config)
 }
 
 fn viewport_batch(seed: u64) -> Vec<SelectQuery> {
@@ -245,7 +248,7 @@ fn assert_batch_matrix(tag: &str, recorded: &[(u64, u64); 3], prepare: impl Fn(&
         let batch = viewport_batch(seed.wrapping_mul(1_000_003));
         for threads in [1usize, 2, 8] {
             let svc = portal(seed);
-            prepare(svc.snapshot().tree());
+            prepare(svc.shard(0).snapshot().tree());
             let cold = svc.execute_many(&batch, threads).expect("batch");
             let warm = svc.execute_many(&batch, threads).expect("batch");
             assert!(
@@ -288,7 +291,7 @@ fn wide_unclustered_batches_keep_cold_answers_and_pin_warm_ones() {
         let batch = wide_batch(seed.wrapping_mul(7_919));
         for threads in [1usize, 4] {
             let svc = portal(seed);
-            let generation = svc.snapshot();
+            let generation = svc.shard(0).snapshot();
             let tree = generation.tree();
             let widest_leaf = tree
                 .node_ids()

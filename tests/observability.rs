@@ -7,15 +7,14 @@
 
 use colr_repro::colr::{Mode, ProbeService, SensorMeta, TimeDelta};
 use colr_repro::engine::{
-    AdmissionConfig, PortalConfig, PortalError, PortalResult, PortalService, QueryRequest,
-    ShardedPortal,
+    AdmissionConfig, PortalConfig, PortalError, PortalResult, QueryRequest, ShardedPortal,
 };
 use colr_repro::geo::Point;
 use colr_repro::sensors::{ConstantField, SimNetwork};
 use colr_repro::telemetry::{global, tracer, SpanKind};
 
 /// Lowers `sql` through the one SQL path and executes it.
-fn run<P: ProbeService>(svc: &PortalService<P>, sql: &str) -> Result<PortalResult, PortalError> {
+fn run<P: ProbeService>(svc: &ShardedPortal<P>, sql: &str) -> Result<PortalResult, PortalError> {
     Ok(svc.execute(&QueryRequest::from_sql(sql)?)?.result)
 }
 
@@ -33,24 +32,19 @@ fn grid_sensors() -> Vec<SensorMeta> {
         .collect()
 }
 
-fn portal(mode: Mode) -> PortalService<SimNetwork<ConstantField>> {
-    let sensors = grid_sensors();
-    let net = SimNetwork::new(
-        sensors.clone(),
-        ConstantField {
+fn portal(mode: Mode) -> ShardedPortal<SimNetwork<ConstantField>> {
+    let net = |_: usize, sensors: &[SensorMeta]| {
+        let field = ConstantField {
             base: 1.0,
             step: 0.5,
-        },
-        7,
-    );
-    PortalService::new(
-        sensors,
-        net,
-        PortalConfig {
-            mode,
-            ..Default::default()
-        },
-    )
+        };
+        SimNetwork::new(sensors.to_vec(), field, 7)
+    };
+    let config = PortalConfig {
+        mode,
+        ..Default::default()
+    };
+    ShardedPortal::new(grid_sensors(), net, 1, config)
 }
 
 /// Held by every test that drains the process-wide tracer: a drain takes all
@@ -167,14 +161,12 @@ fn service_front_door_counters_cover_admission_and_reindex() {
         })
         .collect();
     let service = |admission: AdmissionConfig| {
-        PortalService::new(
-            sensors.clone(),
-            AlwaysAvailable { expiry_ms: 300_000 },
-            PortalConfig {
-                admission,
-                ..Default::default()
-            },
-        )
+        let config = PortalConfig {
+            admission,
+            ..Default::default()
+        };
+        let probe = |_: usize, _: &[SensorMeta]| AlwaysAvailable { expiry_ms: 300_000 };
+        ShardedPortal::new(sensors.clone(), probe, 1, config)
     };
     let sql = "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,3.5,3.5)";
 
@@ -189,8 +181,7 @@ fn service_front_door_counters_cover_admission_and_reindex() {
     assert_eq!(delta.counters["colr_service_shed_total"], 0);
 
     // Queued admission: zero execution slots force every arrival through
-    // the wait queue. The builder rejects `max_in_flight == 0`, but the
-    // struct literal lets the test pin the admission state deterministically.
+    // the wait queue, which pins the admission state deterministically.
     let before = global().snapshot();
     let svc = service(AdmissionConfig {
         max_in_flight: 0,
@@ -246,8 +237,8 @@ fn service_front_door_counters_cover_admission_and_reindex() {
     );
     // The gauge is process-wide and *set*, not added to: a service built by a
     // test running beside this one writes its own generation 0 over it. The
-    // number is read from the service; the gauge only has to exist.
-    assert!(svc.generation() >= 1);
+    // number is read from the shard; the gauge only has to exist.
+    assert!(svc.shard(0).generation() >= 1);
     assert!(delta.gauges.contains_key("colr_service_generation"));
 }
 

@@ -1,32 +1,31 @@
 //! End-to-end portal tests: the SensorMap stack (parser → planner →
 //! COLR-Tree → simulated network) behaving like Section III promises.
 
-use colr_repro::colr::{Mode, ProbeService, TimeDelta};
-use colr_repro::engine::{PortalConfig, PortalError, PortalResult, PortalService, QueryRequest};
+use colr_repro::colr::{Mode, ProbeService, SensorMeta, TimeDelta};
+use colr_repro::engine::{PortalConfig, PortalError, PortalResult, QueryRequest, ShardedPortal};
 use colr_repro::sensors::{RandomWalkField, SimNetwork};
 use colr_repro::workload::ScenarioConfig;
 
 /// Lowers `sql` through the one SQL path and executes it.
-fn run<P: ProbeService>(svc: &PortalService<P>, sql: &str) -> Result<PortalResult, PortalError> {
+fn run<P: ProbeService>(svc: &ShardedPortal<P>, sql: &str) -> Result<PortalResult, PortalError> {
     Ok(svc.execute(&QueryRequest::from_sql(sql)?)?.result)
 }
 
-fn build_portal(mode: Mode, seed: u64) -> PortalService<SimNetwork<RandomWalkField>> {
+fn build_portal(mode: Mode, seed: u64) -> ShardedPortal<SimNetwork<RandomWalkField>> {
     let mut cfg = ScenarioConfig::live_local_small();
     cfg.sensor_count = 5_000;
     cfg.queries.count = 0;
     cfg.seed = seed;
     let sc = cfg.build();
-    let field = RandomWalkField::new(sc.sensors.len(), 0.0, 60.0, 2.0, seed);
-    let network = SimNetwork::new(sc.sensors.clone(), field, seed);
-    PortalService::new(
-        sc.sensors,
-        network,
-        PortalConfig {
-            mode,
-            ..Default::default()
-        },
-    )
+    let network = |_: usize, sensors: &[SensorMeta]| {
+        let field = RandomWalkField::new(sensors.len(), 0.0, 60.0, 2.0, seed);
+        SimNetwork::new(sensors.to_vec(), field, seed)
+    };
+    let config = PortalConfig {
+        mode,
+        ..Default::default()
+    };
+    ShardedPortal::new(sc.sensors, network, 1, config)
 }
 
 #[test]
@@ -128,5 +127,5 @@ fn probe_counters_visible_through_portal() {
         "SELECT count(*) FROM sensor WHERE location WITHIN RECT(0,0,2000,1500) SAMPLESIZE 40",
     )
     .unwrap();
-    assert!(portal.probe().total_probes() > 0);
+    assert!(portal.shard(0).probe().total_probes() > 0);
 }

@@ -1,8 +1,8 @@
-//! End-to-end coverage of the online index lifecycle behind
-//! [`PortalService`]:
+//! End-to-end coverage of the online index lifecycle behind a one-shard
+//! [`ShardedPortal`]:
 //!
 //! (a) **Swap parity under fire.** Eight-plus client threads hammer one
-//!     service handle while the main thread publishes new index generations
+//!     portal handle while the main thread publishes new index generations
 //!     mid-storm. Every answer must be the count of a population that
 //!     existed — never a torn mix — every query must succeed (zero reader
 //!     downtime), each thread's answers must never step back, and the
@@ -29,7 +29,7 @@ use std::time::Duration;
 use colr_repro::colr::probe::AlwaysAvailable;
 use colr_repro::colr::{Mode, ProbeService, SensorMeta, TimeDelta};
 use colr_repro::engine::{
-    AdmissionConfig, PortalConfig, PortalError, PortalResult, PortalService, QueryRequest,
+    AdmissionConfig, PortalConfig, PortalError, PortalResult, QueryRequest, ShardedPortal,
 };
 use colr_repro::geo::Point;
 
@@ -38,7 +38,7 @@ const SIDE: usize = 16;
 const BASE: usize = SIDE * SIDE; // 256
 
 /// Lowers `sql` through the one SQL path and executes it.
-fn run<P: ProbeService>(svc: &PortalService<P>, sql: &str) -> Result<PortalResult, PortalError> {
+fn run<P: ProbeService>(svc: &ShardedPortal<P>, sql: &str) -> Result<PortalResult, PortalError> {
     Ok(svc.execute(&QueryRequest::from_sql(sql)?)?.result)
 }
 
@@ -55,7 +55,7 @@ fn grid_sensors() -> Vec<SensorMeta> {
         .collect()
 }
 
-fn service(mode: Mode) -> PortalService<AlwaysAvailable> {
+fn service(mode: Mode) -> ShardedPortal<AlwaysAvailable> {
     service_probing(
         mode,
         AlwaysAvailable {
@@ -64,22 +64,21 @@ fn service(mode: Mode) -> PortalService<AlwaysAvailable> {
     )
 }
 
-fn service_probing<P: ProbeService>(mode: Mode, probe: P) -> PortalService<P> {
-    PortalService::new(
-        grid_sensors(),
-        probe,
-        PortalConfig {
-            mode,
-            // Generous slots so the storm tests exercise swapping, not
-            // shedding (admission behaviour has its own tests).
-            admission: AdmissionConfig {
-                max_in_flight: 1024,
-                queue_capacity: 1024,
-                ..Default::default()
-            },
+fn service_probing<P: ProbeService>(mode: Mode, probe: P) -> ShardedPortal<P> {
+    let config = PortalConfig {
+        mode,
+        // Generous slots so the storm tests exercise swapping, not
+        // shedding (admission behaviour has its own tests).
+        admission: AdmissionConfig {
+            max_in_flight: 1024,
+            queue_capacity: 1024,
             ..Default::default()
         },
-    )
+        ..Default::default()
+    };
+    let mut probe = Some(probe);
+    let probe = |_: usize, _: &[SensorMeta]| probe.take().expect("one shard, one backend");
+    ShardedPortal::new(grid_sensors(), probe, 1, config)
 }
 
 /// Arrivals enough that a merge absorbs — and so rewrites — the 256-sensor
@@ -115,7 +114,7 @@ fn concurrent_queries_straddle_swaps_without_tearing() {
                 let mut answers = Vec::new();
                 let mut generations = Vec::new();
                 while !stop.load(Ordering::Relaxed) {
-                    generations.push(handle.generation());
+                    generations.push(handle.shard(0).generation());
                     let res = run(&handle, FULL_GRID).expect("zero reader downtime");
                     answers.push(res.value.expect("count is always defined"));
                 }
@@ -163,8 +162,8 @@ fn concurrent_queries_straddle_swaps_without_tearing() {
         }
     });
 
-    assert_eq!(svc.generation(), SWAPS as u64);
-    assert_eq!(svc.in_flight(), 0);
+    assert_eq!(svc.shard(0).generation(), SWAPS as u64);
+    assert_eq!(svc.shard(0).in_flight(), 0);
     // The final population answers through a fresh query too — asked cold,
     // because a warm count leaves out an arrival that no query reached
     // before its merge put it beside cached neighbours (the coverage gate;
@@ -224,7 +223,13 @@ fn a_reader_between_two_waves_of_one_fill_sees_the_whole_population() {
         },
     );
     svc.clock().advance(TimeDelta::from_secs(1));
-    let wave = svc.snapshot().tree().config().cost.probe_parallelism as usize;
+    let wave = svc
+        .shard(0)
+        .snapshot()
+        .tree()
+        .config()
+        .cost
+        .probe_parallelism as usize;
     assert_eq!(BASE, 2 * wave, "the cold request is exactly two waves");
 
     let (between, after) = std::thread::scope(|scope| {
@@ -238,7 +243,7 @@ fn a_reader_between_two_waves_of_one_fill_sees_the_whole_population() {
         // Exactly between the writer's two write-backs, and no lock of the
         // tree is held there: this takes the maintenance mutex, and the
         // reader below writes back what it probes.
-        assert_eq!(svc.snapshot().tree().cached_readings(), wave);
+        assert_eq!(svc.shard(0).snapshot().tree().cached_readings(), wave);
         let between = run(&svc, FULL_GRID).unwrap();
         release.send(()).unwrap();
         (between, writer.join().expect("writer thread panicked"))
@@ -257,7 +262,7 @@ fn a_reader_between_two_waves_of_one_fill_sees_the_whole_population() {
     let warm = run(&svc, FULL_GRID).unwrap();
     assert_eq!(warm.value, Some(BASE as f64));
     assert_eq!(warm.stats.sensors_probed, 0);
-    assert_eq!(svc.in_flight(), 0);
+    assert_eq!(svc.shard(0).in_flight(), 0);
 }
 
 #[test]
@@ -272,7 +277,7 @@ fn carried_cache_expires_at_the_same_aligned_boundary() {
         let cold = run(svc, warm_rect).unwrap();
         assert_eq!(cold.stats.sensors_probed, 64);
     }
-    let cached = control.snapshot().tree().cached_readings();
+    let cached = control.shard(0).snapshot().tree().cached_readings();
     assert!(cached > 0);
 
     // Mid-lifetime, merge the warmed level of one of them into a new one
@@ -290,11 +295,14 @@ fn carried_cache_expires_at_the_same_aligned_boundary() {
     }
     assert_eq!(reindexed.reindex(), BASE + ABSORBING);
     assert_eq!(
-        reindexed.snapshot().tree().sensors().len(),
+        reindexed.shard(0).snapshot().tree().sensors().len(),
         BASE + ABSORBING
     );
-    assert_eq!(reindexed.generation(), 1);
-    assert_eq!(reindexed.snapshot().tree().cached_readings(), cached);
+    assert_eq!(reindexed.shard(0).generation(), 1);
+    assert_eq!(
+        reindexed.shard(0).snapshot().tree().cached_readings(),
+        cached
+    );
 
     // Step both services through the expiry boundary (readings fetched at
     // t=1 s with a 300 s expiry die just after t=301 s) and demand
@@ -353,7 +361,7 @@ fn snapshot_held_across_swap_stays_queryable() {
     // reader, it only stops handing it out.
     let svc = service(Mode::HierCache);
     svc.clock().advance(TimeDelta::from_secs(1));
-    let old = svc.snapshot();
+    let old = svc.shard(0).snapshot();
     for i in 0..ABSORBING {
         svc.register_sensor(
             Point::new(3.3 + i as f64 * 0.01, 3.3),
@@ -366,9 +374,12 @@ fn snapshot_held_across_swap_stays_queryable() {
 
     assert_eq!(old.ordinal(), 0);
     assert_eq!(old.tree().sensors().len(), BASE);
-    assert_eq!(svc.snapshot().tree().sensors().len(), BASE + ABSORBING);
-    // The retired generation still executes queries (via the service's own
-    // front door the answer comes from the new one).
+    assert_eq!(
+        svc.shard(0).snapshot().tree().sensors().len(),
+        BASE + ABSORBING
+    );
+    // The retired generation still executes queries (through the front door
+    // the answer comes from the new one).
     assert_eq!(
         run(&svc, FULL_GRID).unwrap().value,
         Some((BASE + ABSORBING) as f64)

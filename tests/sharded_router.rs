@@ -1,10 +1,9 @@
 //! Scatter-gather router correctness.
 //!
-//! (a) A single-shard [`ShardedPortal`] is bit-identical to a bare
-//!     [`PortalService`] over the same population and seed: the router
-//!     derives its shard-0 seed as the identity, so the RNG stream — and
-//!     therefore every sample, group, stat and degradation field — replays
-//!     exactly, across seeds, predicate shapes and batch thread counts.
+//! (a) A single-shard [`ShardedPortal`] is bit-identical to its shard alone:
+//!     the `router` module's own tests build that shard with no router in
+//!     front (nothing outside the crate can), across seeds, predicate shapes
+//!     and batch thread counts.
 //! (b) A regional outage (one shard closed) degrades the merged answer —
 //!     fulfillment drops below 1.0 and the dead shard's outcome carries the
 //!     error — instead of failing the query. Only when every overlapping
@@ -16,9 +15,7 @@
 
 use colr_repro::colr::probe::AlwaysAvailable;
 use colr_repro::colr::{Mode, SensorMeta, TimeDelta, Timestamp};
-use colr_repro::engine::{
-    parse, PortalConfig, PortalError, PortalResult, PortalService, QueryRequest, ShardedPortal,
-};
+use colr_repro::engine::{PortalConfig, PortalError, PortalResult, QueryRequest, ShardedPortal};
 use colr_repro::geo::Point;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -57,91 +54,6 @@ fn config(seed: u64) -> PortalConfig {
 fn probe() -> AlwaysAvailable {
     AlwaysAvailable {
         expiry_ms: EXPIRY_MS,
-    }
-}
-
-/// Everything except wall-clock latency must match exactly.
-fn assert_results_identical(a: &PortalResult, b: &PortalResult, ctx: &str) {
-    assert_eq!(
-        format!("{:?}", a.groups),
-        format!("{:?}", b.groups),
-        "{ctx}: groups diverged"
-    );
-    assert_eq!(a.value, b.value, "{ctx}: aggregate value diverged");
-    assert_eq!(
-        format!("{:?}", a.histogram),
-        format!("{:?}", b.histogram),
-        "{ctx}: histogram diverged"
-    );
-    assert_eq!(
-        format!("{:?}", a.stats),
-        format!("{:?}", b.stats),
-        "{ctx}: collection stats diverged"
-    );
-    assert_eq!(a.degradation, b.degradation, "{ctx}: degradation diverged");
-}
-
-/// The three predicate shapes, each with an explicit sampling target so the
-/// seeded sampler is actually exercised.
-fn shape_sqls() -> [&'static str; 3] {
-    [
-        "SELECT count(*) FROM sensor WHERE location WITHIN RECT(2, 2, 50, 50) SAMPLESIZE 24",
-        "SELECT avg(value) FROM sensor WHERE location WITHIN \
-         POLYGON((0 0, 70 0, 70 70, 0 70)) SAMPLESIZE 32",
-        "SELECT sum(value) FROM sensor WHERE location WITHIN CIRCLE(60, 60, 15) SAMPLESIZE 16",
-    ]
-}
-
-#[test]
-fn single_shard_router_is_bit_identical_to_bare_service() {
-    let sensors = clustered_sensors(&[(12.0, 12.0), (60.0, 60.0)], 200, 1);
-    for seed in [7u64, 99, 20_080_407] {
-        let bare = PortalService::new(sensors.clone(), probe(), config(seed));
-        let routed = ShardedPortal::new(sensors.clone(), |_, _| probe(), 1, config(seed));
-        bare.clock().advance_to(Timestamp(5_000));
-        routed.clock().advance_to(Timestamp(5_000));
-        // Interleave cold and warm passes: the second round replays each
-        // viewport against carried-over caches, so cache attribution is
-        // compared too, not just probe-path sampling.
-        for round in 0..2 {
-            for sql in shape_sqls() {
-                let req = QueryRequest::from_sql(sql).expect("shape SQL parses");
-                let a = bare.execute(&req).expect("bare query").result;
-                let b = routed.execute(&req).expect("routed query").result;
-                assert_results_identical(&a, &b, &format!("seed {seed} round {round} `{sql}`"));
-            }
-        }
-    }
-}
-
-#[test]
-fn single_shard_batches_match_at_any_thread_count() {
-    let sensors = clustered_sensors(&[(12.0, 12.0), (60.0, 60.0)], 200, 1);
-    let batch: Vec<_> = shape_sqls()
-        .iter()
-        .map(|sql| parse(sql).expect("shape SQL parses"))
-        .collect();
-    let seed = 7;
-    let bare = PortalService::new(sensors.clone(), probe(), config(seed));
-    bare.clock().advance_to(Timestamp(5_000));
-    let reference = bare.execute_many(&batch, 1).expect("bare batch");
-    for threads in [1usize, 8] {
-        let routed = ShardedPortal::new(sensors.clone(), |_, _| probe(), 1, config(seed));
-        routed.clock().advance_to(Timestamp(5_000));
-        let got = routed.execute_many(&batch, threads).expect("routed batch");
-        assert_eq!(reference.results.len(), got.results.len());
-        for (i, (a, b)) in reference.results.iter().zip(&got.results).enumerate() {
-            assert_results_identical(a, b, &format!("threads {threads} query {i}"));
-        }
-        assert_eq!(
-            format!("{:?}", reference.stats),
-            format!("{:?}", got.stats),
-            "threads {threads}: batch stats diverged"
-        );
-        assert_eq!(
-            reference.degradation, got.degradation,
-            "threads {threads}: batch degradation diverged"
-        );
     }
 }
 
@@ -279,21 +191,24 @@ fn a_registration_outside_every_viewport_changes_no_answer() {
     let nowhere = Point::new(1.0e6, 1.0e6);
     let expiry = TimeDelta::from_millis(EXPIRY_MS);
 
-    let fresh = PortalService::new(kinds_fleet(), probe(), config(7));
-    let grown = PortalService::new(kinds_fleet(), probe(), config(7));
+    let fresh = ShardedPortal::new(kinds_fleet(), |_, _| probe(), 1, config(7));
+    let grown = ShardedPortal::new(kinds_fleet(), |_, _| probe(), 1, config(7));
     fresh.clock().advance_to(Timestamp(5_000));
     grown.clock().advance_to(Timestamp(5_000));
     grown.register_sensor(nowhere, expiry, 1.0, 0);
-    assert_eq!(grown.index_stats().map(|s| s.l0_occupancy), Some(1));
-    let want = sampled_answers(|req| fresh.execute(req).expect("fresh service").result);
-    let got = sampled_answers(|req| grown.execute(req).expect("grown service").result);
+    assert_eq!(
+        grown.shard(0).index_stats().map(|s| s.l0_occupancy),
+        Some(1)
+    );
+    let want = sampled_answers(|req| fresh.execute(req).expect("fresh router").result);
+    let got = sampled_answers(|req| grown.execute(req).expect("grown router").result);
     for (i, (want, got)) in want.iter().zip(&got).enumerate() {
-        assert_eq!(want, got, "service, execution {i}: `{}`", SAMPLED[i % 10]);
+        assert_eq!(want, got, "1 shard, execution {i}: `{}`", SAMPLED[i % 10]);
     }
     assert!(want[10..].iter().any(|a| a.contains("from_cache: true")));
 
-    // One row through the router: the sensor lands in the L0 of whichever
-    // shard is nearest, and that shard answers as its fresh twin does.
+    // Four shards: the sensor lands in the L0 of whichever shard is
+    // nearest, and that shard answers as its fresh twin does.
     let fresh = ShardedPortal::new(kinds_fleet(), |_, _| probe(), 4, config(7));
     let grown = ShardedPortal::new(kinds_fleet(), |_, _| probe(), 4, config(7));
     fresh.clock().advance_to(Timestamp(5_000));

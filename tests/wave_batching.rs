@@ -17,7 +17,7 @@ use colr_repro::colr::{
     ColrConfig, ColrTree, LsmConfig, Mode, ProbeService, Query, QueryStats, Reading, SensorId,
     SensorMeta, TimeDelta, Timestamp,
 };
-use colr_repro::engine::{IndexStrategy, PortalConfig, PortalService, QueryRequest};
+use colr_repro::engine::{IndexStrategy, PortalConfig, QueryRequest, ShardedPortal};
 use colr_repro::geo::{Circle, Point, Polygon, Rect, Region};
 use colr_repro::sensors::{ConstantField, SimNetwork};
 use rand::rngs::StdRng;
@@ -189,29 +189,31 @@ const SQLS: [&str; 5] = [
     "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,31.5,31.5) SAMPLESIZE 500",
 ];
 
-/// A service over the base grid; with `churn`, driven to three LSM levels
-/// with tombstones in each plus a populated L0 (late arrivals 1024.. are
-/// known to the backend from the start).
-fn service<P: ProbeService>(probe: P, churn: bool, mode: Mode) -> PortalService<P> {
+/// A one-shard portal over the base grid; with `churn`, driven to three LSM
+/// levels with tombstones in each plus a populated L0 (late arrivals 1024..
+/// are known to the backend from the start, by the ids their shard gives
+/// them).
+fn service<P: ProbeService>(probe: P, churn: bool, mode: Mode) -> ShardedPortal<P> {
     let all = fleet(300);
-    let svc = PortalService::new(
-        all[..SIDE * SIDE].to_vec(),
-        probe,
-        PortalConfig {
-            seed: 9,
-            mode,
-            max_sensors_per_query: None,
-            index: IndexStrategy::Lsm(LsmConfig::default()),
-            ..Default::default()
-        },
-    );
+    let config = PortalConfig {
+        seed: 9,
+        mode,
+        max_sensors_per_query: None,
+        index: IndexStrategy::Lsm(LsmConfig::default()),
+        ..Default::default()
+    };
+    let mut probe = Some(probe);
+    let probe = |_: usize, _: &[SensorMeta]| probe.take().expect("one shard, one backend");
+    let svc = ShardedPortal::new(all[..SIDE * SIDE].to_vec(), probe, 1, config);
     svc.clock().advance(TimeDelta::from_secs(1));
     if !churn {
         return svc;
     }
     let register = |range: std::ops::Range<usize>| {
         for m in &all[range] {
-            let id = svc.register_sensor(m.location, m.expiry, m.availability, m.kind);
+            let id = svc
+                .shard(0)
+                .register_sensor(m.location, m.expiry, m.availability, m.kind);
             assert_eq!(id, m.id, "registration ids continue the fleet numbering");
         }
     };
@@ -221,9 +223,9 @@ fn service<P: ProbeService>(probe: P, churn: bool, mode: Mode) -> PortalService<
     svc.reindex();
     register(1264..1324);
     for id in [3, 40, 700, 1030, 1100, 1230, 1270] {
-        assert!(svc.retire_sensor(SensorId(id)));
+        assert!(svc.shard(0).retire_sensor(SensorId(id)));
     }
-    let shape = svc.index_stats().expect("lsm configured");
+    let shape = svc.shard(0).index_stats().expect("lsm configured");
     assert_eq!((shape.levels, shape.tombstones), (3, 7));
     assert!(shape.l0_occupancy > 0);
     svc
@@ -240,7 +242,7 @@ fn lsm_levels_and_l0_share_one_wave() {
                     let req = QueryRequest::from_sql(sql).expect("valid sql");
                     let resp = svc.execute(&req).expect("query");
                     let what = format!("churn={churn} {mode:?} round {round}: {sql}");
-                    assert_one_wave(&svc.probe().take(), &resp.result.stats, 1, &what);
+                    assert_one_wave(&svc.shard(0).probe().take(), &resp.result.stats, 1, &what);
                     probing_queries += u64::from(resp.result.stats.sensors_probed > 0);
                 }
                 svc.clock().advance(TimeDelta::from_millis(EXPIRY_MS / 2));
@@ -256,7 +258,12 @@ fn lsm_levels_and_l0_share_one_wave() {
                 let batch = svc.query_many_sql(&SQLS, threads).expect("batch");
                 let what = format!("churn={churn} {mode:?} frozen batch x{threads}");
                 assert!(batch.stats.sensors_probed > 0, "{what}: nothing probed");
-                assert_one_wave(&svc.probe().take(), &batch.stats, SQLS.len() as u64, &what);
+                assert_one_wave(
+                    &svc.shard(0).probe().take(),
+                    &batch.stats,
+                    SQLS.len() as u64,
+                    &what,
+                );
                 svc.clock().advance(TimeDelta::from_millis(EXPIRY_MS));
             }
         }
@@ -302,7 +309,7 @@ fn a_silent_backend_costs_one_wave_and_reports_the_whole_request_short() {
             .execute(&req)
             .expect("a dead backend degrades, it does not fail");
         let (stats, d) = (&resp.result.stats, &resp.result.degradation);
-        assert_one_wave(&svc.probe().take(), stats, 1, "dead backend");
+        assert_one_wave(&svc.shard(0).probe().take(), stats, 1, "dead backend");
         assert!(
             stats.sensors_probed >= 90,
             "oversampling still asks for R / a"
