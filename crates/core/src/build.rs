@@ -77,6 +77,16 @@
 //! the iteration count, seeding, the thread fan-out. The all-centres loop
 //! survives as the `#[cfg(test)]` reference both are compared against.
 //!
+//! ## A merge's seeded start
+//!
+//! Nothing above asks where the centres came from, so one loop,
+//! `lloyd_from`, runs from whatever start `start_centres` gives it. Only a
+//! merge's leaf level, when clustered directly (≤ `DIRECT_KMEANS_MAX`
+//! points), is seeded: from the absorbed levels' live leaf centroids, the
+//! `k` heaviest, topped up by the cold start's draws, for at most
+//! `SEEDED_ROUNDS` rounds. Every other clustering starts cold and runs all
+//! `iterations`, bit for bit as before. Why, and what it measures: DESIGN §6.
+//!
 //! ## Parallel construction
 //!
 //! Grid cells are independent, so each clustering level fans its cells out
@@ -100,6 +110,8 @@ use crate::tree::{BuildStrategy, ColrConfig, ColrTree};
 
 /// Points above this count are clustered per grid cell.
 const DIRECT_KMEANS_MAX: usize = 4096;
+/// Lloyd rounds, at most, of a leaf level started from seeds.
+const SEEDED_ROUNDS: usize = 3;
 /// Target points per grid cell for partitioned k-means.
 const TARGET_CELL: usize = 1024;
 
@@ -124,6 +136,18 @@ impl ColrTree {
         config: ColrConfig,
         seed: u64,
         threads: usize,
+    ) -> ColrTree {
+        Self::build_seeded(sensors, config, seed, threads, &[])
+    }
+
+    /// [`ColrTree::build_with_threads`] with the leaf level's k-means started
+    /// from `seeds`, each a point and the number of sensors it stands for.
+    pub(crate) fn build_seeded(
+        sensors: Vec<SensorMeta>,
+        config: ColrConfig,
+        seed: u64,
+        threads: usize,
+        seeds: &[(Point, usize)],
     ) -> ColrTree {
         assert!(config.branching >= 2, "branching factor must be >= 2");
         for (i, s) in sensors.iter().enumerate() {
@@ -151,7 +175,7 @@ impl ColrTree {
         if sensors.is_empty() {
             builder.push_leaf(&sensors, Vec::new());
         } else {
-            builder.build_levels(&sensors, &config);
+            builder.build_levels(&sensors, &config, seeds);
         }
 
         let telem = crate::telem::build();
@@ -276,8 +300,14 @@ impl Builder {
         id
     }
 
-    /// Pushes every level, leaves first, the root last.
-    fn build_levels(&mut self, sensors: &[SensorMeta], config: &ColrConfig) {
+    /// Pushes every level, leaves first, the root last. The leaf level's
+    /// k-means starts from the `k` heaviest of `seeds`.
+    fn build_levels(
+        &mut self,
+        sensors: &[SensorMeta],
+        config: &ColrConfig,
+        seeds: &[(Point, usize)],
+    ) {
         let telem = crate::telem::build();
         let b = config.branching;
         // --- Leaf level ---
@@ -285,7 +315,7 @@ impl Builder {
         let points: Vec<Point> = sensors.iter().map(|s| s.location).collect();
         let ids: Vec<usize> = (0..sensors.len()).collect();
         let k = sensors.len().div_ceil(b).max(1);
-        let groups = self.group(&points, &ids, k, config.build);
+        let groups = self.group(&points, &ids, k, config.build, &heaviest(seeds, k));
         let mut current: Vec<usize> = groups
             .into_iter()
             .map(|members| {
@@ -306,7 +336,7 @@ impl Builder {
                 .collect();
             let idxs: Vec<usize> = (0..current.len()).collect();
             let k = current.len().div_ceil(b).max(1);
-            let groups = self.group(&centroids, &idxs, k, config.build);
+            let groups = self.group(&centroids, &idxs, k, config.build, &[]);
             current = groups
                 .into_iter()
                 .map(|members| {
@@ -324,13 +354,15 @@ impl Builder {
     }
 
     /// Clusters `items` (parallel to `points`) into at most `k` non-empty
-    /// groups.
+    /// groups. Given `seeds`, a direct k-means starts from them and runs at
+    /// most [`SEEDED_ROUNDS`] rounds.
     fn group(
         &mut self,
         points: &[Point],
         items: &[usize],
         k: usize,
         strategy: BuildStrategy,
+        seeds: &[Point],
     ) -> Vec<Vec<usize>> {
         debug_assert_eq!(points.len(), items.len());
         if k <= 1 || points.len() <= 1 {
@@ -341,7 +373,13 @@ impl Builder {
                 if points.len() > DIRECT_KMEANS_MAX {
                     self.grid_kmeans(points, items, k, iterations)
                 } else {
-                    lloyd(points, items, k, iterations, &mut self.rng)
+                    let rounds = match seeds {
+                        [] => iterations,
+                        _ => iterations.min(SEEDED_ROUNDS),
+                    };
+                    let rng = &mut self.rng;
+                    let centers = start_centres(points, k, seeds, rng);
+                    lloyd_from(points, items, centers, rounds, rng, POINTS_PER_CELL)
                 }
             }
             BuildStrategy::Str => str_pack(points, items, k),
@@ -475,38 +513,61 @@ fn lloyd(
     iterations: usize,
     rng: &mut StdRng,
 ) -> Vec<Vec<usize>> {
-    lloyd_in_cells(points, items, k, iterations, rng, POINTS_PER_CELL)
+    let centers = start_centres(points, k, &[], rng);
+    lloyd_from(points, items, centers, iterations, rng, POINTS_PER_CELL)
 }
 
-/// [`lloyd`] with the assignment step's cells holding at most `per_cell`
-/// points each — a parameter so the tests can take cells down to one point.
-fn lloyd_in_cells(
+/// The points of the `k` heaviest `seeds` (ties to the earlier), in the
+/// order given.
+fn heaviest(seeds: &[(Point, usize)], k: usize) -> Vec<Point> {
+    let mut rank: Vec<usize> = (0..seeds.len()).collect();
+    rank.sort_by_key(|&i| std::cmp::Reverse(seeds[i].1));
+    rank.truncate(k);
+    rank.sort_unstable();
+    rank.iter().map(|&i| seeds[i].0).collect()
+}
+
+/// The `min(k, n)` centres Lloyd's loop starts from: the first of `seeds`,
+/// then distinct points of `points` drawn by a partial Fisher–Yates (with
+/// no seeds, the cold start).
+fn start_centres(points: &[Point], k: usize, seeds: &[Point], rng: &mut StdRng) -> Vec<Point> {
+    let n = points.len();
+    let k = k.min(n);
+    let mut centers = seeds[..seeds.len().min(k)].to_vec();
+    let draws = k - centers.len();
+    let mut order: Vec<usize> = (0..n).collect();
+    for i in 0..draws {
+        let j = rng.random_range(i..n);
+        order.swap(i, j);
+    }
+    centers.extend(order[..draws].iter().map(|&i| points[i]));
+    centers
+}
+
+/// Lloyd's loop from `centers`: `rounds` (at least one) assignment and
+/// update steps, with the assignment step's cells holding at most
+/// `per_cell` points each — a parameter so the tests can take cells down to
+/// one point. Exact for any start.
+fn lloyd_from(
     points: &[Point],
     items: &[usize],
-    k: usize,
-    iterations: usize,
+    mut centers: Vec<Point>,
+    rounds: usize,
     rng: &mut StdRng,
     per_cell: usize,
 ) -> Vec<Vec<usize>> {
     let n = points.len();
-    let k = k.min(n);
+    let k = centers.len();
     crate::telem::build()
         .kmeans_iterations
-        .add(iterations.max(1) as u64);
-    // Seed with k distinct random points (partial Fisher–Yates). The
-    // permutation borrows `assign`, which the first assignment step
-    // overwrites whole.
-    let mut assign: Vec<usize> = (0..n).collect();
-    for i in 0..k {
-        let j = rng.random_range(i..n);
-        assign.swap(i, j);
-    }
-    let mut centers: Vec<Point> = assign[..k].iter().map(|&i| points[i]).collect();
+        .add(rounds.max(1) as u64);
+    // The first assignment step overwrites `assign` whole.
+    let mut assign = vec![0usize; n];
     let mut sums = vec![(0.0f64, 0.0f64, 0usize); k];
     let mut grid = CentreGrid::default();
     let cells = PointCells::file(points, per_cell);
     let mut candidates = Vec::new();
-    for iteration in 0..iterations.max(1) {
+    for iteration in 0..rounds.max(1) {
         // Assignment step, a cell at a time: no point of a cell is farther
         // from its nearest centre than from the one it was assigned last
         // iteration, so its points scan the centres within that `reach` of
@@ -973,7 +1034,7 @@ fn str_pack(points: &[Point], items: &[usize], k: usize) -> Vec<Vec<usize>> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::tree::{BuildStrategy, NodeId};
 
@@ -1070,7 +1131,7 @@ mod tests {
             rng: StdRng::seed_from_u64(7),
             threads: 1,
         };
-        builder.build_levels(&sensors, &ColrConfig::default());
+        builder.build_levels(&sensors, &ColrConfig::default(), &[]);
         let nodes = builder.nodes;
         let arena = crate::arena::SamplingArena::flatten(&nodes, &sensors);
         assert_eq!(arena.node_count(), nodes.len());
@@ -1190,7 +1251,7 @@ mod tests {
     /// The benchmark map's shape without the workload crate (which depends
     /// on this one): Gaussian cities of harmonic weights, strays clamped onto
     /// the extent's edge so some coordinates coincide exactly.
-    fn city_points(n: usize, seed: u64) -> Vec<Point> {
+    pub(crate) fn city_points(n: usize, seed: u64) -> Vec<Point> {
         let mut rng = StdRng::seed_from_u64(seed);
         let cities: Vec<Point> = (0..200)
             .map(|_| {
@@ -1247,6 +1308,20 @@ mod tests {
         best
     }
 
+    /// [`lloyd`] with the assignment step's cells holding at most `per_cell`
+    /// points each.
+    fn lloyd_in_cells(
+        points: &[Point],
+        items: &[usize],
+        k: usize,
+        iterations: usize,
+        rng: &mut StdRng,
+        per_cell: usize,
+    ) -> Vec<Vec<usize>> {
+        let centers = start_centres(points, k, &[], rng);
+        lloyd_from(points, items, centers, iterations, rng, per_cell)
+    }
+
     /// [`lloyd`] as it was before the grid: the same seeding, update step and
     /// re-seed draws around [`nearest_of_all`].
     fn lloyd_of_all(
@@ -1256,14 +1331,36 @@ mod tests {
         iterations: usize,
         rng: &mut StdRng,
     ) -> Vec<Vec<usize>> {
+        let centers = start_of_all(points, k, &[], rng);
+        lloyd_of_all_from(points, items, centers, iterations, rng)
+    }
+
+    /// The start [`start_centres`] must choose, written out plainly: the
+    /// first `min(k, n)` of `seeds`, then distinct points drawn by a partial
+    /// Fisher–Yates over the point indices.
+    fn start_of_all(points: &[Point], k: usize, seeds: &[Point], rng: &mut StdRng) -> Vec<Point> {
         let n = points.len();
         let k = k.min(n);
+        let mut centers: Vec<Point> = seeds.iter().take(k).copied().collect();
         let mut order: Vec<usize> = (0..n).collect();
-        for i in 0..k {
+        for i in 0..k - centers.len() {
             let j = rng.random_range(i..n);
             order.swap(i, j);
+            centers.push(points[order[i]]);
         }
-        let mut centers: Vec<Point> = order[..k].iter().map(|&i| points[i]).collect();
+        centers
+    }
+
+    /// The all-centres loop from given start centres.
+    fn lloyd_of_all_from(
+        points: &[Point],
+        items: &[usize],
+        mut centers: Vec<Point>,
+        iterations: usize,
+        rng: &mut StdRng,
+    ) -> Vec<Vec<usize>> {
+        let n = points.len();
+        let k = centers.len();
         let mut assign = vec![0usize; n];
         for _ in 0..iterations.max(1) {
             for (i, p) in points.iter().enumerate() {
@@ -1447,6 +1544,52 @@ mod tests {
             );
             assert_eq!(a.next_u64(), b.next_u64(), "RNG position");
         }
+
+        /// The loop from given start centres against the all-centres loop
+        /// from the same start, groups and the RNG's next draw: seeds off
+        /// the points' lattice (duplicates of each other and of points, so
+        /// clusters go empty and re-seed), now and then non-finite, and
+        /// fewer of them than `k` as often as more (topped up by draws).
+        #[test]
+        fn a_seeded_start_groups_and_draws_as_the_all_centres_loop(
+            points in proptest::collection::vec(any_point(), 1..48),
+            seeds in proptest::collection::vec(any_point(), 0..48),
+            k in 1usize..40,
+            rounds in 1usize..9,
+            per_cell in proptest::strategy::Strategy::prop_map(0usize..3, |i| [1, 2, POINTS_PER_CELL][i]),
+            seed in 0u64..1_000,
+        ) {
+            let items: Vec<usize> = (0..points.len()).collect();
+            let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            let start = start_centres(&points, k, &seeds, &mut a);
+            let reference = start_of_all(&points, k, &seeds, &mut b);
+            assert_eq!(format!("{start:?}"), format!("{reference:?}"), "start");
+            assert_eq!(
+                lloyd_from(&points, &items, start, rounds, &mut a, per_cell),
+                lloyd_of_all_from(&points, &items, reference, rounds, &mut b),
+            );
+            assert_eq!(a.next_u64(), b.next_u64(), "RNG position");
+        }
+    }
+
+    #[test]
+    fn the_heaviest_seeds_are_kept_in_the_order_given() {
+        let p = |x: f64| Point::new(x, 0.0);
+        let seeds = [
+            (p(0.0), 3),
+            (p(1.0), 5),
+            (p(2.0), 3),
+            (p(3.0), 1),
+            (p(4.0), 5),
+        ];
+        assert_eq!(heaviest(&seeds, 9), seeds.map(|s| s.0));
+        assert_eq!(
+            heaviest(&seeds, 3),
+            [p(0.0), p(1.0), p(4.0)],
+            "ties to the earlier"
+        );
+        assert_eq!(heaviest(&seeds, 4), [p(0.0), p(1.0), p(2.0), p(4.0)]);
+        assert!(heaviest(&seeds, 0).is_empty());
     }
 
     fn any_point() -> impl proptest::strategy::Strategy<Value = Point> {
@@ -1518,7 +1661,7 @@ mod tests {
                     rng: StdRng::seed_from_u64(19),
                     threads,
                 };
-                builder.build_levels(&sensors, &ColrConfig::default());
+                builder.build_levels(&sensors, &ColrConfig::default(), &[]);
                 let next = builder.rng.next_u64();
                 assert_eq!(
                     next, recorded,

@@ -40,8 +40,15 @@ pub struct LsmLevel {
 
 impl LsmLevel {
     /// Builds a level over `metas` (carrying *global* ids, sorted ascending)
-    /// by renumbering to the dense local ids the bulk builder requires.
-    pub(crate) fn build(key: u64, metas: &[SensorMeta], config: ColrConfig, seed: u64) -> LsmLevel {
+    /// by renumbering to the dense local ids the bulk builder requires; its
+    /// leaf k-means starts from `seeds` ([`ColrTree::build_seeded`]).
+    pub(crate) fn build(
+        key: u64,
+        metas: &[SensorMeta],
+        config: ColrConfig,
+        seed: u64,
+        seeds: &[(colr_geo::Point, usize)],
+    ) -> LsmLevel {
         debug_assert!(
             metas.windows(2).all(|w| w[0].id.0 < w[1].id.0),
             "level populations must be sorted by global id"
@@ -54,7 +61,8 @@ impl LsmLevel {
                 SensorMeta::new(j as u32, m.location, m.expiry, m.availability).with_kind(m.kind)
             })
             .collect();
-        let tree = ColrTree::build(local, config, seed);
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let tree = ColrTree::build_seeded(local, config, seed, threads, seeds);
         let tombstoned = (0..global.len())
             .map(|_| AtomicBool::new(false))
             .collect::<Vec<_>>()

@@ -15,7 +15,9 @@
 //!   (or heavily tombstoned) levels into one freshly bulk-built level,
 //!   carrying still-fresh cached readings across through
 //!   [`crate::tree::ColrTree::restore_entries`]. Queries never block:
-//!   merges build off to the side and publish by swapping one `Arc`.
+//!   merges build off to the side and publish by swapping one `Arc`. A
+//!   merged level's leaf k-means starts from the absorbed levels' live leaf
+//!   centroids, if any (`build.rs`, "A merge's seeded start").
 //!
 //! Algorithm 1's sampling becomes *layered*: a query's sample target `R`
 //! splits across components (levels + L0) in proportion to each component's
@@ -34,6 +36,7 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use colr_geo::Point;
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -239,7 +242,7 @@ impl LsmTree {
     /// [`crate::tree::ColrTree::build`] makes of the same population,
     /// renumbered dense, under that seed.
     pub fn new(sensors: Vec<SensorMeta>, config: ColrConfig, lsm: LsmConfig, seed: u64) -> LsmTree {
-        let base = Arc::new(LsmLevel::build(0, &sensors, config.clone(), seed));
+        let base = Arc::new(LsmLevel::build(0, &sensors, config.clone(), seed, &[]));
         let mut table = IdTable::new();
         for (j, m) in sensors.iter().enumerate() {
             let loc = SensorLoc::Level {
@@ -284,6 +287,7 @@ impl LsmTree {
         state
             .levels
             .iter()
+            .rev()
             .max_by_key(|l| l.live())
             .cloned()
             .expect("LsmTree always holds at least one level")
@@ -772,17 +776,29 @@ impl LsmTree {
         }
 
         // Build the merged level off to the side. Each absorbed sensor's
-        // tombstone mark is read once: built over, or dropped.
+        // tombstone mark is read once: built over, or dropped. A live one
+        // also counts into its home leaf's mean; the means, weighted by
+        // their counts, seed the merged level (levels in cut order, leaves
+        // in arena order).
         let mut metas: Vec<SensorMeta> = Vec::with_capacity(pool);
+        let mut seeds = Vec::new();
         for level in absorbed {
+            let mut leaves = vec![(0.0, 0.0, 0usize); level.tree().node_count()];
             for j in 0..level.len() {
                 let local = SensorId(j as u32);
                 if level.is_tombstoned(local) {
                     dropped.push(level.global_id(local).0);
                 } else {
-                    metas.push(level.global_meta(j));
+                    let meta = level.global_meta(j);
+                    let leaf = &mut leaves[level.tree().home_leaf(local).index()];
+                    leaf.0 += meta.location.x;
+                    leaf.1 += meta.location.y;
+                    leaf.2 += 1;
+                    metas.push(meta);
                 }
             }
+            let live = leaves.into_iter().filter(|l| l.2 > 0);
+            seeds.extend(live.map(|(x, y, n)| (Point::new(x / n as f64, y / n as f64), n)));
         }
         metas.extend(batch.iter().map(|p| p.meta));
         metas.sort_by_key(|m| m.id.0);
@@ -793,6 +809,7 @@ impl LsmTree {
             &metas,
             self.config.clone(),
             derive_seed(self.seed, merge_ordinal),
+            &seeds,
         ));
         level.tree().advance(now);
 
