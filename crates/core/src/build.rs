@@ -17,46 +17,34 @@
 //! ## The assignment step
 //!
 //! Lloyd's assignment step asks, for every point, which centre is nearest.
-//! Asking all `k` of them costs `n·k` distances an iteration — `k = ⌈n/B⌉`,
-//! so 13 M for the 4,096-sensor level an LSM merge rebuilds, which made the
-//! clustering 95 % of a merge. `CentreGrid` files the iteration's centres
-//! in a uniform grid (about two per cell, rebuilt per iteration into reused
-//! buffers); `CentreGrid::nearest` searches `p`'s cell, then the columns and
-//! rows around it, until every side of the visited block is provably too
-//! far. That search, run per point, was the assignment step from PR 19 to
-//! PR 25 (≈ 14 distances a point on the clustered map, and the block
-//! growing around every point was most of a merge's time).
+//! Asking all `k` of them costs `n·k` distances a round — `k = ⌈n/B⌉`, so
+//! 13 M for the 4,096-sensor level an LSM merge rebuilds. Instead the points
+//! of a `lloyd_from` call are filed once into cells of at most
+//! `POINTS_PER_CELL` (halved at the median of the longer side, so cells are
+//! small where points are dense), each with the exact bounding box `b` of
+//! its points, and every round files its centres in a uniform grid,
+//! `CentreGrid`, about two a grid cell. Every round assigns a cell as a
+//! whole: `reach` is the largest computed `distance_sq` from one of its
+//! points to the centre that point is assigned now, the cell's *candidates*
+//! are the centres `CentreGrid::candidates` finds within `reach` of `b`, and
+//! each point scans that list under the all-centres scan's rule — lowest
+//! `(distance_sq, index)` from `(∞, 0)`. Before the first round every point
+//! of a cell is assigned one centre, `CentreGrid::start` of `b`'s centre: a
+//! near one keeps the list short. About 8.5 distances and bounds a point per
+//! round on the clustered map, against `k` = 410 (a unit test holds it ≤ 64).
 //!
-//! Since PR 25 the points of a `lloyd` call are filed once into cells of
-//! at most `POINTS_PER_CELL` (halved at the median of the longer side, so
-//! cells are small where points are dense), each with the exact bounding
-//! box `b` of its points. From the second iteration on, a cell is assigned
-//! as a whole: `reach` is the largest computed `distance_sq` from one of its
-//! points to the centre that point was assigned last iteration, the cell's
-//! *candidates* are the centres `CentreGrid::candidates` finds within
-//! `reach` of `b`, and each point scans that list under the scan's rule —
-//! lowest `(distance_sq, index)` from `(∞, 0)`. About 3.5 candidates a point
-//! on the clustered map, and the cell's block is grown once, not per point
-//! (8.5 distances and bounds a point per iteration all told, the first
-//! iteration's per-point searches included; a unit test holds it ≤ 64).
-//!
-//! Both searches are *exact* — the same assignment as the all-centres scan
-//! for every input, so the same centroid sums, re-seed draws, trees and
-//! shard maps, bit for bit. Everything rests on one fact: subtraction,
-//! multiplication and addition round monotonically, so a bound computed by
-//! the same operations as `distance_sq` from coordinates that are no nearer
-//! is no larger *as computed*. For the grid search: a side is closed only
-//! when such a bound on the distance to every centre beyond it (taken from
-//! the centres' own coordinates, `left` … `above`, not from cell geometry)
-//! is *strictly* above the best found, so an unvisited centre cannot even
-//! tie, and among visited centres a tie goes to the lowest index, which is
-//! what the scan's `d < best` did. For a cell, with `p` any of its points
-//! and `d*` the scan's answer distance for `p`:
+//! The search is *exact* — the same assignment as the all-centres scan for
+//! every input, from any start assignment, so the same centroid sums, re-seed
+//! draws, trees and shard maps, bit for bit. It rests on one fact:
+//! subtraction, multiplication and addition round monotonically, so a bound
+//! computed by the same operations as `distance_sq` from coordinates that
+//! are no nearer is no larger *as computed*. For a cell, with `p` any of its
+//! points and `d*` the scan's answer distance for `p`:
 //!
 //! - `d* ≤ reach`: `d*` is the least computed distance and `reach` is one
-//!   of them (or more). `reach` must be finite — no previous assignment (the
-//!   first iteration), a centre or distance that is not finite, or one that
-//!   overflows, and the cell's points take `nearest` one by one instead.
+//!   of them (or more). `reach` must be finite — for a centre or distance
+//!   that is not finite, or one that overflows, the cell's points scan every
+//!   centre instead.
 //! - Every centre at computed distance `≤ reach` from `p` is a candidate,
 //!   so every centre at `d*` is, and the list's scan returns the lowest
 //!   index among them — the all-centres answer. Such a centre is finite
@@ -70,12 +58,11 @@
 //!   from `c` to `b`'s nearer edge (0 inside), squared and summed — is at
 //!   most its computed distance from `p`, so the filter `≤ reach` keeps it.
 //!
-//! Points with a non-finite coordinate are filed in no cell and take
-//! `nearest`; the update step runs in point order as before, and nothing
-//! here draws from the RNG. Unchanged: cell sizes and the direct / grid
-//! threshold of the partitioned build (`TARGET_CELL`, `DIRECT_KMEANS_MAX`),
-//! the iteration count, seeding, the thread fan-out. The all-centres loop
-//! survives as the `#[cfg(test)]` reference both are compared against.
+//! Points with a non-finite coordinate are filed in no cell and scan every
+//! centre. Every centre the scan can pick is a finite one, which the grid
+//! holds; the update step runs in point order, and nothing here draws from
+//! the RNG. The all-centres loop survives as the `#[cfg(test)]` reference
+//! the search is compared against.
 //!
 //! ## A merge's seeded start
 //!
@@ -401,8 +388,11 @@ impl Builder {
         k: usize,
         iterations: usize,
     ) -> Vec<Vec<usize>> {
+        debug_assert!(points.len() > DIRECT_KMEANS_MAX);
         let n = points.len();
-        let bbox = Rect::bounding(points).expect("non-empty");
+        let Some(bbox) = Rect::bounding(points) else {
+            return Vec::new();
+        };
         let g = ((n as f64 / TARGET_CELL as f64).sqrt().ceil() as usize).max(1);
         let w = bbox.width().max(f64::MIN_POSITIVE);
         let h = bbox.height().max(f64::MIN_POSITIVE);
@@ -567,40 +557,42 @@ fn lloyd_from(
     let mut grid = CentreGrid::default();
     let cells = PointCells::file(points, per_cell);
     let mut candidates = Vec::new();
-    for iteration in 0..rounds.max(1) {
+    for round in 0..rounds.max(1) {
         // Assignment step, a cell at a time: no point of a cell is farther
-        // from its nearest centre than from the one it was assigned last
-        // iteration, so its points scan the centres within that `reach` of
-        // the cell's box. The first iteration has no assignment to go by.
+        // from its nearest centre than from the one it is assigned now, so
+        // its points scan the centres within that `reach` of the cell's box.
+        // Before the first round a cell's points are assigned one start.
         grid.rebuild(&centers);
         for (bbox, run) in &cells.cells {
             let run = &cells.order[run.clone()];
-            let mut reach = f64::INFINITY;
-            if iteration > 0 {
-                count_distances(run.len());
-                reach = 0.0;
+            if round == 0 {
+                let start = grid.start(&bbox.center());
                 for &i in run {
-                    let d = points[i as usize].distance_sq(&centers[assign[i as usize]]);
-                    reach = if d.is_nan() {
-                        f64::INFINITY
-                    } else {
-                        reach.max(d)
-                    };
+                    assign[i as usize] = start;
                 }
             }
-            if reach.is_finite() {
+            count_distances(run.len());
+            let mut reach = 0.0f64;
+            for &i in run {
+                let d = points[i as usize].distance_sq(&centers[assign[i as usize]]);
+                reach = if d.is_nan() {
+                    f64::INFINITY
+                } else {
+                    reach.max(d)
+                };
+            }
+            let list = if reach.is_finite() {
                 grid.candidates(bbox, reach, &mut candidates);
-                for &i in run {
-                    assign[i as usize] = nearest_in(&candidates, &points[i as usize]);
-                }
+                &candidates
             } else {
-                for &i in run {
-                    assign[i as usize] = grid.nearest(&points[i as usize]);
-                }
+                &grid.slots
+            };
+            for &i in run {
+                assign[i as usize] = nearest_in(list, &points[i as usize]);
             }
         }
         for &i in &cells.wild {
-            assign[i as usize] = grid.nearest(&points[i as usize]);
+            assign[i as usize] = nearest_in(&grid.slots, &points[i as usize]);
         }
         // Update step (sums in point order).
         sums.fill((0.0, 0.0, 0));
@@ -641,7 +633,8 @@ struct PointCells {
     cells: Vec<(Rect, Range<usize>)>,
     /// Point indices, cell by cell.
     order: Vec<u32>,
-    /// Points with a non-finite coordinate, in no cell: searched one by one.
+    /// Points with a non-finite coordinate, in no cell: they scan every
+    /// centre.
     wild: Vec<u32>,
 }
 
@@ -698,7 +691,8 @@ fn bounding<'a>(mut points: impl Iterator<Item = &'a Point>) -> Option<Rect> {
 }
 
 /// The candidate scan: the lowest `(distance_sq, index)` of `p` over `run`
-/// from `(∞, 0)`, which is [`CentreGrid::nearest`]'s rule over a list.
+/// from `(∞, 0)` — the all-centres scan's answer, when `run` holds every
+/// centre that scan could pick.
 #[inline]
 fn nearest_in(run: &[(Point, u32)], p: &Point) -> usize {
     let mut best = (f64::INFINITY, 0usize);
@@ -743,14 +737,12 @@ fn closest_sq(b: &Rect, c: &Point) -> f64 {
 #[inline]
 fn count_distances(n: usize) {
     #[cfg(test)]
-    DISTANCES_EVALUATED.with(|d| d.set(d.get() + n as u64));
+    tests::DISTANCES_EVALUATED.with(|d| d.set(d.get() + n as u64));
     let _ = n;
 }
 
-/// The centres of one Lloyd iteration in a uniform grid, for the assignment
-/// step's nearest-centre search. [`CentreGrid::nearest`] returns what a scan
-/// of every centre in index order returns — the lowest-indexed centre among
-/// those at the minimum `distance_sq` — and a one-cell grid is that scan.
+/// The centres of one Lloyd round in a uniform grid, for the assignment
+/// step's start and candidate lists.
 ///
 /// Buffers are reused across [`CentreGrid::rebuild`]s.
 #[derive(Default)]
@@ -765,7 +757,8 @@ struct CentreGrid {
     /// CSR cell lists: cell `c = row * cols + col` holds
     /// `slots[starts[c]..starts[c + 1]]`, centre indices ascending.
     starts: Vec<u32>,
-    /// A centre's location beside its index, so a cell scans contiguously.
+    /// A centre's location beside its index, so a cell scans contiguously:
+    /// every finite centre, so every one the all-centres scan can pick.
     slots: Vec<(Point, u32)>,
     /// Scratch of `rebuild`: each centre's cell ([`NO_CELL`] if not finite).
     cell_of: Vec<u32>,
@@ -782,16 +775,10 @@ struct CentreGrid {
 /// distance to anything is ∞ or NaN, which never wins the scan's `d < best`.
 const NO_CELL: u32 = u32::MAX;
 
-#[cfg(test)]
-thread_local! {
-    /// Distances [`CentreGrid::nearest`] has evaluated on this thread.
-    static DISTANCES_EVALUATED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
 impl CentreGrid {
     /// Grid column of `x`. Non-decreasing in `x` over all finite `x` (each
     /// step — subtract, scale by a non-negative, truncate, clamp — is), which
-    /// is the one property [`CentreGrid::nearest`]'s bounds rest on.
+    /// is the one property [`CentreGrid::candidates`]'s bounds rest on.
     #[inline]
     fn col(&self, x: f64) -> usize {
         (((x - self.origin.x) * self.per_x) as usize).min(self.cols - 1)
@@ -892,74 +879,28 @@ impl CentreGrid {
         &self.slots[self.starts[from] as usize..self.starts[to + 1] as usize]
     }
 
-    /// Scans cells `from..=to` of one row, keeping the lowest
-    /// `(distance, index)` seen.
-    #[inline]
-    fn scan(&self, p: &Point, from: usize, to: usize, best: &mut (f64, usize)) {
-        scan(self.run(from, to), p, best);
-    }
-
-    /// The index of the centre nearest `p`: exactly the result of
-    /// `for (c, center) in centers { if p.distance_sq(center) < best_d { .. } }`
-    /// from `(0, ∞)`.
-    ///
-    /// The search visits a block of cells, starting at `p`'s own and growing
-    /// one column or row at a time on every side that could still hold a
-    /// better centre. A side is closed when the *computed* distance to any
-    /// centre beyond it is provably above the best found. For the left side:
-    /// `L = left[x0]` is the largest x filed in a column before the block;
-    /// `col` is monotone and `p`'s column is in the block, so every centre
-    /// `c` out there has `c.x <= L < p.x`; floating-point subtraction,
-    /// multiplication and addition round monotonically, so
-    /// `fl(p.x - c.x) >= fl(p.x - L) >= 0`, its square is no smaller, and
-    /// adding a non-negative `dy²` keeps it so: `distance_sq(p, c) >=
-    /// (p.x - L)²` as computed. The comparison is strict, so a centre behind
-    /// a closed side cannot even tie; among the centres visited, ties go to
-    /// the lowest index. A centre or `p` with a non-finite coordinate only
-    /// yields distances of ∞ or NaN, which never replace the initial
-    /// `(0, ∞)` — and with `best_d = ∞` no side ever closes early, so the
-    /// whole grid is scanned.
-    fn nearest(&self, p: &Point) -> usize {
+    /// The start assignment of a cell of points whose box centre is `p`:
+    /// of the centres in the first ring of grid cells around `p`'s own that
+    /// holds any, the one nearest `p` (0 when no centre is filed).
+    fn start(&self, p: &Point) -> usize {
         let cols = self.cols;
-        let (mut x0, mut y0) = (self.col(p.x), self.row(p.y));
-        let (mut x1, mut y1) = (x0, y0);
+        let (cx, cy) = (self.col(p.x), self.row(p.y));
         let mut best = (f64::INFINITY, 0usize);
-        self.scan(p, y0 * cols + x0, y0 * cols + x0, &mut best);
-        // A NaN gap compares false: the side stays open.
-        let closed = |edge: f64, at: f64, best_d: f64| {
-            let gap = at - edge;
-            gap * gap > best_d
-        };
-        loop {
-            let mut grown = false;
-            if x0 > 0 && !closed(self.left[x0], p.x, best.0) {
-                x0 -= 1;
-                for y in y0..=y1 {
-                    self.scan(p, y * cols + x0, y * cols + x0, &mut best);
-                }
-                grown = true;
+        for ring in 0..cols.max(self.rows) {
+            // The rings inside this one hold no centre, so the block they
+            // make with it holds what the ring does.
+            let (x0, x1) = (cx.saturating_sub(ring), (cx + ring).min(cols - 1));
+            let mut found = false;
+            for y in cy.saturating_sub(ring)..=(cy + ring).min(self.rows - 1) {
+                let run = self.run(y * cols + x0, y * cols + x1);
+                found |= !run.is_empty();
+                scan(run, p, &mut best);
             }
-            if x1 + 1 < cols && !closed(self.right[x1], p.x, best.0) {
-                x1 += 1;
-                for y in y0..=y1 {
-                    self.scan(p, y * cols + x1, y * cols + x1, &mut best);
-                }
-                grown = true;
-            }
-            if y0 > 0 && !closed(self.below[y0], p.y, best.0) {
-                y0 -= 1;
-                self.scan(p, y0 * cols + x0, y0 * cols + x1, &mut best);
-                grown = true;
-            }
-            if y1 + 1 < self.rows && !closed(self.above[y1], p.y, best.0) {
-                y1 += 1;
-                self.scan(p, y1 * cols + x0, y1 * cols + x1, &mut best);
-                grown = true;
-            }
-            if !grown {
-                return best.1;
+            if found {
+                break;
             }
         }
+        best.1
     }
 
     /// Fills `out` with the centres that can be within `reach` of a point of
@@ -967,10 +908,12 @@ impl CentreGrid {
     /// not. `reach` must be finite.
     ///
     /// The block of cells starts at those `b` spans and grows on each side
-    /// until the side is closed as in [`CentreGrid::nearest`], with `b`'s
-    /// edge in place of the point's coordinate and `reach` in place of the
-    /// best distance; a centre of the block is kept when its
-    /// [`closest_sq`] is at most `reach`.
+    /// until the side is closed: `(b.min.x − left[x0])²`, computed as
+    /// `distance_sq` computes, is a bound on the distance from `b` to every
+    /// centre beyond the left side, and the side closes when it is
+    /// *strictly* above `reach` (likewise on the other three sides); a
+    /// centre of the block is kept when its [`closest_sq`] is at most
+    /// `reach`.
     fn candidates(&self, b: &Rect, reach: f64, out: &mut Vec<(Point, u32)>) {
         let cols = self.cols;
         let (mut x0, mut x1) = (self.col(b.min.x), self.col(b.max.x));
@@ -1037,6 +980,12 @@ fn str_pack(points: &[Point], items: &[usize], k: usize) -> Vec<Vec<usize>> {
 pub(crate) mod tests {
     use super::*;
     use crate::tree::{BuildStrategy, NodeId};
+
+    thread_local! {
+        /// Distances (and bounds on one) the assignment step has evaluated
+        /// on this thread.
+        pub(super) static DISTANCES_EVALUATED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
 
     fn grid_sensors(side: usize) -> Vec<SensorMeta> {
         let mut out = Vec::new();
@@ -1293,8 +1242,8 @@ pub(crate) mod tests {
             .collect()
     }
 
-    /// The all-centres scan [`CentreGrid::nearest`] replaced, kept as the
-    /// reference the grid search is compared against.
+    /// The all-centres scan, kept as the reference the assignment step's
+    /// search is compared against.
     fn nearest_of_all(centers: &[Point], p: &Point) -> usize {
         let mut best = 0;
         let mut best_d = f64::INFINITY;
@@ -1390,30 +1339,38 @@ pub(crate) mod tests {
         groups
     }
 
+    /// [`lloyd_from`] from `centers` against the all-centres loop from the
+    /// same start, groups and the RNG's next draw, for 1, 2 and 8 rounds and
+    /// cells of one point and of [`POINTS_PER_CELL`].
     #[track_caller]
-    fn assert_nearest_matches(what: &str, centers: &[Point], points: &[Point]) {
-        let mut grid = CentreGrid::default();
-        grid.rebuild(centers);
-        for (i, p) in points.iter().enumerate() {
-            assert_eq!(
-                grid.nearest(p),
-                nearest_of_all(centers, p),
-                "{what}: point {i} {p:?} among {} centres",
-                centers.len()
-            );
+    fn assert_lloyd_from_matches(what: &str, centers: &[Point], points: &[Point]) {
+        let items: Vec<usize> = (0..points.len()).collect();
+        for rounds in [1, 2, 8] {
+            for per_cell in [1, POINTS_PER_CELL] {
+                let (mut a, mut b) = (StdRng::seed_from_u64(19), StdRng::seed_from_u64(19));
+                assert_eq!(
+                    lloyd_from(points, &items, centers.to_vec(), rounds, &mut a, per_cell),
+                    lloyd_of_all_from(points, &items, centers.to_vec(), rounds, &mut b),
+                    "{what}: groups differ from {} centres, {rounds} rounds, cells of {per_cell}",
+                    centers.len()
+                );
+                assert_eq!(a.next_u64(), b.next_u64(), "{what}: RNG position differs");
+            }
         }
     }
 
     #[track_caller]
     fn assert_lloyd_matches(what: &str, points: &[Point], k: usize) {
         let items: Vec<usize> = (0..points.len()).collect();
-        let (mut a, mut b) = (StdRng::seed_from_u64(19), StdRng::seed_from_u64(19));
-        assert_eq!(
-            lloyd(points, &items, k, 8, &mut a),
-            lloyd_of_all(points, &items, k, 8, &mut b),
-            "{what}: groups differ at k = {k}"
-        );
-        assert_eq!(a.next_u64(), b.next_u64(), "{what}: RNG position differs");
+        for rounds in [1, 8] {
+            let (mut a, mut b) = (StdRng::seed_from_u64(19), StdRng::seed_from_u64(19));
+            assert_eq!(
+                lloyd(points, &items, k, rounds, &mut a),
+                lloyd_of_all(points, &items, k, rounds, &mut b),
+                "{what}: groups differ at k = {k}, {rounds} rounds"
+            );
+            assert_eq!(a.next_u64(), b.next_u64(), "{what}: RNG position differs");
+        }
     }
 
     /// Every `step`-th point: a cheap stand-in for a set of centres.
@@ -1422,25 +1379,25 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn grid_search_answers_as_the_all_centres_scan_on_fixed_rows() {
+    fn lloyd_from_given_centres_groups_and_draws_as_the_all_centres_loop() {
         let uniform = uniform_points(1_500, 1);
         let cities = city_points(1_500, 2);
-        assert_nearest_matches("uniform", &every(&uniform, 10), &uniform);
-        assert_nearest_matches("cities", &every(&cities, 10), &cities);
+        assert_lloyd_from_matches("uniform", &every(&uniform, 10), &uniform);
+        assert_lloyd_from_matches("cities", &every(&cities, 10), &cities);
         // A centre per point, one centre, two centres.
-        assert_nearest_matches("k = n", &cities, &cities);
-        assert_nearest_matches("k = 1", &cities[..1], &cities);
-        assert_nearest_matches("k = 2", &cities[..2], &cities);
+        assert_lloyd_from_matches("k = n", &cities, &cities);
+        assert_lloyd_from_matches("k = 1", &cities[..1], &cities);
+        assert_lloyd_from_matches("k = 2", &cities[..2], &cities);
         // Every point and every centre twice: each minimum is a tie.
         let twice: Vec<Point> = cities.iter().flat_map(|&p| [p, p]).collect();
-        assert_nearest_matches("duplicated", &every(&twice, 5), &twice);
-        assert_nearest_matches("all centres equal", &[cities[7]; 40], &cities);
+        assert_lloyd_from_matches("duplicated", &every(&twice, 5), &twice);
+        assert_lloyd_from_matches("all centres equal", &[cities[7]; 40], &cities);
         // A zero-width and a zero-height grid, with points on and off the line.
         let on_x: Vec<Point> = uniform.iter().map(|p| Point::new(p.x, 3.0)).collect();
         let on_y: Vec<Point> = uniform.iter().map(|p| Point::new(-7.0, p.y)).collect();
         for (what, line) in [("horizontal", &on_x), ("vertical", &on_y)] {
-            assert_nearest_matches(what, &every(line, 10), line);
-            assert_nearest_matches(what, &every(line, 10), &uniform);
+            assert_lloyd_from_matches(what, &every(line, 10), line);
+            assert_lloyd_from_matches(what, &every(line, 10), &uniform);
         }
         // Points far outside the centres' box, up to where the distance
         // overflows to ∞ and the scan's answer is centre 0.
@@ -1456,9 +1413,9 @@ pub(crate) mod tests {
                 ]
             })
             .collect();
-        assert_nearest_matches("far points", &every(&cities, 10), &far);
-        assert_nearest_matches("far centres", &far, &cities);
-        assert_nearest_matches("far both", &far, &far);
+        assert_lloyd_from_matches("far points", &every(&cities, 10), &far);
+        assert_lloyd_from_matches("far centres", &far, &cities);
+        assert_lloyd_from_matches("far both", &far, &far);
         // Non-finite coordinates, in the points and in the centres (first,
         // last, all).
         let odd = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
@@ -1466,17 +1423,17 @@ pub(crate) mod tests {
             .into_iter()
             .flat_map(|v| [Point::new(v, 5.0), Point::new(5.0, v), Point::new(v, v)])
             .collect();
-        assert_nearest_matches("wild points", &every(&cities, 10), &wild);
+        assert_lloyd_from_matches("wild points", &every(&cities, 10), &wild);
         for at in [0, 75, 149] {
             for &w in &wild {
                 let mut centers = every(&cities, 10);
                 centers[at] = w;
-                assert_nearest_matches("a wild centre", &centers, &cities[..200]);
-                assert_nearest_matches("a wild centre", &centers, &wild);
+                assert_lloyd_from_matches("a wild centre", &centers, &cities[..200]);
+                assert_lloyd_from_matches("a wild centre", &centers, &wild);
             }
         }
-        assert_nearest_matches("only wild centres", &wild, &cities[..200]);
-        assert_nearest_matches("no centres in the grid", &wild, &wild);
+        assert_lloyd_from_matches("only wild centres", &wild, &cities[..200]);
+        assert_lloyd_from_matches("no centres in the grid", &wild, &wild);
     }
 
     #[test]
@@ -1508,14 +1465,15 @@ pub(crate) mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(400))]
 
-        /// Coordinates off a coarse lattice (so exact ties between centres
+        /// The loop from any start centres, as many as the points or more:
+        /// coordinates off a coarse lattice (so exact ties between centres
         /// are the rule), off the reals, and now and then huge or not finite.
         #[test]
-        fn grid_search_answers_as_the_all_centres_scan(
+        fn lloyd_from_any_centres_groups_and_draws_as_the_all_centres_loop(
             centers in proptest::collection::vec(any_point(), 1..60),
             points in proptest::collection::vec(any_point(), 1..40),
         ) {
-            assert_nearest_matches("proptest", &centers, &points);
+            assert_lloyd_from_matches("proptest", &centers, &points);
         }
 
         /// The cell assignment against the all-centres loop, groups and the
@@ -1610,9 +1568,9 @@ pub(crate) mod tests {
     /// At a merge's size (`n` = 4,096, `k` = 410: 410 distances per point per
     /// iteration for the all-centres scan) the assignment step must stay a
     /// search: a bound that never closes a side, or a `reach` that keeps
-    /// every centre, would still be exact. Counted: every distance the cell
-    /// scans, the first iteration's grid searches and the reach computations
-    /// evaluate, and every `closest_sq` bound.
+    /// every centre, would still be exact. Counted: every distance the start
+    /// assignment, the reach computations and the candidate scans evaluate,
+    /// and every `closest_sq` bound.
     #[test]
     fn grid_search_evaluates_a_fraction_of_the_centres() {
         for (what, points) in [
@@ -1626,15 +1584,15 @@ pub(crate) mod tests {
             let per_point = evaluated as f64 / (4_096.0 * 8.0);
             assert!(
                 per_point <= 64.0,
-                "{what}: {per_point:.1} distances per point per iteration"
+                "{what}: {per_point:.2} distances per point per round"
             );
-            println!("{what}: {per_point:.1} distances per point per iteration");
+            println!("{what}: {per_point:.2} distances per point per round");
         }
     }
 
     /// The build RNG's next raw draw after the levels are clustered, recorded
     /// at the parent of PR 19 (all-centres assignment) per fleet size of
-    /// [`BUILD_RNG_SIZES`]: the grid search must leave every seeding,
+    /// [`BUILD_RNG_SIZES`]: the assignment search must leave every seeding,
     /// re-seeding and per-cell seed draw where it was. The trees themselves
     /// are pinned in `tests/hotpath_parity.rs`.
     const BUILD_RNG_SIZES: [usize; 6] = [1, 10, 11, 4_096, 4_097, 40_000];

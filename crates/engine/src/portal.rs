@@ -89,7 +89,8 @@ pub struct BatchResult {
     pub results: Vec<PortalResult>,
     /// Collection statistics summed over the batch.
     pub stats: QueryStats,
-    /// Readings written back into the cache after the batch completed.
+    /// Readings the batch wrote back into the caches: after it completed on
+    /// one shard, as each query ran when routed over several.
     pub readings_applied: usize,
     /// Shortfall accounting merged over the whole batch (per-query reports
     /// stay on each [`PortalResult`]).

@@ -525,10 +525,9 @@ impl<P: ProbeService> ShardedPortal<P> {
         }
         Ok(BatchResult {
             results,
+            // Routed queries write their readings back as they run.
+            readings_applied: stats.cache_inserts as usize,
             stats,
-            // Routed queries run interactively per shard, so write-backs are
-            // applied inline rather than deferred to batch end.
-            readings_applied: 0,
             degradation,
         })
     }
@@ -1141,6 +1140,31 @@ mod tests {
                 "threads {threads}: batch degradation diverged"
             );
         }
+    }
+
+    #[test]
+    fn a_routed_batch_reports_the_readings_it_wrote_back() {
+        let sensors: Vec<SensorMeta> = (0..16 * 16)
+            .map(|i| {
+                let at = Point::new((i % 16) as f64, (i / 16) as f64);
+                SensorMeta::new(i as u32, at, TimeDelta::from_millis(PARITY_EXPIRY_MS), 1.0)
+            })
+            .collect();
+        let router = ShardedPortal::new(sensors, |_, _| parity_probe(), 4, parity_config(7));
+        router.clock().advance_to(Timestamp(5_000));
+        let batch: Vec<_> = [
+            "SELECT count(*) FROM sensor WHERE location WITHIN RECT(0, 0, 15, 15) SAMPLESIZE 40",
+            "SELECT avg(value) FROM sensor WHERE location WITHIN RECT(2, 2, 9, 9) SAMPLESIZE 12",
+        ]
+        .iter()
+        .map(|sql| crate::parse(sql).expect("SQL parses"))
+        .collect();
+        let got = router.execute_many(&batch, 1).expect("routed batch");
+        assert!(
+            got.stats.cache_inserts > 0,
+            "a cold batch probes and writes back"
+        );
+        assert_eq!(got.readings_applied as u64, got.stats.cache_inserts);
     }
 
     #[test]
