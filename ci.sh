@@ -62,6 +62,15 @@ if grep -nE 'fn nearest\(' crates/core/src/build.rs; then
     echo "ci: a second nearest-centre search is back in the bulk build (matches above)" >&2
     exit 1
 fi
+# Knobs nothing set are constants where they are read: the cost model, the
+# branching factor, the coverage threshold, the k-means rounds and the
+# admission queue's wait model. The settings they replaced stay gone, as does
+# the tracer's clock hook (a query's spans carry its own instant).
+if grep -rnE 'pub branching:|cache_coverage_threshold|struct CostModel|max_queue_wait|queue_wait_per_slot|KMeans \{|fn set_clock|fn record_now' \
+    crates src tests examples; then
+    echo "ci: a knob that became a constant is back (matches above)" >&2
+    exit 1
+fi
 echo "ci: one-path gate OK"
 # Non-test line ratchet: lines under crates/*/src up to each file's first
 # column-0 `#[cfg(test)]`, the test-only files slot_cache/reference.rs and
@@ -78,7 +87,7 @@ if [ -n "$early" ]; then
     echo "ci: a column-0 #[cfg(test)] before the test module cuts the count early at: $early" >&2
     exit 1
 fi
-max_nontest=18526
+max_nontest=18281
 nontest=$(counted crates/*/src |
     xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile } { n++ } END { print n }' |
     awk '{ s += $1 } END { print s }')
@@ -91,7 +100,7 @@ echo "ci: non-test line ratchet OK ($nontest of $max_nontest)"
 # `unreachable!(` on the non-test lines of the core and engine crates, cut as
 # above. The count may only fall; each site that goes becomes a typed
 # `PortalError`, a `debug_assert!` with its invariant written down, or nothing.
-max_panics=13
+max_panics=12
 panics=$(counted crates/core/src crates/engine/src |
     xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile } { n += gsub(/\.unwrap\(\)|\.expect\(|panic!\(|unreachable!\(/, "&") } END { print n + 0 }' |
     awk '{ s += $1 } END { print s }')

@@ -246,7 +246,7 @@ fn fig4(args: &Args) {
     for &f in &freshness_mins {
         let staleness = Some(TimeDelta::from_mins(f));
 
-        let mut flat = FlatCache::new(sc.sensors.clone(), None, Default::default());
+        let mut flat = FlatCache::new(sc.sensors.clone(), None);
         let mut net = net_for(&sc, 5);
         let flat_ms = replay_flat(&mut flat, &sc, &mut net, staleness);
 
@@ -670,7 +670,7 @@ fn ablation(args: &Args) {
     println!("{:>8} {:>10} {:>10}", "build", "nodes", "probes");
     let mut rows = Vec::new();
     for (name, strategy) in [
-        ("kmeans", BuildStrategy::KMeans { iterations: 8 }),
+        ("kmeans", BuildStrategy::KMeans),
         ("str", BuildStrategy::Str),
     ] {
         let config = ColrConfig {
@@ -712,7 +712,7 @@ fn headline(args: &Args) {
     let sc = scenario(args.full, args.queries.or(Some(1_200)), args.sensors);
     let staleness = Some(TimeDelta::from_mins(5));
 
-    let mut flat = FlatCache::new(sc.sensors.clone(), None, Default::default());
+    let mut flat = FlatCache::new(sc.sensors.clone(), None);
     let mut net = net_for(&sc, 5);
     let flat_ms = replay_flat(&mut flat, &sc, &mut net, staleness);
 

@@ -215,7 +215,7 @@ mod tests {
     #[test]
     fn flat_replay_scans_pool() {
         let sc = scenario(false, Some(5), Some(1_000));
-        let mut flat = FlatCache::new(sc.sensors.clone(), None, Default::default());
+        let mut flat = FlatCache::new(sc.sensors.clone(), None);
         let field = RandomWalkField::new(sc.sensors.len(), 0.0, 60.0, 2.0, 9);
         let mut net = SimNetwork::new(sc.sensors.clone(), field, 5);
         let ms = replay_flat(&mut flat, &sc, &mut net, None);

@@ -70,9 +70,9 @@
 //! `lloyd_from`, runs from whatever start `start_centres` gives it. Only a
 //! merge's leaf level, when clustered directly (≤ `DIRECT_KMEANS_MAX`
 //! points), is seeded: from the absorbed levels' live leaf centroids, the
-//! `k` heaviest, topped up by the cold start's draws, for at most
-//! `SEEDED_ROUNDS` rounds. Every other clustering starts cold and runs all
-//! `iterations`, bit for bit as before. Why, and what it measures: DESIGN §6.
+//! `k` heaviest, topped up by the cold start's draws, for `SEEDED_ROUNDS`
+//! rounds. Every other clustering starts cold and runs `KMEANS_ROUNDS`, bit
+//! for bit as before. Why, and what it measures: DESIGN §6.
 //!
 //! ## Parallel construction
 //!
@@ -95,9 +95,14 @@ use crate::slot_cache::SlotConfig;
 use crate::time::TimeDelta;
 use crate::tree::{BuildStrategy, ColrConfig, ColrTree};
 
+/// Target branching factor `B`: a level of `n` nodes is clustered into
+/// `⌈n/B⌉` parents.
+const BRANCHING: usize = 10;
 /// Points above this count are clustered per grid cell.
 const DIRECT_KMEANS_MAX: usize = 4096;
-/// Lloyd rounds, at most, of a leaf level started from seeds.
+/// Lloyd rounds of a k-means started cold.
+const KMEANS_ROUNDS: usize = 8;
+/// Lloyd rounds of a leaf level started from seeds.
 const SEEDED_ROUNDS: usize = 3;
 /// Target points per grid cell for partitioned k-means.
 const TARGET_CELL: usize = 1024;
@@ -136,7 +141,6 @@ impl ColrTree {
         threads: usize,
         seeds: &[(Point, usize)],
     ) -> ColrTree {
-        assert!(config.branching >= 2, "branching factor must be >= 2");
         for (i, s) in sensors.iter().enumerate() {
             assert_eq!(
                 s.id.index(),
@@ -173,13 +177,6 @@ impl ColrTree {
             .observe(assemble_start.elapsed().as_micros() as u64);
         telem.trees.inc();
         tree
-    }
-
-    /// Rebuilds the index over a (possibly updated) sensor set, discarding
-    /// all cached data — the paper's periodic reconstruction to reflect
-    /// sensor relocation.
-    pub fn rebuild(&mut self, sensors: Vec<SensorMeta>, seed: u64) {
-        *self = ColrTree::build(sensors, self.config.clone(), seed);
     }
 }
 
@@ -296,7 +293,7 @@ impl Builder {
         seeds: &[(Point, usize)],
     ) {
         let telem = crate::telem::build();
-        let b = config.branching;
+        let b = BRANCHING;
         // --- Leaf level ---
         let leaf_start = std::time::Instant::now();
         let points: Vec<Point> = sensors.iter().map(|s| s.location).collect();
@@ -341,8 +338,8 @@ impl Builder {
     }
 
     /// Clusters `items` (parallel to `points`) into at most `k` non-empty
-    /// groups. Given `seeds`, a direct k-means starts from them and runs at
-    /// most [`SEEDED_ROUNDS`] rounds.
+    /// groups. Given `seeds`, a direct k-means starts from them and runs
+    /// [`SEEDED_ROUNDS`] rounds.
     fn group(
         &mut self,
         points: &[Point],
@@ -356,13 +353,13 @@ impl Builder {
             return vec![items.to_vec()];
         }
         match strategy {
-            BuildStrategy::KMeans { iterations } => {
+            BuildStrategy::KMeans => {
                 if points.len() > DIRECT_KMEANS_MAX {
-                    self.grid_kmeans(points, items, k, iterations)
+                    self.grid_kmeans(points, items, k)
                 } else {
                     let rounds = match seeds {
-                        [] => iterations,
-                        _ => iterations.min(SEEDED_ROUNDS),
+                        [] => KMEANS_ROUNDS,
+                        _ => SEEDED_ROUNDS,
                     };
                     let rng = &mut self.rng;
                     let centers = start_centres(points, k, seeds, rng);
@@ -381,13 +378,7 @@ impl Builder {
     /// order before any worker starts, and cell results are concatenated in
     /// that same order, so the grouping does not depend on the thread count
     /// or scheduling.
-    fn grid_kmeans(
-        &mut self,
-        points: &[Point],
-        items: &[usize],
-        k: usize,
-        iterations: usize,
-    ) -> Vec<Vec<usize>> {
+    fn grid_kmeans(&mut self, points: &[Point], items: &[usize], k: usize) -> Vec<Vec<usize>> {
         debug_assert!(points.len() > DIRECT_KMEANS_MAX);
         let n = points.len();
         let Some(bbox) = Rect::bounding(points) else {
@@ -443,7 +434,7 @@ impl Builder {
 
         let run = |job: &Job| {
             let mut rng = StdRng::seed_from_u64(job.seed);
-            lloyd(job.points, job.items, job.share, iterations, &mut rng)
+            lloyd(job.points, job.items, job.share, &mut rng)
         };
         let per_cell: Vec<Vec<Vec<usize>>> = if self.threads <= 1 || jobs.len() <= 1 {
             jobs.iter().map(run).collect()
@@ -472,13 +463,8 @@ impl Builder {
 /// This is the shard-map primitive: a sharded portal partitions its sensor
 /// population with exactly the clustering the tree itself is built from, so
 /// shard extents line up with the index's own notion of spatial locality.
-/// Deterministic for a given `(points, k, iterations, seed)`.
-pub fn kmeans_partition(
-    points: &[Point],
-    k: usize,
-    iterations: usize,
-    seed: u64,
-) -> Vec<Vec<usize>> {
+/// Deterministic for a given `(points, k, seed)`.
+pub fn kmeans_partition(points: &[Point], k: usize, seed: u64) -> Vec<Vec<usize>> {
     let n = points.len();
     if n == 0 {
         return Vec::new();
@@ -488,23 +474,18 @@ pub fn kmeans_partition(
         return vec![items];
     }
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut groups = lloyd(points, &items, k, iterations.max(1), &mut rng);
+    let mut groups = lloyd(points, &items, k, &mut rng);
     // `lloyd` pushes members in input order (ascending); order the groups
     // themselves by first member so shard numbering is stable to read.
     groups.sort_by_key(|g| g[0]);
     groups
 }
 
-/// Plain Lloyd's k-means with random distinct seeding.
-fn lloyd(
-    points: &[Point],
-    items: &[usize],
-    k: usize,
-    iterations: usize,
-    rng: &mut StdRng,
-) -> Vec<Vec<usize>> {
+/// Plain Lloyd's k-means with random distinct seeding, [`KMEANS_ROUNDS`]
+/// rounds.
+fn lloyd(points: &[Point], items: &[usize], k: usize, rng: &mut StdRng) -> Vec<Vec<usize>> {
     let centers = start_centres(points, k, &[], rng);
-    lloyd_from(points, items, centers, iterations, rng, POINTS_PER_CELL)
+    lloyd_from(points, items, centers, KMEANS_ROUNDS, rng, POINTS_PER_CELL)
 }
 
 /// The points of the `k` heaviest `seeds` (ties to the earlier), in the
@@ -1365,7 +1346,7 @@ pub(crate) mod tests {
         for rounds in [1, 8] {
             let (mut a, mut b) = (StdRng::seed_from_u64(19), StdRng::seed_from_u64(19));
             assert_eq!(
-                lloyd(points, &items, k, rounds, &mut a),
+                lloyd_in_cells(points, &items, k, rounds, &mut a, POINTS_PER_CELL),
                 lloyd_of_all(points, &items, k, rounds, &mut b),
                 "{what}: groups differ at k = {k}, {rounds} rounds"
             );
@@ -1579,9 +1560,9 @@ pub(crate) mod tests {
         ] {
             let items: Vec<usize> = (0..points.len()).collect();
             let before = DISTANCES_EVALUATED.with(|n| n.get());
-            lloyd(&points, &items, 410, 8, &mut StdRng::seed_from_u64(19));
+            lloyd(&points, &items, 410, &mut StdRng::seed_from_u64(19));
             let evaluated = DISTANCES_EVALUATED.with(|n| n.get()) - before;
-            let per_point = evaluated as f64 / (4_096.0 * 8.0);
+            let per_point = evaluated as f64 / (4_096.0 * KMEANS_ROUNDS as f64);
             assert!(
                 per_point <= 64.0,
                 "{what}: {per_point:.2} distances per point per round"

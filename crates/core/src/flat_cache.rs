@@ -10,7 +10,7 @@ use colr_geo::Region;
 
 use crate::probe::ProbeService;
 use crate::reading::{Reading, SensorId, SensorMeta};
-use crate::stats::{CostModel, QueryStats};
+use crate::stats::{latency_ms, primary_waves, QueryStats};
 use crate::time::{TimeDelta, Timestamp};
 
 /// An unindexed pool of cached raw readings over a registered sensor set.
@@ -23,7 +23,6 @@ pub struct FlatCache {
     occupancy: usize,
     /// Optional cap on cached readings; evicts least recently fetched.
     capacity: Option<usize>,
-    cost: CostModel,
 }
 
 /// Result of a flat-cache query.
@@ -39,14 +38,13 @@ pub struct FlatOutput {
 
 impl FlatCache {
     /// Creates a flat cache over `sensors` with an optional capacity.
-    pub fn new(sensors: Vec<SensorMeta>, capacity: Option<usize>, cost: CostModel) -> Self {
+    pub fn new(sensors: Vec<SensorMeta>, capacity: Option<usize>) -> Self {
         let n = sensors.len();
         FlatCache {
             sensors,
             cached: vec![None; n],
             occupancy: 0,
             capacity,
-            cost,
         }
     }
 
@@ -85,7 +83,7 @@ impl FlatCache {
 
         let outcomes = probe.probe_batch(&to_probe, now);
         stats.sensors_probed += to_probe.len() as u64;
-        stats.probe_waves = self.cost.primary_waves(stats.sensors_probed);
+        stats.probe_waves = primary_waves(stats.sensors_probed);
         for outcome in outcomes {
             match outcome {
                 Some(r) => {
@@ -96,7 +94,7 @@ impl FlatCache {
                 None => stats.probes_failed += 1,
             }
         }
-        let latency_ms = self.cost.latency_ms(&stats);
+        let latency_ms = latency_ms(&stats);
         FlatOutput {
             readings,
             stats,
@@ -172,7 +170,7 @@ mod tests {
 
     #[test]
     fn scans_entire_pool_every_query() {
-        let mut fc = FlatCache::new(sensors(100), None, CostModel::default());
+        let mut fc = FlatCache::new(sensors(100), None);
         let probe = AlwaysAvailable {
             expiry_ms: EXPIRY_MS,
         };
@@ -189,7 +187,7 @@ mod tests {
 
     #[test]
     fn warm_cache_avoids_probes() {
-        let mut fc = FlatCache::new(sensors(100), None, CostModel::default());
+        let mut fc = FlatCache::new(sensors(100), None);
         let probe = AlwaysAvailable {
             expiry_ms: EXPIRY_MS,
         };
@@ -212,7 +210,7 @@ mod tests {
 
     #[test]
     fn staleness_bound_forces_reprobe() {
-        let mut fc = FlatCache::new(sensors(100), None, CostModel::default());
+        let mut fc = FlatCache::new(sensors(100), None);
         let probe = AlwaysAvailable {
             expiry_ms: EXPIRY_MS,
         };
@@ -233,7 +231,7 @@ mod tests {
 
     #[test]
     fn capacity_evicts_least_recently_fetched() {
-        let mut fc = FlatCache::new(sensors(100), Some(5), CostModel::default());
+        let mut fc = FlatCache::new(sensors(100), Some(5));
         let probe = AlwaysAvailable {
             expiry_ms: EXPIRY_MS,
         };
@@ -248,7 +246,7 @@ mod tests {
 
     #[test]
     fn expire_drops_dead_readings() {
-        let mut fc = FlatCache::new(sensors(10), None, CostModel::default());
+        let mut fc = FlatCache::new(sensors(10), None);
         let probe = AlwaysAvailable { expiry_ms: 1_000 };
         fc.query(
             &region(0.0, 9.5),
@@ -263,7 +261,7 @@ mod tests {
 
     #[test]
     fn latency_includes_scan_cost() {
-        let mut fc = FlatCache::new(sensors(1_000), None, CostModel::default());
+        let mut fc = FlatCache::new(sensors(1_000), None);
         let probe = AlwaysAvailable {
             expiry_ms: EXPIRY_MS,
         };

@@ -91,7 +91,7 @@ pub use reading::{Reading, SensorId, SensorMeta};
 pub use resilient::{BreakerState, ResilientConfig, ResilientProber};
 pub use slot_cache::{Slot, SlotCache, SlotConfig, SlotRing};
 pub use slot_size::SlotSizeWorkload;
-pub use stats::{CostModel, QueryStats};
+pub use stats::QueryStats;
 pub use time::{ClockHandle, SimClock, TimeDelta, Timestamp};
 pub use tree::{
     BuildStrategy, CachedEntry, Children, ColrConfig, ColrTree, LeafEntries, NodeCache,

@@ -23,7 +23,7 @@
 //! (`Wave`) and the outcomes are folded back into their groups and
 //! written to the caches in one batch (`ColrTree::complete`). No traversal
 //! decision reads a probe outcome, so a query costs one round trip (per
-//! `probe_parallelism` probes) however many terminals it reaches.
+//! `PROBE_PARALLELISM` probes) however many terminals it reaches.
 //!
 //! Execution takes `&self`: cache reads go through the tree's striped locks
 //! and write-backs through the maintenance path, so any number of queries can
@@ -40,8 +40,12 @@ use rand::Rng;
 use crate::agg::{AggKind, Histogram, PartialAgg};
 use crate::probe::ProbeService;
 use crate::reading::{Reading, SensorId};
+use crate::sampling::COVERAGE_THRESHOLD;
 use crate::scratch::QueryScratch;
-use crate::stats::QueryStats;
+use crate::stats::{
+    latency_ms, primary_waves, QueryStats, NODE_VISIT_MS, PROBE_OVERHEAD_MS, PROBE_PARALLELISM,
+    PROBE_RTT_MS, SLOT_COMBINE_MS,
+};
 use crate::time::{TimeDelta, Timestamp};
 use crate::tree::{ColrTree, NodeId};
 
@@ -280,12 +284,11 @@ impl ProbePlan {
 
 /// The collect step — the one place a query contacts the probe backend, and
 /// the one definition of a wave. Yields one outcome per id in selection
-/// order, issuing one `probe_batch_report` per `probe_parallelism` chunk
+/// order, issuing one `probe_batch_report` per `PROBE_PARALLELISM` chunk
 /// (sharing the query's retry budget) as the complete step draws them, so a
 /// viewport-sized request never holds more than a wave of outcomes;
 /// [`Wave::charge`] then books the whole dispatch.
 pub(crate) struct Wave<'a, P: ?Sized> {
-    cost: &'a crate::stats::CostModel,
     probe: &'a P,
     now: Timestamp,
     pending: std::slice::Chunks<'a, SensorId>,
@@ -294,18 +297,11 @@ pub(crate) struct Wave<'a, P: ?Sized> {
 }
 
 impl<'a, P: ProbeService + ?Sized> Wave<'a, P> {
-    pub(crate) fn new(
-        cost: &'a crate::stats::CostModel,
-        probe: &'a P,
-        ids: &'a [SensorId],
-        query: &Query,
-        now: Timestamp,
-    ) -> Self {
+    pub(crate) fn new(probe: &'a P, ids: &'a [SensorId], query: &Query, now: Timestamp) -> Self {
         Wave {
-            cost,
             probe,
             now,
-            pending: ids.chunks(cost.probe_parallelism.max(1) as usize),
+            pending: ids.chunks(PROBE_PARALLELISM as usize),
             arrived: Vec::new().into_iter(),
             stage: crate::flight::WaveStage {
                 probes: ids.len() as u64,
@@ -324,9 +320,8 @@ impl<'a, P: ProbeService + ?Sized> Wave<'a, P> {
         if w.probes == 0 {
             return;
         }
-        let cost = self.cost;
-        w.dur_us = ((w.waves as f64 * cost.probe_rtt_ms
-            + (w.probes + w.retries) as f64 * cost.probe_overhead_ms
+        w.dur_us = ((w.waves as f64 * PROBE_RTT_MS
+            + (w.probes + w.retries) as f64 * PROBE_OVERHEAD_MS
             + w.backoff_ms as f64)
             * 1_000.0) as u64;
         stats.sensors_probed += w.probes;
@@ -343,8 +338,9 @@ impl<'a, P: ProbeService + ?Sized> Wave<'a, P> {
         telem.probe_batch_size.observe(w.probes);
         telem.probe_wave_us.observe(w.dur_us);
         crate::flight::with(|f| f.wave(w));
-        colr_telemetry::tracer().record_now(
+        colr_telemetry::tracer().record(
             colr_telemetry::SpanKind::ProbeWave,
+            self.now.0 * 1_000,
             w.dur_us,
             w.probes,
         );
@@ -376,15 +372,16 @@ impl<P: ProbeService + ?Sized> Iterator for Wave<'_, P> {
 }
 
 /// Stamps the modelled latency on a completed answer and reports the query
-/// to the global telemetry and the tracer.
-pub(crate) fn finish(cost: &crate::stats::CostModel, mode: Mode, out: &mut QueryOutput) {
+/// to the global telemetry and the tracer, its spans at the query's instant
+/// `now`.
+pub(crate) fn finish(mode: Mode, now: Timestamp, out: &mut QueryOutput) {
     let stats = &out.stats;
     debug_assert_eq!(
         stats.probe_waves,
-        cost.primary_waves(stats.sensors_probed) + stats.retry_waves,
+        primary_waves(stats.sensors_probed) + stats.retry_waves,
         "a query's probes go out as one collect step"
     );
-    out.latency_ms = cost.latency_ms(stats);
+    out.latency_ms = latency_ms(stats);
     let telem = crate::telem::query();
     telem.count_query(mode);
     telem.latency_us.observe((out.latency_ms * 1_000.0) as u64);
@@ -392,11 +389,11 @@ pub(crate) fn finish(cost: &crate::stats::CostModel, mode: Mode, out: &mut Query
     if tr.enabled() {
         // Span durations are fed by the deterministic cost model, so the
         // recorded lifecycle is reproducible run to run.
-        let at = tr.now_us();
+        let at = now.0 * 1_000;
         tr.record(
             colr_telemetry::SpanKind::Traverse,
             at,
-            (stats.nodes_traversed as f64 * cost.node_visit_ms * 1_000.0) as u64,
+            (stats.nodes_traversed as f64 * NODE_VISIT_MS * 1_000.0) as u64,
             stats.nodes_traversed,
         );
         if stats.cache_nodes_used > 0 {
@@ -411,7 +408,7 @@ pub(crate) fn finish(cost: &crate::stats::CostModel, mode: Mode, out: &mut Query
             tr.record(
                 colr_telemetry::SpanKind::SlotCombine,
                 at,
-                (stats.slots_combined as f64 * cost.slot_combine_ms * 1_000.0) as u64,
+                (stats.slots_combined as f64 * SLOT_COMBINE_MS * 1_000.0) as u64,
                 stats.slots_combined,
             );
         }
@@ -485,14 +482,13 @@ impl ColrTree {
             plan.clear();
             let target = query.sample_size;
             let mut out = self.select(query, target, mode, now, rng, &mut plan, scratch);
-            let cost = &self.config().cost;
-            let mut wave = Wave::new(cost, probe, &plan.ids, query, now);
+            let mut wave = Wave::new(probe, &plan.ids, query, now);
             let fixes = 0..plan.fixes.len();
             let got = &mut scratch.got;
             self.complete(&mut out, &plan, fixes, &mut wave, got, mode, now, deferred);
             wave.charge(&mut out.stats);
             scratch.plan = plan;
-            finish(cost, mode, &mut out);
+            finish(mode, now, &mut out);
             out
         })
     }
@@ -557,7 +553,7 @@ impl ColrTree {
             return;
         };
         let selected = last.ids.end - first.ids.start;
-        let wave = self.config().cost.probe_parallelism.max(1) as usize;
+        let wave = PROBE_PARALLELISM as usize;
         // Only a request wider than a wave is written back in more than one
         // batch, with probe calls — no lock held — in between. The gate
         // refuses the nodes it is filling until the last batch is in, so to
@@ -722,7 +718,7 @@ impl ColrTree {
                 Some(k) => arena.kind_weight(idx, k) as f64,
             };
             if level >= terminal_level && population > 0.0 && query.region.contains_rect(&bbox) {
-                let needed = (population * self.config.cache_coverage_threshold).ceil();
+                let needed = (population * COVERAGE_THRESHOLD).ceil();
                 if self.serve_cached_aggregate(
                     arena,
                     idx,

@@ -544,7 +544,6 @@ impl LsmTree {
         // stream (`i + 1`), so results do not depend on component execution
         // order, and the apportionment's `u` (stream 0).
         let base = rng.next_u64();
-        let cost = &self.config.cost;
         crate::scratch::with_scratch(|scratch| {
             let mut plan = std::mem::take(&mut scratch.plan);
             plan.clear();
@@ -636,7 +635,7 @@ impl LsmTree {
             if let Some(part) = &l0_part {
                 wire.extend(part.to_probe.iter().map(|&(_, id)| id));
             }
-            let mut wave = Wave::new(cost, probe, wire, query, now);
+            let mut wave = Wave::new(probe, wire, query, now);
             // A pick went out iff the next id of the wire not yet matched is
             // its own: the wire is the record of who was asked.
             let mut sent = wire.iter().peekable();
@@ -714,7 +713,7 @@ impl LsmTree {
                 stats,
                 latency_ms: 0.0,
             };
-            finish(cost, mode, &mut out);
+            finish(mode, now, &mut out);
             out
         })
     }
@@ -992,15 +991,14 @@ fn select_l0<R: Rng + ?Sized>(
         return None;
     }
     let mut readings = Vec::with_capacity(selected.len());
-    let mut bbox: Option<colr_geo::Rect> = None;
+    // Expanding the box by the point it starts at changes no bit.
+    let first = cands[selected[0]].meta.location;
+    let mut bbox = colr_geo::Rect::new(first, first);
     let mut to_probe = Vec::new();
     let mut agg = PartialAgg::empty();
     for &i in selected {
         let Parked { pos, meta, entry } = &cands[i];
-        match bbox.as_mut() {
-            Some(b) => b.expand_to_point(&meta.location),
-            None => bbox = Some(colr_geo::Rect::new(meta.location, meta.location)),
-        }
+        bbox.expand_to_point(&meta.location);
         match entry {
             Some(e) if mode != Mode::RTree && e.reading.is_fresh(now, query.staleness) => {
                 agg.insert(e.reading.value);
@@ -1013,7 +1011,7 @@ fn select_l0<R: Rng + ?Sized>(
     crate::flight::with(|f| f.cached_readings(readings.len() as u64));
     let group = GroupResult {
         node: L0_GROUP_NODE,
-        bbox: bbox.expect("selected is non-empty"),
+        bbox,
         agg,
         from_cache: to_probe.is_empty(),
         target,

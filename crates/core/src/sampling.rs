@@ -50,6 +50,11 @@ use crate::tree::{ColrTree, NodeId};
 pub(crate) const MIN_AVAILABILITY: f64 = 0.05;
 /// Targets below this are treated as zero.
 pub(crate) const TARGET_EPS: f64 = 1e-9;
+/// Fraction of a node's descendants a cached aggregate must cover before a
+/// lookup ends early at that node (Section IV-B's "aggregate is indeed
+/// cached"). Tolerating partially expired coverage is what lets the
+/// hierarchical cache cut traversals in Fig 3.
+pub const COVERAGE_THRESHOLD: f64 = 0.5;
 
 struct PqEntry {
     /// Priority in *base* units (effective target = base × queue scale).
@@ -254,7 +259,7 @@ impl ColrTree {
 
     /// Ends the walk at the contained node `idx` *above* the terminal level
     /// when its own slot cache covers it: the Section IV-B gate of the
-    /// hierarchical lookup (at least `cache_coverage_threshold` of the
+    /// hierarchical lookup (at least [`COVERAGE_THRESHOLD`] of the
     /// subtree's population) and at least the readings asked of it, so an
     /// over-asking request (`want` = population) demands full coverage.
     /// Returns the credit against the raw target, or `None` — nothing
@@ -273,7 +278,7 @@ impl ColrTree {
         groups: &mut Vec<GroupResult>,
     ) -> Option<f64> {
         let (want, weight) = self.subtree_want(arena, idx, r_eff, scaled, avail, query);
-        let needed = want.max(self.config.cache_coverage_threshold * weight);
+        let needed = want.max(COVERAGE_THRESHOLD * weight);
         if !self.serve_cached_aggregate(arena, idx, want, needed, query, now, stats, groups) {
             return None;
         }

@@ -3,9 +3,9 @@
 //! The paper's evaluation reports *internal data-structure statistics*
 //! (Fig 3), *sensor probe counts*, and *processing latency* (Fig 4–5).
 //! [`QueryStats`] collects the structural counters during a lookup, and
-//! [`CostModel`] converts them into a deterministic simulated latency so the
-//! latency figures are reproducible on any machine. Defaults are calibrated
-//! against the relative costs the paper reports (probing live sensors is
+//! [`latency_ms`] converts them into a deterministic simulated latency so the
+//! latency figures are reproducible on any machine. Its constants are
+//! calibrated against the relative costs the paper reports (probing live sensors is
 //! orders of magnitude more expensive than touching an index node; COLR-Tree
 //! lands around ~40 ms per query at the default workload scale).
 
@@ -23,7 +23,7 @@ pub struct QueryStats {
     pub readings_from_cache: u64,
     /// Sensors probed (requests issued, including failed ones).
     pub sensors_probed: u64,
-    /// Probe waves issued (primary waves of `probe_parallelism` sensors plus
+    /// Probe waves issued (primary waves of `PROBE_PARALLELISM` sensors plus
     /// retry waves). Lets cold-run reports attribute latency to round-trips.
     pub probe_waves: u64,
     /// Probes that returned no data (sensor unavailable).
@@ -78,65 +78,48 @@ impl QueryStats {
     }
 }
 
-/// Deterministic latency model for one query.
-///
-/// `latency = nodes·node_visit + slots·slot_combine + entries·entry_scan
-///           + probe_waves·probe_rtt + probes·probe_overhead`
-///
-/// Probes within a query are issued in parallel waves of `probe_parallelism`
-/// (SENSORMAP probes sensors concurrently, Section V); each wave costs one
-/// round-trip plus a small per-probe marshalling overhead.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostModel {
-    /// Cost of visiting one index node, in ms.
-    pub node_visit_ms: f64,
-    /// Cost of combining one cached slot, in ms.
-    pub slot_combine_ms: f64,
-    /// Cost of scanning one flat-cache entry, in ms.
-    pub entry_scan_ms: f64,
-    /// Round-trip time of one parallel probe wave, in ms.
-    pub probe_rtt_ms: f64,
-    /// Number of concurrent probes per wave.
-    pub probe_parallelism: u64,
-    /// Marshalling/processing overhead per probe, in ms.
-    pub probe_overhead_ms: f64,
+// The deterministic latency model of one query:
+//
+// `latency = nodes·NODE_VISIT_MS + slots·SLOT_COMBINE_MS
+//           + entries·ENTRY_SCAN_MS + probe_waves·PROBE_RTT_MS
+//           + probes·PROBE_OVERHEAD_MS`
+//
+// Probes within a query are issued in parallel waves of `PROBE_PARALLELISM`
+// (SENSORMAP probes sensors concurrently, Section V); each wave costs one
+// round-trip plus a small per-probe marshalling overhead.
+
+/// Cost of visiting one index node, in ms.
+pub const NODE_VISIT_MS: f64 = 0.05;
+/// Cost of combining one cached slot, in ms.
+pub const SLOT_COMBINE_MS: f64 = 0.02;
+/// Cost of scanning one flat-cache entry, in ms.
+pub const ENTRY_SCAN_MS: f64 = 0.001;
+/// Round-trip time of one parallel probe wave, in ms.
+pub const PROBE_RTT_MS: f64 = 25.0;
+/// Number of concurrent probes per wave.
+pub const PROBE_PARALLELISM: u64 = 128;
+/// Marshalling/processing overhead per probe, in ms.
+pub const PROBE_OVERHEAD_MS: f64 = 0.05;
+
+/// Primary waves `probes` concurrent probes go out in.
+pub fn primary_waves(probes: u64) -> u64 {
+    probes.div_ceil(PROBE_PARALLELISM)
 }
 
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            node_visit_ms: 0.05,
-            slot_combine_ms: 0.02,
-            entry_scan_ms: 0.001,
-            probe_rtt_ms: 25.0,
-            probe_parallelism: 128,
-            probe_overhead_ms: 0.05,
-        }
-    }
-}
-
-impl CostModel {
-    /// Primary waves `probes` concurrent probes go out in (a parallelism of
-    /// zero means strictly serial probing).
-    pub fn primary_waves(&self, probes: u64) -> u64 {
-        probes.div_ceil(self.probe_parallelism.max(1))
-    }
-
-    /// Simulated end-to-end processing latency for `stats`, in milliseconds.
-    /// Reads the waves the executor counted (`probe_waves`: primary plus
-    /// retry waves, one RTT each) rather than re-deriving them.
-    pub fn latency_ms(&self, stats: &QueryStats) -> f64 {
-        stats.nodes_traversed as f64 * self.node_visit_ms
-            + stats.slots_combined as f64 * self.slot_combine_ms
-            + stats.entries_scanned as f64 * self.entry_scan_ms
-            + stats.probe_waves as f64 * self.probe_rtt_ms
-            + stats.sensors_probed as f64 * self.probe_overhead_ms
-            // Fault-tolerance surcharge: each re-issued probe pays
-            // marshalling overhead again, and backoff waits elapse on the
-            // simulated clock verbatim.
-            + stats.probes_retried as f64 * self.probe_overhead_ms
-            + stats.retry_backoff_ms as f64
-    }
+/// Simulated end-to-end processing latency for `stats`, in milliseconds.
+/// Reads the waves the executor counted (`probe_waves`: primary plus retry
+/// waves, one RTT each) rather than re-deriving them.
+pub fn latency_ms(stats: &QueryStats) -> f64 {
+    stats.nodes_traversed as f64 * NODE_VISIT_MS
+        + stats.slots_combined as f64 * SLOT_COMBINE_MS
+        + stats.entries_scanned as f64 * ENTRY_SCAN_MS
+        + stats.probe_waves as f64 * PROBE_RTT_MS
+        + stats.sensors_probed as f64 * PROBE_OVERHEAD_MS
+        // Fault-tolerance surcharge: each re-issued probe pays marshalling
+        // overhead again, and backoff waits elapse on the simulated clock
+        // verbatim.
+        + stats.probes_retried as f64 * PROBE_OVERHEAD_MS
+        + stats.retry_backoff_ms as f64
 }
 
 #[cfg(test)]
@@ -182,14 +165,6 @@ mod tests {
 
     #[test]
     fn retries_charge_rtt_overhead_and_backoff() {
-        let m = CostModel {
-            node_visit_ms: 0.0,
-            slot_combine_ms: 0.0,
-            entry_scan_ms: 0.0,
-            probe_rtt_ms: 10.0,
-            probe_parallelism: 128,
-            probe_overhead_ms: 0.5,
-        };
         let s = QueryStats {
             sensors_probed: 4,
             probe_waves: 3,
@@ -198,43 +173,34 @@ mod tests {
             retry_backoff_ms: 150,
             ..Default::default()
         };
-        // 1 primary wave + 2 retry waves at 10 ms, 7 marshalled probes at
-        // 0.5 ms, plus 150 ms of simulated backoff.
-        assert_eq!(m.latency_ms(&s), 30.0 + 3.5 + 150.0);
+        // 1 primary wave + 2 retry waves at 25 ms, 7 marshalled probes at
+        // 0.05 ms, plus 150 ms of simulated backoff.
+        let want = 3.0 * PROBE_RTT_MS + 7.0 * PROBE_OVERHEAD_MS + 150.0;
+        assert!((latency_ms(&s) - want).abs() < 1e-9, "{}", latency_ms(&s));
     }
 
     #[test]
     fn latency_zero_for_empty_stats() {
-        let m = CostModel::default();
-        assert_eq!(m.latency_ms(&QueryStats::default()), 0.0);
+        assert_eq!(latency_ms(&QueryStats::default()), 0.0);
     }
 
     #[test]
     fn probe_waves_are_ceiled() {
-        let m = CostModel {
-            node_visit_ms: 0.0,
-            slot_combine_ms: 0.0,
-            entry_scan_ms: 0.0,
-            probe_rtt_ms: 10.0,
-            probe_parallelism: 4,
-            probe_overhead_ms: 0.0,
-        };
-        let mk = |p: u64| QueryStats {
-            sensors_probed: p,
-            probe_waves: m.primary_waves(p),
+        assert_eq!(primary_waves(0), 0);
+        assert_eq!(primary_waves(1), 1);
+        assert_eq!(primary_waves(PROBE_PARALLELISM), 1);
+        assert_eq!(primary_waves(PROBE_PARALLELISM + 1), 2);
+        let two_waves = QueryStats {
+            probe_waves: 2,
             ..Default::default()
         };
-        assert_eq!(m.latency_ms(&mk(1)), 10.0);
-        assert_eq!(m.latency_ms(&mk(4)), 10.0);
-        assert_eq!(m.latency_ms(&mk(5)), 20.0);
-        assert_eq!(m.latency_ms(&mk(0)), 0.0);
+        assert_eq!(latency_ms(&two_waves), 2.0 * PROBE_RTT_MS);
     }
 
     #[test]
-    fn probing_dominates_traversal_by_default() {
+    fn probing_dominates_traversal() {
         // The cost model must encode the paper's premise: collecting from
         // sensors is far more expensive than touching index nodes.
-        let m = CostModel::default();
         let probe_one = QueryStats {
             sensors_probed: 1,
             probe_waves: 1,
@@ -244,24 +210,6 @@ mod tests {
             nodes_traversed: 100,
             ..Default::default()
         };
-        assert!(m.latency_ms(&probe_one) > m.latency_ms(&visit_hundred));
-    }
-
-    #[test]
-    fn zero_parallelism_serialises_probes() {
-        let m = CostModel {
-            probe_parallelism: 0,
-            probe_rtt_ms: 5.0,
-            probe_overhead_ms: 0.0,
-            node_visit_ms: 0.0,
-            slot_combine_ms: 0.0,
-            entry_scan_ms: 0.0,
-        };
-        let s = QueryStats {
-            sensors_probed: 3,
-            probe_waves: m.primary_waves(3),
-            ..Default::default()
-        };
-        assert_eq!(m.latency_ms(&s), 15.0);
+        assert!(latency_ms(&probe_one) > latency_ms(&visit_hundred));
     }
 }

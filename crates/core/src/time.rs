@@ -4,7 +4,7 @@
 //! tests are deterministic and machine-independent. [`Timestamp`] is an
 //! absolute instant (milliseconds since simulation epoch) and [`TimeDelta`] a
 //! non-negative span. End-to-end latency is *modelled* by
-//! [`crate::stats::CostModel`], never measured from the wall clock.
+//! [`crate::stats::latency_ms`], never measured from the wall clock.
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};

@@ -95,7 +95,6 @@ use crate::reading::{Reading, SensorId, SensorMeta};
 use crate::slot_cache::{
     Cell, RemoveOutcome, Side, Slot, SlotCache, SlotConfig, SlotRing, SlotRingMut, NO_KIND,
 };
-use crate::stats::CostModel;
 use crate::time::{TimeDelta, Timestamp};
 
 /// Number of reader–writer locks the per-node caches are sharded over.
@@ -339,28 +338,18 @@ impl NodeRef<'_> {
 /// How the bulk loader clusters sensors (Section III-C uses k-means; STR
 /// packing — the Kamel–Faloutsos style the paper cites — is provided as an
 /// ablation alternative).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum BuildStrategy {
     /// Bottom-up iterative k-means clustering (the paper's construction).
-    KMeans {
-        /// Lloyd iterations per clustering level.
-        iterations: usize,
-    },
+    #[default]
+    KMeans,
     /// Sort-Tile-Recursive packing.
     Str,
-}
-
-impl Default for BuildStrategy {
-    fn default() -> Self {
-        BuildStrategy::KMeans { iterations: 8 }
-    }
 }
 
 /// Configuration of a COLR-Tree.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColrConfig {
-    /// Target branching factor `B` (cluster count per level is `⌈n/B⌉`).
-    pub branching: usize,
     /// Number of slots `m` in every slot cache.
     pub num_slots: usize,
     /// Tree-wide cap on cached raw readings (`None` = unconstrained). The
@@ -379,28 +368,17 @@ pub struct ColrConfig {
     /// Ablation switch: when `false`, Algorithm 2's redistribution is
     /// disabled (shortfalls are simply lost).
     pub enable_redistribution: bool,
-    /// Fraction of a node's descendants a cached aggregate must cover before
-    /// the hierarchical-cache lookup terminates early at that node
-    /// (Section IV-B's "aggregate is indeed cached"). 1.0 demands full
-    /// coverage; the default tolerates partially expired coverage, which is
-    /// what lets the hierarchical cache cut traversals in Fig 3.
-    pub cache_coverage_threshold: f64,
-    /// Latency model used to convert query stats into processing latency.
-    pub cost: CostModel,
 }
 
 impl Default for ColrConfig {
     fn default() -> Self {
         ColrConfig {
-            branching: 10,
             num_slots: 8,
             cache_capacity: None,
             build: BuildStrategy::default(),
             slot_histograms: None,
             enable_oversampling: true,
             enable_redistribution: true,
-            cache_coverage_threshold: 0.5,
-            cost: CostModel::default(),
         }
     }
 }
@@ -1202,8 +1180,9 @@ impl ColrTree {
         let applied = self.insert_entries_locked(&mut maint, &batch, now);
         recycle(&mut maint.pool.batch, batch);
         if applied > 0 {
-            colr_telemetry::tracer().record_now(
+            colr_telemetry::tracer().record(
                 colr_telemetry::SpanKind::WriteBack,
+                now.0 * 1_000,
                 0,
                 applied as u64,
             );

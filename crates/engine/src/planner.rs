@@ -14,21 +14,22 @@ use colr_tree::{ColrTree, Query, TimeDelta};
 
 use crate::ast::SelectQuery;
 
+/// Staleness applied when the query has no time clause.
+pub const DEFAULT_STALENESS: TimeDelta = TimeDelta::from_mins(5);
+/// Oversample level passed to Algorithm 1.
+const OVERSAMPLE_LEVEL: u16 = 1;
+
 /// Plans logical portal queries against one built tree.
 #[derive(Debug, Clone)]
 pub struct Planner {
     /// Mean node bbox diagonal per level, root first.
     level_diameters: Vec<f64>,
     leaf_level: u16,
-    /// Staleness applied when the query has no time clause.
-    pub default_staleness: TimeDelta,
-    /// Oversample level passed to Algorithm 1.
-    pub oversample_level: u16,
 }
 
 impl Planner {
     /// Builds a planner for `tree`.
-    pub fn new(tree: &ColrTree, default_staleness: TimeDelta) -> Planner {
+    pub fn new(tree: &ColrTree) -> Planner {
         let levels = tree.leaf_level() as usize + 1;
         let mut sums = vec![0.0f64; levels];
         let mut counts = vec![0usize; levels];
@@ -46,8 +47,6 @@ impl Planner {
         Planner {
             level_diameters,
             leaf_level: tree.leaf_level(),
-            default_staleness,
-            oversample_level: 1,
         }
     }
 
@@ -79,13 +78,10 @@ impl Planner {
         // aggregate above `T` may stand in for them; without it only the
         // combined answer is read, and any covered node down from the root may.
         let cover = if q.cluster.is_some() { terminal } else { 0 };
-        let mut query = Query::range(
-            q.within.region(),
-            q.staleness.unwrap_or(self.default_staleness),
-        )
-        .with_terminal_level(terminal)
-        .with_cover_level(cover)
-        .with_oversample_level(self.oversample_level);
+        let mut query = Query::range(q.within.region(), q.staleness.unwrap_or(DEFAULT_STALENESS))
+            .with_terminal_level(terminal)
+            .with_cover_level(cover)
+            .with_oversample_level(OVERSAMPLE_LEVEL);
         if let Some(n) = q.sample_size {
             query = query.with_sample_size(n as f64);
         }
@@ -106,7 +102,7 @@ impl Planner {
     pub fn explain(&self, q: &SelectQuery) -> String {
         let t = self.terminal_level(q.cluster);
         let diameter = self.level_diameter(t).unwrap_or(0.0);
-        let staleness = q.staleness.unwrap_or(self.default_staleness);
+        let staleness = q.staleness.unwrap_or(DEFAULT_STALENESS);
         let mut out = String::new();
         out.push_str(&format!(
             "terminal level T={t} (mean group diameter {diameter:.1} map units"
@@ -126,7 +122,7 @@ freshness bound {staleness}"
             Some(r) => out.push_str(&format!(
                 "
 collection: layered sampling, target R={r}, oversample level O={}",
-                self.oversample_level
+                OVERSAMPLE_LEVEL
             )),
             None => out.push_str(
                 "
@@ -167,7 +163,7 @@ mod tests {
     #[test]
     fn diameters_shrink_with_depth() {
         let t = tree();
-        let p = Planner::new(&t, TimeDelta::from_mins(5));
+        let p = Planner::new(&t);
         let mut prev = f64::INFINITY;
         for l in 0..=t.leaf_level() {
             let d = p.level_diameter(l).unwrap();
@@ -179,28 +175,28 @@ mod tests {
     #[test]
     fn cluster_none_means_leaf_groups() {
         let t = tree();
-        let p = Planner::new(&t, TimeDelta::from_mins(5));
+        let p = Planner::new(&t);
         assert_eq!(p.terminal_level(None), t.leaf_level());
     }
 
     #[test]
     fn tiny_cluster_distance_goes_deep() {
         let t = tree();
-        let p = Planner::new(&t, TimeDelta::from_mins(5));
+        let p = Planner::new(&t);
         assert_eq!(p.terminal_level(Some(1e-6)), t.leaf_level());
     }
 
     #[test]
     fn huge_cluster_distance_stays_at_root() {
         let t = tree();
-        let p = Planner::new(&t, TimeDelta::from_mins(5));
+        let p = Planner::new(&t);
         assert_eq!(p.terminal_level(Some(1e9)), 0);
     }
 
     #[test]
     fn moderate_cluster_lands_between() {
         let t = tree();
-        let p = Planner::new(&t, TimeDelta::from_mins(5));
+        let p = Planner::new(&t);
         let mid = p.level_diameter(1).unwrap() * 0.9;
         let level = p.terminal_level(Some(mid));
         assert!(level >= 1);
@@ -210,7 +206,7 @@ mod tests {
     #[test]
     fn explain_mentions_the_plan_choices() {
         let t = tree();
-        let p = Planner::new(&t, TimeDelta::from_mins(7));
+        let p = Planner::new(&t);
         let q = SelectQuery {
             agg: AggSpec::Count,
             within: SpatialPredicate::Rect(Rect::from_coords(0.0, 0.0, 5.0, 5.0)),
@@ -224,13 +220,13 @@ mod tests {
         assert!(text.contains("CLUSTER 3"), "{text}");
         assert!(text.contains("R=30"), "{text}");
         assert!(text.contains("type = 2"), "{text}");
-        assert!(text.contains("420000ms"), "{text}"); // 7 min default staleness
+        assert!(text.contains("300000ms"), "{text}"); // 5 min default staleness
     }
 
     #[test]
     fn explain_full_range_when_unsampled() {
         let t = tree();
-        let p = Planner::new(&t, TimeDelta::from_mins(5));
+        let p = Planner::new(&t);
         let q = SelectQuery {
             agg: AggSpec::Count,
             within: SpatialPredicate::Rect(Rect::from_coords(0.0, 0.0, 5.0, 5.0)),
@@ -254,7 +250,7 @@ mod tests {
     #[test]
     fn plan_wires_all_fields() {
         let t = tree();
-        let p = Planner::new(&t, TimeDelta::from_mins(7));
+        let p = Planner::new(&t);
         let q = SelectQuery {
             agg: AggSpec::Count,
             within: SpatialPredicate::Rect(Rect::from_coords(0.0, 0.0, 5.0, 5.0)),
@@ -264,7 +260,7 @@ mod tests {
             sensor_type: None,
         };
         let plan = p.plan(&q);
-        assert_eq!(plan.staleness, TimeDelta::from_mins(7));
+        assert_eq!(plan.staleness, DEFAULT_STALENESS);
         assert_eq!(plan.sample_size, Some(12.0));
         assert_eq!(plan.terminal_level, t.leaf_level());
         assert_eq!(plan.cover_level, 0, "no CLUSTER: no grouping floor");

@@ -4,7 +4,7 @@
 //! that consumes and produces them is [`crate::ShardedPortal`].
 
 use colr_geo::Rect;
-use colr_tree::{ColrConfig, Histogram, LsmConfig, Mode, QueryStats, TimeDelta};
+use colr_tree::{ColrConfig, Histogram, LsmConfig, Mode, QueryStats};
 
 use crate::service::AdmissionConfig;
 
@@ -30,8 +30,6 @@ impl Default for IndexStrategy {
 pub struct PortalConfig {
     /// Index configuration.
     pub tree: ColrConfig,
-    /// Default staleness when queries carry no time clause.
-    pub default_staleness: TimeDelta,
     /// Execution mode (full COLR-Tree by default; the baselines are exposed
     /// for experiments).
     pub mode: Mode,
@@ -57,7 +55,6 @@ impl Default for PortalConfig {
     fn default() -> Self {
         PortalConfig {
             tree: ColrConfig::default(),
-            default_staleness: TimeDelta::from_mins(5),
             mode: Mode::Colr,
             max_sensors_per_query: Some(500),
             seed: 42,

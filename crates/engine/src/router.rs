@@ -35,9 +35,8 @@ use std::sync::{Arc, OnceLock};
 use colr_geo::{Point, Rect};
 use colr_telemetry::{global, Counter};
 use colr_tree::{
-    apportion, derive_seed, kmeans_partition, unit_draw, AggKind, BuildStrategy, Claim,
-    ClockHandle, Histogram, IdTable, Mode, ProbeService, QueryStats, SensorId, SensorMeta,
-    TimeDelta, Timestamp,
+    apportion, derive_seed, kmeans_partition, unit_draw, AggKind, Claim, ClockHandle, Histogram,
+    IdTable, Mode, ProbeService, QueryStats, SensorId, SensorMeta, TimeDelta, Timestamp,
 };
 use parking_lot::{Mutex, RwLock};
 
@@ -163,11 +162,7 @@ impl<P: ProbeService> ShardedPortal<P> {
         F: FnMut(usize, &[SensorMeta]) -> P,
     {
         let points: Vec<Point> = sensors.iter().map(|m| m.location).collect();
-        let iterations = match config.tree.build {
-            BuildStrategy::KMeans { iterations } => iterations,
-            _ => 8,
-        };
-        let mut groups = kmeans_partition(&points, shard_count.max(1), iterations, config.seed);
+        let mut groups = kmeans_partition(&points, shard_count.max(1), config.seed);
         if groups.is_empty() {
             groups.push(Vec::new());
         }

@@ -127,33 +127,31 @@ fn service_telem() -> &'static ServiceTelem {
 // Admission control
 // ---------------------------------------------------------------------------
 
-/// Admission-controller tuning: how many queries may execute at once, how
-/// many may wait, and how waiting is charged against their deadline budgets.
+/// Modelled (simulated-time) wait per occupied queue slot ahead of an
+/// admitted-but-queued query. The total wait is deducted from the query's
+/// probe-retry deadline budget, so a query that queued long has less budget
+/// left for retry waves.
+const QUEUE_WAIT_PER_SLOT: TimeDelta = TimeDelta::from_millis(2);
+
+/// Admission-controller limits: how many queries may execute at once and
+/// how many may wait. Each one waiting is charged 2 ms per query ahead of it
+/// against its deadline budget.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdmissionConfig {
     /// Queries allowed to execute concurrently before arrivals are queued.
     pub max_in_flight: usize,
     /// Bounded wait-queue length; arrivals beyond `max_in_flight +
-    /// queue_capacity` are shed with [`PortalError::Overloaded`].
+    /// queue_capacity` are shed with [`PortalError::Overloaded`]. The
+    /// default, 250, caps the modelled wait at 500 ms: a query queued
+    /// longer would reach execution with no useful deadline budget left.
     pub queue_capacity: usize,
-    /// Modelled (simulated-time) wait per occupied queue slot ahead of an
-    /// admitted-but-queued query. The total wait is deducted from the
-    /// query's probe-retry deadline budget, so a query that queued long has
-    /// less budget left for retry waves.
-    pub queue_wait_per_slot: TimeDelta,
-    /// Queries whose modelled queue wait would exceed this bound are shed
-    /// instead of admitted (they would arrive at execution with no useful
-    /// deadline budget left).
-    pub max_queue_wait: TimeDelta,
 }
 
 impl Default for AdmissionConfig {
     fn default() -> Self {
         AdmissionConfig {
             max_in_flight: 64,
-            queue_capacity: 256,
-            queue_wait_per_slot: TimeDelta::from_millis(2),
-            max_queue_wait: TimeDelta::from_millis(500),
+            queue_capacity: 250,
         }
     }
 }
@@ -199,15 +197,11 @@ impl Generation {
     /// level's topology alone, so it is derived only when the level changed:
     /// a merge that leaves the primary level in place — every merge of a
     /// small batch beside a large base level — keeps `previous`'s.
-    fn publish(
-        lsm: &Arc<LsmTree>,
-        default_staleness: TimeDelta,
-        previous: Option<&Generation>,
-    ) -> Generation {
+    fn publish(lsm: &Arc<LsmTree>, previous: Option<&Generation>) -> Generation {
         let primary = lsm.primary_level();
         let planner = match previous {
             Some(prev) if Arc::ptr_eq(&prev.primary, &primary) => prev.planner.clone(),
-            _ => Arc::new(Planner::new(primary.tree(), default_staleness)),
+            _ => Arc::new(Planner::new(primary.tree())),
         };
         Generation {
             lsm: lsm.clone(),
@@ -262,7 +256,6 @@ struct ServiceCore<P> {
     /// Serialises reindexes (concurrent pumps coalesce, they don't race to
     /// publish).
     reindex_lock: Mutex<()>,
-    default_staleness: TimeDelta,
     mode: Mode,
     max_sensors_per_query: Option<usize>,
     admission: AdmissionConfig,
@@ -304,7 +297,7 @@ impl<P: ProbeService> PortalService<P> {
         let population = sensors.len() as u32;
         let IndexStrategy::Lsm(lsm_cfg) = config.index;
         let lsm = Arc::new(LsmTree::new(sensors, config.tree, lsm_cfg, config.seed));
-        let generation = Arc::new(Generation::publish(&lsm, config.default_staleness, None));
+        let generation = Arc::new(Generation::publish(&lsm, None));
         service_telem().generation.set(0);
         PortalService {
             core: Arc::new(ServiceCore {
@@ -318,7 +311,6 @@ impl<P: ProbeService> PortalService<P> {
                 in_flight: AtomicUsize::new(0),
                 closed: AtomicBool::new(false),
                 reindex_lock: Mutex::new(()),
-                default_staleness: config.default_staleness,
                 mode: config.mode,
                 max_sensors_per_query: config.max_sensors_per_query,
                 admission: config.admission,
@@ -449,7 +441,7 @@ impl<P: ProbeService> PortalService<P> {
         let _build = core.reindex_lock.lock();
         let report = core.lsm.merge(core.clock.now());
         service_telem().carryover.add(report.carried_entries as u64);
-        let next = Generation::publish(&core.lsm, core.default_staleness, Some(&self.snapshot()));
+        let next = Generation::publish(&core.lsm, Some(&self.snapshot()));
         let next_ordinal = next.ordinal;
         *core.current.write() = Arc::new(next);
         core.generation_counter
@@ -486,11 +478,7 @@ impl<P: ProbeService> PortalService<P> {
             t.shed.inc();
             return Err(PortalError::Overloaded { in_flight: prior });
         }
-        let wait = a.queue_wait_per_slot.mul_f64(depth as f64);
-        if wait > a.max_queue_wait {
-            t.shed.inc();
-            return Err(PortalError::Overloaded { in_flight: prior });
-        }
+        let wait = QUEUE_WAIT_PER_SLOT.mul_f64(depth as f64);
         t.queued.inc();
         t.queue_depth.observe(depth as u64);
         Ok((guard, wait))
@@ -1064,10 +1052,9 @@ mod tests {
     #[test]
     fn a_generation_derives_a_planner_only_when_its_primary_level_changed() {
         let svc = hier_service();
-        let staleness = PortalConfig::default().default_staleness;
         // The kept or derived planner plans as one built from the pinned tree.
         let agrees_with_a_fresh_planner = |gen: &Generation| {
-            let fresh = Planner::new(gen.tree(), staleness);
+            let fresh = Planner::new(gen.tree());
             assert_eq!(format!("{:?}", gen.planner()), format!("{fresh:?}"));
             for d in [1.0, 10.0, 50.0, 500.0, 5000.0] {
                 let cluster = Some(d);
@@ -1131,7 +1118,6 @@ mod tests {
             admission: AdmissionConfig {
                 max_in_flight: 1,
                 queue_capacity: 1,
-                ..Default::default()
             },
             ..Default::default()
         });
@@ -1158,23 +1144,30 @@ mod tests {
     fn queued_queries_pay_from_their_deadline_budget() {
         let svc = service(PortalConfig {
             mode: Mode::HierCache,
-            admission: AdmissionConfig {
-                max_in_flight: 1,
-                queue_capacity: 8,
-                queue_wait_per_slot: TimeDelta::from_millis(100),
-                max_queue_wait: TimeDelta::from_millis(300),
-            },
             ..Default::default()
         });
-        // One occupant: the next arrival queues at depth 1 (100 ms of its
-        // budget); at depth 4 the modelled wait exceeds max_queue_wait → shed.
-        svc.core.in_flight.store(1, Ordering::Release);
-        let (_slot, wait) = svc.admit().expect("queued");
-        assert_eq!(wait, TimeDelta::from_millis(100));
-        drop(_slot);
-        svc.core.in_flight.store(4, Ordering::Release);
+        let a = AdmissionConfig::default();
+        // With every execution slot taken, the next arrival queues at depth
+        // 1 and pays 2 ms of its budget.
+        svc.core.in_flight.store(a.max_in_flight, Ordering::Release);
+        let (slot, wait) = svc.admit().expect("queued");
+        assert_eq!(wait, TimeDelta::from_millis(2));
+        drop(slot);
+        // Depth 250 still queues, with 500 ms of its budget gone; depth 251
+        // is shed.
+        let depth_250 = a.max_in_flight + 249;
+        svc.core.in_flight.store(depth_250, Ordering::Release);
+        let (slot, wait) = svc.admit().expect("queued at depth 250");
+        assert_eq!(wait, TimeDelta::from_millis(500));
+        drop(slot);
+        svc.core.in_flight.store(depth_250 + 1, Ordering::Release);
         let err = svc.admit().unwrap_err();
-        assert!(err.is_overload());
+        assert_eq!(
+            err,
+            PortalError::Overloaded {
+                in_flight: depth_250 + 1
+            }
+        );
         svc.core.in_flight.store(0, Ordering::Release);
     }
 
@@ -1207,7 +1200,7 @@ mod tests {
     /// over that tree, with no service, LSM or admission layer in between.
     fn bare_tree(config: &PortalConfig) -> (ColrTree, Planner) {
         let tree = ColrTree::build(grid_sensors(256, 16), config.tree.clone(), config.seed);
-        let planner = Planner::new(&tree, config.default_staleness);
+        let planner = Planner::new(&tree);
         (tree, planner)
     }
 

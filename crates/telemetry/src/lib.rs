@@ -13,9 +13,9 @@
 //! * [`Tracer`] — a lightweight span/event recorder for the query lifecycle
 //!   (parse → plan → traverse → cache-hit/slot-combine → probe wave →
 //!   write-back) into bounded per-thread ring buffers, drainable as
-//!   structured [`TraceEvent`]s. Timestamps come from a pluggable clock
-//!   hook, so tests and the simulated `CostModel` latency can both feed it
-//!   deterministically.
+//!   structured [`TraceEvent`]s. Each span carries the timestamp its caller
+//!   gives it: the portal stamps a query's spans with the query's simulated
+//!   instant, so traces are deterministic.
 //! * Exposition — [`Snapshot::to_prometheus`] (text format 0.0.4) and
 //!   [`Snapshot::to_json`], plus [`Snapshot::diff`] for interval metrics.
 //! * [`SloWatchdog`] — sliding-window objectives over per-query latency and

@@ -8,17 +8,14 @@
 //! and carry a global sequence number, so [`Tracer::drain`] can merge the
 //! rings back into one deterministic order.
 //!
-//! Timestamps come from the tracer's *clock hook* ([`Tracer::set_clock`]):
-//! the default is wall microseconds since tracer creation, but tests and
-//! simulations install their own — the portal, for example, feeds the
-//! simulated clock plus the `CostModel` latency, so traces are reproducible
-//! run to run.
+//! Every timestamp is the caller's: the portal stamps each span of a query
+//! with that query's simulated instant, in microseconds, so one query's
+//! spans share one clock and traces are reproducible run to run.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::ThreadId;
-use std::time::Instant;
 
 use parking_lot::Mutex;
 
@@ -69,7 +66,7 @@ pub struct TraceEvent {
     pub seq: u64,
     /// Lifecycle phase.
     pub kind: SpanKind,
-    /// Start timestamp in microseconds, from the clock hook.
+    /// Start timestamp in microseconds, as the caller stamped it.
     pub at_us: u64,
     /// Duration in microseconds.
     pub dur_us: u64,
@@ -78,7 +75,6 @@ pub struct TraceEvent {
 }
 
 type Ring = Arc<Mutex<VecDeque<TraceEvent>>>;
-type ClockFn = dyn Fn() -> u64 + Send + Sync;
 
 /// The span/event tracer. One global instance ([`tracer`]) serves the
 /// built-in instrumentation; tests can build private ones.
@@ -86,7 +82,6 @@ pub struct Tracer {
     rings: Mutex<HashMap<ThreadId, Ring>>,
     seq: AtomicU64,
     enabled: AtomicBool,
-    clock: Mutex<Arc<ClockFn>>,
     capacity: usize,
 }
 
@@ -94,12 +89,10 @@ impl Tracer {
     /// A tracer whose per-thread rings hold at most `capacity` events.
     /// Recording starts enabled; gate it with [`Tracer::set_enabled`].
     pub fn new(capacity: usize) -> Tracer {
-        let epoch = Instant::now();
         Tracer {
             rings: Mutex::new(HashMap::new()),
             seq: AtomicU64::new(0),
             enabled: AtomicBool::new(true),
-            clock: Mutex::new(Arc::new(move || epoch.elapsed().as_micros() as u64)),
             capacity: capacity.max(1),
         }
     }
@@ -115,20 +108,7 @@ impl Tracer {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Installs a clock hook; subsequent [`Tracer::now_us`] calls (and
-    /// [`Tracer::record_now`]) read it. Use a manual counter for
-    /// deterministic tests or a simulated clock for model-fed traces.
-    pub fn set_clock(&self, f: impl Fn() -> u64 + Send + Sync + 'static) {
-        *self.clock.lock() = Arc::new(f);
-    }
-
-    /// The current clock-hook reading, in microseconds.
-    pub fn now_us(&self) -> u64 {
-        let clock = self.clock.lock().clone();
-        clock()
-    }
-
-    /// Records one event with an explicit timestamp.
+    /// Records one event stamped `at_us`.
     pub fn record(&self, kind: SpanKind, at_us: u64, dur_us: u64, detail: u64) {
         if !self.enabled() {
             return;
@@ -147,15 +127,6 @@ impl Tracer {
             ring.pop_front();
         }
         ring.push_back(ev);
-    }
-
-    /// Records one event timestamped by the clock hook.
-    pub fn record_now(&self, kind: SpanKind, dur_us: u64, detail: u64) {
-        if !self.enabled() {
-            return;
-        }
-        let at = self.now_us();
-        self.record(kind, at, dur_us, detail);
     }
 
     /// Drains every thread's ring, returning all buffered events in global
@@ -251,25 +222,11 @@ mod tests {
         let t = Tracer::new(8);
         t.set_enabled(false);
         t.record(SpanKind::Parse, 0, 0, 0);
-        t.record_now(SpanKind::Plan, 0, 0);
+        t.record(SpanKind::Plan, 0, 0, 0);
         assert_eq!(t.buffered(), 0);
         t.set_enabled(true);
         t.record(SpanKind::Parse, 0, 0, 0);
         assert_eq!(t.buffered(), 1);
-    }
-
-    #[test]
-    fn manual_clock_hook_is_deterministic() {
-        let t = Tracer::new(8);
-        let tick = Arc::new(AtomicU64::new(100));
-        let tick2 = tick.clone();
-        t.set_clock(move || tick2.load(Ordering::Relaxed));
-        t.record_now(SpanKind::Parse, 5, 0);
-        tick.store(250, Ordering::Relaxed);
-        t.record_now(SpanKind::Plan, 7, 0);
-        let evs = t.drain();
-        assert_eq!(evs[0].at_us, 100);
-        assert_eq!(evs[1].at_us, 250);
     }
 
     #[test]

@@ -25,10 +25,8 @@ pub mod placement;
 pub mod queries;
 pub mod rand_util;
 pub mod scenario;
-pub mod trace;
 
 pub use expiry::ExpiryModel;
 pub use placement::PlacementModel;
 pub use queries::{QuerySpec, QueryWorkload, QueryWorkloadConfig};
 pub use scenario::{Scenario, ScenarioConfig};
-pub use trace::{load as load_trace, save as save_trace};

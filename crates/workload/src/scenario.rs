@@ -153,7 +153,7 @@ impl Scenario {
     /// (each sorted ascending); deterministic in `seed`.
     pub fn shard_groups(&self, shards: usize, seed: u64) -> Vec<Vec<usize>> {
         let points: Vec<_> = self.sensors.iter().map(|m| m.location).collect();
-        let mut groups = colr_tree::kmeans_partition(&points, shards.max(1), 8, seed);
+        let mut groups = colr_tree::kmeans_partition(&points, shards.max(1), seed);
         for g in &mut groups {
             g.sort_unstable();
         }

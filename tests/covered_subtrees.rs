@@ -12,7 +12,7 @@
 //! (b) When every reading was fetched at one instant the covered answer is
 //!     the leaf-level answer: same `sampled`, count, min and max; sum and avg
 //!     to 1e-9 relative (the additions run in another order); no more groups.
-//! (c) A node filled to just under `cache_coverage_threshold` is not used,
+//! (c) A node filled to just under `COVERAGE_THRESHOLD` is not used,
 //!     one reading more and it is; an over-asking `count(*)` is exact at any
 //!     fill.
 //! (d) With `CLUSTER d` no group is coarser than `T(d)`.
@@ -23,6 +23,7 @@
 use std::collections::HashSet;
 
 use colr_repro::colr::probe::AlwaysAvailable;
+use colr_repro::colr::sampling::COVERAGE_THRESHOLD;
 use colr_repro::colr::{
     AggKind, ColrConfig, ColrTree, Mode, NodeId, ProbeService, Query, QueryOutput, Reading,
     SensorId, SensorMeta, TimeDelta, Timestamp,
@@ -281,7 +282,7 @@ fn the_gate_is_the_coverage_threshold_and_an_over_asking_count_stays_exact() {
         .iter()
         .filter(|m| region.contains_point(&m.location))
         .count() as u64;
-    let threshold = (weight as f64 * probe_tree.config().cache_coverage_threshold).ceil() as usize;
+    let threshold = (weight as f64 * COVERAGE_THRESHOLD).ceil() as usize;
     let now = Timestamp(1_000);
     let staleness = TimeDelta::from_mins(5);
     let answered_by = |out: &QueryOutput| out.groups.iter().any(|g| g.node == node);
@@ -347,7 +348,7 @@ fn a_cluster_clause_is_a_floor_no_group_goes_above() {
     let tree = tree();
     let now = Timestamp(1_000);
     fetch(&tree, 0..SIDE * SIDE, now);
-    let planner = Planner::new(&tree, TimeDelta::from_mins(5));
+    let planner = Planner::new(&tree);
     let d = planner.level_diameter(1).expect("level 1 exists") * 0.9;
     let viewport = "RECT(-0.5, -0.5, 29.5, 30.5)";
     let run = |cluster: &str| {

@@ -717,9 +717,6 @@ fn bulk_build_reproduces_the_trees_recorded_at_the_parent() {
     assert_digest("STR build", tree_digest(&tree), STR_TREE);
     let points: Vec<Point> = fleet.iter().map(|m| m.location).collect();
     let mut d = Digest::new();
-    d.eat(&format!(
-        "{:?}",
-        kmeans_partition(&points, 8, 8, 20_080_407)
-    ));
+    d.eat(&format!("{:?}", kmeans_partition(&points, 8, 20_080_407)));
     assert_digest("shard map", d.0, SHARD_MAP);
 }

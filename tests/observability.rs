@@ -103,18 +103,38 @@ fn batch_execution_counts_batches_and_contention_paths() {
 
 #[test]
 fn tracer_records_the_query_lifecycle() {
-    // Drain whatever other tests left behind, then run one warm/cold pair
-    // and a batch; the drained events must cover the full lifecycle.
+    // Drain whatever other tests left behind, then run one cold/warm pair
+    // and a batch; the drained events must cover the full lifecycle. The
+    // three run at simulated instants no other test here reaches, so a span
+    // stamped with one of them is this test's.
     let _drain = TRACER_DRAIN.lock().unwrap_or_else(|e| e.into_inner());
     let p = portal(Mode::HierCache);
     tracer().drain();
-    p.clock().advance(TimeDelta::from_secs(1));
+    p.clock().advance(TimeDelta::from_secs(1_000_000));
+    let cold_at = p.clock().now().millis() * 1_000;
     run(&p, VIEWPORT).expect("cold");
     p.clock().advance(TimeDelta::from_secs(1));
+    let warm_at = p.clock().now().millis() * 1_000;
     run(&p, VIEWPORT).expect("warm");
     p.clock().advance(TimeDelta::from_secs(1));
+    let batch_at = p.clock().now().millis() * 1_000;
     p.query_many_sql(&[VIEWPORT], 2).expect("batch");
     let events = tracer().drain();
+
+    // One clock: every span of a query carries that query's instant.
+    let stamped = |k: SpanKind, at: u64| events.iter().any(|e| e.kind == k && e.at_us == at);
+    for (query, at) in [("cold", cold_at), ("warm", warm_at), ("batch", batch_at)] {
+        assert!(stamped(SpanKind::Traverse, at), "{query} traverse span");
+    }
+    assert!(
+        stamped(SpanKind::ProbeWave, cold_at),
+        "cold probe-wave span"
+    );
+    assert!(
+        stamped(SpanKind::WriteBack, cold_at),
+        "cold write-back span"
+    );
+    assert!(stamped(SpanKind::CacheHit, warm_at), "warm cache-hit span");
 
     let count = |k: SpanKind| events.iter().filter(|e| e.kind == k).count();
     assert!(count(SpanKind::Parse) >= 3, "parse spans");
@@ -186,7 +206,6 @@ fn service_front_door_counters_cover_admission_and_reindex() {
     let svc = service(AdmissionConfig {
         max_in_flight: 0,
         queue_capacity: 8,
-        ..Default::default()
     });
     svc.clock().advance(TimeDelta::from_secs(1));
     for _ in 0..3 {
@@ -202,7 +221,6 @@ fn service_front_door_counters_cover_admission_and_reindex() {
     let svc = service(AdmissionConfig {
         max_in_flight: 0,
         queue_capacity: 0,
-        ..Default::default()
     });
     svc.clock().advance(TimeDelta::from_secs(1));
     assert!(run(&svc, sql).is_err(), "zero-capacity service must shed");

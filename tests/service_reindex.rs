@@ -27,6 +27,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use colr_repro::colr::probe::AlwaysAvailable;
+use colr_repro::colr::stats::PROBE_PARALLELISM;
 use colr_repro::colr::{Mode, ProbeService, SensorMeta, TimeDelta};
 use colr_repro::engine::{
     AdmissionConfig, PortalConfig, PortalError, PortalResult, QueryRequest, ShardedPortal,
@@ -72,7 +73,6 @@ fn service_probing<P: ProbeService>(mode: Mode, probe: P) -> ShardedPortal<P> {
         admission: AdmissionConfig {
             max_in_flight: 1024,
             queue_capacity: 1024,
-            ..Default::default()
         },
         ..Default::default()
     };
@@ -223,13 +223,7 @@ fn a_reader_between_two_waves_of_one_fill_sees_the_whole_population() {
         },
     );
     svc.clock().advance(TimeDelta::from_secs(1));
-    let wave = svc
-        .shard(0)
-        .snapshot()
-        .tree()
-        .config()
-        .cost
-        .probe_parallelism as usize;
+    let wave = PROBE_PARALLELISM as usize;
     assert_eq!(BASE, 2 * wave, "the cold request is exactly two waves");
 
     let (between, after) = std::thread::scope(|scope| {

@@ -448,8 +448,9 @@ fn places_lookups_clones_and_rebuilds() {
         assert_eq!(tree.cached_readings(), 2);
         assert_matches_brute_force(&tree, later);
 
-        // A rebuild keeps none of it, and caches again.
-        tree.rebuild(sensors(), 11);
+        // A fresh build over the same sensors keeps none of it, and caches
+        // again.
+        tree = ColrTree::build(sensors(), tree.config().clone(), 11);
         assert_eq!(tree.cached_readings(), 0);
         assert!(tree.cached_entries().is_empty());
         assert!(cache_state(&tree, later).is_empty());

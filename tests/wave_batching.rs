@@ -13,6 +13,7 @@
 
 use std::sync::Mutex;
 
+use colr_repro::colr::stats::PROBE_PARALLELISM;
 use colr_repro::colr::{
     ColrConfig, ColrTree, LsmConfig, Mode, ProbeService, Query, QueryStats, Reading, SensorId,
     SensorMeta, TimeDelta, Timestamp,
@@ -25,7 +26,7 @@ use rand::SeedableRng;
 
 const EXPIRY_MS: u64 = 300_000;
 const SIDE: usize = 32; // 1024 base sensors
-const WAVE: u64 = 128; // CostModel::default().probe_parallelism
+const WAVE: u64 = PROBE_PARALLELISM;
 
 /// `SIDE × SIDE` grid plus `extra` late arrivals on the half-integer
 /// lattice; two kinds by column parity, availability 0.8.
