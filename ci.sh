@@ -71,6 +71,19 @@ if grep -rnE 'pub branching:|cache_coverage_threshold|struct CostModel|max_queue
     echo "ci: a knob that became a constant is back (matches above)" >&2
     exit 1
 fi
+# Stripes by run and one-word queue entries: a node's stripe is its run of
+# breadth-first ids (`stripe_slot`), not its id masked, and assembly lays a
+# stripe out through the same mapping; the priority queue holds packed
+# integer keys, its old struct entries kept only as the test reference they
+# are checked against (after a file's column-0 `#[cfg(test)]`).
+struct_entries=$(find crates src tests examples -name '*.rs' -print0 |
+    xargs -0 awk 'FNR == 1 { cut = 0 } /^#\[cfg\(test\)\]/ { cut = 1 } !cut && /PqEntry/ { print FILENAME ":" FNR ": " $0 }')
+if grep -rnE '& \(CACHE_STRIPES - 1\)|step_by\(CACHE_STRIPES\)' crates src tests examples ||
+    [ -n "$struct_entries" ]; then
+    echo "${struct_entries}" >&2
+    echo "ci: a stripe keyed by masked id or a struct queue entry is back (matches above)" >&2
+    exit 1
+fi
 echo "ci: one-path gate OK"
 # Non-test line ratchet: lines under crates/*/src up to each file's first
 # column-0 `#[cfg(test)]`, the test-only files slot_cache/reference.rs and
@@ -87,7 +100,7 @@ if [ -n "$early" ]; then
     echo "ci: a column-0 #[cfg(test)] before the test module cuts the count early at: $early" >&2
     exit 1
 fi
-max_nontest=18281
+max_nontest=18320
 nontest=$(counted crates/*/src |
     xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile } { n++ } END { print n }' |
     awk '{ s += $1 } END { print s }')
@@ -217,6 +230,11 @@ cargo test -q --release --offline -p colr-repro --test hotpath_parity --test sam
 # by draws when too few) — beside the build RNG's recorded positions and the
 # <= 64 distances per point per round the search evaluates.
 cargo test -q --release --offline -p colr-tree --lib build::
+# The walk's queue and stripes, in release too: the packed queue against the
+# struct heap it replaced (pushes, pops and redistribution over equal bases,
+# signed zeros, subnormals, infinities and NaNs), and the stripe mapping a
+# bijection onto dense positions that keeps child runs together.
+cargo test -q --release --offline -p colr-tree --lib -- sampling:: tree::tests::
 echo "ci: hot-path parity smoke OK"
 
 # Benchmark runner gate: the ruler's own tests (its --quick smoke and the

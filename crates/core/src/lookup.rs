@@ -356,8 +356,15 @@ impl<P: ProbeService + ?Sized> Iterator for Wave<'_, P> {
             let w = &mut self.stage;
             // Fault-aware services may retry within what is left of the budget.
             let budget = w.budget_before_ms.saturating_sub(w.backoff_ms);
-            let report = self.probe.probe_batch_report(chunk, self.now, budget);
-            debug_assert_eq!(report.outcomes.len(), chunk.len());
+            let mut report = self.probe.probe_batch_report(chunk, self.now, budget);
+            // Held to the ids asked: a short report padded, a long one cut,
+            // a reading of another sensor than asked there a failed probe.
+            report.outcomes.resize(chunk.len(), None);
+            for (outcome, &id) in report.outcomes.iter_mut().zip(chunk) {
+                if outcome.is_some_and(|r| r.sensor != id) {
+                    *outcome = None;
+                }
+            }
             w.waves += 1 + report.retry_waves;
             w.failed += report.outcomes.iter().filter(|o| o.is_none()).count() as u64;
             w.retries += report.retries_issued;

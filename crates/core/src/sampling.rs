@@ -32,7 +32,6 @@
 //! the flattened query-time layout; this module holds what it calls at a
 //! terminal and at a partially covered leaf, the queue, and the rounding.
 
-use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use rand::Rng;
@@ -56,42 +55,36 @@ pub(crate) const TARGET_EPS: f64 = 1e-9;
 /// hierarchical cache cut traversals in Fig 3.
 pub const COVERAGE_THRESHOLD: f64 = 0.5;
 
-struct PqEntry {
-    /// Priority in *base* units (effective target = base × queue scale).
-    base: f64,
-    /// Tie-breaker for deterministic ordering.
-    seq: u64,
-    /// Arena index of the pending node.
-    node: u32,
-    /// Whether an ancestor already applied the availability scale-up.
-    scaled: bool,
+/// Pushes a query's queue can number: its keys give the count 31 bits.
+const SEQ_LIMIT: u64 = 1 << 31;
+
+/// `f64::total_cmp`'s order as an unsigned integer order: its own bit
+/// transform (a negative value's magnitude bits flipped), then the sign bit
+/// flipped so negatives sort below positives.
+#[inline]
+fn order_key(bits: u64) -> u64 {
+    bits ^ (((bits as i64 >> 63) as u64) | 1 << 63)
 }
 
-impl PartialEq for PqEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.base == other.base && self.seq == other.seq
-    }
-}
-impl Eq for PqEntry {}
-impl PartialOrd for PqEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for PqEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.base
-            .total_cmp(&other.base)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
+/// The inverse of [`order_key`].
+#[inline]
+fn from_order_key(key: u64) -> u64 {
+    key ^ (!(key as i64 >> 63) as u64 | 1 << 63)
 }
 
 /// Priority queue with O(1) proportional redistribution (Algorithm 2).
 ///
+/// An entry is one `u128`, a max-heap key that pops highest priority first,
+/// ties in push order: from the top, the priority's bits in `total_cmp`
+/// order (64), the complement of the push count (31), the node (32) and
+/// whether the target is already scaled (1). Push counts are unique, so the
+/// node and flag never decide an order; a query pushes each node at most
+/// once, so the count fits any tree of fewer than 2^31 nodes.
+///
 /// Pooled in [`crate::scratch::QueryScratch`]: callers `reset` it at query
 /// start and the backing heap allocation is reused across queries.
 pub(crate) struct ScaledPq {
-    heap: BinaryHeap<PqEntry>,
+    heap: BinaryHeap<u128>,
     scale: f64,
     sum_base: f64,
     seq: u64,
@@ -121,6 +114,8 @@ impl ScaledPq {
         self.enabled = enabled;
     }
 
+    /// Queues `node` with effective `target`, kept in *base* units
+    /// (effective target = base × queue scale).
     pub(crate) fn push(&mut self, node: u32, target: f64, scaled: bool) {
         if target <= TARGET_EPS {
             return;
@@ -128,18 +123,18 @@ impl ScaledPq {
         let base = target / self.scale;
         self.sum_base += base;
         self.seq += 1;
-        self.heap.push(PqEntry {
-            base,
-            seq: self.seq,
-            node,
-            scaled,
-        });
+        debug_assert!(self.seq < SEQ_LIMIT, "a query pushes each node once");
+        let order = u128::from(order_key(base.to_bits())) << 64;
+        let rank = u128::from(SEQ_LIMIT - 1 - self.seq) << 33;
+        self.heap
+            .push(order | rank | u128::from(node) << 1 | u128::from(scaled));
     }
 
     pub(crate) fn pop(&mut self) -> Option<(u32, f64, bool)> {
-        let e = self.heap.pop()?;
-        self.sum_base -= e.base;
-        Some((e.node, e.base * self.scale, e.scaled))
+        let key = self.heap.pop()?;
+        let base = f64::from_bits(from_order_key((key >> 64) as u64));
+        self.sum_base -= base;
+        Some(((key >> 1) as u32, base * self.scale, key & 1 == 1))
     }
 
     /// Distributes `lag` additional target proportionally over every pending
@@ -496,6 +491,7 @@ mod tests {
     use crate::time::TimeDelta;
     use crate::tree::ColrConfig;
     use colr_geo::{Point, Rect};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -885,5 +881,205 @@ mod tests {
             (total_target - 32.0).abs() < 32.0 * 0.5,
             "sum of terminal targets {total_target} should approximate R"
         );
+    }
+
+    /// The queue as it was before its entries became packed keys: a heap of
+    /// ordered structs. Kept to check the packed queue against, bit for bit.
+    mod reference {
+        use std::cmp::Ordering;
+        use std::collections::BinaryHeap;
+
+        use super::super::TARGET_EPS;
+
+        struct PqEntry {
+            base: f64,
+            seq: u64,
+            node: u32,
+            scaled: bool,
+        }
+
+        impl PartialEq for PqEntry {
+            fn eq(&self, other: &Self) -> bool {
+                self.base == other.base && self.seq == other.seq
+            }
+        }
+        impl Eq for PqEntry {}
+        impl PartialOrd for PqEntry {
+            fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+                Some(self.cmp(other))
+            }
+        }
+        impl Ord for PqEntry {
+            fn cmp(&self, other: &Self) -> Ordering {
+                self.base
+                    .total_cmp(&other.base)
+                    .then_with(|| other.seq.cmp(&self.seq))
+            }
+        }
+
+        pub(super) struct ReferencePq {
+            heap: BinaryHeap<PqEntry>,
+            scale: f64,
+            sum_base: f64,
+            seq: u64,
+            enabled: bool,
+        }
+
+        impl ReferencePq {
+            pub(super) fn new(enabled: bool) -> Self {
+                ReferencePq {
+                    heap: BinaryHeap::new(),
+                    scale: 1.0,
+                    sum_base: 0.0,
+                    seq: 0,
+                    enabled,
+                }
+            }
+
+            pub(super) fn push(&mut self, node: u32, target: f64, scaled: bool) {
+                if target <= TARGET_EPS {
+                    return;
+                }
+                let base = target / self.scale;
+                self.sum_base += base;
+                self.seq += 1;
+                self.heap.push(PqEntry {
+                    base,
+                    seq: self.seq,
+                    node,
+                    scaled,
+                });
+            }
+
+            pub(super) fn pop(&mut self) -> Option<(u32, f64, bool)> {
+                let e = self.heap.pop()?;
+                self.sum_base -= e.base;
+                Some((e.node, e.base * self.scale, e.scaled))
+            }
+
+            pub(super) fn redistribute(&mut self, lag: f64) {
+                if !self.enabled {
+                    return;
+                }
+                let total = self.sum_base * self.scale;
+                if lag <= TARGET_EPS || total <= TARGET_EPS {
+                    return;
+                }
+                self.scale *= 1.0 + lag / total;
+            }
+
+            pub(super) fn is_empty(&self) -> bool {
+                self.heap.is_empty()
+            }
+        }
+    }
+
+    #[test]
+    fn order_keys_sort_as_total_cmp_and_round_trip() {
+        let values = [
+            f64::NEG_INFINITY,
+            -f64::MAX,
+            -1.0,
+            -f64::MIN_POSITIVE,
+            -5e-324,
+            -0.0,
+            0.0,
+            5e-324,
+            f64::MIN_POSITIVE / 2.0,
+            1.0,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff0_0000_0000_0001),
+            f64::from_bits(0xfff8_0000_0000_0042),
+        ];
+        for a in values {
+            assert_eq!(from_order_key(order_key(a.to_bits())), a.to_bits());
+            for b in values {
+                assert_eq!(
+                    order_key(a.to_bits()).cmp(&order_key(b.to_bits())),
+                    a.total_cmp(&b),
+                    "{a:?} vs {b:?}"
+                );
+            }
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum PqOp {
+        Push(u32, f64, bool),
+        Pop,
+        Redistribute(f64),
+    }
+
+    /// Targets and lags at every edge the key must keep: equal values,
+    /// signed zeros, subnormals, infinities and NaNs of both signs.
+    fn edge_f64() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(1.0),
+            Just(2.0),
+            Just(0.0),
+            Just(-0.0),
+            Just(5e-324),
+            Just(f64::MIN_POSITIVE / 4.0),
+            Just(-f64::MIN_POSITIVE / 4.0),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            Just(f64::NAN),
+            Just(-f64::NAN),
+            Just(f64::from_bits(0xfff0_0000_0000_0007)),
+            Just(1e300),
+            Just(1e-300),
+            (0u32..4).prop_map(f64::from),
+            -1e3..1e3f64,
+            (0..=u64::MAX).prop_map(f64::from_bits),
+        ]
+    }
+
+    fn pq_op() -> impl Strategy<Value = PqOp> {
+        prop_oneof![
+            4 => (0..=u32::MAX, edge_f64(), 0u8..2)
+                .prop_map(|(n, t, s)| PqOp::Push(n, t, s == 1)),
+            3 => Just(PqOp::Pop),
+            2 => edge_f64().prop_map(PqOp::Redistribute),
+        ]
+    }
+
+    fn bits(popped: Option<(u32, f64, bool)>) -> Option<(u32, u64, bool)> {
+        popped.map(|(node, target, scaled)| (node, target.to_bits(), scaled))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+        #[test]
+        fn packed_queue_pops_what_the_struct_heap_popped(
+            enabled in 0u8..2,
+            ops in proptest::collection::vec(pq_op(), 1..80),
+        ) {
+            let enabled = enabled == 1;
+            let mut packed = ScaledPq::default();
+            packed.reset(enabled);
+            let mut old = reference::ReferencePq::new(enabled);
+            for op in &ops {
+                match *op {
+                    PqOp::Push(node, target, scaled) => {
+                        packed.push(node, target, scaled);
+                        old.push(node, target, scaled);
+                    }
+                    PqOp::Pop => assert_eq!(bits(packed.pop()), bits(old.pop())),
+                    PqOp::Redistribute(lag) => {
+                        packed.redistribute(lag);
+                        old.redistribute(lag);
+                    }
+                }
+                assert_eq!(packed.is_empty(), old.is_empty());
+            }
+            while !old.is_empty() {
+                assert_eq!(bits(packed.pop()), bits(old.pop()));
+            }
+            assert!(packed.pop().is_none());
+        }
     }
 }

@@ -52,9 +52,14 @@
 //! The static index (the arena, the sensor registry) is immutable
 //! after construction and read without synchronisation. The *mutable* state —
 //! every node's cache — lives outside it, sharded over [`CACHE_STRIPES`]
-//! reader–writer locks keyed by node id, so concurrent queries can read (and
-//! write back to) disjoint parts of the tree without contending on a single
-//! lock. A stripe is three flat slabs (`Stripe`): a 16-byte head per node,
+//! reader–writer locks, so concurrent queries can read (and write back to)
+//! disjoint parts of the tree without contending on a single lock. A node's
+//! stripe is its run of `2^s` consecutive ids, runs dealt to the stripes in
+//! turn, `s = ilog2(max(1, node_count / CACHE_STRIPES))` fixed at assembly:
+//! siblings and a level's nodes are consecutive ids, so one viewport's walk
+//! takes a handful of stripes, not all of them, and two clients on different
+//! viewports seldom share a lock line. A stripe is three flat slabs
+//! (`Stripe`): a 16-byte head per node,
 //! the nodes' slot rings end to end as 48-byte cells, and one place per leaf
 //! sensor for its raw reading. A visit is lock → head → one contiguous run
 //! of cells, handed to the caller as a borrowed [`NodeCache`]; nothing in a
@@ -98,9 +103,23 @@ use crate::slot_cache::{
 use crate::time::{TimeDelta, Timestamp};
 
 /// Number of reader–writer locks the per-node caches are sharded over.
-/// A power of two so the stripe of a node is a mask away.
 pub const CACHE_STRIPES: usize = 64;
-const STRIPE_SHIFT: u32 = CACHE_STRIPES.trailing_zeros();
+
+/// The log2 length of a stripe run in a tree of `node_count` nodes: one to
+/// two runs a stripe.
+fn stripe_shift(node_count: usize) -> u32 {
+    (node_count / CACHE_STRIPES).max(1).ilog2()
+}
+
+/// Where node `id` lives: its stripe and its position there. Run
+/// `id >> shift` goes to stripe `run % CACHE_STRIPES`, and a stripe's runs
+/// sit end to end in its slabs, so its positions are dense.
+#[inline]
+fn stripe_slot(shift: u32, id: usize) -> (usize, usize) {
+    let run = id >> shift;
+    let within = id & ((1 << shift) - 1);
+    (run % CACHE_STRIPES, (run / CACHE_STRIPES) << shift | within)
+}
 
 /// A node's id: its breadth-first position in the arena — the root is 0 and
 /// each node's children are one contiguous run of ids, a level's nodes one
@@ -271,8 +290,8 @@ struct Head {
     entry_len: u32,
 }
 
-/// The cache state of every node of one lock stripe, node `id` at position
-/// `id / CACHE_STRIPES`: three slabs and the side tables most nodes never
+/// The cache state of every node of one lock stripe, each at its position
+/// there (`stripe_slot`): three slabs and the side tables most nodes never
 /// need, so a visit reads its head and one contiguous run of cells.
 #[derive(Debug, Clone)]
 pub(crate) struct Stripe {
@@ -555,9 +574,11 @@ pub struct ColrTree {
     pub(crate) slot_config: SlotConfig,
     pub(crate) t_max: TimeDelta,
     pub(crate) sensors: Vec<SensorMeta>,
-    /// Per-node caches, sharded by `id % CACHE_STRIPES`; node `id` sits at
-    /// position `id / CACHE_STRIPES` within its stripe.
+    /// Per-node caches, sharded by runs of `2^stripe_shift` consecutive ids
+    /// (`stripe_slot`).
     pub(crate) stripes: Vec<RwLock<Stripe>>,
+    /// The log2 length of a stripe run, fixed at assembly.
+    stripe_shift: u32,
     /// Serialises mutators and holds the cross-node accounting.
     pub(crate) maint: Mutex<Maintenance>,
     /// Window bases below this need no maintenance: `cache_base + 1`,
@@ -593,6 +614,7 @@ impl Clone for ColrTree {
                     RwLock::new(stripe)
                 })
                 .collect(),
+            stripe_shift: self.stripe_shift,
             settled_below: AtomicU64::new(maint.cache_base + 1),
             maint: Mutex::new(maint),
             // Estimates describe the same physical sensors, so clones share
@@ -618,22 +640,24 @@ impl ColrTree {
     ) -> ColrTree {
         let arena = SamplingArena::flatten(&nodes, &sensors);
         let ring = slot_config.num_slots + 1;
-        let stripes = (0..CACHE_STRIPES).map(|stripe| {
-            let mut places = 0;
-            let heads: Vec<Head> = (stripe..nodes.len())
-                .step_by(CACHE_STRIPES)
-                .map(|id| {
-                    let entry_len = arena.sensor_len(id) as u32;
-                    let entry_start = places;
-                    places += entry_len;
-                    Head {
-                        filling: 0,
-                        kinds: NO_KIND,
-                        entry_start,
-                        entry_len,
-                    }
-                })
-                .collect();
+        let shift = stripe_shift(nodes.len());
+        // Ids in order fill each stripe's positions in order.
+        let mut heads: Vec<Vec<Head>> = (0..CACHE_STRIPES)
+            .map(|_| Vec::with_capacity(2 << shift))
+            .collect();
+        let mut places = [0u32; CACHE_STRIPES];
+        for id in 0..nodes.len() {
+            let stripe = stripe_slot(shift, id).0;
+            let entry_len = arena.sensor_len(id) as u32;
+            heads[stripe].push(Head {
+                filling: 0,
+                kinds: NO_KIND,
+                entry_start: places[stripe],
+                entry_len,
+            });
+            places[stripe] += entry_len;
+        }
+        let stripes = heads.into_iter().zip(places).map(|(heads, places)| {
             let cells = heads.len() * ring;
             RwLock::new(Stripe {
                 heads,
@@ -648,16 +672,12 @@ impl ColrTree {
             t_max,
             sensors,
             stripes: stripes.collect(),
+            stripe_shift: shift,
             maint: Mutex::new(Maintenance::new(slot_config.num_slots)),
             settled_below: AtomicU64::new(0),
             live_avail: RwLock::new(None),
             arena: Arc::new(arena),
         }
-    }
-
-    #[inline]
-    fn stripe_slot(id: NodeId) -> (usize, usize) {
-        (id.index() & (CACHE_STRIPES - 1), id.index() >> STRIPE_SHIFT)
     }
 
     // ------------------------------------------------------------------
@@ -669,7 +689,7 @@ impl ColrTree {
     /// Holds the node's stripe read lock for the duration of `f`; do not
     /// call tree mutators (or `with_cache_mut`) from inside the closure.
     pub fn with_cache<T>(&self, id: NodeId, f: impl FnOnce(NodeCache<'_>) -> T) -> T {
-        let (stripe, pos) = Self::stripe_slot(id);
+        let (stripe, pos) = stripe_slot(self.stripe_shift, id.index());
         let guard = match self.stripes[stripe].try_read() {
             Some(g) => g,
             None => {
@@ -702,7 +722,7 @@ impl ColrTree {
     /// Holds the node's stripe write lock for the duration of `f`; same
     /// re-entrancy rule as [`ColrTree::with_cache`].
     pub(crate) fn with_cache_mut<T>(&self, id: NodeId, f: impl FnOnce(NodeCacheMut<'_>) -> T) -> T {
-        let (stripe, pos) = Self::stripe_slot(id);
+        let (stripe, pos) = stripe_slot(self.stripe_shift, id.index());
         let mut guard = match self.stripes[stripe].try_write() {
             Some(g) => g,
             None => {
@@ -1579,7 +1599,8 @@ mod tests {
             let mut places = 0;
             for (i, stripe) in tree.stripes.iter().enumerate() {
                 let stripe = stripe.read();
-                let ids = (i..tree.node_count()).step_by(CACHE_STRIPES);
+                let ids =
+                    (0..tree.node_count()).filter(|&id| stripe_slot(tree.stripe_shift, id).0 == i);
                 assert_eq!(stripe.heads.len(), ids.clone().count());
                 assert_eq!(stripe.cells.len(), stripe.heads.len() * ring);
                 let homed: usize = ids
@@ -1595,6 +1616,74 @@ mod tests {
             assert_eq!(places, 40_000, "one place per sensor");
         }
         assert_eq!(tree.cached_readings(), readings.len());
+    }
+
+    /// Every id has its own place, each stripe's places are `0..len` with no
+    /// gap and follow the ids in order (so assembly lays a stripe out by
+    /// walking the ids once), and no stripe holds more than two runs.
+    #[test]
+    fn the_stripe_mapping_is_a_bijection_onto_dense_positions() {
+        let big = grid_tree(40_000).node_count();
+        for n in [1, 2, 63, 64, 65, 457, 4_452, big] {
+            let shift = stripe_shift(n);
+            let mut by_stripe = vec![Vec::new(); CACHE_STRIPES];
+            for id in 0..n {
+                let (stripe, pos) = stripe_slot(shift, id);
+                by_stripe[stripe].push((pos, id));
+            }
+            for mut held in by_stripe {
+                held.sort_unstable();
+                let positions: Vec<usize> = held.iter().map(|&(pos, _)| pos).collect();
+                assert_eq!(positions, (0..held.len()).collect::<Vec<_>>(), "{n} nodes");
+                assert!(
+                    held.windows(2).all(|w| w[0].1 < w[1].1),
+                    "positions follow ids"
+                );
+                assert!(
+                    held.len() <= 2 << shift,
+                    "{n} nodes: at most two runs a stripe"
+                );
+            }
+        }
+    }
+
+    /// A child run lies in the stripes of the id runs it spans, one after
+    /// the other: one stripe, or two when it crosses a run boundary, for
+    /// every child run no longer than a stripe run. Where the stripe runs
+    /// are longer than the fan-out (the 40k-sensor tree), most child runs
+    /// lie in one stripe.
+    #[test]
+    fn a_child_run_lies_in_the_stripes_of_the_runs_it_spans() {
+        for sensors in [4_000, 40_000] {
+            let tree = grid_tree(sensors);
+            let shift = tree.stripe_shift;
+            let (mut whole, mut runs) = (0, 0);
+            for id in tree.node_ids() {
+                let Children::Internal(kids) = tree.node(id).children else {
+                    continue;
+                };
+                let (start, end) = (kids.0 as usize, kids.1 as usize);
+                let mut stripes: Vec<usize> =
+                    (start..end).map(|c| stripe_slot(shift, c).0).collect();
+                stripes.dedup();
+                let spanned = ((end - 1) >> shift) - (start >> shift) + 1;
+                assert_eq!(stripes.len(), spanned, "{id:?}: {stripes:?}");
+                assert!(stripes
+                    .windows(2)
+                    .all(|w| w[1] == (w[0] + 1) % CACHE_STRIPES));
+                if end - start <= 1 << shift {
+                    assert!(spanned <= 2, "{id:?}: {stripes:?}");
+                }
+                runs += 1;
+                whole += usize::from(spanned == 1);
+            }
+            if sensors == 40_000 {
+                assert!(
+                    2 * whole > runs,
+                    "{whole} of {runs} child runs in one stripe"
+                );
+            }
+        }
     }
 
     #[test]

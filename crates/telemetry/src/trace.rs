@@ -12,6 +12,7 @@
 //! with that query's simulated instant, in microseconds, so one query's
 //! spans share one clock and traces are reproducible run to run.
 
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -76,9 +77,19 @@ pub struct TraceEvent {
 
 type Ring = Arc<Mutex<VecDeque<TraceEvent>>>;
 
+/// Hands each [`Tracer`] its own id, never reused in the process.
+static NEXT_TRACER: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// The ring this thread last recorded into and its tracer's id: the
+    /// map of rings is read only when the thread changes tracer.
+    static LAST_RING: RefCell<Option<(u64, Ring)>> = const { RefCell::new(None) };
+}
+
 /// The span/event tracer. One global instance ([`tracer`]) serves the
 /// built-in instrumentation; tests can build private ones.
 pub struct Tracer {
+    id: u64,
     rings: Mutex<HashMap<ThreadId, Ring>>,
     seq: AtomicU64,
     enabled: AtomicBool,
@@ -90,6 +101,7 @@ impl Tracer {
     /// Recording starts enabled; gate it with [`Tracer::set_enabled`].
     pub fn new(capacity: usize) -> Tracer {
         Tracer {
+            id: NEXT_TRACER.fetch_add(1, Ordering::Relaxed),
             rings: Mutex::new(HashMap::new()),
             seq: AtomicU64::new(0),
             enabled: AtomicBool::new(true),
@@ -121,12 +133,17 @@ impl Tracer {
             dur_us,
             detail,
         };
-        let ring = self.thread_ring();
-        let mut ring = ring.lock();
-        if ring.len() == self.capacity {
-            ring.pop_front();
-        }
-        ring.push_back(ev);
+        LAST_RING.with_borrow_mut(|last| {
+            let ring = match last {
+                Some((id, ring)) if *id == self.id => ring,
+                _ => &last.insert((self.id, self.thread_ring())).1,
+            };
+            let mut ring = ring.lock();
+            if ring.len() == self.capacity {
+                ring.pop_front();
+            }
+            ring.push_back(ev);
+        });
     }
 
     /// Drains every thread's ring, returning all buffered events in global
@@ -285,6 +302,25 @@ mod tests {
         }
         // A drained tracer is empty; a second drain yields nothing.
         assert!(t.drain().is_empty());
+    }
+
+    #[test]
+    fn two_tracers_on_one_thread_keep_their_own_rings_across_drains() {
+        let (a, b) = (Tracer::new(16), Tracer::new(16));
+        a.record(SpanKind::Parse, 1, 0, 1);
+        b.record(SpanKind::Plan, 2, 0, 2);
+        a.record(SpanKind::Traverse, 3, 0, 3);
+        let details = |t: &Tracer| t.drain().iter().map(|e| e.detail).collect::<Vec<_>>();
+        assert_eq!(details(&a), [1, 3]);
+        assert_eq!(details(&b), [2]);
+        // The thread's ring is still the one its tracer drains.
+        a.record(SpanKind::CacheHit, 4, 0, 4);
+        a.record(SpanKind::SlotCombine, 5, 0, 5);
+        assert_eq!(a.buffered(), 2);
+        assert_eq!(details(&a), [4, 5]);
+        b.record(SpanKind::WriteBack, 6, 0, 6);
+        assert_eq!(details(&b), [6]);
+        assert_eq!(a.buffered() + b.buffered(), 0);
     }
 
     #[test]

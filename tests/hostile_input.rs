@@ -10,13 +10,18 @@
 //! back in time, without a panic, with group counts that add up to what the
 //! degradation report says was sampled, and with all four routers agreeing
 //! on whether anything was found.
+//!
+//! A backend is hostile input too: one whose reports are short, long, or
+//! name sensors it was not asked about must leave no value in an answer, or
+//! in a cache, that the asked sensors did not produce.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-use colr_repro::colr::probe::AlwaysAvailable;
-use colr_repro::colr::{LsmConfig, Mode, SensorMeta, TimeDelta, Timestamp};
+use colr_repro::colr::probe::{AlwaysAvailable, ProbeService};
+use colr_repro::colr::{LsmConfig, Mode, Reading, SensorId, SensorMeta, TimeDelta, Timestamp};
 use colr_repro::engine::{IndexStrategy, PortalConfig, PortalError, QueryRequest, ShardedPortal};
 use colr_repro::geo::Point;
 
@@ -54,6 +59,17 @@ fn statements() -> Vec<String> {
 /// after the 32nd and retires every third of them, so each shard answers
 /// from L0, a second level and tombstone masks as well as its base level.
 fn router(shards: usize, churned: bool) -> ShardedPortal<AlwaysAvailable> {
+    let probe = |_: usize, _: &[SensorMeta]| AlwaysAvailable {
+        expiry_ms: EXPIRY_MS,
+    };
+    router_over(shards, churned, probe)
+}
+
+fn router_over<P: ProbeService>(
+    shards: usize,
+    churned: bool,
+    probe: impl FnMut(usize, &[SensorMeta]) -> P,
+) -> ShardedPortal<P> {
     let sensors: Vec<SensorMeta> = (0..SIDE * SIDE)
         .map(|i| {
             SensorMeta::new(
@@ -72,9 +88,6 @@ fn router(shards: usize, churned: bool) -> ShardedPortal<AlwaysAvailable> {
             ..Default::default()
         }),
         ..Default::default()
-    };
-    let probe = |_: usize, _: &[SensorMeta]| AlwaysAvailable {
-        expiry_ms: EXPIRY_MS,
     };
     let router = ShardedPortal::new(sensors, probe, shards, config);
     router.clock().advance_to(Timestamp(5_000));
@@ -146,6 +159,95 @@ fn edge_valued_statements_neither_panic_nor_wedge() {
                 answers[0],
                 answers[i]
             );
+        }
+    }
+}
+
+/// A value no asked sensor produces: each honest reading carries its
+/// sensor's id, and the hostile ones carry this.
+const PLANTED: f64 = 1e9;
+
+#[derive(Debug, Clone, Copy)]
+enum Lie {
+    /// Leaves the last id of every batch unanswered.
+    Short,
+    /// Prepends a reading of sensor 0, shifting every later outcome.
+    Long,
+    /// Answers every id with a reading of the next sensor.
+    WrongId,
+}
+
+/// A backend that lies in the shape of its report until `dark` is set, then
+/// answers nothing, so a query only reads what the caches hold.
+struct Liar {
+    lie: Lie,
+    dark: Arc<AtomicBool>,
+}
+
+impl ProbeService for Liar {
+    fn probe_batch(&self, ids: &[SensorId], now: Timestamp) -> Vec<Option<Reading>> {
+        if self.dark.load(Ordering::Relaxed) {
+            return vec![None; ids.len()];
+        }
+        let reading = |sensor: SensorId, value: f64| {
+            Some(Reading {
+                sensor,
+                value,
+                timestamp: now,
+                expires_at: now + TimeDelta::from_millis(EXPIRY_MS),
+            })
+        };
+        let honest = ids.iter().map(|&id| reading(id, f64::from(id.0)));
+        match self.lie {
+            Lie::Short => honest.take(ids.len().saturating_sub(1)).collect(),
+            Lie::Long => std::iter::once(reading(SensorId(0), PLANTED))
+                .chain(honest)
+                .collect(),
+            Lie::WrongId => ids
+                .iter()
+                .map(|&id| reading(SensorId(id.0 + 1), PLANTED))
+                .collect(),
+        }
+    }
+}
+
+fn max_value(portal: &ShardedPortal<Liar>, sql: &str) -> Option<f64> {
+    let request = QueryRequest::from_sql(sql).expect("valid SQL");
+    portal.execute(&request).expect("an answer").result.value
+}
+
+#[test]
+fn a_backend_that_answers_other_ids_plants_no_value() {
+    const VIEWPORT: &str =
+        "SELECT max(value) FROM sensor WHERE location WITHIN RECT(10, 10, 20, 20) SAMPLESIZE 40";
+    const EVERYWHERE: &str =
+        "SELECT max(value) FROM sensor WHERE location WITHIN RECT(-1, -1, 32, 32)";
+    for lie in [Lie::Short, Lie::Long, Lie::WrongId] {
+        for shards in [1, 4] {
+            for churned in [false, true] {
+                let dark = Arc::new(AtomicBool::new(false));
+                let portal = router_over(shards, churned, |_, _| Liar {
+                    lie,
+                    dark: dark.clone(),
+                });
+                let case = format!("{lie:?}, {shards} shard(s), churned: {churned}");
+                for pass in ["cold", "warm"] {
+                    let value = max_value(&portal, VIEWPORT);
+                    assert!(
+                        value.is_none_or(|v| v < PLANTED),
+                        "{case}, {pass}: the answer holds {value:?}"
+                    );
+                    if let Lie::Short = lie {
+                        assert!(value.is_some(), "{case}, {pass}: honest readings lost");
+                    }
+                }
+                dark.store(true, Ordering::Relaxed);
+                let cached = max_value(&portal, EVERYWHERE);
+                assert!(
+                    cached.is_none_or(|v| v < PLANTED),
+                    "{case}: the caches hold {cached:?}"
+                );
+            }
         }
     }
 }
