@@ -100,7 +100,7 @@ if [ -n "$early" ]; then
     echo "ci: a column-0 #[cfg(test)] before the test module cuts the count early at: $early" >&2
     exit 1
 fi
-max_nontest=18320
+max_nontest=18538
 nontest=$(counted crates/*/src |
     xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile } { n++ } END { print n }' |
     awk '{ s += $1 } END { print s }')
@@ -236,6 +236,37 @@ cargo test -q --release --offline -p colr-tree --lib build::
 # bijection onto dense positions that keeps child runs together.
 cargo test -q --release --offline -p colr-tree --lib -- sampling:: tree::tests::
 echo "ci: hot-path parity smoke OK"
+
+# The paper's figures as a gated, generated artifact (ROADMAP 3). Every claim
+# row of EXPERIMENTS.md is a band `experiments` checks after each run, and a
+# gated miss exits 1: at the default scale (40k sensors) the shape bands of
+# Figs 2-7, at the paper's 370k sensors (`--full`) the paper's own bands on
+# Fig 3's cached nodes and the headline. The rest of `all --full` stays out
+# of CI. Each run writes its console tables as `<name>.txt`, and each
+# measured block of EXPERIMENTS.md (the fenced block under an
+# `<!-- experiments: NAME -->` marker) must equal `NAME.txt` byte for byte.
+figures=target/experiments
+experiments() {
+    local log
+    log=$(cargo run --release --offline -q -p colr-bench --bin experiments -- "$@") || {
+        sed -n '/^== Claims/,$p' <<<"$log" >&2
+        echo "ci: experiments $* missed a gated band (or failed)" >&2
+        exit 1
+    }
+}
+experiments all --out "$figures"
+experiments fig3 --full --out "$figures/full"
+experiments headline --full --out "$figures/full"
+for block in fig2 fig3 fig4 fig5 fig6 fig7 headline full/fig3 full/headline; do
+    awk -v marker="<!-- experiments: $block -->" '
+        $0 == marker { found = 1; next }
+        found && /^```/ { if (body) exit; body = 1; next }
+        body' EXPERIMENTS.md | diff -u - "$figures/$block.txt" || {
+        echo "ci: EXPERIMENTS.md's '$block' block differs from $figures/$block.txt; copy the run's table in" >&2
+        exit 1
+    }
+done
+echo "ci: paper claims and generated EXPERIMENTS.md blocks OK"
 
 # Benchmark runner gate: the ruler's own tests (its --quick smoke and the
 # BENCHMARK.json catalogue check), then a quick live_local run that must pass

@@ -1,20 +1,28 @@
 //! Regenerates every table and figure of the COLR-Tree paper (Section VII).
 //!
 //! ```text
-//! experiments <fig2|fig3|fig4|fig5|fig6|fig7|headline|all> [--full]
-//!     [--queries N] [--sensors N] [--out DIR]
+//! experiments <fig2|fig3|fig4|fig5|fig6|fig7|headline|motivation|uniformity|ablation|all>
+//!     [--full] [--queries N] [--sensors N] [--out DIR]
 //! ```
 //!
 //! Default scale preserves every reported *shape* while running in seconds;
-//! `--full` uses the paper's 370k sensors / 106k queries. CSV series land in
-//! `--out DIR` (default `target/experiments`).
+//! `--full` uses the paper's 370k sensors (and its 106k-query trace where a
+//! figure sets no query count of its own). Each figure returns its tables,
+//! which are rendered once: printed, and written as `<name>.csv` and
+//! `<name>.txt` (the console grid) under `--out DIR` (default
+//! `target/experiments`). `fig5` and `fig6` are one sweep and render both
+//! tables. Every run then checks the paper's claims against the tables it
+//! rendered (`colr_bench::claims`) and exits 1 on a gated miss.
 
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::fs;
-use std::path::PathBuf;
+use std::iter::once;
+use std::path::{Path, PathBuf};
 
-use colr_bench::{build_tree, mean, replay, replay_flat, scenario, Measurement, ReplayParams};
+use colr_bench::claims::{self, Scale};
+use colr_bench::{
+    build_tree, ideal_sizes, mean, replay, replay_flat, scenario, Cell, Measurement, ReplayParams,
+    Table,
+};
 use colr_geo::{Rect, Region};
 use colr_sensors::{RandomWalkField, SimNetwork, SpatialField};
 use colr_tree::{
@@ -59,16 +67,28 @@ fn parse_args() -> Args {
     args
 }
 
-fn write_csv(out: &PathBuf, name: &str, header: &str, rows: &[String]) {
+/// Prints `text` and writes it to `<name>.txt`.
+fn emit(out: &Path, name: &str, text: &str) {
+    print!("{text}");
     fs::create_dir_all(out).expect("create out dir");
-    let mut body = String::from(header);
-    body.push('\n');
-    for r in rows {
-        body.push_str(r);
-        body.push('\n');
+    fs::write(out.join(format!("{name}.txt")), text).expect("write txt");
+}
+
+/// Renders a table: its banner, its grid (also `<name>.txt`), its notes and
+/// `<name>.csv`. The headline is one row shown as the paper states it, with
+/// no CSV.
+fn render(out: &Path, t: &Table) {
+    println!("{}\n", t.title);
+    if t.name == "headline" {
+        emit(out, t.name, &headline_text(t));
+        return;
     }
-    let path = out.join(name);
-    fs::write(&path, body).expect("write csv");
+    emit(out, t.name, &t.grid());
+    for note in &t.notes {
+        println!("  {note}");
+    }
+    let path = out.join(format!("{}.csv", t.name));
+    fs::write(&path, t.csv()).expect("write csv");
     println!("  [csv] {}", path.display());
 }
 
@@ -88,315 +108,257 @@ fn net_for(scenario: &Scenario, seed: u64) -> SimNetwork<RandomWalkField> {
     SimNetwork::new(scenario.sensors.clone(), field, seed)
 }
 
+/// Replays the scenario's trace on a fresh tree built with `config`.
+fn replay_fresh(sc: &Scenario, config: ColrConfig, params: ReplayParams) -> Vec<Measurement> {
+    let tree = ColrTree::build(sc.sensors.clone(), config, 1);
+    replay(&tree, sc, &net_for(sc, 5), params, 3)
+}
+
+fn probes(ms: &[Measurement]) -> f64 {
+    mean(ms.iter().map(|m| m.stats.sensors_probed as f64))
+}
+
+fn latency(ms: &[Measurement]) -> f64 {
+    mean(ms.iter().map(|m| m.latency_ms))
+}
+
 // ---------------------------------------------------------------------
 // Fig 2 — utility/cost ratio vs slot size
 // ---------------------------------------------------------------------
 
-fn fig2(args: &Args) {
-    println!("== Fig 2: utility/cost ratio vs slot size ==");
-    println!("   paper: optima at Δ≈0.5 (Uniform), ≈0.8 (USGS), ≈0.2 (Weather)\n");
+fn fig2(args: &Args) -> Table {
     let sc = scenario(args.full, args.queries, args.sensors.or(Some(10_000)));
     let windows = sc.queries.normalized_windows(sc.t_max);
-    let models = [
-        ("uniform", ExpiryModel::Uniform, 10_000usize),
-        ("usgs", ExpiryModel::UsgsLike, 10_000),
-        ("weather", ExpiryModel::WeatherLike, 1_000),
-    ];
     let grid = slot_size::default_delta_grid();
-    type Series = (String, Vec<(f64, f64)>, f64);
-    let mut series: Vec<Series> = Vec::new();
-    for (name, model, population) in models {
+    let sweeps: Vec<Vec<(f64, f64)>> = [
+        (ExpiryModel::Uniform, 10_000usize),
+        (ExpiryModel::UsgsLike, 10_000),
+        (ExpiryModel::WeatherLike, 1_000),
+    ]
+    .into_iter()
+    .map(|(model, population)| {
         let workload = SlotSizeWorkload {
             query_windows: windows.clone(),
             collection_fraction: 0.3,
             collection_cost: 1.7,
             expiry_times: model.samples(population, 17),
         };
-        let sweep = workload.sweep(&grid);
-        let opt = workload.optimal_slot_size(&grid);
-        series.push((name.to_owned(), sweep, opt));
-    }
-
-    println!(
-        "{:>6} {:>12} {:>12} {:>12}",
-        "delta", "uniform", "usgs", "weather"
+        workload.sweep(&grid)
+    })
+    .collect();
+    let mut t = Table::new(
+        "fig2",
+        "== Fig 2: utility/cost ratio vs slot size ==\n   paper: optima at Δ≈0.5 (Uniform), ≈0.8 (USGS), ≈0.2 (Weather)",
+        "delta:2 uniform:4 usgs:4 weather:4",
     );
-    let mut rows = Vec::new();
     for (i, &d) in grid.iter().enumerate() {
-        let u = series[0].1[i].1;
-        let g = series[1].1[i].1;
-        let w = series[2].1[i].1;
-        println!("{d:>6.2} {u:>12.4} {g:>12.4} {w:>12.4}");
-        rows.push(format!("{d},{u},{g},{w}"));
+        let [u, g, w] = [0, 1, 2].map(|m| sweeps[m][i].1);
+        t.rows.push(Cell::nums([d, u, g, w]));
     }
-    println!();
-    for (name, _, opt) in &series {
-        println!("  optimal slot size [{name}]: {opt:.2}");
-    }
-    write_csv(&args.out, "fig2.csv", "delta,uniform,usgs,weather", &rows);
+    t
 }
 
 // ---------------------------------------------------------------------
 // Fig 3 — internal node traversals vs ideal result size
 // ---------------------------------------------------------------------
 
-fn fig3(args: &Args) {
-    println!("== Fig 3: node traversals vs ideal result-set size ==");
-    println!("   paper: R-Tree grows linearly; hier-cache and COLR traverse far fewer;");
-    println!("   COLR accesses 5-8x fewer cached nodes than hier-cache\n");
+fn fig3(args: &Args) -> Table {
     let sc = scenario(args.full, args.queries.or(Some(1_500)), args.sensors);
-    let configs = [
-        ("rtree", Mode::RTree, None),
-        ("hier", Mode::HierCache, None),
-        ("colr", Mode::Colr, Some(100.0)),
-    ];
     let edges = [0u64, 25, 100, 400, 1_600, 6_400, u64::MAX];
-    let label = |b: usize| -> String {
-        if edges[b + 1] == u64::MAX {
-            format!(">{}", edges[b])
-        } else {
-            format!("{}-{}", edges[b], edges[b + 1])
-        }
-    };
-    let mut per_config: Vec<(String, Vec<f64>, Vec<f64>)> = Vec::new();
-    for (name, mode, sample) in configs {
-        let mut tree = build_tree(&sc, None);
-        let mut net = net_for(&sc, 5);
-        let ms = replay(
-            &mut tree,
-            &sc,
-            &mut net,
-            ReplayParams {
-                mode,
-                sample_size: sample,
-                ..Default::default()
-            },
-            3,
-        );
-        let mut nodes_bins = vec![Vec::new(); edges.len() - 1];
-        let mut cached_bins = vec![Vec::new(); edges.len() - 1];
-        for m in &ms {
-            let b = edges
+    let bins: Vec<usize> = ideal_sizes(&sc)
+        .into_iter()
+        .map(|ideal| {
+            edges
                 .windows(2)
-                .position(|w| m.ideal_size >= w[0] && m.ideal_size < w[1])
-                .unwrap();
-            nodes_bins[b].push(m.stats.nodes_traversed as f64);
-            cached_bins[b].push(m.stats.cache_nodes_used as f64);
-        }
-        per_config.push((
-            name.to_owned(),
-            nodes_bins.iter().map(|b| mean(b.iter().copied())).collect(),
-            cached_bins
-                .iter()
-                .map(|b| mean(b.iter().copied()))
-                .collect(),
-        ));
+                .position(|w| ideal >= w[0] && ideal < w[1])
+                .unwrap()
+        })
+        .collect();
+    let mut nodes = Vec::new();
+    let mut cached = Vec::new();
+    for (mode, sample_size) in [
+        (Mode::RTree, None),
+        (Mode::HierCache, None),
+        (Mode::Colr, Some(100.0)),
+    ] {
+        let params = ReplayParams {
+            mode,
+            sample_size,
+            ..Default::default()
+        };
+        let ms = replay_fresh(&sc, ColrConfig::default(), params);
+        let per_bin = |value: fn(&Measurement) -> u64| -> Vec<f64> {
+            (0..edges.len() - 1)
+                .map(|b| {
+                    let in_bin = ms.iter().zip(&bins).filter(|&(_, &mb)| mb == b);
+                    mean(in_bin.map(|(m, _)| value(m) as f64))
+                })
+                .collect()
+        };
+        nodes.push(per_bin(|m| m.stats.nodes_traversed));
+        cached.push(per_bin(|m| m.stats.cache_nodes_used));
     }
-    println!(
-        "{:>12} {:>10} {:>10} {:>10} | {:>11} {:>11}",
-        "result size", "rtree", "hier", "colr", "hier-cached", "colr-cached"
+    let mut t = Table::new(
+        "fig3",
+        "== Fig 3: node traversals vs ideal result-set size ==\n   paper: R-Tree grows linearly; hier-cache and COLR traverse far fewer;\n   COLR accesses 5-8x fewer cached nodes than hier-cache",
+        "result_size_bin:0 rtree_nodes:1 hier_nodes:1 colr_nodes:1 hier_cached:1 colr_cached:1",
     );
-    let mut rows = Vec::new();
     for b in 0..edges.len() - 1 {
-        let r = per_config[0].1[b];
-        let h = per_config[1].1[b];
-        let c = per_config[2].1[b];
-        let hc = per_config[1].2[b];
-        let cc = per_config[2].2[b];
-        println!(
-            "{:>12} {r:>10.1} {h:>10.1} {c:>10.1} | {hc:>11.1} {cc:>11.1}",
-            label(b)
-        );
-        rows.push(format!("{},{r},{h},{c},{hc},{cc}", label(b)));
+        let label = match edges[b + 1] {
+            u64::MAX => format!(">{}", edges[b]),
+            hi => format!("{}-{hi}", edges[b]),
+        };
+        let values = nodes
+            .iter()
+            .chain(&cached[1..])
+            .map(|series| Cell::Num(series[b]));
+        t.rows.push(once(Cell::text(label)).chain(values).collect());
     }
-    write_csv(
-        &args.out,
-        "fig3.csv",
-        "result_size_bin,rtree_nodes,hier_nodes,colr_nodes,hier_cached,colr_cached",
-        &rows,
-    );
-
     // The structural property grounding this figure (Section VII-B): "near
     // uniform distributions of internal node weights per layer".
-    let tree = build_tree(&sc, None);
-    println!("\n  per-layer weight uniformity (CV = stddev/mean; low = uniform):");
-    for s in colr_tree::inspect::level_stats(&tree) {
-        println!(
-            "    level {:>2}: {:>6} nodes, mean weight {:>9.1}, CV {:.2}",
+    t.notes
+        .push("per-layer weight uniformity (CV = stddev/mean; low = uniform):".to_owned());
+    for s in colr_tree::inspect::level_stats(&build_tree(&sc, None)) {
+        t.notes.push(format!(
+            "  level {:>2}: {:>6} nodes, mean weight {:>9.1}, CV {:.2}",
             s.level, s.nodes, s.mean_weight, s.weight_cv
-        );
+        ));
     }
+    t
 }
 
 // ---------------------------------------------------------------------
-// Fig 4 — probes & latency vs freshness window
+// Fig 4 — probes & latency vs freshness window, and the headline
 // ---------------------------------------------------------------------
 
-fn fig4(args: &Args) {
-    println!("== Fig 4: sensor probes & latency over varying freshness windows ==");
-    println!("   paper: COLR cuts probes 30-100x; latency 3-5x below hier-cache,");
-    println!("   ~40ms absolute; probe curve heels at ~4 min freshness\n");
-    let sc = scenario(args.full, args.queries.or(Some(1_200)), args.sensors);
-    let freshness_mins = [1u64, 2, 3, 4, 5, 6, 8, 10];
-    println!(
-        "{:>5} {:>11} {:>11} {:>11} | {:>9} {:>9} {:>9}",
-        "mins", "flat/colr", "hier/colr", "colr_prb", "flat_lat", "hier_lat", "colr_lat"
+/// Fig 4's columns, which the headline shares.
+const FRESHNESS_COLUMNS: &str = "freshness_mins:0 flat_probes:1 hier_probes:1 colr_probes:1 \
+    flat_latency_ms:1 hier_latency_ms:1 colr_latency_ms:1 colr_latency_p95_ms:1";
+
+const HEADLINE_TITLE: &str = "== Headline: latency to ~20%, >30x fewer sensors accessed ==";
+
+/// The flat-cache, hier-cache and COLR replays at one freshness bound.
+fn freshness_row(sc: &Scenario, mins: u64) -> Vec<Cell> {
+    let staleness = Some(TimeDelta::from_mins(mins));
+    let mut flat = FlatCache::new(sc.sensors.clone(), None);
+    let flat_ms = replay_flat(&mut flat, sc, &net_for(sc, 5), staleness);
+    let tree_run = |mode, sample_size| {
+        let params = ReplayParams {
+            mode,
+            sample_size,
+            staleness_override: staleness,
+        };
+        replay_fresh(sc, ColrConfig::default(), params)
+    };
+    let (hier, colr) = (
+        tree_run(Mode::HierCache, None),
+        tree_run(Mode::Colr, Some(30.0)),
     );
-    let mut rows = Vec::new();
-    for &f in &freshness_mins {
-        let staleness = Some(TimeDelta::from_mins(f));
+    let colr_lat: Vec<f64> = colr.iter().map(|m| m.latency_ms).collect();
+    let [pf, ph, pc] = [&flat_ms, &hier, &colr].map(|ms| probes(ms));
+    let [lf, lh, lc] = [&flat_ms, &hier, &colr].map(|ms| latency(ms));
+    let p95 = percentile(&colr_lat, 95.0);
+    Cell::nums([mins as f64, pf, ph, pc, lf, lh, lc, p95])
+}
 
-        let mut flat = FlatCache::new(sc.sensors.clone(), None);
-        let mut net = net_for(&sc, 5);
-        let flat_ms = replay_flat(&mut flat, &sc, &mut net, staleness);
+fn fig4_scenario(args: &Args) -> Scenario {
+    scenario(args.full, args.queries.or(Some(1_200)), args.sensors)
+}
 
-        let mut tree_h = build_tree(&sc, None);
-        let mut net_h = net_for(&sc, 5);
-        let hier_ms = replay(
-            &mut tree_h,
-            &sc,
-            &mut net_h,
-            ReplayParams {
-                mode: Mode::HierCache,
-                sample_size: None,
-                staleness_override: staleness,
-                ..Default::default()
-            },
-            3,
-        );
-
-        let mut tree_c = build_tree(&sc, None);
-        let mut net_c = net_for(&sc, 5);
-        let colr_ms = replay(
-            &mut tree_c,
-            &sc,
-            &mut net_c,
-            ReplayParams {
-                mode: Mode::Colr,
-                sample_size: Some(30.0),
-                staleness_override: staleness,
-                ..Default::default()
-            },
-            3,
-        );
-
-        let probes = |ms: &[Measurement]| mean(ms.iter().map(|m| m.stats.sensors_probed as f64));
-        let lat = |ms: &[Measurement]| mean(ms.iter().map(|m| m.latency_ms));
-        let (pf, ph, pc) = (probes(&flat_ms), probes(&hier_ms), probes(&colr_ms));
-        let (lf, lh, lc) = (lat(&flat_ms), lat(&hier_ms), lat(&colr_ms));
-        let colr_lat: Vec<f64> = colr_ms.iter().map(|m| m.latency_ms).collect();
-        let lc95 = percentile(&colr_lat, 95.0);
-        println!(
-            "{f:>5} {:>11.1} {:>11.1} {pc:>11.1} | {lf:>9.1} {lh:>9.1} {lc:>9.1} (p95 {lc95:>5.1})",
-            pf / pc.max(1e-9),
-            ph / pc.max(1e-9),
-        );
-        rows.push(format!("{f},{pf},{ph},{pc},{lf},{lh},{lc},{lc95}"));
-    }
-    write_csv(
-        &args.out,
-        "fig4.csv",
-        "freshness_mins,flat_probes,hier_probes,colr_probes,flat_latency_ms,hier_latency_ms,colr_latency_ms,colr_latency_p95_ms",
-        &rows,
+fn fig4(args: &Args) -> Table {
+    let sc = fig4_scenario(args);
+    let mut t = Table::new(
+        "fig4",
+        "== Fig 4: sensor probes & latency over varying freshness windows ==\n   paper: COLR cuts probes 30-100x; latency 3-5x below hier-cache,\n   ~40ms absolute; probe curve heels at ~4 min freshness",
+        FRESHNESS_COLUMNS,
     );
+    t.rows = [1u64, 2, 3, 4, 5, 6, 8, 10]
+        .into_iter()
+        .map(|mins| freshness_row(&sc, mins))
+        .collect();
+    t
+}
+
+/// The headline (Section I / VII summary claims): the 5-minute freshness
+/// row, taken from Fig 4 when it ran.
+fn headline(args: &Args, fig4: Option<&Table>) -> Table {
+    let mut t = Table::new("headline", HEADLINE_TITLE, FRESHNESS_COLUMNS);
+    t.rows = match fig4 {
+        Some(f) => f
+            .rows
+            .iter()
+            .filter(|r| r[0] == Cell::Num(5.0))
+            .cloned()
+            .collect(),
+        None => vec![freshness_row(&fig4_scenario(args), 5)],
+    };
+    t
+}
+
+fn headline_text(t: &Table) -> String {
+    let v = |c: &str| t.col(c)[0];
+    let (ph, pc) = (v("hier_probes"), v("colr_probes"));
+    let (lh, lc) = (v("hier_latency_ms"), v("colr_latency_ms"));
+    format!(
+        "  probes/query   flat {:>9.1}  hier {ph:>9.1}  colr {pc:>7.1}\n\
+         \x20 latency ms     flat {:>9.1}  hier {lh:>9.1}  colr {lc:>7.1}\n\
+         \x20 probe reduction vs collection-agnostic: {:.0}x (paper: >30x)\n\
+         \x20 latency vs hier-cache: {:.0}% (paper: ~20%, i.e. 3-5x reduction)\n",
+        v("flat_probes"),
+        v("flat_latency_ms"),
+        ph / pc.max(1e-9),
+        100.0 * lc / lh.max(1e-9),
+    )
 }
 
 // ---------------------------------------------------------------------
-// Fig 5 + Fig 6 — cache size × sample size sweeps
+// Fig 5 + Fig 6 — one cache size × sample size sweep
 // ---------------------------------------------------------------------
 
-fn fig56(args: &Args, which: &str) {
+fn fig56(args: &Args) -> [Table; 2] {
     let sc = scenario(args.full, args.queries.or(Some(1_200)), args.sensors);
-    let n = sc.sensors.len();
-    let cache_fracs = [0.16, 0.24, 0.32];
-    let samples = [100.0, 1_000.0, 10_000.0];
-    type Cell = (f64, f64, f64, f64, f64);
-    let mut results: BTreeMap<(usize, usize), Cell> = BTreeMap::new();
-    for (ci, &cf) in cache_fracs.iter().enumerate() {
-        for (si, &r) in samples.iter().enumerate() {
-            let cap = (n as f64 * cf) as usize;
-            let mut tree = build_tree(&sc, Some(cap));
-            let mut net = net_for(&sc, 5);
-            let ms = replay(
-                &mut tree,
-                &sc,
-                &mut net,
-                ReplayParams {
-                    mode: Mode::Colr,
-                    sample_size: Some(r),
-                    ..Default::default()
-                },
-                3,
-            );
-            let probes = mean(ms.iter().map(|m| m.stats.sensors_probed as f64));
-            let lat = mean(ms.iter().map(|m| m.latency_ms));
-            let nodes = mean(ms.iter().map(|m| m.stats.nodes_traversed as f64));
-            let acc = mean(
+    let ideal = ideal_sizes(&sc);
+    let mut fig5 = Table::new(
+        "fig5",
+        "== Fig 5: cache limit × sample size → probes / latency / nodes ==\n   paper: larger caches help most at large sample sizes; sample size\n   matters most when the cache is small",
+        "cache_frac:2 sample_size:0 probes:1 latency_ms:2 nodes_traversed:1",
+    );
+    let mut fig6 = Table::new(
+        "fig6",
+        "== Fig 6: sampling accuracy & probe discretisation error ==\n   paper: ≥93% target accuracy at small cache, up to 99%; pde grows\n   with cache at small targets, shrinks at large targets",
+        "cache_frac:2 sample_size:0 target_accuracy:3 pde:3",
+    );
+    for cf in [0.16, 0.24, 0.32] {
+        for r in [100.0, 1_000.0, 10_000.0] {
+            let config = ColrConfig {
+                cache_capacity: Some((sc.sensors.len() as f64 * cf) as usize),
+                ..Default::default()
+            };
+            let params = ReplayParams {
+                sample_size: Some(r),
+                ..Default::default()
+            };
+            let ms = replay_fresh(&sc, config, params);
+            let accuracy = mean(
                 ms.iter()
-                    .map(|m| metrics::target_accuracy(r, m.result_size, m.ideal_size)),
+                    .zip(&ideal)
+                    .map(|(m, &i)| metrics::target_accuracy(r, m.result_size, i)),
             );
+            let nodes = mean(ms.iter().map(|m| m.stats.nodes_traversed as f64));
             let pde = mean(ms.iter().map(|m| m.pde));
-            results.insert((ci, si), (probes, lat, nodes, acc, pde));
+            fig5.rows
+                .push(Cell::nums([cf, r, probes(&ms), latency(&ms), nodes]));
+            fig6.rows.push(Cell::nums([cf, r, accuracy, pde]));
         }
     }
-    let mut rows = Vec::new();
-    if which == "fig5" {
-        println!("== Fig 5: cache limit × sample size → probes / latency / nodes ==");
-        println!("   paper: larger caches help most at large sample sizes; sample size");
-        println!("   matters most when the cache is small\n");
-        println!(
-            "{:>7} {:>9} {:>11} {:>12} {:>10}",
-            "cache%", "sample", "probes", "latency_ms", "nodes"
-        );
-        for ((ci, si), &(p, l, nd, _, _)) in &results {
-            println!(
-                "{:>7.0} {:>9.0} {p:>11.1} {l:>12.2} {nd:>10.1}",
-                cache_fracs[*ci] * 100.0,
-                samples[*si]
-            );
-            rows.push(format!(
-                "{},{},{p},{l},{nd}",
-                cache_fracs[*ci], samples[*si]
-            ));
-        }
-        write_csv(
-            &args.out,
-            "fig5.csv",
-            "cache_frac,sample_size,probes,latency_ms,nodes_traversed",
-            &rows,
-        );
-    } else {
-        println!("== Fig 6: sampling accuracy & probe discretisation error ==");
-        println!("   paper: ≥93% target accuracy at small cache, up to 99%; pde grows");
-        println!("   with cache at small targets, shrinks at large targets\n");
-        println!(
-            "{:>7} {:>9} {:>12} {:>8}",
-            "cache%", "sample", "target_acc", "pde"
-        );
-        for ((ci, si), &(_, _, _, acc, pde)) in &results {
-            println!(
-                "{:>7.0} {:>9.0} {acc:>12.3} {pde:>8.3}",
-                cache_fracs[*ci] * 100.0,
-                samples[*si]
-            );
-            rows.push(format!("{},{},{acc},{pde}", cache_fracs[*ci], samples[*si]));
-        }
-        write_csv(
-            &args.out,
-            "fig6.csv",
-            "cache_frac,sample_size,target_accuracy,pde",
-            &rows,
-        );
-    }
+    [fig5, fig6]
 }
 
 // ---------------------------------------------------------------------
 // Fig 7 — approximation error vs sample size (spatially correlated data)
 // ---------------------------------------------------------------------
 
-fn fig7(args: &Args) {
-    println!("== Fig 7: approximate AVG error vs sample size (200 correlated sensors) ==");
-    println!("   paper: <10% relative error from ~15 of 200 USGS gauges\n");
+fn fig7() -> Table {
     // 200 sensors across a Washington-state-sized extent, values from a
     // spatially correlated field (water-discharge analogue).
     let extent = Rect::from_coords(0.0, 0.0, 500.0, 400.0);
@@ -417,12 +379,13 @@ fn fig7(args: &Args) {
     let net = SimNetwork::new(sensors.clone(), field, 29);
 
     let region = Region::Rect(Rect::from_coords(-1.0, -1.0, 501.0, 401.0));
-    let sample_sizes = [5usize, 10, 15, 20, 30, 50, 100, 200];
     let trials = 40u64;
-    println!("{:>8} {:>12}", "sample", "rel_error");
-    let mut rows = Vec::new();
-    let mut heel: Option<usize> = None;
-    for &r in &sample_sizes {
+    let mut t = Table::new(
+        "fig7",
+        "== Fig 7: approximate AVG error vs sample size (200 correlated sensors) ==\n   paper: <10% relative error from ~15 of 200 USGS gauges",
+        "sample_size:0 rel_error:4",
+    );
+    for r in [5usize, 10, 15, 20, 30, 50, 100, 200] {
         let mut errs = Vec::new();
         for trial in 0..trials {
             let tree = ColrTree::build(sensors.clone(), ColrConfig::default(), 1);
@@ -445,17 +408,9 @@ fn fig7(args: &Args) {
                 errs.push(metrics::relative_error(a, e));
             }
         }
-        let e = mean(errs.iter().copied());
-        if e < 0.10 && heel.is_none() {
-            heel = Some(r);
-        }
-        println!("{r:>8} {e:>12.4}");
-        rows.push(format!("{r},{e}"));
+        t.rows.push(Cell::nums([r as f64, mean(errs.into_iter())]));
     }
-    if let Some(h) = heel {
-        println!("\n  <10% error first reached at sample size {h} (paper: ~15)");
-    }
-    write_csv(&args.out, "fig7.csv", "sample_size,rel_error", &rows);
+    t
 }
 
 // ---------------------------------------------------------------------
@@ -465,8 +420,7 @@ fn fig7(args: &Args) {
 /// Replays sampled queries against a fresh-cache tree and reports the
 /// distribution of per-sensor probe counts — the sensing-workload uniformity
 /// Theorem 2 promises (Section V-B).
-fn uniformity(args: &Args) {
-    println!("== Uniformity: sensing-load distribution across sensors (Thm 2) ==\n");
+fn uniformity(args: &Args) -> Table {
     let n = args.sensors.unwrap_or(5_000);
     let queries = args.queries.unwrap_or(400);
     let sc = scenario(false, Some(0), Some(n));
@@ -481,41 +435,25 @@ fn uniformity(args: &Args) {
             .with_sample_size(50.0);
         tree.execute(&q, Mode::Colr, &net, Timestamp(1_000 + t), &mut rng);
     }
-    let counts = net.probe_counts();
-    let total: u64 = counts.iter().sum();
-    let mean_load = total as f64 / counts.len() as f64;
-    let mut sorted: Vec<u64> = counts.to_vec();
-    sorted.sort_unstable();
-    let pct = |p: f64| sorted[((p / 100.0) * (sorted.len() - 1) as f64) as usize];
-    let touched = counts.iter().filter(|&&c| c > 0).count();
-    println!("  sensors: {n}, queries: {queries}, target/query: 50");
-    println!("  total probes: {total}  (fair share {mean_load:.2} per sensor)");
-    println!(
-        "  load percentiles: p10={} p50={} p90={} p99={} max={}",
-        pct(10.0),
-        pct(50.0),
-        pct(90.0),
-        pct(99.0),
-        sorted.last().unwrap()
+    let mut load: Vec<f64> = net.probe_counts().into_iter().map(|c| c as f64).collect();
+    load.sort_by(f64::total_cmp);
+    let total: f64 = load.iter().sum();
+    let pct = |p: f64| load[((p / 100.0) * (load.len() - 1) as f64) as usize];
+    let touched = load.iter().filter(|&&c| c > 0.0).count();
+    let mut t = Table::new(
+        "uniformity",
+        "== Uniformity: sensing-load distribution across sensors (Thm 2) ==",
+        "sensors:0 queries:0 total_probes:0 mean_load:2 p10:0 p50:0 p90:0 p99:0 max:0",
     );
-    println!(
-        "  sensors ever probed: {touched} / {n} ({:.1}%)",
+    let [p10, p50, p90, p99, max] = [10.0, 50.0, 90.0, 99.0, 100.0].map(pct);
+    let (n_f, q_f, mean_load) = (n as f64, queries as f64, total / load.len() as f64);
+    let values = [n_f, q_f, total, mean_load, p10, p50, p90, p99, max];
+    t.rows.push(Cell::nums(values));
+    t.notes.push(format!(
+        "target/query: 50; sensors ever probed: {touched} / {n} ({:.1}%)",
         100.0 * touched as f64 / n as f64
-    );
-    let rows = vec![format!(
-        "{n},{queries},{total},{mean_load},{},{},{},{},{}",
-        pct(10.0),
-        pct(50.0),
-        pct(90.0),
-        pct(99.0),
-        sorted.last().unwrap()
-    )];
-    write_csv(
-        &args.out,
-        "uniformity.csv",
-        "sensors,queries,total_probes,mean_load,p10,p50,p90,p99,max",
-        &rows,
-    );
+    ));
+    t
 }
 
 // ---------------------------------------------------------------------
@@ -526,23 +464,20 @@ fn uniformity(args: &Args) {
 /// expired when its first constituent expires — the strawman Section IV
 /// argues against) with slot caches of various widths, on the mean time a
 /// reading's contribution stays usable in aggregated form.
-fn motivation(args: &Args) {
-    println!("== Motivation: aggregate retention — naive min-expiry vs slot cache ==");
-    println!("   paper (Section IV): with one aggregate, 't_min can be very small,");
-    println!("   seriously limiting the usefulness of aggregate caching'\n");
+fn motivation() -> Table {
     let n = 10_000usize;
     let t_max_s = 600.0; // seconds, for readability
-    println!(
-        "{:>9} {:>12} {:>11} {:>11} {:>11}",
-        "expiry", "naive(min)", "slots m=2", "slots m=8", "slots m=32"
+    let mut t = Table::new(
+        "motivation",
+        "== Motivation: aggregate retention — naive min-expiry vs slot cache ==\n   paper (Section IV): with one aggregate, 't_min can be very small,\n   seriously limiting the usefulness of aggregate caching'",
+        "expiry_model:0 naive_min_expiry_s:1 slots_m2_s:1 slots_m8_s:1 slots_m32_s:1",
     );
-    let mut rows = Vec::new();
     for (name, model) in [
         ("uniform", ExpiryModel::Uniform),
         ("usgs", ExpiryModel::UsgsLike),
         ("weather", ExpiryModel::WeatherLike),
     ] {
-        let expiries = model.samples(n, 17 ^ args.queries.unwrap_or(0) as u64);
+        let expiries = model.samples(n, 17);
         // Naive: the whole aggregate dies at the minimum constituent expiry;
         // every reading's usable lifetime is that minimum.
         let naive = expiries.iter().copied().fold(f64::INFINITY, f64::min) * t_max_s;
@@ -558,76 +493,50 @@ fn motivation(args: &Args) {
                 / n as f64
                 * t_max_s
         };
-        let (m2, m8, m32) = (slot_mean(2), slot_mean(8), slot_mean(32));
-        println!("{name:>9} {naive:>11.1}s {m2:>10.1}s {m8:>10.1}s {m32:>10.1}s");
-        rows.push(format!("{name},{naive},{m2},{m8},{m32}"));
+        let values = [naive, slot_mean(2), slot_mean(8), slot_mean(32)];
+        t.rows
+            .push([vec![Cell::text(name)], Cell::nums(values)].concat());
     }
-    println!("\n  (mean usable lifetime per reading, t_max = {t_max_s} s, {n} readings)");
-    write_csv(
-        &args.out,
-        "motivation.csv",
-        "expiry_model,naive_min_expiry_s,slots_m2_s,slots_m8_s,slots_m32_s",
-        &rows,
-    );
+    t.notes.push(format!(
+        "(mean usable lifetime per reading, t_max = {t_max_s} s, {n} readings)"
+    ));
+    t
 }
 
 // ---------------------------------------------------------------------
 // Ablations — the design choices DESIGN.md calls out
 // ---------------------------------------------------------------------
 
-fn ablation(args: &Args) {
-    println!("== Ablations: slot count, oversampling, redistribution, build strategy ==\n");
+fn ablation(args: &Args) -> [Table; 3] {
     let sc = scenario(
         args.full,
         args.queries.or(Some(800)),
         args.sensors.or(Some(20_000)),
     );
+    let params = ReplayParams::default();
 
-    // --- (a) slot count m ------------------------------------------------
-    println!("(a) slot-cache slot count m → probes / latency / slots combined");
-    println!(
-        "{:>4} {:>10} {:>12} {:>10}",
-        "m", "probes", "latency_ms", "slots"
+    let mut slots = Table::new(
+        "ablation_slots",
+        "== Ablation (a): slot-cache slot count m → probes / latency / slots combined ==",
+        "num_slots:0 probes:1 latency_ms:2 slots_combined:1",
     );
-    let mut rows = Vec::new();
     for m in [1usize, 2, 4, 8, 16, 32] {
         let config = ColrConfig {
             num_slots: m,
             ..Default::default()
         };
-        let mut tree = ColrTree::build(sc.sensors.clone(), config, 1);
-        let mut net = net_for(&sc, 5);
-        let ms = replay(
-            &mut tree,
-            &sc,
-            &mut net,
-            ReplayParams {
-                mode: Mode::Colr,
-                sample_size: Some(100.0),
-                ..Default::default()
-            },
-            3,
-        );
-        let probes = mean(ms.iter().map(|x| x.stats.sensors_probed as f64));
-        let lat = mean(ms.iter().map(|x| x.latency_ms));
-        let slots = mean(ms.iter().map(|x| x.stats.slots_combined as f64));
-        println!("{m:>4} {probes:>10.1} {lat:>12.2} {slots:>10.1}");
-        rows.push(format!("{m},{probes},{lat},{slots}"));
+        let ms = replay_fresh(&sc, config, params);
+        let combined = mean(ms.iter().map(|x| x.stats.slots_combined as f64));
+        let values = [m as f64, probes(&ms), latency(&ms), combined];
+        slots.rows.push(Cell::nums(values));
     }
-    write_csv(
-        &args.out,
-        "ablation_slots.csv",
-        "num_slots,probes,latency_ms,slots_combined",
-        &rows,
-    );
 
-    // --- (b) oversampling & redistribution under failures -----------------
-    println!("\n(b) oversampling / redistribution under 0.7 availability → delivered sample (target 100)");
-    println!(
-        "{:>14} {:>14} {:>12} {:>10}",
-        "oversampling", "redistribution", "delivered", "probes"
+    let mut sampling = Table::new(
+        "ablation_sampling",
+        "== Ablation (b): oversampling / redistribution under 0.7 availability → delivered sample (target 100) ==",
+        "oversampling:0 redistribution:0 delivered:1 probes:1",
     );
-    let mut rows = Vec::new();
+    // Availability 0.7, in the sensor metadata and so in the network too.
     let mut flaky = sc.clone();
     for m in &mut flaky.sensors {
         m.availability = 0.7;
@@ -638,37 +547,19 @@ fn ablation(args: &Args) {
             enable_redistribution: rd,
             ..Default::default()
         };
-        let mut tree = ColrTree::build(flaky.sensors.clone(), config, 1);
-        // Availability 0.7 simulated by the network as well.
-        let field = RandomWalkField::new(flaky.sensors.len(), 0.0, 60.0, 2.0, 5);
-        let mut net = SimNetwork::new(flaky.sensors.clone(), field, 5);
-        let ms = replay(
-            &mut tree,
-            &flaky,
-            &mut net,
-            ReplayParams {
-                mode: Mode::Colr,
-                sample_size: Some(100.0),
-                ..Default::default()
-            },
-            3,
-        );
+        let ms = replay_fresh(&flaky, config, params);
         let delivered = mean(ms.iter().map(|x| x.result_size.min(100) as f64));
-        let probes = mean(ms.iter().map(|x| x.stats.sensors_probed as f64));
-        println!("{ov:>14} {rd:>14} {delivered:>12.1} {probes:>10.1}");
-        rows.push(format!("{ov},{rd},{delivered},{probes}"));
+        let flags = vec![Cell::text(ov), Cell::text(rd)];
+        sampling
+            .rows
+            .push([flags, Cell::nums([delivered, probes(&ms)])].concat());
     }
-    write_csv(
-        &args.out,
-        "ablation_sampling.csv",
-        "oversampling,redistribution,delivered,probes",
-        &rows,
-    );
 
-    // --- (c) build strategy ------------------------------------------------
-    println!("\n(c) bulk-load strategy → nodes traversed / probes");
-    println!("{:>8} {:>10} {:>10}", "build", "nodes", "probes");
-    let mut rows = Vec::new();
+    let mut build = Table::new(
+        "ablation_build",
+        "== Ablation (c): bulk-load strategy → nodes traversed / probes ==",
+        "strategy:0 nodes_traversed:1 probes:1",
+    );
     for (name, strategy) in [
         ("kmeans", BuildStrategy::KMeans),
         ("str", BuildStrategy::Str),
@@ -677,146 +568,50 @@ fn ablation(args: &Args) {
             build: strategy,
             ..Default::default()
         };
-        let mut tree = ColrTree::build(sc.sensors.clone(), config, 1);
-        let mut net = net_for(&sc, 5);
-        let ms = replay(
-            &mut tree,
-            &sc,
-            &mut net,
-            ReplayParams {
-                mode: Mode::Colr,
-                sample_size: Some(100.0),
-                ..Default::default()
-            },
-            3,
-        );
+        let ms = replay_fresh(&sc, config, params);
         let nodes = mean(ms.iter().map(|x| x.stats.nodes_traversed as f64));
-        let probes = mean(ms.iter().map(|x| x.stats.sensors_probed as f64));
-        println!("{name:>8} {nodes:>10.1} {probes:>10.1}");
-        rows.push(format!("{name},{nodes},{probes}"));
+        let values = Cell::nums([nodes, probes(&ms)]);
+        build.rows.push([vec![Cell::text(name)], values].concat());
     }
-    write_csv(
-        &args.out,
-        "ablation_build.csv",
-        "strategy,nodes_traversed,probes",
-        &rows,
-    );
-}
-
-// ---------------------------------------------------------------------
-// Headline numbers (Section I / VII summary claims)
-// ---------------------------------------------------------------------
-
-fn headline(args: &Args) {
-    println!("== Headline: latency to ~20%, >30x fewer sensors accessed ==\n");
-    let sc = scenario(args.full, args.queries.or(Some(1_200)), args.sensors);
-    let staleness = Some(TimeDelta::from_mins(5));
-
-    let mut flat = FlatCache::new(sc.sensors.clone(), None);
-    let mut net = net_for(&sc, 5);
-    let flat_ms = replay_flat(&mut flat, &sc, &mut net, staleness);
-
-    let mut tree_h = build_tree(&sc, None);
-    let mut net_h = net_for(&sc, 5);
-    let hier_ms = replay(
-        &mut tree_h,
-        &sc,
-        &mut net_h,
-        ReplayParams {
-            mode: Mode::HierCache,
-            sample_size: None,
-            staleness_override: staleness,
-            ..Default::default()
-        },
-        3,
-    );
-
-    let mut tree_c = build_tree(&sc, None);
-    let mut net_c = net_for(&sc, 5);
-    let colr_ms = replay(
-        &mut tree_c,
-        &sc,
-        &mut net_c,
-        ReplayParams {
-            mode: Mode::Colr,
-            sample_size: Some(30.0),
-            staleness_override: staleness,
-            ..Default::default()
-        },
-        3,
-    );
-
-    let probes = |ms: &[Measurement]| mean(ms.iter().map(|m| m.stats.sensors_probed as f64));
-    let lat = |ms: &[Measurement]| mean(ms.iter().map(|m| m.latency_ms));
-    let mut report = String::new();
-    let _ = writeln!(
-        report,
-        "  probes/query   flat {:>9.1}  hier {:>9.1}  colr {:>7.1}",
-        probes(&flat_ms),
-        probes(&hier_ms),
-        probes(&colr_ms)
-    );
-    let _ = writeln!(
-        report,
-        "  latency ms     flat {:>9.1}  hier {:>9.1}  colr {:>7.1}",
-        lat(&flat_ms),
-        lat(&hier_ms),
-        lat(&colr_ms)
-    );
-    let _ = writeln!(
-        report,
-        "  probe reduction vs collection-agnostic: {:.0}x (paper: >30x)",
-        probes(&hier_ms) / probes(&colr_ms).max(1e-9)
-    );
-    let _ = writeln!(
-        report,
-        "  latency vs hier-cache: {:.0}% (paper: ~20%, i.e. 3-5x reduction)",
-        100.0 * lat(&colr_ms) / lat(&hier_ms).max(1e-9)
-    );
-    println!("{report}");
-    fs::create_dir_all(&args.out).ok();
-    fs::write(args.out.join("headline.txt"), report).ok();
+    [slots, sampling, build]
 }
 
 fn main() {
     let args = parse_args();
     let t0 = std::time::Instant::now();
-    match args.command.as_str() {
-        "fig2" => fig2(&args),
-        "fig3" => fig3(&args),
-        "fig4" => fig4(&args),
-        "fig5" => fig56(&args, "fig5"),
-        "fig6" => fig56(&args, "fig6"),
-        "fig7" => fig7(&args),
-        "headline" => headline(&args),
-        "ablation" => ablation(&args),
-        "motivation" => motivation(&args),
-        "uniformity" => uniformity(&args),
-        "all" => {
-            fig2(&args);
+    let commands = match args.command.as_str() {
+        // Fig 5 runs the sweep Fig 6 reads, and the headline is Fig 4's row.
+        "all" => "fig2 fig3 fig4 fig5 fig7 headline motivation uniformity ablation",
+        other => other,
+    };
+    let mut done: Vec<Table> = Vec::new();
+    for command in commands.split_whitespace() {
+        let tables = match command {
+            "fig2" => vec![fig2(&args)],
+            "fig3" => vec![fig3(&args)],
+            "fig4" => vec![fig4(&args)],
+            "fig5" | "fig6" => fig56(&args).into(),
+            "fig7" => vec![fig7()],
+            "headline" => vec![headline(&args, done.iter().find(|t| t.name == "fig4"))],
+            "ablation" => ablation(&args).into(),
+            "motivation" => vec![motivation()],
+            "uniformity" => vec![uniformity(&args)],
+            other => {
+                eprintln!("unknown command `{other}`; use fig2..fig7, headline, motivation, uniformity, ablation, or all");
+                std::process::exit(2);
+            }
+        };
+        for t in tables {
+            render(&args.out, &t);
             println!();
-            fig3(&args);
-            println!();
-            fig4(&args);
-            println!();
-            fig56(&args, "fig5");
-            println!();
-            fig56(&args, "fig6");
-            println!();
-            fig7(&args);
-            println!();
-            headline(&args);
-            println!();
-            motivation(&args);
-            println!();
-            uniformity(&args);
-            println!();
-            ablation(&args);
-        }
-        other => {
-            eprintln!("unknown command `{other}`; use fig2..fig7, headline, motivation, uniformity, ablation, or all");
-            std::process::exit(2);
+            done.push(t);
         }
     }
+    let scale = Scale::of(args.full, args.queries.is_some() || args.sensors.is_some());
+    let claims: Vec<_> = done.iter().flat_map(|t| claims::check(t, scale)).collect();
+    let misses = claims::report(&claims, scale);
     println!("\n[done in {:.1?}]", t0.elapsed());
+    if misses > 0 {
+        std::process::exit(1);
+    }
 }

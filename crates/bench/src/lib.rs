@@ -4,10 +4,16 @@
 //! The `experiments` binary regenerates every table and figure; timing the
 //! serving stack is `benchmark/`'s job (its per-layer rows).
 //!
-//! This library holds the shared setup: scenario construction, trace
-//! replay, and per-query measurement records.
+//! This library holds the shared setup (scenario construction, trace replay,
+//! per-query measurement records), the [`Table`] every figure returns, and
+//! the [`claims`] each run checks those tables against.
 
 #![forbid(unsafe_code)]
+
+pub mod claims;
+mod table;
+
+pub use table::{Cell, Table};
 
 use colr_geo::Region;
 use colr_tree::{ColrConfig, ColrTree, FlatCache, Mode, ProbeService, Query, QueryStats};
@@ -24,24 +30,16 @@ pub struct Measurement {
     pub latency_ms: f64,
     /// Readings represented in the answer.
     pub result_size: u64,
-    /// Number of sensors actually inside the query region (the "ideal
-    /// result set size" of Fig 3).
-    pub ideal_size: u64,
-    /// Sum over terminals of assigned targets (Fig 6).
-    pub target_total: f64,
     /// Probe-discretisation error of this query (Fig 6).
     pub pde: f64,
 }
 
-/// Replay parameters for a query trace.
+/// Replay parameters for a query trace. Every replayed query has terminal
+/// level `T` = 3 and oversample level `O` = 1.
 #[derive(Debug, Clone, Copy)]
 pub struct ReplayParams {
     /// Index mode.
     pub mode: Mode,
-    /// Terminal level `T`.
-    pub terminal_level: u16,
-    /// Oversample level `O`.
-    pub oversample_level: u16,
     /// `SAMPLESIZE` per query (`None` = collect everything).
     pub sample_size: Option<f64>,
     /// Staleness override; `None` keeps each query's own freshness bound.
@@ -52,8 +50,6 @@ impl Default for ReplayParams {
     fn default() -> Self {
         ReplayParams {
             mode: Mode::Colr,
-            terminal_level: 3,
-            oversample_level: 1,
             sample_size: Some(100.0),
             staleness_override: None,
         }
@@ -63,9 +59,9 @@ impl Default for ReplayParams {
 /// Replays the scenario's query trace against a tree, collecting one
 /// [`Measurement`] per query.
 pub fn replay<P: ProbeService>(
-    tree: &mut ColrTree,
+    tree: &ColrTree,
     scenario: &Scenario,
-    probe: &mut P,
+    probe: &P,
     params: ReplayParams,
     seed: u64,
 ) -> Vec<Measurement> {
@@ -74,20 +70,16 @@ pub fn replay<P: ProbeService>(
     for spec in &scenario.queries.queries {
         let staleness = params.staleness_override.unwrap_or(spec.staleness);
         let mut query = Query::range(spec.rect, staleness)
-            .with_terminal_level(params.terminal_level)
-            .with_oversample_level(params.oversample_level);
+            .with_terminal_level(3)
+            .with_oversample_level(1);
         if let Some(r) = params.sample_size {
             query = query.with_sample_size(r);
         }
-        let in_range = |m: &&colr_tree::SensorMeta| spec.rect.contains_point(&m.location);
-        let ideal = tree.sensors().iter().filter(in_range).count() as u64;
         let res = tree.execute(&query, params.mode, probe, spec.at, &mut rng);
         out.push(Measurement {
             stats: res.stats,
             latency_ms: res.latency_ms,
             result_size: res.result_size(),
-            ideal_size: ideal,
-            target_total: res.groups.iter().map(|g| g.target).sum(),
             pde: colr_tree::metrics::probe_discretisation_error(&res),
         });
     }
@@ -98,7 +90,7 @@ pub fn replay<P: ProbeService>(
 pub fn replay_flat<P: ProbeService>(
     flat: &mut FlatCache,
     scenario: &Scenario,
-    probe: &mut P,
+    probe: &P,
     staleness_override: Option<colr_tree::TimeDelta>,
 ) -> Vec<Measurement> {
     let mut out = Vec::with_capacity(scenario.queries.queries.len());
@@ -110,12 +102,24 @@ pub fn replay_flat<P: ProbeService>(
             stats: res.stats,
             latency_ms: res.latency_ms,
             result_size: res.readings.len() as u64,
-            ideal_size: 0,
-            target_total: 0.0,
             pde: 0.0,
         });
     }
     out
+}
+
+/// The number of sensors inside each query's region, in trace order: the
+/// "ideal result set size" of Figs 3 and 6.
+pub fn ideal_sizes(scenario: &Scenario) -> Vec<u64> {
+    scenario
+        .queries
+        .queries
+        .iter()
+        .map(|spec| {
+            let inside = |m: &&colr_tree::SensorMeta| spec.rect.contains_point(&m.location);
+            scenario.sensors.iter().filter(inside).count() as u64
+        })
+        .collect()
 }
 
 /// Builds the default experiment scenario (scaled-down Live-Local shape) or
@@ -162,10 +166,10 @@ mod tests {
     #[test]
     fn replay_produces_one_measurement_per_query() {
         let sc = scenario(false, Some(25), Some(2_000));
-        let mut tree = build_tree(&sc, None);
+        let tree = build_tree(&sc, None);
         let field = RandomWalkField::new(sc.sensors.len(), 0.0, 60.0, 2.0, 9);
-        let mut net = SimNetwork::new(sc.sensors.clone(), field, 5);
-        let ms = replay(&mut tree, &sc, &mut net, ReplayParams::default(), 3);
+        let net = SimNetwork::new(sc.sensors.clone(), field, 5);
+        let ms = replay(&tree, &sc, &net, ReplayParams::default(), 3);
         assert_eq!(ms.len(), 25);
         assert!(ms.iter().any(|m| m.stats.sensors_probed > 0));
     }
@@ -175,16 +179,16 @@ mod tests {
         let sc = scenario(false, Some(40), Some(4_000));
         let field = RandomWalkField::new(sc.sensors.len(), 0.0, 60.0, 2.0, 9);
 
-        let mut tree_r = build_tree(&sc, None);
-        let mut net_r = SimNetwork::new(
+        let tree_r = build_tree(&sc, None);
+        let net_r = SimNetwork::new(
             sc.sensors.clone(),
             RandomWalkField::new(sc.sensors.len(), 0.0, 60.0, 2.0, 9),
             5,
         );
         let rtree = replay(
-            &mut tree_r,
+            &tree_r,
             &sc,
-            &mut net_r,
+            &net_r,
             ReplayParams {
                 mode: Mode::RTree,
                 sample_size: None,
@@ -193,12 +197,12 @@ mod tests {
             3,
         );
 
-        let mut tree_c = build_tree(&sc, None);
-        let mut net_c = SimNetwork::new(sc.sensors.clone(), field, 5);
+        let tree_c = build_tree(&sc, None);
+        let net_c = SimNetwork::new(sc.sensors.clone(), field, 5);
         let colr = replay(
-            &mut tree_c,
+            &tree_c,
             &sc,
-            &mut net_c,
+            &net_c,
             ReplayParams {
                 mode: Mode::Colr,
                 sample_size: Some(30.0),
@@ -217,8 +221,8 @@ mod tests {
         let sc = scenario(false, Some(5), Some(1_000));
         let mut flat = FlatCache::new(sc.sensors.clone(), None);
         let field = RandomWalkField::new(sc.sensors.len(), 0.0, 60.0, 2.0, 9);
-        let mut net = SimNetwork::new(sc.sensors.clone(), field, 5);
-        let ms = replay_flat(&mut flat, &sc, &mut net, None);
+        let net = SimNetwork::new(sc.sensors.clone(), field, 5);
+        let ms = replay_flat(&mut flat, &sc, &net, None);
         assert_eq!(ms.len(), 5);
         assert!(ms.iter().all(|m| m.stats.entries_scanned == 1_000));
     }
