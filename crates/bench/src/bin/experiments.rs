@@ -393,7 +393,6 @@ fn fig7() -> Table {
             let now = Timestamp(1_000 + trial);
             let query = Query::range(region.clone(), TimeDelta::from_mins(10))
                 .with_terminal_level(2)
-                .with_oversample_level(1)
                 .with_sample_size(r as f64);
             let out = tree.execute(&query, Mode::Colr, &net, now, &mut qrng);
             // Exact answer: probe everyone through a fresh tree at the same

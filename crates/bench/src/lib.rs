@@ -69,9 +69,7 @@ pub fn replay<P: ProbeService>(
     let mut out = Vec::with_capacity(scenario.queries.queries.len());
     for spec in &scenario.queries.queries {
         let staleness = params.staleness_override.unwrap_or(spec.staleness);
-        let mut query = Query::range(spec.rect, staleness)
-            .with_terminal_level(3)
-            .with_oversample_level(1);
+        let mut query = Query::range(spec.rect, staleness).with_terminal_level(3);
         if let Some(r) = params.sample_size {
             query = query.with_sample_size(r);
         }

@@ -628,7 +628,7 @@ impl ColrTree {
                 // ancestor has done it.
                 let scale_up = !terminal
                     && !scaled
-                    && arena.level(c) == query.oversample_level
+                    && arena.level(c) == crate::sampling::OVERSAMPLE_LEVEL
                     && oversampling;
                 let push_target = if scale_up {
                     share / node_avail(c)

@@ -54,15 +54,6 @@ pub fn level_stats(tree: &ColrTree) -> Vec<LevelStats> {
                 weights.iter().map(|w| (w - mean) * (w - mean)).sum::<f64>() / count as f64
             };
             let cv = if mean > 0.0 { var.sqrt() / mean } else { 0.0 };
-            let mean_diameter = if count == 0 {
-                0.0
-            } else {
-                nodes
-                    .iter()
-                    .map(|n| (n.bbox.width().powi(2) + n.bbox.height().powi(2)).sqrt())
-                    .sum::<f64>()
-                    / count as f64
-            };
             LevelStats {
                 level: level as u16,
                 nodes: count,
@@ -70,7 +61,7 @@ pub fn level_stats(tree: &ColrTree) -> Vec<LevelStats> {
                 max_weight: nodes.iter().map(|n| n.weight).max().unwrap_or(0),
                 mean_weight: mean,
                 weight_cv: cv,
-                mean_diameter,
+                mean_diameter: tree.level_diameters()[level],
             }
         })
         .collect()
@@ -125,6 +116,34 @@ mod tests {
             assert!(pair[1].mean_weight <= pair[0].mean_weight);
             assert!(pair[1].mean_diameter <= pair[0].mean_diameter + 1e-9);
         }
+    }
+
+    #[test]
+    fn stored_level_diameters_are_the_per_node_means_bit_for_bit() {
+        // A grid tree, and a tree whose root is its one leaf.
+        for tree in [grid_tree(30), grid_tree(2)] {
+            let levels = tree.leaf_level() as usize + 1;
+            let mut sums = vec![0.0f64; levels];
+            let mut counts = vec![0usize; levels];
+            for id in tree.node_ids() {
+                let n = tree.node(id);
+                sums[n.level as usize] += (n.bbox.width().powi(2) + n.bbox.height().powi(2)).sqrt();
+                counts[n.level as usize] += 1;
+            }
+            let want: Vec<u64> = sums
+                .iter()
+                .zip(&counts)
+                .map(|(s, &c)| (s / c as f64).to_bits())
+                .collect();
+            let stored: Vec<u64> = tree.level_diameters().iter().map(|d| d.to_bits()).collect();
+            assert_eq!(stored, want);
+            let stats: Vec<u64> = level_stats(&tree)
+                .iter()
+                .map(|s| s.mean_diameter.to_bits())
+                .collect();
+            assert_eq!(stats, want);
+        }
+        assert_eq!(grid_tree(2).node_count(), 1, "a one-leaf tree");
     }
 
     #[test]

@@ -82,17 +82,18 @@ pub use flight::{FlightRecord, LevelStage, RetryRound, WaveStage};
 pub use id_table::IdTable;
 pub use lookup::{GroupResult, Mode, Query, QueryOutput};
 pub use lsm::{
-    apportion, derive_seed, unit_draw, Claim, L0Level, LsmConfig, LsmLevel, LsmSnapshot, LsmStats,
-    LsmTree, MergeReport,
+    apportion, derive_seed, unit_draw, Claim, L0Level, LsmConfig, LsmLevel, LsmSnapshot, LsmState,
+    LsmStats, LsmTree, MergeReport,
 };
 pub use model::IdwModel;
 pub use probe::{ProbeReport, ProbeService};
 pub use reading::{Reading, SensorId, SensorMeta};
 pub use resilient::{BreakerState, ResilientConfig, ResilientProber};
+pub use sampling::OVERSAMPLE_LEVEL;
 pub use slot_cache::{Slot, SlotCache, SlotConfig, SlotRing};
 pub use slot_size::SlotSizeWorkload;
 pub use stats::QueryStats;
-pub use time::{ClockHandle, SimClock, TimeDelta, Timestamp};
+pub use time::{ClockHandle, TimeDelta, Timestamp};
 pub use tree::{
     BuildStrategy, CachedEntry, Children, ColrConfig, ColrTree, LeafEntries, NodeCache,
     NodeCacheSnapshot, NodeId, NodeRange, NodeRef, CACHE_STRIPES,

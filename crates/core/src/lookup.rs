@@ -68,10 +68,6 @@ pub struct Query {
     /// for its whole subtree. Clamped to `terminal_level`, which is also the
     /// default, so a query built by hand keeps its groups.
     pub cover_level: u16,
-    /// Oversampling level `O` (Algorithm 1): the level at which target sizes
-    /// are scaled up by inverse availability when no fully contained node
-    /// above it has done so.
-    pub oversample_level: u16,
     /// Target sample size `R` (`SAMPLESIZE` clause); `None` collects from
     /// every sensor in the region.
     pub sample_size: Option<f64>,
@@ -87,15 +83,13 @@ pub struct Query {
 
 impl Query {
     /// A range query over `region` accepting readings at most `staleness`
-    /// old, with defaults: terminal level 2, oversample level 1, no
-    /// sampling.
+    /// old, with defaults: terminal level 2, no sampling.
     pub fn range(region: impl Into<Region>, staleness: TimeDelta) -> Query {
         Query {
             region: region.into(),
             staleness,
             terminal_level: 2,
             cover_level: u16::MAX,
-            oversample_level: 1,
             sample_size: None,
             kind_filter: None,
             probe_deadline: TimeDelta::from_secs(2),
@@ -112,12 +106,6 @@ impl Query {
     /// the walk (see [`Query::cover_level`]).
     pub fn with_cover_level(mut self, level: u16) -> Query {
         self.cover_level = level;
-        self
-    }
-
-    /// Sets the oversampling level `O`.
-    pub fn with_oversample_level(mut self, o: u16) -> Query {
-        self.oversample_level = o;
         self
     }
 
@@ -1146,10 +1134,8 @@ mod tests {
             TimeDelta::from_mins(3),
         )
         .with_terminal_level(4)
-        .with_oversample_level(2)
         .with_sample_size(30.0);
         assert_eq!(query.terminal_level, 4);
-        assert_eq!(query.oversample_level, 2);
         assert_eq!(query.sample_size, Some(30.0));
         assert_eq!(query.staleness, TimeDelta::from_mins(3));
     }

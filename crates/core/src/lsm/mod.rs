@@ -33,7 +33,6 @@
 mod level;
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use colr_geo::Point;
@@ -98,6 +97,9 @@ pub struct MergeReport {
     pub levels_after: usize,
     /// L0 occupancy after publication (sensors registered mid-merge).
     pub l0_after: usize,
+    /// The ordinal of the cut the merge published; `None` when there was
+    /// nothing to compact and nothing was published.
+    pub published: Option<u64>,
 }
 
 /// Point-in-time shape of the level structure, for dashboards and tests.
@@ -196,13 +198,73 @@ impl Directory {
     }
 }
 
-/// One published cut of the level structure. Immutable once published;
-/// readers clone the `Arc` and work off a consistent snapshot while merges
-/// prepare the next cut on the side.
-struct LsmState {
+/// One published cut of the level structure: the index's one snapshot.
+/// Immutable once published; readers clone the `Arc` ([`LsmTree::cut`]) and
+/// plan and execute against it while merges prepare the next cut on the
+/// side. Its primary level and ordinal are fixed where it is published,
+/// under `state`'s write lock.
+pub struct LsmState {
     /// Oldest/largest first; merges append the freshly built level.
     levels: Vec<Arc<LsmLevel>>,
     l0: Arc<L0Level>,
+    /// Index into `levels` of the planning anchor ([`primary_of`]).
+    primary: usize,
+    /// Cuts published before this one: 0 for the initial build, one more
+    /// per merge.
+    ordinal: u64,
+}
+
+/// The level whose tree anchors planning: most live sensors, ties to the
+/// oldest.
+fn primary_of(levels: &[Arc<LsmLevel>]) -> usize {
+    let by_live = (0..levels.len()).rev().max_by_key(|&i| levels[i].live());
+    by_live.unwrap_or(0)
+}
+
+impl LsmState {
+    /// The level whose tree anchors planning and inspection, chosen when the
+    /// cut was published (queries still fan out across every level). For a
+    /// fresh index this is its one level.
+    pub fn primary(&self) -> &Arc<LsmLevel> {
+        &self.levels[self.primary]
+    }
+
+    /// The cut's publication ordinal: 0 for the initial build, one more per
+    /// merge.
+    pub fn ordinal(&self) -> u64 {
+        self.ordinal
+    }
+
+    /// Rolls every component's cache window forward to `now`.
+    pub fn advance(&self, now: Timestamp) {
+        for level in &self.levels {
+            level.tree().advance(now);
+        }
+        self.l0.advance(now);
+    }
+
+    /// Captures this cut frozen for batch execution. The caller is expected
+    /// to [`LsmState::advance`] to the batch instant first, exactly like the
+    /// monolithic frozen path.
+    pub fn freeze(self: &Arc<Self>) -> LsmSnapshot {
+        let l0 = self.l0.snapshot();
+        LsmSnapshot {
+            state: self.clone(),
+            l0,
+        }
+    }
+
+    /// The cut's live sampling weight for a viewport — the layered analogue
+    /// of `root.query_weight × overlap_fraction` on the monolithic tree, used
+    /// by the shard router to apportion across shards.
+    pub fn overlap_weight(&self, region: &colr_geo::Region, kind_filter: Option<u16>) -> f64 {
+        let levels: f64 = self
+            .levels
+            .iter()
+            .map(|l| l.query_weight(region, kind_filter))
+            .sum();
+        levels + self.l0.count_matching(region, kind_filter) as f64
+    }
 }
 
 /// A frozen cut for batch execution: queries of one batch all run against
@@ -232,8 +294,6 @@ pub struct LsmTree {
     /// register/retire/merge.
     directory: Mutex<Directory>,
     merge_lock: Mutex<()>,
-    next_level_key: AtomicU64,
-    merges: AtomicU64,
 }
 
 impl LsmTree {
@@ -267,11 +327,11 @@ impl LsmTree {
             state: RwLock::new(Arc::new(LsmState {
                 levels: vec![base],
                 l0: Arc::new(L0Level::new()),
+                primary: 0,
+                ordinal: 0,
             })),
             directory: Mutex::new(directory),
             merge_lock: Mutex::new(()),
-            next_level_key: AtomicU64::new(1),
-            merges: AtomicU64::new(0),
         }
     }
 
@@ -280,17 +340,10 @@ impl LsmTree {
         &self.config
     }
 
-    /// The level whose tree anchors planning (most live sensors; ties to the
-    /// oldest). For a fresh index this is its one level.
-    pub fn primary_level(&self) -> Arc<LsmLevel> {
-        let state = self.state.read().clone();
-        state
-            .levels
-            .iter()
-            .rev()
-            .max_by_key(|l| l.live())
-            .cloned()
-            .expect("LsmTree always holds at least one level")
+    /// The published cut: one read of `state`, one `Arc` clone. Everything a
+    /// query plans and executes against comes from the one cut it read.
+    pub fn cut(&self) -> Arc<LsmState> {
+        self.state.read().clone()
     }
 
     /// Current shape counters.
@@ -307,7 +360,7 @@ impl LsmTree {
             l0_occupancy: state.l0.live(),
             live_sensors: state.levels.iter().map(|l| l.live()).sum::<usize>() + state.l0.live(),
             tombstones,
-            merges: self.merges.load(Ordering::Acquire),
+            merges: state.ordinal,
         }
     }
 
@@ -357,11 +410,6 @@ impl LsmTree {
         hit
     }
 
-    /// Rolls every component's cache window forward to `now`.
-    pub fn advance(&self, now: Timestamp) {
-        self.advance_state(&self.state.read().clone(), now);
-    }
-
     /// Calls `visit` with the location of every live sensor of one published
     /// cut, copying nothing: levels in state order, each by ascending local
     /// index with tombstoned sensors skipped, then L0 in registration order.
@@ -382,29 +430,12 @@ impl LsmTree {
         state.l0.snapshot().into_iter().map(|p| p.meta).collect()
     }
 
-    /// The structure's live sampling weight for a viewport — the layered
-    /// analogue of `root.query_weight × overlap_fraction` on the monolithic
-    /// tree, used by the shard router to apportion across shards.
-    pub fn overlap_weight(&self, region: &colr_geo::Region, kind_filter: Option<u16>) -> f64 {
-        let state = self.state.read().clone();
-        let levels: f64 = state
-            .levels
-            .iter()
-            .map(|l| l.query_weight(region, kind_filter))
-            .sum();
-        levels + state.l0.count_matching(region, kind_filter) as f64
-    }
-
     // ------------------------------------------------------------------
     // Query execution
     // ------------------------------------------------------------------
 
-    /// Processes `query` across the level structure — the LSM analogue of
-    /// [`crate::tree::ColrTree::execute`].
-    ///
-    /// The sample target splits across components by live weight
-    /// ([`apportion`]) and each component runs under an independent RNG
-    /// stream derived from one draw of the caller's RNG.
+    /// Processes `query` across the published cut ([`LsmTree::execute_in`]
+    /// on [`LsmTree::cut`]).
     pub fn execute<P, R>(
         &self,
         query: &Query,
@@ -417,18 +448,30 @@ impl LsmTree {
         P: ProbeService + ?Sized,
         R: Rng + ?Sized,
     {
-        let state = self.state.read().clone();
-        self.advance_state(&state, now);
-        self.exec_layered(&state, None, query, mode, probe, now, rng, &mut Vec::new())
+        self.execute_in(&self.cut(), query, mode, probe, now, rng)
     }
 
-    /// Captures a frozen cut for batch execution. The caller is expected to
-    /// [`LsmTree::advance`] to the batch instant first, exactly like the
-    /// monolithic frozen path.
-    pub fn freeze(&self) -> LsmSnapshot {
-        let state = self.state.read().clone();
-        let l0 = state.l0.snapshot();
-        LsmSnapshot { state, l0 }
+    /// Processes `query` across `cut`, and no other — the LSM analogue of
+    /// [`crate::tree::ColrTree::execute`].
+    ///
+    /// The sample target splits across components by live weight
+    /// ([`apportion`]) and each component runs under an independent RNG
+    /// stream derived from one draw of the caller's RNG.
+    pub fn execute_in<P, R>(
+        &self,
+        cut: &LsmState,
+        query: &Query,
+        mode: Mode,
+        probe: &P,
+        now: Timestamp,
+        rng: &mut R,
+    ) -> QueryOutput
+    where
+        P: ProbeService + ?Sized,
+        R: Rng + ?Sized,
+    {
+        cut.advance(now);
+        self.exec_layered(cut, None, query, mode, probe, now, rng, &mut Vec::new())
     }
 
     /// [`LsmTree::execute`] against a frozen snapshot: no component advances
@@ -496,13 +539,6 @@ impl LsmTree {
             }
         }
         inserted + state.l0.insert_readings(&l0_readings, now)
-    }
-
-    fn advance_state(&self, state: &LsmState, now: Timestamp) {
-        for level in &state.levels {
-            level.tree().advance(now);
-        }
-        state.l0.advance(now);
     }
 
     /// Layered execution over one cut. With `frozen_l0` unset (the interactive
@@ -801,10 +837,11 @@ impl LsmTree {
         }
         metas.extend(batch.iter().map(|p| p.meta));
         metas.sort_by_key(|m| m.id.0);
-        let key = self.next_level_key.fetch_add(1, Ordering::AcqRel);
-        let merge_ordinal = self.merges.fetch_add(1, Ordering::AcqRel) + 1;
+        // Merges serialise, so the cut taken is the published one, and the
+        // merge's ordinal keys its level.
+        let merge_ordinal = state.ordinal + 1;
         let level = Arc::new(LsmLevel::build(
-            key,
+            merge_ordinal,
             &metas,
             self.config.clone(),
             derive_seed(self.seed, merge_ordinal),
@@ -853,7 +890,7 @@ impl LsmTree {
             mut carried,
         } = built;
         let key = level.key();
-        let (levels_after, l0_after) = {
+        let (levels_after, l0_after, ordinal) = {
             let mut published = self.state.write();
             let mut directory = self.directory.lock();
             for j in 0..level.len() {
@@ -892,8 +929,15 @@ impl LsmTree {
             let levels_after = levels.len();
             crate::telem::lsm().levels.set(levels_after as i64);
             directory.publish_gauges();
-            *published = Arc::new(LsmState { levels, l0: new_l0 });
-            (levels_after, directory.l0_live)
+            let primary = primary_of(&levels);
+            let ordinal = published.ordinal + 1;
+            *published = Arc::new(LsmState {
+                levels,
+                l0: new_l0,
+                primary,
+                ordinal,
+            });
+            (levels_after, directory.l0_live, ordinal)
         };
 
         let report = MergeReport {
@@ -904,6 +948,7 @@ impl LsmTree {
             duration_us: start.elapsed().as_micros() as u64,
             levels_after,
             l0_after,
+            published: Some(ordinal),
         };
         let t = crate::telem::lsm();
         t.merges.inc();

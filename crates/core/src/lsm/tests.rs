@@ -86,7 +86,7 @@ fn a_one_level_index_answers_exactly_as_its_tree_driven_by_hand() {
             let sensors = grid_sensors(256, 16);
             let tree = ColrTree::build(sensors.clone(), ColrConfig::default(), 42);
             let lsm = LsmTree::new(sensors, ColrConfig::default(), LsmConfig::default(), 42);
-            let level = lsm.primary_level();
+            let level = lsm.cut().primary().clone();
             // Cold, warm against the identically mutated cache, then past
             // every reading's expiry.
             for (step, at) in [1_000, 11_000, 2_000 + EXPIRY_MS].into_iter().enumerate() {
@@ -102,8 +102,9 @@ fn a_one_level_index_answers_exactly_as_its_tree_driven_by_hand() {
                 let mut stream = StdRng::seed_from_u64(derive_seed(by_hand.next_u64(), 1));
                 let (a, b) = if frozen {
                     tree.advance(now);
-                    lsm.advance(now);
-                    let snap = lsm.freeze();
+                    let cut = lsm.cut();
+                    cut.advance(now);
+                    let snap = cut.freeze();
                     let (a, a_deferred) =
                         tree.execute_frozen(&asked, mode, &probe, now, &mut stream);
                     let (b, b_deferred) =
@@ -344,8 +345,9 @@ fn frozen_execution_defers_write_back_until_apply() {
         Rect::from_coords(-0.5, -0.5, 24.5, 24.5),
         TimeDelta::from_millis(EXPIRY_MS),
     );
-    lsm.advance(Timestamp(1_000));
-    let snap = lsm.freeze();
+    let cut = lsm.cut();
+    cut.advance(Timestamp(1_000));
+    let snap = cut.freeze();
     let mut rng = StdRng::seed_from_u64(4);
     let (out, deferred) = lsm.execute_frozen(
         &snap,
@@ -400,8 +402,9 @@ fn merge_mid_batch_routes_deferred_readings_to_the_new_level() {
         Rect::from_coords(29.0, 29.0, 36.5, 31.0),
         TimeDelta::from_millis(EXPIRY_MS),
     );
-    lsm.advance(Timestamp(1_000));
-    let snap = lsm.freeze();
+    let cut = lsm.cut();
+    cut.advance(Timestamp(1_000));
+    let snap = cut.freeze();
     let mut rng = StdRng::seed_from_u64(8);
     let (out, deferred) = lsm.execute_frozen(
         &snap,
@@ -899,14 +902,15 @@ fn the_primary_level_ties_to_the_oldest() {
     for id in 0..12 {
         assert!(lsm.retire(SensorId(id)));
     }
-    let live = |lsm: &LsmTree| -> Vec<usize> {
-        let state = lsm.state.read().clone();
-        state.levels.iter().map(|l| l.live()).collect()
-    };
-    assert_eq!(live(&lsm), [4, 4]);
-    assert_eq!(lsm.primary_level().key(), 0, "a tie goes to the oldest");
+    let state = lsm.cut();
+    let live: Vec<usize> = state.levels.iter().map(|l| l.live()).collect();
+    assert_eq!(live, [4, 4]);
+    assert_eq!(primary_of(&state.levels), 0, "a tie goes to the oldest");
     assert!(lsm.retire(SensorId(12)));
-    assert_eq!(lsm.primary_level().key(), 1, "most live sensors wins");
+    assert_eq!(primary_of(&state.levels), 1, "most live sensors wins");
+    // The cut keeps the primary it was published with, 16 live beside 4.
+    assert_eq!(state.primary().key(), 0);
+    assert_eq!(lsm.cut().primary().key(), 0);
 }
 
 fn city_sensor(id: usize, at: Point) -> SensorMeta {

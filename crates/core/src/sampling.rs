@@ -54,6 +54,10 @@ pub(crate) const TARGET_EPS: f64 = 1e-9;
 /// cached"). Tolerating partially expired coverage is what lets the
 /// hierarchical cache cut traversals in Fig 3.
 pub const COVERAGE_THRESHOLD: f64 = 0.5;
+/// Oversampling level `O` (Algorithm 1): the level at which target sizes are
+/// scaled up by inverse availability when no fully contained node above it
+/// has done so.
+pub const OVERSAMPLE_LEVEL: u16 = 1;
 
 /// Pushes a query's queue can number: its keys give the count 31 bits.
 const SEQ_LIMIT: u64 = 1 << 31;
@@ -514,7 +518,6 @@ mod tests {
     fn sample_query(rect: Rect, r: f64) -> Query {
         Query::range(rect, TimeDelta::from_mins(10))
             .with_terminal_level(2)
-            .with_oversample_level(1)
             .with_sample_size(r)
     }
 

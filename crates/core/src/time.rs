@@ -127,53 +127,12 @@ impl fmt::Display for TimeDelta {
     }
 }
 
-/// A monotonically advancing simulation clock.
-///
-/// Experiments advance the clock as they replay a query trace; the COLR-Tree
-/// itself never advances time, it only observes `now` passed into each
-/// operation.
-#[derive(Debug, Clone, Default)]
-pub struct SimClock {
-    now: Timestamp,
-}
-
-impl SimClock {
-    /// A clock at the simulation epoch.
-    pub fn new() -> Self {
-        SimClock::default()
-    }
-
-    /// A clock starting at `t`.
-    pub fn starting_at(t: Timestamp) -> Self {
-        SimClock { now: t }
-    }
-
-    /// Current instant.
-    #[inline]
-    pub fn now(&self) -> Timestamp {
-        self.now
-    }
-
-    /// Advances the clock by `delta`.
-    pub fn advance(&mut self, delta: TimeDelta) {
-        self.now += delta;
-    }
-
-    /// Advances the clock to `t`; clocks never move backwards, so an earlier
-    /// `t` is ignored.
-    pub fn advance_to(&mut self, t: Timestamp) {
-        if t > self.now {
-            self.now = t;
-        }
-    }
-}
-
 /// A cheaply cloneable, thread-safe simulation clock.
 ///
-/// Where [`SimClock`] is a single-owner value (`advance` takes `&mut self`),
-/// a `ClockHandle` shares one atomic instant between any number of clones:
-/// a service thread can advance time while query threads read it, with no
-/// lock. Clocks never move backwards — [`ClockHandle::advance_to`] is a
+/// The COLR-Tree itself never advances time, it only observes `now` passed
+/// into each operation. A `ClockHandle` shares one atomic instant between
+/// any number of clones: a service thread can advance time while query
+/// threads read it, with no lock. Clocks never move backwards — [`ClockHandle::advance_to`] is a
 /// `fetch_max`, so racing advancers settle on the latest instant.
 #[derive(Debug, Clone, Default)]
 pub struct ClockHandle {
@@ -248,17 +207,6 @@ mod tests {
             TimeDelta::from_millis(3).mul_f64(0.5),
             TimeDelta::from_millis(2)
         ); // rounds
-    }
-
-    #[test]
-    fn clock_is_monotone() {
-        let mut c = SimClock::new();
-        c.advance(TimeDelta::from_secs(10));
-        assert_eq!(c.now(), Timestamp(10_000));
-        c.advance_to(Timestamp(5_000)); // ignored
-        assert_eq!(c.now(), Timestamp(10_000));
-        c.advance_to(Timestamp(20_000));
-        assert_eq!(c.now(), Timestamp(20_000));
     }
 
     #[test]

@@ -121,6 +121,22 @@ fn stripe_slot(shift: u32, id: usize) -> (usize, usize) {
     (run % CACHE_STRIPES, (run / CACHE_STRIPES) << shift | within)
 }
 
+/// Mean bounding-box diagonal per level, root first, each level's diagonals
+/// summed in node-id order. Breadth-first order leaves no level empty.
+fn mean_level_diameters(arena: &SamplingArena) -> Box<[f64]> {
+    let levels = arena.level(arena.node_count() - 1) as usize + 1;
+    let mut sums = vec![(0.0f64, 0usize); levels];
+    for id in 0..arena.node_count() {
+        let bbox = arena.bbox(id);
+        let (sum, count) = &mut sums[arena.level(id) as usize];
+        *sum += (bbox.width().powi(2) + bbox.height().powi(2)).sqrt();
+        *count += 1;
+    }
+    sums.into_iter()
+        .map(|(sum, count)| sum / count as f64)
+        .collect()
+}
+
 /// A node's id: its breadth-first position in the arena — the root is 0 and
 /// each node's children are one contiguous run of ids, a level's nodes one
 /// run after the level above. The same number keys the node's cache, its
@@ -594,6 +610,9 @@ pub struct ColrTree {
     /// The node structure, flattened from the builder's nodes: what every
     /// walk reads. Immutable, so clones share it.
     pub(crate) arena: Arc<crate::arena::SamplingArena>,
+    /// Mean node bounding-box diagonal per level, root first, fixed at
+    /// assembly ([`ColrTree::level_diameters`]).
+    level_diameters: Box<[f64]>,
 }
 
 impl Clone for ColrTree {
@@ -621,6 +640,7 @@ impl Clone for ColrTree {
             // the map (and keep learning from each other's probes).
             live_avail: RwLock::new(self.live_avail.read().clone()),
             arena: self.arena.clone(),
+            level_diameters: self.level_diameters.clone(),
         }
     }
 }
@@ -639,6 +659,7 @@ impl ColrTree {
         nodes: Vec<crate::build::Node>,
     ) -> ColrTree {
         let arena = SamplingArena::flatten(&nodes, &sensors);
+        let level_diameters = mean_level_diameters(&arena);
         let ring = slot_config.num_slots + 1;
         let shift = stripe_shift(nodes.len());
         // Ids in order fill each stripe's positions in order.
@@ -677,6 +698,7 @@ impl ColrTree {
             settled_below: AtomicU64::new(0),
             live_avail: RwLock::new(None),
             arena: Arc::new(arena),
+            level_diameters,
         }
     }
 
@@ -804,6 +826,13 @@ impl ColrTree {
     /// since breadth-first order ends on the deepest level.
     pub fn leaf_level(&self) -> u16 {
         self.arena.level(self.node_count() - 1)
+    }
+
+    /// Mean node bounding-box diagonal per level, root first — the spatial
+    /// resolution of each level, which the planner maps `CLUSTER d` onto.
+    /// Computed once, at assembly.
+    pub fn level_diameters(&self) -> &[f64] {
+        &self.level_diameters
     }
 
     /// All registered sensors, indexed by [`SensorId`].

@@ -20,8 +20,8 @@
 //!   splitting the sample target `R` across overlapping shards exactly as
 //!   Algorithm 1 splits it across children;
 //! * [`service`] — one shard, a [`PortalService`]: cloneable `&self` handles
-//!   over an LSM index published in epochs, with online registration, merges
-//!   that carry the caches over, and admission control;
+//!   over an LSM index whose merges each publish one cut, with online
+//!   registration, merges that carry the caches over, and admission control;
 //! * [`request`] — the one request surface: the front door answers
 //!   `execute(&`[`QueryRequest`]`)` with a [`QueryResponse`], and
 //!   [`QueryRequest::from_sql`] is the one lowering from SQL text;
@@ -48,4 +48,4 @@ pub use portal::{
 };
 pub use request::{ExplainLevel, QueryRequest, QueryResponse, ShardOutcome};
 pub use router::{Reindexer, ShardInfo, ShardedPortal};
-pub use service::{AdmissionConfig, Generation, PortalService};
+pub use service::{AdmissionConfig, PortalService, Snapshot};

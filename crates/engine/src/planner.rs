@@ -6,47 +6,31 @@
 //! group, which COLR-Tree realises by terminating the descent at the
 //! *threshold level* `T` whose nodes have roughly diameter `d`
 //! (Section III-C: "a threshold level depending on the query's zoom level").
-//! The planner precomputes the mean node diameter per level at
-//! initialisation and picks the deepest level whose mean diameter still
-//! exceeds `d`.
+//! The tree stores the mean node diameter per level when it is assembled;
+//! the planner picks the deepest level whose mean diameter still exceeds `d`.
 
-use colr_tree::{ColrTree, Query, TimeDelta};
+use colr_tree::{ColrTree, Query, TimeDelta, OVERSAMPLE_LEVEL};
 
 use crate::ast::SelectQuery;
 
 /// Staleness applied when the query has no time clause.
 pub const DEFAULT_STALENESS: TimeDelta = TimeDelta::from_mins(5);
-/// Oversample level passed to Algorithm 1.
-const OVERSAMPLE_LEVEL: u16 = 1;
 
-/// Plans logical portal queries against one built tree.
-#[derive(Debug, Clone)]
-pub struct Planner {
-    /// Mean node bbox diagonal per level, root first.
-    level_diameters: Vec<f64>,
-    leaf_level: u16,
+/// Plans logical portal queries against one built tree: a view of the
+/// per-level diameters the tree stores, so making one allocates nothing and
+/// walks no node.
+#[derive(Debug, Clone, Copy)]
+pub struct Planner<'a> {
+    /// Mean node bbox diagonal per level, root first: one per level, so the
+    /// last is the leaf level's.
+    level_diameters: &'a [f64],
 }
 
-impl Planner {
-    /// Builds a planner for `tree`.
-    pub fn new(tree: &ColrTree) -> Planner {
-        let levels = tree.leaf_level() as usize + 1;
-        let mut sums = vec![0.0f64; levels];
-        let mut counts = vec![0usize; levels];
-        for id in tree.node_ids() {
-            let n = tree.node(id);
-            let d = (n.bbox.width().powi(2) + n.bbox.height().powi(2)).sqrt();
-            sums[n.level as usize] += d;
-            counts[n.level as usize] += 1;
-        }
-        let level_diameters = sums
-            .into_iter()
-            .zip(counts)
-            .map(|(s, c)| if c == 0 { 0.0 } else { s / c as f64 })
-            .collect();
+impl<'a> Planner<'a> {
+    /// The planner for `tree`.
+    pub fn new(tree: &'a ColrTree) -> Planner<'a> {
         Planner {
-            level_diameters,
-            leaf_level: tree.leaf_level(),
+            level_diameters: tree.level_diameters(),
         }
     }
 
@@ -56,7 +40,7 @@ impl Planner {
     /// is where the walk ends wherever no cached aggregate ends it sooner.
     pub fn terminal_level(&self, cluster: Option<f64>) -> u16 {
         match cluster {
-            None => self.leaf_level,
+            None => self.level_diameters.len() as u16 - 1,
             Some(d) => {
                 let mut level = 0u16;
                 for (l, &diam) in self.level_diameters.iter().enumerate() {
@@ -80,8 +64,7 @@ impl Planner {
         let cover = if q.cluster.is_some() { terminal } else { 0 };
         let mut query = Query::range(q.within.region(), q.staleness.unwrap_or(DEFAULT_STALENESS))
             .with_terminal_level(terminal)
-            .with_cover_level(cover)
-            .with_oversample_level(OVERSAMPLE_LEVEL);
+            .with_cover_level(cover);
         if let Some(n) = q.sample_size {
             query = query.with_sample_size(n as f64);
         }
@@ -264,7 +247,6 @@ mod tests {
         assert_eq!(plan.sample_size, Some(12.0));
         assert_eq!(plan.terminal_level, t.leaf_level());
         assert_eq!(plan.cover_level, 0, "no CLUSTER: no grouping floor");
-        assert_eq!(plan.oversample_level, 1);
         let grouped = p.plan(&SelectQuery {
             cluster: Some(3.0),
             ..q

@@ -3,7 +3,7 @@
 //!
 //! A [`ShardedPortal`] partitions the sensor population spatially with the
 //! same k-means grid the bulk build uses ([`colr_tree::kmeans_partition`]),
-//! runs one full `PortalService` per shard (own index generations, own
+//! runs one full `PortalService` per shard (own LSM index, own
 //! admission controller, own reindexer — all on **one shared clock**), and
 //! routes each viewport query by lifting Algorithm 1's split one level up:
 //! the sample target `R` is divided across the shards the viewport overlaps
@@ -84,7 +84,7 @@ fn router_telem() -> &'static RouterTelem {
 // ---------------------------------------------------------------------------
 
 /// One entry of the router's shard map: where a shard sits and how much it
-/// holds, refreshed at every generation swap.
+/// holds, refreshed at every merge.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardInfo {
     /// Shard index (stable for the router's lifetime).
@@ -94,7 +94,7 @@ pub struct ShardInfo {
     /// Mean location of the shard's sensors — the k-means centroid the
     /// rebalancer measures registration distance against.
     pub centroid: Point,
-    /// Sensors in the shard's current generation.
+    /// Live sensors in the shard's index.
     pub sensors: usize,
 }
 
@@ -213,7 +213,7 @@ impl<P: ProbeService> ShardedPortal<P> {
     }
 
     /// Direct handle to shard `s` (e.g. to close it for an outage drill, or
-    /// to inspect its generations).
+    /// to inspect its snapshots).
     pub fn shard(&self, s: usize) -> &PortalService<P> {
         &self.core.shards[s]
     }
@@ -302,8 +302,8 @@ impl<P: ProbeService> ShardedPortal<P> {
         best
     }
 
-    /// Reindexes shard `s` and refreshes its shard map entry from the new
-    /// generation. Returns the shard's new population size.
+    /// Reindexes shard `s` and refreshes its shard map entry from the cut it
+    /// published. Returns the shard's new population size.
     ///
     /// L0 sensors whose nearest centroid has drifted to another shard are
     /// migrated *before* the merge compacts L0 (rebalance-on-merge), then the
@@ -548,7 +548,8 @@ impl<P: ProbeService> ShardedPortal<P> {
     // -- routing internals -------------------------------------------------
 
     /// The shards the query region overlaps, with their Algorithm 1 split
-    /// weights `w_i × Overlap(BB(i), A)` read from each shard's live root.
+    /// weights `w_i × Overlap(BB(i), A)`, each read from one read of the
+    /// shard's published cut.
     /// Falls back to shard 0 (weightless) when nothing overlaps, so an
     /// empty-viewport query still yields one well-formed empty answer.
     fn overlap_targets(&self, select: &SelectQuery) -> Vec<Claim> {
@@ -560,7 +561,7 @@ impl<P: ProbeService> ShardedPortal<P> {
             // sample share immediately.
             let ow = shard
                 .snapshot()
-                .lsm()
+                .cut()
                 .overlap_weight(&region, select.sensor_type);
             if ow > 0.0 {
                 targets.push(Claim::new(s, ow));
@@ -768,19 +769,19 @@ fn shard_seed(base: u64, s: usize) -> u64 {
     }
 }
 
-/// Reads one shard map entry off the shard's current generation. The live
+/// Reads one shard map entry off the shard's published cut. The live
 /// population spans every level plus L0, so the extent, centroid and count
 /// are folded from one pass over the live locations rather than read off one
 /// tree root — a pass, not a copy: this runs after every merge, and must cost
 /// what a merge does, not what the shard holds. A fully retired shard keeps
 /// its primary level's.
 fn shard_info<P: ProbeService>(index: usize, shard: &PortalService<P>) -> ShardInfo {
-    let gen = shard.snapshot();
+    let snap = shard.snapshot();
     let mut acc = None;
-    gen.lsm()
+    snap.lsm()
         .for_each_live_location(|p| fold_location(&mut acc, p));
     if acc.is_none() {
-        for m in gen.tree().sensors() {
+        for m in snap.tree().sensors() {
             fold_location(&mut acc, m.location);
         }
     }
@@ -793,7 +794,7 @@ fn shard_info<P: ProbeService>(index: usize, shard: &PortalService<P>) -> ShardI
         },
         None => ShardInfo {
             index,
-            bbox: gen.tree().node(gen.tree().root()).bbox,
+            bbox: snap.tree().node(snap.tree().root()).bbox,
             centroid: Point::new(0.0, 0.0),
             sensors: 0,
         },
@@ -828,16 +829,16 @@ mod tests {
     /// live location into a `Vec` (the fully retired shard's from its primary
     /// level), then the extent and the sums over the copy.
     fn shard_info_by_copy<P: ProbeService>(index: usize, shard: &PortalService<P>) -> ShardInfo {
-        let gen = shard.snapshot();
+        let snap = shard.snapshot();
         let mut locations = Vec::new();
-        gen.lsm().for_each_live_location(|p| locations.push(p));
+        snap.lsm().for_each_live_location(|p| locations.push(p));
         if locations.is_empty() {
-            locations = gen.tree().sensors().iter().map(|m| m.location).collect();
+            locations = snap.tree().sensors().iter().map(|m| m.location).collect();
         }
         let Some((first, rest)) = locations.split_first() else {
             return ShardInfo {
                 index,
-                bbox: gen.tree().node(gen.tree().root()).bbox,
+                bbox: snap.tree().node(snap.tree().root()).bbox,
                 centroid: Point::new(0.0, 0.0),
                 sensors: 0,
             };

@@ -7,13 +7,13 @@
 //! closing, a watchdog, resilience feedback, snapshots. It is built from three
 //! pieces:
 //!
-//! * **Epoch-published index generations.** The index + planner pair lives
-//!   in an immutable [`Generation`] behind an `Arc` swapped under a
-//!   `parking_lot::RwLock`. A query clones the `Arc` (one brief read lock)
-//!   and runs entirely against that snapshot; a reindex merges *off the hot
-//!   path* and swaps the pointer. Readers never block on a level build:
-//!   in-flight queries finish on the generation they started with, new
-//!   arrivals land on the new one.
+//! * **One published cut.** The LSM index publishes each merge's cut
+//!   ([`LsmState`]: its levels, L0, primary level and ordinal) by swapping
+//!   one `Arc`, and that cut is the service's snapshot. A query reads it once
+//!   ([`PortalService::snapshot`]) and plans and executes against it; a
+//!   reindex merges *off the hot path* and publishes the next cut. Readers
+//!   never block on a level build: in-flight queries finish on the cut they
+//!   read, new arrivals land on the new one.
 //! * **Online registration + the reindexer.** [`PortalService::register_sensor`]
 //!   is one push into the LSM index's mutable L0, visible to the very next
 //!   query; [`PortalService::reindex`] (pumped by the router, explicitly or
@@ -22,8 +22,7 @@
 //!   into one freshly bulk-built level, *carrying over* every still-fresh raw
 //!   cached reading — slot caches are globally aligned by absolute expiry
 //!   slot, so carried readings expire at exactly the boundary they would have
-//!   without the merge — and publishes the generation re-anchored on the new
-//!   primary level.
+//!   without the merge — and publishes a cut anchored on its primary level.
 //! * **Admission control.** A bounded in-flight counter models the portal's
 //!   request queue: up to [`AdmissionConfig::max_in_flight`] queries execute
 //!   at once, the next [`AdmissionConfig::queue_capacity`] are admitted with
@@ -35,8 +34,8 @@
 //!
 //! Determinism: every interactive query draws a fresh RNG seeded from
 //! `(service seed, query ordinal)` — the same splitmix64 derivation batch
-//! execution has always used — so, for a given generation, the answer to
-//! ordinal `i` does not depend on which thread ran it.
+//! execution has always used — so, for a given cut, the answer to ordinal
+//! `i` does not depend on which thread ran it.
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -44,7 +43,7 @@ use std::sync::{Arc, OnceLock};
 
 use colr_telemetry::{global, tracer, Counter, Gauge, SloWatchdog, SpanKind};
 use colr_tree::{
-    derive_seed, flight, AggKind, ClockHandle, ColrTree, Histogram, LiveAvailability, LsmLevel,
+    derive_seed, flight, AggKind, ClockHandle, ColrTree, Histogram, LiveAvailability, LsmState,
     LsmStats, LsmTree, Mode, ProbeService, Query, QueryOutput, QueryStats, Reading,
     ResilientProber, SensorId, SensorMeta, TimeDelta, Timestamp,
 };
@@ -94,13 +93,13 @@ struct ServiceTelem {
     shed: Counter,
     /// Queries admitted into the wait queue (beyond the execution slots).
     queued: Counter,
-    /// Index generations published (initial build excluded).
+    /// Merged cuts published (initial build excluded).
     reindexes: Counter,
     /// Sensors registered through service handles.
     registrations: Counter,
-    /// Cached readings carried across generation swaps.
+    /// Cached readings carried across merges.
     carryover: Counter,
-    /// Current index generation ordinal.
+    /// The published cut's ordinal.
     generation: Gauge,
     /// Queries currently in flight (executing + queued).
     in_flight: Gauge,
@@ -171,65 +170,45 @@ impl Drop for InFlightGuard<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// Generations
+// Snapshots
 // ---------------------------------------------------------------------------
 
-/// One published index generation: the shared [`LsmTree`] (its caches stay
-/// live — every level is internally synchronised) pinned together with the
-/// primary level current at publication and the planner derived from that
-/// level's topology, tagged with a monotone ordinal. [`Generation::tree`]
-/// therefore stays a stable reference for planners and inspectors while
-/// churn proceeds underneath.
-pub struct Generation {
+/// A view of one published cut of the shard's [`LsmTree`] (its caches stay
+/// live — every level is internally synchronised): the levels, L0, primary
+/// level and ordinal the merge that published it fixed.
+/// [`Snapshot::tree`] therefore stays a stable reference for planners and
+/// inspectors while churn proceeds underneath.
+pub struct Snapshot {
     lsm: Arc<LsmTree>,
-    /// The planning anchor: the level with the most live sensors at the
-    /// instant this generation was published.
-    primary: Arc<LsmLevel>,
-    /// Shared with the generations before and after that pin the same
-    /// primary level.
-    planner: Arc<Planner>,
-    ordinal: u64,
+    cut: Arc<LsmState>,
 }
 
-impl Generation {
-    /// Pins `lsm`'s current primary level as the generation after `previous`
-    /// (the initial one when `None`). The planner is a function of that
-    /// level's topology alone, so it is derived only when the level changed:
-    /// a merge that leaves the primary level in place — every merge of a
-    /// small batch beside a large base level — keeps `previous`'s.
-    fn publish(lsm: &Arc<LsmTree>, previous: Option<&Generation>) -> Generation {
-        let primary = lsm.primary_level();
-        let planner = match previous {
-            Some(prev) if Arc::ptr_eq(&prev.primary, &primary) => prev.planner.clone(),
-            _ => Arc::new(Planner::new(primary.tree())),
-        };
-        Generation {
-            lsm: lsm.clone(),
-            primary,
-            planner,
-            ordinal: previous.map_or(0, |prev| prev.ordinal + 1),
-        }
-    }
-
+impl Snapshot {
     /// The primary level's tree: the planning and inspection anchor
     /// (queries still fan out across every level).
     pub fn tree(&self) -> &ColrTree {
-        self.primary.tree()
+        self.cut.primary().tree()
     }
 
-    /// The LSM index backing this generation.
+    /// The LSM index the cut was published by.
     pub fn lsm(&self) -> &Arc<LsmTree> {
         &self.lsm
     }
 
-    /// The generation's planner.
-    pub fn planner(&self) -> &Planner {
-        &self.planner
+    /// The cut itself.
+    pub fn cut(&self) -> &Arc<LsmState> {
+        &self.cut
     }
 
-    /// Monotone generation counter (0 = the initial build).
+    /// The planner over the primary level's tree: a view of the diameters
+    /// the tree stores, made without allocating.
+    pub fn planner(&self) -> Planner<'_> {
+        Planner::new(self.tree())
+    }
+
+    /// The cut's publication ordinal (0 = the initial build).
     pub fn ordinal(&self) -> u64 {
-        self.ordinal
+        self.cut.ordinal()
     }
 }
 
@@ -240,22 +219,15 @@ impl Generation {
 struct ServiceCore<P> {
     probe: P,
     clock: ClockHandle,
-    current: RwLock<Arc<Generation>>,
-    /// The incremental index. Long-lived and shared across generations: a
-    /// reindex publishes a new `Generation` pinning a fresh primary level,
-    /// never a new `LsmTree`.
+    /// The incremental index: a reindex publishes a new cut of it, never a
+    /// new `LsmTree`.
     lsm: Arc<LsmTree>,
     /// Next dense sensor id to hand out.
     next_sensor_id: AtomicU32,
     /// Global query ordinal: seeds the per-query RNG.
     ordinal: AtomicU64,
-    /// Mirror of the published generation's ordinal, readable lock-free.
-    generation_counter: AtomicU64,
     in_flight: AtomicUsize,
     closed: AtomicBool,
-    /// Serialises reindexes (concurrent pumps coalesce, they don't race to
-    /// publish).
-    reindex_lock: Mutex<()>,
     mode: Mode,
     max_sensors_per_query: Option<usize>,
     admission: AdmissionConfig,
@@ -270,8 +242,8 @@ struct ServiceCore<P> {
 }
 
 /// A cloneable, thread-safe handle to one shared portal back end. See the
-/// module docs for the architecture; clones share everything (index
-/// generations, clock, probe service, admission state).
+/// module docs for the architecture; clones share everything (the index,
+/// clock, probe service, admission state).
 pub struct PortalService<P> {
     core: Arc<ServiceCore<P>>,
 }
@@ -285,9 +257,9 @@ impl<P> Clone for PortalService<P> {
 }
 
 impl<P: ProbeService> PortalService<P> {
-    /// Builds the initial index generation over `sensors` and wraps it in a
-    /// service handle probing live data through `probe`, on `clock` — the
-    /// timeline every shard of a [`crate::ShardedPortal`] shares.
+    /// Builds the index over `sensors` and wraps it in a service handle
+    /// probing live data through `probe`, on `clock` — the timeline every
+    /// shard of a [`crate::ShardedPortal`] shares.
     pub(crate) fn with_clock(
         sensors: Vec<SensorMeta>,
         probe: P,
@@ -297,20 +269,16 @@ impl<P: ProbeService> PortalService<P> {
         let population = sensors.len() as u32;
         let IndexStrategy::Lsm(lsm_cfg) = config.index;
         let lsm = Arc::new(LsmTree::new(sensors, config.tree, lsm_cfg, config.seed));
-        let generation = Arc::new(Generation::publish(&lsm, None));
         service_telem().generation.set(0);
         PortalService {
             core: Arc::new(ServiceCore {
                 probe,
                 clock,
-                current: RwLock::new(generation),
                 lsm,
                 next_sensor_id: AtomicU32::new(population),
                 ordinal: AtomicU64::new(0),
-                generation_counter: AtomicU64::new(0),
                 in_flight: AtomicUsize::new(0),
                 closed: AtomicBool::new(false),
-                reindex_lock: Mutex::new(()),
                 mode: config.mode,
                 max_sensors_per_query: config.max_sensors_per_query,
                 admission: config.admission,
@@ -339,17 +307,20 @@ impl<P: ProbeService> PortalService<P> {
         &self.core.probe
     }
 
-    /// The currently published index generation. The snapshot stays valid
-    /// (and its caches stay live) for as long as the `Arc` is held, even
-    /// across subsequent swaps.
-    pub fn snapshot(&self) -> Arc<Generation> {
-        self.core.current.read().clone()
+    /// A view of the index's published cut: one read of the publication
+    /// lock. The snapshot stays valid (and its caches stay live) for as long
+    /// as it is held, even across later merges.
+    pub fn snapshot(&self) -> Snapshot {
+        Snapshot {
+            lsm: self.core.lsm.clone(),
+            cut: self.core.lsm.cut(),
+        }
     }
 
-    /// The published generation ordinal, without touching the publication
-    /// lock (monotone; starts at 0).
+    /// The published cut's ordinal (monotone; starts at 0, one more per
+    /// merge that published).
     pub fn generation(&self) -> u64 {
-        self.core.generation_counter.load(Ordering::Acquire)
+        self.core.lsm.cut().ordinal()
     }
 
     /// Queries currently in flight (executing + queued).
@@ -432,23 +403,19 @@ impl<P: ProbeService> PortalService<P> {
     /// (and the trailing small-level run) into a fresh bulk-built level via
     /// [`LsmTree::merge`] off the hot path — still-fresh cached readings are
     /// carried across, and globally aligned slotting means they expire at
-    /// the same instants they would have without the merge — and republishes
-    /// the generation so planners re-anchor on the new primary level.
-    /// Queries running against the old generation finish undisturbed.
-    /// Returns the live population.
+    /// the same instants they would have without the merge — and publishes
+    /// the cut, anchored on its primary level. A merge with nothing to
+    /// compact publishes nothing. Queries running against the old cut finish
+    /// undisturbed. Returns the live population.
     pub fn reindex(&self) -> usize {
         let core = &*self.core;
-        let _build = core.reindex_lock.lock();
         let report = core.lsm.merge(core.clock.now());
-        service_telem().carryover.add(report.carried_entries as u64);
-        let next = Generation::publish(&core.lsm, Some(&self.snapshot()));
-        let next_ordinal = next.ordinal;
-        *core.current.write() = Arc::new(next);
-        core.generation_counter
-            .store(next_ordinal, Ordering::Release);
         let t = service_telem();
-        t.reindexes.inc();
-        t.generation.set(next_ordinal as i64);
+        t.carryover.add(report.carried_entries as u64);
+        if let Some(ordinal) = report.published {
+            t.reindexes.inc();
+            t.generation.set(ordinal as i64);
+        }
         core.lsm.stats().live_sensors
     }
 
@@ -533,13 +500,13 @@ impl<P: ProbeService> PortalService<P> {
                 return Err(e);
             }
         };
-        let gen = self.snapshot();
+        let snap = self.snapshot();
         let mut rng = StdRng::seed_from_u64(seed);
         service_telem().served.inc();
-        let result = self.run_inner(&gen, req.select(), &mut rng, queue_wait);
+        let result = self.run_inner(&snap, req.select(), &mut rng, queue_wait);
         let (explain, flight_json) = if analyze {
             let rec = flight::take().expect("recorder stays armed through EXPLAIN ANALYZE");
-            let mut out = gen.planner.explain(req.select());
+            let mut out = snap.planner().explain(req.select());
             out.push('\n');
             out.push_str(&rec.render_tree());
             let d = &result.degradation;
@@ -586,20 +553,21 @@ impl<P: ProbeService> PortalService<P> {
                 latency_ms: 0.0,
                 degradation: DegradationReport::default(),
             },
-            explain: Some(self.snapshot().planner.explain(req.select())),
+            explain: Some(self.snapshot().planner().explain(req.select())),
             flight: None,
             shards: Vec::new(),
         }
     }
 
-    /// Executes a batch of parsed queries against one generation snapshot,
-    /// fanning out over `threads` workers, under admission control (the
-    /// batch occupies one admission slot). Every query runs frozen against
-    /// the cache snapshot taken at batch start, with its own RNG seeded from
-    /// `(seed, query index)`; probe write-backs are applied afterwards in
-    /// query-index order, so results are independent of the thread count and
-    /// of scheduling. `threads == 0` uses the machine's available
-    /// parallelism. Reached through [`crate::ShardedPortal::execute_many`].
+    /// Executes a batch of parsed queries against one snapshot, fanning out
+    /// over `threads` workers, under admission control (the batch occupies
+    /// one admission slot, and every plan pays its queue wait). Every query
+    /// runs frozen against the cut read at batch start, with its own RNG
+    /// seeded from `(seed, query index)`; probe write-backs are applied
+    /// afterwards in query-index order, so results are independent of the
+    /// thread count and of scheduling. `threads == 0` uses the machine's
+    /// available parallelism. Reached through
+    /// [`crate::ShardedPortal::execute_many`].
     pub(crate) fn execute_many(
         &self,
         queries: &[SelectQuery],
@@ -608,20 +576,19 @@ impl<P: ProbeService> PortalService<P> {
     where
         P: Sync,
     {
-        let (_slot, _queue_wait) = self.admit()?;
-        let gen = self.snapshot();
+        let (_slot, queue_wait) = self.admit()?;
+        let snap = self.snapshot();
         service_telem().served.inc();
         let core = &*self.core;
         let now = core.clock.now();
-        // Freeze the index for the whole batch: the LSM snapshot pins every
+        // Freeze the cut the batch plans against for the whole batch: every
         // level plus the L0 population at batch start, so a merge published
         // mid-batch changes no in-flight answer.
-        let lsm = &gen.lsm;
-        lsm.advance(now);
-        let snap = lsm.freeze();
+        snap.cut.advance(now);
+        let frozen = snap.cut.freeze();
         let plans: Vec<(Query, AggKind)> = queries
             .iter()
-            .map(|q| (self.plan_capped(&gen, q), q.agg.kind()))
+            .map(|q| (self.plan(&snap, q, queue_wait), q.agg.kind()))
             .collect();
         let telem = portal_telem();
         telem.batches.inc();
@@ -640,9 +607,10 @@ impl<P: ProbeService> PortalService<P> {
         let probe = &core.probe;
         let mode = core.mode;
         let seed = core.seed;
+        let lsm = &core.lsm;
         let run_query = |i: usize| {
             let mut rng = StdRng::seed_from_u64(derive_seed(seed, i as u64));
-            lsm.execute_frozen(&snap, &plans[i].0, mode, probe, now, &mut rng)
+            lsm.execute_frozen(&frozen, &plans[i].0, mode, probe, now, &mut rng)
         };
 
         let outcomes: Vec<Option<FrozenOutcome>> = if threads <= 1 {
@@ -679,7 +647,7 @@ impl<P: ProbeService> PortalService<P> {
             readings_applied += lsm.apply_deferred(&deferred, now);
             stats.merge(&out.stats);
             let requested = requested_target(plan, core.mode);
-            let result = Self::finish(&gen, *kind, requested, out);
+            let result = Self::finish(&snap, *kind, requested, out);
             degradation.merge(&result.degradation);
             results.push(result);
         }
@@ -702,11 +670,11 @@ impl<P: ProbeService> PortalService<P> {
 
     // -- execution internals ----------------------------------------------
 
-    /// Interactive execution against `gen` with a caller-supplied RNG;
+    /// Interactive execution against `snap` with a caller-supplied RNG;
     /// `queue_wait` is deducted from the probe deadline budget.
     fn run_inner(
         &self,
-        gen: &Generation,
+        snap: &Snapshot,
         q: &SelectQuery,
         rng: &mut StdRng,
         queue_wait: TimeDelta,
@@ -729,8 +697,7 @@ impl<P: ProbeService> PortalService<P> {
             false
         };
         let now = core.clock.now();
-        let mut plan = self.plan_capped(gen, q);
-        plan.probe_deadline = plan.probe_deadline - queue_wait;
+        let plan = self.plan(snap, q, queue_wait);
         tracer().record(SpanKind::Plan, now.0 * 1_000, 0, 1);
         flight::with(|f| {
             f.admission_wait_ms = queue_wait.millis();
@@ -740,8 +707,10 @@ impl<P: ProbeService> PortalService<P> {
         });
         portal_telem().queries.inc();
         let requested = requested_target(&plan, mode);
-        let out = gen.lsm.execute(&plan, mode, &core.probe, now, rng);
-        let result = Self::finish(gen, q.agg.kind(), requested, out);
+        let out = core
+            .lsm
+            .execute_in(&snap.cut, &plan, mode, &core.probe, now, rng);
+        let result = Self::finish(snap, q.agg.kind(), requested, out);
         let watchdog = core.watchdog.read().clone();
         let mut flight_json = None;
         if flight::is_active() {
@@ -770,20 +739,22 @@ impl<P: ProbeService> PortalService<P> {
         result
     }
 
-    /// Plans a query, applying the portal-wide collection cap when the query
-    /// didn't choose a sample size.
-    fn plan_capped(&self, gen: &Generation, q: &SelectQuery) -> Query {
-        let mut plan: Query = gen.planner.plan(q);
+    /// Plans a query against `snap`, applying the portal-wide collection cap
+    /// when the query didn't choose a sample size, and deducting the
+    /// admission `queue_wait` from the probe deadline budget.
+    fn plan(&self, snap: &Snapshot, q: &SelectQuery, queue_wait: TimeDelta) -> Query {
+        let mut plan: Query = snap.planner().plan(q);
         if plan.sample_size.is_none() {
             if let Some(cap) = self.core.max_sensors_per_query {
                 plan = plan.with_sample_size(cap as f64);
             }
         }
+        plan.probe_deadline = plan.probe_deadline - queue_wait;
         plan
     }
 
     /// Converts a raw engine output into the portal's result shape.
-    fn finish(gen: &Generation, kind: AggKind, requested: f64, out: QueryOutput) -> PortalResult {
+    fn finish(snap: &Snapshot, kind: AggKind, requested: f64, out: QueryOutput) -> PortalResult {
         let groups: Vec<GroupView> = out
             .groups
             .iter()
@@ -797,7 +768,7 @@ impl<P: ProbeService> PortalService<P> {
         // Distribution: when the index maintains slot histograms, merge the
         // cache-served group histograms with the raw readings under the
         // configured binning; otherwise bin the raw readings adaptively.
-        let histogram = if let Some(spec) = gen.tree().config().slot_histograms {
+        let histogram = if let Some(spec) = snap.tree().config().slot_histograms {
             let mut h = spec.empty();
             let mut any = false;
             for g in &out.groups {
@@ -849,17 +820,16 @@ impl<P: ProbeService> PortalService<P> {
 
 impl<Q: ProbeService> PortalService<ResilientProber<Q>> {
     /// Closes the availability feedback loop for a resilient service: builds
-    /// a [`LiveAvailability`] map over the *current* generation, installs it
-    /// on that generation's tree (so Algorithm 1's oversampling reads live
+    /// a [`LiveAvailability`] map over the *current* cut, installs it on
+    /// that cut's primary tree (so Algorithm 1's oversampling reads live
     /// means) and on the prober (so every probe outcome trains the
     /// estimates). Returns the shared map for inspection.
     ///
     /// The map is installed on the primary level's tree only; when a merge
-    /// re-anchors the generation on a different primary level, call this
-    /// again to re-enable feedback there.
+    /// publishes a cut with a different primary level, call this again to
+    /// re-enable feedback there.
     pub fn enable_resilience_feedback(&self, alpha: f64) -> Arc<LiveAvailability> {
-        let gen = self.snapshot();
-        let live = gen.tree().enable_live_availability(alpha);
+        let live = self.snapshot().tree().enable_live_availability(alpha);
         self.core.probe.attach_availability(live.clone());
         live
     }
@@ -1049,66 +1019,102 @@ mod tests {
         assert_eq!(svc.snapshot().ordinal(), 1);
     }
 
+    /// `count(*)` over a corner of the grid at `CLUSTER d`, sampled.
+    fn clustered(d: f64) -> SelectQuery {
+        SelectQuery {
+            cluster: Some(d),
+            ..crate::parse(
+                "SELECT count(*) FROM sensor WHERE location WITHIN RECT(0,0,9,9) SAMPLESIZE 20",
+            )
+            .unwrap()
+        }
+    }
+
+    const CLUSTERS: [f64; 5] = [1.0, 10.0, 50.0, 500.0, 5000.0];
+
+    /// Registers `n` sensors in a row off the grid, at (100 + i, 100).
+    fn register_row(svc: &PortalService<AlwaysAvailable>, n: usize) {
+        for i in 0..n {
+            svc.register_sensor(
+                Point::new(100.0 + i as f64, 100.0),
+                TimeDelta::from_mins(5),
+                1.0,
+                0,
+            );
+        }
+    }
+
     #[test]
-    fn a_generation_derives_a_planner_only_when_its_primary_level_changed() {
+    fn a_snapshot_plans_as_a_fresh_planner_over_its_primary_tree() {
         let svc = hier_service();
-        // The kept or derived planner plans as one built from the pinned tree.
-        let agrees_with_a_fresh_planner = |gen: &Generation| {
-            let fresh = Planner::new(gen.tree());
-            assert_eq!(format!("{:?}", gen.planner()), format!("{fresh:?}"));
-            for d in [1.0, 10.0, 50.0, 500.0, 5000.0] {
+        let agrees_with_a_fresh_planner = |snap: &Snapshot| {
+            let fresh = Planner::new(snap.tree());
+            assert_eq!(format!("{:?}", snap.planner()), format!("{fresh:?}"));
+            for d in CLUSTERS {
                 let cluster = Some(d);
                 assert_eq!(
-                    gen.planner().terminal_level(cluster),
+                    snap.planner().terminal_level(cluster),
                     fresh.terminal_level(cluster)
                 );
-                let q = SelectQuery {
-                    cluster,
-                    ..crate::parse(
-                        "SELECT count(*) FROM sensor WHERE location WITHIN RECT(0,0,9,9) SAMPLESIZE 20",
-                    )
-                    .unwrap()
-                };
+                let q = clustered(d);
                 assert_eq!(
-                    format!("{:?}", gen.planner().plan(&q)),
+                    format!("{:?}", snap.planner().plan(&q)),
                     format!("{:?}", fresh.plan(&q))
                 );
-            }
-        };
-        let register = |n: usize| {
-            for i in 0..n {
-                svc.register_sensor(
-                    Point::new(100.0 + i as f64, 100.0),
-                    TimeDelta::from_mins(5),
-                    1.0,
-                    0,
-                );
+                assert_eq!(snap.planner().explain(&q), fresh.explain(&q));
             }
         };
         let initial = svc.snapshot();
         agrees_with_a_fresh_planner(&initial);
 
         // A small batch merges into a level of its own beside the base level:
-        // the primary stays, and so does the planner — the same one, not an
-        // equal one.
-        register(3);
+        // the primary stays.
+        register_row(&svc, 3);
         svc.reindex();
         let kept = svc.snapshot();
         assert_eq!(kept.ordinal(), 1);
-        assert!(Arc::ptr_eq(&kept.primary, &initial.primary));
-        assert!(Arc::ptr_eq(&kept.planner, &initial.planner));
+        assert_eq!(kept.cut().primary().key(), initial.cut().primary().key());
         agrees_with_a_fresh_planner(&kept);
 
         // Arrivals enough to absorb — and so rewrite — the base level (256 <
-        // level_ratio 4 × 68): a new primary, a new planner.
-        register(65);
+        // level_ratio 4 × 68): a new primary.
+        register_row(&svc, 65);
         svc.reindex();
         let rewritten = svc.snapshot();
         assert_eq!(rewritten.ordinal(), 2);
         assert_eq!(rewritten.tree().sensors().len(), 256 + 68);
-        assert!(!Arc::ptr_eq(&rewritten.primary, &kept.primary));
-        assert!(!Arc::ptr_eq(&rewritten.planner, &kept.planner));
+        assert_ne!(rewritten.cut().primary().key(), kept.cut().primary().key());
         agrees_with_a_fresh_planner(&rewritten);
+    }
+
+    #[test]
+    fn a_reindex_that_compacts_nothing_publishes_nothing() {
+        let svc = hier_service();
+        // A level of 64 beside the base of 256 (not small beside 64).
+        register_row(&svc, 64);
+        svc.reindex();
+        assert_eq!(svc.generation(), 1);
+        // Retires leave the base 56 live beside the new level's 64, but no
+        // merge is due: the newer level is neither small nor tombstoned, so
+        // nothing is absorbed.
+        for id in 0..200 {
+            assert!(svc.retire_sensor(SensorId(id)));
+        }
+        let before = svc.snapshot();
+        assert_eq!(before.cut().primary().key(), 0);
+        svc.reindex();
+        let after = svc.snapshot();
+        assert_eq!(svc.generation(), 1);
+        assert_eq!(after.ordinal(), 1);
+        assert!(Arc::ptr_eq(after.cut(), before.cut()), "nothing published");
+        assert_eq!(after.cut().primary().key(), 0, "the primary is the cut's");
+        for d in CLUSTERS {
+            let q = clustered(d);
+            assert_eq!(
+                format!("{:?}", after.planner().plan(&q)),
+                format!("{:?}", before.planner().plan(&q))
+            );
+        }
     }
 
     #[test]
@@ -1171,6 +1177,51 @@ mod tests {
         svc.core.in_flight.store(0, Ordering::Release);
     }
 
+    /// Answers as [`AlwaysAvailable`] does and records every retry budget
+    /// it is handed.
+    struct BudgetProbe {
+        budgets: Mutex<Vec<u64>>,
+    }
+
+    impl ProbeService for BudgetProbe {
+        fn probe_batch(&self, ids: &[SensorId], now: Timestamp) -> Vec<Option<Reading>> {
+            let expiry_ms = EXPIRY_MS;
+            AlwaysAvailable { expiry_ms }.probe_batch(ids, now)
+        }
+
+        fn probe_batch_report(
+            &self,
+            ids: &[SensorId],
+            now: Timestamp,
+            retry_budget_ms: u64,
+        ) -> colr_tree::ProbeReport {
+            self.budgets.lock().push(retry_budget_ms);
+            colr_tree::ProbeReport::plain(self.probe_batch(ids, now))
+        }
+    }
+
+    #[test]
+    fn a_queued_batch_pays_its_queue_wait() {
+        let probe = |_: usize, _: &[SensorMeta]| BudgetProbe {
+            budgets: Mutex::new(Vec::new()),
+        };
+        let config = PortalConfig {
+            mode: Mode::HierCache,
+            ..Default::default()
+        };
+        let portal = ShardedPortal::new(grid_sensors(256, 16), probe, 1, config);
+        let svc = portal.shard(0);
+        svc.clock().advance(TimeDelta::from_secs(1));
+        // Every execution slot taken: the batch queues at depth 1, 2 ms.
+        let max_in_flight = AdmissionConfig::default().max_in_flight;
+        svc.core.in_flight.store(max_in_flight, Ordering::Release);
+        let sql = "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,7.5,7.5)";
+        portal.query_many_sql(&[sql, sql], 1).unwrap();
+        svc.core.in_flight.store(0, Ordering::Release);
+        let budgets = svc.probe().budgets.lock().clone();
+        assert_eq!(budgets, [1_998, 1_998], "one wave a query, 2 s less 2 ms");
+    }
+
     #[test]
     fn closed_service_rejects_queries() {
         let svc = hier_service();
@@ -1198,10 +1249,8 @@ mod tests {
     /// The bare-tree side of the parity tests below: the same population,
     /// tree config and seed the service was built from, planned by a planner
     /// over that tree, with no service, LSM or admission layer in between.
-    fn bare_tree(config: &PortalConfig) -> (ColrTree, Planner) {
-        let tree = ColrTree::build(grid_sensors(256, 16), config.tree.clone(), config.seed);
-        let planner = Planner::new(&tree);
-        (tree, planner)
+    fn bare_tree(config: &PortalConfig) -> ColrTree {
+        ColrTree::build(grid_sensors(256, 16), config.tree.clone(), config.seed)
     }
 
     /// The stream a fresh index hands its one level for a request seeded
@@ -1227,7 +1276,8 @@ mod tests {
                 seed,
                 ..Default::default()
             };
-            let (tree, planner) = bare_tree(&config);
+            let tree = bare_tree(&config);
+            let planner = Planner::new(&tree);
             let svc = service(config);
             svc.clock().advance(TimeDelta::from_secs(1));
             let mut ordinal = 0;
@@ -1269,7 +1319,8 @@ mod tests {
                     seed,
                     ..Default::default()
                 };
-                let (tree, planner) = bare_tree(&config);
+                let tree = bare_tree(&config);
+                let planner = Planner::new(&tree);
                 let portal = portal(config);
                 let svc = portal.shard(0);
                 svc.clock().advance(TimeDelta::from_secs(1));

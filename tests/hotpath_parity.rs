@@ -45,8 +45,8 @@
 //!     circle and a kind filter, cold / warm / expired.
 //!
 //! A digest mismatch means an answer, a statistic or an RNG position moved.
-//! If that is an intended algorithm change (ROADMAP 2d), re-record: every
-//! assertion prints the digest it computed.
+//! If that is an intended algorithm change (REDISTRIBUTE on a wave's realised
+//! shortfall, say), re-record: every assertion prints the digest it computed.
 //!
 //! Re-recorded once, in PR 24: the batch digests of (a), (c) and (d) — the
 //! cases that go through the portal. Until then a fresh service handed

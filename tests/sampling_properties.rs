@@ -83,7 +83,6 @@ fn theorem1_holds_under_heterogeneous_availability() {
         );
         let q = Query::range(region.clone(), TimeDelta::from_mins(5))
             .with_terminal_level(3)
-            .with_oversample_level(1)
             .with_sample_size(r);
         let out = tree.execute(&q, Mode::Colr, &net, Timestamp(1_000), &mut rng);
         successes += out.readings.len();

@@ -167,7 +167,7 @@ fn concurrent_queries_straddle_swaps_without_tearing() {
     // The final population answers through a fresh query too — asked cold,
     // because a warm count leaves out an arrival that no query reached
     // before its merge put it beside cached neighbours (the coverage gate;
-    // ROADMAP 5e).
+    // the ROADMAP's open row on a warm count stepping back across a merge).
     svc.clock().advance(TimeDelta::from_millis(EXPIRY_MS));
     let final_count = run(&svc, FULL_GRID).unwrap().value.unwrap();
     assert_eq!(final_count, (BASE + SWAPS * NEW_PER_SWAP) as f64);
