@@ -84,6 +84,19 @@ if grep -rnE '& \(CACHE_STRIPES - 1\)|step_by\(CACHE_STRIPES\)' crates src tests
     echo "ci: a stripe keyed by masked id or a struct queue entry is back (matches above)" >&2
     exit 1
 fi
+# One nearest-centre rule, packed: a scan keeps the lowest `(distance_sq,
+# index)` as one integer key, and the two-way branch it replaced survives only
+# as the test reference it is checked against (after build.rs's column-0
+# `#[cfg(test)]`). The router reads a shard's live extent off the LSM's
+# memoised fold and never walks the shard itself.
+branchy_scan=$(awk '/^#\[cfg\(test\)\]/ { exit } /best\.0/ { print FILENAME ":" FNR ": " $0 }' crates/core/src/build.rs)
+shard_walk=$(find crates/engine/src -name '*.rs' -print0 |
+    xargs -0 awk 'FNR == 1 { cut = 0 } /^#\[cfg\(test\)\]/ { cut = 1 } !cut && /for_each_live_location/ { print FILENAME ":" FNR ": " $0 }')
+if [ -n "$branchy_scan$shard_walk" ]; then
+    printf '%s\n' "$branchy_scan" "$shard_walk" | grep . >&2
+    echo "ci: the branchy nearest-centre scan or the router's walk of a shard is back (matches above)" >&2
+    exit 1
+fi
 # One published cut: a merge's LSM cut is the service's snapshot, published
 # once under the state's write lock, so the service keeps no generation,
 # reindex lock or mirrored ordinal of its own. `ClockHandle` is the one clock
@@ -109,7 +122,7 @@ if [ -n "$early" ]; then
     echo "ci: a column-0 #[cfg(test)] before the test module cuts the count early at: $early" >&2
     exit 1
 fi
-max_nontest=18506
+max_nontest=18610
 nontest=$(counted crates/*/src |
     xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile } { n++ } END { print n }' |
     awk '{ s += $1 } END { print s }')
@@ -122,7 +135,7 @@ echo "ci: non-test line ratchet OK ($nontest of $max_nontest)"
 # `unreachable!(` on the non-test lines of the core and engine crates, cut as
 # above. The count may only fall; each site that goes becomes a typed
 # `PortalError`, a `debug_assert!` with its invariant written down, or nothing.
-max_panics=11
+max_panics=10
 panics=$(counted crates/core/src crates/engine/src |
     xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile } { n += gsub(/\.unwrap\(\)|\.expect\(|panic!\(|unreachable!\(/, "&") } END { print n + 0 }' |
     awk '{ s += $1 } END { print s }')

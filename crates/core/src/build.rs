@@ -20,18 +20,20 @@
 //! Asking all `k` of them costs `n·k` distances a round — `k = ⌈n/B⌉`, so
 //! 13 M for the 4,096-sensor level an LSM merge rebuilds. Instead the points
 //! of a `lloyd_from` call are filed once into cells of at most
-//! `POINTS_PER_CELL` (halved at the median of the longer side, so cells are
-//! small where points are dense), each with the exact bounding box `b` of
-//! its points, and every round files its centres in a uniform grid,
-//! `CentreGrid`, about two a grid cell. Every round assigns a cell as a
-//! whole: `reach` is the largest computed `distance_sq` from one of its
-//! points to the centre that point is assigned now, the cell's *candidates*
-//! are the centres `CentreGrid::candidates` finds within `reach` of `b`, and
-//! each point scans that list under the all-centres scan's rule — lowest
-//! `(distance_sq, index)` from `(∞, 0)`. Before the first round every point
-//! of a cell is assigned one centre, `CentreGrid::start` of `b`'s centre: a
-//! near one keeps the list short. About 8.5 distances and bounds a point per
-//! round on the clustered map, against `k` = 410 (a unit test holds it ≤ 64).
+//! `POINTS_PER_CELL` (halved at the median of the longer side of the box the
+//! halvings leave, so cells are small where points are dense), each with the
+//! exact bounding box `b` of its points, and every round files its centres
+//! in a uniform grid, `CentreGrid`, about two a grid cell. Every round
+//! assigns a cell as a whole: `reach` is the largest computed `distance_sq`
+//! from one of its points to the centre that point is assigned now, the
+//! cell's *candidates* are the centres `CentreGrid::candidates` finds within
+//! `reach` of `b`, and each point scans that list under the all-centres
+//! scan's rule — lowest `(distance_sq, index)` from `(∞, 0)`, each pair
+//! packed into one integer `key` so a centre costs one `min`. Before the
+//! first round every point of a cell is assigned one centre,
+//! `CentreGrid::start` of `b`'s centre: a near one keeps the list short.
+//! About 8.5 distances and bounds a point per round on the clustered map,
+//! against `k` = 410 (a unit test holds it ≤ 64).
 //!
 //! The search is *exact* — the same assignment as the all-centres scan for
 //! every input, from any start assignment, so the same centroid sums, re-seed
@@ -253,8 +255,12 @@ impl Builder {
 
     fn push_internal(&mut self, members: Vec<usize>) -> usize {
         let id = self.nodes.len();
+        debug_assert!(
+            !members.is_empty(),
+            "no group is empty: `lloyd_from` drops them, `str_pack` and `grid_kmeans` make none"
+        );
         let bbox = Rect::bounding_rects(members.iter().map(|&m| &self.nodes[m].bbox))
-            .expect("internal node has children");
+            .unwrap_or_else(|| Rect::from_coords(0.0, 0.0, 0.0, 0.0));
         let weight: u64 = members.iter().map(|&m| self.nodes[m].weight).sum();
         let avail_mean = if weight == 0 {
             1.0
@@ -607,7 +613,9 @@ const POINTS_PER_CELL: usize = 8;
 /// The points of one [`lloyd`] call, filed once into cells of at most a
 /// given number by halving at the median of the longer side (so a cell is
 /// small where the points are dense), each cell with the exact bounding box
-/// of its points: the box its candidate lists are found for.
+/// of its points: the box its candidate lists are found for. The sides are
+/// those of the box the halvings leave, so the points are boxed twice in
+/// all: once whole, and once a finished cell.
 struct PointCells {
     /// Per cell: its points' bounding box and the run of `order` listing
     /// them.
@@ -631,37 +639,43 @@ impl PointCells {
             }
         }
         let mut cells = Vec::new();
-        split(&mut filed, 0, per_cell.max(1), &mut cells);
+        if let Some(bbox) = bounding(filed.iter().map(|(p, _)| p)) {
+            split(&mut filed, bbox, 0, per_cell.max(1), &mut cells);
+        }
         let order = filed.iter().map(|&(_, i)| i).collect();
         PointCells { cells, order, wild }
     }
 }
 
-/// Files `run` — `order[from..]` to be — as one cell when it holds at most
-/// `per_cell` points, else halves it at the median of its box's longer side
-/// and files each half.
+/// Files `run` — `order[from..]` to be, its points inside `bbox` — as one
+/// cell under its exact bounding box when it holds at most `per_cell`
+/// points, else halves it at the median of `bbox`'s longer side and files
+/// each half inside its side of the cut.
 fn split(
     run: &mut [(Point, u32)],
+    bbox: Rect,
     from: usize,
     per_cell: usize,
     cells: &mut Vec<(Rect, Range<usize>)>,
 ) {
-    let Some(bbox) = bounding(run.iter().map(|(p, _)| p)) else {
-        return;
-    };
     if run.len() <= per_cell {
-        cells.push((bbox, from..from + run.len()));
+        if let Some(exact) = bounding(run.iter().map(|(p, _)| p)) {
+            cells.push((exact, from..from + run.len()));
+        }
         return;
     }
     let mid = run.len() / 2;
+    let (mut low, mut high) = (bbox, bbox);
     if bbox.width() >= bbox.height() {
         run.select_nth_unstable_by(mid, |a, b| a.0.x.total_cmp(&b.0.x));
+        (low.max.x, high.min.x) = (run[mid].0.x, run[mid].0.x);
     } else {
         run.select_nth_unstable_by(mid, |a, b| a.0.y.total_cmp(&b.0.y));
+        (low.max.y, high.min.y) = (run[mid].0.y, run[mid].0.y);
     }
-    let (low, high) = run.split_at_mut(mid);
-    split(low, from, per_cell, cells);
-    split(high, from + mid, per_cell, cells);
+    let (lower, upper) = run.split_at_mut(mid);
+    split(lower, low, from, per_cell, cells);
+    split(upper, high, from + mid, per_cell, cells);
 }
 
 /// The bounding box of `points`, `None` when there are none.
@@ -676,21 +690,35 @@ fn bounding<'a>(mut points: impl Iterator<Item = &'a Point>) -> Option<Rect> {
 /// centre that scan could pick.
 #[inline]
 fn nearest_in(run: &[(Point, u32)], p: &Point) -> usize {
-    let mut best = (f64::INFINITY, 0usize);
+    let mut best = UNSEEN;
     scan(run, p, &mut best);
-    best.1
+    centre_of(best)
 }
 
-/// Keeps the lowest `(distance_sq, index)` of `p` seen over `run`. A NaN
-/// distance compares false and never replaces anything.
+/// A scan's `(distance_sq, index)` as one integer: the distance's bits
+/// above the index. A computed `distance_sq` is +0 or more, +∞ or NaN, and
+/// the bits of those order as the values do with every NaN above +∞, so the
+/// lowest key is the lowest `(distance_sq, index)` and a NaN never wins.
 #[inline]
-fn scan(run: &[(Point, u32)], p: &Point, best: &mut (f64, usize)) {
+const fn key(d: f64, index: u32) -> u128 {
+    ((d.to_bits() as u128) << 64) | index as u128
+}
+
+/// The key a scan starts from: `(∞, 0)`.
+const UNSEEN: u128 = key(f64::INFINITY, 0);
+
+/// The centre index a scan's key names.
+#[inline]
+fn centre_of(best: u128) -> usize {
+    best as u32 as usize
+}
+
+/// Keeps the lowest `(distance_sq, index)` key of `p` seen over `run`.
+#[inline]
+fn scan(run: &[(Point, u32)], p: &Point, best: &mut u128) {
     count_distances(run.len());
     for &(center, i) in run {
-        let d = p.distance_sq(&center);
-        if d < best.0 || (d == best.0 && (i as usize) < best.1) {
-            *best = (d, i as usize);
-        }
+        *best = (*best).min(key(p.distance_sq(&center), i));
     }
 }
 
@@ -753,7 +781,7 @@ struct CentreGrid {
 }
 
 /// [`CentreGrid::cell_of`] of a centre with a non-finite coordinate. Its
-/// distance to anything is ∞ or NaN, which never wins the scan's `d < best`.
+/// distance to anything is ∞ or NaN, whose key is never below a scan's start.
 const NO_CELL: u32 = u32::MAX;
 
 impl CentreGrid {
@@ -866,7 +894,7 @@ impl CentreGrid {
     fn start(&self, p: &Point) -> usize {
         let cols = self.cols;
         let (cx, cy) = (self.col(p.x), self.row(p.y));
-        let mut best = (f64::INFINITY, 0usize);
+        let mut best = UNSEEN;
         for ring in 0..cols.max(self.rows) {
             // The rings inside this one hold no centre, so the block they
             // make with it holds what the ring does.
@@ -881,7 +909,7 @@ impl CentreGrid {
                 break;
             }
         }
-        best.1
+        centre_of(best)
     }
 
     /// Fills `out` with the centres that can be within `reach` of a point of
@@ -1238,6 +1266,51 @@ pub(crate) mod tests {
         best
     }
 
+    /// The scan's rule as it was written before its pairs were packed into
+    /// one key: the lowest `(distance_sq, index)`, a NaN distance comparing
+    /// false and never replacing anything. Kept as the reference [`scan`] is
+    /// compared against.
+    fn scan_by_rule(run: &[(Point, u32)], p: &Point, best: &mut (f64, usize)) {
+        for &(center, i) in run {
+            let d = p.distance_sq(&center);
+            if d < best.0 || (d == best.0 && (i as usize) < best.1) {
+                *best = (d, i as usize);
+            }
+        }
+    }
+
+    /// [`scan`] and [`scan_by_rule`] from `(∞, 0)` over `runs` in turn, the
+    /// best carried from one run to the next as [`CentreGrid::start`]
+    /// carries it: the same distance bits and index after every run.
+    #[track_caller]
+    fn assert_scans_agree(runs: &[&[(Point, u32)]], p: &Point) {
+        let (mut packed, mut rule) = (UNSEEN, (f64::INFINITY, 0usize));
+        for (at, run) in runs.iter().enumerate() {
+            scan(run, p, &mut packed);
+            scan_by_rule(run, p, &mut rule);
+            assert_eq!(
+                ((packed >> 64) as u64, centre_of(packed)),
+                (rule.0.to_bits(), rule.1),
+                "after run {at} of {p:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn an_all_nan_run_leaves_the_packed_scan_where_it_started() {
+        let nan = |i: u32| (Point::new(f64::NAN, i as f64), i);
+        let run = [nan(0), nan(3), (Point::new(1.0, f64::NAN), 1)];
+        for p in [Point::new(0.0, 0.0), Point::new(f64::NAN, f64::NAN)] {
+            let mut best = UNSEEN;
+            scan(&run, &p, &mut best);
+            assert_eq!(best, UNSEEN);
+            assert_eq!(centre_of(best), 0);
+            assert_scans_agree(&[&run, &run[1..]], &p);
+        }
+        // NaN of either sign is above +∞ by its bits.
+        assert!(key(-f64::NAN, 0) > UNSEEN && key(f64::NAN, 0) > UNSEEN);
+    }
+
     /// [`lloyd`] with the assignment step's cells holding at most `per_cell`
     /// points each.
     fn lloyd_in_cells(
@@ -1482,6 +1555,39 @@ pub(crate) mod tests {
                 lloyd_of_all(&points, &items, k, iterations, &mut b),
             );
             assert_eq!(a.next_u64(), b.next_u64(), "RNG position");
+        }
+
+        /// The packed scan against the rule it replaced, over centres off
+        /// the lattice (exact ties), now and then ±∞ or NaN, the whole set
+        /// again under higher indices (every distance a tie the lower index
+        /// wins), in either index order, cut into runs a best is carried
+        /// across.
+        #[test]
+        fn the_packed_scan_keeps_what_the_rule_keeps(
+            centres in proptest::collection::vec(any_point(), 0..40),
+            twice in 0usize..2,
+            reversed in 0usize..2,
+            cuts in proptest::collection::vec(0usize..80, 0..4),
+            p in any_point(),
+        ) {
+            let mut run: Vec<(Point, u32)> =
+                centres.iter().enumerate().map(|(i, &c)| (c, i as u32)).collect();
+            if twice == 1 {
+                let n = run.len() as u32;
+                run.extend(centres.iter().enumerate().map(|(i, &c)| (c, n + i as u32)));
+            }
+            if reversed == 1 {
+                run.reverse();
+            }
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(run.len())).collect();
+            cuts.sort_unstable();
+            let mut runs = Vec::new();
+            let mut from = 0;
+            for to in cuts.into_iter().chain([run.len()]) {
+                runs.push(&run[from..to]);
+                from = to;
+            }
+            assert_scans_agree(&runs, &p);
         }
 
         /// The loop from given start centres against the all-centres loop

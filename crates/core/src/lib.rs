@@ -82,8 +82,8 @@ pub use flight::{FlightRecord, LevelStage, RetryRound, WaveStage};
 pub use id_table::IdTable;
 pub use lookup::{GroupResult, Mode, Query, QueryOutput};
 pub use lsm::{
-    apportion, derive_seed, unit_draw, Claim, L0Level, LsmConfig, LsmLevel, LsmSnapshot, LsmState,
-    LsmStats, LsmTree, MergeReport,
+    apportion, derive_seed, unit_draw, Claim, L0Level, LocationFold, LsmConfig, LsmLevel,
+    LsmSnapshot, LsmState, LsmStats, LsmTree, MergeReport,
 };
 pub use model::IdwModel;
 pub use probe::{ProbeReport, ProbeService};

@@ -35,7 +35,7 @@ mod level;
 use std::ops::Range;
 use std::sync::Arc;
 
-use colr_geo::Point;
+use colr_geo::{Point, Rect};
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -276,12 +276,56 @@ pub struct LsmSnapshot {
     l0: Vec<Parked>,
 }
 
+/// The bounding box, coordinate sums and count of a run of locations, the
+/// sums started from the first location and the rest added in order.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LocationFold {
+    /// The locations' bounding box.
+    pub bbox: Rect,
+    /// Their x coordinates summed.
+    pub sum_x: f64,
+    /// Their y coordinates summed.
+    pub sum_y: f64,
+    /// How many there are.
+    pub count: usize,
+}
+
+impl LocationFold {
+    /// The fold of `points` in order; `None` when there are none.
+    pub fn over(points: impl IntoIterator<Item = Point>) -> Option<LocationFold> {
+        let mut acc = None;
+        points
+            .into_iter()
+            .for_each(|p| LocationFold::add(&mut acc, p));
+        acc
+    }
+
+    /// Folds `p` into `acc`.
+    fn add(acc: &mut Option<LocationFold>, p: Point) {
+        let Some(fold) = acc else {
+            let bbox = Rect::new(p, p);
+            *acc = Some(LocationFold {
+                bbox,
+                sum_x: p.x,
+                sum_y: p.y,
+                count: 1,
+            });
+            return;
+        };
+        fold.bbox.expand_to_point(&p);
+        fold.sum_x += p.x;
+        fold.sum_y += p.y;
+        fold.count += 1;
+    }
+}
+
 /// The incremental index: an `Arc`-swapped level stack (`LsmState`) plus the
 /// global directory that routes churn to the right component.
 ///
 /// Lock order (deadlock freedom): `state` → `directory` → a component's own
 /// locks (L0's, a level tree's). The `merge_lock` serialises merges and is
-/// always taken first, before any of them. Every directory change but a
+/// always taken first, before any of them; `fold_memo` is taken with no
+/// other held, and only L0's after it. Every directory change but a
 /// merge's is made under `state`'s read lock and a merge's publication under
 /// its write lock, so a location read under either names a component of the
 /// published cut: an L0 position is a position in the published L0.
@@ -294,6 +338,10 @@ pub struct LsmTree {
     /// register/retire/merge.
     directory: Mutex<Directory>,
     merge_lock: Mutex<()>,
+    /// [`LsmTree::live_location_fold`]'s fold after each level of the cut
+    /// it last ran on, with the level's key and the tombstones counted
+    /// before the level was folded.
+    fold_memo: Mutex<Vec<(u64, u64, Option<LocationFold>)>>,
 }
 
 impl LsmTree {
@@ -332,6 +380,7 @@ impl LsmTree {
             })),
             directory: Mutex::new(directory),
             merge_lock: Mutex::new(()),
+            fold_memo: Mutex::new(Vec::new()),
         }
     }
 
@@ -421,6 +470,39 @@ impl LsmTree {
             level.for_each_live_location(&mut visit);
         }
         state.l0.for_each_live_location(&mut visit);
+    }
+
+    /// The [`LocationFold`] of every live location of one published cut,
+    /// in [`LsmTree::for_each_live_location`]'s order; `None` when none is
+    /// live.
+    ///
+    /// The fold after each level is kept, keyed by the level's key and its
+    /// tombstone count read before the level is folded. Tombstones are only
+    /// ever added, so an unchanged count is an unchanged set (a retire that
+    /// races the fold lands on either side of it), and the next call resumes
+    /// from the longest prefix of levels still as they were: after a merge,
+    /// the levels it replaced and L0. The additions are one pass's, in its
+    /// order on its values.
+    pub fn live_location_fold(&self) -> Option<LocationFold> {
+        let state = self.cut();
+        let mut memo = self.fold_memo.lock();
+        let kept = memo
+            .iter()
+            .zip(&state.levels)
+            .take_while(|((key, dead, _), level)| {
+                *key == level.key() && *dead == level.tombstone_count()
+            })
+            .count();
+        memo.truncate(kept);
+        let mut acc = memo.last().and_then(|&(_, _, fold)| fold);
+        for level in &state.levels[kept..] {
+            let dead = level.tombstone_count();
+            level.for_each_live_location(&mut |p| LocationFold::add(&mut acc, p));
+            memo.push((level.key(), dead, acc));
+        }
+        let fold = &mut |p| LocationFold::add(&mut acc, p);
+        state.l0.for_each_live_location(fold);
+        acc
     }
 
     /// Live sensors currently parked in L0 (the shard router's

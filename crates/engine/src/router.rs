@@ -36,7 +36,8 @@ use colr_geo::{Point, Rect};
 use colr_telemetry::{global, Counter};
 use colr_tree::{
     apportion, derive_seed, kmeans_partition, unit_draw, AggKind, Claim, ClockHandle, Histogram,
-    IdTable, Mode, ProbeService, QueryStats, SensorId, SensorMeta, TimeDelta, Timestamp,
+    IdTable, LocationFold, Mode, ProbeService, QueryStats, SensorId, SensorMeta, TimeDelta,
+    Timestamp,
 };
 use parking_lot::{Mutex, RwLock};
 
@@ -260,7 +261,7 @@ impl<P: ProbeService> ShardedPortal<P> {
         kind: u16,
     ) -> usize {
         let core = &*self.core;
-        let shard = self.nearest_shard(location);
+        let shard = nearest_shard(&core.map.read(), location);
         let id = core.shards[shard].register_sensor(location, expiry, availability, kind);
         // The counter publishes nothing: the placement goes in under the
         // table's lock, before the ticket is handed out.
@@ -284,24 +285,6 @@ impl<P: ProbeService> ShardedPortal<P> {
         placement.is_some_and(|p| core.shards[p.shard as usize].retire_sensor(p.id))
     }
 
-    /// The shard whose centroid is nearest to `location` (ties to the lower
-    /// index).
-    fn nearest_shard(&self, location: Point) -> usize {
-        let map = self.core.map.read();
-        let mut best = 0;
-        let mut best_d2 = f64::INFINITY;
-        for info in map.iter() {
-            let dx = info.centroid.x - location.x;
-            let dy = info.centroid.y - location.y;
-            let d2 = dx * dx + dy * dy;
-            if d2 < best_d2 {
-                best_d2 = d2;
-                best = info.index;
-            }
-        }
-        best
-    }
-
     /// Reindexes shard `s` and refreshes its shard map entry from the cut it
     /// published. Returns the shard's new population size.
     ///
@@ -320,15 +303,25 @@ impl<P: ProbeService> ShardedPortal<P> {
     /// Rebalance-on-merge: moves shard `s`'s L0 sensors whose nearest
     /// centroid has drifted to another shard — tombstone on `s`, O(1)
     /// re-register into the destination's L0 — so the imminent merge only
-    /// compacts sensors that actually belong to `s`.
+    /// compacts sensors that actually belong to `s`. Destinations are read
+    /// off one look at the map; on one shard there is nowhere to move.
     fn rebalance_l0(&self, s: usize) {
         let core = &*self.core;
+        if core.shards.len() == 1 {
+            return;
+        }
         let t = router_telem();
-        for meta in core.shards[s].snapshot().lsm().l0_sensor_metas() {
-            let dest = self.nearest_shard(meta.location);
-            if dest == s {
-                continue;
-            }
+        let metas = core.shards[s].snapshot().lsm().l0_sensor_metas();
+        let moves: Vec<(SensorMeta, usize)> = {
+            let map = core.map.read();
+            let dest = |meta: SensorMeta| (meta, nearest_shard(&map, meta.location));
+            metas
+                .into_iter()
+                .map(dest)
+                .filter(|&(_, d)| d != s)
+                .collect()
+        };
+        for (meta, dest) in moves {
             // Only router-registered sensors live in L0, so each has a
             // ticket; resolve it to keep retire-by-ticket pointing at the
             // sensor's new home.
@@ -758,6 +751,23 @@ impl Drop for Reindexer {
     }
 }
 
+/// The shard of `map` whose centroid is nearest to `location` (ties to the
+/// lower index).
+fn nearest_shard(map: &[ShardInfo], location: Point) -> usize {
+    let mut best = 0;
+    let mut best_d2 = f64::INFINITY;
+    for info in map {
+        let dx = info.centroid.x - location.x;
+        let dy = info.centroid.y - location.y;
+        let d2 = dx * dx + dy * dy;
+        if d2 < best_d2 {
+            best_d2 = d2;
+            best = info.index;
+        }
+    }
+    best
+}
+
 /// The seed shard `s` executes ordinal `base`'s slice under. Shard 0 reuses
 /// `base` itself so a single-shard router replays the bare service's exact
 /// RNG stream; other shards re-derive from their absolute index.
@@ -771,26 +781,25 @@ fn shard_seed(base: u64, s: usize) -> u64 {
 
 /// Reads one shard map entry off the shard's published cut. The live
 /// population spans every level plus L0, so the extent, centroid and count
-/// are folded from one pass over the live locations rather than read off one
-/// tree root — a pass, not a copy: this runs after every merge, and must cost
-/// what a merge does, not what the shard holds. A fully retired shard keeps
-/// its primary level's.
+/// are its [`LocationFold`] rather than one tree root's: the LSM keeps the
+/// fold of the levels a merge left as they were, so this costs what a merge
+/// does, not what the shard holds. A fully retired shard keeps its primary
+/// level's.
 fn shard_info<P: ProbeService>(index: usize, shard: &PortalService<P>) -> ShardInfo {
     let snap = shard.snapshot();
-    let mut acc = None;
-    snap.lsm()
-        .for_each_live_location(|p| fold_location(&mut acc, p));
-    if acc.is_none() {
-        for m in snap.tree().sensors() {
-            fold_location(&mut acc, m.location);
-        }
-    }
-    match acc {
-        Some((bbox, cx, cy, sensors)) => ShardInfo {
+    let fold = snap
+        .lsm()
+        .live_location_fold()
+        .or_else(|| LocationFold::over(snap.tree().sensors().iter().map(|m| m.location)));
+    match fold {
+        Some(fold) => ShardInfo {
             index,
-            bbox,
-            centroid: Point::new(cx / sensors as f64, cy / sensors as f64),
-            sensors,
+            bbox: fold.bbox,
+            centroid: Point::new(
+                fold.sum_x / fold.count as f64,
+                fold.sum_y / fold.count as f64,
+            ),
+            sensors: fold.count,
         },
         None => ShardInfo {
             index,
@@ -798,21 +807,6 @@ fn shard_info<P: ProbeService>(index: usize, shard: &PortalService<P>) -> ShardI
             centroid: Point::new(0.0, 0.0),
             sensors: 0,
         },
-    }
-}
-
-/// One step of [`shard_info`]'s pass: the bounding box, coordinate sums and
-/// count so far. The sums start from the first location and add the rest in
-/// visiting order.
-fn fold_location(acc: &mut Option<(Rect, f64, f64, usize)>, p: Point) {
-    match acc {
-        None => *acc = Some((Rect::new(p, p), p.x, p.y, 1)),
-        Some((bbox, cx, cy, n)) => {
-            bbox.expand_to_point(&p);
-            *cx += p.x;
-            *cy += p.y;
-            *n += 1;
-        }
     }
 }
 
@@ -903,36 +897,44 @@ mod tests {
             .collect()
     }
 
-    /// Every shard's entry as the pass computes it now equals the copy-based
+    /// A map entry's fields, floats by their bits.
+    fn bits(i: &ShardInfo) -> (usize, [(u64, u64); 3], usize) {
+        let corners = [i.bbox.min, i.bbox.max, i.centroid];
+        (
+            i.index,
+            corners.map(|p| (p.x.to_bits(), p.y.to_bits())),
+            i.sensors,
+        )
+    }
+
+    /// Refreshes every shard's entry and checks it equals the copy-based
+    /// reference to the bit.
+    fn refresh_matches_the_copy(
+        router: &ShardedPortal<AlwaysAvailable>,
+        row: &str,
+    ) -> Vec<ShardInfo> {
+        (0..router.shard_count())
+            .map(|s| {
+                let got = shard_info(s, router.shard(s));
+                let want = shard_info_by_copy(s, router.shard(s));
+                assert_eq!(bits(&got), bits(&want), "{row}, shard {s}");
+                got
+            })
+            .collect()
+    }
+
+    /// Every shard's entry as the fold computes it now equals the copy-based
     /// reference to the bit — as does the map itself after a `reindex_all`.
     /// Returns the live total.
     fn assert_matches_the_copy(router: &ShardedPortal<AlwaysAvailable>, row: &str) -> usize {
-        let bits = |i: &ShardInfo| {
-            let corners = [i.bbox.min, i.bbox.max, i.centroid];
-            (
-                i.index,
-                corners.map(|p| (p.x.to_bits(), p.y.to_bits())),
-                i.sensors,
-            )
-        };
-        let check = |row: &str| -> Vec<ShardInfo> {
-            (0..router.shard_count())
-                .map(|s| {
-                    let got = shard_info(s, router.shard(s));
-                    let want = shard_info_by_copy(s, router.shard(s));
-                    assert_eq!(bits(&got), bits(&want), "{row}, shard {s}");
-                    got
-                })
-                .collect()
-        };
-        check(row);
+        refresh_matches_the_copy(router, row);
         router.reindex_all();
-        let after = check(&format!("{row}, reindexed"));
+        let after = refresh_matches_the_copy(router, &format!("{row}, reindexed"));
         let map = router.shard_map();
         assert_eq!(
             map.iter().map(bits).collect::<Vec<_>>(),
             after.iter().map(bits).collect::<Vec<_>>(),
-            "{row}: the map holds what the pass computed"
+            "{row}: the map holds what the fold computed"
         );
         map.iter().map(|i| i.sensors).sum()
     }
@@ -988,6 +990,32 @@ mod tests {
                 assert_eq!(info.sensors, n, "the fallback counts the primary level");
             }
             assert_eq!(assert_matches_the_copy(&retired, "retired"), 0);
+
+            // The fold's memo: one router refreshed before and after each of
+            // no change, a base-level retire and a merge that replaces the
+            // trailing level (two levels throughout).
+            let memo = router(shards);
+            register(&memo, 0..24);
+            memo.reindex_all();
+            let levels = |s: usize| memo.shard(s).index_stats().expect("always Some").levels;
+            refresh_matches_the_copy(&memo, "memo, no change, before");
+            refresh_matches_the_copy(&memo, "memo, no change, after");
+            for s in 0..memo.shard_count() {
+                assert!(memo.shard(s).retire_sensor(SensorId(s as u32)));
+            }
+            refresh_matches_the_copy(&memo, "memo, base-level retire");
+            register(&memo, 24..40);
+            refresh_matches_the_copy(&memo, "memo, merge, before");
+            let mut replaced = 0;
+            for s in 0..memo.shard_count() {
+                let (two, merges) = (levels(s) == 2, memo.shard(s).generation());
+                memo.shard(s).reindex();
+                if two && levels(s) == 2 && memo.shard(s).generation() > merges {
+                    replaced += 1;
+                }
+            }
+            assert!(replaced > 0, "a merge replaced a trailing level");
+            refresh_matches_the_copy(&memo, "memo, merge, after");
         }
     }
 
