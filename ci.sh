@@ -97,6 +97,19 @@ if [ -n "$branchy_scan$shard_walk" ]; then
     echo "ci: the branchy nearest-centre scan or the router's walk of a shard is back (matches above)" >&2
     exit 1
 fi
+# The rest of the merge, flat: a k-means hands back one flat list of groups
+# and the builder's nodes hold runs of builder-wide lists, not a list each;
+# a cell filing halves runs of packed integer keys, not of points compared
+# with `total_cmp`; and the core count is asked of the OS in one place, once
+# per process (`build::available_cores`).
+flat_build=$(awk '/^#\[cfg\(test\)\]/ { exit } /vec!\[Vec::new\(\); k\]|Leaf\(Vec<SensorId>\)|Internal\(Vec<usize>\)|total_cmp/ { print FILENAME ":" FNR ": " $0 }' crates/core/src/build.rs)
+core_asks=$(find crates/*/src -name '*.rs' -print0 |
+    xargs -0 awk 'FNR == 1 { cut = 0 } /^#\[cfg\(test\)\]/ { cut = 1 } !cut && /available_parallelism/ { print FILENAME ":" FNR ": " $0 }')
+if [ -n "$flat_build" ] || [ "$(printf '%s' "$core_asks" | grep -c .)" -ne 1 ]; then
+    printf '%s\n' "$flat_build" "$core_asks" | grep . >&2
+    echo "ci: per-group or per-node lists, a float-compared cell filing, or a second core-count ask is back (matches above)" >&2
+    exit 1
+fi
 # One published cut: a merge's LSM cut is the service's snapshot, published
 # once under the state's write lock, so the service keeps no generation,
 # reindex lock or mirrored ordinal of its own. `ClockHandle` is the one clock
@@ -122,7 +135,7 @@ if [ -n "$early" ]; then
     echo "ci: a column-0 #[cfg(test)] before the test module cuts the count early at: $early" >&2
     exit 1
 fi
-max_nontest=18610
+max_nontest=18759
 nontest=$(counted crates/*/src |
     xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile } { n++ } END { print n }' |
     awk '{ s += $1 } END { print s }')
@@ -135,7 +148,7 @@ echo "ci: non-test line ratchet OK ($nontest of $max_nontest)"
 # `unreachable!(` on the non-test lines of the core and engine crates, cut as
 # above. The count may only fall; each site that goes becomes a typed
 # `PortalError`, a `debug_assert!` with its invariant written down, or nothing.
-max_panics=10
+max_panics=9
 panics=$(counted crates/core/src crates/engine/src |
     xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile } { n += gsub(/\.unwrap\(\)|\.expect\(|panic!\(|unreachable!\(/, "&") } END { print n + 0 }' |
     awk '{ s += $1 } END { print s }')

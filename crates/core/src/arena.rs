@@ -1,7 +1,8 @@
 //! The tree's topology: one flat, read-only arena that every walk runs over.
 //!
-//! The bulk loader builds a tree as a `Vec` of heap-allocated scaffolding
-//! nodes ([`crate::build`]), children wherever it happened to push them.
+//! The bulk loader builds a tree as scaffolding ([`crate::build`]): nodes
+//! in push order whose children, sensors and per-kind rows are runs of three
+//! builder-wide lists, children wherever it happened to push them.
 //! `SamplingArena::flatten` lays that out once, for reading, and the
 //! scaffolding is dropped: queries, cache maintenance, the relational backend
 //! and [`ColrTree::node`] all read this arena and nothing else.
@@ -108,10 +109,11 @@ impl SamplingArena {
     /// each node are laid out contiguously in BFS order, the root at arena
     /// index 0; levels and parent links are what that pass finds (the leaf
     /// level is uniform by construction, so the last node's is the tree's).
-    /// The builder pushes the root last, and its children lists are indices
-    /// into `nodes`; the queue of those in BFS order is the pass's only
-    /// record of that numbering, and it is dropped with the pass.
-    pub(crate) fn flatten(nodes: &[build::Node], sensors: &[SensorMeta]) -> SamplingArena {
+    /// The builder pushes the root last, and its children runs hold indices
+    /// into `scaffold.nodes`; the queue of those in BFS order is the pass's
+    /// only record of that numbering, and it is dropped with the pass.
+    pub(crate) fn flatten(scaffold: &build::Scaffold, sensors: &[SensorMeta]) -> SamplingArena {
+        let nodes = &scaffold.nodes;
         let n = nodes.len();
         let mut a = SamplingArena {
             min_x: Vec::with_capacity(n),
@@ -127,7 +129,7 @@ impl SamplingArena {
             sensor_start: Vec::with_capacity(n),
             sensor_len: Vec::with_capacity(n),
             kind_start: Vec::with_capacity(n + 1),
-            kind_weights: Vec::new(),
+            kind_weights: Vec::with_capacity(scaffold.kinds.len()),
             parent: Vec::with_capacity(n),
             sensors: Vec::with_capacity(sensors.len()),
             sensor_x: Vec::with_capacity(sensors.len()),
@@ -158,11 +160,9 @@ impl SamplingArena {
             a.weight.push(node.weight as f64);
             a.avail_mean.push(node.avail_mean);
             a.kind_start.push(a.kind_weights.len() as u32);
-            a.kind_weights.extend_from_slice(&node.kind_weights);
-            let (children, leaf): (&[usize], &[SensorId]) = match &node.children {
-                build::Children::Internal(children) => (children, &[]),
-                build::Children::Leaf(leaf) => (&[], leaf),
-            };
+            a.kind_weights
+                .extend_from_slice(scaffold.kind_weights(node));
+            let (children, leaf) = (scaffold.children(node), scaffold.members(node));
             a.child_start.push(queue.len() as u32);
             a.child_len.push(children.len() as u32);
             for &child in children {

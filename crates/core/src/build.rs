@@ -21,8 +21,10 @@
 //! 13 M for the 4,096-sensor level an LSM merge rebuilds. Instead the points
 //! of a `lloyd_from` call are filed once into cells of at most
 //! `POINTS_PER_CELL` (halved at the median of the longer side of the box the
-//! halvings leave, so cells are small where points are dense), each with the
-//! exact bounding box `b` of its points, and every round files its centres
+//! halvings leave, so cells are small where points are dense — sides and
+//! medians read off one `u64` key per point, its coordinates quantised with
+//! one scale for both axes), each with the exact bounding box `b` of its
+//! `f64` points, and every round files its centres
 //! in a uniform grid, `CentreGrid`, about two a grid cell. Every round
 //! assigns a cell as a whole: `reach` is the largest computed `distance_sq`
 //! from one of its points to the centre that point is assigned now, the
@@ -66,6 +68,12 @@
 //! the RNG. The all-centres loop survives as the `#[cfg(test)]` reference
 //! the search is compared against.
 //!
+//! The loop hands back its groups flat (`Groups`: one list of items, a
+//! counting sort by centre on the last update step's counts), in the order
+//! the reference's list per centre has them: centres by index, empty ones
+//! left out, members in point order. The builder's nodes are flat too: each
+//! holds runs of three builder-wide lists (`Scaffold`).
+//!
 //! ## A merge's seeded start
 //!
 //! Nothing above asks where the centres came from, so one loop,
@@ -87,6 +95,7 @@
 //! the centroids produced by level `l+1`).
 
 use std::ops::Range;
+use std::sync::OnceLock;
 
 use colr_geo::{Point, Rect};
 use rand::rngs::StdRng;
@@ -109,6 +118,14 @@ const SEEDED_ROUNDS: usize = 3;
 /// Target points per grid cell for partitioned k-means.
 const TARGET_CELL: usize = 1024;
 
+/// The machine's core count, asked of the OS once per process: the workers
+/// [`ColrTree::build`] and a merge's level build may fan grid cells out
+/// over, and a batch's default thread count.
+pub fn available_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
 impl ColrTree {
     /// Bulk-builds a COLR-Tree over `sensors`, clustering grid cells on all
     /// available cores.
@@ -117,10 +134,7 @@ impl ColrTree {
     /// — independent of the machine's core count; the seed feeds the k-means
     /// initialisation.
     pub fn build(sensors: Vec<SensorMeta>, config: ColrConfig, seed: u64) -> ColrTree {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Self::build_with_threads(sensors, config, seed, threads)
+        Self::build_with_threads(sensors, config, seed, available_cores())
     }
 
     /// [`ColrTree::build`] with an explicit worker-thread count (`1` =
@@ -159,21 +173,17 @@ impl ColrTree {
         if let Some(spec) = config.slot_histograms {
             slot_config = slot_config.with_histogram(spec);
         }
-        let mut builder = Builder {
-            nodes: Vec::new(),
-            rng: StdRng::seed_from_u64(seed),
-            threads: threads.max(1),
-        };
+        let mut builder = Builder::new(seed, threads);
 
         if sensors.is_empty() {
-            builder.push_leaf(&sensors, Vec::new());
+            builder.push_leaf(&sensors, &[]);
         } else {
             builder.build_levels(&sensors, &config, seeds);
         }
 
         let telem = crate::telem::build();
         let assemble_start = std::time::Instant::now();
-        let tree = ColrTree::assemble(config, slot_config, t_max, sensors, builder.nodes);
+        let tree = ColrTree::assemble(config, slot_config, t_max, sensors, builder.scaffold);
         telem
             .assemble_phase_us
             .observe(assemble_start.elapsed().as_micros() as u64);
@@ -182,12 +192,13 @@ impl ColrTree {
     }
 }
 
-/// One node as the builder pushes it: build-time scaffolding, heap lists and
-/// all, named by its index in the builder's `Vec` (push order: leaves first,
-/// the root last). [`crate::arena::SamplingArena::flatten`] reads the
-/// finished `Vec` once — the node ids, levels and parent links fall out of
-/// its breadth-first pass — and [`ColrTree::assemble`] drops it; nothing
-/// after the build sees a `Node` or its index.
+/// One node as the builder pushes it: build-time scaffolding, named by its
+/// index in [`Scaffold::nodes`] (push order: leaves first, the root last),
+/// its lists runs of the scaffold's three builder-wide lists.
+/// [`crate::arena::SamplingArena::flatten`] reads the finished scaffold once
+/// — the node ids, levels and parent links fall out of its breadth-first
+/// pass — and [`ColrTree::assemble`] drops it; nothing after the build sees
+/// a `Node` or its index.
 #[derive(Debug)]
 pub(crate) struct Node {
     /// Minimum bounding rectangle of the descendant sensors.
@@ -195,96 +206,179 @@ pub(crate) struct Node {
     pub(crate) children: Children,
     /// Number of descendant sensors — the sampling weight `w_i`.
     pub(crate) weight: u64,
-    /// Descendant sensor counts per sensor type, sorted by kind.
-    pub(crate) kind_weights: Vec<(u16, u64)>,
+    /// The run of [`Scaffold::kinds`] holding the descendant sensor counts
+    /// per sensor type, sorted by kind.
+    pub(crate) kind_weights: Range<usize>,
     /// Mean historical availability of the descendant sensors.
     pub(crate) avail_mean: f64,
 }
 
-/// A scaffolding node's children, owned: builder indices or sensors.
+/// A scaffolding node's children: a run of [`Scaffold::children`] (builder
+/// indices) or of [`Scaffold::members`] (sensors).
 #[derive(Debug)]
 pub(crate) enum Children {
-    Internal(Vec<usize>),
-    Leaf(Vec<SensorId>),
+    Internal(Range<usize>),
+    Leaf(Range<usize>),
+}
+
+/// The builder's nodes and the three lists their runs index.
+#[derive(Debug, Default)]
+pub(crate) struct Scaffold {
+    pub(crate) nodes: Vec<Node>,
+    /// Every internal node's children (builder indices), run by run.
+    pub(crate) children: Vec<usize>,
+    /// Every leaf's sensors, run by run.
+    pub(crate) members: Vec<SensorId>,
+    /// Every node's `(kind, descendant sensors of that kind)` rows, run by
+    /// run.
+    pub(crate) kinds: Vec<(u16, u64)>,
+}
+
+impl Scaffold {
+    /// The builder indices of `node`'s children (empty at a leaf).
+    pub(crate) fn children(&self, node: &Node) -> &[usize] {
+        match &node.children {
+            Children::Internal(run) => &self.children[run.clone()],
+            Children::Leaf(_) => &[],
+        }
+    }
+
+    /// The sensors of a leaf (empty at an internal node).
+    pub(crate) fn members(&self, node: &Node) -> &[SensorId] {
+        match &node.children {
+            Children::Internal(_) => &[],
+            Children::Leaf(run) => &self.members[run.clone()],
+        }
+    }
+
+    /// `node`'s `(kind, descendant sensors of that kind)` rows, by kind.
+    pub(crate) fn kind_weights(&self, node: &Node) -> &[(u16, u64)] {
+        &self.kinds[node.kind_weights.clone()]
+    }
+}
+
+/// Adds `add` sensors of `kind` to the run `kinds[from..]`, kept sorted by
+/// kind: the last run, so an insert shifts only its own rows.
+fn merge_kind_weight(kinds: &mut Vec<(u16, u64)>, from: usize, kind: u16, add: u64) {
+    match kinds[from..].binary_search_by_key(&kind, |(k, _)| *k) {
+        Ok(i) => kinds[from + i].1 += add,
+        Err(i) => kinds.insert(from + i, (kind, add)),
+    }
+}
+
+/// Groups of items as one flat list: group `g` is
+/// `items[ends[g - 1]..ends[g]]` (from 0 for the first).
+#[derive(Debug, Default)]
+struct Groups {
+    items: Vec<usize>,
+    ends: Vec<usize>,
+}
+
+impl Groups {
+    /// Appends a group.
+    fn push(&mut self, group: impl IntoIterator<Item = usize>) {
+        self.items.extend(group);
+        self.ends.push(self.items.len());
+    }
+
+    /// The groups in order.
+    fn iter(&self) -> impl Iterator<Item = &[usize]> {
+        let mut start = 0;
+        self.ends.iter().map(move |&end| {
+            let group = &self.items[start..end];
+            start = end;
+            group
+        })
+    }
 }
 
 struct Builder {
-    nodes: Vec<Node>,
+    scaffold: Scaffold,
     rng: StdRng,
     threads: usize,
 }
 
 impl Builder {
-    fn merge_kind_weight(kw: &mut Vec<(u16, u64)>, kind: u16, add: u64) {
-        match kw.binary_search_by_key(&kind, |(k, _)| *k) {
-            Ok(i) => kw[i].1 += add,
-            Err(i) => kw.insert(i, (kind, add)),
+    fn new(seed: u64, threads: usize) -> Builder {
+        Builder {
+            scaffold: Scaffold::default(),
+            rng: StdRng::seed_from_u64(seed),
+            threads: threads.max(1),
         }
     }
 
-    fn push_leaf(&mut self, sensors: &[SensorMeta], members: Vec<SensorId>) -> usize {
-        let id = self.nodes.len();
-        let points: Vec<Point> = members
-            .iter()
-            .map(|s| sensors[s.index()].location)
-            .collect();
-        let bbox = Rect::bounding(&points).unwrap_or_else(|| Rect::from_coords(0.0, 0.0, 0.0, 0.0));
+    /// Pushes the leaf over sensors `members` (indices into `sensors`).
+    fn push_leaf(&mut self, sensors: &[SensorMeta], members: &[usize]) -> usize {
+        let s = &mut self.scaffold;
+        let id = s.nodes.len();
+        let start = s.members.len();
+        s.members
+            .extend(members.iter().map(|&i| SensorId(i as u32)));
+        let bbox = bounding(members.iter().map(|&i| &sensors[i].location))
+            .unwrap_or_else(|| Rect::from_coords(0.0, 0.0, 0.0, 0.0));
         let weight = members.len() as u64;
         let avail_mean = if members.is_empty() {
             1.0
         } else {
             members
                 .iter()
-                .map(|s| sensors[s.index()].availability)
+                .map(|&i| sensors[i].availability)
                 .sum::<f64>()
                 / members.len() as f64
         };
-        let mut kind_weights: Vec<(u16, u64)> = Vec::new();
-        for &s in &members {
-            Self::merge_kind_weight(&mut kind_weights, sensors[s.index()].kind, 1);
+        let kinds = s.kinds.len();
+        for &i in members {
+            merge_kind_weight(&mut s.kinds, kinds, sensors[i].kind, 1);
         }
-        self.nodes.push(Node {
+        s.nodes.push(Node {
             bbox,
-            children: Children::Leaf(members),
+            children: Children::Leaf(start..s.members.len()),
             weight,
-            kind_weights,
+            kind_weights: kinds..s.kinds.len(),
             avail_mean,
         });
         id
     }
 
-    fn push_internal(&mut self, members: Vec<usize>) -> usize {
-        let id = self.nodes.len();
+    /// Pushes the internal node over `members` (builder indices).
+    fn push_internal(&mut self, members: impl IntoIterator<Item = usize>) -> usize {
+        let s = &mut self.scaffold;
+        let id = s.nodes.len();
+        let start = s.children.len();
+        s.children.extend(members);
+        let (run, nodes) = (&s.children[start..], &s.nodes);
         debug_assert!(
-            !members.is_empty(),
+            !run.is_empty(),
             "no group is empty: `lloyd_from` drops them, `str_pack` and `grid_kmeans` make none"
         );
-        let bbox = Rect::bounding_rects(members.iter().map(|&m| &self.nodes[m].bbox))
+        let bbox = Rect::bounding_rects(run.iter().map(|&m| &nodes[m].bbox))
             .unwrap_or_else(|| Rect::from_coords(0.0, 0.0, 0.0, 0.0));
-        let weight: u64 = members.iter().map(|&m| self.nodes[m].weight).sum();
+        let weight: u64 = run.iter().map(|&m| nodes[m].weight).sum();
         let avail_mean = if weight == 0 {
             1.0
         } else {
-            members
-                .iter()
+            run.iter()
                 .map(|&m| {
-                    let n = &self.nodes[m];
+                    let n = &nodes[m];
                     n.avail_mean * n.weight as f64
                 })
                 .sum::<f64>()
                 / weight as f64
         };
-        let mut kind_weights: Vec<(u16, u64)> = Vec::new();
-        for &m in &members {
-            for &(k, w) in &self.nodes[m].kind_weights {
-                Self::merge_kind_weight(&mut kind_weights, k, w);
+        // The children's rows all lie before `kinds`, which only this run
+        // grows past.
+        let kinds = s.kinds.len();
+        for &m in run {
+            for row in nodes[m].kind_weights.clone() {
+                let (kind, add) = s.kinds[row];
+                merge_kind_weight(&mut s.kinds, kinds, kind, add);
             }
         }
-        self.nodes.push(Node {
+        s.nodes.push(Node {
             bbox,
-            children: Children::Internal(members),
+            children: Children::Internal(start..s.children.len()),
             weight,
-            kind_weights,
+            kind_weights: kinds..s.kinds.len(),
             avail_mean,
         });
         id
@@ -307,11 +401,8 @@ impl Builder {
         let k = sensors.len().div_ceil(b).max(1);
         let groups = self.group(&points, &ids, k, config.build, &heaviest(seeds, k));
         let mut current: Vec<usize> = groups
-            .into_iter()
-            .map(|members| {
-                let members = members.into_iter().map(|i| SensorId(i as u32)).collect();
-                self.push_leaf(sensors, members)
-            })
+            .iter()
+            .map(|members| self.push_leaf(sensors, members))
             .collect();
         telem
             .leaf_phase_us
@@ -322,17 +413,14 @@ impl Builder {
         while current.len() > b {
             let centroids: Vec<Point> = current
                 .iter()
-                .map(|&id| self.nodes[id].bbox.center())
+                .map(|&id| self.scaffold.nodes[id].bbox.center())
                 .collect();
             let idxs: Vec<usize> = (0..current.len()).collect();
             let k = current.len().div_ceil(b).max(1);
             let groups = self.group(&centroids, &idxs, k, config.build, &[]);
             current = groups
-                .into_iter()
-                .map(|members| {
-                    let members = members.into_iter().map(|i| current[i]).collect();
-                    self.push_internal(members)
-                })
+                .iter()
+                .map(|members| self.push_internal(members.iter().map(|&i| current[i])))
                 .collect();
         }
         if current.len() > 1 {
@@ -353,10 +441,13 @@ impl Builder {
         k: usize,
         strategy: BuildStrategy,
         seeds: &[Point],
-    ) -> Vec<Vec<usize>> {
+    ) -> Groups {
         debug_assert_eq!(points.len(), items.len());
         if k <= 1 || points.len() <= 1 {
-            return vec![items.to_vec()];
+            return Groups {
+                items: items.to_vec(),
+                ends: vec![items.len()],
+            };
         }
         match strategy {
             BuildStrategy::KMeans => {
@@ -381,14 +472,14 @@ impl Builder {
     /// over `self.threads` scoped workers.
     ///
     /// Determinism: every cell's RNG seed is drawn from the build RNG in cell
-    /// order before any worker starts, and cell results are concatenated in
-    /// that same order, so the grouping does not depend on the thread count
-    /// or scheduling.
-    fn grid_kmeans(&mut self, points: &[Point], items: &[usize], k: usize) -> Vec<Vec<usize>> {
+    /// order before any worker starts, and each worker writes its cells'
+    /// groups into their own places of one output in cell order, so the
+    /// grouping does not depend on the thread count or scheduling.
+    fn grid_kmeans(&mut self, points: &[Point], items: &[usize], k: usize) -> Groups {
         debug_assert!(points.len() > DIRECT_KMEANS_MAX);
         let n = points.len();
         let Some(bbox) = Rect::bounding(points) else {
-            return Vec::new();
+            return Groups::default();
         };
         let g = ((n as f64 / TARGET_CELL as f64).sqrt().ceil() as usize).max(1);
         let w = bbox.width().max(f64::MIN_POSITIVE);
@@ -438,26 +529,31 @@ impl Builder {
             })
             .collect();
 
-        let run = |job: &Job| {
-            let mut rng = StdRng::seed_from_u64(job.seed);
-            lloyd(job.points, job.items, job.share, &mut rng)
+        // Each batch of jobs fills its own places of `per_cell`; a worker's
+        // panic is re-raised where the scope joins it.
+        let run = |batch: &[Job], out: &mut [Groups]| {
+            for (job, out) in batch.iter().zip(out) {
+                let mut rng = StdRng::seed_from_u64(job.seed);
+                *out = lloyd(job.points, job.items, job.share, &mut rng);
+            }
         };
-        let per_cell: Vec<Vec<Vec<usize>>> = if self.threads <= 1 || jobs.len() <= 1 {
-            jobs.iter().map(run).collect()
+        let mut per_cell: Vec<Groups> = Vec::new();
+        per_cell.resize_with(jobs.len(), Groups::default);
+        if self.threads <= 1 || jobs.len() <= 1 {
+            run(&jobs, &mut per_cell);
         } else {
             let chunk = jobs.len().div_ceil(self.threads);
             std::thread::scope(|scope| {
-                let handles: Vec<_> = jobs
-                    .chunks(chunk)
-                    .map(|batch| scope.spawn(move || batch.iter().map(run).collect::<Vec<_>>()))
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("k-means worker panicked"))
-                    .collect()
-            })
-        };
-        per_cell.into_iter().flatten().collect()
+                for (batch, out) in jobs.chunks(chunk).zip(per_cell.chunks_mut(chunk)) {
+                    scope.spawn(move || run(batch, out));
+                }
+            });
+        }
+        let mut groups = Groups::default();
+        for group in per_cell.iter().flat_map(Groups::iter) {
+            groups.push(group.iter().copied());
+        }
+        groups
     }
 }
 
@@ -480,8 +576,11 @@ pub fn kmeans_partition(points: &[Point], k: usize, seed: u64) -> Vec<Vec<usize>
         return vec![items];
     }
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut groups = lloyd(points, &items, k, &mut rng);
-    // `lloyd` pushes members in input order (ascending); order the groups
+    let mut groups: Vec<Vec<usize>> = lloyd(points, &items, k, &mut rng)
+        .iter()
+        .map(<[usize]>::to_vec)
+        .collect();
+    // `lloyd` keeps members in input order (ascending); order the groups
     // themselves by first member so shard numbering is stable to read.
     groups.sort_by_key(|g| g[0]);
     groups
@@ -489,7 +588,7 @@ pub fn kmeans_partition(points: &[Point], k: usize, seed: u64) -> Vec<Vec<usize>
 
 /// Plain Lloyd's k-means with random distinct seeding, [`KMEANS_ROUNDS`]
 /// rounds.
-fn lloyd(points: &[Point], items: &[usize], k: usize, rng: &mut StdRng) -> Vec<Vec<usize>> {
+fn lloyd(points: &[Point], items: &[usize], k: usize, rng: &mut StdRng) -> Groups {
     let centers = start_centres(points, k, &[], rng);
     lloyd_from(points, items, centers, KMEANS_ROUNDS, rng, POINTS_PER_CELL)
 }
@@ -506,25 +605,28 @@ fn heaviest(seeds: &[(Point, usize)], k: usize) -> Vec<Point> {
 
 /// The `min(k, n)` centres Lloyd's loop starts from: the first of `seeds`,
 /// then distinct points of `points` drawn by a partial Fisher–Yates (with
-/// no seeds, the cold start).
+/// no seeds, the cold start). The draw order is built only to draw from.
 fn start_centres(points: &[Point], k: usize, seeds: &[Point], rng: &mut StdRng) -> Vec<Point> {
     let n = points.len();
     let k = k.min(n);
     let mut centers = seeds[..seeds.len().min(k)].to_vec();
     let draws = k - centers.len();
-    let mut order: Vec<usize> = (0..n).collect();
-    for i in 0..draws {
-        let j = rng.random_range(i..n);
-        order.swap(i, j);
+    if draws > 0 {
+        let mut order: Vec<usize> = (0..n).collect();
+        for i in 0..draws {
+            let j = rng.random_range(i..n);
+            order.swap(i, j);
+        }
+        centers.extend(order[..draws].iter().map(|&i| points[i]));
     }
-    centers.extend(order[..draws].iter().map(|&i| points[i]));
     centers
 }
 
 /// Lloyd's loop from `centers`: `rounds` (at least one) assignment and
 /// update steps, with the assignment step's cells holding at most
 /// `per_cell` points each — a parameter so the tests can take cells down to
-/// one point. Exact for any start.
+/// one point. Exact for any start. The groups are the centres' in index
+/// order, empty ones left out, members in point order.
 fn lloyd_from(
     points: &[Point],
     items: &[usize],
@@ -532,7 +634,7 @@ fn lloyd_from(
     rounds: usize,
     rng: &mut StdRng,
     per_cell: usize,
-) -> Vec<Vec<usize>> {
+) -> Groups {
     let n = points.len();
     let k = centers.len();
     crate::telem::build()
@@ -599,11 +701,26 @@ fn lloyd_from(
             }
         }
     }
-    let mut groups: Vec<Vec<usize>> = vec![Vec::new(); k];
-    for (i, &a) in assign.iter().enumerate() {
-        groups[a].push(items[i]);
+    // Counting sort by centre: the last update step counted each centre's
+    // members, and each count becomes the centre's cursor into `items`.
+    let mut groups = Groups {
+        items: vec![0; n],
+        ends: Vec::with_capacity(k),
+    };
+    let mut end = 0;
+    for s in &mut sums {
+        let count = s.2;
+        s.2 = end;
+        end += count;
+        if count > 0 {
+            groups.ends.push(end);
+        }
     }
-    groups.retain(|g| !g.is_empty());
+    for (i, &a) in assign.iter().enumerate() {
+        let at = &mut sums[a].2;
+        groups.items[*at] = items[i];
+        *at += 1;
+    }
     groups
 }
 
@@ -613,9 +730,11 @@ const POINTS_PER_CELL: usize = 8;
 /// The points of one [`lloyd`] call, filed once into cells of at most a
 /// given number by halving at the median of the longer side (so a cell is
 /// small where the points are dense), each cell with the exact bounding box
-/// of its points: the box its candidate lists are found for. The sides are
-/// those of the box the halvings leave, so the points are boxed twice in
-/// all: once whole, and once a finished cell.
+/// of its points: the box its candidate lists are found for. The halvings
+/// run on one `u64` key per point — both coordinates quantised to
+/// [`QUANT_BITS`] over the filed box, the point's index in the low 32 bits
+/// — and the sides they compare are those of the quantised box the halvings
+/// leave; only a finished cell is boxed from its `f64` points.
 struct PointCells {
     /// Per cell: its points' bounding box and the run of `order` listing
     /// them.
@@ -627,55 +746,87 @@ struct PointCells {
     wild: Vec<u32>,
 }
 
+/// Bits of each quantised coordinate of a [`PointCells`] filing key.
+const QUANT_BITS: u32 = 16;
+/// The largest quantised coordinate.
+const QUANT_MAX: u64 = (1 << QUANT_BITS) - 1;
+/// Where a filing key holds its quantised x and y.
+const AXIS_SHIFT: [u32; 2] = [64 - QUANT_BITS, 64 - 2 * QUANT_BITS];
+
 impl PointCells {
     fn file(points: &[Point], per_cell: usize) -> PointCells {
-        let mut filed: Vec<(Point, u32)> = Vec::with_capacity(points.len());
+        let finite = |p: &Point| p.x.is_finite() && p.y.is_finite();
         let mut wild = Vec::new();
+        let mut filed = Vec::with_capacity(points.len());
         for (i, p) in points.iter().enumerate() {
-            if p.x.is_finite() && p.y.is_finite() {
-                filed.push((*p, i as u32));
+            if finite(p) {
+                filed.push(i as u64);
             } else {
                 wild.push(i as u32);
             }
         }
         let mut cells = Vec::new();
-        if let Some(bbox) = bounding(filed.iter().map(|(p, _)| p)) {
-            split(&mut filed, bbox, 0, per_cell.max(1), &mut cells);
+        if let Some(bbox) = bounding(filed.iter().map(|&i| &points[i as usize])) {
+            // One scale for both axes, so quantised sides compare as the
+            // real sides do. A cast saturates (NaN to 0), so every key's
+            // fields are in range whatever the box.
+            let side = bbox.width().max(bbox.height());
+            let scale = if side > 0.0 {
+                QUANT_MAX as f64 / side
+            } else {
+                0.0
+            };
+            let quantise = |v: f64, from: f64| (((v - from) * scale) as u64).min(QUANT_MAX);
+            for key in &mut filed {
+                let p = &points[*key as usize];
+                *key |= quantise(p.x, bbox.min.x) << AXIS_SHIFT[0]
+                    | quantise(p.y, bbox.min.y) << AXIS_SHIFT[1];
+            }
+            let span = [
+                (0, quantise(bbox.max.x, bbox.min.x)),
+                (0, quantise(bbox.max.y, bbox.min.y)),
+            ];
+            split(points, &mut filed, span, 0, per_cell.max(1), &mut cells);
         }
-        let order = filed.iter().map(|&(_, i)| i).collect();
+        let order = filed.iter().map(|&key| key as u32).collect();
         PointCells { cells, order, wild }
     }
 }
 
-/// Files `run` — `order[from..]` to be, its points inside `bbox` — as one
-/// cell under its exact bounding box when it holds at most `per_cell`
-/// points, else halves it at the median of `bbox`'s longer side and files
-/// each half inside its side of the cut.
+/// Files `run` — `order[from..]` to be, its keys inside `span` (per axis,
+/// the lowest and highest quantised coordinate it may hold) — as one
+/// cell under the exact bounding box of its `points` when it holds at most
+/// `per_cell`, else halves it at the median of `span`'s longer side and
+/// files each half inside its side of the cut.
 fn split(
-    run: &mut [(Point, u32)],
-    bbox: Rect,
+    points: &[Point],
+    run: &mut [u64],
+    span: [(u64, u64); 2],
     from: usize,
     per_cell: usize,
     cells: &mut Vec<(Rect, Range<usize>)>,
 ) {
     if run.len() <= per_cell {
-        if let Some(exact) = bounding(run.iter().map(|(p, _)| p)) {
+        if let Some(exact) = bounding(run.iter().map(|&key| &points[key as u32 as usize])) {
             cells.push((exact, from..from + run.len()));
         }
         return;
     }
     let mid = run.len() / 2;
-    let (mut low, mut high) = (bbox, bbox);
-    if bbox.width() >= bbox.height() {
-        run.select_nth_unstable_by(mid, |a, b| a.0.x.total_cmp(&b.0.x));
-        (low.max.x, high.min.x) = (run[mid].0.x, run[mid].0.x);
+    let axis = usize::from(span[0].1 - span[0].0 < span[1].1 - span[1].0);
+    // A key orders by its x field first, and shifted up past that field
+    // by its y field first: either order is the field's, ties broken.
+    if axis == 0 {
+        run.select_nth_unstable(mid);
     } else {
-        run.select_nth_unstable_by(mid, |a, b| a.0.y.total_cmp(&b.0.y));
-        (low.max.y, high.min.y) = (run[mid].0.y, run[mid].0.y);
+        run.select_nth_unstable_by_key(mid, |&key| key << QUANT_BITS);
     }
+    let cut = (run[mid] >> AXIS_SHIFT[axis]) & QUANT_MAX;
+    let (mut low, mut high) = (span, span);
+    (low[axis].1, high[axis].0) = (cut, cut);
     let (lower, upper) = run.split_at_mut(mid);
-    split(lower, low, from, per_cell, cells);
-    split(upper, high, from + mid, per_cell, cells);
+    split(points, lower, low, from, per_cell, cells);
+    split(points, upper, high, from + mid, per_cell, cells);
 }
 
 /// The bounding box of `points`, `None` when there are none.
@@ -955,7 +1106,7 @@ impl CentreGrid {
 }
 
 /// Sort-tile-recursive packing into `k` groups.
-fn str_pack(points: &[Point], items: &[usize], k: usize) -> Vec<Vec<usize>> {
+fn str_pack(points: &[Point], items: &[usize], k: usize) -> Groups {
     let n = points.len();
     let k = k.min(n).max(1);
     let group_size = n.div_ceil(k);
@@ -969,9 +1120,8 @@ fn str_pack(points: &[Point], items: &[usize], k: usize) -> Vec<Vec<usize>> {
             .partial_cmp(&points[b].x)
             .unwrap_or(std::cmp::Ordering::Equal)
     });
-    let mut groups = Vec::with_capacity(k);
-    for slab in order.chunks(slab_size.max(1)) {
-        let mut slab: Vec<usize> = slab.to_vec();
+    let mut groups = Groups::default();
+    for slab in order.chunks_mut(slab_size.max(1)) {
         slab.sort_by(|&a, &b| {
             points[a]
                 .y
@@ -979,7 +1129,7 @@ fn str_pack(points: &[Point], items: &[usize], k: usize) -> Vec<Vec<usize>> {
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
         for chunk in slab.chunks(group_size.max(1)) {
-            groups.push(chunk.iter().map(|&i| items[i]).collect());
+            groups.push(chunk.iter().map(|&i| items[i]));
         }
     }
     groups
@@ -1084,14 +1234,11 @@ pub(crate) mod tests {
         for (i, s) in sensors.iter_mut().enumerate() {
             s.kind = (i % 3) as u16;
         }
-        let mut builder = Builder {
-            nodes: Vec::new(),
-            rng: StdRng::seed_from_u64(7),
-            threads: 1,
-        };
+        let mut builder = Builder::new(7, 1);
         builder.build_levels(&sensors, &ColrConfig::default(), &[]);
-        let nodes = builder.nodes;
-        let arena = crate::arena::SamplingArena::flatten(&nodes, &sensors);
+        let scaffold = builder.scaffold;
+        let nodes = &scaffold.nodes;
+        let arena = crate::arena::SamplingArena::flatten(&scaffold, &sensors);
         assert_eq!(arena.node_count(), nodes.len());
         assert_eq!((arena.level(0), arena.parent(NodeId(0))), (0, None));
         // The builder's index of each arena node, by the queue it must be.
@@ -1101,8 +1248,9 @@ pub(crate) mod tests {
             let node = &nodes[order[idx]];
             assert_eq!(arena.weight(idx).to_bits(), (node.weight as f64).to_bits());
             assert_eq!(arena.avail_mean(idx).to_bits(), node.avail_mean.to_bits());
-            assert_eq!(arena.kind_weights(idx), &node.kind_weights[..]);
-            for &(kind, weight) in &node.kind_weights {
+            let kind_weights = scaffold.kind_weights(node);
+            assert_eq!(arena.kind_weights(idx), kind_weights);
+            for &(kind, weight) in kind_weights {
                 assert_eq!(arena.kind_weight(idx, kind), weight);
             }
             assert_eq!(arena.kind_weight(idx, 7), 0, "no sensor of kind 7");
@@ -1112,7 +1260,8 @@ pub(crate) mod tests {
             assert_eq!(bb.max.x.to_bits(), node.bbox.max.x.to_bits());
             assert_eq!(bb.max.y.to_bits(), node.bbox.max.y.to_bits());
             match &node.children {
-                Children::Internal(ch) => {
+                Children::Internal(run) => {
+                    let ch = &scaffold.children[run.clone()];
                     // Children are the next run of ids, in builder order.
                     assert_eq!(arena.child_range(idx), order.len()..order.len() + ch.len());
                     order.extend(ch);
@@ -1126,10 +1275,11 @@ pub(crate) mod tests {
                         assert_eq!(arena.weight(at).to_bits(), w.to_bits());
                     }
                 }
-                Children::Leaf(members) => {
+                Children::Leaf(run) => {
+                    let members = &scaffold.members[run.clone()];
                     assert!(arena.child_range(idx).is_empty());
                     assert_eq!(arena.sensor_len(idx), members.len());
-                    assert_eq!(arena.leaf_sensors(idx), &members[..]);
+                    assert_eq!(arena.leaf_sensors(idx), members);
                     assert_eq!(arena.level(idx), arena.level(arena.node_count() - 1));
                     seen_sensors += members.len();
                     for (j, &s) in members.iter().enumerate() {
@@ -1320,13 +1470,20 @@ pub(crate) mod tests {
         iterations: usize,
         rng: &mut StdRng,
         per_cell: usize,
-    ) -> Vec<Vec<usize>> {
+    ) -> Groups {
         let centers = start_centres(points, k, &[], rng);
         lloyd_from(points, items, centers, iterations, rng, per_cell)
     }
 
+    /// The groups in order, for comparing with the references' lists.
+    fn listed(groups: &Groups) -> Vec<&[usize]> {
+        groups.iter().collect()
+    }
+
     /// [`lloyd`] as it was before the grid: the same seeding, update step and
-    /// re-seed draws around [`nearest_of_all`].
+    /// re-seed draws around [`nearest_of_all`], and the groups built as they
+    /// were before they went flat — a list per centre, a push per point, the
+    /// empty ones dropped.
     fn lloyd_of_all(
         points: &[Point],
         items: &[usize],
@@ -1403,7 +1560,14 @@ pub(crate) mod tests {
             for per_cell in [1, POINTS_PER_CELL] {
                 let (mut a, mut b) = (StdRng::seed_from_u64(19), StdRng::seed_from_u64(19));
                 assert_eq!(
-                    lloyd_from(points, &items, centers.to_vec(), rounds, &mut a, per_cell),
+                    listed(&lloyd_from(
+                        points,
+                        &items,
+                        centers.to_vec(),
+                        rounds,
+                        &mut a,
+                        per_cell
+                    )),
                     lloyd_of_all_from(points, &items, centers.to_vec(), rounds, &mut b),
                     "{what}: groups differ from {} centres, {rounds} rounds, cells of {per_cell}",
                     centers.len()
@@ -1419,7 +1583,14 @@ pub(crate) mod tests {
         for rounds in [1, 8] {
             let (mut a, mut b) = (StdRng::seed_from_u64(19), StdRng::seed_from_u64(19));
             assert_eq!(
-                lloyd_in_cells(points, &items, k, rounds, &mut a, POINTS_PER_CELL),
+                listed(&lloyd_in_cells(
+                    points,
+                    &items,
+                    k,
+                    rounds,
+                    &mut a,
+                    POINTS_PER_CELL
+                )),
                 lloyd_of_all(points, &items, k, rounds, &mut b),
                 "{what}: groups differ at k = {k}, {rounds} rounds"
             );
@@ -1446,6 +1617,11 @@ pub(crate) mod tests {
         let twice: Vec<Point> = cities.iter().flat_map(|&p| [p, p]).collect();
         assert_lloyd_from_matches("duplicated", &every(&twice, 5), &twice);
         assert_lloyd_from_matches("all centres equal", &[cities[7]; 40], &cities);
+        // Five places forty times over, thirty centres on them: ties send
+        // every point to one of the first five, so the other twenty-five
+        // centres end every round empty and re-seed.
+        let copies: Vec<Point> = (0..40).flat_map(|_| cities[..5].to_vec()).collect();
+        assert_lloyd_from_matches("mostly empty", &copies[..30], &copies);
         // A zero-width and a zero-height grid, with points on and off the line.
         let on_x: Vec<Point> = uniform.iter().map(|p| Point::new(p.x, 3.0)).collect();
         let on_y: Vec<Point> = uniform.iter().map(|p| Point::new(-7.0, p.y)).collect();
@@ -1498,6 +1674,9 @@ pub(crate) mod tests {
         let twice: Vec<Point> = cities[..400].iter().flat_map(|&p| [p, p]).collect();
         let on_x: Vec<Point> = uniform.iter().map(|p| Point::new(p.x, 3.0)).collect();
         let on_y: Vec<Point> = uniform.iter().map(|p| Point::new(-7.0, p.y)).collect();
+        // Five places forty times over: at k = 30 most centres end empty.
+        let copies: Vec<Point> = (0..40).flat_map(|_| cities[..5].to_vec()).collect();
+        assert_lloyd_matches("mostly empty", &copies, 30);
         let mut wild = cities[..300].to_vec();
         wild[5] = Point::new(f64::NAN, 1.0);
         wild[50] = Point::new(f64::INFINITY, 1.0);
@@ -1551,7 +1730,7 @@ pub(crate) mod tests {
             let items: Vec<usize> = (0..points.len()).collect();
             let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
             assert_eq!(
-                lloyd_in_cells(&points, &items, k, iterations, &mut a, per_cell),
+                listed(&lloyd_in_cells(&points, &items, k, iterations, &mut a, per_cell)),
                 lloyd_of_all(&points, &items, k, iterations, &mut b),
             );
             assert_eq!(a.next_u64(), b.next_u64(), "RNG position");
@@ -1610,7 +1789,7 @@ pub(crate) mod tests {
             let reference = start_of_all(&points, k, &seeds, &mut b);
             assert_eq!(format!("{start:?}"), format!("{reference:?}"), "start");
             assert_eq!(
-                lloyd_from(&points, &items, start, rounds, &mut a, per_cell),
+                listed(&lloyd_from(&points, &items, start, rounds, &mut a, per_cell)),
                 lloyd_of_all_from(&points, &items, reference, rounds, &mut b),
             );
             assert_eq!(a.next_u64(), b.next_u64(), "RNG position");
@@ -1701,11 +1880,7 @@ pub(crate) mod tests {
                 .map(|(i, at)| SensorMeta::new(i as u32, at, TimeDelta::from_mins(5), 0.9))
                 .collect();
             for threads in [1, 2, 8] {
-                let mut builder = Builder {
-                    nodes: Vec::new(),
-                    rng: StdRng::seed_from_u64(19),
-                    threads,
-                };
+                let mut builder = Builder::new(19, threads);
                 builder.build_levels(&sensors, &ColrConfig::default(), &[]);
                 let next = builder.rng.next_u64();
                 assert_eq!(
@@ -1723,7 +1898,7 @@ pub(crate) mod tests {
             .collect();
         let items: Vec<usize> = (0..100).collect();
         let groups = str_pack(&pts, &items, 10);
-        let mut all: Vec<usize> = groups.into_iter().flatten().collect();
+        let mut all = groups.items;
         all.sort_unstable();
         assert_eq!(all, items);
     }

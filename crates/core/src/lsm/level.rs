@@ -61,7 +61,7 @@ impl LsmLevel {
                 SensorMeta::new(j as u32, m.location, m.expiry, m.availability).with_kind(m.kind)
             })
             .collect();
-        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let threads = crate::build::available_cores();
         let tree = ColrTree::build_seeded(local, config, seed, threads, seeds);
         let tombstoned = (0..global.len())
             .map(|_| AtomicBool::new(false))

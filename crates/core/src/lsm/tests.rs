@@ -1030,3 +1030,74 @@ fn seeded_merges_build_leaves_no_worse_than_a_cold_build() {
         "seeded leaves looser than cold: {seeded_sq:.0} vs {cold_sq:.0} summed over 8 merges"
     );
 }
+
+/// FNV-1a-64 over the bytes of `s`, carried in `d`.
+fn fnv(d: &mut u64, s: &str) {
+    for b in s.bytes() {
+        *d = (*d ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+/// The digest of [`a_merge_chain_builds_the_recorded_trees`], recorded
+/// before the merge's groups and nodes went flat and its cells were filed on
+/// packed keys: a change to the bulk build that keeps every tree keeps it.
+const MERGE_CHAIN: u64 = 0xac21_153a_d0dc_72aa;
+
+/// `seeded_merges_build_leaves_no_worse_than_a_cold_build`'s churn, pinned
+/// bit for bit: a cohort of 4,096 on the city map, 18 merges that each
+/// retire the oldest 1,024 and take 1,024 new ones (seeded direct k-means),
+/// then one that takes 2,048 and retires none (6,144 points: the grid path).
+/// After every merge, every level of the published cut is digested — each
+/// node's `Debug`, each sensor's home leaf — with the merge's report, its
+/// wall time left out.
+#[test]
+fn a_merge_chain_builds_the_recorded_trees() {
+    let seed = 20_080_407;
+    let merges = 18;
+    let at = city_points(4_096 + (merges + 2) * 1_024, 13);
+    let lsm = LsmTree::new(
+        (0..4_096).map(|i| city_sensor(i, at[i])).collect(),
+        ColrConfig::default(),
+        LsmConfig::default(),
+        seed,
+    );
+    let mut d = 0xcbf2_9ce4_8422_2325u64;
+    let mut next = 4_096;
+    for merge in 1..=merges + 1 {
+        let (retire, take) = if merge <= merges {
+            (1_024, 1_024)
+        } else {
+            (0, 2_048)
+        };
+        let oldest = (merge - 1) * 1_024;
+        for id in oldest..oldest + retire {
+            assert!(lsm.retire(SensorId(id as u32)));
+        }
+        for _ in 0..take {
+            lsm.register(city_sensor(next, at[next]));
+            next += 1;
+        }
+        let report = MergeReport {
+            duration_us: 0,
+            ..lsm.merge(Timestamp(merge as u64))
+        };
+        let merged = if merge <= merges { 4_096 } else { 6_144 };
+        assert_eq!((report.absorbed_levels, report.merged_sensors), (1, merged));
+        fnv(&mut d, &format!("{report:?}"));
+        let state = lsm.cut();
+        for level in &state.levels {
+            let tree = level.tree();
+            fnv(&mut d, &format!("level {} of {}", level.key(), level.len()));
+            for id in tree.node_ids() {
+                fnv(&mut d, &format!("{:?}", tree.node(id)));
+            }
+            for s in 0..tree.sensors().len() as u32 {
+                fnv(&mut d, &format!("{:?}", tree.home_leaf(SensorId(s))));
+            }
+        }
+    }
+    assert_eq!(
+        d, MERGE_CHAIN,
+        "merge chain digest {d:#018x}, recorded {MERGE_CHAIN:#018x}"
+    );
+}

@@ -656,18 +656,19 @@ impl ColrTree {
         slot_config: SlotConfig,
         t_max: TimeDelta,
         sensors: Vec<SensorMeta>,
-        nodes: Vec<crate::build::Node>,
+        scaffold: crate::build::Scaffold,
     ) -> ColrTree {
-        let arena = SamplingArena::flatten(&nodes, &sensors);
+        let arena = SamplingArena::flatten(&scaffold, &sensors);
+        let node_count = arena.node_count();
         let level_diameters = mean_level_diameters(&arena);
         let ring = slot_config.num_slots + 1;
-        let shift = stripe_shift(nodes.len());
+        let shift = stripe_shift(node_count);
         // Ids in order fill each stripe's positions in order.
         let mut heads: Vec<Vec<Head>> = (0..CACHE_STRIPES)
             .map(|_| Vec::with_capacity(2 << shift))
             .collect();
         let mut places = [0u32; CACHE_STRIPES];
-        for id in 0..nodes.len() {
+        for id in 0..node_count {
             let stripe = stripe_slot(shift, id).0;
             let entry_len = arena.sensor_len(id) as u32;
             heads[stripe].push(Head {

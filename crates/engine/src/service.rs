@@ -597,9 +597,7 @@ impl<P: ProbeService> PortalService<P> {
         tracer().record(SpanKind::Plan, now.0 * 1_000, 0, plans.len() as u64);
 
         let threads = if threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
+            colr_tree::build::available_cores()
         } else {
             threads
         }
