@@ -110,6 +110,20 @@ if [ -n "$flat_build" ] || [ "$(printf '%s' "$core_asks" | grep -c .)" -ne 1 ]; 
     echo "ci: per-group or per-node lists, a float-compared cell filing, or a second core-count ask is back (matches above)" >&2
     exit 1
 fi
+# The Lloyd loops without data-dependent branches where they were measured to
+# cost: `CentreGrid::candidates` writes every centre of its block and moves
+# the list's end past the ones it keeps, so no `push` comes back inside it
+# (build.rs's non-test lines; the gate fails too if the function is gone).
+candidate_push=$(awk '/^#\[cfg\(test\)\]/ { exit }
+    /^    fn candidates/ { found = 1; inside = 1 }
+    inside && /push/ { print FILENAME ":" FNR ": " $0 }
+    inside && /^    }$/ { inside = 0 }
+    END { if (!found) print "crates/core/src/build.rs: no CentreGrid::candidates" }' crates/core/src/build.rs)
+if [ -n "$candidate_push" ]; then
+    echo "$candidate_push" >&2
+    echo "ci: a push is back inside CentreGrid::candidates (matches above)" >&2
+    exit 1
+fi
 # One published cut: a merge's LSM cut is the service's snapshot, published
 # once under the state's write lock, so the service keeps no generation,
 # reindex lock or mirrored ordinal of its own. `ClockHandle` is the one clock
@@ -135,7 +149,7 @@ if [ -n "$early" ]; then
     echo "ci: a column-0 #[cfg(test)] before the test module cuts the count early at: $early" >&2
     exit 1
 fi
-max_nontest=18759
+max_nontest=18884
 nontest=$(counted crates/*/src |
     xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile } { n++ } END { print n }' |
     awk '{ s += $1 } END { print s }')
@@ -148,7 +162,7 @@ echo "ci: non-test line ratchet OK ($nontest of $max_nontest)"
 # `unreachable!(` on the non-test lines of the core and engine crates, cut as
 # above. The count may only fall; each site that goes becomes a typed
 # `PortalError`, a `debug_assert!` with its invariant written down, or nothing.
-max_panics=9
+max_panics=7
 panics=$(counted crates/core/src crates/engine/src |
     xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile } { n += gsub(/\.unwrap\(\)|\.expect\(|panic!\(|unreachable!\(/, "&") } END { print n + 0 }' |
     awk '{ s += $1 } END { print s }')

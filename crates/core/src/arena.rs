@@ -224,6 +224,13 @@ impl SamplingArena {
         self.home.get(id.index()).copied()
     }
 
+    /// The leaf sensor `id` is homed at; `id` must be below the population,
+    /// every one of which `flatten` homes.
+    #[inline]
+    pub(crate) fn home_leaf(&self, id: SensorId) -> NodeId {
+        self.home[id.index()].leaf
+    }
+
     /// The arena indices of the node's children (empty at a leaf).
     #[inline]
     pub fn child_range(&self, idx: usize) -> std::ops::Range<usize> {

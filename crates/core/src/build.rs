@@ -23,15 +23,20 @@
 //! `POINTS_PER_CELL` (halved at the median of the longer side of the box the
 //! halvings leave, so cells are small where points are dense — sides and
 //! medians read off one `u64` key per point, its coordinates quantised with
-//! one scale for both axes), each with the exact bounding box `b` of its
-//! `f64` points, and every round files its centres
+//! one scale for both axes, the keys sorted once in each axis's order and
+//! each halving's other list split to match), each with the exact bounding
+//! box `b` of its `f64` points, and every round files its centres
 //! in a uniform grid, `CentreGrid`, about two a grid cell. Every round
 //! assigns a cell as a whole: `reach` is the largest computed `distance_sq`
 //! from one of its points to the centre that point is assigned now, the
 //! cell's *candidates* are the centres `CentreGrid::candidates` finds within
-//! `reach` of `b`, and each point scans that list under the all-centres
-//! scan's rule — lowest `(distance_sq, index)` from `(∞, 0)`, each pair
-//! packed into one integer `key` so a centre costs one `min`. Before the
+//! `reach` of `b`, and each point keeps, over that list, the all-centres
+//! scan's answer — lowest `(distance_sq, index)` from `(∞, 0)`, each pair
+//! packed into one integer `key` so a centre costs one `min`. The filed
+//! points are copied into cell order once, each beside the centre it is
+//! assigned now, and a cell's list is read once, each centre against every
+//! point of the cell, so the points' minima are independent chains; the
+//! assignments go back to point order before each update step. Before the
 //! first round every point of a cell is assigned one centre,
 //! `CentreGrid::start` of `b`'s centre: a near one keeps the list short.
 //! About 8.5 distances and bounds a point per round on the clustered map,
@@ -46,9 +51,9 @@
 //! points and `d*` the scan's answer distance for `p`:
 //!
 //! - `d* ≤ reach`: `d*` is the least computed distance and `reach` is one
-//!   of them (or more). `reach` must be finite — for a centre or distance
-//!   that is not finite, or one that overflows, the cell's points scan every
-//!   centre instead.
+//!   of them (or more). For a centre or distance that is not finite, or one
+//!   that overflows, `reach` is +∞, which closes no side and keeps every
+//!   filed centre: the cell's points scan them all.
 //! - Every centre at computed distance `≤ reach` from `p` is a candidate,
 //!   so every centre at `d*` is, and the list's scan returns the lowest
 //!   index among them — the all-centres answer. Such a centre is finite
@@ -61,12 +66,18 @@
 //!   sides with `b`'s own edges. And `closest_sq(b, c)` — per axis the gap
 //!   from `c` to `b`'s nearer edge (0 inside), squared and summed — is at
 //!   most its computed distance from `p`, so the filter `≤ reach` keeps it.
+//!   The filter keeps without a branch: every centre of the block is written
+//!   at the list's end, and the end moves past it when its bound is at most
+//!   `reach`.
 //!
 //! Points with a non-finite coordinate are filed in no cell and scan every
 //! centre. Every centre the scan can pick is a finite one, which the grid
 //! holds; the update step runs in point order, and nothing here draws from
 //! the RNG. The all-centres loop survives as the `#[cfg(test)]` reference
-//! the search is compared against.
+//! the search is compared against. The cells are the same whichever way a
+//! halving finds its median: the presorted lists give each half the keys
+//! that selecting in place gives it (also kept as a `#[cfg(test)]`
+//! reference), in another order.
 //!
 //! The loop hands back its groups flat (`Groups`: one list of items, a
 //! counting sort by centre on the last update step's counts), in the order
@@ -645,7 +656,11 @@ fn lloyd_from(
     let mut sums = vec![(0.0f64, 0.0f64, 0usize); k];
     let mut grid = CentreGrid::default();
     let cells = PointCells::file(points, per_cell);
-    let mut candidates = Vec::new();
+    // The filed points copied into cell order once, each beside the centre
+    // it is assigned now: a cell's passes read one contiguous run.
+    let filed: Vec<Point> = cells.order.iter().map(|&i| points[i as usize]).collect();
+    let mut near = vec![0u32; filed.len()];
+    let (mut candidates, mut best) = (Vec::new(), Vec::new());
     for round in 0..rounds.max(1) {
         // Assignment step, a cell at a time: no point of a cell is farther
         // from its nearest centre than from the one it is assigned now, so
@@ -653,32 +668,38 @@ fn lloyd_from(
         // Before the first round a cell's points are assigned one start.
         grid.rebuild(&centers);
         for (bbox, run) in &cells.cells {
-            let run = &cells.order[run.clone()];
+            let (at, near) = (&filed[run.clone()], &mut near[run.clone()]);
             if round == 0 {
-                let start = grid.start(&bbox.center());
-                for &i in run {
-                    assign[i as usize] = start;
+                near.fill(grid.start(&bbox.center()) as u32);
+            }
+            count_distances(at.len());
+            // A computed distance is +0 or more, +∞ or NaN, whose bits order
+            // as the values do with NaN above +∞: their largest, capped at
+            // +∞, is the largest distance, or +∞ when any is NaN.
+            let mut reach = 0u64;
+            for (p, &c) in at.iter().zip(near.iter()) {
+                reach = reach.max(p.distance_sq(&centers[c as usize]).to_bits());
+            }
+            let reach = f64::from_bits(reach.min(f64::INFINITY.to_bits()));
+            let list = grid.candidates(bbox, reach, &mut candidates);
+            // Each point keeps its lowest key over the list, read once: a
+            // centre is scanned against every point of the cell in turn, so
+            // the points' minima are independent chains.
+            count_distances(list.len() * at.len());
+            best.clear();
+            best.resize(at.len(), UNSEEN);
+            for &(centre, i) in list {
+                for (p, best) in at.iter().zip(best.iter_mut()) {
+                    *best = (*best).min(key(p.distance_sq(&centre), i));
                 }
             }
-            count_distances(run.len());
-            let mut reach = 0.0f64;
-            for &i in run {
-                let d = points[i as usize].distance_sq(&centers[assign[i as usize]]);
-                reach = if d.is_nan() {
-                    f64::INFINITY
-                } else {
-                    reach.max(d)
-                };
+            for (c, &best) in near.iter_mut().zip(&best) {
+                *c = centre_of(best) as u32;
             }
-            let list = if reach.is_finite() {
-                grid.candidates(bbox, reach, &mut candidates);
-                &candidates
-            } else {
-                &grid.slots
-            };
-            for &i in run {
-                assign[i as usize] = nearest_in(list, &points[i as usize]);
-            }
+        }
+        // Back to point order, which the update step sums in.
+        for (&i, &c) in cells.order.iter().zip(&near) {
+            assign[i as usize] = c as usize;
         }
         for &i in &cells.wild {
             assign[i as usize] = nearest_in(&grid.slots, &points[i as usize]);
@@ -755,78 +776,150 @@ const AXIS_SHIFT: [u32; 2] = [64 - QUANT_BITS, 64 - 2 * QUANT_BITS];
 
 impl PointCells {
     fn file(points: &[Point], per_cell: usize) -> PointCells {
-        let finite = |p: &Point| p.x.is_finite() && p.y.is_finite();
-        let mut wild = Vec::new();
-        let mut filed = Vec::with_capacity(points.len());
-        for (i, p) in points.iter().enumerate() {
-            if finite(p) {
-                filed.push(i as u64);
-            } else {
-                wild.push(i as u32);
-            }
-        }
+        let (mut by_x, wild, span) = filing_keys(points);
         let mut cells = Vec::new();
-        if let Some(bbox) = bounding(filed.iter().map(|&i| &points[i as usize])) {
-            // One scale for both axes, so quantised sides compare as the
-            // real sides do. A cast saturates (NaN to 0), so every key's
-            // fields are in range whatever the box.
-            let side = bbox.width().max(bbox.height());
-            let scale = if side > 0.0 {
-                QUANT_MAX as f64 / side
-            } else {
-                0.0
+        if !by_x.is_empty() {
+            // The keys in each axis's order, sorted once: `by_y` by the y
+            // field then the index, `by_x` by the whole key.
+            let mut by_y = vec![0; by_x.len()];
+            let mut scratch = vec![0; by_x.len()];
+            sort_by_field(&by_x, &mut by_y, AXIS_SHIFT[1], &mut scratch);
+            sort_by_field(&by_y, &mut by_x, AXIS_SHIFT[0], &mut scratch);
+            let mut halving = Halving {
+                points,
+                per_cell: per_cell.max(1),
+                cells: &mut cells,
+                scratch,
             };
-            let quantise = |v: f64, from: f64| (((v - from) * scale) as u64).min(QUANT_MAX);
-            for key in &mut filed {
-                let p = &points[*key as usize];
-                *key |= quantise(p.x, bbox.min.x) << AXIS_SHIFT[0]
-                    | quantise(p.y, bbox.min.y) << AXIS_SHIFT[1];
-            }
-            let span = [
-                (0, quantise(bbox.max.x, bbox.min.x)),
-                (0, quantise(bbox.max.y, bbox.min.y)),
-            ];
-            split(points, &mut filed, span, 0, per_cell.max(1), &mut cells);
+            halving.split(&mut by_x, &mut by_y, span, 0);
         }
-        let order = filed.iter().map(|&key| key as u32).collect();
+        let order = by_x.iter().map(|&key| key as u32).collect();
         PointCells { cells, order, wild }
     }
 }
 
-/// Files `run` — `order[from..]` to be, its keys inside `span` (per axis,
-/// the lowest and highest quantised coordinate it may hold) — as one
-/// cell under the exact bounding box of its `points` when it holds at most
-/// `per_cell`, else halves it at the median of `span`'s longer side and
-/// files each half inside its side of the cut.
-fn split(
-    points: &[Point],
-    run: &mut [u64],
-    span: [(u64, u64); 2],
-    from: usize,
-    per_cell: usize,
-    cells: &mut Vec<(Rect, Range<usize>)>,
-) {
-    if run.len() <= per_cell {
-        if let Some(exact) = bounding(run.iter().map(|&key| &points[key as u32 as usize])) {
-            cells.push((exact, from..from + run.len()));
+/// The filing key of every point with finite coordinates, in point order;
+/// the points with a non-finite one; and per axis the span of the keys'
+/// quantised field.
+fn filing_keys(points: &[Point]) -> (Vec<u64>, Vec<u32>, [(u64, u64); 2]) {
+    let finite = |p: &Point| p.x.is_finite() && p.y.is_finite();
+    let mut wild = Vec::new();
+    let mut keys = Vec::with_capacity(points.len());
+    for (i, p) in points.iter().enumerate() {
+        if finite(p) {
+            keys.push(i as u64);
+        } else {
+            wild.push(i as u32);
         }
-        return;
     }
-    let mid = run.len() / 2;
-    let axis = usize::from(span[0].1 - span[0].0 < span[1].1 - span[1].0);
-    // A key orders by its x field first, and shifted up past that field
-    // by its y field first: either order is the field's, ties broken.
-    if axis == 0 {
-        run.select_nth_unstable(mid);
+    let Some(bbox) = bounding(keys.iter().map(|&i| &points[i as usize])) else {
+        return (keys, wild, [(0, 0); 2]);
+    };
+    // One scale for both axes, so quantised sides compare as the real sides
+    // do. A cast saturates (NaN to 0), so every key's fields are in range
+    // whatever the box.
+    let side = bbox.width().max(bbox.height());
+    let scale = if side > 0.0 {
+        QUANT_MAX as f64 / side
     } else {
-        run.select_nth_unstable_by_key(mid, |&key| key << QUANT_BITS);
+        0.0
+    };
+    let quantise = |v: f64, from: f64| (((v - from) * scale) as u64).min(QUANT_MAX);
+    for key in &mut keys {
+        let p = &points[*key as usize];
+        *key |=
+            quantise(p.x, bbox.min.x) << AXIS_SHIFT[0] | quantise(p.y, bbox.min.y) << AXIS_SHIFT[1];
     }
-    let cut = (run[mid] >> AXIS_SHIFT[axis]) & QUANT_MAX;
-    let (mut low, mut high) = (span, span);
-    (low[axis].1, high[axis].0) = (cut, cut);
-    let (lower, upper) = run.split_at_mut(mid);
-    split(points, lower, low, from, per_cell, cells);
-    split(points, upper, high, from + mid, per_cell, cells);
+    let span = [
+        (0, quantise(bbox.max.x, bbox.min.x)),
+        (0, quantise(bbox.max.y, bbox.min.y)),
+    ];
+    (keys, wild, span)
+}
+
+/// Sorts `keys` into `out` by their quantised field at `shift`, equal fields
+/// in the order given: two counting passes over a byte each, the first into
+/// `low`.
+fn sort_by_field(keys: &[u64], out: &mut [u64], shift: u32, low: &mut [u64]) {
+    let byte = |key: u64, pass: u32| (key >> (shift + 8 * pass)) as u8 as usize;
+    let mut ends = [[0usize; 256]; 2];
+    for &key in keys {
+        ends[0][byte(key, 0)] += 1;
+        ends[1][byte(key, 1)] += 1;
+    }
+    for ends in &mut ends {
+        let mut end = 0;
+        for at in ends.iter_mut() {
+            end += *at;
+            *at = end;
+        }
+    }
+    // Last to first, so each run keeps the order it was read in.
+    let mut pass = |pass: usize, from: &[u64], to: &mut [u64]| {
+        for &key in from.iter().rev() {
+            let at = &mut ends[pass][byte(key, pass as u32)];
+            *at -= 1;
+            to[*at] = key;
+        }
+    };
+    pass(0, keys, low);
+    pass(1, low, out);
+}
+
+/// The halvings of a [`PointCells`] filing and where they file.
+struct Halving<'a> {
+    points: &'a [Point],
+    per_cell: usize,
+    cells: &'a mut Vec<(Rect, Range<usize>)>,
+    /// Where a halving partitions the other axis's list.
+    scratch: Vec<u64>,
+}
+
+impl Halving<'_> {
+    /// Files one run — `order[from..]` to be, its keys inside `span` (per
+    /// axis, the lowest and highest quantised coordinate it may hold), in
+    /// key order in `by_x` and by the y field then the index in `by_y` — as
+    /// one cell under the exact bounding box of its points when it holds at
+    /// most `per_cell`, else halves it at the median of `span`'s longer side
+    /// and files each half inside its side of the cut. The halves of the cut
+    /// axis's list are its two ends; the other list is split to match by a
+    /// stable partition, so both stay in their orders.
+    fn split(&mut self, by_x: &mut [u64], by_y: &mut [u64], span: [(u64, u64); 2], from: usize) {
+        let n = by_x.len();
+        if n <= self.per_cell {
+            let points = by_x.iter().map(|&key| &self.points[key as u32 as usize]);
+            if let Some(exact) = bounding(points) {
+                self.cells.push((exact, from..from + n));
+            }
+            return;
+        }
+        let mid = n / 2;
+        let axis = usize::from(span[0].1 - span[0].0 < span[1].1 - span[1].0);
+        let (cut_list, other) = match axis {
+            0 => (&*by_x, &mut *by_y),
+            _ => (&*by_y, &mut *by_x),
+        };
+        // A key orders by its x field first, and shifted up past that field
+        // by its y field first: either order is the field's, ties broken.
+        let order = |key: u64| key << (QUANT_BITS * axis as u32);
+        let median = cut_list[mid];
+        let cut = (median >> AXIS_SHIFT[axis]) & QUANT_MAX;
+        let scratch = &mut self.scratch[..n];
+        let (mut lower, mut upper) = (0, mid);
+        for &key in other.iter() {
+            let up = order(key) >= order(median);
+            scratch[if up { upper } else { lower }] = key;
+            lower += usize::from(!up);
+            upper += usize::from(up);
+        }
+        other.copy_from_slice(scratch);
+        let (mut low, mut high) = (span, span);
+        (low[axis].1, high[axis].0) = (cut, cut);
+        let (x_low, x_high) = by_x.split_at_mut(mid);
+        let (y_low, y_high) = by_y.split_at_mut(mid);
+        self.split(x_low, y_low, low, from);
+        self.split(x_high, y_high, high, from + mid);
+    }
 }
 
 /// The bounding box of `points`, `None` when there are none.
@@ -875,7 +968,8 @@ fn scan(run: &[(Point, u32)], p: &Point, best: &mut u128) {
 
 /// No computed `distance_sq` from a point of `b` to `c` is below this: per
 /// axis, the gap from `c` to `b`'s nearer side (0 inside), squared and
-/// summed as `distance_sq` does.
+/// summed as `distance_sq` does. Each gap is a comparison's pick, which
+/// compiles to a `max` without a branch.
 #[inline]
 fn closest_sq(b: &Rect, c: &Point) -> f64 {
     count_distances(1);
@@ -1063,18 +1157,26 @@ impl CentreGrid {
         centre_of(best)
     }
 
-    /// Fills `out` with the centres that can be within `reach` of a point of
-    /// `b` by computed `distance_sq` — every one that is, and some that are
-    /// not. `reach` must be finite.
+    /// The centres that can be within `reach` of a point of `b` by computed
+    /// `distance_sq` — every one that is, and some that are not — written
+    /// into `out`, which is grown to the filed centres' count. A `reach` of
+    /// +∞ closes no side and keeps every filed centre: the scan over all of
+    /// them that a non-finite distance calls for.
     ///
     /// The block of cells starts at those `b` spans and grows on each side
     /// until the side is closed: `(b.min.x − left[x0])²`, computed as
     /// `distance_sq` computes, is a bound on the distance from `b` to every
     /// centre beyond the left side, and the side closes when it is
-    /// *strictly* above `reach` (likewise on the other three sides); a
-    /// centre of the block is kept when its [`closest_sq`] is at most
-    /// `reach`.
-    fn candidates(&self, b: &Rect, reach: f64, out: &mut Vec<(Point, u32)>) {
+    /// *strictly* above `reach` (likewise on the other three sides). Every
+    /// centre of the block is written at the list's end, and the end moves
+    /// past it when its [`closest_sq`] is at most `reach`: a keep without a
+    /// branch, never past the centres written.
+    fn candidates<'a>(
+        &self,
+        b: &Rect,
+        reach: f64,
+        out: &'a mut Vec<(Point, u32)>,
+    ) -> &'a [(Point, u32)] {
         let cols = self.cols;
         let (mut x0, mut x1) = (self.col(b.min.x), self.col(b.max.x));
         let (mut y0, mut y1) = (self.row(b.min.y), self.row(b.max.y));
@@ -1094,14 +1196,17 @@ impl CentreGrid {
         while y1 + 1 < self.rows && !closed(self.above[y1], b.max.y) {
             y1 += 1;
         }
-        out.clear();
+        if out.len() < self.slots.len() {
+            out.resize(self.slots.len(), (Point::new(0.0, 0.0), 0));
+        }
+        let mut kept = 0;
         for y in y0..=y1 {
-            for &(c, i) in self.run(y * cols + x0, y * cols + x1) {
-                if closest_sq(b, &c) <= reach {
-                    out.push((c, i));
-                }
+            for &centre in self.run(y * cols + x0, y * cols + x1) {
+                out[kept] = centre;
+                kept += usize::from(closest_sq(b, &centre.0) <= reach);
             }
         }
+        &out[..kept]
     }
 }
 
@@ -1769,6 +1874,76 @@ pub(crate) mod tests {
             assert_scans_agree(&runs, &p);
         }
 
+        /// The presorted filing against the selecting one over points off
+        /// the lattice (duplicates and ties on every cut), now and then huge
+        /// or not finite, in cells down to one point.
+        #[test]
+        fn any_points_file_the_cells_selection_filed(
+            points in proptest::collection::vec(any_point(), 0..120),
+            per_cell in proptest::strategy::Strategy::prop_map(0usize..3, |i| [1, 2, POINTS_PER_CELL][i]),
+        ) {
+            assert_files_as_selection(&points, per_cell);
+        }
+
+        /// [`CentreGrid::candidates`] on its own: over centre sets off the
+        /// lattice (so centres tie on grid edges), duplicated, squeezed onto
+        /// one row or one column, now and then far or not finite, for any
+        /// finite box and any `reach` (+∞ keeps them all), the list is
+        /// exactly the filed centres whose [`closest_sq`] is at most `reach`,
+        /// and it holds every centre within `reach` of the box's corners and
+        /// centre by computed `distance_sq`.
+        #[test]
+        fn candidates_are_the_centres_within_reach_of_the_box(
+            centres in proptest::collection::vec(any_point(), 0..60),
+            twice in 0usize..2,
+            squeeze in 0usize..3,
+            corners in (finite_coord(), finite_coord(), finite_coord(), finite_coord()),
+            reach in any_reach(),
+        ) {
+            let mut centres = centres;
+            if twice == 1 {
+                centres.extend_from_slice(&centres.clone());
+            }
+            for c in &mut centres {
+                match squeeze {
+                    1 => c.y = 2.0,
+                    2 => c.x = -1.0,
+                    _ => {}
+                }
+            }
+            let b = Rect::from_coords(corners.0, corners.1, corners.2, corners.3);
+            let mut grid = CentreGrid::default();
+            grid.rebuild(&centres);
+            let mut found: Vec<u32> = grid
+                .candidates(&b, reach, &mut Vec::new())
+                .iter()
+                .map(|&(_, i)| i)
+                .collect();
+            found.sort_unstable();
+            let filed = |c: &Point| c.x.is_finite() && c.y.is_finite();
+            let within: Vec<u32> = (0..centres.len() as u32)
+                .filter(|&i| filed(&centres[i as usize]) && closest_sq(&b, &centres[i as usize]) <= reach)
+                .collect();
+            assert_eq!(found, within, "box {b:?}, reach {reach}");
+            let probes = [
+                b.min,
+                b.max,
+                Point::new(b.min.x, b.max.y),
+                Point::new(b.max.x, b.min.y),
+                b.center(),
+            ];
+            for q in probes {
+                for (i, c) in centres.iter().enumerate() {
+                    if filed(c) && q.distance_sq(c) <= reach {
+                        assert!(
+                            found.binary_search(&(i as u32)).is_ok(),
+                            "centre {i} {c:?} is within {reach} of {q:?} but not a candidate of {b:?}"
+                        );
+                    }
+                }
+            }
+        }
+
         /// The loop from given start centres against the all-centres loop
         /// from the same start, groups and the RNG's next draw: seeds off
         /// the points' lattice (duplicates of each other and of points, so
@@ -1814,6 +1989,100 @@ pub(crate) mod tests {
         );
         assert_eq!(heaviest(&seeds, 4), [p(0.0), p(1.0), p(2.0), p(4.0)]);
         assert!(heaviest(&seeds, 0).is_empty());
+    }
+
+    /// A box corner's coordinate: off the lattice [`any_point`] draws from,
+    /// off the reals, now and then far.
+    fn finite_coord() -> impl proptest::strategy::Strategy<Value = f64> {
+        use proptest::prelude::*;
+        prop_oneof![
+            6 => (-5i32..6).prop_map(f64::from),
+            3 => -5.0..5.0f64,
+            1 => prop_oneof![Just(1e9), Just(-1e200), Just(f64::MAX)],
+        ]
+    }
+
+    /// A `reach`: zero, a lattice square, a real, huge, or +∞.
+    fn any_reach() -> impl proptest::strategy::Strategy<Value = f64> {
+        use proptest::prelude::*;
+        prop_oneof![
+            2 => Just(0.0),
+            4 => (0i32..7).prop_map(|r| f64::from(r * r)),
+            3 => 0.0..64.0f64,
+            1 => prop_oneof![Just(1e18), Just(1e300), Just(f64::MAX), Just(f64::INFINITY)],
+        ]
+    }
+
+    /// The cells of [`PointCells::file`] as each halving made them before
+    /// the keys were sorted once per axis: the run's median selected in
+    /// place by `select_nth_unstable`. Kept as the reference the presorted
+    /// halvings are compared against. Per cell: its box and its points.
+    fn cells_by_selection(points: &[Point], per_cell: usize) -> Vec<(Rect, Vec<u32>)> {
+        fn split(
+            points: &[Point],
+            run: &mut [u64],
+            span: [(u64, u64); 2],
+            per_cell: usize,
+            cells: &mut Vec<(Rect, Vec<u32>)>,
+        ) {
+            if run.len() <= per_cell {
+                if let Some(exact) = bounding(run.iter().map(|&key| &points[key as u32 as usize])) {
+                    cells.push((exact, run.iter().map(|&key| key as u32).collect()));
+                }
+                return;
+            }
+            let mid = run.len() / 2;
+            let axis = usize::from(span[0].1 - span[0].0 < span[1].1 - span[1].0);
+            if axis == 0 {
+                run.select_nth_unstable(mid);
+            } else {
+                run.select_nth_unstable_by_key(mid, |&key| key << QUANT_BITS);
+            }
+            let cut = (run[mid] >> AXIS_SHIFT[axis]) & QUANT_MAX;
+            let (mut low, mut high) = (span, span);
+            (low[axis].1, high[axis].0) = (cut, cut);
+            let (lower, upper) = run.split_at_mut(mid);
+            split(points, lower, low, per_cell, cells);
+            split(points, upper, high, per_cell, cells);
+        }
+        let (mut keys, _, span) = filing_keys(points);
+        let mut cells = Vec::new();
+        split(points, &mut keys, span, per_cell, &mut cells);
+        cells
+    }
+
+    /// [`PointCells::file`] against [`cells_by_selection`]: the same cells
+    /// in the same order, each with the same points (in any order) under
+    /// the same box, bit for bit, and the non-finite points left out.
+    #[track_caller]
+    fn assert_files_as_selection(points: &[Point], per_cell: usize) {
+        let filed = PointCells::file(points, per_cell);
+        let reference = cells_by_selection(points, per_cell);
+        assert_eq!(filed.cells.len(), reference.len(), "cells of {per_cell}");
+        let bits = |b: &Rect| [b.min.x, b.min.y, b.max.x, b.max.y].map(f64::to_bits);
+        for ((bbox, run), (exact, members)) in filed.cells.iter().zip(&reference) {
+            assert_eq!(bits(bbox), bits(exact), "cells of {per_cell}");
+            let mut found = filed.order[run.clone()].to_vec();
+            let mut members = members.clone();
+            found.sort_unstable();
+            members.sort_unstable();
+            assert_eq!(found, members, "cells of {per_cell}");
+        }
+        let filed_count = reference.iter().map(|(_, m)| m.len()).sum::<usize>();
+        assert_eq!(filed.order.len(), filed_count);
+        assert_eq!(filed.order.len() + filed.wild.len(), points.len());
+    }
+
+    #[test]
+    fn presorted_halvings_file_the_cells_selection_filed() {
+        for per_cell in [1, 2, POINTS_PER_CELL, 64] {
+            assert_files_as_selection(&city_points(4_096, 6), per_cell);
+            assert_files_as_selection(&uniform_points(1_000, 5), per_cell);
+            let twice: Vec<Point> = city_points(300, 8).iter().flat_map(|&p| [p, p]).collect();
+            assert_files_as_selection(&twice, per_cell);
+            assert_files_as_selection(&[Point::new(3.0, -2.0); 50], per_cell);
+        }
+        assert_files_as_selection(&[], POINTS_PER_CELL);
     }
 
     fn any_point() -> impl proptest::strategy::Strategy<Value = Point> {

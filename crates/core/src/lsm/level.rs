@@ -10,7 +10,7 @@
 //! only ever sees global ids and a level tree only ever sees its own local
 //! ids.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 use parking_lot::RwLock;
 
@@ -251,6 +251,9 @@ impl LsmLevel {
 /// one holding the suffix it did not take.
 pub struct L0Level {
     inner: RwLock<L0Inner>,
+    /// `inner.sensors.len()`, stored by every push under the write lock, so
+    /// [`L0Level::len`] reads it without taking the read lock.
+    len: AtomicUsize,
 }
 
 /// One live L0 sensor as a query or a merge sees it.
@@ -323,6 +326,7 @@ impl L0Level {
     pub(crate) fn with_contents(parked: Vec<(SensorMeta, Option<CachedEntry>)>) -> L0Level {
         let (sensors, entries): (Vec<_>, Vec<_>) = parked.into_iter().unzip();
         L0Level {
+            len: AtomicUsize::new(sensors.len()),
             inner: RwLock::new(L0Inner {
                 tombstoned: vec![false; sensors.len()],
                 tombstones: 0,
@@ -340,12 +344,14 @@ impl L0Level {
         inner.sensors.push(meta);
         inner.tombstoned.push(false);
         inner.entries.push(None);
+        self.len.store(inner.sensors.len(), Ordering::Release);
         (inner.sensors.len() - 1) as u32
     }
 
-    /// Sensors currently parked in L0 (tombstoned included).
+    /// Sensors currently parked in L0 (tombstoned included), read without
+    /// a lock: a push that has not returned yet may or may not be counted.
     pub fn len(&self) -> usize {
-        self.inner.read().sensors.len()
+        self.len.load(Ordering::Acquire)
     }
 
     /// `true` when L0 holds no sensors.

@@ -414,6 +414,8 @@ impl LsmTree {
     }
 
     /// `true` once L0 has outgrown its soft capacity and a merge is due.
+    /// One lock, the state's read lock: L0's length is read without its own
+    /// (the bound is advisory, so a push in flight may count either way).
     pub fn wants_merge(&self) -> bool {
         self.state.read().l0.len() >= self.lsm.l0_capacity.max(1)
     }

@@ -781,7 +781,14 @@ impl ColrTree {
         self.with_cache(id, |c| {
             let mut cache = SlotCache::new(self.slot_config);
             for abs in c.cache.held_slots() {
-                cache.set_slot(abs, c.cache.slot(abs).expect("held"));
+                let slot = c.cache.slot(abs);
+                debug_assert!(
+                    slot.is_some(),
+                    "`held_slots` lists only slots the ring holds"
+                );
+                if let Some(slot) = slot {
+                    cache.set_slot(abs, slot);
+                }
             }
             let mut entries: Vec<CachedEntry> = c.entries.iter().copied().collect();
             entries.sort_unstable_by_key(|e| e.reading.sensor);
@@ -846,14 +853,10 @@ impl ColrTree {
         &self.sensors[id.index()]
     }
 
-    /// The leaf a sensor is homed at.
+    /// The leaf a sensor is homed at. `id` must be one of the tree's
+    /// sensors, as for [`ColrTree::sensor`]: the flattening homes every one.
     pub fn home_leaf(&self, id: SensorId) -> NodeId {
-        self.home(id).leaf
-    }
-
-    /// Where a registered sensor's raw reading is cached.
-    fn home(&self, id: SensorId) -> Home {
-        self.arena.home(id).expect("a registered sensor")
+        self.arena.home_leaf(id)
     }
 
     /// Number of raw readings currently cached tree-wide.
@@ -1061,14 +1064,15 @@ impl ColrTree {
         let mut plans = std::mem::take(&mut maint.pool.plans);
         for &entry in run {
             let reading = entry.reading;
-            if reading.sensor.index() >= self.sensors.len() {
-                continue; // unknown sensor (population changed under carry-over)
-            }
             let slot = self.slot_config.slot_of(reading.expires_at);
             if slot < base || slot >= maint.window_top() || !reading.is_live(now) {
                 continue;
             }
-            let Home { leaf, place } = self.home(reading.sensor);
+            // An unknown sensor has no home (population changed under
+            // carry-over).
+            let Some(Home { leaf, place }) = self.arena.home(reading.sensor) else {
+                continue;
+            };
             plans.push(Plan {
                 entry,
                 old: None,
@@ -1267,7 +1271,7 @@ impl ColrTree {
     /// expires in `slot`. A reading replaced or removed since fails the
     /// check, which is how the buckets delete lazily.
     fn bucket_entry(&self, slot: u64, fetched: Fetched) -> Option<CachedEntry> {
-        let home = self.home(fetched.sensor());
+        let home = self.arena.home(fetched.sensor())?;
         self.with_cache(home.leaf, |c| c.entries.at(home.place as usize).copied())
             .filter(|e| {
                 e.fetched_at == fetched.at()
@@ -1287,14 +1291,15 @@ impl ColrTree {
     }
 
     /// Removes the cached reading of `sensor` (if any) from the leaf and all
-    /// ancestor aggregates. Used for updates and evictions.
+    /// ancestor aggregates. Used for updates and evictions. A sensor that is
+    /// not the tree's has none to remove.
     pub fn remove_cached(&self, sensor: SensorId) -> Option<Reading> {
         let mut maint = self.maint.lock();
         self.remove_cached_locked(&mut maint, sensor)
     }
 
     fn remove_cached_locked(&self, maint: &mut Maintenance, sensor: SensorId) -> Option<Reading> {
-        let Home { leaf, place } = self.home(sensor);
+        let Home { leaf, place } = self.arena.home(sensor)?;
         let entry = self.with_cache_mut(leaf, |c| {
             std::mem::replace(&mut c.entries[place as usize], CachedEntry::ABSENT)
         });
@@ -1601,6 +1606,27 @@ mod tests {
         assert!(tree
             .node_ids()
             .all(|id| tree.with_cache(id, |c| c.cache.held_slots().count() == 0)));
+    }
+
+    /// A sensor id beyond the tree's population has no home: removing its
+    /// reading removes nothing, and restoring one restores nothing.
+    #[test]
+    fn a_sensor_that_is_not_the_trees_has_nothing_cached() {
+        let tree = grid_tree(100);
+        let now = Timestamp(1_000);
+        let reading = Reading {
+            sensor: SensorId(100),
+            value: 7.0,
+            timestamp: now,
+            expires_at: now + TimeDelta::from_mins(5),
+        };
+        assert_eq!(tree.remove_cached(reading.sensor), None);
+        let entry = CachedEntry {
+            reading,
+            fetched_at: now,
+        };
+        assert_eq!(tree.restore_entries(&[entry], now), 0);
+        assert_eq!(tree.cached_readings(), 0);
     }
 
     /// The cache state of a built tree is flat: per stripe three slabs whose

@@ -506,6 +506,41 @@ mod oracle {
         lsm_rows(true);
     }
 
+    /// `CLUSTER 50` on a 40,000-sensor tree (leaves at level 4) ends the
+    /// walk at level 3, `T(50)` = 3: every terminal is an internal node
+    /// whose share is drawn from a subtree of about a hundred sensors over
+    /// some ten leaves, and the two theorems hold there as at the leaves.
+    #[test]
+    fn cluster_terminals_above_the_leaf_level_are_uniform() {
+        const SIDE_40K: usize = 200;
+        let sensors: Vec<SensorMeta> = (0..SIDE_40K * SIDE_40K)
+            .map(|i| {
+                let at = Point::new((i % SIDE_40K) as f64 * 5.0, (i / SIDE_40K) as f64 * 5.0);
+                SensorMeta::new(i as u32, at, EXPIRY, 1.0)
+            })
+            .collect();
+        let n = sensors.len();
+        let log = Log::default();
+        let (portal, _) = portal(&sensors, n, 1, &log, |b| b);
+        let snapshot = portal.shard(0).snapshot();
+        let (leaf, terminal) = (
+            snapshot.tree().leaf_level(),
+            snapshot.planner().terminal_level(Some(50.0)),
+        );
+        assert_eq!((leaf, terminal), (4, 3), "T(50) one level above the leaves");
+        let sql = "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-1, -1, 1000, 1000) \
+                   CLUSTER 50 SAMPLESIZE 500";
+        let trials = run(&portal, &log, sql, 800);
+        check(
+            "CLUSTER 50 above the leaves, 40k, R=500",
+            &trials,
+            500.0,
+            &all(n),
+            &[],
+            true,
+        );
+    }
+
     #[test]
     fn four_shards_are_uniform_at_small_and_large_r() {
         let sensors = fleet(400, 0, |_| 1.0);
