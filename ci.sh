@@ -14,7 +14,7 @@ cargo fmt --check
 # of what was deleted to get there must not come back;
 # `#![forbid(unsafe_code)]` in every first-party crate root holds the rest of
 # the line.
-if grep -rnE '\bPortal(::new|<)|\bMonolithic\b|SharedPortal|reindex_discarding|pending_unindexed|AliasTable|Morton|morton_pack|\bcriterion\b|HotPathLayout|TermTarget|\bexec_colr\b|portal_sim|fresh_cached_readings|leaf_triage|arena_mirrors_tree_structure|QueryRequestBuilder|with_mode\b|with_deadline\b|live_sensor_metas\b|\bentry_pos\b|PortalService::new|PortalConfigBuilder|PortalConfigError' \
+if grep -rnE '\bPortal(::new|<)|\bMonolithic\b|SharedPortal|reindex_discarding|pending_unindexed|AliasTable|Morton|morton_pack|\bcriterion\b|HotPathLayout|TermTarget|\bexec_colr\b|portal_sim|fresh_cached_readings|leaf_triage|arena_mirrors_tree_structure|QueryRequestBuilder|with_mode\b|with_deadline\b|live_sensor_metas\b|\bentry_pos\b|PortalService::new|PortalConfigBuilder|PortalConfigError|frozen_l0|deferred_from|since_cut|fn dispatch\b|worker completed' \
     crates src tests examples Cargo.toml; then
     echo "ci: a deleted path is back (matches above)" >&2
     exit 1
@@ -124,6 +124,14 @@ if [ -n "$candidate_push" ]; then
     echo "ci: a push is back inside CentreGrid::candidates (matches above)" >&2
     exit 1
 fi
+# One executor, one write-back: a query writes nothing while it runs, and its
+# successes reach the caches through one apply (`ColrTree::apply_readings`,
+# behind the LSM's directory), the one holder of the multi-chunk fill mark.
+# The names of the second mode are in the deleted-path gate above.
+if grep -rn 'mark_filling' crates src tests examples | grep -v '^crates/core/src/tree\.rs:'; then
+    echo "ci: the fill mark is taken outside the one write-back (matches above)" >&2
+    exit 1
+fi
 # One published cut: a merge's LSM cut is the service's snapshot, published
 # once under the state's write lock, so the service keeps no generation,
 # reindex lock or mirrored ordinal of its own. `ClockHandle` is the one clock
@@ -149,7 +157,7 @@ if [ -n "$early" ]; then
     echo "ci: a column-0 #[cfg(test)] before the test module cuts the count early at: $early" >&2
     exit 1
 fi
-max_nontest=18884
+max_nontest=18956
 nontest=$(counted crates/*/src |
     xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile } { n++ } END { print n }' |
     awk '{ s += $1 } END { print s }')
@@ -162,7 +170,7 @@ echo "ci: non-test line ratchet OK ($nontest of $max_nontest)"
 # `unreachable!(` on the non-test lines of the core and engine crates, cut as
 # above. The count may only fall; each site that goes becomes a typed
 # `PortalError`, a `debug_assert!` with its invariant written down, or nothing.
-max_panics=7
+max_panics=6
 panics=$(counted crates/core/src crates/engine/src |
     xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile } { n += gsub(/\.unwrap\(\)|\.expect\(|panic!\(|unreachable!\(/, "&") } END { print n + 0 }' |
     awk '{ s += $1 } END { print s }')
@@ -180,35 +188,27 @@ cargo build --release --offline
 cargo test -q --offline --workspace
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-# Torn-count gate (ROADMAP 1(i)): the straddle test storms one service with
-# eight clients across three merges, and a count that names no population
-# that existed ("torn answer") is a multi-wave fill seen half-written. One
-# run cannot tell: before the gate's fill mark it failed about one run in
-# two, so the binary is built once and run 50 times (~20 s). Only "torn
-# answer" fails the gate; "answer regressed" (ROADMAP 1(ii), step B's) is
-# counted and printed.
+# Torn-count and regressed-count gate (ROADMAP 1(i) and 1(ii)): the straddle
+# test storms one service with eight clients across three merges. A count
+# that names no population that existed ("torn answer") is a multi-chunk fill
+# seen half-written; a client's count that steps back ("answer regressed") is
+# a write-back a merge lost. One run cannot tell: before the fill mark the
+# first failed about one run in two, and before the one write-back the second
+# one run in 7 to 15, so the binary is built once and run 50 times (~20 s),
+# and any failure fails the gate.
 straddle=$(cargo test --offline --test service_reindex --no-run --message-format=json 2>/dev/null |
     sed -n 's/.*"executable":"\([^"]*service_reindex-[^"]*\)".*/\1/p' | tail -n 1)
 [ -x "$straddle" ] || {
     echo "ci: could not find the service_reindex test binary" >&2
     exit 1
 }
-regressed=0
 for run in $(seq 1 50); do
     out=$("$straddle" 2>&1) && continue
-    if grep -q "torn answer" <<<"$out"; then
-        echo "$out" >&2
-        echo "ci: torn answer on straddle run $run of 50" >&2
-        exit 1
-    fi
-    grep -q "answer regressed" <<<"$out" || {
-        echo "$out" >&2
-        echo "ci: service_reindex failed on run $run of 50" >&2
-        exit 1
-    }
-    regressed=$((regressed + 1))
+    echo "$out" >&2
+    echo "ci: service_reindex failed on run $run of 50" >&2
+    exit 1
 done
-echo "ci: torn-count gate OK (50 runs, 0 torn answers, $regressed answer-regressed)"
+echo "ci: torn- and regressed-count gate OK (50 runs)"
 
 # Observability smoke: the example must emit the promised metric families.
 smoke=$(cargo run --release --offline -q --example colr-stats)

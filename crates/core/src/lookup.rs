@@ -20,17 +20,23 @@
 //! Every mode runs as **select → collect → complete**: the walk answers what
 //! the caches can and only *chooses* the sensors to probe (`ProbePlan`);
 //! when it ends, the whole request goes to the backend as one wave
-//! (`Wave`) and the outcomes are folded back into their groups and
-//! written to the caches in one batch (`ColrTree::complete`). No traversal
+//! (`Wave`) and the outcomes are folded back into their groups
+//! (`ColrTree::complete`), which collects the successes. No traversal
 //! decision reads a probe outcome, so a query costs one round trip (per
 //! `PROBE_PARALLELISM` probes) however many terminals it reaches.
 //!
+//! There is one executor, [`ColrTree::execute_frozen`]: it writes nothing,
+//! and hands its successes to one write-back, [`ColrTree::apply_readings`].
+//! An interactive query ([`ColrTree::execute`]) applies them as soon as it
+//! completes; a batch executor applies every query's after the batch, in
+//! submission order, so each query of a batch sees the same cache (see
+//! `colr-engine`'s `execute_many`). An LSM query writes its successes
+//! where it found them while its cut is still published, and routes them
+//! through the index's directory otherwise (`LsmTree::apply_deferred`).
+//!
 //! Execution takes `&self`: cache reads go through the tree's striped locks
 //! and write-backs through the maintenance path, so any number of queries can
-//! run against one shared tree concurrently. [`ColrTree::execute_frozen`]
-//! additionally *defers* write-backs, which a batch executor uses to make
-//! every query in a batch see the same cache snapshot (see
-//! `colr-engine`'s `execute_many`).
+//! run against one shared tree concurrently.
 
 use std::ops::Range;
 
@@ -412,7 +418,9 @@ pub(crate) fn finish(mode: Mode, now: Timestamp, out: &mut QueryOutput) {
 
 impl ColrTree {
     /// Processes `query` in the given `mode`, probing sensors through
-    /// `probe`, at simulated instant `now`.
+    /// `probe`, at simulated instant `now`: the window rolls to `now`, the
+    /// query runs as [`ColrTree::execute_frozen`] does, and its successes
+    /// are written back in one [`ColrTree::apply_readings`].
     ///
     /// `rng` drives sampling decisions (only used by [`Mode::Colr`]); pass a
     /// seeded RNG for reproducible runs. Takes `&self`: concurrent callers
@@ -430,18 +438,23 @@ impl ColrTree {
         R: Rng + ?Sized,
     {
         self.advance(now);
-        self.dispatch(query, mode, probe, now, rng, None)
+        let (mut out, got) = self.execute_frozen(query, mode, probe, now, rng);
+        if !got.is_empty() {
+            let inserted = self.apply_readings(&got, now) as u64;
+            out.stats.cache_inserts += inserted;
+            crate::flight::with(|f| f.write_back(inserted));
+        }
+        out
     }
 
-    /// [`ColrTree::execute`] against a *frozen* cache: the window is not
-    /// advanced and probe results are returned for a deferred
-    /// [`ColrTree::apply_readings`] instead of being cached mid-query.
+    /// Runs `query` against the cache as it stands — the window is not
+    /// advanced and nothing is written back — and returns its answer with
+    /// the readings its wave brought back, for the caller's
+    /// [`ColrTree::apply_readings`].
     ///
-    /// The caller is expected to have advanced the tree to `now` already.
-    /// Because nothing is written back during execution, any number of
-    /// frozen executions can run concurrently and each sees the identical
-    /// cache state — the result depends only on `(tree, query, rng, probe)`,
-    /// not on scheduling.
+    /// Because nothing is written during execution, any number of these can
+    /// run concurrently and each sees the identical cache state: the result
+    /// depends only on `(tree, query, rng, probe)`, not on scheduling.
     pub fn execute_frozen<P, R>(
         &self,
         query: &Query,
@@ -454,37 +467,20 @@ impl ColrTree {
         P: ProbeService + ?Sized,
         R: Rng + ?Sized,
     {
-        let mut deferred = Vec::new();
-        let out = self.dispatch(query, mode, probe, now, rng, Some(&mut deferred));
-        (out, deferred)
-    }
-
-    fn dispatch<P, R>(
-        &self,
-        query: &Query,
-        mode: Mode,
-        probe: &P,
-        now: Timestamp,
-        rng: &mut R,
-        deferred: Option<&mut Vec<Reading>>,
-    ) -> QueryOutput
-    where
-        P: ProbeService + ?Sized,
-        R: Rng + ?Sized,
-    {
         crate::scratch::with_scratch(|scratch| {
             let mut plan = std::mem::take(&mut scratch.plan);
             plan.clear();
             let target = query.sample_size;
             let mut out = self.select(query, target, mode, now, rng, &mut plan, scratch);
             let mut wave = Wave::new(probe, &plan.ids, query, now);
+            let mut got = Vec::with_capacity(plan.ids.len());
             let fixes = 0..plan.fixes.len();
-            let got = &mut scratch.got;
-            self.complete(&mut out, &plan, fixes, &mut wave, got, mode, now, deferred);
+            self.complete(&mut out, &plan, fixes, &mut wave, &mut got, mode);
             wave.charge(&mut out.stats);
             scratch.plan = plan;
             finish(mode, now, &mut out);
-            out
+            let got = got.iter().map(|&i| out.readings[i as usize]).collect();
+            (out, got)
         })
     }
 
@@ -520,53 +516,24 @@ impl ColrTree {
 
     /// The complete step: draws one outcome per id of `plan.fixes[fixes]`
     /// from `outcomes`, splices each into the group and `readings` position
-    /// a probe issued on the spot would have put it, and writes the
-    /// successes back a wave at a time — one batch for any request that fits
-    /// a wave, a bounded maintenance batch for a viewport-sized one.
-    ///
-    /// With `deferred` unset each batch is applied to the tree as it fills
-    /// (the interactive path). With it set the successes are appended there
-    /// instead, for a later ordered [`ColrTree::apply_readings`] — batch
-    /// executors use this so every query of a batch runs against one frozen
-    /// cache snapshot, independent of scheduling — and `cache_inserts` stays
-    /// 0 (nothing is inserted during the query). `got` is the pooled buffer
-    /// a batch of successes waits in; it never holds more than a wave.
-    #[allow(clippy::too_many_arguments)]
+    /// a probe issued on the spot would have put it, and appends where each
+    /// success landed in `out.readings` to `got`, for the caller's one
+    /// write-back: the successes are not copied. Nothing is written to the
+    /// tree here.
     pub(crate) fn complete(
         &self,
         out: &mut QueryOutput,
         plan: &ProbePlan,
         fixes: Range<usize>,
         outcomes: &mut impl Iterator<Item = Option<Reading>>,
-        got: &mut Vec<Reading>,
+        got: &mut Vec<u32>,
         mode: Mode,
-        now: Timestamp,
-        mut deferred: Option<&mut Vec<Reading>>,
     ) {
         let fixes = &plan.fixes[fixes];
         let (Some(first), Some(last)) = (fixes.first(), fixes.last()) else {
             return;
         };
         let selected = last.ids.end - first.ids.start;
-        let wave = PROBE_PARALLELISM as usize;
-        // Only a request wider than a wave is written back in more than one
-        // batch, with probe calls — no lock held — in between. The gate
-        // refuses the nodes it is filling until the last batch is in, so to
-        // a concurrent reader the batches land together.
-        let _filling = (deferred.is_none() && mode != Mode::RTree && selected > wave)
-            .then(|| self.mark_filling(&plan.ids[first.ids.start..last.ids.end]));
-        let mut write_back = |got: &[Reading], stats: &mut QueryStats| match &mut deferred {
-            Some(buf) => buf.extend_from_slice(got),
-            None => {
-                // One batched application: each touched node cache updates
-                // atomically, so concurrent readers never see a half-written
-                // aggregate (the tracer span is recorded there).
-                let inserted = self.apply_readings(got, now) as u64;
-                stats.cache_inserts += inserted;
-                crate::flight::with(|f| f.write_back(inserted));
-            }
-        };
-        got.clear();
         let old = std::mem::take(&mut out.readings);
         let mut readings = Vec::with_capacity(old.len() + selected);
         let mut copied = 0;
@@ -578,15 +545,11 @@ impl ColrTree {
                 readings.extend_from_slice(&old[copied..plan.at[i]]);
                 copied = plan.at[i];
                 let outcome = outcomes.next().expect("one outcome per selected id");
-                readings.extend(outcome);
                 // No cache in R-Tree mode: its results are never written back.
-                if mode != Mode::RTree {
-                    got.extend(outcome);
-                    if got.len() == wave {
-                        write_back(got, &mut out.stats);
-                        got.clear();
-                    }
+                if outcome.is_some() && mode != Mode::RTree {
+                    got.push(readings.len() as u32);
                 }
+                readings.extend(outcome);
             }
             readings.extend_from_slice(&old[copied..fix.span.end]);
             copied = fix.span.end;
@@ -599,9 +562,6 @@ impl ColrTree {
         }
         readings.extend_from_slice(&old[copied..]);
         out.readings = readings;
-        if !got.is_empty() {
-            write_back(got, &mut out.stats);
-        }
     }
 
     // ------------------------------------------------------------------
@@ -937,9 +897,6 @@ mod tests {
             // Reads every stripe: the query holds none of them here.
             let mut seen = self.marked_at_batch.lock();
             seen.push(marked(self.tree));
-            // The fill clears its marks on this tree only: a copy taken
-            // mid-fill must not keep any.
-            assert_eq!(marked(&self.tree.clone()), 0);
             assert_ne!(Some(seen.len() - 1), self.panic_at, "backend down");
             AlwaysAvailable {
                 expiry_ms: EXPIRY_MS,
@@ -948,8 +905,22 @@ mod tests {
         }
     }
 
+    /// Sets this thread's hook before each chunk of an `apply_readings` to
+    /// push what `note` reads of the tree being written into the returned
+    /// list.
+    fn before_each_chunk<T: 'static>(
+        note: impl Fn(&ColrTree) -> T + 'static,
+    ) -> std::rc::Rc<std::cell::RefCell<Vec<T>>> {
+        let seen = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let log = seen.clone();
+        crate::tree::tests::on_each_chunk(Some(Box::new(move |tree| {
+            log.borrow_mut().push(note(tree));
+        })));
+        seen
+    }
+
     #[test]
-    fn only_a_multi_wave_fill_marks_its_nodes_and_no_mark_outlives_it() {
+    fn only_a_multi_chunk_write_back_marks_its_nodes_and_no_mark_outlives_it() {
         let tree = grid_tree(16, None);
         let spy = |panic_at| MarkSpy {
             tree: &tree,
@@ -959,42 +930,86 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let all = q(Rect::from_coords(-0.5, -0.5, 15.5, 15.5)).with_terminal_level(u16::MAX);
         let quarter = q(Rect::from_coords(-0.5, -0.5, 7.5, 7.5));
+        let chunks = before_each_chunk(|tree| {
+            // A copy taken mid-fill keeps none of the marks.
+            assert_eq!(marked(&tree.clone()), 0);
+            marked(tree)
+        });
 
-        // 256 sensors take two waves: every node above one of them — here,
-        // every node — is marked from before the first batch until the last
-        // is written, so the leaf the wave boundary cuts cannot pass for a
-        // covered one in between.
+        // Nothing is written while the wave is out, so nothing is marked.
+        // The 256 readings are written back in two chunks: every node above
+        // one of them — here, every node — is marked from before the first
+        // until the last is in, so the leaf the chunk boundary cuts cannot
+        // pass for a covered one in between.
         let probe = spy(None);
         let out = tree.execute(&all, Mode::HierCache, &probe, Timestamp(1_000), &mut rng);
         assert_eq!(out.stats.sensors_probed, 256);
-        assert_eq!(*probe.marked_at_batch.lock(), [tree.node_count(); 2]);
+        assert_eq!(*probe.marked_at_batch.lock(), [0; 2]);
+        assert_eq!(*chunks.borrow(), [tree.node_count(); 2]);
         assert_eq!(marked(&tree), 0);
         assert_eq!(tree.cached_readings(), 256);
 
-        // 64 sensors fit one wave: one write-back, nothing to mark.
+        // 64 readings fit one chunk: nothing to mark.
         let expired = TimeDelta::from_millis(EXPIRY_MS + 60_000);
         let later = Timestamp(1_000) + expired;
-        let probe = spy(None);
-        let out = tree.execute(&quarter, Mode::HierCache, &probe, later, &mut rng);
+        chunks.borrow_mut().clear();
+        let out = tree.execute(&quarter, Mode::HierCache, &spy(None), later, &mut rng);
         assert_eq!(out.stats.sensors_probed, 64);
-        assert_eq!(*probe.marked_at_batch.lock(), [0]);
+        assert_eq!(*chunks.borrow(), [0]);
 
-        // A backend that dies between the waves unwinds through the guard:
-        // the first wave stays cached, no mark stays set, the tree serves.
+        // A backend that dies between the waves unwinds before anything is
+        // written: nothing of the request is cached, no mark is set, and
+        // the tree serves.
         let later = later + expired;
+        chunks.borrow_mut().clear();
         let probe = spy(Some(1));
         let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut rng = StdRng::seed_from_u64(2);
             tree.execute(&all, Mode::HierCache, &probe, later, &mut rng)
         }));
         assert!(died.is_err());
-        assert_eq!(*probe.marked_at_batch.lock(), [tree.node_count(); 2]);
-        assert_eq!(marked(&tree), 0);
-        assert_eq!(tree.cached_readings(), 128);
-        let probe = spy(None);
-        let out = tree.execute(&all, Mode::HierCache, &probe, later, &mut rng);
-        assert!(out.stats.cache_nodes_used > 0, "the gate serves again");
+        assert_eq!(*probe.marked_at_batch.lock(), [0; 2]);
+        assert!(chunks.borrow().is_empty());
+        assert_eq!((marked(&tree), tree.cached_readings()), (0, 0));
+        let cold = tree.execute(&all, Mode::HierCache, &spy(None), later, &mut rng);
+        assert_eq!(cold.stats.sensors_probed, 256);
+        let warm = tree.execute(&all, Mode::HierCache, &spy(None), later, &mut rng);
+        assert_eq!(warm.stats.sensors_probed, 0, "the gate serves again");
         assert_eq!(tree.validate(), Ok(()));
+        crate::tree::tests::on_each_chunk(None);
+    }
+
+    /// The gap the fill mark exists for: a reader between the two chunks of
+    /// one write-back counts the whole population. There the leaf the chunk
+    /// boundary cuts holds 8 of its 9 readings, enough to pass the coverage
+    /// gate as if it were whole (a count of 255) were it not marked.
+    #[test]
+    fn a_reader_between_two_chunks_of_one_write_back_counts_the_whole_population() {
+        let tree = grid_tree(16, None);
+        let probe = AlwaysAvailable {
+            expiry_ms: EXPIRY_MS,
+        };
+        let all = q(Rect::from_coords(-0.5, -0.5, 15.5, 15.5)).with_terminal_level(u16::MAX);
+        let now = Timestamp(1_000);
+        let reader = all.clone();
+        let chunks = before_each_chunk(move |tree| {
+            let mut rng = StdRng::seed_from_u64(2);
+            let probe = AlwaysAvailable {
+                expiry_ms: EXPIRY_MS,
+            };
+            let (out, _) = tree.execute_frozen(&reader, Mode::HierCache, &probe, now, &mut rng);
+            (tree.cached_readings(), out.aggregate(AggKind::Count))
+        });
+        let mut rng = StdRng::seed_from_u64(1);
+        let out = tree.execute(&all, Mode::HierCache, &probe, now, &mut rng);
+        crate::tree::tests::on_each_chunk(None);
+        assert_eq!(out.aggregate(AggKind::Count), Some(256.0));
+        let wave = PROBE_PARALLELISM as usize;
+        assert_eq!(
+            *chunks.borrow(),
+            [(0, Some(256.0)), (wave, Some(256.0))],
+            "torn answer between chunks"
+        );
     }
 
     #[test]

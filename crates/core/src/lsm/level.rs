@@ -147,16 +147,16 @@ impl LsmLevel {
         true
     }
 
-    /// Purges whichever of `written` — readings (local ids) a query just
-    /// wrote back, or read from the raw cache — belong to a sensor tombstoned
-    /// by now. A retire purges once, when it sets the mark; a query that
-    /// selected the sensor while it was live can cache its reading after that
-    /// purge, and the sensor would be counted until the level is next
-    /// merged. So the write-back looks again after it has written: the retire
-    /// marks and then purges under the tree's maintenance lock, the query
-    /// inserts under that lock and then reads the mark, and whichever comes
-    /// second sees the other.
-    pub(crate) fn purge_retired(&self, written: &[Reading]) {
+    /// Purges whichever of `written` — readings (local ids) a write-back
+    /// just cached — belong to a sensor tombstoned by now. A retire purges
+    /// once, when it sets the mark; a write-back that found the sensor live
+    /// in the directory can cache its reading after that purge, and the
+    /// sensor would be counted until the level is next merged. So the
+    /// write-back looks again after it has written: the retire marks and
+    /// then purges under the tree's maintenance lock, the write-back inserts
+    /// under that lock and then reads the mark, and whichever comes second
+    /// sees the other.
+    pub(crate) fn purge_retired(&self, written: impl Iterator<Item = Reading>) {
         // A retire counts itself before it purges, so none counted is none
         // to look for: one load on an index nobody retires from.
         if self.tombstone_count() == 0 {
@@ -269,8 +269,6 @@ pub(crate) struct Parked {
 /// What a merge's publication needs from the L0 it cut: see
 /// [`L0Level::after_cut`].
 pub(crate) struct AfterCut {
-    /// Readings cached since the cut for sensors of the batch (global ids).
-    pub(crate) since_cut: Vec<CachedEntry>,
     /// The live suffix registered while the merge was building, in
     /// registration order, with its cached readings: the next L0.
     pub(crate) rest: Vec<(SensorMeta, Option<CachedEntry>)>,
@@ -439,13 +437,18 @@ impl L0Level {
     /// Caches freshly probed readings (write-back), each at the position it
     /// was asked from, where that position still holds the reading's sensor
     /// live. Returns how many were cached.
-    pub(crate) fn insert_readings(&self, got: &[(u32, Reading)], fetched_at: Timestamp) -> usize {
-        if got.is_empty() {
+    pub(crate) fn insert_readings(
+        &self,
+        got: impl Iterator<Item = (u32, Reading)>,
+        fetched_at: Timestamp,
+    ) -> usize {
+        let mut got = got.peekable();
+        if got.peek().is_none() {
             return 0;
         }
         let mut inner = self.inner.write();
         let mut inserted = 0;
-        for &(pos, reading) in got {
+        for (pos, reading) in got {
             let pos = pos as usize;
             let here = inner.sensors.get(pos).map(|m| m.id);
             if here != Some(reading.sensor) || inner.tombstoned[pos] {
@@ -477,26 +480,19 @@ impl L0Level {
         inner.earliest_expiry = earliest_expiry(inner.entries.iter());
     }
 
-    /// What a merge that cut this L0 at length `cut`, taking `batch`,
-    /// publishes beside its level: the readings cached since the cut for
-    /// sensors of the batch (queries kept probing them while the level was
-    /// building), and the suffix registered meanwhile — live sensors to park
-    /// in the next L0, retired ones to drop. Called by the merge while it
-    /// holds the publication write lock, so no registration or retire can
-    /// race it. This L0 itself is left as it was: a query that took the
-    /// outgoing cut just before publication still finds the merged sensors
-    /// here, beside the levels that do not hold them yet.
-    pub(crate) fn after_cut(&self, cut: usize, batch: &[Parked]) -> AfterCut {
+    /// What a merge that cut this L0 at length `cut` publishes beside its
+    /// level: the suffix registered meanwhile — live sensors to park in the
+    /// next L0, retired ones to drop. Called by the merge while it holds the
+    /// publication write lock, so no registration or retire can race it.
+    /// This L0 itself is left as it was: a query that took the outgoing cut
+    /// just before publication still finds the merged sensors here, beside
+    /// the levels that do not hold them yet.
+    pub(crate) fn after_cut(&self, cut: usize) -> AfterCut {
         let inner = self.inner.read();
-        let since_cut = batch
-            .iter()
-            .filter_map(|p| inner.entries[p.pos as usize].filter(|e| Some(*e) != p.entry))
-            .collect();
         let suffix = cut..inner.sensors.len();
         let rest = inner.parked(suffix.clone()).map(|p| (p.meta, p.entry));
         let dead = suffix.filter(|&pos| inner.tombstoned[pos]);
         AfterCut {
-            since_cut,
             rest: rest.collect(),
             dropped: dead.map(|pos| inner.sensors[pos].id.0).collect(),
         }

@@ -29,6 +29,13 @@
 //! There is one way through: a fresh index — one level, nothing retired, an
 //! empty L0 — is the same loop run once, and answers exactly as its level's
 //! tree does when handed the rounded target and component 0's stream.
+//!
+//! And one way back: a query writes nothing into the cut it read until it
+//! has run. Its successes go to wherever their sensors live then: where it
+//! found them while its cut is still the published one, through the
+//! directory once a merge has published ([`LsmTree::apply_deferred`]). A
+//! merge carries what was written into the levels it absorbs while it
+//! built, so none is lost.
 
 mod level;
 
@@ -49,6 +56,7 @@ use crate::lookup::{finish, GroupResult, Mode, Query, QueryOutput, Wave};
 use crate::probe::ProbeService;
 use crate::reading::{Reading, SensorId, SensorMeta};
 use crate::sampling::{stochastic_round, MIN_AVAILABILITY};
+use crate::scratch::QueryScratch;
 use crate::stats::QueryStats;
 use crate::time::Timestamp;
 use crate::tree::{CachedEntry, ColrConfig, NodeId};
@@ -243,9 +251,8 @@ impl LsmState {
         self.l0.advance(now);
     }
 
-    /// Captures this cut frozen for batch execution. The caller is expected
-    /// to [`LsmState::advance`] to the batch instant first, exactly like the
-    /// monolithic frozen path.
+    /// Captures this cut for batch execution, L0 copied. The caller is
+    /// expected to [`LsmState::advance`] to the batch instant first.
     pub fn freeze(self: &Arc<Self>) -> LsmSnapshot {
         let l0 = self.l0.snapshot();
         LsmSnapshot {
@@ -268,9 +275,8 @@ impl LsmState {
 }
 
 /// A frozen cut for batch execution: queries of one batch all run against
-/// this snapshot (levels by `Arc`, L0 by value), with probe results deferred
-/// to an ordered [`LsmTree::apply_deferred`] — the LSM analogue of
-/// [`crate::tree::ColrTree::execute_frozen`].
+/// this snapshot (levels by `Arc`, L0 by value), with probe results applied
+/// after the batch by [`LsmTree::apply_deferred`] in submission order.
 pub struct LsmSnapshot {
     state: Arc<LsmState>,
     l0: Vec<Parked>,
@@ -328,7 +334,11 @@ impl LocationFold {
 /// other held, and only L0's after it. Every directory change but a
 /// merge's is made under `state`'s read lock and a merge's publication under
 /// its write lock, so a location read under either names a component of the
-/// published cut: an L0 position is a position in the published L0.
+/// published cut: an L0 position is a position in the published L0. A
+/// write-back through the directory reads it and writes its components
+/// under the read lock, which orders it before or after a publication,
+/// never across one; a query's, written where it found its readings, reads
+/// the published ordinal under `carry` after writing instead.
 pub struct LsmTree {
     config: ColrConfig,
     lsm: LsmConfig,
@@ -338,6 +348,9 @@ pub struct LsmTree {
     /// register/retire/merge.
     directory: Mutex<Directory>,
     merge_lock: Mutex<()>,
+    /// The published ordinal, and what the write-backs owe a merge that is
+    /// building.
+    carry: Mutex<Carry>,
     /// [`LsmTree::live_location_fold`]'s fold after each level of the cut
     /// it last ran on, with the level's key and the tombstones counted
     /// before the level was folded.
@@ -380,6 +393,7 @@ impl LsmTree {
             })),
             directory: Mutex::new(directory),
             merge_lock: Mutex::new(()),
+            carry: Mutex::new(Carry::default()),
             fold_memo: Mutex::new(Vec::new()),
         }
     }
@@ -422,11 +436,13 @@ impl LsmTree {
 
     /// Registers a sensor: one push into L0, visible to the next query.
     /// The read guard is held across the push so a concurrent merge
-    /// publication (which holds the write lock) can never miss it.
+    /// publication (which holds the write lock) can never miss it, and the
+    /// directory's lock too, so a write-back of a query that saw the push
+    /// finds the sensor's entry.
     pub fn register(&self, meta: SensorMeta) {
         let state = self.state.read();
-        let pos = state.l0.push(meta);
         let mut directory = self.directory.lock();
+        let pos = state.l0.push(meta);
         directory.park(meta.id, pos);
         directory.publish_gauges();
         crate::telem::lsm().registrations.inc();
@@ -536,7 +552,10 @@ impl LsmTree {
     }
 
     /// Processes `query` across `cut`, and no other — the LSM analogue of
-    /// [`crate::tree::ColrTree::execute`].
+    /// [`crate::tree::ColrTree::execute`]: every component rolls its window
+    /// to `now`, L0's candidates are read once, the query runs as a batch's
+    /// does, and its successes are written back through the directory
+    /// ([`LsmTree::apply_deferred`]) before it returns.
     ///
     /// The sample target splits across components by live weight
     /// ([`apportion`]) and each component runs under an independent RNG
@@ -555,12 +574,25 @@ impl LsmTree {
         R: Rng + ?Sized,
     {
         cut.advance(now);
-        self.exec_layered(cut, None, query, mode, probe, now, rng, &mut Vec::new())
+        let l0 = cut.l0.candidates(query);
+        crate::scratch::with_scratch(|scratch| {
+            let mut got = std::mem::take(&mut scratch.got);
+            let mut out =
+                self.exec_layered(cut, &l0, query, mode, probe, now, rng, scratch, &mut got);
+            let successes = got.iter().map(|&i| &out.readings[i as usize]);
+            let homes = &mut scratch.layers.homes;
+            let inserted = self.write_back(Some(cut), successes, now, homes);
+            out.stats.cache_inserts += inserted as u64;
+            clear_pooled(&mut got);
+            scratch.got = got;
+            out
+        })
     }
 
     /// [`LsmTree::execute`] against a frozen snapshot: no component advances
-    /// its window and probe results are returned (global ids) for a deferred
-    /// [`LsmTree::apply_deferred`] instead of being cached mid-query.
+    /// its window, L0's candidates come from the snapshot's copy, and the
+    /// successes (global ids) are returned for a later
+    /// [`LsmTree::apply_deferred`] instead of being written back.
     pub fn execute_frozen<P, R>(
         &self,
         snap: &LsmSnapshot,
@@ -574,86 +606,107 @@ impl LsmTree {
         P: ProbeService + ?Sized,
         R: Rng + ?Sized,
     {
-        let mut deferred = Vec::new();
-        let l0 = Some(snap.l0.as_slice());
-        let out = self.exec_layered(&snap.state, l0, query, mode, probe, now, rng, &mut deferred);
+        let l0: Vec<Parked> = snap
+            .l0
+            .iter()
+            .filter(|p| query.matches_sensor(&p.meta))
+            .copied()
+            .collect();
+        let (state, mut got) = (&snap.state, Vec::new());
+        let out = crate::scratch::with_scratch(|s| {
+            self.exec_layered(state, &l0, query, mode, probe, now, rng, s, &mut got)
+        });
+        let deferred = got.iter().map(|&i| out.readings[i as usize]).collect();
         (out, deferred)
     }
 
-    /// Applies deferred probe results (global ids) from frozen executions,
-    /// routing each reading to wherever its sensor lives *now* — readings of
-    /// sensors merged mid-batch land in the new level, retired ones are
-    /// discarded. Returns the number of readings cached.
+    /// The one write-back: caches `readings` (global ids) wherever their
+    /// sensors live *now* — an interactive query's right after it, a batch's
+    /// after the batch. A reading of a sensor merged since its query read
+    /// the cut lands in the new level; a retired sensor's is dropped.
+    /// Returns the number of readings cached.
     pub fn apply_deferred(&self, readings: &[Reading], now: Timestamp) -> usize {
-        if readings.is_empty() {
-            return 0;
-        }
-        let state = self.state.read();
-        let mut per_level: Vec<(u64, Reading)> = Vec::new();
-        let mut l0_readings = Vec::new();
-        {
-            let directory = self.directory.lock();
-            for r in readings {
-                let Some(&Placed {
-                    loc,
-                    retired: false,
-                }) = directory.table.get(r.sensor.index())
-                else {
-                    continue;
-                };
-                match loc {
-                    SensorLoc::L0 { pos } => l0_readings.push((pos, *r)),
-                    SensorLoc::Level { key, local } => {
-                        let sensor = SensorId(local);
-                        per_level.push((key, Reading { sensor, ..*r }));
-                    }
-                }
-            }
-        }
-        let mut inserted = 0;
-        for level in &state.levels {
-            let batch: Vec<Reading> = per_level
-                .iter()
-                .filter(|(key, _)| *key == level.key())
-                .map(|&(_, r)| r)
-                .collect();
-            if !batch.is_empty() {
-                inserted += level.tree().apply_readings(&batch, now);
-                level.purge_retired(&batch);
-            }
-        }
-        inserted + state.l0.insert_readings(&l0_readings, now)
+        let readings = readings.iter();
+        crate::scratch::with_scratch(|s| self.write_back(None, readings, now, &mut s.layers.homes))
     }
 
-    /// Layered execution over one cut. With `frozen_l0` unset (the interactive
-    /// path) L0 is read live and every write-back is immediate; set, it is
-    /// the batch's copy of L0, and probe results are pushed into `deferred`
-    /// (global ids) instead of being cached.
+    /// [`LsmTree::apply_deferred`] with the thread's pooled buffers.
+    ///
+    /// An interactive query passes the cut it read, and `homes` then holds
+    /// where it found each reading there. While that cut is the published
+    /// one those are the homes, written without `state`'s lock or the
+    /// directory's: a query waiting for either would wait for the writer.
+    /// A publication sets the ordinal as it takes the log, so the ordinal
+    /// is read again after writing: unchanged, the readings are logged for
+    /// a merge building (or were in its carry-over); changed, they go again
+    /// through the directory. That pass, under `state`'s read lock, gives
+    /// each reading its home, and each component takes its readings in
+    /// their order.
+    fn write_back<'a>(
+        &self,
+        found_in: Option<&LsmState>,
+        readings: impl Iterator<Item = &'a Reading> + Clone,
+        now: Timestamp,
+        homes: &mut Vec<(u32, u32)>,
+    ) -> usize {
+        if readings.clone().next().is_none() {
+            return 0;
+        }
+        let mut inserted = None;
+        if let Some(cut) = found_in.filter(|cut| self.carry.lock().published == cut.ordinal) {
+            let written = apply_routed(cut, readings.clone(), homes, now);
+            let mut carry = self.carry.lock();
+            if carry.published == cut.ordinal {
+                carry.record(readings.clone(), now);
+                inserted = Some(written);
+            }
+        }
+        let inserted = inserted.unwrap_or_else(|| {
+            homes.clear();
+            let state = self.state.read();
+            let l0 = state.levels.len() as u32;
+            let at = |key| state.levels.iter().position(|l| l.key() == key);
+            let home = |loc| match loc {
+                SensorLoc::L0 { pos } => (l0, pos),
+                SensorLoc::Level { key, local } => (at(key).map_or(u32::MAX, |i| i as u32), local),
+            };
+            let directory = self.directory.lock();
+            let placed = |r: &Reading| directory.table.get(r.sensor.index()).copied();
+            let live = readings.clone().map(|r| placed(r).filter(|p| !p.retired));
+            homes.extend(live.map(|p| p.map_or((u32::MAX, 0), |p| home(p.loc))));
+            drop(directory);
+            let written = apply_routed(&state, readings.clone(), homes, now);
+            // Logged after writing, under the read lock: a merge whose cut or
+            // carry-over missed these readings opened the log before that.
+            self.carry.lock().record(readings, now);
+            written
+        });
+        crate::flight::with(|f| f.write_back(inserted as u64));
+        clear_pooled(homes);
+        inserted
+    }
+
+    /// Layered execution over one cut, L0's candidates given: split → every
+    /// component selects → one wave → every component completes. Where
+    /// each success lands in the answer's readings (global ids) is appended
+    /// to `got`, the one list the caller writes back from.
     #[allow(clippy::too_many_arguments)]
     fn exec_layered<P, R>(
         &self,
         state: &LsmState,
-        frozen_l0: Option<&[Parked]>,
+        l0_cands: &[Parked],
         query: &Query,
         mode: Mode,
         probe: &P,
         now: Timestamp,
         rng: &mut R,
-        deferred: &mut Vec<Reading>,
+        scratch: &mut QueryScratch,
+        got: &mut Vec<u32>,
     ) -> QueryOutput
     where
         P: ProbeService + ?Sized,
         R: Rng + ?Sized,
     {
-        let l0_cands = match frozen_l0 {
-            Some(l0) => l0
-                .iter()
-                .filter(|p| query.matches_sensor(&p.meta))
-                .copied()
-                .collect(),
-            None => state.l0.candidates(query),
-        };
-        let frozen = frozen_l0.is_some();
         // Only Mode::Colr with an explicit target is layered — other modes
         // visit every component with the query unchanged.
         let r_int = match (mode, query.sample_size) {
@@ -664,178 +717,156 @@ impl LsmTree {
         // stream (`i + 1`), so results do not depend on component execution
         // order, and the apportionment's `u` (stream 0).
         let base = rng.next_u64();
-        crate::scratch::with_scratch(|scratch| {
-            let mut plan = std::mem::take(&mut scratch.plan);
-            plan.clear();
-            let mut layers = std::mem::take(&mut scratch.layers);
-            let LayerScratch { split, parts, wire } = &mut layers;
-            split.clear();
-            wire.clear();
-            wire.shrink_to(crate::lookup::ProbePlan::POOLED);
+        let mut plan = std::mem::take(&mut scratch.plan);
+        plan.clear();
+        let mut layers = std::mem::take(&mut scratch.layers);
+        let LayerScratch {
+            split,
+            parts,
+            wire,
+            homes,
+        } = &mut layers;
+        split.clear();
+        clear_pooled(wire);
+        clear_pooled(homes);
 
-            // --- Split: the components with something to answer, levels in
-            // state order and L0 last, each handed its share of the target.
-            for (i, level) in state.levels.iter().enumerate() {
-                let weight = match r_int {
-                    Some(_) => level.query_weight(&query.region, query.kind_filter),
-                    // Nothing to split: every level that holds a sensor
-                    // answers the query as asked.
-                    None => level.len() as f64,
-                };
-                if weight > 0.0 {
-                    split.push(Claim::new(i, weight));
-                }
-            }
-            if !l0_cands.is_empty() {
-                split.push(Claim::new(state.levels.len(), l0_cands.len() as f64));
-            }
-            if let Some(r_int) = r_int {
-                apportion(r_int, split, unit_draw(derive_seed(base, 0)));
-            }
-
-            // --- Select: every component walks; no sensor is contacted ------
-            let mut stats = QueryStats::default();
-            let mut l0_part = None;
-            for claim in split.iter() {
-                let share = r_int.map(|_| claim.share);
-                if share == Some(0) {
-                    continue;
-                }
-                let mut comp_rng = StdRng::seed_from_u64(derive_seed(base, claim.id as u64 + 1));
-                let Some(level) = state.levels.get(claim.id) else {
-                    l0_part = select_l0(
-                        &l0_cands,
-                        query,
-                        mode,
-                        now,
-                        &mut comp_rng,
-                        share,
-                        &mut stats,
-                    );
-                    continue;
-                };
-                // The level's weight counted live sensors only, but its walk
-                // spreads a target over the tombstoned ones too and the
-                // collect step drops those picks: ask for enough that the
-                // live ones keep the whole share.
-                let target = share.map(|share| {
-                    let live = level.live_fraction();
-                    if live > 0.0 {
-                        share as f64 / live
-                    } else {
-                        0.0
-                    }
-                });
-                let (fixes_from, ids_from) = (plan.fixes.len(), plan.ids.len());
-                let out = level.tree().select(
-                    query,
-                    target,
-                    mode,
-                    now,
-                    &mut comp_rng,
-                    &mut plan,
-                    scratch,
-                );
-                let (fixes, ids) = (fixes_from..plan.fixes.len(), ids_from..plan.ids.len());
-                parts.push((claim.id, out, fixes, ids));
-            }
-
-            // --- Collect: one wave over every component's selections, in
-            // component order. Local ids go out as global ids; tombstoned
-            // sensors never reach the wire and read as unavailable.
-            // Liveness is read once, here: a retire racing the query must
-            // not shift outcomes between sensors.
-            wire.reserve(plan.ids.len());
-            for (level, _, _, ids) in parts.iter() {
-                let level = &state.levels[*level];
-                let picks = plan.ids[ids.clone()].iter();
-                let live = picks.filter(|&&s| !level.is_tombstoned(s));
-                wire.extend(live.map(|&s| level.global_id(s)));
-            }
-            if let Some(part) = &l0_part {
-                wire.extend(part.to_probe.iter().map(|&(_, id)| id));
-            }
-            let mut wave = Wave::new(probe, wire, query, now);
-            // A pick went out iff the next id of the wire not yet matched is
-            // its own: the wire is the record of who was asked.
-            let mut sent = wire.iter().peekable();
-
-            // --- Complete: each component folds in its slice of the wave ----
-            let mut groups = Vec::new();
-            let mut readings = Vec::new();
-            for (level, mut out, fixes, ids) in parts.drain(..) {
-                let level = &state.levels[level];
-                let mut outcomes = plan.ids[ids].iter().map(|&sensor| {
-                    let asked = sent.next_if_eq(&&level.global_id(sensor)).is_some();
-                    let arrived = if asked { wave.next().flatten() } else { None };
-                    arrived.map(|r| Reading { sensor, ..r })
-                });
-                let deferred_from = deferred.len();
-                level.tree().complete(
-                    &mut out,
-                    &plan,
-                    fixes,
-                    &mut outcomes,
-                    &mut scratch.got,
-                    mode,
-                    now,
-                    frozen.then_some(&mut *deferred),
-                );
-                for r in &mut deferred[deferred_from..] {
-                    r.sensor = level.global_id(r.sensor);
-                }
-                if !frozen {
-                    level.purge_retired(&out.readings);
-                }
-                for r in &mut out.readings {
-                    r.sensor = level.global_id(r.sensor);
-                }
-                // The first component's vectors are taken whole: a one-level
-                // index copies nothing.
-                if groups.is_empty() && readings.is_empty() {
-                    groups = out.groups;
-                    readings = out.readings;
-                } else {
-                    groups.append(&mut out.groups);
-                    readings.append(&mut out.readings);
-                }
-                stats.merge(&out.stats);
-            }
-            if let Some(mut part) = l0_part {
-                // The rest of the wave is L0's, in `to_probe` order.
-                let asked = part.to_probe.iter().zip(wave.by_ref());
-                let probed: Vec<(u32, Reading)> = asked
-                    .filter_map(|(&(pos, _), got)| Some((pos, got?)))
-                    .collect();
-                match (mode, frozen) {
-                    (Mode::RTree, _) => {}
-                    (_, false) => {
-                        let inserted = state.l0.insert_readings(&probed, now);
-                        stats.cache_inserts += inserted as u64;
-                        crate::flight::with(|f| f.write_back(inserted as u64));
-                    }
-                    (_, true) => deferred.extend(probed.iter().map(|&(_, r)| r)),
-                }
-                for (_, r) in &probed {
-                    part.group.agg.insert(r.value);
-                }
-                part.readings.extend(probed.iter().map(|&(_, r)| r));
-                part.group.results = part.readings.len() as u64;
-                groups.push(part.group);
-                readings.append(&mut part.readings);
-            }
-            wave.charge(&mut stats);
-            scratch.plan = plan;
-            scratch.layers = layers;
-            let mut out = QueryOutput {
-                groups,
-                readings,
-                stats,
-                latency_ms: 0.0,
+        // --- Split: the components with something to answer, levels in
+        // state order and L0 last, each handed its share of the target.
+        for (i, level) in state.levels.iter().enumerate() {
+            let weight = match r_int {
+                Some(_) => level.query_weight(&query.region, query.kind_filter),
+                // Nothing to split: every level that holds a sensor
+                // answers the query as asked.
+                None => level.len() as f64,
             };
-            finish(mode, now, &mut out);
-            out
-        })
+            if weight > 0.0 {
+                split.push(Claim::new(i, weight));
+            }
+        }
+        if !l0_cands.is_empty() {
+            split.push(Claim::new(state.levels.len(), l0_cands.len() as f64));
+        }
+        if let Some(r_int) = r_int {
+            apportion(r_int, split, unit_draw(derive_seed(base, 0)));
+        }
+
+        // --- Select: every component walks; no sensor is contacted ------
+        let mut stats = QueryStats::default();
+        let mut l0_part = None;
+        for claim in split.iter() {
+            let share = r_int.map(|_| claim.share);
+            if share == Some(0) {
+                continue;
+            }
+            let mut comp_rng = StdRng::seed_from_u64(derive_seed(base, claim.id as u64 + 1));
+            let Some(level) = state.levels.get(claim.id) else {
+                l0_part = select_l0(l0_cands, query, mode, now, &mut comp_rng, share, &mut stats);
+                continue;
+            };
+            // The level's weight counted live sensors only, but its walk
+            // spreads a target over the tombstoned ones too and the
+            // collect step drops those picks: ask for enough that the
+            // live ones keep the whole share.
+            let target = share.map(|share| {
+                let live = level.live_fraction();
+                if live > 0.0 {
+                    share as f64 / live
+                } else {
+                    0.0
+                }
+            });
+            let (fixes_from, ids_from) = (plan.fixes.len(), plan.ids.len());
+            let out =
+                level
+                    .tree()
+                    .select(query, target, mode, now, &mut comp_rng, &mut plan, scratch);
+            let (fixes, ids) = (fixes_from..plan.fixes.len(), ids_from..plan.ids.len());
+            parts.push((claim.id, out, fixes, ids));
+        }
+
+        // --- Collect: one wave over every component's selections, in
+        // component order. Local ids go out as global ids; tombstoned
+        // sensors never reach the wire and read as unavailable.
+        // Liveness is read once, here: a retire racing the query must
+        // not shift outcomes between sensors.
+        wire.reserve(plan.ids.len());
+        for (level, _, _, ids) in parts.iter() {
+            let level = &state.levels[*level];
+            let picks = plan.ids[ids.clone()].iter();
+            let live = picks.filter(|&&s| !level.is_tombstoned(s));
+            wire.extend(live.map(|&s| level.global_id(s)));
+        }
+        if let Some(part) = &l0_part {
+            wire.extend(part.to_probe.iter().map(|&i| l0_cands[i as usize].meta.id));
+        }
+        let mut wave = Wave::new(probe, wire, query, now);
+        // A pick went out iff the next id of the wire not yet matched is
+        // its own: the wire is the record of who was asked.
+        let mut sent = wire.iter().peekable();
+
+        // --- Complete: each component folds in its slice of the wave ----
+        got.reserve(wire.len());
+        homes.reserve(wire.len());
+        let mut groups = Vec::new();
+        let mut readings = Vec::new();
+        for (at, mut out, fixes, ids) in parts.drain(..) {
+            let level = &state.levels[at];
+            let mut outcomes = plan.ids[ids].iter().map(|&sensor| {
+                let asked = sent.next_if_eq(&&level.global_id(sensor)).is_some();
+                let arrived = if asked { wave.next().flatten() } else { None };
+                arrived.map(|r| Reading { sensor, ..r })
+            });
+            let got_from = got.len();
+            let tree = level.tree();
+            tree.complete(&mut out, &plan, fixes, &mut outcomes, got, mode);
+            // Where the level's successes land in the answer, and where
+            // they live in the cut.
+            for i in &mut got[got_from..] {
+                homes.push((at as u32, out.readings[*i as usize].sensor.0));
+                *i += readings.len() as u32;
+            }
+            for r in &mut out.readings {
+                r.sensor = level.global_id(r.sensor);
+            }
+            // The first component's vectors are taken whole: a one-level
+            // index copies nothing.
+            if groups.is_empty() && readings.is_empty() {
+                groups = out.groups;
+                readings = out.readings;
+            } else {
+                groups.append(&mut out.groups);
+                readings.append(&mut out.readings);
+            }
+            stats.merge(&out.stats);
+        }
+        if let Some(mut part) = l0_part {
+            // The rest of the wave is L0's, in `to_probe` order.
+            let asked = part.to_probe.iter().zip(wave.by_ref());
+            for (&i, r) in asked.filter_map(|(i, r)| Some((i, r?))) {
+                // No cache in R-Tree mode: its results are never
+                // written back.
+                if mode != Mode::RTree {
+                    got.push((readings.len() + part.readings.len()) as u32);
+                    homes.push((state.levels.len() as u32, l0_cands[i as usize].pos));
+                }
+                part.group.agg.insert(r.value);
+                part.readings.push(r);
+            }
+            part.group.results = part.readings.len() as u64;
+            groups.push(part.group);
+            readings.append(&mut part.readings);
+        }
+        wave.charge(&mut stats);
+        scratch.plan = plan;
+        scratch.layers = layers;
+        let mut out = QueryOutput {
+            groups,
+            readings,
+            stats,
+            latency_ms: 0.0,
+        };
+        finish(mode, now, &mut out);
+        out
     }
 
     // ------------------------------------------------------------------
@@ -864,6 +895,9 @@ impl LsmTree {
     /// report when there is nothing to compact.
     fn build_merge(&self, now: Timestamp) -> Result<BuiltMerge, MergeReport> {
         let state = self.state.read().clone();
+        // Every write-back from here on is logged for the publication to
+        // carry; the cut and the carry-over below take what came before.
+        self.carry.lock().log = Some(Vec::new());
         // The batch: L0's prefix as long as L0 is now. Sensors registered
         // after this point stay in L0 across the publication.
         let (cut, batch, mut dropped) = state.l0.cut();
@@ -887,6 +921,7 @@ impl LsmTree {
         if batch.is_empty() && absorbed.iter().all(|l| l.tombstone_count() == 0) {
             // Nothing new and nothing to purge: leave the structure alone
             // rather than churn identical levels.
+            self.carry.lock().log = None;
             return Err(MergeReport {
                 levels_after: state.levels.len(),
                 l0_after: state.l0.live(),
@@ -933,9 +968,9 @@ impl LsmTree {
         ));
         level.tree().advance(now);
 
-        // Carry-over: absorbed levels' cached readings plus L0's, translated
-        // to the new level's local ids; `restore_entries` drops anything
-        // expired, out of window, or belonging to a dropped sensor.
+        // Carry-over: the absorbed levels' cached readings plus L0's,
+        // translated to the new level's local ids; `restore_entries` drops
+        // anything expired, out of window, or belonging to a dropped sensor.
         let mut carry: Vec<CachedEntry> = Vec::new();
         for level in absorbed {
             carry.extend(level.cached_entries_global());
@@ -946,7 +981,6 @@ impl LsmTree {
             state,
             absorb_from,
             cut,
-            batch,
             dropped,
             level,
             carried,
@@ -954,10 +988,11 @@ impl LsmTree {
     }
 
     /// The second half of [`LsmTree::merge`]: under `state`'s write lock,
-    /// swaps the built level in for what it absorbed, re-routes the
-    /// directory, re-applies the retires that raced the build, carries what
-    /// L0 cached since the cut, parks the suffix in a new L0 and drops the
-    /// tombstones — array stores, one per sensor the merge moved or dropped.
+    /// carries what was cached since the build took its carry-over, swaps
+    /// the built level in for what it absorbed, re-routes the directory,
+    /// re-applies the retires that raced the build, parks the suffix in a
+    /// new L0 and drops the tombstones — array stores, one per sensor the
+    /// merge moved or dropped.
     fn publish_merge(
         &self,
         built: BuiltMerge,
@@ -968,14 +1003,34 @@ impl LsmTree {
             state,
             absorb_from,
             cut,
-            batch,
             mut dropped,
             level,
             mut carried,
         } = built;
         let key = level.key();
+        // Queries kept writing back while the level was building, and the
+        // log holds what they wrote (the new level keeps its own sensors'
+        // readings). What is logged so far is carried before the lock is
+        // taken: nothing else writes into a level not yet published.
+        let early = self.carry.lock().log.as_mut().map(std::mem::take);
+        carried += level
+            .tree()
+            .restore_entries(&level.to_local(early.unwrap_or_default()), now);
         let (levels_after, l0_after, ordinal) = {
             let mut published = self.state.write();
+            let ordinal = published.ordinal + 1;
+            // The rest is carried under it. A write-back through the
+            // directory routes under `state`'s read lock, and one that wrote
+            // where its query found the readings looks at the ordinal after
+            // writing: from here on either goes to the new level. Before the
+            // retires are re-applied, which purge what they must.
+            let logged = {
+                let mut carry = self.carry.lock();
+                carry.published = ordinal;
+                carry.log.take().unwrap_or_default()
+            };
+            carried += level.tree().restore_entries(&level.to_local(logged), now);
+            let after = state.l0.after_cut(cut);
             let mut directory = self.directory.lock();
             for j in 0..level.len() {
                 let local = SensorId(j as u32);
@@ -990,13 +1045,6 @@ impl LsmTree {
                     }
                 }
             }
-            // Queries kept probing the batch's sensors while the level was
-            // building: a reading L0 cached since the cut is carried too, so
-            // the swap does not lose it.
-            let after = state.l0.after_cut(cut, &batch);
-            carried += level
-                .tree()
-                .restore_entries(&level.to_local(after.since_cut), now);
             dropped.extend(after.dropped);
             for &id in &dropped {
                 directory.drop_sensor(id);
@@ -1014,7 +1062,6 @@ impl LsmTree {
             crate::telem::lsm().levels.set(levels_after as i64);
             directory.publish_gauges();
             let primary = primary_of(&levels);
-            let ordinal = published.ordinal + 1;
             *published = Arc::new(LsmState {
                 levels,
                 l0: new_l0,
@@ -1052,13 +1099,64 @@ struct BuiltMerge {
     absorb_from: usize,
     /// L0's length at the cut: the batch is its prefix.
     cut: usize,
-    /// The prefix's live sensors, with their cached readings at the cut.
-    batch: Vec<Parked>,
     /// Global ids tombstoned at the cut in what the merge took: dropped.
     dropped: Vec<u32>,
     level: Arc<LsmLevel>,
     /// Cached readings carried into `level` so far.
     carried: usize,
+}
+
+/// What write-backs owe merges, under one lock.
+#[derive(Default)]
+struct Carry {
+    /// The ordinal of the published cut, set by a publication as it takes
+    /// the log.
+    published: u64,
+    /// While a merge builds, every reading written back since it took its
+    /// cut (global ids), for its publication to carry.
+    log: Option<Vec<CachedEntry>>,
+}
+
+impl Carry {
+    /// Logs `readings`, cached at `now`, when a merge is building.
+    fn record<'a>(&mut self, readings: impl Iterator<Item = &'a Reading>, now: Timestamp) {
+        if let Some(log) = self.log.as_mut() {
+            let fetched_at = now;
+            log.extend(readings.map(|&reading| CachedEntry {
+                reading,
+                fetched_at,
+            }));
+        }
+    }
+}
+
+/// Writes each of `readings` (global ids) into its home in `state`, each
+/// component taking its readings in their order. `homes` is parallel: a
+/// reading's component's index in `state` (L0's is the levels' count, a
+/// retired sensor's none) and its local id or L0 position there. A level's
+/// are purged again of a retire that raced the write. Returns the number of
+/// readings cached.
+fn apply_routed<'a>(
+    state: &LsmState,
+    readings: impl Iterator<Item = &'a Reading> + Clone,
+    homes: &[(u32, u32)],
+    now: Timestamp,
+) -> usize {
+    let routed = readings.zip(homes);
+    let to = |at: u32| {
+        let mine = routed.clone().filter(move |(_, home)| home.0 == at);
+        mine.map(|(r, &(_, i))| (i, *r))
+    };
+    let mut inserted = 0;
+    for (at, level) in (0..).zip(&state.levels) {
+        let mine = to(at).map(|(local, r)| Reading {
+            sensor: SensorId(local),
+            ..r
+        });
+        inserted += level.tree().apply_readings(mine.clone(), now);
+        level.purge_retired(mine);
+    }
+    inserted + state.l0.insert_readings(to(state.levels.len() as u32), now)
 }
 
 /// The layered executor's buffers, pooled in the thread's
@@ -1073,15 +1171,25 @@ pub(crate) struct LayerScratch {
     /// The plan's ids as the wave sends them: global, tombstoned picks left
     /// out, L0's selections last.
     wire: Vec<SensorId>,
+    /// Per reading written back: its component's index in the cut and its
+    /// local id or L0 position there (`u32::MAX` for a retired sensor).
+    homes: Vec<(u32, u32)>,
+}
+
+/// Empties a pooled buffer and trims it to what an ordinary request needs,
+/// so one fleet-wide fill does not keep its size for the thread's life.
+fn clear_pooled<T>(buf: &mut Vec<T>) {
+    buf.clear();
+    buf.shrink_to(crate::lookup::ProbePlan::POOLED);
 }
 
 /// What the flat L0 component selected: its group and cached readings so
-/// far, and the sensors it adds to the query's wave (with their positions,
-/// where the write-back caches what they answer).
+/// far, and the sensors it adds to the query's wave.
 struct L0Part {
     group: GroupResult,
     readings: Vec<Reading>,
-    to_probe: Vec<(u32, SensorId)>,
+    /// The candidates it asks the wave for, by index.
+    to_probe: Vec<u32>,
 }
 
 /// Selects from the L0 component's candidates (there is at least one, or L0
@@ -1126,14 +1234,14 @@ fn select_l0<R: Rng + ?Sized>(
     let mut to_probe = Vec::new();
     let mut agg = PartialAgg::empty();
     for &i in selected {
-        let Parked { pos, meta, entry } = &cands[i];
+        let Parked { meta, entry, .. } = &cands[i];
         bbox.expand_to_point(&meta.location);
         match entry {
             Some(e) if mode != Mode::RTree && e.reading.is_fresh(now, query.staleness) => {
                 agg.insert(e.reading.value);
                 readings.push(e.reading);
             }
-            _ => to_probe.push((*pos, meta.id)),
+            _ => to_probe.push(i as u32),
         }
     }
     stats.readings_from_cache += readings.len() as u64;

@@ -424,6 +424,171 @@ fn merge_mid_batch_routes_deferred_readings_to_the_new_level() {
     assert_eq!(warm.result_size(), 6);
 }
 
+/// [`AlwaysAvailable`], but its first wave first runs `on_first_wave` on
+/// the index: a merge lands while a query's wave is out.
+struct MergesMidWave<'a> {
+    lsm: &'a LsmTree,
+    on_first_wave: fn(&LsmTree, &Mutex<Option<BuiltMerge>>),
+    waves: std::sync::atomic::AtomicUsize,
+    built: Mutex<Option<BuiltMerge>>,
+}
+
+impl ProbeService for MergesMidWave<'_> {
+    fn probe_batch(&self, ids: &[SensorId], now: Timestamp) -> Vec<Option<Reading>> {
+        if self.waves.fetch_add(1, std::sync::atomic::Ordering::SeqCst) == 0 {
+            (self.on_first_wave)(self.lsm, &self.built);
+        }
+        AlwaysAvailable {
+            expiry_ms: EXPIRY_MS,
+        }
+        .probe_batch(ids, now)
+    }
+}
+
+/// Six arrivals at (30..36, 30), registered into L0, and the viewport that
+/// holds them and nothing else.
+fn six_arrivals(lsm: &LsmTree) -> Query {
+    for i in 0..6 {
+        lsm.register(SensorMeta::new(
+            600 + i,
+            Point::new(30.0 + i as f64, 30.0),
+            TimeDelta::from_millis(EXPIRY_MS),
+            1.0,
+        ));
+    }
+    Query::range(
+        Rect::from_coords(29.0, 29.0, 36.5, 31.0),
+        TimeDelta::from_millis(EXPIRY_MS),
+    )
+}
+
+/// How many of the viewport's sensors the caches alone answer for.
+fn warm_count(lsm: &LsmTree, q: &Query) -> u64 {
+    let mut rng = StdRng::seed_from_u64(8);
+    let warm = lsm.execute(q, Mode::HierCache, &Dead, Timestamp(1_200), &mut rng);
+    warm.result_size()
+}
+
+/// A merge published while a query's wave is out: the query read the cut
+/// that held its sensors in L0, and the merge moved them into a new level
+/// before their readings came back. The readings follow the sensors through
+/// the directory, so a warm count finds all six.
+#[test]
+fn a_merge_published_while_a_wave_is_out_keeps_the_waves_readings() {
+    let lsm = LsmTree::new(
+        grid_sensors(64, 8),
+        ColrConfig::default(),
+        LsmConfig::default(),
+        3,
+    );
+    let q = six_arrivals(&lsm);
+    let probe = MergesMidWave {
+        lsm: &lsm,
+        on_first_wave: |lsm, _| assert_eq!(lsm.merge(Timestamp(1_000)).merged_sensors, 6),
+        waves: Default::default(),
+        built: Mutex::new(None),
+    };
+    let mut rng = StdRng::seed_from_u64(8);
+    let cold = lsm.execute(&q, Mode::HierCache, &probe, Timestamp(1_000), &mut rng);
+    assert_eq!((cold.result_size(), cold.stats.cache_inserts), (6, 6));
+    assert_eq!((lsm.stats().levels, lsm.stats().l0_occupancy), (2, 0));
+    assert_eq!(warm_count(&lsm, &q), 6, "the wave's readings were lost");
+}
+
+/// A merge built while a query's wave is out and published after the
+/// query wrote back: the readings land in the level the merge absorbs,
+/// after the build started, and the publication carries them into the level
+/// it built. A warm count finds all six.
+#[test]
+fn a_merge_built_while_a_wave_is_out_carries_the_waves_readings() {
+    let lsm = LsmTree::new(
+        grid_sensors(64, 8),
+        ColrConfig::default(),
+        LsmConfig::default(),
+        3,
+    );
+    let q = six_arrivals(&lsm);
+    lsm.merge(Timestamp(500));
+    // Two more arrivals, elsewhere: the next merge absorbs the six's level
+    // (6 live < `level_ratio` 4 × 2 in the batch).
+    for id in [700, 701] {
+        lsm.register(SensorMeta::new(
+            id,
+            Point::new(50.0, id as f64 - 650.0),
+            TimeDelta::from_millis(EXPIRY_MS),
+            1.0,
+        ));
+    }
+    let probe = MergesMidWave {
+        lsm: &lsm,
+        on_first_wave: |lsm, built| *built.lock() = lsm.build_merge(Timestamp(1_000)).ok(),
+        waves: Default::default(),
+        built: Mutex::new(None),
+    };
+    let mut rng = StdRng::seed_from_u64(8);
+    let cold = lsm.execute(&q, Mode::HierCache, &probe, Timestamp(1_000), &mut rng);
+    assert_eq!((cold.result_size(), cold.stats.cache_inserts), (6, 6));
+    let built = probe
+        .built
+        .lock()
+        .take()
+        .expect("the first wave built a merge");
+    assert_eq!(built.state.levels.len() - built.absorb_from, 1);
+    let report = lsm.publish_merge(built, Timestamp(1_000), std::time::Instant::now());
+    assert_eq!(report.merged_sensors, 8);
+    assert_eq!(
+        warm_count(&lsm, &q),
+        6,
+        "the wave's readings were not carried"
+    );
+}
+
+/// A merge published while a query writes its readings where it found
+/// them: the merge absorbs the level being written after the write-back
+/// saw the cut still published, and before the write. The write-back looks
+/// at the published ordinal again after writing and writes the readings
+/// once more through the directory, into the level the merge built. A warm
+/// count finds all six.
+#[test]
+fn a_merge_published_while_a_query_writes_back_keeps_its_readings() {
+    let lsm = Arc::new(LsmTree::new(
+        grid_sensors(64, 8),
+        ColrConfig::default(),
+        LsmConfig::default(),
+        3,
+    ));
+    let q = six_arrivals(&lsm);
+    lsm.merge(Timestamp(500));
+    for id in [700, 701] {
+        lsm.register(SensorMeta::new(
+            id,
+            Point::new(50.0, id as f64 - 650.0),
+            TimeDelta::from_millis(EXPIRY_MS),
+            1.0,
+        ));
+    }
+    let merger = Arc::clone(&lsm);
+    let mut merged = false;
+    crate::tree::tests::on_each_chunk(Some(Box::new(move |_| {
+        if !std::mem::replace(&mut merged, true) {
+            assert_eq!(merger.merge(Timestamp(1_000)).merged_sensors, 8);
+        }
+    })));
+    let probe = AlwaysAvailable {
+        expiry_ms: EXPIRY_MS,
+    };
+    let mut rng = StdRng::seed_from_u64(8);
+    let cold = lsm.execute(&q, Mode::HierCache, &probe, Timestamp(1_000), &mut rng);
+    crate::tree::tests::on_each_chunk(None);
+    assert_eq!((cold.result_size(), cold.stats.cache_inserts), (6, 6));
+    assert_eq!(lsm.stats().merges, 2, "the hook published a merge");
+    assert_eq!(
+        warm_count(&lsm, &q),
+        6,
+        "the write-back's readings were lost"
+    );
+}
+
 #[test]
 fn wants_merge_tracks_l0_capacity() {
     let lsm = LsmTree::new(

@@ -44,9 +44,11 @@ pub(crate) struct QueryScratch {
     pub(crate) candidates: Vec<SensorId>,
     /// Probe selections awaiting the query's single collect step.
     pub(crate) plan: ProbePlan,
-    /// Successes of the wave in flight, awaiting their batched write-back.
-    pub(crate) got: Vec<Reading>,
-    /// The LSM executor's per-component buffers, which index `plan`.
+    /// Where an interactive LSM query's successes sit in its answer,
+    /// awaiting its one write-back.
+    pub(crate) got: Vec<u32>,
+    /// The LSM executor's per-component buffers, which index `plan`, and
+    /// its write-back's routing buffers.
     pub(crate) layers: LayerScratch,
     /// DFS stack for subtree scans (node ids / arena indices).
     pub(crate) stack: Vec<u32>,

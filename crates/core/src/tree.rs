@@ -83,9 +83,10 @@
 //! meanwhile waits at `advance`; each node a duplicate-free run touches is
 //! written under one stripe hold (a slot that could not be decremented is
 //! recomputed inside that hold at a leaf, right after it at an internal
-//! node); a request written back in more than one batch marks the nodes it
-//! is filling first (`ColrTree::mark_filling`), and the coverage gate
-//! serves none of them until the last batch is in; and a roll publishes
+//! node); a write-back longer than a probe wave, applied a wave at a time
+//! (`ColrTree::apply_readings`), marks the nodes it is filling first
+//! (`ColrTree::mark_filling`), and the coverage gate serves none of them
+//! until the last chunk is in; and a roll publishes
 //! `cache_base + 1` only after every node that held an expired slot has been
 //! cleared.
 
@@ -1182,19 +1183,18 @@ impl ColrTree {
         applied
     }
 
-    /// Marks the home leaf of every sensor in `sensors`, and each ancestor up
-    /// to the root, as being filled: a request about to write those sensors'
-    /// readings back in more than one [`ColrTree::apply_readings`] calls this
-    /// before the first, and until the returned guard drops the coverage gate
-    /// (`serve_cached_aggregate`) serves none of the marked nodes — to the
-    /// gate the request's write-backs happen at once. A mark is a count, so
-    /// overlapping fills nest, and it is set and read under the node's stripe
-    /// lock like the rest of its cache.
-    pub(crate) fn mark_filling(&self, sensors: &[SensorId]) -> Filling<'_> {
-        // Selections arrive leaf by leaf, so most repeats are neighbours.
+    /// Marks the home leaf of every sensor `readings` name, and each ancestor
+    /// up to the root, as being filled: [`ColrTree::apply_readings`] calls
+    /// this before it writes a batch in more than one chunk, and until the
+    /// returned guard drops the coverage gate (`serve_cached_aggregate`)
+    /// serves none of the marked nodes — to the gate the chunks land at
+    /// once. A mark is a count, so overlapping fills nest, and it is set and
+    /// read under the node's stripe lock like the rest of its cache.
+    fn mark_filling(&self, readings: impl Iterator<Item = Reading>) -> Filling<'_> {
+        // Readings arrive leaf by leaf, so most repeats are neighbours. A
+        // sensor that is not the tree's has no home, and nothing to mark.
         let mut level: Vec<NodeId> = Vec::new();
-        for &s in sensors {
-            let leaf = self.home_leaf(s);
+        for leaf in readings.filter_map(|r| Some(self.arena.home(r.sensor)?.leaf)) {
             if level.last() != Some(&leaf) {
                 level.push(leaf);
             }
@@ -1217,29 +1217,45 @@ impl ColrTree {
         Filling { tree: self, nodes }
     }
 
-    /// Applies a batch of probe results in order — the deferred write-back
-    /// of a *frozen* execution (see [`ColrTree::execute_frozen`]) and the
-    /// immediate write-back of interactive queries both land here. One
-    /// maintenance acquisition covers the whole batch, and each touched
-    /// node cache is updated in a single critical section, so concurrent
-    /// readers never observe a half-applied write-back. Returns how many
-    /// readings were cached.
-    pub fn apply_readings(&self, readings: &[Reading], now: Timestamp) -> usize {
-        let mut maint = self.maint.lock();
-        let mut batch = std::mem::take(&mut maint.pool.batch);
-        batch.extend(readings.iter().map(|&reading| CachedEntry {
-            reading,
-            fetched_at: now,
-        }));
-        let applied = self.insert_entries_locked(&mut maint, &batch, now);
-        recycle(&mut maint.pool.batch, batch);
-        if applied > 0 {
-            colr_telemetry::tracer().record(
-                colr_telemetry::SpanKind::WriteBack,
-                now.0 * 1_000,
-                0,
-                applied as u64,
-            );
+    /// Applies a batch of probe results in order — the one write-back — a
+    /// probe wave's worth at a time, each chunk under its own maintenance
+    /// hold, so the pooled buffers stay wave-sized however wide the fill.
+    /// Each node a chunk touches is updated in one critical section, and a
+    /// batch of more than one chunk marks the nodes it fills first
+    /// (`ColrTree::mark_filling`). The batch is walked again for that, so
+    /// a caller that routes readings here from a longer list hands over the
+    /// route, not a copy. Returns how many readings were cached.
+    pub fn apply_readings<R: std::borrow::Borrow<Reading>>(
+        &self,
+        readings: impl IntoIterator<Item = R, IntoIter: Clone>,
+        now: Timestamp,
+    ) -> usize {
+        let readings = readings.into_iter().map(|r| *r.borrow());
+        let wave = crate::stats::PROBE_PARALLELISM as usize;
+        let long = readings.clone().nth(wave).is_some();
+        let _filling = long.then(|| self.mark_filling(readings.clone()));
+        let mut rest = readings.peekable();
+        let mut applied = 0;
+        while rest.peek().is_some() {
+            #[cfg(test)]
+            tests::before_chunk(self);
+            let mut maint = self.maint.lock();
+            let mut batch = std::mem::take(&mut maint.pool.batch);
+            batch.extend(rest.by_ref().take(wave).map(|reading| CachedEntry {
+                reading,
+                fetched_at: now,
+            }));
+            let inserted = self.insert_entries_locked(&mut maint, &batch, now);
+            recycle(&mut maint.pool.batch, batch);
+            if inserted > 0 {
+                colr_telemetry::tracer().record(
+                    colr_telemetry::SpanKind::WriteBack,
+                    now.0 * 1_000,
+                    0,
+                    inserted as u64,
+                );
+            }
+            applied += inserted;
         }
         applied
     }
@@ -1561,8 +1577,33 @@ impl ColrTree {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::cell::RefCell;
+
+    /// What a test runs on its thread before each chunk of an
+    /// `apply_readings`, with the tree being written.
+    type ChunkHook = Box<dyn FnMut(&ColrTree)>;
+
+    thread_local! {
+        static BEFORE_CHUNK: RefCell<Option<ChunkHook>> = const { RefCell::new(None) };
+    }
+
+    /// Runs this thread's hook, if one is set ([`on_each_chunk`]); no lock
+    /// of the tree is held here.
+    pub(crate) fn before_chunk(tree: &ColrTree) {
+        BEFORE_CHUNK.with(|hook| {
+            if let Some(f) = hook.borrow_mut().as_mut() {
+                f(tree);
+            }
+        });
+    }
+
+    /// Sets (or, with `None`, clears) the hook [`before_chunk`] runs on this
+    /// thread. The hook must not write back to a tree itself.
+    pub(crate) fn on_each_chunk(hook: Option<ChunkHook>) {
+        BEFORE_CHUNK.with(|h| *h.borrow_mut() = hook);
+    }
 
     fn grid_tree(sensors: u32) -> ColrTree {
         let metas = (0..sensors)
@@ -1627,6 +1668,15 @@ mod tests {
         };
         assert_eq!(tree.restore_entries(&[entry], now), 0);
         assert_eq!(tree.cached_readings(), 0);
+        // Nor a fill mark: a write-back longer than a wave marks the homes
+        // of its readings, and this one has none.
+        let known = (0..100).map(|s| Reading {
+            sensor: SensorId(s),
+            ..reading
+        });
+        let batch: Vec<Reading> = known.chain(std::iter::repeat_n(reading, 50)).collect();
+        assert_eq!(tree.apply_readings(&batch, now), 100);
+        assert_eq!(tree.cached_readings(), 100);
     }
 
     /// The cache state of a built tree is flat: per stripe three slabs whose

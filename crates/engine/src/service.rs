@@ -44,10 +44,10 @@ use std::sync::{Arc, OnceLock};
 use colr_telemetry::{global, tracer, Counter, Gauge, SloWatchdog, SpanKind};
 use colr_tree::{
     derive_seed, flight, AggKind, ClockHandle, ColrTree, Histogram, LiveAvailability, LsmState,
-    LsmStats, LsmTree, Mode, ProbeService, Query, QueryOutput, QueryStats, Reading,
-    ResilientProber, SensorId, SensorMeta, TimeDelta, Timestamp,
+    LsmStats, LsmTree, Mode, ProbeService, Query, QueryOutput, QueryStats, ResilientProber,
+    SensorId, SensorMeta, TimeDelta, Timestamp,
 };
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -611,28 +611,23 @@ impl<P: ProbeService> PortalService<P> {
             lsm.execute_frozen(&frozen, &plans[i].0, mode, probe, now, &mut rng)
         };
 
-        let outcomes: Vec<Option<FrozenOutcome>> = if threads <= 1 {
-            (0..plans.len()).map(|i| Some(run_query(i))).collect()
+        // Work-stealing by shared index: each worker claims the next
+        // unprocessed query until the batch is drained, and hands what it
+        // ran back through its join (which re-raises its panic).
+        let next = AtomicUsize::new(0);
+        let claim = || Some(next.fetch_add(1, Ordering::Relaxed)).filter(|&i| i < plans.len());
+        let work = || Vec::from_iter(std::iter::from_fn(claim).map(|i| (i, run_query(i))));
+        let mut outcomes = if threads <= 1 {
+            work()
         } else {
-            // Work-stealing by shared index: each worker claims the next
-            // unprocessed query until the batch is drained.
-            let next = AtomicUsize::new(0);
-            let slots: Vec<Mutex<Option<FrozenOutcome>>> =
-                plans.iter().map(|_| Mutex::new(None)).collect();
             std::thread::scope(|scope| {
-                for _ in 0..threads {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= plans.len() {
-                            break;
-                        }
-                        let out = run_query(i);
-                        *slots[i].lock() = Some(out);
-                    });
-                }
-            });
-            slots.into_iter().map(|s| s.into_inner()).collect()
+                let workers: Vec<_> = (0..threads).map(|_| scope.spawn(work)).collect();
+                let joined = workers.into_iter().map(|w| w.join());
+                let ran = joined.map(|r| r.unwrap_or_else(|e| std::panic::resume_unwind(e)));
+                ran.flatten().collect()
+            })
         };
+        outcomes.sort_unstable_by_key(|&(i, _)| i);
 
         // Deferred write-backs land in query-index order, so the post-batch
         // cache state matches a sequential run of the same batch.
@@ -640,8 +635,7 @@ impl<P: ProbeService> PortalService<P> {
         let mut readings_applied = 0;
         let mut results = Vec::with_capacity(plans.len());
         let mut degradation = DegradationReport::default();
-        for ((plan, kind), outcome) in plans.iter().zip(outcomes) {
-            let (out, deferred) = outcome.expect("worker completed");
+        for ((plan, kind), (_, (out, deferred))) in plans.iter().zip(outcomes) {
             readings_applied += lsm.apply_deferred(&deferred, now);
             stats.merge(&out.stats);
             let requested = requested_target(plan, core.mode);
@@ -835,10 +829,6 @@ impl<Q: ProbeService> PortalService<ResilientProber<Q>> {
 
 // ---------------------------------------------------------------------------
 
-/// What one frozen query execution produces: its output plus the probe
-/// write-backs deferred until the batch completes.
-type FrozenOutcome = (QueryOutput, Vec<Reading>);
-
 /// Records the `parse` span of a request lowered from `sql_len` bytes of SQL
 /// text (none for programmatic requests), timestamped on the simulation
 /// clock so traces are reproducible.
@@ -865,6 +855,8 @@ mod tests {
     use colr_geo::Point;
     use colr_tree::probe::AlwaysAvailable;
     use colr_tree::LsmConfig;
+    use colr_tree::Reading;
+    use parking_lot::Mutex;
     use rand::RngCore;
 
     const EXPIRY_MS: u64 = 300_000;

@@ -17,9 +17,13 @@
 //!     freshly built identical service reproduces the same answers,
 //!     because each query's RNG is derived from `(seed, ordinal)`.
 //! (d) **A multi-wave fill is never seen half-written.** The torn count the
-//!     storm of (a) used to meet by luck (ROADMAP 1(i)), reproduced on
-//!     purpose: a writer parked between the two write-backs of one cold
-//!     request, a reader released into exactly that gap.
+//!     storm of (a) used to meet by luck (ROADMAP 1(i)) came from a writer
+//!     parked between two write-backs of one cold request. A request now
+//!     writes back once, after its whole wave, so a reader released between
+//!     the writer's two waves finds nothing of the request cached and counts
+//!     every sensor. The gap that is left, between two chunks of that one
+//!     write-back, is reproduced in `colr-tree`'s own tests
+//!     (`a_reader_between_two_chunks_of_one_write_back_counts_the_whole_population`).
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -177,11 +181,8 @@ fn concurrent_queries_straddle_swaps_without_tearing() {
 const WRITER: &str = "parked-writer";
 
 /// [`AlwaysAvailable`], except that the second batch the thread named
-/// [`WRITER`] asks for waits until the test lets it go. `ColrTree::complete`
-/// draws outcomes lazily, so a request's second `probe_batch` comes after
-/// its first wave's readings were written back and before any of its
-/// second's: the writer is parked between its two `apply_readings`, holding
-/// no lock.
+/// [`WRITER`] asks for waits until the test lets it go: the writer is parked
+/// between its two waves, holding no lock, and has written nothing back.
 struct ParkingProbe {
     inner: AlwaysAvailable,
     writer_batches: AtomicUsize,
@@ -226,25 +227,29 @@ fn a_reader_between_two_waves_of_one_fill_sees_the_whole_population() {
     let wave = PROBE_PARALLELISM as usize;
     assert_eq!(BASE, 2 * wave, "the cold request is exactly two waves");
 
-    let (between, after) = std::thread::scope(|scope| {
+    let (asked, cached, between, after) = std::thread::scope(|scope| {
         let writer = std::thread::Builder::new()
             .name(WRITER.into())
-            .spawn_scoped(scope, || run(&svc, FULL_GRID).unwrap())
-            .unwrap();
-        parked
-            .recv_timeout(Duration::from_secs(60))
-            .expect("the writer asks for a second wave");
-        // Exactly between the writer's two write-backs, and no lock of the
-        // tree is held there: this takes the maintenance mutex, and the
-        // reader below writes back what it probes.
-        assert_eq!(svc.shard(0).snapshot().tree().cached_readings(), wave);
-        let between = run(&svc, FULL_GRID).unwrap();
-        release.send(()).unwrap();
-        (between, writer.join().expect("writer thread panicked"))
+            .spawn_scoped(scope, || run(&svc, FULL_GRID))
+            .expect("the writer starts");
+        let asked = parked.recv_timeout(Duration::from_secs(60));
+        // Between the writer's two waves, and no lock of the index is held
+        // there: this takes the maintenance mutex, and the reader below
+        // writes back what it probes.
+        let cached = svc.shard(0).snapshot().tree().cached_readings();
+        let between = run(&svc, FULL_GRID);
+        // The writer goes on before anything is asserted, so a failed
+        // assertion cannot leave it parked and the scope waiting on it.
+        let _ = release.send(());
+        (asked, cached, between, writer.join())
     });
 
-    // Not 255: the leaf the wave boundary cuts holds eight of its nine
-    // readings there, enough to pass the coverage gate as if it were whole.
+    asked.expect("the writer asks for a second wave");
+    assert_eq!(cached, 0, "the writer wrote back before its wave was in");
+    let (between, after) = (
+        between.unwrap(),
+        after.expect("writer thread panicked").unwrap(),
+    );
     assert_eq!(
         between.value,
         Some(BASE as f64),
