@@ -13,8 +13,9 @@ cargo fmt --check
 # (the arena: the builder's pointer nodes do not outlive the build). The names
 # of what was deleted to get there must not come back;
 # `#![forbid(unsafe_code)]` in every first-party crate root holds the rest of
-# the line.
-if grep -rnE '\bPortal(::new|<)|\bMonolithic\b|SharedPortal|reindex_discarding|pending_unindexed|AliasTable|Morton|morton_pack|\bcriterion\b|HotPathLayout|TermTarget|\bexec_colr\b|portal_sim|fresh_cached_readings|leaf_triage|arena_mirrors_tree_structure|QueryRequestBuilder|with_mode\b|with_deadline\b|live_sensor_metas\b|\bentry_pos\b|PortalService::new|PortalConfigBuilder|PortalConfigError|frozen_l0|deferred_from|since_cut|fn dispatch\b|worker completed' \
+# the line. What no query path reached went too: the IDW model views and the
+# per-slot histograms.
+if grep -rnE '\bPortal(::new|<)|\bMonolithic\b|SharedPortal|reindex_discarding|pending_unindexed|AliasTable|Morton|morton_pack|\bcriterion\b|HotPathLayout|TermTarget|\bexec_colr\b|portal_sim|fresh_cached_readings|leaf_triage|arena_mirrors_tree_structure|QueryRequestBuilder|with_mode\b|with_deadline\b|live_sensor_metas\b|\bentry_pos\b|PortalService::new|PortalConfigBuilder|PortalConfigError|frozen_l0|deferred_from|since_cut|fn dispatch\b|worker completed|IdwModel|model_views|slot_histograms|HistogramSpec|usable_histogram|with_histogram|set_hist' \
     crates src tests examples Cargo.toml; then
     echo "ci: a deleted path is back (matches above)" >&2
     exit 1
@@ -157,7 +158,7 @@ if [ -n "$early" ]; then
     echo "ci: a column-0 #[cfg(test)] before the test module cuts the count early at: $early" >&2
     exit 1
 fi
-max_nontest=18956
+max_nontest=18507
 nontest=$(counted crates/*/src |
     xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile } { n++ } END { print n }' |
     awk '{ s += $1 } END { print s }')
@@ -170,7 +171,7 @@ echo "ci: non-test line ratchet OK ($nontest of $max_nontest)"
 # `unreachable!(` on the non-test lines of the core and engine crates, cut as
 # above. The count may only fall; each site that goes becomes a typed
 # `PortalError`, a `debug_assert!` with its invariant written down, or nothing.
-max_panics=6
+max_panics=0
 panics=$(counted crates/core/src crates/engine/src |
     xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile } { n += gsub(/\.unwrap\(\)|\.expect\(|panic!\(|unreachable!\(/, "&") } END { print n + 0 }' |
     awk '{ s += $1 } END { print s }')

@@ -23,13 +23,6 @@ pub enum AggKind {
     Max,
 }
 
-impl AggKind {
-    /// Whether a cached partial of this kind can be decremented in place.
-    pub fn supports_decrement(self) -> bool {
-        matches!(self, AggKind::Count | AggKind::Sum | AggKind::Avg)
-    }
-}
-
 /// A mergeable partial aggregate over a multiset of readings.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PartialAgg {
@@ -68,15 +61,6 @@ impl PartialAgg {
             min: v,
             max: v,
         }
-    }
-
-    /// An aggregate over a slice of values.
-    pub fn from_values(values: &[f64]) -> Self {
-        let mut a = PartialAgg::empty();
-        for &v in values {
-            a.insert(v);
-        }
-        a
     }
 
     /// `true` when no readings have been aggregated.
@@ -158,24 +142,6 @@ impl PartialAgg {
     }
 }
 
-/// Binning specification for histograms maintained inside slot caches.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HistogramSpec {
-    /// Lower edge of the first bucket.
-    pub lo: f64,
-    /// Upper edge of the last bucket (exclusive).
-    pub hi: f64,
-    /// Number of equal-width buckets.
-    pub buckets: usize,
-}
-
-impl HistogramSpec {
-    /// An empty histogram with this binning.
-    pub fn empty(&self) -> Histogram {
-        Histogram::new(self.lo, self.hi, self.buckets)
-    }
-}
-
 /// A fixed-bucket histogram used by the portal to render value
 /// *distributions* for sensor groups (the Restaurant Finder's "distribution of
 /// waiting times for each group" from Section I).
@@ -229,34 +195,6 @@ impl Histogram {
         self.counts.iter().sum::<u64>() + self.underflow + self.overflow
     }
 
-    /// Attempts to remove one previously inserted observation. Unlike
-    /// min/max aggregates, histograms are fully decrementable: bucket counts
-    /// are plain counters. Returns `false` (leaving the histogram unchanged)
-    /// only when the matching bucket is already empty — which signals the
-    /// observation was never inserted and the caller should rebuild.
-    #[must_use]
-    pub fn try_remove(&mut self, v: f64) -> bool {
-        let slot: &mut u64 = if v < self.lo {
-            &mut self.underflow
-        } else if v >= self.hi {
-            &mut self.overflow
-        } else {
-            let width = (self.hi - self.lo) / self.counts.len() as f64;
-            let idx = (((v - self.lo) / width) as usize).min(self.counts.len() - 1);
-            &mut self.counts[idx]
-        };
-        if *slot == 0 {
-            return false;
-        }
-        *slot -= 1;
-        true
-    }
-
-    /// `true` when no observations are held.
-    pub fn is_empty(&self) -> bool {
-        self.total() == 0
-    }
-
     /// `true` when `other` uses the same `[lo, hi)` range and bucket count,
     /// i.e. when [`Histogram::merge`] would accept it. Lets a scatter-gather
     /// merger test compatibility instead of panicking.
@@ -288,6 +226,17 @@ impl Histogram {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl PartialAgg {
+        /// An aggregate over a slice of values.
+        pub(crate) fn from_values(values: &[f64]) -> Self {
+            let mut a = PartialAgg::empty();
+            for &v in values {
+                a.insert(v);
+            }
+            a
+        }
+    }
 
     #[test]
     fn empty_finalize_semantics() {
@@ -354,15 +303,6 @@ mod tests {
     }
 
     #[test]
-    fn decrement_support_matrix() {
-        assert!(AggKind::Count.supports_decrement());
-        assert!(AggKind::Sum.supports_decrement());
-        assert!(AggKind::Avg.supports_decrement());
-        assert!(!AggKind::Min.supports_decrement());
-        assert!(!AggKind::Max.supports_decrement());
-    }
-
-    #[test]
     fn histogram_buckets_and_flows() {
         let mut h = Histogram::new(0.0, 10.0, 5);
         for v in [0.0, 1.9, 2.0, 9.99, -1.0, 10.0, 25.0] {
@@ -381,33 +321,6 @@ mod tests {
         b.insert(0.25);
         a.merge(&b);
         assert_eq!(a.counts(), &[2, 1]);
-    }
-
-    #[test]
-    fn histogram_try_remove_roundtrip() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        for v in [1.0, 5.0, 9.0, -2.0, 12.0] {
-            h.insert(v);
-        }
-        for v in [1.0, 5.0, 9.0, -2.0, 12.0] {
-            assert!(h.try_remove(v), "failed to remove {v}");
-        }
-        assert!(h.is_empty());
-        // Removing from an empty bucket fails and changes nothing.
-        assert!(!h.try_remove(1.0));
-        assert_eq!(h.total(), 0);
-    }
-
-    #[test]
-    fn histogram_spec_builds_empty() {
-        let spec = HistogramSpec {
-            lo: 0.0,
-            hi: 1.0,
-            buckets: 4,
-        };
-        let h = spec.empty();
-        assert_eq!(h.counts().len(), 4);
-        assert!(h.is_empty());
     }
 
     #[test]

@@ -180,10 +180,7 @@ impl ColrTree {
             .map(|s| s.expiry)
             .max()
             .unwrap_or(TimeDelta::from_mins(10));
-        let mut slot_config = SlotConfig::for_window(t_max, config.num_slots);
-        if let Some(spec) = config.slot_histograms {
-            slot_config = slot_config.with_histogram(spec);
-        }
+        let slot_config = SlotConfig::for_window(t_max, config.num_slots);
         let mut builder = Builder::new(seed, threads);
 
         if sensors.is_empty() {

@@ -7,7 +7,7 @@
 //! statistics so experiments (and users tuning build parameters) can check
 //! them.
 
-use crate::tree::{Children, ColrTree, NodeRef};
+use crate::tree::{ColrTree, NodeRef};
 
 /// Summary statistics of node weights at one level.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -65,20 +65,6 @@ pub fn level_stats(tree: &ColrTree) -> Vec<LevelStats> {
             }
         })
         .collect()
-}
-
-/// Fanout distribution: number of children per internal node, plus leaves'
-/// sensor counts, as `(internal_fanouts, leaf_fanouts)`.
-pub fn fanouts(tree: &ColrTree) -> (Vec<usize>, Vec<usize>) {
-    let mut internal = Vec::new();
-    let mut leaf = Vec::new();
-    for id in tree.node_ids() {
-        match tree.node(id).children {
-            Children::Internal(c) => internal.push(c.iter().len()),
-            Children::Leaf(s) => leaf.push(s.len()),
-        }
-    }
-    (internal, leaf)
 }
 
 #[cfg(test)]
@@ -158,16 +144,6 @@ mod tests {
             "leaf weight CV {} too high for uniform data",
             leaf_stats.weight_cv
         );
-    }
-
-    #[test]
-    fn fanouts_account_for_every_node() {
-        let tree = grid_tree(20);
-        let (internal, leaf) = fanouts(&tree);
-        assert_eq!(internal.len() + leaf.len(), tree.node_count());
-        let total_sensors: usize = leaf.iter().sum();
-        assert_eq!(total_sensors, 400);
-        assert!(internal.iter().all(|&f| f >= 1));
     }
 
     #[test]

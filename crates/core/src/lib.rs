@@ -60,7 +60,6 @@ pub mod inspect;
 pub mod lookup;
 pub mod lsm;
 pub mod metrics;
-pub mod model;
 pub mod probe;
 pub mod reading;
 pub mod resilient;
@@ -85,7 +84,6 @@ pub use lsm::{
     apportion, derive_seed, unit_draw, Claim, L0Level, LocationFold, LsmConfig, LsmLevel,
     LsmSnapshot, LsmState, LsmStats, LsmTree, MergeReport,
 };
-pub use model::IdwModel;
 pub use probe::{ProbeReport, ProbeService};
 pub use reading::{Reading, SensorId, SensorMeta};
 pub use resilient::{BreakerState, ResilientConfig, ResilientProber};

@@ -43,7 +43,7 @@ use std::ops::Range;
 use colr_geo::{Rect, Region};
 use rand::Rng;
 
-use crate::agg::{AggKind, Histogram, PartialAgg};
+use crate::agg::{AggKind, PartialAgg};
 use crate::probe::ProbeService;
 use crate::reading::{Reading, SensorId};
 use crate::sampling::COVERAGE_THRESHOLD;
@@ -166,11 +166,6 @@ pub struct GroupResult {
     /// Number of readings that produced the aggregate (Fig 6's
     /// `#results(i)`).
     pub results: u64,
-    /// Value distribution of the group, available for cache-served groups
-    /// when [`crate::tree::ColrConfig::slot_histograms`] is configured
-    /// (groups with raw readings leave this `None`; callers bin the readings
-    /// themselves).
-    pub hist: Option<Histogram>,
 }
 
 /// The full output of one query.
@@ -544,7 +539,11 @@ impl ColrTree {
             for i in fix.ids.clone() {
                 readings.extend_from_slice(&old[copied..plan.at[i]]);
                 copied = plan.at[i];
-                let outcome = outcomes.next().expect("one outcome per selected id");
+                // One outcome per selected id; a missing one reads as a
+                // failed probe.
+                let outcome = outcomes.next();
+                debug_assert!(outcome.is_some(), "one outcome per selected id");
+                let outcome = outcome.flatten();
                 // No cache in R-Tree mode: its results are never written back.
                 if outcome.is_some() && mode != Mode::RTree {
                     got.push(readings.len() as u32);

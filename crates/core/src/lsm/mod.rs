@@ -1253,7 +1253,6 @@ fn select_l0<R: Rng + ?Sized>(
         from_cache: to_probe.is_empty(),
         target,
         results: readings.len() as u64,
-        hist: None,
     };
     Some(L0Part {
         group,

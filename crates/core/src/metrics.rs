@@ -92,7 +92,6 @@ mod tests {
                     from_cache: false,
                     target,
                     results,
-                    hist: None,
                 })
                 .collect(),
             readings: Vec::new(),

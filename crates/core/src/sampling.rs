@@ -177,7 +177,6 @@ impl ColrTree {
             from_cache: false,
             target,
             results: readings.len() as u64,
-            hist: None,
         }
     }
 
@@ -207,8 +206,7 @@ impl ColrTree {
     /// when the node's own slot cache holds a fresh aggregate over at least
     /// `needed` readings, that aggregate answers for the whole subtree as one
     /// group with target `want`, and no descendant is visited. Type-filtered
-    /// queries consult the per-type sub-aggregates. One stripe hold serves
-    /// the check and the histogram.
+    /// queries consult the per-type sub-aggregates.
     #[inline]
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn serve_cached_aggregate(
@@ -235,9 +233,9 @@ impl ColrTree {
                 Some(k) => nc.cache.usable_kind(now, query.staleness, k),
             };
             let covers = !agg.is_empty() && (agg.count as f64) + TARGET_EPS >= needed;
-            covers.then(|| (agg, slots, nc.cache.usable_histogram(now, query.staleness)))
+            covers.then_some((agg, slots))
         });
-        let Some((agg, slots, hist)) = hit else {
+        let Some((agg, slots)) = hit else {
             return false;
         };
         let level = arena.level(idx);
@@ -251,7 +249,6 @@ impl ColrTree {
             from_cache: true,
             target: want,
             results: agg.count,
-            hist,
         });
         true
     }

@@ -25,7 +25,7 @@
 //! requested. Under removal `min_ts` stays a valid lower bound (removals can
 //! only raise the true minimum).
 
-use crate::agg::{Histogram, HistogramSpec, PartialAgg};
+use crate::agg::PartialAgg;
 use crate::time::{TimeDelta, Timestamp};
 
 /// Sizing of a slot cache: `slot_width` is the paper's `Δ`, `num_slots` its
@@ -37,10 +37,6 @@ pub struct SlotConfig {
     pub slot_width: TimeDelta,
     /// Number of slots `m`.
     pub num_slots: usize,
-    /// When set, every slot also maintains a value histogram with this
-    /// binning, so group *distributions* (the portal's multi-resolution
-    /// display) can be served from cache.
-    pub histogram: Option<HistogramSpec>,
 }
 
 impl SlotConfig {
@@ -53,14 +49,7 @@ impl SlotConfig {
         SlotConfig {
             slot_width: TimeDelta::from_millis(width),
             num_slots,
-            histogram: None,
         }
-    }
-
-    /// Enables per-slot histograms with the given binning.
-    pub fn with_histogram(mut self, spec: HistogramSpec) -> Self {
-        self.histogram = Some(spec);
-        self
     }
 
     /// Absolute slot index of an instant.
@@ -92,19 +81,15 @@ pub struct Slot {
     /// type-filtered queries use aggregate caches instead of bypassing them
     /// — the "per-type slot caches" extension.
     pub by_kind: Vec<(u16, PartialAgg)>,
-    /// Value histogram over the slot's constituents (present only when the
-    /// cache's [`SlotConfig::histogram`] is set).
-    pub hist: Option<Histogram>,
 }
 
 impl Slot {
     /// A slot with nothing in it yet, for a rebuild to fill.
-    pub(crate) fn empty(hist_spec: Option<HistogramSpec>) -> Slot {
+    pub(crate) fn empty() -> Slot {
         Slot {
             agg: PartialAgg::empty(),
             min_ts: Timestamp(u64::MAX),
             by_kind: Vec::new(),
-            hist: hist_spec.map(|spec| spec.empty()),
         }
     }
 
@@ -123,9 +108,6 @@ impl Slot {
         self.agg.insert(value);
         self.min_ts = self.min_ts.min(ts);
         merge_kind(&mut self.by_kind, kind, &PartialAgg::from_value(value));
-        if let Some(h) = &mut self.hist {
-            h.insert(value);
-        }
     }
 }
 
@@ -183,17 +165,15 @@ pub(crate) const NO_KIND: u32 = u32::MAX;
 /// [`Side::rows`].
 const MANY_KINDS: u32 = u32::MAX - 1;
 
-/// What most rings never need, kept out of the cells: explicit per-kind rows
-/// and histograms, one place per cell of the owner, each table allocated the
-/// first time one of the owner's rings wants it.
+/// What most rings never need, kept out of the cells: explicit per-kind rows,
+/// one place per cell of the owner, the table allocated the first time one of
+/// the owner's rings wants it.
 #[derive(Debug, Clone)]
 pub(crate) struct Side {
-    /// How many cells the owner has — the length of a table once it exists.
+    /// How many cells the owner has — the length of the table once it exists.
     cells: usize,
     /// `by_kind` of each cell whose ring has held more than one kind.
     rows: Vec<Vec<(u16, PartialAgg)>>,
-    /// The histogram of each cell that has one.
-    hists: Vec<Option<Histogram>>,
 }
 
 impl Side {
@@ -201,7 +181,6 @@ impl Side {
         Side {
             cells,
             rows: Vec::new(),
-            hists: Vec::new(),
         }
     }
 
@@ -212,20 +191,10 @@ impl Side {
         &mut self.rows[i]
     }
 
-    /// Sets the histogram of cell `i`; a `None` creates no table.
-    fn set_hist(&mut self, i: usize, hist: Option<Histogram>) {
-        if hist.is_some() && self.hists.is_empty() {
-            self.hists.resize(self.cells, None);
-        }
-        if let Some(h) = self.hists.get_mut(i) {
-            *h = hist;
-        }
-    }
-
-    /// Whether either table has been allocated (the structural flatness test).
+    /// Whether the table has been allocated (the structural flatness test).
     #[cfg(test)]
     pub(crate) fn is_allocated(&self) -> bool {
-        !self.rows.is_empty() || !self.hists.is_empty()
+        !self.rows.is_empty()
     }
 }
 
@@ -290,10 +259,6 @@ impl<'a> SlotRing<'a> {
         &self.side.rows[self.at + i]
     }
 
-    fn hist(&self, i: usize) -> Option<&'a Histogram> {
-        self.side.hists.get(self.at + i)?.as_ref()
-    }
-
     /// Returns the slot with absolute index `abs`, if present.
     pub fn slot(&self, abs: u64) -> Option<Slot> {
         let i = self.bucket(abs);
@@ -305,7 +270,6 @@ impl<'a> SlotRing<'a> {
                 MANY_KINDS => self.rows(i).to_vec(),
                 sole => vec![(sole as u16, cell.agg)],
             },
-            hist: self.hist(i).cloned(),
         })
     }
 
@@ -326,9 +290,6 @@ impl<'a> SlotRing<'a> {
                 }
             }
             sole => merge_kind(&mut into.by_kind, sole as u16, &cell.agg),
-        }
-        if let (Some(h), Some(mine)) = (&mut into.hist, self.hist(i)) {
-            h.merge(mine);
         }
     }
 
@@ -377,22 +338,6 @@ impl<'a> SlotRing<'a> {
         }
         (agg, used)
     }
-
-    /// Combines the histograms of every slot usable at `now` under the
-    /// freshness bound. `None` when histograms are not configured or no
-    /// usable slot holds one.
-    pub fn usable_histogram(&self, now: Timestamp, staleness: TimeDelta) -> Option<Histogram> {
-        let spec = self.config.histogram?;
-        let mut merged = spec.empty();
-        let mut any = false;
-        for (i, _) in self.usable_cells(now, staleness) {
-            if let Some(h) = self.hist(i) {
-                merged.merge(h);
-                any = true;
-            }
-        }
-        any.then_some(merged)
-    }
 }
 
 /// [`SlotRing`] with the right to change it: every mutation of a slot cache,
@@ -431,7 +376,6 @@ impl SlotRingMut<'_> {
         if let Some(rows) = self.side.rows.get_mut(self.at + i) {
             rows.clear();
         }
-        self.side.set_hist(self.at + i, None);
     }
 
     /// Inserts one reading's value into the slot covering `expires_at`,
@@ -484,24 +428,13 @@ impl SlotRingMut<'_> {
             }
             merge_kind(rows, kind, &PartialAgg::from_value(value));
         }
-        if opened {
-            let hist = self.config.histogram.map(|spec| {
-                let mut h = spec.empty();
-                h.insert(value);
-                h
-            });
-            self.side.set_hist(self.at + i, hist);
-        } else if let Some(Some(h)) = self.side.hists.get_mut(self.at + i) {
-            h.insert(value);
-        }
         crate::flight::with(|f| f.slot_write(opened));
         Some(opened)
     }
 
     /// Attempts to decrement `value` of sensor type `kind` from the slot
-    /// covering `expires_at`; the total, the per-type aggregate and the
-    /// histogram must all be decrementable or the slot is left, unchanged,
-    /// for a rebuild.
+    /// covering `expires_at`; both the total and the per-type aggregate must
+    /// be decrementable or the slot is left, unchanged, for a rebuild.
     pub(crate) fn try_remove_kind(
         &mut self,
         expires_at: Timestamp,
@@ -532,11 +465,6 @@ impl SlotRingMut<'_> {
         };
         if !total.try_remove(value) {
             return RemoveOutcome::NeedsRebuild;
-        }
-        if let Some(Some(h)) = self.side.hists.get_mut(self.at + i) {
-            if !h.try_remove(value) {
-                return RemoveOutcome::NeedsRebuild;
-            }
         }
         if total.is_empty() {
             self.clear(i);
@@ -585,7 +513,6 @@ impl SlotRingMut<'_> {
         if *self.kinds == MANY_KINDS {
             *self.side.rows_mut(self.at + i) = slot.by_kind;
         }
-        self.side.set_hist(self.at + i, slot.hist);
     }
 
     /// Drops every slot older than `new_base` (the window slide / roll
@@ -771,7 +698,6 @@ mod tests {
         SlotConfig {
             slot_width: TimeDelta::from_millis(width_ms),
             num_slots: slots,
-            histogram: None,
         }
     }
 
@@ -921,7 +847,6 @@ mod tests {
                 agg: PartialAgg::from_values(&[1.0, 2.0]),
                 min_ts: Timestamp(5),
                 by_kind: vec![(0, PartialAgg::from_values(&[1.0, 2.0]))],
-                hist: None,
             },
         );
         assert_eq!(sc.slot(3).unwrap().agg.count, 2);
@@ -931,7 +856,6 @@ mod tests {
                 agg: PartialAgg::empty(),
                 min_ts: Timestamp(0),
                 by_kind: Vec::new(),
-                hist: None,
             },
         );
         assert!(sc.slot(3).is_none());
@@ -1031,58 +955,5 @@ mod tests {
             sc.try_remove_kind(Timestamp(150), 3.0, 9),
             RemoveOutcome::NeedsRebuild
         );
-    }
-
-    #[test]
-    fn slot_histograms_track_inserts_and_lookups() {
-        let spec = HistogramSpec {
-            lo: 0.0,
-            hi: 10.0,
-            buckets: 5,
-        };
-        let mut sc = SlotCache::new(cfg(100, 4).with_histogram(spec));
-        sc.insert(Timestamp(150), Timestamp(0), 1.0, 0);
-        sc.insert(Timestamp(150), Timestamp(0), 3.0, 0);
-        sc.insert(Timestamp(250), Timestamp(0), 9.0, 0);
-        let h = sc
-            .ring()
-            .usable_histogram(Timestamp(100), TimeDelta::from_millis(1_000))
-            .unwrap();
-        assert_eq!(h.total(), 3);
-        assert_eq!(h.counts(), &[1, 1, 0, 0, 1]);
-        // The partially expired boundary slot is excluded, like aggregates.
-        let h = sc
-            .ring()
-            .usable_histogram(Timestamp(150), TimeDelta::from_millis(1_000))
-            .unwrap();
-        assert_eq!(h.total(), 1);
-    }
-
-    #[test]
-    fn histograms_absent_when_not_configured() {
-        let mut sc = SlotCache::new(cfg(100, 4));
-        sc.insert(Timestamp(150), Timestamp(0), 1.0, 0);
-        assert!(sc
-            .ring()
-            .usable_histogram(Timestamp(100), TimeDelta::from_millis(1_000))
-            .is_none());
-        assert!(sc.slot(1).unwrap().hist.is_none());
-    }
-
-    #[test]
-    fn histogram_removal_keeps_counts_consistent() {
-        let spec = HistogramSpec {
-            lo: 0.0,
-            hi: 10.0,
-            buckets: 5,
-        };
-        let mut sc = SlotCache::new(cfg(100, 4).with_histogram(spec));
-        sc.insert(Timestamp(150), Timestamp(0), 2.0, 0);
-        sc.insert(Timestamp(150), Timestamp(0), 5.0, 0);
-        sc.insert(Timestamp(150), Timestamp(0), 8.0, 0);
-        assert_eq!(sc.try_remove(Timestamp(150), 5.0), RemoveOutcome::Removed);
-        let slot = sc.slot(1).unwrap();
-        assert_eq!(slot.hist.as_ref().unwrap().total(), 2);
-        assert_eq!(slot.agg.count, 2);
     }
 }

@@ -1,6 +1,5 @@
 //! The ring the slot cache used to be — `num_slots + 1` heap entries of
-//! `Option<(u64, Slot)>`, every slot carrying its own `by_kind` `Vec` and
-//! histogram — kept as the `#[cfg(test)]` reference the flat ring of cells is
+//! `Option<(u64, Slot)>`, every slot carrying its own `by_kind` `Vec` — kept as the `#[cfg(test)]` reference the flat ring of cells is
 //! checked against: any sequence of operations must leave both reading the
 //! same, bit for bit, through every lookup.
 
@@ -9,17 +8,11 @@ use proptest::prelude::*;
 use super::*;
 
 impl Slot {
-    fn singleton(value: f64, ts: Timestamp, kind: u16, hist_spec: Option<HistogramSpec>) -> Slot {
-        let hist = hist_spec.map(|spec| {
-            let mut h = spec.empty();
-            h.insert(value);
-            h
-        });
+    fn singleton(value: f64, ts: Timestamp, kind: u16) -> Slot {
         Slot {
             agg: PartialAgg::from_value(value),
             min_ts: ts,
             by_kind: vec![(kind, PartialAgg::from_value(value))],
-            hist,
         }
     }
 
@@ -44,11 +37,6 @@ impl Slot {
         let mut per = self.by_kind[i].1;
         if !total.try_remove(value) || !per.try_remove(value) {
             return false;
-        }
-        if let Some(h) = &mut self.hist {
-            if !h.try_remove(value) {
-                return false;
-            }
         }
         self.agg = total;
         if per.is_empty() {
@@ -107,9 +95,6 @@ impl RefSlotCache {
             Some((a, s)) if *a == abs => {
                 s.agg.insert(value);
                 s.kind_insert(kind, value);
-                if let Some(h) = &mut s.hist {
-                    h.insert(value);
-                }
                 if ts < s.min_ts {
                     s.min_ts = ts;
                 }
@@ -117,7 +102,7 @@ impl RefSlotCache {
             }
             entry => {
                 // Either empty or holds a stale (pre-roll) slot; replace.
-                *entry = Some((abs, Slot::singleton(value, ts, kind, self.config.histogram)));
+                *entry = Some((abs, Slot::singleton(value, ts, kind)));
                 opened = true;
             }
         }
@@ -209,19 +194,6 @@ impl RefSlotCache {
         }
         (agg, used)
     }
-
-    fn usable_histogram(&self, now: Timestamp, staleness: TimeDelta) -> Option<Histogram> {
-        let spec = self.config.histogram?;
-        let mut merged = spec.empty();
-        let mut any = false;
-        for slot in self.usable_slots(now, staleness) {
-            if let Some(h) = &slot.hist {
-                merged.merge(h);
-                any = true;
-            }
-        }
-        any.then_some(merged)
-    }
 }
 
 /// What a comparison reads of an aggregate: its bits, so that `-0.0` and
@@ -232,15 +204,10 @@ fn bits(a: &PartialAgg) -> (u64, u64, u64, u64) {
 
 fn slot_bits(s: &Slot) -> impl PartialEq + std::fmt::Debug {
     let rows: Vec<_> = s.by_kind.iter().map(|(k, a)| (*k, bits(a))).collect();
-    (bits(&s.agg), s.min_ts, rows, s.hist.clone())
+    (bits(&s.agg), s.min_ts, rows)
 }
 
 const WIDTH_MS: u64 = 100;
-const SPEC: HistogramSpec = HistogramSpec {
-    lo: -4.0,
-    hi: 4.0,
-    buckets: 4,
-};
 
 /// Both rings under one configuration, every mutation applied to both.
 struct Pair {
@@ -251,11 +218,10 @@ struct Pair {
 }
 
 impl Pair {
-    fn new(num_slots: usize, histograms: bool) -> Pair {
+    fn new(num_slots: usize) -> Pair {
         let config = SlotConfig {
             slot_width: TimeDelta::from_millis(WIDTH_MS),
             num_slots,
-            histogram: histograms.then_some(SPEC),
         };
         Pair {
             config,
@@ -325,10 +291,6 @@ impl Pair {
                     let (want, want_used) = self.reference.usable_kind(now, staleness, kind);
                     assert_eq!((bits(&got), used), (bits(&want), want_used), "kind {kind}");
                 }
-                assert_eq!(
-                    ring.usable_histogram(now, staleness),
-                    self.reference.usable_histogram(now, staleness)
-                );
             }
         }
     }
@@ -381,16 +343,16 @@ struct Live {
 
 /// The slot `abs` should hold, recomputed from the live readings the way the
 /// tree recomputes a leaf's.
-fn rebuilt(config: &SlotConfig, live: &[Live], abs: u64) -> Slot {
-    let mut slot = Slot::empty(config.histogram);
+fn rebuilt(live: &[Live], abs: u64) -> Slot {
+    let mut slot = Slot::empty();
     for r in live.iter().filter(|r| r.abs == abs) {
         slot.add_reading(r.value, Timestamp(r.ts), r.kind);
     }
     slot
 }
 
-fn run(num_slots: usize, histograms: bool, kinds: u16, ops: &[Op]) {
-    let mut pair = Pair::new(num_slots, histograms);
+fn run(num_slots: usize, kinds: u16, ops: &[Op]) {
+    let mut pair = Pair::new(num_slots);
     let mut live: Vec<Live> = Vec::new();
     let mut now = 1_000;
     for op in ops {
@@ -420,7 +382,7 @@ fn run(num_slots: usize, histograms: bool, kinds: u16, ops: &[Op]) {
             Op::Remove(i) => {
                 let r = live.remove(i % live.len());
                 if pair.remove(r.abs, r.value, r.kind) == RemoveOutcome::NeedsRebuild {
-                    pair.set_slot(r.abs, rebuilt(&pair.config, &live, r.abs));
+                    pair.set_slot(r.abs, rebuilt(&live, r.abs));
                 }
             }
             Op::RemoveAs(i, kind) => {
@@ -432,7 +394,7 @@ fn run(num_slots: usize, histograms: bool, kinds: u16, ops: &[Op]) {
             }
             Op::Rebuild(ahead) => {
                 let abs = pair.base + ahead;
-                pair.set_slot(abs, rebuilt(&pair.config, &live, abs));
+                pair.set_slot(abs, rebuilt(&live, abs));
                 // A slot beyond the window is held all the same, in the
                 // bucket of the window slot it aliases.
                 let ring = num_slots as u64 + 1;
@@ -440,7 +402,7 @@ fn run(num_slots: usize, histograms: bool, kinds: u16, ops: &[Op]) {
             }
             Op::SetEmpty(ahead) => {
                 let abs = pair.base + ahead;
-                pair.set_slot(abs, Slot::empty(None));
+                pair.set_slot(abs, Slot::empty());
                 live.retain(|r| r.abs != abs);
             }
             Op::Drop(ahead) => {
@@ -462,17 +424,17 @@ proptest! {
 
     #[test]
     fn flat_ring_reads_as_the_option_ring_after_any_sequence(
-        shape in (0usize..4, 0u8..2, 1u16..4),
+        shape in (0usize..4, 1u16..4),
         ops in proptest::collection::vec(op_strategy(), 1..60),
     ) {
-        let (m, histograms, kinds) = shape;
-        run([1, 3, 8, 13][m], histograms == 1, kinds, &ops);
+        let (m, kinds) = shape;
+        run([1, 3, 8, 13][m], kinds, &ops);
     }
 }
 
 #[test]
 fn a_second_kind_arriving_with_three_slots_open_writes_their_rows_out() {
-    let mut pair = Pair::new(8, false);
+    let mut pair = Pair::new(8);
     for (abs, value) in [(2, 1.0), (3, 2.5), (3, -1.0), (5, 4.0)] {
         pair.insert(abs, 900, value, 1);
         pair.assert_same();
@@ -497,7 +459,7 @@ fn a_second_kind_arriving_with_three_slots_open_writes_their_rows_out() {
 
 #[test]
 fn a_rebuild_carrying_two_kinds_into_a_one_kind_ring_writes_the_rows_out() {
-    let mut pair = Pair::new(3, true);
+    let mut pair = Pair::new(3);
     pair.insert(1, 900, 1.0, 1);
     pair.insert(2, 900, 2.0, 1);
     let live = [
@@ -514,7 +476,7 @@ fn a_rebuild_carrying_two_kinds_into_a_one_kind_ring_writes_the_rows_out() {
             kind: 0,
         },
     ];
-    pair.set_slot(2, rebuilt(&pair.config, &live, 2));
+    pair.set_slot(2, rebuilt(&live, 2));
     pair.assert_same();
     assert!(pair.flat.side.is_allocated());
     assert_eq!(
@@ -524,7 +486,7 @@ fn a_rebuild_carrying_two_kinds_into_a_one_kind_ring_writes_the_rows_out() {
     // A one-row rebuild whose row is not the total's bits — a lone `-0.0`
     // sums to `0.0` in the total and stays `-0.0` in the row — is stored as
     // given too.
-    let mut pair = Pair::new(3, false);
+    let mut pair = Pair::new(3);
     pair.insert(1, 900, 5.0, 1);
     let live = [Live {
         abs: 2,
@@ -532,7 +494,7 @@ fn a_rebuild_carrying_two_kinds_into_a_one_kind_ring_writes_the_rows_out() {
         value: -0.0,
         kind: 1,
     }];
-    pair.set_slot(2, rebuilt(&pair.config, &live, 2));
+    pair.set_slot(2, rebuilt(&live, 2));
     pair.assert_same();
     assert!(pair.flat.side.is_allocated());
 }

@@ -85,15 +85,6 @@ impl SlotSizeWorkload {
     pub fn sweep(&self, deltas: &[f64]) -> Vec<(f64, f64)> {
         deltas.iter().map(|&d| (d, self.ratio(d))).collect()
     }
-
-    /// The slot width among `deltas` with the maximum utility/cost ratio.
-    pub fn optimal_slot_size(&self, deltas: &[f64]) -> f64 {
-        self.sweep(deltas)
-            .into_iter()
-            .max_by(|a, b| a.1.total_cmp(&b.1))
-            .map(|(d, _)| d)
-            .unwrap_or(1.0)
-    }
 }
 
 /// The standard `Δ` grid used by the Fig 2 sweep: 0.05, 0.10, …, 1.0.
@@ -163,22 +154,6 @@ mod tests {
         assert!((w.cost(0.4) - 12.0).abs() < 1.01); // ⌈0.5/0.4⌉·0 + 1 + 10
                                                     // Δ=0.5 covers exactly → cost 1.
         assert!((w.cost(0.5) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn uniform_expiry_has_interior_optimum() {
-        // The paper reports Δ* ≈ 0.5 for uniform expiry; at minimum the
-        // optimum must be interior (neither the smallest nor largest Δ).
-        let expiry: Vec<f64> = (1..=1000).map(|i| i as f64 / 1000.0).collect();
-        let w = SlotSizeWorkload {
-            query_windows: vec![0.5, 0.7, 1.0],
-            collection_fraction: 0.3,
-            collection_cost: 3.0,
-            expiry_times: expiry,
-        };
-        let grid = default_delta_grid();
-        let opt = w.optimal_slot_size(&grid);
-        assert!(opt > grid[0] && opt < 1.0, "optimum {opt} not interior");
     }
 
     #[test]

@@ -145,13 +145,6 @@ impl ClockHandle {
         ClockHandle::default()
     }
 
-    /// A shared clock starting at `t`.
-    pub fn starting_at(t: Timestamp) -> Self {
-        ClockHandle {
-            now_ms: Arc::new(AtomicU64::new(t.0)),
-        }
-    }
-
     /// Current instant.
     #[inline]
     pub fn now(&self) -> Timestamp {
@@ -167,11 +160,6 @@ impl ClockHandle {
     /// including under concurrent advancement.
     pub fn advance_to(&self, t: Timestamp) {
         self.now_ms.fetch_max(t.0, Ordering::AcqRel);
-    }
-
-    /// `true` when `other` is a clone of this clock (shares the instant).
-    pub fn shares_with(&self, other: &ClockHandle) -> bool {
-        Arc::ptr_eq(&self.now_ms, &other.now_ms)
     }
 }
 
@@ -219,7 +207,6 @@ mod tests {
     fn clock_handle_clones_share_one_instant() {
         let a = ClockHandle::new();
         let b = a.clone();
-        assert!(a.shares_with(&b));
         a.advance(TimeDelta::from_secs(3));
         assert_eq!(b.now(), Timestamp(3_000));
         b.advance_to(Timestamp(10_000));
@@ -227,8 +214,6 @@ mod tests {
         // Monotone: an earlier advance_to is ignored.
         b.advance_to(Timestamp(5_000));
         assert_eq!(a.now(), Timestamp(10_000));
-        // A fresh handle is a different clock.
-        assert!(!a.shares_with(&ClockHandle::starting_at(Timestamp(10_000))));
     }
 
     #[test]

@@ -393,10 +393,6 @@ pub struct ColrConfig {
     pub cache_capacity: Option<usize>,
     /// Bulk-load strategy.
     pub build: BuildStrategy,
-    /// When set, every slot cache also maintains per-slot value histograms
-    /// with this binning, letting the portal serve group *distributions*
-    /// (Section I's "distribution of waiting times") straight from cache.
-    pub slot_histograms: Option<crate::agg::HistogramSpec>,
     /// Ablation switch: when `false`, layered sampling skips the
     /// availability scale-up of Algorithm 1 (targets are taken at face
     /// value, so failures directly shrink the sample).
@@ -412,7 +408,6 @@ impl Default for ColrConfig {
             num_slots: 8,
             cache_capacity: None,
             build: BuildStrategy::default(),
-            slot_histograms: None,
             enable_oversampling: true,
             enable_redistribution: true,
         }
@@ -1359,7 +1354,7 @@ impl ColrTree {
         let rebuilt = if children.is_empty() {
             self.with_cache(id, |c| self.slot_of_entries(c.entries, slot))
         } else {
-            let mut rebuilt = Slot::empty(self.slot_config.histogram);
+            let mut rebuilt = Slot::empty();
             for ch in children {
                 self.with_cache(NodeId(ch as u32), |c| {
                     c.cache.merge_slot_into(slot, &mut rebuilt)
@@ -1376,7 +1371,7 @@ impl ColrTree {
     /// are put in order first.
     fn slot_of_entries(&self, entries: LeafEntries<'_>, slot: u64) -> Slot {
         let of_slot = |e: &&CachedEntry| self.slot_config.slot_of(e.reading.expires_at) == slot;
-        let mut rebuilt = Slot::empty(self.slot_config.histogram);
+        let mut rebuilt = Slot::empty();
         let add = |e: &CachedEntry| {
             let kind = self.sensors[e.reading.sensor.index()].kind;
             rebuilt.add_reading(e.reading.value, e.reading.timestamp, kind);

@@ -418,9 +418,10 @@ fn ring_crosses_itself(ring: &[Point]) -> bool {
 ///      WHERE S.location WITHIN RECT(0, 0, 100, 100) \
 ///      AND S.time BETWEEN now()-5 AND now() mins \
 ///      CLUSTER 10 SAMPLESIZE 30",
-/// ).unwrap();
+/// )?;
 /// assert_eq!(q.sample_size, Some(30));
 /// assert_eq!(q.cluster, Some(10.0));
+/// # Ok::<_, colr_engine::PortalError>(())
 /// ```
 pub fn parse(input: &str) -> Result<SelectQuery, ParseError> {
     let tokens = tokenize(input)?;
@@ -451,9 +452,9 @@ pub enum Statement {
 /// let s = parse_statement(
 ///     "EXPLAIN ANALYZE SELECT avg(temp) FROM sensor \
 ///      WHERE location WITHIN Rect(0, 0, 10, 10) SAMPLESIZE 20",
-/// )
-/// .expect("parses");
+/// )?;
 /// assert!(matches!(s, Statement::Explain { analyze: true, .. }));
+/// # Ok::<_, colr_engine::PortalError>(())
 /// ```
 pub fn parse_statement(input: &str) -> Result<Statement, ParseError> {
     let tokens = tokenize(input)?;

@@ -203,8 +203,11 @@ pub struct PortalResult {
     /// The requested aggregate over all groups combined.
     pub value: Option<f64>,
     /// Distribution of raw reading values (for the multi-resolution
-    /// "distribution of waiting times" display); present when raw readings
-    /// were materialised.
+    /// "distribution of waiting times" display), binned over their own
+    /// range. `None` when no raw reading was materialised: a group served
+    /// from a cached aggregate adds nothing to it, so an answer wholly from
+    /// cache has none. A routed answer whose shards binned differently
+    /// merges to `None` as well.
     pub histogram: Option<Histogram>,
     /// Collection statistics.
     pub stats: QueryStats,

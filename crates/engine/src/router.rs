@@ -473,14 +473,15 @@ impl<P: ProbeService> ShardedPortal<P> {
                 }
             }
         }
-        if answers.is_empty() {
-            let (shard, cause) = first_failure.expect("fan-out with no answers has a failure");
-            return Err(PortalError::ShardUnavailable {
+        // Every shard a fan-out skips holds a zero slice of a non-zero R, and
+        // apportioning never zeroes them all: no answer means a failure.
+        match first_failure {
+            Some((shard, cause)) if answers.is_empty() => Err(PortalError::ShardUnavailable {
                 shard,
                 cause: Box::new(cause),
-            });
+            }),
+            _ => Ok(self.merge(req, answers, merged_degradation, outcomes)),
         }
-        Ok(self.merge(req, answers, merged_degradation, outcomes))
     }
 
     /// Executes a batch through the router. A single-shard router runs it on

@@ -334,11 +334,6 @@ impl<P: ProbeService> PortalService<P> {
         self.core.closed.store(true, Ordering::Release);
     }
 
-    /// `true` once [`PortalService::close`] has been called.
-    pub fn is_closed(&self) -> bool {
-        self.core.closed.load(Ordering::Acquire)
-    }
-
     /// Attaches an SLO watchdog: every subsequent interactive query feeds it
     /// one `(latency, fulfillment)` observation, plus the query's flight
     /// record (as JSON) whenever one was captured. On an objective breach
@@ -505,10 +500,14 @@ impl<P: ProbeService> PortalService<P> {
         service_telem().served.inc();
         let result = self.run_inner(&snap, req.select(), &mut rng, queue_wait);
         let (explain, flight_json) = if analyze {
-            let rec = flight::take().expect("recorder stays armed through EXPLAIN ANALYZE");
+            // The recorder stays armed through EXPLAIN ANALYZE; were no
+            // record to come back, the plan would be rendered without it.
+            let rec = flight::take();
             let mut out = snap.planner().explain(req.select());
             out.push('\n');
-            out.push_str(&rec.render_tree());
+            if let Some(rec) = &rec {
+                out.push_str(&rec.render_tree());
+            }
             let d = &result.degradation;
             let _ = writeln!(
                 out,
@@ -521,15 +520,18 @@ impl<P: ProbeService> PortalService<P> {
                 d.deadline_clipped,
                 d.probes_retried
             );
-            match rec.parity() {
-                Ok(()) => out.push_str("parity: stage totals == QueryStats (bit-exact)"),
-                Err(e) => {
-                    let _ = write!(out, "parity: FAILED — {e}");
+            let json = rec.map(|rec| {
+                match rec.parity() {
+                    Ok(()) => out.push_str("parity: stage totals == QueryStats (bit-exact)"),
+                    Err(e) => {
+                        let _ = write!(out, "parity: FAILED — {e}");
+                    }
                 }
-            }
-            let json = rec.to_json();
-            flight::recycle(rec);
-            (Some(out), Some(json))
+                let json = rec.to_json();
+                flight::recycle(rec);
+                json
+            });
+            (Some(out), json)
         } else {
             (None, None)
         };
@@ -639,7 +641,7 @@ impl<P: ProbeService> PortalService<P> {
             readings_applied += lsm.apply_deferred(&deferred, now);
             stats.merge(&out.stats);
             let requested = requested_target(plan, core.mode);
-            let result = Self::finish(&snap, *kind, requested, out);
+            let result = Self::finish(*kind, requested, out);
             degradation.merge(&result.degradation);
             results.push(result);
         }
@@ -702,7 +704,7 @@ impl<P: ProbeService> PortalService<P> {
         let out = core
             .lsm
             .execute_in(&snap.cut, &plan, mode, &core.probe, now, rng);
-        let result = Self::finish(snap, q.agg.kind(), requested, out);
+        let result = Self::finish(q.agg.kind(), requested, out);
         let watchdog = core.watchdog.read().clone();
         let mut flight_json = None;
         if flight::is_active() {
@@ -746,7 +748,7 @@ impl<P: ProbeService> PortalService<P> {
     }
 
     /// Converts a raw engine output into the portal's result shape.
-    fn finish(snap: &Snapshot, kind: AggKind, requested: f64, out: QueryOutput) -> PortalResult {
+    fn finish(kind: AggKind, requested: f64, out: QueryOutput) -> PortalResult {
         let groups: Vec<GroupView> = out
             .groups
             .iter()
@@ -757,39 +759,22 @@ impl<P: ProbeService> PortalService<P> {
                 from_cache: g.from_cache,
             })
             .collect();
-        // Distribution: when the index maintains slot histograms, merge the
-        // cache-served group histograms with the raw readings under the
-        // configured binning; otherwise bin the raw readings adaptively.
-        let histogram = if let Some(spec) = snap.tree().config().slot_histograms {
-            let mut h = spec.empty();
-            let mut any = false;
-            for g in &out.groups {
-                if let Some(gh) = &g.hist {
-                    h.merge(gh);
-                    any = true;
-                }
-            }
+        // Distribution: the raw readings, binned adaptively. A group served
+        // from a cached aggregate has none to add.
+        let histogram = (!out.readings.is_empty()).then(|| {
+            let (lo, hi) = out
+                .readings
+                .iter()
+                .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), r| {
+                    (lo.min(r.value), hi.max(r.value))
+                });
+            let hi = if hi > lo { hi + 1e-9 } else { lo + 1.0 };
+            let mut h = Histogram::new(lo, hi, 10);
             for r in &out.readings {
                 h.insert(r.value);
-                any = true;
             }
-            any.then_some(h)
-        } else {
-            (!out.readings.is_empty()).then(|| {
-                let (lo, hi) = out
-                    .readings
-                    .iter()
-                    .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), r| {
-                        (lo.min(r.value), hi.max(r.value))
-                    });
-                let hi = if hi > lo { hi + 1e-9 } else { lo + 1.0 };
-                let mut h = Histogram::new(lo, hi, 10);
-                for r in &out.readings {
-                    h.insert(r.value);
-                }
-                h
-            })
-        };
+            h
+        });
         let sampled: u64 = out.groups.iter().map(|g| g.agg.count).sum();
         let degradation = DegradationReport {
             requested,
@@ -1217,7 +1202,6 @@ mod tests {
         let svc = hier_service();
         svc.clock().advance(TimeDelta::from_secs(1));
         svc.close();
-        assert!(svc.is_closed());
         let err = run(
             &svc,
             "SELECT count(*) FROM sensor WHERE location WITHIN RECT(0,0,1,1)",
@@ -1281,7 +1265,6 @@ mod tests {
                     let mut rng = level_stream(derive_seed(seed, ordinal));
                     let out = tree.execute(&plan, Mode::Colr, &probe, svc.now(), &mut rng);
                     let want = PortalService::<AlwaysAvailable>::finish(
-                        &svc.snapshot(),
                         req.select().agg.kind(),
                         requested_target(&plan, Mode::Colr),
                         out,
@@ -1336,7 +1319,6 @@ mod tests {
                     for (i, (req, plan, out, deferred)) in frozen.into_iter().enumerate() {
                         applied += tree.apply_readings(&deferred, now);
                         let want = PortalService::<AlwaysAvailable>::finish(
-                            &svc.snapshot(),
                             req.select().agg.kind(),
                             requested_target(&plan, Mode::Colr),
                             out,
@@ -1504,14 +1486,24 @@ mod tests {
     fn avg_histogram_present_with_raw_readings() {
         let svc = service_in(Mode::HierCache);
         svc.clock().advance(TimeDelta::from_secs(1));
-        let res = run(
-            &svc,
-            "SELECT avg(value) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,3.5,3.5)",
-        )
-        .expect("query runs");
+        // The viewport is one leaf's box, so a warm cache covers it.
+        let sql = "SELECT avg(value) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,3.5,2.5)";
+        let res = run(&svc, sql).expect("query runs");
         assert!(res.value.is_some());
         let h = res.histogram.expect("histogram from raw readings");
-        assert_eq!(h.total(), 16);
+        assert_eq!(h.total(), 12);
+        // Warm, the same query is answered from cached aggregates alone:
+        // no raw reading, so no distribution.
+        svc.clock().advance(TimeDelta::from_secs(1));
+        let warm = run(&svc, sql).expect("query runs");
+        assert_eq!(warm.stats.sensors_probed, 0);
+        assert!(
+            warm.groups.iter().all(|g| g.from_cache),
+            "{:?}",
+            warm.groups
+        );
+        assert_eq!(warm.value, res.value);
+        assert!(warm.histogram.is_none());
     }
 
     #[test]
@@ -1545,34 +1537,6 @@ mod tests {
             "portal cap ignored: probed {}",
             res.stats.sensors_probed
         );
-    }
-
-    #[test]
-    fn distribution_served_from_slot_histograms() {
-        use colr_tree::agg::HistogramSpec;
-        let mut config = PortalConfig {
-            mode: Mode::HierCache,
-            ..Default::default()
-        };
-        config.tree.slot_histograms = Some(HistogramSpec {
-            lo: 0.0,
-            hi: 256.0,
-            buckets: 8,
-        });
-        let svc = service(config);
-        svc.clock().advance(TimeDelta::from_secs(1));
-        let sql = "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,15.5,15.5)";
-        let cold = run(&svc, sql).unwrap();
-        assert_eq!(cold.histogram.as_ref().unwrap().total(), 256);
-        // Warm query: answered from aggregates, yet the distribution is
-        // still complete — out of the slot histograms, not raw readings.
-        svc.clock().advance(TimeDelta::from_secs(1));
-        let warm = run(&svc, sql).unwrap();
-        assert!(warm.stats.sensors_probed == 0);
-        let h = warm.histogram.as_ref().expect("cached distribution");
-        assert_eq!(h.total(), 256);
-        // AlwaysAvailable values = ids 0..256 → 32 per bucket of width 32.
-        assert!(h.counts().iter().all(|&c| c == 32), "{:?}", h.counts());
     }
 
     #[test]

@@ -32,16 +32,6 @@ impl Polygon {
         &self.vertices
     }
 
-    /// A rectangle as a polygon (counter-clockwise ring).
-    pub fn from_rect(r: &Rect) -> Self {
-        Polygon::new(vec![
-            r.min,
-            Point::new(r.max.x, r.min.y),
-            r.max,
-            Point::new(r.min.x, r.max.y),
-        ])
-    }
-
     /// Minimum bounding rectangle of the polygon.
     pub fn bounding_rect(&self) -> Rect {
         Rect::bounding(&self.vertices).expect("polygon has >= 3 vertices")
@@ -168,8 +158,18 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// A rectangle as a polygon (counter-clockwise ring).
+    fn from_rect(r: &Rect) -> Polygon {
+        Polygon::new(vec![
+            r.min,
+            Point::new(r.max.x, r.min.y),
+            r.max,
+            Point::new(r.min.x, r.max.y),
+        ])
+    }
+
     fn unit_square() -> Polygon {
-        Polygon::from_rect(&Rect::from_coords(0.0, 0.0, 1.0, 1.0))
+        from_rect(&Rect::from_coords(0.0, 0.0, 1.0, 1.0))
     }
 
     fn triangle() -> Polygon {
@@ -277,7 +277,7 @@ mod tests {
             bx in -5.0..5.0f64, by in -5.0..5.0f64, bw in 0.1..4.0f64, bh in 0.1..4.0f64) {
             let a = Rect::from_coords(ax, ay, ax + aw, ay + ah);
             let b = Rect::from_coords(bx, by, bx + bw, by + bh);
-            let via_poly = Polygon::from_rect(&a).intersection_area(&b);
+            let via_poly = from_rect(&a).intersection_area(&b);
             let via_rect = a.intersection(&b).map_or(0.0, |r| r.area());
             prop_assert!((via_poly - via_rect).abs() < 1e-9);
         }

@@ -199,7 +199,12 @@ mod tests {
     fn from_impls() {
         let r: Region = Rect::from_coords(0.0, 0.0, 1.0, 1.0).into();
         assert!(matches!(r, Region::Rect(_)));
-        let p: Region = Polygon::from_rect(&Rect::from_coords(0.0, 0.0, 1.0, 1.0)).into();
+        let triangle = vec![
+            Point::new(0.0, 0.0),
+            Point::new(1.0, 0.0),
+            Point::new(0.0, 1.0),
+        ];
+        let p: Region = Polygon::new(triangle).into();
         assert!(matches!(p, Region::Polygon(_)));
         let c: Region = Circle::new(Point::new(0.0, 0.0), 1.0).into();
         assert!(matches!(c, Region::Circle(_)));

@@ -277,11 +277,6 @@ impl Store {
         &mut self.tables[id.0]
     }
 
-    /// Looks a table up by name.
-    pub fn table_id(&self, name: &str) -> Option<TableId> {
-        self.names.get(name).copied()
-    }
-
     /// Inserts through the event log.
     pub fn insert(&mut self, table: TableId, row: Vec<Value>) -> RowId {
         let id = self.tables[table.0].insert(row);

@@ -36,7 +36,6 @@ pub struct SimNetwork<F> {
     sensors: Vec<SensorMeta>,
     state: Mutex<NetState<F>>,
     probes: Vec<AtomicU64>,
-    successes: Vec<AtomicU64>,
     /// Optional override forcing specific sensors offline (failure
     /// injection).
     forced_down: Vec<AtomicBool>,
@@ -88,7 +87,6 @@ impl<F: ValueField> SimNetwork<F> {
                 rng: StdRng::seed_from_u64(seed),
             }),
             probes: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            successes: (0..n).map(|_| AtomicU64::new(0)).collect(),
             forced_down: (0..n).map(|_| AtomicBool::new(false)).collect(),
             faults: Mutex::new(FaultPlan::new()),
         }
@@ -107,14 +105,6 @@ impl<F: ValueField> SimNetwork<F> {
             .collect()
     }
 
-    /// Times each sensor successfully answered.
-    pub fn success_counts(&self) -> Vec<u64> {
-        self.successes
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect()
-    }
-
     /// Total probes issued across all sensors.
     pub fn total_probes(&self) -> u64 {
         self.probes.iter().map(|c| c.load(Ordering::Relaxed)).sum()
@@ -126,28 +116,9 @@ impl<F: ValueField> SimNetwork<F> {
         self.forced_down[s.index()].store(down, Ordering::Relaxed);
     }
 
-    /// Resets the probe counters *and* any injected failure state
-    /// (forced-down flags) so one experiment phase cannot silently leak
-    /// faults into the next. Scheduled fault plans are cleared separately
-    /// via [`SimNetwork::clear_faults`] (they are declarative and usually
-    /// span phases on purpose).
-    pub fn reset_counters(&self) {
-        for c in self.probes.iter().chain(self.successes.iter()) {
-            c.store(0, Ordering::Relaxed);
-        }
-        for f in &self.forced_down {
-            f.store(false, Ordering::Relaxed);
-        }
-    }
-
     /// Activates a fault-injection plan (replacing any previous one).
     pub fn set_fault_plan(&self, plan: FaultPlan) {
         *self.faults.lock() = plan;
-    }
-
-    /// A snapshot of the active fault plan.
-    pub fn fault_plan(&self) -> FaultPlan {
-        self.faults.lock().clone()
     }
 
     /// Removes all injected faults: the scheduled plan and every
@@ -241,7 +212,6 @@ impl<F: ValueField> ProbeService for SimNetwork<F> {
                 if u >= effective {
                     return None;
                 }
-                self.successes[id.index()].fetch_add(1, Ordering::Relaxed);
                 let value = state.field.value(id, meta.location, now);
                 Some(Reading {
                     sensor: id,
@@ -348,7 +318,7 @@ mod tests {
     }
 
     #[test]
-    fn counters_track_probes_and_successes() {
+    fn counters_track_probes() {
         let net = SimNetwork::new(
             sensors(3, 1.0),
             ConstantField {
@@ -359,10 +329,7 @@ mod tests {
         );
         net.probe_batch(&[SensorId(0), SensorId(0), SensorId(2)], Timestamp(0));
         assert_eq!(net.probe_counts(), &[2, 0, 1]);
-        assert_eq!(net.success_counts(), &[2, 0, 1]);
         assert_eq!(net.total_probes(), 3);
-        net.reset_counters();
-        assert_eq!(net.total_probes(), 0);
     }
 
     #[test]
@@ -379,9 +346,8 @@ mod tests {
         let out = net.probe_batch(&[SensorId(0), SensorId(1)], Timestamp(0));
         assert!(out[0].is_none());
         assert!(out[1].is_some());
-        // Probe still counted, success not.
+        // The failed probe is counted too.
         assert_eq!(net.probe_counts(), &[1, 1]);
-        assert_eq!(net.success_counts(), &[0, 1]);
         net.set_forced_down(SensorId(0), false);
         assert!(net.probe_batch(&[SensorId(0)], Timestamp(0))[0].is_some());
     }
@@ -410,25 +376,6 @@ mod tests {
             .map(|t| net_b.probe_batch(&ids, Timestamp(t))[1].is_some())
             .collect();
         assert_eq!(s1_a, s1_b);
-    }
-
-    #[test]
-    fn reset_counters_clears_forced_down() {
-        let net = SimNetwork::new(
-            sensors(2, 1.0),
-            ConstantField {
-                base: 0.0,
-                step: 0.0,
-            },
-            1,
-        );
-        net.set_forced_down(SensorId(0), true);
-        assert!(net.probe_batch(&[SensorId(0)], Timestamp(0))[0].is_none());
-        net.reset_counters();
-        // The next phase starts from a clean slate: counters zeroed AND
-        // the injected failure gone.
-        assert_eq!(net.total_probes(), 0);
-        assert!(net.probe_batch(&[SensorId(0)], Timestamp(0))[0].is_some());
     }
 
     #[test]
@@ -463,8 +410,12 @@ mod tests {
             .map(|r| r.is_some())
             .collect();
         assert_eq!(after, vec![true; 4]);
+        // Cleared, the plan downs nothing, even inside its window.
         net.clear_faults();
-        assert!(net.fault_plan().is_empty());
+        assert!(net
+            .probe_batch(&ids, Timestamp(1_500))
+            .iter()
+            .all(|r| r.is_some()));
     }
 
     #[test]
@@ -513,6 +464,5 @@ mod tests {
             }
         });
         assert_eq!(net.total_probes(), 4 * 50 * 8);
-        assert_eq!(net.probe_counts(), net.success_counts());
     }
 }

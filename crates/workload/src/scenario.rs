@@ -146,39 +146,6 @@ impl Scenario {
         })
     }
 
-    /// Partitions this scenario's sensors into `shards` spatial groups with
-    /// the same k-means grid the bulk build uses
-    /// ([`colr_tree::kmeans_partition`]) — the shard map a sharded portal
-    /// would derive from this population. Returns per-shard index lists
-    /// (each sorted ascending); deterministic in `seed`.
-    pub fn shard_groups(&self, shards: usize, seed: u64) -> Vec<Vec<usize>> {
-        let points: Vec<_> = self.sensors.iter().map(|m| m.location).collect();
-        let mut groups = colr_tree::kmeans_partition(&points, shards.max(1), seed);
-        for g in &mut groups {
-            g.sort_unstable();
-        }
-        groups
-    }
-
-    /// How many of `rects` (one bounding box per shard) each query in the
-    /// trace overlaps — the fan-out histogram a scatter-gather router would
-    /// see under this workload. `fanout[i]` is the shard count for query
-    /// `i`; a query overlapping nothing counts as 1 (routers still forward
-    /// it somewhere).
-    pub fn shard_fanout(&self, rects: &[Rect]) -> Vec<usize> {
-        self.queries
-            .queries
-            .iter()
-            .map(|q| {
-                rects
-                    .iter()
-                    .filter(|r| q.rect.intersection(r).is_some())
-                    .count()
-                    .max(1)
-            })
-            .collect()
-    }
-
     /// A composite stress plan over `[from, until)`: a regional outage of
     /// ~`outage_fraction` of the fleet, fleet-wide availability drifting
     /// down to `drift_floor` (and staying there), a 3x latency spike over
@@ -277,49 +244,6 @@ mod tests {
         // Degenerate fraction downs nothing.
         let none = s.outage_region(0.0);
         assert!(!s.sensors.iter().any(|m| none.contains_point(&m.location)));
-    }
-
-    #[test]
-    fn shard_groups_partition_the_population() {
-        let mut cfg = ScenarioConfig::live_local_small();
-        cfg.sensor_count = 1_000;
-        cfg.queries.count = 1;
-        let s = cfg.build();
-        let groups = s.shard_groups(4, 7);
-        assert!(!groups.is_empty() && groups.len() <= 4);
-        let mut seen: Vec<usize> = groups.iter().flatten().copied().collect();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..1_000).collect::<Vec<_>>(), "exact partition");
-        for g in &groups {
-            assert!(g.windows(2).all(|w| w[0] < w[1]), "sorted ascending");
-        }
-        // Deterministic in the seed.
-        assert_eq!(groups, s.shard_groups(4, 7));
-        // One shard is the identity partition.
-        assert_eq!(s.shard_groups(1, 7), vec![(0..1_000).collect::<Vec<_>>()]);
-    }
-
-    #[test]
-    fn shard_fanout_counts_overlapping_rects() {
-        let mut cfg = ScenarioConfig::live_local_small();
-        cfg.sensor_count = 1_000;
-        cfg.queries.count = 200;
-        let s = cfg.build();
-        // Split the extent into left/right halves.
-        let mid = (s.extent.min.x + s.extent.max.x) / 2.0;
-        let halves = [
-            Rect::from_coords(s.extent.min.x, s.extent.min.y, mid, s.extent.max.y),
-            Rect::from_coords(mid, s.extent.min.y, s.extent.max.x, s.extent.max.y),
-        ];
-        let fanout = s.shard_fanout(&halves);
-        assert_eq!(fanout.len(), 200);
-        assert!(fanout.iter().all(|&f| (1..=2).contains(&f)));
-        // Viewports are small relative to the extent: most stay on one side.
-        let single = fanout.iter().filter(|&&f| f == 1).count();
-        assert!(single > 0, "no query stayed within one shard");
-        // A rect set covering nothing still routes each query somewhere.
-        let nowhere = [Rect::from_coords(-10.0, -10.0, -5.0, -5.0)];
-        assert!(s.shard_fanout(&nowhere).iter().all(|&f| f == 1));
     }
 
     #[test]

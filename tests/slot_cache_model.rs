@@ -92,7 +92,7 @@ proptest! {
                             };
                             cache.set_slot(
                                 slot,
-                                colr_repro::colr::Slot { agg, min_ts, by_kind, hist: None },
+                                colr_repro::colr::Slot { agg, min_ts, by_kind },
                             );
                         }
                     }
