@@ -257,6 +257,73 @@ impl SamplingArena {
         crate::tree::weight_of_kind(self.kind_weights(idx), kind)
     }
 
+    /// The index of node `idx`'s row for `kind` among every node's rows end
+    /// to end; `None` when the node holds no sensor of that kind.
+    #[inline]
+    pub(crate) fn kind_row(&self, idx: usize, kind: u16) -> Option<usize> {
+        let rows = self.kind_weights(idx);
+        let i = rows.binary_search_by_key(&kind, |(k, _)| *k).ok()?;
+        Some(self.kind_start[idx] as usize + i)
+    }
+
+    /// One descent over the nodes `region` reaches: `whole` for each node it
+    /// contains (not entered), `point` for each slot of a cut leaf inside it
+    /// of `kind`. A rectangle takes the walk's fast paths, other regions its
+    /// scalar predicates.
+    pub(crate) fn descend(
+        &self,
+        region: &Region,
+        kind: Option<u16>,
+        stack: &mut Vec<u32>,
+        class: &mut Vec<u8>,
+        mut whole: impl FnMut(usize),
+        mut point: impl FnMut(usize),
+    ) {
+        let kind_ok = |j: &usize| kind.is_none_or(|k| self.sensor_kind[*j] == k);
+        let rect = match region {
+            Region::Rect(q) => Some(q),
+            _ => None,
+        };
+        stack.clear();
+        stack.push(0);
+        while let Some(idx) = stack.pop() {
+            let (idx, bbox) = (idx as usize, self.bbox(idx as usize));
+            // Below the root a rectangle's nodes were classified in their
+            // parent's child run, which pushes only the cut ones.
+            if rect.is_none() || idx == 0 {
+                if !region.intersects_rect(&bbox) {
+                    continue;
+                }
+                if region.contains_rect(&bbox) {
+                    whole(idx);
+                    continue;
+                }
+            }
+            let (kids, start) = (self.child_range(idx), self.sensor_start(idx));
+            let slots = (start..start + self.sensor_len(idx)).filter(kind_ok);
+            match rect {
+                Some(q) => slots
+                    .filter(|&j| self.sensor_in_rect(j, q))
+                    .for_each(&mut point),
+                None => slots
+                    .filter(|&j| region.contains_point(&self.sensor_loc(j)))
+                    .for_each(&mut point),
+            }
+            let Some(q) = rect else {
+                stack.extend(kids.map(|c| c as u32));
+                continue;
+            };
+            self.classify_children(kids.start, kids.len(), q, class);
+            for (c, &cl) in kids.zip(class.iter()) {
+                match cl {
+                    2 => whole(c),
+                    1 => stack.push(c as u32),
+                    _ => {}
+                }
+            }
+        }
+    }
+
     /// Number of nodes in the arena.
     pub fn node_count(&self) -> usize {
         self.level.len()

@@ -10,9 +10,11 @@
 //! only ever sees global ids and a level tree only ever sees its own local
 //! ids.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
 use parking_lot::RwLock;
+
+use colr_geo::Region;
 
 use crate::lookup::Query;
 use crate::reading::{Reading, SensorId, SensorMeta};
@@ -36,6 +38,10 @@ pub struct LsmLevel {
     /// touches this level drops it physically.
     tombstoned: Box<[AtomicBool]>,
     tombstones: AtomicU64,
+    /// Per arena node: its descendant sensors not yet tombstoned.
+    live_nodes: Box<[AtomicU32]>,
+    /// Per row of the arena's per-kind table: its sensors not yet tombstoned.
+    live_rows: Box<[AtomicU32]>,
 }
 
 impl LsmLevel {
@@ -67,12 +73,20 @@ impl LsmLevel {
             .map(|_| AtomicBool::new(false))
             .collect::<Vec<_>>()
             .into_boxed_slice();
+        let arena = tree.sampling_arena();
+        let count = |n: u64| AtomicU32::new(n as u32);
+        let nodes = 0..arena.node_count();
+        let rows = nodes.clone().flat_map(|i| arena.kind_weights(i));
+        let live_rows = rows.map(|&(_, n)| count(n)).collect();
+        let live_nodes = nodes.map(|i| count(arena.weight(i) as u64)).collect();
         LsmLevel {
             key,
             tree,
             global,
             tombstoned,
             tombstones: AtomicU64::new(0),
+            live_nodes,
+            live_rows,
         }
     }
 
@@ -134,15 +148,23 @@ impl LsmLevel {
         self.tombstoned[local.index()].load(Ordering::Acquire)
     }
 
-    /// Tombstones local sensor `local`: masks it from probes, purges its
-    /// cached reading (updating every ancestor aggregate, so slot caches
-    /// never serve it again), and decrements the live weight. Returns `false`
-    /// when it was already tombstoned.
+    /// Tombstones local sensor `local`: masks it from probes, then takes it
+    /// off its ancestors' live counts and purges its cached reading (from
+    /// every ancestor aggregate too). `false` when it was already tombstoned.
     pub(crate) fn tombstone(&self, local: SensorId) -> bool {
         if self.tombstoned[local.index()].swap(true, Ordering::AcqRel) {
             return false;
         }
         self.tombstones.fetch_add(1, Ordering::AcqRel);
+        let arena = self.tree.sampling_arena();
+        let kind = self.tree.sensor(local).kind;
+        let leaf = self.tree.home_leaf(local);
+        for id in std::iter::successors(Some(leaf), |&id| arena.parent(id)) {
+            self.live_nodes[id.index()].fetch_sub(1, Ordering::AcqRel);
+            if let Some(row) = arena.kind_row(id.index(), kind) {
+                self.live_rows[row].fetch_sub(1, Ordering::AcqRel);
+            }
+        }
         self.tree.remove_cached(local);
         true
     }
@@ -169,28 +191,44 @@ impl LsmLevel {
         }
     }
 
-    /// Fraction of the built population still live (1.0 for a fresh level).
-    pub fn live_fraction(&self) -> f64 {
+    /// `(live, built)`: the sensors of `kind` (any when `None`) in `region`,
+    /// tombstoned ones as built only (the walk still spreads a target over
+    /// them). A contained node adds its (kind row's) live count and weight.
+    pub(crate) fn count_in(
+        &self,
+        region: &Region,
+        kind: Option<u16>,
+        stack: &mut Vec<u32>,
+        class: &mut Vec<u8>,
+    ) -> (u64, u64) {
+        let (mut live, mut built, mut dead) = (0, 0, 0);
         if self.global.is_empty() {
-            return 0.0;
+            return (live, built);
         }
-        self.live() as f64 / self.len() as f64
+        let arena = self.tree.sampling_arena();
+        let counts = kind.map_or(&self.live_nodes, |_| &self.live_rows);
+        let (mut points, retired) = (0, self.tombstone_count() > 0);
+        let whole = |idx: usize| {
+            let row = kind.map_or(Some(idx), |k| arena.kind_row(idx, k));
+            if let Some(row) = row {
+                live += counts[row].load(Ordering::Acquire) as u64;
+                built += kind.map_or(arena.weight(idx) as u64, |k| arena.kind_weight(idx, k));
+            }
+        };
+        let point = |j: usize| {
+            points += 1;
+            dead += u64::from(retired && self.is_tombstoned(arena.sensor(j)));
+        };
+        arena.descend(region, kind, stack, class, whole, point);
+        (live + points - dead, built + points)
     }
 
-    /// The level's Algorithm 1 split weight for a query: the root's
-    /// (kind-filtered) sensor weight, discounted by the live fraction (node
-    /// weights inside the tree still count tombstoned sensors until the next
-    /// merge, so the layered executor scales the level's sub-target back up
-    /// by the same fraction) and scaled by the viewport overlap, exactly as
-    /// the shard router weighs its shards.
-    pub fn query_weight(&self, region: &colr_geo::Region, kind_filter: Option<u16>) -> f64 {
-        if self.global.is_empty() {
-            return 0.0;
-        }
+    /// Whether a query reaches the level: its region overlaps the root box,
+    /// which holds a sensor of the kind asked.
+    pub(crate) fn reaches(&self, region: &Region, kind: Option<u16>) -> bool {
         let root = self.tree.node(self.tree.root());
-        root.query_weight(kind_filter) as f64
-            * self.live_fraction()
-            * region.overlap_fraction(&root.bbox)
+        kind.map_or(root.weight, |k| root.weight_of_kind(k)) > 0
+            && region.overlap_fraction(&root.bbox) > 0.0
     }
 
     /// Reconstructs the *global* meta of local sensor `local`.
@@ -208,15 +246,6 @@ impl LsmLevel {
                 visit(meta.location);
             }
         }
-    }
-
-    /// Every live (non-tombstoned) sensor with its global id, ascending.
-    #[cfg(test)]
-    pub(crate) fn live_global_metas(&self) -> Vec<SensorMeta> {
-        (0..self.len())
-            .filter(|&j| !self.tombstoned[j].load(Ordering::Acquire))
-            .map(|j| self.global_meta(j))
-            .collect()
     }
 
     /// The level's cached readings translated to global ids, for merge
@@ -391,19 +420,14 @@ impl L0Level {
         parked.filter(|p| query.matches_sensor(&p.meta)).collect()
     }
 
-    /// How many live sensors match the spatial + kind predicates — what the
-    /// shard router weighs L0 by, counted in place under the read lock.
-    pub(crate) fn count_matching(
-        &self,
-        region: &colr_geo::Region,
-        kind_filter: Option<u16>,
-    ) -> usize {
+    /// [`LsmLevel::count_in`]'s live count for L0, under the read lock.
+    pub(crate) fn count_in(&self, region: &Region, kind: Option<u16>) -> u64 {
         let inner = self.inner.read();
         let live = inner.sensors.iter().zip(&inner.tombstoned);
         live.filter(|&(m, &dead)| {
-            !dead && kind_filter.is_none_or(|k| m.kind == k) && region.contains_point(&m.location)
+            !dead && kind.is_none_or(|k| m.kind == k) && region.contains_point(&m.location)
         })
-        .count()
+        .count() as u64
     }
 
     /// Visits the location of every live sensor in registration order, under
@@ -495,6 +519,28 @@ impl L0Level {
         AfterCut {
             rest: rest.collect(),
             dropped: dead.map(|pos| inner.sensors[pos].id.0).collect(),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    impl LsmLevel {
+        /// Every live (non-tombstoned) sensor with its global id, ascending.
+        pub(crate) fn live_global_metas(&self) -> Vec<SensorMeta> {
+            (0..self.len())
+                .filter(|&j| !self.tombstoned[j].load(Ordering::Acquire))
+                .map(|j| self.global_meta(j))
+                .collect()
+        }
+
+        /// The live counts a tombstone keeps per node and per kind row, for
+        /// a recount to check.
+        pub(crate) fn live_counts(&self) -> (Vec<u32>, Vec<u32>) {
+            let read = |c: &[AtomicU32]| c.iter().map(|n| n.load(Ordering::Acquire)).collect();
+            (read(&self.live_nodes), read(&self.live_rows))
         }
     }
 }

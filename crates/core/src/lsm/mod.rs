@@ -14,21 +14,23 @@
 //! * **Merges** — [`LsmTree::merge`] drains L0 plus a trailing run of small
 //!   (or heavily tombstoned) levels into one freshly bulk-built level,
 //!   carrying still-fresh cached readings across through
-//!   [`crate::tree::ColrTree::restore_entries`]. Queries never block:
-//!   merges build off to the side and publish by swapping one `Arc`. A
-//!   merged level's leaf k-means starts from the absorbed levels' live leaf
-//!   centroids, if any (`build.rs`, "A merge's seeded start").
+//!   [`crate::tree::ColrTree::restore_entries`]. It builds off to the side
+//!   and publishes in `LsmTree::publish_merge`, the one write hold of
+//!   `state`, which [`LsmTree::cut`], `register` and `retire` wait out. Its
+//!   leaf k-means starts from the absorbed levels' live leaf centroids, if
+//!   any (`build.rs`, "A merge's seeded start").
 //!
 //! Algorithm 1's sampling becomes *layered*: a query's sample target `R`
-//! splits across components (levels + L0) in proportion to each component's
-//! live weight, using the same unbiased apportionment the shard router uses
-//! across shards. Expectation is preserved end-to-end (Theorems 1/2: floors
-//! plus systematically sampled remainders sum to exactly the stochastically
-//! rounded `R` with every component's expected share its ideal one, and each
-//! component applies Algorithm 1's availability oversampling internally).
-//! There is one way through: a fresh index — one level, nothing retired, an
-//! empty L0 — is the same loop run once, and answers exactly as its level's
-//! tree does when handed the rounded target and component 0's stream.
+//! splits across components (levels + L0) by their live sensors in its
+//! region, the count the shard router splits shards by, using the same
+//! unbiased apportionment. Expectation is preserved end-to-end (Theorems 1/2:
+//! floors plus systematically sampled remainders sum to exactly the
+//! stochastically rounded `R` with every component's expected share its
+//! ideal one, and each component applies Algorithm 1's availability
+//! oversampling internally). There is one way through: a fresh index — one
+//! level, nothing retired, an empty L0 — is the same loop run once,
+//! uncounted, and answers exactly as its level's tree does when handed the
+//! rounded target and component 0's stream.
 //!
 //! And one way back: a query writes nothing into the cut it read until it
 //! has run. Its successes go to wherever their sensors live then: where it
@@ -261,16 +263,14 @@ impl LsmState {
         }
     }
 
-    /// The cut's live sampling weight for a viewport — the layered analogue
-    /// of `root.query_weight × overlap_fraction` on the monolithic tree, used
-    /// by the shard router to apportion across shards.
-    pub fn overlap_weight(&self, region: &colr_geo::Region, kind_filter: Option<u16>) -> f64 {
-        let levels: f64 = self
-            .levels
-            .iter()
-            .map(|l| l.query_weight(region, kind_filter))
-            .sum();
-        levels + self.l0.count_matching(region, kind_filter) as f64
+    /// The cut's live sensors of `kind` (any kind when `None`) inside
+    /// `region`, every level's and L0's: what the shard router splits by.
+    pub fn count_in(&self, region: &colr_geo::Region, kind: Option<u16>) -> u64 {
+        let levels = crate::scratch::with_scratch(|s| {
+            let count = |l: &Arc<LsmLevel>| l.count_in(region, kind, &mut s.stack, &mut s.class);
+            self.levels.iter().map(count).map(|n| n.0).sum::<u64>()
+        });
+        levels + self.l0.count_in(region, kind)
     }
 }
 
@@ -722,25 +722,35 @@ impl LsmTree {
         let mut layers = std::mem::take(&mut scratch.layers);
         let LayerScratch {
             split,
+            scale,
             parts,
             wire,
             homes,
         } = &mut layers;
         split.clear();
+        scale.clear();
         clear_pooled(wire);
         clear_pooled(homes);
 
         // --- Split: the components with something to answer, levels in
-        // state order and L0 last, each handed its share of the target.
+        // state order and L0 last, each weighed by its live sensors in the
+        // region (L0's are its candidates) and handed its share.
+        let (region, kind) = (&query.region, query.kind_filter);
+        let lone = state.levels.len() == 1 && l0_cands.is_empty();
         for (i, level) in state.levels.iter().enumerate() {
-            let weight = match r_int {
-                Some(_) => level.query_weight(&query.region, query.kind_filter),
-                // Nothing to split: every level that holds a sensor
-                // answers the query as asked.
-                None => level.len() as f64,
+            // Uncounted with nothing to split, or alone and nothing retired.
+            let (live, built) = if r_int.is_none() || (lone && level.tombstone_count() == 0) {
+                let n =
+                    level.len() as u64 * u64::from(r_int.is_none() || level.reaches(region, kind));
+                (n, n)
+            } else {
+                level.count_in(region, kind, &mut scratch.stack, &mut scratch.class)
             };
-            if weight > 0.0 {
-                split.push(Claim::new(i, weight));
+            if live > 0 {
+                split.push(Claim::new(i, live as f64));
+                if built > live {
+                    scale.push((i, built as f64 / live as f64));
+                }
             }
         }
         if !l0_cands.is_empty() {
@@ -763,18 +773,11 @@ impl LsmTree {
                 l0_part = select_l0(l0_cands, query, mode, now, &mut comp_rng, share, &mut stats);
                 continue;
             };
-            // The level's weight counted live sensors only, but its walk
-            // spreads a target over the tombstoned ones too and the
-            // collect step drops those picks: ask for enough that the
-            // live ones keep the whole share.
-            let target = share.map(|share| {
-                let live = level.live_fraction();
-                if live > 0.0 {
-                    share as f64 / live
-                } else {
-                    0.0
-                }
-            });
+            // The walk spreads a target over the tombstoned sensors in the
+            // region too and the collect step drops those picks: ask for
+            // enough that the live ones keep the whole share.
+            let up = scale.iter().find(|s| s.0 == claim.id).map_or(1.0, |s| s.1);
+            let target = share.map(|share| share as f64 * up);
             let (fixes_from, ids_from) = (plan.fixes.len(), plan.ids.len());
             let out =
                 level
@@ -1165,6 +1168,8 @@ fn apply_routed<'a>(
 pub(crate) struct LayerScratch {
     /// The components that answer, with their shares of the target.
     split: Vec<Claim>,
+    /// The levels of `split` with tombstones in the region: built / live.
+    scale: Vec<(usize, f64)>,
     /// Per level that selected, in `split` order: its index in the cut, its
     /// walk's answer so far, and which fixes and ids of the plan are its own.
     parts: Vec<(usize, QueryOutput, Range<usize>, Range<usize>)>,

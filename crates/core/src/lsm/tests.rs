@@ -5,9 +5,9 @@ use crate::probe::{AlwaysAvailable, ProbeService};
 use crate::reading::SensorMeta;
 use crate::time::TimeDelta;
 use crate::tree::{ColrConfig, ColrTree};
-use colr_geo::{Point, Rect};
+use colr_geo::{Circle, Point, Polygon, Rect, Region};
 use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 const EXPIRY_MS: u64 = 300_000;
 
@@ -1265,4 +1265,138 @@ fn a_merge_chain_builds_the_recorded_trees() {
         d, MERGE_CHAIN,
         "merge chain digest {d:#018x}, recorded {MERGE_CHAIN:#018x}"
     );
+}
+
+/// A random viewport over the 100-wide square the count property's sensors
+/// lie in: a rectangle, a triangle or a circle, sometimes past the edge.
+fn random_region(rng: &mut StdRng) -> Region {
+    let mut at = || {
+        Point::new(
+            rng.random_range(-10.0..110.0),
+            rng.random_range(-10.0..110.0),
+        )
+    };
+    let (a, b, c) = (at(), at(), at());
+    match rng.random_range(0..3) {
+        0 => Rect::from_coords(a.x.min(b.x), a.y.min(b.y), a.x.max(b.x), a.y.max(b.y)).into(),
+        1 => Polygon::new(vec![a, b, c]).into(),
+        _ => Circle::new(a, rng.random_range(1.0..70.0)).into(),
+    }
+}
+
+/// The level's per-node and per-kind-row live counts, recounted bottom-up
+/// from its tombstone mask (children follow their parents in the arena).
+fn recounted(level: &LsmLevel) -> (Vec<u32>, Vec<u32>) {
+    let arena = level.tree().sampling_arena();
+    let mut nodes = vec![0u32; arena.node_count()];
+    let rows = (0..arena.node_count()).map(|i| arena.kind_weights(i).len());
+    let mut rows = vec![0u32; rows.sum()];
+    for idx in (0..arena.node_count()).rev() {
+        for &s in arena.leaf_sensors(idx) {
+            if !level.is_tombstoned(s) {
+                nodes[idx] += 1;
+                let kind = level.tree().sensor(s).kind;
+                rows[arena
+                    .kind_row(idx, kind)
+                    .expect("a leaf has its sensors' kinds")] += 1;
+            }
+        }
+        for c in arena.child_range(idx) {
+            nodes[idx] += nodes[c];
+            for &(kind, _) in arena.kind_weights(c) {
+                let (mine, child) = (arena.kind_row(idx, kind), arena.kind_row(c, kind));
+                rows[mine.expect("a parent has its children's kinds")] +=
+                    rows[child.expect("a node has its own kinds")];
+            }
+        }
+    }
+    (nodes, rows)
+}
+
+/// How many of `metas` are of `kind` (any when `None`) inside `region`.
+fn flat_count(metas: &[SensorMeta], region: &Region, kind: Option<u16>) -> u64 {
+    let matches =
+        |m: &&SensorMeta| kind.is_none_or(|k| m.kind == k) && region.contains_point(&m.location);
+    metas.iter().filter(matches).count() as u64
+}
+
+/// One case of the count property, everything drawn from `seed`: a base
+/// level, up to two merged levels and an L0 over random sensors of three
+/// kinds, random retires in every component (the live counts recounted
+/// after each), then random regions with and without a kind.
+fn counts_match_a_flat_scan(seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut next_id = 0u32;
+    let mut sensor = |rng: &mut StdRng| {
+        let at = Point::new(rng.random_range(0.0..100.0), rng.random_range(0.0..100.0));
+        let meta = SensorMeta::new(next_id, at, TimeDelta::from_millis(EXPIRY_MS), 1.0);
+        next_id += 1;
+        meta.with_kind(rng.random_range(0..3))
+    };
+    let base: Vec<SensorMeta> = (0..rng.random_range(1..300))
+        .map(|_| sensor(&mut rng))
+        .collect();
+    let config = LsmConfig {
+        l0_capacity: 8,
+        level_ratio: 2,
+    };
+    let lsm = LsmTree::new(base, ColrConfig::default(), config, seed);
+    for round in 0..rng.random_range(0..4) {
+        if round > 0 {
+            lsm.merge(Timestamp(round * 1_000));
+        }
+        for _ in 0..rng.random_range(0..40) {
+            lsm.register(sensor(&mut rng));
+        }
+    }
+    let what = format!("seed {seed}");
+    let mut ids: Vec<u32> = (0..next_id).collect();
+    for i in 0..rng.random_range(0..next_id as usize / 2 + 1) {
+        let j = rng.random_range(i..ids.len());
+        ids.swap(i, j);
+        assert!(lsm.retire(SensorId(ids[i])), "{what}");
+        for level in &lsm.cut().levels {
+            assert_eq!(level.live_counts(), recounted(level), "{what}: retire {i}");
+        }
+    }
+
+    let cut = lsm.cut();
+    let l0: Vec<SensorMeta> = cut.l0.snapshot().iter().map(|p| p.meta).collect();
+    let (mut stack, mut class) = (Vec::new(), Vec::new());
+    for _ in 0..8 {
+        let region = random_region(&mut rng);
+        for kind in [None, Some(rng.random_range(0..4))] {
+            let what = format!("{what}: {region:?}, kind {kind:?}");
+            let mut live = flat_count(&l0, &region, kind);
+            assert_eq!(cut.l0.count_in(&region, kind), live, "{what}: L0");
+            for level in &cut.levels {
+                let (n_live, n_built) = level.count_in(&region, kind, &mut stack, &mut class);
+                let built: Vec<SensorMeta> =
+                    (0..level.len()).map(|j| level.global_meta(j)).collect();
+                let flat = flat_count(&level.live_global_metas(), &region, kind);
+                assert_eq!(n_live, flat, "{what}: level {} live", level.key());
+                assert_eq!(
+                    n_built,
+                    flat_count(&built, &region, kind),
+                    "{what}: level {} built",
+                    level.key()
+                );
+                live += flat;
+            }
+            assert_eq!(cut.count_in(&region, kind), live, "{what}: the cut");
+        }
+    }
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+    /// One level's count, L0's and the cut's sum each equal a flat scan of
+    /// the live sensors, and the per-node live counts a recount. The
+    /// stand-in does not shrink: a failure prints the case's seed, and
+    /// `counts_match_a_flat_scan(seed)` replays it.
+    #[test]
+    fn a_count_is_a_flat_scan_of_the_live_sensors_in_the_region(seed in 0..u64::MAX) {
+        counts_match_a_flat_scan(seed);
+    }
 }

@@ -854,7 +854,7 @@ mod tests {
             &mut rng,
         );
         for r in &out.readings {
-            let loc = tree.sensor_location(r.sensor);
+            let loc = tree.sensor(r.sensor).location;
             assert!(loc.x <= 5.5, "sampled sensor outside region at {loc:?}");
         }
         assert!(!out.readings.is_empty());

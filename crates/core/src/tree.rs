@@ -93,7 +93,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use colr_geo::{Point, Rect};
+use colr_geo::Rect;
 use parking_lot::{Mutex, RwLock};
 
 use crate::arena::{Home, SamplingArena};
@@ -360,14 +360,6 @@ impl NodeRef<'_> {
     /// Number of descendant sensors of one type.
     pub fn weight_of_kind(&self, kind: u16) -> u64 {
         weight_of_kind(self.kind_weights, kind)
-    }
-
-    /// The sampling weight for an optionally type-filtered query.
-    pub fn query_weight(&self, kind_filter: Option<u16>) -> u64 {
-        match kind_filter {
-            None => self.weight,
-            Some(k) => self.weight_of_kind(k),
-        }
     }
 }
 
@@ -1419,11 +1411,6 @@ impl ColrTree {
         }
     }
 
-    /// Location of a sensor.
-    pub fn sensor_location(&self, id: SensorId) -> Point {
-        self.sensors[id.index()].location
-    }
-
     /// Debug validation: checks the structural invariants of the tree and
     /// cache accounting. Used by tests; O(n).
     pub fn validate(&self) -> Result<(), String> {
@@ -1574,6 +1561,7 @@ impl ColrTree {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use colr_geo::Point;
     use std::cell::RefCell;
 
     /// What a test runs on its thread before each chunk of an

@@ -541,24 +541,20 @@ impl<P: ProbeService> ShardedPortal<P> {
 
     // -- routing internals -------------------------------------------------
 
-    /// The shards the query region overlaps, with their Algorithm 1 split
-    /// weights `w_i × Overlap(BB(i), A)`, each read from one read of the
-    /// shard's published cut.
-    /// Falls back to shard 0 (weightless) when nothing overlaps, so an
-    /// empty-viewport query still yields one well-formed empty answer.
+    /// The shards holding live sensors in the query's region, weighed by how
+    /// many ([`colr_tree::LsmState::count_in`]); a lone shard, uncounted. With
+    /// none, the caller falls back to shard 0 and its one empty answer.
     fn overlap_targets(&self, select: &SelectQuery) -> Vec<Claim> {
+        let shards = &self.core.shards;
+        if shards.len() == 1 {
+            return vec![Claim::new(0, 1.0)];
+        }
         let region = select.within.region();
         let mut targets = Vec::new();
-        for (s, shard) in self.core.shards.iter().enumerate() {
-            // Every level's weighted overlap plus the L0 candidates, so
-            // freshly registered (and not yet merged) sensors pull routed
-            // sample share immediately.
-            let ow = shard
-                .snapshot()
-                .cut()
-                .overlap_weight(&region, select.sensor_type);
-            if ow > 0.0 {
-                targets.push(Claim::new(s, ow));
+        for (s, shard) in shards.iter().enumerate() {
+            let live = shard.snapshot().cut().count_in(&region, select.sensor_type);
+            if live > 0 {
+                targets.push(Claim::new(s, live as f64));
             }
         }
         targets

@@ -78,7 +78,7 @@ fn partially_covered_leaf(tree: &ColrTree) -> (NodeId, Vec<SensorId>, Rect) {
         let cut = node.bbox.max.x - 0.5;
         let inside = sensors
             .iter()
-            .filter(|s| tree.sensor_location(**s).x <= cut)
+            .filter(|s| tree.sensor(**s).location.x <= cut)
             .count();
         if inside >= 2 && inside < sensors.len() {
             let rect = Rect::from_coords(

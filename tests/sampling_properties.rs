@@ -645,6 +645,135 @@ mod oracle {
         }
     }
 
+    /// The region a viewport's SQL names, as the portal parses it.
+    fn region_of(viewport: &str) -> Region {
+        let req = QueryRequest::from_sql(&samplesize(viewport, 1)).expect("viewport parses");
+        req.select().within.region()
+    }
+
+    /// `member` narrowed to the sensors inside `viewport`.
+    fn inside(viewport: &str, sensors: &[SensorMeta], member: &[bool]) -> Vec<bool> {
+        let region = region_of(viewport);
+        let at = |i: usize| region.contains_point(&sensors[i].location);
+        (0..member.len()).map(|i| member[i] && at(i)).collect()
+    }
+
+    /// A level over a 2 × 1 cluster of 200 sensors and 200 sensors spread
+    /// over a 90 × 50 box, and 20 arrivals in L0 inside the cluster. Asked
+    /// over the cluster alone, L0 holds 20 of the 220 sensors in range and
+    /// its share of the sample is 20/220 of it: a split that weighed the
+    /// level by its root weight × the viewport's overlap with its root box
+    /// handed L0 99 % of it.
+    #[test]
+    fn a_cluster_beside_fresh_arrivals_splits_by_who_is_in_range() {
+        let cluster = (0..200).map(|i| Point::new((i % 20) as f64 * 0.1, (i / 20) as f64 * 0.1));
+        let spread = (0..200)
+            .map(|i| Point::new(10.0 + (i % 20) as f64 * 4.5, 10.0 + (i / 20) as f64 * 5.0));
+        let arrivals = (0..20).map(|i| Point::new(0.05 + i as f64 * 0.1, 0.45));
+        let sensors: Vec<SensorMeta> = cluster
+            .chain(spread)
+            .chain(arrivals)
+            .enumerate()
+            .map(|(i, at)| SensorMeta::new(i as u32, at, EXPIRY, 1.0))
+            .collect();
+        let log = Log::default();
+        let (portal, _) = portal(&sensors, 400, 1, &log, |b| b);
+        for m in &sensors[400..] {
+            portal.register_sensor(m.location, m.expiry, m.availability, m.kind);
+        }
+        let viewport = "RECT(-0.01, -0.01, 2, 1)";
+        let member = inside(viewport, &sensors, &all(420));
+        assert_eq!(member.iter().filter(|&&m| m).count(), 220);
+        let components = [("level", (0..400).collect()), ("L0", (400..420).collect())];
+        let trials = run(&portal, &log, &samplesize(viewport, 8), 2_000);
+        check(
+            "2 × 1 cluster + L0, R=8",
+            &trials,
+            8.0,
+            &member,
+            &components,
+            false,
+        );
+    }
+
+    /// [`lsm_portal`] with and without tombstones, asked over a rectangle,
+    /// a triangle and a disc that each cut every component: each level's
+    /// and L0's share is its live sensors in range over all of them.
+    #[test]
+    fn lsm_components_share_a_partial_viewport_by_who_is_in_range() {
+        let sensors = fleet(300, 92, |_| 1.0);
+        let components = [
+            ("level 1", (0..300).collect()),
+            ("level 2", (300..360).collect()),
+            ("level 3", (360..372).collect()),
+            ("L0", (372..392).collect()),
+        ];
+        for retire in [false, true] {
+            let log = Log::default();
+            let (portal, live) = lsm_portal(&log, retire);
+            for viewport in [
+                "RECT(2.2, 0.3, 14.7, 9.1)",
+                "POLYGON((0 0, 19 2, 8 18))",
+                "CIRCLE(9.5, 3.5, 6.2)",
+            ] {
+                let member = inside(viewport, &sensors, &live);
+                let trials = run(&portal, &log, &samplesize(viewport, 8), 1_000);
+                let what = format!("3 levels + L0, retire={retire}, {viewport} R=8");
+                check(&what, &trials, 8.0, &member, &components, false);
+            }
+        }
+    }
+
+    /// 1,000 sensors drawn from one seed: five dense clusters of unequal
+    /// size over a sparse background on the 100-wide square.
+    fn clustered_fleet() -> Vec<SensorMeta> {
+        let mut rng = StdRng::seed_from_u64(42);
+        let clusters = [
+            (20.0, 25.0, 260),
+            (70.0, 30.0, 200),
+            (45.0, 70.0, 180),
+            (80.0, 80.0, 120),
+            (25.0, 85.0, 90),
+        ];
+        let mut at = Vec::new();
+        for (x, y, n) in clusters {
+            let mut near = |c: f64| c + rng.random_range(-8.0..8.0);
+            at.extend((0..n).map(|_| Point::new(near(x), near(y))));
+        }
+        let mut anywhere = || rng.random_range(0.0..100.0);
+        at.extend((0..150).map(|_| Point::new(anywhere(), anywhere())));
+        let metas = at.into_iter().enumerate();
+        metas
+            .map(|(i, at)| SensorMeta::new(i as u32, at, EXPIRY, 1.0))
+            .collect()
+    }
+
+    /// Four shards over [`clustered_fleet`], asked over a rectangle, a
+    /// triangle and a disc that each cut every shard: each shard's share is
+    /// its sensors in range over all of them, not its sensors times the
+    /// viewport's overlap with its box.
+    #[test]
+    fn four_shards_share_a_partial_viewport_by_who_is_in_range() {
+        let sensors = clustered_fleet();
+        let n = sensors.len();
+        let log = Log::default();
+        let (portal, shard_of) = portal(&sensors, n, 4, &log, |b| b);
+        let names = ["shard 0", "shard 1", "shard 2", "shard 3"];
+        let components: Vec<(&str, Vec<usize>)> = (0..4)
+            .map(|s| (names[s], (0..n).filter(|&i| shard_of[i] == s).collect()))
+            .collect();
+        for viewport in [
+            "RECT(15, 12, 85, 85)",
+            "POLYGON((10 5, 95 30, 60 98))",
+            "CIRCLE(50, 50, 35)",
+        ] {
+            let member = inside(viewport, &sensors, &all(n));
+            let trials = run(&portal, &log, &samplesize(viewport, 64), 400);
+            let what = format!("4 clustered shards, {viewport} R=64");
+            check(&what, &trials, 64.0, &member, &components, false);
+        }
+    }
+
     /// One warm trial: who answered the warm-up, the measured answer's
     /// `sampled`, and who answered the measured request.
     struct WarmTrial {
