@@ -160,7 +160,7 @@ if [ -n "$early" ]; then
     echo "ci: a column-0 #[cfg(test)] before the test module cuts the count early at: $early" >&2
     exit 1
 fi
-max_nontest=18587
+max_nontest=18637
 nontest=$(counted crates/*/src |
     xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile } { n++ } END { print n }' |
     awk '{ s += $1 } END { print s }')
@@ -231,6 +231,15 @@ cargo run --release --offline -q --example fault_injection | grep -q "fault_smok
     exit 1
 }
 echo "ci: fault-injection smoke OK"
+
+# Quickstart smoke: the front door's first example must keep answering a bare
+# count(*) exactly with no probe beside a sampled avg(value) that warms (the
+# example self-checks and prints the marker only when every answer holds).
+cargo run --release --offline -q --example quickstart | grep -q "quickstart OK" || {
+    echo "ci: quickstart smoke failed" >&2
+    exit 1
+}
+echo "ci: quickstart smoke OK"
 
 # Service concurrency smoke: N client threads through one shared one-shard
 # router handle during forced reindexes — no panics, no torn

@@ -131,8 +131,7 @@ impl Query {
     /// `true` when a sensor satisfies both the spatial predicate and the
     /// type filter.
     pub fn matches_sensor(&self, meta: &crate::reading::SensorMeta) -> bool {
-        self.kind_filter.is_none_or(|k| meta.kind == k)
-            && self.region.contains_point(&meta.location)
+        meta.is_in(&self.region, self.kind_filter)
     }
 }
 

@@ -424,10 +424,8 @@ impl L0Level {
     pub(crate) fn count_in(&self, region: &Region, kind: Option<u16>) -> u64 {
         let inner = self.inner.read();
         let live = inner.sensors.iter().zip(&inner.tombstoned);
-        live.filter(|&(m, &dead)| {
-            !dead && kind.is_none_or(|k| m.kind == k) && region.contains_point(&m.location)
-        })
-        .count() as u64
+        live.filter(|&(m, &dead)| !dead && m.is_in(region, kind))
+            .count() as u64
     }
 
     /// Visits the location of every live sensor in registration order, under

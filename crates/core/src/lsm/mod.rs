@@ -266,11 +266,15 @@ impl LsmState {
     /// The cut's live sensors of `kind` (any kind when `None`) inside
     /// `region`, every level's and L0's: what the shard router splits by.
     pub fn count_in(&self, region: &colr_geo::Region, kind: Option<u16>) -> u64 {
-        let levels = crate::scratch::with_scratch(|s| {
+        self.count_levels_in(region, kind) + self.l0.count_in(region, kind)
+    }
+
+    /// [`LsmState::count_in`] over the levels alone.
+    fn count_levels_in(&self, region: &colr_geo::Region, kind: Option<u16>) -> u64 {
+        crate::scratch::with_scratch(|s| {
             let count = |l: &Arc<LsmLevel>| l.count_in(region, kind, &mut s.stack, &mut s.class);
             self.levels.iter().map(count).map(|n| n.0).sum::<u64>()
-        });
-        levels + self.l0.count_in(region, kind)
+        })
     }
 }
 
@@ -280,6 +284,14 @@ impl LsmState {
 pub struct LsmSnapshot {
     state: Arc<LsmState>,
     l0: Vec<Parked>,
+}
+
+impl LsmSnapshot {
+    /// [`LsmState::count_in`] over the frozen cut, L0 as its copy holds it.
+    pub fn count_in(&self, region: &colr_geo::Region, kind: Option<u16>) -> u64 {
+        let in_l0 = self.l0.iter().filter(|p| p.meta.is_in(region, kind));
+        self.state.count_levels_in(region, kind) + in_l0.count() as u64
+    }
 }
 
 /// The bounding box, coordinate sums and count of a run of locations, the

@@ -1,6 +1,6 @@
 //! Sensor identity, static metadata, and live readings.
 
-use colr_geo::Point;
+use colr_geo::{Point, Region};
 
 use crate::time::{TimeDelta, Timestamp};
 
@@ -74,6 +74,11 @@ impl SensorMeta {
     pub fn with_kind(mut self, kind: u16) -> Self {
         self.kind = kind;
         self
+    }
+
+    /// `true` when the sensor is of `kind` (any when `None`) inside `region`.
+    pub(crate) fn is_in(&self, region: &Region, kind: Option<u16>) -> bool {
+        kind.is_none_or(|k| self.kind == k) && region.contains_point(&self.location)
     }
 }
 

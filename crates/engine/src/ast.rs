@@ -71,6 +71,13 @@ pub struct SelectQuery {
     pub sensor_type: Option<u16>,
 }
 
+impl SelectQuery {
+    /// `true` for a `count(*)` without `SAMPLESIZE`: the region's live population.
+    pub fn counts_population(&self) -> bool {
+        self.agg == AggSpec::Count && self.sample_size.is_none()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,6 +89,15 @@ mod tests {
         assert_eq!(AggSpec::Avg.kind(), AggKind::Avg);
         assert_eq!(AggSpec::Min.kind(), AggKind::Min);
         assert_eq!(AggSpec::Max.kind(), AggKind::Max);
+    }
+
+    #[test]
+    fn only_a_count_without_samplesize_counts_the_population() {
+        let q = |sql: &str| crate::parse(sql).expect("parses");
+        let from = "FROM sensor WHERE location WITHIN RECT(0,0,4,4)";
+        assert!(q(&format!("SELECT count(*) {from} AND type = 1 CLUSTER 2")).counts_population());
+        assert!(!q(&format!("SELECT count(*) {from} SAMPLESIZE 5")).counts_population());
+        assert!(!q(&format!("SELECT avg(value) {from}")).counts_population());
     }
 
     #[test]

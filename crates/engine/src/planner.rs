@@ -79,43 +79,44 @@ impl<'a> Planner<'a> {
         self.level_diameters.get(level as usize).copied()
     }
 
-    /// A human-readable plan description (the portal's `EXPLAIN`):
-    /// the chosen terminal level, the grouping resolution it implies, the
-    /// freshness bound, and the collection strategy.
-    pub fn explain(&self, q: &SelectQuery) -> String {
-        let t = self.terminal_level(q.cluster);
-        let diameter = self.level_diameter(t).unwrap_or(0.0);
-        let staleness = q.staleness.unwrap_or(DEFAULT_STALENESS);
+    /// A human-readable plan description (the portal's `EXPLAIN`): the
+    /// chosen terminal level, the grouping resolution it implies, the
+    /// freshness bound, and the collection strategy, whose target is `cap`
+    /// when the query has no `SAMPLESIZE` (`None`: the full range). A
+    /// `count(*)` without `SAMPLESIZE` walks nothing, and says so.
+    pub fn explain(&self, q: &SelectQuery, cap: Option<usize>) -> String {
         let mut out = String::new();
-        out.push_str(&format!(
-            "terminal level T={t} (mean group diameter {diameter:.1} map units"
-        ));
-        match q.cluster {
-            Some(d) => out.push_str(&format!(", CLUSTER {d})")),
-            None => out.push_str(
-                ", no CLUSTER: one group per shallowest contained node whose \
-                 cached aggregate covers it, leaf-level groups where caches are cold)",
-            ),
-        }
-        out.push_str(&format!(
-            "
-freshness bound {staleness}"
-        ));
-        match q.sample_size {
-            Some(r) => out.push_str(&format!(
-                "
-collection: layered sampling, target R={r}, oversample level O={}",
-                OVERSAMPLE_LEVEL
-            )),
-            None => out.push_str(
-                "
-collection: full range (every uncached sensor probed)",
-            ),
+        if q.counts_population() {
+            out.push_str(
+                "population count: one group of the region's live sensors\ncollection: \
+                 none (answered from the index's live counts; no sensor is contacted)",
+            );
+        } else {
+            let t = self.terminal_level(q.cluster);
+            let diameter = self.level_diameter(t).unwrap_or(0.0);
+            let staleness = q.staleness.unwrap_or(DEFAULT_STALENESS);
+            out.push_str(&format!(
+                "terminal level T={t} (mean group diameter {diameter:.1} map units"
+            ));
+            match q.cluster {
+                Some(d) => out.push_str(&format!(", CLUSTER {d})")),
+                None => out.push_str(
+                    ", no CLUSTER: one group per shallowest contained node whose \
+                     cached aggregate covers it, leaf-level groups where caches are cold)",
+                ),
+            }
+            out.push_str(&format!("\nfreshness bound {staleness}"));
+            match q.sample_size.or(cap) {
+                Some(r) => out.push_str(&format!(
+                    "\ncollection: layered sampling, target R={r}, \
+                     oversample level O={OVERSAMPLE_LEVEL}"
+                )),
+                None => out.push_str("\ncollection: full range (every uncached sensor probed)"),
+            }
         }
         if let Some(k) = q.sensor_type {
             out.push_str(&format!(
-                "
-filter: sensor type = {k} (per-type sub-aggregates)"
+                "\nfilter: sensor type = {k} (per-type sub-aggregates)"
             ));
         }
         out
@@ -198,7 +199,7 @@ mod tests {
             sample_size: Some(30),
             sensor_type: Some(2),
         };
-        let text = p.explain(&q);
+        let text = p.explain(&q, None);
         assert!(text.contains("terminal level"), "{text}");
         assert!(text.contains("CLUSTER 3"), "{text}");
         assert!(text.contains("R=30"), "{text}");
@@ -211,14 +212,14 @@ mod tests {
         let t = tree();
         let p = Planner::new(&t);
         let q = SelectQuery {
-            agg: AggSpec::Count,
+            agg: AggSpec::Avg,
             within: SpatialPredicate::Rect(Rect::from_coords(0.0, 0.0, 5.0, 5.0)),
             staleness: None,
             cluster: None,
             sample_size: None,
             sensor_type: None,
         };
-        let text = p.explain(&q);
+        let text = p.explain(&q, None);
         assert!(text.contains("full range"), "{text}");
         assert!(
             text.contains("shallowest contained node whose cached aggregate covers it"),
@@ -228,6 +229,27 @@ mod tests {
             text.contains("leaf-level groups where caches are cold"),
             "{text}"
         );
+        // A capped portal samples an unsampled query to its cap.
+        let capped = p.explain(&q, Some(500));
+        assert!(capped.contains("target R=500,"), "{capped}");
+        assert!(!capped.contains("full range"), "{capped}");
+        // A bare count walks nothing, capped or not.
+        let count = SelectQuery {
+            agg: AggSpec::Count,
+            ..q
+        };
+        for cap in [None, Some(500)] {
+            let text = p.explain(&count, cap);
+            assert!(
+                text.contains("answered from the index's live counts"),
+                "{text}"
+            );
+            assert!(text.contains("no sensor is contacted"), "{text}");
+            assert!(
+                !text.contains("R=") && !text.contains("full range"),
+                "{text}"
+            );
+        }
     }
 
     #[test]

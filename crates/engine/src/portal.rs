@@ -35,7 +35,7 @@ pub struct PortalConfig {
     pub mode: Mode,
     /// The portal-wide cap on sensors contacted per query ("SENSORMAP is
     /// configured with the maximum number of sensors that can be contacted
-    /// per query"); applied when a query has no explicit `SAMPLESIZE`.
+    /// per query"); applied when a query has no `SAMPLESIZE`, unless it is a `count(*)`.
     pub max_sensors_per_query: Option<usize>,
     /// RNG seed.
     pub seed: u64,
@@ -113,10 +113,10 @@ impl BatchResult {
 /// instead of silently presenting a thinner sample as the truth.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DegradationReport {
-    /// The sample-size target `R` the query asked for (0 when the query
-    /// ran in a mode without a sampling target).
+    /// The sample-size target `R` the query asked for (0 when the query ran
+    /// in a mode without a sampling target; the count, for a bare `count(*)`).
     pub requested: f64,
-    /// Fresh readings actually delivered (cache + successful probes).
+    /// Fresh readings delivered (cache + successful probes; a bare `count(*)`'s count).
     pub sampled: u64,
     /// Probes skipped because the sensor's circuit breaker was open.
     pub breaker_skipped: u64,
@@ -196,11 +196,11 @@ impl DegradationReport {
 }
 
 /// A complete portal answer.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PortalResult {
     /// Per-group views, the map overlay payload.
     pub groups: Vec<GroupView>,
-    /// The requested aggregate over all groups combined.
+    /// The requested aggregate over all groups combined (a bare `count(*)`: the live population).
     pub value: Option<f64>,
     /// Distribution of raw reading values (for the multi-resolution
     /// "distribution of waiting times" display), binned over their own

@@ -127,7 +127,7 @@ pub struct ShardOutcome {
     /// Shard index in the router's shard map.
     pub shard: usize,
     /// The slice of the sample target `R` routed to this shard (0 when the
-    /// request carried no target).
+    /// request carried no target; for a bare `count(*)`, the shard's count).
     pub requested: f64,
     /// `None` when the shard answered; the shard's error when it declined
     /// (shed, closed) and the router degraded the merged fulfillment

@@ -411,12 +411,13 @@ impl<P: ProbeService> ShardedPortal<P> {
         }
         // Fan-out. Split R only when the configured mode actually samples;
         // the baselines collect everything in range, so each shard just
-        // answers the full request over its own population.
-        let target_r = req.select().sample_size.or(if core.mode == Mode::Colr {
-            core.max_sensors_per_query
-        } else {
-            None
-        });
+        // answers the full request over its own population. So does a bare
+        // `count(*)`, and the count a shard was weighed by is its shortfall.
+        let counted = req.select().counts_population();
+        let cap = core
+            .max_sensors_per_query
+            .filter(|_| core.mode == Mode::Colr && !counted);
+        let target_r = req.select().sample_size.or(cap);
         // The leftover units fall by `derive_seed(base, 0)`, which seeds no
         // shard (shard 0 runs under `base` itself), so the split replays per
         // `(seed, ordinal)` like the slices it hands out.
@@ -442,7 +443,8 @@ impl<P: ProbeService> ShardedPortal<P> {
                 Some(r) => req.with_sample_share(r),
                 None => req.clone(),
             };
-            let requested = share.map_or(0.0, |r| r as f64);
+            let unsplit = if counted { target.weight } else { 0.0 };
+            let requested = share.map_or(unsplit, |r| r as f64);
             match core.shards[s].execute_seeded(&sub, shard_seed(base, s), ordinal) {
                 Ok(resp) => {
                     merged_degradation.merge(&resp.result.degradation);
@@ -590,14 +592,7 @@ impl<P: ProbeService> ShardedPortal<P> {
             });
         }
         QueryResponse {
-            result: PortalResult {
-                groups: Vec::new(),
-                value: None,
-                histogram: None,
-                stats: QueryStats::default(),
-                latency_ms: 0.0,
-                degradation: DegradationReport::default(),
-            },
+            result: PortalResult::default(),
             explain: Some(text),
             flight: None,
             shards: outcomes,

@@ -41,6 +41,7 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
+use colr_geo::Region;
 use colr_telemetry::{global, tracer, Counter, Gauge, SloWatchdog, SpanKind};
 use colr_tree::{
     derive_seed, flight, AggKind, ClockHandle, ColrTree, Histogram, LiveAvailability, LsmState,
@@ -503,7 +504,7 @@ impl<P: ProbeService> PortalService<P> {
             // The recorder stays armed through EXPLAIN ANALYZE; were no
             // record to come back, the plan would be rendered without it.
             let rec = flight::take();
-            let mut out = snap.planner().explain(req.select());
+            let mut out = self.explain(&snap, req.select());
             out.push('\n');
             if let Some(rec) = &rec {
                 out.push_str(&rec.render_tree());
@@ -547,15 +548,8 @@ impl<P: ProbeService> PortalService<P> {
     /// result, without executing anything.
     pub(crate) fn plan_response(&self, req: &QueryRequest) -> QueryResponse {
         QueryResponse {
-            result: PortalResult {
-                groups: Vec::new(),
-                value: None,
-                histogram: None,
-                stats: QueryStats::default(),
-                latency_ms: 0.0,
-                degradation: DegradationReport::default(),
-            },
-            explain: Some(self.snapshot().planner().explain(req.select())),
+            result: PortalResult::default(),
+            explain: Some(self.explain(&self.snapshot(), req.select())),
             flight: None,
             shards: Vec::new(),
         }
@@ -588,9 +582,9 @@ impl<P: ProbeService> PortalService<P> {
         // mid-batch changes no in-flight answer.
         snap.cut.advance(now);
         let frozen = snap.cut.freeze();
-        let plans: Vec<(Query, AggKind)> = queries
+        let plans: Vec<Query> = queries
             .iter()
-            .map(|q| (self.plan(&snap, q, queue_wait), q.agg.kind()))
+            .map(|q| self.plan(&snap, q, queue_wait))
             .collect();
         let telem = portal_telem();
         telem.batches.inc();
@@ -609,8 +603,14 @@ impl<P: ProbeService> PortalService<P> {
         let seed = core.seed;
         let lsm = &core.lsm;
         let run_query = |i: usize| {
+            let (q, plan) = (&queries[i], &plans[i]);
+            if q.counts_population() {
+                return (counted(q, |r, k| frozen.count_in(r, k)), Vec::new());
+            }
             let mut rng = StdRng::seed_from_u64(derive_seed(seed, i as u64));
-            lsm.execute_frozen(&frozen, &plans[i].0, mode, probe, now, &mut rng)
+            let (out, deferred) = lsm.execute_frozen(&frozen, plan, mode, probe, now, &mut rng);
+            let requested = requested_target(plan, mode);
+            (Self::finish(q.agg.kind(), requested, out), deferred)
         };
 
         // Work-stealing by shared index: each worker claims the next
@@ -637,11 +637,9 @@ impl<P: ProbeService> PortalService<P> {
         let mut readings_applied = 0;
         let mut results = Vec::with_capacity(plans.len());
         let mut degradation = DegradationReport::default();
-        for ((plan, kind), (_, (out, deferred))) in plans.iter().zip(outcomes) {
+        for (_, (result, deferred)) in outcomes {
             readings_applied += lsm.apply_deferred(&deferred, now);
-            stats.merge(&out.stats);
-            let requested = requested_target(plan, core.mode);
-            let result = Self::finish(*kind, requested, out);
+            stats.merge(&result.stats);
             degradation.merge(&result.degradation);
             results.push(result);
         }
@@ -690,21 +688,24 @@ impl<P: ProbeService> PortalService<P> {
         } else {
             false
         };
-        let now = core.clock.now();
-        let plan = self.plan(snap, q, queue_wait);
-        tracer().record(SpanKind::Plan, now.0 * 1_000, 0, 1);
-        flight::with(|f| {
-            f.admission_wait_ms = queue_wait.millis();
-            f.plan_target = plan.sample_size.unwrap_or(0.0);
-            f.plan_terminal_level = plan.terminal_level;
-            f.plan_deadline_ms = plan.probe_deadline.millis();
-        });
         portal_telem().queries.inc();
-        let requested = requested_target(&plan, mode);
-        let out = core
-            .lsm
-            .execute_in(&snap.cut, &plan, mode, &core.probe, now, rng);
-        let result = Self::finish(q.agg.kind(), requested, out);
+        flight::with(|f| f.admission_wait_ms = queue_wait.millis());
+        let result = if q.counts_population() {
+            counted(q, |r, k| snap.cut.count_in(r, k))
+        } else {
+            let now = core.clock.now();
+            let plan = self.plan(snap, q, queue_wait);
+            tracer().record(SpanKind::Plan, now.0 * 1_000, 0, 1);
+            flight::with(|f| {
+                f.plan_target = plan.sample_size.unwrap_or(0.0);
+                f.plan_terminal_level = plan.terminal_level;
+                f.plan_deadline_ms = plan.probe_deadline.millis();
+            });
+            let out = core
+                .lsm
+                .execute_in(&snap.cut, &plan, mode, &core.probe, now, rng);
+            Self::finish(q.agg.kind(), requested_target(&plan, mode), out)
+        };
         let watchdog = core.watchdog.read().clone();
         let mut flight_json = None;
         if flight::is_active() {
@@ -731,6 +732,15 @@ impl<P: ProbeService> PortalService<P> {
             );
         }
         result
+    }
+
+    /// The plan text of `q`, naming the cap it samples to in the mode that samples.
+    fn explain(&self, snap: &Snapshot, q: &SelectQuery) -> String {
+        let cap = self
+            .core
+            .max_sensors_per_query
+            .filter(|_| self.core.mode == Mode::Colr);
+        snap.planner().explain(q, cap)
     }
 
     /// Plans a query against `snap`, applying the portal-wide collection cap
@@ -823,6 +833,29 @@ pub(crate) fn trace_parse(clock: &ClockHandle, sql_len: u64) {
     }
 }
 
+/// A bare `count(*)`'s answer: one group of the `n` live sensors `count_in` finds.
+fn counted(q: &SelectQuery, count_in: impl FnOnce(&Region, Option<u16>) -> u64) -> PortalResult {
+    let region = q.within.region();
+    let n = count_in(&region, q.sensor_type);
+    let value = Some(n as f64);
+    let group = GroupView {
+        bbox: region.bounding_rect(),
+        count: n,
+        value,
+        from_cache: false,
+    };
+    PortalResult {
+        groups: (n > 0).then_some(group).into_iter().collect(),
+        value,
+        degradation: DegradationReport {
+            requested: n as f64,
+            sampled: n,
+            ..DegradationReport::default()
+        },
+        ..PortalResult::default()
+    }
+}
+
 /// The sample-size target a plan will aim for, for degradation accounting:
 /// only the COLR mode samples, the baselines collect everything in range.
 fn requested_target(plan: &Query, mode: Mode) -> f64 {
@@ -903,7 +936,8 @@ mod tests {
         assert_eq!(other.now(), Timestamp(5_000));
         let res = run(
             &other,
-            "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,7.5,7.5)",
+            "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,7.5,7.5) \
+             SAMPLESIZE 500",
         )
         .expect("query through a clone");
         assert_eq!(res.value, Some(64.0));
@@ -922,7 +956,7 @@ mod tests {
                     let x0 = (t % 4) as f64 * 4.0 - 0.5;
                     let sql = format!(
                         "SELECT count(*) FROM sensor WHERE location WITHIN \
-                         RECT({x0}, -0.5, {}, 15.5)",
+                         RECT({x0}, -0.5, {}, 15.5) SAMPLESIZE 500",
                         x0 + 4.0
                     );
                     for _ in 0..5 {
@@ -938,7 +972,8 @@ mod tests {
     fn registrations_reindex_online_with_carryover() {
         let svc = hier_service();
         svc.clock().advance(TimeDelta::from_secs(1));
-        let warm_sql = "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,7.5,7.5)";
+        let warm_sql = "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,7.5,7.5) \
+                        SAMPLESIZE 500";
         run(&svc, warm_sql).unwrap();
         let cached_before = svc.snapshot().tree().cached_readings();
         assert!(cached_before > 0);
@@ -1036,7 +1071,7 @@ mod tests {
                     format!("{:?}", snap.planner().plan(&q)),
                     format!("{:?}", fresh.plan(&q))
                 );
-                assert_eq!(snap.planner().explain(&q), fresh.explain(&q));
+                assert_eq!(snap.planner().explain(&q, None), fresh.explain(&q, None));
             }
         };
         let initial = svc.snapshot();
@@ -1190,7 +1225,8 @@ mod tests {
         // Every execution slot taken: the batch queues at depth 1, 2 ms.
         let max_in_flight = AdmissionConfig::default().max_in_flight;
         svc.core.in_flight.store(max_in_flight, Ordering::Release);
-        let sql = "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,7.5,7.5)";
+        let sql = "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,7.5,7.5) \
+                   SAMPLESIZE 500";
         portal.query_many_sql(&[sql, sql], 1).unwrap();
         svc.core.in_flight.store(0, Ordering::Release);
         let budgets = svc.probe().budgets.lock().clone();
@@ -1443,7 +1479,8 @@ mod tests {
         svc.clock().advance(TimeDelta::from_secs(1));
         let res = run(
             &svc,
-            "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5, -0.5, 7.5, 7.5)",
+            "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5, -0.5, 7.5, 7.5) \
+             SAMPLESIZE 500",
         )
         .expect("query runs");
         assert_eq!(res.value, Some(64.0));
@@ -1511,7 +1548,7 @@ mod tests {
         let svc = service_in(Mode::HierCache);
         svc.clock().advance(TimeDelta::from_secs(1));
         let sql = "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,7.5,7.5) \
-             AND time BETWEEN now()-5 AND now() mins";
+             AND time BETWEEN now()-5 AND now() mins SAMPLESIZE 500";
         let cold = run(&svc, sql).unwrap();
         svc.clock().advance(TimeDelta::from_secs(1));
         let warm = run(&svc, sql).unwrap();
@@ -1529,7 +1566,7 @@ mod tests {
         svc.clock().advance(TimeDelta::from_secs(1));
         let res = run(
             &svc,
-            "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,15.5,15.5)",
+            "SELECT avg(value) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,15.5,15.5)",
         )
         .unwrap();
         assert!(
@@ -1537,6 +1574,14 @@ mod tests {
             "portal cap ignored: probed {}",
             res.stats.sensors_probed
         );
+        // A bare count is the population, which no cap shapes.
+        let count = run(
+            &svc,
+            "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,15.5,15.5)",
+        )
+        .unwrap();
+        assert_eq!(count.value, Some(256.0));
+        assert_eq!(count.stats.sensors_probed, 0);
     }
 
     #[test]
@@ -1604,7 +1649,8 @@ mod tests {
         let portal = portal_in(Mode::HierCache);
         let svc = portal.shard(0);
         svc.clock().advance(TimeDelta::from_secs(1));
-        let sql = "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,7.5,7.5)";
+        let sql = "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,7.5,7.5) \
+                   SAMPLESIZE 500";
         let batch = portal.query_many_sql(&[sql], 2).unwrap();
         // Frozen execution probed the region, then wrote the readings back.
         assert_eq!(batch.stats.sensors_probed, 64);
@@ -1624,7 +1670,8 @@ mod tests {
         let portal = portal_in(Mode::HierCache);
         let svc = portal.shard(0);
         svc.clock().advance(TimeDelta::from_secs(1));
-        let sql = "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,7.5,7.5)";
+        let sql = "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,7.5,7.5) \
+                   SAMPLESIZE 500";
         let batch = portal.query_many_sql(&[sql, sql], 2).unwrap();
         assert_eq!(batch.stats.sensors_probed, 128, "both queries probed cold");
         // Duplicate write-backs collapse: the second apply replaces the first.
@@ -1666,7 +1713,7 @@ mod tests {
         let fine = run(
             &svc,
             "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,15.5,15.5) \
-                 CLUSTER 1",
+                 CLUSTER 1 SAMPLESIZE 500",
         )
         .unwrap();
         let svc2 = service_in(Mode::RTree);
@@ -1674,7 +1721,7 @@ mod tests {
         let coarse = run(
             &svc2,
             "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,15.5,15.5) \
-                 CLUSTER 1000",
+                 CLUSTER 1000 SAMPLESIZE 500",
         )
         .unwrap();
         assert!(

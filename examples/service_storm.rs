@@ -4,7 +4,8 @@
 //!
 //! Asserts the properties CI cares about end to end: no panics under
 //! contention, zero reader downtime (every query answered), no torn
-//! answers (every count names a population that existed), a monotone
+//! answers (every count names a population that existed, whether sampled
+//! through the caches or read bare from the live counts), a monotone
 //! generation counter from every thread's viewpoint, and cache carry-over
 //! across each swap. A second phase injects a regional outage under an
 //! SLO watchdog and asserts the fulfillment breach report carries flight
@@ -91,17 +92,22 @@ fn main() {
         })
         .collect();
     let config = PortalConfig {
-        mode: Mode::HierCache, // exact counts: any torn read is visible
+        mode: Mode::HierCache,
         ..Default::default()
     };
     let svc = ShardedPortal::new(sensors, |_, _| always(), 1, config);
     svc.clock().advance(TimeDelta::from_secs(1));
-    let req = QueryRequest::from_sql(&format!(
+    // The sampled count walks the caches, probes what is cold and writes it
+    // back, in chunks, under the fill mark; the bare one reads the live
+    // counts.
+    let count_sql = format!(
         "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,{},{})",
         SIDE as f64 - 0.5,
         SIDE as f64 - 0.5
-    ))
-    .expect("storm SQL parses");
+    );
+    let sampled =
+        QueryRequest::from_sql(&format!("{count_sql} SAMPLESIZE 500")).expect("storm SQL parses");
+    let bare = QueryRequest::from_sql(&count_sql).expect("storm SQL parses");
     // New publishers land inside the viewport and each is visible to the
     // very next query, so every population from the base to the final one
     // exists at some instant; a count outside that range is a torn read.
@@ -111,20 +117,25 @@ fn main() {
         let mut clients = Vec::new();
         for _ in 0..CLIENTS {
             let handle = svc.clone();
-            let req = &req;
+            let (sampled, bare, valid) = (&sampled, &bare, &valid);
             clients.push(scope.spawn(move || {
-                let mut last_answer = 0.0f64;
+                let mut last_answers = [0.0f64; 2];
                 let mut last_gen = 0u64;
+                let mut first_probed = None;
                 for _ in 0..QUERIES_PER_CLIENT {
                     let g = handle.shard(0).generation();
                     assert!(g >= last_gen, "generation regressed {last_gen} -> {g}");
                     last_gen = g;
-                    let res = handle.execute(req).expect("zero reader downtime");
-                    let a = res.result.value.expect("count defined");
-                    assert!(a >= last_answer, "answer regressed {last_answer} -> {a}");
-                    last_answer = a;
+                    for (req, last) in [sampled, bare].into_iter().zip(&mut last_answers) {
+                        let res = handle.execute(req).expect("zero reader downtime").result;
+                        first_probed.get_or_insert(res.stats.sensors_probed);
+                        let a = res.value.expect("count defined");
+                        assert!(valid.contains(&a), "torn answer {a}, valid {valid:?}");
+                        assert!(a >= *last, "answer regressed {last} -> {a}");
+                        *last = a;
+                    }
                 }
-                (last_answer, last_gen)
+                (first_probed.unwrap_or(0), last_gen)
             }));
         }
 
@@ -148,14 +159,13 @@ fn main() {
             std::thread::sleep(std::time::Duration::from_millis(10));
         }
 
+        let mut first_probes = 0;
         for client in clients {
-            let (answer, generation) = client.join().expect("client thread panicked");
-            assert!(
-                valid.contains(&answer),
-                "torn answer {answer}, valid {valid:?}"
-            );
+            let (probed, generation) = client.join().expect("client thread panicked");
+            first_probes += probed;
             assert!(generation <= SWAPS as u64);
         }
+        assert!(first_probes > 0, "no client's first sampled pass probed");
     });
 
     assert_eq!(
@@ -164,10 +174,7 @@ fn main() {
         "one generation per swap"
     );
     assert_eq!(svc.shard(0).in_flight(), 0, "admission slots all released");
-    // Asked cold: a warm count leaves out an arrival no query reached before
-    // its merge put it beside cached neighbours (the coverage gate).
-    svc.clock().advance(TimeDelta::from_millis(EXPIRY_MS));
-    let final_count = svc.execute(&req).unwrap().result.value.unwrap();
+    let final_count = svc.execute(&bare).unwrap().result.value.unwrap();
     assert_eq!(final_count, (BASE + SWAPS * NEW_PER_SWAP) as f64);
     println!(
         "service_storm clients={CLIENTS} queries={} swaps={SWAPS} final_population={final_count}",
@@ -224,10 +231,18 @@ fn sharded_phase(shards: usize) {
              SAMPLESIZE 16"
         ));
     }
+    // A bare count too: a count routed while a rebalance moves a sensor
+    // between shards is no cross-shard snapshot (the sensor may be counted
+    // twice or not at all), so it is checked exactly only at rest.
+    let bare_sql = format!(
+        "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,{extent},{extent})"
+    );
+    sqls.push(bare_sql.clone());
     let reqs: Vec<QueryRequest> = sqls
         .iter()
         .map(|sql| QueryRequest::from_sql(sql).expect("storm SQL parses"))
         .collect();
+    let bare = QueryRequest::from_sql(&bare_sql).expect("storm SQL parses");
 
     std::thread::scope(|scope| {
         let mut clients = Vec::new();
@@ -277,6 +292,16 @@ fn sharded_phase(shards: usize) {
         BASE + SWAPS * NEW_PER_SWAP,
         "every registration landed in exactly one shard"
     );
+    let counted = router.execute(&bare).expect("bare count").result;
+    assert_eq!(
+        counted.value,
+        Some(population as f64),
+        "a bare count at rest"
+    );
+    assert_eq!(
+        counted.stats.sensors_probed, 0,
+        "a bare count probes nothing"
+    );
 
     // Regional outage: one dead shard degrades the merged answer (and is
     // named in the fan-out outcomes) instead of failing the query.
@@ -296,6 +321,11 @@ fn sharded_phase(shards: usize) {
                 .any(|o| o.shard == dead && o.error.is_some()),
             "dead shard must be named in the fan-out outcomes"
         );
+        // A short count is never shown as whole: the dead shard's count is
+        // its shortfall.
+        let short = router.execute(&bare).expect("a degraded count").result;
+        assert!(short.value < Some(population as f64), "{short:?}");
+        assert!(short.degradation.worst_fulfillment() < 1.0, "{short:?}");
     }
 
     println!(
@@ -313,8 +343,10 @@ fn sharded_phase(shards: usize) {
 /// throughput, is what the soak exercises), client threads query the whole
 /// viewport concurrently, and a merge thread compacts L0 whenever it
 /// reaches its occupancy bound. Churned sensors live outside the viewport,
-/// so every query must answer the exact base population — any torn or
-/// stale answer is visible. Asserts:
+/// so every query — an over-asking sampled count, which probes and writes
+/// back under the churn — must answer the exact base population: any torn
+/// or stale answer is visible. At the drain a bare count must match the
+/// books. Asserts:
 ///
 /// * sustained churn ≥ 2,000 register/retire ops/sec under query load;
 /// * no query-path stall: every query answered, worst wall latency under
@@ -344,9 +376,6 @@ fn churn_phase() {
         .collect();
     let config = PortalConfig {
         mode: Mode::Colr,
-        // Uncapped: the count query contacts every viewport sensor, so the
-        // answer is exact and any torn read is visible.
-        max_sensors_per_query: None,
         index: IndexStrategy::Lsm(LsmConfig {
             l0_capacity: L0_CAP,
             level_ratio: 4,
@@ -355,8 +384,11 @@ fn churn_phase() {
     };
     let svc = ShardedPortal::new(sensors, |_, _| always(), 1, config);
     svc.clock().advance(TimeDelta::from_secs(1));
+    // Over-asking: the sample target exceeds the viewport's population, so
+    // the count contacts every viewport sensor it has not cached and is exact.
     let req = QueryRequest::from_sql(&format!(
-        "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,{},{})",
+        "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,{},{}) \
+         SAMPLESIZE 100000000",
         SIDE as f64 - 0.5,
         SIDE as f64 - 0.5
     ))
@@ -369,7 +401,7 @@ fn churn_phase() {
     let max_l0 = AtomicUsize::new(0);
     let merges = AtomicU64::new(0);
     let wall = std::time::Instant::now();
-    std::thread::scope(|scope| {
+    let cohort_live = std::thread::scope(|scope| {
         for _ in 0..CHURN_CLIENTS {
             let handle = svc.clone();
             let req = &req;
@@ -392,7 +424,7 @@ fn churn_phase() {
         // The churn writer: register into L0, retire the oldest once the
         // cohort is full. Throttled in small batches so the merge thread
         // (not the writer's lock throughput) sets the pace.
-        {
+        let writer = {
             let handle = svc.clone();
             let stop = &stop;
             let churn_ops = &churn_ops;
@@ -425,8 +457,9 @@ fn churn_phase() {
                     }
                     std::thread::sleep(std::time::Duration::from_micros(500));
                 }
-            });
-        }
+                cohort.len()
+            })
+        };
         // The merge pump: compact L0 whenever it hits its bound, watching
         // the high-water mark.
         {
@@ -450,6 +483,7 @@ fn churn_phase() {
         }
         std::thread::sleep(std::time::Duration::from_millis(WINDOW_MS));
         stop.store(true, Ordering::Relaxed);
+        writer.join().expect("churn writer panicked")
     });
     let elapsed = wall.elapsed().as_secs_f64();
 
@@ -488,6 +522,19 @@ fn churn_phase() {
     let final_count = svc.execute(&req).unwrap().result.value.unwrap();
     assert_eq!(final_count, BASE as f64, "population drifted under churn");
     let stats = svc.shard(0).index_stats().expect("always Some");
+    // The books: the base grid and the writer's live cohort, which the LSM's
+    // own live count and a bare count over both agree with.
+    let everywhere = QueryRequest::from_sql(&format!(
+        "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-100,-100,{SIDE},{SIDE})"
+    ))
+    .expect("books SQL parses");
+    let counted = svc.execute(&everywhere).unwrap().result.value;
+    assert_eq!(stats.live_sensors, BASE + cohort_live, "the LSM's books");
+    assert_eq!(
+        counted,
+        Some((BASE + cohort_live) as f64),
+        "a bare count at the drain"
+    );
     assert!(
         stats.live_sensors <= BASE + COHORT + 1,
         "retired churn sensors still counted live: {}",

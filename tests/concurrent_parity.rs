@@ -129,7 +129,7 @@ fn deterministic_probe_failures_are_thread_count_invariant() {
         .iter()
         .map(|r| {
             parse(&format!(
-                "SELECT count(*) FROM sensor WHERE location WITHIN {r}"
+                "SELECT count(*) FROM sensor WHERE location WITHIN {r} SAMPLESIZE 500"
             ))
             .expect("quadrant SQL parses")
         })

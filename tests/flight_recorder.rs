@@ -194,6 +194,50 @@ fn explain_analyze_executes_and_asserts_parity() {
     );
 }
 
+/// `EXPLAIN` names the sample target the portal will use: its cap for a
+/// query without `SAMPLESIZE`, and no collection at all for a bare
+/// `count(*)`, which `EXPLAIN ANALYZE` shows answered with no probe wave and
+/// its parity held.
+#[test]
+fn explain_names_the_target_the_portal_uses() {
+    const GRID: &str = "FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,15.5,15.5)";
+    for shards in [1, 4] {
+        let portal = ShardedPortal::new(fleet(), |_, _| always(), shards, PortalConfig::default());
+        portal.clock().advance(TimeDelta::from_secs(1));
+        let explain = |sql: String| {
+            let req = QueryRequest::from_sql(&sql).expect("parses");
+            let resp = portal.execute(&req).expect("explained");
+            (resp.explain.expect("explain text"), resp.result)
+        };
+        let (capped, _) = explain(format!("EXPLAIN SELECT avg(value) {GRID}"));
+        assert!(
+            capped.contains("target R=500,") && !capped.contains("full range"),
+            "{shards} shard(s):\n{capped}"
+        );
+        let (counted, _) = explain(format!("EXPLAIN SELECT count(*) {GRID}"));
+        assert!(
+            counted.contains("answered from the index's live counts")
+                && counted.contains("no sensor is contacted")
+                && !counted.contains("R="),
+            "{shards} shard(s):\n{counted}"
+        );
+        let (analyzed, result) =
+            explain(format!("EXPLAIN ANALYZE SELECT count(*) {GRID} CLUSTER 4"));
+        assert_eq!(result.value, Some(256.0), "{shards} shard(s)");
+        assert_eq!(result.stats.sensors_probed, 0, "{shards} shard(s)");
+        assert!(
+            analyzed.contains("0 dispatch(es), 0 probed")
+                && !analyzed.contains("│    wave")
+                && analyzed.contains("parity: stage totals == QueryStats (bit-exact)"),
+            "{shards} shard(s):\n{analyzed}"
+        );
+    }
+    assert!(
+        !flight::is_active(),
+        "recorder leaked after EXPLAIN ANALYZE"
+    );
+}
+
 /// `(level, cache_hits)` of every traversed level in an `EXPLAIN ANALYZE`
 /// report, paired with the terminal level `T` of the plan it sits under (a
 /// routed report holds one plan + stage tree per shard).

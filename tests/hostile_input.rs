@@ -9,7 +9,10 @@
 //! on a helper thread under `catch_unwind` with a deadline, and must come
 //! back in time, without a panic, with group counts that add up to what the
 //! degradation report says was sampled, and with all four routers agreeing
-//! on whether anything was found.
+//! on whether anything was found. Each row is asked twice: as a bare
+//! `count(*)`, which must be the population a flat scan finds (so 1 and 4
+//! shards agree on it), and with `SAMPLESIZE 64`, so that the walk meets
+//! every hostile shape too.
 //!
 //! A backend is hostile input too: one whose reports are short, long, or
 //! name sensors it was not asked about must leave no value in an answer, or
@@ -41,9 +44,8 @@ fn within(shape: &str) -> String {
 const BOW_TIE: &str = "POLYGON((0 0, 10 10, 0 10, 10 0))";
 
 fn statements() -> Vec<String> {
-    vec![
-        format!("{FULL} SAMPLESIZE 0"),
-        format!("{FULL} SAMPLESIZE 1e30"),
+    let rows = [
+        FULL.to_owned(),
         within("RECT(5, 5, 5, 5)"),
         within("RECT(31, 31, 0, 0)"),
         within("RECT(-1e999, -1e999, 1e999, 1e999)"),
@@ -52,7 +54,25 @@ fn statements() -> Vec<String> {
         within("CIRCLE(16, 16, 0)"),
         format!("{FULL} AND time BETWEEN now() - 1e999 AND now() mins"),
         within(BOW_TIE),
-    ]
+    ];
+    let sampled = |row: &String| [row.clone(), format!("{row} SAMPLESIZE 64")];
+    let mut statements: Vec<String> = rows.iter().flat_map(sampled).collect();
+    statements.push(format!("{FULL} SAMPLESIZE 0"));
+    statements.push(format!("{FULL} SAMPLESIZE 1e30"));
+    statements
+}
+
+/// Where the `i`-th of the churned routers' 40 registrations sits; every
+/// third of them is retired.
+fn arrival(i: usize) -> Point {
+    Point::new((i * 7 % 32) as f64 + 0.5, (i * 11 % 32) as f64 + 0.5)
+}
+
+/// The live sensors of [`router`]`(_, churned)`, for a flat scan.
+fn live_locations(churned: bool) -> Vec<Point> {
+    let grid = (0..SIDE * SIDE).map(|i| Point::new((i % SIDE) as f64, (i / SIDE) as f64));
+    let kept = (0..40).filter(|i| churned && i % 3 != 0).map(arrival);
+    grid.chain(kept).collect()
 }
 
 /// A router over the 32×32 grid; `churned` adds 40 registrations with a merge
@@ -70,15 +90,11 @@ fn router_over<P: ProbeService>(
     churned: bool,
     probe: impl FnMut(usize, &[SensorMeta]) -> P,
 ) -> ShardedPortal<P> {
-    let sensors: Vec<SensorMeta> = (0..SIDE * SIDE)
-        .map(|i| {
-            SensorMeta::new(
-                i as u32,
-                Point::new((i % SIDE) as f64, (i / SIDE) as f64),
-                TimeDelta::from_millis(EXPIRY_MS),
-                1.0,
-            )
-        })
+    let expiry = TimeDelta::from_millis(EXPIRY_MS);
+    let sensors: Vec<SensorMeta> = live_locations(false)
+        .into_iter()
+        .enumerate()
+        .map(|(i, at)| SensorMeta::new(i as u32, at, expiry, 1.0))
         .collect();
     let config = PortalConfig {
         seed: 20_080_407,
@@ -97,8 +113,7 @@ fn router_over<P: ProbeService>(
                 if i == 32 {
                     router.reindex_all();
                 }
-                let at = Point::new((i * 7 % 32) as f64 + 0.5, (i * 11 % 32) as f64 + 0.5);
-                router.register_sensor(at, TimeDelta::from_millis(EXPIRY_MS), 1.0, 0)
+                router.register_sensor(arrival(i), TimeDelta::from_millis(EXPIRY_MS), 1.0, 0)
             })
             .collect();
         for &ticket in tickets.iter().step_by(3) {
@@ -150,6 +165,20 @@ fn edge_valued_statements_neither_panic_nor_wedge() {
     );
     for sql in statements() {
         let answers: Vec<Option<u64>> = routers.iter().map(|(_, r)| run(r, &sql)).collect();
+        // A bare count is the population, whatever the shape.
+        let bare = QueryRequest::from_sql(&sql).ok();
+        if let Some(q) = bare
+            .as_ref()
+            .map(|req| req.select())
+            .filter(|q| q.counts_population())
+        {
+            let region = q.within.region();
+            for (i, (name, _)) in routers.iter().enumerate() {
+                let live = live_locations(name.ends_with("churned"));
+                let scan = live.iter().filter(|at| region.contains_point(at)).count();
+                assert_eq!(answers[i], Some(scan as u64), "`{sql}`: {name}");
+            }
+        }
         for (i, (name, _)) in routers.iter().enumerate().skip(1) {
             assert_eq!(
                 answers[0].map(|n| n == 0),

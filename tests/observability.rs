@@ -51,7 +51,8 @@ fn portal(mode: Mode) -> ShardedPortal<SimNetwork<ConstantField>> {
 /// buffered spans, so two draining tests must not interleave.
 static TRACER_DRAIN: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-const VIEWPORT: &str = "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,7.5,7.5)";
+const VIEWPORT: &str =
+    "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,7.5,7.5) SAMPLESIZE 500";
 
 #[test]
 fn queries_move_the_global_counters() {
@@ -188,7 +189,8 @@ fn service_front_door_counters_cover_admission_and_reindex() {
         let probe = |_: usize, _: &[SensorMeta]| AlwaysAvailable { expiry_ms: 300_000 };
         ShardedPortal::new(sensors.clone(), probe, 1, config)
     };
-    let sql = "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,3.5,3.5)";
+    let sql = "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,3.5,3.5) \
+               SAMPLESIZE 500";
 
     // Direct admission: plenty of execution slots, nobody queues or sheds.
     let before = global().snapshot();

@@ -111,7 +111,7 @@ fn group_counts_sum_to_combined_value() {
     portal.clock().advance(TimeDelta::from_secs(2));
     let res = run(
         &portal,
-        "SELECT count(*) FROM sensor WHERE location WITHIN RECT(0, 0, 1000, 1000)",
+        "SELECT count(*) FROM sensor WHERE location WITHIN RECT(0, 0, 1000, 1000) SAMPLESIZE 500",
     )
     .unwrap();
     let group_total: u64 = res.groups.iter().map(|g| g.count).sum();

@@ -221,12 +221,14 @@ mod oracle {
     use std::collections::HashMap;
     use std::sync::{Arc, Mutex};
 
+    use colr_repro::colr::probe::FailEveryKth;
     use colr_repro::colr::{
-        ProbeService, Reading, ResilientConfig, ResilientProber, SensorId, SensorMeta, TimeDelta,
-        Timestamp,
+        Mode, ProbeService, Reading, ResilientConfig, ResilientProber, SensorId, SensorMeta,
+        TimeDelta, Timestamp,
     };
     use colr_repro::engine::{PortalConfig, QueryRequest, ShardedPortal};
     use colr_repro::geo::{Circle, Point, Polygon, Rect, Region};
+    use colr_repro::workload::ScenarioConfig;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -914,5 +916,154 @@ mod oracle {
                 check_warm(&format!("{what}, full"), &full, r as f64, &member, 1.0);
             }
         }
+    }
+
+    /// The bare `count(*)`s of the population rows over the city map: a
+    /// rectangle, a polygon, a disc and a kind filter.
+    const POPULATION: [&str; 4] = [
+        "SELECT count(*) FROM sensor WHERE location WITHIN RECT(0, 0, 2000, 1500)",
+        "SELECT count(*) FROM sensor WHERE location WITHIN POLYGON((0 0, 3000 200, 1200 2400))",
+        "SELECT count(*) FROM sensor WHERE location WITHIN CIRCLE(2600, 1200, 800)",
+        "SELECT count(*) FROM sensor WHERE location WITHIN RECT(500, 300, 3500, 2200) \
+         AND type = 1",
+    ];
+
+    /// A portal over `base` in `mode` and `shards` shards, probed through a
+    /// backend that fails one probe in five. With `churn` it is then driven
+    /// to a second level (200 of `arrivals` registered and merged), an L0
+    /// (the other 200) and tombstones (one base sensor in 11 of every shard,
+    /// one arrival in 7). Returns it with the sensors it was given and the
+    /// ones it retired, so that a flat scan counts the difference.
+    fn population_portal(
+        base: &[SensorMeta],
+        arrivals: &[SensorMeta],
+        mode: Mode,
+        shards: usize,
+        churn: bool,
+    ) -> (
+        ShardedPortal<FailEveryKth>,
+        Vec<SensorMeta>,
+        Vec<SensorMeta>,
+    ) {
+        let mut by_shard = Vec::new();
+        let config = PortalConfig {
+            mode,
+            ..Default::default()
+        };
+        let portal = ShardedPortal::new(
+            base.to_vec(),
+            |_, metas| {
+                by_shard.push(metas.to_vec());
+                FailEveryKth::new(EXPIRY.millis(), 5)
+            },
+            shards,
+            config,
+        );
+        let (mut added, mut retired) = (base.to_vec(), Vec::new());
+        if !churn {
+            return (portal, added, retired);
+        }
+        let register =
+            |m: &SensorMeta| portal.register_sensor(m.location, m.expiry, m.availability, m.kind);
+        let (merged, parked) = arrivals.split_at(arrivals.len() / 2);
+        let mut tickets: Vec<usize> = merged.iter().map(register).collect();
+        portal.reindex_all();
+        tickets.extend(parked.iter().map(register));
+        added.extend_from_slice(arrivals);
+        for (i, metas) in by_shard.iter().enumerate() {
+            for j in (0..metas.len()).step_by(11) {
+                assert!(portal.shard(i).retire_sensor(SensorId(j as u32)));
+                retired.push(metas[j]);
+            }
+        }
+        for k in (0..tickets.len()).step_by(7) {
+            assert!(portal.retire_sensor(tickets[k]));
+            retired.push(arrivals[k]);
+        }
+        for s in 0..shards {
+            let shape = portal.shard(s).index_stats().expect("lsm index");
+            assert!(
+                shape.levels >= 2 && shape.tombstones > 0,
+                "shard {s}: {shape:?}"
+            );
+        }
+        (portal, added, retired)
+    }
+
+    /// A `count(*)` without `SAMPLESIZE` is the number of live sensors a
+    /// flat scan finds in range, and contacts none of them: fresh and
+    /// churned, on 1 and 4 shards, cold, half warm and warm, in every mode,
+    /// asked alone and in a batch. The city map is the portal tests' 5,000
+    /// sensors (`live_local_small`), a third of them of each kind, the last
+    /// 400 held back as arrivals.
+    #[test]
+    fn a_bare_count_is_the_live_population_in_every_mode_shard_count_and_cache_state() {
+        let mut cfg = ScenarioConfig::live_local_small();
+        cfg.sensor_count = 5_000;
+        cfg.queries.count = 0;
+        cfg.seed = 2;
+        let sensors: Vec<SensorMeta> = cfg
+            .build()
+            .sensors
+            .iter()
+            .map(|m| m.with_kind((m.id.0 % 3) as u16))
+            .collect();
+        let (base, arrivals) = sensors.split_at(4_600);
+        let fill = |rect: &str| {
+            format!("SELECT count(*) FROM sensor WHERE location WITHIN {rect} SAMPLESIZE 100000")
+        };
+        let warm_ups = [
+            ("cold", None),
+            ("half warm", Some(fill("RECT(-1, -1, 2000, 2501)"))),
+            ("warm", Some(fill("RECT(-1, -1, 4001, 2501)"))),
+        ];
+        let (mut wrong, mut rows) = (Vec::new(), 0);
+        for mode in [Mode::Colr, Mode::HierCache, Mode::RTree] {
+            for shards in [1, 4] {
+                for churn in [false, true] {
+                    let (portal, added, retired) =
+                        population_portal(base, arrivals, mode, shards, churn);
+                    for (warmth, warm_up) in &warm_ups {
+                        portal.clock().advance(EXPIRY + EXPIRY);
+                        if let Some(sql) = warm_up {
+                            let req = QueryRequest::from_sql(sql).expect("fill SQL parses");
+                            portal.execute(&req).expect("warm-up runs");
+                        }
+                        let batch = portal.query_many_sql(&POPULATION, 2).expect("batch runs");
+                        for (sql, batched) in POPULATION.iter().zip(&batch.results) {
+                            let req = QueryRequest::from_sql(sql).expect("count SQL parses");
+                            let q = req.select();
+                            let region = q.within.region();
+                            let scan = |metas: &[SensorMeta]| {
+                                let kind =
+                                    |m: &&SensorMeta| q.sensor_type.is_none_or(|k| m.kind == k);
+                                let inside = |m: &&SensorMeta| region.contains_point(&m.location);
+                                metas.iter().filter(kind).filter(inside).count() as u64
+                            };
+                            let n = scan(&added) - scan(&retired);
+                            let alone = portal.execute(&req).expect("count runs").result;
+                            for (how, r) in [("alone", &alone), ("batched", batched)] {
+                                rows += 1;
+                                let grouped: u64 = r.groups.iter().map(|g| g.count).sum();
+                                let got = (r.value, r.stats.sensors_probed, r.degradation.sampled);
+                                if got != (Some(n as f64), 0, n) || grouped != n {
+                                    wrong.push(format!(
+                                        "{mode:?}, {shards} shard(s), churn={churn}, {warmth}, \
+                                         {how}: {sql}: (value, probed, sampled) = {got:?}, \
+                                         groups {grouped}; the flat scan counts {n}"
+                                    ));
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            wrong.is_empty(),
+            "{} of {rows} bare counts are not the population:\n{}",
+            wrong.len(),
+            wrong.join("\n")
+        );
     }
 }

@@ -116,6 +116,20 @@ fn dead_shard_degrades_the_answer_instead_of_failing_it() {
         .expect("the live shard must appear in the fan-out outcomes");
     assert!(live_outcome.error.is_none());
 
+    // A bare count is each shard's population: the live shard's 150 are
+    // delivered, and the dead shard's 150 are what falls short.
+    let counted = "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-5, -5, 225, 25)";
+    let count = router
+        .execute(&QueryRequest::from_sql(counted).expect("count SQL"))
+        .expect("a regional outage must degrade a count, not fail it")
+        .result;
+    assert_eq!(count.value, Some(150.0));
+    assert_eq!(
+        (count.degradation.requested, count.degradation.sampled),
+        (300.0, 150)
+    );
+    assert_eq!(count.degradation.worst_fulfillment(), 0.0);
+
     // A viewport entirely inside the live shard is untouched by the outage.
     let west_only =
         "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-5, -5, 30, 25) SAMPLESIZE 16";
