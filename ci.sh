@@ -16,8 +16,9 @@ cargo fmt --check
 # the line. What no query path reached went too: the IDW model views and the
 # per-slot histograms. And one population number: every split weighs by the
 # exact live count in the region, so the live-fraction and overlap-product
-# weights (and L0's separate count) stay gone.
-if grep -rnE '\bPortal(::new|<)|\bMonolithic\b|SharedPortal|reindex_discarding|pending_unindexed|AliasTable|Morton|morton_pack|\bcriterion\b|HotPathLayout|TermTarget|\bexec_colr\b|portal_sim|fresh_cached_readings|leaf_triage|arena_mirrors_tree_structure|QueryRequestBuilder|with_mode\b|with_deadline\b|live_sensor_metas\b|\bentry_pos\b|PortalService::new|PortalConfigBuilder|PortalConfigError|frozen_l0|deferred_from|since_cut|fn dispatch\b|worker completed|IdwModel|model_views|slot_histograms|HistogramSpec|usable_histogram|with_histogram|set_hist|live_fraction|query_weight|overlap_weight|count_matching' \
+# weights (and L0's separate count) stay gone. And one per-query record: the
+# flight record is a query's trace, so the unlinked span tracer stays gone.
+if grep -rnE '\bPortal(::new|<)|\bMonolithic\b|SharedPortal|reindex_discarding|pending_unindexed|AliasTable|Morton|morton_pack|\bcriterion\b|HotPathLayout|TermTarget|\bexec_colr\b|portal_sim|fresh_cached_readings|leaf_triage|arena_mirrors_tree_structure|QueryRequestBuilder|with_mode\b|with_deadline\b|live_sensor_metas\b|\bentry_pos\b|PortalService::new|PortalConfigBuilder|PortalConfigError|frozen_l0|deferred_from|since_cut|fn dispatch\b|worker completed|IdwModel|model_views|slot_histograms|HistogramSpec|usable_histogram|with_histogram|set_hist|live_fraction|query_weight|overlap_weight|count_matching|\bTracer\b|SpanKind|TraceEvent|tracer\(\)|trace_parse' \
     crates src tests examples Cargo.toml; then
     echo "ci: a deleted path is back (matches above)" >&2
     exit 1
@@ -160,7 +161,7 @@ if [ -n "$early" ]; then
     echo "ci: a column-0 #[cfg(test)] before the test module cuts the count early at: $early" >&2
     exit 1
 fi
-max_nontest=18637
+max_nontest=18350
 nontest=$(counted crates/*/src |
     xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile } { n++ } END { print n }' |
     awk '{ s += $1 } END { print s }')
@@ -213,11 +214,13 @@ for run in $(seq 1 50); do
 done
 echo "ci: torn- and regressed-count gate OK (50 runs)"
 
-# Observability smoke: the example must emit the promised metric families.
+# Observability smoke: the example must emit the promised metric families
+# and a flight record whose stage totals match `QueryStats`.
 smoke=$(cargo run --release --offline -q --example colr-stats)
-for metric in colr_query_latency_us colr_tree_cache_hits_total colr_portal_queries_total; do
-    grep -q "$metric" <<<"$smoke" || {
-        echo "ci: metric $metric missing from colr-stats output" >&2
+for metric in colr_query_latency_us colr_tree_cache_hits_total colr_portal_queries_total \
+    "parity: stage totals == QueryStats (bit-exact)"; do
+    grep -qF "$metric" <<<"$smoke" || {
+        echo "ci: $metric missing from colr-stats output" >&2
         exit 1
     }
 done

@@ -49,8 +49,7 @@ use crate::reading::{Reading, SensorId};
 use crate::sampling::COVERAGE_THRESHOLD;
 use crate::scratch::QueryScratch;
 use crate::stats::{
-    latency_ms, primary_waves, QueryStats, NODE_VISIT_MS, PROBE_OVERHEAD_MS, PROBE_PARALLELISM,
-    PROBE_RTT_MS, SLOT_COMBINE_MS,
+    latency_ms, primary_waves, QueryStats, PROBE_OVERHEAD_MS, PROBE_PARALLELISM, PROBE_RTT_MS,
 };
 use crate::time::{TimeDelta, Timestamp};
 use crate::tree::{ColrTree, NodeId};
@@ -300,8 +299,8 @@ impl<'a, P: ProbeService + ?Sized> Wave<'a, P> {
     }
 
     /// Charges the finished dispatch to `stats`, the probe telemetry, the
-    /// flight record (one [`crate::flight::WaveStage`] per query) and the
-    /// tracer. A query that selected nothing is charged nothing.
+    /// flight record (one [`crate::flight::WaveStage`] per query). A query
+    /// that selected nothing is charged nothing.
     pub(crate) fn charge(self, stats: &mut QueryStats) {
         debug_assert!(self.pending.len() == 0 && self.arrived.len() == 0);
         let mut w = self.stage;
@@ -326,12 +325,6 @@ impl<'a, P: ProbeService + ?Sized> Wave<'a, P> {
         telem.probe_batch_size.observe(w.probes);
         telem.probe_wave_us.observe(w.dur_us);
         crate::flight::with(|f| f.wave(w));
-        colr_telemetry::tracer().record(
-            colr_telemetry::SpanKind::ProbeWave,
-            self.now.0 * 1_000,
-            w.dur_us,
-            w.probes,
-        );
     }
 }
 
@@ -367,9 +360,8 @@ impl<P: ProbeService + ?Sized> Iterator for Wave<'_, P> {
 }
 
 /// Stamps the modelled latency on a completed answer and reports the query
-/// to the global telemetry and the tracer, its spans at the query's instant
-/// `now`.
-pub(crate) fn finish(mode: Mode, now: Timestamp, out: &mut QueryOutput) {
+/// to the global telemetry.
+pub(crate) fn finish(mode: Mode, out: &mut QueryOutput) {
     let stats = &out.stats;
     debug_assert_eq!(
         stats.probe_waves,
@@ -380,34 +372,6 @@ pub(crate) fn finish(mode: Mode, now: Timestamp, out: &mut QueryOutput) {
     let telem = crate::telem::query();
     telem.count_query(mode);
     telem.latency_us.observe((out.latency_ms * 1_000.0) as u64);
-    let tr = colr_telemetry::tracer();
-    if tr.enabled() {
-        // Span durations are fed by the deterministic cost model, so the
-        // recorded lifecycle is reproducible run to run.
-        let at = now.0 * 1_000;
-        tr.record(
-            colr_telemetry::SpanKind::Traverse,
-            at,
-            (stats.nodes_traversed as f64 * NODE_VISIT_MS * 1_000.0) as u64,
-            stats.nodes_traversed,
-        );
-        if stats.cache_nodes_used > 0 {
-            tr.record(
-                colr_telemetry::SpanKind::CacheHit,
-                at,
-                0,
-                stats.cache_nodes_used,
-            );
-        }
-        if stats.slots_combined > 0 {
-            tr.record(
-                colr_telemetry::SpanKind::SlotCombine,
-                at,
-                (stats.slots_combined as f64 * SLOT_COMBINE_MS * 1_000.0) as u64,
-                stats.slots_combined,
-            );
-        }
-    }
 }
 
 impl ColrTree {
@@ -472,7 +436,7 @@ impl ColrTree {
             self.complete(&mut out, &plan, fixes, &mut wave, &mut got, mode);
             wave.charge(&mut out.stats);
             scratch.plan = plan;
-            finish(mode, now, &mut out);
+            finish(mode, &mut out);
             let got = got.iter().map(|&i| out.readings[i as usize]).collect();
             (out, got)
         })

@@ -880,7 +880,7 @@ impl LsmTree {
             stats,
             latency_ms: 0.0,
         };
-        finish(mode, now, &mut out);
+        finish(mode, &mut out);
         out
     }
 

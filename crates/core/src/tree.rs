@@ -1234,14 +1234,6 @@ impl ColrTree {
             }));
             let inserted = self.insert_entries_locked(&mut maint, &batch, now);
             recycle(&mut maint.pool.batch, batch);
-            if inserted > 0 {
-                colr_telemetry::tracer().record(
-                    colr_telemetry::SpanKind::WriteBack,
-                    now.0 * 1_000,
-                    0,
-                    inserted as u64,
-                );
-            }
             applied += inserted;
         }
         applied

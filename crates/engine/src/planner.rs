@@ -81,10 +81,10 @@ impl<'a> Planner<'a> {
 
     /// A human-readable plan description (the portal's `EXPLAIN`): the
     /// chosen terminal level, the grouping resolution it implies, the
-    /// freshness bound, and the collection strategy, whose target is `cap`
-    /// when the query has no `SAMPLESIZE` (`None`: the full range). A
-    /// `count(*)` without `SAMPLESIZE` walks nothing, and says so.
-    pub fn explain(&self, q: &SelectQuery, cap: Option<usize>) -> String {
+    /// freshness bound, and the collection strategy, which samples to
+    /// `target` (`None`: the full range). A `count(*)` without `SAMPLESIZE`
+    /// walks nothing, and says so.
+    pub fn explain(&self, q: &SelectQuery, target: Option<usize>) -> String {
         let mut out = String::new();
         if q.counts_population() {
             out.push_str(
@@ -106,7 +106,7 @@ impl<'a> Planner<'a> {
                 ),
             }
             out.push_str(&format!("\nfreshness bound {staleness}"));
-            match q.sample_size.or(cap) {
+            match target {
                 Some(r) => out.push_str(&format!(
                     "\ncollection: layered sampling, target R={r}, \
                      oversample level O={OVERSAMPLE_LEVEL}"
@@ -199,7 +199,7 @@ mod tests {
             sample_size: Some(30),
             sensor_type: Some(2),
         };
-        let text = p.explain(&q, None);
+        let text = p.explain(&q, q.sample_size);
         assert!(text.contains("terminal level"), "{text}");
         assert!(text.contains("CLUSTER 3"), "{text}");
         assert!(text.contains("R=30"), "{text}");
@@ -229,7 +229,7 @@ mod tests {
             text.contains("leaf-level groups where caches are cold"),
             "{text}"
         );
-        // A capped portal samples an unsampled query to its cap.
+        // A target, such as a sampling portal's cap, is layered sampling.
         let capped = p.explain(&q, Some(500));
         assert!(capped.contains("target R=500,"), "{capped}");
         assert!(!capped.contains("full range"), "{capped}");

@@ -84,8 +84,8 @@ impl QueryRequest {
     }
 
     /// Records the originating SQL string's length ([`QueryRequest::from_sql`]
-    /// does): a non-zero length makes `execute` emit the `parse` span and a
-    /// flight record under [`ExplainLevel::Analyze`] report the `parse` stage.
+    /// does): a non-zero length makes a flight record under
+    /// [`ExplainLevel::Analyze`] report the `parse` stage.
     pub fn with_sql_len(mut self, sql_len: u64) -> Self {
         self.sql_len = sql_len;
         self

@@ -45,7 +45,7 @@ use crate::ast::SelectQuery;
 use crate::error::PortalError;
 use crate::portal::{BatchResult, DegradationReport, PortalConfig, PortalResult};
 use crate::request::{ExplainLevel, QueryRequest, QueryResponse, ShardOutcome};
-use crate::service::{trace_parse, PortalService};
+use crate::service::PortalService;
 
 // ---------------------------------------------------------------------------
 // Telemetry
@@ -371,11 +371,8 @@ impl<P: ProbeService> ShardedPortal<P> {
     /// slice with a seed derived from `(router seed, ordinal, shard)`, and
     /// merges the answers. Fails only when *every* overlapping shard
     /// declines; partial failures degrade the merged fulfillment instead.
-    /// A request lowered from SQL text gets its one `parse` span here, however
-    /// many shards it fans out to.
     pub fn execute(&self, req: &QueryRequest) -> Result<QueryResponse, PortalError> {
         let core = &*self.core;
-        trace_parse(&core.clock, req.sql_len());
         let t = router_telem();
         t.queries.inc();
         let mut targets = self.overlap_targets(req.select());
@@ -532,12 +529,8 @@ impl<P: ProbeService> ShardedPortal<P> {
     {
         let parsed: Vec<SelectQuery> = sqls
             .iter()
-            .map(|sql| {
-                let req = QueryRequest::from_sql(sql)?;
-                trace_parse(&self.core.clock, req.sql_len());
-                Ok(req.into_select())
-            })
-            .collect::<Result<_, PortalError>>()?;
+            .map(|sql| QueryRequest::from_sql(sql).map(QueryRequest::into_select))
+            .collect::<Result<_, _>>()?;
         self.execute_many(&parsed, threads)
     }
 

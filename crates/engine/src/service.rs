@@ -42,7 +42,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering}
 use std::sync::{Arc, OnceLock};
 
 use colr_geo::Region;
-use colr_telemetry::{global, tracer, Counter, Gauge, SloWatchdog, SpanKind};
+use colr_telemetry::{global, Counter, Gauge, SloWatchdog};
 use colr_tree::{
     derive_seed, flight, AggKind, ClockHandle, ColrTree, Histogram, LiveAvailability, LsmState,
     LsmStats, LsmTree, Mode, ProbeService, Query, QueryOutput, QueryStats, ResilientProber,
@@ -452,11 +452,8 @@ impl<P: ProbeService> PortalService<P> {
     /// Executes one [`QueryRequest`] — the service's single interactive
     /// entry point, under admission control, with an RNG derived from
     /// `(seed, ordinal)`. Concurrent-safe: any number of handles may call
-    /// this at once. A request lowered from SQL text
-    /// ([`QueryRequest::from_sql`]) gets its `parse` span here, where it
-    /// first meets the simulation clock.
+    /// this at once.
     pub fn execute(&self, req: &QueryRequest) -> Result<QueryResponse, PortalError> {
-        trace_parse(&self.core.clock, req.sql_len());
         if req.explain() == ExplainLevel::Plan {
             // Planning only: no admission slot, no ordinal, no RNG.
             return Ok(self.plan_response(req));
@@ -590,7 +587,6 @@ impl<P: ProbeService> PortalService<P> {
         telem.batches.inc();
         telem.batch_size.observe(plans.len() as u64);
         telem.queries.add(plans.len() as u64);
-        tracer().record(SpanKind::Plan, now.0 * 1_000, 0, plans.len() as u64);
 
         let threads = if threads == 0 {
             colr_tree::build::available_cores()
@@ -643,15 +639,6 @@ impl<P: ProbeService> PortalService<P> {
             degradation.merge(&result.degradation);
             results.push(result);
         }
-        // Batch span: duration is the modelled critical path — the slowest
-        // single query, since the batch fans out across workers.
-        let dur_ms = results.iter().map(|r| r.latency_ms).fold(0.0f64, f64::max);
-        tracer().record(
-            SpanKind::Batch,
-            now.0 * 1_000,
-            (dur_ms * 1_000.0) as u64,
-            results.len() as u64,
-        );
         Ok(BatchResult {
             results,
             stats,
@@ -695,7 +682,6 @@ impl<P: ProbeService> PortalService<P> {
         } else {
             let now = core.clock.now();
             let plan = self.plan(snap, q, queue_wait);
-            tracer().record(SpanKind::Plan, now.0 * 1_000, 0, 1);
             flight::with(|f| {
                 f.plan_target = plan.sample_size.unwrap_or(0.0);
                 f.plan_terminal_level = plan.terminal_level;
@@ -734,13 +720,14 @@ impl<P: ProbeService> PortalService<P> {
         result
     }
 
-    /// The plan text of `q`, naming the cap it samples to in the mode that samples.
+    /// The plan text of `q`, naming a sample target only in the mode that
+    /// samples: its `SAMPLESIZE`, else the portal's cap.
     fn explain(&self, snap: &Snapshot, q: &SelectQuery) -> String {
-        let cap = self
-            .core
-            .max_sensors_per_query
+        let target = q
+            .sample_size
+            .or(self.core.max_sensors_per_query)
             .filter(|_| self.core.mode == Mode::Colr);
-        snap.planner().explain(q, cap)
+        snap.planner().explain(q, target)
     }
 
     /// Plans a query against `snap`, applying the portal-wide collection cap
@@ -823,15 +810,6 @@ impl<Q: ProbeService> PortalService<ResilientProber<Q>> {
 }
 
 // ---------------------------------------------------------------------------
-
-/// Records the `parse` span of a request lowered from `sql_len` bytes of SQL
-/// text (none for programmatic requests), timestamped on the simulation
-/// clock so traces are reproducible.
-pub(crate) fn trace_parse(clock: &ClockHandle, sql_len: u64) {
-    if sql_len > 0 {
-        tracer().record(SpanKind::Parse, clock.now().0 * 1_000, 0, sql_len);
-    }
-}
 
 /// A bare `count(*)`'s answer: one group of the `n` live sensors `count_in` finds.
 fn counted(q: &SelectQuery, count_in: impl FnOnce(&Region, Option<u16>) -> u64) -> PortalResult {

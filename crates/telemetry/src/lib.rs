@@ -10,12 +10,6 @@
 //!   [`Gauge`]s and log-bucketed [`Histogram`]s. Handles are created on
 //!   first use and cached by instrumentation sites, so the hot path is a
 //!   single relaxed atomic op — no locks, no allocation.
-//! * [`Tracer`] — a lightweight span/event recorder for the query lifecycle
-//!   (parse → plan → traverse → cache-hit/slot-combine → probe wave →
-//!   write-back) into bounded per-thread ring buffers, drainable as
-//!   structured [`TraceEvent`]s. Each span carries the timestamp its caller
-//!   gives it: the portal stamps a query's spans with the query's simulated
-//!   instant, so traces are deterministic.
 //! * Exposition — [`Snapshot::to_prometheus`] (text format 0.0.4) and
 //!   [`Snapshot::to_json`], plus [`Snapshot::diff`] for interval metrics.
 //! * [`SloWatchdog`] — sliding-window objectives over per-query latency and
@@ -46,11 +40,9 @@
 
 pub mod expose;
 pub mod registry;
-pub mod trace;
 pub mod watchdog;
 
 pub use registry::{
     global, Counter, Gauge, Histogram, HistogramSnapshot, Registry, Snapshot, HISTOGRAM_BUCKETS,
 };
-pub use trace::{tracer, SpanKind, TraceEvent, Tracer};
 pub use watchdog::{BreachReport, SloConfig, SloWatchdog};

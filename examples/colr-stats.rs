@@ -1,5 +1,5 @@
 //! colr-stats: drive a portal scenario, then dump everything the telemetry
-//! layer observed — Prometheus exposition, the query-lifecycle trace, and
+//! layer observed — Prometheus exposition, one query's flight record, and
 //! the tree's structural level statistics.
 //!
 //! ```sh
@@ -7,7 +7,8 @@
 //! ```
 //!
 //! Used by `ci.sh` as the observability smoke test: the run must emit the
-//! metric families the instrumentation promises.
+//! metric families the instrumentation promises and a flight record whose
+//! stage totals match `QueryStats`.
 
 use std::sync::Arc;
 
@@ -15,7 +16,7 @@ use colr_repro::colr::{inspect, Mode, SensorMeta, TimeDelta};
 use colr_repro::engine::{PortalConfig, QueryRequest, ShardedPortal};
 use colr_repro::geo::Point;
 use colr_repro::sensors::{RandomWalkField, SimNetwork};
-use colr_repro::telemetry::{global, tracer, SloConfig, SloWatchdog};
+use colr_repro::telemetry::{global, SloConfig, SloWatchdog};
 
 fn main() {
     // A 32x32 grid of 5-minute sensors at 90% availability over a drifting
@@ -94,26 +95,7 @@ fn main() {
     println!("== Prometheus exposition ==");
     print!("{}", global().snapshot().to_prometheus());
 
-    // 2. The query-lifecycle trace (bounded rings; batch workers get their
-    //    own rings, merged here in global record order).
-    let events = tracer().drain();
-    println!("\n== Trace ({} events, last 12) ==", events.len());
-    println!(
-        "{:>10} {:>12} {:>10} {:>8}  kind",
-        "seq", "at_us", "dur_us", "detail"
-    );
-    for e in events.iter().rev().take(12).rev() {
-        println!(
-            "{:>10} {:>12} {:>10} {:>8}  {}",
-            e.seq,
-            e.at_us,
-            e.dur_us,
-            e.detail,
-            e.kind.name()
-        );
-    }
-
-    // 3. One query under `EXPLAIN ANALYZE`: the per-query flight recorder's
+    // 2. One query under `EXPLAIN ANALYZE`: its flight record, the per-query
     //    stage tree, with the parity assertion against `QueryStats`.
     println!("\n== EXPLAIN ANALYZE ==");
     let analyze = QueryRequest::from_sql(&format!("EXPLAIN ANALYZE {}", sqls[0]))
@@ -121,11 +103,11 @@ fn main() {
     let report = portal.execute(&analyze).expect("explain analyze");
     println!("{}", report.explain.expect("Analyze responses carry text"));
 
-    // 4. The watchdog's view of the whole run.
+    // 3. The watchdog's view of the whole run.
     println!("\n== SLO watchdog ==");
     println!("{}", watchdog.status());
 
-    // 5. Structural level statistics of the index (Section VII-B).
+    // 4. Structural level statistics of the index (Section VII-B).
     println!("\n== Tree level stats ==");
     println!(
         "{:>5} {:>6} {:>10} {:>10} {:>11} {:>9} {:>10}",

@@ -194,42 +194,63 @@ fn explain_analyze_executes_and_asserts_parity() {
     );
 }
 
-/// `EXPLAIN` names the sample target the portal will use: its cap for a
-/// query without `SAMPLESIZE`, and no collection at all for a bare
-/// `count(*)`, which `EXPLAIN ANALYZE` shows answered with no probe wave and
-/// its parity held.
+/// `EXPLAIN` names the sample target the portal will use: in the COLR mode
+/// a query's `SAMPLESIZE`, else the portal's cap; in the baselines, which
+/// collect the full range, none. A bare `count(*)` collects nothing, which
+/// `EXPLAIN ANALYZE` shows answered with no probe wave and its parity held.
 #[test]
 fn explain_names_the_target_the_portal_uses() {
     const GRID: &str = "FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,15.5,15.5)";
-    for shards in [1, 4] {
-        let portal = ShardedPortal::new(fleet(), |_, _| always(), shards, PortalConfig::default());
+    for (mode, shards) in [
+        (Mode::Colr, 1),
+        (Mode::Colr, 4),
+        (Mode::HierCache, 1),
+        (Mode::RTree, 1),
+    ] {
+        let config = PortalConfig {
+            mode,
+            ..Default::default()
+        };
+        let portal = ShardedPortal::new(fleet(), |_, _| always(), shards, config);
         portal.clock().advance(TimeDelta::from_secs(1));
         let explain = |sql: String| {
             let req = QueryRequest::from_sql(&sql).expect("parses");
             let resp = portal.execute(&req).expect("explained");
             (resp.explain.expect("explain text"), resp.result)
         };
+        let row = format!("{mode:?}, {shards} shard(s)");
         let (capped, _) = explain(format!("EXPLAIN SELECT avg(value) {GRID}"));
-        assert!(
-            capped.contains("target R=500,") && !capped.contains("full range"),
-            "{shards} shard(s):\n{capped}"
-        );
+        let (sampled, _) = explain(format!("EXPLAIN SELECT avg(value) {GRID} SAMPLESIZE 40"));
+        if mode == Mode::Colr {
+            assert!(
+                capped.contains("target R=500,") && !capped.contains("full range"),
+                "{row}:\n{capped}"
+            );
+            assert!(sampled.contains("target R=40,"), "{row}:\n{sampled}");
+        } else {
+            for text in [&capped, &sampled] {
+                assert!(
+                    text.contains("collection: full range") && !text.contains("R="),
+                    "{row}:\n{text}"
+                );
+            }
+        }
         let (counted, _) = explain(format!("EXPLAIN SELECT count(*) {GRID}"));
         assert!(
             counted.contains("answered from the index's live counts")
                 && counted.contains("no sensor is contacted")
                 && !counted.contains("R="),
-            "{shards} shard(s):\n{counted}"
+            "{row}:\n{counted}"
         );
         let (analyzed, result) =
             explain(format!("EXPLAIN ANALYZE SELECT count(*) {GRID} CLUSTER 4"));
-        assert_eq!(result.value, Some(256.0), "{shards} shard(s)");
-        assert_eq!(result.stats.sensors_probed, 0, "{shards} shard(s)");
+        assert_eq!(result.value, Some(256.0), "{row}");
+        assert_eq!(result.stats.sensors_probed, 0, "{row}");
         assert!(
             analyzed.contains("0 dispatch(es), 0 probed")
                 && !analyzed.contains("│    wave")
                 && analyzed.contains("parity: stage totals == QueryStats (bit-exact)"),
-            "{shards} shard(s):\n{analyzed}"
+            "{row}:\n{analyzed}"
         );
     }
     assert!(

@@ -1,9 +1,10 @@
 //! End-to-end telemetry: drive portal scenarios and check that the global
-//! registry, the tracer, and the exposition formats observe them.
+//! registry, the per-query flight record, and the exposition formats observe
+//! them.
 //!
-//! The registry and tracer are process-wide and shared with every other test
-//! in this binary, so assertions are written as snapshot *deltas* (`diff`)
-//! or `>=` lower bounds — never exact global values.
+//! The registry is process-wide and shared with every other test in this
+//! binary, so assertions on it are written as snapshot *deltas* (`diff`) or
+//! `>=` lower bounds — never exact global values.
 
 use colr_repro::colr::{Mode, ProbeService, SensorMeta, TimeDelta};
 use colr_repro::engine::{
@@ -11,7 +12,7 @@ use colr_repro::engine::{
 };
 use colr_repro::geo::Point;
 use colr_repro::sensors::{ConstantField, SimNetwork};
-use colr_repro::telemetry::{global, tracer, SpanKind};
+use colr_repro::telemetry::global;
 
 /// Lowers `sql` through the one SQL path and executes it.
 fn run<P: ProbeService>(svc: &ShardedPortal<P>, sql: &str) -> Result<PortalResult, PortalError> {
@@ -46,10 +47,6 @@ fn portal(mode: Mode) -> ShardedPortal<SimNetwork<ConstantField>> {
     };
     ShardedPortal::new(grid_sensors(), net, 1, config)
 }
-
-/// Held by every test that drains the process-wide tracer: a drain takes all
-/// buffered spans, so two draining tests must not interleave.
-static TRACER_DRAIN: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 const VIEWPORT: &str =
     "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,7.5,7.5) SAMPLESIZE 500";
@@ -103,68 +100,37 @@ fn batch_execution_counts_batches_and_contention_paths() {
 }
 
 #[test]
-fn tracer_records_the_query_lifecycle() {
-    // Drain whatever other tests left behind, then run one cold/warm pair
-    // and a batch; the drained events must cover the full lifecycle. The
-    // three run at simulated instants no other test here reaches, so a span
-    // stamped with one of them is this test's.
-    let _drain = TRACER_DRAIN.lock().unwrap_or_else(|e| e.into_inner());
-    let p = portal(Mode::HierCache);
-    tracer().drain();
-    p.clock().advance(TimeDelta::from_secs(1_000_000));
-    let cold_at = p.clock().now().millis() * 1_000;
-    run(&p, VIEWPORT).expect("cold");
-    p.clock().advance(TimeDelta::from_secs(1));
-    let warm_at = p.clock().now().millis() * 1_000;
-    run(&p, VIEWPORT).expect("warm");
-    p.clock().advance(TimeDelta::from_secs(1));
-    let batch_at = p.clock().now().millis() * 1_000;
-    p.query_many_sql(&[VIEWPORT], 2).expect("batch");
-    let events = tracer().drain();
-
-    // One clock: every span of a query carries that query's instant.
-    let stamped = |k: SpanKind, at: u64| events.iter().any(|e| e.kind == k && e.at_us == at);
-    for (query, at) in [("cold", cold_at), ("warm", warm_at), ("batch", batch_at)] {
-        assert!(stamped(SpanKind::Traverse, at), "{query} traverse span");
-    }
-    assert!(
-        stamped(SpanKind::ProbeWave, cold_at),
-        "cold probe-wave span"
-    );
-    assert!(
-        stamped(SpanKind::WriteBack, cold_at),
-        "cold write-back span"
-    );
-    assert!(stamped(SpanKind::CacheHit, warm_at), "warm cache-hit span");
-
-    let count = |k: SpanKind| events.iter().filter(|e| e.kind == k).count();
-    assert!(count(SpanKind::Parse) >= 3, "parse spans");
-    assert!(count(SpanKind::Plan) >= 3, "plan spans");
-    assert!(count(SpanKind::Traverse) >= 3, "traverse spans");
-    assert!(count(SpanKind::CacheHit) >= 1, "cache-hit spans");
-    assert!(count(SpanKind::ProbeWave) >= 1, "probe-wave spans");
-    assert!(count(SpanKind::WriteBack) >= 1, "write-back spans");
-    assert!(count(SpanKind::Batch) >= 1, "batch spans");
-    // Global sequence order survives the per-thread rings.
-    assert!(events.windows(2).all(|w| w[0].seq < w[1].seq));
+fn explain_analyze_records_the_cold_viewport_as_one_modelled_dispatch() {
     // A query's probes go out together: the cold query's whole 64-sensor
-    // viewport is one span, not one per leaf.
+    // viewport is one dispatch of one wave, not one per leaf. Its duration
+    // is fed by the cost model, so it is exact: a wave of n <= 128 probes
+    // costs 25ms RTT + n * 0.05ms overhead.
+    let p = portal(Mode::HierCache);
+    p.clock().advance(TimeDelta::from_secs(1));
+    let sql = format!("EXPLAIN ANALYZE {VIEWPORT}");
+    let resp = p
+        .execute(&QueryRequest::from_sql(&sql).expect("parses"))
+        .expect("cold");
+    let report = resp.explain.expect("Analyze responses carry explain text");
     assert!(
-        events
-            .iter()
-            .any(|e| e.kind == SpanKind::ProbeWave && e.detail == 64),
-        "the cold viewport was not collected as one wave"
+        report.contains(&format!("├─ parse       sql={}B", sql.len())),
+        "{report}"
     );
-    // Probe-wave durations are fed by the cost model, so they are exact: a
-    // wave of n <= 128 probes costs 25ms RTT + n * 0.05ms overhead.
-    for e in events.iter().filter(|e| e.kind == SpanKind::ProbeWave) {
-        assert!(
-            e.detail > 0 && e.detail <= 128,
-            "unexpected wave size {}",
-            e.detail
-        );
-        assert_eq!(e.dur_us, 25_000 + e.detail * 50, "wave of {}", e.detail);
-    }
+    assert!(
+        report.contains("├─ probe       1 dispatch(es), 64 probed"),
+        "{report}"
+    );
+    let field = |line: &str, key: &str| -> u64 {
+        let at = line.find(key).expect(key) + key.len();
+        let digits = line[at..].split(|c: char| !c.is_ascii_digit()).next();
+        digits.and_then(|d| d.parse().ok()).expect(key)
+    };
+    let waves: Vec<_> = report.lines().filter(|l| l.contains("│    wave")).collect();
+    assert_eq!(waves.len(), 1, "{report}");
+    let wave = waves[0];
+    assert_eq!(field(wave, "probes="), 64, "{wave}");
+    assert_eq!(field(wave, "waves="), 1, "{wave}");
+    assert_eq!(field(wave, "dur="), 25_000 + 64 * 50, "{wave}");
 }
 
 #[test]
@@ -263,7 +229,7 @@ fn service_front_door_counters_cover_admission_and_reindex() {
 }
 
 #[test]
-fn sql_lowering_counts_parse_failures_and_spans_once_per_routed_query() {
+fn sql_lowering_counts_parse_failures() {
     // A malformed statement through the one lowering moves the counter.
     let before = global().snapshot();
     assert!(matches!(
@@ -272,31 +238,6 @@ fn sql_lowering_counts_parse_failures_and_spans_once_per_routed_query() {
     ));
     let delta = global().snapshot().diff(&before);
     assert!(delta.counters["colr_portal_parse_errors_total"] >= 1);
-
-    // A routed query that fans out to both shards records one parse span at
-    // the router, not one per shard. Other tests record into the same tracer,
-    // so the span is told apart by its detail word: this statement's length,
-    // which no other statement in this binary shares.
-    let _drain = TRACER_DRAIN.lock().unwrap_or_else(|e| e.into_inner());
-    let router = ShardedPortal::new(
-        grid_sensors(),
-        |_, _| colr_repro::colr::probe::AlwaysAvailable { expiry_ms: 300_000 },
-        2,
-        PortalConfig::default(),
-    );
-    router.clock().advance(TimeDelta::from_secs(1));
-    let sql = "SELECT count(*) FROM sensor  WHERE location WITHIN RECT(-0.5,-0.5,15.5,15.5) \
-               SAMPLESIZE 40";
-    let resp = router
-        .execute(&QueryRequest::from_sql(sql).expect("parses"))
-        .expect("routed");
-    assert!(resp.shards.len() >= 2, "fan-out {}", resp.shards.len());
-    let spans = tracer()
-        .drain()
-        .into_iter()
-        .filter(|e| e.kind == SpanKind::Parse && e.detail == sql.len() as u64)
-        .count();
-    assert_eq!(spans, 1, "one routed query, one parse span");
 }
 
 #[test]
