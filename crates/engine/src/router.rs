@@ -6,13 +6,15 @@
 //! runs one full `PortalService` per shard (own LSM index, own
 //! admission controller, own reindexer — all on **one shared clock**), and
 //! routes each viewport query by lifting Algorithm 1's split one level up:
-//! the sample target `R` is divided across the shards the viewport overlaps
-//! in proportion to `w_i × Overlap(BB(i), A)`, exactly as a COLR-Tree node
-//! divides it across its children. Because the per-shard seeds derive from
-//! `(router seed, query ordinal, shard index)`, a routed query replays
-//! bit-identically regardless of shard completion order — and a router over
-//! a single shard forwards each request to that shard unchanged, so it
-//! answers bit-identically to the shard alone (this module's tests).
+//! the sample target `R` is divided across the shards in proportion to the
+//! live sensors each holds in the viewport ([`colr_tree::LsmState::count_in`]),
+//! as the LSM divides it across its levels. Because the per-shard seeds
+//! derive from `(router seed, query ordinal, shard index)`, a routed query
+//! replays bit-identically regardless of shard completion order — and a
+//! router over a single shard forwards each request to that shard unchanged,
+//! so it answers bit-identically to the shard alone (this module's tests).
+//! A routed query sees the fleet as one cut: each shard runs on the snapshot
+//! it was counted on, and the move gate keeps a rebalance out of the count.
 //!
 //! The gather side merges per-shard [`PortalResult`]s into one response:
 //! groups concatenate in shard order, [`QueryStats`] sum, latency is the
@@ -29,6 +31,7 @@
 //! migrates to its new nearest shard first (rebalance-on-merge, counted by
 //! `colr_router_rebalanced_total`).
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -45,7 +48,7 @@ use crate::ast::SelectQuery;
 use crate::error::PortalError;
 use crate::portal::{BatchResult, DegradationReport, PortalConfig, PortalResult};
 use crate::request::{ExplainLevel, QueryRequest, QueryResponse, ShardOutcome};
-use crate::service::PortalService;
+use crate::service::{PortalService, Snapshot};
 
 // ---------------------------------------------------------------------------
 // Telemetry
@@ -53,30 +56,18 @@ use crate::service::PortalService;
 
 /// Cached handles for the router-level counters (`colr_router_*`).
 struct RouterTelem {
-    /// Queries routed (all explain levels).
-    queries: Counter,
-    /// Shards targeted per routed query.
-    fanout: colr_telemetry::Histogram,
-    /// Per-shard failures absorbed into a degraded merge.
+    /// Per-shard failures, absorbed into a degraded merge or not.
     shard_errors: Counter,
     /// L0 sensors migrated to another shard because the centroids drifted
     /// after they registered.
     rebalanced: Counter,
-    /// Per-shard reindexes pumped through the router.
-    reindexes: Counter,
-    /// Sensors registered through the router.
-    registrations: Counter,
 }
 
 fn router_telem() -> &'static RouterTelem {
     static T: OnceLock<RouterTelem> = OnceLock::new();
     T.get_or_init(|| RouterTelem {
-        queries: global().counter("colr_router_queries_total"),
-        fanout: global().histogram("colr_router_fanout"),
         shard_errors: global().counter("colr_router_shard_errors_total"),
         rebalanced: global().counter("colr_router_rebalanced_total"),
-        reindexes: global().counter("colr_router_reindexes_total"),
-        registrations: global().counter("colr_router_registrations_total"),
     })
 }
 
@@ -111,6 +102,9 @@ struct Placement {
 struct RouterCore<P> {
     shards: Vec<PortalService<P>>,
     map: RwLock<Vec<ShardInfo>>,
+    /// The move gate, first in the lock order: a rebalance's batch of moves
+    /// holds it for write, a routed query for read while it counts.
+    moves: RwLock<()>,
     /// Ticket → current placement. Tickets are dense `usize`s in issue
     /// order, so the chunked table holds memory in proportion to the *live*
     /// ones; a ticket with no placement is retired (or was never issued).
@@ -194,6 +188,7 @@ impl<P: ProbeService> ShardedPortal<P> {
             core: Arc::new(RouterCore {
                 shards,
                 map: RwLock::new(map),
+                moves: RwLock::new(()),
                 tickets: Mutex::new(IdTable::new()),
                 next_ticket: AtomicUsize::new(0),
                 clock,
@@ -271,7 +266,6 @@ impl<P: ProbeService> ShardedPortal<P> {
             id,
         };
         core.tickets.lock().insert(ticket, placement);
-        router_telem().registrations.inc();
         ticket
     }
 
@@ -296,7 +290,6 @@ impl<P: ProbeService> ShardedPortal<P> {
         self.rebalance_l0(s);
         let n = core.shards[s].reindex();
         core.map.write()[s] = shard_info(s, &core.shards[s]);
-        router_telem().reindexes.inc();
         n
     }
 
@@ -304,13 +297,13 @@ impl<P: ProbeService> ShardedPortal<P> {
     /// centroid has drifted to another shard — tombstone on `s`, O(1)
     /// re-register into the destination's L0 — so the imminent merge only
     /// compacts sensors that actually belong to `s`. Destinations are read
-    /// off one look at the map; on one shard there is nowhere to move.
+    /// off one look at the map; on one shard there is nowhere to move. A
+    /// routed query sees all of the batch or none of it (the move gate).
     fn rebalance_l0(&self, s: usize) {
         let core = &*self.core;
         if core.shards.len() == 1 {
             return;
         }
-        let t = router_telem();
         let metas = core.shards[s].snapshot().lsm().l0_sensor_metas();
         let moves: Vec<(SensorMeta, usize)> = {
             let map = core.map.read();
@@ -321,22 +314,30 @@ impl<P: ProbeService> ShardedPortal<P> {
                 .filter(|&(_, d)| d != s)
                 .collect()
         };
+        if moves.is_empty() {
+            return;
+        }
+        let _gate = core.moves.write();
+        // Only router-registered sensors live in L0, so each has a ticket;
+        // one pass over the table finds the batch's, to keep retire-by-ticket
+        // pointing at each sensor's new home.
+        let mut tickets = core.tickets.lock();
+        let mut found: HashMap<SensorId, Option<&mut Placement>> =
+            moves.iter().map(|(meta, _)| (meta.id, None)).collect();
+        for placement in tickets.values_mut().filter(|p| p.shard == s as u32) {
+            if let Some(slot) = found.get_mut(&placement.id) {
+                *slot = Some(placement);
+            }
+        }
+        let mut moved = 0;
         for (meta, dest) in moves {
-            // Only router-registered sensors live in L0, so each has a
-            // ticket; resolve it to keep retire-by-ticket pointing at the
-            // sensor's new home.
-            let at = Placement {
-                shard: s as u32,
-                id: meta.id,
-            };
-            let mut tickets = core.tickets.lock();
-            let Some(placement) = tickets.values_mut().find(|p| **p == at) else {
+            let Some(placement) = found.remove(&meta.id).flatten() else {
                 continue;
             };
             if !core.shards[s].retire_sensor(meta.id) {
                 continue;
             }
-            let new_id = core.shards[dest].register_sensor(
+            let id = core.shards[dest].register_sensor(
                 meta.location,
                 meta.expiry,
                 meta.availability,
@@ -344,10 +345,11 @@ impl<P: ProbeService> ShardedPortal<P> {
             );
             *placement = Placement {
                 shard: dest as u32,
-                id: new_id,
+                id,
             };
-            t.rebalanced.inc();
+            moved += 1;
         }
+        router_telem().rebalanced.add(moved);
     }
 
     /// Round-robin [`ShardedPortal::reindex_shard`] — each call pumps the
@@ -366,19 +368,22 @@ impl<P: ProbeService> ShardedPortal<P> {
 
     // -- queries -----------------------------------------------------------
 
-    /// Routes one [`QueryRequest`]: splits `R` across the shards the
-    /// viewport overlaps in proportion to `w_i × Overlap`, executes each
-    /// slice with a seed derived from `(router seed, ordinal, shard)`, and
+    /// Routes one [`QueryRequest`]: splits `R` across the shards by their
+    /// live sensors in the viewport, executes each slice on the snapshot its
+    /// shard was counted on, seeded from `(router seed, ordinal, shard)`, and
     /// merges the answers. Fails only when *every* overlapping shard
     /// declines; partial failures degrade the merged fulfillment instead.
     pub fn execute(&self, req: &QueryRequest) -> Result<QueryResponse, PortalError> {
         let core = &*self.core;
         let t = router_telem();
-        t.queries.inc();
-        let mut targets = self.overlap_targets(req.select());
-        t.fanout.observe(targets.len() as u64);
+        let gate = core.moves.read();
+        let (mut targets, cut) = self.overlap_targets(req.select());
+        // A bare count, which probes nothing, holds the gate to the end; any
+        // other query lets it go, so no probe can hold up a rebalance.
+        let counted = req.select().counts_population();
+        let _gate = counted.then_some(gate);
         if req.explain() == ExplainLevel::Plan {
-            return Ok(self.plan_across(req, &targets));
+            return Ok(self.plan_across(req, &targets, &cut));
         }
         let ordinal = core.ordinal.fetch_add(1, Ordering::Relaxed);
         let base = derive_seed(core.seed, ordinal);
@@ -388,13 +393,10 @@ impl<P: ProbeService> ShardedPortal<P> {
             // verbatim — this is what makes a 1-shard router bit-identical
             // to the bare service.
             let s = targets.first().map_or(0, |t| t.id);
-            return match core.shards[s].execute_seeded(req, shard_seed(base, s), ordinal) {
+            let answer = core.shards[s].execute_seeded(&cut[s], req, shard_seed(base, s), ordinal);
+            return match answer {
                 Ok(mut resp) => {
-                    resp.shards = vec![ShardOutcome {
-                        shard: s,
-                        requested: 0.0,
-                        error: None,
-                    }];
+                    resp.shards = vec![answered(s)];
                     Ok(resp)
                 }
                 Err(cause) => {
@@ -410,7 +412,6 @@ impl<P: ProbeService> ShardedPortal<P> {
         // the baselines collect everything in range, so each shard just
         // answers the full request over its own population. So does a bare
         // `count(*)`, and the count a shard was weighed by is its shortfall.
-        let counted = req.select().counts_population();
         let cap = core
             .max_sensors_per_query
             .filter(|_| core.mode == Mode::Colr && !counted);
@@ -442,15 +443,12 @@ impl<P: ProbeService> ShardedPortal<P> {
             };
             let unsplit = if counted { target.weight } else { 0.0 };
             let requested = share.map_or(unsplit, |r| r as f64);
-            match core.shards[s].execute_seeded(&sub, shard_seed(base, s), ordinal) {
+            let answer = core.shards[s].execute_seeded(&cut[s], &sub, shard_seed(base, s), ordinal);
+            let error = match answer {
                 Ok(resp) => {
                     merged_degradation.merge(&resp.result.degradation);
-                    outcomes.push(ShardOutcome {
-                        shard: s,
-                        requested,
-                        error: None,
-                    });
                     answers.push((s, resp));
+                    None
                 }
                 Err(e) => {
                     t.shard_errors.inc();
@@ -461,16 +459,15 @@ impl<P: ProbeService> ShardedPortal<P> {
                         requested,
                         ..Default::default()
                     });
-                    if first_failure.is_none() {
-                        first_failure = Some((s, e.clone()));
-                    }
-                    outcomes.push(ShardOutcome {
-                        shard: s,
-                        requested,
-                        error: Some(e),
-                    });
+                    first_failure.get_or_insert_with(|| (s, e.clone()));
+                    Some(e)
                 }
-            }
+            };
+            outcomes.push(ShardOutcome {
+                shard: s,
+                requested,
+                error,
+            });
         }
         // Every shard a fan-out skips holds a zero slice of a non-zero R, and
         // apportioning never zeroes them all: no answer means a failure.
@@ -537,52 +534,41 @@ impl<P: ProbeService> ShardedPortal<P> {
     // -- routing internals -------------------------------------------------
 
     /// The shards holding live sensors in the query's region, weighed by how
-    /// many ([`colr_tree::LsmState::count_in`]); a lone shard, uncounted. With
-    /// none, the caller falls back to shard 0 and its one empty answer.
-    fn overlap_targets(&self, select: &SelectQuery) -> Vec<Claim> {
+    /// many ([`colr_tree::LsmState::count_in`]) on the cut returned with them,
+    /// a snapshot per shard. A lone shard is not counted: no target is shard 0.
+    fn overlap_targets(&self, select: &SelectQuery) -> (Vec<Claim>, Vec<Snapshot>) {
         let shards = &self.core.shards;
+        let cut: Vec<Snapshot> = shards.iter().map(PortalService::snapshot).collect();
         if shards.len() == 1 {
-            return vec![Claim::new(0, 1.0)];
+            return (Vec::new(), cut);
         }
         let region = select.within.region();
-        let mut targets = Vec::new();
-        for (s, shard) in shards.iter().enumerate() {
-            let live = shard.snapshot().cut().count_in(&region, select.sensor_type);
-            if live > 0 {
-                targets.push(Claim::new(s, live as f64));
-            }
-        }
-        targets
+        let count = |snap: &Snapshot| snap.cut().count_in(&region, select.sensor_type);
+        let live = cut.iter().map(count).enumerate().filter(|&(_, n)| n > 0);
+        let targets = live.map(|(s, n)| Claim::new(s, n as f64)).collect();
+        (targets, cut)
     }
 
     /// The [`ExplainLevel::Plan`] path: no execution, so gather each target
     /// shard's plan text (prefixed with its shard header when fanned out).
-    fn plan_across(&self, req: &QueryRequest, targets: &[Claim]) -> QueryResponse {
+    fn plan_across(&self, req: &QueryRequest, claims: &[Claim], cut: &[Snapshot]) -> QueryResponse {
         let core = &*self.core;
-        if targets.len() <= 1 {
-            let s = targets.first().map_or(0, |t| t.id);
-            let mut resp = core.shards[s].plan_response(req);
-            resp.shards = vec![ShardOutcome {
-                shard: s,
-                requested: 0.0,
-                error: None,
-            }];
+        if claims.len() <= 1 {
+            let s = claims.first().map_or(0, |t| t.id);
+            let mut resp = core.shards[s].plan_response(&cut[s], req);
+            resp.shards = vec![answered(s)];
             return resp;
         }
         let mut text = String::new();
-        let mut outcomes = Vec::with_capacity(targets.len());
-        for s in targets.iter().map(|t| t.id) {
-            let resp = core.shards[s].plan_response(req);
+        let mut outcomes = Vec::with_capacity(claims.len());
+        for s in claims.iter().map(|t| t.id) {
+            let resp = core.shards[s].plan_response(&cut[s], req);
             if !text.is_empty() {
                 text.push('\n');
             }
             text.push_str(&format!("— shard {s} —\n"));
             text.push_str(resp.explain.as_deref().unwrap_or(""));
-            outcomes.push(ShardOutcome {
-                shard: s,
-                requested: 0.0,
-                error: None,
-            });
+            outcomes.push(answered(s));
         }
         QueryResponse {
             result: PortalResult::default(),
@@ -751,6 +737,15 @@ fn nearest_shard(map: &[ShardInfo], location: Point) -> usize {
         }
     }
     best
+}
+
+/// The outcome of shard `shard` answering the request it was handed whole.
+fn answered(shard: usize) -> ShardOutcome {
+    ShardOutcome {
+        shard,
+        requested: 0.0,
+        error: None,
+    }
 }
 
 /// The seed shard `s` executes ordinal `base`'s slice under. Shard 0 reuses

@@ -454,25 +454,29 @@ impl<P: ProbeService> PortalService<P> {
     /// `(seed, ordinal)`. Concurrent-safe: any number of handles may call
     /// this at once.
     pub fn execute(&self, req: &QueryRequest) -> Result<QueryResponse, PortalError> {
+        let snap = self.snapshot();
         if req.explain() == ExplainLevel::Plan {
             // Planning only: no admission slot, no ordinal, no RNG.
-            return Ok(self.plan_response(req));
+            return Ok(self.plan_response(&snap, req));
         }
         let ordinal = self.core.ordinal.fetch_add(1, Ordering::Relaxed);
-        self.execute_seeded(req, derive_seed(self.core.seed, ordinal), ordinal)
+        self.execute_seeded(&snap, req, derive_seed(self.core.seed, ordinal), ordinal)
     }
 
-    /// [`PortalService::execute`] with a caller-derived seed and ordinal —
-    /// the router's hook: it derives one seed per `(router ordinal, shard)`
-    /// so a routed fan-out replays bit-identically regardless of shard
-    /// completion order.
+    /// [`PortalService::execute`] on `snap`, a snapshot of this service, with
+    /// a caller-derived seed and ordinal — the router's hook: it runs each
+    /// shard on the snapshot it counted that shard on, and derives one seed
+    /// per `(router ordinal, shard)` so a routed fan-out replays
+    /// bit-identically regardless of shard completion order.
     pub(crate) fn execute_seeded(
         &self,
+        snap: &Snapshot,
         req: &QueryRequest,
         seed: u64,
         ordinal: u64,
     ) -> Result<QueryResponse, PortalError> {
         debug_assert!(req.explain() != ExplainLevel::Plan, "plans never execute");
+        debug_assert!(Arc::ptr_eq(&snap.lsm, &self.core.lsm), "its own snapshot");
         let analyze = req.explain() == ExplainLevel::Analyze;
         if analyze {
             // Arm the always-on recorder; every error path below must disarm
@@ -493,15 +497,14 @@ impl<P: ProbeService> PortalService<P> {
                 return Err(e);
             }
         };
-        let snap = self.snapshot();
         let mut rng = StdRng::seed_from_u64(seed);
         service_telem().served.inc();
-        let result = self.run_inner(&snap, req.select(), &mut rng, queue_wait);
+        let result = self.run_inner(snap, req.select(), &mut rng, queue_wait);
         let (explain, flight_json) = if analyze {
             // The recorder stays armed through EXPLAIN ANALYZE; were no
             // record to come back, the plan would be rendered without it.
             let rec = flight::take();
-            let mut out = self.explain(&snap, req.select());
+            let mut out = self.explain(snap, req.select());
             out.push('\n');
             if let Some(rec) = &rec {
                 out.push_str(&rec.render_tree());
@@ -541,12 +544,12 @@ impl<P: ProbeService> PortalService<P> {
         })
     }
 
-    /// The [`ExplainLevel::Plan`] response: the plan text and an empty
-    /// result, without executing anything.
-    pub(crate) fn plan_response(&self, req: &QueryRequest) -> QueryResponse {
+    /// The [`ExplainLevel::Plan`] response on `snap`: the plan text and an
+    /// empty result, without executing anything.
+    pub(crate) fn plan_response(&self, snap: &Snapshot, req: &QueryRequest) -> QueryResponse {
         QueryResponse {
             result: PortalResult::default(),
-            explain: Some(self.explain(&self.snapshot(), req.select())),
+            explain: Some(self.explain(snap, req.select())),
             flight: None,
             shards: Vec::new(),
         }

@@ -13,8 +13,9 @@
 //!
 //! With `--shards N` the storm runs against N spatial shards instead: clients scatter-gather through the unified
 //! [`QueryRequest`] surface while the main thread registers publishers near
-//! a shard boundary and republishes every shard (rebalance-on-merge),
-//! then closes one shard and asserts the outage degrades the merged answer
+//! a shard boundary and republishes every shard (rebalance-on-merge), and
+//! every bare count names a population that existed and never steps back;
+//! then it closes one shard and asserts the outage degrades the merged answer
 //! instead of failing it. Prints `service_storm sharded OK` on success.
 //!
 //! With `--churn` the storm runs the sensor-churn soak against a small-L0
@@ -188,9 +189,9 @@ fn main() {
 /// The sharded storm (`--shards N`): clients scatter-gather through one
 /// [`ShardedPortal`] via the unified [`QueryRequest`] surface while the main
 /// thread registers publishers near the inter-shard boundary and
-/// republishes every shard — the rebalance-on-reindex path — then injects a
-/// regional outage by closing one shard and asserts the merged answer
-/// degrades instead of failing.
+/// republishes every shard — the rebalance-on-reindex path, whose moves no
+/// bare count sees half done — then injects a regional outage by closing
+/// one shard and asserts the merged answer degrades instead of failing.
 fn sharded_phase(shards: usize) {
     const SHARD_CLIENTS: usize = 4;
     const SHARD_QUERIES: usize = 100;
@@ -231,12 +232,15 @@ fn sharded_phase(shards: usize) {
              SAMPLESIZE 16"
         ));
     }
-    // A bare count too: a count routed while a rebalance moves a sensor
-    // between shards is no cross-shard snapshot (the sensor may be counted
-    // twice or not at all), so it is checked exactly only at rest.
+    // A bare count too. A routed query sees the fleet as one cut, even while
+    // a rebalance moves sensors between shards, and the storm only registers
+    // (inside the viewport): each client's bare counts name a population
+    // that existed and never step back.
+    let valid = BASE as f64..=(BASE + SWAPS * NEW_PER_SWAP) as f64;
     let bare_sql = format!(
         "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-0.5,-0.5,{extent},{extent})"
     );
+    let bare_at = sqls.len();
     sqls.push(bare_sql.clone());
     let reqs: Vec<QueryRequest> = sqls
         .iter()
@@ -248,17 +252,25 @@ fn sharded_phase(shards: usize) {
         let mut clients = Vec::new();
         for c in 0..SHARD_CLIENTS {
             let handle = router.clone();
-            let reqs = &reqs;
+            let (reqs, valid) = (&reqs, &valid);
             clients.push(scope.spawn(move || {
+                let mut last = 0.0;
                 for i in 0..SHARD_QUERIES {
+                    let k = (c + i) % reqs.len();
                     let resp = handle
-                        .execute(&reqs[(c + i) % reqs.len()])
+                        .execute(&reqs[k])
                         .expect("zero reader downtime through the router");
                     assert!(!resp.shards.is_empty(), "no fan-out outcome recorded");
                     assert!(
                         resp.shards.iter().all(|o| o.error.is_none()),
                         "healthy fleet reported a shard error"
                     );
+                    if k == bare_at {
+                        let a = resp.result.value.expect("count defined");
+                        assert!(valid.contains(&a), "torn count {a}, valid {valid:?}");
+                        assert!(a >= last, "count regressed {last} -> {a}");
+                        last = a;
+                    }
                 }
             }));
         }
@@ -296,7 +308,7 @@ fn sharded_phase(shards: usize) {
     assert_eq!(
         counted.value,
         Some(population as f64),
-        "a bare count at rest"
+        "the final bare count"
     );
     assert_eq!(
         counted.stats.sensors_probed, 0,

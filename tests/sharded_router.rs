@@ -12,11 +12,17 @@
 //!     about changes no answer: a sensor parked in L0 far outside every
 //!     viewport is not a component of any request, and the split and every
 //!     component's stream are the ones the fresh index used.
+//! (d) A routed query sees the fleet as one cut: a bare count taken while a
+//!     rebalance moves thousands of sensors between two shards counts each
+//!     of them once.
+
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use colr_repro::colr::probe::AlwaysAvailable;
 use colr_repro::colr::{Mode, SensorMeta, TimeDelta, Timestamp};
 use colr_repro::engine::{PortalConfig, PortalError, PortalResult, QueryRequest, ShardedPortal};
 use colr_repro::geo::Point;
+use colr_repro::telemetry::global;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -82,6 +88,10 @@ fn bimodal_router() -> (ShardedPortal<AlwaysAvailable>, usize, usize) {
 fn dead_shard_degrades_the_answer_instead_of_failing_it() {
     let (router, west, east) = bimodal_router();
     router.shard(east).close();
+    // The registry is process-wide and other tests' shards fail too, so only
+    // a lower bound on the delta is this test's.
+    let shard_errors = global().counter("colr_router_shard_errors_total");
+    let errors_before = shard_errors.get();
 
     // Spans both clusters: the west shard still answers, the dead east
     // shard's share is accounted as shortfall.
@@ -90,6 +100,10 @@ fn dead_shard_degrades_the_answer_instead_of_failing_it() {
     let resp = router
         .execute(&QueryRequest::from_sql(spanning).expect("spanning SQL"))
         .expect("a regional outage must degrade the answer, not fail it");
+    assert!(
+        shard_errors.get() > errors_before,
+        "the dead shard's failure is counted"
+    );
     assert!(
         resp.result.degradation.worst_fulfillment() < 1.0,
         "dead shard's unmet share must breach merged fulfillment, got {:?}",
@@ -233,4 +247,64 @@ fn a_registration_outside_every_viewport_changes_no_answer() {
     for (i, (want, got)) in want.iter().zip(&got).enumerate() {
         assert_eq!(want, got, "4 shards, execution {i}: `{}`", SAMPLED[i % 10]);
     }
+}
+
+#[test]
+fn a_bare_count_during_a_rebalance_counts_each_moved_sensor_once() {
+    let (router, west, east) = bimodal_router();
+    let expiry = TimeDelta::from_millis(EXPIRY_MS);
+    let mut rng = StdRng::seed_from_u64(5);
+    // 3,000 arrivals at x ≈ 80 park in the west shard's L0 and 600 at
+    // x ≈ 120 in the east shard's: 3,900 sensors in all.
+    for (n, x) in [(3_000, 80.0), (600, 120.0)] {
+        for _ in 0..n {
+            let at = Point::new(
+                x + rng.random_range(-4.0..4.0),
+                10.0 + rng.random_range(-8.0..8.0),
+            );
+            router.register_sensor(at, expiry, 1.0, 0);
+        }
+    }
+    let l0 = |s: usize| router.shard(s).index_stats().map(|st| st.l0_occupancy);
+    assert_eq!((l0(west), l0(east)), (Some(3_000), Some(600)));
+    // The east merge pulls its centroid to x ≈ 138, nearer the west L0's
+    // arrivals than the west centroid at x ≈ 10: the west reindex moves
+    // all 3,000 of them east.
+    router.reindex_shard(east);
+    assert!(router.shard_map()[east].centroid.x < 145.0);
+
+    let whole = QueryRequest::from_sql(
+        "SELECT count(*) FROM sensor WHERE location WITHIN RECT(-1000, -1000, 1000, 1000)",
+    )
+    .expect("whole-world count SQL");
+    let rebalanced = global().counter("colr_router_rebalanced_total");
+    let moved_before = rebalanced.get();
+    let (reads, done) = (AtomicUsize::new(0), AtomicBool::new(false));
+    let counts = std::thread::scope(|scope| {
+        let reader = scope.spawn(|| {
+            let mut counts = Vec::new();
+            while !done.load(Ordering::Acquire) {
+                counts.push(router.execute(&whole).expect("a routed count").result.value);
+                reads.fetch_add(1, Ordering::Release);
+            }
+            counts
+        });
+        // The rebalance starts once the reader is looping.
+        while reads.load(Ordering::Acquire) == 0 {
+            std::thread::yield_now();
+        }
+        router.reindex_shard(west);
+        done.store(true, Ordering::Release);
+        reader.join().expect("the reader")
+    });
+    let wrong: Vec<_> = counts.iter().filter(|&&c| c != Some(3_900.0)).collect();
+    assert!(
+        wrong.is_empty(),
+        "{} of {} counts were not 3,900, e.g. {:?}",
+        wrong.len(),
+        counts.len(),
+        &wrong[..wrong.len().min(8)]
+    );
+    assert!(rebalanced.get() - moved_before >= 3_000);
+    assert_eq!((l0(west), l0(east)), (Some(0), Some(3_000)));
 }
