@@ -18,7 +18,9 @@ cargo fmt --check
 # exact live count in the region, so the live-fraction and overlap-product
 # weights (and L0's separate count) stay gone. And one per-query record: the
 # flight record is a query's trace, so the unlinked span tracer stays gone.
-if grep -rnE '\bPortal(::new|<)|\bMonolithic\b|SharedPortal|reindex_discarding|pending_unindexed|AliasTable|Morton|morton_pack|\bcriterion\b|HotPathLayout|TermTarget|\bexec_colr\b|portal_sim|fresh_cached_readings|leaf_triage|arena_mirrors_tree_structure|QueryRequestBuilder|with_mode\b|with_deadline\b|live_sensor_metas\b|\bentry_pos\b|PortalService::new|PortalConfigBuilder|PortalConfigError|frozen_l0|deferred_from|since_cut|fn dispatch\b|worker completed|IdwModel|model_views|slot_histograms|HistogramSpec|usable_histogram|with_histogram|set_hist|live_fraction|query_weight|overlap_weight|count_matching|\bTracer\b|SpanKind|TraceEvent|tracer\(\)|trace_parse' \
+# The registry holds additive counters and histograms only, always on: no
+# gauge one instance's value overwrites another's, and no off switch.
+if grep -rnE '\bPortal(::new|<)|\bMonolithic\b|SharedPortal|reindex_discarding|pending_unindexed|AliasTable|Morton|morton_pack|\bcriterion\b|HotPathLayout|TermTarget|\bexec_colr\b|portal_sim|fresh_cached_readings|leaf_triage|arena_mirrors_tree_structure|QueryRequestBuilder|with_mode\b|with_deadline\b|live_sensor_metas\b|\bentry_pos\b|PortalService::new|PortalConfigBuilder|PortalConfigError|frozen_l0|deferred_from|since_cut|fn dispatch\b|worker completed|IdwModel|model_views|slot_histograms|HistogramSpec|usable_histogram|with_histogram|set_hist|live_fraction|query_weight|overlap_weight|count_matching|\bTracer\b|SpanKind|TraceEvent|tracer\(\)|trace_parse|\bGauge\b|\.gauge\(|set_enabled' \
     crates src tests examples Cargo.toml; then
     echo "ci: a deleted path is back (matches above)" >&2
     exit 1
@@ -161,7 +163,7 @@ if [ -n "$early" ]; then
     echo "ci: a column-0 #[cfg(test)] before the test module cuts the count early at: $early" >&2
     exit 1
 fi
-max_nontest=18348
+max_nontest=17906
 nontest=$(counted crates/*/src |
     xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile } { n++ } END { print n }' |
     awk '{ s += $1 } END { print s }')
@@ -225,6 +227,28 @@ for metric in colr_query_latency_us colr_tree_cache_hits_total colr_portal_queri
     }
 done
 echo "ci: observability smoke OK"
+
+# No orphan metric family (ROADMAP 24): every `"colr_…"` name passed to
+# `counter(`, `histogram(` or `per_level(` on the non-test lines of
+# crates/*/src (counted as above) must be named, as a whole word, by a test:
+# in a file under tests/ or crates/*/tests/, in a test-only file, or below a
+# file's column-0 `#[cfg(test)]`. A family no test reads is written on its
+# event and never checked, so it goes with its site or earns a test.
+families=$(counted crates/*/src |
+    xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile } { print }' | tr '\n' ' ' |
+    grep -oE '(counter|histogram|per_level)\( *"colr_[a-z0-9_]+' | sed 's/.*"//' | sort -u)
+readers=$(find tests crates/*/tests crates/*/src -name '*.rs' -print0 |
+    xargs -0 awk 'FNR == 1 { cut = FILENAME ~ /^(tests|crates\/[^\/]+\/tests)\/|\/slot_cache\/reference\.rs$|\/lsm\/tests\.rs$/ }
+        /^#\[cfg\(test\)\]/ { cut = 1 } cut')
+orphans=$(for family in $families; do
+    grep -qw -- "$family" <<<"$readers" || echo "$family"
+done)
+if [ -z "$families" ] || [ -n "$orphans" ]; then
+    echo "${orphans:-no metric family found under crates/*/src}" >&2
+    echo "ci: a metric family no test reads (above)" >&2
+    exit 1
+fi
+echo "ci: every metric family has a reader ($(wc -w <<<"$families") families)"
 
 # Fault-injection smoke: a resilient portal under a regional outage + drift
 # must keep answering, open breakers, and track availability (the example

@@ -144,9 +144,8 @@ impl LiveAvailability {
     }
 
     /// Mean absolute gap between the live estimates and an externally
-    /// known ground truth (`truth[i]` = true availability of sensor `i`).
-    /// Also publishes the gap to the `colr_resilient_ewma_gap_milli`
-    /// telemetry gauge so fault experiments can chart estimator tracking.
+    /// known ground truth (`truth[i]` = true availability of sensor `i`):
+    /// how closely the estimator tracks, for fault experiments to chart.
     pub fn mean_abs_gap(&self, truth: &[f64]) -> f64 {
         let n = self.sensor_est.len().min(truth.len());
         if n == 0 {
@@ -155,11 +154,7 @@ impl LiveAvailability {
         let sum: f64 = (0..n)
             .map(|i| (self.sensor(SensorId(i as u32)) - truth[i]).abs())
             .sum();
-        let gap = sum / n as f64;
-        crate::telem::resilient()
-            .ewma_gap_milli
-            .set((gap * 1000.0).round() as i64);
-        gap
+        sum / n as f64
     }
 }
 

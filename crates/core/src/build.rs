@@ -189,13 +189,8 @@ impl ColrTree {
             builder.build_levels(&sensors, &config, seeds);
         }
 
-        let telem = crate::telem::build();
-        let assemble_start = std::time::Instant::now();
         let tree = ColrTree::assemble(config, slot_config, t_max, sensors, builder.scaffold);
-        telem
-            .assemble_phase_us
-            .observe(assemble_start.elapsed().as_micros() as u64);
-        telem.trees.inc();
+        crate::telem::trees_built().inc();
         tree
     }
 }
@@ -400,10 +395,8 @@ impl Builder {
         config: &ColrConfig,
         seeds: &[(Point, usize)],
     ) {
-        let telem = crate::telem::build();
         let b = BRANCHING;
         // --- Leaf level ---
-        let leaf_start = std::time::Instant::now();
         let points: Vec<Point> = sensors.iter().map(|s| s.location).collect();
         let ids: Vec<usize> = (0..sensors.len()).collect();
         let k = sensors.len().div_ceil(b).max(1);
@@ -412,12 +405,8 @@ impl Builder {
             .iter()
             .map(|members| self.push_leaf(sensors, members))
             .collect();
-        telem
-            .leaf_phase_us
-            .observe(leaf_start.elapsed().as_micros() as u64);
 
         // --- Internal levels ---
-        let internal_start = std::time::Instant::now();
         while current.len() > b {
             let centroids: Vec<Point> = current
                 .iter()
@@ -434,9 +423,6 @@ impl Builder {
         if current.len() > 1 {
             self.push_internal(current);
         }
-        telem
-            .internal_phase_us
-            .observe(internal_start.elapsed().as_micros() as u64);
     }
 
     /// Clusters `items` (parallel to `points`) into at most `k` non-empty
@@ -645,9 +631,6 @@ fn lloyd_from(
 ) -> Groups {
     let n = points.len();
     let k = centers.len();
-    crate::telem::build()
-        .kmeans_iterations
-        .add(rounds.max(1) as u64);
     // The first assignment step overwrites `assign` whole.
     let mut assign = vec![0usize; n];
     let mut sums = vec![(0.0f64, 0.0f64, 0usize); k];

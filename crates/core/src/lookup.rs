@@ -321,7 +321,6 @@ impl<'a, P: ProbeService + ?Sized> Wave<'a, P> {
         stats.deadline_clipped += w.deadline_clipped;
         let telem = crate::telem::query();
         telem.probes_issued.add(w.probes);
-        telem.probes_failed.add(w.failed);
         telem.probe_batch_size.observe(w.probes);
         telem.probe_wave_us.observe(w.dur_us);
         crate::flight::with(|f| f.wave(w));
@@ -649,7 +648,6 @@ impl ColrTree {
                     crate::telem::tree().cache_hit(level);
                     continue;
                 }
-                crate::telem::tree().cache_miss(level);
                 crate::flight::with(|f| f.cache_miss(level));
             }
             if arena.child_len(idx) > 0 {

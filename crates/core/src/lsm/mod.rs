@@ -146,16 +146,9 @@ struct Placed {
     retired: bool,
 }
 
-/// Global id → [`Placed`], in a chunked [`IdTable`], with the counts the
-/// `colr_lsm_*` gauges report, kept as the entries change.
+/// Global id → [`Placed`], in a chunked [`IdTable`].
 struct Directory {
     table: IdTable<Placed>,
-    /// Entries not retired.
-    live: usize,
-    /// Entries retired, awaiting a merge that drops them.
-    tombstones: usize,
-    /// Entries not retired that are parked in L0.
-    l0_live: usize,
 }
 
 impl Directory {
@@ -164,8 +157,6 @@ impl Directory {
         let loc = SensorLoc::L0 { pos };
         let retired = false;
         self.table.insert(id.index(), Placed { loc, retired });
-        self.live += 1;
-        self.l0_live += 1;
     }
 
     /// Marks `id` retired and returns where it lives; `None` when it is
@@ -175,36 +166,7 @@ impl Directory {
         if std::mem::replace(&mut placed.retired, true) {
             return None;
         }
-        let loc = placed.loc;
-        self.live -= 1;
-        self.tombstones += 1;
-        if let SensorLoc::L0 { .. } = loc {
-            self.l0_live -= 1;
-        }
-        Some(loc)
-    }
-
-    /// Sets the gauges the directory counts. Called under its lock, so the
-    /// last setter wrote the latest counts.
-    fn publish_gauges(&self) {
-        let t = crate::telem::lsm();
-        t.l0_occupancy.set(self.l0_live as i64);
-        t.live_sensors.set(self.live as i64);
-        t.tombstones.set(self.tombstones as i64);
-    }
-
-    /// Forgets a sensor dropped physically by a merge.
-    fn drop_sensor(&mut self, id: u32) {
-        match self.table.remove(id as usize) {
-            Some(Placed { retired: true, .. }) => self.tombstones -= 1,
-            Some(Placed { loc, .. }) => {
-                self.live -= 1;
-                if let SensorLoc::L0 { .. } = loc {
-                    self.l0_live -= 1;
-                }
-            }
-            None => {}
-        }
+        Some(placed.loc)
     }
 }
 
@@ -385,14 +347,7 @@ impl LsmTree {
             let retired = false;
             table.insert(m.id.index(), Placed { loc, retired });
         }
-        let directory = Directory {
-            table,
-            live: sensors.len(),
-            tombstones: 0,
-            l0_live: 0,
-        };
-        crate::telem::lsm().levels.set(1);
-        directory.publish_gauges();
+        let directory = Directory { table };
         LsmTree {
             config,
             lsm,
@@ -456,8 +411,6 @@ impl LsmTree {
         let mut directory = self.directory.lock();
         let pos = state.l0.push(meta);
         directory.park(meta.id, pos);
-        directory.publish_gauges();
-        crate::telem::lsm().registrations.inc();
     }
 
     /// Retires a sensor wherever it lives: tombstoned out of probes, sample
@@ -466,13 +419,8 @@ impl LsmTree {
     /// unknown or already-retired sensors.
     pub fn retire(&self, id: SensorId) -> bool {
         let state = self.state.read();
-        let loc = {
-            let mut directory = self.directory.lock();
-            let Some(loc) = directory.retire(id) else {
-                return false;
-            };
-            directory.publish_gauges();
-            loc
+        let Some(loc) = self.directory.lock().retire(id) else {
+            return false;
         };
         // The bit is set, so no other retire reaches this sensor's
         // component; the read guard keeps that component published.
@@ -485,7 +433,6 @@ impl LsmTree {
                 .is_some_and(|l| l.tombstone(SensorId(local))),
         };
         debug_assert!(hit, "the directory names a live sensor of the cut");
-        crate::telem::lsm().retires.inc();
         hit
     }
 
@@ -1062,20 +1009,18 @@ impl LsmTree {
             }
             dropped.extend(after.dropped);
             for &id in &dropped {
-                directory.drop_sensor(id);
+                directory.table.remove(id as usize);
             }
             for (pos, (meta, _)) in after.rest.iter().enumerate() {
                 if let Some(placed) = directory.table.get_mut(meta.id.index()) {
                     placed.loc = SensorLoc::L0 { pos: pos as u32 };
                 }
             }
-            directory.l0_live = after.rest.len();
+            let l0_after = after.rest.len();
             let new_l0 = Arc::new(L0Level::with_contents(after.rest));
             let mut levels: Vec<Arc<LsmLevel>> = state.levels[..absorb_from].to_vec();
             levels.push(level.clone());
             let levels_after = levels.len();
-            crate::telem::lsm().levels.set(levels_after as i64);
-            directory.publish_gauges();
             let primary = primary_of(&levels);
             *published = Arc::new(LsmState {
                 levels,
@@ -1083,10 +1028,10 @@ impl LsmTree {
                 primary,
                 ordinal,
             });
-            (levels_after, directory.l0_live, ordinal)
+            (levels_after, l0_after, ordinal)
         };
 
-        let report = MergeReport {
+        MergeReport {
             absorbed_levels: state.levels.len() - absorb_from,
             merged_sensors: level.live(),
             carried_entries: carried,
@@ -1095,13 +1040,7 @@ impl LsmTree {
             levels_after,
             l0_after,
             published: Some(ordinal),
-        };
-        let t = crate::telem::lsm();
-        t.merges.inc();
-        t.merge_duration_us.observe(report.duration_us);
-        t.merge_carryover.add(report.carried_entries as u64);
-        t.merge_dropped.add(report.dropped_tombstones as u64);
-        report
+        }
     }
 }
 

@@ -30,7 +30,6 @@ use parking_lot::{Mutex, RwLock};
 use crate::avail::LiveAvailability;
 use crate::probe::{ProbeReport, ProbeService};
 use crate::reading::{Reading, SensorId};
-use crate::telem;
 use crate::time::{TimeDelta, Timestamp};
 
 /// Tuning knobs for [`ResilientProber`].
@@ -158,7 +157,6 @@ impl<P> ResilientProber<P> {
     where
         P: ProbeService,
     {
-        let t = telem::resilient();
         let mut report = ProbeReport {
             outcomes: vec![None; ids.len()],
             ..ProbeReport::default()
@@ -179,7 +177,6 @@ impl<P> ResilientProber<P> {
                         if now >= b.opened_at + cooldown {
                             b.state = BreakerState::HalfOpen;
                             table.open -= 1;
-                            t.breaker_half_open.inc();
                             true
                         } else {
                             false
@@ -193,7 +190,6 @@ impl<P> ResilientProber<P> {
                 }
             }
         }
-        t.breaker_skipped.add(report.breaker_skipped);
 
         let mut wave = 0u32;
         while !pending.is_empty() {
@@ -212,9 +208,6 @@ impl<P> ResilientProber<P> {
                     let mut tripped = false;
                     let b = table.slot(id);
                     if ok {
-                        if b.state != BreakerState::Closed {
-                            t.breaker_closed.inc();
-                        }
                         b.state = BreakerState::Closed;
                         b.consecutive_failures = 0;
                         report.outcomes[i] = outcome;
@@ -230,7 +223,7 @@ impl<P> ResilientProber<P> {
                             b.state = BreakerState::Open;
                             b.opened_at = at;
                             tripped = true;
-                            t.breaker_opened.inc();
+                            crate::telem::breakers_opened().inc();
                         }
                         // Only still-closed sensors are worth retrying.
                         if b.state == BreakerState::Closed {
@@ -241,7 +234,6 @@ impl<P> ResilientProber<P> {
                         table.open += 1;
                     }
                 }
-                t.open_breakers.set(table.open as i64);
             }
 
             if retryable.is_empty() || wave >= self.config.max_retries {
@@ -255,14 +247,11 @@ impl<P> ResilientProber<P> {
                 .min(self.config.max_backoff.millis());
             if report.backoff_wait_ms.saturating_add(backoff) > retry_budget_ms {
                 report.deadline_clipped += retryable.len() as u64;
-                t.deadline_clipped.add(retryable.len() as u64);
                 break;
             }
             report.backoff_wait_ms += backoff;
             report.retry_waves += 1;
             report.retries_issued += retryable.len() as u64;
-            t.retries.add(retryable.len() as u64);
-            t.retry_waves.inc();
             crate::flight::with(|f| {
                 f.retry_round(u64::from(wave) + 1, retryable.len() as u64, backoff)
             });

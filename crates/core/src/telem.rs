@@ -6,12 +6,11 @@
 //! and held in `OnceLock` statics. Per-level counters are pre-created as
 //! fixed arrays indexed by `min(level, LEVEL_BUCKETS - 1)`, keeping the hot
 //! path a single relaxed atomic increment with no allocation. All handles
-//! target [`colr_telemetry::global`]; disabling that registry reduces every
-//! site to one relaxed load.
+//! target [`colr_telemetry::global`].
 
 use std::sync::OnceLock;
 
-use colr_telemetry::{global, Counter, Gauge, Histogram};
+use colr_telemetry::{global, Counter, Histogram};
 
 use crate::lookup::Mode;
 
@@ -35,38 +34,19 @@ fn level_bucket(level: u16) -> usize {
     (level as usize).min(LEVEL_BUCKETS - 1)
 }
 
-/// Handles for the tree's cache-maintenance and lookup counters
-/// (`colr_tree_*`).
+/// Handles for the tree's cache counters (`colr_tree_*`).
 pub(crate) struct TreeTelem {
     /// A node's slot cache covered a contained terminal, by node level.
     cache_hits: [Counter; LEVEL_BUCKETS],
-    /// A contained terminal's aggregate fell short of coverage, by level.
-    cache_misses: [Counter; LEVEL_BUCKETS],
     /// Whole slots dropped by the roll trigger.
     pub(crate) slots_rolled: Counter,
-    /// Raw readings expunged because their slot slid out of the window.
-    pub(crate) readings_expunged: Counter,
     /// Readings cached by insert/write-back.
     pub(crate) cache_inserts: Counter,
-    /// Readings evicted by the capacity policy.
-    pub(crate) evictions: Counter,
-    /// Slots recomputed because an aggregate could not be decremented.
-    pub(crate) slot_rebuilds: Counter,
-    /// Stripe read acquisitions that had to block behind a writer.
-    pub(crate) stripe_read_contention: Counter,
-    /// Stripe write acquisitions that had to block.
-    pub(crate) stripe_write_contention: Counter,
-    /// Raw readings currently cached tree-wide.
-    pub(crate) cached_readings: Gauge,
 }
 
 impl TreeTelem {
     pub(crate) fn cache_hit(&self, level: u16) {
         self.cache_hits[level_bucket(level)].inc();
-    }
-
-    pub(crate) fn cache_miss(&self, level: u16) {
-        self.cache_misses[level_bucket(level)].inc();
     }
 }
 
@@ -74,15 +54,8 @@ pub(crate) fn tree() -> &'static TreeTelem {
     static T: OnceLock<TreeTelem> = OnceLock::new();
     T.get_or_init(|| TreeTelem {
         cache_hits: per_level("colr_tree_cache_hits_total"),
-        cache_misses: per_level("colr_tree_cache_misses_total"),
         slots_rolled: global().counter("colr_tree_slots_rolled_total"),
-        readings_expunged: global().counter("colr_tree_readings_expunged_total"),
         cache_inserts: global().counter("colr_tree_cache_inserts_total"),
-        evictions: global().counter("colr_tree_evictions_total"),
-        slot_rebuilds: global().counter("colr_tree_slot_rebuilds_total"),
-        stripe_read_contention: global().counter("colr_tree_stripe_read_contention_total"),
-        stripe_write_contention: global().counter("colr_tree_stripe_write_contention_total"),
-        cached_readings: global().gauge("colr_tree_cached_readings"),
     })
 }
 
@@ -96,8 +69,6 @@ pub(crate) struct QueryTelem {
     pub(crate) latency_us: Histogram,
     /// Probe requests issued (successful or not).
     pub(crate) probes_issued: Counter,
-    /// Probes that returned no data.
-    pub(crate) probes_failed: Counter,
     /// Probe-wave batch sizes.
     pub(crate) probe_batch_size: Histogram,
     /// Modelled probe-wave latency (RTT waves + per-probe overhead), µs.
@@ -122,112 +93,20 @@ pub(crate) fn query() -> &'static QueryTelem {
         queries_colr: global().counter("colr_query_total{mode=\"colr\"}"),
         latency_us: global().histogram("colr_query_latency_us"),
         probes_issued: global().counter("colr_probe_issued_total"),
-        probes_failed: global().counter("colr_probe_failed_total"),
         probe_batch_size: global().histogram("colr_probe_batch_size"),
         probe_wave_us: global().histogram("colr_probe_wave_us"),
     })
 }
 
-/// Handles for bulk-build phase metrics (`colr_build_*`).
-pub(crate) struct BuildTelem {
-    /// Trees bulk-built.
-    pub(crate) trees: Counter,
-    /// Lloyd iterations executed across all clustering invocations.
-    pub(crate) kmeans_iterations: Counter,
-    /// Wall time of the leaf clustering phase, µs.
-    pub(crate) leaf_phase_us: Histogram,
-    /// Wall time of the internal-level clustering phase, µs.
-    pub(crate) internal_phase_us: Histogram,
-    /// Wall time of cache assembly + level assignment, µs.
-    pub(crate) assemble_phase_us: Histogram,
+/// Trees bulk-built (`colr_build_trees_total`).
+pub(crate) fn trees_built() -> &'static Counter {
+    static C: OnceLock<Counter> = OnceLock::new();
+    C.get_or_init(|| global().counter("colr_build_trees_total"))
 }
 
-pub(crate) fn build() -> &'static BuildTelem {
-    static T: OnceLock<BuildTelem> = OnceLock::new();
-    T.get_or_init(|| BuildTelem {
-        trees: global().counter("colr_build_trees_total"),
-        kmeans_iterations: global().counter("colr_build_kmeans_iterations_total"),
-        leaf_phase_us: global().histogram("colr_build_leaf_phase_us"),
-        internal_phase_us: global().histogram("colr_build_internal_phase_us"),
-        assemble_phase_us: global().histogram("colr_build_assemble_phase_us"),
-    })
-}
-
-/// Handles for the incremental LSM index (`colr_lsm_*`): level shape,
-/// churn volume, and merge behaviour.
-pub(crate) struct LsmTelem {
-    /// Immutable levels currently published.
-    pub(crate) levels: Gauge,
-    /// Live sensors parked in L0.
-    pub(crate) l0_occupancy: Gauge,
-    /// Live sensors across all components.
-    pub(crate) live_sensors: Gauge,
-    /// Tombstoned sensors awaiting physical removal.
-    pub(crate) tombstones: Gauge,
-    /// Sensors registered through the LSM path.
-    pub(crate) registrations: Counter,
-    /// Sensors retired (tombstoned) through the LSM path.
-    pub(crate) retires: Counter,
-    /// Merges completed.
-    pub(crate) merges: Counter,
-    /// Wall-clock merge duration (build + publish), µs.
-    pub(crate) merge_duration_us: Histogram,
-    /// Cached readings carried across merges via `restore_entries`.
-    pub(crate) merge_carryover: Counter,
-    /// Tombstoned sensors physically dropped by merges.
-    pub(crate) merge_dropped: Counter,
-}
-
-pub(crate) fn lsm() -> &'static LsmTelem {
-    static T: OnceLock<LsmTelem> = OnceLock::new();
-    T.get_or_init(|| LsmTelem {
-        levels: global().gauge("colr_lsm_levels"),
-        l0_occupancy: global().gauge("colr_lsm_l0_occupancy"),
-        live_sensors: global().gauge("colr_lsm_live_sensors"),
-        tombstones: global().gauge("colr_lsm_tombstones"),
-        registrations: global().counter("colr_lsm_registrations_total"),
-        retires: global().counter("colr_lsm_retires_total"),
-        merges: global().counter("colr_lsm_merges_total"),
-        merge_duration_us: global().histogram("colr_lsm_merge_duration_us"),
-        merge_carryover: global().counter("colr_lsm_merge_carryover_total"),
-        merge_dropped: global().counter("colr_lsm_merge_dropped_total"),
-    })
-}
-
-/// Handles for the fault-tolerance layer (`colr_resilient_*`): retry
-/// volume, circuit-breaker state transitions, and estimator tracking.
-pub(crate) struct ResilientTelem {
-    /// Individual probes re-issued by the retry loop.
-    pub(crate) retries: Counter,
-    /// Retry waves issued (each costs one modelled RTT).
-    pub(crate) retry_waves: Counter,
-    /// Breaker transitions into the open state.
-    pub(crate) breaker_opened: Counter,
-    /// Breaker transitions back to closed (recovery observed).
-    pub(crate) breaker_closed: Counter,
-    /// Open breakers allowed one half-open trial probe.
-    pub(crate) breaker_half_open: Counter,
-    /// Probes skipped outright because the sensor's breaker was open.
-    pub(crate) breaker_skipped: Counter,
-    /// Failed probes whose retries were abandoned on the deadline budget.
-    pub(crate) deadline_clipped: Counter,
-    /// Breakers currently open across all resilient probers.
-    pub(crate) open_breakers: Gauge,
-    /// Mean |EWMA − true availability| × 1000, from `mean_abs_gap`.
-    pub(crate) ewma_gap_milli: Gauge,
-}
-
-pub(crate) fn resilient() -> &'static ResilientTelem {
-    static T: OnceLock<ResilientTelem> = OnceLock::new();
-    T.get_or_init(|| ResilientTelem {
-        retries: global().counter("colr_resilient_retries_total"),
-        retry_waves: global().counter("colr_resilient_retry_waves_total"),
-        breaker_opened: global().counter("colr_resilient_breaker_opened_total"),
-        breaker_closed: global().counter("colr_resilient_breaker_closed_total"),
-        breaker_half_open: global().counter("colr_resilient_breaker_half_open_total"),
-        breaker_skipped: global().counter("colr_resilient_breaker_skipped_total"),
-        deadline_clipped: global().counter("colr_resilient_deadline_clipped_total"),
-        open_breakers: global().gauge("colr_resilient_open_breakers"),
-        ewma_gap_milli: global().gauge("colr_resilient_ewma_gap_milli"),
-    })
+/// Circuit breakers tripped open by any resilient prober
+/// (`colr_resilient_breaker_opened_total`).
+pub(crate) fn breakers_opened() -> &'static Counter {
+    static C: OnceLock<Counter> = OnceLock::new();
+    C.get_or_init(|| global().counter("colr_resilient_breaker_opened_total"))
 }

@@ -701,13 +701,7 @@ impl ColrTree {
     /// call tree mutators (or `with_cache_mut`) from inside the closure.
     pub fn with_cache<T>(&self, id: NodeId, f: impl FnOnce(NodeCache<'_>) -> T) -> T {
         let (stripe, pos) = stripe_slot(self.stripe_shift, id.index());
-        let guard = match self.stripes[stripe].try_read() {
-            Some(g) => g,
-            None => {
-                crate::telem::tree().stripe_read_contention.inc();
-                self.stripes[stripe].read()
-            }
-        };
+        let guard = self.stripes[stripe].read();
         let head = guard.heads[pos];
         let ring = self.slot_config.num_slots + 1;
         let at = pos * ring;
@@ -734,13 +728,7 @@ impl ColrTree {
     /// re-entrancy rule as [`ColrTree::with_cache`].
     pub(crate) fn with_cache_mut<T>(&self, id: NodeId, f: impl FnOnce(NodeCacheMut<'_>) -> T) -> T {
         let (stripe, pos) = stripe_slot(self.stripe_shift, id.index());
-        let mut guard = match self.stripes[stripe].try_write() {
-            Some(g) => g,
-            None => {
-                crate::telem::tree().stripe_write_contention.inc();
-                self.stripes[stripe].write()
-            }
-        };
+        let mut guard = self.stripes[stripe].write();
         let Stripe {
             heads,
             cells,
@@ -923,11 +911,10 @@ impl ColrTree {
         if new_base <= maint.cache_base {
             return 0;
         }
-        let telem = crate::telem::tree();
         // A window that idled for longer than it is wide still only had
         // `num_slots + 1` slots to lose.
         let expired = (new_base - maint.cache_base).min(maint.buckets.len() as u64);
-        telem.slots_rolled.add(expired);
+        crate::telem::tree().slots_rolled.add(expired);
         let mut dropped = 0;
         let mut expunged = 0;
         for slot in maint.cache_base..maint.cache_base + expired {
@@ -950,8 +937,6 @@ impl ColrTree {
         }
         maint.total_cached -= expunged;
         maint.cache_base = new_base;
-        telem.readings_expunged.add(expunged as u64);
-        telem.cached_readings.set(maint.total_cached as i64);
         dropped
     }
 
@@ -1071,7 +1056,6 @@ impl ColrTree {
         }
         let mut keys = std::mem::take(&mut maint.pool.keys);
         keys.extend(plans.iter().enumerate().map(|(i, p)| run_key(p.leaf, i)));
-        let telem = crate::telem::tree();
         let mut rebuilds = std::mem::take(&mut maint.pool.rebuilds);
         // Bottom-up (the leaf level is uniform): apply the list at this
         // level, then re-key every plan to its node's parent and go again.
@@ -1096,7 +1080,6 @@ impl ColrTree {
                                 .try_remove_kind(old.expires_at, old.value, plan.kind)
                                 == RemoveOutcome::NeedsRebuild
                             {
-                                telem.slot_rebuilds.inc();
                                 let slot = self.slot_config.slot_of(old.expires_at);
                                 if !rebuilds.contains(&slot) {
                                     rebuilds.push(slot);
@@ -1160,8 +1143,7 @@ impl ColrTree {
             bucket.ordered = false;
         }
         let applied = plans.len();
-        telem.cache_inserts.add(applied as u64);
-        telem.cached_readings.set(maint.total_cached as i64);
+        crate::telem::tree().cache_inserts.add(applied as u64);
         recycle(&mut maint.pool.plans, plans);
         recycle(&mut maint.pool.keys, keys);
         recycle(&mut maint.pool.rebuilds, rebuilds);
@@ -1302,9 +1284,6 @@ impl ColrTree {
             return None;
         }
         maint.total_cached -= 1;
-        crate::telem::tree()
-            .cached_readings
-            .set(maint.total_cached as i64);
         // The reading's bucket tuple stays behind, stale from here on.
         let slot = self.slot_config.slot_of(entry.reading.expires_at);
 
@@ -1318,10 +1297,7 @@ impl ColrTree {
             });
             match outcome {
                 RemoveOutcome::Removed | RemoveOutcome::Absent => {}
-                RemoveOutcome::NeedsRebuild => {
-                    crate::telem::tree().slot_rebuilds.inc();
-                    self.rebuild_slot(id, slot);
-                }
+                RemoveOutcome::NeedsRebuild => self.rebuild_slot(id, slot),
             }
             cur = self.arena.parent(id);
         }
@@ -1391,10 +1367,8 @@ impl ColrTree {
                     break;
                 }
                 tried += 1;
-                if self.bucket_entry(slot, fetched).is_some()
-                    && self.remove_cached_locked(maint, fetched.sensor()).is_some()
-                {
-                    crate::telem::tree().evictions.inc();
+                if self.bucket_entry(slot, fetched).is_some() {
+                    self.remove_cached_locked(maint, fetched.sensor());
                 }
             }
             readings.drain(..tried);
@@ -1770,7 +1744,7 @@ pub(crate) mod tests {
     #[test]
     fn slots_rolled_counts_the_ring_not_the_epoch() {
         let tree = grid_tree(64);
-        let counter = &crate::telem::tree().slots_rolled;
+        let counter = colr_telemetry::global().counter("colr_tree_slots_rolled_total");
         let before = counter.get();
         // A first advance to a far instant crosses ~13 million slot
         // boundaries from base 0; the ring only ever had nine slots to lose.

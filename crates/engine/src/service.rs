@@ -42,7 +42,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering}
 use std::sync::{Arc, OnceLock};
 
 use colr_geo::Region;
-use colr_telemetry::{global, Counter, Gauge, SloWatchdog};
+use colr_telemetry::{global, Counter, SloWatchdog};
 use colr_tree::{
     derive_seed, flight, AggKind, ClockHandle, ColrTree, Histogram, LiveAvailability, LsmState,
     LsmStats, LsmTree, Mode, ProbeService, Query, QueryOutput, QueryStats, ResilientProber,
@@ -66,7 +66,8 @@ use crate::request::{ExplainLevel, QueryRequest, QueryResponse};
 
 /// Cached handles for the portal-level counters (`colr_portal_*`).
 pub(crate) struct PortalTelem {
-    /// Queries answered (interactive and batched).
+    /// Queries answered (interactive and batched), per shard execution: a
+    /// routed query counts once on each shard that runs it.
     pub(crate) queries: Counter,
     /// SQL strings that failed to parse.
     pub(crate) parse_errors: Counter,
@@ -88,7 +89,8 @@ pub(crate) fn portal_telem() -> &'static PortalTelem {
 
 /// Cached handles for the service-level counters (`colr_service_*`).
 struct ServiceTelem {
-    /// Queries admitted and served through a service handle.
+    /// Queries admitted and served, per shard execution: a routed query
+    /// counts once on each shard that runs it.
     served: Counter,
     /// Queries shed by the admission controller.
     shed: Counter,
@@ -100,10 +102,6 @@ struct ServiceTelem {
     registrations: Counter,
     /// Cached readings carried across merges.
     carryover: Counter,
-    /// The published cut's ordinal.
-    generation: Gauge,
-    /// Queries currently in flight (executing + queued).
-    in_flight: Gauge,
     /// Queue position of each admitted-but-queued query.
     queue_depth: colr_telemetry::Histogram,
 }
@@ -117,8 +115,6 @@ fn service_telem() -> &'static ServiceTelem {
         reindexes: global().counter("colr_service_reindexes_total"),
         registrations: global().counter("colr_service_registrations_total"),
         carryover: global().counter("colr_service_carryover_readings_total"),
-        generation: global().gauge("colr_service_generation"),
-        in_flight: global().gauge("colr_service_in_flight"),
         queue_depth: global().histogram("colr_service_queue_depth"),
     })
 }
@@ -156,8 +152,8 @@ impl Default for AdmissionConfig {
     }
 }
 
-/// RAII in-flight slot: decrements the counter (and the gauge) when the
-/// query finishes, succeeds or not.
+/// RAII in-flight slot: decrements the counter when the query finishes,
+/// succeeds or not.
 #[derive(Debug)]
 struct InFlightGuard<'a> {
     counter: &'a AtomicUsize,
@@ -165,8 +161,7 @@ struct InFlightGuard<'a> {
 
 impl Drop for InFlightGuard<'_> {
     fn drop(&mut self) {
-        let after = self.counter.fetch_sub(1, Ordering::AcqRel) - 1;
-        service_telem().in_flight.set(after as i64);
+        self.counter.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
@@ -270,7 +265,6 @@ impl<P: ProbeService> PortalService<P> {
         let population = sensors.len() as u32;
         let IndexStrategy::Lsm(lsm_cfg) = config.index;
         let lsm = Arc::new(LsmTree::new(sensors, config.tree, lsm_cfg, config.seed));
-        service_telem().generation.set(0);
         PortalService {
             core: Arc::new(ServiceCore {
                 probe,
@@ -408,9 +402,8 @@ impl<P: ProbeService> PortalService<P> {
         let report = core.lsm.merge(core.clock.now());
         let t = service_telem();
         t.carryover.add(report.carried_entries as u64);
-        if let Some(ordinal) = report.published {
+        if report.published.is_some() {
             t.reindexes.inc();
-            t.generation.set(ordinal as i64);
         }
         core.lsm.stats().live_sensors
     }
@@ -431,7 +424,6 @@ impl<P: ProbeService> PortalService<P> {
         let guard = InFlightGuard {
             counter: &core.in_flight,
         };
-        t.in_flight.set((prior + 1) as i64);
         let a = &core.admission;
         if prior < a.max_in_flight {
             return Ok((guard, TimeDelta::ZERO));

@@ -17,33 +17,11 @@
 //! conservative variant the paper itself requires for non-decrementable
 //! aggregates (min/max), applied uniformly for simplicity.
 
-use std::sync::OnceLock;
-
-use colr_telemetry::{global, Counter};
 use colr_tree::{PartialAgg, Timestamp};
 
 use crate::schema::{RelationalColrTree, CACHE_COLS};
 use crate::store::Value;
 use crate::store::{ChangeEvent, RowId};
-
-/// Cached handles counting trigger firings by kind
-/// (`colr_relstore_trigger_fires_total{kind="..."}`).
-struct TriggerTelem {
-    roll: Counter,
-    slot_insert: Counter,
-    slot_delete: Counter,
-    slot_update: Counter,
-}
-
-fn trigger_telem() -> &'static TriggerTelem {
-    static T: OnceLock<TriggerTelem> = OnceLock::new();
-    T.get_or_init(|| TriggerTelem {
-        roll: global().counter("colr_relstore_trigger_fires_total{kind=\"roll\"}"),
-        slot_insert: global().counter("colr_relstore_trigger_fires_total{kind=\"slot_insert\"}"),
-        slot_delete: global().counter("colr_relstore_trigger_fires_total{kind=\"slot_delete\"}"),
-        slot_update: global().counter("colr_relstore_trigger_fires_total{kind=\"slot_update\"}"),
-    })
-}
 
 /// A cache-table row's aggregate payload.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -131,7 +109,6 @@ impl RelationalColrTree {
         if new_base <= self.base_slot {
             return;
         }
-        trigger_telem().roll.inc();
         self.base_slot = new_base;
         // Whole-slot expiry is globally aligned: drop the rows directly at
         // every level — no bottom-up propagation is needed because every
@@ -175,14 +152,12 @@ impl RelationalColrTree {
                         Some(r) => r,
                         None => continue, // already expunged by a later roll
                     };
-                    trigger_telem().slot_insert.inc();
                     let leaf = row[6].int();
                     let slot = row[5].int();
                     self.refresh_leaf_slot(leaf, slot);
                 }
                 // Slot delete trigger: a reading left the leaf cache level.
                 ChangeEvent::Deleted(t, old) if t == self.reading_t => {
-                    trigger_telem().slot_delete.inc();
                     let leaf = old[6].int();
                     let slot = old[5].int();
                     self.refresh_leaf_slot(leaf, slot);
@@ -196,7 +171,6 @@ impl RelationalColrTree {
                 ChangeEvent::Inserted(t, rid) | ChangeEvent::Updated(t, rid) => {
                     if let Some(level) = self.cache_level_of(t) {
                         if let Some(row) = self.store.table(t).get(rid) {
-                            trigger_telem().slot_update.inc();
                             let node = row[0].int();
                             let slot = row[1].int();
                             self.propagate_to_parent(level, node, slot);
@@ -205,7 +179,6 @@ impl RelationalColrTree {
                 }
                 ChangeEvent::Deleted(t, old) => {
                     if let Some(level) = self.cache_level_of(t) {
-                        trigger_telem().slot_update.inc();
                         let node = old[0].int();
                         let slot = old[1].int();
                         self.propagate_to_parent(level, node, slot);

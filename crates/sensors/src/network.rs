@@ -4,7 +4,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use colr_geo::Point;
-use colr_telemetry::{global, Counter, Gauge, Histogram};
+use colr_telemetry::{global, Counter};
 use colr_tree::{ProbeService, Reading, SensorId, SensorMeta, Timestamp};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -50,30 +50,11 @@ struct NetState<F> {
     rng: StdRng,
 }
 
-/// Cached handles for the network-side probe counters (`colr_net_*`).
-struct NetTelem {
-    /// Probe requests that reached the network, any outcome.
-    probes: Counter,
-    /// Probes that failed (sensor down or unavailable this round).
-    failures: Counter,
-    /// Failures caused by an active fault-plan event (subset of
-    /// `failures`; excludes base Bernoulli unavailability).
-    fault_downs: Counter,
-    /// Sizes of the batches handed to `probe_batch`.
-    batch_size: Histogram,
-    /// Active fault-plan RTT multiplier × 1000 at the last batch.
-    latency_factor_milli: Gauge,
-}
-
-fn net_telem() -> &'static NetTelem {
-    static T: OnceLock<NetTelem> = OnceLock::new();
-    T.get_or_init(|| NetTelem {
-        probes: global().counter("colr_net_probes_total"),
-        failures: global().counter("colr_net_failures_total"),
-        fault_downs: global().counter("colr_net_fault_downs_total"),
-        batch_size: global().histogram("colr_net_batch_size"),
-        latency_factor_milli: global().gauge("colr_net_latency_factor_milli"),
-    })
+/// Probe requests that reached the network, any outcome
+/// (`colr_net_probes_total`).
+fn probes_total() -> &'static Counter {
+    static C: OnceLock<Counter> = OnceLock::new();
+    C.get_or_init(|| global().counter("colr_net_probes_total"))
 }
 
 impl<F: ValueField> SimNetwork<F> {
@@ -175,22 +156,15 @@ impl<F: ValueField> SimNetwork<F> {
 
 impl<F: ValueField> ProbeService for SimNetwork<F> {
     fn probe_batch(&self, ids: &[SensorId], now: Timestamp) -> Vec<Option<Reading>> {
-        let telem = net_telem();
-        telem.probes.add(ids.len() as u64);
-        telem.batch_size.observe(ids.len() as u64);
+        probes_total().add(ids.len() as u64);
         // Lock ordering: faults before state (see the field docs).
         let faults = self.faults.lock();
         let avail_factor = faults.availability_factor(now);
-        telem
-            .latency_factor_milli
-            .set((faults.latency_factor(now) * 1000.0).round() as i64);
         // One lock acquisition per batch: probes within a batch are
         // "concurrent" in the latency model, so serialising the whole batch
         // on the state mutex matches the simulated semantics.
         let mut state = self.state.lock();
-        let mut fault_downs = 0u64;
-        let out: Vec<Option<Reading>> = ids
-            .iter()
+        ids.iter()
             .map(|&id| {
                 let meta = self.sensors[id.index()];
                 self.probes[id.index()].fetch_add(1, Ordering::Relaxed);
@@ -203,7 +177,6 @@ impl<F: ValueField> ProbeService for SimNetwork<F> {
                 if self.forced_down[id.index()].load(Ordering::Relaxed)
                     || faults.is_down(id, meta.location, now)
                 {
-                    fault_downs += 1;
                     return None;
                 }
                 // `u ∈ [0, 1)`: effective availability 1.0 always
@@ -220,12 +193,7 @@ impl<F: ValueField> ProbeService for SimNetwork<F> {
                     expires_at: now + meta.expiry,
                 })
             })
-            .collect();
-        telem.fault_downs.add(fault_downs);
-        telem
-            .failures
-            .add(out.iter().filter(|r| r.is_none()).count() as u64);
-        out
+            .collect()
     }
 }
 

@@ -18,8 +18,8 @@ fn family(name: &str) -> &str {
 
 impl Snapshot {
     /// Renders the snapshot in the Prometheus text exposition format.
-    /// Counters and gauges may carry one `{key="value"}` label suffix in
-    /// their registered name; histograms expand into `_bucket`/`_sum`/
+    /// Counters may carry one `{key="value"}` label suffix in their
+    /// registered name; histograms expand into `_bucket`/`_sum`/
     /// `_count` series with cumulative `le` buckets.
     pub fn to_prometheus(&self) -> String {
         let mut out = String::new();
@@ -28,15 +28,6 @@ impl Snapshot {
             let fam = family(name);
             if fam != last_family {
                 let _ = writeln!(out, "# TYPE {fam} counter");
-                last_family = fam;
-            }
-            let _ = writeln!(out, "{name} {value}");
-        }
-        last_family = "";
-        for (name, value) in &self.gauges {
-            let fam = family(name);
-            if fam != last_family {
-                let _ = writeln!(out, "# TYPE {fam} gauge");
                 last_family = fam;
             }
             let _ = writeln!(out, "{name} {value}");
@@ -60,7 +51,7 @@ impl Snapshot {
         out
     }
 
-    /// Renders the snapshot as a JSON object with `counters`, `gauges` and
+    /// Renders the snapshot as a JSON object with `counters` and
     /// `histograms` members. Histograms carry count/sum/mean, p50/p95/p99
     /// estimates, and the non-empty `[upper_bound, count]` bucket pairs.
     pub fn to_json(&self) -> String {
@@ -70,16 +61,6 @@ impl Snapshot {
             let _ = write!(out, "{sep}\n    {}: {value}", json_str(name));
         }
         out.push_str(if self.counters.is_empty() {
-            "},\n"
-        } else {
-            "\n  },\n"
-        });
-        out.push_str("  \"gauges\": {");
-        for (i, (name, value)) in self.gauges.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(out, "{sep}\n    {}: {value}", json_str(name));
-        }
-        out.push_str(if self.gauges.is_empty() {
             "},\n"
         } else {
             "\n  },\n"
@@ -180,15 +161,6 @@ mod tests {
         assert!(text.contains("lat_us_bucket{le=\"+Inf\"} 3"));
         assert!(text.contains("lat_us_sum 7"));
         assert!(text.contains("lat_us_count 3"));
-    }
-
-    #[test]
-    fn gauges_expose_with_gauge_type() {
-        let r = Registry::new();
-        r.gauge("cached_readings").set(42);
-        let text = r.snapshot().to_prometheus();
-        assert!(text.contains("# TYPE cached_readings gauge"));
-        assert!(text.contains("cached_readings 42"));
     }
 
     #[test]

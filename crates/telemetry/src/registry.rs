@@ -1,15 +1,13 @@
-//! The lock-free metrics registry: named counters, gauges and log-bucketed
+//! The lock-free metrics registry: named counters and log-bucketed
 //! histograms with create-on-first-use handles and snapshot/diff support.
 //!
 //! A [`Registry`] maps metric names to shared atomic cells. Handles
-//! ([`Counter`], [`Gauge`], [`Histogram`]) are `Arc`s onto those cells:
-//! cloning is cheap, recording is a relaxed atomic op, and the registry's
-//! lock is only touched on first use of a name (and when snapshotting).
-//! Each registry carries its own enabled flag so the [`global`] registry can
-//! be switched off without disturbing private registries used by tests.
+//! ([`Counter`], [`Histogram`]) are `Arc`s onto those cells: cloning is
+//! cheap, recording is a relaxed atomic op, and the registry's lock is only
+//! touched on first use of a name (and when snapshotting).
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::RwLock;
@@ -25,14 +23,9 @@ const RELAXED: Ordering = Ordering::Relaxed;
 // Handles
 // ---------------------------------------------------------------------------
 
-struct CounterCore {
-    value: AtomicU64,
-    enabled: Arc<AtomicBool>,
-}
-
 /// A monotonically increasing counter handle. Clones share the same cell.
 #[derive(Clone)]
-pub struct Counter(Arc<CounterCore>);
+pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
     /// Adds 1.
@@ -44,48 +37,12 @@ impl Counter {
     /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        if self.0.enabled.load(RELAXED) {
-            self.0.value.fetch_add(n, RELAXED);
-        }
+        self.0.fetch_add(n, RELAXED);
     }
 
     /// Current value.
     pub fn get(&self) -> u64 {
-        self.0.value.load(RELAXED)
-    }
-}
-
-struct GaugeCore {
-    // i64 stored as two's-complement bits.
-    value: AtomicU64,
-    enabled: Arc<AtomicBool>,
-}
-
-/// A gauge handle: a value that can go up and down (e.g. cached readings,
-/// in-flight batch queries).
-#[derive(Clone)]
-pub struct Gauge(Arc<GaugeCore>);
-
-impl Gauge {
-    /// Sets the gauge to `v`.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        if self.0.enabled.load(RELAXED) {
-            self.0.value.store(v as u64, RELAXED);
-        }
-    }
-
-    /// Adds `d` (may be negative).
-    #[inline]
-    pub fn add(&self, d: i64) {
-        if self.0.enabled.load(RELAXED) {
-            self.0.value.fetch_add(d as u64, RELAXED);
-        }
-    }
-
-    /// Current value.
-    pub fn get(&self) -> i64 {
-        self.0.value.load(RELAXED) as i64
+        self.0.load(RELAXED)
     }
 }
 
@@ -93,7 +50,6 @@ struct HistogramCore {
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
     count: AtomicU64,
     sum: AtomicU64,
-    enabled: Arc<AtomicBool>,
 }
 
 /// A log-bucketed histogram handle over `u64` observations (typically
@@ -123,11 +79,9 @@ impl Histogram {
     /// Records one observation.
     #[inline]
     pub fn observe(&self, v: u64) {
-        if self.0.enabled.load(RELAXED) {
-            self.0.buckets[bucket_of(v)].fetch_add(1, RELAXED);
-            self.0.count.fetch_add(1, RELAXED);
-            self.0.sum.fetch_add(v, RELAXED);
-        }
+        self.0.buckets[bucket_of(v)].fetch_add(1, RELAXED);
+        self.0.count.fetch_add(1, RELAXED);
+        self.0.sum.fetch_add(v, RELAXED);
     }
 
     /// Number of observations so far.
@@ -229,16 +183,13 @@ impl HistogramSnapshot {
 pub struct Snapshot {
     /// Counter values by name.
     pub counters: BTreeMap<String, u64>,
-    /// Gauge values by name.
-    pub gauges: BTreeMap<String, i64>,
     /// Histogram states by name.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
 }
 
 impl Snapshot {
     /// Interval metrics: counters and histograms become `self − older`
-    /// (names absent from `older` keep their value); gauges keep the newer
-    /// value.
+    /// (names absent from `older` keep their value).
     pub fn diff(&self, older: &Snapshot) -> Snapshot {
         let counters = self
             .counters
@@ -258,7 +209,6 @@ impl Snapshot {
             .collect();
         Snapshot {
             counters,
-            gauges: self.gauges.clone(),
             histograms,
         }
     }
@@ -271,40 +221,19 @@ impl Snapshot {
 #[derive(Default)]
 struct Tables {
     counters: BTreeMap<String, Counter>,
-    gauges: BTreeMap<String, Gauge>,
     histograms: BTreeMap<String, Histogram>,
 }
 
 /// A named-metric registry. See the crate docs for the naming scheme.
+#[derive(Default)]
 pub struct Registry {
     tables: RwLock<Tables>,
-    enabled: Arc<AtomicBool>,
-}
-
-impl Default for Registry {
-    fn default() -> Self {
-        Registry::new()
-    }
 }
 
 impl Registry {
-    /// An empty registry with recording enabled.
+    /// An empty registry.
     pub fn new() -> Registry {
-        Registry {
-            tables: RwLock::new(Tables::default()),
-            enabled: Arc::new(AtomicBool::new(true)),
-        }
-    }
-
-    /// Enables or disables recording through every handle of this registry.
-    /// Disabled handles short-circuit after one relaxed load.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, RELAXED);
-    }
-
-    /// Whether recording is enabled.
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(RELAXED)
+        Registry::default()
     }
 
     /// The counter named `name`, created on first use.
@@ -316,30 +245,7 @@ impl Registry {
         tables
             .counters
             .entry(name.to_owned())
-            .or_insert_with(|| {
-                Counter(Arc::new(CounterCore {
-                    value: AtomicU64::new(0),
-                    enabled: self.enabled.clone(),
-                }))
-            })
-            .clone()
-    }
-
-    /// The gauge named `name`, created on first use.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        if let Some(g) = self.tables.read().gauges.get(name) {
-            return g.clone();
-        }
-        let mut tables = self.tables.write();
-        tables
-            .gauges
-            .entry(name.to_owned())
-            .or_insert_with(|| {
-                Gauge(Arc::new(GaugeCore {
-                    value: AtomicU64::new(0),
-                    enabled: self.enabled.clone(),
-                }))
-            })
+            .or_insert_with(|| Counter(Arc::new(AtomicU64::new(0))))
             .clone()
     }
 
@@ -357,7 +263,6 @@ impl Registry {
                     buckets: std::array::from_fn(|_| AtomicU64::new(0)),
                     count: AtomicU64::new(0),
                     sum: AtomicU64::new(0),
-                    enabled: self.enabled.clone(),
                 }))
             })
             .clone()
@@ -372,34 +277,11 @@ impl Registry {
                 .iter()
                 .map(|(k, c)| (k.clone(), c.get()))
                 .collect(),
-            gauges: tables
-                .gauges
-                .iter()
-                .map(|(k, g)| (k.clone(), g.get()))
-                .collect(),
             histograms: tables
                 .histograms
                 .iter()
                 .map(|(k, h)| (k.clone(), h.snapshot()))
                 .collect(),
-        }
-    }
-
-    /// Zeroes every metric (handles stay valid) — for experiment phases.
-    pub fn reset(&self) {
-        let tables = self.tables.read();
-        for c in tables.counters.values() {
-            c.0.value.store(0, RELAXED);
-        }
-        for g in tables.gauges.values() {
-            g.0.value.store(0, RELAXED);
-        }
-        for h in tables.histograms.values() {
-            for b in &h.0.buckets {
-                b.store(0, RELAXED);
-            }
-            h.0.count.store(0, RELAXED);
-            h.0.sum.store(0, RELAXED);
         }
     }
 }
@@ -423,17 +305,6 @@ mod tests {
         a.inc();
         b.add(4);
         assert_eq!(a.get(), 5, "handles to one name share the cell");
-    }
-
-    #[test]
-    fn gauge_set_and_add() {
-        let r = Registry::new();
-        let g = r.gauge("g");
-        g.set(10);
-        g.add(-3);
-        assert_eq!(g.get(), 7);
-        g.add(5);
-        assert_eq!(g.get(), 12);
     }
 
     #[test]
@@ -509,24 +380,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_registry_records_nothing() {
-        let r = Registry::new();
-        let c = r.counter("c");
-        let g = r.gauge("g");
-        let h = r.histogram("h");
-        r.set_enabled(false);
-        c.inc();
-        g.set(9);
-        h.observe(5);
-        assert_eq!(c.get(), 0);
-        assert_eq!(g.get(), 0);
-        assert_eq!(h.count(), 0);
-        r.set_enabled(true);
-        c.inc();
-        assert_eq!(c.get(), 1);
-    }
-
-    #[test]
     fn snapshot_diff_subtracts() {
         let r = Registry::new();
         let c = r.counter("c_total");
@@ -546,16 +399,5 @@ mod tests {
         let z = after.diff(&after);
         assert!(z.counters.values().all(|&v| v == 0));
         assert!(z.histograms.values().all(|h| h.count == 0));
-    }
-
-    #[test]
-    fn reset_zeroes_but_keeps_handles() {
-        let r = Registry::new();
-        let c = r.counter("c");
-        c.add(7);
-        r.reset();
-        assert_eq!(c.get(), 0);
-        c.inc();
-        assert_eq!(c.get(), 1);
     }
 }
